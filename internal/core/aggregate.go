@@ -69,44 +69,62 @@ type AggregateReport struct {
 }
 
 // patchRelation applies one relation's delta to its historical state:
-// hypothetical = historical − Minus + Plus as bags. Surviving
-// historical tuples keep their order and Plus tuples append in delta
-// order, so the result is deterministic for a given delta.
-func patchRelation(hist *storage.Relation, d *delta.Result) *storage.Relation {
-	minus := make(map[string]int, len(d.Minus))
+// hypothetical = historical − Minus + Plus as bags. Minus goes into a
+// TupleIndex (the delta is small) and each historical tuple probes it
+// by typed hash, so the earliest occurrences are the ones removed:
+// surviving historical tuples keep their order and Plus tuples append
+// in delta order, which fixes group first-appearance order and float
+// accumulation order for a given delta. A Minus tuple the historical
+// state does not hold means the delta was computed in another frame of
+// reference; that is an error, never a silently wrong report.
+func patchRelation(hist *storage.Relation, d *delta.Result) (*storage.Relation, error) {
+	minus := storage.NewTupleIndex(len(d.Minus))
 	for _, t := range d.Minus {
-		minus[t.Key()]++
+		minus.Add(t)
 	}
 	out := storage.NewRelation(hist.Schema)
-	out.Tuples = make([]schema.Tuple, 0, len(hist.Tuples)-len(d.Minus)+len(d.Plus))
+	out.Tuples = make([]schema.Tuple, 0, max(len(hist.Tuples)-len(d.Minus), 0)+len(d.Plus))
 	for _, t := range hist.Tuples {
-		if k := t.Key(); minus[k] > 0 {
-			minus[k]--
+		if minus.Len() > 0 && minus.Remove(t) {
 			continue
 		}
 		out.Tuples = append(out.Tuples, t)
 	}
+	if n := minus.Len(); n > 0 {
+		return nil, fmt.Errorf("core: delta for %s removes %d tuple(s) the historical state does not hold (delta and tip are in different frames)", hist.Schema.Relation, n)
+	}
 	out.Tuples = append(out.Tuples, d.Plus...)
-	return out
+	return out, nil
 }
 
 // hypotheticalDB materializes the hypothetical world from the
 // historical state and a delta set. Unchanged relations are shared by
 // pointer (evaluation is read-only); changed ones are patched copies,
-// so the shared snapshot is never mutated.
-func hypotheticalDB(hist *storage.Database, d delta.Set) *storage.Database {
+// so the shared snapshot is never mutated. A non-empty delta for a
+// relation the historical state lacks is a frame mismatch and an error.
+func hypotheticalDB(hist *storage.Database, d delta.Set) (*storage.Database, error) {
 	hyp := storage.NewDatabase()
 	for _, name := range hist.RelationNames() {
 		r, err := hist.Relation(name)
 		if err != nil {
-			continue
-		}
-		if dr, ok := d[name]; ok && dr != nil && !dr.Empty() {
-			r = patchRelation(r, dr)
+			return nil, err
 		}
 		hyp.AddRelation(r)
 	}
-	return hyp
+	for name, dr := range d {
+		if dr == nil || dr.Empty() {
+			continue
+		}
+		r, err := hist.Relation(name)
+		if err != nil {
+			return nil, fmt.Errorf("core: delta for a relation the historical state lacks: %w", err)
+		}
+		if r, err = patchRelation(r, dr); err != nil {
+			return nil, err
+		}
+		hyp.AddRelation(r)
+	}
+	return hyp, nil
 }
 
 // deltaCell is hypothetical − historical for one aggregate cell, NULL
@@ -128,8 +146,9 @@ func deltaCell(hist, hyp schema.Tuple, j int) types.Value {
 }
 
 // aggregateReport evaluates one query in both worlds and matches rows
-// by group key.
-func aggregateReport(q AggregateQuery, hist, hyp *storage.Database, histEv, hypEv evaluator) (AggregateReport, error) {
+// by group. The hypothetical state is not a history version, so its
+// evaluation reuses ev's compiled program but never its result cache.
+func aggregateReport(q AggregateQuery, hist, hyp *storage.Database, ev evaluator) (AggregateReport, error) {
 	agg, ok := q.Query.(*algebra.Aggregate)
 	if !ok {
 		return AggregateReport{}, fmt.Errorf("core: aggregate query %q must aggregate at the top level", q.SQL)
@@ -141,31 +160,36 @@ func aggregateReport(q AggregateQuery, hist, hyp *storage.Database, histEv, hypE
 	for _, a := range agg.Aggs {
 		rep.AggColumns = append(rep.AggColumns, a.Name)
 	}
-	ro, err := histEv.eval(q.Query, hist)
+	ro, err := ev.eval(q.Query, hist)
 	if err != nil {
 		return AggregateReport{}, fmt.Errorf("core: aggregate query %q (historical): %w", q.SQL, err)
 	}
-	rm, err := hypEv.eval(q.Query, hyp)
+	rm, err := ev.evalUncached(q.Query, hyp)
 	if err != nil {
 		return AggregateReport{}, fmt.Errorf("core: aggregate query %q (hypothetical): %w", q.SQL, err)
 	}
 
 	ng := len(agg.GroupBy)
 	split := func(row schema.Tuple) (group, aggs schema.Tuple) { return row[:ng:ng], row[ng:] }
-	// Index the hypothetical rows by group key; matched entries are
-	// consumed so the leftover suffix is exactly the new groups.
-	hypByKey := make(map[string]schema.Tuple, len(rm.Tuples))
-	for _, row := range rm.Tuples {
+	// Index the hypothetical rows by typed group hash; matched rows are
+	// marked so the unmarked ones are exactly the new groups.
+	hypByGroup := make(map[uint64][]int, len(rm.Tuples))
+	for i, row := range rm.Tuples {
 		g, _ := split(row)
-		hypByKey[g.Key()] = row
+		h := g.Hash()
+		hypByGroup[h] = append(hypByGroup[h], i)
 	}
+	matched := make([]bool, len(rm.Tuples))
 	rep.Rows = make([]AggregateRow, 0, len(ro.Tuples))
 	for _, row := range ro.Tuples {
 		g, ha := split(row)
 		ar := AggregateRow{Group: g, Historical: ha}
-		if hrow, ok := hypByKey[g.Key()]; ok {
-			_, ar.Hypothetical = split(hrow)
-			delete(hypByKey, g.Key())
+		for _, i := range hypByGroup[g.Hash()] {
+			if hg, hy := split(rm.Tuples[i]); !matched[i] && hg.Equal(g) {
+				ar.Hypothetical = hy
+				matched[i] = true
+				break
+			}
 		}
 		ar.Delta = make(schema.Tuple, len(agg.Aggs))
 		for j := range agg.Aggs {
@@ -173,12 +197,11 @@ func aggregateReport(q AggregateQuery, hist, hyp *storage.Database, histEv, hypE
 		}
 		rep.Rows = append(rep.Rows, ar)
 	}
-	for _, row := range rm.Tuples {
-		g, ya := split(row)
-		if _, ok := hypByKey[g.Key()]; !ok {
-			continue // matched above
+	for i, row := range rm.Tuples {
+		if matched[i] {
+			continue
 		}
-		delete(hypByKey, g.Key())
+		g, ya := split(row)
 		ar := AggregateRow{Group: g, Hypothetical: ya, Delta: make(schema.Tuple, len(agg.Aggs))}
 		for j := range agg.Aggs {
 			ar.Delta[j] = types.Null()
@@ -191,21 +214,22 @@ func aggregateReport(q AggregateQuery, hist, hyp *storage.Database, histEv, hypE
 // computeAggregates answers every attached query over the historical
 // state and the hypothetical state derived from d. The historical side
 // may reuse the shared result cache (it is keyed by a real history
-// version); the hypothetical state is not a history version, so its
-// evaluations never enter the cache.
+// version). A delta that does not fit the historical state (see
+// hypotheticalDB) is an error.
 func computeAggregates(ctx context.Context, queries []AggregateQuery, d delta.Set, hist *storage.Database, ev evaluator) ([]AggregateReport, error) {
 	if len(queries) == 0 {
 		return nil, nil
 	}
-	hyp := hypotheticalDB(hist, d)
-	hypEv := ev
-	hypEv.ec = nil
+	hyp, err := hypotheticalDB(hist, d)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]AggregateReport, 0, len(queries))
 	for _, q := range queries {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rep, err := aggregateReport(q, hist, hyp, ev, hypEv)
+		rep, err := aggregateReport(q, hist, hyp, ev)
 		if err != nil {
 			return nil, err
 		}

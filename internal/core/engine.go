@@ -684,22 +684,34 @@ func (ev evaluator) evalCtx() context.Context {
 }
 
 func (ev evaluator) eval(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
-	ctx := ev.evalCtx()
 	if ev.ec != nil {
-		return ev.ec.eval(ctx, q, db, ev.ver, ev.kind, ev.vec)
+		return ev.ec.eval(ev.evalCtx(), q, db, ev.ver, ev.kind, ev.vec)
 	}
-	if ev.kind == ExecInterpreter {
-		// The tree-walking oracle is not ctx-aware; bound its damage by
-		// refusing to start when the request is already dead.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return algebra.Eval(q, db)
+	return ev.evalUncached(q, db)
+}
+
+// evalUncached answers q over db without looking at or feeding the
+// result cache — for databases that are not the history version ev.ver
+// (hypothetical states). The compiled program still comes from the
+// cache when there is one: programs are keyed by query fingerprint and
+// depend on the schemas only, never on the data.
+func (ev evaluator) evalUncached(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
+	ctx := ev.evalCtx()
+	var prog *exec.Program
+	switch {
+	case ev.kind == ExecInterpreter:
+	case ev.ec != nil:
+		prog = ev.ec.program(q, db, algebra.Fingerprint(q), ev.kind, ev.vec)
+	default:
+		// An uncompilable query leaves prog nil.
+		prog, _ = compileFor(ev.kind, q, db, ev.vec)
 	}
-	prog, err := compileFor(ev.kind, q, db, ev.vec)
-	if err != nil {
-		// Outside the compilable subset: the interpreter is the
-		// reference semantics, so this can only be slower, never wrong.
+	if prog == nil {
+		// Interpreter mode, or outside the compilable subset: the
+		// interpreter is the reference semantics, so this can only be
+		// slower, never wrong. The tree-walking oracle is not ctx-aware;
+		// bound its damage by refusing to start when the request is
+		// already dead.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ package delta
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -25,47 +26,60 @@ type Result struct {
 	Plus  []schema.Tuple
 }
 
-// Compute returns Δ(oldRel, newRel). The multiset arithmetic runs over
-// the hash-based tuple indexes via the bucket-aligned Diff (no
-// per-tuple string keys and no re-hashing); only the surviving delta
-// tuples pay for a canonical key, to sort the output.
+// Compute returns Δ(oldRel, newRel) with Minus and Plus in the canonical
+// typed order of schema.Tuple.Compare.
+//
+// Rows at the same position that are Equal cancel first. Cancelling any
+// equal pair is sound for bags, and it pays off because reenactment of
+// an update history maps row i to row i on both sides and the executors
+// preserve scan order, so what is left is about the size of the delta.
+// Only that residual is hashed: its old side is subtracted from a
+// TupleIndex of its new side. Two results that are not aligned (a row
+// deleted on one side only shifts everything after it) leave a large
+// residual and cost what a whole-relation multiset diff costs.
 func Compute(oldRel, newRel *storage.Relation) *Result {
 	out := &Result{Relation: oldRel.Schema.Relation, Schema: oldRel.Schema}
-	oldIx, newIx := oldRel.Index(), newRel.Index()
-	oldIx.Diff(newIx, func(t schema.Tuple, d int) {
-		for ; d > 0; d-- {
+	olds, news := oldRel.Tuples, newRel.Tuples
+	n := min(len(olds), len(news))
+	var restOld, restNew []schema.Tuple
+	for i := 0; i < n; i++ {
+		if !olds[i].Equal(news[i]) {
+			restOld = append(restOld, olds[i])
+			restNew = append(restNew, news[i])
+		}
+	}
+	restOld = append(restOld, olds[n:]...)
+	restNew = append(restNew, news[n:]...)
+
+	surplus := storage.NewTupleIndex(len(restNew))
+	for _, t := range restNew {
+		surplus.Add(t)
+	}
+	for _, t := range restOld {
+		if !surplus.Remove(t) {
 			out.Minus = append(out.Minus, t)
 		}
-	})
-	newIx.Diff(oldIx, func(t schema.Tuple, d int) {
-		for ; d > 0; d-- {
+	}
+	// surplus now holds exactly Plus; draining it in restNew order (not
+	// in map order) keeps the output deterministic even between tuples
+	// that tie under Compare but render differently (1 vs 1.0).
+	for _, t := range restNew {
+		if surplus.Len() == 0 {
+			break
+		}
+		if surplus.Remove(t) {
 			out.Plus = append(out.Plus, t)
 		}
-	})
+	}
 	sortTuples(out.Minus)
 	sortTuples(out.Plus)
 	return out
 }
 
+// sortTuples puts delta tuples in canonical order. Stable, so tuples
+// that tie under Compare keep the deterministic order they arrived in.
 func sortTuples(ts []schema.Tuple) {
-	keys := make([]string, len(ts))
-	for i, t := range ts {
-		keys[i] = t.Key()
-	}
-	sort.Sort(&byKey{ts: ts, keys: keys})
-}
-
-// byKey sorts tuples by their canonical key, computing each key once.
-type byKey struct {
-	ts   []schema.Tuple
-	keys []string
-}
-
-func (s *byKey) Len() int           { return len(s.ts) }
-func (s *byKey) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *byKey) Swap(i, j int) {
-	s.ts[i], s.ts[j] = s.ts[j], s.ts[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	slices.SortStableFunc(ts, schema.Tuple.Compare)
 }
 
 // Empty reports whether the delta contains no tuples.
@@ -84,7 +98,7 @@ func tuplesEqual(a, b []schema.Tuple) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Key() != b[i].Key() {
+		if !a[i].Equal(b[i]) {
 			return false
 		}
 	}

@@ -232,9 +232,8 @@ func (s *searcher) cell(reps []core.AggregateReport) (float64, bool, error) {
 	if len(rep.GroupColumns) != len(s.groups) {
 		return 0, false, fmt.Errorf("howto: target group has %d values, query groups by %d columns", len(s.groups), len(rep.GroupColumns))
 	}
-	want := s.groups.Key()
 	for _, row := range rep.Rows {
-		if row.Group.Key() != want {
+		if !row.Group.Equal(s.groups) {
 			continue
 		}
 		v := row.Delta[col]

@@ -3,6 +3,7 @@
 package schema
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -140,8 +141,78 @@ func (t Tuple) Equal(o Tuple) bool {
 	return true
 }
 
-// Key returns a canonical string encoding of the tuple usable as a map
-// key (for delta computation and duplicate detection).
+// valueRank places the kinds in the canonical cross-kind order used by
+// Compare: NULL < numeric < string < bool. Int and float share a rank
+// because they compare by value (1 equals 1.0).
+func valueRank(k types.Kind) int {
+	switch k {
+	case types.KindNull:
+		return 0
+	case types.KindInt, types.KindFloat:
+		return 1
+	case types.KindString:
+		return 2
+	}
+	return 3
+}
+
+func compareValue(a, b types.Value) int {
+	if ra, rb := valueRank(a.Kind()), valueRank(b.Kind()); ra != rb {
+		return cmp.Compare(ra, rb)
+	}
+	switch a.Kind() {
+	case types.KindInt, types.KindFloat:
+		if a.Kind() == types.KindInt && b.Kind() == types.KindInt {
+			return cmp.Compare(a.AsInt(), b.AsInt())
+		}
+		// Not cmp.Compare: -0.0 and +0.0 must tie, as they do under Equal.
+		x, y := a.AsFloat(), b.AsFloat()
+		switch {
+		case x < y:
+			return -1
+		case x > y:
+			return 1
+		}
+	case types.KindString:
+		return strings.Compare(a.AsString(), b.AsString())
+	case types.KindBool:
+		switch x, y := a.AsBool(), b.AsBool(); {
+		case !x && y:
+			return -1
+		case x && !y:
+			return 1
+		}
+	}
+	return 0
+}
+
+// Compare orders two tuples column-wise without rendering them: NULL
+// sorts before numerics (ordered by value, so 1 and 1.0 tie), numerics
+// before strings (byte order), strings before bools (false < true); a
+// tuple that is a proper prefix of another sorts first. It returns -1,
+// 0 or +1, and Compare == 0 exactly when Equal — the same classes Hash
+// collides — so it is the canonical order of deltas and the only
+// per-tuple identity the what-if hot path needs besides Hash/Equal.
+//
+// The order is total on the engine's value domain. Outside it there are
+// two gaps, both inherited from Value.Equal: a NaN cell (types.Parse
+// and types.Arith never produce one) ties with every float yet equals
+// none, and ints beyond ±2^53 compare exactly with each other but by
+// float64 value with floats, so two distinct ints can both equal the
+// same float — Equal is not transitive there, and neither is this.
+func (t Tuple) Compare(o Tuple) int {
+	for i := 0; i < len(t) && i < len(o); i++ {
+		if c := compareValue(t[i], o[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(t), len(o))
+}
+
+// Key returns a canonical string encoding of the tuple, for places
+// whose product is a string (template fingerprints, debug output).
+// Anything that runs per what-if identifies tuples by Hash, Equal and
+// Compare instead.
 func (t Tuple) Key() string {
 	var b strings.Builder
 	for i, v := range t {
@@ -254,11 +325,10 @@ func HashBool(h uint64, b bool) uint64 {
 	return fnvByte(h, 0)
 }
 
-// Hash returns an FNV-1a hash of the tuple over typed values. Its
-// equivalence classes match Key(): tuples with equal keys hash equally.
-// It is the index key for the hash-based multiset operations
-// (difference, delta, bag equality), replacing the fmt-built string
-// keys on those hot paths.
+// Hash returns an FNV-1a hash of the tuple over typed values. Tuples
+// that are Equal hash equally. It is the index key for the hash-based
+// multiset operations (difference, delta, bag equality, report
+// patching).
 func (t Tuple) Hash() uint64 {
 	h := HashSeed
 	for _, v := range t {
