@@ -18,9 +18,9 @@ var execOut = "BENCH_exec.json"
 // profile testing.B collects (allocs/op is the early-warning signal
 // for executor regressions — time alone hides allocator luck).
 type execResult struct {
-	Updates     int    `json:"updates"`
-	Rows        int    `json:"rows"`
-	Executor    string `json:"executor"`
+	Updates  int    `json:"updates"`
+	Rows     int    `json:"rows"`
+	Executor string `json:"executor"`
 	// Columnar is reported for the vectorized cells: true for the typed
 	// column-vector lanes, false for the boxed-Value ablation
 	// (Vec.NoColumnar) that preserves the pre-typed-lane numbers.

@@ -109,12 +109,12 @@ func SatisfiableCtx(ctx context.Context, cond expr.Expr, kinds map[string]types.
 		return satisfiable(ctx, simplified, kinds, opts)
 	}
 	key := memoKey(simplified, kinds, opts)
-	if out, ok := opts.Memo.lookup(key); ok {
+	if out, ok := opts.Memo.Lookup(key); ok {
 		return out, nil
 	}
 	out, err := satisfiable(ctx, simplified, kinds, opts)
 	if err == nil {
-		opts.Memo.store(key, out)
+		opts.Memo.Store(key, out)
 	}
 	return out, err
 }

@@ -1,17 +1,16 @@
 package compile
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/mahif/mahif/internal/expr"
+	"github.com/mahif/mahif/internal/lru"
 	"github.com/mahif/mahif/internal/types"
 )
 
-// Memo is a concurrency-safe cache of satisfiability outcomes. The
+// Memo is a concurrency-safe LRU of satisfiability outcomes. The
 // slicing formulas the engine compiles are deterministic functions of
 // the history suffix and the modification under test, so their
 // canonical fingerprint (rendered condition + variable kinds + solver
@@ -23,22 +22,7 @@ import (
 // Cached *Outcome values are shared; callers must treat them (including
 // the Model witness map) as read-only, which every engine call site
 // already does.
-type Memo struct {
-	// A plain mutex: even lookups write (hit/miss and recency
-	// accounting), so a reader/writer split would buy nothing.
-	mu        sync.Mutex
-	m         map[string]*list.Element // of memoEntry
-	lru       *list.List               // front = most recently used
-	cap       int
-	hits      int64
-	misses    int64
-	evictions int64
-}
-
-type memoEntry struct {
-	key string
-	out *Outcome
-}
+type Memo = lru.Cache[string, *Outcome]
 
 // DefaultMemoEntries bounds a memo built by NewMemo. Outcomes are
 // small (a verdict plus a witness map), so the bound exists to keep a
@@ -51,60 +35,7 @@ func NewMemo() *Memo { return NewMemoCap(DefaultMemoEntries) }
 
 // NewMemoCap builds an empty memo holding at most cap outcomes
 // (cap <= 0 means unbounded).
-func NewMemoCap(cap int) *Memo {
-	return &Memo{m: map[string]*list.Element{}, lru: list.New(), cap: cap}
-}
-
-// Stats reports lookup hits and misses so far.
-func (m *Memo) Stats() (hits, misses int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses
-}
-
-// Evictions reports outcomes dropped by the LRU bound so far.
-func (m *Memo) Evictions() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.evictions
-}
-
-// Len returns the number of cached outcomes.
-func (m *Memo) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.m)
-}
-
-func (m *Memo) lookup(key string) (*Outcome, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.m[key]
-	if !ok {
-		m.misses++
-		return nil, false
-	}
-	m.hits++
-	m.lru.MoveToFront(el)
-	return el.Value.(memoEntry).out, true
-}
-
-func (m *Memo) store(key string, out *Outcome) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.m[key]; ok {
-		el.Value = memoEntry{key: key, out: out}
-		m.lru.MoveToFront(el)
-		return
-	}
-	m.m[key] = m.lru.PushFront(memoEntry{key: key, out: out})
-	for m.cap > 0 && m.lru.Len() > m.cap {
-		back := m.lru.Back()
-		delete(m.m, back.Value.(memoEntry).key)
-		m.lru.Remove(back)
-		m.evictions++
-	}
-}
+func NewMemoCap(cap int) *Memo { return lru.New[string, *Outcome](cap) }
 
 // memoKey fingerprints one satisfiability query. The condition is
 // serialized with explicit node tags (a plain String rendering cannot

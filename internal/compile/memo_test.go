@@ -171,7 +171,7 @@ func TestMemoConcurrent(t *testing.T) {
 func TestMemoLRUBound(t *testing.T) {
 	m := NewMemoCap(3)
 	for i := 0; i < 4; i++ {
-		m.store(string(rune('a'+i)), &Outcome{})
+		m.Store(string(rune('a'+i)), &Outcome{})
 	}
 	if m.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", m.Len())
@@ -179,18 +179,18 @@ func TestMemoLRUBound(t *testing.T) {
 	if m.Evictions() != 1 {
 		t.Fatalf("Evictions = %d, want 1", m.Evictions())
 	}
-	if _, ok := m.lookup("a"); ok {
+	if _, ok := m.Lookup("a"); ok {
 		t.Fatalf("oldest key survived the bound")
 	}
 	// Touch "b" so "c" becomes the LRU victim of the next insert.
-	if _, ok := m.lookup("b"); !ok {
+	if _, ok := m.Lookup("b"); !ok {
 		t.Fatalf("key b missing")
 	}
-	m.store("e", &Outcome{})
-	if _, ok := m.lookup("c"); ok {
+	m.Store("e", &Outcome{})
+	if _, ok := m.Lookup("c"); ok {
 		t.Fatalf("recency not honored: c should have been evicted before b")
 	}
-	if _, ok := m.lookup("b"); !ok {
+	if _, ok := m.Lookup("b"); !ok {
 		t.Fatalf("recently used key b evicted")
 	}
 }

@@ -238,29 +238,19 @@ func computeAggregates(ctx context.Context, queries []AggregateQuery, d delta.Se
 	return out, nil
 }
 
-// aggregateReports evaluates the attached queries against the tip the
-// delta was computed at, resolving the historical state through the
-// shared snapshot cache when one is available.
-func (e *Engine) aggregateReports(ctx context.Context, queries []AggregateQuery, d delta.Set, tip int, opts Options, shared *batchShared) ([]AggregateReport, error) {
+// tipReports evaluates the attached queries against the history state
+// at version tip — the frame the delta was computed in — resolving that
+// state through the shared snapshot cache when there is one. What-ifs,
+// batches, naive answers and template evals all report through here.
+func (e *Engine) tipReports(ctx context.Context, queries []AggregateQuery, d delta.Set, tip int, opts Options, shared *batchShared) ([]AggregateReport, error) {
 	if len(queries) == 0 {
 		return nil, nil
 	}
-	var hist *storage.Database
-	var err error
-	if shared != nil && shared.snaps != nil {
-		hist, err = shared.snaps.SnapshotCtx(ctx, tip)
-	} else {
-		hist, err = e.vdb.VersionCtx(ctx, tip)
-	}
+	hist, err := shared.snapshot(ctx, e.vdb, tip)
 	if err != nil {
 		return nil, err
 	}
-	var ec *evalCache
-	if shared != nil {
-		ec = shared.eval
-	}
-	ev := evaluator{ctx: ctx, ec: ec, ver: tip, kind: normalizeExecutor(opts.Executor), vec: opts.Vec}
-	return computeAggregates(ctx, queries, d, hist, ev)
+	return computeAggregates(ctx, queries, d, hist, newEvaluator(ctx, opts, tip, shared.eval))
 }
 
 // WhatIfAggregates answers a what-if query plus its attached aggregate
@@ -275,15 +265,7 @@ func (e *Engine) WhatIfAggregates(mods []history.Modification, queries []Aggrega
 // captured once, so a concurrent append cannot put the delta and the
 // reports in different frames of reference.
 func (e *Engine) WhatIfAggregatesCtx(ctx context.Context, mods []history.Modification, queries []AggregateQuery, opts Options) (delta.Set, []AggregateReport, *Stats, error) {
-	d, st, tip, err := e.whatIfTip(ctx, mods, opts, nil)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	reps, err := e.aggregateReports(ctx, queries, d, tip, opts, nil)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return d, reps, st, nil
+	return e.whatIfAggregates(ctx, mods, queries, opts, &batchShared{})
 }
 
 // WhatIfAggregatesCtx is Engine.WhatIfAggregatesCtx through the
@@ -291,19 +273,7 @@ func (e *Engine) WhatIfAggregatesCtx(ctx context.Context, mods []history.Modific
 // aggregate evaluations come from (and feed) the session's shared
 // state. Hypothetical-side evaluations are never cached.
 func (s *Session) WhatIfAggregatesCtx(ctx context.Context, mods []history.Modification, queries []AggregateQuery, opts Options) (delta.Set, []AggregateReport, *Stats, error) {
-	shared := s.shared()
-	if opts.Compile.Memo == nil {
-		opts.Compile.Memo = shared.memo
-	}
-	d, st, tip, err := s.e.whatIfTip(ctx, mods, opts, shared)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	reps, err := s.e.aggregateReports(ctx, queries, d, tip, opts, shared)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return d, reps, st, nil
+	return s.e.whatIfAggregates(ctx, mods, queries, opts, s.shared())
 }
 
 // NaiveAggregatesCtx is NaiveCtx plus attached aggregate queries,
@@ -312,12 +282,11 @@ func (s *Session) WhatIfAggregatesCtx(ctx context.Context, mods []history.Modifi
 // algorithm has none of its own).
 func (s *Session) NaiveAggregatesCtx(ctx context.Context, mods []history.Modification, queries []AggregateQuery) (delta.Set, []AggregateReport, *NaiveStats, error) {
 	shared := s.shared()
-	stats := &NaiveStats{}
-	d, st, tip, err := s.e.naiveFrom(ctx, mods, stats, shared.snaps)
+	d, st, tip, err := s.e.naiveFrom(ctx, mods, shared)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	reps, err := s.e.aggregateReports(ctx, queries, d, tip, Options{}, shared)
+	reps, err := s.e.tipReports(ctx, queries, d, tip, Options{}, shared)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -341,39 +310,7 @@ func (t *Template) EvalAggregatesCtx(ctx context.Context, binding map[string]typ
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := t.evalArtifact(ctx, art, binding)
-	if err != nil {
-		return nil, nil, err
-	}
-	reps, err := t.artifactAggregates(ctx, art, d, queries)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, reps, nil
-}
-
-// artifactAggregates evaluates attached queries against one pinned
-// artifact's tip state.
-func (t *Template) artifactAggregates(ctx context.Context, art *templateArtifact, d delta.Set, queries []AggregateQuery) ([]AggregateReport, error) {
-	if len(queries) == 0 {
-		return nil, nil
-	}
-	var hist *storage.Database
-	var err error
-	if t.shared != nil && t.shared.snaps != nil {
-		hist, err = t.shared.snaps.SnapshotCtx(ctx, art.version)
-	} else {
-		hist, err = t.e.vdb.VersionCtx(ctx, art.version)
-	}
-	if err != nil {
-		return nil, err
-	}
-	var ec *evalCache
-	if t.shared != nil {
-		ec = t.shared.eval
-	}
-	ev := evaluator{ctx: ctx, ec: ec, ver: art.version, kind: normalizeExecutor(t.opts.Executor), vec: t.opts.Vec}
-	return computeAggregates(ctx, queries, d, hist, ev)
+	return t.evalArtifact(ctx, art, binding, queries)
 }
 
 // TemplateAggResult is the outcome of one binding in an aggregate-
@@ -403,17 +340,12 @@ func (t *Template) EvalAggregatesBatchCtx(ctx context.Context, bindings []map[st
 		return nil, err
 	}
 	results := make([]TemplateAggResult, len(bindings))
-	runBatch(ctx, len(bindings), workers, func(i int) {
+	runBatch(allPositions(len(bindings)), workers, nil, func(i int) {
 		if err := ctx.Err(); err != nil {
 			results[i] = TemplateAggResult{Binding: i, Err: err}
 			return
 		}
-		d, err := t.evalArtifact(ctx, art, bindings[i])
-		if err != nil {
-			results[i] = TemplateAggResult{Binding: i, Err: err}
-			return
-		}
-		reps, err := t.artifactAggregates(ctx, art, d, queries)
+		d, reps, err := t.evalArtifact(ctx, art, bindings[i], queries)
 		results[i] = TemplateAggResult{Binding: i, Delta: d, Aggregates: reps, Err: err}
 	})
 	return results, ctx.Err()

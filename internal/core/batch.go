@@ -15,6 +15,7 @@ import (
 	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/history"
+	"github.com/mahif/mahif/internal/lru"
 	"github.com/mahif/mahif/internal/storage"
 )
 
@@ -240,16 +241,50 @@ func (c *evalCache) resident() int {
 	return len(c.results)
 }
 
-// batchShared bundles the caches one batch evaluation — or one
-// long-lived Session — shares across evaluations. All fields are
-// optional; memo is carried here only so sessions can hand their
-// solver memo to batches (per-scenario options reference it via
-// Options.Compile.Memo).
+// batchShared bundles the caches evaluations share: a Session owns one
+// for its lifetime, a session-less batch for the duration of the call.
+// Every field is optional — the engine-level entry points pass an empty
+// bundle — and each cache is internally synchronized.
 type batchShared struct {
 	snaps     *storage.SnapshotCache
 	eval      *evalCache
-	memo      *compile.Memo
-	templates *compile.TemplateCache
+	memo      *compile.Memo // used when Options.Compile.Memo is unset
+	templates *lru.Cache[string, *Template]
+}
+
+// templateCacheEntries bounds a session's compiled-template cache.
+// Template artifacts hold materialized relations, so the bound is far
+// smaller than the solver memo's.
+const templateCacheEntries = 64
+
+// snapshot returns the database state after the first ver statements:
+// a shared read-only snapshot from the cache when the bundle has one,
+// a private copy from time travel otherwise.
+func (b *batchShared) snapshot(ctx context.Context, vdb *storage.VersionedDatabase, ver int) (*storage.Database, error) {
+	if b.snaps != nil {
+		return b.snaps.SnapshotCtx(ctx, ver)
+	}
+	return vdb.VersionCtx(ctx, ver)
+}
+
+// traffic is a reading of the bundle's hit/miss counters.
+type traffic struct {
+	snapHits, snapMisses int
+	memoHits, memoMisses int64
+	evalHits, evalMisses int
+}
+
+func (b *batchShared) traffic() (t traffic) {
+	if b.snaps != nil {
+		t.snapHits, t.snapMisses = b.snaps.Stats()
+	}
+	if b.memo != nil {
+		t.memoHits, t.memoMisses = b.memo.Stats()
+	}
+	if b.eval != nil {
+		t.evalHits, t.evalMisses = b.eval.stats()
+	}
+	return t
 }
 
 // Scenario is one hypothetical modification set in a batch what-if
@@ -354,76 +389,42 @@ func (e *Engine) WhatIfBatchCtx(ctx context.Context, scenarios []Scenario, opts 
 	return e.whatIfBatch(ctx, scenarios, opts, nil)
 }
 
-// whatIfBatch is WhatIfBatchCtx with optional session-owned caches: a
-// non-nil session shares its snapshot/program/memo caches with the
-// batch (subject to the batch's No* toggles) so the batch both reuses
-// and feeds the session's cross-call state.
+// whatIfBatch is WhatIfBatchCtx over a session's caches, so the batch
+// both reuses and feeds the session's cross-call state; a batch without
+// a session opens a temporary one. The batch's No* toggles drop the
+// corresponding cache from the bundle its scenarios see.
 func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts BatchOptions, sess *Session) ([]BatchResult, *BatchStats, error) {
 	if len(scenarios) == 0 {
 		return nil, nil, fmt.Errorf("core: empty scenario batch")
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if sess == nil {
+		sess = e.NewSession()
 	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-
-	shared := &batchShared{}
-	var sessShared *batchShared
-	if sess != nil {
-		sessShared = sess.shared()
-	}
-	if !opts.NoSnapshotSharing {
-		if sessShared != nil {
-			shared.snaps = sessShared.snaps
-		} else {
-			shared.snaps = storage.NewSnapshotCache(e.vdb)
-		}
-	}
-	if !opts.NoQueryCache {
-		if sessShared != nil {
-			shared.eval = sessShared.eval
-		} else {
-			shared.eval = newEvalCache()
-		}
-	}
+	shared := *sess.shared()
 	perScenario := opts.Options
-	var memo *compile.Memo
-	switch {
-	case opts.NoCompileMemo:
+	if opts.NoSnapshotSharing {
+		shared.snaps = nil
+	}
+	if opts.NoQueryCache {
+		shared.eval = nil
+	}
+	if opts.NoCompileMemo {
 		// Also drop a caller-supplied memo: the option means "no
 		// cross-scenario solver reuse", not just "no fresh memo".
-		perScenario.Compile.Memo = nil
-	case perScenario.Compile.Memo == nil:
-		if sessShared != nil {
-			memo = sessShared.memo
-		} else {
-			memo = compile.NewMemo()
-		}
-		perScenario.Compile.Memo = memo
-	default:
-		// The caller supplied a memo (e.g. shared across batches): use
-		// it, but leave BatchStats memo counters zero — its cumulative
-		// counts are not attributable to this batch.
+		shared.memo, perScenario.Compile.Memo = nil, nil
 	}
-	// Attribute this batch's cache traffic to its stats by snapshotting
-	// baselines: long-lived session caches carry counts from earlier
-	// calls. The baseline-and-subtract is approximate when other calls
+	if perScenario.Compile.Memo != nil {
+		// The caller's memo (e.g. shared across batches) is the one in
+		// use; leave BatchStats' memo counters zero — its cumulative
+		// counts are not attributable to this batch.
+		shared.memo = nil
+	}
+	// Attribute this batch's cache traffic to its stats by reading the
+	// counters before and after: long-lived session caches carry counts
+	// from earlier calls. The difference is approximate when other calls
 	// share the session concurrently with the batch (their traffic in
 	// the window lands in this batch's counters).
-	var snapHits0, snapMiss0, evalHits0, evalMiss0 int
-	var memoHits0, memoMiss0 int64
-	if shared.snaps != nil {
-		snapHits0, snapMiss0 = shared.snaps.Stats()
-	}
-	if shared.eval != nil {
-		evalHits0, evalMiss0 = shared.eval.stats()
-	}
-	if memo != nil {
-		memoHits0, memoMiss0 = memo.Stats()
-	}
+	before := shared.traffic()
 
 	start := time.Now()
 	// Align every scenario once: the padded pair drives both the
@@ -433,6 +434,7 @@ func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts Bat
 	if err != nil {
 		return nil, nil, err
 	}
+	tip := len(h)
 	results := make([]BatchResult, len(scenarios))
 	pairs := make([]*history.PaddedPair, len(scenarios))
 	for i, sc := range scenarios {
@@ -442,31 +444,6 @@ func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts Bat
 		}
 	}
 
-	var wg sync.WaitGroup
-	idxCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				sc := scenarios[i]
-				if err := ctx.Err(); err != nil {
-					// The batch is dead: record the cancellation without
-					// starting the evaluation.
-					results[i] = BatchResult{Scenario: i, Label: sc.Label, Err: err}
-					continue
-				}
-				d, st, err := e.whatIfPair(ctx, pairs[i], perScenario, shared)
-				var reps []AggregateReport
-				if err == nil {
-					// The pairs were aligned against h, so len(h) is the
-					// tip every scenario's delta refers to.
-					reps, err = e.aggregateReports(ctx, sc.Queries, d, len(h), perScenario, shared)
-				}
-				results[i] = BatchResult{Scenario: i, Label: sc.Label, Delta: d, Stats: st, Aggregates: reps, Err: err}
-			}
-		}()
-	}
 	// Dispatch scenarios by ascending first-modified position, and
 	// materialize each scenario's snapshot before handing it to a
 	// worker: the ascending pre-warm makes every build an incremental
@@ -475,47 +452,82 @@ func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts Bat
 	// nearby versions from the base). Results keep submission order
 	// regardless; snapshot errors are left for the scenario's own
 	// evaluation to surface.
-	warmed := -1
-	for _, i := range scheduleOrder(pairs) {
-		if shared.snaps != nil && ctx.Err() == nil {
-			// Ascending dispatch makes consecutive versions the distinct
-			// ones; warm each exactly once.
-			if v := min(pairs[i].FirstModified(), e.vdb.NumVersions()); v != warmed {
+	var warm func(int)
+	if shared.snaps != nil {
+		// Ascending dispatch makes consecutive versions the distinct
+		// ones; warm each exactly once.
+		warmed := -1
+		warm = func(i int) {
+			if v := min(pairs[i].FirstModified(), tip); v != warmed && ctx.Err() == nil {
 				_, _ = shared.snaps.SnapshotCtx(ctx, v)
 				warmed = v
 			}
 		}
-		idxCh <- i
 	}
-	close(idxCh)
-	wg.Wait()
+	workers := runBatch(scheduleOrder(pairs), opts.Workers, warm, func(i int) {
+		sc := scenarios[i]
+		if err := ctx.Err(); err != nil {
+			// The batch is dead: record the cancellation without
+			// starting the evaluation.
+			results[i] = BatchResult{Scenario: i, Label: sc.Label, Err: err}
+			return
+		}
+		d, reps, st, err := e.whatIfPair(ctx, pairs[i], tip, sc.Queries, perScenario, &shared)
+		results[i] = BatchResult{Scenario: i, Label: sc.Label, Delta: d, Stats: st, Aggregates: reps, Err: err}
+	})
 
+	after := shared.traffic()
 	bs := &BatchStats{
-		Total:     time.Since(start),
-		Workers:   workers,
-		Scenarios: len(scenarios),
+		Total:          time.Since(start),
+		Workers:        workers,
+		Scenarios:      len(scenarios),
+		SnapshotHits:   after.snapHits - before.snapHits,
+		SnapshotMisses: after.snapMisses - before.snapMisses,
+		MemoHits:       after.memoHits - before.memoHits,
+		MemoMisses:     after.memoMisses - before.memoMisses,
+		QueryHits:      after.evalHits - before.evalHits,
+		QueryMisses:    after.evalMisses - before.evalMisses,
 	}
 	for i := range results {
 		if results[i].Err != nil {
 			bs.Failed++
 		}
 	}
-	if shared.snaps != nil {
-		h, m := shared.snaps.Stats()
-		bs.SnapshotHits, bs.SnapshotMisses = h-snapHits0, m-snapMiss0
-	}
-	if memo != nil {
-		// Report from the batch- or session-owned memo only, net of any
-		// traffic from before this batch; a caller-supplied memo would
-		// carry counts not attributable to it at all.
-		h, m := memo.Stats()
-		bs.MemoHits, bs.MemoMisses = h-memoHits0, m-memoMiss0
-	}
-	if shared.eval != nil {
-		h, m := shared.eval.stats()
-		bs.QueryHits, bs.QueryMisses = h-evalHits0, m-evalMiss0
-	}
 	return results, bs, ctx.Err()
+}
+
+// runBatch runs fn(i) for every i in order over a pool of workers
+// (workers <= 0 uses GOMAXPROCS; the pool never exceeds len(order)) and
+// returns the pool size. The calling goroutine hands the indices out in
+// order and, when warm is non-nil, runs warm(i) right before handing
+// out i — sequential set-up that overlaps with the workers.
+func runBatch(order []int, workers int, warm, fn func(int)) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(order) {
+		workers = len(order)
+	}
+	var wg sync.WaitGroup
+	idxCh := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idxCh {
+				fn(i)
+			}
+		}()
+	}
+	for _, i := range order {
+		if warm != nil {
+			warm(i)
+		}
+		idxCh <- i
+	}
+	close(idxCh)
+	wg.Wait()
+	return workers
 }
 
 // scheduleOrder returns the indices of successfully aligned pairs

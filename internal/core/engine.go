@@ -18,7 +18,6 @@ import (
 	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/history"
 	"github.com/mahif/mahif/internal/progslice"
-	"github.com/mahif/mahif/internal/reenact"
 	"github.com/mahif/mahif/internal/storage"
 	"github.com/mahif/mahif/internal/symbolic"
 )
@@ -58,8 +57,6 @@ type Options struct {
 	UseDependency bool
 	// InsertSplit applies the §10 split even without program slicing.
 	InsertSplit bool
-	// SkipUntainted skips relations whose delta is provably empty.
-	SkipUntainted bool
 	// Compress configures database compression for program slicing.
 	Compress symbolic.CompressOptions
 	// Compile configures the MILP backend.
@@ -84,7 +81,6 @@ func DefaultOptions() Options {
 		DataSlicing:    true,
 		UseDependency:  true,
 		InsertSplit:    true,
-		SkipUntainted:  true,
 		Executor:       ExecVectorized,
 	}
 }
@@ -273,50 +269,29 @@ func (e *Engine) HistoryRange(since, limit int) (history.History, int, error) {
 	return h, total, nil
 }
 
-// prepare applies M to H, cuts the shared prefix, and reconstructs the
-// database state at the first modified statement. tip is the history
-// length the call is evaluated against — captured once, so a
-// concurrent append cannot shift the query's frame of reference
-// mid-call.
-func (e *Engine) prepare(ctx context.Context, mods []history.Modification, st *Stats, snaps *storage.SnapshotCache) (suffix *history.PaddedPair, db *storage.Database, tip int, err error) {
+// align applies M to the current history. tip is the history length
+// the call is evaluated against — captured once, here, so a concurrent
+// append cannot shift the query's frame of reference mid-call.
+func (e *Engine) align(mods []history.Modification) (pair *history.PaddedPair, tip int, err error) {
 	h, err := e.History()
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
-	pair, err := history.ApplyModifications(h, mods)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	suffix, db, _, err = e.snapshotFor(ctx, pair, st, snaps)
-	return suffix, db, len(h), err
+	pair, err = history.ApplyModifications(h, mods)
+	return pair, len(h), err
 }
 
-// snapshotFor cuts the shared prefix of an aligned pair and
-// reconstructs the database state at the first modified statement. With
-// a non-nil snapshot cache the state is a shared read-only snapshot
-// (reenactment never mutates it); otherwise it is a private copy from
-// time travel. The returned version number identifies the snapshot for
-// result caching.
-func (e *Engine) snapshotFor(ctx context.Context, pair *history.PaddedPair, st *Stats, snaps *storage.SnapshotCache) (*history.PaddedPair, *storage.Database, int, error) {
+// timeTravel cuts the shared prefix of a pair aligned at tip and
+// reconstructs the state right before the first modified statement:
+// that prefix is identical in both histories, so per §4 evaluation
+// starts there. Padding only ever occurs at or after modified
+// positions, so the prefix indexes the log directly. The returned
+// version identifies the state for result caching.
+func (e *Engine) timeTravel(ctx context.Context, pair *history.PaddedPair, tip int, shared *batchShared) (suffix *history.PaddedPair, db *storage.Database, ver int, err error) {
 	first := pair.FirstModified()
-	t0 := time.Now()
-	// The prefix before the first modification is identical in both
-	// histories; per §4 we time-travel to the state right before it.
-	// Padding only ever occurs at or after modified positions, so the
-	// prefix indexes the log directly.
-	ver := min(first, e.vdb.NumVersions())
-	var db *storage.Database
-	var err error
-	if snaps != nil {
-		db, err = snaps.SnapshotCtx(ctx, ver)
-	} else {
-		db, err = e.vdb.VersionCtx(ctx, ver)
-	}
-	if err != nil {
+	ver = min(first, tip)
+	if db, err = shared.snapshot(ctx, e.vdb, ver); err != nil {
 		return nil, nil, 0, err
-	}
-	if st != nil {
-		st.TimeTravel = time.Since(t0)
 	}
 	return pair.SuffixFrom(first), db, ver, nil
 }
@@ -330,7 +305,7 @@ func (e *Engine) Naive(mods []history.Modification) (delta.Set, *NaiveStats, err
 // time travel, between the statements of the hypothetical history, and
 // between per-relation delta computations.
 func (e *Engine) NaiveCtx(ctx context.Context, mods []history.Modification) (delta.Set, *NaiveStats, error) {
-	d, st, _, err := e.naiveFrom(ctx, mods, &NaiveStats{}, nil)
+	d, st, _, err := e.naiveFrom(ctx, mods, &batchShared{})
 	return d, st, err
 }
 
@@ -339,15 +314,21 @@ func (e *Engine) NaiveCtx(ctx context.Context, mods []history.Modification) (del
 // delta was diffed against. The explicit Clone of the algorithm's
 // Copy(D) step doubles as the copy-on-write boundary that keeps a
 // shared snapshot read-only.
-func (e *Engine) naiveFrom(ctx context.Context, mods []history.Modification, stats *NaiveStats, snaps *storage.SnapshotCache) (delta.Set, *NaiveStats, int, error) {
+func (e *Engine) naiveFrom(ctx context.Context, mods []history.Modification, shared *batchShared) (delta.Set, *NaiveStats, int, error) {
 	start := time.Now()
-	suffix, db, tip, err := e.prepare(ctx, mods, nil, snaps)
+	stats := &NaiveStats{}
+	pair, tip, err := e.align(mods)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	// Creation: the copy of D. prepare already materialized a private
-	// copy via time travel; the explicit Clone here is the algorithm's
-	// Copy(D) step, kept so the naive method pays the paper's cost.
+	suffix, db, _, err := e.timeTravel(ctx, pair, tip, shared)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	// Creation: the copy of D. Without a snapshot cache time travel
+	// already materialized a private copy; the explicit Clone here is
+	// the algorithm's Copy(D) step, kept so the naive method pays the
+	// paper's cost.
 	t0 := time.Now()
 	work := db.Clone()
 	stats.Creation = time.Since(t0)
@@ -366,8 +347,8 @@ func (e *Engine) naiveFrom(ctx context.Context, mods []history.Modification, sta
 	// while the bare engine reads the live state directly, preserving
 	// the paper's cost model for benchmarks (quiescence documented).
 	actual := e.vdb.Current()
-	if snaps != nil {
-		if actual, err = snaps.SnapshotCtx(ctx, tip); err != nil {
+	if shared.snaps != nil {
+		if actual, err = shared.snaps.SnapshotCtx(ctx, tip); err != nil {
 			return nil, nil, 0, err
 		}
 	}
@@ -410,248 +391,58 @@ func (e *Engine) WhatIf(mods []history.Modification, opts Options) (delta.Set, *
 // query execution, every statement of time-travel replay — so a
 // cancelled query stops within milliseconds and returns ctx.Err().
 func (e *Engine) WhatIfCtx(ctx context.Context, mods []history.Modification, opts Options) (delta.Set, *Stats, error) {
-	return e.whatIf(ctx, mods, opts, nil)
-}
-
-// whatIf is WhatIfCtx with optional shared caches (snapshot, query
-// results) used by WhatIfBatch and Session.
-func (e *Engine) whatIf(ctx context.Context, mods []history.Modification, opts Options, shared *batchShared) (delta.Set, *Stats, error) {
-	d, st, _, err := e.whatIfTip(ctx, mods, opts, shared)
+	d, _, st, err := e.whatIfAggregates(ctx, mods, nil, opts, &batchShared{})
 	return d, st, err
 }
 
-// whatIfTip is whatIf, additionally returning the history length the
-// answer was evaluated against — the frame of reference callers need
-// to evaluate follow-up queries (aggregate reports) consistently.
-func (e *Engine) whatIfTip(ctx context.Context, mods []history.Modification, opts Options, shared *batchShared) (delta.Set, *Stats, int, error) {
-	h, err := e.History()
+// whatIfAggregates is the body behind every single what-if entry
+// point, engine or session: align once, answer the pair, report at the
+// same tip.
+func (e *Engine) whatIfAggregates(ctx context.Context, mods []history.Modification, queries []AggregateQuery, opts Options, shared *batchShared) (delta.Set, []AggregateReport, *Stats, error) {
+	pair, tip, err := e.align(mods)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, nil, err
 	}
-	pair, err := history.ApplyModifications(h, mods)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	d, st, err := e.whatIfPair(ctx, pair, opts, shared)
-	return d, st, len(h), err
+	return e.whatIfPair(ctx, pair, tip, queries, opts, shared)
 }
 
-// whatIfPair answers an already-aligned query pair (WhatIfBatch
-// computes pairs once, for both scheduling and evaluation). The
-// evaluation path only reads db, so a shared snapshot is safe; anything
-// that must mutate state clones first.
-func (e *Engine) whatIfPair(ctx context.Context, pair *history.PaddedPair, opts Options, shared *batchShared) (delta.Set, *Stats, error) {
-	if shared == nil {
-		shared = &batchShared{}
-	}
-	stats := &Stats{Slices: map[string]progslice.Stats{}}
+// whatIfPair answers an already-aligned query pair (WhatIfBatch aligns
+// every scenario against one reading of the history): plan, run both
+// sides of every planned relation, diff, then evaluate the attached
+// aggregate queries at the tip the pair was aligned against.
+func (e *Engine) whatIfPair(ctx context.Context, pair *history.PaddedPair, tip int, queries []AggregateQuery, opts Options, shared *batchShared) (delta.Set, []AggregateReport, *Stats, error) {
 	start := time.Now()
-	suffix, db, ver, err := e.snapshotFor(ctx, pair, stats, shared.snaps)
+	p, err := e.plan(ctx, pair, tip, opts, shared)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	ev := evaluator{ctx: ctx, ec: shared.eval, ver: ver, kind: normalizeExecutor(opts.Executor), vec: opts.Vec}
-	stats.TotalStatements = len(suffix.Orig)
-
-	// Relations to answer for; taint analysis prunes provably-empty
-	// deltas.
-	rels := relationUnion(suffix)
-	tainted := dataslice.TaintedRelations(suffix)
-	targets := make([]string, 0, len(rels))
-	for rel := range rels {
-		if opts.SkipUntainted && !tainted[rel] {
-			stats.SkippedRelations = append(stats.SkippedRelations, rel)
-			continue
-		}
-		targets = append(targets, rel)
-	}
-
-	// Data slicing (§6).
-	filters := &dataslice.Conditions{H: reenact.Filters{}, M: reenact.Filters{}}
-	if opts.DataSlicing {
-		t0 := time.Now()
-		filters, err = dataslice.Compute(suffix, db, opts.DataSlice)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats.DataSlicing = time.Since(t0)
-	}
-
-	out := delta.Set{}
-	split := opts.ProgramSlicing || opts.InsertSplit
-	if !split {
-		if err := e.wholeHistoryPath(suffix, db, filters, targets, out, stats, ev); err != nil {
-			return nil, nil, err
-		}
-		stats.Total = time.Since(start)
-		stats.KeptStatements = stats.TotalStatements
-		return out, stats, nil
-	}
-
-	for _, rel := range targets {
+	ev := newEvaluator(ctx, opts, p.ver, shared.eval)
+	out := make(delta.Set, len(p.rels))
+	for _, r := range p.rels {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		if err := e.splitPath(ctx, suffix, db, rel, filters, opts, out, stats, ev); err != nil {
-			return nil, nil, err
+		t0 := time.Now()
+		ro, err := ev.eval(r.orig, p.db)
+		if err != nil {
+			return nil, nil, nil, err
 		}
-	}
-	stats.Total = time.Since(start)
-	return out, stats, nil
-}
+		rm, err := ev.eval(r.mod, p.db)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		p.stats.Execute += time.Since(t0)
 
-// wholeHistoryPath reenacts the full histories per relation (variant R
-// or R+DS without insert split).
-func (e *Engine) wholeHistoryPath(suffix *history.PaddedPair, db *storage.Database, filters *dataslice.Conditions, targets []string, out delta.Set, stats *Stats, ev evaluator) error {
-	t0 := time.Now()
-	qsOrig, err := reenact.Queries(suffix.Orig, db, filters.H)
-	if err != nil {
-		return err
-	}
-	qsMod, err := reenact.Queries(suffix.Mod, db, filters.M)
-	if err != nil {
-		return err
-	}
-	for _, rel := range targets {
-		qo, qm := qsOrig[rel], qsMod[rel]
-		if qo == nil || qm == nil {
-			continue
-		}
-		ro, err := ev.eval(qo, db)
-		if err != nil {
-			return err
-		}
-		rm, err := ev.eval(qm, db)
-		if err != nil {
-			return err
-		}
-		stats.Execute += time.Since(t0)
-		t1 := time.Now()
-		out[rel] = delta.Compute(ro, rm)
-		stats.Delta += time.Since(t1)
 		t0 = time.Now()
+		out[r.rel] = delta.Compute(ro, rm)
+		p.stats.Delta += time.Since(t0)
 	}
-	stats.Execute += time.Since(t0)
-	return nil
-}
-
-// splitPath answers one relation using the §10 split: the insert-free
-// part (optionally program sliced) over the base relation, unioned with
-// the insert branches.
-func (e *Engine) splitPath(ctx context.Context, suffix *history.PaddedPair, db *storage.Database, rel string, filters *dataslice.Conditions, opts Options, out delta.Set, stats *Stats, ev evaluator) error {
-	relPair, _ := suffix.RestrictToRelation(rel)
-	noInsPair, modified := stripInsertPair(relPair)
-
-	keep := allPositions(len(noInsPair.Orig))
-	if opts.ProgramSlicing {
-		if len(modified) == 0 {
-			// Every modification on rel is an insert pair: the
-			// insert-free parts of both histories are identical, so the
-			// base branches cancel and can be dropped entirely.
-			keep = nil
-		} else {
-			relation, err := db.Relation(rel)
-			if err != nil {
-				return err
-			}
-			phiD, err := symbolic.Compress(relation, opts.Compress)
-			if err != nil {
-				return err
-			}
-			in := &progslice.Input{Pair: noInsPair, Schema: relation.Schema, PhiD: phiD, Compile: opts.Compile}
-			var res *progslice.Result
-			if opts.UseDependency {
-				res, err = progslice.DependencyCtx(ctx, in)
-			} else {
-				res, err = progslice.GreedyCtx(ctx, in)
-			}
-			if err != nil {
-				return err
-			}
-			keep = res.Keep
-			stats.Slices[rel] = res.Stats
-			stats.ProgramSlicing += res.Stats.Duration
-			stats.SolverTests += res.Stats.Tests
-			stats.SolverNodes += res.Stats.SolverNodes
-		}
-	}
-	stats.KeptStatements += len(keep)
-
-	t0 := time.Now()
-	baseOrig, err := reenact.QueryForRelation(noInsPair.Orig.Restrict(keep), rel, db, filters.H)
+	p.stats.Total = time.Since(start)
+	reps, err := e.tipReports(ctx, queries, out, tip, opts, shared)
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
-	baseMod, err := reenact.QueryForRelation(noInsPair.Mod.Restrict(keep), rel, db, filters.M)
-	if err != nil {
-		return err
-	}
-	brOrig, err := reenact.InsertBranches(suffix.Orig, rel, db)
-	if err != nil {
-		return err
-	}
-	brMod, err := reenact.InsertBranches(suffix.Mod, rel, db)
-	if err != nil {
-		return err
-	}
-	qo, qm := baseOrig, baseMod
-	if brOrig != nil {
-		qo = &algebra.Union{L: qo, R: brOrig}
-	}
-	if brMod != nil {
-		qm = &algebra.Union{L: qm, R: brMod}
-	}
-	ro, err := ev.eval(qo, db)
-	if err != nil {
-		return err
-	}
-	rm, err := ev.eval(qm, db)
-	if err != nil {
-		return err
-	}
-	stats.Execute += time.Since(t0)
-
-	t0 = time.Now()
-	out[rel] = delta.Compute(ro, rm)
-	stats.Delta += time.Since(t0)
-	return nil
-}
-
-func allPositions(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// stripInsertPair removes aligned insert positions from a pair,
-// returning the reduced pair and its modified positions.
-func stripInsertPair(pair *history.PaddedPair) (*history.PaddedPair, []int) {
-	modSet := map[int]bool{}
-	for _, p := range pair.ModifiedPos {
-		modSet[p] = true
-	}
-	out := &history.PaddedPair{}
-	for i := range pair.Orig {
-		if isInsert(pair.Orig[i]) || isInsert(pair.Mod[i]) {
-			continue
-		}
-		out.Orig = append(out.Orig, pair.Orig[i])
-		out.Mod = append(out.Mod, pair.Mod[i])
-		if modSet[i] {
-			out.ModifiedPos = append(out.ModifiedPos, len(out.Orig)-1)
-		}
-	}
-	return out, out.ModifiedPos
-}
-
-func isInsert(s history.Statement) bool {
-	switch s.(type) {
-	case *history.InsertValues, *history.InsertQuery:
-		return true
-	}
-	return false
+	return out, reps, p.stats, nil
 }
 
 // normalizeExecutor resolves the zero value to the default backend.
@@ -672,6 +463,14 @@ type evaluator struct {
 	ver  int
 	kind ExecutorKind
 	vec  exec.VecOptions
+}
+
+// newEvaluator builds the evaluator for queries over the history
+// version ver under opts' executor choice. ec may be nil (no program or
+// result sharing); with one, results are cached under ver, so ver must
+// be the version of the database the queries run over.
+func newEvaluator(ctx context.Context, opts Options, ver int, ec *evalCache) evaluator {
+	return evaluator{ctx: ctx, ec: ec, ver: ver, kind: normalizeExecutor(opts.Executor), vec: opts.Vec}
 }
 
 // evalCtx returns the evaluator's context (Background when the

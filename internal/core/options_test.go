@@ -31,7 +31,7 @@ func TestOptionsForVariants(t *testing.T) {
 // all must agree with the naive answer.
 func TestOptionCombinationsAgree(t *testing.T) {
 	if testing.Short() {
-		t.Skip("19-way option sweep answers the query once per combination")
+		t.Skip("18-way option sweep answers the query once per combination")
 	}
 	ds := workload.Taxi(900, 31)
 	w, err := workload.Generate(ds, workload.Config{
@@ -59,18 +59,17 @@ func TestOptionCombinationsAgree(t *testing.T) {
 				for _, dep := range []bool{false, true} {
 					variants = append(variants, Options{
 						ProgramSlicing: ps, DataSlicing: dsOn, InsertSplit: split,
-						UseDependency: dep, SkipUntainted: true,
+						UseDependency: dep,
 					})
 				}
 			}
 		}
 	}
-	// Plus: taint skipping off, alternative compression settings.
+	// Plus: alternative compression settings.
 	variants = append(variants,
-		Options{ProgramSlicing: true, DataSlicing: true, InsertSplit: true, UseDependency: true, SkipUntainted: false},
-		Options{ProgramSlicing: true, DataSlicing: true, InsertSplit: true, UseDependency: true, SkipUntainted: true,
+		Options{ProgramSlicing: true, DataSlicing: true, InsertSplit: true, UseDependency: true,
 			Compress: symbolic.CompressOptions{Groups: 1}},
-		Options{ProgramSlicing: true, DataSlicing: true, InsertSplit: true, UseDependency: true, SkipUntainted: true,
+		Options{ProgramSlicing: true, DataSlicing: true, InsertSplit: true, UseDependency: true,
 			Compress: symbolic.CompressOptions{Groups: 8, GroupBy: ds.SelAttr}},
 	)
 	for i, opts := range variants {
@@ -127,7 +126,7 @@ func TestEngineWithCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Modify a LATER statement so prepare() time-travels mid-log.
+	// Modify a LATER statement so the engine time-travels mid-log.
 	mod := w.Mods[0]
 	vdbPlain, err := w.Load()
 	if err != nil {

@@ -1,0 +1,240 @@
+package core
+
+import (
+	"context"
+	"sort"
+	"time"
+
+	"github.com/mahif/mahif/internal/algebra"
+	"github.com/mahif/mahif/internal/dataslice"
+	"github.com/mahif/mahif/internal/history"
+	"github.com/mahif/mahif/internal/progslice"
+	"github.com/mahif/mahif/internal/reenact"
+	"github.com/mahif/mahif/internal/storage"
+	"github.com/mahif/mahif/internal/symbolic"
+	"github.com/mahif/mahif/internal/types"
+)
+
+// plan is the outcome of Alg. 2 up to, but not including, query
+// execution: the pinned time-travel state, and for every relation whose
+// delta can be non-empty the two reenactment queries to run over it. A
+// what-if runs both sides of every relation and diffs them; a template
+// runs the original sides once and keeps the modified sides whose
+// $slots are still open. Both go through here, so every slicing
+// decision is taken in exactly one place.
+type plan struct {
+	// db is the state right before the first modified statement, shared
+	// read-only when it came from a snapshot cache; ver is its history
+	// version, the key under which results over db may be cached.
+	db  *storage.Database
+	ver int
+	// params are the $slots of the modified side with their inferred
+	// value classes; empty for a plain what-if.
+	params map[string]paramClass
+	// rels holds one entry per tainted relation, sorted by name.
+	rels []relPlan
+	// bindingDependent counts kept statements that carry a $slot.
+	bindingDependent int
+	// stats carries the phases spent so far and the slice quality.
+	stats *Stats
+}
+
+// relPlan is the pair of reenactment queries answering one relation.
+type relPlan struct {
+	rel       string
+	orig, mod algebra.Query
+}
+
+// plan runs time travel, data slicing and per-relation program slicing
+// for an aligned pair and builds the reenactment queries. $slots in the
+// modified history are typed from their context and handed to the
+// solver as free variables, which is sound for every later binding
+// (UNSAT with a free slot ⇒ UNSAT for each constant). The evaluation
+// path only reads db, so a shared snapshot is safe.
+func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, opts Options, shared *batchShared) (*plan, error) {
+	stats := &Stats{Slices: map[string]progslice.Stats{}}
+	t0 := time.Now()
+	suffix, db, ver, err := e.timeTravel(ctx, pair, tip, shared)
+	if err != nil {
+		return nil, err
+	}
+	stats.TimeTravel = time.Since(t0)
+	stats.TotalStatements = len(suffix.Orig)
+
+	p := &plan{db: db, ver: ver, stats: stats}
+	if p.params, err = inferParams(suffix, db); err != nil {
+		return nil, err
+	}
+	if len(p.params) > 0 {
+		opts.Compile.ParamKinds = make(map[string]types.Kind, len(p.params))
+		for name, c := range p.params {
+			opts.Compile.ParamKinds[name] = c.kind()
+		}
+	}
+	if opts.Compile.Memo == nil {
+		opts.Compile.Memo = shared.memo
+	}
+
+	// Relations to answer for; taint analysis prunes provably-empty
+	// deltas.
+	tainted := dataslice.TaintedRelations(suffix)
+	var targets []string
+	for rel := range relationUnion(suffix) {
+		if tainted[rel] {
+			targets = append(targets, rel)
+		} else {
+			stats.SkippedRelations = append(stats.SkippedRelations, rel)
+		}
+	}
+	sort.Strings(targets)
+	sort.Strings(stats.SkippedRelations)
+
+	// Data slicing (§6). Templates keep it only when every $slot sits in
+	// value position (see compileTemplate), so the conditions the
+	// filters derive from are concrete; dropParamFilters catches the one
+	// remaining leak path.
+	filters := &dataslice.Conditions{H: reenact.Filters{}, M: reenact.Filters{}}
+	if opts.DataSlicing {
+		t0 := time.Now()
+		if filters, err = dataslice.Compute(suffix, db, opts.DataSlice); err != nil {
+			return nil, err
+		}
+		if len(p.params) > 0 {
+			dropParamFilters(filters)
+		}
+		stats.DataSlicing = time.Since(t0)
+	}
+
+	for _, rel := range targets {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := e.planRelation(ctx, p, suffix, rel, filters, opts); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// planRelation builds one relation's query pair. With the §10 split
+// (program slicing or InsertSplit) the insert-free part of the history,
+// optionally program sliced, runs over the base relation and is unioned
+// with the insert branches; without it (variants R and R+DS) every
+// statement is kept and inserts stay inline, so there are no branches.
+func (e *Engine) planRelation(ctx context.Context, p *plan, suffix *history.PaddedPair, rel string, filters *dataslice.Conditions, opts Options) error {
+	relPair, _ := suffix.RestrictToRelation(rel)
+	kept := relPair
+	split := opts.ProgramSlicing || opts.InsertSplit
+	if split {
+		noIns := stripInsertPair(relPair)
+		keep := allPositions(len(noIns.Orig))
+		switch {
+		case !opts.ProgramSlicing:
+		case len(noIns.ModifiedPos) == 0:
+			// Every modification on rel is an insert pair: the
+			// insert-free parts of both histories are identical, so the
+			// base branches cancel and can be dropped entirely.
+			keep = nil
+		default:
+			relation, err := p.db.Relation(rel)
+			if err != nil {
+				return err
+			}
+			phiD, err := symbolic.Compress(relation, opts.Compress)
+			if err != nil {
+				return err
+			}
+			in := &progslice.Input{Pair: noIns, Schema: relation.Schema, PhiD: phiD, Compile: opts.Compile}
+			slice := progslice.GreedyCtx
+			if opts.UseDependency {
+				slice = progslice.DependencyCtx
+			}
+			res, err := slice(ctx, in)
+			if err != nil {
+				return err
+			}
+			keep = res.Keep
+			p.stats.Slices[rel] = res.Stats
+			p.stats.ProgramSlicing += res.Stats.Duration
+			p.stats.SolverTests += res.Stats.Tests
+			p.stats.SolverNodes += res.Stats.SolverNodes
+		}
+		kept = &history.PaddedPair{Orig: noIns.Orig.Restrict(keep), Mod: noIns.Mod.Restrict(keep)}
+	}
+	p.stats.KeptStatements += len(kept.Orig)
+	if len(p.params) > 0 {
+		for _, st := range kept.Mod {
+			if len(history.Params(st)) > 0 {
+				p.bindingDependent++
+			}
+		}
+	}
+
+	// Building the queries counts as execution time, as it always has.
+	t0 := time.Now()
+	side := func(kept, whole history.History, f reenact.Filters) (algebra.Query, error) {
+		if !split {
+			// Inserts stay inline, and INSERT … SELECT must see the
+			// reenacted state of the relations it reads: build from the
+			// whole suffix.
+			return reenact.QueryForRelation(whole, rel, p.db, f)
+		}
+		q, err := reenact.QueryForRelation(kept, rel, p.db, f)
+		if err != nil {
+			return nil, err
+		}
+		br, err := reenact.InsertBranches(whole, rel, p.db)
+		if err != nil || br == nil {
+			return q, err
+		}
+		return &algebra.Union{L: q, R: br}, nil
+	}
+	qo, err := side(kept.Orig, suffix.Orig, filters.H)
+	if err != nil {
+		return err
+	}
+	qm, err := side(kept.Mod, suffix.Mod, filters.M)
+	if err != nil {
+		return err
+	}
+	p.stats.Execute += time.Since(t0)
+	p.rels = append(p.rels, relPlan{rel: rel, orig: qo, mod: qm})
+	return nil
+}
+
+func allPositions(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// stripInsertPair removes aligned insert positions from a pair; the
+// reduced pair's ModifiedPos are the surviving modified positions.
+func stripInsertPair(pair *history.PaddedPair) *history.PaddedPair {
+	modSet := map[int]bool{}
+	for _, p := range pair.ModifiedPos {
+		modSet[p] = true
+	}
+	out := &history.PaddedPair{}
+	for i := range pair.Orig {
+		if isInsert(pair.Orig[i]) || isInsert(pair.Mod[i]) {
+			continue
+		}
+		out.Orig = append(out.Orig, pair.Orig[i])
+		out.Mod = append(out.Mod, pair.Mod[i])
+		if modSet[i] {
+			out.ModifiedPos = append(out.ModifiedPos, len(out.Orig)-1)
+		}
+	}
+	return out
+}
+
+func isInsert(s history.Statement) bool {
+	switch s.(type) {
+	case *history.InsertValues, *history.InsertQuery:
+		return true
+	}
+	return false
+}

@@ -7,6 +7,7 @@ import (
 	"github.com/mahif/mahif/internal/compile"
 	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/history"
+	"github.com/mahif/mahif/internal/lru"
 	"github.com/mahif/mahif/internal/storage"
 )
 
@@ -65,7 +66,7 @@ func (s *Session) reset() {
 		snaps:     storage.NewSnapshotCache(s.e.vdb),
 		eval:      newEvalCache(),
 		memo:      compile.NewMemo(),
-		templates: compile.NewTemplateCache(),
+		templates: lru.New[string, *Template](templateCacheEntries),
 	}
 }
 
@@ -183,11 +184,8 @@ func (s *Session) WhatIf(mods []history.Modification, opts Options) (delta.Set, 
 // a partial artifact behind: cancelled snapshot builds and query
 // materializations are evicted, so the caches stay consistent.
 func (s *Session) WhatIfCtx(ctx context.Context, mods []history.Modification, opts Options) (delta.Set, *Stats, error) {
-	shared := s.shared()
-	if opts.Compile.Memo == nil {
-		opts.Compile.Memo = shared.memo
-	}
-	return s.e.whatIf(ctx, mods, opts, shared)
+	d, _, st, err := s.e.whatIfAggregates(ctx, mods, nil, opts, s.shared())
+	return d, st, err
 }
 
 // Naive answers one what-if query with Alg. 1, sharing the session's
@@ -199,12 +197,7 @@ func (s *Session) Naive(mods []history.Modification) (delta.Set, *NaiveStats, er
 
 // NaiveCtx is Naive under a context.
 func (s *Session) NaiveCtx(ctx context.Context, mods []history.Modification) (delta.Set, *NaiveStats, error) {
-	shared := s.shared()
-	stats := &NaiveStats{}
-	// Same body as Engine.NaiveCtx but time-traveling through the
-	// session's snapshot cache; the explicit Clone below is the
-	// copy-on-write boundary that keeps the shared snapshot read-only.
-	d, st, _, err := s.e.naiveFrom(ctx, mods, stats, shared.snaps)
+	d, st, _, err := s.e.naiveFrom(ctx, mods, s.shared())
 	return d, st, err
 }
 

@@ -3,10 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/mahif/mahif/internal/algebra"
@@ -15,11 +14,8 @@ import (
 	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/history"
-	"github.com/mahif/mahif/internal/progslice"
-	"github.com/mahif/mahif/internal/reenact"
 	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/storage"
-	"github.com/mahif/mahif/internal/symbolic"
 	"github.com/mahif/mahif/internal/types"
 )
 
@@ -48,8 +44,8 @@ import (
 // Per binding, Eval substitutes the constants into the retained
 // modified-side query skeleton, evaluates it over the pinned snapshot,
 // and diffs against the materialized original side. Data slicing
-// survives compilation when every $slot sits in value position (UPDATE
-// SET expressions, INSERT values): conditions are then concrete, so
+// survives compilation when every $slot sits in value position (an
+// UPDATE's SET expressions): conditions are then concrete, so
 // the slicing filters are binding-invariant and bake into the pinned
 // plan soundly. A slot inside a condition (UPDATE/DELETE WHERE,
 // INSERT … SELECT) would parameterize the filters themselves, so data
@@ -64,13 +60,14 @@ type Template struct {
 	e      *Engine
 	opts   Options
 	mods   []history.Modification
-	params map[string]paramClass
-	shared *batchShared // session caches for recompiles (nil for engine-level templates)
+	shared *batchShared // session caches, also for recompiles (empty for engine-level templates)
 
-	mu         sync.RWMutex
-	art        *templateArtifact
-	evals      int64
-	recompiles int64
+	// mu serializes compilation only; everything an eval reads hangs off
+	// the artifact pointer, so evals never take it.
+	mu         sync.Mutex
+	art        atomic.Pointer[templateArtifact]
+	evals      atomic.Int64
+	recompiles atomic.Int64
 }
 
 // paramClass is the inferred value class of one parameter slot.
@@ -123,10 +120,12 @@ func classOf(k types.Kind) paramClass {
 // templateArtifact is one compiled instance of the template, valid for
 // exactly one history version.
 type templateArtifact struct {
-	version int               // history length the artifact answers against
-	db      *storage.Database // pinned snapshot at the first modified position
-	static  delta.Set         // param-free relations: their delta, precomputed
-	rels    []templateRel     // param-dependent relations
+	version int                   // history length the artifact answers against
+	db      *storage.Database     // pinned snapshot at the first modified position
+	dbVer   int                   // db's own history version
+	params  map[string]paramClass // $slots and their inferred classes
+	static  delta.Set             // param-free relations: their delta, precomputed
+	rels    []templateRel         // param-dependent relations
 	stats   TemplateStats
 }
 
@@ -191,9 +190,16 @@ func (e *Engine) CompileTemplate(mods []history.Modification, opts Options) (*Te
 // CompileTemplateCtx is CompileTemplate under a context (the initial
 // artifact compilation observes ctx inside the solver and executors).
 func (e *Engine) CompileTemplateCtx(ctx context.Context, mods []history.Modification, opts Options) (*Template, error) {
-	return e.compileTemplate(ctx, mods, opts, nil)
+	return e.compileTemplate(ctx, mods, opts, &batchShared{})
 }
 
+// compileTemplate returns the compiled template for mods, through
+// shared's template cache when it has one. The template enters the
+// cache before it is compiled and Template.artifact's mutex serializes
+// the one compilation, so N concurrent identical submissions (every
+// client re-posting its template after an append) run the slicing solve
+// once; a submitter whose builder was cancelled compiles under its own
+// ctx when it gets the mutex.
 func (e *Engine) compileTemplate(ctx context.Context, mods []history.Modification, opts Options, shared *batchShared) (*Template, error) {
 	if len(mods) == 0 {
 		return nil, fmt.Errorf("core: empty template modification sequence")
@@ -203,23 +209,35 @@ func (e *Engine) compileTemplate(ctx context.Context, mods []history.Modificatio
 	// constants into the pinned plan, so slicing stays off for such
 	// templates (results are variant-invariant). SET-only slots leave
 	// every condition concrete and the filters binding-invariant, so
-	// slicing survives compilation; compile() still guards against the
+	// slicing survives compilation; the planner still guards against the
 	// one leak path (push-down substitution through a parameterized SET
-	// vector).
+	// vector). Decided before keying, so the cache key's ds flag reflects
+	// the compiled artifact.
 	if !setOnlyParams(mods) {
 		opts.DataSlicing = false
 	}
 	t := &Template{e: e, opts: opts, mods: mods, shared: shared}
+	var key string
+	if shared.templates != nil {
+		key = templateKey(e.Version(), mods, opts)
+		t, _ = shared.templates.LoadOrStore(key, t)
+	}
 	if _, err := t.artifact(ctx); err != nil {
+		if shared.templates != nil && t.art.Load() == nil {
+			// Nobody compiled it meanwhile: don't leave a template that
+			// never answered in the cache.
+			shared.templates.Remove(key)
+		}
 		return nil, err
 	}
 	return t, nil
 }
 
 // setOnlyParams reports whether every $slot of the modification
-// sequence appears only in value position: UPDATE SET expressions and
-// INSERT … VALUES rows. Conditions (UPDATE/DELETE WHERE, the query of
-// INSERT … SELECT) must be slot-free. Such templates describe "what if
+// sequence appears only in value position, i.e. in UPDATE SET
+// expressions (INSERT … VALUES rows are concrete tuples and never carry
+// a slot). Conditions (UPDATE/DELETE WHERE, the query of INSERT …
+// SELECT) must be slot-free. Such templates describe "what if
 // the written values had been different" scenarios whose affected-row
 // sets are binding-invariant, which is exactly the property data
 // slicing needs to stay sound across bindings.
@@ -278,10 +296,9 @@ func dropParamFilters(filters *dataslice.Conditions) {
 // Params returns the template's parameter slots and their inferred
 // value classes ("numeric", "string", "bool", or "any").
 func (t *Template) Params() map[string]string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make(map[string]string, len(t.params))
-	for name, c := range t.params {
+	params := t.art.Load().params
+	out := make(map[string]string, len(params))
+	for name, c := range params {
 		out[name] = c.String()
 	}
 	return out
@@ -290,221 +307,91 @@ func (t *Template) Params() map[string]string {
 // Stats snapshots the current artifact's compilation profile and the
 // template's lifetime counters.
 func (t *Template) Stats() TemplateStats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	st := t.art.stats
-	st.Evals = t.evals
-	st.Recompiles = t.recompiles
+	st := t.art.Load().stats
+	st.Evals = t.evals.Load()
+	st.Recompiles = t.recompiles.Load()
 	return st
 }
 
 // Version returns the history version the current artifact answers
 // against.
-func (t *Template) Version() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.art.version
-}
+func (t *Template) Version() int { return t.art.Load().version }
 
 // artifact returns the current artifact, transparently recompiling when
 // the engine's history has advanced past the artifact's version.
 func (t *Template) artifact(ctx context.Context) (*templateArtifact, error) {
-	t.mu.RLock()
-	art := t.art
-	t.mu.RUnlock()
-	if art != nil && art.version == t.e.Version() {
+	if art := t.art.Load(); art != nil && art.version == t.e.Version() {
 		return art, nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.art != nil && t.art.version == t.e.Version() {
-		return t.art, nil
+	old := t.art.Load()
+	if old != nil && old.version == t.e.Version() {
+		return old, nil
 	}
-	art, params, err := t.compile(ctx)
+	art, err := t.compile(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if t.art != nil {
-		t.recompiles++
+	if old != nil {
+		t.recompiles.Add(1)
 	}
-	t.art, t.params = art, params
+	t.art.Store(art)
 	return art, nil
 }
 
-// compile builds one artifact against the engine's current history.
-// Caller holds t.mu (write) or has exclusive access.
-func (t *Template) compile(ctx context.Context) (*templateArtifact, map[string]paramClass, error) {
+// compile builds one artifact against the engine's current history: the
+// same plan a what-if runs, with the original sides executed once and
+// the modified sides either executed too (closed ⇒ the relation's delta
+// is static) or kept as skeletons for Eval to substitute into. Caller
+// holds t.mu.
+func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 	start := time.Now()
-	h, err := t.e.History()
+	pair, tip, err := t.e.align(t.mods)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	pair, err := history.ApplyModifications(h, t.mods)
+	p, err := t.e.plan(ctx, pair, tip, t.opts, t.shared)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	tip := len(h)
-
-	var snaps *storage.SnapshotCache
-	if t.shared != nil {
-		snaps = t.shared.snaps
+	art := &templateArtifact{version: tip, db: p.db, dbVer: p.ver, params: p.params, static: delta.Set{}}
+	art.stats = TemplateStats{
+		Version:            tip,
+		TotalStatements:    p.stats.TotalStatements,
+		KeptStatements:     p.stats.KeptStatements,
+		BindingIndependent: p.stats.KeptStatements - p.bindingDependent,
+		BindingDependent:   p.bindingDependent,
+		SolverTests:        p.stats.SolverTests,
+		SolverNodes:        p.stats.SolverNodes,
+		DataSlicing:        t.opts.DataSlicing,
+		SkippedRelations:   p.stats.SkippedRelations,
 	}
-	stats := &Stats{Slices: map[string]progslice.Stats{}}
-	suffix, db, _, err := t.e.snapshotFor(ctx, pair, stats, snaps)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Original histories are applied statements and can never carry
-	// open slots; reject defensively so a malformed history fails here
-	// rather than with an opaque executor error per binding.
-	params, err := inferParams(suffix, db)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	opts := t.opts
-	if len(params) > 0 {
-		pk := make(map[string]types.Kind, len(params))
-		for name, c := range params {
-			pk[name] = c.kind()
+	// No result cache: the materialized sides live as long as the
+	// artifact pins them, not as long as a session's LRU says.
+	ev := newEvaluator(ctx, t.opts, p.ver, nil)
+	for _, r := range p.rels {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		opts.Compile.ParamKinds = pk
-	}
-	if t.shared != nil && opts.Compile.Memo == nil {
-		opts.Compile.Memo = t.shared.memo
-	}
-
-	art := &templateArtifact{version: tip, db: db, static: delta.Set{}}
-	art.stats.Version = tip
-	art.stats.TotalStatements = len(suffix.Orig)
-	ev := evaluator{ctx: ctx, ver: tip, kind: normalizeExecutor(opts.Executor), vec: opts.Vec}
-
-	// Data slicing (§6): with SET-only slots the filters are
-	// binding-invariant (compileTemplate disabled slicing otherwise),
-	// so they compile once into the pinned plans like any other
-	// artifact component. dropParamFilters catches the push-down leak.
-	filters := &dataslice.Conditions{H: reenact.Filters{}, M: reenact.Filters{}}
-	if opts.DataSlicing {
-		filters, err = dataslice.Compute(suffix, db, opts.DataSlice)
+		orig, err := ev.eval(r.orig, p.db)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		dropParamFilters(filters)
-		art.stats.DataSlicing = true
-	}
-
-	rels := relationUnion(suffix)
-	tainted := dataslice.TaintedRelations(suffix)
-	targets := make([]string, 0, len(rels))
-	for rel := range rels {
-		if opts.SkipUntainted && !tainted[rel] {
-			art.stats.SkippedRelations = append(art.stats.SkippedRelations, rel)
+		if len(algebra.Params(r.mod)) > 0 {
+			art.rels = append(art.rels, templateRel{rel: r.rel, orig: orig, modQ: r.mod})
+			art.stats.DynamicRelations = append(art.stats.DynamicRelations, r.rel)
 			continue
 		}
-		targets = append(targets, rel)
-	}
-	sort.Strings(targets)
-
-	for _, rel := range targets {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		if err := t.compileRelation(ctx, suffix, db, rel, filters, opts, ev, art); err != nil {
-			return nil, nil, err
-		}
-	}
-	sort.Strings(art.stats.SkippedRelations)
-	art.stats.CompileTime = time.Since(start)
-	return art, params, nil
-}
-
-// compileRelation mirrors Engine.splitPath for one relation: slice the
-// insert-free pair once (with $slots as free solver variables),
-// materialize the original side, and either precompute the delta
-// (modified side closed) or retain the open query skeleton.
-func (t *Template) compileRelation(ctx context.Context, suffix *history.PaddedPair, db *storage.Database, rel string, filters *dataslice.Conditions, opts Options, ev evaluator, art *templateArtifact) error {
-	relPair, _ := suffix.RestrictToRelation(rel)
-	noInsPair, modified := stripInsertPair(relPair)
-
-	keep := allPositions(len(noInsPair.Orig))
-	if opts.ProgramSlicing {
-		if len(modified) == 0 {
-			keep = nil
-		} else {
-			relation, err := db.Relation(rel)
-			if err != nil {
-				return err
-			}
-			phiD, err := symbolic.Compress(relation, opts.Compress)
-			if err != nil {
-				return err
-			}
-			in := &progslice.Input{Pair: noInsPair, Schema: relation.Schema, PhiD: phiD, Compile: opts.Compile}
-			var res *progslice.Result
-			if opts.UseDependency {
-				res, err = progslice.DependencyCtx(ctx, in)
-			} else {
-				res, err = progslice.GreedyCtx(ctx, in)
-			}
-			if err != nil {
-				return err
-			}
-			keep = res.Keep
-			art.stats.SolverTests += res.Stats.Tests
-			art.stats.SolverNodes += res.Stats.SolverNodes
-		}
-	}
-	art.stats.KeptStatements += len(keep)
-	for _, p := range keep {
-		if len(history.Params(noInsPair.Orig[p])) > 0 || len(history.Params(noInsPair.Mod[p])) > 0 {
-			art.stats.BindingDependent++
-		} else {
-			art.stats.BindingIndependent++
-		}
-	}
-
-	qo, err := reenact.QueryForRelation(noInsPair.Orig.Restrict(keep), rel, db, filters.H)
-	if err != nil {
-		return err
-	}
-	qm, err := reenact.QueryForRelation(noInsPair.Mod.Restrict(keep), rel, db, filters.M)
-	if err != nil {
-		return err
-	}
-	brOrig, err := reenact.InsertBranches(suffix.Orig, rel, db)
-	if err != nil {
-		return err
-	}
-	brMod, err := reenact.InsertBranches(suffix.Mod, rel, db)
-	if err != nil {
-		return err
-	}
-	if brOrig != nil {
-		qo = &algebra.Union{L: qo, R: brOrig}
-	}
-	if brMod != nil {
-		qm = &algebra.Union{L: qm, R: brMod}
-	}
-	if len(algebra.Params(qo)) > 0 {
-		return fmt.Errorf("core: template parameters in the original history of %s", rel)
-	}
-	orig, err := ev.eval(qo, db)
-	if err != nil {
-		return err
-	}
-	if len(algebra.Params(qm)) == 0 {
-		mod, err := ev.eval(qm, db)
+		mod, err := ev.eval(r.mod, p.db)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		art.static[rel] = delta.Compute(orig, mod)
-		art.stats.StaticRelations = append(art.stats.StaticRelations, rel)
-		return nil
+		art.static[r.rel] = delta.Compute(orig, mod)
+		art.stats.StaticRelations = append(art.stats.StaticRelations, r.rel)
 	}
-	art.rels = append(art.rels, templateRel{rel: rel, orig: orig, modQ: qm})
-	art.stats.DynamicRelations = append(art.stats.DynamicRelations, rel)
-	return nil
+	art.stats.CompileTime = time.Since(start)
+	return art, nil
 }
 
 // Eval answers the template for one parameter binding (see EvalCtx).
@@ -521,41 +408,42 @@ func (t *Template) Eval(binding map[string]types.Value) (delta.Set, error) {
 // without evaluating. If the history advanced since the artifact was
 // compiled, the artifact is recompiled first, transparently.
 func (t *Template) EvalCtx(ctx context.Context, binding map[string]types.Value) (delta.Set, error) {
-	art, err := t.artifact(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return t.evalArtifact(ctx, art, binding)
+	d, _, err := t.EvalAggregatesCtx(ctx, binding, nil)
+	return d, err
 }
 
-// evalArtifact answers one binding against a specific artifact (callers
-// that pair the delta with follow-up work — aggregate reports — pin the
-// artifact once so a concurrent append cannot split their frames).
-func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, binding map[string]types.Value) (delta.Set, error) {
-	if err := t.ValidateBinding(binding); err != nil {
-		return nil, err
+// evalArtifact answers one binding, and the aggregate queries attached
+// to it, against a specific artifact: delta and reports share the
+// artifact's frame even if an append lands in between.
+func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, binding map[string]types.Value, queries []AggregateQuery) (delta.Set, []AggregateReport, error) {
+	if err := art.validate(binding); err != nil {
+		return nil, nil, err
 	}
-	t.mu.Lock()
-	t.evals++
-	t.mu.Unlock()
+	t.evals.Add(1)
 
 	out := make(delta.Set, len(art.static)+len(art.rels))
 	for rel, d := range art.static {
 		out[rel] = d // shared read-only, like every cached engine artifact
 	}
-	ev := evaluator{ctx: ctx, ver: art.version, kind: normalizeExecutor(t.opts.Executor), vec: t.opts.Vec}
+	// No result cache: a binding's modified side is its own query, and
+	// caching each would retain one relation per binding ever asked.
+	ev := newEvaluator(ctx, t.opts, art.dbVer, nil)
 	for _, tr := range art.rels {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		q := algebra.SubstParams(tr.modQ, binding)
 		mod, err := ev.eval(q, art.db)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		out[tr.rel] = delta.Compute(tr.orig, mod)
 	}
-	return out, nil
+	reps, err := t.e.tipReports(ctx, queries, out, art.version, t.opts, t.shared)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, reps, nil
 }
 
 // TemplateEvalResult is the outcome of one binding in a batch eval.
@@ -578,52 +466,15 @@ func (t *Template) EvalBatch(bindings []map[string]types.Value, workers int) ([]
 // never aborts its siblings. The returned error reports batch-level
 // misuse (no bindings) or context cancellation.
 func (t *Template) EvalBatchCtx(ctx context.Context, bindings []map[string]types.Value, workers int) ([]TemplateEvalResult, error) {
-	if len(bindings) == 0 {
-		return nil, fmt.Errorf("core: empty template binding batch")
-	}
-	// Refresh once up front so concurrent workers don't race to
-	// recompile the artifact after an append.
-	art, err := t.artifact(ctx)
-	if err != nil {
+	res, err := t.EvalAggregatesBatchCtx(ctx, bindings, nil, workers)
+	if res == nil {
 		return nil, err
 	}
-	results := make([]TemplateEvalResult, len(bindings))
-	runBatch(ctx, len(bindings), workers, func(i int) {
-		if err := ctx.Err(); err != nil {
-			results[i] = TemplateEvalResult{Binding: i, Err: err}
-			return
-		}
-		d, err := t.evalArtifact(ctx, art, bindings[i])
-		results[i] = TemplateEvalResult{Binding: i, Delta: d, Err: err}
-	})
-	return results, ctx.Err()
-}
-
-// runBatch runs fn(i) for i in [0, n) over a worker pool (workers <= 0
-// uses GOMAXPROCS; the pool never exceeds n).
-func runBatch(ctx context.Context, n, workers int, fn func(int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	out := make([]TemplateEvalResult, len(res))
+	for i, r := range res {
+		out[i] = TemplateEvalResult{Binding: r.Binding, Delta: r.Delta, Err: r.Err}
 	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	idxCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
+	return out, err
 }
 
 // ValidateBinding checks a binding against the template's parameters
@@ -631,9 +482,11 @@ func runBatch(ctx context.Context, n, workers int, fn func(int)) {
 // extra) and each value must fit its slot's inferred class. NULL binds
 // any slot.
 func (t *Template) ValidateBinding(binding map[string]types.Value) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for name, class := range t.params {
+	return t.art.Load().validate(binding)
+}
+
+func (art *templateArtifact) validate(binding map[string]types.Value) error {
+	for name, class := range art.params {
 		v, ok := binding[name]
 		if !ok {
 			return fmt.Errorf("core: binding is missing parameter $%s", name)
@@ -655,7 +508,7 @@ func (t *Template) ValidateBinding(binding map[string]types.Value) error {
 		}
 	}
 	for name := range binding {
-		if _, ok := t.params[name]; !ok {
+		if _, ok := art.params[name]; !ok {
 			return fmt.Errorf("core: binding names unknown parameter $%s", name)
 		}
 	}
@@ -931,23 +784,7 @@ func (s *Session) CompileTemplate(mods []history.Modification, opts Options) (*T
 // templates draw their snapshot and solver memo from the session's
 // caches, including on transparent recompiles.
 func (s *Session) CompileTemplateCtx(ctx context.Context, mods []history.Modification, opts Options) (*Template, error) {
-	shared := s.shared()
-	// Mirror compileTemplate's slicing decision before keying, so the
-	// cache key's ds flag reflects the compiled artifact (a SET-only
-	// template compiled with and without slicing must not conflate).
-	if !setOnlyParams(mods) {
-		opts.DataSlicing = false
-	}
-	key := templateKey(s.e.Version(), mods, opts)
-	if cached, ok := shared.templates.Lookup(key); ok {
-		return cached.(*Template), nil
-	}
-	t, err := s.e.compileTemplate(ctx, mods, opts, shared)
-	if err != nil {
-		return nil, err
-	}
-	shared.templates.Store(key, t)
-	return t, nil
+	return s.e.compileTemplate(ctx, mods, opts, s.shared())
 }
 
 // templateKey fingerprints a template for the session cache: the
@@ -958,10 +795,10 @@ func (s *Session) CompileTemplateCtx(ctx context.Context, mods []history.Modific
 // property the solver memo key relies on).
 func templateKey(version int, mods []history.Modification, opts Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "v%d|%s|ps=%t,ds=%t,dep=%t,is=%t,skip=%t,nc=%t|",
+	fmt.Fprintf(&b, "v%d|%s|ps=%t,ds=%t,dep=%t,is=%t,nc=%t|",
 		version, normalizeExecutor(opts.Executor),
 		opts.ProgramSlicing, opts.DataSlicing, opts.UseDependency, opts.InsertSplit,
-		opts.SkipUntainted, opts.Vec.NoColumnar)
+		opts.Vec.NoColumnar)
 	for _, m := range mods {
 		switch x := m.(type) {
 		case history.Replace:

@@ -64,11 +64,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "mahif_session_template_resident%s %d\n", l, st.TemplateResident)
 	}
 
-	s.tmu.Lock()
-	registered := len(s.templates)
-	s.tmu.Unlock()
-	m("mahif_templates_registered", "Scenario templates registered via POST /v1/template.", "gauge")
-	fmt.Fprintf(&b, "mahif_templates_registered %d\n", registered)
+	m("mahif_templates_registered", "Scenario template ids resident in the registry (POST /v1/template, least recently used evicted).", "gauge")
+	fmt.Fprintf(&b, "mahif_templates_registered %d\n", s.templates.Len())
 	m("mahif_template_evals_total", "Bindings answered through template eval endpoints.", "counter")
 	fmt.Fprintf(&b, "mahif_template_evals_total %d\n", s.templateEvals.Load())
 

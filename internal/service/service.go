@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/mahif/mahif/internal/core"
+	"github.com/mahif/mahif/internal/lru"
 	"github.com/mahif/mahif/internal/persist"
 )
 
@@ -61,6 +62,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// maxRegisteredTemplates bounds the template id registry; an id evicted
+// from it answers 404 like one never issued, and its owner re-posts the
+// template (a session-cache hit unless the history moved).
+const maxRegisteredTemplates = 1024
+
 // Server answers what-if queries over HTTP through a pool of
 // long-lived sessions. Create with New, mount with Handler.
 type Server struct {
@@ -81,10 +87,12 @@ type Server struct {
 	// Compiled scenario templates registered via POST /v1/template,
 	// addressed by id in /v1/template/{id}/eval. Ids are monotonic per
 	// process; the artifacts behind them are shared with the session
-	// template cache, so identical resubmissions don't recompile.
-	tmu           sync.Mutex
-	templates     map[string]*core.Template
-	tseq          int64
+	// template cache, so identical resubmissions don't recompile. The
+	// registry keeps the maxRegisteredTemplates most recently used ids:
+	// each entry pins a compiled artifact, and clients re-post their
+	// template after every append, so it cannot be left to grow.
+	templates     *lru.Cache[string, *core.Template]
+	tseq          atomic.Int64
 	templateEvals atomic.Int64
 
 	// streamStop ends live WAL streams on shutdown: they outlive any
@@ -103,7 +111,13 @@ func (s *Server) StopStreams() {
 // New builds a server over an engine whose history is already loaded.
 func New(engine *core.Engine, opts Options) *Server {
 	opts = opts.withDefaults()
-	s := &Server{engine: engine, opts: opts, sessions: make([]*core.Session, opts.Sessions), streamStop: make(chan struct{})}
+	s := &Server{
+		engine:     engine,
+		opts:       opts,
+		sessions:   make([]*core.Session, opts.Sessions),
+		templates:  lru.New[string, *core.Template](maxRegisteredTemplates),
+		streamStop: make(chan struct{}),
+	}
 	for i := range s.sessions {
 		s.sessions[i] = engine.NewSession()
 	}

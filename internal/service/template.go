@@ -15,8 +15,9 @@ import (
 type TemplateRequest struct {
 	Modifications []Modification `json:"modifications"`
 	// Variant selects the algorithm (R, R+PS, R+DS, R+PS+DS); empty
-	// means R+PS+DS. Templates disable data slicing internally either
-	// way (results are variant-invariant).
+	// means R+PS+DS. Data slicing survives compilation only when every
+	// $slot sits in a SET expression; with a slot in a condition the
+	// template compiles without it (results are variant-invariant).
 	Variant string `json:"variant,omitempty"`
 	// TimeoutMs tightens (never extends) the server's per-request
 	// timeout for the one-time compilation.
@@ -112,14 +113,8 @@ func (s *Server) handleTemplateCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.tmu.Lock()
-	s.tseq++
-	id := fmt.Sprintf("t%d", s.tseq)
-	if s.templates == nil {
-		s.templates = map[string]*core.Template{}
-	}
-	s.templates[id] = tpl
-	s.tmu.Unlock()
+	id := fmt.Sprintf("t%d", s.tseq.Add(1))
+	s.templates.Store(id, tpl)
 
 	st := tpl.Stats()
 	writeJSON(w, http.StatusOK, TemplateResponse{
@@ -134,20 +129,12 @@ func (s *Server) handleTemplateCreate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// template looks up a registered template by id.
-func (s *Server) template(id string) (*core.Template, bool) {
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	tpl, ok := s.templates[id]
-	return tpl, ok
-}
-
 // handleTemplateEval answers one binding or a binding sweep against a
 // registered template. Binding mistakes (missing or unknown parameter,
 // value-class mismatch) are 400s; an unknown template id is a 404.
 func (s *Server) handleTemplateEval(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	tpl, ok := s.template(id)
+	tpl, ok := s.templates.Lookup(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown template %q", id))
 		return

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -105,6 +106,31 @@ func TestTemplateEndpoint(t *testing.T) {
 		if !strings.Contains(mrec, want) {
 			t.Errorf("metrics missing %q:\n%s", want, mrec)
 		}
+	}
+}
+
+// TestTemplateRegistryBounded pins the id registry's bound: ids past
+// maxRegisteredTemplates evict the least recently used one, which then
+// answers the same 404 as an id never issued, and the gauge reports the
+// resident count rather than every id ever handed out.
+func TestTemplateRegistryBounded(t *testing.T) {
+	srv := newTestServer(t, Options{})
+	h := srv.Handler()
+	first := createTemplate(t, h)
+	var newest TemplateResponse
+	for i := 0; i < maxRegisteredTemplates; i++ {
+		newest = createTemplate(t, h)
+	}
+	eval := TemplateEvalRequest{Binding: map[string]types.Value{"cut": types.Float(60)}}
+	if w := postJSON(t, h, "/v1/template/"+first.ID+"/eval", eval); w.Code != http.StatusNotFound {
+		t.Errorf("evicted id %s: status %d, want 404: %s", first.ID, w.Code, w.Body)
+	}
+	if w := postJSON(t, h, "/v1/template/"+newest.ID+"/eval", eval); w.Code != http.StatusOK {
+		t.Errorf("newest id %s: status %d: %s", newest.ID, w.Code, w.Body)
+	}
+	req, _ := http.NewRequest("GET", "/metrics", nil)
+	if want, got := fmt.Sprintf("mahif_templates_registered %d\n", maxRegisteredTemplates), getPath(t, h, req); !strings.Contains(got, want) {
+		t.Errorf("metrics missing %q", want)
 	}
 }
 
