@@ -52,7 +52,7 @@ type Options struct {
 	// variables.
 	NumericBound float64
 	// Memo, when non-nil, caches satisfiability outcomes across calls
-	// keyed by the program fingerprint (see Memo). Batch what-if
+	// keyed by the query's structural hash (see Memo). Batch what-if
 	// evaluation shares one memo across scenarios so identical slicing
 	// tests are solved once.
 	Memo *Memo
@@ -108,7 +108,7 @@ func SatisfiableCtx(ctx context.Context, cond expr.Expr, kinds map[string]types.
 	if opts.Memo == nil {
 		return satisfiable(ctx, simplified, kinds, opts)
 	}
-	key := memoKey(simplified, kinds, opts)
+	key := hashQuery(simplified, kinds, opts)
 	if out, ok := opts.Memo.Lookup(key); ok {
 		return out, nil
 	}
@@ -121,7 +121,12 @@ func SatisfiableCtx(ctx context.Context, cond expr.Expr, kinds map[string]types.
 
 // satisfiable compiles and solves an already-simplified condition.
 func satisfiable(ctx context.Context, cond expr.Expr, kinds map[string]types.Kind, opts Options) (*Outcome, error) {
-	c := newCompiler(kinds, opts)
+	return newCompiler(kinds, opts).solve(ctx, cond)
+}
+
+// solve lowers cond into c's model, pins its indicator to 1 and runs
+// the solver.
+func (c *compiler) solve(ctx context.Context, cond expr.Expr) (*Outcome, error) {
 	root, err := c.compileBool(cond)
 	if err != nil {
 		return nil, err
@@ -129,7 +134,7 @@ func satisfiable(ctx context.Context, cond expr.Expr, kinds map[string]types.Kin
 	if err := c.model.AddConstraint([]milp.Term{{Var: root, Coef: 1}}, milp.EQ, 1); err != nil {
 		return nil, err
 	}
-	res := c.model.SolveCtx(ctx, opts.Solve)
+	res := c.model.SolveCtx(ctx, c.opts.Solve)
 	if res.Status == milp.Canceled {
 		return nil, ctx.Err()
 	}
@@ -213,9 +218,13 @@ type compiler struct {
 	// Hash-consing caches: structurally identical subexpressions share
 	// one indicator / one linear form. Slicing formulas repeat the same
 	// statement conditions across four symbolic chains; merging them
-	// collapses the solver's search space from 2^(4U) toward 2^U.
-	boolMemo map[string]int
-	numMemo  map[string]numEntry
+	// collapses the solver's search space from 2^(4U) toward 2^U. Both
+	// caches key on the number id gives a subexpression: an interner's
+	// (equal structure ⇔ equal number), or in tests the rendered-text
+	// numbering that keyed these caches before it.
+	id       func(expr.Expr) int32
+	boolMemo map[int32]int
+	numMemo  map[int32]numEntry
 }
 
 type numEntry struct {
@@ -233,8 +242,9 @@ func newCompiler(kinds map[string]types.Kind, opts Options) *compiler {
 		strOther: map[string]float64{},
 		nextCode: 1,
 		names:    map[int]string{},
-		boolMemo: map[string]int{},
-		numMemo:  map[string]numEntry{},
+		id:       new(interner).id,
+		boolMemo: map[int32]int{},
+		numMemo:  map[int32]numEntry{},
 	}
 }
 

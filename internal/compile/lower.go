@@ -10,11 +10,11 @@ import (
 )
 
 // compileNum lowers a value-position expression to a linear form plus
-// its interval, memoized on the expression's rendering. Booleans in
-// value position contribute their indicator ({0,1}); strings their
-// dictionary code.
+// its interval, memoized on the expression's interned structure (see
+// interner). Booleans in value position contribute their indicator
+// ({0,1}); strings their dictionary code.
 func (c *compiler) compileNum(e expr.Expr) (lin, interval, error) {
-	key := e.String()
+	key := c.id(e)
 	if hit, ok := c.numMemo[key]; ok {
 		return hit.l, hit.iv, nil
 	}
@@ -155,9 +155,9 @@ func (c *compiler) compileIf(x *expr.If) (lin, interval, error) {
 
 // compileBool lowers a condition to a {0,1} indicator variable whose
 // value equals the condition's truth in every model solution, memoized
-// on the expression's rendering.
+// on the expression's interned structure.
 func (c *compiler) compileBool(e expr.Expr) (int, error) {
-	key := e.String()
+	key := c.id(e)
 	if b, ok := c.boolMemo[key]; ok {
 		return b, nil
 	}

@@ -2,27 +2,25 @@ package compile
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/lru"
-	"github.com/mahif/mahif/internal/types"
 )
 
 // Memo is a concurrency-safe LRU of satisfiability outcomes. The
 // slicing formulas the engine compiles are deterministic functions of
-// the history suffix and the modification under test, so their
-// canonical fingerprint (rendered condition + variable kinds + solver
-// budget) identifies the compiled program exactly: two what-if
-// scenarios that share a suffix and a modification produce byte-equal
-// fingerprints and reuse one solver run. Batch evaluation threads one
+// the history suffix and the modification under test, so a query's key
+// (a 128-bit hash of the condition's structure, the variable kinds and
+// the solver budget, see hashQuery) identifies the compiled program:
+// two what-if scenarios that share a suffix and a modification produce
+// equal keys and reuse one solver run. Batch evaluation threads one
 // Memo through Options.Memo for all scenarios.
 //
 // Cached *Outcome values are shared; callers must treat them (including
 // the Model witness map) as read-only, which every engine call site
 // already does.
-type Memo = lru.Cache[string, *Outcome]
+type Memo = lru.Cache[memoKey, *Outcome]
 
 // DefaultMemoEntries bounds a memo built by NewMemo. Outcomes are
 // small (a verdict plus a witness map), so the bound exists to keep a
@@ -35,29 +33,11 @@ func NewMemo() *Memo { return NewMemoCap(DefaultMemoEntries) }
 
 // NewMemoCap builds an empty memo holding at most cap outcomes
 // (cap <= 0 means unbounded).
-func NewMemoCap(cap int) *Memo { return lru.New[string, *Outcome](cap) }
+func NewMemoCap(cap int) *Memo { return lru.New[memoKey, *Outcome](cap) }
 
-// memoKey fingerprints one satisfiability query. The condition is
-// serialized with explicit node tags (a plain String rendering cannot
-// distinguish a column from a variable of the same name), and the kind
-// map and the solver knobs that can change the verdict are appended.
-func memoKey(cond expr.Expr, kinds map[string]types.Kind, opts Options) string {
-	var b strings.Builder
-	fingerprintExpr(&b, cond)
-	names := make([]string, 0, len(kinds))
-	for n := range kinds {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	b.WriteByte('|')
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s:%d;", n, kinds[n])
-	}
-	fmt.Fprintf(&b, "|b=%g|s=%d,%d,%d", opts.NumericBound,
-		opts.Solve.MaxNodes, opts.Solve.MaxIter, opts.Solve.MaxPropagationRounds)
-	return b.String()
-}
-
+// fingerprintExpr serializes e with explicit node tags (a plain String
+// rendering cannot distinguish a column from a variable of the same
+// name).
 func fingerprintExpr(b *strings.Builder, e expr.Expr) {
 	switch x := e.(type) {
 	case *expr.Const:
@@ -118,18 +98,18 @@ func fingerprintExpr(b *strings.Builder, e expr.Expr) {
 		b.WriteByte(')')
 	default:
 		// Unknown node: tag with the concrete type so two distinct node
-		// types whose String() renderings coincide cannot share a key
-		// (which would silently reuse the wrong solver outcome).
+		// types whose String() renderings coincide cannot share a key.
 		fmt.Fprintf(b, "?%T(%s)", e, e)
 	}
 }
 
-// FingerprintExpr returns the canonical tagged serialization of e used
-// in memo keys. Constants embed their values, so fingerprinting a
-// template condition (parameters still open as $name slots) yields the
-// constant-abstracted identity the template cache keys on: two
-// templates equal up to parameter names bound at eval time collide,
-// two templates differing in any baked-in constant do not.
+// FingerprintExpr returns the canonical tagged serialization of e (the
+// solver memo hashes the same structure instead, see hashQuery).
+// Constants embed their values, so fingerprinting a template condition
+// (parameters still open as $name slots) yields the constant-abstracted
+// identity the template cache keys on: two templates equal up to
+// parameter names bound at eval time collide, two templates differing
+// in any baked-in constant do not.
 func FingerprintExpr(e expr.Expr) string {
 	var b strings.Builder
 	fingerprintExpr(&b, e)

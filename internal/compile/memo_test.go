@@ -1,10 +1,12 @@
 package compile
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
 	"github.com/mahif/mahif/internal/expr"
+	"github.com/mahif/mahif/internal/milp"
 	"github.com/mahif/mahif/internal/types"
 )
 
@@ -56,15 +58,15 @@ func TestMemoDistinguishesKindsAndShape(t *testing.T) {
 	}
 
 	// A column and a variable of the same name must not share a key.
-	k1 := memoKey(expr.Variable("a"), nil, Options{})
-	k2 := memoKey(&expr.Col{Name: "a"}, nil, Options{})
+	k1 := hashQuery(expr.Variable("a"), nil, Options{})
+	k2 := hashQuery(&expr.Col{Name: "a"}, nil, Options{})
 	if k1 == k2 {
-		t.Error("fingerprint conflates Var and Col of the same name")
+		t.Error("memo key conflates Var and Col of the same name")
 	}
 }
 
 // fakeNodeA and fakeNodeB are two structurally distinct expression
-// node types unknown to fingerprintExpr whose String() renderings
+// node types unknown to the compiler whose String() renderings
 // coincide. They satisfy expr.Expr by embedding the interface (the
 // marker method is never called on them).
 type fakeNodeA struct{ expr.Expr }
@@ -76,14 +78,91 @@ type fakeNodeB struct{ expr.Expr }
 func (fakeNodeB) String() string { return "opaque" }
 
 // TestMemoUnknownNodeTypesNotConflated is the regression test for the
-// opaque fingerprint fallback: before it was tagged with the concrete
-// type, two distinct unknown node types rendering identically shared a
-// key and silently reused each other's solver outcomes.
+// opaque fallback of the memo key: before it was tagged with the
+// concrete type, two distinct unknown node types rendering identically
+// shared a key and silently reused each other's solver outcomes. The
+// same holds one level down, below a node the hash does know.
 func TestMemoUnknownNodeTypesNotConflated(t *testing.T) {
-	a := memoKey(fakeNodeA{}, nil, Options{})
-	b := memoKey(fakeNodeB{}, nil, Options{})
+	a := hashQuery(fakeNodeA{}, nil, Options{})
+	b := hashQuery(fakeNodeB{}, nil, Options{})
 	if a == b {
-		t.Fatalf("memoKey conflates distinct unknown node types: %q", a)
+		t.Fatalf("memo key conflates distinct unknown node types: %v", a)
+	}
+	a = hashQuery(expr.Negation(fakeNodeA{}), nil, Options{})
+	b = hashQuery(expr.Negation(fakeNodeB{}), nil, Options{})
+	if a == b {
+		t.Fatalf("memo key conflates distinct unknown node types below NOT: %v", a)
+	}
+	if FingerprintExpr(fakeNodeA{}) == FingerprintExpr(fakeNodeB{}) {
+		t.Fatal("FingerprintExpr conflates distinct unknown node types")
+	}
+}
+
+// TestMemoKeyFoldsInKindsAndBudget: everything that can change a
+// verdict besides the condition is part of the key.
+func TestMemoKeyFoldsInKindsAndBudget(t *testing.T) {
+	cond := expr.Ge(expr.Variable("x"), expr.Parameter("p"))
+	kinds := map[string]types.Kind{"x": types.KindInt, "$p": types.KindInt}
+	base := hashQuery(cond, kinds, Options{})
+	if base != hashQuery(cond, map[string]types.Kind{"$p": types.KindInt, "x": types.KindInt}, Options{}) {
+		t.Error("memo key depends on map iteration order")
+	}
+	variants := map[string]memoKey{
+		"kind of x":       hashQuery(cond, map[string]types.Kind{"x": types.KindFloat, "$p": types.KindInt}, Options{}),
+		"kind of $p":      hashQuery(cond, map[string]types.Kind{"x": types.KindInt, "$p": types.KindFloat}, Options{}),
+		"extra variable":  hashQuery(cond, map[string]types.Kind{"x": types.KindInt, "$p": types.KindInt, "y": types.KindInt}, Options{}),
+		"MaxNodes":        hashQuery(cond, kinds, Options{Solve: milp.SolveOptions{MaxNodes: 800}}),
+		"MaxIter":         hashQuery(cond, kinds, Options{Solve: milp.SolveOptions{MaxIter: 800}}),
+		"MaxPropagation":  hashQuery(cond, kinds, Options{Solve: milp.SolveOptions{MaxPropagationRounds: 800}}),
+		"NumericBound":    hashQuery(cond, kinds, Options{NumericBound: 800}),
+		"name boundaries": hashQuery(cond, map[string]types.Kind{"x$": types.KindInt, "p": types.KindInt}, Options{}),
+	}
+	for what, k := range variants {
+		if k == base {
+			t.Errorf("memo key ignores %s", what)
+		}
+	}
+
+	// ParamKinds reach the key through the merged kind map: the same
+	// template condition under two parameter kinds is two memo entries.
+	memo := NewMemo()
+	for _, k := range []types.Kind{types.KindInt, types.KindFloat} {
+		opts := Options{Memo: memo, ParamKinds: map[string]types.Kind{"p": k}}
+		if _, err := Satisfiable(cond, map[string]types.Kind{"x": types.KindInt}, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if memo.Len() != 2 {
+		t.Errorf("Len() = %d: differing ParamKinds were conflated", memo.Len())
+	}
+}
+
+// TestMemoKeySeparatesUnequalFormulas draws 10⁵ random formula pairs
+// over a deliberately tiny vocabulary (so near-misses are the rule) and
+// requires formulas that are not expr.Equal to get different keys, and
+// a structural copy at fresh addresses to get the same key.
+func TestMemoKeySeparatesUnequalFormulas(t *testing.T) {
+	pairs := 100000
+	if testing.Short() {
+		pairs = 10000
+	}
+	g := corpus{rand.New(rand.NewSource(97))}
+	unequal := 0
+	for i := 0; i < pairs; i++ {
+		a, b := g.cond(2), g.cond(2)
+		ka, kb := hashQuery(a, nil, Options{}), hashQuery(b, nil, Options{})
+		if !expr.Equal(a, b) {
+			unequal++
+			if ka == kb {
+				t.Fatalf("pair %d: different formulas, one key %v\n a = %s\n b = %s", i, ka, a, b)
+			}
+		}
+		if kc := hashQuery(clone(a), nil, Options{}); kc != ka {
+			t.Fatalf("pair %d: a copy of %s hashed to %v, the original to %v", i, a, kc, ka)
+		}
+	}
+	if unequal < pairs/2 || unequal == pairs {
+		t.Errorf("%d of %d pairs were unequal: the corpus is lopsided", unequal, pairs)
 	}
 }
 
@@ -170,8 +249,9 @@ func TestMemoConcurrent(t *testing.T) {
 
 func TestMemoLRUBound(t *testing.T) {
 	m := NewMemoCap(3)
-	for i := 0; i < 4; i++ {
-		m.Store(string(rune('a'+i)), &Outcome{})
+	a, b, c, e := memoKey{lo: 1}, memoKey{lo: 2}, memoKey{lo: 3}, memoKey{lo: 5}
+	for _, k := range []memoKey{a, b, c, {lo: 4}} {
+		m.Store(k, &Outcome{})
 	}
 	if m.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", m.Len())
@@ -179,18 +259,18 @@ func TestMemoLRUBound(t *testing.T) {
 	if m.Evictions() != 1 {
 		t.Fatalf("Evictions = %d, want 1", m.Evictions())
 	}
-	if _, ok := m.Lookup("a"); ok {
+	if _, ok := m.Lookup(a); ok {
 		t.Fatalf("oldest key survived the bound")
 	}
 	// Touch "b" so "c" becomes the LRU victim of the next insert.
-	if _, ok := m.Lookup("b"); !ok {
+	if _, ok := m.Lookup(b); !ok {
 		t.Fatalf("key b missing")
 	}
-	m.Store("e", &Outcome{})
-	if _, ok := m.Lookup("c"); ok {
+	m.Store(e, &Outcome{})
+	if _, ok := m.Lookup(c); ok {
 		t.Fatalf("recency not honored: c should have been evicted before b")
 	}
-	if _, ok := m.Lookup("b"); !ok {
+	if _, ok := m.Lookup(b); !ok {
 		t.Fatalf("recently used key b evicted")
 	}
 }

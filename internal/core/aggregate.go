@@ -250,7 +250,7 @@ func (e *Engine) tipReports(ctx context.Context, queries []AggregateQuery, d del
 	if err != nil {
 		return nil, err
 	}
-	return computeAggregates(ctx, queries, d, hist, newEvaluator(ctx, opts, tip, shared.eval))
+	return computeAggregates(ctx, queries, d, hist, e.newEvaluator(ctx, opts, tip, shared.eval))
 }
 
 // WhatIfAggregates answers a what-if query plus its attached aggregate

@@ -161,12 +161,13 @@ func (c *evalCache) program(q algebra.Query, db *storage.Database, fp string, ki
 // than cached, so long-lived caches (sessions) stay consistent; a
 // caller that joined a cancelled materialization retries under its own
 // context instead of inheriting the foreign failure.
-func (c *evalCache) eval(ctx context.Context, q algebra.Query, db *storage.Database, ver int, kind ExecutorKind, vec exec.VecOptions) (*storage.Relation, error) {
+func (c *evalCache) eval(ev evaluator, q algebra.Query, db *storage.Database) (*storage.Relation, error) {
+	ctx := ev.evalCtx()
 	fp := algebra.Fingerprint(q)
-	key := resultKey{ver: ver, fp: fp}
+	key := resultKey{ver: ev.ver, fp: fp}
 	var prog *exec.Program
-	if kind != ExecInterpreter {
-		prog = c.program(q, db, fp, kind, vec)
+	if ev.kind != ExecInterpreter {
+		prog = c.program(q, db, fp, ev.kind, ev.vec)
 	}
 	for {
 		c.mu.Lock()
@@ -180,13 +181,10 @@ func (c *evalCache) eval(ctx context.Context, q algebra.Query, db *storage.Datab
 		c.mu.Unlock()
 		if !ok {
 			// We created the entry: we materialize, under our context.
-			switch {
-			case prog != nil:
+			if prog != nil {
 				e.rel, e.err = prog.RunCtx(ctx, db)
-			case ctx.Err() != nil:
-				e.err = ctx.Err() // interpreter oracle is not ctx-aware; don't start dead
-			default:
-				e.rel, e.err = algebra.Eval(q, db)
+			} else {
+				e.rel, e.err = ev.interpret(q, db)
 			}
 			if e.err == nil {
 				c.mu.Lock()

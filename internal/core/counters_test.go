@@ -1,0 +1,121 @@
+package core
+
+import (
+	"context"
+	"sync"
+	"testing"
+
+	"github.com/mahif/mahif/internal/algebra"
+	"github.com/mahif/mahif/internal/expr"
+	"github.com/mahif/mahif/internal/schema"
+	"github.com/mahif/mahif/internal/storage"
+	"github.com/mahif/mahif/internal/symbolic"
+	"github.com/mahif/mahif/internal/types"
+	"github.com/mahif/mahif/internal/workload"
+)
+
+// TestSessionCompressesOncePerSnapshot (run under -race): concurrent
+// what-ifs through one session that time-travel to the same version
+// scan the relation for Φ_D once; every later call, concurrent or not,
+// takes the Φ_D remembered on the snapshot, and the answers are those
+// of a bare engine, which compresses afresh every time.
+func TestSessionCompressesOncePerSnapshot(t *testing.T) {
+	ds := workload.Taxi(800, 1)
+	w, err := workload.Generate(ds, workload.Config{
+		Updates: 10, Mods: 1, DependentPct: 20, AffectedPct: 10, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vdb, err := w.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := New(vdb)
+	rel := w.Dataset.Rel.Schema.Relation
+	want, wantStats, err := engine.WhatIf(w.Mods, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sess := engine.NewSession()
+	const callers = 8
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, st, err := sess.WhatIfCtx(context.Background(), w.Mods, DefaultOptions())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !got[rel].Equal(want[rel]) {
+				t.Error("session delta differs from the bare engine's")
+			}
+			if st.KeptStatements != wantStats.KeptStatements || st.SolverTests != wantStats.SolverTests {
+				t.Errorf("session kept %d after %d tests, bare engine %d after %d: a different Φ_D was sliced against",
+					st.KeptStatements, st.SolverTests, wantStats.KeptStatements, wantStats.SolverTests)
+			}
+		}()
+	}
+	wg.Wait()
+	st := sess.Stats()
+	if st.CompressMisses != 1 || st.CompressHits != callers-1 {
+		t.Errorf("%d what-ifs on one version: %d Φ_D scans, %d reuses; want 1, %d", callers, st.CompressMisses, st.CompressHits, callers-1)
+	}
+
+	// Other compression options on the same snapshot are another Φ_D.
+	opts := DefaultOptions()
+	opts.Compress = symbolic.CompressOptions{Groups: 4}
+	for i := 0; i < 2; i++ {
+		if _, _, err := sess.WhatIf(w.Mods, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := sess.Stats(); st.CompressMisses != 2 || st.CompressHits != callers {
+		t.Errorf("after two calls under other options: %d scans, %d reuses; want 2, %d", st.CompressMisses, st.CompressHits, callers)
+	}
+}
+
+// TestInterpreterFallbackIsCounted: a query outside the compilable
+// subset still gets its answer from the interpreter, with and without
+// the session's program cache, and each such evaluation shows in
+// Engine.InterpreterFallbacks; asking for the interpreter does not.
+func TestInterpreterFallbackIsCounted(t *testing.T) {
+	db := storage.NewDatabase()
+	db.AddRelation(storage.NewRelation(schema.New("r", schema.Col("a", types.KindInt))))
+	engine := New(storage.NewVersioned(db))
+	// A symbolic variable cannot be lowered; over an empty relation the
+	// interpreter never has to evaluate it.
+	q := &algebra.Select{Cond: expr.Ge(expr.Variable("v"), expr.IntConst(1)), In: &algebra.Scan{Rel: "r"}}
+
+	steps := []struct {
+		kind   ExecutorKind
+		cached bool
+		want   int64
+	}{
+		{ExecVectorized, false, 1},
+		{ExecCompiled, false, 2},
+		{ExecInterpreter, false, 2},
+		{ExecVectorized, true, 3},
+		{ExecInterpreter, true, 3},
+	}
+	ec := newEvalCache()
+	for i, s := range steps {
+		ev := engine.newEvaluator(context.Background(), Options{Executor: s.kind}, 0, nil)
+		if s.cached {
+			ev.ec = ec
+		}
+		out, err := ev.eval(q, db)
+		if err != nil || out.Len() != 0 {
+			t.Fatalf("step %d: eval = %v, %v; want the empty relation", i, out, err)
+		}
+		if got := engine.InterpreterFallbacks(); got != s.want {
+			t.Errorf("step %d (%s, cached=%v): %d fallbacks counted, want %d", i, s.kind, s.cached, got, s.want)
+		}
+	}
+	if st := engine.NewSession().Stats(); st.InterpreterFallbacks != 3 {
+		t.Errorf("SessionStats.InterpreterFallbacks = %d, want the engine's 3", st.InterpreterFallbacks)
+	}
+}

@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"github.com/mahif/mahif/internal/algebra"
@@ -167,6 +168,10 @@ type DurableStore interface {
 type Engine struct {
 	vdb      *storage.VersionedDatabase
 	appender Appender
+
+	// fallbacks counts query evaluations that asked for a compiling
+	// executor and ran through the tree-walking interpreter instead.
+	fallbacks atomic.Int64
 }
 
 // New builds an engine over a versioned database. Appends go straight
@@ -187,6 +192,14 @@ func (e *Engine) Durable() bool { return e.appender != nil }
 
 // Version returns the current history length.
 func (e *Engine) Version() int { return e.vdb.NumVersions() }
+
+// InterpreterFallbacks counts, over the engine's lifetime and all its
+// sessions, the query evaluations that requested the vectorized or the
+// compiled executor but ran through the tree-walking interpreter
+// because the query would not compile. The answer is the same — the
+// interpreter is the reference semantics — but far slower, so a value
+// above zero on the default path is a performance bug worth a look.
+func (e *Engine) InterpreterFallbacks() int64 { return e.fallbacks.Load() }
 
 // Append extends the history (see AppendCtx).
 func (e *Engine) Append(stmts ...history.Statement) (int, error) {
@@ -416,7 +429,7 @@ func (e *Engine) whatIfPair(ctx context.Context, pair *history.PaddedPair, tip i
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ev := newEvaluator(ctx, opts, p.ver, shared.eval)
+	ev := e.newEvaluator(ctx, opts, p.ver, shared.eval)
 	out := make(delta.Set, len(p.rels))
 	for _, r := range p.rels {
 		if err := ctx.Err(); err != nil {
@@ -458,6 +471,7 @@ func normalizeExecutor(k ExecutorKind) ExecutorKind {
 // is the vectorized executor; kind selects the tuple-at-a-time compiled
 // executor or the tree-walking interpreter oracle instead.
 type evaluator struct {
+	e    *Engine // receives the fallback count; nil in zero-valued test evaluators
 	ctx  context.Context
 	ec   *evalCache
 	ver  int
@@ -469,8 +483,8 @@ type evaluator struct {
 // version ver under opts' executor choice. ec may be nil (no program or
 // result sharing); with one, results are cached under ver, so ver must
 // be the version of the database the queries run over.
-func newEvaluator(ctx context.Context, opts Options, ver int, ec *evalCache) evaluator {
-	return evaluator{ctx: ctx, ec: ec, ver: ver, kind: normalizeExecutor(opts.Executor), vec: opts.Vec}
+func (e *Engine) newEvaluator(ctx context.Context, opts Options, ver int, ec *evalCache) evaluator {
+	return evaluator{e: e, ctx: ctx, ec: ec, ver: ver, kind: normalizeExecutor(opts.Executor), vec: opts.Vec}
 }
 
 // evalCtx returns the evaluator's context (Background when the
@@ -484,7 +498,7 @@ func (ev evaluator) evalCtx() context.Context {
 
 func (ev evaluator) eval(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
 	if ev.ec != nil {
-		return ev.ec.eval(ev.evalCtx(), q, db, ev.ver, ev.kind, ev.vec)
+		return ev.ec.eval(ev, q, db)
 	}
 	return ev.evalUncached(q, db)
 }
@@ -495,28 +509,35 @@ func (ev evaluator) eval(q algebra.Query, db *storage.Database) (*storage.Relati
 // cache when there is one: programs are keyed by query fingerprint and
 // depend on the schemas only, never on the data.
 func (ev evaluator) evalUncached(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
-	ctx := ev.evalCtx()
 	var prog *exec.Program
 	switch {
 	case ev.kind == ExecInterpreter:
 	case ev.ec != nil:
 		prog = ev.ec.program(q, db, algebra.Fingerprint(q), ev.kind, ev.vec)
 	default:
-		// An uncompilable query leaves prog nil.
+		// An uncompilable query leaves prog nil; interpret counts it.
 		prog, _ = compileFor(ev.kind, q, db, ev.vec)
 	}
 	if prog == nil {
-		// Interpreter mode, or outside the compilable subset: the
-		// interpreter is the reference semantics, so this can only be
-		// slower, never wrong. The tree-walking oracle is not ctx-aware;
-		// bound its damage by refusing to start when the request is
-		// already dead.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return algebra.Eval(q, db)
+		return ev.interpret(q, db)
 	}
-	return prog.RunCtx(ctx, db)
+	return prog.RunCtx(ev.evalCtx(), db)
+}
+
+// interpret answers q with the tree-walking interpreter: because it was
+// asked for, or because q is outside the compilable subset — a fallback
+// that can only be slower, never wrong (the interpreter is the
+// reference semantics), and is counted so that it cannot be silent
+// (Engine.InterpreterFallbacks). The oracle is not ctx-aware; bound its
+// damage by refusing to start when the request is already dead.
+func (ev evaluator) interpret(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
+	if err := ev.evalCtx().Err(); err != nil {
+		return nil, err
+	}
+	if ev.kind != ExecInterpreter && ev.e != nil {
+		ev.e.fallbacks.Add(1)
+	}
+	return algebra.Eval(q, db)
 }
 
 // compileFor lowers q with the backend kind selects (vectorized unless

@@ -133,6 +133,13 @@ type SessionStats struct {
 	// newer tip was frozen; SnapshotTipResident is the count currently
 	// held — bounded near 1 under append+query loops.
 	SnapshotTipEvictions, SnapshotTipResident int
+	// CompressHits/Misses report reuse of the compressed database Φ_D
+	// that program slicing tests against: a miss scanned a relation (once
+	// per snapshot and option set, see symbolic.Compress), a hit took the
+	// Φ_D remembered on the snapshot. Slow slicing with misses climbing is
+	// a cold Φ_D (snapshots being rebuilt); with hits only, it is the
+	// solver.
+	CompressHits, CompressMisses int64
 	// MemoHits/Misses report solver-outcome reuse across calls;
 	// MemoEvictions counts outcomes dropped by the memo's LRU bound.
 	MemoHits, MemoMisses int64
@@ -149,6 +156,9 @@ type SessionStats struct {
 	TemplateHits, TemplateMisses int64
 	TemplateEvictions            int64
 	TemplateResident             int
+	// InterpreterFallbacks is Engine.InterpreterFallbacks at the time of
+	// the reading: engine-wide, not per session, and never reset.
+	InterpreterFallbacks int64
 }
 
 // Stats snapshots the session's cache counters.
@@ -161,6 +171,7 @@ func (s *Session) Stats() SessionStats {
 	st.SnapshotResident = s.caches.snaps.Resident()
 	st.SnapshotTipEvictions = s.caches.snaps.TipEvictions()
 	st.SnapshotTipResident = s.caches.snaps.TipResident()
+	st.CompressHits, st.CompressMisses = s.caches.snaps.DerivedStats()
 	st.MemoHits, st.MemoMisses = s.caches.memo.Stats()
 	st.MemoEvictions = s.caches.memo.Evictions()
 	st.QueryHits, st.QueryMisses = s.caches.eval.stats()
@@ -169,6 +180,7 @@ func (s *Session) Stats() SessionStats {
 	st.TemplateHits, st.TemplateMisses = s.caches.templates.Stats()
 	st.TemplateEvictions = s.caches.templates.Evictions()
 	st.TemplateResident = s.caches.templates.Len()
+	st.InterpreterFallbacks = s.e.InterpreterFallbacks()
 	return st
 }
 

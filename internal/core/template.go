@@ -369,7 +369,7 @@ func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 	}
 	// No result cache: the materialized sides live as long as the
 	// artifact pins them, not as long as a session's LRU says.
-	ev := newEvaluator(ctx, t.opts, p.ver, nil)
+	ev := t.e.newEvaluator(ctx, t.opts, p.ver, nil)
 	for _, r := range p.rels {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -427,7 +427,7 @@ func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, bind
 	}
 	// No result cache: a binding's modified side is its own query, and
 	// caching each would retain one relation per binding ever asked.
-	ev := newEvaluator(ctx, t.opts, art.dbVer, nil)
+	ev := t.e.newEvaluator(ctx, t.opts, art.dbVer, nil)
 	for _, tr := range art.rels {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err

@@ -74,7 +74,7 @@ func ProveEquivalentCtx(ctx context.Context, h1, h2 history.History, s *schema.S
 	// differ (Eq. 19 negated).
 	same := symbolic.SameResult(a, b)
 	core := expr.AndOf(phiD, expr.Negation(same))
-	globals := pruneGlobals(core, a, b)
+	globals := newGlobalDefs(a, b).prune(core)
 	formula := expr.AndOf(append([]expr.Expr{core}, globals...)...)
 
 	out, err := compile.SatisfiableCtx(ctx, formula, symbolic.MergeKinds(a, b), opts)

@@ -204,7 +204,7 @@ func isSlice(ctx context.Context, in *Input, positions []int, st *Stats) (bool, 
 	// ¬ζ = Φ_D ∧ Φ(all states) ∧ ¬ψ, with the global conditions pruned
 	// to the cone of influence of Φ_D ∧ ¬ψ.
 	core := expr.AndOf(in.PhiD, expr.Negation(psi))
-	globals := pruneGlobals(core, full0, full1, sl0, sl1)
+	globals := newGlobalDefs(full0, full1, sl0, sl1).prune(core)
 	formula := expr.AndOf(append([]expr.Expr{core}, globals...)...)
 	kinds := symbolic.MergeKinds(full0, full1, sl0, sl1)
 	out, err := compile.SatisfiableCtx(ctx, formula, kinds, in.Compile)
@@ -257,6 +257,7 @@ func DependencyCtx(ctx context.Context, in *Input) (*Result, error) {
 		return nil, err
 	}
 	kinds := symbolic.MergeKinds(orig, mod)
+	defs := newGlobalDefs(orig, mod)
 
 	modified := map[int]bool{}
 	// modCond: a tuple is affected by some modified statement pair when
@@ -293,7 +294,7 @@ func DependencyCtx(ctx context.Context, in *Input) (*Result, error) {
 			expr.AndOf(mod.Steps[i].LocalBefore, mod.Steps[i].Theta),
 		)
 		core := expr.AndOf(in.PhiD, affected, touched)
-		globals := pruneGlobals(core, orig, mod)
+		globals := defs.prune(core)
 		out, err := compile.SatisfiableCtx(ctx, expr.AndOf(append([]expr.Expr{core}, globals...)...), kinds, in.Compile)
 		if err != nil {
 			return nil, err

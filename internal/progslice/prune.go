@@ -5,69 +5,82 @@ import (
 	"github.com/mahif/mahif/internal/symbolic"
 )
 
-// pruneGlobals performs a cone-of-influence reduction: of all defining
-// equalities x_{A,i} = if θ then e else prev accumulated by the
-// symbolic executions, only those transitively reachable from the
-// variables of the core formula are kept. Update chains for attributes
-// the slicing condition never looks at (the common case: conditions
-// mention selection attributes, updates write payload attributes)
-// disappear entirely, which keeps the MILP small. Non-definition
-// conjuncts are always kept.
-func pruneGlobals(core expr.Expr, states ...*symbolic.State) []expr.Expr {
-	type def struct {
-		conj expr.Expr
-		rhs  expr.Expr
-		used bool
-	}
-	var order []string // definition order, for deterministic output
-	defs := map[string]*def{}
-	var always []expr.Expr
+// globalDefs is the definition table of a set of symbolic states: the
+// defining equalities x_{A,i} = if θ then e else prev their executions
+// accumulated, by defined variable and in definition order, plus the
+// conjuncts that define nothing. It depends on the states only, so a
+// slicing run builds it once and prunes it per test.
+type globalDefs struct {
+	defs   []globalDef
+	byName map[string]int // defined variable → index into defs
+	always []expr.Expr    // non-definition conjuncts, always kept
+	// alwaysVars are the variables of always: reachable in every test.
+	alwaysVars []string
+}
+
+type globalDef struct {
+	conj expr.Expr // the whole equality
+	deps []string  // variables of its right-hand side
+}
+
+// newGlobalDefs indexes the global conditions of states. The first
+// definition of a variable wins (states executed from one base share
+// their prefix).
+func newGlobalDefs(states ...*symbolic.State) *globalDefs {
+	t := &globalDefs{byName: map[string]int{}}
 	for _, st := range states {
 		for _, g := range st.Global {
 			if eq, ok := g.(*expr.Cmp); ok && eq.Op == expr.CmpEq {
 				if v, ok := eq.L.(*expr.Var); ok {
-					if _, dup := defs[v.Name]; !dup {
-						defs[v.Name] = &def{conj: g, rhs: eq.R}
-						order = append(order, v.Name)
+					if _, dup := t.byName[v.Name]; !dup {
+						t.byName[v.Name] = len(t.defs)
+						t.defs = append(t.defs, globalDef{conj: g, deps: varNames(eq.R)})
 					}
 					continue
 				}
 			}
-			always = append(always, g)
+			t.always = append(t.always, g)
+			t.alwaysVars = append(t.alwaysVars, varNames(g)...)
 		}
 	}
+	return t
+}
 
-	queue := make([]string, 0, len(defs))
-	for v := range expr.Vars(core) {
-		queue = append(queue, v)
-	}
-	for _, g := range always {
-		for v := range expr.Vars(g) {
-			queue = append(queue, v)
+func varNames(e expr.Expr) []string {
+	var out []string
+	expr.Walk(e, func(n expr.Expr) {
+		if v, ok := n.(*expr.Var); ok {
+			out = append(out, v.Name)
 		}
-	}
-	seen := map[string]bool{}
+	})
+	return out
+}
+
+// prune performs a cone-of-influence reduction: of all definitions only
+// those transitively reachable from the variables of the core formula
+// are kept. Update chains for attributes the slicing condition never
+// looks at (the common case: conditions mention selection attributes,
+// updates write payload attributes) disappear entirely, which keeps the
+// MILP small. Non-definition conjuncts are always kept; definitions
+// come out in definition order.
+func (t *globalDefs) prune(core expr.Expr) []expr.Expr {
+	used := make([]bool, len(t.defs))
+	queue := append(varNames(core), t.alwaysVars...)
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		if seen[v] {
+		i, ok := t.byName[v]
+		if !ok || used[i] {
 			continue
 		}
-		seen[v] = true
-		d, ok := defs[v]
-		if !ok || d.used {
-			continue
-		}
-		d.used = true
-		for dep := range expr.Vars(d.rhs) {
-			queue = append(queue, dep)
-		}
+		used[i] = true
+		queue = append(queue, t.defs[i].deps...)
 	}
 
-	out := append([]expr.Expr(nil), always...)
-	for _, name := range order {
-		if defs[name].used {
-			out = append(out, defs[name].conj)
+	out := append([]expr.Expr(nil), t.always...)
+	for i, d := range t.defs {
+		if used[i] {
+			out = append(out, d.conj)
 		}
 	}
 	return out

@@ -97,6 +97,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mahif_session_calls_total{session="0"} 1`,
 		"mahif_history_version 2",
 		"mahif_session_snapshot_misses_total",
+		// One what-if sliced one relation: Φ_D was scanned once, and
+		// nothing fell back to the interpreter.
+		`mahif_session_compress_misses_total{session="0"} 1`,
+		`mahif_session_compress_hits_total{session="0"} 0`,
+		"mahif_interpreter_fallbacks_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)

@@ -20,6 +20,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m("mahif_history_version", "Number of statements in the transactional history.", "gauge")
 	fmt.Fprintf(&b, "mahif_history_version %d\n", s.engine.Version())
 
+	m("mahif_interpreter_fallbacks_total", "Query evaluations that asked for a compiling executor but ran through the tree-walking interpreter (engine-wide).", "counter")
+	fmt.Fprintf(&b, "mahif_interpreter_fallbacks_total %d\n", s.engine.InterpreterFallbacks())
+
 	m("mahif_session_calls_total", "Evaluation entries through each session.", "counter")
 	m("mahif_session_invalidations_total", "Explicit cache resets per session.", "counter")
 	m("mahif_session_advances_total", "History advances survived with caches kept (optimistic cross-version reuse).", "counter")
@@ -29,6 +32,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m("mahif_session_snapshot_resident", "Completed snapshots currently held per session.", "gauge")
 	m("mahif_session_snapshot_tip_evictions_total", "Superseded tip-pinned snapshots eagerly dropped per session.", "counter")
 	m("mahif_session_snapshot_tip_resident", "Tip-pinned snapshots (private full copies) currently held per session.", "gauge")
+	m("mahif_session_compress_hits_total", "Program-slicing calls that reused the compressed database remembered on a snapshot, per session.", "counter")
+	m("mahif_session_compress_misses_total", "Relation scans computing a compressed database (once per snapshot and option set), per session.", "counter")
 	m("mahif_session_memo_hits_total", "Solver-outcome memo hits per session.", "counter")
 	m("mahif_session_memo_misses_total", "Solver-outcome memo misses per session.", "counter")
 	m("mahif_session_memo_evictions_total", "Solver outcomes dropped by the memo LRU bound per session.", "counter")
@@ -51,6 +56,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "mahif_session_snapshot_resident%s %d\n", l, st.SnapshotResident)
 		fmt.Fprintf(&b, "mahif_session_snapshot_tip_evictions_total%s %d\n", l, st.SnapshotTipEvictions)
 		fmt.Fprintf(&b, "mahif_session_snapshot_tip_resident%s %d\n", l, st.SnapshotTipResident)
+		fmt.Fprintf(&b, "mahif_session_compress_hits_total%s %d\n", l, st.CompressHits)
+		fmt.Fprintf(&b, "mahif_session_compress_misses_total%s %d\n", l, st.CompressMisses)
 		fmt.Fprintf(&b, "mahif_session_memo_hits_total%s %d\n", l, st.MemoHits)
 		fmt.Fprintf(&b, "mahif_session_memo_misses_total%s %d\n", l, st.MemoMisses)
 		fmt.Fprintf(&b, "mahif_session_memo_evictions_total%s %d\n", l, st.MemoEvictions)

@@ -27,6 +27,18 @@ import (
 // (live append): the history is append-only, so every cached snapshot —
 // including one taken at what was then the tip — remains the correct
 // state after its first i statements forever.
+//
+// Frozen snapshots: because of that contract, the cache marks every
+// relation of a database frozen at the moment it publishes it. A
+// frozen relation remembers values that are pure
+// functions of its contents (Relation.Derive) — the compressed database
+// Φ_D of program slicing is the one in use — so the data-sized pass is
+// paid once per snapshot, not once per what-if. The memo lives on the
+// relation and dies with it: an evicted and rebuilt version starts
+// empty. A caller that broke the read-only contract would now also get
+// stale derived values, not only corrupt a shared state. DerivedStats
+// counts the reuse.
+//
 // Retention is bounded: completed snapshots beyond the limit are
 // evicted least-recently-used. Without a bound, a session that issues
 // a naive query after every append pins a fresh tip clone per version
@@ -49,6 +61,8 @@ type SnapshotCache struct {
 	misses     int
 	evicted    int
 	tipEvicted int
+
+	derived derivedStats // Derive traffic on the relations this cache froze
 }
 
 // snapshotEntry builds one version exactly once: the caller that
@@ -174,6 +188,7 @@ func (c *SnapshotCache) SnapshotCtx(ctx context.Context, i int) (*Database, erro
 			// We created the entry: we build, under our context.
 			e.db, e.err = c.build(ctx, i)
 			if e.err == nil {
+				e.db.freeze(&c.derived)
 				c.mu.Lock()
 				c.ready[i] = e.db
 				c.misses++
@@ -257,6 +272,13 @@ func (c *SnapshotCache) Stats() (hits, misses int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses
+}
+
+// DerivedStats reports Relation.Derive calls on the relations this
+// cache published: hits were answered from a relation's memo, misses
+// computed (once per relation and key).
+func (c *SnapshotCache) DerivedStats() (hits, misses int64) {
+	return c.derived.hits.Load(), c.derived.misses.Load()
 }
 
 // Evictions reports how many completed snapshots the retention bound

@@ -263,3 +263,108 @@ func TestSnapshotEvictionBound(t *testing.T) {
 			c.Resident(), c.Evictions(), evicted)
 	}
 }
+
+// TestDeriveOnlyOnFrozenRelations pins the contract behind the Φ_D
+// memo: a relation a SnapshotCache published remembers derived values
+// per key (computed once, however many ask at once); a private relation
+// — one never published, or a Clone of a published one — remembers
+// nothing; and the memo dies with the snapshot.
+func TestDeriveOnlyOnFrozenRelations(t *testing.T) {
+	v := newBumpStore(t, 6)
+	c := NewSnapshotCache(v)
+	db, err := c.Snapshot(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, _ := db.Relation("t")
+	if rel.frozen.Load() == nil {
+		t.Fatal("a published snapshot's relation is not frozen")
+	}
+
+	var computed [2]int
+	var mu sync.Mutex
+	derive := func(r *Relation, key int) any {
+		got, err := r.Derive(key, func() (any, error) {
+			mu.Lock()
+			computed[key]++
+			mu.Unlock()
+			return fmt.Sprintf("derived-%d-from-%d-rows", key, r.Len()), nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		return got
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if got, want := derive(rel, g%2), fmt.Sprintf("derived-%d-from-1-rows", g%2); got != want {
+				t.Errorf("Derive(%d) = %v, want %v", g%2, got, want)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if computed != [2]int{1, 1} {
+		t.Errorf("16 concurrent Derive calls over 2 keys computed %v times, want once per key", computed)
+	}
+	if hits, misses := c.DerivedStats(); hits != 14 || misses != 2 {
+		t.Errorf("DerivedStats() = %d hits, %d misses, want 14, 2", hits, misses)
+	}
+
+	// A clone is private again: neither the mark nor the memo travel.
+	cl := rel.Clone()
+	if cl.frozen.Load() != nil {
+		t.Error("Clone carried the frozen mark")
+	}
+	derive(cl, 0)
+	derive(cl, 0)
+	if computed[0] != 3 {
+		t.Errorf("a private clone computed %d times over two calls, want 2 (never remembered)", computed[0]-1)
+	}
+	if hits, misses := c.DerivedStats(); hits != 14 || misses != 2 {
+		t.Errorf("a private relation moved the cache's counters: %d hits, %d misses", hits, misses)
+	}
+
+	// Evicted and rebuilt: a new relation object, an empty memo.
+	c.SetLimit(1)
+	if _, err := c.Snapshot(5); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := c.Snapshot(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel2, _ := db2.Relation("t")
+	if rel2 == rel {
+		t.Fatal("version 3 was not rebuilt after its eviction")
+	}
+	derive(rel2, 1)
+	if computed[1] != 2 {
+		t.Errorf("a rebuilt snapshot computed key 1 %d times in total, want 2 (its memo starts empty)", computed[1])
+	}
+}
+
+// TestDeriveBoundsKeysPerRelation: past maxDerived keys a frozen
+// relation computes without remembering, so a caller that varies its
+// key without end cannot grow a snapshot.
+func TestDeriveBoundsKeysPerRelation(t *testing.T) {
+	v := newBumpStore(t, 1)
+	db, err := NewSnapshotCache(v).Snapshot(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, _ := db.Relation("t")
+	calls := 0
+	for round := 0; round < 2; round++ {
+		for key := 0; key < maxDerived+3; key++ {
+			if _, err := rel.Derive(key, func() (any, error) { calls++; return key, nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want := maxDerived + 2*3; calls != want {
+		t.Errorf("computed %d times, want %d: %d keys remembered, 3 recomputed per round", calls, want, maxDerived)
+	}
+}

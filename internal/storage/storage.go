@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"github.com/mahif/mahif/internal/schema"
 )
@@ -18,6 +20,74 @@ import (
 type Relation struct {
 	Schema *schema.Schema
 	Tuples []schema.Tuple
+
+	// frozen is nil while the relation is private and may still change.
+	// A SnapshotCache sets it when it publishes the relation's database
+	// (see Database.freeze): from then on the contents never change, so
+	// values derived from them can be remembered here (see Derive).
+	frozen atomic.Pointer[derivedMemo]
+}
+
+// maxDerived bounds the values remembered per frozen relation. Callers
+// derive one value per option set they use — in practice one — so the
+// bound only keeps a caller that varies its options without end from
+// growing the snapshot.
+const maxDerived = 8
+
+// derivedMemo holds the values derived from one frozen relation.
+type derivedMemo struct {
+	stats *derivedStats // counters of the cache that froze the relation
+
+	mu   sync.Mutex
+	vals map[any]*derivedEntry
+}
+
+// derivedEntry computes one derived value exactly once; concurrent
+// askers wait for the first and share its result.
+type derivedEntry struct {
+	once sync.Once
+	val  any
+	err  error
+}
+
+// derivedStats counts Derive calls answered from a memo (hits) and
+// those that ran compute on a frozen relation (misses).
+type derivedStats struct{ hits, misses atomic.Int64 }
+
+// Derive returns compute's result for key, a pure function of the
+// relation's contents and key. On a frozen relation the result is
+// computed once per key and remembered for the relation's lifetime —
+// it goes when the snapshot goes, so eviction needs no bookkeeping —
+// and is shared between callers, which must treat it as read-only. On
+// a private relation nothing is remembered: compute runs every time.
+// key must be comparable.
+func (r *Relation) Derive(key any, compute func() (any, error)) (any, error) {
+	m := r.frozen.Load()
+	if m == nil {
+		return compute()
+	}
+	m.mu.Lock()
+	e, ok := m.vals[key]
+	if !ok && len(m.vals) < maxDerived {
+		e = &derivedEntry{}
+		m.vals[key] = e
+	}
+	m.mu.Unlock()
+	if e == nil {
+		m.stats.misses.Add(1)
+		return compute()
+	}
+	hit := true
+	e.once.Do(func() {
+		hit = false
+		e.val, e.err = compute()
+	})
+	if hit {
+		m.stats.hits.Add(1)
+	} else {
+		m.stats.misses.Add(1)
+	}
+	return e.val, e.err
 }
 
 // NewRelation builds an empty relation with the given schema.
@@ -41,7 +111,9 @@ func (r *Relation) Add(ts ...schema.Tuple) {
 }
 
 // Clone returns a deep copy of the relation. Tuples are copied
-// shallowly per-row (values are immutable).
+// shallowly per-row (values are immutable). The copy is private: it
+// carries neither the frozen mark nor anything derived from the
+// original.
 func (r *Relation) Clone() *Relation {
 	out := &Relation{Schema: r.Schema.Clone()}
 	out.Tuples = make([]schema.Tuple, len(r.Tuples))
@@ -180,6 +252,18 @@ func (d *Database) Clone() *Database {
 		out.AddRelation(d.rels[k].Clone())
 	}
 	return out
+}
+
+// freeze marks every relation of d immutable, which lets Relation.Derive
+// remember derived values on it; stats receives their hit/miss counts.
+// A relation already frozen (a base or checkpoint shared by two caches)
+// keeps its first memo.
+func (d *Database) freeze(stats *derivedStats) {
+	for _, r := range d.rels {
+		if r.frozen.Load() == nil {
+			r.frozen.CompareAndSwap(nil, &derivedMemo{stats: stats, vals: map[any]*derivedEntry{}})
+		}
+	}
 }
 
 // TotalTuples returns the number of tuples across all relations.

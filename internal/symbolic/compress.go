@@ -44,11 +44,27 @@ func (o CompressOptions) withDefaults(rel *storage.Relation) CompressOptions {
 //
 // An empty relation compresses to false (no possible base tuple),
 // making every candidate slice trivially valid for base data.
+//
+// Φ_D is a pure function of the relation's contents and the options, so
+// on a frozen relation (one a storage.SnapshotCache published) it is
+// computed once per option set and remembered with the snapshot: the
+// data-sized scan is paid per snapshot, not per what-if. The returned
+// expression may be shared; treat it as read-only.
 func Compress(rel *storage.Relation, opts CompressOptions) (expr.Expr, error) {
 	if rel.Len() == 0 {
 		return expr.False, nil
 	}
 	opts = opts.withDefaults(rel)
+	phi, err := rel.Derive(opts, func() (any, error) { return summarize(rel, opts) })
+	if err != nil {
+		return nil, err
+	}
+	return phi.(expr.Expr), nil
+}
+
+// summarize is the data-sized pass behind Compress; opts carry their
+// defaults.
+func summarize(rel *storage.Relation, opts CompressOptions) (expr.Expr, error) {
 	gidx := rel.Schema.ColIndex(opts.GroupBy)
 	if gidx < 0 {
 		return nil, fmt.Errorf("symbolic: group-by attribute %q not in %s", opts.GroupBy, rel.Schema)
@@ -72,28 +88,45 @@ func Compress(rel *storage.Relation, opts CompressOptions) (expr.Expr, error) {
 	return expr.Simplify(expr.OrOf(disjuncts...)), nil
 }
 
+// byKey sorts row indices by a float key held beside them, so the
+// comparison reads two floats instead of unboxing two tuple cells.
+type byKey struct {
+	keys []float64
+	rows []int
+}
+
+func (s byKey) Len() int           { return len(s.rows) }
+func (s byKey) Less(a, b int) bool { return s.keys[a] < s.keys[b] }
+func (s byKey) Swap(a, b int) {
+	s.keys[a], s.keys[b] = s.keys[b], s.keys[a]
+	s.rows[a], s.rows[b] = s.rows[b], s.rows[a]
+}
+
 // partition splits row indices into at most n groups on column gidx:
 // numeric columns by equal-frequency quantiles, others by value hash.
 func partition(rel *storage.Relation, gidx, n int) [][]int {
+	keys := make([]float64, rel.Len())
 	numeric := true
-	for _, t := range rel.Tuples {
+	for i, t := range rel.Tuples {
 		if !t[gidx].IsNumeric() {
 			numeric = false
 			break
 		}
+		keys[i] = t[gidx].AsFloat()
 	}
 	if !numeric {
 		buckets := map[string][]int{}
 		for i, t := range rel.Tuples {
-			buckets[t[gidx].String()] = append(buckets[t[gidx].String()], i)
+			k := t[gidx].String()
+			buckets[k] = append(buckets[k], i)
 		}
-		keys := make([]string, 0, len(buckets))
+		names := make([]string, 0, len(buckets))
 		for k := range buckets {
-			keys = append(keys, k)
+			names = append(names, k)
 		}
-		sort.Strings(keys)
-		out := make([][]int, min(n, len(keys)))
-		for i, k := range keys {
+		sort.Strings(names)
+		out := make([][]int, min(n, len(names)))
+		for i, k := range names {
 			g := i % len(out)
 			out[g] = append(out[g], buckets[k]...)
 		}
@@ -103,16 +136,19 @@ func partition(rel *storage.Relation, gidx, n int) [][]int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return rel.Tuples[idx[a]][gidx].AsFloat() < rel.Tuples[idx[b]][gidx].AsFloat()
-	})
+	// Which of several rows with one key lands in which group decides
+	// the other columns' ranges, so the order among ties is part of Φ_D.
+	// sort.Sort makes the same comparisons and swaps as the sort.Slice
+	// over tuple cells it replaced and therefore leaves ties where that
+	// left them.
+	sort.Sort(byKey{keys: keys, rows: idx})
 	if n > len(idx) {
 		n = len(idx)
 	}
 	out := make([][]int, n)
 	per := (len(idx) + n - 1) / n
-	for i, row := range idx {
-		out[min(i/per, n-1)] = append(out[min(i/per, n-1)], row)
+	for g := range out {
+		out[g] = idx[min(g*per, len(idx)):min((g+1)*per, len(idx))]
 	}
 	return out
 }
@@ -152,25 +188,32 @@ func summarizeColumn(rel *storage.Relation, rows []int, ci int, kind types.Kind,
 		}
 		return expr.AndOf(expr.Ge(v, loC), expr.Le(v, hiC))
 	case types.KindString, types.KindBool:
-		distinct := map[string]types.Value{}
+		// At most maxDistinct values survive, so a linear scan over the
+		// ones seen so far compares typed values without rendering or
+		// hashing any row, and a column with more stops at the first
+		// value past the cap.
+		distinct := make([]types.Value, 0, maxDistinct)
+	scan:
 		for _, r := range rows {
 			val := rel.Tuples[r][ci]
-			if val.IsNull() || val.Kind() != kind {
+			if val.Kind() != kind {
 				return nil
 			}
-			distinct[val.String()] = val
-			if len(distinct) > maxDistinct {
+			for _, d := range distinct {
+				if d.Equal(val) {
+					continue scan
+				}
+			}
+			if len(distinct) == maxDistinct {
 				return nil
 			}
+			distinct = append(distinct, val)
 		}
-		keys := make([]string, 0, len(distinct))
-		for k := range distinct {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var alts []expr.Expr
-		for _, k := range keys {
-			alts = append(alts, expr.Eq(v, expr.Constant(distinct[k])))
+		// Alternatives go in the order of their SQL renderings.
+		sort.Slice(distinct, func(a, b int) bool { return distinct[a].String() < distinct[b].String() })
+		alts := make([]expr.Expr, len(distinct))
+		for i, d := range distinct {
+			alts[i] = expr.Eq(v, expr.Constant(d))
 		}
 		return expr.OrOf(alts...)
 	}

@@ -1,13 +1,19 @@
 package symbolic
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/schema"
+	"github.com/mahif/mahif/internal/sql"
 	"github.com/mahif/mahif/internal/storage"
 	"github.com/mahif/mahif/internal/types"
+	"github.com/mahif/mahif/internal/workload"
 )
 
 func fig1Relation() *storage.Relation {
@@ -172,5 +178,348 @@ func TestCompressTighterWithMoreGroups(t *testing.T) {
 		if satisfies(t, phi4, rel, pt) && !satisfies(t, phi1, rel, pt) {
 			t.Fatalf("finer compression admits a point the coarser one rejects: %s", pt)
 		}
+	}
+}
+
+// compressByRenderedRows is Compress as it was before the cold path
+// stopped rendering rows: string and bool columns go through
+// Value.String() and a map per row, the numeric partition sorts through
+// sort.Slice over tuple cells. Kept as the golden the typed scan is
+// pinned to — Φ_D feeds every slicing formula, so a different Φ_D would
+// move solver counts and memo hits everywhere.
+func compressByRenderedRows(rel *storage.Relation, opts CompressOptions) (expr.Expr, error) {
+	if rel.Len() == 0 {
+		return expr.False, nil
+	}
+	opts = opts.withDefaults(rel)
+	gidx := rel.Schema.ColIndex(opts.GroupBy)
+	if gidx < 0 {
+		return nil, fmt.Errorf("symbolic: group-by attribute %q not in %s", opts.GroupBy, rel.Schema)
+	}
+	partition := func(n int) [][]int {
+		numeric := true
+		for _, t := range rel.Tuples {
+			if !t[gidx].IsNumeric() {
+				numeric = false
+				break
+			}
+		}
+		if !numeric {
+			buckets := map[string][]int{}
+			for i, t := range rel.Tuples {
+				buckets[t[gidx].String()] = append(buckets[t[gidx].String()], i)
+			}
+			keys := make([]string, 0, len(buckets))
+			for k := range buckets {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			out := make([][]int, min(n, len(keys)))
+			for i, k := range keys {
+				g := i % len(out)
+				out[g] = append(out[g], buckets[k]...)
+			}
+			return out
+		}
+		idx := make([]int, rel.Len())
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.Slice(idx, func(a, b int) bool {
+			return rel.Tuples[idx[a]][gidx].AsFloat() < rel.Tuples[idx[b]][gidx].AsFloat()
+		})
+		if n > len(idx) {
+			n = len(idx)
+		}
+		out := make([][]int, n)
+		per := (len(idx) + n - 1) / n
+		for i, row := range idx {
+			out[min(i/per, n-1)] = append(out[min(i/per, n-1)], row)
+		}
+		return out
+	}
+	summarize := func(rows []int, ci int, kind types.Kind) expr.Expr {
+		v := expr.Variable(BaseVar(rel.Schema.Columns[ci].Name))
+		switch kind {
+		case types.KindInt, types.KindFloat:
+			first := true
+			var lo, hi float64
+			for _, r := range rows {
+				val := rel.Tuples[r][ci]
+				if !val.IsNumeric() {
+					return nil
+				}
+				f := val.AsFloat()
+				if first {
+					lo, hi, first = f, f, false
+					continue
+				}
+				lo, hi = math.Min(lo, f), math.Max(hi, f)
+			}
+			if first {
+				return nil
+			}
+			if lo == hi {
+				return expr.Eq(v, numConst(kind, lo))
+			}
+			return expr.AndOf(expr.Ge(v, numConst(kind, lo)), expr.Le(v, numConst(kind, hi)))
+		case types.KindString, types.KindBool:
+			distinct := map[string]types.Value{}
+			for _, r := range rows {
+				val := rel.Tuples[r][ci]
+				if val.IsNull() || val.Kind() != kind {
+					return nil
+				}
+				distinct[val.String()] = val
+				if len(distinct) > opts.MaxDistinct {
+					return nil
+				}
+			}
+			keys := make([]string, 0, len(distinct))
+			for k := range distinct {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			var alts []expr.Expr
+			for _, k := range keys {
+				alts = append(alts, expr.Eq(v, expr.Constant(distinct[k])))
+			}
+			return expr.OrOf(alts...)
+		}
+		return nil
+	}
+	var disjuncts []expr.Expr
+	for _, rows := range partition(opts.Groups) {
+		if len(rows) == 0 {
+			continue
+		}
+		var conj []expr.Expr
+		for ci, col := range rel.Schema.Columns {
+			if c := summarize(rows, ci, col.Type); c != nil {
+				conj = append(conj, c)
+			}
+		}
+		disjuncts = append(disjuncts, expr.AndOf(conj...))
+	}
+	return expr.Simplify(expr.OrOf(disjuncts...)), nil
+}
+
+// requireSamePhi compares Compress with the golden on one relation
+// under one option set: expr.Equal, and rendered alike (Equal folds
+// 0.0 with −0.0, the rendering does not).
+func requireSamePhi(t *testing.T, what string, rel *storage.Relation, opts CompressOptions) {
+	t.Helper()
+	got, errGot := Compress(rel, opts)
+	want, errWant := compressByRenderedRows(rel, opts)
+	if (errGot == nil) != (errWant == nil) {
+		t.Fatalf("%s %+v: err = %v, golden err = %v", what, opts, errGot, errWant)
+	}
+	if errGot != nil {
+		return
+	}
+	if !expr.Equal(got, want) || got.String() != want.String() {
+		t.Fatalf("%s %+v: Φ_D differs from the golden\n got  %s\n want %s", what, opts, got, want)
+	}
+}
+
+// TestCompressMatchesGoldenTaxi: the benchmark's relation, under the
+// engine's default options and the grouping choices the harnesses use.
+func TestCompressMatchesGoldenTaxi(t *testing.T) {
+	for _, seed := range []int64{1, 7} {
+		rel := workload.Taxi(6000, seed).Rel
+		for _, opts := range []CompressOptions{
+			{}, {Groups: 1}, {Groups: 5}, {GroupBy: "company"}, {GroupBy: "company", Groups: 3},
+			{GroupBy: "pickup_area", Groups: 4}, // 77 values over 6000 rows: every boundary falls among ties
+			{GroupBy: "fare", Groups: 7, MaxDistinct: 3}, {GroupBy: "missing"},
+		} {
+			requireSamePhi(t, fmt.Sprintf("taxi seed %d", seed), rel, opts)
+		}
+	}
+}
+
+// TestCompressMatchesGoldenAwkwardCells covers what Taxi does not have:
+// NULLs, cells whose kind deviates from the column's, bools, strings
+// whose SQL rendering orders differently from the raw text, distinct
+// counts at and around the cap, and non-numeric grouping columns.
+func TestCompressMatchesGoldenAwkwardCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	texts := []string{"a", "a b", "a'", "a''b", "ab", "", "A", "a!", "b", "NULL", "'", "zz", "a#", "true"}
+	cell := func(kind types.Kind, odd int) types.Value {
+		if odd > 0 && rng.Intn(odd) == 0 {
+			switch rng.Intn(3) {
+			case 0:
+				return types.Null()
+			case 1:
+				return types.Float(float64(rng.Intn(9)) + 0.5) // deviant in int, string and bool columns
+			default:
+				return types.String("stray") // deviant in numeric and bool columns
+			}
+		}
+		switch kind {
+		case types.KindInt:
+			return types.Int(int64(rng.Intn(12) - 4))
+		case types.KindFloat:
+			return types.Float(float64(rng.Intn(40)) / 4)
+		case types.KindBool:
+			return types.Bool(rng.Intn(2) == 0)
+		}
+		return types.String(texts[rng.Intn(len(texts))])
+	}
+	for trial := 0; trial < 300; trial++ {
+		rel := storage.NewRelation(schema.New("t",
+			schema.Col("k", types.KindInt), schema.Col("s", types.KindString),
+			schema.Col("f", types.KindFloat), schema.Col("b", types.KindBool),
+			schema.Col("s2", types.KindString),
+		))
+		// odd = 0: clean columns; otherwise one cell in `odd` deviates.
+		odd := []int{0, 0, 40, 6}[rng.Intn(4)]
+		vocab := 1 + rng.Intn(len(texts))
+		for i, n := 0, 1+rng.Intn(60); i < n; i++ {
+			rel.Add(schema.Tuple{
+				cell(types.KindInt, odd), types.String(texts[rng.Intn(vocab)]),
+				cell(types.KindFloat, odd), cell(types.KindBool, odd), cell(types.KindString, odd),
+			})
+		}
+		for _, opts := range []CompressOptions{
+			{}, {Groups: 3}, {GroupBy: "s", Groups: 2}, {GroupBy: "s2", Groups: 4, MaxDistinct: 2},
+			{GroupBy: "b"}, {GroupBy: "f", Groups: 5, MaxDistinct: len(texts)},
+		} {
+			requireSamePhi(t, fmt.Sprintf("trial %d", trial), rel, opts)
+		}
+	}
+}
+
+// frozenTaxi publishes version `ver` of a small Taxi history through a
+// snapshot cache and returns the cache with the published relation.
+func frozenTaxi(t *testing.T, cache *storage.SnapshotCache, ver int) *storage.Relation {
+	t.Helper()
+	db, err := cache.Snapshot(ver)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := db.Relation("trips")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+func taxiStore(t *testing.T) *storage.VersionedDatabase {
+	t.Helper()
+	vdb := storage.NewVersioned(workload.Taxi(500, 3).Database())
+	for _, src := range []string{
+		"UPDATE trips SET tips = tips + 1 WHERE trip_seconds >= 5000",
+		"DELETE FROM trips WHERE trip_miles >= 9000",
+		"UPDATE trips SET extras = 0 WHERE pickup_area = 7",
+	} {
+		if err := vdb.Apply(sql.MustParseStatement(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return vdb
+}
+
+// TestCompressOncePerFrozenRelation (run under -race): concurrent
+// Compress calls on one published relation scan it once per option set
+// and all get that one Φ_D, equal to a fresh computation; other options
+// get their own; the memo goes with the snapshot.
+func TestCompressOncePerFrozenRelation(t *testing.T) {
+	cache := storage.NewSnapshotCache(taxiStore(t))
+	rel := frozenTaxi(t, cache, 2)
+	optsA, optsB := CompressOptions{}, CompressOptions{GroupBy: "company", Groups: 3}
+
+	const callers = 12
+	phis := make([]expr.Expr, callers)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			opts := optsA
+			if g%2 == 1 {
+				opts = optsB
+			}
+			phi, err := Compress(rel, opts)
+			if err != nil {
+				t.Error(err)
+			}
+			phis[g] = phi
+		}(g)
+	}
+	wg.Wait()
+	if hits, misses := cache.DerivedStats(); misses != 2 || hits != callers-2 {
+		t.Errorf("%d concurrent calls over 2 option sets: %d scans, %d reuses; want 2, %d", callers, misses, hits, callers-2)
+	}
+	private := rel.Clone()
+	for g, phi := range phis {
+		opts := optsA
+		if g%2 == 1 {
+			opts = optsB
+		}
+		if phi != phis[g%2] {
+			t.Errorf("caller %d got its own Φ_D object", g)
+		}
+		fresh, err := Compress(private, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !expr.Equal(phi, fresh) {
+			t.Errorf("caller %d: remembered Φ_D differs from a fresh one\n got  %s\n want %s", g, phi, fresh)
+		}
+	}
+	if expr.Equal(phis[0], phis[1]) {
+		t.Error("two option sets share one Φ_D")
+	}
+	// Defaults are resolved before the lookup: spelling them out is the
+	// same option set, not a third scan.
+	if phi, _ := Compress(rel, CompressOptions{GroupBy: "trip_id", Groups: 2, MaxDistinct: 8}); phi != phis[0] {
+		t.Error("explicit defaults missed the memo")
+	}
+
+	// Evict version 2, rebuild it: a new relation, scanned again.
+	cache.SetLimit(1)
+	frozenTaxi(t, cache, 3)
+	rebuilt := frozenTaxi(t, cache, 2)
+	_, before := cache.DerivedStats()
+	phi, err := Compress(rebuilt, optsA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, after := cache.DerivedStats(); after != before+1 || phi == phis[0] {
+		t.Error("a rebuilt snapshot answered from the evicted snapshot's memo")
+	}
+	if !expr.Equal(phi, phis[0]) {
+		t.Error("the rebuilt snapshot's Φ_D differs from the evicted one's")
+	}
+}
+
+// TestCompressNeverRemembersPrivateRelations: a relation nobody froze
+// may change between two calls, and Φ_D follows it.
+func TestCompressNeverRemembersPrivateRelations(t *testing.T) {
+	rel := fig1Relation()
+	opts := CompressOptions{GroupBy: "country"}
+	before, err := Compress(rel, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.Tuples[0][1] = types.Int(5) // UK price 20 → 5: the UK range widens
+	after, err := Compress(rel, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if expr.Equal(before, after) {
+		t.Fatalf("Φ_D did not follow the mutation: %s", after)
+	}
+	if !satisfies(t, after, rel, rel.Tuples[0]) {
+		t.Errorf("mutated tuple violates Φ_D = %s", after)
+	}
+
+	// The same through a clone of a published relation.
+	cl := frozenTaxi(t, storage.NewSnapshotCache(taxiStore(t)), 1).Clone()
+	first, _ := Compress(cl, CompressOptions{})
+	cl.Tuples = cl.Tuples[:len(cl.Tuples)/2]
+	second, _ := Compress(cl, CompressOptions{})
+	if expr.Equal(first, second) {
+		t.Error("a clone of a published relation remembered its Φ_D across a mutation")
 	}
 }
