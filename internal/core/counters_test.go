@@ -78,6 +78,66 @@ func TestSessionCompressesOncePerSnapshot(t *testing.T) {
 	}
 }
 
+// TestSessionTransposesOncePerSnapshot (run under -race): concurrent
+// what-ifs through one session that time-travel to the same version
+// build that snapshot's columnar view once — the scans of both sides
+// alias the one view — and the view's counters and Φ_D's do not leak
+// into each other. The boxed ablation transposes per scan and never
+// asks for a view.
+func TestSessionTransposesOncePerSnapshot(t *testing.T) {
+	w, err := workload.Generate(workload.Taxi(3000, 1), workload.Config{
+		Updates: 10, Mods: 1, DependentPct: 20, AffectedPct: 10, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vdb, err := w.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := New(vdb)
+	rel := w.Dataset.Rel.Schema.Relation
+	want, _, err := engine.WhatIf(w.Mods, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sess := engine.NewSession()
+	const callers = 8
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, _, err := sess.WhatIfCtx(context.Background(), w.Mods, DefaultOptions())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !got[rel].Equal(want[rel]) {
+				t.Error("session delta differs from the bare engine's")
+			}
+		}()
+	}
+	wg.Wait()
+	st := sess.Stats()
+	if st.ColumnarMisses != 1 || st.ColumnarHits < 1 {
+		t.Errorf("%d what-ifs on one version: %d transpositions, %d view reuses; want 1 and the other side's scan reusing it", callers, st.ColumnarMisses, st.ColumnarHits)
+	}
+	if st.CompressMisses != 1 || st.CompressHits != callers-1 {
+		t.Errorf("the view moved Φ_D's counters: %d scans, %d reuses; want 1, %d", st.CompressMisses, st.CompressHits, callers-1)
+	}
+
+	opts := DefaultOptions()
+	opts.Vec.NoColumnar = true
+	if _, _, err := sess.WhatIf(w.Mods, opts); err != nil {
+		t.Fatal(err)
+	}
+	if after := sess.Stats(); after.ColumnarMisses != 1 || after.ColumnarHits != st.ColumnarHits {
+		t.Errorf("the boxed ablation asked for a view: %d builds, %d reuses", after.ColumnarMisses, after.ColumnarHits)
+	}
+}
+
 // TestInterpreterFallbackIsCounted: a query outside the compilable
 // subset still gets its answer from the interpreter, with and without
 // the session's program cache, and each such evaluation shows in

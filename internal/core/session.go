@@ -140,6 +140,13 @@ type SessionStats struct {
 	// a cold Φ_D (snapshots being rebuilt); with hits only, it is the
 	// solver.
 	CompressHits, CompressMisses int64
+	// ColumnarHits/Misses report reuse of the typed columnar view the
+	// vectorized executor scans a snapshot through: a miss transposed a
+	// relation (once per snapshot, see storage.Relation.SharedColumnar),
+	// a hit aliased the view remembered on it. Slow execution with misses
+	// climbing is a cold view (snapshots being rebuilt); with hits only,
+	// it is the kernels.
+	ColumnarHits, ColumnarMisses int64
 	// MemoHits/Misses report solver-outcome reuse across calls;
 	// MemoEvictions counts outcomes dropped by the memo's LRU bound.
 	MemoHits, MemoMisses int64
@@ -172,6 +179,7 @@ func (s *Session) Stats() SessionStats {
 	st.SnapshotTipEvictions = s.caches.snaps.TipEvictions()
 	st.SnapshotTipResident = s.caches.snaps.TipResident()
 	st.CompressHits, st.CompressMisses = s.caches.snaps.DerivedStats()
+	st.ColumnarHits, st.ColumnarMisses = s.caches.snaps.ColumnarStats()
 	st.MemoHits, st.MemoMisses = s.caches.memo.Stats()
 	st.MemoEvictions = s.caches.memo.Evictions()
 	st.QueryHits, st.QueryMisses = s.caches.eval.stats()

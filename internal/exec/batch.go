@@ -95,10 +95,18 @@ type chain struct {
 // batch. Runs are recycled across Run calls through the owning node's
 // sync.Pool — per-operator scratch for a 100-statement chain is ~5 MB,
 // far too much to allocate per evaluation.
+//
+// There are two source batches because one Program scans private and
+// frozen relations alike. src is owned: runVecChunk transposes rows
+// into its lanes, reusing their backing arrays. shared is borrowed:
+// runVecView points its lanes at a frozen relation's columnar view.
+// Were a borrowed lane ever left in src, the next private run would
+// transpose straight into the shared view.
 type chainRun struct {
 	pool   *vecPool
 	states []vopState
 	src    *batch
+	shared *batch
 }
 
 func (c chain) newRun(cfg vecConfig) *chainRun {
@@ -135,6 +143,19 @@ func (r *chainRun) apply(b *batch) (*batch, error) {
 		}
 	}
 	return b, nil
+}
+
+// feed pushes one source batch through the chain and emits what
+// survives.
+func (r *chainRun) feed(src *batch, emit vecEmit) error {
+	out, err := r.apply(src)
+	if err != nil {
+		return err
+	}
+	if out.live() == 0 {
+		return nil
+	}
+	return emit(out)
 }
 
 // vFilterOp narrows the batch's selection vector by a compiled
@@ -276,31 +297,53 @@ func (n *vpipeNode) run(rc *runCtx, emit vecEmit) error {
 	if r.Schema.Arity() != n.arity {
 		return fmt.Errorf("exec: relation %s arity changed since compilation (%d vs %d)", n.rel, r.Schema.Arity(), n.arity)
 	}
+	// A frozen relation (one a SnapshotCache published) is scanned through
+	// its shared columnar view, a private one by transposing its rows;
+	// the relation says which it is.
+	var view *storage.ColumnarView
+	if n.cfg.columnar {
+		if view, err = r.SharedColumnar(); err != nil {
+			return fmt.Errorf("exec: %w", err)
+		}
+	}
 	tuples := r.Tuples
 	if n.cfg.workers > 1 && len(tuples) >= n.cfg.minParallel {
-		return n.runParallel(rc, tuples, emit)
+		return n.runParallel(rc, tuples, view, emit)
 	}
 	cr := n.ch.getRun(&n.runs, n.cfg)
 	defer n.runs.Put(cr)
+	if view != nil {
+		return runVecView(rc, view, 0, view.Rows, cr, n.cfg.bs, emit)
+	}
 	return runVecChunk(rc, tuples, n.arity, n.kinds, cr, n.cfg.bs, emit)
 }
 
-func (n *vpipeNode) runParallel(rc *runCtx, tuples []schema.Tuple, emit vecEmit) error {
+// runParallel splits the scan into contiguous row ranges, one worker
+// each, and emits the buffered per-range output in range order. view is
+// the relation's shared columnar view, or nil for a private relation.
+func (n *vpipeNode) runParallel(rc *runCtx, tuples []schema.Tuple, view *storage.ColumnarView, emit vecEmit) error {
 	parts := storage.PartitionTuples(tuples, n.cfg.workers)
 	results := make([][]*batch, len(parts))
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
+	lo := 0
 	for w, part := range parts {
 		wg.Add(1)
-		go func(w int, part []schema.Tuple) {
+		go func(w, lo int, part []schema.Tuple) {
 			defer wg.Done()
 			cr := n.ch.getRun(&n.runs, n.cfg)
 			defer n.runs.Put(cr)
-			errs[w] = runVecChunk(rc, part, n.arity, n.kinds, cr, n.cfg.bs, func(b *batch) error {
+			buffer := func(b *batch) error {
 				results[w] = append(results[w], freezeBatch(b, n.outArity))
 				return nil
-			})
-		}(w, part)
+			}
+			if view != nil {
+				errs[w] = runVecView(rc, view, lo, lo+len(part), cr, n.cfg.bs, buffer)
+			} else {
+				errs[w] = runVecChunk(rc, part, n.arity, n.kinds, cr, n.cfg.bs, buffer)
+			}
+		}(w, lo, part)
+		lo += len(part)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -336,12 +379,9 @@ func runVecChunk(rc *runCtx, tuples []schema.Tuple, arity int, kinds []types.Kin
 		if err := rc.ctx.Err(); err != nil {
 			return err
 		}
-		end := min(start+bs, len(tuples))
-		rows := tuples[start:end]
-		for _, t := range rows {
-			if len(t) < arity {
-				return fmt.Errorf("exec: row arity %d below attribute index %d", len(t), arity-1)
-			}
+		rows := tuples[start:min(start+bs, len(tuples))]
+		if err := storage.CheckRowArity(rows, arity); err != nil {
+			return fmt.Errorf("exec: %w", err)
 		}
 		for c := 0; c < arity; c++ {
 			want := types.KindNull
@@ -351,14 +391,35 @@ func runVecChunk(rc *runCtx, tuples []schema.Tuple, arity int, kinds []types.Kin
 			src.cols[c].FillFromTuples(rows, c, want)
 		}
 		src.n, src.sel = len(rows), nil
-		out, err := cr.apply(src)
-		if err != nil {
+		if err := cr.feed(src, emit); err != nil {
 			return err
 		}
-		if out.live() == 0 {
-			continue
+	}
+	return nil
+}
+
+// runVecView drives rows [lo,hi) of a frozen relation's shared columnar
+// view through a chain run. No cell is copied and no row is re-checked:
+// each source batch's columns are windows of the view, which was
+// validated and typed once when it was built. The view is shared with
+// every other scan of the relation, so nothing downstream may write
+// through a source lane — filters narrow sel, projections alias identity
+// columns and write computed ones into their own scratch, and whoever
+// retains rows (freezeBatch, materializeRows) copies them out.
+// Cancellation is observed between batches, as in runVecChunk.
+func runVecView(rc *runCtx, view *storage.ColumnarView, lo, hi int, cr *chainRun, bs int, emit vecEmit) error {
+	if cr.shared == nil {
+		cr.shared = &batch{cols: make([]storage.ColVec, len(view.Cols))}
+	}
+	src := cr.shared
+	for start := lo; start < hi; start += bs {
+		if err := rc.ctx.Err(); err != nil {
+			return err
 		}
-		if err := emit(out); err != nil {
+		end := min(start+bs, hi)
+		view.Window(src.cols, start, end)
+		src.n, src.sel = end-start, nil
+		if err := cr.feed(src, emit); err != nil {
 			return err
 		}
 	}
@@ -394,16 +455,7 @@ type vchainNode struct {
 func (n *vchainNode) run(rc *runCtx, emit vecEmit) error {
 	cr := n.ch.getRun(&n.runs, n.cfg)
 	defer n.runs.Put(cr)
-	return n.in.run(rc, func(b *batch) error {
-		out, err := cr.apply(b)
-		if err != nil {
-			return err
-		}
-		if out.live() == 0 {
-			return nil
-		}
-		return emit(out)
-	})
+	return n.in.run(rc, func(b *batch) error { return cr.feed(b, emit) })
 }
 
 // vunionNode streams the left branch then the right (bag union, same

@@ -13,6 +13,7 @@ import (
 	"github.com/mahif/mahif/internal/sql"
 	"github.com/mahif/mahif/internal/storage"
 	"github.com/mahif/mahif/internal/types"
+	"github.com/mahif/mahif/internal/workload"
 )
 
 // benchDB builds one relation t(k,v,g) with rows tuples.
@@ -122,6 +123,61 @@ func BenchmarkReenactment(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkVecScanFrozen is the gate's scan_heavy op at executor scale:
+// the reenactment chain of a 50-update history over 32 000 Taxi rows
+// under a 10 %-selective data-slicing σ, run by one compiled program
+// over a private relation (every run transposes every row into the
+// source batch) and over the same relation as a SnapshotCache publishes
+// it (every run aliases the view built by the first). The none-kept
+// shape filters every row out, so its B/op is what a scan itself
+// allocates: nothing that grows with the relation on either source.
+func BenchmarkVecScanFrozen(b *testing.B) {
+	w, err := workload.Generate(workload.Taxi(32000, 1), workload.Config{
+		Updates: 50, Mods: 1, DependentPct: 10, AffectedPct: 10, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	private := w.Dataset.Database()
+	frozen, _ := publish(b, private)
+	sel := w.Dataset.SelAttr
+	for _, shape := range []struct{ name, slice string }{
+		{"kept10pct", fmt.Sprintf("%s >= %d", sel, workload.SelRange*9/10)},
+		{"none-kept", sel + " < 0"},
+	} {
+		cond, err := sql.ParseCondition(shape.slice)
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs, err := reenact.Queries(w.History, private, reenact.Filters{"trips": cond})
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := exec.CompileVec(qs["trips"], private, exec.VecOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, src := range []struct {
+			name string
+			db   *storage.Database
+		}{{"private", private}, {"frozen", frozen}} {
+			b.Run(shape.name+"/"+src.name, func(b *testing.B) {
+				if _, err := prog.Run(src.db); err != nil { // builds the view, fills the run pool
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := prog.Run(src.db); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.N)*32000/b.Elapsed().Seconds(), "rows/s")
 			})
 		}
 	}

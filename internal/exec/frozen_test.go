@@ -1,0 +1,401 @@
+package exec_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	"github.com/mahif/mahif/internal/algebra"
+	"github.com/mahif/mahif/internal/exec"
+	"github.com/mahif/mahif/internal/expr"
+	"github.com/mahif/mahif/internal/schema"
+	"github.com/mahif/mahif/internal/storage"
+	"github.com/mahif/mahif/internal/types"
+)
+
+// A scan reads a relation one of two ways: a private relation is
+// transposed batch by batch, a frozen one (published by a
+// SnapshotCache) is read through windows of its shared columnar view.
+// These tests run the same programs over both forms of the same data
+// and over the interpreter, which knows neither.
+
+// publish returns db's contents as a SnapshotCache hands them out:
+// every relation frozen, nothing shared with db, which stays private.
+func publish(t testing.TB, db *storage.Database) (*storage.Database, *storage.SnapshotCache) {
+	t.Helper()
+	cache := storage.NewSnapshotCache(storage.NewVersioned(db))
+	frozen, err := cache.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frozen, cache
+}
+
+// scanOptions are the ways a scan is driven: one worker, forced
+// partitions, and batch sizes off the view's 1024-row NULL blocks.
+var scanOptions = map[string]exec.VecOptions{
+	"sequential":     {Workers: 1},
+	"parallel":       parallelOptions,
+	"small-batches":  {BatchSize: 100, Workers: 3, MinParallelRows: 1},
+	"large-batches":  {BatchSize: 4096, Workers: 1},
+	"boxed-ablation": {NoColumnar: true, Workers: 2, MinParallelRows: 1},
+}
+
+// requireSameOnBothSources runs q sequentially and partitioned over the
+// private and the frozen form of one database and requires, per run,
+// the interpreter's tuples in the interpreter's order — or the same
+// failure: the two sources must agree on the error text, and with the
+// interpreter on whether there is one.
+func requireSameOnBothSources(t *testing.T, label string, q algebra.Query, private, frozen *storage.Database) {
+	t.Helper()
+	want, errI := algebra.Eval(q, private)
+	for name, opts := range scanOptions {
+		prog, err := exec.CompileVec(q, private, opts)
+		if err != nil {
+			t.Fatalf("%s/%s: compile: %v", label, name, err)
+		}
+		gotP, errP := prog.Run(private)
+		gotF, errF := prog.Run(frozen)
+		if (errI == nil) != (errP == nil) || fmt.Sprint(errP) != fmt.Sprint(errF) {
+			t.Fatalf("%s/%s: error divergence: interpreter=%v private=%v frozen=%v", label, name, errI, errP, errF)
+		}
+		if errI != nil {
+			continue
+		}
+		requireSameRelation(t, label+"/"+name+"/private", want, gotP)
+		requireSameRelation(t, label+"/"+name+"/frozen", want, gotF)
+	}
+}
+
+// laneEdgeDBs builds t(k int, v int, f float, g string) in the shapes
+// that decide which lane a column takes and whether it carries a mask.
+func laneEdgeDBs() map[string]*storage.Database {
+	sch := func() *schema.Schema {
+		return schema.New("t",
+			schema.Col("k", types.KindInt), schema.Col("v", types.KindInt),
+			schema.Col("f", types.KindFloat), schema.Col("g", types.KindString))
+	}
+	groups := []string{"a", "b", "c", "d"}
+	plain := func(i int) schema.Tuple {
+		return schema.NewTuple(types.Int(int64(i)), types.Int(int64(i%997)), types.Float(float64(i%13)/2), types.String(groups[i%4]))
+	}
+	build := func(rows int, row func(i int) schema.Tuple) *storage.Database {
+		db := storage.NewDatabase()
+		r := storage.NewRelation(sch())
+		for i := 0; i < rows; i++ {
+			r.Add(row(i))
+		}
+		db.AddRelation(r)
+		return db
+	}
+	const two53 = int64(1) << 53
+	ints := []int64{two53 - 1, two53, two53 + 1, -(two53 + 1), math.MaxInt64, math.MinInt64, 7}
+	floats := []float64{float64(two53), float64(two53) + 2, -float64(two53), 0.5, 1e300}
+	dbs := map[string]*storage.Database{
+		// NULLs in every typed lane, except that rows 1024–2047 hold
+		// none: that block's windows must come without a mask.
+		"null-heavy": build(3*1024+17, func(i int) schema.Tuple {
+			tp := plain(i)
+			if i >= 1024 && i < 2048 {
+				return tp
+			}
+			if i%3 != 0 {
+				tp[1] = types.Null()
+			}
+			if i%2 == 0 {
+				tp[2] = types.Null()
+			}
+			if i%5 == 0 {
+				tp[3] = types.Null()
+			}
+			return tp
+		}),
+		"all-null": build(1500, func(i int) schema.Tuple {
+			return schema.NewTuple(types.Int(int64(i)), types.Null(), types.Null(), types.Null())
+		}),
+		// One float cell in an int column: the private scan boxes the one
+		// batch holding it, the view boxes the whole column.
+		"one-deviant-cell": build(2100, func(i int) schema.Tuple {
+			tp := plain(i)
+			if i == 1500 {
+				tp[1] = types.Float(12.5)
+			}
+			return tp
+		}),
+		"int-float-boundary": build(1030, func(i int) schema.Tuple {
+			return schema.NewTuple(types.Int(ints[i%len(ints)]), types.Int(int64(i%50)), types.Float(floats[i%len(floats)]), types.String(groups[i%4]))
+		}),
+	}
+	for _, rows := range []int{0, 1, 100, 1023, 1024, 1025} {
+		dbs[fmt.Sprintf("plain-%d-rows", rows)] = build(rows, plain)
+	}
+	return dbs
+}
+
+// laneEdgeQueries are scans of t whose kernels specialise on the lane:
+// typed comparisons at the int/float precision boundary, fused
+// conjunctions, every typedIf producer under a data-slicing σ, the
+// boxed arithmetic fallback, multiset operators, an aggregate, and two
+// shapes that fail on some row.
+func laneEdgeQueries(t *testing.T, db *storage.Database) map[string]algebra.Query {
+	t.Helper()
+	tSch, err := algebra.OutputSchema(&algebra.Scan{Rel: "t"}, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := func() algebra.Query { return &algebra.Scan{Rel: "t"} }
+	sel := func(cond string, in algebra.Query) algebra.Query {
+		return &algebra.Select{Cond: mustCond(t, cond), In: in}
+	}
+	set := func(col int, cond string, then expr.Expr, in algebra.Query) algebra.Query {
+		exprs := algebra.IdentityProjection(tSch)
+		exprs[col].E = expr.IfThenElse(mustCond(t, cond), then, expr.Column(tSch.Columns[col].Name))
+		return &algebra.Project{Exprs: exprs, In: in}
+	}
+	chain := sel("k >= 0 OR v IS NULL", scan())
+	chain = set(1, "v >= 100", expr.Add(expr.Column("v"), expr.IntConst(7)), chain)
+	chain = set(2, "f < 3 AND g = 'b'", expr.Mul(expr.Column("f"), expr.FloatConst(1.5)), chain)
+	chain = set(3, "v IS NULL", expr.StringConst("was-null"), chain)
+	chain = set(1, "g = 'c'", expr.Constant(types.Null()), chain)
+	chain = sel("NOT (k = 3 AND g = 'd')", chain)
+	chain = set(1, "v < 5", expr.IntConst(0), chain)
+
+	return map[string]algebra.Query{
+		"scan":            scan(),
+		"all-filtered":    sel("v < 0 AND k < 0 AND k > 0", scan()),
+		"int-cmp":         sel("v >= 10", scan()),
+		"int-eq-2^53+1":   sel("k = 9007199254740993", scan()),
+		"int-ge-2^53":     sel("k >= 9007199254740992", scan()),
+		"int-lt-neg-2^53": sel("k < -9007199254740992", scan()),
+		"float-ge-2^53":   sel("f >= 9007199254740992", scan()),
+		"null-or-string":  sel("v IS NULL OR g = 'a'", scan()),
+		"fused-and":       sel("f < 3 AND g = 'b' AND v >= 2", scan()),
+		"reenact-chain":   chain,
+		"boxed-arith": &algebra.Project{Exprs: []algebra.NamedExpr{
+			{Name: "k", E: expr.Column("k")},
+			{Name: "x", E: expr.Add(expr.Column("v"), expr.IntConst(1))},
+			{Name: "y", E: expr.Mul(expr.Column("f"), expr.Column("v"))},
+		}, In: sel("v < 900", scan())},
+		"self-diff":   &algebra.Difference{L: scan(), R: sel("g = 'c' OR v IS NULL", scan())},
+		"union":       &algebra.Union{L: sel("v < 3", scan()), R: sel("g = 'a'", chain)},
+		"aggregate":   mustQuery(t, "SELECT g, COUNT(*), SUM(v), MIN(f), MAX(k) FROM t WHERE v >= 2 OR v IS NULL GROUP BY g"),
+		"global-sum":  mustQuery(t, "SELECT SUM(v), SUM(f), COUNT(g) FROM t"),
+		"div-by-cell": sel("100 / v > 0", scan()),
+		"ill-typed": &algebra.Project{Exprs: []algebra.NamedExpr{
+			{Name: "x", E: expr.Add(expr.Column("g"), expr.IntConst(1))},
+		}, In: sel("k >= 1000", scan())},
+	}
+}
+
+// TestFrozenScanMatchesPrivateScan is the differential over the
+// typed-lane edge cases: NULL-heavy and all-NULL columns, a column with
+// one kind-deviant cell, the 2^53 int/float boundary, and relations
+// that are empty, smaller than a batch, or not a multiple of one.
+func TestFrozenScanMatchesPrivateScan(t *testing.T) {
+	for dbName, private := range laneEdgeDBs() {
+		frozen, cache := publish(t, private)
+		for qName, q := range laneEdgeQueries(t, private) {
+			requireSameOnBothSources(t, dbName+"/"+qName, q, private, frozen)
+		}
+		// One build served every typed scan; the boxed ablation and the
+		// private database asked for none.
+		if hits, misses := cache.ColumnarStats(); misses != 1 || hits == 0 {
+			t.Errorf("%s: %d view builds, %d reuses; want 1 build, reused", dbName, misses, hits)
+		}
+	}
+}
+
+// TestFrozenScanPlanShapes runs the plan-shape battery (joins,
+// differences, unions with singletons, nested combinations) and the
+// batch-boundary battery over both sources.
+func TestFrozenScanPlanShapes(t *testing.T) {
+	private := testDB()
+	frozen, _ := publish(t, private)
+	for name, q := range testQueries(t, private) {
+		requireSameOnBothSources(t, name, q, private, frozen)
+	}
+	big := boundaryDB(3*1024 + 17)
+	bigFrozen, _ := publish(t, big)
+	for name, q := range boundaryQueries(t, big) {
+		requireSameOnBothSources(t, "boundary/"+name, q, big, bigFrozen)
+	}
+}
+
+// TestFrozenShortRowErrorParity: a relation holding a tuple shorter
+// than its schema fails a scan with the same error whichever way it is
+// read — from the view's one-time build, not from indexing past the
+// tuple — and keeps failing.
+func TestFrozenShortRowErrorParity(t *testing.T) {
+	private := boundaryDB(2000)
+	r, _ := private.Relation("t")
+	r.Tuples[1500] = r.Tuples[1500][:2]
+	frozen, _ := publish(t, private)
+	q := &algebra.Select{Cond: mustCond(t, "k >= 0"), In: &algebra.Scan{Rel: "t"}}
+	for name, opts := range scanOptions {
+		prog, err := exec.CompileVec(q, private, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, db := range []*storage.Database{private, frozen, frozen} {
+			_, err := prog.Run(db)
+			if err == nil || err.Error() != "exec: row arity 2 below attribute index 2" {
+				t.Fatalf("%s: short row: got %v, want the executor's row-arity error", name, err)
+			}
+		}
+	}
+}
+
+// cloneCols deep-copies a view's lanes.
+func cloneCols(view *storage.ColumnarView) []storage.ColVec {
+	out := make([]storage.ColVec, len(view.Cols))
+	for c, col := range view.Cols {
+		out[c] = storage.ColVec{Kind: col.Kind, Ints: slices.Clone(col.Ints), Floats: slices.Clone(col.Floats),
+			Strs: slices.Clone(col.Strs), Nulls: slices.Clone(col.Nulls), Vals: slices.Clone(col.Vals)}
+	}
+	return out
+}
+
+// sharedView returns the view the executor scans t through.
+func sharedView(t *testing.T, frozen *storage.Database) *storage.ColumnarView {
+	t.Helper()
+	r, err := frozen.Relation("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := r.SharedColumnar()
+	if err != nil || view == nil {
+		t.Fatalf("published relation has no shared view: %v", err)
+	}
+	return view
+}
+
+// TestFrozenThenPrivateRunLeavesViewIntact pins the hazard of a pooled
+// chain run: one Program scans a frozen relation, then a private one,
+// then the frozen one again, on one recycled chainRun. The private
+// scan transposes into whatever lanes the run's owned source batch
+// holds; were a window of the shared view left there, it would
+// overwrite the view. The frozen relation is a whole number of batches
+// so that its last window is as large as the private scan's first fill.
+func TestFrozenThenPrivateRunLeavesViewIntact(t *testing.T) {
+	a := boundaryDB(2 * 1024)
+	frozen, _ := publish(t, a)
+	b := storage.NewDatabase()
+	rb := storage.NewRelation(schema.New("t",
+		schema.Col("k", types.KindInt), schema.Col("v", types.KindInt), schema.Col("g", types.KindString)))
+	for i := 0; i < 2*1024; i++ {
+		rb.Add(schema.NewTuple(types.Int(int64(-i)), types.Int(int64(i%31)), types.String("zz")))
+	}
+	b.AddRelation(rb)
+
+	view := sharedView(t, frozen)
+	before := cloneCols(view)
+	for name, q := range boundaryQueries(t, a) {
+		wantA, err := algebra.Eval(q, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantB, err := algebra.Eval(q, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := exec.CompileVec(q, a, exec.VecOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Repeated: a sync.Pool may drop the run between two calls.
+		for round := 0; round < 8; round++ {
+			for step, src := range []struct {
+				db   *storage.Database
+				want *storage.Relation
+			}{{frozen, wantA}, {b, wantB}, {frozen, wantA}} {
+				got, err := prog.Run(src.db)
+				if err != nil {
+					t.Fatalf("%s round %d step %d: %v", name, round, step, err)
+				}
+				requireSameRelation(t, fmt.Sprintf("%s round %d step %d", name, round, step), src.want, got)
+			}
+		}
+		if !reflect.DeepEqual(before, view.Cols) {
+			t.Fatalf("%s: a private run through the same program wrote into the shared view", name)
+		}
+	}
+}
+
+// TestFrozenViewUnchangedByMixedRuns: after 100 runs drawn from every
+// query shape and scan option, some failing, the shared view is what it
+// was when built — nothing downstream of the source writes through an
+// aliased lane.
+func TestFrozenViewUnchangedByMixedRuns(t *testing.T) {
+	private := laneEdgeDBs()["null-heavy"]
+	frozen, _ := publish(t, private)
+	view := sharedView(t, frozen)
+	before := cloneCols(view)
+
+	var progs []*exec.Program
+	for _, q := range laneEdgeQueries(t, private) {
+		for _, opts := range scanOptions {
+			prog, err := exec.CompileVec(q, private, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs = append(progs, prog)
+		}
+	}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 100; i++ {
+		db := frozen
+		if rng.Intn(4) == 0 {
+			db = private
+		}
+		_, _ = progs[rng.Intn(len(progs))].Run(db) // results are the differential's business
+	}
+	if !reflect.DeepEqual(before, view.Cols) {
+		t.Fatal("100 mixed runs changed the shared view")
+	}
+}
+
+// TestFrozenParallelScansShareOneView is the race job's witness: many
+// goroutines start forced-parallel scans of one frozen relation whose
+// view nobody has built yet. One of them builds it, all read it, every
+// result is the interpreter's.
+func TestFrozenParallelScansShareOneView(t *testing.T) {
+	private := laneEdgeDBs()["null-heavy"]
+	frozen, cache := publish(t, private)
+	qs := laneEdgeQueries(t, private)
+	q := qs["reenact-chain"]
+	want, err := algebra.Eval(q, private)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := exec.CompileVec(q, private, parallelOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	var wg sync.WaitGroup
+	results := make([]*storage.Relation, callers)
+	errs := make([]error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3 && errs[g] == nil; i++ {
+				results[g], errs[g] = prog.Run(frozen)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range results {
+		if errs[g] != nil {
+			t.Fatalf("caller %d: %v", g, errs[g])
+		}
+		requireSameRelation(t, fmt.Sprintf("caller %d", g), want, results[g])
+	}
+	if hits, misses := cache.ColumnarStats(); misses != 1 || hits != 3*callers-1 {
+		t.Errorf("%d concurrent scans: %d view builds, %d reuses; want 1, %d", 3*callers, misses, hits, 3*callers-1)
+	}
+}

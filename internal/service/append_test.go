@@ -101,6 +101,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		// nothing fell back to the interpreter.
 		`mahif_session_compress_misses_total{session="0"} 1`,
 		`mahif_session_compress_hits_total{session="0"} 0`,
+		// Both sides of it scanned that relation through one view.
+		`mahif_session_columnar_misses_total{session="0"} 1`,
+		`mahif_session_columnar_hits_total{session="0"} 1`,
 		"mahif_interpreter_fallbacks_total 0",
 	} {
 		if !strings.Contains(body, want) {

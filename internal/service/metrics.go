@@ -34,6 +34,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m("mahif_session_snapshot_tip_resident", "Tip-pinned snapshots (private full copies) currently held per session.", "gauge")
 	m("mahif_session_compress_hits_total", "Program-slicing calls that reused the compressed database remembered on a snapshot, per session.", "counter")
 	m("mahif_session_compress_misses_total", "Relation scans computing a compressed database (once per snapshot and option set), per session.", "counter")
+	m("mahif_session_columnar_hits_total", "Vectorized scans that aliased the columnar view remembered on a snapshot, per session.", "counter")
+	m("mahif_session_columnar_misses_total", "Relation transpositions building a snapshot's columnar view (once per snapshot), per session.", "counter")
 	m("mahif_session_memo_hits_total", "Solver-outcome memo hits per session.", "counter")
 	m("mahif_session_memo_misses_total", "Solver-outcome memo misses per session.", "counter")
 	m("mahif_session_memo_evictions_total", "Solver outcomes dropped by the memo LRU bound per session.", "counter")
@@ -58,6 +60,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "mahif_session_snapshot_tip_resident%s %d\n", l, st.SnapshotTipResident)
 		fmt.Fprintf(&b, "mahif_session_compress_hits_total%s %d\n", l, st.CompressHits)
 		fmt.Fprintf(&b, "mahif_session_compress_misses_total%s %d\n", l, st.CompressMisses)
+		fmt.Fprintf(&b, "mahif_session_columnar_hits_total%s %d\n", l, st.ColumnarHits)
+		fmt.Fprintf(&b, "mahif_session_columnar_misses_total%s %d\n", l, st.ColumnarMisses)
 		fmt.Fprintf(&b, "mahif_session_memo_hits_total%s %d\n", l, st.MemoHits)
 		fmt.Fprintf(&b, "mahif_session_memo_misses_total%s %d\n", l, st.MemoMisses)
 		fmt.Fprintf(&b, "mahif_session_memo_evictions_total%s %d\n", l, st.MemoEvictions)

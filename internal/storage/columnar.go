@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+
 	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/types"
 )
@@ -412,22 +414,126 @@ type ColumnarView struct {
 	Schema *schema.Schema
 	Rows   int
 	Cols   []ColVec
+
+	// nullBlocks[c][i] reports whether rows [i·nullBlockRows,
+	// (i+1)·nullBlockRows) of typed column c hold a NULL; nil for a
+	// column without a mask. Window reads it to keep the no-NULL
+	// specialisation of the typed kernels for the blocks that earn it,
+	// although a view has one relation-wide mask per column.
+	nullBlocks [][]bool
 }
+
+// nullBlockRows is the granularity of ColumnarView.nullBlocks — the
+// executor's default batch size, so a default scan's window is one block.
+const nullBlockRows = 1024
 
 // BuildColumnar transposes r into a columnar view, inferring each
 // column's lane from the schema kind with per-cell verification (a
 // column whose runtime cells deviate from the declared kind takes the
-// boxed lane, so the view is always faithful).
+// boxed lane, so the view is always faithful). Every tuple must have at
+// least the schema's arity (see CheckRowArity).
 func BuildColumnar(r *Relation) *ColumnarView {
 	v := &ColumnarView{Schema: r.Schema, Rows: len(r.Tuples), Cols: make([]ColVec, r.Schema.Arity())}
+	v.nullBlocks = make([][]bool, len(v.Cols))
 	for c := range v.Cols {
-		v.Cols[c].FillFromTuples(r.Tuples, c, r.Schema.Columns[c].Type)
+		col := &v.Cols[c]
+		col.FillFromTuples(r.Tuples, c, r.Schema.Columns[c].Type)
+		if col.Nulls == nil {
+			continue
+		}
+		blocks := make([]bool, (v.Rows+nullBlockRows-1)/nullBlockRows)
+		for i, null := range col.Nulls {
+			if null {
+				blocks[i/nullBlockRows] = true
+			}
+		}
+		v.nullBlocks[c] = blocks
 	}
 	return v
 }
 
 // Columnar builds the columnar view of the relation's current tuples.
 func (r *Relation) Columnar() *ColumnarView { return BuildColumnar(r) }
+
+// Window points dst[c] at rows [lo,hi) of column c, for every column.
+// Nothing is copied: the lanes alias the view, capped at hi, and are
+// read-only to the caller like the view itself. A typed column's Nulls
+// is nil when no block the window touches holds a NULL.
+func (v *ColumnarView) Window(dst []ColVec, lo, hi int) {
+	for c := range v.Cols {
+		col := &v.Cols[c]
+		w := ColVec{Kind: col.Kind}
+		switch col.Kind {
+		case types.KindInt:
+			w.Ints = col.Ints[lo:hi:hi]
+		case types.KindFloat:
+			w.Floats = col.Floats[lo:hi:hi]
+		case types.KindString:
+			w.Strs = col.Strs[lo:hi:hi]
+		default:
+			w.Vals = col.Vals[lo:hi:hi]
+		}
+		if col.Nulls != nil && v.windowHasNull(c, lo, hi) {
+			w.Nulls = col.Nulls[lo:hi:hi]
+		}
+		dst[c] = w
+	}
+}
+
+// windowHasNull reports whether a block overlapping rows [lo,hi) of
+// masked column c holds a NULL. A view assembled without BuildColumnar
+// has no block summary and answers true.
+func (v *ColumnarView) windowHasNull(c, lo, hi int) bool {
+	if v.nullBlocks == nil {
+		return true
+	}
+	for i := lo / nullBlockRows; i*nullBlockRows < hi; i++ {
+		if v.nullBlocks[c][i] {
+			return true
+		}
+	}
+	return false
+}
+
+// CheckRowArity returns an error for the first of rows with fewer than
+// arity cells. Its text carries no package prefix: the executor, the one
+// reader of tuples it did not build, reports it under its own.
+func CheckRowArity(rows []schema.Tuple, arity int) error {
+	for _, t := range rows {
+		if len(t) < arity {
+			return fmt.Errorf("row arity %d below attribute index %d", len(t), arity-1)
+		}
+	}
+	return nil
+}
+
+// SharedColumnar returns the columnar view of a frozen relation, or nil
+// for a private one. The view is built once, on first demand, and lives
+// and dies with the relation like any derived value (see Derive);
+// concurrent askers wait for the one build. It is shared: callers —
+// the vectorized executor's scans alias its lanes as their source
+// batches — must treat it as read-only. A relation holding a tuple
+// shorter than its schema has no view; every call returns
+// CheckRowArity's error for it.
+func (r *Relation) SharedColumnar() (*ColumnarView, error) {
+	m := r.frozen.Load()
+	if m == nil {
+		return nil, nil
+	}
+	hit := true
+	m.viewOnce.Do(func() {
+		hit = false
+		if m.viewErr = CheckRowArity(r.Tuples, r.Schema.Arity()); m.viewErr == nil {
+			m.view = BuildColumnar(r)
+		}
+	})
+	if hit {
+		m.stats.viewHits.Add(1)
+	} else {
+		m.stats.viewMisses.Add(1)
+	}
+	return m.view, m.viewErr
+}
 
 // Relation materializes the view back into row-major tuples (one flat
 // value arena for the whole relation). It is the read path of the

@@ -33,11 +33,16 @@ import (
 // frozen relation remembers values that are pure
 // functions of its contents (Relation.Derive) — the compressed database
 // Φ_D of program slicing is the one in use — so the data-sized pass is
-// paid once per snapshot, not once per what-if. The memo lives on the
-// relation and dies with it: an evicted and rebuilt version starts
+// paid once per snapshot, not once per what-if. The relation's columnar
+// view (Relation.SharedColumnar) is remembered the same way, in a slot
+// of its own: the vectorized executor scans a frozen relation by
+// aliasing windows of that view as its source batches instead of
+// transposing the row store per scan, so it is a second reader that
+// must — and does — leave what it is handed untouched. The memo lives on
+// the relation and dies with it: an evicted and rebuilt version starts
 // empty. A caller that broke the read-only contract would now also get
 // stale derived values, not only corrupt a shared state. DerivedStats
-// counts the reuse.
+// and ColumnarStats count the reuse.
 //
 // Retention is bounded: completed snapshots beyond the limit are
 // evicted least-recently-used. Without a bound, a session that issues
@@ -279,6 +284,13 @@ func (c *SnapshotCache) Stats() (hits, misses int) {
 // computed (once per relation and key).
 func (c *SnapshotCache) DerivedStats() (hits, misses int64) {
 	return c.derived.hits.Load(), c.derived.misses.Load()
+}
+
+// ColumnarStats reports Relation.SharedColumnar calls on the relations
+// this cache published: hits reused a relation's view, misses built it
+// (once per relation).
+func (c *SnapshotCache) ColumnarStats() (hits, misses int64) {
+	return c.derived.viewHits.Load(), c.derived.viewMisses.Load()
 }
 
 // Evictions reports how many completed snapshots the retention bound

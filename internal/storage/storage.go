@@ -40,6 +40,13 @@ type derivedMemo struct {
 
 	mu   sync.Mutex
 	vals map[any]*derivedEntry
+
+	// The columnar view has a slot of its own (see SharedColumnar), so
+	// keyed values can neither crowd it out of maxDerived nor mix their
+	// counts with its.
+	viewOnce sync.Once
+	view     *ColumnarView
+	viewErr  error
 }
 
 // derivedEntry computes one derived value exactly once; concurrent
@@ -51,16 +58,19 @@ type derivedEntry struct {
 }
 
 // derivedStats counts Derive calls answered from a memo (hits) and
-// those that ran compute on a frozen relation (misses).
-type derivedStats struct{ hits, misses atomic.Int64 }
+// those that ran compute on a frozen relation (misses), and the same for
+// SharedColumnar.
+type derivedStats struct{ hits, misses, viewHits, viewMisses atomic.Int64 }
 
 // Derive returns compute's result for key, a pure function of the
 // relation's contents and key. On a frozen relation the result is
 // computed once per key and remembered for the relation's lifetime —
 // it goes when the snapshot goes, so eviction needs no bookkeeping —
-// and is shared between callers, which must treat it as read-only. On
-// a private relation nothing is remembered: compute runs every time.
-// key must be comparable.
+// and is shared between callers, which must treat it as read-only
+// (program slicing reads Φ_D this way; the vectorized executor reads the
+// columnar view, which has its own slot — SharedColumnar). On a private
+// relation nothing is remembered: compute runs every time. key must be
+// comparable.
 func (r *Relation) Derive(key any, compute func() (any, error)) (any, error) {
 	m := r.frozen.Load()
 	if m == nil {
