@@ -160,7 +160,7 @@ func aggregateReport(q AggregateQuery, hist, hyp *storage.Database, ev evaluator
 	for _, a := range agg.Aggs {
 		rep.AggColumns = append(rep.AggColumns, a.Name)
 	}
-	ro, err := ev.eval(q.Query, hist)
+	ro, err := ev.evalRows(q.Query, hist)
 	if err != nil {
 		return AggregateReport{}, fmt.Errorf("core: aggregate query %q (historical): %w", q.SQL, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/mahif/mahif/internal/algebra"
@@ -24,11 +25,20 @@ import (
 // compiled once per query fingerprint (compilation resolves every
 // column reference and fuses the operator pipeline, so it is the unit
 // worth sharing); results are keyed on (time-travel version, compiled
-// program), so two scenarios whose reenactment programs coincide over
-// the same snapshot materialize the relation once. Cached relations
-// are shared read-only — delta computation and query evaluation never
-// mutate their inputs. In interpreter-oracle mode the result key falls
-// back to (version, fingerprint).
+// program, form), so two scenarios whose reenactment programs coincide
+// over the same snapshot materialize the relation once. In
+// interpreter-oracle mode the result key falls back to (version,
+// fingerprint, form).
+//
+// What an entry holds: a reenactment side is a columnar view
+// (storage.ColumnarView — typed lanes, about 90 B a row on the Taxi
+// schema and mostly pointer-free, where the same rows as tuples are
+// about 500 B of pointerful Values the collector has to walk), because
+// all that ever happens to it is a lane-wise comparison with the other
+// side (delta.ComputeColumnar); an aggregate report's historical side is
+// a few group rows that are read, and stays a relation. The two forms of
+// one query are different entries. Cached results are shared read-only —
+// delta computation and query evaluation never mutate their inputs.
 type evalCache struct {
 	mu           sync.Mutex
 	progs        map[string]*progEntry
@@ -55,14 +65,17 @@ type progEntry struct {
 	prog *exec.Program
 }
 
-// resultKey identifies one materialized result: the snapshot version
-// plus the program fingerprint. Programs are deduplicated one per
-// fingerprint, so this keys on the compiled program exactly (and
-// degrades gracefully to the query text in interpreter mode or after
-// a failed compilation).
+// resultKey identifies one materialized result: the snapshot version,
+// the program fingerprint and the form it was materialized in. Programs
+// are deduplicated one per fingerprint, so this keys on the compiled
+// program exactly (and degrades gracefully to the query text in
+// interpreter mode or after a failed compilation). rows separates an
+// aggregate report's historical side from a reenactment side of the
+// same fingerprint: each asker gets the form it reads.
 type resultKey struct {
-	ver int
-	fp  string
+	ver  int
+	fp   string
+	rows bool
 }
 
 // evalEntry evaluates one program exactly once: the worker that
@@ -72,7 +85,8 @@ type resultKey struct {
 // materializing it.
 type evalEntry struct {
 	done chan struct{}
-	rel  *storage.Relation
+	view *storage.ColumnarView // the result, when the key says columnar
+	rel  *storage.Relation     // the result, when the key says rows
 	err  error
 
 	// elem is the entry's recency-list node; guarded by evalCache.mu.
@@ -155,20 +169,18 @@ func (c *evalCache) program(q algebra.Query, db *storage.Database, fp string, ki
 	return pe.prog
 }
 
-// eval answers q over db, reusing a previously materialized result for
-// the same (version, program) when available. A result whose
-// materialization was cut short by ctx cancellation is evicted rather
-// than cached, so long-lived caches (sessions) stay consistent; a
-// caller that joined a cancelled materialization retries under its own
-// context instead of inheriting the foreign failure.
-func (c *evalCache) eval(ev evaluator, q algebra.Query, db *storage.Database) (*storage.Relation, error) {
+// eval answers q over db in the asked form (rows, or a columnar view),
+// reusing a previously materialized result for the same (version,
+// program, form) when available; the returned entry is resolved and
+// holds it. A result whose materialization was cut short by ctx
+// cancellation is evicted rather than cached, so long-lived caches
+// (sessions) stay consistent; a caller that joined a cancelled
+// materialization retries under its own context instead of inheriting
+// the foreign failure.
+func (c *evalCache) eval(ev evaluator, q algebra.Query, db *storage.Database, rows bool) (*evalEntry, error) {
 	ctx := ev.evalCtx()
 	fp := algebra.Fingerprint(q)
-	key := resultKey{ver: ev.ver, fp: fp}
-	var prog *exec.Program
-	if ev.kind != ExecInterpreter {
-		prog = c.program(q, db, fp, ev.kind, ev.vec)
-	}
+	key := resultKey{ver: ev.ver, fp: fp, rows: rows}
 	for {
 		c.mu.Lock()
 		e, ok := c.results[key]
@@ -181,10 +193,10 @@ func (c *evalCache) eval(ev evaluator, q algebra.Query, db *storage.Database) (*
 		c.mu.Unlock()
 		if !ok {
 			// We created the entry: we materialize, under our context.
-			if prog != nil {
-				e.rel, e.err = prog.RunCtx(ctx, db)
+			if rows {
+				e.rel, e.err = ev.runRows(q, db, fp)
 			} else {
-				e.rel, e.err = ev.interpret(q, db)
+				e.view, e.err = ev.runView(q, db, fp)
 			}
 			if e.err == nil {
 				c.mu.Lock()
@@ -208,7 +220,7 @@ func (c *evalCache) eval(ev evaluator, q algebra.Query, db *storage.Database) (*
 				}
 				c.mu.Unlock()
 			}
-			return e.rel, e.err
+			return e, e.err
 		}
 		c.mu.Lock()
 		if c.results[key] == e {
@@ -248,6 +260,20 @@ type batchShared struct {
 	eval      *evalCache
 	memo      *compile.Memo // used when Options.Compile.Memo is unset
 	templates *lru.Cache[string, *Template]
+	work      *deltaWork // a session's delta row counts
+}
+
+// deltaWork sums delta.Work over every delta computed through a session.
+type deltaWork struct {
+	compared, boxed atomic.Int64
+}
+
+// countDelta adds one delta's row counts to the bundle's totals.
+func (b *batchShared) countDelta(w delta.Work) {
+	if b.work != nil {
+		b.work.compared.Add(int64(w.Compared))
+		b.work.boxed.Add(int64(w.Boxed))
+	}
 }
 
 // templateCacheEntries bounds a session's compiled-template cache.

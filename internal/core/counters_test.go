@@ -168,7 +168,7 @@ func TestInterpreterFallbackIsCounted(t *testing.T) {
 			ev.ec = ec
 		}
 		out, err := ev.eval(q, db)
-		if err != nil || out.Len() != 0 {
+		if err != nil || out.Rows != 0 {
 			t.Fatalf("step %d: eval = %v, %v; want the empty relation", i, out, err)
 		}
 		if got := engine.InterpreterFallbacks(); got != s.want {

@@ -131,6 +131,16 @@ type Stats struct {
 	SolverTests     int
 	SolverNodes     int
 
+	// Delta work, in rows, summed over the answered relations: the two
+	// reenactment results were compared lane-wise at RowsCompared
+	// positions, and RowsBoxed rows (both sides together) did not cancel
+	// there and were gathered into tuples — the delta itself plus rows
+	// that cancel only across positions. RowsBoxed well below
+	// RowsCompared is the normal case; close to it, the two sides are
+	// misaligned and the delta costs a whole-relation multiset diff.
+	RowsCompared int
+	RowsBoxed    int
+
 	// Per-relation slicing details.
 	Slices map[string]progslice.Stats
 	// SkippedRelations lists relations pruned by taint analysis.
@@ -447,8 +457,12 @@ func (e *Engine) whatIfPair(ctx context.Context, pair *history.PaddedPair, tip i
 		p.stats.Execute += time.Since(t0)
 
 		t0 = time.Now()
-		out[r.rel] = delta.Compute(ro, rm)
+		d, work := delta.ComputeColumnar(ro, rm)
+		out[r.rel] = d
 		p.stats.Delta += time.Since(t0)
+		p.stats.RowsCompared += work.Compared
+		p.stats.RowsBoxed += work.Boxed
+		shared.countDelta(work)
 	}
 	p.stats.Total = time.Since(start)
 	reps, err := e.tipReports(ctx, queries, out, tip, opts, shared)
@@ -496,32 +510,87 @@ func (ev evaluator) evalCtx() context.Context {
 	return ev.ctx
 }
 
-func (ev evaluator) eval(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
+// eval answers a reenactment query over db in the form core holds such a
+// result in, a columnar view (see runView), through the result cache
+// when the evaluator has one.
+func (ev evaluator) eval(q algebra.Query, db *storage.Database) (*storage.ColumnarView, error) {
 	if ev.ec != nil {
-		return ev.ec.eval(ev, q, db)
+		e, err := ev.ec.eval(ev, q, db, false)
+		if err != nil {
+			return nil, err
+		}
+		return e.view, nil
+	}
+	return ev.runView(q, db, "")
+}
+
+// evalRows answers q over db as rows, through the result cache when the
+// evaluator has one. It is for results that are read, not diffed: an
+// aggregate report's historical side.
+func (ev evaluator) evalRows(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
+	if ev.ec != nil {
+		e, err := ev.ec.eval(ev, q, db, true)
+		if err != nil {
+			return nil, err
+		}
+		return e.rel, nil
 	}
 	return ev.evalUncached(q, db)
 }
 
-// evalUncached answers q over db without looking at or feeding the
-// result cache — for databases that are not the history version ev.ver
-// (hypothetical states). The compiled program still comes from the
-// cache when there is one: programs are keyed by query fingerprint and
-// depend on the schemas only, never on the data.
+// evalUncached answers q over db as rows without looking at or feeding
+// the result cache — for databases that are not the history version
+// ev.ver (hypothetical states).
 func (ev evaluator) evalUncached(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
-	var prog *exec.Program
+	return ev.runRows(q, db, "")
+}
+
+// program returns the compiled program for q, or nil when q is to be
+// interpreted: because the interpreter was asked for, or because q is
+// outside the compilable subset (interpret counts that). With a cache
+// the program comes from it — programs are keyed by query fingerprint
+// (fp, computed here when empty) and depend on the schemas only, never
+// on the data.
+func (ev evaluator) program(q algebra.Query, db *storage.Database, fp string) *exec.Program {
 	switch {
 	case ev.kind == ExecInterpreter:
+		return nil
 	case ev.ec != nil:
-		prog = ev.ec.program(q, db, algebra.Fingerprint(q), ev.kind, ev.vec)
-	default:
-		// An uncompilable query leaves prog nil; interpret counts it.
-		prog, _ = compileFor(ev.kind, q, db, ev.vec)
+		if fp == "" {
+			fp = algebra.Fingerprint(q)
+		}
+		return ev.ec.program(q, db, fp, ev.kind, ev.vec)
 	}
-	if prog == nil {
-		return ev.interpret(q, db)
+	prog, _ := compileFor(ev.kind, q, db, ev.vec)
+	return prog
+}
+
+// runRows answers q over db as rows.
+func (ev evaluator) runRows(q algebra.Query, db *storage.Database, fp string) (*storage.Relation, error) {
+	if prog := ev.program(q, db, fp); prog != nil {
+		return prog.RunCtx(ev.evalCtx(), db)
 	}
-	return prog.RunCtx(ev.evalCtx(), db)
+	return ev.interpret(q, db)
+}
+
+// runView answers q over db as a columnar view. A vectorized program
+// leaves its result in lanes and boxes nothing; the tuple-at-a-time
+// executor and the interpreter produce rows, which are transposed once —
+// they are the oracles, so what that costs does not matter, and core has
+// one result form and one delta call whatever the executor.
+func (ev evaluator) runView(q algebra.Query, db *storage.Database, fp string) (*storage.ColumnarView, error) {
+	if prog := ev.program(q, db, fp); prog != nil {
+		return prog.RunColumnarCtx(ev.evalCtx(), db)
+	}
+	rel, err := ev.interpret(q, db)
+	if err != nil {
+		return nil, err
+	}
+	view, err := storage.Transpose(rel)
+	if err != nil {
+		return nil, fmt.Errorf("core: interpreted result: %w", err)
+	}
+	return view, nil
 }
 
 // interpret answers q with the tree-walking interpreter: because it was

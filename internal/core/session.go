@@ -67,6 +67,7 @@ func (s *Session) reset() {
 		eval:      newEvalCache(),
 		memo:      compile.NewMemo(),
 		templates: lru.New[string, *Template](templateCacheEntries),
+		work:      &deltaWork{},
 	}
 }
 
@@ -156,6 +157,12 @@ type SessionStats struct {
 	// bound, and QueryResident is the count currently held.
 	QueryHits, QueryMisses        int
 	QueryEvictions, QueryResident int
+	// DeltaRowsCompared/Boxed sum Stats.RowsCompared/RowsBoxed over every
+	// what-if and template eval answered through the session: positions
+	// compared lane-wise, and rows that did not cancel there and were
+	// gathered into tuples. Their ratio is the share of reenactment
+	// output a what-if has to box.
+	DeltaRowsCompared, DeltaRowsBoxed int64
 	// TemplateHits/Misses report compiled scenario-template reuse across
 	// CompileTemplate calls; TemplateEvictions counts artifacts dropped
 	// by the template cache's LRU bound, and TemplateResident is the
@@ -185,6 +192,7 @@ func (s *Session) Stats() SessionStats {
 	st.QueryHits, st.QueryMisses = s.caches.eval.stats()
 	st.QueryEvictions = s.caches.eval.evicted()
 	st.QueryResident = s.caches.eval.resident()
+	st.DeltaRowsCompared, st.DeltaRowsBoxed = s.caches.work.compared.Load(), s.caches.work.boxed.Load()
 	st.TemplateHits, st.TemplateMisses = s.caches.templates.Stats()
 	st.TemplateEvictions = s.caches.templates.Evictions()
 	st.TemplateResident = s.caches.templates.Len()

@@ -132,9 +132,14 @@ type templateArtifact struct {
 // templateRel is one relation whose modified side depends on the
 // binding.
 type templateRel struct {
-	rel  string
-	orig *storage.Relation // materialized original-side reenactment result
-	modQ algebra.Query     // modified-side query skeleton, $slots open
+	rel string
+	// orig is the original-side reenactment result, materialized once and
+	// diffed against every binding's modified side. Like every
+	// reenactment result in core it is a columnar view: the artifact pins
+	// lanes, not tuples, and a binding boxes only the rows its delta
+	// touches.
+	orig *storage.ColumnarView
+	modQ algebra.Query // modified-side query skeleton, $slots open
 }
 
 // TemplateStats describes one compiled artifact plus the template's
@@ -387,7 +392,7 @@ func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 		if err != nil {
 			return nil, err
 		}
-		art.static[r.rel] = delta.Compute(orig, mod)
+		art.static[r.rel], _ = delta.ComputeColumnar(orig, mod)
 		art.stats.StaticRelations = append(art.stats.StaticRelations, r.rel)
 	}
 	art.stats.CompileTime = time.Since(start)
@@ -437,7 +442,9 @@ func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, bind
 		if err != nil {
 			return nil, nil, err
 		}
-		out[tr.rel] = delta.Compute(tr.orig, mod)
+		d, work := delta.ComputeColumnar(tr.orig, mod)
+		out[tr.rel] = d
+		t.shared.countDelta(work)
 	}
 	reps, err := t.e.tipReports(ctx, queries, out, art.version, t.opts, t.shared)
 	if err != nil {

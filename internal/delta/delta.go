@@ -33,47 +33,108 @@ type Result struct {
 // equal pair is sound for bags, and it pays off because reenactment of
 // an update history maps row i to row i on both sides and the executors
 // preserve scan order, so what is left is about the size of the delta.
-// Only that residual is hashed: its old side is subtracted from a
-// TupleIndex of its new side. Two results that are not aligned (a row
-// deleted on one side only shifts everything after it) leave a large
-// residual and cost what a whole-relation multiset diff costs.
+// Only that residual is hashed (see residual). Two results that are not
+// aligned (a row deleted on one side only shifts everything after it)
+// leave a large residual and cost what a whole-relation multiset diff
+// costs.
+//
+// This is the delta over rows: Alg. 1, the history executor and the
+// bench's staged replay have rows and call it. A what-if's two
+// reenactment results are columnar and go through ComputeColumnar, which
+// cancels the same positions without boxing them and shares the
+// residual step; Compute is its test oracle.
 func Compute(oldRel, newRel *storage.Relation) *Result {
 	out := &Result{Relation: oldRel.Schema.Relation, Schema: oldRel.Schema}
 	olds, news := oldRel.Tuples, newRel.Tuples
 	n := min(len(olds), len(news))
-	var restOld, restNew []schema.Tuple
-	for i := 0; i < n; i++ {
-		if !olds[i].Equal(news[i]) {
-			restOld = append(restOld, olds[i])
-			restNew = append(restNew, news[i])
+	neq := make([]bool, n)
+	for i := range neq {
+		neq[i] = !olds[i].Equal(news[i])
+	}
+	oldIdx, newIdx := residualRows(neq, len(olds), len(news))
+	restOld := make([]schema.Tuple, len(oldIdx))
+	for i, r := range oldIdx {
+		restOld[i] = olds[r]
+	}
+	restNew := make([]schema.Tuple, len(newIdx))
+	for i, r := range newIdx {
+		restNew[i] = news[r]
+	}
+	out.residual(restOld, restNew)
+	return out
+}
+
+// residualRows lists, for each side, the rows positional cancellation
+// left over: the positions marked unequal, the same on both sides, then
+// the rows past the shorter side's end. Marking first lets everything
+// downstream be allocated once, at its final size.
+func residualRows(neq []bool, oldRows, newRows int) (oldIdx, newIdx []int) {
+	k := 0
+	for _, d := range neq {
+		if d {
+			k++
 		}
 	}
-	restOld = append(restOld, olds[n:]...)
-	restNew = append(restNew, news[n:]...)
+	n := len(neq)
+	idx := make([]int, 0, k+max(oldRows, newRows)-n)
+	for i, d := range neq {
+		if d {
+			idx = append(idx, i)
+		}
+	}
+	// At most one side is longer, so at most one of these appends, into
+	// the capacity reserved for it.
+	oldIdx, newIdx = idx, idx
+	for i := n; i < oldRows; i++ {
+		oldIdx = append(oldIdx, i)
+	}
+	for i := n; i < newRows; i++ {
+		newIdx = append(newIdx, i)
+	}
+	return oldIdx, newIdx
+}
 
+// residual finishes a delta from the rows of each side that positional
+// cancellation left over: restOld is subtracted from a TupleIndex of
+// restNew, what found no partner is Minus and what is left in the index
+// is Plus, both then sorted. It is the only multiset step of either
+// entry point. The two slices are the caller's own and are consumed:
+// Minus and Plus are filtered in place inside them, so nothing is
+// allocated per surviving tuple and nothing grows.
+func (r *Result) residual(restOld, restNew []schema.Tuple) {
+	if len(restOld) == 0 && len(restNew) == 0 {
+		return
+	}
 	surplus := storage.NewTupleIndex(len(restNew))
 	for _, t := range restNew {
 		surplus.Add(t)
 	}
-	for _, t := range restOld {
-		if !surplus.Remove(t) {
-			out.Minus = append(out.Minus, t)
-		}
-	}
+	r.Minus = filterInPlace(restOld, func(t schema.Tuple) bool { return !surplus.Remove(t) })
 	// surplus now holds exactly Plus; draining it in restNew order (not
 	// in map order) keeps the output deterministic even between tuples
 	// that tie under Compare but render differently (1 vs 1.0).
-	for _, t := range restNew {
-		if surplus.Len() == 0 {
-			break
-		}
-		if surplus.Remove(t) {
-			out.Plus = append(out.Plus, t)
+	r.Plus = filterInPlace(restNew, func(t schema.Tuple) bool { return surplus.Len() > 0 && surplus.Remove(t) })
+	sortTuples(r.Minus)
+	sortTuples(r.Plus)
+}
+
+// filterInPlace keeps, in order and within ts's own storage, the tuples
+// keep accepts (it is called once per tuple, in order). The dropped
+// tail is cleared so that the result retains only what it holds, and an
+// empty result is nil, as an appended-to nil slice would be.
+func filterInPlace(ts []schema.Tuple, keep func(schema.Tuple) bool) []schema.Tuple {
+	k := 0
+	for _, t := range ts {
+		if keep(t) {
+			ts[k] = t
+			k++
 		}
 	}
-	sortTuples(out.Minus)
-	sortTuples(out.Plus)
-	return out
+	clear(ts[k:])
+	if k == 0 {
+		return nil
+	}
+	return ts[:k]
 }
 
 // sortTuples puts delta tuples in canonical order. Stable, so tuples

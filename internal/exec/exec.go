@@ -159,16 +159,76 @@ func (p *Program) RunCtx(ctx context.Context, db *storage.Database) (*storage.Re
 
 // runVec drives the vectorized pipeline: every emitted batch's live
 // rows materialize into row-major tuples backed by one arena allocation
-// per batch (not one per row).
+// per batch (not one per row), and the relation's tuple slice is
+// allocated once, at its final size.
 func (p *Program) runVec(ctx context.Context, db *storage.Database) (*storage.Relation, error) {
 	out := storage.NewRelation(p.out)
 	arity := p.out.Arity()
+	var chunks [][]schema.Tuple
+	total := 0
 	err := p.vroot.run(&runCtx{db: db, ctx: ctx}, func(b *batch) error {
-		out.Tuples = append(out.Tuples, materializeRows(b, arity)...)
+		rows := materializeRows(b, arity)
+		chunks = append(chunks, rows)
+		total += len(rows)
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	if total > 0 {
+		out.Tuples = make([]schema.Tuple, 0, total)
+		for _, rows := range chunks {
+			out.Tuples = append(out.Tuples, rows...)
+		}
+	}
+	return out, nil
+}
+
+// RunColumnarCtx is RunCtx with the result left in columnar form: the
+// same rows in the same order, so view.Relation() equals what RunCtx
+// returns, and the same errors. A vectorized program copies each
+// emitted batch's live rows lane-wise into the view and boxes nothing —
+// the form for a result that is mostly going to be compared with
+// another (delta.ComputeColumnar) rather than read. A tuple-at-a-time
+// program has rows to begin with and transposes them once; a row
+// narrower than the output schema, which that executor passes through
+// when no operator reads the missing cell, has no columnar form and is
+// the vectorized executor's row-arity error here.
+func (p *Program) RunColumnarCtx(ctx context.Context, db *storage.Database) (*storage.ColumnarView, error) {
+	if p.vroot == nil {
+		rel, err := p.RunCtx(ctx, db)
+		if err != nil {
+			return nil, err
+		}
+		view, err := storage.Transpose(rel)
+		if err != nil {
+			return nil, fmt.Errorf("exec: %w", err)
+		}
+		return view, nil
+	}
+	// Each batch's live rows are frozen into a part of exactly their
+	// size, and the parts are joined once the total is known: what is
+	// returned (and may sit in a result cache) has no slack, and no lane
+	// was regrown on the way.
+	arity := p.out.Arity()
+	var parts []*storage.ColumnarView
+	total := 0
+	err := p.vroot.run(&runCtx{db: db, ctx: ctx}, func(b *batch) error {
+		part := storage.NewColumnarView(p.out, b.live())
+		part.AppendRows(b.cols[:arity], b.sel, b.n)
+		parts = append(parts, part)
+		total += part.Rows
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	out := storage.NewColumnarView(p.out, total)
+	for _, part := range parts {
+		out.AppendRows(part.Cols, nil, part.Rows)
 	}
 	return out, nil
 }

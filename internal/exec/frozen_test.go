@@ -126,6 +126,15 @@ func laneEdgeDBs() map[string]*storage.Database {
 			}
 			return tp
 		}),
+		// The first NULL of every lane arrives in the third batch: a result
+		// accumulated lane-wise has to back-fill its mask.
+		"late-null": build(3*1024, func(i int) schema.Tuple {
+			tp := plain(i)
+			if i >= 2500 && i%3 == 0 {
+				tp[1], tp[2], tp[3] = types.Null(), types.Null(), types.Null()
+			}
+			return tp
+		}),
 		"int-float-boundary": build(1030, func(i int) schema.Tuple {
 			return schema.NewTuple(types.Int(ints[i%len(ints)]), types.Int(int64(i%50)), types.Float(floats[i%len(floats)]), types.String(groups[i%4]))
 		}),
@@ -175,6 +184,9 @@ func laneEdgeQueries(t *testing.T, db *storage.Database) map[string]algebra.Quer
 		"null-or-string":  sel("v IS NULL OR g = 'a'", scan()),
 		"fused-and":       sel("f < 3 AND g = 'b' AND v >= 2", scan()),
 		"reenact-chain":   chain,
+		// A SET that writes a float into an int column, in later batches
+		// only: the column leaves its lane inside one result.
+		"set-float-into-int": set(1, "k >= 1500", expr.Mul(expr.Column("v"), expr.FloatConst(1.5)), scan()),
 		"boxed-arith": &algebra.Project{Exprs: []algebra.NamedExpr{
 			{Name: "k", E: expr.Column("k")},
 			{Name: "x", E: expr.Add(expr.Column("v"), expr.IntConst(1))},

@@ -105,6 +105,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		`mahif_session_columnar_misses_total{session="0"} 1`,
 		`mahif_session_columnar_hits_total{session="0"} 1`,
 		"mahif_interpreter_fallbacks_total 0",
+		// The what-if moved five orders: its two sides were compared where
+		// data slicing left them (the 30 orders at or above 50), and only
+		// the five rows a side that differ became tuples.
+		"# TYPE mahif_delta_rows_compared_total counter",
+		"mahif_delta_rows_compared_total 30",
+		"mahif_delta_rows_boxed_total 10",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q in:\n%s", want, body)

@@ -47,7 +47,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m("mahif_session_template_misses_total", "Compiled scenario-template cache misses per session.", "counter")
 	m("mahif_session_template_evictions_total", "Template artifacts dropped by the template-cache LRU bound per session.", "counter")
 	m("mahif_session_template_resident", "Template artifacts currently held per session.", "gauge")
+	var rowsCompared, rowsBoxed int64
 	for i, st := range s.SessionStats() {
+		rowsCompared += st.DeltaRowsCompared
+		rowsBoxed += st.DeltaRowsBoxed
 		l := fmt.Sprintf("{session=\"%d\"}", i)
 		fmt.Fprintf(&b, "mahif_session_calls_total%s %d\n", l, st.Calls)
 		fmt.Fprintf(&b, "mahif_session_invalidations_total%s %d\n", l, st.Invalidations)
@@ -74,6 +77,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "mahif_session_template_evictions_total%s %d\n", l, st.TemplateEvictions)
 		fmt.Fprintf(&b, "mahif_session_template_resident%s %d\n", l, st.TemplateResident)
 	}
+
+	m("mahif_delta_rows_compared_total", "Row positions at which a what-if's two reenactment results were compared lane-wise, over all sessions.", "counter")
+	fmt.Fprintf(&b, "mahif_delta_rows_compared_total %d\n", rowsCompared)
+	m("mahif_delta_rows_boxed_total", "Rows that did not cancel at their position and were gathered into tuples (both sides), over all sessions; its ratio to rows compared is the share of reenactment output a what-if boxes.", "counter")
+	fmt.Fprintf(&b, "mahif_delta_rows_boxed_total %d\n", rowsBoxed)
 
 	m("mahif_templates_registered", "Scenario template ids resident in the registry (POST /v1/template, least recently used evicted).", "gauge")
 	fmt.Fprintf(&b, "mahif_templates_registered %d\n", s.templates.Len())

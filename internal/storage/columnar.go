@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/types"
@@ -405,6 +406,94 @@ func (c *ColVec) CompactFrom(src *ColVec, sel []int, n int) {
 	}
 }
 
+// appendLive appends the live cells of src (sel nil → the first n cells)
+// to dst.
+func appendLive[T any](dst, src []T, sel []int, n int) []T {
+	if sel == nil {
+		return append(dst, src[:n]...)
+	}
+	dst = slices.Grow(dst, len(sel))
+	for _, r := range sel {
+		dst = append(dst, src[r])
+	}
+	return dst
+}
+
+// appendFrom appends the live cells of src (sel nil → the first n cells)
+// to c, which holds have cells; live is how many that is, and reserve
+// the capacity (in cells) to give a lane this call has to allocate. An
+// empty c adopts src's lane. A column need not stay on one lane for a
+// whole result — FillFromTuples falls back to boxed on the first
+// deviating cell, a reenacted SET can write a float into an int column —
+// so when src arrives on another lane than the cells accumulated so
+// far, c is demoted to the boxed lane first and stays there. A typed
+// lane's NULL mask appears with the first live NULL and is back-filled
+// for the cells before it.
+func (c *ColVec) appendFrom(src *ColVec, sel []int, n, live, have, reserve int) {
+	reserve = max(reserve, have+live)
+	if have == 0 {
+		*c = ColVec{Kind: src.Kind}
+		switch src.Kind {
+		case types.KindInt:
+			c.Ints = make([]int64, 0, reserve)
+		case types.KindFloat:
+			c.Floats = make([]float64, 0, reserve)
+		case types.KindString:
+			c.Strs = make([]string, 0, reserve)
+		default:
+			c.Vals = make([]types.Value, 0, reserve)
+		}
+	}
+	if c.Kind != src.Kind && c.Kind != types.KindNull {
+		vals := make([]types.Value, have, reserve)
+		c.BoxInto(vals, nil, have)
+		*c = ColVec{Kind: types.KindNull, Vals: vals}
+	}
+	switch c.Kind {
+	case types.KindInt:
+		c.Ints = appendLive(c.Ints, src.Ints, sel, n)
+	case types.KindFloat:
+		c.Floats = appendLive(c.Floats, src.Floats, sel, n)
+	case types.KindString:
+		c.Strs = appendLive(c.Strs, src.Strs, sel, n)
+	default:
+		if src.Kind == types.KindNull {
+			c.Vals = appendLive(c.Vals, src.Vals, sel, n)
+		} else if sel == nil {
+			for r := 0; r < n; r++ {
+				c.Vals = append(c.Vals, src.Value(r))
+			}
+		} else {
+			for _, r := range sel {
+				c.Vals = append(c.Vals, src.Value(r))
+			}
+		}
+		return
+	}
+	switch {
+	case src.Nulls != nil && (c.Nulls != nil || src.anyNull(sel, n)):
+		if c.Nulls == nil {
+			c.Nulls = make([]bool, have, reserve)
+		}
+		c.Nulls = appendLive(c.Nulls, src.Nulls, sel, n)
+	case c.Nulls != nil:
+		c.Nulls = append(c.Nulls, make([]bool, live)...)
+	}
+}
+
+// anyNull reports whether a live cell of a masked typed lane is NULL.
+func (c *ColVec) anyNull(sel []int, n int) bool {
+	if sel == nil {
+		return slices.Contains(c.Nulls[:n], true)
+	}
+	for _, r := range sel {
+		if c.Nulls[r] {
+			return true
+		}
+	}
+	return false
+}
+
 // ColumnarView is a point-in-time columnar transpose of a relation:
 // one ColVec per schema column, typed wherever the column is
 // single-kind at that instant. It shares no storage with the relation
@@ -421,6 +510,10 @@ type ColumnarView struct {
 	// specialisation of the typed kernels for the blocks that earn it,
 	// although a view has one relation-wide mask per column.
 	nullBlocks [][]bool
+
+	// reserve is the row capacity AppendRows gives a lane it allocates
+	// (see NewColumnarView).
+	reserve int
 }
 
 // nullBlockRows is the granularity of ColumnarView.nullBlocks — the
@@ -454,6 +547,36 @@ func BuildColumnar(r *Relation) *ColumnarView {
 
 // Columnar builds the columnar view of the relation's current tuples.
 func (r *Relation) Columnar() *ColumnarView { return BuildColumnar(r) }
+
+// NewColumnarView returns an empty view of the given schema for
+// AppendRows to fill: the form a vectorized run leaves its result in.
+// rows is how many rows the caller expects to append; lanes are
+// allocated for that many, so a caller that knows gets a view without
+// slack or regrowth, and one that does not passes 0.
+func NewColumnarView(s *schema.Schema, rows int) *ColumnarView {
+	return &ColumnarView{Schema: s, Cols: make([]ColVec, s.Arity()), reserve: rows}
+}
+
+// AppendRows appends the live rows of a column batch (sel nil → rows
+// 0..n-1, else the listed rows) lane-wise; cols holds one column per
+// view column. Every cell is copied, so the batch may be reused, and a
+// column keeps its typed lane for as long as every batch agrees on it
+// (see ColVec.appendFrom). The view must not be one a relation shares
+// (SharedColumnar), and it has no per-block NULL summary: Window reports
+// a masked column's mask for every window.
+func (v *ColumnarView) AppendRows(cols []ColVec, sel []int, n int) {
+	live := n
+	if sel != nil {
+		live = len(sel)
+	}
+	if live == 0 {
+		return
+	}
+	for c := range v.Cols {
+		v.Cols[c].appendFrom(&cols[c], sel, n, live, v.Rows, v.reserve)
+	}
+	v.Rows += live
+}
 
 // Window points dst[c] at rows [lo,hi) of column c, for every column.
 // Nothing is copied: the lanes alias the view, capped at hi, and are
@@ -495,6 +618,16 @@ func (v *ColumnarView) windowHasNull(c, lo, hi int) bool {
 	return false
 }
 
+// Transpose is BuildColumnar for a relation nobody has vetted yet: one
+// holding a tuple shorter than its schema has no view and gets
+// CheckRowArity's error instead.
+func Transpose(r *Relation) (*ColumnarView, error) {
+	if err := CheckRowArity(r.Tuples, r.Schema.Arity()); err != nil {
+		return nil, err
+	}
+	return BuildColumnar(r), nil
+}
+
 // CheckRowArity returns an error for the first of rows with fewer than
 // arity cells. Its text carries no package prefix: the executor, the one
 // reader of tuples it did not build, reports it under its own.
@@ -523,9 +656,7 @@ func (r *Relation) SharedColumnar() (*ColumnarView, error) {
 	hit := true
 	m.viewOnce.Do(func() {
 		hit = false
-		if m.viewErr = CheckRowArity(r.Tuples, r.Schema.Arity()); m.viewErr == nil {
-			m.view = BuildColumnar(r)
-		}
+		m.view, m.viewErr = Transpose(r)
 	})
 	if hit {
 		m.stats.viewHits.Add(1)
@@ -540,19 +671,39 @@ func (r *Relation) SharedColumnar() (*ColumnarView, error) {
 // columnar checkpoint codec.
 func (v *ColumnarView) Relation() *Relation {
 	out := NewRelation(v.Schema)
-	if v.Rows == 0 {
-		return out
+	out.Tuples = v.gather(nil, v.Rows)
+	return out
+}
+
+// GatherTuples boxes the listed rows into row-major tuples backed by one
+// flat arena of exactly len(rows) rows, so whoever retains some of the
+// tuples pins that arena and nothing of the view.
+func (v *ColumnarView) GatherTuples(rows []int) []schema.Tuple {
+	return v.gather(rows, len(rows))
+}
+
+// gather boxes n rows — rows[i], or row i when rows is nil — into tuples
+// over one arena.
+func (v *ColumnarView) gather(rows []int, n int) []schema.Tuple {
+	if n == 0 {
+		return nil
 	}
 	arity := len(v.Cols)
-	flat := make([]types.Value, v.Rows*arity)
-	out.Tuples = make([]schema.Tuple, v.Rows)
-	for i := range out.Tuples {
-		out.Tuples[i] = schema.Tuple(flat[i*arity : (i+1)*arity : (i+1)*arity])
+	flat := make([]types.Value, n*arity)
+	out := make([]schema.Tuple, n)
+	for i := range out {
+		out[i] = schema.Tuple(flat[i*arity : (i+1)*arity : (i+1)*arity])
 	}
 	for c := range v.Cols {
 		col := &v.Cols[c]
-		for r := 0; r < v.Rows; r++ {
-			flat[r*arity+c] = col.Value(r)
+		if rows == nil {
+			for r := 0; r < n; r++ {
+				flat[r*arity+c] = col.Value(r)
+			}
+			continue
+		}
+		for i, r := range rows {
+			flat[i*arity+c] = col.Value(r)
 		}
 	}
 	return out
