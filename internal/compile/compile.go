@@ -24,9 +24,11 @@
 package compile
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/milp"
@@ -92,48 +94,49 @@ func Satisfiable(cond expr.Expr, kinds map[string]types.Kind, opts Options) (*Ou
 // SatisfiableCtx is Satisfiable under a context. Cancellation is
 // observed at every branch & bound node of the solver, so a cancelled
 // check returns ctx.Err() within one node's work. Cancelled outcomes
-// are never memoized.
+// are never memoized. It is the one-check case of a Prefix — the same
+// simplification, memo key and lowering — so a caller asking many
+// questions that share a leading conjunct should build the Prefix
+// itself.
 func SatisfiableCtx(ctx context.Context, cond expr.Expr, kinds map[string]types.Kind, opts Options) (*Outcome, error) {
-	if len(opts.ParamKinds) > 0 {
-		merged := make(map[string]types.Kind, len(kinds)+len(opts.ParamKinds))
-		for n, k := range kinds {
-			merged[n] = k
-		}
-		for n, k := range opts.ParamKinds {
-			merged["$"+n] = k
-		}
-		kinds = merged
-	}
-	simplified := expr.Simplify(cond)
-	if opts.Memo == nil {
-		return satisfiable(ctx, simplified, kinds, opts)
-	}
-	key := hashQuery(simplified, kinds, opts)
-	if out, ok := opts.Memo.Lookup(key); ok {
-		return out, nil
-	}
-	out, err := satisfiable(ctx, simplified, kinds, opts)
-	if err == nil {
-		opts.Memo.Store(key, out)
-	}
-	return out, err
+	return NewPrefix(cond, kinds, opts).SatisfiableCtx(ctx)
 }
 
-// satisfiable compiles and solves an already-simplified condition.
-func satisfiable(ctx context.Context, cond expr.Expr, kinds map[string]types.Kind, opts Options) (*Outcome, error) {
-	return newCompiler(kinds, opts).solve(ctx, cond)
+// withParamKinds returns kinds with every open template parameter of
+// params added under its "$name" variable.
+func withParamKinds(kinds, params map[string]types.Kind) map[string]types.Kind {
+	if len(params) == 0 {
+		return kinds
+	}
+	merged := make(map[string]types.Kind, len(kinds)+len(params))
+	for n, k := range kinds {
+		merged[n] = k
+	}
+	for n, k := range params {
+		merged["$"+n] = k
+	}
+	return merged
 }
 
-// solve lowers cond into c's model, pins its indicator to 1 and runs
-// the solver.
-func (c *compiler) solve(ctx context.Context, cond expr.Expr) (*Outcome, error) {
+// build lowers cond into c's model and pins its indicator to 1.
+func (c *compiler) build(cond expr.Expr) error {
 	root, err := c.compileBool(cond)
 	if err != nil {
+		return err
+	}
+	return c.model.AddConstraint([]milp.Term{{Var: root, Coef: 1}}, milp.EQ, 1)
+}
+
+// solve builds cond's model and runs the solver on it.
+func (c *compiler) solve(ctx context.Context, cond expr.Expr) (*Outcome, error) {
+	if err := c.build(cond); err != nil {
 		return nil, err
 	}
-	if err := c.model.AddConstraint([]milp.Term{{Var: root, Coef: 1}}, milp.EQ, 1); err != nil {
-		return nil, err
-	}
+	return c.run(ctx)
+}
+
+// run solves the model build made.
+func (c *compiler) run(ctx context.Context) (*Outcome, error) {
 	res := c.model.SolveCtx(ctx, c.opts.Solve)
 	if res.Status == milp.Canceled {
 		return nil, ctx.Err()
@@ -193,6 +196,9 @@ func (l lin) scale(f float64) lin {
 	return out
 }
 
+// milpTerms returns the form's nonzero terms in ascending variable
+// order, then extra: two lowerings of one formula emit byte-identical
+// constraints.
 func (l lin) milpTerms(extra ...milp.Term) []milp.Term {
 	out := make([]milp.Term, 0, len(l.terms)+len(extra))
 	for v, c := range l.terms {
@@ -200,31 +206,45 @@ func (l lin) milpTerms(extra ...milp.Term) []milp.Term {
 			out = append(out, milp.Term{Var: v, Coef: c})
 		}
 	}
+	slices.SortFunc(out, func(a, b milp.Term) int { return cmp.Compare(a.Var, b.Var) })
 	return append(out, extra...)
 }
 
+// compiler lowers conditions into one model. A compiler either starts
+// empty (newCompiler) or extends the frozen state of another (above):
+// every table below is then a layer over the other compiler's, read
+// through and never written.
 type compiler struct {
 	model *milp.Model
 	kinds map[string]types.Kind
 	opts  Options
 
-	vars     map[string]int     // variable name → model index
-	varIv    []interval         // interval per model variable
-	strCodes map[string]float64 // string constant → code
-	strOther map[string]float64 // string variable → private unseen code
+	vars     layer[string, srcVar]  // variable name → model variable
+	strCodes layer[string, float64] // string constant → code
 	nextCode float64
-	names    map[int]string // model index → source variable name
 
 	// Hash-consing caches: structurally identical subexpressions share
 	// one indicator / one linear form. Slicing formulas repeat the same
 	// statement conditions across four symbolic chains; merging them
 	// collapses the solver's search space from 2^(4U) toward 2^U. Both
-	// caches key on the number id gives a subexpression: an interner's
+	// caches key on the number id gives a subexpression: the interner's
 	// (equal structure ⇔ equal number), or in tests the rendered-text
 	// numbering that keyed these caches before it.
+	in       *interner
 	id       func(expr.Expr) int32
-	boolMemo map[int32]int
-	numMemo  map[int32]numEntry
+	boolMemo layer[int32, int]
+	numMemo  layer[int32, numEntry]
+
+	// lowered counts the expression nodes this compiler lowered into
+	// its model: one per hash-consing miss.
+	lowered int
+}
+
+// srcVar is the model variable of a named formula variable and the
+// interval it was created with.
+type srcVar struct {
+	idx int
+	iv  interval
 }
 
 type numEntry struct {
@@ -233,18 +253,39 @@ type numEntry struct {
 }
 
 func newCompiler(kinds map[string]types.Kind, opts Options) *compiler {
+	in := new(interner)
 	return &compiler{
 		model:    milp.NewModel(),
 		kinds:    kinds,
 		opts:     opts,
-		vars:     map[string]int{},
-		strCodes: map[string]float64{},
-		strOther: map[string]float64{},
+		vars:     layer[string, srcVar]{own: map[string]srcVar{}},
+		strCodes: layer[string, float64]{own: map[string]float64{}},
 		nextCode: 1,
-		names:    map[int]string{},
-		id:       new(interner).id,
-		boolMemo: map[int32]int{},
-		numMemo:  map[int32]numEntry{},
+		in:       in,
+		id:       in.id,
+		boolMemo: layer[int32, int]{own: map[int32]int{}},
+		numMemo:  layer[int32, numEntry]{own: map[int32]numEntry{}},
+	}
+}
+
+// above returns a compiler that goes on from c's state as if it were c:
+// it reads c's model, tables and memos and writes only its own, so
+// lowering onto it costs what is new and c is left as it was. c must
+// not change any more, and must itself be a newCompiler (layers are one
+// deep). nodes sizes the per-node tables for what the child will add.
+func (c *compiler) above(nodes int) *compiler {
+	in := c.in.above(nodes)
+	return &compiler{
+		model:    c.model.Fork(),
+		kinds:    c.kinds,
+		opts:     c.opts,
+		vars:     c.vars.above(0),
+		strCodes: c.strCodes.above(0),
+		nextCode: c.nextCode,
+		in:       in,
+		id:       in.id,
+		boolMemo: c.boolMemo.above(nodes),
+		numMemo:  c.numMemo.above(nodes),
 	}
 }
 
@@ -255,79 +296,64 @@ func (c *compiler) bound() float64 {
 	return defaultBound
 }
 
-func (c *compiler) addVar(lo, hi float64, integer bool) (int, error) {
-	v, err := c.model.AddVar(lo, hi, integer)
-	if err != nil {
-		return 0, err
-	}
-	c.varIv = append(c.varIv, interval{lo, hi})
-	return v, nil
-}
-
 // code returns the integer code of a string constant, assigning one on
 // first use.
 func (c *compiler) code(s string) float64 {
-	if v, ok := c.strCodes[s]; ok {
+	if v, ok := c.strCodes.get(s); ok {
 		return v
 	}
-	c.strCodes[s] = c.nextCode
+	v := c.nextCode
+	c.strCodes.put(s, v)
 	c.nextCode++
-	return c.strCodes[s]
+	return v
 }
 
 // sourceVar materializes a named formula variable in the model.
 func (c *compiler) sourceVar(name string) (int, interval, error) {
-	if v, ok := c.vars[name]; ok {
-		return v, c.varIv[v], nil
+	if sv, ok := c.vars.get(name); ok {
+		return sv.idx, sv.iv, nil
 	}
 	kind := types.KindFloat
 	if k, ok := c.kinds[name]; ok {
 		kind = k
 	}
-	var v int
-	var err error
+	var iv interval
 	switch kind {
 	case types.KindBool:
-		v, err = c.model.AddBinary()
-		if err == nil {
-			c.varIv = append(c.varIv, interval{0, 1})
-		}
+		iv = interval{0, 1}
 	case types.KindString:
-		// Reserve a private "unseen" code so distinct unseen strings
-		// stay representable; its slot is above all constant codes.
-		other := 10000 + float64(len(c.strOther))
-		c.strOther[name] = other
-		v, err = c.addVar(0, 20000, false)
+		// Constant codes count up from 1; the rest of the range stands
+		// for strings the formula never names, so distinct unseen
+		// strings stay representable.
+		iv = interval{0, 20000}
 	default:
 		b := c.bound()
-		v, err = c.addVar(-b, b, false)
+		iv = interval{-b, b}
 	}
+	v, err := c.model.AddVar(iv.lo, iv.hi, kind == types.KindBool)
 	if err != nil {
 		return 0, interval{}, err
 	}
-	c.vars[name] = v
-	c.names[v] = name
-	return v, c.varIv[v], nil
+	c.vars.put(name, srcVar{idx: v, iv: iv})
+	return v, iv, nil
 }
 
 // extract converts a solver point back to named values.
 func (c *compiler) extract(x []float64) map[string]types.Value {
-	out := map[string]types.Value{}
-	rev := map[float64]string{}
-	for s, code := range c.strCodes {
-		rev[code] = s
-	}
-	for name, idx := range c.vars {
-		val := x[idx]
+	out := make(map[string]types.Value, c.vars.len())
+	rev := make(map[float64]string, c.strCodes.len())
+	c.strCodes.each(func(s string, code float64) { rev[code] = s })
+	c.vars.each(func(name string, sv srcVar) {
+		val := x[sv.idx]
 		switch c.kinds[name] {
 		case types.KindBool:
 			out[name] = types.Bool(math.Round(val) == 1)
 		case types.KindString:
 			if s, ok := rev[math.Round(val)]; ok {
 				out[name] = types.String(s)
-				continue
+			} else {
+				out[name] = types.String(fmt.Sprintf("<unseen-%d>", int(math.Round(val))))
 			}
-			out[name] = types.String(fmt.Sprintf("<unseen-%d>", int(math.Round(val))))
 		case types.KindInt:
 			// Attribute variables are relaxed to reals (see the package
 			// comment); report the exact relaxation value unless it is
@@ -340,6 +366,6 @@ func (c *compiler) extract(x []float64) map[string]types.Value {
 		default:
 			out[name] = types.Float(val)
 		}
-	}
+	})
 	return out
 }

@@ -103,9 +103,19 @@ func shape(e expr.Expr) (k nodeKey, kids [3]expr.Expr, ok bool) {
 // at every level above it, and two different subexpressions can never
 // share an id.
 type interner struct {
-	byPtr map[expr.Expr]int32 // sized by the first expression interned
-	byKey map[nodeKey]int32
+	byPtr layer[expr.Expr, int32] // sized by the first expression interned
+	byKey layer[nodeKey, int32]
 	next  int32
+}
+
+// above returns an interner that numbers on from in's state without
+// writing to it (see compiler.above); nodes sizes its own tables.
+func (in *interner) above(nodes int) *interner {
+	return &interner{
+		byPtr: in.byPtr.above(nodes),
+		byKey: in.byKey.above(nodes),
+		next:  in.next,
+	}
 }
 
 // fresh hands out the next unused id (ids start at 1; 0 means "no
@@ -124,13 +134,13 @@ func (in *interner) id(e expr.Expr) int32 {
 	if !ok {
 		return in.fresh()
 	}
-	if in.byPtr == nil {
+	if in.byPtr.own == nil {
 		// The first expression is the formula's root: room for all of
 		// its nodes saves growing both maps step by step.
 		n := expr.Size(e)
-		in.byPtr, in.byKey = make(map[expr.Expr]int32, n), make(map[nodeKey]int32, n)
+		in.byPtr.own, in.byKey.own = make(map[expr.Expr]int32, n), make(map[nodeKey]int32, n)
 	}
-	if id, ok := in.byPtr[e]; ok {
+	if id, ok := in.byPtr.get(e); ok {
 		return id
 	}
 	for i, kid := range kids {
@@ -138,18 +148,19 @@ func (in *interner) id(e expr.Expr) int32 {
 			k.kids[i] = in.id(kid)
 		}
 	}
-	id, ok := in.byKey[k]
+	id, ok := in.byKey.get(k)
 	if !ok {
 		id = in.fresh()
-		in.byKey[k] = id
+		in.byKey.put(k, id)
 	}
-	in.byPtr[e] = id
+	in.byPtr.put(e, id)
 	return id
 }
 
 // memoKey identifies one satisfiability query in a Memo: 128 bits of a
 // keyed hash over the condition's structure, the variable kinds and the
-// solver budget.
+// solver budget (see queryKey). The same two lanes also carry the
+// structural digest of a single expression (see nodeDigest).
 type memoKey struct{ hi, lo uint64 }
 
 // The two lanes of a memoKey are hash/maphash under independent seeds
@@ -157,11 +168,17 @@ type memoKey struct{ hi, lo uint64 }
 // process that made it — which is as far as a Memo reaches.
 var memoSeedHi, memoSeedLo = maphash.MakeSeed(), maphash.MakeSeed()
 
-// keyHasher streams a query into both lanes. Every field is written at
-// a fixed width or behind its length, and every node announces its tag
-// and thereby which fields and how many children follow, so the byte
-// sequence determines the query.
+// keyHasher streams one record into both lanes. Every field is written
+// at a fixed width or behind its length, so the byte sequence
+// determines the record.
 type keyHasher struct{ hi, lo maphash.Hash }
+
+func (h *keyHasher) init() {
+	h.hi.SetSeed(memoSeedHi)
+	h.lo.SetSeed(memoSeedLo)
+}
+
+func (h *keyHasher) sum() memoKey { return memoKey{hi: h.hi.Sum64(), lo: h.lo.Sum64()} }
 
 func (h *keyHasher) byte(b uint8) {
 	_ = h.hi.WriteByte(b) // maphash writes never fail
@@ -183,46 +200,64 @@ func (h *keyHasher) text(s string) {
 	_, _ = h.lo.WriteString(s)
 }
 
-func (h *keyHasher) expr(e expr.Expr) {
+// nodeDigest is the structural digest of e: a keyed hash of the node's
+// own fields (see shape) and its children's digests. Equal structure
+// gives equal digests whatever the addresses, and the digest of l ∧ r
+// follows from those of l and r (andDigest), so a shared leading
+// conjunct is hashed once however many formulas extend it (Prefix).
+func nodeDigest(e expr.Expr) memoKey {
 	k, kids, ok := shape(e)
 	if !ok {
 		// Unknown node: the concrete type goes in beside the rendering,
 		// so two node types that render alike cannot share a key (which
 		// would silently reuse the wrong solver outcome).
+		var h keyHasher
+		h.init()
 		h.byte(tagUnknown)
 		h.text(fmt.Sprintf("%T", e))
 		h.text(e.String())
-		return
+		return h.sum()
 	}
-	h.byte(k.tag)
-	if kids[0] == nil { // a leaf: its name or typed constant
-		h.byte(uint8(k.kind))
-		h.word(k.bits)
-		h.text(k.text)
-		return
-	}
-	h.byte(k.op)
+	var kd [3]memoKey
+	n := 0
 	for _, kid := range kids {
 		if kid != nil {
-			h.expr(kid)
+			kd[n] = nodeDigest(kid)
+			n++
 		}
 	}
+	return digest(k, kd[:n])
 }
 
-// hashQuery computes the memo key of one satisfiability query: the
-// condition, the kind of every variable (merged parameter kinds
-// included), and the solver knobs that can change the verdict.
-func hashQuery(cond expr.Expr, kinds map[string]types.Kind, opts Options) memoKey {
+// andDigest is nodeDigest of a conjunction whose operands have digests
+// l and r.
+func andDigest(l, r memoKey) memoKey { return digest(nodeKey{tag: tagAnd}, []memoKey{l, r}) }
+
+// digest hashes one node from its own fields and its children's
+// digests; the tag decides how many children follow.
+func digest(k nodeKey, kids []memoKey) memoKey {
 	var h keyHasher
-	h.hi.SetSeed(memoSeedHi)
-	h.lo.SetSeed(memoSeedLo)
-	h.expr(cond)
-	// The kind map goes in as an order-free digest — the sum of one
-	// keyed hash per (name, kind) entry in each lane — so the hundreds
-	// of variables of a long history need no sorting per test.
+	h.init()
+	h.byte(k.tag)
+	h.byte(k.op)
+	h.byte(uint8(k.kind))
+	h.word(k.bits)
+	h.text(k.text)
+	for _, d := range kids {
+		h.word(d.hi)
+		h.word(d.lo)
+	}
+	return h.sum()
+}
+
+// envDigest hashes what besides the condition can change a verdict:
+// the kind of every variable (merged parameter kinds included) and the
+// solver knobs. The kind map goes in as an order-free digest — the sum
+// of one keyed hash per (name, kind) entry in each lane — so the
+// hundreds of variables of a long history need no sorting.
+func envDigest(kinds map[string]types.Kind, opts Options) memoKey {
 	var entry keyHasher
-	entry.hi.SetSeed(memoSeedHi)
-	entry.lo.SetSeed(memoSeedLo)
+	entry.init()
 	var sumHi, sumLo uint64
 	for n, k := range kinds {
 		entry.hi.Reset()
@@ -232,6 +267,8 @@ func hashQuery(cond expr.Expr, kinds map[string]types.Kind, opts Options) memoKe
 		sumHi += entry.hi.Sum64()
 		sumLo += entry.lo.Sum64()
 	}
+	var h keyHasher
+	h.init()
 	h.word(uint64(len(kinds)))
 	h.word(sumHi)
 	h.word(sumLo)
@@ -239,5 +276,17 @@ func hashQuery(cond expr.Expr, kinds map[string]types.Kind, opts Options) memoKe
 	h.word(uint64(opts.Solve.MaxNodes))
 	h.word(uint64(opts.Solve.MaxIter))
 	h.word(uint64(opts.Solve.MaxPropagationRounds))
-	return memoKey{hi: h.hi.Sum64(), lo: h.lo.Sum64()}
+	return h.sum()
+}
+
+// queryKey is the memo key of a condition with structural digest cond
+// under the environment digest env.
+func queryKey(cond, env memoKey) memoKey {
+	var h keyHasher
+	h.init()
+	h.word(cond.hi)
+	h.word(cond.lo)
+	h.word(env.hi)
+	h.word(env.lo)
+	return h.sum()
 }

@@ -11,16 +11,25 @@ import (
 
 // compileNum lowers a value-position expression to a linear form plus
 // its interval, memoized on the expression's interned structure (see
-// interner). Booleans in value position contribute their indicator
-// ({0,1}); strings their dictionary code.
+// interner). Conditions in value position contribute their indicator
+// ({0,1}), memoized as conditions; strings their dictionary code.
 func (c *compiler) compileNum(e expr.Expr) (lin, interval, error) {
+	switch e.(type) {
+	case *expr.Cmp, *expr.And, *expr.Or, *expr.Not, *expr.IsNull:
+		b, err := c.compileBool(e)
+		if err != nil {
+			return lin{}, interval{}, err
+		}
+		return varLin(b), interval{0, 1}, nil
+	}
 	key := c.id(e)
-	if hit, ok := c.numMemo[key]; ok {
+	if hit, ok := c.numMemo.get(key); ok {
 		return hit.l, hit.iv, nil
 	}
+	c.lowered++
 	l, iv, err := c.compileNumUncached(e)
 	if err == nil {
-		c.numMemo[key] = numEntry{l: l, iv: iv}
+		c.numMemo.put(key, numEntry{l: l, iv: iv})
 	}
 	return l, iv, err
 }
@@ -65,12 +74,6 @@ func (c *compiler) compileNumUncached(e expr.Expr) (lin, interval, error) {
 		return c.compileArith(x)
 	case *expr.If:
 		return c.compileIf(x)
-	case *expr.Cmp, *expr.And, *expr.Or, *expr.Not, *expr.IsNull:
-		b, err := c.compileBool(e)
-		if err != nil {
-			return lin{}, interval{}, err
-		}
-		return varLin(b), interval{0, 1}, nil
 	}
 	return lin{}, interval{}, fmt.Errorf("compile: cannot lower %T to a linear form", e)
 }
@@ -128,7 +131,7 @@ func (c *compiler) compileIf(x *expr.If) (lin, interval, error) {
 		return lin{}, interval{}, err
 	}
 	iv := ivUnion(tiv, eiv)
-	v, err := c.addVar(iv.lo, iv.hi, false)
+	v, err := c.model.AddVar(iv.lo, iv.hi, false)
 	if err != nil {
 		return lin{}, interval{}, err
 	}
@@ -158,12 +161,13 @@ func (c *compiler) compileIf(x *expr.If) (lin, interval, error) {
 // on the expression's interned structure.
 func (c *compiler) compileBool(e expr.Expr) (int, error) {
 	key := c.id(e)
-	if b, ok := c.boolMemo[key]; ok {
+	if b, ok := c.boolMemo.get(key); ok {
 		return b, nil
 	}
+	c.lowered++
 	b, err := c.compileBoolUncached(e)
 	if err == nil {
-		c.boolMemo[key] = b
+		c.boolMemo.put(key, b)
 	}
 	return b, err
 }
@@ -178,7 +182,7 @@ func (c *compiler) compileBoolUncached(e expr.Expr) (int, error) {
 		if x.V.AsBool() {
 			val = 1
 		}
-		return c.addVar(val, val, true)
+		return c.model.AddVar(val, val, true)
 	case *expr.Var:
 		if c.kinds[x.Name] != types.KindBool {
 			return 0, fmt.Errorf("compile: variable %q used as condition but has kind %s", x.Name, c.kinds[x.Name])
@@ -206,13 +210,12 @@ func (c *compiler) compileBoolUncached(e expr.Expr) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.varIv = append(c.varIv, interval{0, 1})
 		// b + inner = 1 (Fig. 13 negation rule).
 		err = c.model.AddConstraint([]milp.Term{{Var: b, Coef: 1}, {Var: inner, Coef: 1}}, milp.EQ, 1)
 		return b, err
 	case *expr.IsNull:
 		// Non-NULL symbolic domain: isnull is uniformly false.
-		return c.addVar(0, 0, true)
+		return c.model.AddVar(0, 0, true)
 	case *expr.If:
 		return c.compileBoolIf(x)
 	}
@@ -232,7 +235,6 @@ func (c *compiler) compileAndOr(le, re expr.Expr, isAnd bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.varIv = append(c.varIv, interval{0, 1})
 	if isAnd {
 		// b ≤ b1, b ≤ b2, b ≥ b1+b2−1.
 		if err := c.model.AddConstraint([]milp.Term{{Var: b, Coef: 1}, {Var: b1, Coef: -1}}, milp.LE, 0); err != nil {
@@ -282,7 +284,6 @@ func (c *compiler) compileCmp(x *expr.Cmp) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.varIv = append(c.varIv, interval{0, 1})
 	addLE := func(form lin, extra []milp.Term, rhs float64) error {
 		return c.model.AddConstraint(form.milpTerms(extra...), milp.LE, rhs-form.k)
 	}
@@ -310,7 +311,6 @@ func (c *compiler) compileCmp(x *expr.Cmp) (int, error) {
 			if err != nil {
 				return 0, err
 			}
-			c.varIv = append(c.varIv, interval{0, 1})
 			if err := c.model.AddConstraint([]milp.Term{{Var: b, Coef: 1}, {Var: inner, Coef: 1}}, milp.EQ, 1); err != nil {
 				return 0, err
 			}
@@ -330,7 +330,6 @@ func (c *compiler) compileCmp(x *expr.Cmp) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.varIv = append(c.varIv, interval{0, 1})
 		if err := addGE(d, []milp.Term{{Var: s, Coef: m}, {Var: beq, Coef: m}}, Eps); err != nil {
 			return 0, err
 		}
@@ -361,7 +360,6 @@ func (c *compiler) compileBoolIf(x *expr.If) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.varIv = append(c.varIv, interval{0, 1})
 	// bc=1 ⇒ b = bt ; bc=0 ⇒ b = be. M = 1 suffices for binaries.
 	cons := []struct {
 		terms []milp.Term

@@ -11,11 +11,14 @@ import (
 // Memo is a concurrency-safe LRU of satisfiability outcomes. The
 // slicing formulas the engine compiles are deterministic functions of
 // the history suffix and the modification under test, so a query's key
-// (a 128-bit hash of the condition's structure, the variable kinds and
-// the solver budget, see hashQuery) identifies the compiled program:
-// two what-if scenarios that share a suffix and a modification produce
-// equal keys and reuse one solver run. Batch evaluation threads one
-// Memo through Options.Memo for all scenarios.
+// — 128 bits over the simplified condition's structure, the variable
+// kinds and the solver budget (see queryKey) — identifies the compiled
+// program: two what-if scenarios that share a suffix and a modification
+// produce equal keys and reuse one solver run. The structural part is a
+// Merkle-style digest, so a Prefix keys each check by its own
+// conjuncts on top of the prefix's digest and still arrives at the key
+// of the whole formula, whichever object or split asked it. Batch
+// evaluation threads one Memo through Options.Memo for all scenarios.
 //
 // Cached *Outcome values are shared; callers must treat them (including
 // the Model witness map) as read-only, which every engine call site
@@ -104,7 +107,7 @@ func fingerprintExpr(b *strings.Builder, e expr.Expr) {
 }
 
 // FingerprintExpr returns the canonical tagged serialization of e (the
-// solver memo hashes the same structure instead, see hashQuery).
+// solver memo hashes the same structure instead, see nodeDigest).
 // Constants embed their values, so fingerprinting a template condition
 // (parameters still open as $name slots) yields the constant-abstracted
 // identity the template cache keys on: two templates equal up to

@@ -10,6 +10,12 @@ import (
 	"github.com/mahif/mahif/internal/types"
 )
 
+// hashQuery is the memo key of one whole query, computed from scratch:
+// what a Prefix must arrive at for any formula it extends.
+func hashQuery(cond expr.Expr, kinds map[string]types.Kind, opts Options) memoKey {
+	return queryKey(nodeDigest(cond), envDigest(kinds, opts))
+}
+
 func TestMemoReusesOutcome(t *testing.T) {
 	cond := expr.And{
 		L: expr.Ge(expr.Variable("x"), expr.IntConst(3)),

@@ -92,7 +92,7 @@ func TestHypotheticalResultsNotCached(t *testing.T) {
 	}
 	// One compiled program per fingerprint: the hypothetical run shares
 	// the historical report's.
-	if n := len(sess.caches.eval.progs); n != 3 {
+	if n := sess.caches.eval.progs.Len(); n != 3 {
 		t.Fatalf("%d compiled programs, want 3", n)
 	}
 }

@@ -40,26 +40,31 @@ import (
 // one query are different entries. Cached results are shared read-only —
 // delta computation and query evaluation never mutate their inputs.
 type evalCache struct {
+	progs        *lru.Cache[string, *progEntry]
 	mu           sync.Mutex
-	progs        map[string]*progEntry
 	results      map[resultKey]*evalEntry
 	lru          *list.List // of resultKey; front = most recently used
 	evictions    int
 	hits, misses int
 }
 
-// defaultQueryCacheEntries bounds the materialized-result cache. Each
-// entry is a whole relation, and the key includes the time-travel
-// version, so a session serving a stream of appends would otherwise
-// accumulate one copy per (version, program) forever. Eviction is LRU
-// over completed entries only: an entry whose materialization is still
-// in flight has workers parked on its done channel and must survive
-// until it resolves.
+// defaultQueryCacheEntries bounds the materialized-result cache and the
+// compiled-program cache. Each result is a whole relation, and the key
+// includes the time-travel version, so a session serving a stream of
+// appends would otherwise accumulate one copy per (version, program)
+// forever; a program is keyed by its query's fingerprint, which carries
+// the what-if's constants, so a session answering what-ifs with fresh
+// thresholds would otherwise keep one program per what-if ever asked.
+// Result eviction is LRU over completed entries only: an entry whose
+// materialization is still in flight has workers parked on its done
+// channel and must survive until it resolves. A program is evicted
+// whenever it is least recently used — an evaluation still running it
+// holds its own reference, and the next asker compiles it again.
 const defaultQueryCacheEntries = 256
 
-// progEntry compiles one fingerprint exactly once. prog is nil when
-// the query is outside the compilable subset (the evaluation then runs
-// through the interpreter).
+// progEntry compiles one fingerprint exactly once while it is cached.
+// prog is nil when the query is outside the compilable subset (the
+// evaluation then runs through the interpreter).
 type progEntry struct {
 	once sync.Once
 	prog *exec.Program
@@ -106,7 +111,7 @@ func (e *evalEntry) completed() bool {
 
 func newEvalCache() *evalCache {
 	return &evalCache{
-		progs:   map[string]*progEntry{},
+		progs:   lru.New[string, *progEntry](defaultQueryCacheEntries),
 		results: map[resultKey]*evalEntry{},
 		lru:     list.New(),
 	}
@@ -154,13 +159,7 @@ func (c *evalCache) program(q algebra.Query, db *storage.Database, fp string, ki
 	if vec.NoColumnar {
 		key = "boxed\x00" + key
 	}
-	c.mu.Lock()
-	pe, ok := c.progs[key]
-	if !ok {
-		pe = &progEntry{}
-		c.progs[key] = pe
-	}
-	c.mu.Unlock()
+	pe, _ := c.progs.LoadOrStore(key, &progEntry{})
 	pe.once.Do(func() {
 		if prog, err := compileFor(kind, q, db, vec); err == nil {
 			pe.prog = prog
@@ -260,12 +259,13 @@ type batchShared struct {
 	eval      *evalCache
 	memo      *compile.Memo // used when Options.Compile.Memo is unset
 	templates *lru.Cache[string, *Template]
-	work      *deltaWork // a session's delta row counts
+	work      *sessionWork // a session's work counts
 }
 
-// deltaWork sums delta.Work over every delta computed through a session.
-type deltaWork struct {
-	compared, boxed atomic.Int64
+// sessionWork sums delta.Work over every delta computed through a
+// session, and the expression nodes its program slicing lowered.
+type sessionWork struct {
+	compared, boxed, lowered atomic.Int64
 }
 
 // countDelta adds one delta's row counts to the bundle's totals.
@@ -273,6 +273,14 @@ func (b *batchShared) countDelta(w delta.Work) {
 	if b.work != nil {
 		b.work.compared.Add(int64(w.Compared))
 		b.work.boxed.Add(int64(w.Boxed))
+	}
+}
+
+// countLowered adds one plan's lowered solver nodes to the bundle's
+// totals.
+func (b *batchShared) countLowered(n int) {
+	if b.work != nil {
+		b.work.lowered.Add(int64(n))
 	}
 }
 

@@ -1,11 +1,19 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"sync"
 	"testing"
 
+	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/delta"
+	"github.com/mahif/mahif/internal/exec"
+	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/history"
+	"github.com/mahif/mahif/internal/schema"
+	"github.com/mahif/mahif/internal/storage"
+	"github.com/mahif/mahif/internal/types"
 	"github.com/mahif/mahif/internal/workload"
 )
 
@@ -367,5 +375,73 @@ func TestEvalCacheLRUBound(t *testing.T) {
 	}
 	if !newest {
 		t.Fatalf("newest entry was evicted")
+	}
+}
+
+// TestProgramCacheEvictsUnderRunningEvals (run under -race): a program
+// pushed out of the bounded cache while an evaluation still runs it
+// keeps answering that evaluation; the cache holds at most its bound,
+// counts what it dropped, and compiles an evicted query afresh.
+func TestProgramCacheEvictsUnderRunningEvals(t *testing.T) {
+	db := storage.NewDatabase()
+	r := storage.NewRelation(schema.New("r", schema.Col("a", types.KindInt)))
+	for i := 0; i < 3000; i++ {
+		r.Add(schema.Tuple{types.Int(int64(i % 100))})
+	}
+	db.AddRelation(r)
+	q := func(i int) algebra.Query {
+		return &algebra.Select{Cond: expr.Ge(expr.Column("a"), expr.IntConst(int64(i))), In: &algebra.Scan{Rel: "r"}}
+	}
+	c := newEvalCache()
+	program := func(i int) *exec.Program {
+		return c.program(q(i), db, algebra.Fingerprint(q(i)), ExecVectorized, exec.VecOptions{})
+	}
+	held := program(0)
+	if held == nil {
+		t.Fatal("the query did not compile")
+	}
+	const extra = 10
+	var wg sync.WaitGroup
+	evicting := make(chan struct{})
+	wg.Add(2)
+	go func() {
+		// Runs the held program until the cache has moved past it, and
+		// once more after.
+		defer wg.Done()
+		for k, last := 0, false; !last; k++ {
+			select {
+			case <-evicting:
+				last = true
+			default:
+			}
+			out, err := held.RunCtx(context.Background(), db)
+			if err != nil || out.Len() != 3000 {
+				t.Errorf("run %d of the held program: %v, %v", k, out, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		defer close(evicting)
+		for i := 1; i <= defaultQueryCacheEntries+extra; i++ {
+			if program(i) == nil {
+				t.Errorf("query %d did not compile", i)
+			}
+		}
+	}()
+	wg.Wait()
+	if n := c.progs.Len(); n != defaultQueryCacheEntries {
+		t.Errorf("%d programs resident, want the bound %d", n, defaultQueryCacheEntries)
+	}
+	if ev := c.progs.Evictions(); ev != extra+1 {
+		t.Errorf("%d evictions, want %d", ev, extra+1)
+	}
+	again := program(0)
+	if again == held {
+		t.Fatal("the evicted program is still cached")
+	}
+	if out, err := again.RunCtx(context.Background(), db); err != nil || out.Len() != 3000 {
+		t.Fatalf("recompiled program: %v rows, %v", out.Len(), err)
 	}
 }

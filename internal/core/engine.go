@@ -130,6 +130,10 @@ type Stats struct {
 	KeptStatements  int
 	SolverTests     int
 	SolverNodes     int
+	// SolverLowered counts the expression nodes program slicing lowered
+	// into solver models (progslice.Stats.Lowered, summed): about
+	// |Φ_D ∧ affected| plus what each test adds, not tests × formula.
+	SolverLowered int
 
 	// Delta work, in rows, summed over the answered relations: the two
 	// reenactment results were compared lane-wise at RowsCompared

@@ -113,6 +113,7 @@ func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, op
 			return nil, err
 		}
 	}
+	shared.countLowered(stats.SolverLowered)
 	return p, nil
 }
 
@@ -158,6 +159,7 @@ func (e *Engine) planRelation(ctx context.Context, p *plan, suffix *history.Padd
 			p.stats.ProgramSlicing += res.Stats.Duration
 			p.stats.SolverTests += res.Stats.Tests
 			p.stats.SolverNodes += res.Stats.SolverNodes
+			p.stats.SolverLowered += res.Stats.Lowered
 		}
 		kept = &history.PaddedPair{Orig: noIns.Orig.Restrict(keep), Mod: noIns.Mod.Restrict(keep)}
 	}

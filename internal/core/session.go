@@ -67,7 +67,7 @@ func (s *Session) reset() {
 		eval:      newEvalCache(),
 		memo:      compile.NewMemo(),
 		templates: lru.New[string, *Template](templateCacheEntries),
-		work:      &deltaWork{},
+		work:      &sessionWork{},
 	}
 }
 
@@ -157,6 +157,16 @@ type SessionStats struct {
 	// bound, and QueryResident is the count currently held.
 	QueryHits, QueryMisses        int
 	QueryEvictions, QueryResident int
+	// ProgramEvictions counts compiled reenactment programs dropped by
+	// the program cache's LRU bound; ProgramResident is the count
+	// currently held. Evictions climbing means what-ifs rarely repeat
+	// (each fresh constant is a fresh program), not a leak.
+	ProgramEvictions int64
+	ProgramResident  int
+	// SolverLowered sums Stats.SolverLowered over every what-if and
+	// template compile planned through the session: the expression nodes
+	// program slicing lowered into solver models.
+	SolverLowered int64
 	// DeltaRowsCompared/Boxed sum Stats.RowsCompared/RowsBoxed over every
 	// what-if and template eval answered through the session: positions
 	// compared lane-wise, and rows that did not cancel there and were
@@ -192,6 +202,9 @@ func (s *Session) Stats() SessionStats {
 	st.QueryHits, st.QueryMisses = s.caches.eval.stats()
 	st.QueryEvictions = s.caches.eval.evicted()
 	st.QueryResident = s.caches.eval.resident()
+	st.ProgramEvictions = s.caches.eval.progs.Evictions()
+	st.ProgramResident = s.caches.eval.progs.Len()
+	st.SolverLowered = s.caches.work.lowered.Load()
 	st.DeltaRowsCompared, st.DeltaRowsBoxed = s.caches.work.compared.Load(), s.caches.work.boxed.Load()
 	st.TemplateHits, st.TemplateMisses = s.caches.templates.Stats()
 	st.TemplateEvictions = s.caches.templates.Evictions()

@@ -53,20 +53,7 @@ func Simplify(e Expr) Expr {
 		}
 		return &Cmp{Op: x.Op, L: l, R: r}
 	case *And:
-		l, r := Simplify(x.L), Simplify(x.R)
-		if isConstBool(l, false) || isConstBool(r, false) {
-			return False
-		}
-		if isConstBool(l, true) {
-			return r
-		}
-		if isConstBool(r, true) {
-			return l
-		}
-		if Equal(l, r) {
-			return l
-		}
-		return &And{L: l, R: r}
+		return SimplifyAnd(Simplify(x.L), Simplify(x.R))
 	case *Or:
 		l, r := Simplify(x.L), Simplify(x.R)
 		if isConstBool(l, true) || isConstBool(r, true) {
@@ -118,6 +105,27 @@ func Simplify(e Expr) Expr {
 		return &If{Cond: c, Then: t, Else: el}
 	}
 	return e
+}
+
+// SimplifyAnd is Simplify's rule for l ∧ r over operands that are
+// already simplified, so folding it over simplified conjuncts rebuilds
+// Simplify of their left-deep conjunction node for node. A caller that
+// simplified a shared leading conjunct once can extend it per use
+// without simplifying it again.
+func SimplifyAnd(l, r Expr) Expr {
+	if isConstBool(l, false) || isConstBool(r, false) {
+		return False
+	}
+	if isConstBool(l, true) {
+		return r
+	}
+	if isConstBool(r, true) {
+		return l
+	}
+	if Equal(l, r) {
+		return l
+	}
+	return &And{L: l, R: r}
 }
 
 func isConstBool(e Expr, want bool) bool {

@@ -182,3 +182,37 @@ func TestSimplifyIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// TestSimplifyAndFoldRebuildsSimplify: folding SimplifyAnd over the
+// simplified conjuncts of a left-deep conjunction — the leading one
+// simplified once and shared — gives Simplify of the whole conjunction,
+// constants that fold it away included.
+func TestSimplifyAndFoldRebuildsSimplify(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		conj := make([]Expr, 1+r.Intn(5))
+		for j := range conj {
+			switch r.Intn(8) {
+			case 0:
+				conj[j] = True
+			case 1:
+				conj[j] = BoolConst(r.Intn(4) != 0)
+			case 2:
+				if j > 0 {
+					conj[j] = conj[r.Intn(j)] // a repeat: l ∧ l ⇒ l
+					continue
+				}
+				conj[j] = randomCond(r, 2)
+			default:
+				conj[j] = randomCond(r, 2)
+			}
+		}
+		fold := Simplify(conj[0])
+		for _, c := range conj[1:] {
+			fold = SimplifyAnd(fold, Simplify(c))
+		}
+		if want := Simplify(AndOf(conj...)); fold.String() != want.String() || !Equal(fold, want) {
+			t.Fatalf("fold %s, Simplify of the whole %s", fold, want)
+		}
+	}
+}

@@ -60,17 +60,39 @@ type Model struct {
 }
 
 // occurrences returns (building if necessary) the variable→constraints
-// adjacency used by incremental propagation.
+// adjacency used by incremental propagation: per variable, the
+// constraints mentioning it in ascending order, each once however many
+// of its terms name the variable. All lists share one backing array.
 func (m *Model) occurrences() [][]int {
 	if m.occurs != nil {
 		return m.occurs
 	}
-	m.occurs = make([][]int, len(m.lo))
+	// last[v] is 1 + the last constraint counted for v, so a variable
+	// repeated within one constraint is counted once.
+	last := make([]int, len(m.lo))
+	count := make([]int, len(m.lo))
+	total := 0
 	for ci := range m.cons {
-		seen := map[int]bool{}
 		for _, t := range m.cons[ci].Terms {
-			if !seen[t.Var] {
-				seen[t.Var] = true
+			if last[t.Var] != ci+1 {
+				last[t.Var] = ci + 1
+				count[t.Var]++
+				total++
+			}
+		}
+	}
+	flat := make([]int, total)
+	m.occurs = make([][]int, len(m.lo))
+	off := 0
+	for v, n := range count {
+		m.occurs[v] = flat[off : off : off+n]
+		off += n
+		last[v] = 0
+	}
+	for ci := range m.cons {
+		for _, t := range m.cons[ci].Terms {
+			if last[t.Var] != ci+1 {
+				last[t.Var] = ci + 1
 				m.occurs[t.Var] = append(m.occurs[t.Var], ci)
 			}
 		}
@@ -80,6 +102,19 @@ func (m *Model) occurrences() [][]int {
 
 // NewModel returns an empty model.
 func NewModel() *Model { return &Model{} }
+
+// Fork returns a model that starts out equal to m and grows on its own:
+// what is added to the fork never shows in m or in any other fork. The
+// fork shares m's rows until its first addition copies them, so m must
+// not grow while forks of it are in use.
+func (m *Model) Fork() *Model {
+	return &Model{
+		lo:    m.lo[:len(m.lo):len(m.lo)],
+		hi:    m.hi[:len(m.hi):len(m.hi)],
+		isInt: m.isInt[:len(m.isInt):len(m.isInt)],
+		cons:  m.cons[:len(m.cons):len(m.cons)],
+	}
+}
 
 // NumVars returns the number of variables.
 func (m *Model) NumVars() int { return len(m.lo) }

@@ -104,14 +104,13 @@ func (m *Model) propagate(lo, hi []float64, seed int, visits int) bool {
 		con := &m.cons[ci]
 		changedVars = changedVars[:0]
 		if con.Sense == LE || con.Sense == EQ {
-			ok := m.tightenLE(con.Terms, con.RHS, lo, hi, &changedVars)
-			if !ok {
+			if !m.tighten(con.Terms, 1, con.RHS, lo, hi, &changedVars) {
 				return false
 			}
 		}
 		if con.Sense == GE || con.Sense == EQ {
-			ok := m.tightenGE(con.Terms, con.RHS, lo, hi, &changedVars)
-			if !ok {
+			// Σ aᵢxᵢ ≥ rhs as Σ (−aᵢ)xᵢ ≤ −rhs.
+			if !m.tighten(con.Terms, -1, -con.RHS, lo, hi, &changedVars) {
 				return false
 			}
 		}
@@ -160,34 +159,37 @@ func (m *Model) branchWorthy(lo, hi []float64) []bool {
 	return worthy
 }
 
-// tightenLE handles Σ aᵢxᵢ ≤ rhs: it prunes using the minimum activity
-// and derives per-variable bound updates, appending tightened variables
-// to changed.
-func (m *Model) tightenLE(terms []Term, rhs float64, lo, hi []float64, changed *[]int) bool {
+// tighten handles Σ (sign·aᵢ)xᵢ ≤ rhs for sign ±1: it prunes using the
+// minimum activity and derives per-variable bound updates, appending
+// tightened variables to changed. A coefficient is negated as it is
+// read — exactly, so a ≥ row costs no negated copy of its terms and
+// runs the very arithmetic one would.
+func (m *Model) tighten(terms []Term, sign, rhs float64, lo, hi []float64, changed *[]int) bool {
 	minAct := 0.0
 	for _, t := range terms {
-		if t.Coef > 0 {
-			minAct += t.Coef * lo[t.Var]
+		if c := sign * t.Coef; c > 0 {
+			minAct += c * lo[t.Var]
 		} else {
-			minAct += t.Coef * hi[t.Var]
+			minAct += c * hi[t.Var]
 		}
 	}
 	if minAct > rhs+feasEps {
 		return false
 	}
 	for _, t := range terms {
-		if t.Coef == 0 {
+		c := sign * t.Coef
+		if c == 0 {
 			continue
 		}
 		var contrib float64
-		if t.Coef > 0 {
-			contrib = t.Coef * lo[t.Var]
+		if c > 0 {
+			contrib = c * lo[t.Var]
 		} else {
-			contrib = t.Coef * hi[t.Var]
+			contrib = c * hi[t.Var]
 		}
 		slack := rhs - (minAct - contrib)
-		bound := slack / t.Coef
-		if t.Coef > 0 {
+		bound := slack / c
+		if c > 0 {
 			// x ≤ bound.
 			if m.isInt[t.Var] {
 				bound = math.Floor(bound + propTol)
@@ -214,15 +216,6 @@ func (m *Model) tightenLE(terms []Term, rhs float64, lo, hi []float64, changed *
 		}
 	}
 	return true
-}
-
-// tightenGE handles Σ aᵢxᵢ ≥ rhs by negating into ≤ form.
-func (m *Model) tightenGE(terms []Term, rhs float64, lo, hi []float64, changed *[]int) bool {
-	neg := make([]Term, len(terms))
-	for i, t := range terms {
-		neg[i] = Term{Var: t.Var, Coef: -t.Coef}
-	}
-	return m.tightenLE(neg, -rhs, lo, hi, changed)
 }
 
 // branchCtx explores one node. The search is propagation-driven: exact

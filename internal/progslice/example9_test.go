@@ -19,7 +19,7 @@ func TestExample9DependencyDetection(t *testing.T) {
 	`, 0, `UPDATE orders SET fee = 0 WHERE price >= 60`)
 
 	in := &Input{Pair: pair, Schema: orderSchema(), PhiD: expr.True}
-	res, err := Dependency(in)
+	res, err := checkedDependency(t, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDependencyStatsScale(t *testing.T) {
 		UPDATE orders SET fee = 4 WHERE price >= 60;
 	`, 0, `UPDATE orders SET fee = 1 WHERE price >= 95`)
 	in := &Input{Pair: pair, Schema: orderSchema(), PhiD: expr.True}
-	res, err := Dependency(in)
+	res, err := checkedDependency(t, in)
 	if err != nil {
 		t.Fatal(err)
 	}

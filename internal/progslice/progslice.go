@@ -45,6 +45,12 @@ type Stats struct {
 	// Indefinite counts tests that hit a solver budget (treated as
 	// "keep").
 	Indefinite int
+	// Lowered counts the expression nodes lowered into solver models.
+	// A dependency run lowers Φ_D ∧ affected once and each test only
+	// its own conjuncts (see compile.Prefix), so this grows with the
+	// formulas' distinct parts, not with tests × formula size; tests the
+	// solver memo answered lower nothing.
+	Lowered int
 	// Duration is wall-clock time spent slicing.
 	Duration time.Duration
 	// Kept and Removed count statement positions.
@@ -207,7 +213,9 @@ func isSlice(ctx context.Context, in *Input, positions []int, st *Stats) (bool, 
 	globals := newGlobalDefs(full0, full1, sl0, sl1).prune(core)
 	formula := expr.AndOf(append([]expr.Expr{core}, globals...)...)
 	kinds := symbolic.MergeKinds(full0, full1, sl0, sl1)
-	out, err := compile.SatisfiableCtx(ctx, formula, kinds, in.Compile)
+	check := compile.NewPrefix(formula, kinds, in.Compile)
+	out, err := check.SatisfiableCtx(ctx)
+	st.Lowered += check.Lowered()
 	if err != nil {
 		return false, err
 	}
@@ -273,6 +281,13 @@ func DependencyCtx(ctx context.Context, in *Input) (*Result, error) {
 	}
 	affected := expr.OrOf(modConds...)
 
+	// Every test shares Φ_D ∧ affected: it is simplified, hashed, lowered
+	// and reached through the definitions once per run, and each test
+	// adds only touched_i and the definitions touched_i reaches beyond it.
+	shared := expr.AndOf(in.PhiD, affected)
+	prefix := compile.NewPrefix(shared, kinds, in.Compile)
+	sharedReach := defs.reach(nil, shared)
+
 	n := len(in.Pair.Orig)
 	var keepPos []int
 	for i := 0; i < n; i++ {
@@ -288,14 +303,13 @@ func DependencyCtx(ctx context.Context, in *Input) (*Result, error) {
 		}
 		// Dependent iff a world lets a tuple reach u_i (alive) matching
 		// its condition in either history while also being affected by a
-		// modified statement.
+		// modified statement: Φ_D ∧ affected ∧ touched ∧ globals.
 		touched := expr.OrOf(
 			expr.AndOf(orig.Steps[i].LocalBefore, orig.Steps[i].Theta),
 			expr.AndOf(mod.Steps[i].LocalBefore, mod.Steps[i].Theta),
 		)
-		core := expr.AndOf(in.PhiD, affected, touched)
-		globals := defs.prune(core)
-		out, err := compile.SatisfiableCtx(ctx, expr.AndOf(append([]expr.Expr{core}, globals...)...), kinds, in.Compile)
+		globals := defs.conjuncts(defs.reach(sharedReach, touched))
+		out, err := prefix.SatisfiableCtx(ctx, append([]expr.Expr{touched}, globals...)...)
 		if err != nil {
 			return nil, err
 		}
@@ -309,6 +323,7 @@ func DependencyCtx(ctx context.Context, in *Input) (*Result, error) {
 		}
 	}
 
+	st.Lowered = prefix.Lowered()
 	st.Kept = len(keepPos)
 	st.Removed = n - st.Kept
 	st.Duration = time.Since(start)

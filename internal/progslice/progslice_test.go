@@ -41,7 +41,7 @@ func keepSet(t *testing.T, pair *history.PaddedPair, phiD expr.Expr) (greedy, de
 	if err != nil {
 		t.Fatalf("Greedy: %v", err)
 	}
-	d, err := Dependency(in)
+	d, err := checkedDependency(t, in)
 	if err != nil {
 		t.Fatalf("Dependency: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestSliceValidity(t *testing.T) {
 				}
 			} else {
 				var res *Result
-				res, err = Dependency(in)
+				res, err = checkedDependency(t, in)
 				if res != nil {
 					keep = res.Keep
 				}

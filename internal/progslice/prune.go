@@ -64,8 +64,26 @@ func varNames(e expr.Expr) []string {
 // MILP small. Non-definition conjuncts are always kept; definitions
 // come out in definition order.
 func (t *globalDefs) prune(core expr.Expr) []expr.Expr {
+	return t.conjuncts(t.reach(nil, core))
+}
+
+// reach marks the definitions transitively reachable from the variables
+// of e or already marked in base; a nil base starts from the variables
+// of the always-kept conjuncts. base is not modified. The marks depend
+// on the set of variables only, so a run that tests one shared formula
+// conjoined with a different one per test reaches from the shared part
+// once and extends that per test.
+func (t *globalDefs) reach(base []bool, e expr.Expr) []bool {
 	used := make([]bool, len(t.defs))
-	queue := append(varNames(core), t.alwaysVars...)
+	if len(t.defs) == 0 {
+		return used
+	}
+	queue := varNames(e)
+	if base == nil {
+		queue = append(queue, t.alwaysVars...)
+	} else {
+		copy(used, base)
+	}
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -76,7 +94,12 @@ func (t *globalDefs) prune(core expr.Expr) []expr.Expr {
 		used[i] = true
 		queue = append(queue, t.defs[i].deps...)
 	}
+	return used
+}
 
+// conjuncts returns the always-kept conjuncts, then the marked
+// definitions in definition order.
+func (t *globalDefs) conjuncts(used []bool) []expr.Expr {
 	out := append([]expr.Expr(nil), t.always...)
 	for i, d := range t.defs {
 		if used[i] {

@@ -79,7 +79,46 @@ func pruneGlobalsPerCall(core expr.Expr, states ...*symbolic.State) []expr.Expr 
 // random core formulas, one table pruned many times returns the very
 // conjuncts, in the very order, that a table rebuilt per call returned.
 func TestPruneMatchesPerCallTable(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	forRandomPruneTests(t, 7, func(defs *globalDefs, states []*symbolic.State, shared, own expr.Expr) {
+		core := expr.AndOf(shared, own)
+		samePruned(t, defs.prune(core), pruneGlobalsPerCall(core, states...))
+	})
+}
+
+// TestPruneFromSharedReachMatchesPerCallTable: a run that reaches from
+// its shared formula once and extends that per test gets, for every
+// test, the very conjuncts in the very order the per-call table returns
+// for the whole formula.
+func TestPruneFromSharedReachMatchesPerCallTable(t *testing.T) {
+	forRandomPruneTests(t, 8, func(defs *globalDefs, states []*symbolic.State, shared, own expr.Expr) {
+		reached := defs.reach(nil, shared)
+		before := fmt.Sprint(reached)
+		got := defs.conjuncts(defs.reach(reached, own))
+		if fmt.Sprint(reached) != before {
+			t.Fatal("extending a shared reach modified it")
+		}
+		samePruned(t, got, pruneGlobalsPerCall(expr.AndOf(shared, own), states...))
+	})
+}
+
+func samePruned(t *testing.T, got, want []expr.Expr) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("kept %d conjuncts, the per-call table %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("conjunct %d is %s, want %s", i, got[i], want[i])
+		}
+	}
+}
+
+// forRandomPruneTests runs check over random update/delete histories:
+// per trial one definition table of two or four states, and six tests
+// of a core formula split into a shared part and a per-test part (a
+// step condition, sometimes true).
+func forRandomPruneTests(t *testing.T, seed int64, check func(defs *globalDefs, states []*symbolic.State, shared, own expr.Expr)) {
+	rng := rand.New(rand.NewSource(seed))
 	cols := []string{"a", "b", "c", "d"}
 	s := schema.New("r",
 		schema.Col("a", types.KindInt), schema.Col("b", types.KindInt),
@@ -117,19 +156,12 @@ func TestPruneMatchesPerCallTable(t *testing.T) {
 		defs := newGlobalDefs(states...)
 		for test := 0; test < 6; test++ {
 			st := states[rng.Intn(len(states))]
-			core := expr.AndOf(st.Local, st.Vals[cols[rng.Intn(4)]], expr.Eq(st.Vals[cols[rng.Intn(4)]], expr.IntConst(1)))
+			shared := expr.AndOf(st.Local, st.Vals[cols[rng.Intn(4)]], expr.Eq(st.Vals[cols[rng.Intn(4)]], expr.IntConst(1)))
+			var own expr.Expr = expr.True
 			if len(st.Steps) > 0 {
-				core = expr.AndOf(core, st.Steps[rng.Intn(len(st.Steps))].Theta)
+				own = st.Steps[rng.Intn(len(st.Steps))].Theta
 			}
-			got, want := defs.prune(core), pruneGlobalsPerCall(core, states...)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d test %d: kept %d conjuncts, the per-call table %d", trial, test, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d test %d: conjunct %d is %s, want %s", trial, test, i, got[i], want[i])
-				}
-			}
+			check(defs, states, shared, own)
 		}
 	}
 }

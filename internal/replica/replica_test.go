@@ -266,7 +266,22 @@ func TestRouter(t *testing.T) {
 	}
 
 	// Read-your-writes through the router: bound by the append's
-	// version, every read answers at or past it.
+	// version, every read answers at or past it. Until a health poll has
+	// seen a replica at that version the leader answers them all (the
+	// fallback), so wait for one: twenty reads can finish inside one
+	// poll interval.
+	waitFor(t, "a replica seen at the append's version", func() bool {
+		var st RouterStatus
+		if err := json.Unmarshal(get(t, routerTS.URL+"/v1/status", http.StatusOK), &st); err != nil {
+			return false
+		}
+		for _, b := range st.Backends {
+			if !b.Leader && b.Healthy && b.Version >= 6 {
+				return true
+			}
+		}
+		return false
+	})
 	bounded := []byte(`{"min_version":6,"modifications":[{"op":"replace","pos":1,"statement":"UPDATE orders SET price = 0 WHERE id < 5"}]}`)
 	sawReplica := false
 	for i := 0; i < 20; i++ {

@@ -43,14 +43,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m("mahif_session_query_misses_total", "Compiled reenactment-result cache misses per session.", "counter")
 	m("mahif_session_query_evictions_total", "Materialized results dropped by the query-cache LRU bound per session.", "counter")
 	m("mahif_session_query_resident", "Materialized results currently held per session.", "gauge")
+	m("mahif_session_program_evictions_total", "Compiled reenactment programs dropped by the program-cache LRU bound per session.", "counter")
+	m("mahif_session_program_resident", "Compiled reenactment programs currently held per session.", "gauge")
 	m("mahif_session_template_hits_total", "Compiled scenario-template cache hits per session.", "counter")
 	m("mahif_session_template_misses_total", "Compiled scenario-template cache misses per session.", "counter")
 	m("mahif_session_template_evictions_total", "Template artifacts dropped by the template-cache LRU bound per session.", "counter")
 	m("mahif_session_template_resident", "Template artifacts currently held per session.", "gauge")
-	var rowsCompared, rowsBoxed int64
+	var rowsCompared, rowsBoxed, lowered int64
 	for i, st := range s.SessionStats() {
 		rowsCompared += st.DeltaRowsCompared
 		rowsBoxed += st.DeltaRowsBoxed
+		lowered += st.SolverLowered
 		l := fmt.Sprintf("{session=\"%d\"}", i)
 		fmt.Fprintf(&b, "mahif_session_calls_total%s %d\n", l, st.Calls)
 		fmt.Fprintf(&b, "mahif_session_invalidations_total%s %d\n", l, st.Invalidations)
@@ -72,6 +75,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "mahif_session_query_misses_total%s %d\n", l, st.QueryMisses)
 		fmt.Fprintf(&b, "mahif_session_query_evictions_total%s %d\n", l, st.QueryEvictions)
 		fmt.Fprintf(&b, "mahif_session_query_resident%s %d\n", l, st.QueryResident)
+		fmt.Fprintf(&b, "mahif_session_program_evictions_total%s %d\n", l, st.ProgramEvictions)
+		fmt.Fprintf(&b, "mahif_session_program_resident%s %d\n", l, st.ProgramResident)
 		fmt.Fprintf(&b, "mahif_session_template_hits_total%s %d\n", l, st.TemplateHits)
 		fmt.Fprintf(&b, "mahif_session_template_misses_total%s %d\n", l, st.TemplateMisses)
 		fmt.Fprintf(&b, "mahif_session_template_evictions_total%s %d\n", l, st.TemplateEvictions)
@@ -82,6 +87,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "mahif_delta_rows_compared_total %d\n", rowsCompared)
 	m("mahif_delta_rows_boxed_total", "Rows that did not cancel at their position and were gathered into tuples (both sides), over all sessions; its ratio to rows compared is the share of reenactment output a what-if boxes.", "counter")
 	fmt.Fprintf(&b, "mahif_delta_rows_boxed_total %d\n", rowsBoxed)
+	m("mahif_solver_lowered_nodes_total", "Expression nodes program slicing lowered into solver models, over all sessions; a dependency run lowers its shared Φ_D ∧ affected once and each test only its own conjuncts.", "counter")
+	fmt.Fprintf(&b, "mahif_solver_lowered_nodes_total %d\n", lowered)
 
 	m("mahif_templates_registered", "Scenario template ids resident in the registry (POST /v1/template, least recently used evicted).", "gauge")
 	fmt.Fprintf(&b, "mahif_templates_registered %d\n", s.templates.Len())
