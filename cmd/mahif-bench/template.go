@@ -45,14 +45,19 @@ type templateResult struct {
 	// and amortized for the template rows).
 	NsPerBinding int64 `json:"ns_per_binding"`
 	// Slicing outcome of the template artifact (template rows only).
-	// DataSlicing reports the SET-only fast path: slots confined to SET
-	// position leave the slicing filters binding-invariant, so data
-	// slicing survives compilation (set-slot cells say true).
-	TotalStatements    int  `json:"total_statements,omitempty"`
-	KeptStatements     int  `json:"kept_statements,omitempty"`
-	BindingIndependent int  `json:"binding_independent,omitempty"`
-	BindingDependent   int  `json:"binding_dependent,omitempty"`
-	DataSlicing        bool `json:"data_slicing,omitempty"`
+	// DataSlicing reports that the artifact compiled its slicing filters
+	// in; SlicedEvals/UnslicedEvals count the bindings whose relation ran
+	// the data-sliced plan or the unsliced one. A cond-slot cell counts
+	// every binding — at the default 500 rows, below one executor batch,
+	// all of them unsliced; a set-slot filter carries no slot and counts
+	// neither.
+	TotalStatements    int   `json:"total_statements,omitempty"`
+	KeptStatements     int   `json:"kept_statements,omitempty"`
+	BindingIndependent int   `json:"binding_independent,omitempty"`
+	BindingDependent   int   `json:"binding_dependent,omitempty"`
+	DataSlicing        bool  `json:"data_slicing,omitempty"`
+	SlicedEvals        int64 `json:"sliced_evals,omitempty"`
+	UnslicedEvals      int64 `json:"unsliced_evals,omitempty"`
 	// SpeedupVsBatch is the template row's per-binding gain over its
 	// ablation twin (batch ns_per_binding / template ns_per_binding).
 	SpeedupVsBatch float64 `json:"speedup_vs_batch,omitempty"`
@@ -80,8 +85,10 @@ type templateReport struct {
 //   - cond-slot: the modified update's threshold is the slot
 //     (UPDATE ... WHERE sel >= $cut). The slicing keep-set must stay
 //     conservative (a symbolic threshold overlaps every statement's
-//     region for some binding), so the win is purely the amortized
-//     per-binding compile+solve.
+//     region for some binding), so the win is the amortized per-binding
+//     compile+solve, plus data slicing for the bindings whose slice is
+//     narrow (each binding runs the cheaper of the sliced and the
+//     unsliced plan).
 //   - set-slot: the written value is the slot (SET payload = payload +
 //     $v) under a concrete condition, so the template slices like a
 //     constant scenario and the sweep also skips the re-evaluation of
@@ -94,7 +101,9 @@ type templateReport struct {
 // answers a stride sample of the sweep (the full 10k through
 // per-scenario compile+solve would run ~an hour); every sampled binding
 // is checked differentially against its template twin and the report
-// records identical_results per template cell.
+// records identical_results per template cell. The sweep runs in chunks
+// of templateChunk bindings and keeps only the sampled deltas: a wide
+// binding's delta is ≈ 1 MB, so all 10k held at once would need ≈ 10 GB.
 func (h *harness) templateExp() {
 	bindings := 10000
 	sample := 300
@@ -184,31 +193,37 @@ func (h *harness) templateExp() {
 			bvals[i] = map[string]types.Value{shape.param: types.Float(v)}
 		}
 
+		stride := bindings / sample
+		if stride < 1 {
+			stride = 1
+		}
 		start := time.Now()
 		tpl, err := engine.CompileTemplate(mods, core.DefaultOptions())
 		if err != nil {
 			panic(err)
 		}
 		compileT := time.Since(start)
-		results, err := tpl.EvalBatch(bvals, workers)
-		if err != nil {
-			panic(err)
-		}
-		templateT := time.Since(start)
-		for _, r := range results {
-			if r.Err != nil {
-				panic(r.Err)
+		sampled := map[int]delta.Set{}
+		for lo := 0; lo < bindings; lo += templateChunk {
+			results, err := tpl.EvalBatch(bvals[lo:min(lo+templateChunk, bindings)], workers)
+			if err != nil {
+				panic(err)
+			}
+			for k, r := range results {
+				if r.Err != nil {
+					panic(r.Err)
+				}
+				if (lo+k)%stride == 0 {
+					sampled[lo+k] = r.Delta
+				}
 			}
 		}
+		templateT := time.Since(start)
 
 		// The ablation: every sample-th binding as its own scenario
 		// through WhatIfBatch. Sharing (snapshot, memo, query cache)
 		// stays on — this is the strongest constant-scenario baseline —
 		// but each distinct constant still pays compile+solve.
-		stride := bindings / sample
-		if stride < 1 {
-			stride = 1
-		}
 		var picked []int
 		for i := 0; i < bindings; i += stride {
 			picked = append(picked, i)
@@ -232,7 +247,7 @@ func (h *harness) templateExp() {
 			if br.Err != nil {
 				panic(br.Err)
 			}
-			if !deltasEqual(results[picked[j]].Delta, br.Delta) {
+			if !deltasEqual(sampled[picked[j]], br.Delta) {
 				identical = false
 				fmt.Printf("  DIFF at binding %d (%s)\n", picked[j], c.shape)
 			}
@@ -255,6 +270,8 @@ func (h *harness) templateExp() {
 				BindingIndependent: st.BindingIndependent,
 				BindingDependent:   st.BindingDependent,
 				DataSlicing:        st.DataSlicing,
+				SlicedEvals:        st.SlicedEvals,
+				UnslicedEvals:      st.UnslicedEvals,
 				SpeedupVsBatch:     speedup,
 				IdenticalResults:   &id,
 			},
@@ -279,6 +296,10 @@ func (h *harness) templateExp() {
 	}
 	fmt.Printf("\nwrote %s\n", templateOut)
 }
+
+// templateChunk is how many bindings one EvalBatch call of the template
+// sweep answers.
+const templateChunk = 500
 
 // deltasEqual compares two delta sets relation by relation, treating a
 // missing relation and an empty one as equal.

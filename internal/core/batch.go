@@ -263,9 +263,11 @@ type batchShared struct {
 }
 
 // sessionWork sums delta.Work over every delta computed through a
-// session, and the expression nodes its program slicing lowered.
+// session, the expression nodes its program slicing lowered, and the
+// plans its template evals chose.
 type sessionWork struct {
 	compared, boxed, lowered atomic.Int64
+	sliced, unsliced         atomic.Int64
 }
 
 // countDelta adds one delta's row counts to the bundle's totals.
@@ -273,6 +275,18 @@ func (b *batchShared) countDelta(w delta.Work) {
 	if b.work != nil {
 		b.work.compared.Add(int64(w.Compared))
 		b.work.boxed.Add(int64(w.Boxed))
+	}
+}
+
+// countPlan counts one template relation eval that chose between its
+// sliced and unsliced pairs.
+func (b *batchShared) countPlan(sliced bool) {
+	switch {
+	case b.work == nil:
+	case sliced:
+		b.work.sliced.Add(1)
+	default:
+		b.work.unsliced.Add(1)
 	}
 }
 

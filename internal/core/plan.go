@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/dataslice"
+	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/history"
 	"github.com/mahif/mahif/internal/progslice"
 	"github.com/mahif/mahif/internal/reenact"
@@ -20,8 +22,10 @@ import (
 // delta can be non-empty the two reenactment queries to run over it. A
 // what-if runs both sides of every relation and diffs them; a template
 // runs the original sides once and keeps the modified sides whose
-// $slots are still open. Both go through here, so every slicing
-// decision is taken in exactly one place.
+// $slots are still open — and, where a slot reached an original-side
+// slicing filter, a second, unsliced pair to choose from per binding.
+// Both go through here, so every slicing decision is taken in exactly
+// one place.
 type plan struct {
 	// db is the state right before the first modified statement, shared
 	// read-only when it came from a snapshot cache; ver is its history
@@ -43,6 +47,24 @@ type plan struct {
 type relPlan struct {
 	rel       string
 	orig, mod algebra.Query
+	// unsliced is set when a slicing filter the original side reads
+	// carries a $slot, so that orig depends on the binding too: it is the
+	// same relation's pair built without filters, whose original side is
+	// binding-free. A template runs, per binding, whichever of the two
+	// pairs reenacts fewer base rows (templateRel.slice); filters are the
+	// ones orig and mod read, which decide that count.
+	unsliced *relPlan
+	filters  []scanFilter
+}
+
+// scanFilter is the pair of slicing filters one base scan of a relation
+// plan reads: h on the original side, m on the modified side, nil where
+// that side scans unfiltered. rows is the scanned relation's size in the
+// plan's snapshot.
+type scanFilter struct {
+	rel  string
+	h, m expr.Expr
+	rows int
 }
 
 // plan runs time travel, data slicing and per-relation program slicing
@@ -89,18 +111,15 @@ func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, op
 	sort.Strings(targets)
 	sort.Strings(stats.SkippedRelations)
 
-	// Data slicing (§6). Templates keep it only when every $slot sits in
-	// value position (see compileTemplate), so the conditions the
-	// filters derive from are concrete; dropParamFilters catches the one
-	// remaining leak path.
+	// Data slicing (§6). The push-down is exact for every constant, so a
+	// $slot in a condition simply stays open in the filters it reaches;
+	// planRelation gives a relation whose original side such a filter
+	// slices a second, unfiltered pair.
 	filters := &dataslice.Conditions{H: reenact.Filters{}, M: reenact.Filters{}}
 	if opts.DataSlicing {
 		t0 := time.Now()
 		if filters, err = dataslice.Compute(suffix, db, opts.DataSlice); err != nil {
 			return nil, err
-		}
-		if len(p.params) > 0 {
-			dropParamFilters(filters)
 		}
 		stats.DataSlicing = time.Since(t0)
 	}
@@ -191,16 +210,65 @@ func (e *Engine) planRelation(ctx context.Context, p *plan, suffix *history.Padd
 		}
 		return &algebra.Union{L: q, R: br}, nil
 	}
-	qo, err := side(kept.Orig, suffix.Orig, filters.H)
+	pair := func(h, m reenact.Filters) (*relPlan, error) {
+		qo, err := side(kept.Orig, suffix.Orig, h)
+		if err != nil {
+			return nil, err
+		}
+		qm, err := side(kept.Mod, suffix.Mod, m)
+		if err != nil {
+			return nil, err
+		}
+		return &relPlan{rel: rel, orig: qo, mod: qm}, nil
+	}
+	rp, err := pair(filters.H, filters.M)
 	if err != nil {
 		return err
 	}
-	qm, err := side(kept.Mod, suffix.Mod, filters.M)
-	if err != nil {
-		return err
+	// The original history carries no $slot, so one in orig came from a
+	// filter.
+	if len(algebra.Params(rp.orig)) > 0 {
+		if rp.unsliced, err = pair(nil, nil); err != nil {
+			return err
+		}
+		if rp.filters, err = scanFilters(rp, filters, p.db); err != nil {
+			return err
+		}
 	}
 	p.stats.Execute += time.Since(t0)
-	p.rels = append(p.rels, relPlan{rel: rel, orig: qo, mod: qm})
+	p.rels = append(p.rels, *rp)
+	return nil
+}
+
+// scanFilters lists, by relation name, the slicing filters the sliced
+// pair rp reads over db.
+func scanFilters(rp *relPlan, filters *dataslice.Conditions, db *storage.Database) ([]scanFilter, error) {
+	scanned := algebra.BaseRelations(rp.orig)
+	for rel := range algebra.BaseRelations(rp.mod) {
+		scanned[rel] = true
+	}
+	var out []scanFilter
+	for rel := range scanned {
+		f := scanFilter{rel: rel, h: filterOf(filters.H, rel), m: filterOf(filters.M, rel)}
+		if f.h == nil && f.m == nil {
+			continue
+		}
+		r, err := db.Relation(rel)
+		if err != nil {
+			return nil, err
+		}
+		f.rows = len(r.Tuples)
+		out = append(out, f)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].rel < out[j].rel })
+	return out, nil
+}
+
+// filterOf is the filter reenact puts on a scan of rel, or nil.
+func filterOf(fs reenact.Filters, rel string) expr.Expr {
+	if f, ok := fs[strings.ToLower(rel)]; ok && !expr.IsTriviallyTrue(f) {
+		return f
+	}
 	return nil
 }
 

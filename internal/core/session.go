@@ -180,6 +180,10 @@ type SessionStats struct {
 	TemplateHits, TemplateMisses int64
 	TemplateEvictions            int64
 	TemplateResident             int
+	// TemplateSlicedEvals/UnslicedEvals sum TemplateStats.SlicedEvals/
+	// UnslicedEvals over the session's templates: per binding and
+	// relation with two plans, whether its data-sliced pair ran.
+	TemplateSlicedEvals, TemplateUnslicedEvals int64
 	// InterpreterFallbacks is Engine.InterpreterFallbacks at the time of
 	// the reading: engine-wide, not per session, and never reset.
 	InterpreterFallbacks int64
@@ -209,6 +213,7 @@ func (s *Session) Stats() SessionStats {
 	st.TemplateHits, st.TemplateMisses = s.caches.templates.Stats()
 	st.TemplateEvictions = s.caches.templates.Evictions()
 	st.TemplateResident = s.caches.templates.Len()
+	st.TemplateSlicedEvals, st.TemplateUnslicedEvals = s.caches.work.sliced.Load(), s.caches.work.unsliced.Load()
 	st.InterpreterFallbacks = s.e.InterpreterFallbacks()
 	return st
 }

@@ -10,8 +10,8 @@ import (
 
 	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/compile"
-	"github.com/mahif/mahif/internal/dataslice"
 	"github.com/mahif/mahif/internal/delta"
+	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/history"
 	"github.com/mahif/mahif/internal/schema"
@@ -37,20 +37,26 @@ import (
 //     no binding ever runs the solver;
 //   - the original-side reenactment: original histories never contain
 //     parameters, so each relation's original-side result is
-//     materialized once;
+//     materialized once — over the unsliced relation when a slicing
+//     filter of that side carries a $slot (below);
 //   - relations whose modified side carries no parameter: their whole
 //     delta is static and served as-is.
 //
 // Per binding, Eval substitutes the constants into the retained
 // modified-side query skeleton, evaluates it over the pinned snapshot,
-// and diffs against the materialized original side. Data slicing
-// survives compilation when every $slot sits in value position (an
-// UPDATE's SET expressions): conditions are then concrete, so
-// the slicing filters are binding-invariant and bake into the pinned
-// plan soundly. A slot inside a condition (UPDATE/DELETE WHERE,
-// INSERT … SELECT) would parameterize the filters themselves, so data
-// slicing is disabled for those templates; since every variant
-// produces identical deltas, this changes speed, never results.
+// and diffs against the materialized original side. Data slicing (§6)
+// is exact for every constant, so the filters keep their $slots: a slot
+// in value position (an UPDATE's SET) can leak into a filter only
+// through push-down, a slot in a condition (UPDATE/DELETE WHERE, INSERT
+// … SELECT) lands in it directly. A relation whose original side reads
+// such a filter has two plans: the sliced pair, both sides filtered and
+// substituted per binding, and the unsliced pair above. Each binding
+// counts its substituted filters on the snapshot (|S_H| and |S_M| rows)
+// and runs the sliced pair iff |S_H| + |S_M| plus one batch for its
+// second program is at most |R| (slicedPair.pays), whichever reenacts
+// fewer base rows — a narrow binding touches its slice, a wide one
+// does not pay for reenacting both sides. Both plans are exact, so the
+// choice changes speed, never results; Stats counts it.
 //
 // Templates are safe for concurrent use. When the engine's history
 // advances, the next Eval transparently recompiles the artifact against
@@ -68,6 +74,8 @@ type Template struct {
 	art        atomic.Pointer[templateArtifact]
 	evals      atomic.Int64
 	recompiles atomic.Int64
+	sliced     atomic.Int64
+	unsliced   atomic.Int64
 }
 
 // paramClass is the inferred value class of one parameter slot.
@@ -140,6 +148,88 @@ type templateRel struct {
 	// touches.
 	orig *storage.ColumnarView
 	modQ algebra.Query // modified-side query skeleton, $slots open
+	// slice is the relation's sliced pair when a slicing filter of its
+	// original side carries a $slot; orig and modQ are then the unsliced
+	// pair, and each binding runs whichever reenacts fewer base rows.
+	slice *slicedPair
+}
+
+// eval answers the relation for one binding over its sliced pair
+// (sliced requires tr.slice) or its unsliced one.
+func (tr *templateRel) eval(ev evaluator, db *storage.Database, binding map[string]types.Value, sliced bool) (*delta.Result, delta.Work, error) {
+	orig, modQ := tr.orig, tr.modQ
+	if sliced {
+		var err error
+		if orig, err = ev.eval(algebra.SubstParams(tr.slice.origQ, binding), db); err != nil {
+			return nil, delta.Work{}, err
+		}
+		modQ = tr.slice.modQ
+	}
+	mod, err := ev.eval(algebra.SubstParams(modQ, binding), db)
+	if err != nil {
+		return nil, delta.Work{}, err
+	}
+	d, work := delta.ComputeColumnar(orig, mod)
+	return d, work, nil
+}
+
+// slicedPair is a relation's data-sliced query pair with both sides'
+// $slots open, and the filters its base scans read.
+type slicedPair struct {
+	origQ, modQ algebra.Query
+	filters     []scanFilter
+}
+
+// pays reports whether the sliced pair is the cheaper plan for binding:
+// whether its two sides reenact fewer base rows than the unsliced
+// pair's modified side, |S_H| + |S_M| + B ≤ |R| summed over the
+// filtered scans. B, one executor batch, charges the sliced pair for
+// the second U-statement program it compiles and runs: that compile and
+// the program's batch-sized run state cost about as much as reenacting
+// a batch, so a relation smaller than a batch never slices (and is not
+// counted). Each substituted filter is counted with COUNT(*) over
+// σ_f(R) on the pinned snapshot — one fused, filtered pass over the
+// relation's shared columnar view — equal filters on the two sides are
+// counted once, and counting stops once the slices outgrow the
+// relation. A filter that fails to evaluate cannot slice: the unsliced
+// pair then runs and reports its own error, if it has one.
+func (s *slicedPair) pays(ev evaluator, db *storage.Database, binding map[string]types.Value) (bool, error) {
+	budget := -exec.DefaultBatchSize
+	for _, f := range s.filters {
+		budget += f.rows
+	}
+	for _, f := range s.filters {
+		if budget < 0 {
+			return false, nil
+		}
+		h, err := countSlice(ev, db, f, f.h, binding)
+		m := h
+		if err == nil && !expr.Equal(f.h, f.m) {
+			m, err = countSlice(ev, db, f, f.m, binding)
+		}
+		if err != nil {
+			return false, ev.evalCtx().Err()
+		}
+		budget -= h + m
+	}
+	return budget >= 0, nil
+}
+
+// countSlice counts the rows of the scanned relation that filter, one
+// side of f, keeps under binding (all of them, without a filter).
+func countSlice(ev evaluator, db *storage.Database, f scanFilter, filter expr.Expr, binding map[string]types.Value) (int, error) {
+	if filter == nil {
+		return f.rows, nil
+	}
+	q := &algebra.Aggregate{
+		Aggs: []algebra.AggExpr{{Name: "n", Fn: algebra.AggCount}},
+		In:   &algebra.Select{Cond: expr.SubstParams(filter, binding), In: &algebra.Scan{Rel: f.rel}},
+	}
+	res, err := ev.runRows(q, db, "")
+	if err != nil {
+		return 0, err
+	}
+	return int(res.Tuples[0][0].AsInt()), nil
 }
 
 // TemplateStats describes one compiled artifact plus the template's
@@ -165,9 +255,9 @@ type TemplateStats struct {
 	SolverTests int
 	SolverNodes int
 	// DataSlicing reports whether the artifact was compiled with data
-	// slicing filters baked into the reenactment plans — possible only
-	// when every $slot sits in value (SET) position, so the filters are
-	// binding-invariant.
+	// slicing filters in its reenactment plans (Options.DataSlicing),
+	// wherever its $slots sit: a filter that carries a slot is
+	// substituted per binding.
 	DataSlicing bool
 	// StaticRelations' deltas are fully precomputed;
 	// DynamicRelations are re-evaluated per binding;
@@ -179,6 +269,11 @@ type TemplateStats struct {
 	// rebuilds triggered by history advances.
 	Evals      int64
 	Recompiles int64
+	// SlicedEvals/UnslicedEvals count, per binding and per relation with
+	// two plans (a slicing filter of its original side carries a $slot),
+	// which plan ran: the sliced pair, whose slices together were no
+	// larger than the relation, or the unsliced one.
+	SlicedEvals, UnslicedEvals int64
 }
 
 // CompileTemplate compiles a parameterized modification sequence into a
@@ -209,18 +304,6 @@ func (e *Engine) compileTemplate(ctx context.Context, mods []history.Modificatio
 	if len(mods) == 0 {
 		return nil, fmt.Errorf("core: empty template modification sequence")
 	}
-	// Data slicing filters derive from statement conditions. A $slot in
-	// a condition would parameterize the filters and bake one binding's
-	// constants into the pinned plan, so slicing stays off for such
-	// templates (results are variant-invariant). SET-only slots leave
-	// every condition concrete and the filters binding-invariant, so
-	// slicing survives compilation; the planner still guards against the
-	// one leak path (push-down substitution through a parameterized SET
-	// vector). Decided before keying, so the cache key's ds flag reflects
-	// the compiled artifact.
-	if !setOnlyParams(mods) {
-		opts.DataSlicing = false
-	}
 	t := &Template{e: e, opts: opts, mods: mods, shared: shared}
 	var key string
 	if shared.templates != nil {
@@ -236,66 +319,6 @@ func (e *Engine) compileTemplate(ctx context.Context, mods []history.Modificatio
 		return nil, err
 	}
 	return t, nil
-}
-
-// setOnlyParams reports whether every $slot of the modification
-// sequence appears only in value position, i.e. in UPDATE SET
-// expressions (INSERT … VALUES rows are concrete tuples and never carry
-// a slot). Conditions (UPDATE/DELETE WHERE, the query of INSERT …
-// SELECT) must be slot-free. Such templates describe "what if
-// the written values had been different" scenarios whose affected-row
-// sets are binding-invariant, which is exactly the property data
-// slicing needs to stay sound across bindings.
-func setOnlyParams(mods []history.Modification) bool {
-	for _, m := range mods {
-		var st history.Statement
-		switch x := m.(type) {
-		case history.Replace:
-			st = x.Stmt
-		case history.InsertStmt:
-			st = x.Stmt
-		default:
-			continue
-		}
-		switch x := st.(type) {
-		case *history.Update:
-			if len(expr.Params(x.Where)) > 0 {
-				return false
-			}
-		case *history.Delete:
-			if len(expr.Params(x.Where)) > 0 {
-				return false
-			}
-		case *history.InsertQuery:
-			if len(algebra.Params(x.Query)) > 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// dropParamFilters widens away any slicing filter that captured a
-// $slot. With SET-only slots the base conditions are concrete, but the
-// backward push-down substitutes SET vectors of earlier statements
-// into later conditions, and a parameterized SET expression can leak
-// its slot into the pushed filter. Filters are an optimization, so
-// widening to "scan everything" is always sound; both sides of a
-// relation go together because the delta relies on the two
-// reenactments agreeing on which base tuples are in scope.
-func dropParamFilters(filters *dataslice.Conditions) {
-	for rel, f := range filters.H {
-		if len(expr.Params(f)) > 0 {
-			delete(filters.H, rel)
-			delete(filters.M, rel)
-		}
-	}
-	for rel, f := range filters.M {
-		if len(expr.Params(f)) > 0 {
-			delete(filters.H, rel)
-			delete(filters.M, rel)
-		}
-	}
 }
 
 // Params returns the template's parameter slots and their inferred
@@ -315,6 +338,7 @@ func (t *Template) Stats() TemplateStats {
 	st := t.art.Load().stats
 	st.Evals = t.evals.Load()
 	st.Recompiles = t.recompiles.Load()
+	st.SlicedEvals, st.UnslicedEvals = t.sliced.Load(), t.unsliced.Load()
 	return st
 }
 
@@ -379,6 +403,18 @@ func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		if r.unsliced != nil {
+			// Both sliced sides depend on the binding: materialize the
+			// unsliced original side, keep both pairs.
+			orig, err := ev.eval(r.unsliced.orig, p.db)
+			if err != nil {
+				return nil, err
+			}
+			art.rels = append(art.rels, templateRel{rel: r.rel, orig: orig, modQ: r.unsliced.mod,
+				slice: &slicedPair{origQ: r.orig, modQ: r.mod, filters: r.filters}})
+			art.stats.DynamicRelations = append(art.stats.DynamicRelations, r.rel)
+			continue
+		}
 		orig, err := ev.eval(r.orig, p.db)
 		if err != nil {
 			return nil, err
@@ -437,12 +473,23 @@ func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, bind
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		q := algebra.SubstParams(tr.modQ, binding)
-		mod, err := ev.eval(q, art.db)
+		sliced := false
+		if tr.slice != nil {
+			var err error
+			if sliced, err = tr.slice.pays(ev, art.db, binding); err != nil {
+				return nil, nil, err
+			}
+			if sliced {
+				t.sliced.Add(1)
+			} else {
+				t.unsliced.Add(1)
+			}
+			t.shared.countPlan(sliced)
+		}
+		d, work, err := tr.eval(ev, art.db, binding, sliced)
 		if err != nil {
 			return nil, nil, err
 		}
-		d, work := delta.ComputeColumnar(tr.orig, mod)
 		out[tr.rel] = d
 		t.shared.countDelta(work)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -10,6 +11,8 @@ import (
 	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/history"
+	"github.com/mahif/mahif/internal/schema"
+	"github.com/mahif/mahif/internal/storage"
 	"github.com/mahif/mahif/internal/types"
 	"github.com/mahif/mahif/internal/workload"
 )
@@ -65,158 +68,310 @@ func requireSetsEqual(t *testing.T, label string, got, want delta.Set) {
 	}
 }
 
-// TestTemplateMatchesWhatIf pins the differential contract: for every
-// binding, Template.Eval equals a fresh WhatIf over the modifications
-// with the binding's constants substituted. NULL bindings are anchored
-// against the no-slicing variant (a NULL literal in a condition is
-// outside the solver's domain, so a fresh sliced WhatIf rejects it —
-// the template, having solved with the slot symbolic, still answers;
-// variant agreement makes the unsliced delta an equal ground truth).
-func TestTemplateMatchesWhatIf(t *testing.T) {
-	w, e := templateWorkload(t, 900, 10, 3)
-	mods := paramMods(w)
-	opts := OptionsFor(VariantRPS)
-	tpl, err := e.CompileTemplate(mods, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tpl.Params(); got["cut"] != "numeric" {
-		t.Fatalf("Params() = %v, want cut:numeric", got)
-	}
+// templateVariants are the reenactment variants a template compiles
+// under; the differentials run each.
+var templateVariants = []Variant{VariantR, VariantRPS, VariantRDS, VariantRFull}
 
-	cuts := []types.Value{
-		types.Int(9100), types.Int(9000), types.Int(8500),
-		types.Int(0), types.Int(workload.SelRange + 50),
-		types.Float(8999.5),
-		// 2^53 boundary: past exact float integer representation.
-		types.Int(1 << 53), types.Int(1<<53 + 1), types.Int(-(1 << 53)),
+// evalPlan answers binding through tpl's current artifact with every
+// two-plan relation forced onto its sliced (sliced) or its unsliced
+// pair — the plan the count did not choose, for the differentials.
+func evalPlan(t *testing.T, tpl *Template, binding map[string]types.Value, sliced bool) delta.Set {
+	t.Helper()
+	art := tpl.art.Load()
+	out := delta.Set{}
+	for rel, d := range art.static {
+		out[rel] = d
 	}
-	for i, cut := range cuts {
-		binding := map[string]types.Value{"cut": cut}
-		got, err := tpl.Eval(binding)
+	ev := tpl.e.newEvaluator(context.Background(), tpl.opts, art.dbVer, nil)
+	for _, tr := range art.rels {
+		d, _, err := tr.eval(ev, art.db, binding, sliced && tr.slice != nil)
 		if err != nil {
-			t.Fatalf("binding %d (%s): %v", i, cut, err)
+			t.Fatalf("forced plan (sliced=%t): %v", sliced, err)
 		}
-		want, _, err := e.WhatIf(tpl.SubstitutedMods(binding), opts)
-		if err != nil {
-			t.Fatalf("fresh what-if, binding %d (%s): %v", i, cut, err)
-		}
-		requireSetsEqual(t, fmt.Sprintf("binding %d (%s)", i, cut), got, want)
+		out[tr.rel] = d
 	}
-
-	// NULL binds any slot; sel >= NULL selects nothing.
-	binding := map[string]types.Value{"cut": types.Null()}
-	got, err := tpl.Eval(binding)
-	if err != nil {
-		t.Fatalf("NULL binding: %v", err)
-	}
-	want, _, err := e.WhatIf(tpl.SubstitutedMods(binding), OptionsFor(VariantR))
-	if err != nil {
-		t.Fatalf("fresh what-if, NULL binding: %v", err)
-	}
-	requireSetsEqual(t, "NULL binding", got, want)
+	return out
 }
 
-// TestTemplateRandomizedDifferential sweeps randomized template shapes
-// (slots in comparisons, conjunctions, arithmetic, and SET clauses) and
-// randomized bindings, each anchored against a fresh sliced WhatIf.
+// planRun evaluates one binding and reports which plan its two-plan
+// relations ran: "sliced", "unsliced", "" when it has none (or "mixed").
+func planRun(t *testing.T, tpl *Template, binding map[string]types.Value) (delta.Set, string) {
+	t.Helper()
+	before := tpl.Stats()
+	got, err := tpl.Eval(binding)
+	if err != nil {
+		t.Fatalf("eval %v: %v", binding, err)
+	}
+	after := tpl.Stats()
+	sliced, unsliced := after.SlicedEvals-before.SlicedEvals, after.UnslicedEvals-before.UnslicedEvals
+	switch {
+	case sliced > 0 && unsliced > 0:
+		return got, "mixed"
+	case sliced > 0:
+		return got, "sliced"
+	case unsliced > 0:
+		return got, "unsliced"
+	}
+	return got, ""
+}
+
+// requireBindingAgrees evaluates one binding and requires its delta to
+// equal both forced plans' and a fresh what-if's under anchor; it
+// returns the plan the count chose.
+func requireBindingAgrees(t *testing.T, e *Engine, tpl *Template, anchor Options, binding map[string]types.Value, label string) string {
+	t.Helper()
+	got, plan := planRun(t, tpl, binding)
+	want, _, err := e.WhatIf(tpl.SubstitutedMods(binding), anchor)
+	if err != nil {
+		t.Fatalf("%s: fresh what-if: %v", label, err)
+	}
+	requireSetsEqual(t, label, got, want)
+	requireSetsEqual(t, label+" (sliced plan)", evalPlan(t, tpl, binding, true), want)
+	requireSetsEqual(t, label+" (unsliced plan)", evalPlan(t, tpl, binding, false), want)
+	return plan
+}
+
+// TestTemplateMatchesWhatIf pins the differential contract: for every
+// binding and variant, Template.Eval equals a fresh WhatIf over the
+// modifications with the binding's constants substituted, and so do
+// both of its plans. Under data slicing the condition slot's filter
+// gives the relation two plans: a narrow cut runs the sliced one, a
+// wide cut the unsliced one. NULL bindings are anchored against the
+// no-slicing variant (a NULL literal in a condition is outside the
+// solver's domain, so a fresh sliced WhatIf rejects it — the template,
+// having solved with the slot symbolic, still answers; variant
+// agreement makes the unsliced delta an equal ground truth).
+func TestTemplateMatchesWhatIf(t *testing.T) {
+	w, e := templateWorkload(t, 3000, 10, 3)
+	mods := paramMods(w)
+	cuts := []struct {
+		v    types.Value
+		plan string // under data slicing
+	}{
+		{types.Int(9100), "sliced"}, {types.Int(9000), "sliced"}, {types.Int(8500), "sliced"},
+		{types.Int(0), "unsliced"}, {types.Int(workload.SelRange + 50), "sliced"},
+		// ≈ 45 % a side: the slices are smaller than the relation, but not
+		// by the batch the sliced pair's second program costs.
+		{types.Int(5500), "unsliced"},
+		{types.Float(8999.5), "sliced"},
+		// 2^53 boundary: past exact float integer representation.
+		{types.Int(1 << 53), "sliced"}, {types.Int(1<<53 + 1), "sliced"}, {types.Int(-(1 << 53)), "unsliced"},
+	}
+	for _, v := range templateVariants {
+		opts := OptionsFor(v)
+		tpl, err := e.CompileTemplate(mods, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tpl.Params(); got["cut"] != "numeric" {
+			t.Fatalf("%s: Params() = %v, want cut:numeric", v, got)
+		}
+		for i, cut := range cuts {
+			label := fmt.Sprintf("%s binding %d (%s)", v, i, cut.v)
+			plan := requireBindingAgrees(t, e, tpl, opts, map[string]types.Value{"cut": cut.v}, label)
+			if want := map[bool]string{true: cut.plan, false: ""}[opts.DataSlicing]; plan != want {
+				t.Errorf("%s: ran plan %q, want %q", label, plan, want)
+			}
+		}
+
+		// NULL binds any slot; sel >= NULL selects nothing, so the slice is
+		// the historical condition's.
+		binding := map[string]types.Value{"cut": types.Null()}
+		plan := requireBindingAgrees(t, e, tpl, OptionsFor(VariantR), binding, string(v)+" NULL binding")
+		if want := map[bool]string{true: "sliced", false: ""}[opts.DataSlicing]; plan != want {
+			t.Errorf("%s NULL binding: ran plan %q, want %q", v, plan, want)
+		}
+	}
+}
+
+// templateShape is one randomized-differential template: its
+// modifications, its slots, bindings that must run each plan under
+// data slicing, and how to draw random ones.
+type templateShape struct {
+	name   string
+	mods   []history.Modification
+	params []string
+	// narrow and wide are bindings whose slices are well below and above
+	// the relation's size; nil when no filter of the shape's original
+	// side carries a slot (one plan only).
+	narrow, wide map[string]types.Value
+	random       func(rng *rand.Rand) types.Value
+}
+
+// sliceShapes builds, over a hand-made history, the shapes whose slots
+// reach the slicing filters by every path: a slotted DELETE (its filter
+// is the NULL-inclusive θ ∨ θ IS NULL), two slotted modifications where
+// the later one's filter is pushed down through the earlier one's
+// slotted SET of the selection column, and a slotted INSERT … SELECT
+// beside a slotted UPDATE of its target.
+func sliceShapes(t *testing.T) (*Engine, []templateShape) {
+	t.Helper()
+	ds := workload.Taxi(3000, 5)
+	db := ds.Database()
+	archive := storage.NewRelation(schema.New("archive", ds.Rel.Schema.Columns...))
+	for _, tp := range ds.Rel.Tuples[:2000] {
+		archive.Add(tp)
+	}
+	db.AddRelation(archive)
+	e := New(storage.NewVersioned(db))
+	if _, err := e.Append(
+		mustStmt(t, "UPDATE trips SET tips = tips + 1 WHERE trip_seconds >= 9000"),
+		mustStmt(t, "UPDATE trips SET trip_seconds = trip_seconds + 100 WHERE trip_miles >= 8000"),
+		mustStmt(t, "DELETE FROM trips WHERE trip_seconds >= 9900"),
+		mustStmt(t, "UPDATE trips SET fare = fare * 2 WHERE trip_seconds >= 9500"),
+		mustStmt(t, "INSERT INTO archive SELECT * FROM trips WHERE trip_seconds >= 9950"),
+		mustStmt(t, "UPDATE archive SET tips = tips + 5 WHERE trip_seconds >= 9000"),
+		mustStmt(t, "UPDATE trips SET tolls = tolls + 1 WHERE trip_seconds < 500"),
+	); err != nil {
+		t.Fatal(err)
+	}
+	num := func(rng *rand.Rand) types.Value {
+		if rng.Intn(2) == 0 {
+			return types.Int(int64(rng.Intn(workload.SelRange)))
+		}
+		return types.Float(float64(rng.Intn(workload.SelRange)) + 0.5)
+	}
+	replace := func(pos int, src string) history.Modification {
+		return history.Replace{Pos: pos, Stmt: mustStmt(t, src)}
+	}
+	ints := func(kv ...any) map[string]types.Value {
+		out := map[string]types.Value{}
+		for i := 0; i < len(kv); i += 2 {
+			out[kv[i].(string)] = types.Int(int64(kv[i+1].(int)))
+		}
+		return out
+	}
+	return e, []templateShape{
+		{
+			name:   "slotted-delete",
+			mods:   []history.Modification{replace(2, "DELETE FROM trips WHERE trip_seconds >= $a")},
+			params: []string{"a"},
+			narrow: ints("a", 9950), wide: ints("a", 0),
+			random: num,
+		},
+		{
+			name: "pushed-through-slotted-set",
+			mods: []history.Modification{
+				replace(0, "UPDATE trips SET trip_seconds = trip_seconds - $d, tips = tips + 1 WHERE trip_seconds >= $a"),
+				replace(3, "UPDATE trips SET fare = fare * 2 WHERE trip_seconds >= $c"),
+			},
+			params: []string{"a", "c", "d"},
+			narrow: ints("a", 9800, "c", 9700, "d", 50), wide: ints("a", 0, "c", 0, "d", 3000),
+			random: num,
+		},
+		{
+			name: "insert-select",
+			mods: []history.Modification{
+				replace(4, "INSERT INTO archive SELECT * FROM trips WHERE trip_seconds >= $e"),
+				replace(5, "UPDATE archive SET tips = tips + 5 WHERE trip_seconds >= $f"),
+			},
+			params: []string{"e", "f"},
+			narrow: ints("e", 9900, "f", 9900), wide: ints("e", 0, "f", 0),
+			random: num,
+		},
+	}
+}
+
+// TestTemplateRandomizedDifferential sweeps template shapes (slots in
+// comparisons, conjunctions, arithmetic, SET clauses, DELETE and
+// INSERT … SELECT conditions, push-down through a slotted SET) and
+// bindings — narrow, wide, random and NULL — under every variant: each
+// delta equals both plans' and a fresh what-if's, and under data
+// slicing every shape with a slotted original-side filter runs both
+// plans.
 func TestTemplateRandomizedDifferential(t *testing.T) {
-	w, e := templateWorkload(t, 700, 8, 11)
+	w, we := templateWorkload(t, 3000, 8, 11)
 	base := w.Mods[0].(history.Replace)
 	upd := base.Stmt.(*history.Update)
 	sel := expr.Column(w.Dataset.SelAttr)
 	sel2 := expr.Column(w.Dataset.SelAttr2)
 	payload := w.Dataset.Payload[0]
-
-	shapes := []struct {
-		name   string
-		where  expr.Expr
-		set    []history.SetClause
-		params []string
-	}{
-		{
-			name:   "cmp",
-			where:  expr.Ge(sel, expr.Parameter("a")),
-			set:    upd.Set,
-			params: []string{"a"},
-		},
-		{
-			name:   "band",
-			where:  expr.AndOf(expr.Ge(sel, expr.Parameter("a")), expr.Lt(sel, expr.Parameter("b"))),
-			set:    upd.Set,
-			params: []string{"a", "b"},
-		},
-		{
-			name:   "or-two-attrs",
-			where:  expr.OrOf(expr.Ge(sel, expr.Parameter("a")), expr.Ge(sel2, expr.Parameter("b"))),
-			set:    upd.Set,
-			params: []string{"a", "b"},
-		},
-		{
-			name:   "arith",
-			where:  expr.Ge(expr.Add(sel, expr.Parameter("a")), expr.IntConst(9000)),
-			set:    upd.Set,
-			params: []string{"a"},
-		},
-		{
-			name:  "set-slot",
-			where: expr.Ge(sel, expr.IntConst(9050)),
-			set: []history.SetClause{{
-				Col: payload,
-				E:   expr.Add(expr.Column(payload), expr.Parameter("v")),
-			}},
-			params: []string{"v"},
-		},
-		{
-			name:  "both",
-			where: expr.Ge(sel, expr.Parameter("a")),
-			set: []history.SetClause{{
-				Col: payload,
-				E:   expr.Add(expr.Column(payload), expr.Parameter("v")),
-			}},
-			params: []string{"a", "v"},
-		},
+	update := func(where expr.Expr, set []history.SetClause) []history.Modification {
+		return []history.Modification{history.Replace{Pos: base.Pos, Stmt: &history.Update{Rel: upd.Rel, Set: set, Where: where}}}
 	}
+	bump := []history.SetClause{{Col: payload, E: expr.Add(expr.Column(payload), expr.Parameter("v"))}}
+	num := func(rng *rand.Rand) types.Value {
+		if rng.Intn(2) == 0 {
+			return types.Int(int64(rng.Intn(2 * workload.SelRange)))
+		}
+		return types.Float(float64(rng.Intn(workload.SelRange)) + 0.25)
+	}
+	b := func(kv ...any) map[string]types.Value {
+		out := map[string]types.Value{}
+		for i := 0; i < len(kv); i += 2 {
+			out[kv[i].(string)] = types.Int(int64(kv[i+1].(int)))
+		}
+		return out
+	}
+	taxiShapes := []templateShape{
+		{name: "cmp", mods: update(expr.Ge(sel, expr.Parameter("a")), upd.Set), params: []string{"a"},
+			narrow: b("a", 9500), wide: b("a", 100), random: num},
+		{name: "band", mods: update(expr.AndOf(expr.Ge(sel, expr.Parameter("a")), expr.Lt(sel, expr.Parameter("b"))), upd.Set),
+			params: []string{"a", "b"}, narrow: b("a", 9200, "b", 9300), wide: b("a", 0, "b", 20000), random: num},
+		{name: "or-two-attrs", mods: update(expr.OrOf(expr.Ge(sel, expr.Parameter("a")), expr.Ge(sel2, expr.Parameter("b"))), upd.Set),
+			params: []string{"a", "b"}, narrow: b("a", 9500, "b", 9900), wide: b("a", 0, "b", 0), random: num},
+		{name: "arith", mods: update(expr.Ge(expr.Add(sel, expr.Parameter("a")), expr.IntConst(9000)), upd.Set),
+			params: []string{"a"}, narrow: b("a", -500), wide: b("a", 9000), random: num},
+		{name: "set-slot", mods: update(expr.Ge(sel, expr.IntConst(9050)), bump), params: []string{"v"}, random: num},
+		{name: "both", mods: update(expr.Ge(sel, expr.Parameter("a")), bump), params: []string{"a", "v"},
+			narrow: b("a", 9600, "v", 3), wide: b("a", 10, "v", 3), random: num},
+	}
+	se, handShapes := sliceShapes(t)
 
 	rng := rand.New(rand.NewSource(42))
-	opts := OptionsFor(VariantRPS)
-	for _, shape := range shapes {
-		mods := []history.Modification{history.Replace{Pos: base.Pos, Stmt: &history.Update{
-			Rel: upd.Rel, Set: shape.set, Where: shape.where,
-		}}}
-		tpl, err := e.CompileTemplate(mods, opts)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", shape.name, err)
-		}
-		for trial := 0; trial < 4; trial++ {
-			binding := map[string]types.Value{}
-			for _, p := range shape.params {
-				if rng.Intn(2) == 0 {
-					binding[p] = types.Int(int64(rng.Intn(2 * workload.SelRange)))
-				} else {
-					binding[p] = types.Float(float64(rng.Intn(workload.SelRange)) + 0.25)
+	for _, group := range []struct {
+		e      *Engine
+		shapes []templateShape
+	}{{we, taxiShapes}, {se, handShapes}} {
+		for _, shape := range group.shapes {
+			for _, v := range templateVariants {
+				opts := OptionsFor(v)
+				tpl, err := group.e.CompileTemplate(shape.mods, opts)
+				if err != nil {
+					t.Fatalf("%s %s: compile: %v", shape.name, v, err)
 				}
+				var bindings []map[string]types.Value
+				if shape.narrow != nil {
+					bindings = append(bindings, shape.narrow, shape.wide)
+				}
+				for trial := 0; trial < 3; trial++ {
+					binding := map[string]types.Value{}
+					for _, p := range shape.params {
+						binding[p] = shape.random(rng)
+					}
+					bindings = append(bindings, binding)
+				}
+				for i, binding := range bindings {
+					label := fmt.Sprintf("%s %s binding %d %v", shape.name, v, i, binding)
+					plan := requireBindingAgrees(t, group.e, tpl, opts, binding, label)
+					switch {
+					case !opts.DataSlicing || shape.narrow == nil:
+						if plan != "" {
+							t.Errorf("%s: ran plan %q without a slotted filter", label, plan)
+						}
+					case i == 0 && plan != "sliced", i == 1 && plan != "unsliced":
+						t.Errorf("%s: ran plan %q", label, plan)
+					}
+				}
+				// NULL in every slot, anchored on variant R.
+				null := map[string]types.Value{}
+				for _, p := range shape.params {
+					null[p] = types.Null()
+				}
+				requireBindingAgrees(t, group.e, tpl, OptionsFor(VariantR), null, fmt.Sprintf("%s %s NULL binding", shape.name, v))
 			}
-			got, err := tpl.Eval(binding)
-			if err != nil {
-				t.Fatalf("%s trial %d: eval: %v", shape.name, trial, err)
-			}
-			want, _, err := e.WhatIf(tpl.SubstitutedMods(binding), opts)
-			if err != nil {
-				t.Fatalf("%s trial %d: fresh what-if: %v", shape.name, trial, err)
-			}
-			requireSetsEqual(t, fmt.Sprintf("%s trial %d %v", shape.name, trial, binding), got, want)
 		}
 	}
 }
 
-// TestTemplateDataSlicing pins the SET-only fast path (ROADMAP 4a):
-// a template whose slots all sit in SET position keeps data slicing
-// active through compilation (conditions are concrete, so the filters
-// are binding-invariant), a condition slot turns it off, and the
-// sliced per-binding deltas still equal a fresh fully-sliced WhatIf.
+// TestTemplateDataSlicing pins data slicing through template
+// compilation: a SET-slot template and a condition-slot template both
+// compile with their filters in (DataSlicing), and so does one whose
+// SET slot leaks into a later statement's pushed-down filter; every
+// binding's delta equals a fresh fully-sliced WhatIf. The condition-slot
+// template used to compile with data slicing off.
 func TestTemplateDataSlicing(t *testing.T) {
-	w, e := templateWorkload(t, 900, 10, 7)
+	w, e := templateWorkload(t, 3000, 10, 7)
 	base := w.Mods[0].(history.Replace)
 	upd := base.Stmt.(*history.Update)
 	payload := w.Dataset.Payload[0]
@@ -249,21 +404,29 @@ func TestTemplateDataSlicing(t *testing.T) {
 		}
 		requireSetsEqual(t, fmt.Sprintf("set-only binding %s", v), got, want)
 	}
+	if st := tpl.Stats(); st.SlicedEvals+st.UnslicedEvals != 0 {
+		t.Errorf("SET-only template has a binding-dependent filter: %d sliced, %d unsliced evals", st.SlicedEvals, st.UnslicedEvals)
+	}
 
-	// A slot in a condition parameterizes the filters themselves: data
-	// slicing must stay off.
+	// A slot in a condition keeps its filter, open: each binding counts
+	// its slice and picks a plan.
 	cond, err := e.CompileTemplate(paramMods(w), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cond.Stats().DataSlicing {
-		t.Fatal("condition-slot template compiled with data slicing")
+	if !cond.Stats().DataSlicing {
+		t.Fatal("condition-slot template compiled without data slicing")
+	}
+	for _, cut := range []int64{9400, 50} {
+		requireBindingAgrees(t, e, cond, opts, map[string]types.Value{"cut": types.Int(cut)}, fmt.Sprintf("cut %d", cut))
+	}
+	if st := cond.Stats(); st.SlicedEvals != 1 || st.UnslicedEvals != 1 {
+		t.Errorf("condition-slot template: %d sliced, %d unsliced evals, want 1 and 1", st.SlicedEvals, st.UnslicedEvals)
 	}
 
 	// Leak path: a later statement's condition reads the column the
 	// parameterized SET writes, so push-down substitutes $v into the
-	// modified-side filter; dropParamFilters widens it away and the
-	// deltas still match.
+	// modified-side filter, which is substituted per binding.
 	leakMods := append(append([]history.Modification{}, setMods...),
 		history.InsertStmt{Pos: base.Pos + 1, Stmt: &history.Update{
 			Rel:   upd.Rel,
@@ -278,16 +441,7 @@ func TestTemplateDataSlicing(t *testing.T) {
 		t.Fatal("leak-path template compiled without data slicing")
 	}
 	for _, v := range []types.Value{types.Int(5), types.Int(250)} {
-		binding := map[string]types.Value{"v": v}
-		got, err := leak.Eval(binding)
-		if err != nil {
-			t.Fatalf("leak binding %s: %v", v, err)
-		}
-		want, _, err := e.WhatIf(leak.SubstitutedMods(binding), opts)
-		if err != nil {
-			t.Fatalf("fresh what-if, leak binding %s: %v", v, err)
-		}
-		requireSetsEqual(t, fmt.Sprintf("leak binding %s", v), got, want)
+		requireBindingAgrees(t, e, leak, opts, map[string]types.Value{"v": v}, fmt.Sprintf("leak binding %s", v))
 	}
 }
 
@@ -603,5 +757,56 @@ func TestTemplateSlicesBindingIndependently(t *testing.T) {
 	}
 	if st2.SolverTests == 0 {
 		t.Error("condition-slot template recorded no solver tests")
+	}
+}
+
+// TestTemplateSlicedEvalComparesItsSlice pins the work a binding does
+// on the template_sweep shape (8 000 rows, 100 statements, the
+// threshold of the modified UPDATE as $cut): a narrow binding runs the
+// sliced pair, whose delta compares just the rows the filter keeps —
+// the historical condition's ≈ 10 % — while a wide one runs the
+// unsliced pair and compares every row.
+func TestTemplateSlicedEvalComparesItsSlice(t *testing.T) {
+	w, e := templateWorkload(t, 8000, 100, 13)
+	s := e.NewSession()
+	tpl, err := s.CompileTemplate(paramMods(w), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := w.Mods[0].(history.Replace)
+	snap, err := e.vdb.Version(base.Pos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := snap.Relation(w.Dataset.Rel.Schema.Relation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filter := expr.OrOf(w.History[base.Pos].(*history.Update).Where, expr.Ge(expr.Column(w.Dataset.SelAttr), expr.IntConst(9500)))
+	slice := 0
+	for _, tp := range rel.Tuples {
+		if ok, err := expr.Satisfied(filter, rel.Schema, tp); err != nil {
+			t.Fatal(err)
+		} else if ok {
+			slice++
+		}
+	}
+	if slice == 0 || slice > len(rel.Tuples)/5 {
+		t.Fatalf("the historical condition keeps %d of %d rows; the shape wants ≈ 10 %%", slice, len(rel.Tuples))
+	}
+	for _, c := range []struct {
+		cut      int64
+		compared int
+	}{{9500, slice}, {0, len(rel.Tuples)}} {
+		before := s.Stats().DeltaRowsCompared
+		if _, err := tpl.Eval(map[string]types.Value{"cut": types.Int(c.cut)}); err != nil {
+			t.Fatal(err)
+		}
+		if got := int(s.Stats().DeltaRowsCompared - before); got != c.compared {
+			t.Errorf("cut %d: compared %d rows, want %d", c.cut, got, c.compared)
+		}
+	}
+	if st := s.Stats(); st.TemplateSlicedEvals != 1 || st.TemplateUnslicedEvals != 1 {
+		t.Errorf("session counts %d sliced, %d unsliced evals, want 1 and 1", st.TemplateSlicedEvals, st.TemplateUnslicedEvals)
 	}
 }

@@ -71,9 +71,11 @@ type vecNode interface {
 }
 
 // vop is one fused per-batch operator (σ or Π) of a pipeline chain.
-// newState builds the operator's per-run scratch.
+// newState builds the operator's per-run scratch; lanes are the chain
+// run's typed output lanes, shared by all its projections (see
+// chainRun).
 type vop interface {
-	newState(cfg vecConfig) vopState
+	newState(cfg vecConfig, lanes [][2]storage.ColVec) vopState
 }
 
 // vopState applies one operator to a flowing batch. The returned batch
@@ -91,10 +93,17 @@ type chain struct {
 }
 
 // chainRun is one run's instantiation of a chain: per-operator scratch,
-// the kernel scratch pool, and (for scan/singleton sources) the source
-// batch. Runs are recycled across Run calls through the owning node's
-// sync.Pool — per-operator scratch for a 100-statement chain is ~5 MB,
-// far too much to allocate per evaluation.
+// the kernel scratch pool, the typed output lanes, and (for
+// scan/singleton sources) the source batch. Runs are recycled across
+// Run calls through the owning node's sync.Pool.
+//
+// lanes holds two typed lanes per output column position, shared by
+// every projection of the chain: a reenacted UPDATE's typed IF writes
+// into whichever of its column's two lanes the input batch does not
+// reference (vProjectState.lane). A U-statement chain's run state
+// therefore grows with its arity, not with U: a lane per statement
+// would cost 8 KB × U per computed column, paid again by every fresh
+// program a template binding compiles.
 //
 // There are two source batches because one Program scans private and
 // frozen relations alike. src is owned: runVecChunk transposes rows
@@ -105,15 +114,22 @@ type chain struct {
 type chainRun struct {
 	pool   *vecPool
 	states []vopState
+	lanes  [][2]storage.ColVec
 	src    *batch
 	shared *batch
 }
 
 func (c chain) newRun(cfg vecConfig) *chainRun {
-	r := &chainRun{pool: newVecPool(cfg.bs)}
+	width := 0
+	for _, op := range c.ops {
+		if p, ok := op.(vProjectOp); ok {
+			width = max(width, len(p.fns))
+		}
+	}
+	r := &chainRun{pool: newVecPool(cfg.bs), lanes: make([][2]storage.ColVec, width)}
 	r.states = make([]vopState, len(c.ops))
 	for i, op := range c.ops {
-		r.states[i] = op.newState(cfg)
+		r.states[i] = op.newState(cfg, r.lanes)
 	}
 	return r
 }
@@ -170,7 +186,7 @@ type vFilterState struct {
 	selBuf []int
 }
 
-func (o vFilterOp) newState(cfg vecConfig) vopState {
+func (o vFilterOp) newState(cfg vecConfig, _ [][2]storage.ColVec) vopState {
 	return &vFilterState{cond: o.cond, tr: make([]truth, cfg.bs), selBuf: make([]int, 0, cfg.bs)}
 }
 
@@ -217,23 +233,81 @@ type vProjectOp struct {
 }
 
 type vProjectState struct {
-	op      vProjectOp
-	out     *batch
+	op  vProjectOp
+	out *batch
+	// lanes are the chain run's typed lanes, two per output position;
+	// scratch is this projection's own, per computed column: the boxed
+	// fallback's cells, and the typed lane when both of the pair are in
+	// use. It is allocated on first use (own).
+	lanes   [][2]storage.ColVec
 	scratch []storage.ColVec
 	bs      int
 }
 
-func (o vProjectOp) newState(cfg vecConfig) vopState {
-	// Boxed scratch (49 KB of scannable Values per computed column) is
-	// allocated lazily on the first batch that actually takes the boxed
-	// fallback — when typedIf keeps a column on typed lanes, the run
-	// never pays for it.
+func (o vProjectOp) newState(cfg vecConfig, lanes [][2]storage.ColVec) vopState {
 	return &vProjectState{
-		op:      o,
-		out:     &batch{cols: make([]storage.ColVec, len(o.fns))},
-		scratch: make([]storage.ColVec, len(o.fns)),
-		bs:      cfg.bs,
+		op:    o,
+		out:   &batch{cols: make([]storage.ColVec, len(o.fns))},
+		lanes: lanes,
+		bs:    cfg.bs,
 	}
+}
+
+// own returns the projection's own scratch for column i. Its headers and
+// lanes (49 KB of scannable Values per computed column when boxed) come
+// into being on the first batch that needs them — when typedIf keeps
+// every column on the chain's lanes, the run never pays for them.
+func (st *vProjectState) own(i int) *storage.ColVec {
+	if st.scratch == nil {
+		st.scratch = make([]storage.ColVec, len(st.op.fns))
+	}
+	return &st.scratch[i]
+}
+
+// lane picks the storage column i's typed IF writes into: one of the
+// chain's two lanes for output position i that no column of the input
+// batch references. Within a chain the input batch is the only live
+// reader of what earlier projections wrote, so such a lane holds
+// nothing anyone will read again, and alternating between the two lets
+// a U-statement chain run on two lanes per column. Both are referenced
+// only after a permuting projection (an identity column aliasing
+// another position's lane); then the projection's own scratch serves.
+// Neither choice is ever a source lane: the chain owns its lanes, so a
+// frozen view's window is never written.
+func (st *vProjectState) lane(i int, b *batch) *storage.ColVec {
+	for k := range st.lanes[i] {
+		if l := &st.lanes[i][k]; !referenced(l, b.cols) {
+			return l
+		}
+	}
+	return st.own(i)
+}
+
+// referenced reports whether any of cols reads l's storage: shares the
+// backing array of the typed lane it is on. Masks need no test — a lane
+// write never reuses a mask (CompactFrom and SetCellNull allocate).
+func referenced(l *storage.ColVec, cols []storage.ColVec) bool {
+	for c := range cols {
+		switch col := &cols[c]; col.Kind {
+		case types.KindInt:
+			if sameArray(col.Ints, l.Ints) {
+				return true
+			}
+		case types.KindFloat:
+			if sameArray(col.Floats, l.Floats) {
+				return true
+			}
+		case types.KindString:
+			if sameArray(col.Strs, l.Strs) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func sameArray[T any](a, b []T) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
 func (st *vProjectState) apply(p *vecPool, b *batch) (*batch, error) {
@@ -244,17 +318,18 @@ func (st *vProjectState) apply(p *vecPool, b *batch) (*batch, error) {
 			out.cols[i] = b.cols[st.op.src[i]]
 			continue
 		}
-		sc := &st.scratch[i]
 		if spec := st.op.ifs[i]; spec != nil {
-			handled, err := spec.apply(p, b, sc)
+			l := st.lane(i, b)
+			handled, err := spec.apply(p, b, l)
 			if err != nil {
 				return nil, err
 			}
 			if handled {
-				out.cols[i] = *sc
+				out.cols[i] = *l
 				continue
 			}
 		}
+		sc := st.own(i)
 		if sc.Vals == nil {
 			sc.Vals = make([]types.Value, st.bs)
 		}

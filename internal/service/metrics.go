@@ -49,6 +49,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m("mahif_session_template_misses_total", "Compiled scenario-template cache misses per session.", "counter")
 	m("mahif_session_template_evictions_total", "Template artifacts dropped by the template-cache LRU bound per session.", "counter")
 	m("mahif_session_template_resident", "Template artifacts currently held per session.", "gauge")
+	m("mahif_session_template_sliced_evals_total", "Template evals of a relation with a binding-dependent slicing filter that ran its data-sliced plan (the binding's slices reenact fewer rows than the relation), per session.", "counter")
+	m("mahif_session_template_unsliced_evals_total", "Template evals of a relation with a binding-dependent slicing filter that ran its unsliced plan (the binding's slices would reenact more rows than the relation), per session.", "counter")
 	var rowsCompared, rowsBoxed, lowered int64
 	for i, st := range s.SessionStats() {
 		rowsCompared += st.DeltaRowsCompared
@@ -81,6 +83,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "mahif_session_template_misses_total%s %d\n", l, st.TemplateMisses)
 		fmt.Fprintf(&b, "mahif_session_template_evictions_total%s %d\n", l, st.TemplateEvictions)
 		fmt.Fprintf(&b, "mahif_session_template_resident%s %d\n", l, st.TemplateResident)
+		fmt.Fprintf(&b, "mahif_session_template_sliced_evals_total%s %d\n", l, st.TemplateSlicedEvals)
+		fmt.Fprintf(&b, "mahif_session_template_unsliced_evals_total%s %d\n", l, st.TemplateUnslicedEvals)
 	}
 
 	m("mahif_delta_rows_compared_total", "Row positions at which a what-if's two reenactment results were compared lane-wise, over all sessions.", "counter")

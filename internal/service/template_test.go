@@ -107,6 +107,24 @@ func TestTemplateEndpoint(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, mrec)
 		}
 	}
+	// Every eval counted its slice, (price >= 50 OR price >= cut) keeps 30
+	// of 40 rows a side, so each ran the unsliced plan.
+	if sliced, unsliced := sumMetric(mrec, "mahif_session_template_sliced_evals_total"), sumMetric(mrec, "mahif_session_template_unsliced_evals_total"); sliced != 0 || unsliced != 6 {
+		t.Errorf("plan counters: %d sliced, %d unsliced evals, want 0 and 6", sliced, unsliced)
+	}
+}
+
+// sumMetric adds up a per-session metric's samples.
+func sumMetric(text, name string) int {
+	sum := 0
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, name+"{"); ok {
+			var n int
+			fmt.Sscan(rest[strings.Index(rest, " ")+1:], &n)
+			sum += n
+		}
+	}
+	return sum
 }
 
 // TestTemplateRegistryBounded pins the id registry's bound: ids past
