@@ -18,25 +18,13 @@ var execOut = "BENCH_exec.json"
 // profile testing.B collects (allocs/op is the early-warning signal
 // for executor regressions — time alone hides allocator luck).
 type execResult struct {
-	Updates  int    `json:"updates"`
-	Rows     int    `json:"rows"`
-	Executor string `json:"executor"`
-	// Columnar is reported for the vectorized cells: true for the typed
-	// column-vector lanes, false for the boxed-Value ablation
-	// (Vec.NoColumnar) that preserves the pre-typed-lane numbers.
-	Columnar    *bool   `json:"columnar,omitempty"`
+	Updates     int     `json:"updates"`
+	Rows        int     `json:"rows"`
+	Executor    string  `json:"executor"`
 	NsPerOp     int64   `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Speedup     float64 `json:"speedup_vs_interpreter,omitempty"`
-	// SpeedupVsCompiled is reported for the vectorized executor: its
-	// gain over the tuple-at-a-time compiled path (the PR-over-PR
-	// trajectory metric).
-	SpeedupVsCompiled float64 `json:"speedup_vs_compiled,omitempty"`
-	// SpeedupVsBoxed is reported for the typed-lane vectorized cell:
-	// its gain over the boxed-Value vectorized ablation (the isolated
-	// contribution of the typed column vectors).
-	SpeedupVsBoxed float64 `json:"speedup_vs_boxed,omitempty"`
 }
 
 // execReport is the BENCH_exec.json document: the perf trajectory
@@ -51,46 +39,30 @@ type execReport struct {
 }
 
 // execExp sweeps history length × relation size × executor
-// (interpreter vs compiled vs vectorized) over the whole-history
-// reenactment path (variant R — the executor-bound configuration) and
-// writes BENCH_exec.json.
+// (interpreter vs vectorized) over the whole-history reenactment path
+// (variant R — the executor-bound configuration) and writes
+// BENCH_exec.json.
 func (h *harness) execExp() {
 	sizes := []int{h.rows / 10, h.rows / 2, h.rows}
 	updates := h.updates
 	if h.quick {
 		// Smoke scale: one small relation, two history lengths — enough
-		// to exercise every executor cell (including the typed-lane and
-		// boxed ablation vectorized paths) without benchmark-grade reps.
+		// to exercise both executor cells without benchmark-grade reps.
 		sizes = []int{h.rows / 10}
 		if len(updates) > 2 {
 			updates = updates[:2]
 		}
 	}
 	report := &execReport{
-		Description: "WhatIf (variant R) reenactment: tree-walking interpreter vs compiled (tuple-at-a-time) vs vectorized executor (internal/exec; typed columnar lanes plus the boxed-Value columnar:false ablation)",
+		Description: "WhatIf (variant R) reenactment: tree-walking interpreter vs vectorized executor (internal/exec)",
 		Rows:        h.rows,
 		Seed:        h.seed,
 		Updates:     updates,
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 	}
 
-	// The four measured cells: the three executors, plus the vectorized
-	// executor with the typed column lanes disabled (boxed-Value
-	// batches) — the ablation isolating what the columnar
-	// representation contributes over vectorization alone.
-	type cellCfg struct {
-		name       string
-		ex         core.ExecutorKind
-		noColumnar bool
-	}
-	cfgs := []cellCfg{
-		{name: "interpreter", ex: core.ExecInterpreter},
-		{name: "vectorized-boxed", ex: core.ExecVectorized, noColumnar: true},
-		{name: "compiled", ex: core.ExecCompiled},
-		{name: "vectorized", ex: core.ExecVectorized},
-	}
-	header("Exec: interpreter vs compiled vs vectorized (typed/boxed) — Taxi",
-		"rows", "interp", "compiled", "vec-boxed", "vector", "vec/comp", "typed/boxed", "allocs-v")
+	header("Exec: interpreter vs vectorized — Taxi",
+		"rows", "interp", "vector", "speedup", "allocs-i", "allocs-v")
 	for _, rows := range sizes {
 		ds := workload.Taxi(rows, h.seed)
 		for _, u := range updates {
@@ -101,17 +73,16 @@ func (h *harness) execExp() {
 			}
 			engine := core.New(vdb)
 
-			cells := map[string]testing.BenchmarkResult{}
-			for _, cfg := range cfgs {
+			cells := map[core.ExecutorKind]testing.BenchmarkResult{}
+			for _, ex := range []core.ExecutorKind{core.ExecInterpreter, core.ExecVectorized} {
 				opts := core.OptionsFor(core.VariantR)
-				opts.Executor = cfg.ex
-				opts.Vec.NoColumnar = cfg.noColumnar
+				opts.Executor = ex
 				// Warm once so page-in and snapshot construction do not
 				// land inside the measurement.
 				if _, _, err := engine.WhatIf(w.Mods, opts); err != nil {
 					panic(err)
 				}
-				cells[cfg.name] = testing.Benchmark(func(b *testing.B) {
+				cells[ex] = testing.Benchmark(func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						if _, _, err := engine.WhatIf(w.Mods, opts); err != nil {
@@ -120,34 +91,19 @@ func (h *harness) execExp() {
 					}
 				})
 			}
-			interp := cells["interpreter"]
-			compiled := cells["compiled"]
-			boxed := cells["vectorized-boxed"]
-			vec := cells["vectorized"]
-			vecVsComp := float64(compiled.NsPerOp()) / float64(vec.NsPerOp())
-			typedVsBoxed := float64(boxed.NsPerOp()) / float64(vec.NsPerOp())
-			yes, no := true, false
+			interp, vec := cells[core.ExecInterpreter], cells[core.ExecVectorized]
+			speedup := float64(interp.NsPerOp()) / float64(vec.NsPerOp())
 			report.Results = append(report.Results,
-				execResult{Updates: u, Rows: rows, Executor: "interpreter",
+				execResult{Updates: u, Rows: rows, Executor: string(core.ExecInterpreter),
 					NsPerOp: interp.NsPerOp(), AllocsPerOp: interp.AllocsPerOp(), BytesPerOp: interp.AllocedBytesPerOp()},
-				execResult{Updates: u, Rows: rows, Executor: "compiled",
-					NsPerOp: compiled.NsPerOp(), AllocsPerOp: compiled.AllocsPerOp(), BytesPerOp: compiled.AllocedBytesPerOp(),
-					Speedup: float64(interp.NsPerOp()) / float64(compiled.NsPerOp())},
-				execResult{Updates: u, Rows: rows, Executor: "vectorized", Columnar: &no,
-					NsPerOp: boxed.NsPerOp(), AllocsPerOp: boxed.AllocsPerOp(), BytesPerOp: boxed.AllocedBytesPerOp(),
-					Speedup:           float64(interp.NsPerOp()) / float64(boxed.NsPerOp()),
-					SpeedupVsCompiled: float64(compiled.NsPerOp()) / float64(boxed.NsPerOp())},
-				execResult{Updates: u, Rows: rows, Executor: "vectorized", Columnar: &yes,
+				execResult{Updates: u, Rows: rows, Executor: string(core.ExecVectorized),
 					NsPerOp: vec.NsPerOp(), AllocsPerOp: vec.AllocsPerOp(), BytesPerOp: vec.AllocedBytesPerOp(),
-					Speedup:           float64(interp.NsPerOp()) / float64(vec.NsPerOp()),
-					SpeedupVsCompiled: vecVsComp,
-					SpeedupVsBoxed:    typedVsBoxed},
+					Speedup: speedup},
 			)
-			fmt.Printf("%-10d %12d %12.1f %12.1f %12.1f %12.1f %11.2fx %12.2fx %12d\n",
+			fmt.Printf("%-10d %12d %12.1f %12.1f %11.2fx %12d %12d\n",
 				u, rows,
-				float64(interp.NsPerOp())/1e6, float64(compiled.NsPerOp())/1e6,
-				float64(boxed.NsPerOp())/1e6, float64(vec.NsPerOp())/1e6,
-				vecVsComp, typedVsBoxed, vec.AllocsPerOp())
+				float64(interp.NsPerOp())/1e6, float64(vec.NsPerOp())/1e6,
+				speedup, interp.AllocsPerOp(), vec.AllocsPerOp())
 		}
 	}
 

@@ -11,7 +11,7 @@
 //	mahif-bench -exp all          # everything (takes a while)
 //	mahif-bench -exp fig22 -rows 50000 -updates 10,20,50
 //	mahif-bench -exp batch        # batch engine: scenarios × workers sweep
-//	mahif-bench -exp exec         # interpreter vs compiled executor → BENCH_exec.json
+//	mahif-bench -exp exec         # interpreter vs vectorized executor → BENCH_exec.json
 //	mahif-bench -exp exec -cpuprofile cpu.out -memprofile mem.out
 //	mahif-bench -exp serve        # mahifd HTTP service load test → BENCH_serve.json
 //	mahif-bench -exp template     # scenario templates vs WhatIfBatch → BENCH_template.json

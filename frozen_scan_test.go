@@ -118,8 +118,8 @@ func TestFrozenScanDifferential(t *testing.T) {
 // TestColumnarWhatIfDifferential takes the same seed corpus through
 // Session.WhatIfCtx, where both reenactment results stay columnar — the
 // session's snapshot is frozen, so the vectorized sides come from lanes
-// of the shared view and are diffed lane-wise — under all three
-// executors and all four reenactment variants. Every delta must Equal
+// of the shared view and are diffed lane-wise — sequentially and with
+// forced-parallel scans, under all four reenactment variants. Every delta must Equal
 // the interpreter's over the same session (rows, transposed once) and
 // Alg. 1's, which re-executes the history and diffs rows with
 // delta.Compute and so shares nothing with either the lanes or the
@@ -168,14 +168,12 @@ func TestColumnarWhatIfDifferential(t *testing.T) {
 			if errI == nil {
 				sameAs(string(v)+"/interpreter vs naive", naive, want)
 			}
-			for name, opts := range map[string]core.Options{
-				"compiled":            {Executor: core.ExecCompiled},
-				"vectorized":          {Executor: core.ExecVectorized, Vec: exec.VecOptions{Workers: 1}},
-				"vectorized-parallel": {Executor: core.ExecVectorized, Vec: exec.VecOptions{Workers: 4, MinParallelRows: 1, BatchSize: 100}},
-				"vectorized-boxed":    {Executor: core.ExecVectorized, Vec: exec.VecOptions{NoColumnar: true}},
+			for name, vec := range map[string]exec.VecOptions{
+				"vectorized":          {Workers: 1},
+				"vectorized-parallel": {Workers: 4, MinParallelRows: 1, BatchSize: 100},
 			} {
 				o := core.OptionsFor(v)
-				o.Executor, o.Vec = opts.Executor, opts.Vec
+				o.Executor, o.Vec = core.ExecVectorized, vec
 				sess := engine.NewSession()
 				got, st, err := sess.WhatIf(mods, o)
 				if (errI == nil) != (err == nil) {

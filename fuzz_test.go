@@ -9,7 +9,6 @@ import (
 	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/sql"
-	"github.com/mahif/mahif/internal/storage"
 )
 
 // TestRandomizedCrossValidation is the repository's highest-level
@@ -219,16 +218,15 @@ func randomModificationFor(rng *rand.Rand, hist mahif.History) mahif.Modificatio
 	}
 }
 
-// differentialTrial answers one random scenario with the tuple-at-a-
-// time compiled executor, the vectorized executor, and the tree-walking
-// interpreter under every variant and requires all three to produce
-// identical deltas (interpreter ≡ compiled ≡ vectorized). Deltas are
+// differentialTrial answers one random scenario with the vectorized
+// executor and the tree-walking interpreter under every variant and
+// requires both to produce identical deltas (interpreter ≡ vectorized). Deltas are
 // sorted and multiset-aware (delta.Compute sorts by canonical key;
 // Result.Equal compares the annotated multisets position-wise), so this
 // is an exact equivalence check of the executors end to end —
 // reenactment, slicing, filters, joins, difference, everything. It
-// returns how many query evaluations asked for a compiling executor and
-// silently ran through the interpreter instead (the oracle would then
+// returns how many query evaluations asked for the vectorized executor
+// and silently ran through the interpreter instead (the oracle would then
 // have been compared with itself).
 func differentialTrial(t *testing.T, rng *rand.Rand) int64 {
 	t.Helper()
@@ -241,42 +239,40 @@ func differentialTrial(t *testing.T, rng *rand.Rand) int64 {
 		optsI.Executor = mahif.ExecInterpreter
 		want, _, errI := engine.WhatIf([]mahif.Modification{mod}, optsI)
 
-		for _, ex := range []mahif.ExecutorKind{mahif.ExecCompiled, mahif.ExecVectorized} {
-			opts := mahif.OptionsFor(v)
-			opts.Executor = ex
-			got, _, errX := engine.WhatIf([]mahif.Modification{mod}, opts)
-			if (errI == nil) != (errX == nil) {
-				t.Fatalf("%s/%s: error divergence: interpreter=%v %s=%v\nhistory:\n%s\nmod: %s",
-					v, ex, errI, ex, errX, hist, mod)
-			}
-			if errI != nil {
-				continue
-			}
-			rels := map[string]bool{}
-			for rel := range want {
-				rels[rel] = true
-			}
-			for rel := range got {
-				rels[rel] = true
-			}
-			for rel := range rels {
-				wd, gd := want[rel], got[rel]
-				switch {
-				case wd == nil && gd == nil:
-				case wd == nil:
-					if !gd.Empty() {
-						t.Fatalf("%s/%s: extra delta for %s\nhistory:\n%s\nmod: %s\ngot:\n%s",
-							v, ex, rel, hist, mod, gd)
-					}
-				case gd == nil:
-					if !wd.Empty() {
-						t.Fatalf("%s/%s: missing delta for %s\nhistory:\n%s\nmod: %s\nwant:\n%s",
-							v, ex, rel, hist, mod, wd)
-					}
-				case !gd.Equal(wd):
-					t.Fatalf("%s/%s: executor divergence for %s\nhistory:\n%s\nmod: %s\ninterpreter:\n%s\n%s:\n%s",
-						v, ex, rel, hist, mod, wd, ex, gd)
+		opts := mahif.OptionsFor(v)
+		opts.Executor = mahif.ExecVectorized
+		got, _, errX := engine.WhatIf([]mahif.Modification{mod}, opts)
+		if (errI == nil) != (errX == nil) {
+			t.Fatalf("%s: error divergence: interpreter=%v vectorized=%v\nhistory:\n%s\nmod: %s",
+				v, errI, errX, hist, mod)
+		}
+		if errI != nil {
+			continue
+		}
+		rels := map[string]bool{}
+		for rel := range want {
+			rels[rel] = true
+		}
+		for rel := range got {
+			rels[rel] = true
+		}
+		for rel := range rels {
+			wd, gd := want[rel], got[rel]
+			switch {
+			case wd == nil && gd == nil:
+			case wd == nil:
+				if !gd.Empty() {
+					t.Fatalf("%s: extra delta for %s\nhistory:\n%s\nmod: %s\ngot:\n%s",
+						v, rel, hist, mod, gd)
 				}
+			case gd == nil:
+				if !wd.Empty() {
+					t.Fatalf("%s: missing delta for %s\nhistory:\n%s\nmod: %s\nwant:\n%s",
+						v, rel, hist, mod, wd)
+				}
+			case !gd.Equal(wd):
+				t.Fatalf("%s: executor divergence for %s\nhistory:\n%s\nmod: %s\ninterpreter:\n%s\nvectorized:\n%s",
+					v, rel, hist, mod, wd, gd)
 			}
 		}
 	}
@@ -337,10 +333,10 @@ func randomAggregateSQL(rng *rand.Rand) string {
 }
 
 // aggregateDifferentialTrial evaluates random aggregate plans over the
-// scenario's tip state with all three executors and requires identical
+// scenario's tip state with both executors and requires identical
 // materialized relations — same schema, same tuples, same order (group
-// first-appearance order is part of the contract) — or that all three
-// fail together.
+// first-appearance order is part of the contract) — or that both fail
+// together.
 func aggregateDifferentialTrial(t *testing.T, rng *rand.Rand, vdb *mahif.VersionedDatabase) {
 	t.Helper()
 	_, db := vdb.TipSnapshot()
@@ -351,33 +347,29 @@ func aggregateDifferentialTrial(t *testing.T, rng *rand.Rand, vdb *mahif.Version
 			t.Fatalf("parse %q: %v", src, err)
 		}
 		want, errI := algebra.Eval(q, db)
-		for name, evalFn := range map[string]func(algebra.Query, *storage.Database) (*storage.Relation, error){
-			"compiled": exec.Eval, "vectorized": exec.EvalVec,
-		} {
-			got, errX := evalFn(q, db)
-			if (errI == nil) != (errX == nil) {
-				t.Fatalf("%s: aggregate error divergence on %q: interpreter=%v got=%v", name, src, errI, errX)
-			}
-			if errI != nil {
-				continue
-			}
-			if !want.Schema.Equal(got.Schema) {
-				t.Fatalf("%s: aggregate schema divergence on %q: %s vs %s", name, src, want.Schema, got.Schema)
-			}
-			if len(want.Tuples) != len(got.Tuples) {
-				t.Fatalf("%s: aggregate row-count divergence on %q: %d vs %d", name, src, len(want.Tuples), len(got.Tuples))
-			}
-			for j := range want.Tuples {
-				if !want.Tuples[j].Equal(got.Tuples[j]) {
-					t.Fatalf("%s: aggregate row divergence on %q at %d: %s vs %s", name, src, j, want.Tuples[j], got.Tuples[j])
-				}
+		got, errX := exec.EvalVec(q, db)
+		if (errI == nil) != (errX == nil) {
+			t.Fatalf("aggregate error divergence on %q: interpreter=%v vectorized=%v", src, errI, errX)
+		}
+		if errI != nil {
+			continue
+		}
+		if !want.Schema.Equal(got.Schema) {
+			t.Fatalf("aggregate schema divergence on %q: %s vs %s", src, want.Schema, got.Schema)
+		}
+		if len(want.Tuples) != len(got.Tuples) {
+			t.Fatalf("aggregate row-count divergence on %q: %d vs %d", src, len(want.Tuples), len(got.Tuples))
+		}
+		for j := range want.Tuples {
+			if !want.Tuples[j].Equal(got.Tuples[j]) {
+				t.Fatalf("aggregate row divergence on %q at %d: %s vs %s", src, j, want.Tuples[j], got.Tuples[j])
 			}
 		}
 	}
 }
 
-// TestDifferentialExecutor cross-validates the compiled and vectorized
-// executors against the interpreter oracle over random histories and
+// TestDifferentialExecutor cross-validates the vectorized executor
+// against the interpreter oracle over random histories and
 // modifications.
 func TestDifferentialExecutor(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
@@ -396,7 +388,7 @@ func TestDifferentialExecutor(t *testing.T) {
 }
 
 // FuzzDifferentialExecutor is the native-fuzzing entry point for the
-// same three-way property; the seed corpus runs on every plain
+// same two-way property; the seed corpus runs on every plain
 // `go test` (including -short in CI), and
 // `go test -fuzz=FuzzDifferentialExecutor` explores further. The seeds
 // past 987654321 were added with the vectorized executor: under the
@@ -409,8 +401,8 @@ func TestDifferentialExecutor(t *testing.T) {
 // comparison constants at the same boundaries.
 func FuzzDifferentialExecutor(f *testing.F) {
 	// The fourth group was added with the aggregate operators: each
-	// trial now also runs grouped/global aggregate plans through all
-	// three executors, and these seeds land on NULL groups, empty
+	// trial now also runs grouped/global aggregate plans through both
+	// executors, and these seeds land on NULL groups, empty
 	// inputs, ill-typed aggregate arguments, and batch-boundary group
 	// cardinalities.
 	for _, seed := range []int64{1, 2, 3, 42, 1234, 987654321,

@@ -114,8 +114,7 @@ func (a AggExpr) ResultKind(in *schema.Schema) types.Kind {
 
 // AggAcc accumulates one aggregate over its argument values in input
 // order. It is the single definition of aggregate semantics, shared by
-// the interpreter and both compiled executors so the three cannot
-// drift:
+// the interpreter and the vectorized executor so the two cannot drift:
 //
 //   - COUNT(*) counts rows (AddRow); COUNT(e) counts non-NULL e.
 //   - SUM and AVG skip NULLs, reject non-numeric values, and fold with

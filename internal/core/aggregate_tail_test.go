@@ -216,7 +216,7 @@ func TestReportsMatchReexecutedHistory(t *testing.T) {
 		mods := tpl.SubstitutedMods(binding)
 		hist, hyp := oracleReports(t, e, mods, queries)
 
-		for _, kind := range []ExecutorKind{ExecVectorized, ExecCompiled, ExecInterpreter} {
+		for _, kind := range []ExecutorKind{ExecVectorized, ExecInterpreter} {
 			opts := DefaultOptions()
 			opts.Executor = kind
 			d, reps, _, err := e.WhatIfAggregates(mods, queries, opts)

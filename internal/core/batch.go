@@ -40,7 +40,7 @@ import (
 // one query are different entries. Cached results are shared read-only —
 // delta computation and query evaluation never mutate their inputs.
 type evalCache struct {
-	progs        *lru.Cache[string, *progEntry]
+	progs        *lru.Cache[progKey, *progEntry]
 	mu           sync.Mutex
 	results      map[resultKey]*evalEntry
 	lru          *list.List // of resultKey; front = most recently used
@@ -111,7 +111,7 @@ func (e *evalEntry) completed() bool {
 
 func newEvalCache() *evalCache {
 	return &evalCache{
-		progs:   lru.New[string, *progEntry](defaultQueryCacheEntries),
+		progs:   lru.New[progKey, *progEntry](defaultQueryCacheEntries),
 		results: map[resultKey]*evalEntry{},
 		lru:     list.New(),
 	}
@@ -149,19 +149,20 @@ func (c *evalCache) enforceBoundLocked() {
 	}
 }
 
-// program returns the compile-once program for q under the given
-// executor kind (nil when q cannot be compiled). Programs are keyed per
-// (kind, fingerprint): a session serving both compiled and vectorized
-// requests holds one program of each. The NoColumnar ablation compiles
-// to a distinct plan, so it keys separately too.
-func (c *evalCache) program(q algebra.Query, db *storage.Database, fp string, kind ExecutorKind, vec exec.VecOptions) *exec.Program {
-	key := string(kind) + "\x00" + fp
-	if vec.NoColumnar {
-		key = "boxed\x00" + key
-	}
-	pe, _ := c.progs.LoadOrStore(key, &progEntry{})
+// progKey identifies one compiled program: a program's batch size and
+// scan parallelism are fixed when it is compiled, so requests with
+// different exec.VecOptions cannot share one.
+type progKey struct {
+	fp  string
+	vec exec.VecOptions
+}
+
+// program returns the compile-once program for q under vec (nil when q
+// cannot be compiled).
+func (c *evalCache) program(q algebra.Query, db *storage.Database, fp string, vec exec.VecOptions) *exec.Program {
+	pe, _ := c.progs.LoadOrStore(progKey{fp: fp, vec: vec}, &progEntry{})
 	pe.once.Do(func() {
-		if prog, err := compileFor(kind, q, db, vec); err == nil {
+		if prog, err := exec.CompileVec(q, db, vec); err == nil {
 			pe.prog = prog
 		}
 	})

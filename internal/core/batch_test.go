@@ -394,7 +394,7 @@ func TestProgramCacheEvictsUnderRunningEvals(t *testing.T) {
 	}
 	c := newEvalCache()
 	program := func(i int) *exec.Program {
-		return c.program(q(i), db, algebra.Fingerprint(q(i)), ExecVectorized, exec.VecOptions{})
+		return c.program(q(i), db, algebra.Fingerprint(q(i)), exec.VecOptions{})
 	}
 	held := program(0)
 	if held == nil {
@@ -443,5 +443,45 @@ func TestProgramCacheEvictsUnderRunningEvals(t *testing.T) {
 	}
 	if out, err := again.RunCtx(context.Background(), db); err != nil || out.Len() != 3000 {
 		t.Fatalf("recompiled program: %v rows, %v", out.Len(), err)
+	}
+}
+
+// TestSessionCachesKeyOnVecOptions: batch size and scan parallelism are
+// fixed when a program is compiled, so a session asked for the same
+// query, or the same template, under other exec.VecOptions must not hand
+// back what it compiled for the first ones.
+func TestSessionCachesKeyOnVecOptions(t *testing.T) {
+	e := ordersEngine(t)
+	db, err := e.vdb.VersionCtx(context.Background(), e.Version())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := mustAggQuery(t, "SELECT region, SUM(amount) AS total FROM orders GROUP BY region").Query
+	fp := algebra.Fingerprint(q)
+	small := exec.VecOptions{BatchSize: 7, Workers: 1}
+	c := newEvalCache()
+	def := c.program(q, db, fp, exec.VecOptions{})
+	if def == nil || c.program(q, db, fp, exec.VecOptions{}) != def {
+		t.Fatal("one query under one VecOptions must compile once")
+	}
+	if got := c.program(q, db, fp, small); got == nil || got == def {
+		t.Fatalf("VecOptions %+v got the default options' program", small)
+	}
+
+	mods := []history.Modification{history.Replace{Pos: 1,
+		Stmt: mustStmt(t, "UPDATE orders SET amount = $to WHERE amount = 10.0")}}
+	sess := e.NewSession()
+	opts := DefaultOptions()
+	tpl, err := sess.CompileTemplate(mods, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Vec = small
+	other, err := sess.CompileTemplate(mods, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == tpl {
+		t.Fatalf("VecOptions %+v got the template compiled for the defaults", small)
 	}
 }

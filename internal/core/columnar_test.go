@@ -79,7 +79,7 @@ func TestResultCacheKeysByForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := mustAggQuery(t, "SELECT region, SUM(amount) AS total FROM orders GROUP BY region").Query
-	for _, kind := range []ExecutorKind{ExecVectorized, ExecCompiled, ExecInterpreter} {
+	for _, kind := range []ExecutorKind{ExecVectorized, ExecInterpreter} {
 		ec := newEvalCache()
 		ev := e.newEvaluator(context.Background(), Options{Executor: kind}, e.Version(), ec)
 		for round := 0; round < 2; round++ {

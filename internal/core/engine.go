@@ -35,15 +35,10 @@ const (
 	// across GOMAXPROCS workers behind an order-preserving merge. This
 	// is the default (the zero value selects it too).
 	ExecVectorized ExecutorKind = "vectorized"
-	// ExecCompiled runs queries through the tuple-at-a-time compiled
-	// executor (exec.Compile): expressions lowered to closures over
-	// column ordinals, fused σ/Π chains, hash joins and hash-based bag
-	// difference.
-	ExecCompiled ExecutorKind = "compiled"
 	// ExecInterpreter runs queries through the tree-walking interpreter
 	// (algebra.Eval). It is kept as the reference oracle: the
-	// differential tests require it to agree with ExecCompiled and
-	// ExecVectorized on every history.
+	// differential tests require it to agree with ExecVectorized on
+	// every history.
 	ExecInterpreter ExecutorKind = "interpreter"
 )
 
@@ -64,14 +59,14 @@ type Options struct {
 	Compile compile.Options
 	// DataSlice configures the push-down analysis.
 	DataSlice dataslice.Options
-	// Executor picks the query evaluation backend; the zero value means
-	// ExecVectorized. Queries the compilers cannot handle (e.g.
-	// symbolic variables) transparently fall back to the interpreter,
-	// so the choice never changes observable results — only speed.
+	// Executor picks the query evaluation backend: ExecVectorized (also
+	// the zero value) or the ExecInterpreter oracle. Queries the
+	// vectorized compiler cannot handle (e.g. symbolic variables)
+	// transparently fall back to the interpreter, so the choice never
+	// changes observable results — only speed.
 	Executor ExecutorKind
-	// Vec tunes the vectorized executor (batch size, scan parallelism,
-	// the NoColumnar typed-lane ablation). Ignored by the other
-	// backends.
+	// Vec tunes the vectorized executor: batch size and scan
+	// parallelism. Ignored by the interpreter.
 	Vec exec.VecOptions
 }
 
@@ -208,9 +203,9 @@ func (e *Engine) Durable() bool { return e.appender != nil }
 func (e *Engine) Version() int { return e.vdb.NumVersions() }
 
 // InterpreterFallbacks counts, over the engine's lifetime and all its
-// sessions, the query evaluations that requested the vectorized or the
-// compiled executor but ran through the tree-walking interpreter
-// because the query would not compile. The answer is the same — the
+// sessions, the query evaluations that requested the vectorized
+// executor but ran through the tree-walking interpreter because the
+// query would not compile. The answer is the same — the
 // interpreter is the reference semantics — but far slower, so a value
 // above zero on the default path is a performance bug worth a look.
 func (e *Engine) InterpreterFallbacks() int64 { return e.fallbacks.Load() }
@@ -414,8 +409,8 @@ func (e *Engine) WhatIf(mods []history.Modification, opts Options) (delta.Set, *
 
 // WhatIfCtx is WhatIf under a context. Cancellation and deadlines are
 // observed inside the long-running phases — every solver branch & bound
-// node during program slicing, every few thousand tuples of compiled
-// query execution, every statement of time-travel replay — so a
+// node during program slicing, every row batch of compiled query
+// execution, every statement of time-travel replay — so a
 // cancelled query stops within milliseconds and returns ctx.Err().
 func (e *Engine) WhatIfCtx(ctx context.Context, mods []history.Modification, opts Options) (delta.Set, *Stats, error) {
 	d, _, st, err := e.whatIfAggregates(ctx, mods, nil, opts, &batchShared{})
@@ -486,8 +481,8 @@ func normalizeExecutor(k ExecutorKind) ExecutorKind {
 
 // evaluator answers algebra queries, optionally through a batch-shared
 // compiled-program + result cache (see evalCache). The default backend
-// is the vectorized executor; kind selects the tuple-at-a-time compiled
-// executor or the tree-walking interpreter oracle instead.
+// is the vectorized executor; kind selects the tree-walking interpreter
+// oracle instead.
 type evaluator struct {
 	e    *Engine // receives the fallback count; nil in zero-valued test evaluators
 	ctx  context.Context
@@ -563,9 +558,9 @@ func (ev evaluator) program(q algebra.Query, db *storage.Database, fp string) *e
 		if fp == "" {
 			fp = algebra.Fingerprint(q)
 		}
-		return ev.ec.program(q, db, fp, ev.kind, ev.vec)
+		return ev.ec.program(q, db, fp, ev.vec)
 	}
-	prog, _ := compileFor(ev.kind, q, db, ev.vec)
+	prog, _ := exec.CompileVec(q, db, ev.vec)
 	return prog
 }
 
@@ -578,10 +573,10 @@ func (ev evaluator) runRows(q algebra.Query, db *storage.Database, fp string) (*
 }
 
 // runView answers q over db as a columnar view. A vectorized program
-// leaves its result in lanes and boxes nothing; the tuple-at-a-time
-// executor and the interpreter produce rows, which are transposed once —
-// they are the oracles, so what that costs does not matter, and core has
-// one result form and one delta call whatever the executor.
+// leaves its result in lanes and boxes nothing; the interpreter produces
+// rows, which are transposed once — it is the oracle, so what that
+// costs does not matter, and core has one result form and one delta
+// call whatever the executor.
 func (ev evaluator) runView(q algebra.Query, db *storage.Database, fp string) (*storage.ColumnarView, error) {
 	if prog := ev.program(q, db, fp); prog != nil {
 		return prog.RunColumnarCtx(ev.evalCtx(), db)
@@ -611,13 +606,4 @@ func (ev evaluator) interpret(q algebra.Query, db *storage.Database) (*storage.R
 		ev.e.fallbacks.Add(1)
 	}
 	return algebra.Eval(q, db)
-}
-
-// compileFor lowers q with the backend kind selects (vectorized unless
-// the tuple-at-a-time compiled executor was requested explicitly).
-func compileFor(kind ExecutorKind, q algebra.Query, db *storage.Database, vec exec.VecOptions) (*exec.Program, error) {
-	if kind == ExecCompiled {
-		return exec.Compile(q, db)
-	}
-	return exec.CompileVec(q, db, vec)
 }

@@ -70,7 +70,7 @@ func TestZeroSlotTemplateEqualsWhatIf(t *testing.T) {
 	}
 	for name, mods := range scenarios {
 		for _, v := range []Variant{VariantR, VariantRPS, VariantRDS, VariantRFull} {
-			for _, kind := range []ExecutorKind{ExecVectorized, ExecCompiled, ExecInterpreter} {
+			for _, kind := range []ExecutorKind{ExecVectorized, ExecInterpreter} {
 				label := name + " " + string(v) + " " + string(kind)
 				opts := OptionsFor(v)
 				opts.Executor = kind

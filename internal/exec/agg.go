@@ -8,14 +8,13 @@ import (
 	"github.com/mahif/mahif/internal/types"
 )
 
-// Grouped aggregation for both compiled executors. Group identity
-// (Tuple.Hash + Tuple.Equal through algebra.GroupIndex) and accumulator
-// semantics (algebra.AggAcc) are shared with the interpreter, so the
-// three executors cannot drift on NULL grouping, cross-kind numeric
-// keys, integer wraparound, or float finiteness errors. Output rows are
-// emitted in first-appearance order of their group, which is
-// deterministic because every executor produces interpreter-exact input
-// order.
+// Grouped aggregation. Group identity (Tuple.Hash + Tuple.Equal through
+// algebra.GroupIndex) and accumulator semantics (algebra.AggAcc) are
+// shared with the interpreter, so the two executors cannot drift on
+// NULL grouping, cross-kind numeric keys, integer wraparound, or float
+// finiteness errors. Output rows are emitted in first-appearance order
+// of their group, which is deterministic because the executor produces
+// interpreter-exact input order.
 
 // aggSchema computes the output schema (groups then aggregates) against
 // the input schema.
@@ -38,110 +37,7 @@ func newAggAccs(fns []algebra.AggFunc) []algebra.AggAcc {
 	return row
 }
 
-// aggNode is the tuple-at-a-time γ operator: a full pipeline breaker
-// that drains its input into per-group accumulators and then streams
-// one result row per group. Per input row it evaluates the group
-// expressions then each aggregate argument left to right — the
-// interpreter's evaluation order, so error behavior is identical.
-type aggNode struct {
-	in       node
-	groupFns []scalarFn
-	argFns   []scalarFn // nil entry = COUNT(*)
-	fns      []algebra.AggFunc
-	arity    int
-}
-
-func (n *aggNode) run(ctx *runCtx, emit emitFn) error {
-	groups := algebra.NewGroupIndex()
-	var accs [][]algebra.AggAcc
-	global := len(n.groupFns) == 0
-	if global {
-		accs = append(accs, newAggAccs(n.fns))
-	}
-	key := make(schema.Tuple, len(n.groupFns))
-	err := n.in.run(ctx, func(t schema.Tuple, _ bool) error {
-		gi := 0
-		if !global {
-			for i, fn := range n.groupFns {
-				v, err := fn(t)
-				if err != nil {
-					return err
-				}
-				key[i] = v
-			}
-			h := key.Hash()
-			gi = groups.Lookup(h, key)
-			if gi < 0 {
-				gi = groups.Add(h, key.Clone())
-				accs = append(accs, newAggAccs(n.fns))
-			}
-		}
-		row := accs[gi]
-		for j, fn := range n.argFns {
-			if fn == nil {
-				row[j].AddRow()
-				continue
-			}
-			v, err := fn(t)
-			if err != nil {
-				return err
-			}
-			if err := row[j].Add(v); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	buf := make(schema.Tuple, n.arity)
-	for gi := range accs {
-		if !global {
-			copy(buf, groups.Key(gi))
-		}
-		for j := range accs[gi] {
-			v, err := accs[gi][j].Result()
-			if err != nil {
-				return err
-			}
-			buf[len(n.groupFns)+j] = v
-		}
-		if err := emit(buf, false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// compileAggregate lowers γ for the tuple path.
-func compileAggregate(x *algebra.Aggregate, db *storage.Database) (node, *schema.Schema, error) {
-	in, s, err := compileNode(x.In, db)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := &aggNode{in: in, arity: len(x.GroupBy) + len(x.Aggs)}
-	for _, ne := range x.GroupBy {
-		fn, err := compileScalar(ne.E, s)
-		if err != nil {
-			return nil, nil, err
-		}
-		n.groupFns = append(n.groupFns, fn)
-	}
-	for _, a := range x.Aggs {
-		var fn scalarFn
-		if a.Arg != nil {
-			if fn, err = compileScalar(a.Arg, s); err != nil {
-				return nil, nil, err
-			}
-		}
-		n.argFns = append(n.argFns, fn)
-		n.fns = append(n.fns, a.Fn)
-	}
-	return n, aggSchema(x, s), nil
-}
-
-// vaggNode is the vectorized γ operator: typed-lane hash aggregation.
+// vaggregateNode is the vectorized γ operator: typed-lane hash aggregation.
 // Group keys hash column-wise without boxing (ColVec.FoldHash, the same
 // tuple hash the GroupIndex uses), bare-column group keys stay on their
 // input lanes, and bare-column aggregate arguments on clean typed lanes
@@ -150,7 +46,7 @@ func compileAggregate(x *algebra.Aggregate, db *storage.Database) (node, *schema
 // into boxed scratch; like vProjectOp, every kernel runs over all live
 // rows, so a batch errors iff the row-at-a-time semantics would error
 // on some row of it.
-type vaggNode struct {
+type vaggregateNode struct {
 	in       vecNode
 	groupFns []vecScalarFn // nil entry: bare column, use groupSrc
 	groupSrc []int
@@ -161,7 +57,7 @@ type vaggNode struct {
 	cfg      vecConfig
 }
 
-func (n *vaggNode) run(rc *runCtx, emit vecEmit) error {
+func (n *vaggregateNode) run(rc *runCtx, emit vecEmit) error {
 	groups := algebra.NewGroupIndex()
 	var accs [][]algebra.AggAcc
 	nG := len(n.groupFns)
@@ -296,13 +192,16 @@ func (n *vaggNode) run(rc *runCtx, emit vecEmit) error {
 		return err
 	}
 
-	out := newOwnedBatch(n.arity, n.cfg.bs)
+	// The output batch holds min(groups, bs) rows: a global or few-group
+	// aggregate does not pay for a full batch of boxed cells.
+	capacity := min(max(len(accs), 1), n.cfg.bs)
+	out := newOwnedBatch(n.arity, capacity)
 	flush := func() error {
 		if out.n == 0 {
 			return nil
 		}
-		// Result emission is not driven by a ticking source, so observe
-		// cancellation once per emitted batch; consumers may also have
+		// Result emission is not driven by a source batch loop, so
+		// observe cancellation once per emitted batch; consumers may also have
 		// narrowed the previous emit's selection in place.
 		if err := rc.ctx.Err(); err != nil {
 			return err
@@ -326,7 +225,7 @@ func (n *vaggNode) run(rc *runCtx, emit vecEmit) error {
 			out.cols[nG+j].Vals[out.n] = v
 		}
 		out.n++
-		if out.n == n.cfg.bs {
+		if out.n == capacity {
 			if err := flush(); err != nil {
 				return err
 			}
@@ -341,7 +240,7 @@ func compileVecAggregate(x *algebra.Aggregate, db *storage.Database, cfg vecConf
 	if err != nil {
 		return nil, nil, err
 	}
-	n := &vaggNode{in: in, arity: len(x.GroupBy) + len(x.Aggs), cfg: cfg}
+	n := &vaggregateNode{in: in, arity: len(x.GroupBy) + len(x.Aggs), cfg: cfg}
 	for _, ne := range x.GroupBy {
 		src := -1
 		var fn vecScalarFn

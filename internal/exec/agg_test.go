@@ -21,37 +21,22 @@ func mustQuery(t testing.TB, src string) algebra.Query {
 	return q
 }
 
-// evalThreeWay evaluates q with the interpreter, the compiled executor,
-// and the vectorized executor and requires identical relations (schema,
-// tuples, and order) or a unanimous error.
-func evalThreeWay(t *testing.T, q algebra.Query, db *storage.Database) *storage.Relation {
+// evalTwoWay evaluates q with the interpreter and with a program
+// compiled under opts and requires identical relations (schema, tuples,
+// and order) or that both fail.
+func evalTwoWay(t *testing.T, q algebra.Query, db *storage.Database, opts exec.VecOptions) *storage.Relation {
 	t.Helper()
 	want, errI := algebra.Eval(q, db)
-	for _, ex := range []struct {
-		name string
-		eval func(algebra.Query, *storage.Database) (*storage.Relation, error)
-	}{
-		{"compiled", exec.Eval},
-		{"vectorized", exec.EvalVec},
-	} {
-		got, err := ex.eval(q, db)
-		if (errI == nil) != (err == nil) {
-			t.Fatalf("%s: error divergence on %s: interpreter=%v got=%v", ex.name, q, errI, err)
-		}
-		if errI != nil {
-			continue
-		}
-		if !want.Schema.Equal(got.Schema) {
-			t.Fatalf("%s: schema divergence on %s: %s vs %s", ex.name, q, want.Schema, got.Schema)
-		}
-		if len(want.Tuples) != len(got.Tuples) {
-			t.Fatalf("%s: row count divergence on %s: %d vs %d", ex.name, q, len(want.Tuples), len(got.Tuples))
-		}
-		for i := range want.Tuples {
-			if !want.Tuples[i].Equal(got.Tuples[i]) {
-				t.Fatalf("%s: row %d divergence on %s: %s vs %s", ex.name, i, q, want.Tuples[i], got.Tuples[i])
-			}
-		}
+	prog, err := exec.CompileVec(q, db, opts)
+	var got *storage.Relation
+	if err == nil {
+		got, err = prog.Run(db)
+	}
+	if (errI == nil) != (err == nil) {
+		t.Fatalf("error divergence on %s: interpreter=%v vectorized=%v", q, errI, err)
+	}
+	if errI == nil {
+		requireSameRelation(t, fmt.Sprint(q), want, got)
 	}
 	return want
 }
@@ -86,9 +71,22 @@ func aggBoundaryDB(n int) *storage.Database {
 
 // TestAggregateExecutorBoundaries is the batch-edge battery: every
 // aggregate shape at 0, 1, 1023, 1024, and 1025 input rows — empty
-// input, a single batch minus/exactly/plus one row — must agree across
-// all three executors.
+// input, a single batch minus/exactly/plus one row — must agree with
+// the interpreter. GROUP BY k + 1 has one group per row, so its output
+// crosses the 1024-row flush too.
 func TestAggregateExecutorBoundaries(t *testing.T) {
+	aggBoundaryBattery(t, []int{0, 1, 1023, 1024, 1025}, exec.VecOptions{})
+}
+
+// TestAggregateSmallBatchBoundaries runs the battery at 7-row batches.
+// A γ's output batch holds min(groups, batch size) rows, so group
+// counts of 6, 7 and 8 sit on either side of that cap, and every larger
+// input flushes its groups many times.
+func TestAggregateSmallBatchBoundaries(t *testing.T) {
+	aggBoundaryBattery(t, []int{0, 1, 6, 7, 8, 1023, 1024, 1025}, exec.VecOptions{BatchSize: 7})
+}
+
+func aggBoundaryBattery(t *testing.T, sizes []int, opts exec.VecOptions) {
 	queries := []string{
 		"SELECT COUNT(*) AS n, COUNT(v) AS c, SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, MAX(v) AS hi FROM r",
 		"SELECT g, COUNT(*) AS n, SUM(v) AS s FROM r GROUP BY g",
@@ -96,11 +94,11 @@ func TestAggregateExecutorBoundaries(t *testing.T) {
 		"SELECT k + 1 AS kk, COUNT(v) AS c FROM r GROUP BY k + 1",
 		"SELECT g FROM r GROUP BY g",
 	}
-	for _, n := range []int{0, 1, 1023, 1024, 1025} {
+	for _, n := range sizes {
 		db := aggBoundaryDB(n)
 		for _, src := range queries {
 			t.Run(fmt.Sprintf("n=%d/%s", n, src), func(t *testing.T) {
-				out := evalThreeWay(t, mustQuery(t, src), db)
+				out := evalTwoWay(t, mustQuery(t, src), db, opts)
 				if n == 0 {
 					grouped := len(out.Schema.Columns) == 0 || out.Schema.Columns[0].Name == "g" || out.Schema.Columns[0].Name == "kk"
 					if grouped && len(out.Tuples) != 0 {
@@ -134,8 +132,8 @@ func TestAggregateSemantics(t *testing.T) {
 	)
 	db.AddRelation(r)
 
-	out := evalThreeWay(t, mustQuery(t,
-		"SELECT COUNT(*) AS n, COUNT(v) AS c, SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, MAX(v) AS hi FROM r"), db)
+	out := evalTwoWay(t, mustQuery(t,
+		"SELECT COUNT(*) AS n, COUNT(v) AS c, SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, MAX(v) AS hi FROM r"), db, exec.VecOptions{})
 	if len(out.Tuples) != 1 {
 		t.Fatalf("want 1 row, got %d", len(out.Tuples))
 	}
@@ -152,7 +150,7 @@ func TestAggregateSemantics(t *testing.T) {
 		t.Fatalf("global aggregate: got %s want %s", row, wantRow)
 	}
 
-	out = evalThreeWay(t, mustQuery(t, "SELECT g, COUNT(*) AS n FROM r GROUP BY g"), db)
+	out = evalTwoWay(t, mustQuery(t, "SELECT g, COUNT(*) AS n FROM r GROUP BY g"), db, exec.VecOptions{})
 	if len(out.Tuples) != 2 {
 		t.Fatalf("NULL keys must form one group: got %d rows", len(out.Tuples))
 	}
@@ -166,20 +164,20 @@ func TestAggregateSemantics(t *testing.T) {
 	// Empty input: global aggregates yield COUNT 0 and NULLs...
 	empty := storage.NewDatabase()
 	empty.AddRelation(storage.NewRelation(r.Schema))
-	out = evalThreeWay(t, mustQuery(t, "SELECT COUNT(*) AS n, SUM(v) AS s FROM r"), empty)
+	out = evalTwoWay(t, mustQuery(t, "SELECT COUNT(*) AS n, SUM(v) AS s FROM r"), empty, exec.VecOptions{})
 	if len(out.Tuples) != 1 || !out.Tuples[0].Equal(schema.NewTuple(types.Int(0), types.Null())) {
 		t.Fatalf("empty global aggregate: got %v", out.Tuples)
 	}
 	// ...while grouped aggregates yield no rows.
-	out = evalThreeWay(t, mustQuery(t, "SELECT g, COUNT(*) AS n FROM r GROUP BY g"), empty)
+	out = evalTwoWay(t, mustQuery(t, "SELECT g, COUNT(*) AS n FROM r GROUP BY g"), empty, exec.VecOptions{})
 	if len(out.Tuples) != 0 {
 		t.Fatalf("empty grouped aggregate: got %v", out.Tuples)
 	}
 
-	// Ill-typed aggregation errors identically everywhere (checked
-	// inside evalThreeWay); the interpreter error is the contract.
+	// Ill-typed aggregation errors in both executors (checked inside
+	// evalTwoWay); the interpreter error is the contract.
 	if _, err := algebra.Eval(mustQuery(t, "SELECT SUM(g) AS s FROM r"), db); err == nil {
 		t.Fatal("SUM over string must error")
 	}
-	evalThreeWay(t, mustQuery(t, "SELECT SUM(g) AS s FROM r"), db)
+	evalTwoWay(t, mustQuery(t, "SELECT SUM(g) AS s FROM r"), db, exec.VecOptions{})
 }

@@ -25,11 +25,6 @@ type VecOptions struct {
 	// (≤ 0: 8192). Below it the scan runs sequentially — fan-out and
 	// merge overhead would dominate.
 	MinParallelRows int
-	// NoColumnar disables the typed column lanes: scans transpose into
-	// boxed Value columns and every kernel takes its generic path — the
-	// pre-columnar executor, kept as an ablation knob for benchmarks and
-	// differential tests.
-	NoColumnar bool
 }
 
 // defaultMinParallelRows is the parallel-scan cutover when
@@ -41,11 +36,10 @@ type vecConfig struct {
 	bs          int
 	workers     int
 	minParallel int
-	columnar    bool
 }
 
 func (o VecOptions) config() vecConfig {
-	c := vecConfig{bs: o.BatchSize, workers: o.Workers, minParallel: o.MinParallelRows, columnar: !o.NoColumnar}
+	c := vecConfig{bs: o.BatchSize, workers: o.Workers, minParallel: o.MinParallelRows}
 	if c.bs <= 0 {
 		c.bs = DefaultBatchSize
 	}
@@ -62,10 +56,9 @@ func (o VecOptions) config() vecConfig {
 // its columns are valid only until the call returns.
 type vecEmit func(b *batch) error
 
-// vecNode is one compiled vectorized operator. Like the tuple-at-a-time
-// nodes, implementations are immutable after compilation and allocate
-// all run state inside run, so one Program supports concurrent RunCtx
-// calls.
+// vecNode is one compiled vectorized operator. Implementations are
+// immutable after compilation and allocate all run state inside run, so
+// one Program supports concurrent RunCtx calls.
 type vecNode interface {
 	run(rc *runCtx, emit vecEmit) error
 }
@@ -85,9 +78,9 @@ type vopState interface {
 	apply(p *vecPool, b *batch) (*batch, error)
 }
 
-// chain is a fused sequence of σ/Π operators applied batch-wise — the
-// vectorized analogue of the tuple path's nested emit closures, minus
-// the per-tuple dispatch.
+// chain is a fused sequence of σ/Π operators applied batch-wise: one
+// pass over the source for the whole chain, one dispatch per operator
+// per batch.
 type chain struct {
 	ops []vop
 }
@@ -219,9 +212,8 @@ func (st *vFilterState) apply(p *vecPool, b *batch) (*batch, error) {
 
 // vProjectOp evaluates one kernel per computed output column; identity
 // columns (src[i] >= 0, the bulk of every reenactment projection) pass
-// through by aliasing the input column's lanes — zero work per row,
-// where the tuple path copied every column of every surviving tuple at
-// every projection of the chain. Computed columns matching the
+// through by aliasing the input column's lanes — zero work per row.
+// Computed columns matching the
 // reenacted-UPDATE shape (IF θ THEN f(col) ELSE col) carry a typedIf
 // producer that keeps the output on a typed lane when the input lanes
 // allow it; ifs[i] == nil or an inapplicable lane falls back to the
@@ -354,10 +346,9 @@ type vpipeNode struct {
 	// chain change it; parallel workers freeze batches at this width.
 	outArity int
 	// kinds is the declared column kind per scan column — the typed-lane
-	// hints for the batch transpose (nil: columnar lanes disabled, every
-	// column boxed). A column whose runtime cells deviate from its
-	// declared kind falls back to the boxed lane per batch, so stale
-	// hints cannot produce wrong data.
+	// hints for the batch transpose. A column whose runtime cells deviate
+	// from its declared kind falls back to the boxed lane per batch, so
+	// stale hints cannot produce wrong data.
 	kinds []types.Kind
 	ch    chain
 	cfg   vecConfig
@@ -375,11 +366,9 @@ func (n *vpipeNode) run(rc *runCtx, emit vecEmit) error {
 	// A frozen relation (one a SnapshotCache published) is scanned through
 	// its shared columnar view, a private one by transposing its rows;
 	// the relation says which it is.
-	var view *storage.ColumnarView
-	if n.cfg.columnar {
-		if view, err = r.SharedColumnar(); err != nil {
-			return fmt.Errorf("exec: %w", err)
-		}
+	view, err := r.SharedColumnar()
+	if err != nil {
+		return fmt.Errorf("exec: %w", err)
 	}
 	tuples := r.Tuples
 	if n.cfg.workers > 1 && len(tuples) >= n.cfg.minParallel {
@@ -437,11 +426,9 @@ func (n *vpipeNode) runParallel(rc *runCtx, tuples []schema.Tuple, view *storage
 }
 
 // runVecChunk drives one contiguous tuple range through a chain run,
-// transposing bs rows at a time into a column-major source batch —
-// directly onto typed lanes when kinds supplies per-column hints, boxed
-// otherwise. Cancellation is observed between batches — every ≤ bs
-// source rows — independent of the tuple path's 4096-tuple tick
-// cadence.
+// transposing bs rows at a time into a column-major source batch,
+// directly onto the typed lanes kinds declares. Cancellation is
+// observed between batches — every ≤ bs source rows.
 func runVecChunk(rc *runCtx, tuples []schema.Tuple, arity int, kinds []types.Kind, cr *chainRun, bs int, emit vecEmit) error {
 	if len(tuples) == 0 {
 		return nil
@@ -459,11 +446,7 @@ func runVecChunk(rc *runCtx, tuples []schema.Tuple, arity int, kinds []types.Kin
 			return fmt.Errorf("exec: %w", err)
 		}
 		for c := 0; c < arity; c++ {
-			want := types.KindNull
-			if kinds != nil {
-				want = kinds[c]
-			}
-			src.cols[c].FillFromTuples(rows, c, want)
+			src.cols[c].FillFromTuples(rows, c, kinds[c])
 		}
 		src.n, src.sel = len(rows), nil
 		if err := cr.feed(src, emit); err != nil {
@@ -606,7 +589,7 @@ func (n *vdiffNode) run(rc *runCtx, emit vecEmit) error {
 	})
 }
 
-// vhashJoinNode is the vectorized equi-join: the build branch
+// vequiJoinNode is the vectorized equi-join: the build branch
 // materializes into the key-hashed table, the other branch probes it
 // row-wise over its selection, appending matches to an owned output
 // batch that flushes at capacity. With the default right build, bucket
@@ -614,7 +597,7 @@ func (n *vdiffNode) run(rc *runCtx, emit vecEmit) error {
 // order matches the interpreter's nested loop exactly; the left build
 // (chosen at compile time when the left input is estimated smaller)
 // buffers matches per left row and replays them in the same order.
-type vhashJoinNode struct {
+type vequiJoinNode struct {
 	l, r           vecNode
 	lKeys, rKeys   []int
 	lArity, rArity int
@@ -622,7 +605,7 @@ type vhashJoinNode struct {
 	buildLeft      bool
 }
 
-func (n *vhashJoinNode) run(rc *runCtx, emit vecEmit) error {
+func (n *vequiJoinNode) run(rc *runCtx, emit vecEmit) error {
 	if n.buildLeft {
 		return n.runBuildLeft(rc, emit)
 	}
@@ -703,7 +686,7 @@ func (n *vhashJoinNode) run(rc *runCtx, emit vecEmit) error {
 // into the hash table (with row positions), right batches stream and
 // probe, and matches are grouped under their left row so the flush
 // order is interpreter-exact (left-major, right-stream-minor).
-func (n *vhashJoinNode) runBuildLeft(rc *runCtx, emit vecEmit) error {
+func (n *vequiJoinNode) runBuildLeft(rc *runCtx, emit vecEmit) error {
 	type buildRow struct {
 		pos int
 		t   schema.Tuple
@@ -764,9 +747,9 @@ func (n *vhashJoinNode) runBuildLeft(rc *runCtx, emit vecEmit) error {
 		if out.n == 0 {
 			return nil
 		}
-		// The replay loop multiplies cardinalities without pulling from
-		// a ticking source, so it observes cancellation itself — once
-		// per emitted batch, the executor's granularity guarantee.
+		// The replay loop multiplies cardinalities without pulling a
+		// source batch, so it observes cancellation itself — once per
+		// emitted batch, the executor's granularity guarantee.
 		if err := rc.ctx.Err(); err != nil {
 			return err
 		}
@@ -819,19 +802,19 @@ func keysEqualCols(b *batch, r int, rt schema.Tuple, lKeys, rKeys []int) bool {
 	return true
 }
 
-// vnlJoinNode is the vectorized nested-loop fallback: right rows
+// vloopJoinNode is the vectorized nested-loop fallback: right rows
 // materialize once, left rows stream against them with the full
 // compiled row predicate (interpreter-exact, including conditions that
 // error). The inner loop ticks its own cancellation counter since it
 // multiplies the source cardinality.
-type vnlJoinNode struct {
+type vloopJoinNode struct {
 	l, r           vecNode
 	pred           predFn
 	lArity, rArity int
 	cfg            vecConfig
 }
 
-func (n *vnlJoinNode) run(rc *runCtx, emit vecEmit) error {
+func (n *vloopJoinNode) run(rc *runCtx, emit vecEmit) error {
 	var right []schema.Tuple
 	err := n.r.run(rc, func(b *batch) error {
 		right = append(right, materializeRows(b, n.rArity)...)
@@ -906,18 +889,20 @@ func (n *vnlJoinNode) run(rc *runCtx, emit vecEmit) error {
 }
 
 // CompileVec lowers q into a vectorized pipelined program: operators
-// exchange column-major row batches with selection vectors instead of
-// single tuples, and scans over large relations partition across
-// workers. Semantics (including output order and error behavior) match
-// Compile and the interpreter; queries outside the compilable subset
-// return an error and the caller falls back.
+// exchange column-major row batches with selection vectors, and scans
+// over large relations partition across workers. db supplies the base
+// relation schemas; the returned program may run against any database
+// holding relations with the same schemas (e.g. other time-travel
+// versions of the same store). Semantics (including output order and
+// error behavior) match the interpreter; queries outside the compilable
+// subset return an error and the caller falls back to it.
 func CompileVec(q algebra.Query, db *storage.Database, opts VecOptions) (*Program, error) {
 	cfg := opts.config()
 	n, sch, err := compileVecNode(q, db, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Program{vroot: n, out: sch}, nil
+	return &Program{root: n, out: sch}, nil
 }
 
 // EvalVec compiles and runs q vectorized in one step.
@@ -948,7 +933,9 @@ func appendOp(n vecNode, op vop, outArity int, cfg vecConfig) vecNode {
 	return &vchainNode{in: n, ch: chain{ops: []vop{op}}, cfg: cfg}
 }
 
-// compileVecNode mirrors compileNode for the vectorized operator set.
+// compileVecNode lowers one algebra node and returns it with its output
+// schema. Schemas are threaded bottom-up so compilation is one pass
+// over the tree (no per-node recursive OutputSchema recomputation).
 func compileVecNode(q algebra.Query, db *storage.Database, cfg vecConfig) (vecNode, *schema.Schema, error) {
 	switch x := q.(type) {
 	case *algebra.Scan:
@@ -956,7 +943,7 @@ func compileVecNode(q algebra.Query, db *storage.Database, cfg vecConfig) (vecNo
 		if err != nil {
 			return nil, nil, err
 		}
-		return &vpipeNode{rel: x.Rel, arity: r.Schema.Arity(), outArity: r.Schema.Arity(), kinds: colKinds(r.Schema, cfg), cfg: cfg}, r.Schema, nil
+		return &vpipeNode{rel: x.Rel, arity: r.Schema.Arity(), outArity: r.Schema.Arity(), kinds: colKinds(r.Schema), cfg: cfg}, r.Schema, nil
 
 	case *algebra.Select:
 		in, s, err := compileVecNode(x.In, db, cfg)
@@ -995,12 +982,9 @@ func compileVecNode(q algebra.Query, db *storage.Database, cfg vecConfig) (vecNo
 				return nil, nil, err
 			}
 			fns[i] = fn
-			if cfg.columnar {
-				if ifx, ok := ne.E.(*expr.If); ok {
-					ifs[i], err = recognizeTypedIf(ifx, s)
-					if err != nil {
-						return nil, nil, err
-					}
+			if ifx, ok := ne.E.(*expr.If); ok {
+				if ifs[i], err = recognizeTypedIf(ifx, s); err != nil {
+					return nil, nil, err
 				}
 			}
 		}
@@ -1040,7 +1024,7 @@ func compileVecNode(q algebra.Query, db *storage.Database, cfg vecConfig) (vecNo
 		return compileVecJoin(x, db, cfg)
 
 	case *algebra.Singleton:
-		return &vsingletonNode{tuples: x.Tuples, arity: x.Sch.Arity(), kinds: colKinds(x.Sch, cfg), cfg: cfg}, x.Sch, nil
+		return &vsingletonNode{tuples: x.Tuples, arity: x.Sch.Arity(), kinds: colKinds(x.Sch), cfg: cfg}, x.Sch, nil
 
 	case *algebra.Aggregate:
 		return compileVecAggregate(x, db, cfg)
@@ -1049,11 +1033,8 @@ func compileVecNode(q algebra.Query, db *storage.Database, cfg vecConfig) (vecNo
 }
 
 // colKinds extracts the declared per-column kinds of s as typed-lane
-// hints for the scan transpose, or nil when columnar lanes are off.
-func colKinds(s *schema.Schema, cfg vecConfig) []types.Kind {
-	if !cfg.columnar {
-		return nil
-	}
+// hints for the scan transpose.
+func colKinds(s *schema.Schema) []types.Kind {
 	kinds := make([]types.Kind, s.Arity())
 	for i, c := range s.Columns {
 		kinds[i] = c.Type
@@ -1061,8 +1042,8 @@ func colKinds(s *schema.Schema, cfg vecConfig) []types.Kind {
 	return kinds
 }
 
-// compileVecJoin applies the same hash-vs-nested-loop rule as the tuple
-// path: hash join only when every conjunct is a cross-side key equality.
+// compileVecJoin picks a hash join only when every conjunct of the
+// condition is a cross-side key equality, a nested loop otherwise.
 func compileVecJoin(x *algebra.Join, db *storage.Database, cfg vecConfig) (vecNode, *schema.Schema, error) {
 	l, ls, err := compileVecNode(x.L, db, cfg)
 	if err != nil {
@@ -1079,13 +1060,17 @@ func compileVecJoin(x *algebra.Join, db *storage.Database, cfg vecConfig) (vecNo
 
 	lKeys, rKeys, residual := splitEquiJoin(x.Cond, ls, rs)
 	if len(lKeys) == 0 || residual != nil {
+		// With a residual conjunct a hash join would skip NULL-key pairs
+		// that the interpreter still evaluates (a NULL equality does not
+		// short-circuit its AND) and whose residual may error, so only
+		// the all-keys shape takes the hash path.
 		pred, err := compilePred(x.Cond, joined)
 		if err != nil {
 			return nil, nil, err
 		}
-		return &vnlJoinNode{l: l, r: r, pred: pred, lArity: ls.Arity(), rArity: rs.Arity(), cfg: cfg}, joined, nil
+		return &vloopJoinNode{l: l, r: r, pred: pred, lArity: ls.Arity(), rArity: rs.Arity(), cfg: cfg}, joined, nil
 	}
-	return &vhashJoinNode{
+	return &vequiJoinNode{
 		l: l, r: r,
 		lKeys: lKeys, rKeys: rKeys,
 		lArity: ls.Arity(), rArity: rs.Arity(),

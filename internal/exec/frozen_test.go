@@ -38,11 +38,10 @@ func publish(t testing.TB, db *storage.Database) (*storage.Database, *storage.Sn
 // scanOptions are the ways a scan is driven: one worker, forced
 // partitions, and batch sizes off the view's 1024-row NULL blocks.
 var scanOptions = map[string]exec.VecOptions{
-	"sequential":     {Workers: 1},
-	"parallel":       parallelOptions,
-	"small-batches":  {BatchSize: 100, Workers: 3, MinParallelRows: 1},
-	"large-batches":  {BatchSize: 4096, Workers: 1},
-	"boxed-ablation": {NoColumnar: true, Workers: 2, MinParallelRows: 1},
+	"sequential":    {Workers: 1},
+	"parallel":      parallelOptions,
+	"small-batches": {BatchSize: 100, Workers: 3, MinParallelRows: 1},
+	"large-batches": {BatchSize: 4096, Workers: 1},
 }
 
 // requireSameOnBothSources runs q sequentially and partitioned over the
@@ -213,8 +212,8 @@ func TestFrozenScanMatchesPrivateScan(t *testing.T) {
 		for qName, q := range laneEdgeQueries(t, private) {
 			requireSameOnBothSources(t, dbName+"/"+qName, q, private, frozen)
 		}
-		// One build served every typed scan; the boxed ablation and the
-		// private database asked for none.
+		// One build served every scan of the frozen database; the private
+		// database asked for none.
 		if hits, misses := cache.ColumnarStats(); misses != 1 || hits == 0 {
 			t.Errorf("%s: %d view builds, %d reuses; want 1 build, reused", dbName, misses, hits)
 		}

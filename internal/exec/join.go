@@ -1,148 +1,122 @@
 package exec
 
 import (
+	"github.com/mahif/mahif/internal/algebra"
+	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/schema"
+	"github.com/mahif/mahif/internal/storage"
 	"github.com/mahif/mahif/internal/types"
 )
 
-// hashJoinNode is an equi-join: the build branch materializes into a
-// hash table on its key columns, the other branch probes it. Key
-// hashing and equality follow the typed-value semantics of the
-// comparison operator (numerics compare across int/float; NULL keys
-// never join, matching SQL's NULL = NULL → unknown). It is only used
-// when EVERY conjunct of the join condition is a key equality: with a
-// residual conjunct the interpreter still evaluates the whole
-// condition per pair (a NULL key does not short-circuit its AND), so
-// errors the residual raises on NULL-key pairs would be silently
-// skipped here; those conditions take the nested-loop path, which is
-// interpreter-exact.
-//
-// The build side is chosen at compile time by estimated cardinality
-// (buildLeft when the left input is smaller). Output order is
-// interpreter-exact either way: the default right build streams the
-// left side in order; the left build buffers matches per left row and
-// replays them in left-major, right-stream-minor order.
-type hashJoinNode struct {
-	l, r           node
-	lKeys, rKeys   []int
-	lArity, rArity int
-	buildLeft      bool
+// Join planning and key semantics for the vectorized joins
+// (compileVecJoin, vequiJoinNode): which conditions take the hash path,
+// which side builds, and what key equality means.
+
+// buildOnLeft decides the hash-join build side. The left build keeps
+// output order interpreter-exact by buffering matches per left row, so
+// unlike the streaming right build its transient memory is O(|L| +
+// matches) rather than O(|R|): on a heavily skewed key that buffer is
+// the pre-filter join output. The trade is therefore only taken when
+// the left input is decisively smaller (8×) and small in absolute
+// terms; marginal cases keep the streaming right-build default.
+// Estimates come from snapshot row counts at compile time; unknown
+// estimates keep the default too.
+func buildOnLeft(x *algebra.Join, db *storage.Database) bool {
+	const margin, maxBuild = 8, 1 << 20
+	le, lok := estimateRows(x.L, db)
+	re, rok := estimateRows(x.R, db)
+	return lok && rok && le <= maxBuild && le*margin <= re
 }
 
-func (n *hashJoinNode) run(ctx *runCtx, emit emitFn) error {
-	if n.buildLeft {
-		return n.runBuildLeft(ctx, emit)
+// estimateRows is a compile-time upper-bound cardinality estimate from
+// the snapshot's relation sizes: selections and projections preserve
+// the bound, unions add, a difference is bounded by its left input,
+// joins multiply. ok is false when a subtree's size cannot be derived
+// from the snapshot.
+func estimateRows(q algebra.Query, db *storage.Database) (int, bool) {
+	switch x := q.(type) {
+	case *algebra.Scan:
+		r, err := db.Relation(x.Rel)
+		if err != nil {
+			return 0, false
+		}
+		return r.Len(), true
+	case *algebra.Select:
+		return estimateRows(x.In, db)
+	case *algebra.Project:
+		return estimateRows(x.In, db)
+	case *algebra.Union:
+		a, aok := estimateRows(x.L, db)
+		b, bok := estimateRows(x.R, db)
+		return a + b, aok && bok
+	case *algebra.Difference:
+		return estimateRows(x.L, db)
+	case *algebra.Join:
+		a, aok := estimateRows(x.L, db)
+		b, bok := estimateRows(x.R, db)
+		if !aok || !bok {
+			return 0, false
+		}
+		if a > 0 && b > (1<<31)/a {
+			return 1 << 31, true // saturate instead of overflowing
+		}
+		return a * b, true
+	case *algebra.Singleton:
+		return len(x.Tuples), true
 	}
-	// Build side: right branch, keyed by the typed hash of its key
-	// columns. Tuples are retained, so unowned scratch rows are cloned.
-	table := map[uint64][]schema.Tuple{}
-	err := n.r.run(ctx, func(t schema.Tuple, owned bool) error {
-		h, ok := hashKeys(t, n.rKeys)
-		if !ok {
-			return nil // NULL key: can never satisfy the equality
-		}
-		if !owned {
-			t = t.Clone()
-		}
-		table[h] = append(table[h], t)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Probe side: stream the left branch; matches preserve right-branch
-	// order within a bucket, so the output order matches the
-	// interpreter's nested loop.
-	buf := make(schema.Tuple, n.lArity+n.rArity)
-	return n.l.run(ctx, func(lt schema.Tuple, _ bool) error {
-		h, ok := hashKeys(lt, n.lKeys)
-		if !ok {
-			return nil
-		}
-		for _, rt := range table[h] {
-			if !keysEqual(lt, rt, n.lKeys, n.rKeys) {
-				continue // hash collision between distinct keys
-			}
-			copy(buf[:n.lArity], lt)
-			copy(buf[n.lArity:], rt)
-			if err := emit(buf, false); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	return 0, false
 }
 
-// runBuildLeft materializes the (smaller) left branch into the hash
-// table, streams the right branch against it, and groups each match
-// under its left row so the final emission order is exactly the
-// interpreter's nested loop: left-major, right-stream order within a
-// left row. Memory is O(|L| + matches) instead of O(|R|).
-func (n *hashJoinNode) runBuildLeft(ctx *runCtx, emit emitFn) error {
-	type buildRow struct {
-		pos int
-		t   schema.Tuple
-	}
-	table := map[uint64][]buildRow{}
-	var left []schema.Tuple
-	err := n.l.run(ctx, func(t schema.Tuple, owned bool) error {
-		if !owned {
-			t = t.Clone()
+// splitEquiJoin scans the conjuncts of a join condition for cross-side
+// column equalities (L.a = R.b in either spelling). It returns the key
+// ordinals per side and the conjunction of the remaining conjuncts
+// (nil when every conjunct became a key). Columns whose names resolve
+// on both sides are left in the residual — the algebra requires
+// distinct names across join inputs, but ambiguity must not silently
+// pick a side.
+func splitEquiJoin(cond expr.Expr, ls, rs *schema.Schema) (lKeys, rKeys []int, residual expr.Expr) {
+	var rest []expr.Expr
+	for _, c := range conjuncts(cond) {
+		cmp, ok := c.(*expr.Cmp)
+		if !ok || cmp.Op != expr.CmpEq {
+			rest = append(rest, c)
+			continue
 		}
-		if h, ok := hashKeys(t, n.lKeys); ok {
-			table[h] = append(table[h], buildRow{pos: len(left), t: t})
+		a, aok := cmp.L.(*expr.Col)
+		b, bok := cmp.R.(*expr.Col)
+		if !aok || !bok {
+			rest = append(rest, c)
+			continue
 		}
-		// NULL-key rows can never match but must keep their position so
-		// emission order stays aligned.
-		left = append(left, t)
-		return nil
-	})
-	if err != nil {
-		return err
+		aL, aR := ls.ColIndex(a.Name), rs.ColIndex(a.Name)
+		bL, bR := ls.ColIndex(b.Name), rs.ColIndex(b.Name)
+		switch {
+		case aL >= 0 && aR < 0 && bR >= 0 && bL < 0:
+			lKeys = append(lKeys, aL)
+			rKeys = append(rKeys, bR)
+		case aR >= 0 && aL < 0 && bL >= 0 && bR < 0:
+			lKeys = append(lKeys, bL)
+			rKeys = append(rKeys, aR)
+		default:
+			rest = append(rest, c)
+		}
 	}
+	if len(rest) == 0 {
+		return lKeys, rKeys, nil
+	}
+	return lKeys, rKeys, expr.AndOf(rest...)
+}
 
-	matches := make([][]schema.Tuple, len(left))
-	err = n.r.run(ctx, func(rt schema.Tuple, owned bool) error {
-		h, ok := hashKeys(rt, n.rKeys)
-		if !ok {
-			return nil
-		}
-		cloned := owned // an owned tuple needs no defensive copy
-		for _, br := range table[h] {
-			if !keysEqual(br.t, rt, n.lKeys, n.rKeys) {
-				continue // hash collision between distinct keys
-			}
-			if !cloned {
-				rt = rt.Clone()
-				cloned = true
-			}
-			matches[br.pos] = append(matches[br.pos], rt)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
+// conjuncts flattens a conjunction tree into its leaves.
+func conjuncts(e expr.Expr) []expr.Expr {
+	if and, ok := e.(*expr.And); ok {
+		return append(conjuncts(and.L), conjuncts(and.R)...)
 	}
-
-	buf := make(schema.Tuple, n.lArity+n.rArity)
-	for pos, lt := range left {
-		for _, rt := range matches[pos] {
-			if err := ctx.tick(); err != nil {
-				return err
-			}
-			copy(buf[:n.lArity], lt)
-			copy(buf[n.lArity:], rt)
-			if err := emit(buf, false); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return []expr.Expr{e}
 }
 
 // hashKeys hashes the key columns of t; ok is false when any key is
-// NULL (the tuple cannot join).
+// NULL (the tuple cannot join, matching SQL's NULL = NULL → unknown).
 func hashKeys(t schema.Tuple, keys []int) (h uint64, ok bool) {
 	h = schema.HashSeed
 	for _, i := range keys {
@@ -154,7 +128,7 @@ func hashKeys(t schema.Tuple, keys []int) (h uint64, ok bool) {
 	return h, true
 }
 
-// keysEqual verifies key equality value-wise (guards against hash
+// joinKeyEqual verifies key equality value-wise (guards against hash
 // collisions), mirroring the = operator on non-NULL values exactly:
 // numeric pairs compare widened to float64 (EvalCmp routes them
 // through Compare, so Int(2^53) equals Int(2^53+1) there — exact int
@@ -162,15 +136,6 @@ func hashKeys(t schema.Tuple, keys []int) (h uint64, ok bool) {
 // mismatched kinds are unequal. −0.0 equals +0.0 and the tuple hash
 // canonicalizes it; NaN cannot reach here (types.Parse and types.Arith
 // keep it out of the value domain).
-func keysEqual(lt, rt schema.Tuple, lKeys, rKeys []int) bool {
-	for i := range lKeys {
-		if !joinKeyEqual(lt[lKeys[i]], rt[rKeys[i]]) {
-			return false
-		}
-	}
-	return true
-}
-
 func joinKeyEqual(a, b types.Value) bool {
 	if a.IsNumeric() && b.IsNumeric() {
 		return a.AsFloat() == b.AsFloat()
@@ -179,49 +144,4 @@ func joinKeyEqual(a, b types.Value) bool {
 		return false
 	}
 	return a.Equal(b)
-}
-
-// nlJoinNode is the nested-loop fallback for non-equi join conditions:
-// the right branch materializes once, the left streams against it with
-// the full compiled condition.
-type nlJoinNode struct {
-	l, r           node
-	pred           predFn
-	lArity, rArity int
-}
-
-func (n *nlJoinNode) run(ctx *runCtx, emit emitFn) error {
-	var right []schema.Tuple
-	err := n.r.run(ctx, func(t schema.Tuple, owned bool) error {
-		if !owned {
-			t = t.Clone()
-		}
-		right = append(right, t)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	buf := make(schema.Tuple, n.lArity+n.rArity)
-	return n.l.run(ctx, func(lt schema.Tuple, _ bool) error {
-		copy(buf[:n.lArity], lt)
-		// The inner loop multiplies the source cardinality, so it ticks
-		// itself: a cancelled quadratic join must not run to completion.
-		for _, rt := range right {
-			if err := ctx.tick(); err != nil {
-				return err
-			}
-			copy(buf[n.lArity:], rt)
-			ok, err := n.pred(buf)
-			if err != nil {
-				return err
-			}
-			if ok {
-				if err := emit(buf, false); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
 }

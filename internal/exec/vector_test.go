@@ -109,7 +109,8 @@ func boundaryQueries(t *testing.T, db *storage.Database) map[string]algebra.Quer
 
 // TestVectorizedBatchBoundaries sweeps relation sizes around the batch
 // size — 0, 1, 1023, 1024, 1025 rows, plus a multi-batch size — across
-// the boundary query shapes, comparing all three executors exactly.
+// the boundary query shapes, comparing the executor with the
+// interpreter exactly.
 // The all-filtered shape drives whole batches to an empty selection
 // (they must vanish, not emit empty batches or stale rows).
 func TestVectorizedBatchBoundaries(t *testing.T) {
@@ -121,11 +122,6 @@ func TestVectorizedBatchBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: interpreter: %v", label, err)
 			}
-			compiled, err := exec.Eval(q, db)
-			if err != nil {
-				t.Fatalf("%s: compiled: %v", label, err)
-			}
-			requireSameRelation(t, label+"/compiled", want, compiled)
 			vec, err := exec.EvalVec(q, db)
 			if err != nil {
 				t.Fatalf("%s: vectorized: %v", label, err)
@@ -138,8 +134,9 @@ func TestVectorizedBatchBoundaries(t *testing.T) {
 // TestVectorizedErrorParity pins per-row lazy evaluation: conditional
 // branches and short-circuited connective operands must evaluate over
 // exactly the rows the interpreter evaluates them on, so an expression
-// that errors on untaken rows errors in neither executor — and one that
-// errors on a reachable row errors in both.
+// that errors on untaken rows errors in neither the interpreter nor the
+// vectorized executor — and one that errors on a reachable row errors
+// in both.
 func TestVectorizedErrorParity(t *testing.T) {
 	build := func(vals ...int64) *storage.Database {
 		db := storage.NewDatabase()
@@ -189,15 +186,13 @@ func TestVectorizedErrorParity(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			want, errI := algebra.Eval(c.q, c.db)
-			gotC, errC := exec.Eval(c.q, c.db)
 			gotV, errV := exec.EvalVec(c.q, c.db)
-			if (errI == nil) != (errC == nil) || (errI == nil) != (errV == nil) {
-				t.Fatalf("error divergence: interpreter=%v compiled=%v vectorized=%v", errI, errC, errV)
+			if (errI == nil) != (errV == nil) {
+				t.Fatalf("error divergence: interpreter=%v vectorized=%v", errI, errV)
 			}
 			if errI != nil {
 				return
 			}
-			requireSameRelation(t, "compiled", want, gotC)
 			requireSameRelation(t, "vectorized", want, gotV)
 		})
 	}
@@ -300,11 +295,9 @@ func TestParallelScanRaceStress(t *testing.T) {
 
 // TestVectorizedCancelBetweenBatches proves cancellation is observed at
 // batch granularity: a pre-cancelled context aborts a vectorized run
-// over a relation far smaller than the tuple path's 4096-tuple tick
-// cadence (where the compiled path would stream to completion without
-// ever checking).
+// over a relation of a few batches.
 func TestVectorizedCancelBetweenBatches(t *testing.T) {
-	db := boundaryDB(2*1024 + 50) // 3 batches, under one tuple-path tick
+	db := boundaryDB(2*1024 + 50) // 3 batches
 	q := &algebra.Select{Cond: mustCond(t, "v >= 0"), In: &algebra.Scan{Rel: "t"}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -331,8 +324,8 @@ func TestVectorizedCancelBetweenBatches(t *testing.T) {
 	}
 }
 
-// TestVectorizedRandomizedPlans cross-validates all three executors
-// over randomly generated plans (σ/Π/∪/− trees with NULL-bearing data).
+// TestVectorizedRandomizedPlans cross-validates the executor with the
+// interpreter over randomly generated plans (σ/Π/∪/− trees with NULL-bearing data).
 func TestVectorizedRandomizedPlans(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := testDB()
@@ -496,7 +489,7 @@ func TestFilterOverMultiBatchJoin(t *testing.T) {
 
 // TestDifferenceArityMismatch pins the degenerate difference whose
 // sides have different arities: no right tuple can equal a left tuple,
-// so every executor must return the left bag unchanged (and certainly
+// so the executor must return the left bag unchanged (and certainly
 // not panic or remove prefix-matching rows).
 func TestDifferenceArityMismatch(t *testing.T) {
 	db := storage.NewDatabase()
@@ -515,11 +508,6 @@ func TestDifferenceArityMismatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotC, err := exec.Eval(q, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameRelation(t, name+"/compiled", want, gotC)
 			gotV, err := exec.EvalVec(q, db)
 			if err != nil {
 				t.Fatal(err)

@@ -58,8 +58,8 @@
 // are wrappers over context.Background(). Cancellation and deadlines
 // are observed deep inside the long-running phases: at every branch &
 // bound node of the MILP solver, between the per-statement
-// satisfiability tests of program slicing, every few thousand tuples
-// of compiled query execution, and between statements of time-travel
+// satisfiability tests of program slicing, between the row batches of
+// compiled query execution, and between statements of time-travel
 // replay. A cancelled query therefore stops doing work within
 // milliseconds and returns ctx.Err():
 //
@@ -222,11 +222,9 @@ const (
 )
 
 // Query evaluation backends: the vectorized batch executor (the
-// default), the tuple-at-a-time compiled executor, and the
-// tree-walking interpreter kept as reference oracle.
+// default) and the tree-walking interpreter kept as reference oracle.
 const (
 	ExecVectorized  = core.ExecVectorized
-	ExecCompiled    = core.ExecCompiled
 	ExecInterpreter = core.ExecInterpreter
 )
 
