@@ -1,7 +1,10 @@
 package algebra
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"github.com/mahif/mahif/internal/expr"
@@ -86,6 +89,15 @@ func (q *Aggregate) String() string {
 	return b.String()
 }
 
+// Funcs returns the aggregate function of each output aggregate.
+func (q *Aggregate) Funcs() []AggFunc {
+	fns := make([]AggFunc, len(q.Aggs))
+	for j, a := range q.Aggs {
+		fns[j] = a.Fn
+	}
+	return fns
+}
+
 // CallString renders the aggregate call itself, e.g. "SUM(price)".
 func (a AggExpr) CallString() string {
 	if a.Arg == nil {
@@ -112,28 +124,48 @@ func (a AggExpr) ResultKind(in *schema.Schema) types.Kind {
 	return ExprKind(a.Arg, in)
 }
 
-// AggAcc accumulates one aggregate over its argument values in input
-// order. It is the single definition of aggregate semantics, shared by
-// the interpreter and the vectorized executor so the two cannot drift:
+// AggAcc accumulates one aggregate over a bag of argument values. It is
+// the single definition of aggregate semantics, shared by the
+// interpreter and the vectorized executor so the two cannot drift:
 //
 //   - COUNT(*) counts rows (AddRow); COUNT(e) counts non-NULL e.
-//   - SUM and AVG skip NULLs, reject non-numeric values, and fold with
-//     types.Arith(OpAdd, …) in input order — integer sums stay integer
-//     (with wraparound), any float promotes, and a non-finite running
-//     float sum is an error at the step that produces it.
-//   - AVG divides the final sum by the non-NULL count via
-//     types.Arith(OpDiv, …), so the result is always float.
+//   - SUM and AVG skip NULLs and reject non-numeric values. Their result
+//     depends on the bag only, never on the order of the values: an
+//     int-only bag sums to an int with int64 wraparound; a bag holding
+//     any float sums to its exact total (integers at their exact value)
+//     rounded once to the nearest float64, ties to even — a zero total
+//     is +0 — and is an error when that rounded total is not finite (an
+//     overflow, or a NaN or ±Inf in the bag), whatever the partial sums
+//     did on the way.
+//   - AVG is the exact total, rounded as above, divided by the non-NULL
+//     count; always float, and an error exactly when SUM would be one.
 //   - MIN/MAX use Value.Compare, keep the first-seen value on ties, and
 //     error on incomparable kinds.
 //   - Over zero accumulated values COUNT yields 0 and the rest NULL.
+//
+// Because SUM/AVG are exact, accumulators merge: Merge folds another
+// accumulator's bag in (sign +1) or takes it out (sign −1), and the
+// result equals accumulating the merged bag value by value.
 type AggAcc struct {
 	fn    AggFunc
 	count int64
-	acc   types.Value // running SUM, or current MIN/MAX extremum
+	ext   types.Value // current MIN/MAX extremum
+	sum   exactSum    // SUM/AVG total
 }
 
 // NewAggAcc returns an empty accumulator for fn.
 func NewAggAcc(fn AggFunc) AggAcc { return AggAcc{fn: fn} }
+
+// ErrExtremumRemoved and ErrExtremumTie are Merge's refusals to merge a
+// MIN or MAX whose result the two states do not determine: a removed
+// value equal to the extremum (the next one is not known), and an added
+// value that ties the extremum without being identical to it (1 and
+// 1.0: which one the merged bag shows depends on where it sits in the
+// input order).
+var (
+	ErrExtremumRemoved = errors.New("algebra: a removed value equals the MIN/MAX extremum")
+	ErrExtremumTie     = errors.New("algebra: an added value ties the MIN/MAX extremum without being identical to it")
+)
 
 // AddRow accumulates one input row for COUNT(*); it is a no-op for
 // every other function (their Add is driven by the argument value).
@@ -145,107 +177,173 @@ func (a *AggAcc) AddRow() {
 
 // Add accumulates one argument value. Not used for COUNT(*).
 func (a *AggAcc) Add(v types.Value) error {
-	if v.IsNull() {
+	switch v.Kind() {
+	case types.KindNull:
 		return nil
+	case types.KindInt:
+		return a.AddInt(v.AsInt())
+	case types.KindFloat:
+		return a.AddFloat(v.AsFloat())
 	}
 	switch a.fn {
 	case AggCount:
 		a.count++
 		return nil
 	case AggSum, AggAvg:
-		if !v.IsNumeric() {
-			return fmt.Errorf("algebra: %s over %s value", a.fn, v.Kind())
-		}
-		a.count++
-		if a.count == 1 {
-			a.acc = v
-			return nil
-		}
-		s, err := types.Arith(types.OpAdd, a.acc, v)
-		if err != nil {
-			return fmt.Errorf("algebra: %s: %w", a.fn, err)
-		}
-		a.acc = s
-		return nil
-	case AggMin, AggMax:
-		if a.count == 0 {
-			a.count = 1
-			a.acc = v
-			return nil
-		}
-		c, err := v.Compare(a.acc)
-		if err != nil {
-			return fmt.Errorf("algebra: %s: %w", a.fn, err)
-		}
-		if (a.fn == AggMin && c < 0) || (a.fn == AggMax && c > 0) {
-			a.acc = v
-		}
-		return nil
+		return fmt.Errorf("algebra: %s over %s value", a.fn, v.Kind())
 	}
-	return fmt.Errorf("algebra: unknown aggregate %s", a.fn)
+	return a.addExtremum(v)
 }
 
-// AddInt accumulates an int64 from a typed lane; semantically identical
-// to Add(types.Int(i)) but without constructing the boxed value on the
-// common monomorphic paths.
+// AddInt accumulates an int64, as Add(types.Int(i)) does, without
+// boxing it on the typed-lane paths.
 func (a *AggAcc) AddInt(i int64) error {
 	switch a.fn {
 	case AggCount:
 		a.count++
 		return nil
 	case AggSum, AggAvg:
-		if a.count == 0 {
-			a.count = 1
-			a.acc = types.Int(i)
-			return nil
-		}
-		if a.acc.Kind() == types.KindInt {
-			a.count++
-			a.acc = types.Int(a.acc.AsInt() + i) // wraparound, same as Arith int+int
-			return nil
-		}
-		// Promoted to float: fall through to the boxed path (which
-		// counts this value itself).
-	case AggMin, AggMax:
-		if a.count == 0 {
-			a.count = 1
-			a.acc = types.Int(i)
-			return nil
-		}
-		if a.acc.Kind() == types.KindInt {
-			cur := a.acc.AsInt()
-			if (a.fn == AggMin && i < cur) || (a.fn == AggMax && i > cur) {
-				a.acc = types.Int(i)
-			}
-			return nil
-		}
+		a.count++
+		a.sum.addInt(i)
+		return nil
 	}
-	return a.Add(types.Int(i))
+	if a.count > 0 && a.ext.Kind() == types.KindInt {
+		if cur := a.ext.AsInt(); a.fn == AggMin && i < cur || a.fn == AggMax && i > cur {
+			a.ext = types.Int(i)
+		}
+		a.count++
+		return nil
+	}
+	return a.addExtremum(types.Int(i))
 }
 
-// AddFloat accumulates a float64 from a typed lane; semantically
-// identical to Add(types.Float(f)).
-func (a *AggAcc) AddFloat(f float64) error { return a.Add(types.Float(f)) }
+// AddFloat accumulates a float64, as Add(types.Float(f)) does, without
+// boxing it on the typed-lane paths.
+func (a *AggAcc) AddFloat(f float64) error {
+	switch a.fn {
+	case AggCount:
+		a.count++
+		return nil
+	case AggSum, AggAvg:
+		a.count++
+		a.sum.addFloat(f)
+		return nil
+	}
+	if a.count > 0 && a.ext.Kind() == types.KindFloat {
+		if cur := a.ext.AsFloat(); a.fn == AggMin && f < cur || a.fn == AggMax && f > cur {
+			a.ext = types.Float(f)
+		}
+		a.count++
+		return nil
+	}
+	return a.addExtremum(types.Float(f))
+}
+
+// addExtremum accumulates one non-NULL MIN/MAX value.
+func (a *AggAcc) addExtremum(v types.Value) error {
+	if a.count == 0 {
+		a.count, a.ext = 1, v
+		return nil
+	}
+	c, err := v.Compare(a.ext)
+	if err != nil {
+		return fmt.Errorf("algebra: %s: %w", a.fn, err)
+	}
+	if a.better(c) {
+		a.ext = v
+	}
+	a.count++
+	return nil
+}
+
+// better reports whether a value comparing c against the extremum
+// replaces it.
+func (a *AggAcc) better(c int) bool { return a.fn == AggMin && c < 0 || a.fn == AggMax && c > 0 }
+
+// Merge folds o's bag into a (sign > 0) or takes it out of a (sign < 0);
+// o must accumulate the same function, and a bag taken out must be part
+// of a's. COUNT, SUM and AVG always merge exactly. MIN and MAX refuse
+// with ErrExtremumRemoved or ErrExtremumTie where the states do not
+// determine the merged bag's result, and return Compare's error where
+// the merged bag's values are incomparable.
+func (a *AggAcc) Merge(o *AggAcc, sign int) error {
+	switch a.fn {
+	case AggCount:
+		a.count += int64(sign) * o.count
+		return nil
+	case AggSum, AggAvg:
+		a.count += int64(sign) * o.count
+		a.sum.merge(&o.sum, int64(sign))
+		return nil
+	}
+	if o.count == 0 {
+		return nil
+	}
+	if sign < 0 {
+		if c, err := o.ext.Compare(a.ext); a.count == 0 || err != nil || c == 0 {
+			return ErrExtremumRemoved
+		}
+		a.count -= o.count
+		return nil
+	}
+	if a.count == 0 {
+		a.count, a.ext = o.count, o.ext
+		return nil
+	}
+	c, err := o.ext.Compare(a.ext)
+	if err != nil {
+		return fmt.Errorf("algebra: %s: %w", a.fn, err)
+	}
+	if c == 0 && !identical(o.ext, a.ext) {
+		return ErrExtremumTie
+	}
+	if a.better(c) {
+		a.ext = o.ext
+	}
+	a.count += o.count
+	return nil
+}
+
+// identical reports whether two values are the same value of the same
+// kind, bit for bit (Equal lets 1 match 1.0 and -0.0 match +0.0).
+func identical(x, y types.Value) bool {
+	if x.Kind() != y.Kind() {
+		return false
+	}
+	if x.Kind() == types.KindFloat {
+		return math.Float64bits(x.AsFloat()) == math.Float64bits(y.AsFloat())
+	}
+	return x.Equal(y)
+}
 
 // Result finalizes the accumulator.
 func (a *AggAcc) Result() (types.Value, error) {
 	switch a.fn {
 	case AggCount:
 		return types.Int(a.count), nil
-	case AggSum, AggMin, AggMax:
+	case AggMin, AggMax:
 		if a.count == 0 {
 			return types.Null(), nil
 		}
-		return a.acc, nil
-	case AggAvg:
+		return a.ext, nil
+	case AggSum, AggAvg:
 		if a.count == 0 {
 			return types.Null(), nil
 		}
-		v, err := types.Arith(types.OpDiv, a.acc, types.Int(a.count))
-		if err != nil {
-			return types.Null(), fmt.Errorf("algebra: AVG: %w", err)
+		if a.fn == AggSum && a.sum.floats == 0 {
+			return types.Int(int64(a.sum.ilo)), nil
 		}
-		return v, nil
+		if a.sum.special > 0 {
+			return types.Null(), fmt.Errorf("algebra: %s: the values include a NaN or an infinity; the total is outside the finite float domain", a.fn)
+		}
+		t := a.sum.total()
+		if math.IsInf(t, 0) {
+			return types.Null(), fmt.Errorf("algebra: %s: total %v outside the finite float domain", a.fn, t)
+		}
+		if a.fn == AggAvg {
+			t /= float64(a.count)
+		}
+		return types.Float(t), nil
 	}
 	return types.Null(), fmt.Errorf("algebra: unknown aggregate %s", a.fn)
 }
@@ -292,69 +390,220 @@ func (g *GroupIndex) Len() int { return len(g.keys) }
 // values, which matters when cross-kind numeric keys collide).
 func (g *GroupIndex) Key(i int) schema.Tuple { return g.keys[i] }
 
-// evalAggregate executes the γ node over a materialized input.
-func evalAggregate(x *Aggregate, in *storage.Relation, outSchema *schema.Schema) (*storage.Relation, error) {
-	groups := NewGroupIndex()
-	var accs [][]AggAcc
-	newAccs := func() []AggAcc {
-		row := make([]AggAcc, len(x.Aggs))
-		for j, a := range x.Aggs {
-			row[j] = NewAggAcc(a.Fn)
+// clone returns an index that starts out equal to g and grows without
+// writing into g: every slice is capped, so the first append copies.
+func (g *GroupIndex) clone() *GroupIndex {
+	c := &GroupIndex{buckets: make(map[uint64][]int, len(g.buckets)), keys: slices.Clip(g.keys)}
+	for h, b := range g.buckets {
+		c.buckets[h] = slices.Clip(b)
+	}
+	return c
+}
+
+// GroupState is a γ before finalization: its groups in first-appearance
+// order, each group's accumulators, and how many input rows each group
+// holds. Both executors fold their input into one (EvalGroupState,
+// exec.Program.RunGroupStateCtx) and the γ's output is its Rows.
+//
+// States of one γ over different bags merge: Merge folds another state
+// in (sign +1) or takes it out (sign −1), groups matched by key, and a
+// group no row is left in has no output row. So an aggregate report can
+// keep a relation's state and answer a hypothetical change as
+// historical − Minus + Plus, with Minus and Plus folded by the same γ.
+type GroupState struct {
+	fns     []AggFunc
+	grouped bool
+	keys    *GroupIndex // nil for a global γ, whose one group is 0
+	accs    []AggAcc    // len(fns) per group
+	rows    []int64     // input rows per group
+}
+
+// NewGroupState returns the empty state of a γ computing fns, grouped
+// or global. A global state has its one group from the start.
+func NewGroupState(fns []AggFunc, grouped bool) *GroupState {
+	s := &GroupState{fns: fns, grouped: grouped}
+	if grouped {
+		s.keys = NewGroupIndex()
+	} else {
+		s.addGroup()
+	}
+	return s
+}
+
+func (s *GroupState) addGroup() int {
+	for _, fn := range s.fns {
+		s.accs = append(s.accs, NewAggAcc(fn))
+	}
+	s.rows = append(s.rows, 0)
+	return len(s.rows) - 1
+}
+
+// Group returns the ordinal of key's group, adding the group (with a
+// copy of key) when it is new; h must be key.Hash(). A global state
+// answers 0.
+func (s *GroupState) Group(h uint64, key schema.Tuple) int {
+	if !s.grouped {
+		return 0
+	}
+	if g := s.keys.Lookup(h, key); g >= 0 {
+		return g
+	}
+	s.keys.Add(h, key.Clone())
+	return s.addGroup()
+}
+
+// Acc returns group g's accumulator of aggregate j.
+func (s *GroupState) Acc(g, j int) *AggAcc { return &s.accs[g*len(s.fns)+j] }
+
+// AddRows counts n more input rows in group g.
+func (s *GroupState) AddRows(g int, n int64) { s.rows[g] += n }
+
+// Len returns the number of groups, including any a merge emptied.
+func (s *GroupState) Len() int { return len(s.rows) }
+
+// Key returns group g's key (empty for a global state).
+func (s *GroupState) Key(g int) schema.Tuple {
+	if !s.grouped {
+		return schema.Tuple{}
+	}
+	return s.keys.Key(g)
+}
+
+// Clone returns a copy of s that merges without changing s, which may
+// be shared read-only.
+func (s *GroupState) Clone() *GroupState {
+	c := &GroupState{fns: s.fns, grouped: s.grouped, accs: slices.Clone(s.accs), rows: slices.Clone(s.rows)}
+	for i := range c.accs {
+		sum := &c.accs[i].sum
+		sum.borrowed = sum.spill != nil || sum.big != nil
+	}
+	if s.grouped {
+		c.keys = s.keys.clone()
+	}
+	return c
+}
+
+// Merge folds o, a state of the same γ, into s (sign > 0) or takes it
+// out of s (sign < 0); o's groups that s lacks are added after s's, in
+// o's order. A state taken out must hold a sub-bag of s's rows. The
+// error is AggAcc.Merge's (ErrExtremumRemoved, ErrExtremumTie, or an
+// incomparable MIN/MAX); s is then partly merged and must be dropped.
+func (s *GroupState) Merge(o *GroupState, sign int) error {
+	for g := 0; g < o.Len(); g++ {
+		dst := 0
+		if s.grouped {
+			key := o.keys.Key(g)
+			dst = s.Group(key.Hash(), key)
 		}
-		return row
+		s.rows[dst] += int64(sign) * o.rows[g]
+		for j := range s.fns {
+			if err := s.Acc(dst, j).Merge(o.Acc(g, j), sign); err != nil {
+				return err
+			}
+		}
 	}
-	global := len(x.GroupBy) == 0
-	if global {
-		accs = append(accs, newAccs())
+	return nil
+}
+
+// Finalize writes group g's output row — its key, then each
+// aggregate's result — into row (one cell per output column) and
+// reports whether the group has a row: a grouped state's group has one
+// while it holds input rows, a global state's always.
+func (s *GroupState) Finalize(g int, row schema.Tuple) (bool, error) {
+	if s.grouped && s.rows[g] <= 0 {
+		return false, nil
 	}
+	nG := copy(row, s.Key(g))
+	for j := range s.fns {
+		v, err := s.Acc(g, j).Result()
+		if err != nil {
+			return false, err
+		}
+		row[nG+j] = v
+	}
+	return true, nil
+}
+
+// Row finalizes group g into a fresh output row, or nil when the group
+// has none (see Finalize).
+func (s *GroupState) Row(g int) (schema.Tuple, error) {
+	row := make(schema.Tuple, s.arity(g))
+	ok, err := s.Finalize(g, row)
+	if !ok || err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
+func (s *GroupState) arity(g int) int { return len(s.Key(g)) + len(s.fns) }
+
+// Rows finalizes every group that has a row, in group order: the γ's
+// output.
+func (s *GroupState) Rows() ([]schema.Tuple, error) {
+	out := make([]schema.Tuple, 0, s.Len())
+	for g := 0; g < s.Len(); g++ {
+		row, err := s.Row(g)
+		if err != nil {
+			return nil, err
+		}
+		if row != nil {
+			out = append(out, row)
+		}
+	}
+	return out, nil
+}
+
+// EvalGroupState evaluates the γ's input over db with the interpreter
+// and folds it into the γ's state.
+func EvalGroupState(x *Aggregate, db *storage.Database) (*GroupState, error) {
+	in, err := Eval(x.In, db)
+	if err != nil {
+		return nil, err
+	}
+	return foldAggregate(x, in)
+}
+
+// foldAggregate folds a materialized γ input into the γ's state.
+func foldAggregate(x *Aggregate, in *storage.Relation) (*GroupState, error) {
+	st := NewGroupState(x.Funcs(), len(x.GroupBy) > 0)
+	key := make(schema.Tuple, len(x.GroupBy))
 	for _, t := range in.Tuples {
 		env := expr.TupleEnv(in.Schema, t)
-		gi := 0
-		if !global {
-			key := make(schema.Tuple, len(x.GroupBy))
-			for i, ne := range x.GroupBy {
-				v, err := expr.Eval(ne.E, env)
-				if err != nil {
-					return nil, fmt.Errorf("algebra: γ[%s]: %w", ne.E, err)
-				}
-				key[i] = v
+		for i, ne := range x.GroupBy {
+			v, err := expr.Eval(ne.E, env)
+			if err != nil {
+				return nil, fmt.Errorf("algebra: γ[%s]: %w", ne.E, err)
 			}
-			h := key.Hash()
-			gi = groups.Lookup(h, key)
-			if gi < 0 {
-				gi = groups.Add(h, key)
-				accs = append(accs, newAccs())
-			}
+			key[i] = v
 		}
+		g := st.Group(key.Hash(), key)
+		st.AddRows(g, 1)
 		for j, a := range x.Aggs {
 			if a.Arg == nil {
-				accs[gi][j].AddRow()
+				st.Acc(g, j).AddRow()
 				continue
 			}
 			v, err := expr.Eval(a.Arg, env)
 			if err != nil {
 				return nil, fmt.Errorf("algebra: γ[%s]: %w", a.CallString(), err)
 			}
-			if err := accs[gi][j].Add(v); err != nil {
+			if err := st.Acc(g, j).Add(v); err != nil {
 				return nil, err
 			}
 		}
 	}
+	return st, nil
+}
+
+// evalAggregate executes the γ node over a materialized input.
+func evalAggregate(x *Aggregate, in *storage.Relation, outSchema *schema.Schema) (*storage.Relation, error) {
+	st, err := foldAggregate(x, in)
+	if err != nil {
+		return nil, err
+	}
 	out := storage.NewRelation(outSchema)
-	out.Tuples = make([]schema.Tuple, 0, len(accs))
-	for gi := range accs {
-		row := make(schema.Tuple, 0, len(x.GroupBy)+len(x.Aggs))
-		if !global {
-			row = append(row, groups.Key(gi)...)
-		}
-		for j := range x.Aggs {
-			v, err := accs[gi][j].Result()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-		}
-		out.Tuples = append(out.Tuples, row)
+	if out.Tuples, err = st.Rows(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

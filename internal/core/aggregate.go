@@ -69,14 +69,17 @@ type AggregateReport struct {
 }
 
 // patchRelation applies one relation's delta to its historical state:
-// hypothetical = historical − Minus + Plus as bags. Minus goes into a
-// TupleIndex (the delta is small) and each historical tuple probes it
-// by typed hash, so the earliest occurrences are the ones removed:
-// surviving historical tuples keep their order and Plus tuples append
-// in delta order, which fixes group first-appearance order and float
-// accumulation order for a given delta. A Minus tuple the historical
-// state does not hold means the delta was computed in another frame of
-// reference; that is an error, never a silently wrong report.
+// hypothetical = historical − Minus + Plus as bags. It is the patch
+// route's — the merged route (mergedReport) never materializes the
+// hypothetical relation — and stays as its fallback and its oracle.
+// Minus goes into a TupleIndex (the delta is small) and each historical
+// tuple probes it by typed hash, so the earliest occurrences are the
+// ones removed: surviving historical tuples keep their order and Plus
+// tuples append in delta order, which fixes the hypothetical groups'
+// first-appearance order for a given delta. A Minus tuple the
+// historical state does not hold means the delta was computed in
+// another frame of reference; that is an error, never a silently wrong
+// report.
 func patchRelation(hist *storage.Relation, d *delta.Result) (*storage.Relation, error) {
 	minus := storage.NewTupleIndex(len(d.Minus))
 	for _, t := range d.Minus {
@@ -91,10 +94,15 @@ func patchRelation(hist *storage.Relation, d *delta.Result) (*storage.Relation, 
 		out.Tuples = append(out.Tuples, t)
 	}
 	if n := minus.Len(); n > 0 {
-		return nil, fmt.Errorf("core: delta for %s removes %d tuple(s) the historical state does not hold (delta and tip are in different frames)", hist.Schema.Relation, n)
+		return nil, frameError(hist, n)
 	}
 	out.Tuples = append(out.Tuples, d.Plus...)
 	return out, nil
+}
+
+// frameError is the error of a delta removing n tuples r does not hold.
+func frameError(r *storage.Relation, n int) error {
+	return fmt.Errorf("core: delta for %s removes %d tuple(s) the historical state does not hold (delta and tip are in different frames)", r.Schema.Relation, n)
 }
 
 // hypotheticalDB materializes the hypothetical world from the
@@ -103,14 +111,7 @@ func patchRelation(hist *storage.Relation, d *delta.Result) (*storage.Relation, 
 // so the shared snapshot is never mutated. A non-empty delta for a
 // relation the historical state lacks is a frame mismatch and an error.
 func hypotheticalDB(hist *storage.Database, d delta.Set) (*storage.Database, error) {
-	hyp := storage.NewDatabase()
-	for _, name := range hist.RelationNames() {
-		r, err := hist.Relation(name)
-		if err != nil {
-			return nil, err
-		}
-		hyp.AddRelation(r)
-	}
+	hyp := hist
 	for name, dr := range d {
 		if dr == nil || dr.Empty() {
 			continue
@@ -122,7 +123,7 @@ func hypotheticalDB(hist *storage.Database, d delta.Set) (*storage.Database, err
 		if r, err = patchRelation(r, dr); err != nil {
 			return nil, err
 		}
-		hyp.AddRelation(r)
+		hyp = hyp.With(r)
 	}
 	return hyp, nil
 }
@@ -145,14 +146,8 @@ func deltaCell(hist, hyp schema.Tuple, j int) types.Value {
 	return v
 }
 
-// aggregateReport evaluates one query in both worlds and matches rows
-// by group. The hypothetical state is not a history version, so its
-// evaluation reuses ev's compiled program but never its result cache.
-func aggregateReport(q AggregateQuery, hist, hyp *storage.Database, ev evaluator) (AggregateReport, error) {
-	agg, ok := q.Query.(*algebra.Aggregate)
-	if !ok {
-		return AggregateReport{}, fmt.Errorf("core: aggregate query %q must aggregate at the top level", q.SQL)
-	}
+// newReport returns q's report with its columns and no rows.
+func newReport(q AggregateQuery, agg *algebra.Aggregate) AggregateReport {
 	rep := AggregateReport{Query: q.SQL}
 	for _, ne := range agg.GroupBy {
 		rep.GroupColumns = append(rep.GroupColumns, ne.Name)
@@ -160,78 +155,113 @@ func aggregateReport(q AggregateQuery, hist, hyp *storage.Database, ev evaluator
 	for _, a := range agg.Aggs {
 		rep.AggColumns = append(rep.AggColumns, a.Name)
 	}
-	ro, err := ev.evalRows(q.Query, hist)
+	return rep
+}
+
+// reportRow pairs one group's sides: hist and hyp are its γ output rows
+// in each world, nil where the group is absent.
+func reportRow(ng, na int, hist, hyp schema.Tuple) AggregateRow {
+	var ar AggregateRow
+	if hist != nil {
+		ar.Group, ar.Historical = hist[:ng:ng], hist[ng:]
+	}
+	if hyp != nil {
+		ar.Hypothetical = hyp[ng:]
+		if hist == nil {
+			ar.Group = hyp[:ng:ng]
+		}
+	}
+	ar.Delta = make(schema.Tuple, na)
+	for j := range ar.Delta {
+		ar.Delta[j] = deltaCell(ar.Historical, ar.Hypothetical, j)
+	}
+	return ar
+}
+
+// aggregateReport is the patch route: it evaluates one query in both
+// worlds — the historical side from the state the merged route merges
+// into, the hypothetical side by a full γ over the patched database hyp
+// — and matches rows by group. hyp is not a history version, so its
+// evaluation reuses ev's compiled program but never a cache.
+func aggregateReport(q AggregateQuery, hist, hyp *storage.Database, ev evaluator) (AggregateReport, error) {
+	agg, ok := q.Query.(*algebra.Aggregate)
+	if !ok {
+		return AggregateReport{}, fmt.Errorf("core: aggregate query %q must aggregate at the top level", q.SQL)
+	}
+	fp := algebra.Fingerprint(agg)
+	h, err := ev.historical(agg, fp, ev.program(agg, hist, fp), hist)
 	if err != nil {
 		return AggregateReport{}, fmt.Errorf("core: aggregate query %q (historical): %w", q.SQL, err)
 	}
-	rm, err := ev.evalUncached(q.Query, hyp)
+	rm, err := ev.runRows(agg, hyp, fp)
 	if err != nil {
 		return AggregateReport{}, fmt.Errorf("core: aggregate query %q (hypothetical): %w", q.SQL, err)
 	}
 
-	ng := len(agg.GroupBy)
-	split := func(row schema.Tuple) (group, aggs schema.Tuple) { return row[:ng:ng], row[ng:] }
+	ng, na := len(agg.GroupBy), len(agg.Aggs)
 	// Index the hypothetical rows by typed group hash; matched rows are
 	// marked so the unmarked ones are exactly the new groups.
 	hypByGroup := make(map[uint64][]int, len(rm.Tuples))
 	for i, row := range rm.Tuples {
-		g, _ := split(row)
-		h := g.Hash()
+		h := row[:ng].Hash()
 		hypByGroup[h] = append(hypByGroup[h], i)
 	}
 	matched := make([]bool, len(rm.Tuples))
-	rep.Rows = make([]AggregateRow, 0, len(ro.Tuples))
-	for _, row := range ro.Tuples {
-		g, ha := split(row)
-		ar := AggregateRow{Group: g, Historical: ha}
+	rep := newReport(q, agg)
+	rep.Rows = make([]AggregateRow, 0, len(h.rows))
+	for _, row := range h.rows {
+		var hy schema.Tuple
+		g := row[:ng]
 		for _, i := range hypByGroup[g.Hash()] {
-			if hg, hy := split(rm.Tuples[i]); !matched[i] && hg.Equal(g) {
-				ar.Hypothetical = hy
-				matched[i] = true
+			if !matched[i] && rm.Tuples[i][:ng].Equal(g) {
+				hy, matched[i] = rm.Tuples[i], true
 				break
 			}
 		}
-		ar.Delta = make(schema.Tuple, len(agg.Aggs))
-		for j := range agg.Aggs {
-			ar.Delta[j] = deltaCell(ar.Historical, ar.Hypothetical, j)
-		}
-		rep.Rows = append(rep.Rows, ar)
+		rep.Rows = append(rep.Rows, reportRow(ng, na, row, hy))
 	}
 	for i, row := range rm.Tuples {
-		if matched[i] {
-			continue
+		if !matched[i] {
+			rep.Rows = append(rep.Rows, reportRow(ng, na, nil, row))
 		}
-		g, ya := split(row)
-		ar := AggregateRow{Group: g, Hypothetical: ya, Delta: make(schema.Tuple, len(agg.Aggs))}
-		for j := range agg.Aggs {
-			ar.Delta[j] = types.Null()
-		}
-		rep.Rows = append(rep.Rows, ar)
 	}
 	return rep, nil
 }
 
 // computeAggregates answers every attached query over the historical
-// state and the hypothetical state derived from d. The historical side
-// may reuse the shared result cache (it is keyed by a real history
-// version). A delta that does not fit the historical state (see
-// hypotheticalDB) is an error.
+// state hist and the hypothetical state hist − Minus + Plus of d. A
+// delta that does not fit hist (checkFrame) is an error. Each report
+// takes the merged route where it is exact (mergedReport) and the
+// patch route (aggregateReport) where it is not; ev.routes, when set,
+// counts which.
 func computeAggregates(ctx context.Context, queries []AggregateQuery, d delta.Set, hist *storage.Database, ev evaluator) ([]AggregateReport, error) {
 	if len(queries) == 0 {
 		return nil, nil
 	}
-	hyp, err := hypotheticalDB(hist, d)
+	changed, err := checkFrame(hist, d)
 	if err != nil {
 		return nil, err
 	}
+	var hyp *storage.Database // the patch route's, built on first use
 	out := make([]AggregateReport, 0, len(queries))
 	for _, q := range queries {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rep, err := aggregateReport(q, hist, hyp, ev)
+		rep, route, err := mergedReport(q, hist, changed, ev)
+		if err == nil && route != routeMerged {
+			if hyp == nil {
+				hyp, err = hypotheticalDB(hist, d)
+			}
+			if err == nil {
+				rep, err = aggregateReport(q, hist, hyp, ev)
+			}
+		}
 		if err != nil {
 			return nil, err
+		}
+		if ev.routes != nil {
+			ev.routes[route]++
 		}
 		out = append(out, rep)
 	}
@@ -240,17 +270,24 @@ func computeAggregates(ctx context.Context, queries []AggregateQuery, d delta.Se
 
 // tipReports evaluates the attached queries against the history state
 // at version tip — the frame the delta was computed in — resolving that
-// state through the shared snapshot cache when there is one. What-ifs,
-// batches, naive answers and template evals all report through here.
-func (e *Engine) tipReports(ctx context.Context, queries []AggregateQuery, d delta.Set, tip int, opts Options, shared *batchShared) ([]AggregateReport, error) {
+// state through the shared snapshot cache when there is one (tip-pinned
+// there, see storage.SnapshotCache.TipSnapshotCtx), and counts the
+// reports' routes in shared and in the result. What-ifs, batches, naive
+// answers and template evals all report through here.
+func (e *Engine) tipReports(ctx context.Context, queries []AggregateQuery, d delta.Set, tip int, opts Options, shared *batchShared) ([]AggregateReport, routeCounts, error) {
+	var routes routeCounts
 	if len(queries) == 0 {
-		return nil, nil
+		return nil, routes, nil
 	}
-	hist, err := shared.snapshot(ctx, e.vdb, tip)
+	hist, err := shared.tipSnapshot(ctx, e.vdb, tip)
 	if err != nil {
-		return nil, err
+		return nil, routes, err
 	}
-	return computeAggregates(ctx, queries, d, hist, e.newEvaluator(ctx, opts, tip, shared.eval))
+	ev := e.newEvaluator(ctx, opts, tip, shared.eval)
+	ev.routes = &routes
+	reps, err := computeAggregates(ctx, queries, d, hist, ev)
+	shared.countReports(&routes)
+	return reps, routes, err
 }
 
 // WhatIfAggregates answers a what-if query plus its attached aggregate
@@ -269,9 +306,10 @@ func (e *Engine) WhatIfAggregatesCtx(ctx context.Context, mods []history.Modific
 }
 
 // WhatIfAggregatesCtx is Engine.WhatIfAggregatesCtx through the
-// session's caches: the snapshot at the tip and the historical-side
-// aggregate evaluations come from (and feed) the session's shared
-// state. Hypothetical-side evaluations are never cached.
+// session's caches: the snapshot at the tip and the compiled programs
+// come from (and feed) the session's shared state, and a report's
+// historical γ state is remembered on the tip snapshot. Hypothetical-
+// side evaluations are never cached.
 func (s *Session) WhatIfAggregatesCtx(ctx context.Context, mods []history.Modification, queries []AggregateQuery, opts Options) (delta.Set, []AggregateReport, *Stats, error) {
 	return s.e.whatIfAggregates(ctx, mods, queries, opts, s.shared())
 }
@@ -286,7 +324,7 @@ func (s *Session) NaiveAggregatesCtx(ctx context.Context, mods []history.Modific
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	reps, err := s.e.tipReports(ctx, queries, d, tip, Options{}, shared)
+	reps, _, err := s.e.tipReports(ctx, queries, d, tip, Options{}, shared)
 	if err != nil {
 		return nil, nil, nil, err
 	}

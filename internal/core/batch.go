@@ -25,19 +25,18 @@ import (
 // compiled once per query fingerprint (compilation resolves every
 // column reference and fuses the operator pipeline, so it is the unit
 // worth sharing); results are keyed on (time-travel version, compiled
-// program, form), so two scenarios whose reenactment programs coincide
-// over the same snapshot materialize the relation once. In
-// interpreter-oracle mode the result key falls back to (version,
-// fingerprint, form).
+// program), so two scenarios whose reenactment programs coincide over
+// the same snapshot materialize the relation once. In interpreter-oracle
+// mode the result key falls back to (version, fingerprint).
 //
-// What an entry holds: a reenactment side is a columnar view
+// What an entry holds: a reenactment side, as a columnar view
 // (storage.ColumnarView — typed lanes, about 90 B a row on the Taxi
 // schema and mostly pointer-free, where the same rows as tuples are
 // about 500 B of pointerful Values the collector has to walk), because
 // all that ever happens to it is a lane-wise comparison with the other
-// side (delta.ComputeColumnar); an aggregate report's historical side is
-// a few group rows that are read, and stays a relation. The two forms of
-// one query are different entries. Cached results are shared read-only —
+// side (delta.ComputeColumnar). An aggregate report's historical side
+// is not here: it is a γ state remembered on the snapshot it was folded
+// over (evaluator.historical). Cached results are shared read-only —
 // delta computation and query evaluation never mutate their inputs.
 type evalCache struct {
 	progs        *lru.Cache[progKey, *progEntry]
@@ -70,17 +69,14 @@ type progEntry struct {
 	prog *exec.Program
 }
 
-// resultKey identifies one materialized result: the snapshot version,
-// the program fingerprint and the form it was materialized in. Programs
-// are deduplicated one per fingerprint, so this keys on the compiled
-// program exactly (and degrades gracefully to the query text in
-// interpreter mode or after a failed compilation). rows separates an
-// aggregate report's historical side from a reenactment side of the
-// same fingerprint: each asker gets the form it reads.
+// resultKey identifies one materialized result: the snapshot version
+// and the program fingerprint. Programs are deduplicated one per
+// fingerprint, so this keys on the compiled program exactly (and
+// degrades gracefully to the query text in interpreter mode or after a
+// failed compilation).
 type resultKey struct {
-	ver  int
-	fp   string
-	rows bool
+	ver int
+	fp  string
 }
 
 // evalEntry evaluates one program exactly once: the worker that
@@ -90,8 +86,7 @@ type resultKey struct {
 // materializing it.
 type evalEntry struct {
 	done chan struct{}
-	view *storage.ColumnarView // the result, when the key says columnar
-	rel  *storage.Relation     // the result, when the key says rows
+	view *storage.ColumnarView
 	err  error
 
 	// elem is the entry's recency-list node; guarded by evalCache.mu.
@@ -169,18 +164,17 @@ func (c *evalCache) program(q algebra.Query, db *storage.Database, fp string, ve
 	return pe.prog
 }
 
-// eval answers q over db in the asked form (rows, or a columnar view),
-// reusing a previously materialized result for the same (version,
-// program, form) when available; the returned entry is resolved and
-// holds it. A result whose materialization was cut short by ctx
-// cancellation is evicted rather than cached, so long-lived caches
-// (sessions) stay consistent; a caller that joined a cancelled
-// materialization retries under its own context instead of inheriting
-// the foreign failure.
-func (c *evalCache) eval(ev evaluator, q algebra.Query, db *storage.Database, rows bool) (*evalEntry, error) {
+// eval answers q over db as a columnar view, reusing a previously
+// materialized result for the same (version, program) when available;
+// the returned entry is resolved and holds it. A result whose
+// materialization was cut short by ctx cancellation is evicted rather
+// than cached, so long-lived caches (sessions) stay consistent; a caller
+// that joined a cancelled materialization retries under its own context
+// instead of inheriting the foreign failure.
+func (c *evalCache) eval(ev evaluator, q algebra.Query, db *storage.Database) (*evalEntry, error) {
 	ctx := ev.evalCtx()
 	fp := algebra.Fingerprint(q)
-	key := resultKey{ver: ev.ver, fp: fp, rows: rows}
+	key := resultKey{ver: ev.ver, fp: fp}
 	for {
 		c.mu.Lock()
 		e, ok := c.results[key]
@@ -193,11 +187,7 @@ func (c *evalCache) eval(ev evaluator, q algebra.Query, db *storage.Database, ro
 		c.mu.Unlock()
 		if !ok {
 			// We created the entry: we materialize, under our context.
-			if rows {
-				e.rel, e.err = ev.runRows(q, db, fp)
-			} else {
-				e.view, e.err = ev.runView(q, db, fp)
-			}
+			e.view, e.err = ev.runView(q, db, fp)
 			if e.err == nil {
 				c.mu.Lock()
 				c.misses++
@@ -264,11 +254,12 @@ type batchShared struct {
 }
 
 // sessionWork sums delta.Work over every delta computed through a
-// session, the expression nodes its program slicing lowered, and the
-// plans its template evals chose.
+// session, the expression nodes its program slicing lowered, the plans
+// its template evals chose, and the routes its aggregate reports took.
 type sessionWork struct {
 	compared, boxed, lowered atomic.Int64
 	sliced, unsliced         atomic.Int64
+	reports                  routeCounters
 }
 
 // countDelta adds one delta's row counts to the bundle's totals.
@@ -291,6 +282,13 @@ func (b *batchShared) countPlan(sliced bool) {
 	}
 }
 
+// countReports adds one call's report routes to the bundle's totals.
+func (b *batchShared) countReports(t *routeCounts) {
+	if b.work != nil {
+		b.work.reports.add(t)
+	}
+}
+
 // countLowered adds one plan's lowered solver nodes to the bundle's
 // totals.
 func (b *batchShared) countLowered(n int) {
@@ -310,6 +308,15 @@ const templateCacheEntries = 64
 func (b *batchShared) snapshot(ctx context.Context, vdb *storage.VersionedDatabase, ver int) (*storage.Database, error) {
 	if b.snaps != nil {
 		return b.snaps.SnapshotCtx(ctx, ver)
+	}
+	return vdb.VersionCtx(ctx, ver)
+}
+
+// tipSnapshot is snapshot for a version the caller aligned against as
+// the live tip (storage.SnapshotCache.TipSnapshotCtx).
+func (b *batchShared) tipSnapshot(ctx context.Context, vdb *storage.VersionedDatabase, ver int) (*storage.Database, error) {
+	if b.snaps != nil {
+		return b.snaps.TipSnapshotCtx(ctx, ver)
 	}
 	return vdb.VersionCtx(ctx, ver)
 }

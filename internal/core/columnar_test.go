@@ -15,8 +15,7 @@ import (
 // A what-if's two reenactment results are columnar views from the
 // executor to the delta; only the rows that do not cancel at their
 // position become tuples. These tests pin what that buys (a retained
-// delta pins its own rows), what it must not confuse (the result
-// cache's two forms), and what it counts.
+// delta pins its own rows) and what it counts.
 
 // TestRetainedDeltaPinsOnlyItsRows: a what-if over a 40 000-row relation
 // whose delta is six tuples. The caller keeps the delta.Set and nothing
@@ -69,40 +68,6 @@ func TestRetainedDeltaPinsOnlyItsRows(t *testing.T) {
 	runtime.KeepAlive(engine)
 }
 
-// TestResultCacheKeysByForm: one query asked for as a reenactment side
-// (a view) and as an aggregate report's historical side (rows) over the
-// same version is two cache entries, each serving its own askers.
-func TestResultCacheKeysByForm(t *testing.T) {
-	e := ordersEngine(t)
-	db, err := e.vdb.VersionCtx(context.Background(), e.Version())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := mustAggQuery(t, "SELECT region, SUM(amount) AS total FROM orders GROUP BY region").Query
-	for _, kind := range []ExecutorKind{ExecVectorized, ExecInterpreter} {
-		ec := newEvalCache()
-		ev := e.newEvaluator(context.Background(), Options{Executor: kind}, e.Version(), ec)
-		for round := 0; round < 2; round++ {
-			view, err := ev.eval(q, db)
-			if err != nil || view == nil || view.Rows != 3 {
-				t.Fatalf("%s round %d: columnar form = %v, %v; want 3 groups", kind, round, view, err)
-			}
-			rel, err := ev.evalRows(q, db)
-			if err != nil || rel == nil || rel.Len() != 3 {
-				t.Fatalf("%s round %d: row form = %v, %v; want 3 groups", kind, round, rel, err)
-			}
-			for i, tp := range view.Relation().Tuples {
-				if tp.String() != rel.Tuples[i].String() {
-					t.Fatalf("%s: the two forms disagree at row %d: %s vs %s", kind, i, tp, rel.Tuples[i])
-				}
-			}
-		}
-		if hits, misses := ec.stats(); hits != 2 || misses != 2 || ec.resident() != 2 {
-			t.Errorf("%s: %d hits, %d misses, %d resident; want 2, 2, 2 (one entry per form)", kind, hits, misses, ec.resident())
-		}
-	}
-}
-
 // TestWhatIfCountsComparedAndBoxedRows: on a Taxi what-if Stats reports
 // how many positions the two sides were compared at and how many rows
 // did not cancel there — counted here from the interpreter's rows, which
@@ -142,11 +107,11 @@ func TestWhatIfCountsComparedAndBoxedRows(t *testing.T) {
 		oracle := engine.newEvaluator(ctx, Options{Executor: ExecInterpreter}, p.ver, nil)
 		compared, residual := 0, 0
 		for _, r := range p.rels {
-			ro, err := oracle.evalUncached(r.orig, p.db)
+			ro, err := oracle.runRows(r.orig, p.db, "")
 			if err != nil {
 				t.Fatal(err)
 			}
-			rm, err := oracle.evalUncached(r.mod, p.db)
+			rm, err := oracle.runRows(r.mod, p.db, "")
 			if err != nil {
 				t.Fatal(err)
 			}

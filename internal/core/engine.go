@@ -370,7 +370,7 @@ func (e *Engine) naiveFrom(ctx context.Context, mods []history.Modification, sha
 	// the paper's cost model for benchmarks (quiescence documented).
 	actual := e.vdb.Current()
 	if shared.snaps != nil {
-		if actual, err = shared.snaps.SnapshotCtx(ctx, tip); err != nil {
+		if actual, err = shared.snaps.TipSnapshotCtx(ctx, tip); err != nil {
 			return nil, nil, 0, err
 		}
 	}
@@ -464,7 +464,7 @@ func (e *Engine) whatIfPair(ctx context.Context, pair *history.PaddedPair, tip i
 		shared.countDelta(work)
 	}
 	p.stats.Total = time.Since(start)
-	reps, err := e.tipReports(ctx, queries, out, tip, opts, shared)
+	reps, _, err := e.tipReports(ctx, queries, out, tip, opts, shared)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -490,6 +490,8 @@ type evaluator struct {
 	ver  int
 	kind ExecutorKind
 	vec  exec.VecOptions
+
+	routes *routeCounts // receives computeAggregates' report routes; nil: not counted
 }
 
 // newEvaluator builds the evaluator for queries over the history
@@ -514,34 +516,13 @@ func (ev evaluator) evalCtx() context.Context {
 // when the evaluator has one.
 func (ev evaluator) eval(q algebra.Query, db *storage.Database) (*storage.ColumnarView, error) {
 	if ev.ec != nil {
-		e, err := ev.ec.eval(ev, q, db, false)
+		e, err := ev.ec.eval(ev, q, db)
 		if err != nil {
 			return nil, err
 		}
 		return e.view, nil
 	}
 	return ev.runView(q, db, "")
-}
-
-// evalRows answers q over db as rows, through the result cache when the
-// evaluator has one. It is for results that are read, not diffed: an
-// aggregate report's historical side.
-func (ev evaluator) evalRows(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
-	if ev.ec != nil {
-		e, err := ev.ec.eval(ev, q, db, true)
-		if err != nil {
-			return nil, err
-		}
-		return e.rel, nil
-	}
-	return ev.evalUncached(q, db)
-}
-
-// evalUncached answers q over db as rows without looking at or feeding
-// the result cache — for databases that are not the history version
-// ev.ver (hypothetical states).
-func (ev evaluator) evalUncached(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
-	return ev.runRows(q, db, "")
 }
 
 // program returns the compiled program for q, or nil when q is to be
@@ -564,7 +545,8 @@ func (ev evaluator) program(q algebra.Query, db *storage.Database, fp string) *e
 	return prog
 }
 
-// runRows answers q over db as rows.
+// runRows answers q over db as rows, without looking at or feeding the
+// result cache: a patched hypothetical state, a template's slice count.
 func (ev evaluator) runRows(q algebra.Query, db *storage.Database, fp string) (*storage.Relation, error) {
 	if prog := ev.program(q, db, fp); prog != nil {
 		return prog.RunCtx(ev.evalCtx(), db)
@@ -599,11 +581,20 @@ func (ev evaluator) runView(q algebra.Query, db *storage.Database, fp string) (*
 // (Engine.InterpreterFallbacks). The oracle is not ctx-aware; bound its
 // damage by refusing to start when the request is already dead.
 func (ev evaluator) interpret(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
-	if err := ev.evalCtx().Err(); err != nil {
+	if err := ev.interpreting(ev.evalCtx()); err != nil {
 		return nil, err
+	}
+	return algebra.Eval(q, db)
+}
+
+// interpreting admits one interpreted evaluation under ctx, counting it
+// when it is a fallback (see interpret).
+func (ev evaluator) interpreting(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	if ev.kind != ExecInterpreter && ev.e != nil {
 		ev.e.fallbacks.Add(1)
 	}
-	return algebra.Eval(q, db)
+	return nil
 }

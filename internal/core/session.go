@@ -184,6 +184,15 @@ type SessionStats struct {
 	// UnslicedEvals over the session's templates: per binding and
 	// relation with two plans, whether its data-sliced pair ran.
 	TemplateSlicedEvals, TemplateUnslicedEvals int64
+	// Reports counts the aggregate reports answered through the session
+	// by route: merged into the historical γ state remembered on the
+	// snapshot, or patched, by reason.
+	Reports ReportRoutes
+	// ReportArtifactHits/Misses report reuse of what aggregate reports
+	// remember on a snapshot — a report query's historical γ state, a
+	// relation's row-hash index for the frame check: a miss folded or
+	// hashed a relation (once per snapshot), a hit reused it.
+	ReportArtifactHits, ReportArtifactMisses int64
 	// InterpreterFallbacks is Engine.InterpreterFallbacks at the time of
 	// the reading: engine-wide, not per session, and never reset.
 	InterpreterFallbacks int64
@@ -214,6 +223,8 @@ func (s *Session) Stats() SessionStats {
 	st.TemplateEvictions = s.caches.templates.Evictions()
 	st.TemplateResident = s.caches.templates.Len()
 	st.TemplateSlicedEvals, st.TemplateUnslicedEvals = s.caches.work.sliced.Load(), s.caches.work.unsliced.Load()
+	st.Reports = s.caches.work.reports.load()
+	st.ReportArtifactHits, st.ReportArtifactMisses = s.caches.snaps.ReportStats()
 	st.InterpreterFallbacks = s.e.InterpreterFallbacks()
 	return st
 }

@@ -76,6 +76,7 @@ type Template struct {
 	recompiles atomic.Int64
 	sliced     atomic.Int64
 	unsliced   atomic.Int64
+	reports    routeCounters
 }
 
 // paramClass is the inferred value class of one parameter slot.
@@ -274,6 +275,9 @@ type TemplateStats struct {
 	// which plan ran: the sliced pair, whose slices together were no
 	// larger than the relation, or the unsliced one.
 	SlicedEvals, UnslicedEvals int64
+	// Reports counts the aggregate reports the template's evals attached,
+	// by route (merged or patched, by reason).
+	Reports ReportRoutes
 }
 
 // CompileTemplate compiles a parameterized modification sequence into a
@@ -339,6 +343,7 @@ func (t *Template) Stats() TemplateStats {
 	st.Evals = t.evals.Load()
 	st.Recompiles = t.recompiles.Load()
 	st.SlicedEvals, st.UnslicedEvals = t.sliced.Load(), t.unsliced.Load()
+	st.Reports = t.reports.load()
 	return st
 }
 
@@ -493,7 +498,8 @@ func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, bind
 		out[tr.rel] = d
 		t.shared.countDelta(work)
 	}
-	reps, err := t.e.tipReports(ctx, queries, out, art.version, t.opts, t.shared)
+	reps, routes, err := t.e.tipReports(ctx, queries, out, art.version, t.opts, t.shared)
+	t.reports.add(&routes)
 	if err != nil {
 		return nil, nil, err
 	}

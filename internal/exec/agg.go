@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"context"
+	"fmt"
+
 	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/schema"
@@ -9,12 +12,12 @@ import (
 )
 
 // Grouped aggregation. Group identity (Tuple.Hash + Tuple.Equal through
-// algebra.GroupIndex) and accumulator semantics (algebra.AggAcc) are
-// shared with the interpreter, so the two executors cannot drift on
-// NULL grouping, cross-kind numeric keys, integer wraparound, or float
-// finiteness errors. Output rows are emitted in first-appearance order
-// of their group, which is deterministic because the executor produces
-// interpreter-exact input order.
+// algebra.GroupState's GroupIndex) and accumulator semantics
+// (algebra.AggAcc) are shared with the interpreter, so the two
+// executors cannot drift on NULL grouping, cross-kind numeric keys,
+// integer wraparound, or SUM's exact rounding. Output rows are emitted
+// in first-appearance order of their group, which is deterministic
+// because the executor produces interpreter-exact input order.
 
 // aggSchema computes the output schema (groups then aggregates) against
 // the input schema.
@@ -29,23 +32,16 @@ func aggSchema(x *algebra.Aggregate, in *schema.Schema) *schema.Schema {
 	return schema.New(in.Relation, cols...)
 }
 
-func newAggAccs(fns []algebra.AggFunc) []algebra.AggAcc {
-	row := make([]algebra.AggAcc, len(fns))
-	for j, fn := range fns {
-		row[j] = algebra.NewAggAcc(fn)
-	}
-	return row
-}
-
 // vaggregateNode is the vectorized γ operator: typed-lane hash aggregation.
 // Group keys hash column-wise without boxing (ColVec.FoldHash, the same
 // tuple hash the GroupIndex uses), bare-column group keys stay on their
-// input lanes, and bare-column aggregate arguments on clean typed lanes
-// accumulate through AggAcc's unboxed AddInt/AddFloat entry points.
-// Computed keys and arguments evaluate through the usual batch kernels
-// into boxed scratch; like vProjectOp, every kernel runs over all live
-// rows, so a batch errors iff the row-at-a-time semantics would error
-// on some row of it.
+// input lanes, and aggregate arguments on int and float lanes — bare
+// columns, masked or not — accumulate through AggAcc's unboxed
+// AddInt/AddFloat entry points, grouped or global. Computed keys and
+// arguments evaluate through the usual batch kernels into boxed
+// scratch; like vProjectOp, every kernel runs over all live rows, so a
+// batch errors iff the row-at-a-time semantics would error on some row
+// of it.
 type vaggregateNode struct {
 	in       vecNode
 	groupFns []vecScalarFn // nil entry: bare column, use groupSrc
@@ -57,18 +53,73 @@ type vaggregateNode struct {
 	cfg      vecConfig
 }
 
-func (n *vaggregateNode) run(rc *runCtx, emit vecEmit) error {
-	groups := algebra.NewGroupIndex()
-	var accs [][]algebra.AggAcc
-	nG := len(n.groupFns)
-	global := nG == 0
-	if global {
-		accs = append(accs, newAggAccs(n.fns))
+// RunGroupStateCtx runs a program whose root is a γ and returns the γ's
+// state before finalization (algebra.GroupState) instead of its rows:
+// the form an aggregate report merges. Errors are those of RunCtx up to
+// finalization; finalizing is the caller's (GroupState.Rows).
+func (p *Program) RunGroupStateCtx(ctx context.Context, db *storage.Database) (*algebra.GroupState, error) {
+	n, ok := p.root.(*vaggregateNode)
+	if !ok {
+		return nil, fmt.Errorf("exec: the program does not aggregate at the top")
 	}
+	return n.fold(&runCtx{db: db, ctx: ctx})
+}
+
+func (n *vaggregateNode) run(rc *runCtx, emit vecEmit) error {
+	st, err := n.fold(rc)
+	if err != nil {
+		return err
+	}
+	// The output batch holds min(groups, bs) rows: a global or few-group
+	// aggregate does not pay for a full batch of boxed cells.
+	capacity := min(st.Len(), n.cfg.bs)
+	out := newOwnedBatch(n.arity, capacity)
+	row := make(schema.Tuple, n.arity)
+	flush := func() error {
+		if out.n == 0 {
+			return nil
+		}
+		// Result emission is not driven by a source batch loop, so
+		// observe cancellation once per emitted batch; consumers may also have
+		// narrowed the previous emit's selection in place.
+		if err := rc.ctx.Err(); err != nil {
+			return err
+		}
+		out.sel = nil
+		err := emit(out)
+		out.n = 0
+		return err
+	}
+	for g := 0; g < st.Len(); g++ {
+		if ok, err := st.Finalize(g, row); !ok || err != nil {
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		for c, v := range row {
+			out.cols[c].Vals[out.n] = v
+		}
+		out.n++
+		if out.n == capacity {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return flush()
+}
+
+// fold runs the γ's input and folds it into the γ's state.
+func (n *vaggregateNode) fold(rc *runCtx) (*algebra.GroupState, error) {
+	nG := len(n.groupFns)
+	st := algebra.NewGroupState(n.fns, nG > 0)
 	pool := newVecPool(n.cfg.bs)
-	hs := make([]uint64, n.cfg.bs)
+	var hs []uint64
+	var gis []int // group ordinal of each live row; nil for a global γ
 	keyCols := make([]storage.ColVec, nG)
 	keyBuf := make(schema.Tuple, nG)
+	argCols := make([]*storage.ColVec, len(n.argFns))
 	err := n.in.run(rc, func(b *batch) error {
 		// Evaluate computed group keys and arguments over the whole
 		// batch first (kernels fill only live rows).
@@ -84,8 +135,8 @@ func (n *vaggregateNode) run(rc *runCtx, emit vecEmit) error {
 			}
 			keyCols[i] = storage.ColVec{Kind: types.KindNull, Vals: vals}
 		}
-		argCols := make([]*storage.ColVec, len(n.argFns))
 		for j, fn := range n.argFns {
+			argCols[j] = nil
 			if n.argSrc[j] >= 0 {
 				argCols[j] = &b.cols[n.argSrc[j]]
 				continue
@@ -102,136 +153,98 @@ func (n *vaggregateNode) run(rc *runCtx, emit vecEmit) error {
 		}
 
 		// Resolve each live row to its dense group ordinal.
-		var gis []int
-		if !global {
+		live := b.live()
+		if nG == 0 {
+			st.AddRows(0, int64(live))
+		} else {
+			if len(hs) < b.n {
+				// Sized by the batches that arrive: a γ over a few rows
+				// does not pay for a whole batch of scratch.
+				hs, gis = make([]uint64, b.n), make([]int, b.n)
+			}
 			for r := range hs[:b.n] {
 				hs[r] = schema.HashSeed
 			}
 			for i := range keyCols {
 				keyCols[i].FoldHash(hs, b.sel, b.n)
 			}
-			rowGroup := func(r int) int {
-				for i := range keyCols {
-					keyBuf[i] = keyCols[i].Value(r)
+			for i := 0; i < live; i++ {
+				r := liveRow(b.sel, i)
+				for c := range keyCols {
+					keyBuf[c] = keyCols[c].Value(r)
 				}
-				gi := groups.Lookup(hs[r], keyBuf)
-				if gi < 0 {
-					gi = groups.Add(hs[r], keyBuf.Clone())
-					accs = append(accs, newAggAccs(n.fns))
-				}
-				return gi
-			}
-			gis = make([]int, 0, b.live())
-			if b.sel == nil {
-				for r := 0; r < b.n; r++ {
-					gis = append(gis, rowGroup(r))
-				}
-			} else {
-				for _, r := range b.sel {
-					gis = append(gis, rowGroup(r))
-				}
+				gis[i] = st.Group(hs[r], keyBuf)
+				st.AddRows(gis[i], 1)
 			}
 		}
 
 		// Accumulate each aggregate column-wise.
 		for j := range n.fns {
-			acc := func(r, i int) error {
-				a := &accs[0][j]
-				if !global {
-					a = &accs[gis[i]][j]
-				}
-				if argCols[j] == nil {
-					a.AddRow()
-					return nil
-				}
-				return a.Add(argCols[j].Value(r))
-			}
-			col := argCols[j]
-			if global && col != nil && col.Nulls == nil && (col.Kind == types.KindInt || col.Kind == types.KindFloat) {
-				// Typed fast lane: a clean int/float column feeding one
-				// global accumulator folds without boxing.
-				a := &accs[0][j]
-				fold := func(r int) error {
-					if col.Kind == types.KindInt {
-						return a.AddInt(col.Ints[r])
-					}
-					return a.AddFloat(col.Floats[r])
-				}
-				if b.sel == nil {
-					for r := 0; r < b.n; r++ {
-						if err := fold(r); err != nil {
-							return err
-						}
-					}
-				} else {
-					for _, r := range b.sel {
-						if err := fold(r); err != nil {
-							return err
-						}
-					}
-				}
-				continue
-			}
-			if b.sel == nil {
-				for r := 0; r < b.n; r++ {
-					if err := acc(r, r); err != nil {
-						return err
-					}
-				}
-			} else {
-				for i, r := range b.sel {
-					if err := acc(r, i); err != nil {
-						return err
-					}
-				}
+			if err := foldArg(st, j, argCols[j], b.sel, live, gis); err != nil {
+				return err
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
+	return st, nil
+}
 
-	// The output batch holds min(groups, bs) rows: a global or few-group
-	// aggregate does not pay for a full batch of boxed cells.
-	capacity := min(max(len(accs), 1), n.cfg.bs)
-	out := newOwnedBatch(n.arity, capacity)
-	flush := func() error {
-		if out.n == 0 {
-			return nil
-		}
-		// Result emission is not driven by a source batch loop, so
-		// observe cancellation once per emitted batch; consumers may also have
-		// narrowed the previous emit's selection in place.
-		if err := rc.ctx.Err(); err != nil {
-			return err
-		}
-		out.sel = nil
-		err := emit(out)
-		out.n = 0
-		return err
+// liveRow returns the batch row of the i-th live row.
+func liveRow(sel []int, i int) int {
+	if sel == nil {
+		return i
 	}
-	for gi := range accs {
-		if !global {
-			for c, v := range groups.Key(gi) {
-				out.cols[c].Vals[out.n] = v
-			}
+	return sel[i]
+}
+
+// liveGroup returns the group of the i-th live row (gis nil: global).
+func liveGroup(gis []int, i int) int {
+	if gis == nil {
+		return 0
+	}
+	return gis[i]
+}
+
+// foldArg accumulates aggregate j over the live rows of a batch; col is
+// its argument column, nil for COUNT(*). Int and float lanes fold
+// unboxed, their NULL cells skipped as Add skips a NULL.
+func foldArg(st *algebra.GroupState, j int, col *storage.ColVec, sel []int, live int, gis []int) error {
+	switch {
+	case col == nil:
+		for i := 0; i < live; i++ {
+			st.Acc(liveGroup(gis, i), j).AddRow()
 		}
-		for j := range accs[gi] {
-			v, err := accs[gi][j].Result()
-			if err != nil {
-				return err
+	case col.Kind == types.KindInt:
+		for i := 0; i < live; i++ {
+			r := liveRow(sel, i)
+			if col.Nulls != nil && col.Nulls[r] {
+				continue
 			}
-			out.cols[nG+j].Vals[out.n] = v
-		}
-		out.n++
-		if out.n == capacity {
-			if err := flush(); err != nil {
+			if err := st.Acc(liveGroup(gis, i), j).AddInt(col.Ints[r]); err != nil {
 				return err
 			}
 		}
+	case col.Kind == types.KindFloat:
+		for i := 0; i < live; i++ {
+			r := liveRow(sel, i)
+			if col.Nulls != nil && col.Nulls[r] {
+				continue
+			}
+			if err := st.Acc(liveGroup(gis, i), j).AddFloat(col.Floats[r]); err != nil {
+				return err
+			}
+		}
+	default:
+		for i := 0; i < live; i++ {
+			if err := st.Acc(liveGroup(gis, i), j).Add(col.Value(liveRow(sel, i))); err != nil {
+				return err
+			}
+		}
 	}
-	return flush()
+	return nil
 }
 
 // compileVecAggregate lowers γ for the vectorized path.
@@ -240,7 +253,7 @@ func compileVecAggregate(x *algebra.Aggregate, db *storage.Database, cfg vecConf
 	if err != nil {
 		return nil, nil, err
 	}
-	n := &vaggregateNode{in: in, arity: len(x.GroupBy) + len(x.Aggs), cfg: cfg}
+	n := &vaggregateNode{in: in, arity: len(x.GroupBy) + len(x.Aggs), fns: x.Funcs(), cfg: cfg}
 	for _, ne := range x.GroupBy {
 		src := -1
 		var fn vecScalarFn
@@ -275,7 +288,6 @@ func compileVecAggregate(x *algebra.Aggregate, db *storage.Database, cfg vecConf
 		}
 		n.argFns = append(n.argFns, fn)
 		n.argSrc = append(n.argSrc, src)
-		n.fns = append(n.fns, a.Fn)
 	}
 	return n, aggSchema(x, s), nil
 }

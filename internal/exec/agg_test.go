@@ -1,7 +1,9 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/mahif/mahif/internal/algebra"
@@ -180,4 +182,106 @@ func TestAggregateSemantics(t *testing.T) {
 		t.Fatal("SUM over string must error")
 	}
 	evalTwoWay(t, mustQuery(t, "SELECT SUM(g) AS s FROM r"), db, exec.VecOptions{})
+}
+
+// laneDB builds r(k, i, f, m, g) with n rows whose aggregate arguments
+// sit on every lane shape a grouped γ folds: i a clean int lane with a
+// NULL every 5th row, f a float lane of tenths with a NULL every 7th, m
+// an int-declared column holding a float every 11th row (the boxed lane
+// wherever a batch or the view holds one), and g a string key with a
+// NULL every 9th row.
+func laneDB(n int) *storage.Database {
+	db := storage.NewDatabase()
+	r := storage.NewRelation(schema.New("r",
+		schema.Col("k", types.KindInt),
+		schema.Col("i", types.KindInt),
+		schema.Col("f", types.KindFloat),
+		schema.Col("m", types.KindInt),
+		schema.Col("g", types.KindString),
+	))
+	groups := []string{"a", "b", "c", "d"}
+	for k := 0; k < n; k++ {
+		i, f, m, g := types.Int(int64(k%97-40)), types.Float(float64(k%53)/10), types.Int(int64(k%31)), types.String(groups[k%4])
+		if k%5 == 1 {
+			i = types.Null()
+		}
+		if k%7 == 2 {
+			f = types.Null()
+		}
+		if k%11 == 3 {
+			m = types.Float(float64(k%31) + 0.5)
+		}
+		if k%9 == 4 {
+			g = types.Null()
+		}
+		r.Add(schema.NewTuple(types.Int(int64(k)), i, f, m, g))
+	}
+	db.AddRelation(r)
+	return db
+}
+
+// TestGroupedTypedLanesMatchInterpreter: grouped and global γs fold int
+// and float lanes — masked or not — without boxing, and the boxed lane
+// through Add; all of it must agree with the interpreter cell for cell
+// (kind and bits) at 1023, 1024 and 1025 rows, at default and 7-row
+// batches, over a private and a published relation, and the state
+// RunGroupStateCtx returns must finalize to the same rows.
+func TestGroupedTypedLanesMatchInterpreter(t *testing.T) {
+	queries := []string{
+		"SELECT g, COUNT(*) AS n, COUNT(i) AS ci, SUM(i) AS si, AVG(i) AS ai, MIN(i) AS li, MAX(i) AS hi, SUM(f) AS sf, AVG(f) AS af, MIN(f) AS lf, MAX(f) AS hf, SUM(m) AS sm, MIN(m) AS lm FROM r GROUP BY g",
+		"SELECT i, SUM(f) AS s, COUNT(*) AS n, MAX(m) AS hm FROM r WHERE k >= 3 GROUP BY i",
+		"SELECT g, f, SUM(i) AS s FROM r GROUP BY g, f",
+		"SELECT SUM(f) AS s, AVG(i) AS a, MIN(m) AS lo, COUNT(f) AS c FROM r WHERE k >= 5",
+	}
+	for _, n := range []int{1023, 1024, 1025} {
+		private := laneDB(n)
+		frozen, _ := publish(t, laneDB(n))
+		for _, src := range queries {
+			q := mustQuery(t, src)
+			want, err := algebra.Eval(q, private)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range []exec.VecOptions{{}, {BatchSize: 7}} {
+				prog, err := exec.CompileVec(q, private, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, db := range map[string]*storage.Database{"private": private, "frozen": frozen} {
+					label := fmt.Sprintf("n=%d bs=%d %s %s", n, opts.BatchSize, name, src)
+					got, err := prog.Run(db)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					requireIdenticalRows(t, label, want.Tuples, got.Tuples)
+					st, err := prog.RunGroupStateCtx(context.Background(), db)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					rows, err := st.Rows()
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					requireIdenticalRows(t, label+" (state)", want.Tuples, rows)
+				}
+			}
+		}
+	}
+}
+
+// requireIdenticalRows requires the same rows in the same order, each
+// cell of the same kind and, for floats, the same bits.
+func requireIdenticalRows(t *testing.T, label string, want, got []schema.Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		for c := range want[i] {
+			w, g := want[i][c], got[i][c]
+			if w.Kind() != g.Kind() || !w.Equal(g) || w.Kind() == types.KindFloat && math.Float64bits(w.AsFloat()) != math.Float64bits(g.AsFloat()) {
+				t.Fatalf("%s: row %d = %s, want %s", label, i, got[i], want[i])
+			}
+		}
+	}
 }

@@ -51,6 +51,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m("mahif_session_template_resident", "Template artifacts currently held per session.", "gauge")
 	m("mahif_session_template_sliced_evals_total", "Template evals of a relation with a binding-dependent slicing filter that ran its data-sliced plan (the binding's slices reenact fewer rows than the relation), per session.", "counter")
 	m("mahif_session_template_unsliced_evals_total", "Template evals of a relation with a binding-dependent slicing filter that ran its unsliced plan (the binding's slices would reenact more rows than the relation), per session.", "counter")
+	m("mahif_session_reports_merged_total", "Aggregate reports answered by merging the delta's Minus and Plus into the historical state remembered on the snapshot, per session.", "counter")
+	m("mahif_session_reports_patched_total", "Aggregate reports answered by patching the whole relation and re-aggregating it (a MIN/MAX the merge cannot decide, or a query shape it does not cover), per session.", "counter")
 	var rowsCompared, rowsBoxed, lowered int64
 	for i, st := range s.SessionStats() {
 		rowsCompared += st.DeltaRowsCompared
@@ -85,6 +87,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "mahif_session_template_resident%s %d\n", l, st.TemplateResident)
 		fmt.Fprintf(&b, "mahif_session_template_sliced_evals_total%s %d\n", l, st.TemplateSlicedEvals)
 		fmt.Fprintf(&b, "mahif_session_template_unsliced_evals_total%s %d\n", l, st.TemplateUnslicedEvals)
+		fmt.Fprintf(&b, "mahif_session_reports_merged_total%s %d\n", l, st.Reports.Merged)
+		fmt.Fprintf(&b, "mahif_session_reports_patched_total%s %d\n", l, st.Reports.Patched)
 	}
 
 	m("mahif_delta_rows_compared_total", "Row positions at which a what-if's two reenactment results were compared lane-wise, over all sessions.", "counter")

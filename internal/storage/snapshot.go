@@ -178,6 +178,21 @@ func (c *SnapshotCache) Snapshot(i int) (*Database, error) {
 // error to an innocent concurrent client. Hit/miss counters record
 // completed shares and builds only, never abandoned attempts.
 func (c *SnapshotCache) SnapshotCtx(ctx context.Context, i int) (*Database, error) {
+	return c.snapshotCtx(ctx, i, false)
+}
+
+// TipSnapshotCtx is SnapshotCtx for a version its caller aligned against
+// as the live tip: the frame of an aggregate report, the actual state a
+// naive answer diffs against. Such a state is tip-pinned however it is
+// built — a copy of the live state while it still is the tip, a replay
+// once an append has landed in between — so a newer tip build drops it
+// eagerly (evictTipsLocked), where a replayed one would otherwise stay
+// resident like a time-travel state although nobody asks for it again.
+func (c *SnapshotCache) TipSnapshotCtx(ctx context.Context, i int) (*Database, error) {
+	return c.snapshotCtx(ctx, i, true)
+}
+
+func (c *SnapshotCache) snapshotCtx(ctx context.Context, i int, tip bool) (*Database, error) {
 	if n := c.vdb.NumVersions(); i < 0 || i > n {
 		return nil, fmt.Errorf("storage: snapshot %d out of range [0,%d]", i, n)
 	}
@@ -191,7 +206,7 @@ func (c *SnapshotCache) SnapshotCtx(ctx context.Context, i int) (*Database, erro
 		c.mu.Unlock()
 		if !ok {
 			// We created the entry: we build, under our context.
-			e.db, e.err = c.build(ctx, i)
+			e.db, e.err = c.build(ctx, i, tip)
 			if e.err == nil {
 				e.db.freeze(&c.derived)
 				c.mu.Lock()
@@ -235,22 +250,26 @@ func (c *SnapshotCache) SnapshotCtx(ctx context.Context, i int) (*Database, erro
 // build reconstructs version i from the nearest earlier materialized
 // state. Base, checkpoints, and completed snapshots are all immutable
 // once created, so when one lands exactly on i it is returned without
-// copying; otherwise it is cloned and the log replayed forward.
-func (c *SnapshotCache) build(ctx context.Context, i int) (*Database, error) {
+// copying; otherwise it is cloned and the log replayed forward. tip
+// marks i tip-pinned even when it is no longer the live version (see
+// TipSnapshotCtx).
+func (c *SnapshotCache) build(ctx context.Context, i int, tip bool) (*Database, error) {
 	start, db, log, private, err := c.vdb.replayPlan(i)
 	if err != nil {
 		return nil, err
 	}
-	if private {
-		// The requested version was the tip: replayPlan froze a private
-		// copy of the live state, so the shared snapshot cannot alias it.
-		// Mark it so a later tip build evicts it eagerly once the history
-		// has moved past it.
+	if private || tip {
+		// The requested version was the tip (replayPlan then froze a
+		// private copy of the live state, so the shared snapshot cannot
+		// alias it), or was asked for as one. Mark it so a later tip build
+		// evicts it eagerly once the history has moved past it.
 		c.mu.Lock()
 		c.tips[i] = true
 		c.evictTipsLocked(i)
 		c.mu.Unlock()
-		return db, nil
+		if private {
+			return db, nil
+		}
 	}
 	c.mu.Lock()
 	for at, snap := range c.ready {
@@ -293,6 +312,13 @@ func (c *SnapshotCache) ColumnarStats() (hits, misses int64) {
 	return c.derived.viewHits.Load(), c.derived.viewMisses.Load()
 }
 
+// ReportStats reports Relation.Derive calls with a ReportKey on the
+// relations this cache published: the artifacts aggregate reports
+// remember on a snapshot.
+func (c *SnapshotCache) ReportStats() (hits, misses int64) {
+	return c.derived.reportHits.Load(), c.derived.reportMisses.Load()
+}
+
 // Evictions reports how many completed snapshots the retention bound
 // has dropped.
 func (c *SnapshotCache) Evictions() int {
@@ -317,8 +343,9 @@ func (c *SnapshotCache) TipEvictions() int {
 }
 
 // TipResident reports how many tip-pinned snapshots (private full
-// copies of a then-live state) are currently held. Under eager
-// eviction this stays at most 1 plus any in-flight builds.
+// copies of a then-live state, or replays asked for as a tip) are
+// currently held. Under eager eviction this stays at most 1 plus any
+// in-flight builds and stale tips built after the newest.
 func (c *SnapshotCache) TipResident() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -200,6 +201,52 @@ func TestSnapshotTipEviction(t *testing.T) {
 	if got := r.Tuples[0][0].AsInt(); got != 103 {
 		t.Errorf("rebuilt superseded tip Snapshot(3) = %d, want 103", got)
 	}
+}
+
+// TestTipSnapshotReplayedIsTipPinned: a version asked for as a tip
+// after an append superseded it is built by replay, correctly, and is
+// tip-pinned like a copy of the live state — the next tip build drops
+// it — while the same replay asked for as a time-travel state stays.
+func TestTipSnapshotReplayedIsTipPinned(t *testing.T) {
+	v := newBumpStore(t, 1)
+	for _, tip := range []bool{true, false} {
+		c := NewSnapshotCache(v)
+		stale := v.NumVersions()
+		if err := v.Apply(bump{rel: "t", by: 1}); err != nil {
+			t.Fatal(err)
+		}
+		get := c.Snapshot
+		if tip {
+			get = func(i int) (*Database, error) { return c.TipSnapshotCtx(context.Background(), i) }
+		}
+		db, err := get(stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := v.Version(stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, _ := db.Relation("t"); !r.EqualAsBag(mustRel(t, want, "t")) {
+			t.Fatalf("replayed Snapshot(%d) differs from Version(%d)", stale, stale)
+		}
+		resident := c.Resident()
+		if _, err := c.Snapshot(v.NumVersions()); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Resident(); tip && got != resident || !tip && got != resident+1 {
+			t.Errorf("asked for as a tip=%v: %d resident before the next tip build, %d after", tip, resident, got)
+		}
+	}
+}
+
+func mustRel(t *testing.T, db *Database, name string) *Relation {
+	t.Helper()
+	r, err := db.Relation(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestSnapshotEvictionBound(t *testing.T) {

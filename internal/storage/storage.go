@@ -8,6 +8,8 @@ package storage
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -59,8 +61,18 @@ type derivedEntry struct {
 
 // derivedStats counts Derive calls answered from a memo (hits) and
 // those that ran compute on a frozen relation (misses), and the same for
-// SharedColumnar.
-type derivedStats struct{ hits, misses, viewHits, viewMisses atomic.Int64 }
+// SharedColumnar and for Derive calls with a ReportKey.
+type derivedStats struct {
+	hits, misses             atomic.Int64
+	viewHits, viewMisses     atomic.Int64
+	reportHits, reportMisses atomic.Int64
+}
+
+// ReportKey marks a Derive key whose value serves aggregate reports (a
+// historical γ state, a row-hash index): its traffic is counted apart
+// (SnapshotCache.ReportStats), so DerivedStats keeps describing the
+// program-slicing side.
+type ReportKey interface{ ReportKey() }
 
 // Derive returns compute's result for key, a pure function of the
 // relation's contents and key. On a frozen relation the result is
@@ -83,8 +95,12 @@ func (r *Relation) Derive(key any, compute func() (any, error)) (any, error) {
 		m.vals[key] = e
 	}
 	m.mu.Unlock()
+	hits, misses := &m.stats.hits, &m.stats.misses
+	if _, ok := key.(ReportKey); ok {
+		hits, misses = &m.stats.reportHits, &m.stats.reportMisses
+	}
 	if e == nil {
-		m.stats.misses.Add(1)
+		misses.Add(1)
 		return compute()
 	}
 	hit := true
@@ -93,9 +109,9 @@ func (r *Relation) Derive(key any, compute func() (any, error)) (any, error) {
 		e.val, e.err = compute()
 	})
 	if hit {
-		m.stats.hits.Add(1)
+		hits.Add(1)
 	} else {
-		m.stats.misses.Add(1)
+		misses.Add(1)
 	}
 	return e.val, e.err
 }
@@ -283,6 +299,15 @@ func (d *Database) TotalTuples() int {
 		n += len(r.Tuples)
 	}
 	return n
+}
+
+// With returns a database holding d's relations, except that r takes
+// the place of the one of its name (or joins them). Relations are
+// shared, not copied: d is unchanged.
+func (d *Database) With(r *Relation) *Database {
+	out := &Database{rels: maps.Clone(d.rels), order: slices.Clone(d.order)}
+	out.AddRelation(r)
+	return out
 }
 
 // String renders all relations.

@@ -204,6 +204,10 @@ type (
 	AggregateReport = core.AggregateReport
 	// AggregateRow is one group's values in an AggregateReport.
 	AggregateRow = core.AggregateRow
+	// ReportRoutes counts aggregate reports by route (merged into the
+	// historical state, or patched, by reason); SessionStats.Reports and
+	// TemplateStats.Reports carry one.
+	ReportRoutes = core.ReportRoutes
 	// Delta is the annotated symmetric difference for one relation.
 	Delta = delta.Result
 	// DeltaSet maps relation names to their deltas.
