@@ -75,31 +75,4 @@ func (h *harness) batch() {
 		}
 		fmt.Println()
 	}
-
-	// Sharing ablation at a fixed scenario count: what do the shared
-	// snapshot and the solver memo each buy, on top of parallelism?
-	fmt.Printf("\n== Batch sharing ablation — %s (U=50, K=16, workers=%d) ==\n", dsTaxiS, maxProcs)
-	specs := w.ScenarioFamily(16)
-	scenarios := make([]core.Scenario, len(specs))
-	for i, s := range specs {
-		scenarios[i] = core.Scenario{Label: s.Label, Mods: s.Mods}
-	}
-	for _, cfg := range []struct {
-		name string
-		opts core.BatchOptions
-	}{
-		{"none", core.BatchOptions{Options: opts, NoSnapshotSharing: true, NoCompileMemo: true, NoQueryCache: true}},
-		{"no-snapshot", core.BatchOptions{Options: opts, NoSnapshotSharing: true}},
-		{"no-memo", core.BatchOptions{Options: opts, NoCompileMemo: true}},
-		{"no-querycache", core.BatchOptions{Options: opts, NoQueryCache: true}},
-		{"shared", core.BatchOptions{Options: opts}},
-	} {
-		_, bs, err := engine.WhatIfBatch(scenarios, cfg.opts)
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("%-14s %12s   snapshots(hit/miss)=%d/%d memo(hit/miss)=%d/%d queries(hit/miss)=%d/%d\n",
-			cfg.name, ms(bs.Total), bs.SnapshotHits, bs.SnapshotMisses,
-			bs.MemoHits, bs.MemoMisses, bs.QueryHits, bs.QueryMisses)
-	}
 }

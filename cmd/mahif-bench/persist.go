@@ -24,7 +24,6 @@ var persistOut = "BENCH_persist.json"
 type appendResult struct {
 	BatchSize   int     `json:"batch_size"`
 	Sync        bool    `json:"sync"`
-	Indexed     bool    `json:"indexed"`
 	Statements  int     `json:"statements"`
 	Seconds     float64 `json:"seconds"`
 	StmtsPerSec float64 `json:"stmts_per_sec"`
@@ -97,34 +96,30 @@ func (h *harness) persistExp() {
 	ctx := context.Background()
 
 	// Append throughput: WAL write + fsync + in-memory apply, which is
-	// what a live POST /v1/history pays. One extra cell disables the
-	// tip's maintained indexes — the ablation isolating how much of the
-	// append rate the indexed incremental application contributes.
+	// what a live POST /v1/history pays.
 	appendN := 2000
 	if h.quick {
 		appendN = 200
 	}
 	stmts, base := h.persistStatements(appendN)
 	type appendCfg struct {
-		sync, indexed bool
-		batch         int
+		sync  bool
+		batch int
 	}
 	var cfgs []appendCfg
 	for _, sync := range []bool{true, false} {
 		for _, batch := range []int{1, 16, 128} {
-			cfgs = append(cfgs, appendCfg{sync: sync, indexed: true, batch: batch})
+			cfgs = append(cfgs, appendCfg{sync: sync, batch: batch})
 		}
 	}
-	cfgs = append(cfgs, appendCfg{sync: false, indexed: false, batch: 16})
 	header("Persist: append throughput — Taxi",
-		"batch", "sync", "indexed", "stmts", "sec", "stmts/s", "MB/s")
+		"batch", "sync", "stmts", "sec", "stmts/s", "MB/s")
 	for _, cfg := range cfgs {
-		dir := filepath.Join(tmp, fmt.Sprintf("append-%d-%v-%v", cfg.batch, cfg.sync, cfg.indexed))
+		dir := filepath.Join(tmp, fmt.Sprintf("append-%d-%v", cfg.batch, cfg.sync))
 		store, err := persist.Create(dir, base, persist.Options{NoSync: !cfg.sync})
 		if err != nil {
 			panic(err)
 		}
-		store.Database().SetTipIndexing(cfg.indexed)
 		start := time.Now()
 		for i := 0; i < len(stmts); i += cfg.batch {
 			end := min(i+cfg.batch, len(stmts))
@@ -138,7 +133,6 @@ func (h *harness) persistExp() {
 		res := appendResult{
 			BatchSize:   cfg.batch,
 			Sync:        cfg.sync,
-			Indexed:     cfg.indexed,
 			Statements:  len(stmts),
 			Seconds:     sec,
 			StmtsPerSec: float64(len(stmts)) / sec,
@@ -146,8 +140,8 @@ func (h *harness) persistExp() {
 			MBPerSec:    float64(st.WALBytesWritten) / sec / (1 << 20),
 		}
 		report.Append = append(report.Append, res)
-		fmt.Printf("%-10d %12v %12v %12d %12.2f %12.0f %12.2f\n",
-			cfg.batch, cfg.sync, cfg.indexed, res.Statements, res.Seconds, res.StmtsPerSec, res.MBPerSec)
+		fmt.Printf("%-10d %12v %12d %12.2f %12.0f %12.2f\n",
+			cfg.batch, cfg.sync, res.Statements, res.Seconds, res.StmtsPerSec, res.MBPerSec)
 	}
 
 	// Group commit: concurrent single-statement appenders share one
@@ -183,7 +177,6 @@ func (h *harness) persistExp() {
 		res := appendResult{
 			BatchSize:      1,
 			Sync:           true,
-			Indexed:        true,
 			Statements:     len(stmts),
 			Seconds:        sec,
 			StmtsPerSec:    float64(len(stmts)) / sec,

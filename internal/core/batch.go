@@ -1,9 +1,7 @@
 package core
 
 import (
-	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -27,9 +25,12 @@ import (
 // worth sharing); results are keyed on (time-travel version, compiled
 // program), so two scenarios whose reenactment programs coincide over
 // the same snapshot materialize the relation once. In interpreter-oracle
-// mode the result key falls back to (version, fingerprint).
+// mode the result key falls back to (version, fingerprint). Both are
+// build-once caches (lru.Cache.Do): concurrent askers share one build,
+// a waiter honors its own context, and a build cut short by its
+// builder's cancellation is retried by a live waiter, never cached.
 //
-// What an entry holds: a reenactment side, as a columnar view
+// What a result entry holds: a reenactment side, as a columnar view
 // (storage.ColumnarView — typed lanes, about 90 B a row on the Taxi
 // schema and mostly pointer-free, where the same rows as tuples are
 // about 500 B of pointerful Values the collector has to walk), because
@@ -39,12 +40,10 @@ import (
 // over (evaluator.historical). Cached results are shared read-only —
 // delta computation and query evaluation never mutate their inputs.
 type evalCache struct {
-	progs        *lru.Cache[progKey, *progEntry]
-	mu           sync.Mutex
-	results      map[resultKey]*evalEntry
-	lru          *list.List // of resultKey; front = most recently used
-	evictions    int
-	hits, misses int
+	// progs holds nil for a query outside the compilable subset (the
+	// evaluation then runs through the interpreter).
+	progs   *lru.Cache[progKey, *exec.Program]
+	results *lru.Cache[resultKey, *storage.ColumnarView]
 }
 
 // defaultQueryCacheEntries bounds the materialized-result cache and the
@@ -54,20 +53,10 @@ type evalCache struct {
 // forever; a program is keyed by its query's fingerprint, which carries
 // the what-if's constants, so a session answering what-ifs with fresh
 // thresholds would otherwise keep one program per what-if ever asked.
-// Result eviction is LRU over completed entries only: an entry whose
-// materialization is still in flight has workers parked on its done
-// channel and must survive until it resolves. A program is evicted
-// whenever it is least recently used — an evaluation still running it
-// holds its own reference, and the next asker compiles it again.
+// A program is evicted whenever it is least recently used — an
+// evaluation still running it holds its own reference, and the next
+// asker compiles it again.
 const defaultQueryCacheEntries = 256
-
-// progEntry compiles one fingerprint exactly once while it is cached.
-// prog is nil when the query is outside the compilable subset (the
-// evaluation then runs through the interpreter).
-type progEntry struct {
-	once sync.Once
-	prog *exec.Program
-}
 
 // resultKey identifies one materialized result: the snapshot version
 // and the program fingerprint. Programs are deduplicated one per
@@ -79,68 +68,10 @@ type resultKey struct {
 	fp  string
 }
 
-// evalEntry evaluates one program exactly once: the worker that
-// creates the entry materializes and closes done; concurrent workers
-// asking for the same (version, program) wait on done — or give up
-// when their own context dies — and share the result instead of each
-// materializing it.
-type evalEntry struct {
-	done chan struct{}
-	view *storage.ColumnarView
-	err  error
-
-	// elem is the entry's recency-list node; guarded by evalCache.mu.
-	elem *list.Element
-}
-
-// completed reports whether the entry's materialization has resolved
-// (its creator closed done). Only completed entries are evictable.
-func (e *evalEntry) completed() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
-
 func newEvalCache() *evalCache {
 	return &evalCache{
-		progs:   lru.New[progKey, *progEntry](defaultQueryCacheEntries),
-		results: map[resultKey]*evalEntry{},
-		lru:     list.New(),
-	}
-}
-
-// removeLocked drops an entry from the map and the recency list.
-// Caller holds c.mu.
-func (c *evalCache) removeLocked(key resultKey, e *evalEntry) {
-	delete(c.results, key)
-	if e.elem != nil {
-		c.lru.Remove(e.elem)
-		e.elem = nil
-	}
-}
-
-// enforceBoundLocked evicts least-recently-used completed entries until
-// the cache fits its bound. In-flight entries are skipped (and bumped,
-// so the scan does not revisit them); if every resident entry is in
-// flight the cache temporarily overshoots. Caller holds c.mu.
-func (c *evalCache) enforceBoundLocked() {
-	for scan := c.lru.Len(); c.lru.Len() > defaultQueryCacheEntries && scan > 0; scan-- {
-		back := c.lru.Back()
-		key := back.Value.(resultKey)
-		e := c.results[key]
-		if e == nil || e.elem != back {
-			c.lru.Remove(back) // stale node; the entry was removed already
-			continue
-		}
-		if !e.completed() {
-			c.lru.MoveToFront(back)
-			continue
-		}
-		c.removeLocked(key, e)
-		c.evictions++
+		progs:   lru.New[progKey, *exec.Program](defaultQueryCacheEntries),
+		results: lru.New[resultKey, *storage.ColumnarView](defaultQueryCacheEntries),
 	}
 }
 
@@ -153,92 +84,23 @@ type progKey struct {
 }
 
 // program returns the compile-once program for q under vec (nil when q
-// cannot be compiled).
+// cannot be compiled). Compilation is short and uncancellable, so its
+// waiters wait it out, and the build never fails, so neither does Do.
 func (c *evalCache) program(q algebra.Query, db *storage.Database, fp string, vec exec.VecOptions) *exec.Program {
-	pe, _ := c.progs.LoadOrStore(progKey{fp: fp, vec: vec}, &progEntry{})
-	pe.once.Do(func() {
-		if prog, err := exec.CompileVec(q, db, vec); err == nil {
-			pe.prog = prog
-		}
+	prog, _ := c.progs.Do(context.Background(), progKey{fp: fp, vec: vec}, func() (*exec.Program, error) {
+		prog, _ := exec.CompileVec(q, db, vec)
+		return prog, nil
 	})
-	return pe.prog
+	return prog
 }
 
 // eval answers q over db as a columnar view, reusing a previously
-// materialized result for the same (version, program) when available;
-// the returned entry is resolved and holds it. A result whose
-// materialization was cut short by ctx cancellation is evicted rather
-// than cached, so long-lived caches (sessions) stay consistent; a caller
-// that joined a cancelled materialization retries under its own context
-// instead of inheriting the foreign failure.
-func (c *evalCache) eval(ev evaluator, q algebra.Query, db *storage.Database) (*evalEntry, error) {
-	ctx := ev.evalCtx()
+// materialized result for the same (version, program) when available.
+func (c *evalCache) eval(ev evaluator, q algebra.Query, db *storage.Database) (*storage.ColumnarView, error) {
 	fp := algebra.Fingerprint(q)
-	key := resultKey{ver: ev.ver, fp: fp}
-	for {
-		c.mu.Lock()
-		e, ok := c.results[key]
-		if !ok {
-			e = &evalEntry{done: make(chan struct{})}
-			e.elem = c.lru.PushFront(key)
-			c.results[key] = e
-			c.enforceBoundLocked()
-		}
-		c.mu.Unlock()
-		if !ok {
-			// We created the entry: we materialize, under our context.
-			e.view, e.err = ev.runView(q, db, fp)
-			if e.err == nil {
-				c.mu.Lock()
-				c.misses++
-				c.mu.Unlock()
-			}
-			close(e.done)
-		} else {
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return nil, ctx.Err() // our deadline; don't wait out the build
-			}
-		}
-		if e.err == nil || (!errors.Is(e.err, context.Canceled) && !errors.Is(e.err, context.DeadlineExceeded)) {
-			if ok && e.err == nil {
-				c.mu.Lock()
-				c.hits++
-				if c.results[key] == e && e.elem != nil {
-					c.lru.MoveToFront(e.elem)
-				}
-				c.mu.Unlock()
-			}
-			return e, e.err
-		}
-		c.mu.Lock()
-		if c.results[key] == e {
-			c.removeLocked(key, e)
-		}
-		c.mu.Unlock()
-		if err := ctx.Err(); err != nil {
-			return nil, err // our own context died
-		}
-	}
-}
-
-func (c *evalCache) stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-func (c *evalCache) evicted() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
-
-func (c *evalCache) resident() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.results)
+	return c.results.Do(ev.evalCtx(), resultKey{ver: ev.ver, fp: fp}, func() (*storage.ColumnarView, error) {
+		return ev.runView(q, db, fp)
+	})
 }
 
 // batchShared bundles the caches evaluations share: a Session owns one
@@ -325,7 +187,7 @@ func (b *batchShared) tipSnapshot(ctx context.Context, vdb *storage.VersionedDat
 type traffic struct {
 	snapHits, snapMisses int
 	memoHits, memoMisses int64
-	evalHits, evalMisses int
+	evalHits, evalMisses int64
 }
 
 func (b *batchShared) traffic() (t traffic) {
@@ -336,7 +198,7 @@ func (b *batchShared) traffic() (t traffic) {
 		t.memoHits, t.memoMisses = b.memo.Stats()
 	}
 	if b.eval != nil {
-		t.evalHits, t.evalMisses = b.eval.stats()
+		t.evalHits, t.evalMisses = b.eval.results.Stats()
 	}
 	return t
 }
@@ -365,15 +227,6 @@ type BatchOptions struct {
 	// Workers bounds evaluation parallelism; values ≤ 0 use
 	// runtime.GOMAXPROCS(0). Workers == 1 evaluates sequentially.
 	Workers int
-	// NoSnapshotSharing disables the shared time-travel snapshot and
-	// gives every scenario a private copy of the pre-suffix state, as a
-	// sequential-equivalent baseline for benchmarks.
-	NoSnapshotSharing bool
-	// NoCompileMemo disables the cross-scenario solver memo.
-	NoCompileMemo bool
-	// NoQueryCache disables reuse of materialized reenactment-query
-	// results across scenarios.
-	NoQueryCache bool
 }
 
 // BatchResult is the outcome of one scenario. Err is set per scenario —
@@ -406,10 +259,11 @@ type BatchStats struct {
 	// SnapshotHits/Misses report shared time-travel reuse: misses are
 	// distinct versions materialized (each exactly once, during the
 	// ascending pre-warm), hits are the per-scenario lookups that
-	// reused one (zero when sharing is disabled).
+	// reused one.
 	SnapshotHits, SnapshotMisses int
 	// MemoHits/Misses report solver-outcome reuse across scenarios
-	// (zero when the memo is disabled or program slicing is off).
+	// (zero when the options carry their own memo or program slicing is
+	// off).
 	MemoHits, MemoMisses int64
 	// QueryHits/Misses report reenactment-result reuse: hits are
 	// evaluations of a compiled algebra program another scenario
@@ -445,8 +299,7 @@ func (e *Engine) WhatIfBatchCtx(ctx context.Context, scenarios []Scenario, opts 
 
 // whatIfBatch is WhatIfBatchCtx over a session's caches, so the batch
 // both reuses and feeds the session's cross-call state; a batch without
-// a session opens a temporary one. The batch's No* toggles drop the
-// corresponding cache from the bundle its scenarios see.
+// a session opens a temporary one.
 func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts BatchOptions, sess *Session) ([]BatchResult, *BatchStats, error) {
 	if len(scenarios) == 0 {
 		return nil, nil, fmt.Errorf("core: empty scenario batch")
@@ -456,17 +309,6 @@ func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts Bat
 	}
 	shared := *sess.shared()
 	perScenario := opts.Options
-	if opts.NoSnapshotSharing {
-		shared.snaps = nil
-	}
-	if opts.NoQueryCache {
-		shared.eval = nil
-	}
-	if opts.NoCompileMemo {
-		// Also drop a caller-supplied memo: the option means "no
-		// cross-scenario solver reuse", not just "no fresh memo".
-		shared.memo, perScenario.Compile.Memo = nil, nil
-	}
 	if perScenario.Compile.Memo != nil {
 		// The caller's memo (e.g. shared across batches) is the one in
 		// use; leave BatchStats' memo counters zero — its cumulative
@@ -506,16 +348,13 @@ func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts Bat
 	// nearby versions from the base). Results keep submission order
 	// regardless; snapshot errors are left for the scenario's own
 	// evaluation to surface.
-	var warm func(int)
-	if shared.snaps != nil {
-		// Ascending dispatch makes consecutive versions the distinct
-		// ones; warm each exactly once.
-		warmed := -1
-		warm = func(i int) {
-			if v := min(pairs[i].FirstModified(), tip); v != warmed && ctx.Err() == nil {
-				_, _ = shared.snaps.SnapshotCtx(ctx, v)
-				warmed = v
-			}
+	// Ascending dispatch makes consecutive versions the distinct ones;
+	// warm each exactly once.
+	warmed := -1
+	warm := func(i int) {
+		if v := min(pairs[i].FirstModified(), tip); v != warmed && ctx.Err() == nil {
+			_, _ = shared.snaps.SnapshotCtx(ctx, v)
+			warmed = v
 		}
 	}
 	workers := runBatch(scheduleOrder(pairs), opts.Workers, warm, func(i int) {
@@ -539,8 +378,8 @@ func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts Bat
 		SnapshotMisses: after.snapMisses - before.snapMisses,
 		MemoHits:       after.memoHits - before.memoHits,
 		MemoMisses:     after.memoMisses - before.memoMisses,
-		QueryHits:      after.evalHits - before.evalHits,
-		QueryMisses:    after.evalMisses - before.evalMisses,
+		QueryHits:      int(after.evalHits - before.evalHits),
+		QueryMisses:    int(after.evalMisses - before.evalMisses),
 	}
 	for i := range results {
 		if results[i].Err != nil {

@@ -103,42 +103,6 @@ func TestWhatIfBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestWhatIfBatchSharingOff checks the benchmark baseline path (private
-// snapshots, no memo) still matches the shared path.
-func TestWhatIfBatchSharingOff(t *testing.T) {
-	ds := workload.YCSB(600, 23)
-	w, err := workload.Generate(ds, workload.Config{
-		Updates: 8, Mods: 1, DependentPct: 25, AffectedPct: 10, Seed: 24,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vdb, err := w.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine := New(vdb)
-	scenarios := scenarioFamily(w, 5)
-	shared, _, err := engine.WhatIfBatch(scenarios, BatchOptions{Options: DefaultOptions(), Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	private, bs, err := engine.WhatIfBatch(scenarios, BatchOptions{
-		Options: DefaultOptions(), Workers: 3,
-		NoSnapshotSharing: true, NoCompileMemo: true, NoQueryCache: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs.SnapshotHits != 0 || bs.SnapshotMisses != 0 || bs.MemoHits != 0 || bs.MemoMisses != 0 ||
-		bs.QueryHits != 0 || bs.QueryMisses != 0 {
-		t.Errorf("sharing disabled but stats = %+v", bs)
-	}
-	for i := range scenarios {
-		sameDeltaSet(t, fmt.Sprintf("scenario %d", i), private[i].Delta, shared[i].Delta)
-	}
-}
-
 // TestWhatIfBatchSharingStats pins the reuse accounting: identical
 // scenarios must share one snapshot and hit the solver memo.
 func TestWhatIfBatchSharingStats(t *testing.T) {
@@ -253,16 +217,14 @@ func TestWhatIfBatchStress(t *testing.T) {
 	if bs.Failed != 0 {
 		t.Fatalf("%d scenarios failed", bs.Failed)
 	}
-	// Same batch again with all sharing off; answers must agree.
-	baseline, _, err := engine.WhatIfBatch(scenarios, BatchOptions{
-		Options: DefaultOptions(), Workers: 4,
-		NoSnapshotSharing: true, NoCompileMemo: true, NoQueryCache: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range scenarios {
-		sameDeltaSet(t, fmt.Sprintf("scenario %d", i), results[i].Delta, baseline[i].Delta)
+	// Each scenario alone, sharing nothing (an engine-level call gets an
+	// empty cache bundle); answers must agree.
+	for i, sc := range scenarios {
+		alone, _, err := engine.WhatIfCtx(context.Background(), sc.Mods, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameDeltaSet(t, fmt.Sprintf("scenario %d", i), results[i].Delta, alone)
 	}
 }
 
@@ -329,52 +291,67 @@ func BenchmarkWhatIfSequentialLoop(b *testing.B) {
 	}
 }
 
+// TestEvalCacheLRUBound: the result cache holds its bound of
+// completed results, evicting the least recently used; a
+// materialization still in flight survives any amount of later traffic
+// (workers wait on it) and is served once it completes.
 func TestEvalCacheLRUBound(t *testing.T) {
-	c := newEvalCache()
-	add := func(ver int, done bool) resultKey {
-		key := resultKey{ver: ver, fp: "q"}
-		e := &evalEntry{done: make(chan struct{})}
-		if done {
-			close(e.done)
-		}
-		c.mu.Lock()
-		e.elem = c.lru.PushFront(key)
-		c.results[key] = e
-		c.enforceBoundLocked()
-		c.mu.Unlock()
-		return key
+	db := storage.NewDatabase()
+	r := storage.NewRelation(schema.New("r", schema.Col("a", types.KindInt)))
+	for i := 0; i < 10; i++ {
+		r.Add(schema.Tuple{types.Int(int64(i))})
 	}
-	// An in-flight entry inserted first must survive any amount of
-	// later traffic: workers are parked on its done channel.
-	inflight := add(-1, false)
+	db.AddRelation(r)
+	q := &algebra.Select{Cond: expr.Ge(expr.Column("a"), expr.IntConst(5)), In: &algebra.Scan{Rel: "r"}}
+	c := newEvalCache()
+	at := func(ver int) evaluator {
+		return evaluator{ctx: context.Background(), ec: c, ver: ver, kind: ExecVectorized}
+	}
+	eval := func(ver int) (hit bool) {
+		t.Helper()
+		before, _ := c.results.Stats()
+		out, err := at(ver).eval(q, db)
+		if err != nil || out.Rows != 5 {
+			t.Fatalf("version %d: %v rows, %v", ver, out, err)
+		}
+		after, _ := c.results.Stats()
+		return after > before
+	}
+
+	release, started := make(chan struct{}), make(chan struct{})
+	inflight := make(chan error, 1)
+	go func() {
+		_, err := c.results.Do(context.Background(), resultKey{ver: -1, fp: algebra.Fingerprint(q)}, func() (*storage.ColumnarView, error) {
+			close(started)
+			<-release
+			return at(-1).runView(q, db, "")
+		})
+		inflight <- err
+	}()
+	<-started
 	const extra = 10
 	for i := 0; i < defaultQueryCacheEntries+extra; i++ {
-		add(i, true)
+		eval(i)
 	}
-	if got := c.resident(); got != defaultQueryCacheEntries {
+	if got := c.results.Len(); got != defaultQueryCacheEntries {
 		t.Fatalf("resident = %d, want %d", got, defaultQueryCacheEntries)
 	}
-	// The in-flight entry occupies a slot, so one extra completed entry
-	// was evicted to make room for it.
-	if got := c.evicted(); got != extra+1 {
-		t.Fatalf("evictions = %d, want %d", got, extra+1)
+	if got := c.results.Evictions(); got != extra {
+		t.Fatalf("evictions = %d, want %d", got, extra)
 	}
-	c.mu.Lock()
-	_, ok := c.results[inflight]
-	c.mu.Unlock()
-	if !ok {
-		t.Fatalf("in-flight entry was evicted")
+	close(release)
+	if err := <-inflight; err != nil {
+		t.Fatal(err)
 	}
-	// The oldest completed entries are the ones that went.
-	c.mu.Lock()
-	_, oldest := c.results[resultKey{ver: 0, fp: "q"}]
-	_, newest := c.results[resultKey{ver: defaultQueryCacheEntries + extra - 1, fp: "q"}]
-	c.mu.Unlock()
-	if oldest {
-		t.Fatalf("oldest completed entry survived the bound")
+	if !eval(-1) {
+		t.Fatal("the in-flight materialization was not kept")
 	}
-	if !newest {
-		t.Fatalf("newest entry was evicted")
+	// The newest completed entries stayed, the oldest went.
+	if !eval(defaultQueryCacheEntries + extra - 1) {
+		t.Fatal("newest entry was evicted")
+	}
+	if eval(0) {
+		t.Fatal("oldest completed entry survived the bound")
 	}
 }
 

@@ -516,11 +516,7 @@ func (ev evaluator) evalCtx() context.Context {
 // when the evaluator has one.
 func (ev evaluator) eval(q algebra.Query, db *storage.Database) (*storage.ColumnarView, error) {
 	if ev.ec != nil {
-		e, err := ev.ec.eval(ev, q, db)
-		if err != nil {
-			return nil, err
-		}
-		return e.view, nil
+		return ev.ec.eval(ev, q, db)
 	}
 	return ev.runView(q, db, "")
 }

@@ -212,9 +212,10 @@ func (s *Session) Stats() SessionStats {
 	st.ColumnarHits, st.ColumnarMisses = s.caches.snaps.ColumnarStats()
 	st.MemoHits, st.MemoMisses = s.caches.memo.Stats()
 	st.MemoEvictions = s.caches.memo.Evictions()
-	st.QueryHits, st.QueryMisses = s.caches.eval.stats()
-	st.QueryEvictions = s.caches.eval.evicted()
-	st.QueryResident = s.caches.eval.resident()
+	qh, qm := s.caches.eval.results.Stats()
+	st.QueryHits, st.QueryMisses = int(qh), int(qm)
+	st.QueryEvictions = int(s.caches.eval.results.Evictions())
+	st.QueryResident = s.caches.eval.results.Len()
 	st.ProgramEvictions = s.caches.eval.progs.Evictions()
 	st.ProgramResident = s.caches.eval.progs.Len()
 	st.SolverLowered = s.caches.work.lowered.Load()
@@ -239,7 +240,7 @@ func (s *Session) WhatIf(mods []history.Modification, opts Options) (delta.Set, 
 // the options carry their own; snapshots and compiled programs always
 // come from the session. A call cut short by cancellation never leaves
 // a partial artifact behind: cancelled snapshot builds and query
-// materializations are evicted, so the caches stay consistent.
+// materializations are never cached, so the caches stay consistent.
 func (s *Session) WhatIfCtx(ctx context.Context, mods []history.Modification, opts Options) (delta.Set, *Stats, error) {
 	d, _, st, err := s.e.whatIfAggregates(ctx, mods, nil, opts, s.shared())
 	return d, st, err
@@ -265,9 +266,8 @@ func (s *Session) WhatIfBatch(scenarios []Scenario, opts BatchOptions) ([]BatchR
 
 // WhatIfBatchCtx is WhatIfBatch under a context. The batch draws its
 // shared snapshot cache, solver memo, and compiled-program cache from
-// the session (honoring the batch's No* toggles), so scenarios reuse
-// state warmed by earlier session calls and leave their own work
-// behind for later ones. BatchStats counters report this batch's
+// the session, so scenarios reuse state warmed by earlier session calls
+// and leave their own work behind for later ones. BatchStats counters report this batch's
 // traffic net of the session's prior use; calls running concurrently
 // with the batch through the same session can bleed into the window
 // and be attributed to it, so treat the counters as approximate under

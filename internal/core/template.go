@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,6 +13,7 @@ import (
 	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/history"
+	"github.com/mahif/mahif/internal/lru"
 	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/storage"
 	"github.com/mahif/mahif/internal/types"
@@ -61,17 +61,21 @@ import (
 // Templates are safe for concurrent use. When the engine's history
 // advances, the next Eval transparently recompiles the artifact against
 // the new version (the append-invalidation contract); Stats counts
-// those recompiles.
+// those recompiles. Concurrent evals that find the artifact stale share
+// one recompile, and each waits for it only as long as its own context
+// allows.
 type Template struct {
 	e      *Engine
 	opts   Options
 	mods   []history.Modification
 	shared *batchShared // session caches, also for recompiles (empty for engine-level templates)
 
-	// mu serializes compilation only; everything an eval reads hangs off
-	// the artifact pointer, so evals never take it.
-	mu         sync.Mutex
+	// art is the current artifact; everything an eval reads hangs off
+	// it. builds compiles the next one once however many askers find art
+	// stale: it is keyed by the version of the artifact being replaced
+	// (-1 for the first) and keeps the latest compile.
 	art        atomic.Pointer[templateArtifact]
+	builds     *lru.Cache[int, *templateArtifact]
 	evals      atomic.Int64
 	recompiles atomic.Int64
 	sliced     atomic.Int64
@@ -298,31 +302,26 @@ func (e *Engine) CompileTemplateCtx(ctx context.Context, mods []history.Modifica
 }
 
 // compileTemplate returns the compiled template for mods, through
-// shared's template cache when it has one. The template enters the
-// cache before it is compiled and Template.artifact's mutex serializes
-// the one compilation, so N concurrent identical submissions (every
+// shared's template cache when it has one. The cache builds once per
+// key (lru.Cache.Do), so N concurrent identical submissions (every
 // client re-posting its template after an append) run the slicing solve
-// once; a submitter whose builder was cancelled compiles under its own
-// ctx when it gets the mutex.
+// once, a submitter whose builder was cancelled compiles under its own
+// ctx, and a failed compile leaves nothing behind.
 func (e *Engine) compileTemplate(ctx context.Context, mods []history.Modification, opts Options, shared *batchShared) (*Template, error) {
 	if len(mods) == 0 {
 		return nil, fmt.Errorf("core: empty template modification sequence")
 	}
-	t := &Template{e: e, opts: opts, mods: mods, shared: shared}
-	var key string
-	if shared.templates != nil {
-		key = templateKey(e.Version(), mods, opts)
-		t, _ = shared.templates.LoadOrStore(key, t)
-	}
-	if _, err := t.artifact(ctx); err != nil {
-		if shared.templates != nil && t.art.Load() == nil {
-			// Nobody compiled it meanwhile: don't leave a template that
-			// never answered in the cache.
-			shared.templates.Remove(key)
+	compile := func() (*Template, error) {
+		t := &Template{e: e, opts: opts, mods: mods, shared: shared, builds: lru.New[int, *templateArtifact](1)}
+		if _, err := t.artifact(ctx); err != nil {
+			return nil, err
 		}
-		return nil, err
+		return t, nil
 	}
-	return t, nil
+	if shared.templates == nil {
+		return compile()
+	}
+	return shared.templates.Do(ctx, templateKey(e.Version(), mods, opts), compile)
 }
 
 // Params returns the template's parameter slots and their inferred
@@ -354,31 +353,30 @@ func (t *Template) Version() int { return t.art.Load().version }
 // artifact returns the current artifact, transparently recompiling when
 // the engine's history has advanced past the artifact's version.
 func (t *Template) artifact(ctx context.Context) (*templateArtifact, error) {
-	if art := t.art.Load(); art != nil && art.version == t.e.Version() {
-		return art, nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old := t.art.Load()
-	if old != nil && old.version == t.e.Version() {
-		return old, nil
-	}
-	art, err := t.compile(ctx)
-	if err != nil {
-		return nil, err
-	}
+	old, stale := t.art.Load(), -1
 	if old != nil {
-		t.recompiles.Add(1)
+		if old.version == t.e.Version() {
+			return old, nil
+		}
+		stale = old.version
 	}
-	t.art.Store(art)
-	return art, nil
+	return t.builds.Do(ctx, stale, func() (*templateArtifact, error) {
+		art, err := t.compile(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if old != nil {
+			t.recompiles.Add(1)
+		}
+		t.art.Store(art)
+		return art, nil
+	})
 }
 
 // compile builds one artifact against the engine's current history: the
 // same plan a what-if runs, with the original sides executed once and
 // the modified sides either executed too (closed ⇒ the relation's delta
-// is static) or kept as skeletons for Eval to substitute into. Caller
-// holds t.mu.
+// is static) or kept as skeletons for Eval to substitute into.
 func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 	start := time.Now()
 	pair, tip, err := t.e.align(t.mods)

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/expr"
@@ -809,4 +811,85 @@ func TestTemplateSlicedEvalComparesItsSlice(t *testing.T) {
 	if st := s.Stats(); st.TemplateSlicedEvals != 1 || st.TemplateUnslicedEvals != 1 {
 		t.Errorf("session counts %d sliced, %d unsliced evals, want 1 and 1", st.TemplateSlicedEvals, st.TemplateUnslicedEvals)
 	}
+}
+
+// TestTemplateWaitersHonorTheirDeadline: a caller that joins a slow
+// template compile, or a slow recompile after an append, waits only as
+// long as its own deadline allows. The build it joined finishes for
+// everyone else, and the next caller gets that artifact without a
+// second recompile. Greedy ζ slicing (UseDependency off) makes the
+// compile take a few hundred milliseconds.
+func TestTemplateWaitersHonorTheirDeadline(t *testing.T) {
+	w, e := templateWorkload(t, 600, 2, 91)
+	mods := paramMods(w)
+	opts := DefaultOptions()
+	opts.UseDependency = false
+	sess := e.NewSession()
+	const joinAfter, deadline, prompt = 30 * time.Millisecond, 20 * time.Millisecond, 150 * time.Millisecond
+	waitOut := func(label string, call func(ctx context.Context) error) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		defer cancel()
+		start := time.Now()
+		err := call(ctx)
+		if elapsed := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || elapsed > prompt {
+			t.Fatalf("%s: waiter returned %v after %v, want DeadlineExceeded within %v", label, err, elapsed, prompt)
+		}
+	}
+
+	compiled := make(chan *Template, 1)
+	go func() {
+		tpl, err := sess.CompileTemplateCtx(context.Background(), mods, opts)
+		if err != nil {
+			t.Error(err)
+		}
+		compiled <- tpl
+	}()
+	time.Sleep(joinAfter)
+	waitOut("compile", func(ctx context.Context) error {
+		_, err := sess.CompileTemplateCtx(ctx, mods, opts)
+		return err
+	})
+	tpl := <-compiled
+	if tpl == nil {
+		t.FailNow()
+	}
+	if again, err := sess.CompileTemplateCtx(context.Background(), mods, opts); err != nil || again != tpl {
+		t.Fatalf("next submission: %p, %v, want the finished compile's template %p", again, err, tpl)
+	}
+
+	upd := &history.Update{
+		Rel:   w.Dataset.Rel.Schema.Relation,
+		Set:   []history.SetClause{{Col: w.Dataset.Payload[0], E: expr.Add(expr.Column(w.Dataset.Payload[0]), expr.IntConst(3))}},
+		Where: expr.Ge(expr.Column(w.Dataset.SelAttr), expr.IntConst(8000)),
+	}
+	if _, err := e.Append(upd); err != nil {
+		t.Fatal(err)
+	}
+	binding := map[string]types.Value{"cut": types.Int(9000)}
+	recompiled := make(chan error, 1)
+	go func() {
+		_, err := tpl.EvalCtx(context.Background(), binding)
+		recompiled <- err
+	}()
+	time.Sleep(joinAfter)
+	waitOut("recompile", func(ctx context.Context) error {
+		_, err := tpl.EvalCtx(ctx, binding)
+		return err
+	})
+	if err := <-recompiled; err != nil {
+		t.Fatal(err)
+	}
+	got, err := tpl.EvalCtx(context.Background(), binding)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, r := tpl.Version(), tpl.Stats().Recompiles; v != e.Version() || r != 1 {
+		t.Fatalf("after the recompile: version %d (history %d), %d recompiles, want the history's and 1", v, e.Version(), r)
+	}
+	want, _, err := e.WhatIf(tpl.SubstitutedMods(binding), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSetsEqual(t, "post-append", got, want)
 }

@@ -136,7 +136,6 @@ func TestIndexedApplyAllVersionPositions(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		base := randomApplyDB(rng, 320)
 		vdb := storage.NewVersioned(base)
-		vdb.SetTipIndexing(true)
 		states := []*storage.Database{base.Clone()}
 		cur := base.Clone()
 		for i := 0; i < 8; i++ {
@@ -172,7 +171,6 @@ func TestIndexedApplyUnderConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	base := randomApplyDB(rng, 320)
 	vdb := storage.NewVersioned(base)
-	vdb.SetTipIndexing(true)
 	cache := storage.NewSnapshotCache(vdb)
 
 	// Pre-generate the history so the writer goroutine owns rng.

@@ -2,9 +2,10 @@ package storage
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
+
+	"github.com/mahif/mahif/internal/lru"
 )
 
 // SnapshotCache serves shared, read-only time-travel snapshots of one
@@ -48,36 +49,26 @@ import (
 // evicted least-recently-used. Without a bound, a session that issues
 // a naive query after every append pins a fresh tip clone per version
 // forever (each version is touched exactly once, so no amount of reuse
-// saves it). Eviction only ever drops completed entries — in-flight
-// builds and their waiters are untouched — and an evicted version is
-// simply rebuilt on next demand, so the bound trades replay time for
-// memory, never correctness.
+// saves it). The bound, the build-once protocol and its counters are
+// lru.Cache.Do's: a build in flight is never evicted, and an evicted
+// version is simply rebuilt on next demand, so the bound trades replay
+// time for memory, never correctness. What is left here is what is
+// specific to snapshots: the prefix-aware build, tip pinning, and
+// freezing a database when it is published.
 type SnapshotCache struct {
-	vdb *VersionedDatabase
-
-	mu         sync.Mutex
-	limit      int // max completed snapshots retained; 0 = unbounded
-	entries    map[int]*snapshotEntry
-	ready      map[int]*Database // completed snapshots, for prefix reuse
-	lastUse    map[int]int64     // version → tick of last touch (LRU order)
-	tips       map[int]bool      // versions frozen from the live tip (private full copies)
-	tick       int64
-	hits       int
-	misses     int
-	evicted    int
-	tipEvicted int
+	vdb        *VersionedDatabase
+	snaps      *lru.Cache[int, snapshot]
+	tipEvicted atomic.Int64
 
 	derived derivedStats // Derive traffic on the relations this cache froze
 }
 
-// snapshotEntry builds one version exactly once: the caller that
-// creates the entry runs the build and closes done; concurrent
-// requesters wait on done — or give up when their own context dies —
-// and share the result.
-type snapshotEntry struct {
-	done chan struct{}
-	db   *Database
-	err  error
+// snapshot is one published version. tip marks a private full copy of
+// a then-live state, or a replay asked for as a tip (TipSnapshotCtx):
+// the next tip build drops it eagerly (evictTips).
+type snapshot struct {
+	db  *Database
+	tip bool
 }
 
 // DefaultSnapshotCacheLimit bounds a new cache's resident completed
@@ -89,75 +80,32 @@ const DefaultSnapshotCacheLimit = 64
 // NewSnapshotCache builds a cache over vdb with the default retention
 // bound. Use SetLimit to tune or disable it.
 func NewSnapshotCache(vdb *VersionedDatabase) *SnapshotCache {
-	return &SnapshotCache{
-		vdb:     vdb,
-		limit:   DefaultSnapshotCacheLimit,
-		entries: map[int]*snapshotEntry{},
-		ready:   map[int]*Database{},
-		lastUse: map[int]int64{},
-		tips:    map[int]bool{},
-	}
+	return &SnapshotCache{vdb: vdb, snaps: lru.New[int, snapshot](DefaultSnapshotCacheLimit)}
 }
 
 // SetLimit changes the maximum number of completed snapshots retained
 // (0 = unbounded), evicting immediately if the cache is over the new
 // bound.
-func (c *SnapshotCache) SetLimit(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.limit = n
-	c.evictLocked()
-}
+func (c *SnapshotCache) SetLimit(n int) { c.snaps.SetCap(n) }
 
-// touchLocked records a use of version i for LRU ordering.
-func (c *SnapshotCache) touchLocked(i int) {
-	c.tick++
-	c.lastUse[i] = c.tick
-}
-
-// evictLocked drops least-recently-used completed snapshots until the
-// cache is within its bound.
-func (c *SnapshotCache) evictLocked() {
-	if c.limit <= 0 {
-		return
-	}
-	for len(c.ready) > c.limit {
-		victim, oldest := -1, int64(0)
-		for v := range c.ready {
-			if u := c.lastUse[v]; victim < 0 || u < oldest {
-				victim, oldest = v, u
-			}
+// evictTips eagerly drops tip-pinned snapshots superseded by a newer
+// tip build. Tip snapshots are private full copies of the live state —
+// the most expensive entries the cache holds — and an append+query
+// session touches each tip version exactly once, so LRU recency never
+// retires them before the bound fills with dead weight. A superseded
+// tip that is requested again is simply rebuilt by replay. A tip still
+// being built is not resident yet and is reaped by the next tip build.
+func (c *SnapshotCache) evictTips(latest int) {
+	var stale []int
+	c.snaps.Range(func(v int, s snapshot) {
+		if s.tip && v < latest {
+			stale = append(stale, v)
 		}
-		delete(c.ready, victim)
-		delete(c.lastUse, victim)
-		delete(c.entries, victim)
-		delete(c.tips, victim)
-		c.evicted++
-	}
-}
-
-// evictTipsLocked eagerly drops tip-pinned snapshots superseded by a
-// newer tip build. Tip snapshots are private full copies of the live
-// state — the most expensive entries the cache holds — and an
-// append+query session touches each tip version exactly once, so LRU
-// recency never retires them before the bound fills with dead weight.
-// A superseded tip that is requested again is simply rebuilt by
-// replay. Entries not yet installed in ready (a concurrent build
-// between marking and installing) keep their marker and are reaped by
-// the next tip build.
-func (c *SnapshotCache) evictTipsLocked(latest int) {
-	for v := range c.tips {
-		if v >= latest {
-			continue
+	})
+	for _, v := range stale {
+		if c.snaps.Remove(v) {
+			c.tipEvicted.Add(1)
 		}
-		if _, ok := c.ready[v]; !ok {
-			continue
-		}
-		delete(c.ready, v)
-		delete(c.lastUse, v)
-		delete(c.entries, v)
-		delete(c.tips, v)
-		c.tipEvicted++
 	}
 }
 
@@ -168,14 +116,13 @@ func (c *SnapshotCache) Snapshot(i int) (*Database, error) {
 }
 
 // SnapshotCtx is Snapshot under a context. The replay that builds a
-// missing version observes cancellation between statements; a build
-// abandoned by cancellation is evicted rather than cached, so the
-// cache stays consistent. Joining callers honor their own contexts:
-// a waiter whose deadline expires returns ctx.Err() immediately
-// (the builder keeps going for everyone else), and a waiter that
-// outlives a cancelled build restarts it instead of inheriting the
-// foreign failure — one client disconnecting never surfaces as an
-// error to an innocent concurrent client. Hit/miss counters record
+// missing version observes cancellation between statements. Concurrent
+// callers share one build under lru.Cache.Do's rules: a waiter whose
+// deadline expires returns ctx.Err() immediately (the builder keeps
+// going for everyone else), a waiter that outlives a cancelled build
+// restarts it instead of inheriting the foreign failure — one client
+// disconnecting never surfaces as an error to an innocent concurrent
+// client — and a failed build is not cached. Hit/miss counters record
 // completed shares and builds only, never abandoned attempts.
 func (c *SnapshotCache) SnapshotCtx(ctx context.Context, i int) (*Database, error) {
 	return c.snapshotCtx(ctx, i, false)
@@ -186,7 +133,7 @@ func (c *SnapshotCache) SnapshotCtx(ctx context.Context, i int) (*Database, erro
 // naive answer diffs against. Such a state is tip-pinned however it is
 // built — a copy of the live state while it still is the tip, a replay
 // once an append has landed in between — so a newer tip build drops it
-// eagerly (evictTipsLocked), where a replayed one would otherwise stay
+// eagerly (evictTips), where a replayed one would otherwise stay
 // resident like a time-travel state although nobody asks for it again.
 func (c *SnapshotCache) TipSnapshotCtx(ctx context.Context, i int) (*Database, error) {
 	return c.snapshotCtx(ctx, i, true)
@@ -196,55 +143,14 @@ func (c *SnapshotCache) snapshotCtx(ctx context.Context, i int, tip bool) (*Data
 	if n := c.vdb.NumVersions(); i < 0 || i > n {
 		return nil, fmt.Errorf("storage: snapshot %d out of range [0,%d]", i, n)
 	}
-	for {
-		c.mu.Lock()
-		e, ok := c.entries[i]
-		if !ok {
-			e = &snapshotEntry{done: make(chan struct{})}
-			c.entries[i] = e
+	s, err := c.snaps.Do(ctx, i, func() (snapshot, error) {
+		s, err := c.build(ctx, i, tip)
+		if err == nil {
+			s.db.freeze(&c.derived)
 		}
-		c.mu.Unlock()
-		if !ok {
-			// We created the entry: we build, under our context.
-			e.db, e.err = c.build(ctx, i, tip)
-			if e.err == nil {
-				e.db.freeze(&c.derived)
-				c.mu.Lock()
-				c.ready[i] = e.db
-				c.misses++
-				c.touchLocked(i)
-				c.evictLocked()
-				c.mu.Unlock()
-			}
-			close(e.done)
-		} else {
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return nil, ctx.Err() // our deadline; don't wait out the build
-			}
-		}
-		if e.err == nil || (!errors.Is(e.err, context.Canceled) && !errors.Is(e.err, context.DeadlineExceeded)) {
-			if ok && e.err == nil {
-				c.mu.Lock()
-				c.hits++
-				c.touchLocked(i)
-				c.mu.Unlock()
-			}
-			return e.db, e.err
-		}
-		// The build was abandoned by its builder's context. Evict the
-		// entry so the version can be rebuilt.
-		c.mu.Lock()
-		if c.entries[i] == e {
-			delete(c.entries, i)
-		}
-		c.mu.Unlock()
-		if err := ctx.Err(); err != nil {
-			return nil, err // it was our context; report our own error
-		}
-		// A joined builder's context died but ours is alive: retry.
-	}
+		return s, err
+	})
+	return s.db, err
 }
 
 // build reconstructs version i from the nearest earlier materialized
@@ -253,49 +159,42 @@ func (c *SnapshotCache) snapshotCtx(ctx context.Context, i int, tip bool) (*Data
 // copying; otherwise it is cloned and the log replayed forward. tip
 // marks i tip-pinned even when it is no longer the live version (see
 // TipSnapshotCtx).
-func (c *SnapshotCache) build(ctx context.Context, i int, tip bool) (*Database, error) {
+func (c *SnapshotCache) build(ctx context.Context, i int, tip bool) (snapshot, error) {
 	start, db, log, private, err := c.vdb.replayPlan(i)
 	if err != nil {
-		return nil, err
+		return snapshot{}, err
 	}
 	if private || tip {
 		// The requested version was the tip (replayPlan then froze a
 		// private copy of the live state, so the shared snapshot cannot
 		// alias it), or was asked for as one. Mark it so a later tip build
 		// evicts it eagerly once the history has moved past it.
-		c.mu.Lock()
-		c.tips[i] = true
-		c.evictTipsLocked(i)
-		c.mu.Unlock()
+		c.evictTips(i)
 		if private {
-			return db, nil
+			return snapshot{db: db, tip: true}, nil
 		}
 	}
-	c.mu.Lock()
-	for at, snap := range c.ready {
+	c.snaps.Range(func(at int, s snapshot) {
 		if at <= i && at > start {
-			start, db = at, snap
+			start, db = at, s.db
 		}
-	}
+	})
 	if start > 0 {
-		if _, ok := c.ready[start]; ok {
-			c.touchLocked(start) // keep hot replay bases resident
-		}
+		c.snaps.Touch(start) // keep hot replay bases resident
 	}
-	c.mu.Unlock()
 	if start == i {
-		return db, nil
+		return snapshot{db: db, tip: tip}, nil
 	}
-	return replayCtx(ctx, log, start, db, i)
+	db, err = replayCtx(ctx, log, start, db, i)
+	return snapshot{db: db, tip: tip}, err
 }
 
 // Stats reports how many Snapshot calls were served from the cache
 // versus computed. A call that joins an in-flight computation counts as
 // a hit: it shares the result.
 func (c *SnapshotCache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	h, m := c.snaps.Stats()
+	return int(h), int(m)
 }
 
 // DerivedStats reports Relation.Derive calls on the relations this
@@ -321,39 +220,25 @@ func (c *SnapshotCache) ReportStats() (hits, misses int64) {
 
 // Evictions reports how many completed snapshots the retention bound
 // has dropped.
-func (c *SnapshotCache) Evictions() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evicted
-}
+func (c *SnapshotCache) Evictions() int { return int(c.snaps.Evictions()) }
 
 // Resident reports how many completed snapshots are currently held.
-func (c *SnapshotCache) Resident() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.ready)
-}
+func (c *SnapshotCache) Resident() int { return c.snaps.Len() }
 
 // TipEvictions reports how many superseded tip-pinned snapshots were
 // eagerly dropped (distinct from the LRU bound's Evictions).
-func (c *SnapshotCache) TipEvictions() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tipEvicted
-}
+func (c *SnapshotCache) TipEvictions() int { return int(c.tipEvicted.Load()) }
 
 // TipResident reports how many tip-pinned snapshots (private full
 // copies of a then-live state, or replays asked for as a tip) are
-// currently held. Under eager eviction this stays at most 1 plus any
-// in-flight builds and stale tips built after the newest.
+// currently held. Under eager eviction this stays at most 1 plus stale
+// tips whose builds finished after the newest.
 func (c *SnapshotCache) TipResident() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n := 0
-	for v := range c.tips {
-		if _, ok := c.ready[v]; ok {
+	c.snaps.Range(func(_ int, s snapshot) {
+		if s.tip {
 			n++
 		}
-	}
+	})
 	return n
 }

@@ -286,10 +286,11 @@ func TestSnapshotEvictionBound(t *testing.T) {
 	if _, err := c.Snapshot(5); err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	_, has18 := c.ready[18]
-	c.mu.Unlock()
-	if !has18 {
+	hitsBefore, missesBefore := c.Stats()
+	if _, err := c.Snapshot(18); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := c.Stats(); hits != hitsBefore+1 || misses != missesBefore {
 		t.Error("recently touched version 18 was evicted ahead of staler residents")
 	}
 	// Tightening the limit evicts immediately.

@@ -30,8 +30,8 @@ type IndexedMutator interface {
 	ApplyIndexed(db *Database, ix *IndexSet) error
 }
 
-// ApplyMutator routes m through its indexed-application path when both
-// the mutator and the index set support it. A mutator outside the
+// ApplyMutator routes m through its indexed-application path when the
+// mutator supports it. A mutator outside the
 // indexed subset applies plainly, after which ix can no longer vouch
 // for any position, so it is invalidated wholesale.
 //
@@ -45,12 +45,10 @@ type IndexedMutator interface {
 // recovery replays into a private clone of the restart state. Current()
 // documents the same quiescence requirement for external readers.
 func ApplyMutator(m Mutator, db *Database, ix *IndexSet) error {
-	if ix != nil {
-		if im, ok := m.(IndexedMutator); ok {
-			return im.ApplyIndexed(db, ix)
-		}
-		ix.InvalidateAll()
+	if im, ok := m.(IndexedMutator); ok {
+		return im.ApplyIndexed(db, ix)
 	}
+	ix.InvalidateAll()
 	return m.Apply(db)
 }
 
@@ -80,7 +78,7 @@ type VersionedDatabase struct {
 
 	// tipIx holds the maintained secondary indexes of the current
 	// state, guarded by mu like the state itself (readers never touch
-	// it). nil disables tip indexing (ablation knob).
+	// it).
 	tipIx *IndexSet
 
 	// advCh is closed and replaced every time the history advances, so
@@ -119,21 +117,6 @@ func RestoreVersioned(base *Database, log []Mutator, checkpoints map[int]*Databa
 		checkpoints: checkpoints,
 		tipIx:       NewIndexSet(),
 		advCh:       make(chan struct{}),
-	}
-}
-
-// SetTipIndexing enables or disables maintained secondary indexes on
-// the current state (on by default; the off switch is the benchmark
-// ablation knob). Disabling drops any built indexes.
-func (v *VersionedDatabase) SetTipIndexing(on bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if on {
-		if v.tipIx == nil {
-			v.tipIx = NewIndexSet()
-		}
-	} else {
-		v.tipIx = nil
 	}
 }
 

@@ -174,7 +174,8 @@ type (
 	NaiveStats = core.NaiveStats
 	// Scenario is one modification set in a batch what-if query.
 	Scenario = core.Scenario
-	// BatchOptions tunes Engine.WhatIfBatch (parallelism, sharing).
+	// BatchOptions tunes Engine.WhatIfBatch (per-scenario options and
+	// parallelism; the sharing is always on).
 	BatchOptions = core.BatchOptions
 	// BatchResult is the per-scenario outcome of a batch query.
 	BatchResult = core.BatchResult
