@@ -14,6 +14,8 @@
 //	mahif-bench -exp exec         # interpreter vs vectorized executor → BENCH_exec.json
 //	mahif-bench -exp exec -cpuprofile cpu.out -memprofile mem.out
 //	mahif-bench -exp serve        # mahifd HTTP service load test → BENCH_serve.json
+//	mahif-bench -exp persist      # WAL append, checkpoint and recovery costs → BENCH_persist.json
+//	mahif-bench -exp cluster      # leader, WAL-following replicas and the router → BENCH_cluster.json
 //	mahif-bench -exp template     # scenario templates vs WhatIfBatch → BENCH_template.json
 //	mahif-bench -exp howto        # certified how-to target search → BENCH_howto.json
 package main
@@ -73,7 +75,7 @@ func main() {
 			runs = append(runs, experiments[n])
 		}
 	case "":
-		fmt.Fprintln(os.Stderr, "mahif-bench: -exp required (fig14–fig25, ablation, batch, exec, serve, all)")
+		fmt.Fprintln(os.Stderr, "mahif-bench: -exp required (fig14–fig25, ablation, batch, exec, serve, persist, cluster, template, howto, all)")
 		os.Exit(2)
 	default:
 		run, ok := experiments[*exp]

@@ -196,7 +196,7 @@ func (c *compiler) compileBoolUncached(e expr.Expr) (int, error) {
 		v, _, err := c.sourceVar("$" + x.Name)
 		return v, err
 	case *expr.Cmp:
-		return c.compileCmp(x)
+		return c.compileComparison(x)
 	case *expr.And:
 		return c.compileAndOr(x.L, x.R, true)
 	case *expr.Or:
@@ -257,8 +257,8 @@ func (c *compiler) compileAndOr(le, re expr.Expr, isAnd bool) (int, error) {
 	return b, err
 }
 
-// compileCmp links an indicator to a comparison via big-M constraints.
-func (c *compiler) compileCmp(x *expr.Cmp) (int, error) {
+// compileComparison links an indicator to a comparison via big-M constraints.
+func (c *compiler) compileComparison(x *expr.Cmp) (int, error) {
 	op := x.Op
 	l, r := x.L, x.R
 	// Normalize: keep only ≤, <, =, ≠ by flipping operands.

@@ -48,8 +48,9 @@ type Options struct {
 	ProgramSlicing bool
 	// DataSlicing enables §6.
 	DataSlicing bool
-	// UseDependency selects the §9 single-modification dependency test
-	// instead of greedy slicing when exactly one statement is modified.
+	// UseDependency selects the §9 dependency test
+	// (progslice.DependencyCtx) instead of greedy slicing, whatever the
+	// number of modified statements.
 	UseDependency bool
 	// InsertSplit applies the §10 split even without program slicing.
 	InsertSplit bool

@@ -802,14 +802,20 @@ func keysEqualCols(b *batch, r int, rt schema.Tuple, lKeys, rKeys []int) bool {
 	return true
 }
 
-// vloopJoinNode is the vectorized nested-loop fallback: right rows
-// materialize once, left rows stream against them with the full
-// compiled row predicate (interpreter-exact, including conditions that
-// error). The inner loop ticks its own cancellation counter since it
-// multiplies the source cardinality.
+// vloopJoinNode is the vectorized nested-loop join, for every condition
+// that is not all cross-side key equalities. Right rows materialize
+// once; each left row pairs with every right row, left-major and
+// right-minor like the interpreter's loop, into an owned pair batch. A
+// full batch runs the compiled condition (WHERE semantics) and emits
+// its true rows through sel. The condition errors on a batch iff it
+// errors on one of the batch's pairs, so the join errors iff the
+// interpreter's does. Cancellation is observed once per pair batch:
+// the pair loop multiplies the source cardinality, so the left
+// stream's own per-batch check alone would let a cancelled quadratic
+// join run on.
 type vloopJoinNode struct {
 	l, r           vecNode
-	pred           predFn
+	cond           vecCondFn
 	lArity, rArity int
 	cfg            vecConfig
 }
@@ -823,43 +829,52 @@ func (n *vloopJoinNode) run(rc *runCtx, emit vecEmit) error {
 	if err != nil {
 		return err
 	}
-	out := newOwnedBatch(n.lArity+n.rArity, n.cfg.bs)
+	bs := n.cfg.bs
+	pairs := newOwnedBatch(n.lArity+n.rArity, bs)
+	pool := newVecPool(bs)
+	tr := make([]truth, bs)
+	selBuf := make([]int, 0, bs)
 	flush := func() error {
-		if out.n == 0 {
+		if pairs.n == 0 {
 			return nil
 		}
-		out.sel = nil // consumers may have narrowed the previous emit
-		err := emit(out)
-		out.n = 0
+		if err := rc.ctx.Err(); err != nil {
+			return err
+		}
+		pairs.sel = nil // consumers may have narrowed the previous emit
+		if err := n.cond(pool, pairs, nil, tr); err != nil {
+			return err
+		}
+		sel := selBuf[:0]
+		for r := 0; r < pairs.n; r++ {
+			if tr[r] == tTrue {
+				sel = append(sel, r)
+			}
+		}
+		var err error
+		if len(sel) > 0 {
+			pairs.sel = sel
+			err = emit(pairs)
+		}
+		pairs.n = 0
 		return err
 	}
-	buf := make(schema.Tuple, n.lArity+n.rArity)
-	ticks := 0
+	left := make(schema.Tuple, n.lArity)
 	err = n.l.run(rc, func(b *batch) error {
-		inner := func(r int) error {
-			for c := 0; c < n.lArity; c++ {
-				buf[c] = b.cols[c].Value(r)
+		pairUp := func(r int) error {
+			for c := range left {
+				left[c] = b.cols[c].Value(r)
 			}
 			for _, rt := range right {
-				ticks++
-				if ticks%cancelCheckEvery == 0 {
-					if err := rc.ctx.Err(); err != nil {
-						return err
-					}
+				i := pairs.n
+				for c, v := range left {
+					pairs.cols[c].Vals[i] = v
 				}
-				copy(buf[n.lArity:], rt)
-				ok, err := n.pred(buf)
-				if err != nil {
-					return err
+				for c, v := range rt {
+					pairs.cols[n.lArity+c].Vals[i] = v
 				}
-				if !ok {
-					continue
-				}
-				for c, v := range buf {
-					out.cols[c].Vals[out.n] = v
-				}
-				out.n++
-				if out.n == n.cfg.bs {
+				pairs.n++
+				if pairs.n == bs {
 					if err := flush(); err != nil {
 						return err
 					}
@@ -869,14 +884,14 @@ func (n *vloopJoinNode) run(rc *runCtx, emit vecEmit) error {
 		}
 		if b.sel == nil {
 			for r := 0; r < b.n; r++ {
-				if err := inner(r); err != nil {
+				if err := pairUp(r); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 		for _, r := range b.sel {
-			if err := inner(r); err != nil {
+			if err := pairUp(r); err != nil {
 				return err
 			}
 		}
@@ -1064,11 +1079,11 @@ func compileVecJoin(x *algebra.Join, db *storage.Database, cfg vecConfig) (vecNo
 		// that the interpreter still evaluates (a NULL equality does not
 		// short-circuit its AND) and whose residual may error, so only
 		// the all-keys shape takes the hash path.
-		pred, err := compilePred(x.Cond, joined)
+		cond, err := compileVecWhereTruth(x.Cond, joined)
 		if err != nil {
 			return nil, nil, err
 		}
-		return &vloopJoinNode{l: l, r: r, pred: pred, lArity: ls.Arity(), rArity: rs.Arity(), cfg: cfg}, joined, nil
+		return &vloopJoinNode{l: l, r: r, cond: cond, lArity: ls.Arity(), rArity: rs.Arity(), cfg: cfg}, joined, nil
 	}
 	return &vequiJoinNode{
 		l: l, r: r,

@@ -176,7 +176,9 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 // BenchmarkHashJoin compares the detected hash join against the
-// interpreter's nested loop on a two-relation equi-join.
+// interpreter's nested loop on a two-relation equi-join; nested-loop is
+// the vectorized nested loop on a band join (1 000 × 500 pairs, each
+// left row matching one right row).
 func BenchmarkHashJoin(b *testing.B) {
 	db := benchDB(5000)
 	dim := storage.NewRelation(schema.New("dim",
@@ -205,6 +207,23 @@ func BenchmarkHashJoin(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := exec.EvalVec(q, db); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	left, err := sql.ParseCondition("k < 1000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	band, err := sql.ParseCondition("k >= dk AND k < dk + 10")
+	if err != nil {
+		b.Fatal(err)
+	}
+	nl := &algebra.Join{L: &algebra.Select{Cond: left, In: &algebra.Scan{Rel: "t"}}, R: &algebra.Scan{Rel: "dim"}, Cond: band}
+	b.Run("nested-loop", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := exec.EvalVec(nl, db); err != nil {
 				b.Fatal(err)
 			}
 		}

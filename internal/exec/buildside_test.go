@@ -92,6 +92,16 @@ func TestBuildLeftMatchesInterpreterOrder(t *testing.T) {
 			R:    &algebra.Scan{Rel: "big"},
 			Cond: expr.Eq(expr.Column("k"), expr.Column("k2")),
 		},
+		"nested-loop": &algebra.Join{
+			// 40 × 40 = 1 600 pairs: the nested loop's pair batches split
+			// them at every batch size, 1024 included.
+			L: &algebra.Scan{Rel: "big"},
+			R: &algebra.Project{Exprs: []algebra.NamedExpr{
+				{Name: "k2", E: expr.Column("k")},
+				{Name: "w", E: expr.Column("v")},
+			}, In: &algebra.Scan{Rel: "big"}},
+			Cond: expr.OrOf(expr.Lt(expr.Column("k"), expr.Column("k2")), expr.Eq(expr.Column("v"), expr.Column("w"))),
+		},
 	}
 	for name, q := range queries {
 		want, err := algebra.Eval(q, db)

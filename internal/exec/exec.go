@@ -9,9 +9,9 @@
 //
 //   - Expressions compile into batch kernels over column ordinals: every
 //     attribute reference is resolved against the input schema once, at
-//     compile time. The row closures of internal/exec/expr.go serve the
-//     nested-loop join predicate and package history's indexed
-//     statement application (CompileRowPred, CompileRowScalar).
+//     compile time. They are the executor's one expression compiler:
+//     package history's indexed statement application runs the same
+//     kernels over the candidate rows it gathers (TupleKernel).
 //
 //   - Operators exchange 1024-row column-major batches with selection
 //     vectors. Consecutive σ/Π nodes — the shape reenactment produces,
@@ -32,10 +32,12 @@
 //
 //   - Pure equi-joins (every conjunct of the condition is a cross-side
 //     column equality L.a = R.b) run as hash joins over typed value
-//     hashes; every other condition falls back to a nested-loop join
-//     with the full compiled predicate, which is interpreter-exact even
-//     for conditions that error. Bag difference probes a hash multiset
-//     index (storage.TupleIndex) with lane-wise row hashes.
+//     hashes. Every other condition takes the nested-loop join, which
+//     fills batches with (left row ⊕ right row) pairs in the
+//     interpreter's left-major order and filters each with the compiled
+//     condition: the same output order, and it errors iff the
+//     interpreter does. Bag difference probes a hash multiset index
+//     (storage.TupleIndex) with lane-wise row hashes.
 //
 // Per-row lazy evaluation is kept structurally: If branches and And/Or
 // right operands run only over the sub-selection the tuple-at-a-time
@@ -67,12 +69,6 @@ type runCtx struct {
 	db  *storage.Database
 	ctx context.Context
 }
-
-// cancelCheckEvery bounds how many row pairs a nested-loop join
-// evaluates between two cancellation checks: its inner loop multiplies
-// the source cardinality, so the per-batch check alone would let a
-// cancelled quadratic join run on.
-const cancelCheckEvery = 4096
 
 // Program is a compiled query plan. Compile once, Run many times —
 // including concurrently and against different database versions with

@@ -256,23 +256,72 @@ func TestJoinLargeIntKeys(t *testing.T) {
 	}
 }
 
+// pairDB builds a(x, y) with na rows and b(z, w) with nb rows, x = y = i
+// and z = w = j, so a nested-loop join over them has na × nb pairs.
+func pairDB(na, nb int) *storage.Database {
+	db := storage.NewDatabase()
+	a := storage.NewRelation(schema.New("a", schema.Col("x", types.KindInt), schema.Col("y", types.KindInt)))
+	for i := 0; i < na; i++ {
+		a.Add(schema.NewTuple(types.Int(int64(i)), types.Int(int64(i))))
+	}
+	db.AddRelation(a)
+	b := storage.NewRelation(schema.New("b", schema.Col("z", types.KindInt), schema.Col("w", types.KindInt)))
+	for j := 0; j < nb; j++ {
+		b.Add(schema.NewTuple(types.Int(int64(j)), types.Int(int64(j))))
+	}
+	db.AddRelation(b)
+	return db
+}
+
 // TestJoinResidualErrorParity pins why residual conjuncts force the
 // nested-loop path: the interpreter evaluates the whole condition on
 // NULL-key pairs too (a NULL equality does not short-circuit its AND),
 // so an erroring residual must error in the vectorized executor too.
+// The nested loop evaluates its condition a batch of pairs at a time,
+// so the non-equi joins run 1 500 pairs at batch sizes that split them
+// every way; in the erroring one only the last 30 pairs, past the
+// first 1 024, reach the type error.
 func TestJoinResidualErrorParity(t *testing.T) {
-	db := testDB() // r has a NULL k row; v is int
-	q := &algebra.Join{L: &algebra.Scan{Rel: "r"}, R: &algebra.Scan{Rel: "s2"},
-		Cond: expr.AndOf(
-			expr.Eq(expr.Column("k"), expr.Column("k2")),
-			expr.Gt(expr.Column("v"), expr.StringConst("x")), // int > string: type error
-		)}
-	_, errI := algebra.Eval(q, db)
-	_, errV := exec.EvalVec(q, db)
-	if (errI == nil) != (errV == nil) {
-		t.Fatalf("error divergence: interpreter=%v vectorized=%v", errI, errV)
+	pairs := pairDB(50, 30)
+	joinAB := func(cond expr.Expr) algebra.Query {
+		return &algebra.Join{L: &algebra.Scan{Rel: "a"}, R: &algebra.Scan{Rel: "b"}, Cond: cond}
 	}
-	if errI == nil {
-		t.Fatal("expected a type error from both executors")
+	cases := []struct {
+		name    string
+		db      *storage.Database
+		q       algebra.Query
+		wantErr bool
+	}{
+		{"equi-residual", testDB(), // r has a NULL k row; v is int
+			&algebra.Join{L: &algebra.Scan{Rel: "r"}, R: &algebra.Scan{Rel: "s2"},
+				Cond: expr.AndOf(
+					expr.Eq(expr.Column("k"), expr.Column("k2")),
+					expr.Gt(expr.Column("v"), expr.StringConst("x")), // int > string: type error
+				)}, true},
+		{"theta", pairs, joinAB(mustCond(t, "x < z OR y + w = 60")), false},
+		{"theta-late-error", pairs, joinAB(expr.OrOf(
+			expr.Lt(expr.Column("x"), expr.IntConst(49)),
+			expr.Gt(expr.Column("y"), expr.StringConst("q")), // reached only on x = 49
+		)), true},
+	}
+	for _, c := range cases {
+		want, errI := algebra.Eval(c.q, c.db)
+		if (errI != nil) != c.wantErr {
+			t.Fatalf("%s: interpreter error %v, want an error: %t", c.name, errI, c.wantErr)
+		}
+		for _, bs := range []int{1, 2, 7, 1024} {
+			label := fmt.Sprintf("%s/bs=%d", c.name, bs)
+			prog, err := exec.CompileVec(c.q, c.db, exec.VecOptions{BatchSize: bs})
+			if err != nil {
+				t.Fatalf("%s: compile: %v", label, err)
+			}
+			got, errV := prog.Run(c.db)
+			if (errI == nil) != (errV == nil) {
+				t.Fatalf("%s: error divergence: interpreter=%v vectorized=%v", label, errI, errV)
+			}
+			if errI == nil {
+				requireSameRelation(t, label, want, got)
+			}
+		}
 	}
 }

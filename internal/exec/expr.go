@@ -3,27 +3,15 @@ package exec
 import (
 	"cmp"
 	"fmt"
-	"math"
 
 	"github.com/mahif/mahif/internal/expr"
-	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/types"
 )
 
-// scalarFn is a compiled scalar expression: it evaluates over one input
-// row whose layout is the schema the expression was compiled against.
-// Column references are resolved to ordinals at compile time, so
-// evaluation does no name lookups and allocates no environment.
-type scalarFn func(row schema.Tuple) (types.Value, error)
-
-// predFn is a compiled condition under SQL WHERE semantics: NULL and
-// non-boolean results count as not satisfied (mirrors expr.Satisfied).
-type predFn func(row schema.Tuple) (bool, error)
-
 // truth is SQL three-valued logic unboxed: conditions compile to
-// condFn returning truth directly, so predicate trees (the per-UPDATE
-// CASE guards and per-DELETE filters of reenactment) evaluate without
-// constructing a types.Value per node per tuple.
+// kernels writing truth vectors directly, so predicate trees (the
+// per-UPDATE CASE guards and per-DELETE filters of reenactment)
+// evaluate without constructing a types.Value per node per row.
 type truth int8
 
 const (
@@ -32,6 +20,9 @@ const (
 	tNull
 )
 
+// truthOf converts a connective operand's value to the truth level: a
+// non-NULL, non-boolean operand is an evaluation error (the
+// interpreter's evalAndOr and NOT semantics).
 func truthOf(v types.Value) (truth, error) {
 	if v.IsNull() {
 		return tNull, nil
@@ -55,11 +46,6 @@ func (t truth) value() types.Value {
 	return types.Null()
 }
 
-// condFn is a compiled boolean expression under full three-valued
-// semantics (used inside connectives, where non-boolean operands are
-// errors, unlike the tolerant WHERE wrapper).
-type condFn func(row schema.Tuple) (truth, error)
-
 // isBoolNode reports whether e always evaluates to a boolean or NULL.
 func isBoolNode(e expr.Expr) bool {
 	switch e.(type) {
@@ -67,385 +53,6 @@ func isBoolNode(e expr.Expr) bool {
 		return true
 	}
 	return false
-}
-
-// compileScalar lowers e to a closure over column ordinals of s. It
-// fails on symbolic variables and on column references that do not
-// resolve — the caller falls back to the interpreter in that case, so a
-// compile error can never change observable behavior.
-func compileScalar(e expr.Expr, s *schema.Schema) (scalarFn, error) {
-	switch x := e.(type) {
-	case *expr.Const:
-		v := x.V
-		return func(schema.Tuple) (types.Value, error) { return v, nil }, nil
-	case *expr.Col:
-		idx := s.ColIndex(x.Name)
-		if idx < 0 {
-			return nil, fmt.Errorf("exec: attribute %q not in schema %s", x.Name, s)
-		}
-		return func(row schema.Tuple) (types.Value, error) {
-			if idx >= len(row) {
-				return types.Null(), fmt.Errorf("exec: row arity %d below attribute index %d", len(row), idx)
-			}
-			return row[idx], nil
-		}, nil
-	case *expr.Var:
-		// Symbolic variables only appear in the program-slicing
-		// machinery, never in executable reenactment queries.
-		return nil, fmt.Errorf("exec: symbolic variable %q in executable expression", x.Name)
-	case *expr.Arith:
-		// col ∘ const and const ∘ col fuse to a single closure (the
-		// dominant SET-clause shape on the incremental update path);
-		// evaluation order and error behavior match the generic form —
-		// the column load's arity check runs first, the constant cannot
-		// error. Unresolvable columns take the generic path so the
-		// compile-time error is identical.
-		if lc, lok := x.L.(*expr.Col); lok {
-			if rc, rok := x.R.(*expr.Const); rok {
-				if idx := s.ColIndex(lc.Name); idx >= 0 {
-					fn := types.ArithConst(x.Op, rc.V)
-					return func(row schema.Tuple) (types.Value, error) {
-						if idx >= len(row) {
-							return types.Null(), fmt.Errorf("exec: row arity %d below attribute index %d", len(row), idx)
-						}
-						return fn(row[idx])
-					}, nil
-				}
-			}
-		}
-		if lc, lok := x.L.(*expr.Const); lok {
-			if rc, rok := x.R.(*expr.Col); rok {
-				if idx := s.ColIndex(rc.Name); idx >= 0 {
-					op, k := x.Op, lc.V
-					return func(row schema.Tuple) (types.Value, error) {
-						if idx >= len(row) {
-							return types.Null(), fmt.Errorf("exec: row arity %d below attribute index %d", len(row), idx)
-						}
-						return types.Arith(op, k, row[idx])
-					}, nil
-				}
-			}
-		}
-		l, err := compileScalar(x.L, s)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileScalar(x.R, s)
-		if err != nil {
-			return nil, err
-		}
-		op := x.Op
-		return func(row schema.Tuple) (types.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return types.Null(), err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return types.Null(), err
-			}
-			return types.Arith(op, lv, rv)
-		}, nil
-	case *expr.Cmp, *expr.And, *expr.Or, *expr.Not, *expr.IsNull:
-		// Boolean node in scalar position (e.g. a projected comparison):
-		// evaluate at the truth level, box once at the boundary.
-		c, err := compileCond(e, s)
-		if err != nil {
-			return nil, err
-		}
-		return func(row schema.Tuple) (types.Value, error) {
-			t, err := c(row)
-			if err != nil {
-				return types.Null(), err
-			}
-			return t.value(), nil
-		}, nil
-	case *expr.If:
-		cond, err := compileWhere(x.Cond, s)
-		if err != nil {
-			return nil, err
-		}
-		then, err := compileScalar(x.Then, s)
-		if err != nil {
-			return nil, err
-		}
-		els, err := compileScalar(x.Else, s)
-		if err != nil {
-			return nil, err
-		}
-		return func(row schema.Tuple) (types.Value, error) {
-			ok, err := cond(row)
-			if err != nil {
-				return types.Null(), err
-			}
-			if ok {
-				return then(row)
-			}
-			return els(row)
-		}, nil
-	}
-	return nil, fmt.Errorf("exec: cannot compile expression %T", e)
-}
-
-// compileCond lowers a boolean expression to the truth level. Operands
-// of connectives follow the interpreter's strict semantics: a non-NULL,
-// non-boolean operand is an evaluation error.
-func compileCond(e expr.Expr, s *schema.Schema) (condFn, error) {
-	switch x := e.(type) {
-	case *expr.Cmp:
-		return compileCmp(x, s)
-	case *expr.And:
-		l, err := compileCondStrict(x.L, s)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileCondStrict(x.R, s)
-		if err != nil {
-			return nil, err
-		}
-		return func(row schema.Tuple) (truth, error) {
-			lv, err := l(row)
-			if err != nil {
-				return tNull, err
-			}
-			// Short circuit on the dominating value; the right operand
-			// is skipped exactly when the interpreter skips it.
-			if lv == tFalse {
-				return tFalse, nil
-			}
-			rv, err := r(row)
-			if err != nil {
-				return tNull, err
-			}
-			if lv == tTrue {
-				return rv, nil
-			}
-			// lv is NULL: FALSE dominates, anything else is NULL.
-			if rv == tFalse {
-				return tFalse, nil
-			}
-			return tNull, nil
-		}, nil
-	case *expr.Or:
-		l, err := compileCondStrict(x.L, s)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileCondStrict(x.R, s)
-		if err != nil {
-			return nil, err
-		}
-		return func(row schema.Tuple) (truth, error) {
-			lv, err := l(row)
-			if err != nil {
-				return tNull, err
-			}
-			if lv == tTrue {
-				return tTrue, nil
-			}
-			rv, err := r(row)
-			if err != nil {
-				return tNull, err
-			}
-			if lv == tFalse {
-				return rv, nil
-			}
-			// lv is NULL: TRUE dominates, anything else is NULL.
-			if rv == tTrue {
-				return tTrue, nil
-			}
-			return tNull, nil
-		}, nil
-	case *expr.Not:
-		in, err := compileCondStrict(x.E, s)
-		if err != nil {
-			return nil, err
-		}
-		return func(row schema.Tuple) (truth, error) {
-			v, err := in(row)
-			if err != nil {
-				return tNull, err
-			}
-			switch v {
-			case tTrue:
-				return tFalse, nil
-			case tFalse:
-				return tTrue, nil
-			}
-			return tNull, nil
-		}, nil
-	case *expr.IsNull:
-		in, err := compileScalar(x.E, s)
-		if err != nil {
-			return nil, err
-		}
-		return func(row schema.Tuple) (truth, error) {
-			v, err := in(row)
-			if err != nil {
-				return tNull, err
-			}
-			if v.IsNull() {
-				return tTrue, nil
-			}
-			return tFalse, nil
-		}, nil
-	}
-	return nil, fmt.Errorf("exec: not a boolean expression %T", e)
-}
-
-// compileCondStrict compiles a connective operand: boolean nodes go to
-// the truth level directly, anything else evaluates as a scalar and
-// errors on non-NULL non-boolean results (the interpreter's evalAndOr
-// and NOT semantics).
-func compileCondStrict(e expr.Expr, s *schema.Schema) (condFn, error) {
-	if isBoolNode(e) {
-		return compileCond(e, s)
-	}
-	fn, err := compileScalar(e, s)
-	if err != nil {
-		return nil, err
-	}
-	return func(row schema.Tuple) (truth, error) {
-		v, err := fn(row)
-		if err != nil {
-			return tNull, err
-		}
-		return truthOf(v)
-	}, nil
-}
-
-// compileWhere compiles a condition under WHERE semantics: NULL and
-// non-boolean results are simply "not satisfied", never errors
-// (mirrors expr.Satisfied and the interpreter's CASE WHEN guard).
-func compileWhere(e expr.Expr, s *schema.Schema) (predFn, error) {
-	if isBoolNode(e) {
-		c, err := compileCond(e, s)
-		if err != nil {
-			return nil, err
-		}
-		return func(row schema.Tuple) (bool, error) {
-			t, err := c(row)
-			if err != nil {
-				return false, err
-			}
-			return t == tTrue, nil
-		}, nil
-	}
-	fn, err := compileScalar(e, s)
-	if err != nil {
-		return nil, err
-	}
-	return func(row schema.Tuple) (bool, error) {
-		v, err := fn(row)
-		if err != nil {
-			return false, err
-		}
-		return v.IsTrue(), nil
-	}, nil
-}
-
-// compilePred is the executor-facing name for WHERE-semantics
-// conditions (selections, join conditions, residual filters).
-func compilePred(e expr.Expr, s *schema.Schema) (predFn, error) {
-	return compileWhere(e, s)
-}
-
-// compileCmp lowers a comparison. The reenactment hot shape — a column
-// against a constant — gets a specialized closure with a typed inline
-// comparison; everything else goes through the generic pair of operand
-// closures and expr.EvalCmp. The fast paths delegate back to EvalCmp
-// the moment the runtime kinds leave the specialized domain, so their
-// semantics (including NULL propagation, cross-kind numeric equality,
-// and incomparable-kind errors) are EvalCmp's exactly.
-func compileCmp(x *expr.Cmp, s *schema.Schema) (condFn, error) {
-	if c, ok := x.R.(*expr.Const); ok {
-		if col, ok2 := x.L.(*expr.Col); ok2 {
-			if fn := compileColConstCmp(x.Op, col, c.V, s); fn != nil {
-				return fn, nil
-			}
-		}
-	}
-	if c, ok := x.L.(*expr.Const); ok {
-		if col, ok2 := x.R.(*expr.Col); ok2 {
-			// a op b == b op.Flip() a.
-			if fn := compileColConstCmp(x.Op.Flip(), col, c.V, s); fn != nil {
-				return fn, nil
-			}
-		}
-	}
-	l, err := compileScalar(x.L, s)
-	if err != nil {
-		return nil, err
-	}
-	r, err := compileScalar(x.R, s)
-	if err != nil {
-		return nil, err
-	}
-	op := x.Op
-	return func(row schema.Tuple) (truth, error) {
-		lv, err := l(row)
-		if err != nil {
-			return tNull, err
-		}
-		rv, err := r(row)
-		if err != nil {
-			return tNull, err
-		}
-		return evalCmpTruth(op, lv, rv)
-	}, nil
-}
-
-// compileColConstCmp builds the column-vs-constant fast path, or nil
-// when no specialization applies (unknown column names fall through to
-// the generic path so the error message stays uniform).
-func compileColConstCmp(op expr.CmpOp, col *expr.Col, cv types.Value, s *schema.Schema) condFn {
-	idx := s.ColIndex(col.Name)
-	if idx < 0 {
-		return nil
-	}
-	switch {
-	case cv.IsNumeric():
-		cf := cv.AsFloat()
-		if math.IsNaN(cf) {
-			return nil // no consistent order: leave it to the generic path
-		}
-		return func(row schema.Tuple) (truth, error) {
-			if idx >= len(row) {
-				return tNull, fmt.Errorf("exec: row arity %d below attribute index %d", len(row), idx)
-			}
-			v := row[idx]
-			if v.IsNull() {
-				return tNull, nil
-			}
-			if !v.IsNumeric() {
-				return evalCmpTruth(op, v, cv)
-			}
-			f := v.AsFloat()
-			if math.IsNaN(f) {
-				// NaN is outside the value domain (types.Arith and
-				// Parse reject it) but a caller can still construct it;
-				// delegate so the oracle's semantics apply verbatim.
-				return evalCmpTruth(op, v, cv)
-			}
-			return cmpOrdered(op, f, cf)
-		}
-	case cv.Kind() == types.KindString:
-		cs := cv.AsString()
-		return func(row schema.Tuple) (truth, error) {
-			if idx >= len(row) {
-				return tNull, fmt.Errorf("exec: row arity %d below attribute index %d", len(row), idx)
-			}
-			v := row[idx]
-			if v.IsNull() {
-				return tNull, nil
-			}
-			if v.Kind() != types.KindString {
-				return evalCmpTruth(op, v, cv)
-			}
-			return cmpOrdered(op, v.AsString(), cs)
-		}
-	}
-	return nil
 }
 
 // evalCmpTruth is the generic-comparison escape hatch of the fast

@@ -176,7 +176,10 @@ type vecScalarFn func(p *vecPool, b *batch, sel []int, out []types.Value) error
 type vecCondFn func(p *vecPool, b *batch, sel []int, out []truth) error
 
 // compileVecScalar lowers e to a batch kernel over column ordinals of
-// s, mirroring compileScalar's semantics exactly.
+// s, mirroring the interpreter's (expr.Eval) semantics exactly. It
+// fails on symbolic variables and on column references that do not
+// resolve — the caller falls back to the interpreter then, so a compile
+// error can never change observable behavior.
 func compileVecScalar(e expr.Expr, s *schema.Schema) (vecScalarFn, error) {
 	switch x := e.(type) {
 	case *expr.Const:
@@ -367,16 +370,18 @@ func compileVecScalar(e expr.Expr, s *schema.Schema) (vecScalarFn, error) {
 }
 
 // compileVecArithFast builds the column-op-constant arithmetic kernel
-// for the reenactment hot shape (v = v + 3), or nil when no
-// specialization applies. Division is excluded (it errors on zero and
-// always yields floats); non-int runtime kinds delegate to types.Arith
-// so semantics stay oracle-exact.
+// for the reenactment hot shape (v = v + 3, x = x + 2.5), or nil when
+// no specialization applies. Division is excluded (it errors on zero
+// and always yields floats). Each cell goes through types.ArithConst's
+// evaluator — types.Arith with the int and float Add/Sub cases
+// kind-specialized — and an int constant over an int lane without
+// NULLs runs as a bare integer loop (wrapping matches types.Arith).
 func compileVecArithFast(x *expr.Arith, s *schema.Schema) vecScalarFn {
 	if x.Op == types.OpDiv {
 		return nil
 	}
 	col, c, constOnRight := splitColConst(x.L, x.R)
-	if col == nil || c == nil || c.V.Kind() != types.KindInt {
+	if col == nil || c == nil || !c.V.IsNumeric() {
 		return nil
 	}
 	idx := s.ColIndex(col.Name)
@@ -384,36 +389,31 @@ func compileVecArithFast(x *expr.Arith, s *schema.Schema) vecScalarFn {
 		return nil
 	}
 	op, cv := x.Op, c.V
-	ci := cv.AsInt()
-	// slow handles NULLs, int overflow cannot occur (wrapping matches
-	// types.Arith), and non-int runtime kinds — delegated per row so the
-	// hot loop below stays a branch and an integer op.
-	slow := func(v types.Value) (types.Value, error) {
-		if v.IsNull() {
-			return types.Null(), nil
-		}
-		if constOnRight {
-			return types.Arith(op, v, cv)
-		}
-		return types.Arith(op, cv, v)
+	cell := types.ArithConst(op, cv)
+	if !constOnRight {
+		cell = func(v types.Value) (types.Value, error) { return types.Arith(op, cv, v) }
 	}
-	fast := func(a int64) int64 {
-		b := ci
-		if !constOnRight {
-			a, b = b, a
-		}
-		switch op {
-		case types.OpAdd:
-			return a + b
-		case types.OpSub:
-			return a - b
-		default: // OpMul; OpDiv was excluded above
-			return a * b
+	var fast func(int64) int64 // nil unless the constant is an int
+	if cv.Kind() == types.KindInt {
+		ci := cv.AsInt()
+		fast = func(a int64) int64 {
+			b := ci
+			if !constOnRight {
+				a, b = b, a
+			}
+			switch op {
+			case types.OpAdd:
+				return a + b
+			case types.OpSub:
+				return a - b
+			default: // OpMul; OpDiv was excluded above
+				return a * b
+			}
 		}
 	}
 	return func(_ *vecPool, b *batch, sel []int, out []types.Value) error {
 		src := &b.cols[idx]
-		if src.Kind == types.KindInt && src.Nulls == nil {
+		if fast != nil && src.Kind == types.KindInt && src.Nulls == nil {
 			// Typed lane, no NULLs: the whole loop is an integer op and a
 			// box per cell, no kind branches.
 			ints := src.Ints
@@ -429,12 +429,7 @@ func compileVecArithFast(x *expr.Arith, s *schema.Schema) vecScalarFn {
 			return nil
 		}
 		one := func(r int) error {
-			v := src.Value(r)
-			if v.Kind() == types.KindInt {
-				out[r] = types.Int(fast(v.AsInt()))
-				return nil
-			}
-			v, err := slow(v)
+			v, err := cell(src.Value(r))
 			if err != nil {
 				return err
 			}
@@ -475,8 +470,9 @@ func splitColConst(l, r expr.Expr) (col *expr.Col, c *expr.Const, constOnRight b
 }
 
 // compileVecCond lowers a boolean expression to the truth level over
-// batches, mirroring compileCond (strict connective operands, per-row
-// short-circuit via sub-selections).
+// batches: connective operands are strict (a non-NULL, non-boolean
+// operand is an evaluation error) and short-circuit per row via
+// sub-selections.
 func compileVecCond(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
 	switch x := e.(type) {
 	case *expr.Cmp:
@@ -682,7 +678,8 @@ func boolTruth(ok bool) truth {
 
 // compileVecCondStrict compiles a connective operand: boolean nodes at
 // the truth level, anything else as a scalar whose non-NULL non-boolean
-// results are evaluation errors (compileCondStrict's semantics).
+// results are evaluation errors (the interpreter's evalAndOr and NOT
+// semantics).
 func compileVecCondStrict(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
 	if isBoolNode(e) {
 		return compileVecCond(e, s)
@@ -721,7 +718,7 @@ func compileVecCondStrict(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
 // compileVecWhereTruth compiles a condition under WHERE semantics to
 // the truth level: rows satisfy iff the result is tTrue; NULL and
 // non-boolean results count as not satisfied, never as errors (mirrors
-// compileWhere / expr.Satisfied).
+// expr.Satisfied).
 func compileVecWhereTruth(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
 	if isBoolNode(e) {
 		return compileVecCond(e, s)

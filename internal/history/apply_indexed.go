@@ -16,9 +16,9 @@
 // column provably holds a single comparability class matching the
 // constant (certified by the column index itself). Rows whose indexed
 // column is NULL never short-circuit the conjunction (NULL is not
-// false), so they stay candidates and take the residual predicate,
-// which evaluates the full WHERE with the executor's compiled
-// tuple-at-a-time closures — the exact expr.Satisfied semantics.
+// false), so they stay candidates and take the residual predicate: the
+// full WHERE, evaluated over the candidates by the executor's batch
+// kernels (exec.TupleKernel) under expr.Satisfied's semantics.
 // DELETE's asymmetry is preserved: a condition evaluating to NULL
 // removes the tuple (σ_{¬θ} keeps only ¬θ = true), so even exact
 // delete plans remove the NULL positions alongside the key interval.
@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync"
 
 	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/expr"
@@ -59,22 +60,31 @@ type conjunct struct {
 
 // applyAnalysis is the schema-keyed, index-independent half of an
 // indexed apply plan: the flattened conjuncts of the WHERE clause in
-// evaluation order plus the compiled residual closures. nil analysis
-// (cached as such) means the statement is outside the indexable subset.
+// evaluation order plus the compiled kernels, which every replay of the
+// statement shares. nil analysis (cached as such) means the statement
+// is outside the indexable subset.
 type applyAnalysis struct {
 	conj []conjunct
-	// pred is the compiled full θ (UPDATE residual); keep is the
-	// compiled ¬θ (DELETE residual: a candidate survives iff true).
-	pred exec.RowPred
-	keep exec.RowPred
-	// setCols/setFns are the non-identity SET targets in column order.
+	del  bool // a DELETE
+	// setCols are the non-identity SET targets in column order and set
+	// evaluates their expressions.
 	setCols []int
-	setFns  []exec.RowScalar
-	// seqSafe: no SET expression reads a column an earlier SET clause
-	// writes, so evaluating the closures over a tuple being rewritten
-	// column-by-column still sees only original values — the condition
-	// for the single-pass in-place commit.
-	seqSafe bool
+	set     *exec.TupleKernel
+	// cond is the residual condition over sch: θ for an UPDATE, ¬θ for a
+	// DELETE (a candidate survives iff true). Only residual plans
+	// evaluate it, and most plans are direct, so residual compiles it on
+	// first use.
+	cond    expr.Expr
+	sch     *schema.Schema
+	resOnce sync.Once
+	res     *exec.TupleKernel
+	resErr  error
+}
+
+// residual returns the compiled residual condition.
+func (a *applyAnalysis) residual() (*exec.TupleKernel, error) {
+	a.resOnce.Do(func() { a.res, a.resErr = exec.CompileTupleKernel(a.cond, nil, a.sch) })
+	return a.res, a.resErr
 }
 
 // flattenAnd appends the conjuncts of e in evaluation order: And trees
@@ -170,28 +180,18 @@ func analyzeUpdate(where expr.Expr, vec []expr.Expr, s *schema.Schema) *applyAna
 	if conj == nil {
 		return nil
 	}
-	pred, err := exec.CompileRowPred(where, s)
-	if err != nil {
-		return nil
-	}
-	a := &applyAnalysis{conj: conj, pred: pred, seqSafe: true}
-	written := map[string]bool{}
+	a := &applyAnalysis{conj: conj, cond: where, sch: s}
+	var set []expr.Expr
 	for i, c := range s.Columns {
 		if col, ok := vec[i].(*expr.Col); ok && strings.EqualFold(col.Name, c.Name) {
 			continue
 		}
-		for name := range expr.Cols(vec[i]) {
-			if written[strings.ToLower(name)] {
-				a.seqSafe = false
-			}
-		}
-		fn, err := exec.CompileRowScalar(vec[i], s)
-		if err != nil {
-			return nil
-		}
 		a.setCols = append(a.setCols, i)
-		a.setFns = append(a.setFns, fn)
-		written[strings.ToLower(c.Name)] = true
+		set = append(set, vec[i])
+	}
+	var err error
+	if a.set, err = exec.CompileTupleKernel(nil, set, s); err != nil {
+		return nil
 	}
 	return a
 }
@@ -202,11 +202,7 @@ func analyzeDelete(where expr.Expr, s *schema.Schema) *applyAnalysis {
 	if conj == nil {
 		return nil
 	}
-	keep, err := exec.CompileRowPred(expr.Negation(where), s)
-	if err != nil {
-		return nil
-	}
-	return &applyAnalysis{conj: conj, keep: keep}
+	return &applyAnalysis{conj: conj, del: true, cond: expr.Negation(where), sch: s}
 }
 
 // binding --------------------------------------------------------------------
@@ -442,7 +438,7 @@ loop:
 		// that is a no-op either way; for DELETE the θ = NULL rows must
 		// still be removed, which no probe shape expresses — reference
 		// path.
-		if a.keep != nil {
+		if a.del {
 			return nil
 		}
 		return &boundPlan{empty: true}
@@ -509,20 +505,117 @@ func (p *boundPlan) probe(ix *storage.IndexSet, nRows int, withNulls bool) (bm [
 	return bm, len(cand), true
 }
 
+// candidates lists the bitmap's set positions in ascending order, in
+// the set's scratch: the probe's position buffer is free again once the
+// bitmap is built.
+func candidates(bm []uint64, sc *storage.ApplyScratch) []int32 {
+	pos := sc.Pos[:0]
+	for w, bw := range bm {
+		base := w << 6
+		for bw != 0 {
+			b := bits.TrailingZeros64(bw)
+			bw &= bw - 1
+			pos = append(pos, int32(base+b))
+		}
+	}
+	sc.Pos = pos[:0]
+	return pos
+}
+
+// resHold reports whether every non-chosen constraint of a direct plan
+// holds on t. A NULL cell makes its conjunct, and so θ, NULL: an UPDATE
+// skips the row and a DELETE (del) removes it, so it holds iff del.
+func (p *boundPlan) resHold(t schema.Tuple, del bool) bool {
+	for i := range p.res {
+		v := t[p.res[i].ord]
+		if v.IsNull() {
+			if !del {
+				return false
+			}
+			continue
+		}
+		if !p.res[i].satisfies(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// residual returns a's residual kernel when p needs one — nil for a
+// direct plan. An error means the condition is outside the compilable
+// subset, and the statement takes the full application instead.
+func (p *boundPlan) residual(a *applyAnalysis) (*exec.TupleKernel, error) {
+	if p.direct {
+		return nil, nil
+	}
+	return a.residual()
+}
+
+// touched narrows cand — candidate positions, ascending — in place to
+// the rows the statement touches and returns them with the values of
+// set's expressions over those rows, len(exprs) per row (none when set
+// is nil). It works a chunk of candidates at a time and writes nothing
+// to the relation, so an evaluation error leaves the state as it was;
+// it errors iff the reference loop errors. Exact plans touch every
+// candidate, direct plans the candidates whose remaining constraints
+// hold (resHold), residual plans the rows where the residual kernel's
+// condition holds — θ for an UPDATE — or, for a DELETE (del), where it
+// does not (¬θ, kept iff true).
+func (p *boundPlan) touched(rel *storage.Relation, sc *storage.ApplyScratch, cand []int32, residual, set *exec.TupleKernel, del bool) ([]int32, []types.Value, error) {
+	vals := sc.Vals[:0]
+	n := 0
+	for lo := 0; lo < len(cand); lo += exec.DefaultBatchSize {
+		chunk := cand[lo:min(lo+exec.DefaultBatchSize, len(cand))]
+		start := n
+		rows := sc.Rows[:0]
+		for _, at := range chunk {
+			t := rel.Tuples[at]
+			if p.direct && !p.exact && !p.resHold(t, del) {
+				continue
+			}
+			cand[n] = at // n never passes the read position
+			rows = append(rows, t)
+			n++
+		}
+		sc.Rows = rows[:0]
+		if !p.direct {
+			keep := sc.Flags(len(rows))
+			if _, err := residual.Eval(rows, keep, nil); err != nil {
+				return nil, nil, err
+			}
+			n = start
+			for i, k := range keep {
+				if k != del {
+					cand[n], rows[n-start] = cand[start+i], rows[i]
+					n++
+				}
+			}
+			rows = rows[:n-start]
+		}
+		if set == nil {
+			continue
+		}
+		var err error
+		if vals, err = set.Eval(rows, nil, vals); err != nil {
+			sc.Vals = vals[:0]
+			return nil, nil, err
+		}
+	}
+	sc.Vals = vals[:0] // the caller reads vals before the next statement
+	return cand[:n], vals, nil
+}
+
 // runIndexedUpdate applies an UPDATE through its bound plan: probe the
-// candidates, evaluate residual θ and the SET closures row-wise in
-// ascending position order (so the first error matches the reference
-// loop's), then commit the rewrites. When no index sits on a SET
-// column the values are written into the resident tuples in place —
-// safe because the indexed apply path only ever runs against privately
-// owned states (see storage.ApplyMutator) whose shared views are deep
-// clones. The common shape of that case (SET expressions independent
-// of earlier SET targets) commits in a single pass with an undo log;
-// the rest stage all values before writing any. When an index must
-// observe the rewrite, fresh rows are carved from an arena so
-// maintenance sees distinct old/new tuples. Every path is
-// all-or-nothing: an evaluation error leaves the state untouched,
+// candidates, evaluate residual θ and the SET vector over them
+// (errors iff the reference loop errors), and stage every value before
+// writing any, so an evaluation error leaves the state untouched,
 // exactly as a failed statement must (it never enters the history).
+// When no index sits on a SET column the staged values are written
+// into the resident tuples in place — safe because the indexed apply
+// path only ever runs against privately owned states (see
+// storage.ApplyMutator) whose shared views are deep clones. When an
+// index must observe the rewrite, fresh rows are carved from an arena
+// so maintenance sees distinct old/new tuples.
 func runIndexedUpdate(rel *storage.Relation, relName string, ix *storage.IndexSet, a *applyAnalysis, p *boundPlan) (applied bool, err error) {
 	if p.empty {
 		return true, nil
@@ -540,66 +633,20 @@ func runIndexedUpdate(rel *storage.Relation, relName string, ix *storage.IndexSe
 	if !ok {
 		return false, nil
 	}
-	if !p.noteReplace && a.seqSafe {
-		return runUpdateInPlace(rel, ix, a, p, bm, count)
-	}
-	// Phase 1 evaluates residual θ and the SET closures in ascending
-	// position order (so the first error matches the reference loop's)
-	// without mutating anything, clearing the bits of non-qualifying
-	// rows; phase 2 commits the surviving bits. Staging every value
-	// before writing any keeps application all-or-nothing: an
-	// evaluation error on a later row leaves earlier rows untouched,
-	// exactly as the reference loop behaves.
-	nset := len(a.setCols)
 	sc := ix.Scratch()
-	setVals := sc.Vals[:0]
-	if cap(setVals) < count*nset {
-		setVals = make([]types.Value, 0, count*nset)
+	nset := len(a.setCols)
+	if cap(sc.Vals) < count*nset {
+		sc.Vals = make([]types.Value, 0, count*nset)
 	}
-	affected := 0
-	for w, bw := range bm {
-		base := w << 6
-		for bw != 0 {
-			b := bits.TrailingZeros64(bw)
-			bw &= bw - 1
-			pos := base + b
-			t := rel.Tuples[pos]
-			qual := true
-			if p.exact {
-				// The probe interval is exactly the satisfying set.
-			} else if p.direct {
-				for i := range p.res {
-					v := t[p.res[i].ord]
-					if v.IsNull() || !p.res[i].satisfies(v) {
-						qual = false
-						break
-					}
-				}
-			} else {
-				var err error
-				qual, err = a.pred(t)
-				if err != nil {
-					sc.Vals = setVals[:0]
-					return true, err
-				}
-			}
-			if !qual {
-				bm[w] &^= 1 << uint(b)
-				continue
-			}
-			for _, fn := range a.setFns {
-				v, err := fn(t)
-				if err != nil {
-					sc.Vals = setVals[:0]
-					return true, err
-				}
-				setVals = append(setVals, v)
-			}
-			affected++
-		}
+	residual, err := p.residual(a)
+	if err != nil {
+		return false, nil
 	}
-	sc.Vals = setVals[:0] // staged values are copied below; reuse the backing
-	if affected == 0 || nset == 0 {
+	pos, vals, err := p.touched(rel, sc, candidates(bm, sc), residual, a.set, false)
+	if err != nil {
+		return true, err
+	}
+	if len(pos) == 0 || nset == 0 {
 		// No satisfying rows, or an all-identity SET vector: writing
 		// back value-identical contents has no observable effect.
 		return true, nil
@@ -611,17 +658,10 @@ func runIndexedUpdate(rel *storage.Relation, relName string, ix *storage.IndexSe
 		// path (see storage.ApplyMutator) makes this invisible — every
 		// shared view of the state is a deep clone, so no reader holds
 		// these tuple objects.
-		i := 0
-		for w, bw := range bm {
-			base := w << 6
-			for bw != 0 {
-				b := bits.TrailingZeros64(bw)
-				bw &= bw - 1
-				t := rel.Tuples[base+b]
-				for j, ord := range a.setCols {
-					t[ord] = setVals[i*nset+j]
-				}
-				i++
+		for i, at := range pos {
+			t := rel.Tuples[at]
+			for j, ord := range a.setCols {
+				t[ord] = vals[i*nset+j]
 			}
 		}
 		return true, nil
@@ -631,180 +671,45 @@ func runIndexedUpdate(rel *storage.Relation, relName string, ix *storage.IndexSe
 	// tuples (rows never mutate in place once their old value feeds
 	// index maintenance; sharing one backing array is unobservable).
 	arity := rel.Schema.Arity()
-	arena := make([]types.Value, affected*arity)
-	i := 0
-	for w, bw := range bm {
-		base := w << 6
-		for bw != 0 {
-			b := bits.TrailingZeros64(bw)
-			bw &= bw - 1
-			pos := base + b
-			row := schema.Tuple(arena[i*arity : (i+1)*arity : (i+1)*arity])
-			old := rel.Tuples[pos]
-			copy(row, old)
-			for j, ord := range a.setCols {
-				row[ord] = setVals[i*nset+j]
-			}
-			rel.Tuples[pos] = row
-			ix.NoteReplace(relName, pos, old, row)
-			i++
+	arena := make([]types.Value, len(pos)*arity)
+	for i, at := range pos {
+		row := schema.Tuple(arena[i*arity : (i+1)*arity : (i+1)*arity])
+		old := rel.Tuples[at]
+		copy(row, old)
+		for j, ord := range a.setCols {
+			row[ord] = vals[i*nset+j]
 		}
+		rel.Tuples[at] = row
+		ix.NoteReplace(relName, int(at), old, row)
 	}
 	return true, nil
-}
-
-// runUpdateInPlace is runIndexedUpdate's fast commit: qualify,
-// evaluate, and write each value in one ascending pass over the
-// bitmap, stashing every overwritten value in an undo log. An
-// evaluation error replays the log (ascending again, restoring values
-// in write order — a partially written final row restores naturally
-// because its undo entries stop where its writes stopped), so the
-// state stays untouched on error exactly like the staged paths.
-// Requires a.seqSafe — no SET expression reads a column an earlier SET
-// clause writes — so evaluating over the partially rewritten tuple
-// still sees original values; and !p.noteReplace, so no index observes
-// the mutation.
-func runUpdateInPlace(rel *storage.Relation, ix *storage.IndexSet, a *applyAnalysis, p *boundPlan, bm []uint64, count int) (applied bool, err error) {
-	nset := len(a.setCols)
-	sc := ix.Scratch()
-	undo := sc.Vals[:0]
-	if cap(undo) < count*nset {
-		undo = make([]types.Value, 0, count*nset)
-	}
-	for w, bw := range bm {
-		base := w << 6
-		for bw != 0 {
-			b := bits.TrailingZeros64(bw)
-			bw &= bw - 1
-			t := rel.Tuples[base+b]
-			if p.direct {
-				qual := true
-				for i := range p.res {
-					v := t[p.res[i].ord]
-					if v.IsNull() || !p.res[i].satisfies(v) {
-						qual = false
-						break
-					}
-				}
-				if !qual {
-					bm[w] &^= 1 << uint(b)
-					continue
-				}
-			} else if !p.exact {
-				qual, perr := a.pred(t)
-				if perr != nil {
-					rollbackInPlace(rel, bm, a.setCols, undo)
-					sc.Vals = undo[:0]
-					return true, perr
-				}
-				if !qual {
-					bm[w] &^= 1 << uint(b)
-					continue
-				}
-			}
-			for j, ord := range a.setCols {
-				v, ferr := a.setFns[j](t)
-				if ferr != nil {
-					rollbackInPlace(rel, bm, a.setCols, undo)
-					sc.Vals = undo[:0]
-					return true, ferr
-				}
-				undo = append(undo, t[ord])
-				t[ord] = v
-			}
-		}
-	}
-	sc.Vals = undo[:0]
-	return true, nil
-}
-
-// rollbackInPlace restores the values an aborted single-pass update
-// overwrote. undo holds them in write order — ascending position, SET
-// columns in a.setCols order — and rows that failed qualification had
-// their bits cleared before any write, so replaying the bitmap
-// ascending for exactly len(undo) values puts every one back.
-func rollbackInPlace(rel *storage.Relation, bm []uint64, setCols []int, undo []types.Value) {
-	i := 0
-	for w, bw := range bm {
-		if i == len(undo) {
-			return
-		}
-		base := w << 6
-		for bw != 0 {
-			b := bits.TrailingZeros64(bw)
-			bw &= bw - 1
-			t := rel.Tuples[base+b]
-			for _, ord := range setCols {
-				if i == len(undo) {
-					return
-				}
-				t[ord] = undo[i]
-				i++
-			}
-		}
-	}
 }
 
 // runIndexedDelete applies a DELETE through its bound plan. Candidates
 // always include the NULL positions: θ = NULL removes the tuple under
-// σ_{¬θ}. Survivors keep their relative order in a fresh compacted
-// slice (slice-header surgery only), and the indexes renumber in one
-// pass.
+// σ_{¬θ}. A direct plan removes a candidate iff θ ∈ {true, NULL} — no
+// conjunct is false, so every constrained column is NULL or satisfies
+// its constraint (the chosen column's candidates already are its
+// interval plus its NULLs); a residual plan removes it iff ¬θ is not
+// true. Survivors keep their relative order in a fresh compacted slice
+// (slice-header surgery only), and the indexes renumber in one pass.
 func runIndexedDelete(rel *storage.Relation, relName string, ix *storage.IndexSet, a *applyAnalysis, p *boundPlan) (applied bool, err error) {
 	if p.empty {
 		return true, nil
 	}
-	bm, count, ok := p.probe(ix, len(rel.Tuples), true)
+	bm, _, ok := p.probe(ix, len(rel.Tuples), true)
 	if !ok {
 		return false, nil
 	}
-	// The probe's position buffer is free again once the bitmap is
-	// built; reuse it for the removal list (both live in the set's
-	// scratch, consumed before the next statement).
+	residual, err := p.residual(a)
+	if err != nil {
+		return false, nil
+	}
 	sc := ix.Scratch()
-	removed := sc.Pos[:0]
-	if cap(removed) < count {
-		removed = make([]int32, 0, count)
+	removed, _, err := p.touched(rel, sc, candidates(bm, sc), residual, nil, true)
+	if err != nil {
+		return true, err
 	}
-	for w, bw := range bm {
-		base := w << 6
-		for bw != 0 {
-			b := bits.TrailingZeros64(bw)
-			bw &= bw - 1
-			pos := base + b
-			if p.exact {
-				removed = append(removed, int32(pos))
-				continue
-			}
-			if p.direct {
-				// θ ∈ {true, NULL} ⇔ no conjunct is false ⇔ every
-				// constrained column is NULL or satisfies its
-				// constraint; the chosen column's candidates already
-				// are its interval plus its NULLs.
-				rm := true
-				for i := range p.res {
-					v := rel.Tuples[pos][p.res[i].ord]
-					if !v.IsNull() && !p.res[i].satisfies(v) {
-						rm = false
-						break
-					}
-				}
-				if rm {
-					removed = append(removed, int32(pos))
-				}
-				continue
-			}
-			keep, err := a.keep(rel.Tuples[pos])
-			if err != nil {
-				sc.Pos = removed[:0]
-				return true, err
-			}
-			if !keep {
-				removed = append(removed, int32(pos))
-			}
-		}
-	}
-	sc.Pos = removed[:0]
 	if len(removed) == 0 {
 		return true, nil
 	}
@@ -887,21 +792,15 @@ func (d *Delete) ApplyIndexed(db *storage.Database, ix *storage.IndexSet) error 
 }
 
 // ApplyIndexed implements storage.IndexedMutator for INSERT VALUES:
-// the plain append plus delta-wise index maintenance for exactly the
-// rows that made it in (matching Apply's partial-append behavior on an
-// arity error).
+// the plain append plus delta-wise index maintenance for its rows.
 func (i *InsertValues) ApplyIndexed(db *storage.Database, ix *storage.IndexSet) error {
 	rel, err := db.Relation(i.Rel)
 	if err != nil {
 		return err
 	}
 	first := len(rel.Tuples)
-	for _, t := range i.Rows {
-		if len(t) != rel.Schema.Arity() {
-			ix.NoteAppend(i.Rel, rel, first)
-			return fmt.Errorf("history: INSERT arity %d does not match %s", len(t), rel.Schema)
-		}
-		rel.Tuples = append(rel.Tuples, t.Clone())
+	if err := i.Apply(db); err != nil {
+		return err
 	}
 	ix.NoteAppend(i.Rel, rel, first)
 	return nil

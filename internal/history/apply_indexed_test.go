@@ -99,7 +99,7 @@ func TestIndexedApplyEquivalence(t *testing.T) {
 		trials = 8
 	}
 	for trial := 0; trial < trials; trial++ {
-		rows := []int{40, 300, 700}[rng.Intn(3)]
+		rows := []int{40, 300, 700, 1023, 1025, 2100}[rng.Intn(6)]
 		base := randomApplyDB(rng, rows)
 		naiveDB := base.Clone()
 		fastDB := base.Clone()
@@ -255,15 +255,15 @@ func TestIndexedApplyUnderConcurrentReaders(t *testing.T) {
 }
 
 // errorProneDB builds relation r at index-building scale with
-// controlled payloads: k = i, v = i+1 except v = 0 at row 400, g = "a"
-// everywhere. A division by v errors mid-relation, after hundreds of
-// earlier rows have already qualified and evaluated.
-func errorProneDB(rows int) *storage.Database {
+// controlled payloads: k = i, v = i+1 except v = 0 at row zeroAt, g =
+// "a" everywhere. A division by v errors mid-relation, after hundreds
+// of earlier rows have already qualified and evaluated.
+func errorProneDB(rows, zeroAt int) *storage.Database {
 	db := storage.NewDatabase()
 	r := storage.NewRelation(schema.New("r", applyCols()...))
 	for i := 0; i < rows; i++ {
 		v := int64(i + 1)
-		if i == 400 {
+		if i == zeroAt {
 			v = 0
 		}
 		r.Add(schema.NewTuple(types.Int(int64(i)), types.Int(v), types.String("a")))
@@ -273,34 +273,41 @@ func errorProneDB(rows int) *storage.Database {
 }
 
 // TestIndexedApplyErrorRollsBack pins the all-or-nothing guarantee of
-// the indexed apply path — in particular the single-pass in-place
-// commit's undo log: an evaluation error mid-relation, after earlier
-// qualified rows were already rewritten in place, must leave the state
-// byte-for-byte untouched. A failed statement never enters the
-// history, so the tip must stay exactly the pre-statement state.
+// the indexed apply path: an evaluation error mid-relation, after
+// earlier qualified rows evaluated cleanly — past 1024 candidates,
+// whole earlier batches of them — must leave the state byte-for-byte
+// untouched. A failed statement never enters the history, so the tip
+// must stay exactly the pre-statement state.
 func TestIndexedApplyErrorRollsBack(t *testing.T) {
 	whereA := func() expr.Expr { return expr.Eq(expr.Column("g"), expr.StringConst("a")) }
 	divByV := func() expr.Expr { return expr.Div(expr.IntConst(100), expr.Column("v")) }
 	cases := []struct {
-		name string
-		st   Statement
+		name         string
+		rows, zeroAt int
+		st           Statement
 	}{
-		{"single SET, exact plan", &Update{Rel: "r",
+		{"single SET, exact plan", 600, 400, &Update{Rel: "r",
 			Set:   []SetClause{{Col: "v", E: divByV()}},
 			Where: whereA()}},
-		{"multi SET, error after first column written", &Update{Rel: "r",
+		{"multi SET, error after first column written", 600, 400, &Update{Rel: "r",
 			Set: []SetClause{
 				{Col: "k", E: expr.Add(expr.Column("k"), expr.IntConst(1))},
 				{Col: "v", E: divByV()},
 			},
 			Where: whereA()}},
-		{"residual predicate error after earlier writes", &Update{Rel: "r",
+		{"residual predicate error after earlier writes", 600, 400, &Update{Rel: "r",
+			Set:   []SetClause{{Col: "v", E: expr.Add(expr.Column("v"), expr.IntConst(1))}},
+			Where: expr.AndOf(whereA(), expr.Ge(divByV(), expr.IntConst(0)))}},
+		{"single SET, error past the first 1024 candidates", 2100, 1500, &Update{Rel: "r",
+			Set:   []SetClause{{Col: "v", E: divByV()}},
+			Where: whereA()}},
+		{"residual predicate error past the first 1024 candidates", 2100, 1500, &Update{Rel: "r",
 			Set:   []SetClause{{Col: "v", E: expr.Add(expr.Column("v"), expr.IntConst(1))}},
 			Where: expr.AndOf(whereA(), expr.Ge(divByV(), expr.IntConst(0)))}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			db := errorProneDB(600)
+			db := errorProneDB(tc.rows, tc.zeroAt)
 			ix := storage.NewIndexSet()
 			// Build the hash index on g through a no-op delete so the
 			// failing statement probes a maintained index rather than
@@ -331,14 +338,12 @@ func TestIndexedApplyErrorRollsBack(t *testing.T) {
 	}
 }
 
-// TestIndexedApplySeqUnsafeSetVector pins the staging requirement
-// behind the single-pass commit's seqSafe gate: the reference loop
-// evaluates the whole SET vector against the pre-update tuple, so a
-// SET expression reading a column an earlier SET clause writes must
-// see the original value — such statements must stage, not write
-// sequentially in place.
+// TestIndexedApplySeqUnsafeSetVector pins why the indexed path stages
+// before it writes: the reference loop evaluates the whole SET vector
+// against the pre-update tuple, so a SET expression reading a column
+// an earlier SET clause writes must see the original value.
 func TestIndexedApplySeqUnsafeSetVector(t *testing.T) {
-	db := errorProneDB(600)
+	db := errorProneDB(600, 400)
 	naive := db.Clone()
 	ix := storage.NewIndexSet()
 	st := &Update{Rel: "r",

@@ -120,6 +120,26 @@ func TestInsertValuesApply(t *testing.T) {
 	if err := bad.Apply(db); err == nil {
 		t.Error("arity mismatch accepted")
 	}
+	// Rejected at its second row, a statement must leave no row of it
+	// behind — in a plain Apply and in the versioned tip, which a failed
+	// statement never enters.
+	late := &InsertValues{Rel: "orders", Rows: []schema.Tuple{
+		{types.Int(16), types.String("DE"), types.Int(80), types.Int(3)},
+		{types.Int(17)},
+	}}
+	want := db.Clone()
+	if err := late.Apply(db); err == nil {
+		t.Fatal("arity mismatch in a later row accepted")
+	}
+	requireDatabasesEqual(t, "after rejected Apply", want, db)
+	vdb := storage.NewVersioned(ordersDB())
+	if err := vdb.Apply(late); err == nil {
+		t.Fatal("versioned store accepted an arity mismatch")
+	}
+	if n := vdb.NumVersions(); n != 0 {
+		t.Fatalf("rejected statement logged: %d versions", n)
+	}
+	requireDatabasesEqual(t, "versioned tip after rejected INSERT", ordersDB(), vdb.Current())
 }
 
 func TestInsertQueryApply(t *testing.T) {

@@ -241,7 +241,8 @@ func (d *Delete) applyNaive(rel *storage.Relation) error {
 	return nil
 }
 
-// Apply implements Eq. 3.
+// Apply implements Eq. 3. Every row's arity is checked before any row
+// is appended, so a rejected statement leaves the relation untouched.
 func (i *InsertValues) Apply(db *storage.Database) error {
 	rel, err := db.Relation(i.Rel)
 	if err != nil {
@@ -251,6 +252,8 @@ func (i *InsertValues) Apply(db *storage.Database) error {
 		if len(t) != rel.Schema.Arity() {
 			return fmt.Errorf("history: INSERT arity %d does not match %s", len(t), rel.Schema)
 		}
+	}
+	for _, t := range i.Rows {
 		rel.Tuples = append(rel.Tuples, t.Clone())
 	}
 	return nil

@@ -325,6 +325,16 @@ func TestAppendApplyFailureRollsBack(t *testing.T) {
 	if err == nil || v != 2 {
 		t.Fatalf("partial batch: version %d err %v", v, err)
 	}
+	// An INSERT rejected at its second row leaves no row in the live tip.
+	before := dbState(s.Database())
+	v, err = s.Append(ctx, []history.Statement{sql.MustParseStatement(
+		"INSERT INTO orders VALUES (90, 1.5, 'x', true), (91)")})
+	if err == nil || v != 2 {
+		t.Fatalf("rejected INSERT: version %d err %v", v, err)
+	}
+	if got := dbState(s.Database()); got != before {
+		t.Fatalf("rejected INSERT changed the live tip:\n%s\nwant:\n%s", got, before)
+	}
 	want := dbState(s.Database())
 	s.Close()
 	re, err := Open(dir, Options{})

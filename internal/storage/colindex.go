@@ -712,17 +712,29 @@ type IndexSet struct {
 }
 
 // ApplyScratch is reusable per-set working memory for the indexed
-// apply path: probe position buffers, candidate bitmaps, and SET value
-// staging. It lives on the IndexSet because the set is exclusively
-// owned by one state's apply stream, so reuse across statements is
-// race-free by the same contract that lets the indexes themselves go
-// unlocked. Nothing in here survives a statement: values staged in
-// Vals are copied into fresh rows before commit, and Pos/bitmap
-// contents are consumed within the apply that produced them.
+// apply path: probe position buffers, candidate bitmaps, a chunk of
+// candidate rows with their residual flags, and SET value staging. It
+// lives on the IndexSet because the set is exclusively owned by one
+// state's apply stream, so reuse across statements is race-free by the
+// same contract that lets the indexes themselves go unlocked. Nothing
+// in here survives a statement: values staged in Vals are copied into
+// the relation's rows at commit, and Pos/Rows/bitmap/flag contents are
+// consumed within the apply that produced them.
 type ApplyScratch struct {
-	Pos  []int32
-	Vals []types.Value
-	bits []uint64
+	Pos   []int32
+	Rows  []schema.Tuple
+	Vals  []types.Value
+	bits  []uint64
+	flags []bool
+}
+
+// Flags returns n flags (contents unspecified), reusing the scratch
+// allocation when it is large enough.
+func (sc *ApplyScratch) Flags(n int) []bool {
+	if cap(sc.flags) < n {
+		sc.flags = make([]bool, n)
+	}
+	return sc.flags[:n]
 }
 
 // Bitmap returns a zeroed bitmap of the given word count, reusing the
