@@ -10,7 +10,7 @@
 //   - Expressions compile into batch kernels over column ordinals: every
 //     attribute reference is resolved against the input schema once, at
 //     compile time. They are the executor's one expression compiler:
-//     package history's indexed statement application runs the same
+//     package history's statement application runs the same
 //     kernels over the candidate rows it gathers (TupleKernel).
 //
 //   - Operators exchange 1024-row column-major batches with selection

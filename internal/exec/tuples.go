@@ -12,9 +12,9 @@ import (
 
 // TupleKernel evaluates a condition and a vector of scalar expressions
 // over rows the caller gathers, through the batch kernels a Program
-// runs. Package history's indexed statement application evaluates an
-// UPDATE's residual θ and SET vector, or a DELETE's ¬θ, over the
-// candidate rows an index probe selected. Rows are transposed a batch
+// runs. Package history's statement application evaluates an UPDATE's
+// residual θ and SET vector, or a DELETE's ¬θ, over the candidate rows
+// an index probe or a scan selected. Rows are transposed a batch
 // at a time, and only the columns the expressions read. Column
 // references resolve against the schema the kernel was compiled for,
 // so it evaluates the rows of any layout-equal relation. A TupleKernel

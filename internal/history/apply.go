@@ -1,10 +1,14 @@
-// Indexed incremental statement application: UPDATE and DELETE select
-// their candidate rows through the per-column secondary indexes of a
-// storage.IndexSet and touch only those rows in place, and both insert
-// flavors append with delta-wise index maintenance — O(affected rows)
-// per statement instead of a full scan plus rematerialization of the
-// relation. This is the apply path behind storage.ApplyMutator, used
-// for the versioned store's tip and for replay-private index sets.
+// Statement application: UPDATE and DELETE run one pipeline wherever
+// they apply — the live tip, time-travel replay, crash recovery and the
+// naive algorithm's history execution. A plan picks the candidate rows:
+// an index probe through the per-column secondary indexes of a
+// storage.IndexSet when the WHERE clause binds one, every row position
+// (the scan plan) otherwise, and always for a plain Apply, which has no
+// index set. The executor's batch kernels (exec.TupleKernel) evaluate
+// the residual condition and the SET vector over the candidates, every
+// value is staged before any is written, and the write goes in place or
+// through fresh rows whose delta-wise index maintenance keeps the set
+// valid. Both insert flavors append with delta-wise index maintenance.
 //
 // Correctness is anchored to the naive loops' left-to-right And
 // evaluation with short-circuit on false only (expr.evalAndOr):
@@ -17,19 +21,18 @@
 // constant (certified by the column index itself). Rows whose indexed
 // column is NULL never short-circuit the conjunction (NULL is not
 // false), so they stay candidates and take the residual predicate: the
-// full WHERE, evaluated over the candidates by the executor's batch
-// kernels (exec.TupleKernel) under expr.Satisfied's semantics.
-// DELETE's asymmetry is preserved: a condition evaluating to NULL
-// removes the tuple (σ_{¬θ} keeps only ¬θ = true), so even exact
-// delete plans remove the NULL positions alongside the key interval.
-// Statements outside the indexable subset fall back to the compiled /
-// naive full application and invalidate the relation's indexes, so
-// routing changes speed, never observable behavior — pinned by the
+// full WHERE, evaluated over the candidates by the batch kernels under
+// expr.Satisfied's semantics. DELETE's asymmetry is preserved: a
+// condition evaluating to NULL removes the tuple (σ_{¬θ} keeps only
+// ¬θ = true), so even exact delete plans remove the NULL positions
+// alongside the key interval. A condition or SET expression outside the
+// kernel compiler's subset (a symbolic variable) takes the naive loops,
+// and only that fallback invalidates the relation's indexes, so routing
+// changes speed, never observable behavior — pinned by the
 // every-version differential property tests.
 package history
 
 import (
-	"fmt"
 	"math/bits"
 	"strings"
 	"sync"
@@ -40,6 +43,68 @@ import (
 	"github.com/mahif/mahif/internal/storage"
 	"github.com/mahif/mahif/internal/types"
 )
+
+// planMemo caches a statement's apply plan. Statements are immutable
+// once logged but replayed many times (every VersionCtx / snapshot
+// extension walks the redo log), so the analysis — the index-independent
+// half of the plan, with its compiled kernels — is computed once per
+// schema layout: database clones carry fresh *Schema values, and
+// kernels compiled against one layout run against any layout-equal
+// relation (they address column ordinals; runtime dispatch is
+// value-kind based). The bound plan additionally depends on WHICH
+// indexes exist, so its key is the IndexSet's identity and availability
+// epoch: a plan bound when an index existed (or was known absent) is
+// stale the moment availability changes — builds, drops, and
+// invalidations all bump the epoch — and schema layout alone could
+// never detect that. Only successful bindings are cached; a nil bind
+// re-checks on the next Apply (it is a handful of map lookups) so an
+// index built later is picked up without any epoch traffic.
+type planMemo struct {
+	mu        sync.Mutex
+	anaSch    *schema.Schema
+	ana       *applyAnalysis
+	bindIx    *storage.IndexSet
+	bindEpoch uint64
+	bound     *boundPlan
+}
+
+// analysis returns the cached analysis for a layout-equal schema,
+// computing and caching it (nil included) on layout change.
+func (m *planMemo) analysis(sch *schema.Schema, build func() *applyAnalysis) *applyAnalysis {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.anaSch != nil && m.anaSch.Equal(sch) {
+		return m.ana
+	}
+	m.anaSch, m.ana = sch, build()
+	// A new layout invalidates any bound plan regardless of epoch.
+	m.bindIx, m.bound = nil, nil
+	return m.ana
+}
+
+// plan returns the plan for rel: the index plan bound against ix at its
+// current availability epoch, rebinding when the set or its epoch
+// moved, or the scan plan when ix is nil (a plain Apply never builds an
+// index) or no index binds.
+func (m *planMemo) plan(a *applyAnalysis, ix *storage.IndexSet, relName string, rel *storage.Relation) *boundPlan {
+	if ix == nil {
+		return scanPlan
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.bound != nil && m.bindIx == ix && m.bindEpoch == ix.Epoch() {
+		return m.bound
+	}
+	m.bindIx, m.bound = nil, nil
+	p := bindPlan(a, ix, relName, rel)
+	if p == nil {
+		return scanPlan
+	}
+	// Binding may have built indexes (bumping the epoch); key the cache
+	// on the post-build epoch.
+	m.bindIx, m.bindEpoch, m.bound = ix, ix.Epoch(), p
+	return p
+}
 
 // conjunct classification ----------------------------------------------------
 
@@ -59,10 +124,10 @@ type conjunct struct {
 }
 
 // applyAnalysis is the schema-keyed, index-independent half of an
-// indexed apply plan: the flattened conjuncts of the WHERE clause in
+// apply plan: the flattened conjuncts of the WHERE clause in
 // evaluation order plus the compiled kernels, which every replay of the
-// statement shares. nil analysis (cached as such) means the statement
-// is outside the indexable subset.
+// statement shares. A nil analysis (cached as such) means the SET
+// vector is outside the kernel compiler's subset.
 type applyAnalysis struct {
 	conj []conjunct
 	del  bool // a DELETE
@@ -71,9 +136,9 @@ type applyAnalysis struct {
 	setCols []int
 	set     *exec.TupleKernel
 	// cond is the residual condition over sch: θ for an UPDATE, ¬θ for a
-	// DELETE (a candidate survives iff true). Only residual plans
-	// evaluate it, and most plans are direct, so residual compiles it on
-	// first use.
+	// DELETE (a candidate survives iff true). Only residual and scan
+	// plans evaluate it, and most tip plans are direct, so residual
+	// compiles it on first use.
 	cond    expr.Expr
 	sch     *schema.Schema
 	resOnce sync.Once
@@ -100,39 +165,24 @@ func flattenAnd(e expr.Expr, out []expr.Expr) []expr.Expr {
 }
 
 // classifyConjunct maps one conjunct to its planner classification.
-// ok=false rejects the whole statement from the indexed subset.
-func classifyConjunct(e expr.Expr, s *schema.Schema) (conjunct, bool) {
+// A NULL or non-boolean constant and col ∘ NULL are opaque: none ever
+// short-circuits the conjunction (NULL is not false, a non-boolean
+// errors row-wise), so no index can exclude a row on their account and
+// the residual kernel evaluates them.
+func classifyConjunct(e expr.Expr, s *schema.Schema) conjunct {
 	switch x := e.(type) {
 	case *expr.Const:
-		if x.V.IsTrue() {
-			// Neutral conjunct; the caller drops it.
-			return conjunct{kind: ckOpaque, col: -1}, false
-		}
 		if !x.V.IsNull() && x.V.Kind() == types.KindBool && !x.V.AsBool() {
-			return conjunct{kind: ckFalse}, true
+			return conjunct{kind: ckFalse}
 		}
-		// A NULL or non-boolean constant conjunct: NULL never
-		// short-circuits (DELETE would remove every row), non-boolean
-		// errors row-wise. Leave both to the reference loops.
-		return conjunct{}, false
 	case *expr.Cmp:
-		col, k, op, ok := simpleCmp(x)
-		if !ok {
-			return conjunct{kind: ckOpaque, col: -1}, true
+		if col, k, op, ok := simpleCmp(x); ok && !k.IsNull() {
+			if ord := s.ColIndex(col); ord >= 0 {
+				return conjunct{kind: ckSimple, col: ord, op: op, k: k}
+			}
 		}
-		if k.IsNull() {
-			// col ∘ NULL evaluates NULL on every row: harmless for
-			// UPDATE but it removes every row under DELETE's σ_{¬θ};
-			// no index can express that, so fall back.
-			return conjunct{}, false
-		}
-		ord := s.ColIndex(col)
-		if ord < 0 {
-			return conjunct{}, false
-		}
-		return conjunct{kind: ckSimple, col: ord, op: op, k: k}, true
 	}
-	return conjunct{kind: ckOpaque, col: -1}, true
+	return conjunct{kind: ckOpaque}
 }
 
 // simpleCmp recognizes col ∘ const (either operand order).
@@ -150,37 +200,25 @@ func simpleCmp(c *expr.Cmp) (col string, k types.Value, op expr.CmpOp, ok bool) 
 	return "", types.Value{}, 0, false
 }
 
-// analyzeConjuncts flattens and classifies a WHERE clause; nil means
-// the statement must take the reference loops.
+// analyzeConjuncts flattens and classifies a WHERE clause, dropping
+// neutral TRUE conjuncts.
 func analyzeConjuncts(where expr.Expr, s *schema.Schema) []conjunct {
 	flat := flattenAnd(where, nil)
 	out := make([]conjunct, 0, len(flat))
 	for _, e := range flat {
 		if c, ok := e.(*expr.Const); ok && c.V.IsTrue() {
-			continue // neutral
+			continue
 		}
-		c, ok := classifyConjunct(e, s)
-		if !ok {
-			if c.kind == ckFalse {
-				out = append(out, c)
-				continue
-			}
-			return nil
-		}
-		out = append(out, c)
+		out = append(out, classifyConjunct(e, s))
 	}
 	return out
 }
 
 // analyzeUpdate builds the analysis of an UPDATE (vec is the dense SET
-// vector; identity columns are skipped exactly as the compiled path
-// skips them).
+// vector; identity columns are skipped, since rewriting a column with
+// its own value is unobservable).
 func analyzeUpdate(where expr.Expr, vec []expr.Expr, s *schema.Schema) *applyAnalysis {
-	conj := analyzeConjuncts(where, s)
-	if conj == nil {
-		return nil
-	}
-	a := &applyAnalysis{conj: conj, cond: where, sch: s}
+	a := &applyAnalysis{conj: analyzeConjuncts(where, s), cond: where, sch: s}
 	var set []expr.Expr
 	for i, c := range s.Columns {
 		if col, ok := vec[i].(*expr.Col); ok && strings.EqualFold(col.Name, c.Name) {
@@ -198,21 +236,17 @@ func analyzeUpdate(where expr.Expr, vec []expr.Expr, s *schema.Schema) *applyAna
 
 // analyzeDelete builds the analysis of a DELETE.
 func analyzeDelete(where expr.Expr, s *schema.Schema) *applyAnalysis {
-	conj := analyzeConjuncts(where, s)
-	if conj == nil {
-		return nil
-	}
-	return &applyAnalysis{conj: conj, del: true, cond: expr.Negation(where), sch: s}
+	return &applyAnalysis{conj: analyzeConjuncts(where, s), del: true, cond: expr.Negation(where), sch: s}
 }
 
 // binding --------------------------------------------------------------------
 
 // boundPlan is the index-dependent half of a plan, valid for one
-// IndexSet at one availability epoch (the memo guards on both).
+// IndexSet at one availability epoch (the memo guards on both). A plan
+// without an index (idx nil, not empty) is the scan plan.
 type boundPlan struct {
-	empty  bool // θ is certainly false on every row (constant false conjunct)
-	colOrd int
-	idx    *storage.ColumnIndex
+	empty bool // θ is certainly false on every row (constant false conjunct)
+	idx   *storage.ColumnIndex
 	// direct: every conjunct is a certified constraint — the residual
 	// reduces to value-level checks of the non-chosen constraints (res),
 	// with no compiled predicate and no possibility of evaluation error.
@@ -223,12 +257,11 @@ type boundPlan struct {
 	res    []resCheck
 	eq     *types.Value
 	lo, hi *storage.Bound
-	// noteReplace is false when no built index sits on a SET column:
-	// rewrites then copy every indexed value verbatim and per-row
-	// replace maintenance is provably a no-op, so the commit loop skips
-	// it (the epoch guard re-proves this whenever availability moves).
-	noteReplace bool
 }
+
+// scanPlan is the plan of a statement no index answers: every row
+// position is a candidate, and the residual kernel decides.
+var scanPlan = &boundPlan{}
 
 // resCheck is one non-chosen certified constraint of a direct plan,
 // checked value-wise per candidate row. Certification guarantees the
@@ -358,9 +391,10 @@ func (cc *colConstraint) estimate() int {
 
 // bindPlan walks the conjuncts in evaluation order, certifying the
 // error-free prefix and collecting index constraints, then picks the
-// most selective one. nil means no usable index — note that a nil
-// bind never builds indexes (builds happen only for conjuncts that
-// then become constraints), so falling back cannot thrash builds.
+// most selective one. nil means no usable index — the statement takes
+// the scan plan. A nil bind never builds indexes (builds happen only
+// for conjuncts that then become constraints), so it cannot thrash
+// builds.
 func bindPlan(a *applyAnalysis, ix *storage.IndexSet, relName string, rel *storage.Relation) *boundPlan {
 	var cons []*colConstraint
 	byCol := map[int]*colConstraint{}
@@ -436,8 +470,7 @@ loop:
 		// Contradictory constraints on some column: θ is false on every
 		// row with a non-NULL value there and NULL otherwise. For UPDATE
 		// that is a no-op either way; for DELETE the θ = NULL rows must
-		// still be removed, which no probe shape expresses — reference
-		// path.
+		// still be removed, which no probe shape expresses — scan plan.
 		if a.del {
 			return nil
 		}
@@ -451,14 +484,12 @@ loop:
 	}
 	direct := covered && allConstrained && !neSeen
 	p := &boundPlan{
-		colOrd:      best.col,
-		idx:         best.idx,
-		eq:          best.eq,
-		lo:          best.lo,
-		hi:          best.hi,
-		direct:      direct,
-		exact:       direct && len(cons) == 1,
-		noteReplace: ix.HasIndexOnAny(relName, a.setCols),
+		idx:    best.idx,
+		eq:     best.eq,
+		lo:     best.lo,
+		hi:     best.hi,
+		direct: direct,
+		exact:  direct && len(cons) == 1,
 	}
 	if direct && len(cons) > 1 {
 		for _, cc := range cons {
@@ -473,15 +504,43 @@ loop:
 
 // execution ------------------------------------------------------------------
 
-// probe collects the plan's candidate positions as a bitmap over row
-// positions: iteration order over set bits is ascending by
-// construction, replacing a per-statement sort, and the bitmap plus
-// the position buffer both come from the set's reusable scratch.
-// ok=false means the index could not answer after all (defensive; the
-// caller falls back and invalidates). count bounds the number of
-// candidates (bitmap deduplication can only shrink it).
-func (p *boundPlan) probe(ix *storage.IndexSet, nRows int, withNulls bool) (bm []uint64, count int, ok bool) {
-	sc := ix.Scratch()
+// candidates returns the positions p selects, ascending, in sc's
+// position buffer, together with the plan that selected them. An index
+// plan probes its index into a bitmap over row positions: iteration
+// over set bits is ascending by construction, replacing a
+// per-statement sort. The scan plan — also taken when the index cannot
+// answer the probe after all — selects every position.
+func (p *boundPlan) candidates(sc *storage.ApplyScratch, nRows int, withNulls bool) (*boundPlan, []int32) {
+	var bm []uint64
+	if p.idx != nil {
+		var ok bool
+		if bm, ok = p.probe(sc, nRows, withNulls); !ok {
+			p = scanPlan
+		}
+	}
+	pos := sc.Pos[:0]
+	if p.idx == nil {
+		for i := range nRows {
+			pos = append(pos, int32(i))
+		}
+	}
+	for w, bw := range bm {
+		base := w << 6
+		for bw != 0 {
+			b := bits.TrailingZeros64(bw)
+			bw &= bw - 1
+			pos = append(pos, int32(base+b))
+		}
+	}
+	sc.Pos = pos[:0]
+	return p, pos
+}
+
+// probe collects the index plan's candidates as a bitmap over row
+// positions, from sc's reusable bitmap; the probe's position buffer is
+// free again once the bitmap is built. ok=false means the index could
+// not answer after all.
+func (p *boundPlan) probe(sc *storage.ApplyScratch, nRows int, withNulls bool) (bm []uint64, ok bool) {
 	buf := sc.Pos[:0]
 	var cand []int32
 	if p.eq != nil {
@@ -493,33 +552,16 @@ func (p *boundPlan) probe(ix *storage.IndexSet, nRows int, withNulls bool) (bm [
 		sc.Pos = cand[:0] // keep the (possibly grown) backing array
 	}
 	if !ok {
-		return nil, 0, false
+		return nil, false
 	}
 	bm = sc.Bitmap((nRows + 63) / 64)
 	for _, pos := range cand {
 		if pos < 0 || int(pos) >= nRows {
-			return nil, 0, false
+			return nil, false
 		}
 		bm[pos>>6] |= 1 << (uint(pos) & 63)
 	}
-	return bm, len(cand), true
-}
-
-// candidates lists the bitmap's set positions in ascending order, in
-// the set's scratch: the probe's position buffer is free again once the
-// bitmap is built.
-func candidates(bm []uint64, sc *storage.ApplyScratch) []int32 {
-	pos := sc.Pos[:0]
-	for w, bw := range bm {
-		base := w << 6
-		for bw != 0 {
-			b := bits.TrailingZeros64(bw)
-			bw &= bw - 1
-			pos = append(pos, int32(base+b))
-		}
-	}
-	sc.Pos = pos[:0]
-	return pos
+	return bm, true
 }
 
 // resHold reports whether every non-chosen constraint of a direct plan
@@ -542,8 +584,8 @@ func (p *boundPlan) resHold(t schema.Tuple, del bool) bool {
 }
 
 // residual returns a's residual kernel when p needs one — nil for a
-// direct plan. An error means the condition is outside the compilable
-// subset, and the statement takes the full application instead.
+// direct plan. An error means the condition is outside the kernel
+// compiler's subset, and the statement takes the naive loop instead.
 func (p *boundPlan) residual(a *applyAnalysis) (*exec.TupleKernel, error) {
 	if p.direct {
 		return nil, nil
@@ -558,8 +600,8 @@ func (p *boundPlan) residual(a *applyAnalysis) (*exec.TupleKernel, error) {
 // to the relation, so an evaluation error leaves the state as it was;
 // it errors iff the reference loop errors. Exact plans touch every
 // candidate, direct plans the candidates whose remaining constraints
-// hold (resHold), residual plans the rows where the residual kernel's
-// condition holds — θ for an UPDATE — or, for a DELETE (del), where it
+// hold (resHold), residual and scan plans the rows where the residual
+// kernel's condition holds — θ for an UPDATE — or, for a DELETE (del), where it
 // does not (¬θ, kept iff true).
 func (p *boundPlan) touched(rel *storage.Relation, sc *storage.ApplyScratch, cand []int32, residual, set *exec.TupleKernel, del bool) ([]int32, []types.Value, error) {
 	vals := sc.Vals[:0]
@@ -605,44 +647,50 @@ func (p *boundPlan) touched(rel *storage.Relation, sc *storage.ApplyScratch, can
 	return cand[:n], vals, nil
 }
 
-// runIndexedUpdate applies an UPDATE through its bound plan: probe the
-// candidates, evaluate residual θ and the SET vector over them
-// (errors iff the reference loop errors), and stage every value before
-// writing any, so an evaluation error leaves the state untouched,
-// exactly as a failed statement must (it never enters the history).
-// When no index sits on a SET column the staged values are written
-// into the resident tuples in place — safe because the indexed apply
-// path only ever runs against privately owned states (see
-// storage.ApplyMutator) whose shared views are deep clones. When an
-// index must observe the rewrite, fresh rows are carved from an arena
-// so maintenance sees distinct old/new tuples.
-func runIndexedUpdate(rel *storage.Relation, relName string, ix *storage.IndexSet, a *applyAnalysis, p *boundPlan) (applied bool, err error) {
+// scratch returns ix's reusable apply scratch, or a private one for a
+// plain Apply: concurrent plain applies of one statement share its
+// analysis but never a scratch.
+func scratch(ix *storage.IndexSet) *storage.ApplyScratch {
+	if ix == nil {
+		return &storage.ApplyScratch{}
+	}
+	return ix.Scratch()
+}
+
+// runUpdate applies an UPDATE through plan p (ix is nil for a plain
+// Apply): gather the candidates, evaluate residual θ and the SET vector
+// over them (errors iff the reference loop errors), and stage every
+// value before writing any, so an evaluation error leaves the state
+// untouched, exactly as a failed statement must (it never enters the
+// history). When no index sits on a SET column the staged values are
+// written into the resident tuples in place — safe because statements
+// only ever apply to privately owned states (see storage.Mutator) whose
+// shared views are deep clones. When an index must observe the
+// rewrite, fresh rows are carved from an arena so maintenance sees
+// distinct old/new tuples. done is false when the residual condition
+// is outside the kernel compiler's subset.
+func runUpdate(rel *storage.Relation, relName string, ix *storage.IndexSet, a *applyAnalysis, p *boundPlan) (done bool, err error) {
 	if p.empty {
 		return true, nil
 	}
-	// Exact plans touch only rows certainly satisfying θ; residual
-	// plans must include NULL-keyed rows (NULL never short-circuits
-	// the conjunction, so later conjuncts still evaluate on them).
-	// Direct plans (every conjunct a certified constraint) exclude
-	// NULL-keyed rows from the probe: some constrained column is NULL ⇒
-	// that conjunct is NULL ⇒ θ is not true, and certification
-	// guarantees skipping the row cannot hide an evaluation error.
-	// Residual plans must include them — NULL never short-circuits the
-	// conjunction, so the compiled θ still evaluates on them.
-	bm, count, ok := p.probe(ix, len(rel.Tuples), !p.direct)
-	if !ok {
-		return false, nil
-	}
-	sc := ix.Scratch()
+	// Exact plans touch only rows certainly satisfying θ. Direct plans
+	// (every conjunct a certified constraint) exclude NULL-keyed rows
+	// from the probe: some constrained column is NULL ⇒ that conjunct is
+	// NULL ⇒ θ is not true, and certification guarantees skipping the
+	// row cannot hide an evaluation error. Residual plans must include
+	// them — NULL never short-circuits the conjunction, so the compiled
+	// θ still evaluates on them.
+	sc := scratch(ix)
+	p, cand := p.candidates(sc, len(rel.Tuples), !p.direct)
 	nset := len(a.setCols)
-	if cap(sc.Vals) < count*nset {
-		sc.Vals = make([]types.Value, 0, count*nset)
+	if p.idx != nil && cap(sc.Vals) < len(cand)*nset {
+		sc.Vals = make([]types.Value, 0, len(cand)*nset)
 	}
 	residual, err := p.residual(a)
 	if err != nil {
 		return false, nil
 	}
-	pos, vals, err := p.touched(rel, sc, candidates(bm, sc), residual, a.set, false)
+	pos, vals, err := p.touched(rel, sc, cand, residual, a.set, false)
 	if err != nil {
 		return true, err
 	}
@@ -651,13 +699,10 @@ func runIndexedUpdate(rel *storage.Relation, relName string, ix *storage.IndexSe
 		// back value-identical contents has no observable effect.
 		return true, nil
 	}
-	if !p.noteReplace {
+	if ix == nil || !ix.HasIndexOnAny(relName, a.setCols) {
 		// No index sits on a SET column, so the rewrite cannot move an
 		// indexed key: write the staged values into the resident tuples
-		// directly. The private-ownership contract of the indexed apply
-		// path (see storage.ApplyMutator) makes this invisible — every
-		// shared view of the state is a deep clone, so no reader holds
-		// these tuple objects.
+		// directly.
 		for i, at := range pos {
 			t := rel.Tuples[at]
 			for j, ord := range a.setCols {
@@ -685,28 +730,26 @@ func runIndexedUpdate(rel *storage.Relation, relName string, ix *storage.IndexSe
 	return true, nil
 }
 
-// runIndexedDelete applies a DELETE through its bound plan. Candidates
-// always include the NULL positions: θ = NULL removes the tuple under
-// σ_{¬θ}. A direct plan removes a candidate iff θ ∈ {true, NULL} — no
-// conjunct is false, so every constrained column is NULL or satisfies
-// its constraint (the chosen column's candidates already are its
-// interval plus its NULLs); a residual plan removes it iff ¬θ is not
-// true. Survivors keep their relative order in a fresh compacted slice
-// (slice-header surgery only), and the indexes renumber in one pass.
-func runIndexedDelete(rel *storage.Relation, relName string, ix *storage.IndexSet, a *applyAnalysis, p *boundPlan) (applied bool, err error) {
+// runDelete applies a DELETE through plan p (ix is nil for a plain
+// Apply). Index candidates always include the NULL positions: θ = NULL
+// removes the tuple under σ_{¬θ}. A direct plan removes a candidate iff
+// θ ∈ {true, NULL} — no conjunct is false, so every constrained column
+// is NULL or satisfies its constraint (the chosen column's candidates
+// already are its interval plus its NULLs); residual and scan plans
+// remove it iff ¬θ is not true. Survivors keep their relative order in
+// a fresh compacted slice (slice-header surgery only), and the indexes
+// renumber in one pass. done is as for runUpdate.
+func runDelete(rel *storage.Relation, relName string, ix *storage.IndexSet, a *applyAnalysis, p *boundPlan) (done bool, err error) {
 	if p.empty {
 		return true, nil
 	}
-	bm, _, ok := p.probe(ix, len(rel.Tuples), true)
-	if !ok {
-		return false, nil
-	}
+	sc := scratch(ix)
+	p, cand := p.candidates(sc, len(rel.Tuples), true)
 	residual, err := p.residual(a)
 	if err != nil {
 		return false, nil
 	}
-	sc := ix.Scratch()
-	removed, _, err := p.touched(rel, sc, candidates(bm, sc), residual, nil, true)
+	removed, _, err := p.touched(rel, sc, cand, residual, nil, true)
 	if err != nil {
 		return true, err
 	}
@@ -723,14 +766,22 @@ func runIndexedDelete(rel *storage.Relation, relName string, ix *storage.IndexSe
 		keep = append(keep, t)
 	}
 	rel.Tuples = keep
-	ix.NoteDelete(relName, removed)
+	if ix != nil {
+		ix.NoteDelete(relName, removed)
+	}
 	return true, nil
 }
 
 // statement entry points -----------------------------------------------------
 
-// ApplyIndexed implements storage.IndexedMutator for UPDATE.
+// ApplyIndexed implements storage.Mutator for UPDATE.
 func (u *Update) ApplyIndexed(db *storage.Database, ix *storage.IndexSet) error {
+	return u.apply(db, ix)
+}
+
+// apply validates the statement and runs its plan, with the naive loop
+// as the fallback outside the kernel compiler's subset.
+func (u *Update) apply(db *storage.Database, ix *storage.IndexSet) error {
 	rel, err := db.Relation(u.Rel)
 	if err != nil {
 		return err
@@ -750,24 +801,26 @@ func (u *Update) ApplyIndexed(db *storage.Database, ix *storage.IndexSet) error 
 	if a := u.memo.analysis(rel.Schema, func() *applyAnalysis {
 		return analyzeUpdate(u.Where, vec, rel.Schema)
 	}); a != nil {
-		if p := u.memo.bind(a, ix, u.Rel, rel); p != nil {
-			if applied, err := runIndexedUpdate(rel, u.Rel, ix, a, p); applied {
-				return err
-			}
+		if done, err := runUpdate(rel, u.Rel, ix, a, u.memo.plan(a, ix, u.Rel, rel)); done {
+			return err
 		}
 	}
-	// Full application rematerializes (or partially mutates, in the
-	// naive error case) the relation, after which the indexes can no
-	// longer vouch for row positions.
-	defer ix.Invalidate(u.Rel)
-	if done, err := u.applyCompiled(db, rel, vec); done {
-		return err
+	// The naive loop rewrites rows (and, failing midway, leaves some
+	// rewritten) outside the maintained path, after which the indexes
+	// can no longer vouch for the relation.
+	if ix != nil {
+		defer ix.Invalidate(u.Rel)
 	}
 	return u.applyNaive(rel, vec)
 }
 
-// ApplyIndexed implements storage.IndexedMutator for DELETE.
+// ApplyIndexed implements storage.Mutator for DELETE.
 func (d *Delete) ApplyIndexed(db *storage.Database, ix *storage.IndexSet) error {
+	return d.apply(db, ix)
+}
+
+// apply is Update.apply for DELETE.
+func (d *Delete) apply(db *storage.Database, ix *storage.IndexSet) error {
 	rel, err := db.Relation(d.Rel)
 	if err != nil {
 		return err
@@ -775,56 +828,42 @@ func (d *Delete) ApplyIndexed(db *storage.Database, ix *storage.IndexSet) error 
 	if err := expr.Validate(d.Where, rel.Schema); err != nil {
 		return err
 	}
-	if a := d.memo.analysis(rel.Schema, func() *applyAnalysis {
+	a := d.memo.analysis(rel.Schema, func() *applyAnalysis {
 		return analyzeDelete(d.Where, rel.Schema)
-	}); a != nil {
-		if p := d.memo.bind(a, ix, d.Rel, rel); p != nil {
-			if applied, err := runIndexedDelete(rel, d.Rel, ix, a, p); applied {
-				return err
-			}
-		}
-	}
-	defer ix.Invalidate(d.Rel)
-	if done, err := d.applyCompiled(db, rel); done {
+	})
+	if done, err := runDelete(rel, d.Rel, ix, a, d.memo.plan(a, ix, d.Rel, rel)); done {
 		return err
+	}
+	if ix != nil {
+		defer ix.Invalidate(d.Rel)
 	}
 	return d.applyNaive(rel)
 }
 
-// ApplyIndexed implements storage.IndexedMutator for INSERT VALUES:
-// the plain append plus delta-wise index maintenance for its rows.
+// ApplyIndexed implements storage.Mutator for INSERT VALUES: the plain
+// append plus delta-wise index maintenance for its rows.
 func (i *InsertValues) ApplyIndexed(db *storage.Database, ix *storage.IndexSet) error {
-	rel, err := db.Relation(i.Rel)
-	if err != nil {
-		return err
-	}
-	first := len(rel.Tuples)
-	if err := i.Apply(db); err != nil {
-		return err
-	}
-	ix.NoteAppend(i.Rel, rel, first)
-	return nil
+	return applyAppend(db, ix, i.Rel, i.Apply)
 }
 
-// ApplyIndexed implements storage.IndexedMutator for INSERT…SELECT:
-// the query still evaluates through the executor, but the appended
-// rows maintain the target's indexes instead of invalidating them.
+// ApplyIndexed implements storage.Mutator for INSERT…SELECT: the query
+// still evaluates through the executor, but the appended rows maintain
+// the target's indexes instead of invalidating them.
 func (i *InsertQuery) ApplyIndexed(db *storage.Database, ix *storage.IndexSet) error {
-	rel, err := db.Relation(i.Rel)
+	return applyAppend(db, ix, i.Rel, i.Apply)
+}
+
+// applyAppend runs an insert's plain apply and then maintains the
+// target's indexes for the rows it appended.
+func applyAppend(db *storage.Database, ix *storage.IndexSet, name string, apply func(*storage.Database) error) error {
+	rel, err := db.Relation(name)
 	if err != nil {
 		return err
 	}
-	res, err := evalStatementQuery(i.Query, db)
-	if err != nil {
-		return fmt.Errorf("history: INSERT…SELECT into %s: %w", i.Rel, err)
-	}
-	if res.Schema.Arity() != rel.Schema.Arity() {
-		return fmt.Errorf("history: INSERT…SELECT arity %d does not match %s", res.Schema.Arity(), rel.Schema)
-	}
 	first := len(rel.Tuples)
-	for _, t := range res.Tuples {
-		rel.Tuples = append(rel.Tuples, t.Clone())
+	if err := apply(db); err != nil {
+		return err
 	}
-	ix.NoteAppend(i.Rel, rel, first)
+	ix.NoteAppend(name, rel, first)
 	return nil
 }

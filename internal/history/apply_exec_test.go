@@ -1,8 +1,10 @@
 package history
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/mahif/mahif/internal/algebra"
@@ -13,8 +15,8 @@ import (
 )
 
 // applyNaiveStatement runs st against db through the reference
-// per-tuple loops, bypassing the compiled routing — the oracle of the
-// compiled-application property.
+// per-tuple loops, bypassing the kernel plans — the oracle of the
+// application properties.
 func applyNaiveStatement(t *testing.T, st Statement, db *storage.Database) error {
 	t.Helper()
 	switch x := st.(type) {
@@ -94,13 +96,15 @@ func randomApplyCond(rng *rand.Rand) expr.Expr {
 	col := []string{"k", "v"}[rng.Intn(2)]
 	cmp := []func(l, r expr.Expr) *expr.Cmp{expr.Ge, expr.Lt, expr.Eq}[rng.Intn(3)]
 	base := expr.Expr(cmp(expr.Column(col), expr.IntConst(int64(rng.Intn(40)))))
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 		return expr.AndOf(base, expr.Eq(expr.Column("g"), expr.StringConst([]string{"a", "b", "c"}[rng.Intn(3)])))
 	case 1:
 		return expr.OrOf(base, expr.Lt(expr.Column("v"), expr.IntConst(int64(rng.Intn(15)))))
 	case 2:
 		return expr.OrOf(base, &expr.IsNull{E: expr.Column("v")})
+	case 3:
+		return randomIndexedCond(rng)
 	}
 	return base
 }
@@ -140,7 +144,7 @@ func randomApplyStatement(rng *rand.Rand, i int) Statement {
 }
 
 // requireDatabasesEqual compares two databases relation by relation,
-// tuple by tuple — order included, since compiled application must
+// tuple by tuple — order included, since kernel application must
 // reproduce the naive loops' output exactly, not just as a bag.
 func requireDatabasesEqual(t *testing.T, label string, want, got *storage.Database) {
 	t.Helper()
@@ -165,11 +169,11 @@ func requireDatabasesEqual(t *testing.T, label string, want, got *storage.Databa
 	}
 }
 
-// TestCompiledApplyEquivalence is the compiled-statement-application
-// property: for randomized histories of every statement class, applying
-// each statement through Apply (compiled routing) and through the naive
-// loops yields identical database states after every statement, and
-// identical error behavior.
+// TestCompiledApplyEquivalence is the plain-application property: for
+// randomized histories of every statement class, applying each
+// statement through Apply (the scan plan's batch kernels, no index set)
+// and through the naive loops yields identical database states after
+// every statement, and identical error behavior.
 func TestCompiledApplyEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	trials := 40
@@ -198,7 +202,7 @@ func TestCompiledApplyEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompiledApplyAllVersionPositions pins the routed application
+// TestCompiledApplyAllVersionPositions pins statement application
 // through the versioned store: every version of a random history
 // reconstructed by time travel must equal the state reached by naive
 // statement application, at every position 0..n.
@@ -234,9 +238,9 @@ func TestCompiledApplyAllVersionPositions(t *testing.T) {
 }
 
 // TestApplyFallbackOutsideCompilableSubset: a statement outside the
-// compilable subset (symbolic variable in the condition) must route to
-// the naive loop and surface that loop's evaluation error — never a
-// compile-stage panic. (The compiler and the interpreter reject the
+// kernel compiler's subset (symbolic variable in the condition) must
+// route to the naive loop and surface that loop's evaluation error —
+// never a compile-stage panic. (The compiler and the interpreter reject the
 // same expression subset, so there is no case where only the fallback
 // succeeds; the property being pinned is that rejection degrades to the
 // reference path.)
@@ -251,9 +255,8 @@ func TestApplyFallbackOutsideCompilableSubset(t *testing.T) {
 
 // TestAllIdentityUpdateStillEvaluatesWhere is the regression test for
 // the degenerate UPDATE whose every SET column is an identity (SET a =
-// a): the compiled projection would collapse to a passthrough scan and
-// never evaluate θ, so this shape must take the naive loop and surface
-// θ's evaluation errors exactly like the oracle — here a division by
+// a): there is nothing to write, but θ must still evaluate on every row
+// and surface its errors exactly like the oracle — here a division by
 // zero on a row with v = 0.
 func TestAllIdentityUpdateStillEvaluatesWhere(t *testing.T) {
 	build := func() *storage.Database {
@@ -285,11 +288,11 @@ func TestAllIdentityUpdateStillEvaluatesWhere(t *testing.T) {
 	}
 }
 
-// TestApplyProgramMemoReuse pins the per-statement program cache: the
+// TestApplyProgramMemoReuse pins the per-statement plan cache: the
 // same statement applied across layout-equal database clones (the
 // redo-log replay pattern) stays correct, and a later application
 // against a different schema layout recompiles rather than running the
-// stale program.
+// stale kernels.
 func TestApplyProgramMemoReuse(t *testing.T) {
 	st := &Update{Rel: "r",
 		Set:   []SetClause{{Col: "v", E: expr.Add(expr.Column("v"), expr.IntConst(1))}},
@@ -319,5 +322,63 @@ func TestApplyProgramMemoReuse(t *testing.T) {
 	want := schema.NewTuple(types.Int(8), types.Int(1))
 	if !got.Tuples[0].Equal(want) {
 		t.Fatalf("after layout change got %s, want %s", got.Tuples[0], want)
+	}
+}
+
+// TestCompiledApplyErrorRollsBack pins the all-or-nothing guarantee of
+// plain Apply, which rewrites rows in place: a WHERE that errors at row
+// 1 500 of 2 100, after whole earlier batches qualified, leaves the
+// relation exactly as it was.
+func TestCompiledApplyErrorRollsBack(t *testing.T) {
+	db := errorProneDB(2100, 1500)
+	want := db.Clone()
+	st := &Update{Rel: "r",
+		Set: []SetClause{
+			{Col: "k", E: expr.Add(expr.Column("k"), expr.IntConst(1))},
+			{Col: "v", E: expr.Add(expr.Column("v"), expr.IntConst(1))},
+		},
+		Where: expr.Ge(expr.Div(expr.IntConst(100), expr.Column("v")), expr.IntConst(0))}
+	if err := st.Apply(db); err == nil {
+		t.Fatalf("expected a mid-relation evaluation error from %s", st)
+	}
+	requireDatabasesEqual(t, "state after failed statement", want, db)
+}
+
+// TestCompiledApplyConcurrentHistories applies one logged history onto
+// separate clones from several goroutines at once, the way concurrent
+// naive what-ifs execute it: under -race this pins that the
+// statements' shared plan caches and kernels never share scratch, and
+// every clone must reach the reference loops' final state.
+func TestCompiledApplyConcurrentHistories(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	base := randomApplyDB(rng, 1500)
+	want := base.Clone()
+	var h History
+	for i := 0; len(h) < 24; i++ {
+		st := randomIndexedStatement(rng, i)
+		probe := want.Clone()
+		if err := applyNaiveStatement(t, st, probe); err != nil {
+			continue
+		}
+		want = probe
+		h = append(h, st)
+	}
+	var wg sync.WaitGroup
+	got := make([]*storage.Database, 4)
+	errs := make([]error, len(got))
+	for g := range got {
+		got[g] = base.Clone()
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			errs[g] = h.ApplyCtx(context.Background(), got[g])
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		requireDatabasesEqual(t, fmt.Sprintf("goroutine %d", g), want, got[g])
 	}
 }

@@ -16,13 +16,22 @@ import (
 // apply planner specifically: certified single- and multi-column
 // constraints (hash and ordered probes, direct plans), contradictions,
 // class mismatches, constant and NULL-constant conjuncts, Ne, and
-// shapes outside the indexable subset (Or, IsNull, arithmetic) that
-// must take the residual or fallback path.
+// shapes outside the indexable subset (Or, IsNull, arithmetic, NULL and
+// non-boolean constants, TRUE) that must take the residual or scan
+// plan.
 func randomIndexedCond(rng *rand.Rand) expr.Expr {
 	k, v, g := expr.Column("k"), expr.Column("v"), expr.Column("g")
 	ic := func(n int) *expr.Const { return expr.IntConst(int64(n)) }
 	grp := func() *expr.Const { return expr.StringConst([]string{"a", "b", "c"}[rng.Intn(3)]) }
-	switch rng.Intn(14) {
+	switch rng.Intn(18) {
+	case 14: // col ∘ NULL conjunct: θ is never true, and NULL under DELETE
+		return expr.AndOf(expr.Eq(k, expr.Constant(types.Null())), expr.Ge(v, ic(rng.Intn(40))))
+	case 15: // non-boolean constant conjunct: errors on rows that reach it
+		return expr.AndOf(expr.Eq(k, ic(rng.Intn(40))), ic(1))
+	case 16: // opaque first conjunct ahead of an indexable one
+		return expr.AndOf(expr.Ge(expr.Add(v, ic(0)), ic(rng.Intn(40))), expr.Eq(k, ic(rng.Intn(40))))
+	case 17:
+		return expr.True
 	case 0: // hash probe
 		return expr.Eq(k, ic(rng.Intn(40)))
 	case 1: // ordered range probe
@@ -87,7 +96,7 @@ func randomIndexedStatement(rng *rand.Rand, i int) Statement {
 
 // TestIndexedApplyEquivalence is the indexed-application property: for
 // randomized histories over relations large enough to build indexes,
-// applying each statement through storage.ApplyMutator with a
+// applying each statement through ApplyIndexed with a
 // persistent IndexSet (delta maintenance across statements, exactly the
 // tip's regime) and through the reference loops yields identical states
 // after every statement and identical error behavior. Relations below
@@ -108,7 +117,7 @@ func TestIndexedApplyEquivalence(t *testing.T) {
 			st := randomIndexedStatement(rng, i)
 			before := naiveDB.Clone()
 			errN := applyNaiveStatement(t, st, naiveDB)
-			errF := storage.ApplyMutator(st, fastDB, ix)
+			errF := st.ApplyIndexed(fastDB, ix)
 			if (errN == nil) != (errF == nil) {
 				t.Fatalf("trial %d rows %d: error divergence on %s: naive=%v indexed=%v",
 					trial, rows, st, errN, errF)
@@ -313,11 +322,11 @@ func TestIndexedApplyErrorRollsBack(t *testing.T) {
 			// failing statement probes a maintained index rather than
 			// triggering the first build itself.
 			warm := &Delete{Rel: "r", Where: expr.Eq(expr.Column("g"), expr.StringConst("zzz"))}
-			if err := storage.ApplyMutator(warm, db, ix); err != nil {
+			if err := warm.ApplyIndexed(db, ix); err != nil {
 				t.Fatalf("warm-up delete: %v", err)
 			}
 			want := db.Clone()
-			if err := storage.ApplyMutator(tc.st, db, ix); err == nil {
+			if err := tc.st.ApplyIndexed(db, ix); err == nil {
 				t.Fatalf("expected a mid-relation evaluation error from %s", tc.st)
 			}
 			requireDatabasesEqual(t, "state after failed statement", want, db)
@@ -330,11 +339,46 @@ func TestIndexedApplyErrorRollsBack(t *testing.T) {
 			if err := applyNaiveStatement(t, good, naive); err != nil {
 				t.Fatalf("oracle follow-up: %v", err)
 			}
-			if err := storage.ApplyMutator(good, db, ix); err != nil {
+			if err := good.ApplyIndexed(db, ix); err != nil {
 				t.Fatalf("indexed follow-up: %v", err)
 			}
 			requireDatabasesEqual(t, "follow-up after rollback", naive, db)
 		})
+	}
+}
+
+// TestIndexedApplyScanPlanKeepsIndexes pins that a statement no index
+// answers leaves the index set intact: an UPDATE behind an opaque first
+// conjunct that SETs an unindexed column takes the scan plan between
+// two indexed statements, the availability epoch does not move, and
+// every state matches the reference loops.
+func TestIndexedApplyScanPlanKeepsIndexes(t *testing.T) {
+	db := randomApplyDB(rand.New(rand.NewSource(5)), 2100)
+	naive := db.Clone()
+	ix := storage.NewIndexSet()
+	k := expr.Column("k")
+	stmts := []Statement{
+		&Update{Rel: "r",
+			Set:   []SetClause{{Col: "g", E: expr.StringConst("x")}},
+			Where: expr.Eq(k, expr.IntConst(5))},
+		&Update{Rel: "r",
+			Set:   []SetClause{{Col: "v", E: expr.Add(expr.Column("v"), expr.IntConst(3))}},
+			Where: expr.AndOf(expr.Ge(expr.Add(k, expr.IntConst(0)), expr.IntConst(20)), expr.Ne(k, expr.IntConst(30)))},
+		&Delete{Rel: "r", Where: expr.Eq(k, expr.IntConst(7))},
+	}
+	var epoch uint64
+	for i, st := range stmts {
+		if err := applyNaiveStatement(t, st, naive); err != nil {
+			t.Fatalf("oracle %s: %v", st, err)
+		}
+		if err := st.ApplyIndexed(db, ix); err != nil {
+			t.Fatalf("indexed %s: %v", st, err)
+		}
+		requireDatabasesEqual(t, fmt.Sprintf("after %s", st), naive, db)
+		if i > 0 && ix.Epoch() != epoch {
+			t.Fatalf("%s moved the index epoch %d → %d", st, epoch, ix.Epoch())
+		}
+		epoch = ix.Epoch()
 	}
 }
 
@@ -357,7 +401,7 @@ func TestIndexedApplySeqUnsafeSetVector(t *testing.T) {
 	if err := applyNaiveStatement(t, st, naive); err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
-	if err := storage.ApplyMutator(st, db, ix); err != nil {
+	if err := st.ApplyIndexed(db, ix); err != nil {
 		t.Fatalf("indexed: %v", err)
 	}
 	requireDatabasesEqual(t, "seq-unsafe SET vector", naive, db)

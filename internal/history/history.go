@@ -25,7 +25,8 @@ var (
 type History []Statement
 
 // Apply executes the history over db in order (the semantics
-// D_i = u_i(D_{i-1}) of §2).
+// D_i = u_i(D_{i-1}) of §2). Statements rewrite db's tuples in place,
+// so the caller must own them privately (see storage.Mutator).
 func (h History) Apply(db *storage.Database) error {
 	return h.ApplyCtx(context.Background(), db)
 }

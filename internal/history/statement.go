@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"github.com/mahif/mahif/internal/algebra"
+	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/storage"
@@ -47,7 +48,7 @@ type Update struct {
 	Set   []SetClause
 	Where expr.Expr
 
-	memo progMemo // compiled-application cache, see apply_exec.go
+	memo planMemo // apply-plan cache, see apply.go
 }
 
 // Delete is D_θ(R): removes the tuples satisfying Where (Eq. 2).
@@ -56,7 +57,7 @@ type Delete struct {
 	Rel   string
 	Where expr.Expr
 
-	memo progMemo
+	memo planMemo
 }
 
 // InsertValues is I_t(R) generalized to a batch of constant tuples
@@ -152,36 +153,15 @@ func (u *Update) setVector(s *schema.Schema) ([]expr.Expr, error) {
 func (u *Update) SetVector(s *schema.Schema) ([]expr.Expr, error) { return u.setVector(s) }
 
 // Apply implements Eq. 1. The condition must evaluate to true for a
-// tuple to be rewritten; NULL counts as not satisfied. Application
-// routes through a compiled single-statement program (see
-// applyCompiled) with the naive per-tuple loop as fallback and
-// reference semantics.
-func (u *Update) Apply(db *storage.Database) error {
-	rel, err := db.Relation(u.Rel)
-	if err != nil {
-		return err
-	}
-	vec, err := u.setVector(rel.Schema)
-	if err != nil {
-		return err
-	}
-	if err := expr.Validate(u.Where, rel.Schema); err != nil {
-		return err
-	}
-	for _, sc := range u.Set {
-		if err := expr.Validate(sc.E, rel.Schema); err != nil {
-			return err
-		}
-	}
-	if done, err := u.applyCompiled(db, rel, vec); done {
-		return err
-	}
-	return u.applyNaive(rel, vec)
-}
+// tuple to be rewritten; NULL counts as not satisfied. Application runs
+// the scan plan of apply.go: the batch kernels evaluate θ and the SET
+// vector over every row, every value is staged, and the satisfied rows
+// are rewritten in place.
+func (u *Update) Apply(db *storage.Database) error { return u.apply(db, nil) }
 
 // applyNaive is the reference tuple-at-a-time loop for Eq. 1 (kept as
-// the oracle of the compiled-application property tests and as the
-// fallback for statements outside the compilable subset).
+// the oracle of the application property tests and as the fallback for
+// statements outside the kernel compiler's subset).
 func (u *Update) applyNaive(rel *storage.Relation, vec []expr.Expr) error {
 	for ti, t := range rel.Tuples {
 		ok, err := expr.Satisfied(u.Where, rel.Schema, t)
@@ -208,21 +188,9 @@ func (u *Update) applyNaive(rel *storage.Relation, vec []expr.Expr) error {
 // Apply implements Eq. 2: a tuple survives iff ¬θ evaluates to true.
 // This matches the reenactment query σ_{¬θ}(R) exactly; a condition
 // evaluating to NULL therefore removes the tuple (documented deviation
-// from SQL, irrelevant for NULL-free workloads). Application routes
-// through a compiled σ_{¬θ} program with the naive loop as fallback.
-func (d *Delete) Apply(db *storage.Database) error {
-	rel, err := db.Relation(d.Rel)
-	if err != nil {
-		return err
-	}
-	if err := expr.Validate(d.Where, rel.Schema); err != nil {
-		return err
-	}
-	if done, err := d.applyCompiled(db, rel); done {
-		return err
-	}
-	return d.applyNaive(rel)
-}
+// from SQL, irrelevant for NULL-free workloads). Application runs the
+// scan plan of apply.go, with the naive loop as fallback.
+func (d *Delete) Apply(db *storage.Database) error { return d.apply(db, nil) }
 
 // applyNaive is the reference per-tuple loop for Eq. 2.
 func (d *Delete) applyNaive(rel *storage.Relation) error {
@@ -269,6 +237,17 @@ func (i *InsertQuery) Apply(db *storage.Database) error {
 // applyNaive is Apply pinned to the tree-walking interpreter.
 func (i *InsertQuery) applyNaive(db *storage.Database) error {
 	return i.apply(db, algebra.Eval)
+}
+
+// evalStatementQuery evaluates an INSERT…SELECT query through the
+// vectorized executor, falling back to the interpreter outside the
+// compilable subset.
+func evalStatementQuery(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
+	prog, err := exec.CompileVec(q, db, exec.VecOptions{})
+	if err != nil {
+		return algebra.Eval(q, db)
+	}
+	return prog.Run(db)
 }
 
 func (i *InsertQuery) apply(db *storage.Database, eval func(algebra.Query, *storage.Database) (*storage.Relation, error)) error {

@@ -286,7 +286,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	// indexed path's in-place rewrites cannot be observed.
 	rix := storage.NewIndexSet()
 	for i := best; i < len(log); i++ {
-		if err := storage.ApplyMutator(log[i], current, rix); err != nil {
+		if err := log[i].ApplyIndexed(current, rix); err != nil {
 			if i != len(log)-1 {
 				return nil, fmt.Errorf("%w: statement %d (%s) fails to replay: %v", ErrCorrupt, i+1, log[i], err)
 			}

@@ -711,8 +711,8 @@ type IndexSet struct {
 	scratch *ApplyScratch
 }
 
-// ApplyScratch is reusable per-set working memory for the indexed
-// apply path: probe position buffers, candidate bitmaps, a chunk of
+// ApplyScratch is reusable per-set working memory for statement
+// application: probe position buffers, candidate bitmaps, a chunk of
 // candidate rows with their residual flags, and SET value staging. It
 // lives on the IndexSet because the set is exclusively owned by one
 // state's apply stream, so reuse across statements is race-free by the
@@ -780,14 +780,6 @@ func (s *IndexSet) Invalidate(name string) {
 	k := key(name)
 	if _, ok := s.rels[k]; ok {
 		delete(s.rels, k)
-		s.epoch++
-	}
-}
-
-// InvalidateAll drops every index.
-func (s *IndexSet) InvalidateAll() {
-	if len(s.rels) > 0 {
-		s.rels = map[string]*relIndexes{}
 		s.epoch++
 	}
 }
@@ -903,12 +895,10 @@ func (s *IndexSet) NoteReplace(name string, pos int, old, new schema.Tuple) {
 }
 
 // HasIndexOnAny reports whether any currently-built index of name sits
-// on one of the given column ordinals. The indexed UPDATE path uses it
-// to prove at bind time that its rewrites cannot move an indexed key —
+// on one of the given column ordinals. The UPDATE path uses it to prove
+// before it writes that its rewrites cannot move an indexed key —
 // every indexed column's value is copied verbatim into the replacement
-// row — and skip per-row replace maintenance entirely. The proof is
-// keyed to the bind epoch: building an index on one of these columns
-// later bumps the epoch, which forces a rebind and a fresh proof.
+// row — and skip per-row replace maintenance entirely.
 func (s *IndexSet) HasIndexOnAny(name string, cols []int) bool {
 	r := s.rels[key(name)]
 	if r == nil {

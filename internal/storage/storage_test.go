@@ -120,6 +120,13 @@ func (b bump) Apply(db *Database) error {
 	return nil
 }
 
+// ApplyIndexed rewrites every row outside the maintained path, so the
+// relation's indexes can no longer vouch for it.
+func (b bump) ApplyIndexed(db *Database, ix *IndexSet) error {
+	ix.Invalidate(b.rel)
+	return b.Apply(db)
+}
+
 func (b bump) String() string { return fmt.Sprintf("bump %s by %d", b.rel, b.by) }
 
 func TestVersionedTimeTravel(t *testing.T) {

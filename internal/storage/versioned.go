@@ -10,46 +10,27 @@ import (
 // the update/delete/insert statements of package history. Keeping the
 // interface here avoids an import cycle while letting the versioned
 // store replay arbitrary statements.
+//
+// Ownership contract: both apply methods may rewrite db's resident
+// tuples in place, so db's tuples must be privately owned by the
+// caller — no other goroutine or retained reference may read them
+// concurrently or expect them to stay stable. Every caller satisfies
+// that by construction: the live tip is only shared through deep
+// clones (TipSnapshot, Version, checkpoints, replayPlan's tip freeze),
+// replay states are private clones until returned, recovery replays
+// into a private clone of the restart state, and the naive algorithm
+// applies to its own Copy(D). Current() documents the same quiescence
+// requirement for external readers.
 type Mutator interface {
 	// Apply executes the mutation against db.
 	Apply(db *Database) error
+	// ApplyIndexed executes the mutation against db using and
+	// maintaining ix: it may probe ix's secondary indexes to touch only
+	// the rows its predicate selects. It must be observationally
+	// identical to Apply, and on return ix must describe db.
+	ApplyIndexed(db *Database, ix *IndexSet) error
 	// String renders the mutation (for logs and errors).
 	String() string
-}
-
-// IndexedMutator is a Mutator that can apply itself incrementally
-// through the secondary indexes of an IndexSet, touching only the rows
-// its predicate selects and maintaining the indexes delta-wise, instead
-// of scanning and rematerializing the whole relation.
-type IndexedMutator interface {
-	Mutator
-	// ApplyIndexed executes the mutation against db using (and
-	// maintaining) ix. It must be observationally identical to Apply.
-	// It may mutate db's resident tuples in place, so it requires the
-	// ownership contract documented on ApplyMutator.
-	ApplyIndexed(db *Database, ix *IndexSet) error
-}
-
-// ApplyMutator routes m through its indexed-application path when the
-// mutator supports it. A mutator outside the
-// indexed subset applies plainly, after which ix can no longer vouch
-// for any position, so it is invalidated wholesale.
-//
-// Ownership contract: the indexed path may rewrite db's resident
-// tuples in place, so db's tuples must be privately owned by the
-// caller — no other goroutine or retained reference may read them
-// concurrently or expect them to stay stable. Every caller in this
-// package satisfies that by construction: the live tip is only shared
-// through deep clones (TipSnapshot, Version, checkpoints, replayPlan's
-// tip freeze), replay states are private clones until returned, and
-// recovery replays into a private clone of the restart state. Current()
-// documents the same quiescence requirement for external readers.
-func ApplyMutator(m Mutator, db *Database, ix *IndexSet) error {
-	if im, ok := m.(IndexedMutator); ok {
-		return im.ApplyIndexed(db, ix)
-	}
-	ix.InvalidateAll()
-	return m.Apply(db)
 }
 
 // VersionedDatabase is an in-memory stand-in for a DBMS with time
@@ -136,7 +117,7 @@ func (v *VersionedDatabase) Apply(m Mutator) error {
 }
 
 func (v *VersionedDatabase) applyLocked(m Mutator) error {
-	if err := ApplyMutator(m, v.current, v.tipIx); err != nil {
+	if err := m.ApplyIndexed(v.current, v.tipIx); err != nil {
 		return fmt.Errorf("storage: applying %s: %w", m, err)
 	}
 	v.log = append(v.log, m)
@@ -316,7 +297,7 @@ func replayCtx(ctx context.Context, log []Mutator, start int, db *Database, i in
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := ApplyMutator(log[j], out, ix); err != nil {
+		if err := log[j].ApplyIndexed(out, ix); err != nil {
 			return nil, fmt.Errorf("storage: replaying statement %d (%s): %w", j, log[j], err)
 		}
 	}
