@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's evaluation (§13) at reduced
 // scale — one testing.B benchmark per table/figure, mirroring the
 // cmd/mahif-bench harness (which runs the full sweeps). Shapes to look
-// for are documented per benchmark and in EXPERIMENTS.md.
+// for are documented per benchmark.
 package mahif_test
 
 import (

@@ -25,6 +25,19 @@ import (
 // -clusterout).
 var clusterOut = "BENCH_cluster.json"
 
+// serveResult is one concurrency level of a load sweep.
+type serveResult struct {
+	Clients  int   `json:"clients"`
+	Requests int   `json:"requests"`
+	Errors   int   `json:"errors"`
+	P50Us    int64 `json:"p50_us"`
+	P95Us    int64 `json:"p95_us"`
+	P99Us    int64 `json:"p99_us"`
+	MaxUs    int64 `json:"max_us"`
+	// ThroughputRps is completed requests per second of wall time.
+	ThroughputRps float64 `json:"throughput_rps"`
+}
+
 // clusterSweep is the load sweep at one replica count.
 type clusterSweep struct {
 	// Replicas behind the router; 0 means reads go straight to the
@@ -77,8 +90,7 @@ func startReplica(leaderURL string) (*clusterNode, error) {
 	}
 	go rep.Run(ctx)
 	srv := service.New(rep.Engine(), service.Options{
-		Sessions: 1, Timeout: 30 * time.Second,
-		Role: "replica", ReadOnly: true, Replication: rep,
+		Timeout: 30 * time.Second, Role: "replica", ReadOnly: true, Replication: rep,
 	})
 	return &clusterNode{rep: rep, ts: httptest.NewServer(srv.Handler()), cancel: cancel}, nil
 }
@@ -127,7 +139,7 @@ func (h *harness) clusterExp() {
 	if _, err := engine.AppendCtx(context.Background(), []history.Statement(w.History)); err != nil {
 		panic(err)
 	}
-	leaderSrv := service.New(engine, service.Options{Sessions: 1, Timeout: 30 * time.Second, Store: store, Role: "leader"})
+	leaderSrv := service.New(engine, service.Options{Timeout: 30 * time.Second, Store: store, Role: "leader"})
 	leaderTS := httptest.NewServer(leaderSrv.Handler())
 	defer leaderTS.Close()
 
@@ -155,18 +167,21 @@ func (h *harness) clusterExp() {
 		levels = []int{1, 4}
 	}
 
-	// Baseline: replicas=0, reads straight at the leader (matches the
-	// serve experiment's shape).
+	// Every request goes through one client whose timeout bounds a
+	// stalled node instead of blocking the experiment.
+	client := &http.Client{Timeout: 60 * time.Second}
+
+	// Baseline: replicas=0, reads straight at the leader.
 	warm := func(url string) {
 		for _, b := range bodies {
-			if _, err := doWhatIf(leaderTS.Client(), url, b); err != nil {
+			if _, err := doWhatIf(client, url, b); err != nil {
 				panic(err)
 			}
 		}
 	}
 	warm(leaderTS.URL)
 	header("Cluster: baseline (replicas=0, leader only)", "reqs", "errors", "p50", "p95", "p99", "req/s")
-	report.Sweeps = append(report.Sweeps, clusterSweep{Replicas: 0, Results: h.clusterSweepAt(leaderTS.URL, bodies, levels, perClient)})
+	report.Sweeps = append(report.Sweeps, clusterSweep{Replicas: 0, Results: clusterSweepAt(client, leaderTS.URL, bodies, levels, perClient)})
 
 	// Replicated: 3 followers behind the router.
 	const replicas = 3
@@ -198,7 +213,7 @@ func (h *harness) clusterExp() {
 	time.Sleep(200 * time.Millisecond) // let the health poll see everyone
 	warm(routerTS.URL)
 	header(fmt.Sprintf("Cluster: routed (replicas=%d)", replicas), "reqs", "errors", "p50", "p95", "p99", "req/s")
-	report.Sweeps = append(report.Sweeps, clusterSweep{Replicas: replicas, Results: h.clusterSweepAt(routerTS.URL, bodies, levels, perClient)})
+	report.Sweeps = append(report.Sweeps, clusterSweep{Replicas: replicas, Results: clusterSweepAt(client, routerTS.URL, bodies, levels, perClient)})
 
 	// Kill one replica, advance the history, restart it, and require
 	// catch-up plus byte-identical answers everywhere.
@@ -224,12 +239,12 @@ func (h *harness) clusterExp() {
 	report.KillRestart.Identical = true
 	for _, b := range bodies[:4] {
 		bound := withMinVersion(b, tip)
-		want, err := readWhatIf(leaderTS.URL, bound)
+		want, err := doWhatIf(client, leaderTS.URL, bound)
 		if err != nil {
 			panic(err)
 		}
 		for _, n := range nodes {
-			got, err := readWhatIf(n.ts.URL, bound)
+			got, err := doWhatIf(client, n.ts.URL, bound)
 			if err != nil {
 				panic(err)
 			}
@@ -252,8 +267,7 @@ func (h *harness) clusterExp() {
 }
 
 // clusterSweepAt runs the concurrency sweep against one base URL.
-func (h *harness) clusterSweepAt(url string, bodies [][]byte, levels []int, perClient int) []serveResult {
-	client := &http.Client{Timeout: 60 * time.Second}
+func clusterSweepAt(client *http.Client, url string, bodies [][]byte, levels []int, perClient int) []serveResult {
 	var out []serveResult
 	for _, clients := range levels {
 		total := clients * perClient
@@ -316,9 +330,34 @@ func withMinVersion(body []byte, v int) []byte {
 	return out
 }
 
-// readWhatIf posts one what-if request and returns the response body.
-func readWhatIf(base string, body []byte) ([]byte, error) {
-	resp, err := http.Post(base+"/v1/whatif", "application/json", bytes.NewReader(body))
+// wireBody renders a scenario's modifications as a /v1/whatif request
+// body (statement renderings round-trip through the SQL parser, which
+// the sql package's own round-trip tests pin).
+func wireBody(mods []history.Modification) []byte {
+	req := service.WhatIfRequest{}
+	for _, m := range mods {
+		switch x := m.(type) {
+		case history.Replace:
+			req.Modifications = append(req.Modifications,
+				service.Modification{Op: "replace", Pos: x.Pos + 1, Statement: x.Stmt.String()})
+		case history.InsertStmt:
+			req.Modifications = append(req.Modifications,
+				service.Modification{Op: "insert", Pos: x.Pos + 1, Statement: x.Stmt.String()})
+		case history.DeleteStmt:
+			req.Modifications = append(req.Modifications,
+				service.Modification{Op: "delete", Pos: x.Pos + 1})
+		}
+	}
+	raw, err := json.Marshal(req)
+	if err != nil {
+		panic(err)
+	}
+	return raw
+}
+
+// doWhatIf posts one what-if request and returns the response body.
+func doWhatIf(client *http.Client, base string, body []byte) ([]byte, error) {
+	resp, err := client.Post(base+"/v1/whatif", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/mahif/mahif/internal/core"
@@ -61,5 +62,14 @@ func TestExperimentsSmoke(t *testing.T) {
 		"fig18": h.fig18, "fig24": h.fig24, "fig25": h.fig25,
 	} {
 		t.Run(name, func(t *testing.T) { run() })
+	}
+}
+
+// TestExperimentNames pins the -exp ids: the paper's figures, the
+// ablation, and the experiments no other harness measures.
+func TestExperimentNames(t *testing.T) {
+	want := "ablation cluster fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22 fig23 fig24 fig25 howto persist template"
+	if got := strings.Join(experimentIDs(), " "); got != want {
+		t.Errorf("experiment ids = %q, want %q", got, want)
 	}
 }

@@ -3,21 +3,17 @@
 // counts are scaled for a single machine (flag -rows; the "large"
 // dataset is -large times bigger), so absolute numbers differ from the
 // paper, but the comparisons — who wins, by what factor, where the
-// crossovers fall — are the reproduction target (see EXPERIMENTS.md).
+// crossovers fall — are the reproduction target. Beside the figures and
+// the ablation it runs the experiments no Go benchmark or bench/ gate
+// cell measures (durability, replication, templates, how-to search),
+// each writing a BENCH_<id>.json report; -h lists the experiment ids.
 //
 // Usage:
 //
 //	mahif-bench -exp fig14        # one experiment
 //	mahif-bench -exp all          # everything (takes a while)
 //	mahif-bench -exp fig22 -rows 50000 -updates 10,20,50
-//	mahif-bench -exp batch        # batch engine: scenarios × workers sweep
-//	mahif-bench -exp exec         # interpreter vs vectorized executor → BENCH_exec.json
-//	mahif-bench -exp exec -cpuprofile cpu.out -memprofile mem.out
-//	mahif-bench -exp serve        # mahifd HTTP service load test → BENCH_serve.json
-//	mahif-bench -exp persist      # WAL append, checkpoint and recovery costs → BENCH_persist.json
-//	mahif-bench -exp cluster      # leader, WAL-following replicas and the router → BENCH_cluster.json
-//	mahif-bench -exp template     # scenario templates vs WhatIfBatch → BENCH_template.json
-//	mahif-bench -exp howto        # certified how-to target search → BENCH_howto.json
+//	mahif-bench -exp cluster -quick -cpuprofile cpu.out
 package main
 
 import (
@@ -32,7 +28,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment id: fig14–fig25, ablation, batch, exec, serve, persist, cluster, template, howto, all")
+	ids := strings.Join(experimentIDs(), ", ") + ", all"
+	exp := flag.String("exp", "", "experiment id: "+ids)
 	rows := flag.Int("rows", 20000, "row count of the small datasets (stand-in for the paper's 5M)")
 	large := flag.Int("large", 4, "multiplier for the large taxi dataset (stand-in for 50M)")
 	seed := flag.Int64("seed", 1, "workload seed")
@@ -40,8 +37,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink experiment scale for smoke runs (CI)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the experiment) to this file")
-	flag.StringVar(&execOut, "execout", execOut, "output path for the exec experiment's JSON report")
-	flag.StringVar(&serveOut, "serveout", serveOut, "output path for the serve experiment's JSON report")
 	flag.StringVar(&persistOut, "persistout", persistOut, "output path for the persist experiment's JSON report")
 	flag.StringVar(&clusterOut, "clusterout", clusterOut, "output path for the cluster experiment's JSON report")
 	flag.StringVar(&templateOut, "templateout", templateOut, "output path for the template experiment's JSON report")
@@ -55,30 +50,18 @@ func main() {
 	}
 	h := &harness{rows: *rows, large: *large, seed: *seed, updates: us, quick: *quick}
 
-	experiments := map[string]func(){
-		"fig14": h.fig14, "fig15": h.fig15, "fig16": h.fig16, "fig17": h.fig17,
-		"fig18": h.fig18, "fig19": h.fig19, "fig20": h.fig20, "fig21": h.fig21,
-		"fig22": h.fig22, "fig23": h.fig23, "fig24": h.fig24, "fig25": h.fig25,
-		"ablation": h.ablations, "batch": h.batch, "exec": h.execExp,
-		"serve": h.serveExp, "persist": h.persistExp, "cluster": h.clusterExp,
-		"template": h.templateExp, "howto": h.howtoExp,
-	}
+	exps := experiments(h)
 	var runs []func()
 	switch *exp {
 	case "all":
-		names := make([]string, 0, len(experiments))
-		for n := range experiments {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			runs = append(runs, experiments[n])
+		for _, id := range experimentIDs() {
+			runs = append(runs, exps[id])
 		}
 	case "":
-		fmt.Fprintln(os.Stderr, "mahif-bench: -exp required (fig14–fig25, ablation, batch, exec, serve, persist, cluster, template, howto, all)")
+		fmt.Fprintf(os.Stderr, "mahif-bench: -exp required (%s)\n", ids)
 		os.Exit(2)
 	default:
-		run, ok := experiments[*exp]
+		run, ok := exps[*exp]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "mahif-bench: unknown experiment %q\n", *exp)
 			os.Exit(2)
@@ -114,6 +97,28 @@ func main() {
 			os.Exit(2)
 		}
 	}
+}
+
+// experiments maps each -exp id to its run over h.
+func experiments(h *harness) map[string]func() {
+	return map[string]func(){
+		"fig14": h.fig14, "fig15": h.fig15, "fig16": h.fig16, "fig17": h.fig17,
+		"fig18": h.fig18, "fig19": h.fig19, "fig20": h.fig20, "fig21": h.fig21,
+		"fig22": h.fig22, "fig23": h.fig23, "fig24": h.fig24, "fig25": h.fig25,
+		"ablation": h.ablations, "persist": h.persistExp, "cluster": h.clusterExp,
+		"template": h.templateExp, "howto": h.howtoExp,
+	}
+}
+
+// experimentIDs returns the -exp ids in sorted order (the order of
+// -exp all).
+func experimentIDs() []string {
+	var ids []string
+	for id := range experiments(nil) {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 func parseInts(s string) ([]int, error) {

@@ -1,7 +1,7 @@
 // Command mahifd serves historical what-if queries over HTTP: it loads
 // CSV snapshots and a SQL history like cmd/mahif — or recovers a
-// durable data directory — then answers queries through a pool of
-// long-lived engine sessions, so consecutive requests over the same
+// durable data directory — then answers queries through one
+// long-lived engine session, so consecutive requests over the same
 // history reuse time-travel snapshots, solver memos, and compiled
 // reenactment programs. With -data the history is durable: appends
 // through POST /v1/history commit to a segmented write-ahead log
@@ -98,7 +98,6 @@ type config struct {
 	dataDir         string
 	historyPath     string
 	addr            string
-	sessions        int
 	timeout         time.Duration
 	drain           time.Duration
 	checkpointEvery int
@@ -113,7 +112,6 @@ func main() {
 	flag.StringVar(&cfg.dataDir, "data", "", "durable data directory (WAL + checkpoints); empty serves in-memory")
 	flag.StringVar(&cfg.historyPath, "history", "", "SQL script with the transactional history (first ingest / in-memory)")
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	flag.IntVar(&cfg.sessions, "sessions", 1, "session pool size")
 	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-request evaluation budget")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "shutdown grace period for in-flight requests")
 	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 1000, "auto checkpoint every N appended statements (0 = manual)")
@@ -190,7 +188,7 @@ func buildHandler(ctx context.Context, cfg config) (roleServer, error) {
 			return rs, fmt.Errorf("-role leader needs -data: followers stream the WAL")
 		}
 		srv := service.New(engine, service.Options{
-			Sessions: cfg.sessions, Timeout: cfg.timeout, Store: store, Role: cfg.role,
+			Timeout: cfg.timeout, Store: store, Role: cfg.role,
 		})
 		rs.handler = srv.Handler()
 		rs.onShutdown = srv.StopStreams
@@ -212,8 +210,7 @@ func buildHandler(ctx context.Context, cfg config) (roleServer, error) {
 		}
 		go rep.Run(ctx)
 		srv := service.New(rep.Engine(), service.Options{
-			Sessions: cfg.sessions, Timeout: cfg.timeout,
-			Role: "replica", ReadOnly: true, Replication: rep,
+			Timeout: cfg.timeout, Role: "replica", ReadOnly: true, Replication: rep,
 		})
 		rs.handler = srv.Handler()
 		rs.desc = fmt.Sprintf("replica of %s, bootstrapped at version %d", cfg.leaderURL, rep.Engine().Version())
@@ -291,8 +288,8 @@ func run(cfg config) error {
 
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("mahifd: serving on %s (%s, sessions=%d, timeout=%v)",
-			cfg.addr, rs.desc, cfg.sessions, cfg.timeout)
+		log.Printf("mahifd: serving on %s (%s, timeout=%v)",
+			cfg.addr, rs.desc, cfg.timeout)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 

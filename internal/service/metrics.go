@@ -4,10 +4,82 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+
+	"github.com/mahif/mahif/internal/core"
 )
 
+// sessionMetric is one mahif_session_* series: its name suffix, HELP
+// text, TYPE and the counter it samples.
+type sessionMetric struct {
+	name, help, typ string
+	read            func(core.SessionStats) int64
+}
+
+var sessionMetrics = []sessionMetric{
+	{"calls_total", "Evaluation entries through each session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.Calls) }},
+	{"invalidations_total", "Explicit cache resets per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.Invalidations) }},
+	{"advances_total", "History advances survived with caches kept (optimistic cross-version reuse).", "counter",
+		func(st core.SessionStats) int64 { return int64(st.Advances) }},
+	{"snapshot_hits_total", "Time-travel snapshot cache hits per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.SnapshotHits) }},
+	{"snapshot_misses_total", "Time-travel snapshot cache misses per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.SnapshotMisses) }},
+	{"snapshot_evictions_total", "Completed snapshots dropped by the retention bound per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.SnapshotEvictions) }},
+	{"snapshot_resident", "Completed snapshots currently held per session.", "gauge",
+		func(st core.SessionStats) int64 { return int64(st.SnapshotResident) }},
+	{"snapshot_tip_evictions_total", "Superseded tip-pinned snapshots eagerly dropped per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.SnapshotTipEvictions) }},
+	{"snapshot_tip_resident", "Tip-pinned snapshots (private full copies) currently held per session.", "gauge",
+		func(st core.SessionStats) int64 { return int64(st.SnapshotTipResident) }},
+	{"compress_hits_total", "Program-slicing calls that reused the compressed database remembered on a snapshot, per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.CompressHits) }},
+	{"compress_misses_total", "Relation scans computing a compressed database (once per snapshot and option set), per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.CompressMisses) }},
+	{"columnar_hits_total", "Vectorized scans that aliased the columnar view remembered on a snapshot, per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.ColumnarHits) }},
+	{"columnar_misses_total", "Relation transpositions building a snapshot's columnar view (once per snapshot), per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.ColumnarMisses) }},
+	{"memo_hits_total", "Solver-outcome memo hits per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.MemoHits) }},
+	{"memo_misses_total", "Solver-outcome memo misses per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.MemoMisses) }},
+	{"memo_evictions_total", "Solver outcomes dropped by the memo LRU bound per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.MemoEvictions) }},
+	{"query_hits_total", "Compiled reenactment-result cache hits per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.QueryHits) }},
+	{"query_misses_total", "Compiled reenactment-result cache misses per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.QueryMisses) }},
+	{"query_evictions_total", "Materialized results dropped by the query-cache LRU bound per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.QueryEvictions) }},
+	{"query_resident", "Materialized results currently held per session.", "gauge",
+		func(st core.SessionStats) int64 { return int64(st.QueryResident) }},
+	{"program_evictions_total", "Compiled reenactment programs dropped by the program-cache LRU bound per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.ProgramEvictions) }},
+	{"program_resident", "Compiled reenactment programs currently held per session.", "gauge",
+		func(st core.SessionStats) int64 { return int64(st.ProgramResident) }},
+	{"template_hits_total", "Compiled scenario-template cache hits per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.TemplateHits) }},
+	{"template_misses_total", "Compiled scenario-template cache misses per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.TemplateMisses) }},
+	{"template_evictions_total", "Template artifacts dropped by the template-cache LRU bound per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.TemplateEvictions) }},
+	{"template_resident", "Template artifacts currently held per session.", "gauge",
+		func(st core.SessionStats) int64 { return int64(st.TemplateResident) }},
+	{"template_sliced_evals_total", "Template evals of a relation with a binding-dependent slicing filter that ran its data-sliced plan (the binding's slices reenact fewer rows than the relation), per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.TemplateSlicedEvals) }},
+	{"template_unsliced_evals_total", "Template evals of a relation with a binding-dependent slicing filter that ran its unsliced plan (the binding's slices would reenact more rows than the relation), per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.TemplateUnslicedEvals) }},
+	{"reports_merged_total", "Aggregate reports answered by merging the delta's Minus and Plus into the historical state remembered on the snapshot, per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.Reports.Merged) }},
+	{"reports_patched_total", "Aggregate reports answered by patching the whole relation and re-aggregating it (a MIN/MAX the merge cannot decide, or a query shape it does not cover), per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.Reports.Patched) }},
+}
+
 // handleMetrics renders a Prometheus text exposition (format 0.0.4) of
-// the session pool's cache counters plus the durable store's WAL and
+// the session's cache counters plus the durable store's WAL and
 // checkpoint counters when the server is backed by one. Hand-rolled on
 // purpose: the counter set is small and a client dependency would be
 // the only one in the module.
@@ -23,80 +95,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m("mahif_interpreter_fallbacks_total", "Query evaluations that asked for a compiling executor but ran through the tree-walking interpreter (engine-wide).", "counter")
 	fmt.Fprintf(&b, "mahif_interpreter_fallbacks_total %d\n", s.engine.InterpreterFallbacks())
 
-	m("mahif_session_calls_total", "Evaluation entries through each session.", "counter")
-	m("mahif_session_invalidations_total", "Explicit cache resets per session.", "counter")
-	m("mahif_session_advances_total", "History advances survived with caches kept (optimistic cross-version reuse).", "counter")
-	m("mahif_session_snapshot_hits_total", "Time-travel snapshot cache hits per session.", "counter")
-	m("mahif_session_snapshot_misses_total", "Time-travel snapshot cache misses per session.", "counter")
-	m("mahif_session_snapshot_evictions_total", "Completed snapshots dropped by the retention bound per session.", "counter")
-	m("mahif_session_snapshot_resident", "Completed snapshots currently held per session.", "gauge")
-	m("mahif_session_snapshot_tip_evictions_total", "Superseded tip-pinned snapshots eagerly dropped per session.", "counter")
-	m("mahif_session_snapshot_tip_resident", "Tip-pinned snapshots (private full copies) currently held per session.", "gauge")
-	m("mahif_session_compress_hits_total", "Program-slicing calls that reused the compressed database remembered on a snapshot, per session.", "counter")
-	m("mahif_session_compress_misses_total", "Relation scans computing a compressed database (once per snapshot and option set), per session.", "counter")
-	m("mahif_session_columnar_hits_total", "Vectorized scans that aliased the columnar view remembered on a snapshot, per session.", "counter")
-	m("mahif_session_columnar_misses_total", "Relation transpositions building a snapshot's columnar view (once per snapshot), per session.", "counter")
-	m("mahif_session_memo_hits_total", "Solver-outcome memo hits per session.", "counter")
-	m("mahif_session_memo_misses_total", "Solver-outcome memo misses per session.", "counter")
-	m("mahif_session_memo_evictions_total", "Solver outcomes dropped by the memo LRU bound per session.", "counter")
-	m("mahif_session_query_hits_total", "Compiled reenactment-result cache hits per session.", "counter")
-	m("mahif_session_query_misses_total", "Compiled reenactment-result cache misses per session.", "counter")
-	m("mahif_session_query_evictions_total", "Materialized results dropped by the query-cache LRU bound per session.", "counter")
-	m("mahif_session_query_resident", "Materialized results currently held per session.", "gauge")
-	m("mahif_session_program_evictions_total", "Compiled reenactment programs dropped by the program-cache LRU bound per session.", "counter")
-	m("mahif_session_program_resident", "Compiled reenactment programs currently held per session.", "gauge")
-	m("mahif_session_template_hits_total", "Compiled scenario-template cache hits per session.", "counter")
-	m("mahif_session_template_misses_total", "Compiled scenario-template cache misses per session.", "counter")
-	m("mahif_session_template_evictions_total", "Template artifacts dropped by the template-cache LRU bound per session.", "counter")
-	m("mahif_session_template_resident", "Template artifacts currently held per session.", "gauge")
-	m("mahif_session_template_sliced_evals_total", "Template evals of a relation with a binding-dependent slicing filter that ran its data-sliced plan (the binding's slices reenact fewer rows than the relation), per session.", "counter")
-	m("mahif_session_template_unsliced_evals_total", "Template evals of a relation with a binding-dependent slicing filter that ran its unsliced plan (the binding's slices would reenact more rows than the relation), per session.", "counter")
-	m("mahif_session_reports_merged_total", "Aggregate reports answered by merging the delta's Minus and Plus into the historical state remembered on the snapshot, per session.", "counter")
-	m("mahif_session_reports_patched_total", "Aggregate reports answered by patching the whole relation and re-aggregating it (a MIN/MAX the merge cannot decide, or a query shape it does not cover), per session.", "counter")
-	var rowsCompared, rowsBoxed, lowered int64
-	for i, st := range s.SessionStats() {
-		rowsCompared += st.DeltaRowsCompared
-		rowsBoxed += st.DeltaRowsBoxed
-		lowered += st.SolverLowered
-		l := fmt.Sprintf("{session=\"%d\"}", i)
-		fmt.Fprintf(&b, "mahif_session_calls_total%s %d\n", l, st.Calls)
-		fmt.Fprintf(&b, "mahif_session_invalidations_total%s %d\n", l, st.Invalidations)
-		fmt.Fprintf(&b, "mahif_session_advances_total%s %d\n", l, st.Advances)
-		fmt.Fprintf(&b, "mahif_session_snapshot_hits_total%s %d\n", l, st.SnapshotHits)
-		fmt.Fprintf(&b, "mahif_session_snapshot_misses_total%s %d\n", l, st.SnapshotMisses)
-		fmt.Fprintf(&b, "mahif_session_snapshot_evictions_total%s %d\n", l, st.SnapshotEvictions)
-		fmt.Fprintf(&b, "mahif_session_snapshot_resident%s %d\n", l, st.SnapshotResident)
-		fmt.Fprintf(&b, "mahif_session_snapshot_tip_evictions_total%s %d\n", l, st.SnapshotTipEvictions)
-		fmt.Fprintf(&b, "mahif_session_snapshot_tip_resident%s %d\n", l, st.SnapshotTipResident)
-		fmt.Fprintf(&b, "mahif_session_compress_hits_total%s %d\n", l, st.CompressHits)
-		fmt.Fprintf(&b, "mahif_session_compress_misses_total%s %d\n", l, st.CompressMisses)
-		fmt.Fprintf(&b, "mahif_session_columnar_hits_total%s %d\n", l, st.ColumnarHits)
-		fmt.Fprintf(&b, "mahif_session_columnar_misses_total%s %d\n", l, st.ColumnarMisses)
-		fmt.Fprintf(&b, "mahif_session_memo_hits_total%s %d\n", l, st.MemoHits)
-		fmt.Fprintf(&b, "mahif_session_memo_misses_total%s %d\n", l, st.MemoMisses)
-		fmt.Fprintf(&b, "mahif_session_memo_evictions_total%s %d\n", l, st.MemoEvictions)
-		fmt.Fprintf(&b, "mahif_session_query_hits_total%s %d\n", l, st.QueryHits)
-		fmt.Fprintf(&b, "mahif_session_query_misses_total%s %d\n", l, st.QueryMisses)
-		fmt.Fprintf(&b, "mahif_session_query_evictions_total%s %d\n", l, st.QueryEvictions)
-		fmt.Fprintf(&b, "mahif_session_query_resident%s %d\n", l, st.QueryResident)
-		fmt.Fprintf(&b, "mahif_session_program_evictions_total%s %d\n", l, st.ProgramEvictions)
-		fmt.Fprintf(&b, "mahif_session_program_resident%s %d\n", l, st.ProgramResident)
-		fmt.Fprintf(&b, "mahif_session_template_hits_total%s %d\n", l, st.TemplateHits)
-		fmt.Fprintf(&b, "mahif_session_template_misses_total%s %d\n", l, st.TemplateMisses)
-		fmt.Fprintf(&b, "mahif_session_template_evictions_total%s %d\n", l, st.TemplateEvictions)
-		fmt.Fprintf(&b, "mahif_session_template_resident%s %d\n", l, st.TemplateResident)
-		fmt.Fprintf(&b, "mahif_session_template_sliced_evals_total%s %d\n", l, st.TemplateSlicedEvals)
-		fmt.Fprintf(&b, "mahif_session_template_unsliced_evals_total%s %d\n", l, st.TemplateUnslicedEvals)
-		fmt.Fprintf(&b, "mahif_session_reports_merged_total%s %d\n", l, st.Reports.Merged)
-		fmt.Fprintf(&b, "mahif_session_reports_patched_total%s %d\n", l, st.Reports.Patched)
+	// All session HELP/TYPE lines precede all session samples: the
+	// layout testdata/metrics.golden pins.
+	st := s.sess.Stats()
+	for _, sm := range sessionMetrics {
+		m("mahif_session_"+sm.name, sm.help, sm.typ)
+	}
+	for _, sm := range sessionMetrics {
+		fmt.Fprintf(&b, "mahif_session_%s{session=\"0\"} %d\n", sm.name, sm.read(st))
 	}
 
 	m("mahif_delta_rows_compared_total", "Row positions at which a what-if's two reenactment results were compared lane-wise, over all sessions.", "counter")
-	fmt.Fprintf(&b, "mahif_delta_rows_compared_total %d\n", rowsCompared)
+	fmt.Fprintf(&b, "mahif_delta_rows_compared_total %d\n", st.DeltaRowsCompared)
 	m("mahif_delta_rows_boxed_total", "Rows that did not cancel at their position and were gathered into tuples (both sides), over all sessions; its ratio to rows compared is the share of reenactment output a what-if boxes.", "counter")
-	fmt.Fprintf(&b, "mahif_delta_rows_boxed_total %d\n", rowsBoxed)
+	fmt.Fprintf(&b, "mahif_delta_rows_boxed_total %d\n", st.DeltaRowsBoxed)
 	m("mahif_solver_lowered_nodes_total", "Expression nodes program slicing lowered into solver models, over all sessions; a dependency run lowers its shared Φ_D ∧ affected once and each test only its own conjuncts.", "counter")
-	fmt.Fprintf(&b, "mahif_solver_lowered_nodes_total %d\n", lowered)
+	fmt.Fprintf(&b, "mahif_solver_lowered_nodes_total %d\n", st.SolverLowered)
 
 	m("mahif_templates_registered", "Scenario template ids resident in the registry (POST /v1/template, least recently used evicted).", "gauge")
 	fmt.Fprintf(&b, "mahif_templates_registered %d\n", s.templates.Len())

@@ -18,11 +18,6 @@ import (
 
 // Options tunes a Server.
 type Options struct {
-	// Sessions is the session-pool size (default 1). Sessions are
-	// concurrency-safe, so one maximizes cache reuse; more than one
-	// reduces contention on the cache locks under very high fan-in at
-	// the cost of splitting the caches.
-	Sessions int
 	// Timeout is the per-request evaluation budget (default 30s). A
 	// request's timeout_ms can tighten it but never extend it.
 	Timeout time.Duration
@@ -47,9 +42,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Sessions <= 0 {
-		o.Sessions = 1
-	}
 	if o.Timeout <= 0 {
 		o.Timeout = 30 * time.Second
 	}
@@ -67,18 +59,17 @@ func (o Options) withDefaults() Options {
 // template (a session-cache hit unless the history moved).
 const maxRegisteredTemplates = 1024
 
-// Server answers what-if queries over HTTP through a pool of
-// long-lived sessions. Create with New, mount with Handler.
+// Server answers what-if queries over HTTP through one long-lived
+// session. Create with New, mount with Handler.
 type Server struct {
 	engine *core.Engine
 	opts   Options
-	// sessions are handed out round-robin without exclusive checkout:
-	// a Session is concurrency-safe, so any number of requests may
-	// evaluate through the same one simultaneously (that sharing is
-	// what makes the caches effective). Sessions invalidate their
-	// caches themselves if the history advances between requests.
-	sessions []*core.Session
-	next     atomic.Uint64
+	// sess serves every request without exclusive checkout: a Session
+	// is concurrency-safe, so any number of requests evaluate through
+	// it simultaneously (that sharing is what makes the caches
+	// effective). It keeps or invalidates its caches itself when the
+	// history advances between requests.
+	sess *core.Session
 
 	// WAL stream traffic (leader side), for /metrics.
 	walStreams       atomic.Int64
@@ -114,29 +105,17 @@ func New(engine *core.Engine, opts Options) *Server {
 	s := &Server{
 		engine:     engine,
 		opts:       opts,
-		sessions:   make([]*core.Session, opts.Sessions),
+		sess:       engine.NewSession(),
 		templates:  lru.New[string, *core.Template](maxRegisteredTemplates),
 		streamStop: make(chan struct{}),
-	}
-	for i := range s.sessions {
-		s.sessions[i] = engine.NewSession()
 	}
 	return s
 }
 
-// session picks the next session round-robin.
-func (s *Server) session() *core.Session {
-	return s.sessions[s.next.Add(1)%uint64(len(s.sessions))]
-}
-
-// SessionStats aggregates the cache counters across the pool (for
-// logging and tests).
+// SessionStats reports the session's cache counters (for logging and
+// tests) as a one-entry slice, the shape /metrics labels session="0".
 func (s *Server) SessionStats() []core.SessionStats {
-	out := make([]core.SessionStats, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		out = append(out, sess.Stats())
-	}
-	return out
+	return []core.SessionStats{s.sess.Stats()}
 }
 
 // Handler returns the v1 API:
@@ -298,10 +277,8 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	sess := s.session()
-
 	if req.Variant == string(core.VariantNaive) {
-		d, reps, stats, err := sess.NaiveAggregatesCtx(ctx, mods, queries)
+		d, reps, stats, err := s.sess.NaiveAggregatesCtx(ctx, mods, queries)
 		if err != nil {
 			writeError(w, statusFor(err), err)
 			return
@@ -319,7 +296,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown variant %q (want N, R, R+PS, R+DS, R+PS+DS)", req.Variant))
 		return
 	}
-	d, reps, stats, err := sess.WhatIfAggregatesCtx(ctx, mods, queries, opts)
+	d, reps, stats, err := s.sess.WhatIfAggregatesCtx(ctx, mods, queries, opts)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -353,9 +330,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	sess := s.session()
-
-	results, bstats, err := sess.WhatIfBatchCtx(ctx, scenarios, core.BatchOptions{
+	results, bstats, err := s.sess.WhatIfBatchCtx(ctx, scenarios, core.BatchOptions{
 		Options: opts,
 		Workers: req.Workers,
 	})

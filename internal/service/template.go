@@ -107,7 +107,7 @@ func (s *Server) handleTemplateCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
-	tpl, err := s.session().CompileTemplateCtx(ctx, mods, opts)
+	tpl, err := s.sess.CompileTemplateCtx(ctx, mods, opts)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return

@@ -2,7 +2,7 @@
 // handlers behind cmd/mahifd. It speaks the v1 JSON wire format (the
 // delta/stats encodings pinned by golden tests in internal/delta and
 // internal/core, plus the request envelopes defined here), answers
-// queries through a pool of long-lived sessions so consecutive
+// queries through one long-lived session so consecutive
 // requests over the same history reuse time-travel snapshots, solver
 // memos, and compiled reenactment programs, and enforces a per-request
 // timeout by threading the request context — with the deadline

@@ -84,7 +84,7 @@
 //
 // Sessions are safe for concurrent use and invalidate themselves when
 // the underlying history advances. cmd/mahifd serves the engine over
-// HTTP through a session pool; DeltaSet, Stats, and BatchStats carry a
+// HTTP through one long-lived session; DeltaSet, Stats, and BatchStats carry a
 // stable JSON wire format (MarshalJSON/UnmarshalJSON, pinned by golden
 // tests) for that boundary.
 //
