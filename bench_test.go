@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/mahif/mahif/internal/core"
-	"github.com/mahif/mahif/internal/symbolic"
 	"github.com/mahif/mahif/internal/workload"
 )
 
@@ -185,81 +184,5 @@ func BenchmarkFig25(b *testing.B) {
 	w := benchWorkload(b, ds, workload.Config{Updates: 30, InsertPct: 10, DeletePct: 10})
 	for _, v := range []core.Variant{core.VariantRPS, core.VariantRDS, core.VariantRFull} {
 		b.Run(string(v), func(b *testing.B) { runVariant(b, w, v) })
-	}
-}
-
-// BenchmarkAblationCompression — Φ_D group count vs slicing cost
-// (design-choice ablation, not in the paper).
-func BenchmarkAblationCompression(b *testing.B) {
-	ds := benchDataset(b, "taxi", benchRows)
-	w := benchWorkload(b, ds, workload.Config{Updates: 30})
-	for _, groups := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("groups%d", groups), func(b *testing.B) {
-			vdb, err := w.Load()
-			if err != nil {
-				b.Fatal(err)
-			}
-			engine := core.New(vdb)
-			opts := core.DefaultOptions()
-			opts.Compress = symbolic.CompressOptions{Groups: groups}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.WhatIf(w.Mods, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationInsertSplit — §10 split on/off under an insert-heavy
-// history.
-func BenchmarkAblationInsertSplit(b *testing.B) {
-	ds := benchDataset(b, "taxi", benchRows)
-	w := benchWorkload(b, ds, workload.Config{Updates: 30, InsertPct: 20})
-	for _, split := range []bool{true, false} {
-		b.Run(fmt.Sprintf("split=%v", split), func(b *testing.B) {
-			vdb, err := w.Load()
-			if err != nil {
-				b.Fatal(err)
-			}
-			engine := core.New(vdb)
-			opts := core.OptionsFor(core.VariantRDS)
-			opts.InsertSplit = split
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.WhatIf(w.Mods, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSlicingAlgorithm — §9 dependency test vs §8.3.3
-// greedy (dependency-seeded, ζ-refined).
-func BenchmarkAblationSlicingAlgorithm(b *testing.B) {
-	ds := benchDataset(b, "taxi", benchRows)
-	w := benchWorkload(b, ds, workload.Config{Updates: 15})
-	for _, dep := range []bool{true, false} {
-		name := "dependency"
-		if !dep {
-			name = "greedy"
-		}
-		b.Run(name, func(b *testing.B) {
-			vdb, err := w.Load()
-			if err != nil {
-				b.Fatal(err)
-			}
-			engine := core.New(vdb)
-			opts := core.OptionsFor(core.VariantRPS)
-			opts.UseDependency = dep
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := engine.WhatIf(w.Mods, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/mahif/mahif/internal/core"
-	"github.com/mahif/mahif/internal/symbolic"
 	"github.com/mahif/mahif/internal/workload"
 )
 
@@ -243,68 +242,4 @@ func (h *harness) fig25() {
 			workload.Config{InsertPct: 10, DeletePct: 10},
 			core.VariantRPS, core.VariantRDS, core.VariantRFull)
 	}
-}
-
-// ablations: design choices not in the paper's figures.
-func (h *harness) ablations() {
-	ds := h.dataset(dsTaxiS)
-
-	header("Ablation: compression groups (U=50, D10 T10)", "groups=1", "groups=2", "groups=4", "groups=8")
-	w := h.gen(ds, workload.Config{Updates: 50})
-	fmt.Printf("%-10d", 50)
-	for _, g := range []int{1, 2, 4, 8} {
-		vdb, err := w.Load()
-		if err != nil {
-			panic(err)
-		}
-		engine := core.New(vdb)
-		opts := core.DefaultOptions()
-		opts.Compress = symbolic.CompressOptions{Groups: g}
-		start := time.Now()
-		if _, _, err := engine.WhatIf(w.Mods, opts); err != nil {
-			panic(err)
-		}
-		fmt.Printf(" %12s", ms(time.Since(start)))
-	}
-	fmt.Println()
-
-	header("Ablation: insert split on/off (U=50, I20)", "split", "no-split")
-	w = h.gen(ds, workload.Config{Updates: 50, InsertPct: 20})
-	for _, split := range []bool{true, false} {
-		vdb, err := w.Load()
-		if err != nil {
-			panic(err)
-		}
-		engine := core.New(vdb)
-		opts := core.OptionsFor(core.VariantRDS)
-		opts.InsertSplit = split
-		start := time.Now()
-		if _, _, err := engine.WhatIf(w.Mods, opts); err != nil {
-			panic(err)
-		}
-		if split {
-			fmt.Printf("%-10d %12s", 50, ms(time.Since(start)))
-		} else {
-			fmt.Printf(" %12s\n", ms(time.Since(start)))
-		}
-	}
-
-	header("Ablation: greedy vs dependency slicing (U=50, D10)", "greedy", "dependency")
-	w = h.gen(ds, workload.Config{Updates: 50})
-	fmt.Printf("%-10d", 50)
-	for _, dep := range []bool{false, true} {
-		vdb, err := w.Load()
-		if err != nil {
-			panic(err)
-		}
-		engine := core.New(vdb)
-		opts := core.OptionsFor(core.VariantRPS)
-		opts.UseDependency = dep
-		start := time.Now()
-		if _, _, err := engine.WhatIf(w.Mods, opts); err != nil {
-			panic(err)
-		}
-		fmt.Printf(" %12s", ms(time.Since(start)))
-	}
-	fmt.Println()
 }

@@ -53,9 +53,6 @@ func TestHarnessRunVariants(t *testing.T) {
 // TestExperimentsSmoke runs every experiment at tiny scale to ensure
 // none of them panics or degenerates.
 func TestExperimentsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test is slow")
-	}
 	h := &harness{rows: 400, large: 2, seed: 1, updates: []int{5}}
 	for name, run := range map[string]func(){
 		"fig14": h.fig14, "fig15": h.fig15, "fig16": h.fig16,
@@ -65,10 +62,10 @@ func TestExperimentsSmoke(t *testing.T) {
 	}
 }
 
-// TestExperimentNames pins the -exp ids: the paper's figures, the
-// ablation, and the experiments no other harness measures.
+// TestExperimentNames pins the -exp ids: the paper's figures and the
+// experiments no other harness measures.
 func TestExperimentNames(t *testing.T) {
-	want := "ablation cluster fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22 fig23 fig24 fig25 howto persist template"
+	want := "cluster fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22 fig23 fig24 fig25 howto persist template"
 	if got := strings.Join(experimentIDs(), " "); got != want {
 		t.Errorf("experiment ids = %q, want %q", got, want)
 	}

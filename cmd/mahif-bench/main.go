@@ -3,10 +3,10 @@
 // counts are scaled for a single machine (flag -rows; the "large"
 // dataset is -large times bigger), so absolute numbers differ from the
 // paper, but the comparisons — who wins, by what factor, where the
-// crossovers fall — are the reproduction target. Beside the figures and
-// the ablation it runs the experiments no Go benchmark or bench/ gate
-// cell measures (durability, replication, templates, how-to search),
-// each writing a BENCH_<id>.json report; -h lists the experiment ids.
+// crossovers fall — are the reproduction target. Beside the figures it
+// runs the experiments no Go benchmark or bench/ gate cell measures
+// (durability, replication, templates, how-to search), each writing a
+// BENCH_<id>.json report; -h lists the experiment ids.
 //
 // Usage:
 //
@@ -105,8 +105,8 @@ func experiments(h *harness) map[string]func() {
 		"fig14": h.fig14, "fig15": h.fig15, "fig16": h.fig16, "fig17": h.fig17,
 		"fig18": h.fig18, "fig19": h.fig19, "fig20": h.fig20, "fig21": h.fig21,
 		"fig22": h.fig22, "fig23": h.fig23, "fig24": h.fig24, "fig25": h.fig25,
-		"ablation": h.ablations, "persist": h.persistExp, "cluster": h.clusterExp,
-		"template": h.templateExp, "howto": h.howtoExp,
+		"persist": h.persistExp, "cluster": h.clusterExp, "template": h.templateExp,
+		"howto": h.howtoExp,
 	}
 }
 

@@ -50,9 +50,6 @@ type Options struct {
 	// Solve bounds the branch & bound search; zero values use solver
 	// defaults.
 	Solve milp.SolveOptions
-	// NumericBound overrides the default ±1e7 box for numeric
-	// variables.
-	NumericBound float64
 	// Memo, when non-nil, caches satisfiability outcomes across calls
 	// keyed by the query's structural hash (see Memo). Batch what-if
 	// evaluation shares one memo across scenarios so identical slicing
@@ -289,13 +286,6 @@ func (c *compiler) above(nodes int) *compiler {
 	}
 }
 
-func (c *compiler) bound() float64 {
-	if c.opts.NumericBound > 0 {
-		return c.opts.NumericBound
-	}
-	return defaultBound
-}
-
 // code returns the integer code of a string constant, assigning one on
 // first use.
 func (c *compiler) code(s string) float64 {
@@ -327,8 +317,7 @@ func (c *compiler) sourceVar(name string) (int, interval, error) {
 		// strings stay representable.
 		iv = interval{0, 20000}
 	default:
-		b := c.bound()
-		iv = interval{-b, b}
+		iv = interval{-defaultBound, defaultBound}
 	}
 	v, err := c.model.AddVar(iv.lo, iv.hi, kind == types.KindBool)
 	if err != nil {

@@ -272,10 +272,8 @@ func envDigest(kinds map[string]types.Kind, opts Options) memoKey {
 	h.word(uint64(len(kinds)))
 	h.word(sumHi)
 	h.word(sumLo)
-	h.word(math.Float64bits(opts.NumericBound))
 	h.word(uint64(opts.Solve.MaxNodes))
 	h.word(uint64(opts.Solve.MaxIter))
-	h.word(uint64(opts.Solve.MaxPropagationRounds))
 	return h.sum()
 }
 

@@ -119,8 +119,6 @@ func TestMemoKeyFoldsInKindsAndBudget(t *testing.T) {
 		"extra variable":  hashQuery(cond, map[string]types.Kind{"x": types.KindInt, "$p": types.KindInt, "y": types.KindInt}, Options{}),
 		"MaxNodes":        hashQuery(cond, kinds, Options{Solve: milp.SolveOptions{MaxNodes: 800}}),
 		"MaxIter":         hashQuery(cond, kinds, Options{Solve: milp.SolveOptions{MaxIter: 800}}),
-		"MaxPropagation":  hashQuery(cond, kinds, Options{Solve: milp.SolveOptions{MaxPropagationRounds: 800}}),
-		"NumericBound":    hashQuery(cond, kinds, Options{NumericBound: 800}),
 		"name boundaries": hashQuery(cond, map[string]types.Kind{"x$": types.KindInt, "p": types.KindInt}, Options{}),
 	}
 	for what, k := range variants {

@@ -110,7 +110,7 @@ func (c *evalCache) eval(ev evaluator, q algebra.Query, db *storage.Database) (*
 type batchShared struct {
 	snaps     *storage.SnapshotCache
 	eval      *evalCache
-	memo      *compile.Memo // used when Options.Compile.Memo is unset
+	memo      *compile.Memo
 	templates *lru.Cache[string, *Template]
 	work      *sessionWork // a session's work counts
 }
@@ -221,8 +221,8 @@ type Scenario struct {
 
 // BatchOptions configures WhatIfBatch.
 type BatchOptions struct {
-	// Options are the per-scenario engine options (variant, slicing
-	// knobs). The same options apply to every scenario.
+	// Options are the per-scenario engine options (variant and
+	// executor). The same options apply to every scenario.
 	Options Options
 	// Workers bounds evaluation parallelism; values ≤ 0 use
 	// runtime.GOMAXPROCS(0). Workers == 1 evaluates sequentially.
@@ -262,8 +262,7 @@ type BatchStats struct {
 	// reused one.
 	SnapshotHits, SnapshotMisses int
 	// MemoHits/Misses report solver-outcome reuse across scenarios
-	// (zero when the options carry their own memo or program slicing is
-	// off).
+	// (zero when program slicing is off).
 	MemoHits, MemoMisses int64
 	// QueryHits/Misses report reenactment-result reuse: hits are
 	// evaluations of a compiled algebra program another scenario
@@ -308,13 +307,6 @@ func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts Bat
 		sess = e.NewSession()
 	}
 	shared := *sess.shared()
-	perScenario := opts.Options
-	if perScenario.Compile.Memo != nil {
-		// The caller's memo (e.g. shared across batches) is the one in
-		// use; leave BatchStats' memo counters zero — its cumulative
-		// counts are not attributable to this batch.
-		shared.memo = nil
-	}
 	// Attribute this batch's cache traffic to its stats by reading the
 	// counters before and after: long-lived session caches carry counts
 	// from earlier calls. The difference is approximate when other calls
@@ -365,7 +357,7 @@ func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts Bat
 			results[i] = BatchResult{Scenario: i, Label: sc.Label, Err: err}
 			return
 		}
-		d, reps, st, err := e.whatIfPair(ctx, pairs[i], tip, sc.Queries, perScenario, &shared)
+		d, reps, st, err := e.whatIfPair(ctx, pairs[i], tip, sc.Queries, opts.Options, &shared)
 		results[i] = BatchResult{Scenario: i, Label: sc.Label, Delta: d, Stats: st, Aggregates: reps, Err: err}
 	})
 

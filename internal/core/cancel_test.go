@@ -14,15 +14,16 @@ import (
 // even though the uncancelled evaluation runs for minutes.
 const cancelBound = 250 * time.Millisecond
 
-// solverHeavyEngine builds an engine + workload whose greedy program
-// slicing runs for minutes uncancelled (two modifications make the ζ
-// tests combinatorial), so any prompt return below proves cancellation
+// solverHeavyEngine builds an engine + workload whose dependency
+// slicing runs for over a second uncancelled (600 updates, two
+// modifications: one solver test per statement, nearly all of the
+// answer's time), so any prompt return below proves cancellation
 // works.
 func solverHeavyEngine(t *testing.T) (*Engine, *workload.Workload, Options) {
 	t.Helper()
 	ds := workload.Taxi(2000, 1)
 	w, err := workload.Generate(ds, workload.Config{
-		Updates: 60, Mods: 2, DependentPct: 25, AffectedPct: 10, Seed: 3,
+		Updates: 600, Mods: 2, DependentPct: 25, AffectedPct: 10, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,9 +32,7 @@ func solverHeavyEngine(t *testing.T) (*Engine, *workload.Workload, Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.UseDependency = false // greedy ζ slicing: the solver-bound path
-	return New(vdb), w, opts
+	return New(vdb), w, DefaultOptions()
 }
 
 // TestWhatIfCtxCancelMidSolve cancels a solver-heavy WhatIfCtx at

@@ -13,14 +13,11 @@ import (
 	"time"
 
 	"github.com/mahif/mahif/internal/algebra"
-	"github.com/mahif/mahif/internal/compile"
-	"github.com/mahif/mahif/internal/dataslice"
 	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/history"
 	"github.com/mahif/mahif/internal/progslice"
 	"github.com/mahif/mahif/internal/storage"
-	"github.com/mahif/mahif/internal/symbolic"
 )
 
 // ExecutorKind selects the backend that evaluates reenactment queries.
@@ -42,24 +39,15 @@ const (
 	ExecInterpreter ExecutorKind = "interpreter"
 )
 
-// Options selects the algorithm variant and tuning knobs.
+// Options selects the algorithm variant — the §13.3 configurations R,
+// R+PS, R+DS and R+PS+DS are the two slicing switches — and the
+// executor that answers it.
 type Options struct {
-	// ProgramSlicing enables §7–§9 (implies the insert split of §10).
+	// ProgramSlicing enables §7–§9: the §10 insert split, then the §9
+	// dependency slice of the insert-free part of the history.
 	ProgramSlicing bool
 	// DataSlicing enables §6.
 	DataSlicing bool
-	// UseDependency selects the §9 dependency test
-	// (progslice.DependencyCtx) instead of greedy slicing, whatever the
-	// number of modified statements.
-	UseDependency bool
-	// InsertSplit applies the §10 split even without program slicing.
-	InsertSplit bool
-	// Compress configures database compression for program slicing.
-	Compress symbolic.CompressOptions
-	// Compile configures the MILP backend.
-	Compile compile.Options
-	// DataSlice configures the push-down analysis.
-	DataSlice dataslice.Options
 	// Executor picks the query evaluation backend: ExecVectorized (also
 	// the zero value) or the ExecInterpreter oracle. Queries the
 	// vectorized compiler cannot handle (e.g. symbolic variables)
@@ -76,8 +64,6 @@ func DefaultOptions() Options {
 	return Options{
 		ProgramSlicing: true,
 		DataSlicing:    true,
-		UseDependency:  true,
-		InsertSplit:    true,
 		Executor:       ExecVectorized,
 	}
 }
@@ -102,11 +88,11 @@ func OptionsFor(v Variant) Options {
 	o := DefaultOptions()
 	switch v {
 	case VariantR:
-		o.ProgramSlicing, o.DataSlicing, o.InsertSplit = false, false, false
+		o.ProgramSlicing, o.DataSlicing = false, false
 	case VariantRPS:
 		o.DataSlicing = false
 	case VariantRDS:
-		o.ProgramSlicing, o.InsertSplit = false, false
+		o.ProgramSlicing = false
 	case VariantRFull, VariantNaive:
 	}
 	return o

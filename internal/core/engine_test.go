@@ -154,40 +154,6 @@ func TestSlicingKeepsDependentUpdates(t *testing.T) {
 	}
 }
 
-// TestGreedyAgreesWithDependency cross-checks the two slicing
-// algorithms end to end.
-func TestGreedyAgreesWithDependency(t *testing.T) {
-	if testing.Short() {
-		t.Skip("greedy slicing cross-check runs hundreds of solver calls")
-	}
-	ds := workload.TPCC(800, 15)
-	w, err := workload.Generate(ds, workload.Config{
-		Updates: 8, Mods: 1, DependentPct: 50, AffectedPct: 15, Seed: 16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vdb, err := w.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine := New(vdb)
-	optGreedy := OptionsFor(VariantRFull)
-	optGreedy.UseDependency = false
-	dGreedy, _, err := engine.WhatIf(w.Mods, optGreedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dDep, _, err := engine.WhatIf(w.Mods, OptionsFor(VariantRFull))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := w.Dataset.Rel.Schema.Relation
-	if !dGreedy[rel].Equal(dDep[rel]) {
-		t.Errorf("greedy and dependency slicing disagree:\n%s\nvs\n%s", dGreedy[rel], dDep[rel])
-	}
-}
-
 func TestDeltaSizeMatchesBand(t *testing.T) {
 	// The modification moves the threshold from T% to 0.8·T%: the delta
 	// must contain exactly the tuples in the band, twice (− and +),

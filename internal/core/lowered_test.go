@@ -55,7 +55,7 @@ func TestSolverLoweredIsPrefixPlusSuffixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phiD, err := symbolic.Compress(relation, DefaultOptions().Compress)
+	phiD, err := symbolic.Compress(relation, symbolic.CompressOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

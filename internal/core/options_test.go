@@ -4,34 +4,33 @@ import (
 	"testing"
 
 	"github.com/mahif/mahif/internal/history"
-	"github.com/mahif/mahif/internal/symbolic"
 	"github.com/mahif/mahif/internal/workload"
 )
 
 // TestOptionsForVariants pins the variant → options mapping.
 func TestOptionsForVariants(t *testing.T) {
 	cases := []struct {
-		v          Variant
-		ps, ds, is bool
+		v      Variant
+		ps, ds bool
 	}{
-		{VariantR, false, false, false},
-		{VariantRPS, true, false, true},
-		{VariantRDS, false, true, false},
-		{VariantRFull, true, true, true},
+		{VariantR, false, false},
+		{VariantRPS, true, false},
+		{VariantRDS, false, true},
+		{VariantRFull, true, true},
 	}
 	for _, c := range cases {
 		o := OptionsFor(c.v)
-		if o.ProgramSlicing != c.ps || o.DataSlicing != c.ds || o.InsertSplit != c.is {
-			t.Errorf("%s: got PS=%v DS=%v split=%v", c.v, o.ProgramSlicing, o.DataSlicing, o.InsertSplit)
+		if o.ProgramSlicing != c.ps || o.DataSlicing != c.ds {
+			t.Errorf("%s: got PS=%v DS=%v", c.v, o.ProgramSlicing, o.DataSlicing)
 		}
 	}
 }
 
-// optionSweep answers the same query under many option combinations;
-// all must agree with the naive answer.
+// TestOptionCombinationsAgree answers the same query under every
+// variant on both executors; all must agree with the naive answer.
 func TestOptionCombinationsAgree(t *testing.T) {
 	if testing.Short() {
-		t.Skip("18-way option sweep answers the query once per combination")
+		t.Skip("8-way option sweep answers the query once per combination")
 	}
 	ds := workload.Taxi(900, 31)
 	w, err := workload.Generate(ds, workload.Config{
@@ -52,33 +51,17 @@ func TestOptionCombinationsAgree(t *testing.T) {
 	}
 	rel := ds.Rel.Schema.Relation
 
-	variants := []Options{}
-	for _, ps := range []bool{false, true} {
-		for _, dsOn := range []bool{false, true} {
-			for _, split := range []bool{false, true} {
-				for _, dep := range []bool{false, true} {
-					variants = append(variants, Options{
-						ProgramSlicing: ps, DataSlicing: dsOn, InsertSplit: split,
-						UseDependency: dep,
-					})
-				}
+	for _, v := range []Variant{VariantR, VariantRPS, VariantRDS, VariantRFull} {
+		for _, ex := range []ExecutorKind{ExecVectorized, ExecInterpreter} {
+			opts := OptionsFor(v)
+			opts.Executor = ex
+			got, _, err := engine.WhatIf(w.Mods, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", v, ex, err)
 			}
-		}
-	}
-	// Plus: alternative compression settings.
-	variants = append(variants,
-		Options{ProgramSlicing: true, DataSlicing: true, InsertSplit: true, UseDependency: true,
-			Compress: symbolic.CompressOptions{Groups: 1}},
-		Options{ProgramSlicing: true, DataSlicing: true, InsertSplit: true, UseDependency: true,
-			Compress: symbolic.CompressOptions{Groups: 8, GroupBy: ds.SelAttr}},
-	)
-	for i, opts := range variants {
-		got, _, err := engine.WhatIf(w.Mods, opts)
-		if err != nil {
-			t.Fatalf("options %d (%+v): %v", i, opts, err)
-		}
-		if !got[rel].Equal(want[rel]) {
-			t.Errorf("options %d (%+v): delta differs from naive", i, opts)
+			if !got[rel].Equal(want[rel]) {
+				t.Errorf("%s/%s: delta differs from naive", v, ex)
+			}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/mahif/mahif/internal/algebra"
+	"github.com/mahif/mahif/internal/compile"
 	"github.com/mahif/mahif/internal/dataslice"
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/history"
@@ -87,14 +88,12 @@ func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, op
 	if p.params, err = inferParams(suffix, db); err != nil {
 		return nil, err
 	}
+	solver := compile.Options{Memo: shared.memo}
 	if len(p.params) > 0 {
-		opts.Compile.ParamKinds = make(map[string]types.Kind, len(p.params))
+		solver.ParamKinds = make(map[string]types.Kind, len(p.params))
 		for name, c := range p.params {
-			opts.Compile.ParamKinds[name] = c.kind()
+			solver.ParamKinds[name] = c.kind()
 		}
-	}
-	if opts.Compile.Memo == nil {
-		opts.Compile.Memo = shared.memo
 	}
 
 	// Relations to answer for; taint analysis prunes provably-empty
@@ -118,7 +117,7 @@ func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, op
 	filters := &dataslice.Conditions{H: reenact.Filters{}, M: reenact.Filters{}}
 	if opts.DataSlicing {
 		t0 := time.Now()
-		if filters, err = dataslice.Compute(suffix, db, opts.DataSlice); err != nil {
+		if filters, err = dataslice.Compute(suffix, db, dataslice.Options{}); err != nil {
 			return nil, err
 		}
 		stats.DataSlicing = time.Since(t0)
@@ -128,7 +127,7 @@ func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, op
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := e.planRelation(ctx, p, suffix, rel, filters, opts); err != nil {
+		if err := e.planRelation(ctx, p, suffix, rel, filters, opts, solver); err != nil {
 			return nil, err
 		}
 	}
@@ -136,40 +135,31 @@ func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, op
 	return p, nil
 }
 
-// planRelation builds one relation's query pair. With the §10 split
-// (program slicing or InsertSplit) the insert-free part of the history,
-// optionally program sliced, runs over the base relation and is unioned
-// with the insert branches; without it (variants R and R+DS) every
-// statement is kept and inserts stay inline, so there are no branches.
-func (e *Engine) planRelation(ctx context.Context, p *plan, suffix *history.PaddedPair, rel string, filters *dataslice.Conditions, opts Options) error {
+// planRelation builds one relation's query pair. With program slicing
+// the §10 split runs the dependency-sliced insert-free part of the
+// history over the base relation and unions it with the insert
+// branches; without it (variants R and R+DS) every statement is kept
+// and inserts stay inline, so there are no branches.
+func (e *Engine) planRelation(ctx context.Context, p *plan, suffix *history.PaddedPair, rel string, filters *dataslice.Conditions, opts Options, solver compile.Options) error {
 	relPair, _ := suffix.RestrictToRelation(rel)
 	kept := relPair
-	split := opts.ProgramSlicing || opts.InsertSplit
-	if split {
+	if opts.ProgramSlicing {
 		noIns := stripInsertPair(relPair)
-		keep := allPositions(len(noIns.Orig))
-		switch {
-		case !opts.ProgramSlicing:
-		case len(noIns.ModifiedPos) == 0:
-			// Every modification on rel is an insert pair: the
-			// insert-free parts of both histories are identical, so the
-			// base branches cancel and can be dropped entirely.
-			keep = nil
-		default:
+		var keep []int
+		// With every modification on rel an insert pair, the insert-free
+		// parts of both histories are identical, so the base branches
+		// cancel and keep stays empty.
+		if len(noIns.ModifiedPos) > 0 {
 			relation, err := p.db.Relation(rel)
 			if err != nil {
 				return err
 			}
-			phiD, err := symbolic.Compress(relation, opts.Compress)
+			phiD, err := symbolic.Compress(relation, symbolic.CompressOptions{})
 			if err != nil {
 				return err
 			}
-			in := &progslice.Input{Pair: noIns, Schema: relation.Schema, PhiD: phiD, Compile: opts.Compile}
-			slice := progslice.GreedyCtx
-			if opts.UseDependency {
-				slice = progslice.DependencyCtx
-			}
-			res, err := slice(ctx, in)
+			in := &progslice.Input{Pair: noIns, Schema: relation.Schema, PhiD: phiD, Compile: solver}
+			res, err := progslice.DependencyCtx(ctx, in)
 			if err != nil {
 				return err
 			}
@@ -194,7 +184,7 @@ func (e *Engine) planRelation(ctx context.Context, p *plan, suffix *history.Padd
 	// Building the queries counts as execution time, as it always has.
 	t0 := time.Now()
 	side := func(kept, whole history.History, f reenact.Filters) (algebra.Query, error) {
-		if !split {
+		if !opts.ProgramSlicing {
 			// Inserts stay inline, and INSERT … SELECT must see the
 			// reenacted state of the relations it reads: build from the
 			// whole suffix.

@@ -136,7 +136,7 @@ type SessionStats struct {
 	SnapshotTipEvictions, SnapshotTipResident int
 	// CompressHits/Misses report reuse of the compressed database Φ_D
 	// that program slicing tests against: a miss scanned a relation (once
-	// per snapshot and option set, see symbolic.Compress), a hit took the
+	// per snapshot, see symbolic.Compress), a hit took the
 	// Φ_D remembered on the snapshot. Slow slicing with misses climbing is
 	// a cold Φ_D (snapshots being rebuilt); with hits only, it is the
 	// solver.

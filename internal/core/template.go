@@ -853,10 +853,9 @@ func (s *Session) CompileTemplateCtx(ctx context.Context, mods []history.Modific
 // property the solver memo key relies on).
 func templateKey(version int, mods []history.Modification, opts Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "v%d|%s|ps=%t,ds=%t,dep=%t,is=%t,vec=%+v|",
+	fmt.Fprintf(&b, "v%d|%s|ps=%t,ds=%t,vec=%+v|",
 		version, normalizeExecutor(opts.Executor),
-		opts.ProgramSlicing, opts.DataSlicing, opts.UseDependency, opts.InsertSplit,
-		opts.Vec)
+		opts.ProgramSlicing, opts.DataSlicing, opts.Vec)
 	for _, m := range mods {
 		switch x := m.(type) {
 		case history.Replace:

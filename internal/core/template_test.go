@@ -817,13 +817,13 @@ func TestTemplateSlicedEvalComparesItsSlice(t *testing.T) {
 // template compile, or a slow recompile after an append, waits only as
 // long as its own deadline allows. The build it joined finishes for
 // everyone else, and the next caller gets that artifact without a
-// second recompile. Greedy ζ slicing (UseDependency off) makes the
-// compile take a few hundred milliseconds.
+// second recompile. Dependency slicing a 1 200-update history makes
+// the compile take a few hundred milliseconds, over ten times the join
+// delay.
 func TestTemplateWaitersHonorTheirDeadline(t *testing.T) {
-	w, e := templateWorkload(t, 600, 2, 91)
+	w, e := templateWorkload(t, 600, 1200, 91)
 	mods := paramMods(w)
 	opts := DefaultOptions()
-	opts.UseDependency = false
 	sess := e.NewSession()
 	const joinAfter, deadline, prompt = 30 * time.Millisecond, 20 * time.Millisecond, 150 * time.Millisecond
 	waitOut := func(label string, call func(ctx context.Context) error) {

@@ -67,42 +67,30 @@ type Range struct {
 type Options struct {
 	// Bounds gives each parameter's search interval (default ±1e6).
 	Bounds map[string]Range
-	// Tolerance is the linearity-verification and "==" slack
-	// (default 1e-6, relative to the magnitude of the delta).
-	Tolerance float64
-	// GridPoints is the fallback sweep's resolution (default 33).
-	GridPoints int
-	// MaxBisection caps the fallback's refinement steps (default 24).
-	MaxBisection int
-	// Resolution is the answer quantum: bisection stops once it has
-	// localized the predicate boundary this tightly, and the answer is
-	// snapped outward to this grid. It defaults to the slicing
-	// compiler's strict-inequality epsilon (compile.Eps) — answers
-	// closer than that to a threshold sit in the encoding's blind zone,
-	// where program slicing may judge the boundary differently than
-	// direct evaluation and the certificate would fail.
-	Resolution float64
 	// Engine selects the evaluation options (default DefaultOptions).
 	Engine *core.Options
-	// Workers bounds the grid sweep's parallelism.
-	Workers int
 }
 
-const defaultBound = 1e6
+const (
+	defaultBound = 1e6
+	// tolerance is the linearity-verification and "==" slack, relative
+	// to the magnitude of the delta.
+	tolerance = 1e-6
+	// gridPoints is the fallback sweep's resolution.
+	gridPoints = 33
+	// maxBisection caps the fallback's refinement steps.
+	maxBisection = 24
+	// resolution is the answer quantum: bisection stops once it has
+	// localized the predicate boundary this tightly, and the answer is
+	// snapped outward to this grid. It is the slicing compiler's
+	// strict-inequality epsilon — answers closer than that to a
+	// threshold sit in the encoding's blind zone, where program slicing
+	// may judge the boundary differently than direct evaluation and the
+	// certificate would fail.
+	resolution = compile.Eps
+)
 
 func (o Options) withDefaults() Options {
-	if o.Tolerance <= 0 {
-		o.Tolerance = 1e-6
-	}
-	if o.GridPoints < 3 {
-		o.GridPoints = 33
-	}
-	if o.MaxBisection <= 0 {
-		o.MaxBisection = 24
-	}
-	if o.Resolution <= 0 {
-		o.Resolution = compile.Eps
-	}
 	if o.Engine == nil {
 		eng := core.DefaultOptions()
 		o.Engine = &eng
@@ -263,7 +251,7 @@ func (s *searcher) holds(f float64) bool {
 	case ">=":
 		return f >= s.target.Value
 	default: // ==
-		return math.Abs(f-s.target.Value) <= s.opts.Tolerance*math.Max(1, math.Abs(s.target.Value))
+		return math.Abs(f-s.target.Value) <= tolerance*math.Max(1, math.Abs(s.target.Value))
 	}
 }
 
@@ -325,7 +313,7 @@ func (s *searcher) solveLinear(ctx context.Context) ([]float64, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		if !def || math.Abs(got-pred) > s.opts.Tolerance*math.Max(1, math.Abs(got)) {
+		if !def || math.Abs(got-pred) > tolerance*math.Max(1, math.Abs(got)) {
 			return nil, false, nil
 		}
 	}
@@ -412,14 +400,14 @@ func (s *searcher) solveGrid(ctx context.Context) ([]float64, error) {
 		return nil, fmt.Errorf("howto: non-linear search over %d parameters is not supported (single $slot only)", len(s.names))
 	}
 	lo, hi := s.lo[0], s.hi[0]
-	n := s.opts.GridPoints
+	n := gridPoints
 	pts := make([]float64, n)
 	bindings := make([]map[string]types.Value, n)
 	for i := range pts {
 		pts[i] = lo + (hi-lo)*float64(i)/float64(n-1)
 		bindings[i] = s.binding([]float64{pts[i]})
 	}
-	results, err := s.tpl.EvalAggregatesBatchCtx(ctx, bindings, []core.AggregateQuery{s.query}, s.opts.Workers)
+	results, err := s.tpl.EvalAggregatesBatchCtx(ctx, bindings, []core.AggregateQuery{s.query}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +443,7 @@ func (s *searcher) solveGrid(ctx context.Context) ([]float64, error) {
 	default:
 		return []float64{good}, nil // neighbors satisfy too (or none is zero-ward): grid already minimal
 	}
-	for i := 0; i < s.opts.MaxBisection && math.Abs(good-bad) > s.opts.Resolution; i++ {
+	for i := 0; i < maxBisection && math.Abs(good-bad) > resolution; i++ {
 		mid := (good + bad) / 2
 		f, def, err := s.measure(ctx, []float64{mid})
 		if err != nil {
@@ -471,7 +459,7 @@ func (s *searcher) solveGrid(ctx context.Context) ([]float64, error) {
 	// the resolution grid, so the answer keeps a full quantum of margin
 	// from the predicate boundary; keep the raw point if snapping
 	// somehow left the satisfying region.
-	if snapped := snapOut(good, s.opts.Resolution); snapped != good {
+	if snapped := snapOut(good, resolution); snapped != good {
 		f, def, err := s.measure(ctx, []float64{snapped})
 		if err != nil {
 			return nil, err

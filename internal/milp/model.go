@@ -260,6 +260,3 @@ func (m *Model) ViolatedConstraints(x []float64, eps float64) []int {
 	}
 	return out
 }
-
-// ConstraintAt returns the i-th constraint, for debugging and tests.
-func (m *Model) ConstraintAt(i int) Constraint { return m.cons[i] }

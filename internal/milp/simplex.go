@@ -380,22 +380,3 @@ func (m *Model) Optimize(objective []float64, maxIter int) (*Result, error) {
 	}
 	return &Result{Status: Feasible, X: x, Objective: val}, nil
 }
-
-// DebugPhase1 exposes the phase-1 solve for diagnosis in tests: it
-// returns the raw status, the extracted point, and the phase-1
-// objective (sum of artificials) at termination.
-func (m *Model) DebugPhase1() (Status, []float64, float64) {
-	l, ok := buildLP(m, m.lo, m.hi)
-	if !ok {
-		return Infeasible, nil, math.Inf(1)
-	}
-	optimal, _ := l.t.iterate(5000)
-	obj := -l.t.obj[l.t.n]
-	if !optimal {
-		return Limit, l.solution(), obj
-	}
-	if obj > feasEps {
-		return Infeasible, l.solution(), obj
-	}
-	return Feasible, l.solution(), obj
-}

@@ -11,11 +11,10 @@ type SolveOptions struct {
 	MaxNodes int
 	// MaxIter caps simplex iterations per LP (default 5000).
 	MaxIter int
-	// MaxPropagationRounds caps bound-tightening sweeps per node
-	// (default 64); a negative value disables propagation entirely
-	// (pure LP-based branch & bound, for ablation and debugging).
-	MaxPropagationRounds int
 }
+
+// propagationRounds caps bound-tightening sweeps per node.
+const propagationRounds = 64
 
 func (o SolveOptions) withDefaults() SolveOptions {
 	if o.MaxNodes == 0 {
@@ -23,9 +22,6 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	}
 	if o.MaxIter == 0 {
 		o.MaxIter = 5000
-	}
-	if o.MaxPropagationRounds == 0 {
-		o.MaxPropagationRounds = 64
 	}
 	return o
 }
@@ -57,9 +53,9 @@ func (m *Model) SolveCtx(ctx context.Context, opts SolveOptions) *Result {
 	return res
 }
 
-// propVisits converts the rounds option into a worklist budget.
-func (m *Model) propVisits(opts SolveOptions) int {
-	return opts.MaxPropagationRounds * (len(m.cons) + 1)
+// propVisits converts the rounds cap into a worklist budget.
+func (m *Model) propVisits() int {
+	return propagationRounds * (len(m.cons) + 1)
 }
 
 const propTol = 1e-7
@@ -234,17 +230,8 @@ func (m *Model) branchCtx(ctx context.Context, lo, hi []float64, seed int, opts 
 	if ctx.Err() != nil {
 		return Canceled, nil
 	}
-	if opts.MaxPropagationRounds > 0 {
-		if !m.propagate(lo, hi, seed, m.propVisits(opts)) {
-			return Infeasible, nil
-		}
-	} else {
-		// Propagation disabled (ablation): fall back to LP pruning at
-		// every node so the search still terminates in practice.
-		status, _ := lpFeasible(m, lo, hi, opts.MaxIter)
-		if status != Feasible {
-			return status, nil
-		}
+	if !m.propagate(lo, hi, seed, m.propVisits()) {
+		return Infeasible, nil
 	}
 
 	// Midpoint heuristic: if the box midpoint (integers snapped)

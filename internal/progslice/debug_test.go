@@ -15,8 +15,9 @@ import (
 // TestSliceRejectionRegression is the regression test for the first
 // end-to-end slicing bug: with the fee-waiver history of Example 8,
 // the candidate slice {u1} must be rejected — a UK tuple with price in
-// [50,60) distinguishes the histories only when u2 runs — and the
-// "histories can differ" check must find that witness world.
+// [50,60) distinguishes the histories only when u2 runs — so the
+// dependency slice keeps u2, and the "histories can differ" check must
+// find that witness world.
 func TestSliceRejectionRegression(t *testing.T) {
 	s := schema.New("orders",
 		schema.Col("country", types.KindString),
@@ -38,17 +39,12 @@ func TestSliceRejectionRegression(t *testing.T) {
 		Mod:         history.History{u1p, u2},
 		ModifiedPos: []int{0},
 	}
-	in := &Input{Pair: pair, Schema: s, PhiD: expr.True}
-	if err := in.validate(); err != nil {
-		t.Fatal(err)
-	}
-	st := Stats{}
-	ok, err := isSlice(context.Background(), in, []int{0}, &st)
+	res, err := DependencyCtx(context.Background(), &Input{Pair: pair, Schema: s, PhiD: expr.True})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Fatal("isSlice wrongly certified {0} (Example 8 says it is invalid)")
+	if len(res.Keep) != 2 {
+		t.Fatalf("dependency slice kept %v, want [0 1] (Example 8: {0} is not a slice)", res.Keep)
 	}
 
 	// The full histories must be distinguishable, with a valid witness.

@@ -1,13 +1,10 @@
 // Package progslice implements program slicing for historical what-if
-// queries (§7–§9): it determines subsets of the history pair that are
-// provably sufficient for computing the query answer, by symbolically
-// executing the candidate histories over a single-tuple VC-table
-// constrained by the compressed database Φ_D and checking the slicing
-// condition ζ(H, I, Φ_D) with the MILP solver.
-//
-// Two algorithms are provided: the greedy candidate-shrinking algorithm
-// of §8.3.3 (sound for any number of modifications) and the faster
-// dependency-based test of §9 for single modifications (Thm. 5).
+// queries (§7): it determines the statements of a history pair a query
+// answer depends on with the dependency test of §9 (Thm. 5), by
+// symbolically executing both histories over a single-tuple VC-table
+// constrained by the compressed database Φ_D and asking the MILP
+// solver, per statement, whether a tuple a modification affects can
+// reach it.
 package progslice
 
 import (
@@ -63,18 +60,6 @@ type Result struct {
 	Stats Stats
 }
 
-// zetaNodeBudget bounds the branch & bound effort of one full slicing
-// condition ζ test, and zetaTotalBudget the cumulative effort across a
-// whole greedy run. ζ formulas span four symbolic histories and —
-// lacking conflict learning — can make the solver wander; past a budget
-// the candidate (resp. every remaining candidate) is conservatively
-// kept, making the ζ phase an anytime refinement on top of the
-// dependency slice.
-const (
-	zetaNodeBudget  = 800
-	zetaTotalBudget = 16000
-)
-
 // validate rejects inputs the symbolic machinery cannot handle.
 func (in *Input) validate() error {
 	if len(in.Pair.Orig) != len(in.Pair.Mod) {
@@ -95,138 +80,7 @@ func (in *Input) validate() error {
 	return nil
 }
 
-// Greedy runs the §8.3.3 test-and-remove loop. It is seeded with the
-// dependency slice of §9 (sound for any number of modifications; see
-// Dependency), which already excludes every statement whose condition
-// provably never fires on modification-affected tuples. The loop then
-// attempts the remaining removals with the full slicing condition ζ
-// (Eq. 18), each check bounded by a solver node budget — ζ can certify
-// removals dependency analysis cannot (e.g. statements whose effect is
-// identical in both histories despite touching affected tuples), and a
-// budget overrun conservatively keeps the statement.
-func Greedy(in *Input) (*Result, error) {
-	return GreedyCtx(context.Background(), in)
-}
-
-// GreedyCtx is Greedy under a context: cancellation is observed between
-// candidate removals and at every solver node inside each ζ check.
-func GreedyCtx(ctx context.Context, in *Input) (*Result, error) {
-	if err := in.validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-
-	seed, err := DependencyCtx(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	st := seed.Stats
-
-	modified := map[int]bool{}
-	for _, p := range in.Pair.ModifiedPos {
-		modified[p] = true
-	}
-	n := len(in.Pair.Orig)
-	keep := make([]bool, n)
-	for _, p := range seed.Keep {
-		keep[p] = true
-	}
-
-	current := func() []int {
-		var out []int
-		for i, k := range keep {
-			if k {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-
-	zetaIn := *in
-	if zetaIn.Compile.Solve.MaxNodes == 0 {
-		zetaIn.Compile.Solve.MaxNodes = zetaNodeBudget
-	}
-	zetaNodes := 0
-	for i := 0; i < n && zetaNodes < zetaTotalBudget; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !keep[i] || modified[i] {
-			continue
-		}
-		keep[i] = false
-		before := st.SolverNodes
-		ok, err := isSlice(ctx, &zetaIn, current(), &st)
-		if err != nil {
-			return nil, err
-		}
-		zetaNodes += st.SolverNodes - before
-		if !ok {
-			keep[i] = true
-		}
-	}
-
-	res := &Result{Keep: current()}
-	st.Kept = len(res.Keep)
-	st.Removed = n - st.Kept
-	st.Duration = time.Since(start)
-	res.Stats = st
-	return res, nil
-}
-
 func noop(s history.Statement) bool { return s.IsNoOp() }
-
-// isSlice checks ζ(H, I, Φ_D): the negation of Eq. 18 conjoined with
-// all global conditions must be unsatisfiable.
-func isSlice(ctx context.Context, in *Input, positions []int, st *Stats) (bool, error) {
-	base := symbolic.NewBaseState(in.Schema)
-	full0, err := symbolic.Exec(base, in.Pair.Orig, "h")
-	if err != nil {
-		return false, err
-	}
-	full1, err := symbolic.Exec(base, in.Pair.Mod, "m")
-	if err != nil {
-		return false, err
-	}
-	sl0, err := symbolic.Exec(base, in.Pair.Orig.Restrict(positions), "hs")
-	if err != nil {
-		return false, err
-	}
-	sl1, err := symbolic.Exec(base, in.Pair.Mod.Restrict(positions), "ms")
-	if err != nil {
-		return false, err
-	}
-
-	// ψ per Eq. 18 with Eq. 19 substituted for result equality.
-	fullSame := symbolic.SameResult(full0, full1)
-	sliceSame := symbolic.SameResult(sl0, sl1)
-	cross1 := expr.AndOf(symbolic.SameResult(full0, sl0), symbolic.SameResult(full1, sl1))
-	cross2 := expr.AndOf(symbolic.SameResult(full0, sl1), symbolic.SameResult(full1, sl0))
-	psi := expr.OrOf(
-		expr.AndOf(fullSame, sliceSame),
-		expr.AndOf(expr.Negation(fullSame), expr.OrOf(cross1, cross2)),
-	)
-
-	// ¬ζ = Φ_D ∧ Φ(all states) ∧ ¬ψ, with the global conditions pruned
-	// to the cone of influence of Φ_D ∧ ¬ψ.
-	core := expr.AndOf(in.PhiD, expr.Negation(psi))
-	globals := newGlobalDefs(full0, full1, sl0, sl1).prune(core)
-	formula := expr.AndOf(append([]expr.Expr{core}, globals...)...)
-	kinds := symbolic.MergeKinds(full0, full1, sl0, sl1)
-	check := compile.NewPrefix(formula, kinds, in.Compile)
-	out, err := check.SatisfiableCtx(ctx)
-	st.Lowered += check.Lowered()
-	if err != nil {
-		return false, err
-	}
-	st.Tests++
-	st.SolverNodes += out.Nodes
-	if !out.Definitive {
-		st.Indefinite++
-		return false, nil // cannot prove: keep the statement
-	}
-	return !out.Sat, nil
-}
 
 // Dependency runs the §9 dependency test: statement u_i is kept iff
 // some possible world contains a tuple affected both by a modified

@@ -1,6 +1,7 @@
 package progslice
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/mahif/mahif/internal/expr"
@@ -33,19 +34,16 @@ func pairOf(t *testing.T, histSQL string, pos int, replSQL string) *history.Padd
 	return pair
 }
 
-// keepSet runs both slicing algorithms and returns their keep sets.
-func keepSet(t *testing.T, pair *history.PaddedPair, phiD expr.Expr) (greedy, dep []int) {
+// keepSet runs the dependency slice (checked against the per-test
+// oracle) and returns its keep set.
+func keepSet(t *testing.T, pair *history.PaddedPair, phiD expr.Expr) []int {
 	t.Helper()
 	in := &Input{Pair: pair, Schema: orderSchema(), PhiD: phiD}
-	g, err := Greedy(in)
-	if err != nil {
-		t.Fatalf("Greedy: %v", err)
-	}
 	d, err := checkedDependency(t, in)
 	if err != nil {
 		t.Fatalf("Dependency: %v", err)
 	}
-	return g.Keep, d.Keep
+	return d.Keep
 }
 
 // TestExample8NotASlice is the paper's Example 8: dropping u2 from the
@@ -56,26 +54,20 @@ func TestExample8NotASlice(t *testing.T) {
 		UPDATE orders SET fee = 0 WHERE price >= 50;
 		UPDATE orders SET fee = fee + 5 WHERE country = 'UK' AND price <= 100;
 	`, 0, `UPDATE orders SET fee = 0 WHERE price >= 60`)
-	greedy, dep := keepSet(t, pair, expr.True)
-	if len(greedy) != 2 {
-		t.Errorf("greedy keep = %v, want both statements", greedy)
-	}
+	dep := keepSet(t, pair, expr.True)
 	if len(dep) != 2 {
 		t.Errorf("dependency keep = %v, want both statements", dep)
 	}
 }
 
 // TestIndependentUpdateSliced: an update over a provably disjoint
-// region must be removed by both algorithms.
+// region must be removed.
 func TestIndependentUpdateSliced(t *testing.T) {
 	pair := pairOf(t, `
 		UPDATE orders SET fee = 0 WHERE price >= 50;
 		UPDATE orders SET fee = fee + 5 WHERE price < 40;
 	`, 0, `UPDATE orders SET fee = 0 WHERE price >= 60`)
-	greedy, dep := keepSet(t, pair, expr.True)
-	if len(greedy) != 1 || greedy[0] != 0 {
-		t.Errorf("greedy keep = %v, want [0]", greedy)
-	}
+	dep := keepSet(t, pair, expr.True)
 	if len(dep) != 1 || dep[0] != 0 {
 		t.Errorf("dependency keep = %v, want [0]", dep)
 	}
@@ -91,9 +83,9 @@ func TestCompressionEnablesSlicing(t *testing.T) {
 
 	// Unconstrained: a tuple with price ≥ 50 satisfies both conditions,
 	// so u2 must stay.
-	greedy, dep := keepSet(t, pair, expr.True)
-	if len(greedy) != 2 || len(dep) != 2 {
-		t.Fatalf("without Φ_D: greedy=%v dep=%v, want both kept", greedy, dep)
+	dep := keepSet(t, pair, expr.True)
+	if len(dep) != 2 {
+		t.Fatalf("without Φ_D: keep = %v, want both kept", dep)
 	}
 
 	// With Φ_D: price ∈ [0, 45): no tuple reaches the modified updates,
@@ -104,10 +96,7 @@ func TestCompressionEnablesSlicing(t *testing.T) {
 		expr.Ge(expr.Variable("x0_price"), expr.IntConst(0)),
 		expr.Lt(expr.Variable("x0_price"), expr.IntConst(45)),
 	)
-	greedy, dep = keepSet(t, pair, phiD)
-	if len(greedy) != 1 {
-		t.Errorf("greedy with Φ_D keep = %v, want [0]", greedy)
-	}
+	dep = keepSet(t, pair, phiD)
 	if len(dep) != 1 {
 		t.Errorf("dependency with Φ_D keep = %v, want [0]", dep)
 	}
@@ -121,35 +110,33 @@ func TestDeleteDependence(t *testing.T) {
 		DELETE FROM orders WHERE price >= 80;
 		DELETE FROM orders WHERE price < 30;
 	`, 0, `UPDATE orders SET fee = 0 WHERE price >= 60`)
-	greedy, dep := keepSet(t, pair, expr.True)
-	want := []int{0, 1}
-	for name, got := range map[string][]int{"greedy": greedy, "dependency": dep} {
-		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-			t.Errorf("%s keep = %v, want %v", name, got, want)
-		}
+	if got := keepSet(t, pair, expr.True); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Errorf("dependency keep = %v, want [0 1]", got)
 	}
 }
 
 // TestChainedDependence: u2 writes price, u3 reads it — removing u2
-// would change whether u3 fires on modified tuples, so both stay.
+// would change whether u3 fires on modified tuples, so both stay (Def.
+// 4: a tuple at price 50 gets fee 1 in H and, by u1', not in H[M] — but
+// only because u2 lifts it to 70).
 func TestChainedDependence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chained-dependence slicing is solver-heavy")
-	}
 	pair := pairOf(t, `
 		UPDATE orders SET fee = 0 WHERE price >= 50;
 		UPDATE orders SET price = price + 20 WHERE price >= 45;
 		UPDATE orders SET fee = fee + 1 WHERE price >= 65;
 	`, 0, `UPDATE orders SET fee = 0 WHERE price >= 60`)
-	greedy, _ := keepSet(t, pair, expr.True)
-	if len(greedy) != 3 {
-		t.Errorf("greedy keep = %v, want all three (chained dependence)", greedy)
+	keep := keepSet(t, pair, expr.True)
+	if len(keep) != 3 {
+		t.Errorf("dependency keep = %v, want all three (chained dependence)", keep)
 	}
+	assertSliceValid(t, pair, keep)
+	assertSliceInvalid(t, pair, []int{0, 1})
+	assertSliceInvalid(t, pair, []int{0, 2})
 }
 
-// TestSliceValidity is the semantic check behind Thm. 4/5: executing
-// the sliced histories over every tuple of a concrete database must
-// produce the same delta as the full histories.
+// TestSliceValidity is the semantic check behind Thm. 5: executing the
+// dependency-sliced histories over every tuple of a concrete database
+// must produce the same delta as the full histories.
 func TestSliceValidity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("semantic slice validation reenacts every history variant")
@@ -172,33 +159,34 @@ func TestSliceValidity(t *testing.T) {
 	}
 	for hi, hc := range histories {
 		pair := pairOf(t, hc.hist, 0, hc.repl)
-		for _, algo := range []string{"greedy", "dependency"} {
-			in := &Input{Pair: pair, Schema: orderSchema(), PhiD: expr.True}
-			var keep []int
-			var err error
-			if algo == "greedy" {
-				var res *Result
-				res, err = Greedy(in)
-				if res != nil {
-					keep = res.Keep
-				}
-			} else {
-				var res *Result
-				res, err = checkedDependency(t, in)
-				if res != nil {
-					keep = res.Keep
-				}
-			}
-			if err != nil {
-				t.Fatalf("history %d %s: %v", hi, algo, err)
-			}
-			assertSliceValid(t, pair, keep)
+		res, err := checkedDependency(t, &Input{Pair: pair, Schema: orderSchema(), PhiD: expr.True})
+		if err != nil {
+			t.Fatalf("history %d: %v", hi, err)
 		}
+		assertSliceValid(t, pair, res.Keep)
 	}
 }
 
 // assertSliceValid brute-forces Def. 4 over a grid of single tuples.
 func assertSliceValid(t *testing.T, pair *history.PaddedPair, keep []int) {
+	t.Helper()
+	if bad := sliceCounterexample(t, pair, keep); bad != "" {
+		t.Fatalf("slice %v invalid: %s", keep, bad)
+	}
+}
+
+// assertSliceInvalid requires some tuple of the grid to tell the slice
+// keep apart from the full histories.
+func assertSliceInvalid(t *testing.T, pair *history.PaddedPair, keep []int) {
+	t.Helper()
+	if sliceCounterexample(t, pair, keep) == "" {
+		t.Fatalf("slice %v agrees with the full histories on every tuple, want a counterexample", keep)
+	}
+}
+
+// sliceCounterexample returns the first grid tuple whose delta under
+// the sliced histories differs from the full histories', or "".
+func sliceCounterexample(t *testing.T, pair *history.PaddedPair, keep []int) string {
 	t.Helper()
 	s := orderSchema()
 	slicedO := pair.Orig.Restrict(keep)
@@ -210,12 +198,12 @@ func assertSliceValid(t *testing.T, pair *history.PaddedPair, keep []int) {
 				dFull := singleTupleDelta(t, s, tuple, pair.Orig, pair.Mod)
 				dSlice := singleTupleDelta(t, s, tuple, slicedO, slicedM)
 				if dFull != dSlice {
-					t.Fatalf("slice %v invalid for tuple %s: full delta %q, sliced %q",
-						keep, tuple, dFull, dSlice)
+					return fmt.Sprintf("tuple %s: full delta %q, sliced %q", tuple, dFull, dSlice)
 				}
 			}
 		}
 	}
+	return ""
 }
 
 // singleTupleDelta runs both histories over a singleton database and

@@ -150,9 +150,9 @@ func TestStripInsertsOn(t *testing.T) {
 	}
 }
 
-// TestInsertSplitEquivalence is the §10 theorem in executable form:
+// TestInsertBranchesUnionEquivalence is the §10 theorem in executable form:
 // base-part ∪ insert-branches must equal the full reenactment.
-func TestInsertSplitEquivalence(t *testing.T) {
+func TestInsertBranchesUnionEquivalence(t *testing.T) {
 	h, _ := sql.ParseStatements(`
 		UPDATE orders SET fee = 2 WHERE price >= 40;
 		INSERT INTO orders VALUES (15, 'DE', 80, 6), (16, 'FR', 10, 1);

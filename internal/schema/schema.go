@@ -292,7 +292,7 @@ func HashValue(h uint64, v types.Value) uint64 {
 	return h
 }
 
-// HashNull, HashNumeric, HashString, and HashBool fold one cell of a
+// HashNull, HashNumeric and HashString fold one cell of a
 // statically known kind into an FNV-1a accumulator, byte-for-byte
 // identical to HashValue on the equivalent boxed value. They exist for
 // the columnar executor lanes, which hash typed cells without boxing;
@@ -314,15 +314,6 @@ func HashNumeric(h uint64, f float64) uint64 {
 func HashString(h uint64, s string) uint64 {
 	h = fnvByte(h, 's')
 	return fnvString(h, s)
-}
-
-// HashBool folds a boolean cell.
-func HashBool(h uint64, b bool) uint64 {
-	h = fnvByte(h, 'b')
-	if b {
-		return fnvByte(h, 1)
-	}
-	return fnvByte(h, 0)
 }
 
 // Hash returns an FNV-1a hash of the tuple over typed values. Tuples

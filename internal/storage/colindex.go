@@ -330,9 +330,6 @@ type ColumnIndex struct {
 // non-NULL values.
 func (x *ColumnIndex) Class() IndexClass { return x.class }
 
-// IsOrdered reports whether the index answers range probes.
-func (x *ColumnIndex) IsOrdered() bool { return x.kind == kindOrdered }
-
 // numKey converts a numeric or boolean value to its float64 key.
 func numKey(v types.Value) float64 {
 	if v.Kind() == types.KindBool {

@@ -253,15 +253,6 @@ func (d *Database) Relation(name string) (*Relation, error) {
 	return r, nil
 }
 
-// SetRelation replaces the tuples of the named relation.
-func (d *Database) SetRelation(name string, r *Relation) {
-	k := key(name)
-	if _, ok := d.rels[k]; !ok {
-		d.order = append(d.order, k)
-	}
-	d.rels[k] = r
-}
-
 // RelationNames returns the relation names in registration order.
 func (d *Database) RelationNames() []string {
 	out := make([]string, len(d.order))

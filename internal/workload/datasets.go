@@ -192,9 +192,3 @@ func (d *Dataset) Database() *storage.Database {
 	db.AddRelation(d.Rel.Clone())
 	return db
 }
-
-// PayloadKind returns the type of the i-th payload attribute.
-func (d *Dataset) PayloadKind(i int) types.Kind {
-	idx := d.Rel.Schema.ColIndex(d.Payload[i%len(d.Payload)])
-	return d.Rel.Schema.Columns[idx].Type
-}

@@ -162,7 +162,7 @@ type (
 	DeleteStmt = history.DeleteStmt
 	// Engine answers historical what-if queries.
 	Engine = core.Engine
-	// Options selects optimizations and tuning knobs.
+	// Options selects the evaluation variant and the executor.
 	Options = core.Options
 	// ExecutorKind selects the query evaluation backend.
 	ExecutorKind = core.ExecutorKind
