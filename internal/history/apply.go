@@ -662,13 +662,15 @@ func scratch(ix *storage.IndexSet) *storage.ApplyScratch {
 // over them (errors iff the reference loop errors), and stage every
 // value before writing any, so an evaluation error leaves the state
 // untouched, exactly as a failed statement must (it never enters the
-// history). When no index sits on a SET column the staged values are
-// written into the resident tuples in place — safe because statements
-// only ever apply to privately owned states (see storage.Mutator) whose
-// shared views are deep clones. When an index must observe the
-// rewrite, fresh rows are carved from an arena so maintenance sees
-// distinct old/new tuples. done is false when the residual condition
-// is outside the kernel compiler's subset.
+// history). When the relation owns its rows and no index sits on a SET
+// column the staged values are written into the resident tuples in
+// place — safe because statements only ever apply to privately owned
+// states (see storage.Mutator). Otherwise a touched row is replaced by
+// a fresh one carved from an arena: a snapshot replay's rows are shared
+// with the published state it started from, which must not change
+// (storage.Relation.PrepareRewrite), and an index on a SET column must
+// observe distinct old/new tuples (NoteReplace). done is false when the
+// residual condition is outside the kernel compiler's subset.
 func runUpdate(rel *storage.Relation, relName string, ix *storage.IndexSet, a *applyAnalysis, p *boundPlan) (done bool, err error) {
 	if p.empty {
 		return true, nil
@@ -699,10 +701,12 @@ func runUpdate(rel *storage.Relation, relName string, ix *storage.IndexSet, a *a
 		// back value-identical contents has no observable effect.
 		return true, nil
 	}
-	if ix == nil || !ix.HasIndexOnAny(relName, a.setCols) {
-		// No index sits on a SET column, so the rewrite cannot move an
-		// indexed key: write the staged values into the resident tuples
-		// directly.
+	indexed := ix != nil && ix.HasIndexOnAny(relName, a.setCols)
+	if rel.PrepareRewrite(len(pos)) && !indexed {
+		// The relation owns its rows and no index sits on a SET column,
+		// so the rewrite can neither be seen through another relation nor
+		// move an indexed key: write the staged values into the resident
+		// tuples directly.
 		for i, at := range pos {
 			t := rel.Tuples[at]
 			for j, ord := range a.setCols {
@@ -711,10 +715,11 @@ func runUpdate(rel *storage.Relation, relName string, ix *storage.IndexSet, a *a
 		}
 		return true, nil
 	}
-	// An indexed column is being SET: rewrite through fresh rows carved
-	// from one arena so the maintenance hook sees distinct old and new
-	// tuples (rows never mutate in place once their old value feeds
-	// index maintenance; sharing one backing array is unobservable).
+	// An indexed column is being SET, or the rows belong to a published
+	// state too: rewrite through fresh rows carved from one arena, so the
+	// maintenance hook sees distinct old and new tuples and the shared
+	// old ones stay as they were (sharing one backing array among the
+	// fresh rows is unobservable).
 	arity := rel.Schema.Arity()
 	arena := make([]types.Value, len(pos)*arity)
 	for i, at := range pos {
@@ -725,7 +730,9 @@ func runUpdate(rel *storage.Relation, relName string, ix *storage.IndexSet, a *a
 			row[ord] = vals[i*nset+j]
 		}
 		rel.Tuples[at] = row
-		ix.NoteReplace(relName, int(at), old, row)
+		if indexed {
+			ix.NoteReplace(relName, int(at), old, row)
+		}
 	}
 	return true, nil
 }

@@ -156,7 +156,9 @@ func (u *Update) SetVector(s *schema.Schema) ([]expr.Expr, error) { return u.set
 // tuple to be rewritten; NULL counts as not satisfied. Application runs
 // the scan plan of apply.go: the batch kernels evaluate θ and the SET
 // vector over every row, every value is staged, and the satisfied rows
-// are rewritten in place.
+// are rewritten in place — or replaced by fresh rows while the relation
+// shares its rows with a published snapshot
+// (storage.Relation.PrepareRewrite).
 func (u *Update) Apply(db *storage.Database) error { return u.apply(db, nil) }
 
 // applyNaive is the reference tuple-at-a-time loop for Eq. 1 (kept as

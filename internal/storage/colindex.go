@@ -714,9 +714,11 @@ type IndexSet struct {
 // lives on the IndexSet because the set is exclusively owned by one
 // state's apply stream, so reuse across statements is race-free by the
 // same contract that lets the indexes themselves go unlocked. Nothing
-// in here survives a statement: values staged in Vals are copied into
-// the relation's rows at commit, and Pos/Rows/bitmap/flag contents are
-// consumed within the apply that produced them.
+// in here survives a statement: values staged in Vals are copied at
+// commit into the relation's rows, or into fresh rows that replace them
+// when the rows are shared or an index observes the rewrite, and
+// Pos/Rows/bitmap/flag contents are consumed within the apply that
+// produced them.
 type ApplyScratch struct {
 	Pos   []int32
 	Rows  []schema.Tuple

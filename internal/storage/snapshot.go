@@ -23,11 +23,22 @@ import (
 // Contract: databases returned by Snapshot are shared and MUST be
 // treated as read-only. The reenactment path of the engine only reads
 // them (Alg. 2 evaluates queries over D and materializes fresh results);
-// anything that needs to mutate the state must Clone first, which is the
-// copy-on-write boundary. The underlying store may advance concurrently
-// (live append): the history is append-only, so every cached snapshot —
-// including one taken at what was then the tip — remains the correct
-// state after its first i statements forever.
+// anything that needs to mutate the state must Clone first — a deep
+// copy that owns its rows — which is the copy-on-write boundary. The
+// underlying store may advance concurrently (live append): the history
+// is append-only, so every cached snapshot — including one taken at
+// what was then the tip — remains the correct state after its first i
+// statements forever.
+//
+// Shared rows: because published states never change, versions share
+// the rows they have in common. A replay starts from a copy of its start
+// state's row slice, not of its rows (Database.shareRows), and the
+// replayed statements write every row they change as a fresh tuple
+// (Relation.PrepareRewrite). A miss that replays a few statements
+// therefore allocates only the rows they change, and resident versions
+// hold one copy of each unchanged row between them, not one each. A
+// replay that would write more than half of a relation fresh copies it
+// instead, as a deep copy would.
 //
 // Frozen snapshots: because of that contract, the cache marks every
 // relation of a database frozen at the moment it publishes it. A
@@ -156,7 +167,9 @@ func (c *SnapshotCache) snapshotCtx(ctx context.Context, i int, tip bool) (*Data
 // build reconstructs version i from the nearest earlier materialized
 // state. Base, checkpoints, and completed snapshots are all immutable
 // once created, so when one lands exactly on i it is returned without
-// copying; otherwise it is cloned and the log replayed forward. tip
+// copying; otherwise the log is replayed forward onto a copy that
+// shares its rows (Database.shareRows) — only the rows the replayed
+// statements change are new. tip
 // marks i tip-pinned even when it is no longer the live version (see
 // TipSnapshotCtx).
 func (c *SnapshotCache) build(ctx context.Context, i int, tip bool) (snapshot, error) {
@@ -185,7 +198,9 @@ func (c *SnapshotCache) build(ctx context.Context, i int, tip bool) (snapshot, e
 	if start == i {
 		return snapshot{db: db, tip: tip}, nil
 	}
-	db, err = replayCtx(ctx, log, start, db, i)
+	// Base, checkpoints and published snapshots never change, so the
+	// replay can hold their rows instead of copying them.
+	db, err = replayCtx(ctx, log, start, db.shareRows(), i)
 	return snapshot{db: db, tip: tip}, err
 }
 

@@ -19,9 +19,25 @@ import (
 )
 
 // Relation is a bag of tuples with a schema.
+//
+// Rows may be shared between relations. A relation owns its rows when
+// it built them or deep-copied them (Clone); a statement may then
+// rewrite them in place. A snapshot replay (SnapshotCache) instead
+// starts from a copy of the row slice of an immutable, published state,
+// so its rows are the published state's own tuples: such a relation is
+// marked as sharing rows, and a statement applied to it replaces a row
+// it changes with a fresh one rather than writing into it
+// (PrepareRewrite). Either way, a row a published relation holds never
+// changes.
 type Relation struct {
 	Schema *schema.Schema
 	Tuples []schema.Tuple
+
+	// sharesRows marks a relation whose rows may also belong to another
+	// relation, so none may be written in place (see shareRows);
+	// freshRows counts the rows statements have written fresh since.
+	sharesRows bool
+	freshRows  int
 
 	// frozen is nil while the relation is private and may still change.
 	// A SnapshotCache sets it when it publishes the relation's database
@@ -149,6 +165,38 @@ func (r *Relation) Clone() *Relation {
 	return out
 }
 
+// shareRows returns a copy of the relation that holds the same rows: a
+// fresh row slice of the same tuples, marked as sharing them. It is the
+// start state of a snapshot replay, which writes the rows it changes as
+// fresh tuples and so leaves r's intact.
+func (r *Relation) shareRows() *Relation {
+	return &Relation{Schema: r.Schema.Clone(), Tuples: slices.Clone(r.Tuples), sharesRows: true}
+}
+
+// PrepareRewrite is called by a statement about to rewrite n of the
+// relation's rows, once per rewrite, and reports whether it may write
+// into them; if not, it replaces each of the n rows with a fresh one. A
+// relation that owns its rows may be written. One that shares them may
+// not, and counts the n fresh rows instead — until they would pass half
+// of its rows. Then it copies every row as Clone does, stops sharing,
+// and may be written: a long replay costs little more than the deep
+// copy it replaces, and leaves its rows in order, which the row-wise
+// scans of program slicing and the columnar view read faster than rows
+// spread over the shared state and every replayed statement's arena.
+func (r *Relation) PrepareRewrite(n int) (inPlace bool) {
+	if !r.sharesRows {
+		return true
+	}
+	if r.freshRows += n; 2*r.freshRows <= len(r.Tuples) {
+		return false
+	}
+	for i, t := range r.Tuples {
+		r.Tuples[i] = t.Clone()
+	}
+	r.sharesRows, r.freshRows = false, 0
+	return true
+}
+
 // Index builds the hash-based multiset index of the relation (the fast
 // path for bag difference, delta computation, and bag equality).
 func (r *Relation) Index() *TupleIndex { return IndexOf(r) }
@@ -267,6 +315,17 @@ func (d *Database) Clone() *Database {
 	out := NewDatabase()
 	for _, k := range d.order {
 		out.AddRelation(d.rels[k].Clone())
+	}
+	return out
+}
+
+// shareRows returns a copy of the database whose relations hold d's
+// rows (Relation.shareRows): O(rows) pointers, no per-row allocation.
+// d must be immutable for as long as the copy lives.
+func (d *Database) shareRows() *Database {
+	out := NewDatabase()
+	for _, k := range d.order {
+		out.AddRelation(d.rels[k].shareRows())
 	}
 	return out
 }

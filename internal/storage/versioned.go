@@ -12,15 +12,19 @@ import (
 // store replay arbitrary statements.
 //
 // Ownership contract: both apply methods may rewrite db's resident
-// tuples in place, so db's tuples must be privately owned by the
-// caller — no other goroutine or retained reference may read them
-// concurrently or expect them to stay stable. Every caller satisfies
-// that by construction: the live tip is only shared through deep
-// clones (TipSnapshot, Version, checkpoints, replayPlan's tip freeze),
-// replay states are private clones until returned, recovery replays
-// into a private clone of the restart state, and the naive algorithm
-// applies to its own Copy(D). Current() documents the same quiescence
-// requirement for external readers.
+// tuples in place, so db must be privately owned by the caller — no
+// other goroutine or retained reference may read it concurrently or
+// expect it to stay stable. The one exception is a relation marked as
+// sharing its rows: its row slice is the caller's, but its rows belong
+// to an immutable published state too, so the apply methods replace a
+// row they change instead of writing into it (Relation.PrepareRewrite).
+// Every caller satisfies that by construction: the live tip is only
+// shared through deep clones (TipSnapshot, Version, checkpoints,
+// replayPlan's tip freeze), a snapshot replay is private until
+// published and shares only rows of states that never change, recovery
+// replays into a private clone of the restart state, and the naive
+// algorithm applies to its own Copy(D). Current() documents the same
+// quiescence requirement for external readers.
 type Mutator interface {
 	// Apply executes the mutation against db.
 	Apply(db *Database) error
@@ -230,7 +234,9 @@ func (v *VersionedDatabase) LogRange(since, limit int) ([]Mutator, int) {
 
 // Version reconstructs the database state after the first i statements
 // by replaying the redo log from the nearest earlier snapshot. The
-// returned database is a private copy the caller may mutate.
+// returned database is a private deep copy the caller may mutate: it
+// owns its rows, unlike a SnapshotCache state, which shares unchanged
+// rows with the state its replay started from.
 func (v *VersionedDatabase) Version(i int) (*Database, error) {
 	return v.VersionCtx(context.Background(), i)
 }
@@ -246,9 +252,9 @@ func (v *VersionedDatabase) VersionCtx(ctx context.Context, i int) (*Database, e
 	if private {
 		return db, nil // already a private tip clone
 	}
-	// replayCtx clones db even when start == i, preserving the
-	// private-copy contract for exact checkpoint hits.
-	return replayCtx(ctx, log, start, db, i)
+	// A deep copy even when start == i: the caller may write into the
+	// result's rows, and db is the shared base or a checkpoint.
+	return replayCtx(ctx, log, start, db.Clone(), i)
 }
 
 // replayPlan resolves, under the read lock, everything a replay to
@@ -284,11 +290,14 @@ func (v *VersionedDatabase) nearestCheckpointLocked(i int) (int, *Database) {
 	return start, db
 }
 
-// replayCtx clones db — the state after the first `start` statements —
-// and applies log entries start..i to reach version i, checking ctx
-// between statements.
-func replayCtx(ctx context.Context, log []Mutator, start int, db *Database, i int) (*Database, error) {
-	out := db.Clone()
+// replayCtx applies log entries start..i to out — a copy of the state
+// after the first `start` statements that the replay may write into —
+// to reach version i, checking ctx between statements. The copy is the
+// caller's choice: Version deep-copies, so its result owns its rows; a
+// snapshot build shares the rows of its immutable start state
+// (Database.shareRows), and the statements write the rows they change
+// as fresh tuples.
+func replayCtx(ctx context.Context, log []Mutator, start int, out *Database, i int) (*Database, error) {
 	// A replay-private index set accelerates the statement loop the
 	// same way the tip's maintained indexes accelerate Apply; it is
 	// discarded with the replay, so it never outlives its state.
