@@ -139,7 +139,7 @@ func TestColumnarWhatIfDifferential(t *testing.T) {
 		// query, not by executor, and would hand every later executor the
 		// first one's result.
 		engine := core.New(vdb)
-		naive, _, errN := engine.NewSession().Naive(mods)
+		naive, _, errN := engine.Naive(mods)
 
 		sameAs := func(label string, want, got delta.Set) {
 			t.Helper()

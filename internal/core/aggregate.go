@@ -270,16 +270,16 @@ func computeAggregates(ctx context.Context, queries []AggregateQuery, d delta.Se
 
 // tipReports evaluates the attached queries against the history state
 // at version tip — the frame the delta was computed in — resolving that
-// state through the shared snapshot cache when there is one (tip-pinned
-// there, see storage.SnapshotCache.TipSnapshotCtx), and counts the
-// reports' routes in shared and in the result. What-ifs, batches, naive
+// state through the shared snapshot cache (tip-pinned there, see
+// storage.SnapshotCache.TipSnapshotCtx), and counts the reports' routes
+// in shared and in the result. What-ifs, batches, naive
 // answers and template evals all report through here.
 func (e *Engine) tipReports(ctx context.Context, queries []AggregateQuery, d delta.Set, tip int, opts Options, shared *batchShared) ([]AggregateReport, routeCounts, error) {
 	var routes routeCounts
 	if len(queries) == 0 {
 		return nil, routes, nil
 	}
-	hist, err := shared.tipSnapshot(ctx, e.vdb, tip)
+	hist, err := shared.snaps.TipSnapshotCtx(ctx, tip)
 	if err != nil {
 		return nil, routes, err
 	}
@@ -300,9 +300,10 @@ func (e *Engine) WhatIfAggregates(mods []history.Modification, queries []Aggrega
 // attached aggregate queries over the historical and hypothetical
 // states at the tip the delta was computed against — the tip is
 // captured once, so a concurrent append cannot put the delta and the
-// reports in different frames of reference.
+// reports in different frames of reference. It answers through a
+// one-call session (see WhatIfCtx).
 func (e *Engine) WhatIfAggregatesCtx(ctx context.Context, mods []history.Modification, queries []AggregateQuery, opts Options) (delta.Set, []AggregateReport, *Stats, error) {
-	return e.whatIfAggregates(ctx, mods, queries, opts, &batchShared{})
+	return e.NewSession().WhatIfAggregatesCtx(ctx, mods, queries, opts)
 }
 
 // WhatIfAggregatesCtx is Engine.WhatIfAggregatesCtx through the
@@ -314,13 +315,15 @@ func (s *Session) WhatIfAggregatesCtx(ctx context.Context, mods []history.Modifi
 	return s.e.whatIfAggregates(ctx, mods, queries, opts, s.shared())
 }
 
-// NaiveAggregatesCtx is NaiveCtx plus attached aggregate queries,
-// evaluated at the same tip the naive delta was diffed against. The
+// NaiveAggregatesCtx is Engine.NaiveCtx plus attached aggregate
+// queries, evaluated through the session at the same tip the naive
+// delta was diffed against. The delta itself touches no session cache
+// (Alg. 1 is the oracle); the reports do, like every report. The
 // aggregate evaluation uses the default executor options (the naive
 // algorithm has none of its own).
 func (s *Session) NaiveAggregatesCtx(ctx context.Context, mods []history.Modification, queries []AggregateQuery) (delta.Set, []AggregateReport, *NaiveStats, error) {
 	shared := s.shared()
-	d, st, tip, err := s.e.naiveFrom(ctx, mods, shared)
+	d, st, tip, err := s.e.naiveFrom(ctx, mods)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/mahif/mahif/internal/history"
+	"github.com/mahif/mahif/internal/sql"
 	"github.com/mahif/mahif/internal/workload"
 )
 
@@ -166,7 +167,7 @@ func TestLiveAppendWhileServing(t *testing.T) {
 				case 0:
 					_, _, err = sess.WhatIfCtx(ctx, w.Mods, DefaultOptions())
 				case 1:
-					_, _, err = sess.NaiveCtx(ctx, w.Mods)
+					_, _, err = engine.NaiveCtx(ctx, w.Mods)
 				default:
 					_, _, err = sess.WhatIfBatchCtx(ctx, []Scenario{{Mods: w.Mods}}, BatchOptions{Workers: 2})
 				}
@@ -201,4 +202,58 @@ func TestLiveAppendWhileServing(t *testing.T) {
 	if string(wj) != string(gj) {
 		t.Fatalf("post-stress divergence:\nfresh:   %s\nsession: %s", wj, gj)
 	}
+}
+
+// TestNaivePinsTipUnderAppend (run under -race): Alg. 1 diffs against a
+// private copy of the state at the tip it was admitted at, so whole-
+// relation UPDATEs appended while it runs can neither race with its
+// reads nor tear its actual side. Every appended statement bumps a
+// column of every row on both sides alike, so every answer has the
+// same size as the first.
+func TestNaivePinsTipUnderAppend(t *testing.T) {
+	ds := workload.Taxi(400, 1)
+	w, err := workload.Generate(ds, workload.Config{
+		Updates: 6, Mods: 1, DependentPct: 20, AffectedPct: 10, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vdb, err := w.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := New(vdb)
+	ctx := context.Background()
+	rel := ds.Rel.Schema.Relation
+	first, _, err := engine.NaiveCtx(ctx, w.Mods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first[rel].Empty() {
+		t.Fatal("empty delta: the what-if checks nothing")
+	}
+	bump := sql.MustParseStatement("UPDATE " + rel + " SET pickup_area = pickup_area + 1")
+
+	const appends = 20
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < appends; i++ {
+			if _, err := engine.AppendCtx(ctx, []history.Statement{bump}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 10; i++ {
+		d, _, err := engine.NaiveCtx(ctx, w.Mods)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if d[rel].Size() != first[rel].Size() {
+			t.Errorf("call %d: %d delta rows, want %d", i, d[rel].Size(), first[rel].Size())
+		}
+	}
+	wg.Wait()
 }

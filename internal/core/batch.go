@@ -103,10 +103,10 @@ func (c *evalCache) eval(ev evaluator, q algebra.Query, db *storage.Database) (*
 	})
 }
 
-// batchShared bundles the caches evaluations share: a Session owns one
-// for its lifetime, a session-less batch for the duration of the call.
-// Every field is optional — the engine-level entry points pass an empty
-// bundle — and each cache is internally synchronized.
+// batchShared bundles the caches evaluations share. Every Alg. 2
+// evaluation runs over one: a Session owns it for its lifetime (an
+// engine-level call opens a session for the call), and each cache is
+// internally synchronized.
 type batchShared struct {
 	snaps     *storage.SnapshotCache
 	eval      *evalCache
@@ -126,62 +126,35 @@ type sessionWork struct {
 
 // countDelta adds one delta's row counts to the bundle's totals.
 func (b *batchShared) countDelta(w delta.Work) {
-	if b.work != nil {
-		b.work.compared.Add(int64(w.Compared))
-		b.work.boxed.Add(int64(w.Boxed))
-	}
+	b.work.compared.Add(int64(w.Compared))
+	b.work.boxed.Add(int64(w.Boxed))
 }
 
 // countPlan counts one template relation eval that chose between its
 // sliced and unsliced pairs.
 func (b *batchShared) countPlan(sliced bool) {
-	switch {
-	case b.work == nil:
-	case sliced:
+	if sliced {
 		b.work.sliced.Add(1)
-	default:
+	} else {
 		b.work.unsliced.Add(1)
 	}
 }
 
 // countReports adds one call's report routes to the bundle's totals.
 func (b *batchShared) countReports(t *routeCounts) {
-	if b.work != nil {
-		b.work.reports.add(t)
-	}
+	b.work.reports.add(t)
 }
 
 // countLowered adds one plan's lowered solver nodes to the bundle's
 // totals.
 func (b *batchShared) countLowered(n int) {
-	if b.work != nil {
-		b.work.lowered.Add(int64(n))
-	}
+	b.work.lowered.Add(int64(n))
 }
 
 // templateCacheEntries bounds a session's compiled-template cache.
 // Template artifacts hold materialized relations, so the bound is far
 // smaller than the solver memo's.
 const templateCacheEntries = 64
-
-// snapshot returns the database state after the first ver statements:
-// a shared read-only snapshot from the cache when the bundle has one,
-// a private copy from time travel otherwise.
-func (b *batchShared) snapshot(ctx context.Context, vdb *storage.VersionedDatabase, ver int) (*storage.Database, error) {
-	if b.snaps != nil {
-		return b.snaps.SnapshotCtx(ctx, ver)
-	}
-	return vdb.VersionCtx(ctx, ver)
-}
-
-// tipSnapshot is snapshot for a version the caller aligned against as
-// the live tip (storage.SnapshotCache.TipSnapshotCtx).
-func (b *batchShared) tipSnapshot(ctx context.Context, vdb *storage.VersionedDatabase, ver int) (*storage.Database, error) {
-	if b.snaps != nil {
-		return b.snaps.TipSnapshotCtx(ctx, ver)
-	}
-	return vdb.VersionCtx(ctx, ver)
-}
 
 // traffic is a reading of the bundle's hit/miss counters.
 type traffic struct {
@@ -191,15 +164,9 @@ type traffic struct {
 }
 
 func (b *batchShared) traffic() (t traffic) {
-	if b.snaps != nil {
-		t.snapHits, t.snapMisses = b.snaps.Stats()
-	}
-	if b.memo != nil {
-		t.memoHits, t.memoMisses = b.memo.Stats()
-	}
-	if b.eval != nil {
-		t.evalHits, t.evalMisses = b.eval.results.Stats()
-	}
+	t.snapHits, t.snapMisses = b.snaps.Stats()
+	t.memoHits, t.memoMisses = b.memo.Stats()
+	t.evalHits, t.evalMisses = b.eval.results.Stats()
 	return t
 }
 
@@ -274,10 +241,9 @@ type BatchStats struct {
 // history concurrently. Work shared across scenarios is computed once:
 // the time-travel state before each distinct first-modified position is
 // materialized a single time and shared read-only by all workers (the
-// reenactment path never mutates it; the naive copy step is the
-// copy-on-write boundary and stays per-scenario), and satisfiability
-// tests whose slicing formulas coincide across scenarios are solved
-// once through a shared memo.
+// reenactment path never mutates it), and satisfiability tests whose
+// slicing formulas coincide across scenarios are solved once through a
+// shared memo. The batch runs through a session opened for the call.
 //
 // Results are returned in submission order. Evaluation is not
 // fail-fast: a scenario error is recorded in its BatchResult and the
@@ -293,20 +259,15 @@ func (e *Engine) WhatIfBatch(scenarios []Scenario, opts BatchOptions) ([]BatchRe
 // ctx.Err() without starting, and the call returns ctx.Err() alongside
 // the partial results.
 func (e *Engine) WhatIfBatchCtx(ctx context.Context, scenarios []Scenario, opts BatchOptions) ([]BatchResult, *BatchStats, error) {
-	return e.whatIfBatch(ctx, scenarios, opts, nil)
+	return e.NewSession().WhatIfBatchCtx(ctx, scenarios, opts)
 }
 
 // whatIfBatch is WhatIfBatchCtx over a session's caches, so the batch
-// both reuses and feeds the session's cross-call state; a batch without
-// a session opens a temporary one.
-func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts BatchOptions, sess *Session) ([]BatchResult, *BatchStats, error) {
+// both reuses and feeds the session's cross-call state.
+func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts BatchOptions, shared *batchShared) ([]BatchResult, *BatchStats, error) {
 	if len(scenarios) == 0 {
 		return nil, nil, fmt.Errorf("core: empty scenario batch")
 	}
-	if sess == nil {
-		sess = e.NewSession()
-	}
-	shared := *sess.shared()
 	// Attribute this batch's cache traffic to its stats by reading the
 	// counters before and after: long-lived session caches carry counts
 	// from earlier calls. The difference is approximate when other calls
@@ -357,7 +318,7 @@ func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts Bat
 			results[i] = BatchResult{Scenario: i, Label: sc.Label, Err: err}
 			return
 		}
-		d, reps, st, err := e.whatIfPair(ctx, pairs[i], tip, sc.Queries, opts.Options, &shared)
+		d, reps, st, err := e.whatIfPair(ctx, pairs[i], tip, sc.Queries, opts.Options, shared)
 		results[i] = BatchResult{Scenario: i, Label: sc.Label, Delta: d, Stats: st, Aggregates: reps, Err: err}
 	})
 

@@ -217,8 +217,8 @@ func TestWhatIfBatchStress(t *testing.T) {
 	if bs.Failed != 0 {
 		t.Fatalf("%d scenarios failed", bs.Failed)
 	}
-	// Each scenario alone, sharing nothing (an engine-level call gets an
-	// empty cache bundle); answers must agree.
+	// Each scenario alone, sharing nothing (an engine-level call opens a
+	// session of its own); answers must agree.
 	for i, sc := range scenarios {
 		alone, _, err := engine.WhatIfCtx(context.Background(), sc.Mods, DefaultOptions())
 		if err != nil {

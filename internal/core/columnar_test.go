@@ -100,7 +100,7 @@ func TestWhatIfCountsComparedAndBoxedRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := engine.plan(ctx, pair, tip, opts, &batchShared{})
+		p, err := engine.plan(ctx, pair, tip, opts, engine.NewSession().shared())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/expr"
+	"github.com/mahif/mahif/internal/history"
 	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/storage"
 	"github.com/mahif/mahif/internal/types"
@@ -154,4 +155,40 @@ func TestInterpreterFallbackIsCounted(t *testing.T) {
 	if st := engine.NewSession().Stats(); st.InterpreterFallbacks != 2 {
 		t.Errorf("SessionStats.InterpreterFallbacks = %d, want the engine's 2", st.InterpreterFallbacks)
 	}
+}
+
+// TestSnapshotArtifactsPerSession: a what-if that replaces statement 0
+// time-travels to the base. Each session publishes that state as a
+// snapshot of its own, so each counts its own Φ_D scan and columnar
+// transposition, and Invalidate drops both with the snapshot: the next
+// call scans and transposes afresh.
+func TestSnapshotArtifactsPerSession(t *testing.T) {
+	w, err := workload.Generate(workload.Taxi(3000, 1), workload.Config{
+		Updates: 10, Mods: 1, DependentPct: 20, AffectedPct: 10, Seed: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pos := w.Mods[0].(history.Replace).Pos; pos != 0 {
+		t.Fatalf("the what-if replaces statement %d, want 0", pos)
+	}
+	vdb, err := w.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := New(vdb)
+	whatIf := func(label string, sess *Session) {
+		t.Helper()
+		if _, _, err := sess.WhatIf(w.Mods, DefaultOptions()); err != nil {
+			t.Fatal(err)
+		}
+		if st := sess.Stats(); st.CompressMisses != 1 || st.ColumnarMisses != 1 {
+			t.Errorf("%s: %d Φ_D scans and %d transpositions counted, want 1 and 1", label, st.CompressMisses, st.ColumnarMisses)
+		}
+	}
+	whatIf("session 1", engine.NewSession())
+	sess := engine.NewSession()
+	whatIf("session 2", sess)
+	sess.Invalidate()
+	whatIf("session 2 after Invalidate", sess)
 }

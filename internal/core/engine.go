@@ -133,10 +133,11 @@ type Stats struct {
 	SkippedRelations []string
 }
 
-// NaiveStats is the Alg. 1 breakdown of Fig. 15.
+// NaiveStats is the Alg. 1 breakdown of Fig. 15. Total also covers
+// aligning the history and pinning the actual state at the tip.
 type NaiveStats struct {
 	Total    time.Duration
-	Creation time.Duration // copying the past database state
+	Creation time.Duration // time travel: a private copy of the past database state
 	Execute  time.Duration // running H[M] over the copy
 	Delta    time.Duration
 }
@@ -294,12 +295,13 @@ func (e *Engine) align(mods []history.Modification) (pair *history.PaddedPair, t
 // reconstructs the state right before the first modified statement:
 // that prefix is identical in both histories, so per §4 evaluation
 // starts there. Padding only ever occurs at or after modified
-// positions, so the prefix indexes the log directly. The returned
-// version identifies the state for result caching.
+// positions, so the prefix indexes the log directly. The state is the
+// shared read-only snapshot from shared's cache; the returned version
+// identifies it for result caching.
 func (e *Engine) timeTravel(ctx context.Context, pair *history.PaddedPair, tip int, shared *batchShared) (suffix *history.PaddedPair, db *storage.Database, ver int, err error) {
 	first := pair.FirstModified()
 	ver = min(first, tip)
-	if db, err = shared.snapshot(ctx, e.vdb, ver); err != nil {
+	if db, err = shared.snaps.SnapshotCtx(ctx, ver); err != nil {
 		return nil, nil, 0, err
 	}
 	return pair.SuffixFrom(first), db, ver, nil
@@ -312,34 +314,33 @@ func (e *Engine) Naive(mods []history.Modification) (delta.Set, *NaiveStats, err
 
 // NaiveCtx is Naive under a context: cancellation is observed during
 // time travel, between the statements of the hypothetical history, and
-// between per-relation delta computations.
+// between per-relation delta computations. It is the oracle the Alg. 2
+// paths are checked against, so it shares nothing with them: both
+// states it reads are private copies of the versioned store, no session
+// cache is involved, and an append landing mid-call cannot reach either.
 func (e *Engine) NaiveCtx(ctx context.Context, mods []history.Modification) (delta.Set, *NaiveStats, error) {
-	d, st, _, err := e.naiveFrom(ctx, mods, &batchShared{})
+	d, st, _, err := e.naiveFrom(ctx, mods)
 	return d, st, err
 }
 
-// naiveFrom is NaiveCtx over an optional shared snapshot cache
-// (Session routes through here), also returning the history length the
-// delta was diffed against. The explicit Clone of the algorithm's
-// Copy(D) step doubles as the copy-on-write boundary that keeps a
-// shared snapshot read-only.
-func (e *Engine) naiveFrom(ctx context.Context, mods []history.Modification, shared *batchShared) (delta.Set, *NaiveStats, int, error) {
+// naiveFrom is NaiveCtx, also returning the history length the delta
+// was diffed against.
+func (e *Engine) naiveFrom(ctx context.Context, mods []history.Modification) (delta.Set, *NaiveStats, int, error) {
 	start := time.Now()
 	stats := &NaiveStats{}
 	pair, tip, err := e.align(mods)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	suffix, db, _, err := e.timeTravel(ctx, pair, tip, shared)
+	first := pair.FirstModified()
+	suffix := pair.SuffixFrom(first)
+	// Creation: time travel and the algorithm's Copy(D) step are one
+	// private copy of the state before the first modified statement.
+	t0 := time.Now()
+	work, err := e.vdb.VersionCtx(ctx, min(first, tip))
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	// Creation: the copy of D. Without a snapshot cache time travel
-	// already materialized a private copy; the explicit Clone here is
-	// the algorithm's Copy(D) step, kept so the naive method pays the
-	// paper's cost.
-	t0 := time.Now()
-	work := db.Clone()
 	stats.Creation = time.Since(t0)
 
 	t0 = time.Now()
@@ -348,19 +349,14 @@ func (e *Engine) naiveFrom(ctx context.Context, mods []history.Modification, sha
 	}
 	stats.Execute = time.Since(t0)
 
-	t0 = time.Now()
 	// The delta compares against the actual state at the history length
-	// the query was admitted against (tip). Through a session (live
-	// serving) that must be a pinned snapshot — an append landing
-	// mid-call must not bleed into the "actual" side of the diff —
-	// while the bare engine reads the live state directly, preserving
-	// the paper's cost model for benchmarks (quiescence documented).
-	actual := e.vdb.Current()
-	if shared.snaps != nil {
-		if actual, err = shared.snaps.TipSnapshotCtx(ctx, tip); err != nil {
-			return nil, nil, 0, err
-		}
+	// the query was admitted against (tip), pinned as a private copy:
+	// an append landing mid-call must not bleed into the "actual" side.
+	actual, err := e.vdb.VersionCtx(ctx, tip)
+	if err != nil {
+		return nil, nil, 0, err
 	}
+	t0 = time.Now()
 	out := delta.Set{}
 	for rel := range relationUnion(suffix) {
 		if err := ctx.Err(); err != nil {
@@ -399,14 +395,15 @@ func (e *Engine) WhatIf(mods []history.Modification, opts Options) (delta.Set, *
 // node during program slicing, every row batch of compiled query
 // execution, every statement of time-travel replay — so a
 // cancelled query stops within milliseconds and returns ctx.Err().
+// Like every engine-level Alg. 2 entry point it answers through a
+// one-call session, so it runs exactly the path a long-lived session
+// runs, with caches that die with the call.
 func (e *Engine) WhatIfCtx(ctx context.Context, mods []history.Modification, opts Options) (delta.Set, *Stats, error) {
-	d, _, st, err := e.whatIfAggregates(ctx, mods, nil, opts, &batchShared{})
-	return d, st, err
+	return e.NewSession().WhatIfCtx(ctx, mods, opts)
 }
 
 // whatIfAggregates is the body behind every single what-if entry
-// point, engine or session: align once, answer the pair, report at the
-// same tip.
+// point: align once, answer the pair, report at the same tip.
 func (e *Engine) whatIfAggregates(ctx context.Context, mods []history.Modification, queries []AggregateQuery, opts Options, shared *batchShared) (delta.Set, []AggregateReport, *Stats, error) {
 	pair, tip, err := e.align(mods)
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/history"
 	"github.com/mahif/mahif/internal/workload"
 )
@@ -99,8 +100,12 @@ func TestTouchConditionAttrsAgree(t *testing.T) {
 	}
 }
 
-// TestEngineWithCheckpoints: the engine must work identically over a
-// store that reconstructs versions from checkpoints.
+// TestEngineWithCheckpoints: the engine must answer identically over a
+// store that reconstructs versions from checkpoints. The checkpoints are
+// registered after the history is loaded, as the durable store does,
+// and the what-ifs modify later statements so time travel lands exactly
+// on a checkpoint (position 4) and between two of them (position 5),
+// for Alg. 2 and for Alg. 1.
 func TestEngineWithCheckpoints(t *testing.T) {
 	ds := workload.YCSB(600, 39)
 	w, err := workload.Generate(ds, workload.Config{
@@ -109,8 +114,6 @@ func TestEngineWithCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Modify a LATER statement so the engine time-travels mid-log.
-	mod := w.Mods[0]
 	vdbPlain, err := w.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -119,21 +122,46 @@ func TestEngineWithCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vdbCk.SetCheckpointEvery(2)
-	// Checkpoints only affect future applies; re-apply over a fresh
-	// store to exercise them.
-	fresh := New(vdbCk)
-	plain := New(vdbPlain)
-	dPlain, _, err := plain.WhatIf([]history.Modification{mod}, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	for v := 2; v < vdbCk.NumVersions(); v += 2 {
+		ck, err := vdbCk.Version(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vdbCk.AddCheckpoint(v, ck); err != nil {
+			t.Fatal(err)
+		}
 	}
-	dCk, _, err := fresh.WhatIf([]history.Modification{mod}, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, ckd := New(vdbPlain), New(vdbCk)
+	stmt := w.Mods[0].(history.Replace).Stmt
 	rel := ds.Rel.Schema.Relation
-	if !dPlain[rel].Equal(dCk[rel]) {
-		t.Error("checkpointed store changed the answer")
+	for _, pos := range []int{4, 5} {
+		mods := []history.Modification{history.Replace{Pos: pos, Stmt: stmt}}
+		want, _, err := plain.Naive(mods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[rel].Empty() {
+			t.Fatalf("position %d: empty delta, the what-if checks nothing", pos)
+		}
+		for label, answer := range map[string]func(*Engine) (delta.Set, error){
+			"Naive": func(e *Engine) (delta.Set, error) {
+				d, _, err := e.Naive(mods)
+				return d, err
+			},
+			"WhatIf": func(e *Engine) (delta.Set, error) {
+				d, _, err := e.WhatIf(mods, DefaultOptions())
+				return d, err
+			},
+		} {
+			for name, e := range map[string]*Engine{"plain": plain, "checkpointed": ckd} {
+				got, err := answer(e)
+				if err != nil {
+					t.Fatalf("position %d %s %s: %v", pos, name, label, err)
+				}
+				if !got[rel].Equal(want[rel]) {
+					t.Errorf("position %d: %s %s differs from Alg. 1 over the plain store", pos, name, label)
+				}
+			}
+		}
 	}
 }

@@ -227,7 +227,7 @@ func TestReportsThreeWay(t *testing.T) {
 			hist, hyp := oracleReports(t, e, mods, queries)
 			requireReportsMatchOracle(t, label, reps, hist, hyp)
 
-			tip, err := sess.shared().snapshot(ctx, e.vdb, e.Version())
+			tip, err := sess.shared().snaps.SnapshotCtx(ctx, e.Version())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,10 +12,13 @@ import (
 )
 
 // Session is a long-lived evaluation context over one engine: it pins
-// the history version it was opened against and owns the caches that a
-// single WhatIfBatch call otherwise builds and discards — the shared
+// the history version it was opened against and owns the caches that an
+// engine-level call otherwise builds and discards — the shared
 // time-travel snapshot cache, the solver-outcome memo, and the
-// compiled-program/result cache. An analyst iterating a family of
+// compiled-program/result cache. Every Alg. 2 evaluation runs through
+// a session: Engine.WhatIf, WhatIfAggregates, CompileTemplate and
+// WhatIfBatch open one for the call. Alg. 1 (Engine.NaiveCtx) runs
+// through none. An analyst iterating a family of
 // hypotheticals over the same history ("fee ≥ 55… 56… 57") through one
 // session reuses the materialized time-travel state and the compiled
 // reenactment programs across calls instead of rebuilding them per
@@ -246,19 +249,6 @@ func (s *Session) WhatIfCtx(ctx context.Context, mods []history.Modification, op
 	return d, st, err
 }
 
-// Naive answers one what-if query with Alg. 1, sharing the session's
-// time-travel snapshots (the naive copy step still clones, so the
-// shared state is never mutated).
-func (s *Session) Naive(mods []history.Modification) (delta.Set, *NaiveStats, error) {
-	return s.NaiveCtx(context.Background(), mods)
-}
-
-// NaiveCtx is Naive under a context.
-func (s *Session) NaiveCtx(ctx context.Context, mods []history.Modification) (delta.Set, *NaiveStats, error) {
-	d, st, _, err := s.e.naiveFrom(ctx, mods, s.shared())
-	return d, st, err
-}
-
 // WhatIfBatch evaluates a scenario batch through the session's caches.
 func (s *Session) WhatIfBatch(scenarios []Scenario, opts BatchOptions) ([]BatchResult, *BatchStats, error) {
 	return s.WhatIfBatchCtx(context.Background(), scenarios, opts)
@@ -273,5 +263,5 @@ func (s *Session) WhatIfBatch(scenarios []Scenario, opts BatchOptions) ([]BatchR
 // and be attributed to it, so treat the counters as approximate under
 // concurrent serving (SessionStats is the exact cumulative view).
 func (s *Session) WhatIfBatchCtx(ctx context.Context, scenarios []Scenario, opts BatchOptions) ([]BatchResult, *BatchStats, error) {
-	return s.e.whatIfBatch(ctx, scenarios, opts, s)
+	return s.e.whatIfBatch(ctx, scenarios, opts, s.shared())
 }

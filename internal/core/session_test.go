@@ -60,7 +60,7 @@ func TestSessionConcurrentStress(t *testing.T) {
 				case g == 3 && i == 3:
 					sess.Invalidate()
 				case g%3 == 2:
-					if _, _, err := sess.NaiveCtx(ctx, sp.Mods); err != nil {
+					if _, _, err := engine.NaiveCtx(ctx, sp.Mods); err != nil {
 						errCh <- err
 						return
 					}
@@ -98,8 +98,8 @@ func TestSessionConcurrentStress(t *testing.T) {
 }
 
 // TestSessionTipSnapshotBound pins tip-snapshot accumulation under the
-// append+naive loop: each NaiveCtx after an append freezes a private
-// clone of the new tip for the "actual" side of its diff. Eager tip
+// append+report loop: each NaiveAggregatesCtx after an append freezes a
+// private clone of the new tip as the frame of its report. Eager tip
 // eviction keeps at most one resident, counts the superseded ones, and
 // surfaces both in SessionStats.
 func TestSessionTipSnapshotBound(t *testing.T) {
@@ -118,8 +118,9 @@ func TestSessionTipSnapshotBound(t *testing.T) {
 	sess := engine.NewSession()
 	ctx := context.Background()
 	stmt := w.Mods[0].(history.Replace).Stmt
+	queries := []AggregateQuery{mustAggQuery(t, "SELECT COUNT(*) AS n FROM "+ds.Rel.Schema.Relation)}
 	for i := 0; i < 8; i++ {
-		if _, _, err := sess.NaiveCtx(ctx, w.Mods); err != nil {
+		if _, _, _, err := sess.NaiveAggregatesCtx(ctx, w.Mods, queries); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
 		if st := sess.Stats(); st.SnapshotTipResident > 1 {
@@ -129,7 +130,7 @@ func TestSessionTipSnapshotBound(t *testing.T) {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	if _, _, err := sess.NaiveCtx(ctx, w.Mods); err != nil {
+	if _, _, _, err := sess.NaiveAggregatesCtx(ctx, w.Mods, queries); err != nil {
 		t.Fatal(err)
 	}
 	st := sess.Stats()

@@ -68,7 +68,7 @@ type Template struct {
 	e      *Engine
 	opts   Options
 	mods   []history.Modification
-	shared *batchShared // session caches, also for recompiles (empty for engine-level templates)
+	shared *batchShared // session caches, also for recompiles (an engine-level template's own session's)
 
 	// art is the current artifact; everything an eval reads hangs off
 	// it. builds compiles the next one once however many askers find art
@@ -297,16 +297,18 @@ func (e *Engine) CompileTemplate(mods []history.Modification, opts Options) (*Te
 
 // CompileTemplateCtx is CompileTemplate under a context (the initial
 // artifact compilation observes ctx inside the solver and executors).
+// The template is compiled through a session opened for the call and
+// keeps that session's caches for its recompiles.
 func (e *Engine) CompileTemplateCtx(ctx context.Context, mods []history.Modification, opts Options) (*Template, error) {
-	return e.compileTemplate(ctx, mods, opts, &batchShared{})
+	return e.NewSession().CompileTemplateCtx(ctx, mods, opts)
 }
 
 // compileTemplate returns the compiled template for mods, through
-// shared's template cache when it has one. The cache builds once per
-// key (lru.Cache.Do), so N concurrent identical submissions (every
-// client re-posting its template after an append) run the slicing solve
-// once, a submitter whose builder was cancelled compiles under its own
-// ctx, and a failed compile leaves nothing behind.
+// shared's template cache. The cache builds once per key
+// (lru.Cache.Do), so N concurrent identical submissions (every client
+// re-posting its template after an append) run the slicing solve once,
+// a submitter whose builder was cancelled compiles under its own ctx,
+// and a failed compile leaves nothing behind.
 func (e *Engine) compileTemplate(ctx context.Context, mods []history.Modification, opts Options, shared *batchShared) (*Template, error) {
 	if len(mods) == 0 {
 		return nil, fmt.Errorf("core: empty template modification sequence")
@@ -317,9 +319,6 @@ func (e *Engine) compileTemplate(ctx context.Context, mods []history.Modificatio
 			return nil, err
 		}
 		return t, nil
-	}
-	if shared.templates == nil {
-		return compile()
 	}
 	return shared.templates.Do(ctx, templateKey(e.Version(), mods, opts), compile)
 }

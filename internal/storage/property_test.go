@@ -21,7 +21,7 @@ func TestVersionedReplayProperty(t *testing.T) {
 		db := NewDatabase()
 		db.AddRelation(intRel("t", 100))
 		v := NewVersioned(db)
-		v.SetCheckpointEvery(int(checkpointEvery % 5))
+		every := int(checkpointEvery % 5)
 		expect := []int64{100}
 		cur := int64(100)
 		for _, d := range deltas {
@@ -30,6 +30,12 @@ func TestVersionedReplayProperty(t *testing.T) {
 			}
 			cur += int64(d)
 			expect = append(expect, cur)
+			if n := v.NumVersions(); every > 0 && n%every == 0 {
+				ck, err := v.Version(n)
+				if err != nil || v.AddCheckpoint(n, ck) != nil {
+					return false
+				}
+			}
 		}
 		for ver := 0; ver <= len(deltas); ver++ {
 			snap, err := v.Version(ver)

@@ -52,13 +52,17 @@ import (
 // transposing the row store per scan, so it is a second reader that
 // must — and does — leave what it is handed untouched. The memo lives on
 // the relation and dies with it: an evicted and rebuilt version starts
-// empty. A caller that broke the read-only contract would now also get
-// stale derived values, not only corrupt a shared state. DerivedStats
-// and ColumnarStats count the reuse.
+// empty. Every relation the cache publishes is its own — a version that
+// lands on the base or a checkpoint is published as a row-sharing copy
+// of it — so what is derived from a snapshot is counted by this cache,
+// goes with this cache's snapshot, and is never seen by another cache.
+// A caller that broke the read-only contract would now also get stale
+// derived values, not only corrupt a shared state. DerivedStats and
+// ColumnarStats count the reuse.
 //
 // Retention is bounded: completed snapshots beyond the limit are
-// evicted least-recently-used. Without a bound, a session that issues
-// a naive query after every append pins a fresh tip clone per version
+// evicted least-recently-used. Without a bound, a session that reports
+// an aggregate after every append pins a fresh tip clone per version
 // forever (each version is touched exactly once, so no amount of reuse
 // saves it). The bound, the build-once protocol and its counters are
 // lru.Cache.Do's: a build in flight is never evicted, and an evicted
@@ -140,12 +144,12 @@ func (c *SnapshotCache) SnapshotCtx(ctx context.Context, i int) (*Database, erro
 }
 
 // TipSnapshotCtx is SnapshotCtx for a version its caller aligned against
-// as the live tip: the frame of an aggregate report, the actual state a
-// naive answer diffs against. Such a state is tip-pinned however it is
-// built — a copy of the live state while it still is the tip, a replay
-// once an append has landed in between — so a newer tip build drops it
-// eagerly (evictTips), where a replayed one would otherwise stay
-// resident like a time-travel state although nobody asks for it again.
+// as the live tip: the frame of an aggregate report. Such a state is
+// tip-pinned however it is built — a copy of the live state while it
+// still is the tip, a replay once an append has landed in between — so
+// a newer tip build drops it eagerly (evictTips), where a replayed one
+// would otherwise stay resident like a time-travel state although
+// nobody asks for it again.
 func (c *SnapshotCache) TipSnapshotCtx(ctx context.Context, i int) (*Database, error) {
 	return c.snapshotCtx(ctx, i, true)
 }
@@ -166,12 +170,11 @@ func (c *SnapshotCache) snapshotCtx(ctx context.Context, i int, tip bool) (*Data
 
 // build reconstructs version i from the nearest earlier materialized
 // state. Base, checkpoints, and completed snapshots are all immutable
-// once created, so when one lands exactly on i it is returned without
-// copying; otherwise the log is replayed forward onto a copy that
-// shares its rows (Database.shareRows) — only the rows the replayed
-// statements change are new. tip
-// marks i tip-pinned even when it is no longer the live version (see
-// TipSnapshotCtx).
+// once created, so the log is replayed forward from one onto a copy
+// that shares its rows (Database.shareRows) — only the rows the
+// replayed statements change are new, and when the state lands exactly
+// on i the copy is the whole cost. tip marks i tip-pinned even when it
+// is no longer the live version (see TipSnapshotCtx).
 func (c *SnapshotCache) build(ctx context.Context, i int, tip bool) (snapshot, error) {
 	start, db, log, private, err := c.vdb.replayPlan(i)
 	if err != nil {
@@ -195,11 +198,10 @@ func (c *SnapshotCache) build(ctx context.Context, i int, tip bool) (snapshot, e
 	if start > 0 {
 		c.snaps.Touch(start) // keep hot replay bases resident
 	}
-	if start == i {
-		return snapshot{db: db, tip: tip}, nil
-	}
 	// Base, checkpoints and published snapshots never change, so the
-	// replay can hold their rows instead of copying them.
+	// replay can hold their rows instead of copying them. It always
+	// works on a copy, even with nothing to replay: the published state
+	// is then this cache's own, and so is everything derived from it.
 	db, err = replayCtx(ctx, log, start, db.shareRows(), i)
 	return snapshot{db: db, tip: tip}, err
 }

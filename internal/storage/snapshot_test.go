@@ -92,10 +92,12 @@ func TestSnapshotWithCheckpoints(t *testing.T) {
 	db := NewDatabase()
 	db.AddRelation(intRel("t", 0))
 	v := NewVersioned(db)
-	v.SetCheckpointEvery(3)
 	for i := 0; i < 10; i++ {
 		if err := v.Apply(bump{rel: "t", by: 1}); err != nil {
 			t.Fatal(err)
+		}
+		if i%3 == 2 {
+			addTipCheckpoint(t, v)
 		}
 	}
 	c := NewSnapshotCache(v)

@@ -332,13 +332,11 @@ func (d *Database) shareRows() *Database {
 
 // freeze marks every relation of d immutable, which lets Relation.Derive
 // remember derived values on it; stats receives their hit/miss counts.
-// A relation already frozen (a base or checkpoint shared by two caches)
-// keeps its first memo.
+// d is a state a SnapshotCache built for itself (never a base or a
+// checkpoint), so no relation is frozen twice.
 func (d *Database) freeze(stats *derivedStats) {
 	for _, r := range d.rels {
-		if r.frozen.Load() == nil {
-			r.frozen.CompareAndSwap(nil, &derivedMemo{stats: stats, vals: map[any]*derivedEntry{}})
-		}
+		r.frozen.Store(&derivedMemo{stats: stats, vals: map[any]*derivedEntry{}})
 	}
 }
 

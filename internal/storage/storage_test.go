@@ -178,10 +178,12 @@ func TestVersionedCheckpoints(t *testing.T) {
 	db := NewDatabase()
 	db.AddRelation(intRel("t", 0))
 	v := NewVersioned(db)
-	v.SetCheckpointEvery(2)
 	for i := 0; i < 7; i++ {
 		if err := v.Apply(bump{rel: "t", by: 1}); err != nil {
 			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			addTipCheckpoint(t, v)
 		}
 	}
 	for ver := 0; ver <= 7; ver++ {
@@ -193,6 +195,20 @@ func TestVersionedCheckpoints(t *testing.T) {
 		if got := rel.Tuples[0][0].AsInt(); got != int64(ver) {
 			t.Errorf("Version(%d) = %d with checkpoints", ver, got)
 		}
+	}
+}
+
+// addTipCheckpoint registers a private copy of the current state as the
+// checkpoint at the tip, as the durable store does when it writes one.
+func addTipCheckpoint(t *testing.T, v *VersionedDatabase) {
+	t.Helper()
+	n := v.NumVersions()
+	ck, err := v.Version(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v.AddCheckpoint(n, ck); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -39,8 +39,9 @@ type Mutator interface {
 
 // VersionedDatabase is an in-memory stand-in for a DBMS with time
 // travel: it retains the base snapshot D0 (the state before the first
-// statement of the history), a redo log of applied statements, optional
-// periodic checkpoints, and the maintained current state.
+// statement of the history), a redo log of applied statements, the
+// checkpoints registered with AddCheckpoint, and the maintained current
+// state.
 //
 // Version i denotes the state after the first i statements, so
 // Version(0) == D0 and Version(len(log)) == Current().
@@ -56,10 +57,9 @@ type VersionedDatabase struct {
 	current *Database
 	log     []Mutator
 
-	// checkpointEvery > 0 stores a full snapshot every that many
-	// statements, trading memory for faster Version() reconstruction.
-	checkpointEvery int
-	checkpoints     map[int]*Database
+	// checkpoints are materialized states (AddCheckpoint), trading
+	// memory for faster Version() reconstruction.
+	checkpoints map[int]*Database
 
 	// tipIx holds the maintained secondary indexes of the current
 	// state, guarded by mu like the state itself (readers never touch
@@ -105,14 +105,6 @@ func RestoreVersioned(base *Database, log []Mutator, checkpoints map[int]*Databa
 	}
 }
 
-// SetCheckpointEvery enables snapshot checkpoints every n statements
-// (0 disables). It affects only future Apply calls.
-func (v *VersionedDatabase) SetCheckpointEvery(n int) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.checkpointEvery = n
-}
-
 // Apply executes m against the current state and appends it to the log.
 func (v *VersionedDatabase) Apply(m Mutator) error {
 	v.mu.Lock()
@@ -125,9 +117,6 @@ func (v *VersionedDatabase) applyLocked(m Mutator) error {
 		return fmt.Errorf("storage: applying %s: %w", m, err)
 	}
 	v.log = append(v.log, m)
-	if v.checkpointEvery > 0 && len(v.log)%v.checkpointEvery == 0 {
-		v.checkpoints[len(v.log)] = v.current.Clone()
-	}
 	// Wake version waiters: the closed channel is the broadcast, the
 	// fresh one arms the next advance.
 	close(v.advCh)
@@ -185,7 +174,8 @@ func (v *VersionedDatabase) NumVersions() int {
 // Current returns the live current state (not a copy). The returned
 // database is mutated in place by Apply, so callers must either
 // guarantee quiescence (no concurrent appends) or use TipSnapshot /
-// Version for a stable view.
+// Version for a stable view; the engine does the latter, and only
+// single-threaded tools and tests read Current.
 func (v *VersionedDatabase) Current() *Database { return v.current }
 
 // TipSnapshot atomically returns the current version number and a

@@ -73,20 +73,24 @@
 // # Sessions
 //
 // A Session pins the engine's current history version and keeps the
-// caches that a single batch call builds and discards — time-travel
+// caches that an engine-level call builds and discards — time-travel
 // snapshots, solver memo, compiled reenactment programs — alive across
-// calls, so iterating related hypotheticals reuses almost all work:
+// calls, so iterating related hypotheticals reuses almost all work
+// (Engine.WhatIf, WhatIfAggregates, CompileTemplate and WhatIfBatch
+// each run through a session opened for the call; Engine.Naive, the
+// Alg. 1 oracle, through none):
 //
 //	sess := engine.NewSession()
 //	d1, _, _ := sess.WhatIfCtx(ctx, modsFee55, opts)
 //	d2, _, _ := sess.WhatIfCtx(ctx, modsFee56, opts) // warm snapshots & programs
 //	fmt.Println(sess.Stats().SnapshotHits)
 //
-// Sessions are safe for concurrent use and invalidate themselves when
-// the underlying history advances. cmd/mahifd serves the engine over
-// HTTP through one long-lived session; DeltaSet, Stats, and BatchStats carry a
-// stable JSON wire format (MarshalJSON/UnmarshalJSON, pinned by golden
-// tests) for that boundary.
+// Sessions are safe for concurrent use and keep their caches when the
+// underlying history advances (Invalidate drops them). cmd/mahifd
+// serves the engine over HTTP through one long-lived session; DeltaSet,
+// Stats, and BatchStats carry a stable JSON wire format
+// (MarshalJSON/UnmarshalJSON, pinned by golden tests) for that
+// boundary.
 //
 // # Scenario templates
 //
