@@ -144,13 +144,18 @@ type SessionStats struct {
 	// a cold Φ_D (snapshots being rebuilt); with hits only, it is the
 	// solver.
 	CompressHits, CompressMisses int64
-	// ColumnarHits/Misses report reuse of the typed columnar view the
-	// vectorized executor scans a snapshot through: a miss transposed a
-	// relation (once per snapshot, see storage.Relation.SharedColumnar),
-	// a hit aliased the view remembered on it. Slow execution with misses
-	// climbing is a cold view (snapshots being rebuilt); with hits only,
-	// it is the kernels.
+	// ColumnarHits/Misses report reuse of the typed columnar view that
+	// Φ_D and the vectorized executor read a snapshot through: a miss
+	// built a relation's view (once per snapshot, see
+	// storage.Relation.SharedColumnar), a hit aliased the view remembered
+	// on it. Slow execution with misses climbing is a cold view
+	// (snapshots being rebuilt); with hits only, it is the kernels.
 	ColumnarHits, ColumnarMisses int64
+	// ColumnarDerived counts the misses that derived a replayed
+	// snapshot's view from the lanes of the snapshot its replay started
+	// from, paying for the columns the replay wrote rather than for the
+	// whole relation. It never exceeds ColumnarMisses.
+	ColumnarDerived int64
 	// MemoHits/Misses report solver-outcome reuse across calls;
 	// MemoEvictions counts outcomes dropped by the memo's LRU bound.
 	MemoHits, MemoMisses int64
@@ -212,6 +217,7 @@ func (s *Session) Stats() SessionStats {
 	st.SnapshotTipEvictions = s.caches.snaps.TipEvictions()
 	st.SnapshotTipResident = s.caches.snaps.TipResident()
 	st.CompressHits, st.CompressMisses = s.caches.snaps.DerivedStats()
+	st.ColumnarDerived = s.caches.snaps.ColumnarDerived()
 	st.ColumnarHits, st.ColumnarMisses = s.caches.snaps.ColumnarStats()
 	st.MemoHits, st.MemoMisses = s.caches.memo.Stats()
 	st.MemoEvictions = s.caches.memo.Evictions()

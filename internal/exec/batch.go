@@ -138,6 +138,21 @@ func (c chain) getRun(pool *sync.Pool, cfg vecConfig) *chainRun {
 	return c.newRun(cfg)
 }
 
+// release drops the windows of a frozen view the run holds: shared's
+// lanes, and the identity columns a projection's output aliases from
+// them. The run goes back to its node's pool afterwards, where it must
+// not keep a snapshot's lanes reachable — a view derived from another
+// snapshot's aliases that one's lanes too. Every batch reassigns each
+// column it clears.
+func (r *chainRun) release() {
+	clear(r.shared.cols)
+	for _, st := range r.states {
+		if p, ok := st.(*vProjectState); ok {
+			clear(p.out.cols)
+		}
+	}
+}
+
 // apply pushes one batch through every operator. An all-filtered batch
 // short-circuits the rest of the chain.
 func (r *chainRun) apply(b *batch) (*batch, error) {
@@ -464,12 +479,14 @@ func runVecChunk(rc *runCtx, tuples []schema.Tuple, arity int, kinds []types.Kin
 // through a source lane — filters narrow sel, projections alias identity
 // columns and write computed ones into their own scratch, and whoever
 // retains rows (freezeBatch, materializeRows) copies them out.
-// Cancellation is observed between batches, as in runVecChunk.
+// Cancellation is observed between batches, as in runVecChunk. cr
+// drops the windows it borrowed on return (release).
 func runVecView(rc *runCtx, view *storage.ColumnarView, lo, hi int, cr *chainRun, bs int, emit vecEmit) error {
 	if cr.shared == nil {
 		cr.shared = &batch{cols: make([]storage.ColVec, len(view.Cols))}
 	}
 	src := cr.shared
+	defer cr.release()
 	for start := lo; start < hi; start += bs {
 		if err := rc.ctx.Err(); err != nil {
 			return err

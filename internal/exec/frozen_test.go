@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/exec"
@@ -408,5 +410,56 @@ func TestFrozenParallelScansShareOneView(t *testing.T) {
 	}
 	if hits, misses := cache.ColumnarStats(); misses != 1 || hits != 3*callers-1 {
 		t.Errorf("%d concurrent scans: %d view builds, %d reuses; want 1, %d", 3*callers, misses, hits, 3*callers-1)
+	}
+}
+
+// TestSharedColumnarReleasedByPooledScan: a frozen scan's run state goes
+// back to its program's pool, but the view it borrowed does not stay
+// reachable through it — once the snapshot is dropped, one collection
+// frees the view's lanes while the program lives on, sequential and
+// partitioned. (A sync.Pool keeps what it holds through one collection,
+// so a window of a lane left in a pooled run would survive this one.)
+func TestSharedColumnarReleasedByPooledScan(t *testing.T) {
+	db := storage.NewDatabase()
+	rel := storage.NewRelation(schema.New("t", schema.Col("k", types.KindInt), schema.Col("v", types.KindInt)))
+	for i := 0; i < 3000; i++ {
+		rel.Add(schema.Tuple{types.Int(int64(i)), types.Int(int64(i % 17))})
+	}
+	db.AddRelation(rel)
+	q := &algebra.Project{
+		Exprs: []algebra.NamedExpr{{Name: "k", E: expr.Column("k")}, {Name: "v", E: expr.Add(expr.Column("v"), expr.IntConst(1))}},
+		In:    &algebra.Select{Cond: expr.Ge(expr.Column("v"), expr.IntConst(3)), In: &algebra.Scan{Rel: "t"}},
+	}
+	for name, opts := range map[string]exec.VecOptions{"sequential": {Workers: 1}, "parallel": parallelOptions} {
+		t.Run(name, func(t *testing.T) {
+			prog, err := exec.CompileVec(q, db, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			released := make(chan int, 2)
+			func() {
+				frozen, _ := publish(t, db)
+				r, _ := frozen.Relation("t")
+				view, err := r.SharedColumnar()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c := range view.Cols {
+					runtime.SetFinalizer(&view.Cols[c].Ints[0], func(*int64) { released <- c })
+				}
+				if _, err := prog.Run(frozen); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			runtime.GC()
+			for range 2 {
+				select {
+				case <-released:
+				case <-time.After(5 * time.Second):
+					t.Fatal("a lane of the view outlived its snapshot: a pooled run still holds it")
+				}
+			}
+			runtime.KeepAlive(prog)
+		})
 	}
 }

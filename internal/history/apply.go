@@ -861,7 +861,8 @@ func (i *InsertQuery) ApplyIndexed(db *storage.Database, ix *storage.IndexSet) e
 }
 
 // applyAppend runs an insert's plain apply and then maintains the
-// target's indexes for the rows it appended.
+// target's indexes for the rows it appended (ix is nil for a replay too
+// short to index, which has none to maintain).
 func applyAppend(db *storage.Database, ix *storage.IndexSet, name string, apply func(*storage.Database) error) error {
 	rel, err := db.Relation(name)
 	if err != nil {
@@ -871,6 +872,8 @@ func applyAppend(db *storage.Database, ix *storage.IndexSet, name string, apply 
 	if err := apply(db); err != nil {
 		return err
 	}
-	ix.NoteAppend(name, rel, first)
+	if ix != nil {
+		ix.NoteAppend(name, rel, first)
+	}
 	return nil
 }

@@ -101,9 +101,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		// nothing fell back to the interpreter.
 		`mahif_session_compress_misses_total{session="0"} 1`,
 		`mahif_session_compress_hits_total{session="0"} 0`,
-		// Both sides of it scanned that relation through one view.
+		// Φ_D was read from that relation's view, built once, and both
+		// sides of the what-if scanned the relation through it.
 		`mahif_session_columnar_misses_total{session="0"} 1`,
-		`mahif_session_columnar_hits_total{session="0"} 1`,
+		`mahif_session_columnar_hits_total{session="0"} 2`,
 		"mahif_interpreter_fallbacks_total 0",
 		// The what-if moved five orders: its two sides were compared where
 		// data slicing left them (the 30 orders at or above 50), and only

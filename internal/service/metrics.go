@@ -40,8 +40,10 @@ var sessionMetrics = []sessionMetric{
 		func(st core.SessionStats) int64 { return int64(st.CompressMisses) }},
 	{"columnar_hits_total", "Vectorized scans that aliased the columnar view remembered on a snapshot, per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.ColumnarHits) }},
-	{"columnar_misses_total", "Relation transpositions building a snapshot's columnar view (once per snapshot), per session.", "counter",
+	{"columnar_misses_total", "Builds of a snapshot relation's columnar view (once per snapshot), per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.ColumnarMisses) }},
+	{"columnar_derived_total", "Columnar view builds that derived a replayed snapshot's view from the lanes of the snapshot its replay started from instead of transposing its rows, per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.ColumnarDerived) }},
 	{"memo_hits_total", "Solver-outcome memo hits per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.MemoHits) }},
 	{"memo_misses_total", "Solver-outcome memo misses per session.", "counter",

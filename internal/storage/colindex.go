@@ -67,9 +67,8 @@ func ClassOf(v types.Value) IndexClass {
 
 // MinIndexRows is the relation size below which IndexSet declines to
 // build an index: scanning a few hundred tuples is cheaper than
-// maintaining index structures for them. Var, not const, so tests can
-// exercise index paths on small relations.
-var MinIndexRows = 256
+// maintaining index structures for them.
+const MinIndexRows = 256
 
 // maxIndexRows caps indexable relations at int32 positions.
 const maxIndexRows = 1<<31 - 1

@@ -529,20 +529,26 @@ func BuildColumnar(r *Relation) *ColumnarView {
 	v := &ColumnarView{Schema: r.Schema, Rows: len(r.Tuples), Cols: make([]ColVec, r.Schema.Arity())}
 	v.nullBlocks = make([][]bool, len(v.Cols))
 	for c := range v.Cols {
-		col := &v.Cols[c]
-		col.FillFromTuples(r.Tuples, c, r.Schema.Columns[c].Type)
-		if col.Nulls == nil {
-			continue
-		}
-		blocks := make([]bool, (v.Rows+nullBlockRows-1)/nullBlockRows)
-		for i, null := range col.Nulls {
-			if null {
-				blocks[i/nullBlockRows] = true
-			}
-		}
-		v.nullBlocks[c] = blocks
+		v.fillColumn(r.Tuples, c)
 	}
 	return v
+}
+
+// fillColumn transposes column c of rows, the view's rows, into a fresh
+// lane, with the column's NULL block summary.
+func (v *ColumnarView) fillColumn(rows []schema.Tuple, c int) {
+	col := &v.Cols[c]
+	col.FillFromTuples(rows, c, v.Schema.Columns[c].Type)
+	if col.Nulls == nil {
+		return
+	}
+	blocks := make([]bool, (v.Rows+nullBlockRows-1)/nullBlockRows)
+	for i, null := range col.Nulls {
+		if null {
+			blocks[i/nullBlockRows] = true
+		}
+	}
+	v.nullBlocks[c] = blocks
 }
 
 // Columnar builds the columnar view of the relation's current tuples.
@@ -644,26 +650,55 @@ func CheckRowArity(rows []schema.Tuple, arity int) error {
 // for a private one. The view is built once, on first demand, and lives
 // and dies with the relation like any derived value (see Derive);
 // concurrent askers wait for the one build. It is shared: callers —
-// the vectorized executor's scans alias its lanes as their source
-// batches — must treat it as read-only. A relation holding a tuple
-// shorter than its schema has no view; every call returns
-// CheckRowArity's error for it.
+// the vectorized executor's scans and Φ_D's summary alias its lanes —
+// must treat it as read-only. A relation holding a tuple shorter than
+// its schema has no view; every call returns CheckRowArity's error for
+// it.
+//
+// A relation a snapshot replay left with a lineage (see viewLineage)
+// derives its view from the replay's start: the columns the replay did
+// not write alias the start's lanes, the others are patched or
+// transposed alone. Either way the view is the one Transpose builds,
+// lane for lane, and the lineage is dropped with the build.
 func (r *Relation) SharedColumnar() (*ColumnarView, error) {
 	m := r.frozen.Load()
 	if m == nil {
 		return nil, nil
 	}
-	hit := true
+	hit, derived := true, false
 	m.viewOnce.Do(func() {
 		hit = false
-		m.view, m.viewErr = Transpose(r)
+		var view *ColumnarView
+		if l := r.lineage; l != nil {
+			r.lineage = nil
+			view, m.viewErr = l.derive(r)
+			derived = m.viewErr == nil
+		} else {
+			view, m.viewErr = Transpose(r)
+		}
+		m.view.Store(view)
 	})
-	if hit {
+	switch {
+	case hit:
 		m.stats.viewHits.Add(1)
-	} else {
+	case derived:
+		// Misses first: a reader of both counters never sees more
+		// derived views than builds (see SnapshotCache.ColumnarDerived).
+		m.stats.viewMisses.Add(1)
+		m.stats.viewDerived.Add(1)
+	default:
 		m.stats.viewMisses.Add(1)
 	}
-	return m.view, m.viewErr
+	return m.view.Load(), m.viewErr
+}
+
+// builtView returns the shared view of a frozen relation if it has
+// been built, without building it.
+func (r *Relation) builtView() *ColumnarView {
+	if m := r.frozen.Load(); m != nil {
+		return m.view.Load()
+	}
+	return nil
 }
 
 // Relation materializes the view back into row-major tuples (one flat

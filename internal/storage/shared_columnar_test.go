@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -208,5 +209,102 @@ func TestColumnarViewWindow(t *testing.T) {
 	bare.Window(dst, nullBlockRows, 2*nullBlockRows)
 	if dst[0].Nulls != nil || dst[1].Nulls == nil {
 		t.Errorf("hand-assembled view: clean mask %v, sparse mask present %v; want nil, true", dst[0].Nulls, dst[1].Nulls != nil)
+	}
+}
+
+// rewriteRow replaces row pos of t with a fresh copy of row, the way a
+// replayed statement writes a row it changes.
+type rewriteRow struct {
+	pos int
+	row schema.Tuple
+}
+
+func (m rewriteRow) Apply(db *Database) error {
+	r, err := db.Relation("t")
+	if err != nil {
+		return err
+	}
+	r.Tuples[m.pos] = m.row.Clone()
+	return nil
+}
+
+func (m rewriteRow) ApplyIndexed(db *Database, _ *IndexSet) error { return m.Apply(db) }
+
+func (m rewriteRow) String() string { return fmt.Sprintf("rewrite row %d to %v", m.pos, m.row) }
+
+// TestSnapshotLineageReleased: a snapshot replayed from one whose view
+// is built carries a lineage until its own view is built, and not a
+// moment longer — whether the derivation succeeds or meets a short row,
+// which gets Transpose's error. A replay from the base, or from a
+// snapshot without a view, carries none.
+func TestSnapshotLineageReleased(t *testing.T) {
+	rel := NewRelation(schema.New("t", schema.Col("a", types.KindInt), schema.Col("b", types.KindInt)))
+	for i := 0; i < 100; i++ {
+		rel.Add(schema.Tuple{types.Int(int64(i)), types.Int(int64(i % 3))})
+	}
+	db := NewDatabase()
+	db.AddRelation(rel)
+	v := NewVersioned(db)
+	for _, m := range []rewriteRow{
+		{4, schema.Tuple{types.Int(4), types.Int(400)}},
+		{5, schema.Tuple{types.Int(5), types.Int(500)}},
+		{7, schema.Tuple{types.Int(7)}}, // shorter than the schema
+		{9, schema.Tuple{types.Int(9), types.Int(900)}},
+		{0, schema.Tuple{types.Int(0), types.Int(0)}}, // keeps version 4 off the tip
+	} {
+		if err := v.Apply(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewSnapshotCache(v)
+	snapshotRel := func(ver int) *Relation {
+		t.Helper()
+		snap, err := c.Snapshot(ver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _ := snap.Relation("t")
+		return r
+	}
+	// Version 1 is replayed from the base, which is not published.
+	r1 := snapshotRel(1)
+	if r1.lineage != nil {
+		t.Fatal("version 1 carries a lineage from the base")
+	}
+	if _, err := r1.SharedColumnar(); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := snapshotRel(2)
+	if r2.lineage == nil || r2.lineage.base != r1.builtView() || len(r2.lineage.changed) != 1 {
+		t.Fatalf("version 2, one row from a start with a view: lineage %+v", r2.lineage)
+	}
+	view, err := r2.SharedColumnar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.lineage != nil {
+		t.Fatal("the lineage outlived the view it derived")
+	}
+	if c.ColumnarDerived() != 1 || !reflect.DeepEqual(view, BuildColumnar(r2)) {
+		t.Fatalf("version 2: %d derived, view ≡ BuildColumnar: %v", c.ColumnarDerived(), reflect.DeepEqual(view, BuildColumnar(r2)))
+	}
+
+	r3 := snapshotRel(3)
+	if r3.lineage == nil {
+		t.Fatal("version 3: no lineage from a start with a view")
+	}
+	_, err = r3.SharedColumnar()
+	_, want := Transpose(r3.Clone())
+	if err == nil || want == nil || err.Error() != want.Error() {
+		t.Fatalf("version 3 holds a short row: err %v, Transpose's %v", err, want)
+	}
+	if r3.lineage != nil || c.ColumnarDerived() != 1 {
+		t.Fatalf("a failed derivation kept its lineage (%v) or was counted (%d)", r3.lineage != nil, c.ColumnarDerived())
+	}
+
+	// Version 3 has no view, so a replay from it has nothing to derive from.
+	if r4 := snapshotRel(4); r4.lineage != nil {
+		t.Fatal("version 4 carries a lineage from a start whose view failed")
 	}
 }

@@ -38,7 +38,9 @@ import (
 // therefore allocates only the rows they change, and resident versions
 // hold one copy of each unchanged row between them, not one each. A
 // replay that would write more than half of a relation fresh copies it
-// instead, as a deep copy would.
+// instead, as a deep copy would. A replay of fewer statements than
+// ⌈log₂ n⌉ for n rows builds no index of its own either (replayCtx):
+// it scans, where an index would sort the whole relation.
 //
 // Frozen snapshots: because of that contract, the cache marks every
 // relation of a database frozen at the moment it publishes it. A
@@ -59,6 +61,18 @@ import (
 // A caller that broke the read-only contract would now also get stale
 // derived values, not only corrupt a shared state. DerivedStats and
 // ColumnarStats count the reuse.
+//
+// Lineage: the artifacts of a miss follow what its replay wrote. A
+// relation replayed from a published one whose view is built, to the
+// same length and with at most half of its positions holding another
+// row than the start's, records the start's view and those positions
+// before it is published (viewLineage). Its own view is then derived,
+// not transposed: a column the replay did not write aliases the start's
+// lane, one it wrote is copied and patched or transposed alone — the
+// same view, lane for lane, that a transposition gives (ColumnarDerived
+// counts these builds). The lineage holds the start's view, never the
+// start relation, and goes once the view is built; Φ_D reads the view's
+// lanes, so it is built on a miss's first Compress.
 //
 // Retention is bounded: completed snapshots beyond the limit are
 // evicted least-recently-used. Without a bound, a session that reports
@@ -202,8 +216,14 @@ func (c *SnapshotCache) build(ctx context.Context, i int, tip bool) (snapshot, e
 	// replay can hold their rows instead of copying them. It always
 	// works on a copy, even with nothing to replay: the published state
 	// is then this cache's own, and so is everything derived from it.
-	db, err = replayCtx(ctx, log, start, db.shareRows(), i)
-	return snapshot{db: db, tip: tip}, err
+	out, err := replayCtx(ctx, log, start, db.shareRows(), i)
+	if err != nil {
+		return snapshot{}, err
+	}
+	// The rows the replay did not write are db's, so the views of db it
+	// left in place derive the new ones (inheritViews).
+	out.inheritViews(db)
+	return snapshot{db: out, tip: tip}, nil
 }
 
 // Stats reports how many Snapshot calls were served from the cache
@@ -226,6 +246,13 @@ func (c *SnapshotCache) DerivedStats() (hits, misses int64) {
 // (once per relation).
 func (c *SnapshotCache) ColumnarStats() (hits, misses int64) {
 	return c.derived.viewHits.Load(), c.derived.viewMisses.Load()
+}
+
+// ColumnarDerived reports the view builds (ColumnarStats misses) that
+// derived a replayed relation's view from its start's lanes instead of
+// transposing its rows. Read before the misses, it never exceeds them.
+func (c *SnapshotCache) ColumnarDerived() int64 {
+	return c.derived.viewDerived.Load()
 }
 
 // ReportStats reports Relation.Derive calls with a ReportKey on the

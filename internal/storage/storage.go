@@ -44,6 +44,11 @@ type Relation struct {
 	// (see Database.freeze): from then on the contents never change, so
 	// values derived from them can be remembered here (see Derive).
 	frozen atomic.Pointer[derivedMemo]
+
+	// lineage is set on a replayed relation before its SnapshotCache
+	// publishes it, when the view can be derived from the replay's start
+	// (see viewLineage); SharedColumnar drops it once the view is built.
+	lineage *viewLineage
 }
 
 // maxDerived bounds the values remembered per frozen relation. Callers
@@ -61,9 +66,11 @@ type derivedMemo struct {
 
 	// The columnar view has a slot of its own (see SharedColumnar), so
 	// keyed values can neither crowd it out of maxDerived nor mix their
-	// counts with its.
+	// counts with its. view is set once a build succeeded, and a replay
+	// that starts from this relation reads it without building it
+	// (builtView).
 	viewOnce sync.Once
-	view     *ColumnarView
+	view     atomic.Pointer[ColumnarView]
 	viewErr  error
 }
 
@@ -77,10 +84,12 @@ type derivedEntry struct {
 
 // derivedStats counts Derive calls answered from a memo (hits) and
 // those that ran compute on a frozen relation (misses), and the same for
-// SharedColumnar and for Derive calls with a ReportKey.
+// SharedColumnar and for Derive calls with a ReportKey. viewDerived
+// counts the view misses that derived the view from a replay's start.
 type derivedStats struct {
 	hits, misses             atomic.Int64
 	viewHits, viewMisses     atomic.Int64
+	viewDerived              atomic.Int64
 	reportHits, reportMisses atomic.Int64
 }
 

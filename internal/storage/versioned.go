@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -288,17 +289,37 @@ func (v *VersionedDatabase) nearestCheckpointLocked(i int) (int, *Database) {
 // (Database.shareRows), and the statements write the rows they change
 // as fresh tuples.
 func replayCtx(ctx context.Context, log []Mutator, start int, out *Database, i int) (*Database, error) {
-	// A replay-private index set accelerates the statement loop the
+	// A replay-private index set accelerates a long statement loop the
 	// same way the tip's maintained indexes accelerate Apply; it is
-	// discarded with the replay, so it never outlives its state.
-	ix := NewIndexSet()
+	// discarded with the replay, so it never outlives its state. Binding
+	// a range predicate sorts the relation, O(n log n) once, where the
+	// scan plan costs O(n) per statement: a replay of fewer than
+	// ⌈log₂ n⌉ statements scans instead, through plain Apply.
+	var ix *IndexSet
+	if i-start >= ceilLog2(out.TotalTuples()) {
+		ix = NewIndexSet()
+	}
 	for j := start; j < i; j++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := log[j].ApplyIndexed(out, ix); err != nil {
+		var err error
+		if ix != nil {
+			err = log[j].ApplyIndexed(out, ix)
+		} else {
+			err = log[j].Apply(out)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("storage: replaying statement %d (%s): %w", j, log[j], err)
 		}
 	}
 	return out, nil
+}
+
+// ceilLog2 returns ⌈log₂ n⌉, and 0 for n ≤ 1.
+func ceilLog2(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return bits.Len(uint(n - 1))
 }

@@ -523,3 +523,204 @@ func TestCompressNeverRemembersPrivateRelations(t *testing.T) {
 		t.Error("a clone of a published relation remembered its Φ_D across a mutation")
 	}
 }
+
+// summarizeTuples is summarize as it read the relation's tuples before
+// it read the columnar lanes: the oracle the lane summary is pinned to
+// (TestCompressLanesMatchTuples). opts carry their defaults.
+func summarizeTuples(rel *storage.Relation, opts CompressOptions) (expr.Expr, error) {
+	gidx := rel.Schema.ColIndex(opts.GroupBy)
+	if gidx < 0 {
+		return nil, fmt.Errorf("symbolic: group-by attribute %q not in %s", opts.GroupBy, rel.Schema)
+	}
+	var disjuncts []expr.Expr
+	for _, rows := range partitionTuples(rel, gidx, opts.Groups) {
+		if len(rows) == 0 {
+			continue
+		}
+		var conj []expr.Expr
+		for ci, col := range rel.Schema.Columns {
+			if c := summarizeTupleColumn(rel, rows, ci, col.Type, opts.MaxDistinct); c != nil {
+				conj = append(conj, c)
+			}
+		}
+		disjuncts = append(disjuncts, expr.AndOf(conj...))
+	}
+	return expr.Simplify(expr.OrOf(disjuncts...)), nil
+}
+
+// partitionTuples is partition over tuples.
+func partitionTuples(rel *storage.Relation, gidx, n int) [][]int {
+	keys := make([]float64, rel.Len())
+	numeric := true
+	for i, t := range rel.Tuples {
+		if !t[gidx].IsNumeric() {
+			numeric = false
+			break
+		}
+		keys[i] = t[gidx].AsFloat()
+	}
+	if !numeric {
+		buckets := map[string][]int{}
+		for i, t := range rel.Tuples {
+			k := t[gidx].String()
+			buckets[k] = append(buckets[k], i)
+		}
+		names := make([]string, 0, len(buckets))
+		for k := range buckets {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		out := make([][]int, min(n, len(names)))
+		for i, k := range names {
+			g := i % len(out)
+			out[g] = append(out[g], buckets[k]...)
+		}
+		return out
+	}
+	idx := make([]int, rel.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Sort(byKey{keys: keys, rows: idx})
+	if n > len(idx) {
+		n = len(idx)
+	}
+	out := make([][]int, n)
+	per := (len(idx) + n - 1) / n
+	for g := range out {
+		out[g] = idx[min(g*per, len(idx)):min((g+1)*per, len(idx))]
+	}
+	return out
+}
+
+// summarizeTupleColumn is summarizeColumn over tuples.
+func summarizeTupleColumn(rel *storage.Relation, rows []int, ci int, kind types.Kind, maxDistinct int) expr.Expr {
+	v := expr.Variable(BaseVar(rel.Schema.Columns[ci].Name))
+	switch kind {
+	case types.KindInt, types.KindFloat:
+		first := true
+		var lo, hi float64
+		for _, r := range rows {
+			val := rel.Tuples[r][ci]
+			if !val.IsNumeric() {
+				return nil
+			}
+			f := val.AsFloat()
+			if first {
+				lo, hi, first = f, f, false
+				continue
+			}
+			if f < lo {
+				lo = f
+			}
+			if f > hi {
+				hi = f
+			}
+		}
+		if first {
+			return nil
+		}
+		loC, hiC := numConst(kind, lo), numConst(kind, hi)
+		if lo == hi {
+			return expr.Eq(v, loC)
+		}
+		return expr.AndOf(expr.Ge(v, loC), expr.Le(v, hiC))
+	case types.KindString, types.KindBool:
+		distinct := make([]types.Value, 0, maxDistinct)
+	scan:
+		for _, r := range rows {
+			val := rel.Tuples[r][ci]
+			if val.Kind() != kind {
+				return nil
+			}
+			for _, d := range distinct {
+				if d.Equal(val) {
+					continue scan
+				}
+			}
+			if len(distinct) == maxDistinct {
+				return nil
+			}
+			distinct = append(distinct, val)
+		}
+		sort.Slice(distinct, func(a, b int) bool { return distinct[a].String() < distinct[b].String() })
+		alts := make([]expr.Expr, len(distinct))
+		for i, d := range distinct {
+			alts[i] = expr.Eq(v, expr.Constant(d))
+		}
+		return expr.OrOf(alts...)
+	}
+	return nil
+}
+
+// TestCompressLanesMatchTuples: Φ_D read from the columnar lanes is
+// byte for byte the Φ_D the tuple-reading summary gives, over relations
+// with NULLs in typed and boxed lanes, cells whose kind deviates from
+// their column's (boxed lanes), more distinct strings than MaxDistinct,
+// group-by keys with many ties, and non-numeric group-by columns — on
+// private relations (a private transposition) and on published ones
+// (the shared view).
+func TestCompressLanesMatchTuples(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	words := []string{"a", "b", "c'", "d d", "e", "", "F", "g", "h", "i", "j", "k"}
+	cell := func(kind types.Kind, odd int) types.Value {
+		if odd > 0 && rng.Intn(odd) == 0 {
+			switch rng.Intn(3) {
+			case 0:
+				return types.Null()
+			case 1:
+				return types.Float(float64(rng.Intn(5)) + 0.25)
+			default:
+				return types.String("stray")
+			}
+		}
+		switch kind {
+		case types.KindInt:
+			return types.Int(int64(rng.Intn(6))) // few keys: many ties
+		case types.KindFloat:
+			return types.Float(float64(rng.Intn(30)) / 8)
+		case types.KindBool:
+			return types.Bool(rng.Intn(2) == 0)
+		}
+		return types.String(words[rng.Intn(len(words))])
+	}
+	sch := schema.New("t",
+		schema.Col("k", types.KindInt), schema.Col("f", types.KindFloat),
+		schema.Col("s", types.KindString), schema.Col("b", types.KindBool),
+		schema.Col("n", types.KindInt))
+	for trial := 0; trial < 200; trial++ {
+		rel := storage.NewRelation(sch)
+		odd := []int{0, 0, 50, 8}[rng.Intn(4)]
+		for i, n := 0, 1+rng.Intn(300); i < n; i++ {
+			rel.Add(schema.Tuple{
+				cell(types.KindInt, odd), cell(types.KindFloat, odd), cell(types.KindString, odd),
+				cell(types.KindBool, odd), types.Int(int64(i % 3)),
+			})
+		}
+		db := storage.NewDatabase()
+		db.AddRelation(rel)
+		snap, err := storage.NewSnapshotCache(storage.NewVersioned(db)).Snapshot(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		published, _ := snap.Relation("t")
+		for _, opts := range []CompressOptions{
+			{}, {Groups: 3}, {GroupBy: "n", Groups: 4}, {GroupBy: "s", Groups: 2, MaxDistinct: 3},
+			{GroupBy: "b"}, {GroupBy: "f", Groups: 5, MaxDistinct: len(words)}, {Groups: 7, MaxDistinct: 1},
+		} {
+			want, err := summarizeTuples(rel, opts.withDefaults(rel))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []*storage.Relation{rel, published} {
+				got, err := Compress(r, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !expr.Equal(got, want) || got.String() != want.String() {
+					t.Fatalf("trial %d %+v: lane Φ_D differs from the tuple oracle\n got  %s\n want %s", trial, opts, got, want)
+				}
+			}
+		}
+	}
+}
