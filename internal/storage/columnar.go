@@ -657,9 +657,9 @@ func CheckRowArity(rows []schema.Tuple, arity int) error {
 //
 // A relation a snapshot replay left with a lineage (see viewLineage)
 // derives its view from the replay's start: the columns the replay did
-// not write alias the start's lanes, the others are patched or
-// transposed alone. Either way the view is the one Transpose builds,
-// lane for lane, and the lineage is dropped with the build.
+// not write alias the start's lanes, the others are transposed alone.
+// Either way the view is the one Transpose builds, lane for lane, and
+// the lineage is dropped with the build.
 func (r *Relation) SharedColumnar() (*ColumnarView, error) {
 	m := r.frozen.Load()
 	if m == nil {

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"math"
-	"slices"
 
 	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/types"
@@ -56,13 +55,9 @@ func lineageOf(start, r *Relation) *viewLineage {
 }
 
 // derive builds r's view from the lineage's, lane for lane the view
-// Transpose builds, CheckRowArity error included. Column by column:
-//   - a column no changed row writes a different cell into aliases the
-//     start's lane and its NULL blocks;
-//   - a typed column whose changed cells keep its kind, and leave it a
-//     mask exactly when it had one, is copied and patched at the changed
-//     positions;
-//   - any other column is transposed alone.
+// Transpose builds, CheckRowArity error included: a column no changed
+// row writes a different cell into aliases the start's lane and its
+// NULL blocks, any other column is transposed alone.
 func (l *viewLineage) derive(r *Relation) (*ColumnarView, error) {
 	rows := make([]schema.Tuple, len(l.changed))
 	for i, p := range l.changed {
@@ -76,80 +71,24 @@ func (l *viewLineage) derive(r *Relation) (*ColumnarView, error) {
 	v := &ColumnarView{Schema: r.Schema, Rows: len(r.Tuples), Cols: make([]ColVec, r.Schema.Arity())}
 	v.nullBlocks = make([][]bool, len(v.Cols))
 	for c := range v.Cols {
-		if !l.inherit(v, rows, c) {
+		if l.unchanged(rows, c) {
+			v.Cols[c], v.nullBlocks[c] = l.base.Cols[c], l.base.nullBlocks[c]
+		} else {
 			v.fillColumn(r.Tuples, c)
 		}
 	}
 	return v, nil
 }
 
-// inherit sets column c of v from the start's lane when rows, the
-// changed rows, allow it (see derive), and reports whether they did.
-func (l *viewLineage) inherit(v *ColumnarView, rows []schema.Tuple, c int) bool {
+// unchanged reports whether every changed row in rows holds the start's
+// cell in column c.
+func (l *viewLineage) unchanged(rows []schema.Tuple, c int) bool {
 	old := &l.base.Cols[c]
-	same := true
 	for i, t := range rows {
 		if !old.holds(int(l.changed[i]), t[c]) {
-			same = false
-			break
-		}
-	}
-	if same {
-		v.Cols[c], v.nullBlocks[c] = *old, l.base.nullBlocks[c]
-		return true
-	}
-	if old.Kind == types.KindNull {
-		return false
-	}
-	for _, t := range rows {
-		if k := t[c].Kind(); k != old.Kind && (k != types.KindNull || old.Nulls == nil) {
 			return false
 		}
 	}
-	col := ColVec{Kind: old.Kind}
-	switch old.Kind {
-	case types.KindInt:
-		col.Ints = slices.Clone(old.Ints)
-		for i, t := range rows {
-			col.Ints[l.changed[i]] = 0
-			if !t[c].IsNull() {
-				col.Ints[l.changed[i]] = t[c].AsInt()
-			}
-		}
-	case types.KindFloat:
-		col.Floats = slices.Clone(old.Floats)
-		for i, t := range rows {
-			col.Floats[l.changed[i]] = 0
-			if !t[c].IsNull() {
-				col.Floats[l.changed[i]] = t[c].AsFloat()
-			}
-		}
-	case types.KindString:
-		col.Strs = slices.Clone(old.Strs)
-		for i, t := range rows {
-			col.Strs[l.changed[i]] = ""
-			if !t[c].IsNull() {
-				col.Strs[l.changed[i]] = t[c].AsString()
-			}
-		}
-	}
-	if old.Nulls != nil {
-		col.Nulls = slices.Clone(old.Nulls)
-		for i, t := range rows {
-			col.Nulls[l.changed[i]] = t[c].IsNull()
-		}
-		blocks := slices.Clone(l.base.nullBlocks[c])
-		for i, p := range l.changed {
-			if b := int(p) / nullBlockRows; i == 0 || b != int(l.changed[i-1])/nullBlockRows {
-				blocks[b] = slices.Contains(col.Nulls[b*nullBlockRows:min((b+1)*nullBlockRows, v.Rows)], true)
-			}
-		}
-		if !slices.Contains(blocks, true) {
-			return false // the last NULL is gone: Transpose leaves no mask
-		}
-		v.nullBlocks[c] = blocks
-	}
-	v.Cols[c] = col
 	return true
 }
 

@@ -225,7 +225,8 @@ type probeLog struct {
 	built          bool // an indexed apply left an index behind
 }
 
-// replayProbe wraps a statement and records into log how it is applied.
+// replayProbe wraps a statement and records into log how it is applied:
+// plainly (Apply, or ApplyIndexed without a set) or with an index set.
 type replayProbe struct {
 	storage.Mutator
 	log *probeLog
@@ -237,6 +238,10 @@ func (p replayProbe) Apply(db *storage.Database) error {
 }
 
 func (p replayProbe) ApplyIndexed(db *storage.Database, ix *storage.IndexSet) error {
+	if ix == nil {
+		p.log.plain++
+		return p.Mutator.ApplyIndexed(db, nil)
+	}
 	p.log.indexed++
 	err := p.Mutator.ApplyIndexed(db, ix)
 	p.log.built = p.log.built || ix.Epoch() > 0
@@ -244,10 +249,10 @@ func (p replayProbe) ApplyIndexed(db *storage.Database, ix *storage.IndexSet) er
 }
 
 // TestShortReplayScans: a replay of fewer than ⌈log₂ n⌉ statements
-// builds no index of its own and applies each statement plainly (the
-// scan plan); one of ⌈log₂ n⌉ statements keeps its private index set
-// and builds the index its range predicates bind. Either way the state
-// is the one plain Apply reaches.
+// passes no index set and applies each statement plainly (the scan
+// plan); one of ⌈log₂ n⌉ statements keeps its private index set and
+// builds the index its range predicates bind. Either way the state is
+// the one plain Apply reaches.
 func TestShortReplayScans(t *testing.T) {
 	n := 2 * storage.MinIndexRows // ⌈log₂ 512⌉ = 9
 	const long = 9

@@ -68,11 +68,11 @@ import (
 // row than the start's, records the start's view and those positions
 // before it is published (viewLineage). Its own view is then derived,
 // not transposed: a column the replay did not write aliases the start's
-// lane, one it wrote is copied and patched or transposed alone — the
-// same view, lane for lane, that a transposition gives (ColumnarDerived
-// counts these builds). The lineage holds the start's view, never the
-// start relation, and goes once the view is built; Φ_D reads the view's
-// lanes, so it is built on a miss's first Compress.
+// lane, one it wrote is transposed alone — the same view, lane for
+// lane, that a transposition gives (ColumnarDerived counts these
+// builds). The lineage holds the start's view, never the start
+// relation, and goes once the view is built; Φ_D reads the view's lanes,
+// so it is built on a miss's first Compress.
 //
 // Retention is bounded: completed snapshots beyond the limit are
 // evicted least-recently-used. Without a bound, a session that reports

@@ -121,9 +121,11 @@ func (b bump) Apply(db *Database) error {
 }
 
 // ApplyIndexed rewrites every row outside the maintained path, so the
-// relation's indexes can no longer vouch for it.
+// relation's indexes, if any, can no longer vouch for it.
 func (b bump) ApplyIndexed(db *Database, ix *IndexSet) error {
-	ix.Invalidate(b.rel)
+	if ix != nil {
+		ix.Invalidate(b.rel)
+	}
 	return b.Apply(db)
 }
 

@@ -32,7 +32,9 @@ type Mutator interface {
 	// ApplyIndexed executes the mutation against db using and
 	// maintaining ix: it may probe ix's secondary indexes to touch only
 	// the rows its predicate selects. It must be observationally
-	// identical to Apply, and on return ix must describe db.
+	// identical to Apply, and on return ix must describe db. A nil ix
+	// (a replay too short to index, see replayCtx) has no indexes to
+	// use or maintain: ApplyIndexed is then Apply.
 	ApplyIndexed(db *Database, ix *IndexSet) error
 	// String renders the mutation (for logs and errors).
 	String() string
@@ -294,7 +296,7 @@ func replayCtx(ctx context.Context, log []Mutator, start int, out *Database, i i
 	// discarded with the replay, so it never outlives its state. Binding
 	// a range predicate sorts the relation, O(n log n) once, where the
 	// scan plan costs O(n) per statement: a replay of fewer than
-	// ⌈log₂ n⌉ statements scans instead, through plain Apply.
+	// ⌈log₂ n⌉ statements passes no set and scans instead.
 	var ix *IndexSet
 	if i-start >= ceilLog2(out.TotalTuples()) {
 		ix = NewIndexSet()
@@ -303,13 +305,7 @@ func replayCtx(ctx context.Context, log []Mutator, start int, out *Database, i i
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var err error
-		if ix != nil {
-			err = log[j].ApplyIndexed(out, ix)
-		} else {
-			err = log[j].Apply(out)
-		}
-		if err != nil {
+		if err := log[j].ApplyIndexed(out, ix); err != nil {
 			return nil, fmt.Errorf("storage: replaying statement %d (%s): %w", j, log[j], err)
 		}
 	}

@@ -187,19 +187,10 @@ func laneRange[T int64 | float64](lane []T, rows []int) (lo, hi float64) {
 // is not numeric (NULL included).
 func numericKeys(col *storage.ColVec, n int) ([]float64, bool) {
 	keys := make([]float64, n)
-	switch {
-	case col.Nulls == nil && col.Kind == types.KindFloat:
-		copy(keys, col.Floats)
-	case col.Nulls == nil && col.Kind == types.KindInt:
-		for i, v := range col.Ints[:n] {
-			keys[i] = float64(v)
-		}
-	default:
-		for i := range keys {
-			var ok bool
-			if keys[i], ok = numericCell(col, i); !ok {
-				return nil, false
-			}
+	for i := range keys {
+		var ok bool
+		if keys[i], ok = numericCell(col, i); !ok {
+			return nil, false
 		}
 	}
 	return keys, true

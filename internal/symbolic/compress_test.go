@@ -724,3 +724,72 @@ func TestCompressLanesMatchTuples(t *testing.T) {
 		}
 	}
 }
+
+// TestCompressDerivedViewsConcurrently (run under -race): goroutines
+// walk adjacent versions of a Taxi history through a small snapshot
+// cache and compress each snapshot, so a miss derives its view from a
+// start whose lanes another goroutine is summarizing. Every Φ_D must be
+// the tuple oracle's.
+func TestCompressDerivedViewsConcurrently(t *testing.T) {
+	const steps, walkers = 16, 4
+	rng := rand.New(rand.NewSource(17))
+	vdb := storage.NewVersioned(workload.Taxi(1500, 5).Database())
+	for k := 0; k < steps; k++ {
+		lo := rng.Intn(workload.SelRange * 9 / 10)
+		src := fmt.Sprintf("UPDATE trips SET tips = tips + %d WHERE trip_seconds >= %d AND trip_seconds < %d", k+1, lo, lo+workload.SelRange/10)
+		if k%3 == 2 {
+			src = fmt.Sprintf("UPDATE trips SET company = 'walker %d' WHERE trip_miles < %d", k, lo/4)
+		}
+		if err := vdb.Apply(sql.MustParseStatement(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cache := storage.NewSnapshotCache(vdb)
+	cache.SetLimit(5)
+	optsList := []CompressOptions{{}, {GroupBy: "company", Groups: 3}}
+	var wg sync.WaitGroup
+	errs := make(chan error, walkers)
+	for g := 0; g < walkers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for step := 0; step < 2*steps; step++ {
+				ver := (g*2 + step) % steps
+				db, err := cache.Snapshot(ver)
+				if err != nil {
+					errs <- err
+					return
+				}
+				rel, _ := db.Relation("trips")
+				if _, err := rel.SharedColumnar(); err != nil {
+					errs <- err
+					return
+				}
+				for _, opts := range optsList {
+					got, err := Compress(rel, opts)
+					if err != nil {
+						errs <- err
+						return
+					}
+					want, err := summarizeTuples(rel, opts.withDefaults(rel))
+					if err != nil {
+						errs <- err
+						return
+					}
+					if got.String() != want.String() {
+						errs <- fmt.Errorf("walker %d, version %d, %+v: Φ_D differs from the tuple oracle", g, ver, opts)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if cache.ColumnarDerived() == 0 {
+		t.Fatal("no view was derived: the walkers never met a lineage")
+	}
+}
