@@ -74,8 +74,14 @@ type Outcome struct {
 	Definitive bool
 	// Model is the witness assignment (variable name → value) when Sat.
 	Model map[string]types.Value
-	// Nodes reports branch & bound effort.
-	Nodes int
+	// Nodes, Visits and LPs report the solver's effort: branch & bound
+	// nodes, constraint evaluations of interval propagation, and LP
+	// solves. A check on a Prefix counts only its own pass from the
+	// prefix's fixpoint; Prefix.Visits holds the prefix's pass.
+	Nodes, Visits, LPs int
+	// Fallback is set when the check's prefix had run out of
+	// propagation budget, so the check propagated every row itself.
+	Fallback bool
 	// Vars and Cons report compiled model size.
 	Vars, Cons int
 }
@@ -139,9 +145,12 @@ func (c *compiler) run(ctx context.Context) (*Outcome, error) {
 		return nil, ctx.Err()
 	}
 	out := &Outcome{
-		Nodes: res.Nodes,
-		Vars:  c.model.NumVars(),
-		Cons:  c.model.NumConstraints(),
+		Nodes:    res.Nodes,
+		Visits:   res.Visits,
+		LPs:      res.LPs,
+		Fallback: res.Fallback,
+		Vars:     c.model.NumVars(),
+		Cons:     c.model.NumConstraints(),
 	}
 	switch res.Status {
 	case milp.Feasible:

@@ -16,7 +16,10 @@ import (
 // it into a model once (on the first check the memo cannot answer),
 // and leaves each check to simplify, hash, intern and lower only its
 // own conjuncts — on a child compiler that reads the prefix's frozen
-// model, tables and memos and writes only its own entries.
+// model, tables and memos and writes only its own entries. The
+// prefix's model is frozen once lowered (milp.Model.Freeze): its root
+// propagation pass runs once, and a check's solve starts from that
+// fixpoint and propagates from its own rows.
 //
 // p.SatisfiableCtx(ctx, conj...) decides cond ∧ conj… exactly as a
 // fresh compilation of the whole conjunction would. The compiler lowers
@@ -47,6 +50,7 @@ type Prefix struct {
 	err  error     // why root failed to lower
 
 	lowered atomic.Int64
+	visits  atomic.Int64
 }
 
 // NewPrefix prepares cond as the leading conjunct of later checks (see
@@ -71,22 +75,23 @@ func NewPrefix(cond expr.Expr, kinds map[string]types.Kind, opts Options) *Prefi
 func (p *Prefix) SatisfiableCtx(ctx context.Context, conj ...expr.Expr) (*Outcome, error) {
 	whole := p.conjoin(conj)
 	memo := p.opts.Memo
-	var key memoKey
-	if memo != nil {
-		key = queryKey(p.digestOf(whole), p.env)
-		if out, ok := memo.Lookup(key); ok {
-			return out, nil
-		}
+	if memo == nil {
+		return p.solve(ctx, whole)
 	}
+	// Concurrent checks of one question share one solve.
+	return memo.Do(ctx, queryKey(p.digestOf(whole), p.env), func() (*Outcome, error) {
+		return p.solve(ctx, whole)
+	})
+}
+
+// solve lowers whole and runs the solver on it.
+func (p *Prefix) solve(ctx context.Context, whole expr.Expr) (*Outcome, error) {
 	c, err := p.compilerFor(whole)
 	if err != nil {
 		return nil, err
 	}
 	out, err := c.solve(ctx, whole)
 	p.lowered.Add(int64(c.lowered))
-	if err == nil && memo != nil {
-		memo.Store(key, out)
-	}
 	return out, err
 }
 
@@ -94,6 +99,11 @@ func (p *Prefix) SatisfiableCtx(ctx context.Context, conj ...expr.Expr) (*Outcom
 // the prefix so far: the prefix itself once, plus what each check
 // added. Checks answered by the memo lower nothing.
 func (p *Prefix) Lowered() int { return int(p.lowered.Load()) }
+
+// Visits reports the constraint evaluations of the prefix's own root
+// propagation pass: made once, when the first check that needed the
+// lowered prefix froze it, and counted by no check's Outcome.
+func (p *Prefix) Visits() int { return int(p.visits.Load()) }
 
 // conjoin returns Simplify(cond ∧ conj…), simplifying only conj: the
 // simplified prefix is the bottom of the result's left spine unless a
@@ -149,12 +159,17 @@ func (p *Prefix) extendedBy(e expr.Expr) (nodes int, ok bool) {
 	return 0, false
 }
 
-// lower compiles the prefix into the compiler its checks extend.
+// lower compiles the prefix into the compiler its checks extend and
+// freezes its model: the root propagation pass over the prefix's rows
+// runs here, once, and each check's solve goes on from its fixpoint.
 func (p *Prefix) lower() {
 	c := newCompiler(p.kinds, p.opts)
 	_, p.err = c.compileBool(p.root)
 	p.base = c
 	p.lowered.Add(int64(c.lowered))
+	if p.err == nil {
+		p.visits.Add(int64(c.model.Freeze()))
+	}
 }
 
 // layer is a map that reads through to a frozen map below it and

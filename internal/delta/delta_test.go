@@ -1,6 +1,8 @@
 package delta
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -140,6 +142,53 @@ func TestDeltaProperties(t *testing.T) {
 		}
 		if want := a.Len() + b.Len() - 2*inter; ab.Size() != want {
 			t.Fatalf("size %d, want %d", ab.Size(), want)
+		}
+	}
+}
+
+// TestNaNRowsReachBothSides: a tuple holding NaN equals no tuple, itself
+// included (Value.Equal), so it never cancels and appears on its side of
+// the delta — through Compute and through ComputeColumnar, with the
+// float column on its typed lane and boxed. Draining Plus by looking
+// each new tuple up again lost it: no lookup finds a NaN tuple.
+func TestNaNRowsReachBothSides(t *testing.T) {
+	sch := schema.New("t", schema.Col("x", types.KindFloat), schema.Col("k", types.KindInt))
+	nan := schema.Tuple{types.Float(math.NaN()), types.Int(1)}
+	one := schema.Tuple{types.Float(1), types.Int(1)}
+	relOf := func(ts ...schema.Tuple) *storage.Relation {
+		r := storage.NewRelation(sch)
+		r.Tuples = append(r.Tuples, ts...)
+		return r
+	}
+	render := func(ts []schema.Tuple) string {
+		var parts []string
+		for _, tu := range ts {
+			parts = append(parts, tu.String())
+		}
+		return strings.Join(parts, " ")
+	}
+	for _, c := range []struct {
+		name             string
+		old, new         []schema.Tuple
+		wantMin, wantPlu string
+	}{
+		{"an update to NaN", []schema.Tuple{one}, []schema.Tuple{nan}, "(1.0, 1)", "(NaN.0, 1)"},
+		{"NaN against NaN", []schema.Tuple{nan}, []schema.Tuple{nan}, "(NaN.0, 1)", "(NaN.0, 1)"},
+		{"NaN against NaN, misaligned", []schema.Tuple{one, nan}, []schema.Tuple{nan}, "(1.0, 1) (NaN.0, 1)", "(NaN.0, 1)"},
+		{"a NaN row beside a duplicate", []schema.Tuple{nan, one}, []schema.Tuple{one, nan, one}, "(NaN.0, 1)", "(1.0, 1) (NaN.0, 1)"},
+	} {
+		results := map[string]*Result{"Compute": Compute(relOf(c.old...), relOf(c.new...))}
+		for _, boxed := range []bool{false, true} {
+			got, _ := ComputeColumnar(laneView(relOf(c.old...), boxed), laneView(relOf(c.new...), boxed))
+			results[fmt.Sprintf("ComputeColumnar (boxed %v)", boxed)] = got
+		}
+		for entry, d := range results {
+			if got := render(d.Minus); got != c.wantMin {
+				t.Errorf("%s, %s: Minus %s, want %s", c.name, entry, got, c.wantMin)
+			}
+			if got := render(d.Plus); got != c.wantPlu {
+				t.Errorf("%s, %s: Plus %s, want %s", c.name, entry, got, c.wantPlu)
+			}
 		}
 	}
 }

@@ -157,7 +157,7 @@ func TestPropagationNeverCutsSolutions(t *testing.T) {
 		m := randomBinaryModel(rng, nBin, 1+rng.Intn(5))
 		lo := append([]float64(nil), m.lo...)
 		hi := append([]float64(nil), m.hi...)
-		feasibleBox := m.propagate(lo, hi, -1, m.propVisits())
+		feasibleBox, _, _ := m.propagate(lo, hi, 0, -1, m.propVisits())
 
 		x := make([]float64, nBin)
 		for mask := 0; mask < 1<<nBin; mask++ {

@@ -74,7 +74,8 @@ func buildLP(m *Model, lo, hi []float64) (*lp, bool) {
 	// Constraint rows over shifted, compressed variables. Fully-fixed
 	// rows are checked immediately and dropped.
 	scratch := make([]float64, nOrig)
-	for _, c := range m.cons {
+	for ci := 0; ci < m.NumConstraints(); ci++ {
+		c := m.row(ci)
 		for _, t := range c.Terms {
 			scratch[t.Var] += t.Coef
 		}

@@ -42,12 +42,37 @@ func (m *Model) Solve(opts SolveOptions) *Result {
 // checked at every branch & bound node, so a cancelled solve stops
 // within one node's work (one propagation sweep or LP). A cancelled
 // search reports Status Canceled; callers surface ctx.Err().
+//
+// A fork (see Fork) starts its root pass from its base's root fixpoint
+// and seeds the worklist with its own rows only: a row of the base is
+// evaluated again only when a bound it reads moved. Propagation is
+// monotone, so this chaotic iteration reaches the fixpoint the pass
+// over every row reaches, and the search goes on from there as it
+// would. A base proven infeasible answers Infeasible at the first node,
+// as that pass would; a base whose pass ran out of budget has no
+// fixpoint to start from, and the fork propagates every row
+// (Result.Fallback).
 func (m *Model) SolveCtx(ctx context.Context, opts SolveOptions) *Result {
 	opts = opts.withDefaults()
 	res := &Result{}
-	lo := append([]float64(nil), m.lo...)
-	hi := append([]float64(nil), m.hi...)
-	status, x := m.branchCtx(ctx, lo, hi, -1, opts, res)
+	var status Status
+	var x []float64
+	switch b := m.base; {
+	case b != nil && b.infeasible:
+		status = enter(ctx, opts, res)
+		if status == Feasible {
+			status = Infeasible
+		}
+	case b != nil && !b.exhausted:
+		lo := append(append(make([]float64, 0, len(m.lo)), b.lo...), m.lo[len(b.lo):]...)
+		hi := append(append(make([]float64, 0, len(m.hi)), b.hi...), m.hi[len(b.hi):]...)
+		status, x = m.branchCtx(ctx, lo, hi, len(b.cons), -1, m.propVisits()-b.visits, opts, res)
+	default:
+		res.Fallback = b != nil
+		lo := append([]float64(nil), m.lo...)
+		hi := append([]float64(nil), m.hi...)
+		status, x = m.branchCtx(ctx, lo, hi, 0, -1, m.propVisits(), opts, res)
+	}
 	res.Status = status
 	res.X = x
 	return res
@@ -55,7 +80,7 @@ func (m *Model) SolveCtx(ctx context.Context, opts SolveOptions) *Result {
 
 // propVisits converts the rounds cap into a worklist budget.
 func (m *Model) propVisits() int {
-	return propagationRounds * (len(m.cons) + 1)
+	return propagationRounds * (m.NumConstraints() + 1)
 }
 
 const propTol = 1e-7
@@ -65,58 +90,71 @@ const propTol = 1e-7
 const checkEps = 1e-5
 
 // propagate tightens lo/hi in place by interval propagation to
-// fixpoint. seed < 0 propagates every constraint (root node); seed ≥ 0
-// starts from the constraints containing that just-branched variable
-// and follows the dependency cone via a worklist, which keeps interior
+// fixpoint. seed < 0 starts from every constraint from index first on
+// (a root pass: first is 0, or a fork's first own row); seed ≥ 0 starts
+// from the constraints containing that just-branched variable. Either
+// way the worklist follows the dependency cone, which keeps interior
 // branch & bound nodes proportional to the affected part of the model.
-// It returns false when some constraint is proven unsatisfiable over
-// the box. visits caps total constraint evaluations as a safety net.
-func (m *Model) propagate(lo, hi []float64, seed int, visits int) bool {
+// It returns feasible = false when some constraint is proven
+// unsatisfiable over the box, the constraint evaluations it made, and
+// whether it reached a fixpoint within budget evaluations (a safety
+// net).
+func (m *Model) propagate(lo, hi []float64, first, seed, budget int) (feasible bool, visits int, fixpoint bool) {
+	var below [][]int
+	if m.base != nil {
+		below = m.base.occurs
+	}
 	occ := m.occurrences()
 	queue := make([]int, 0, 64)
-	inQueue := make([]bool, len(m.cons))
+	inQueue := make([]bool, m.NumConstraints())
 	push := func(ci int) {
 		if !inQueue[ci] {
 			inQueue[ci] = true
 			queue = append(queue, ci)
 		}
 	}
-	if seed < 0 {
-		for ci := range m.cons {
-			push(ci)
+	pushOccurrences := func(v int) {
+		if v < len(below) {
+			for _, ci := range below[v] {
+				push(ci)
+			}
 		}
-	} else {
-		for _, ci := range occ[seed] {
+		for _, ci := range occ[v] {
 			push(ci)
 		}
 	}
+	if seed < 0 {
+		for ci := first; ci < len(inQueue); ci++ {
+			push(ci)
+		}
+	} else {
+		pushOccurrences(seed)
+	}
 	changedVars := make([]int, 0, 16)
-	for len(queue) > 0 && visits > 0 {
+	for len(queue) > 0 && visits < budget {
 		ci := queue[0]
 		queue = queue[1:]
 		inQueue[ci] = false
-		visits--
+		visits++
 
-		con := &m.cons[ci]
+		con := m.row(ci)
 		changedVars = changedVars[:0]
 		if con.Sense == LE || con.Sense == EQ {
 			if !m.tighten(con.Terms, 1, con.RHS, lo, hi, &changedVars) {
-				return false
+				return false, visits, true
 			}
 		}
 		if con.Sense == GE || con.Sense == EQ {
 			// Σ aᵢxᵢ ≥ rhs as Σ (−aᵢ)xᵢ ≤ −rhs.
 			if !m.tighten(con.Terms, -1, -con.RHS, lo, hi, &changedVars) {
-				return false
+				return false, visits, true
 			}
 		}
 		for _, v := range changedVars {
-			for _, dep := range occ[v] {
-				push(dep)
-			}
+			pushOccurrences(v)
 		}
 	}
-	return true
+	return true, visits, len(queue) == 0
 }
 
 // branchWorthy marks the variables that occur in at least one
@@ -124,32 +162,34 @@ func (m *Model) propagate(lo, hi []float64, seed int, visits int) bool {
 // outside the set cannot influence feasibility and need no branching.
 func (m *Model) branchWorthy(lo, hi []float64) []bool {
 	worthy := make([]bool, len(lo))
-	for ci := range m.cons {
-		con := &m.cons[ci]
-		minAct, maxAct := 0.0, 0.0
-		for _, t := range con.Terms {
-			if t.Coef > 0 {
-				minAct += t.Coef * lo[t.Var]
-				maxAct += t.Coef * hi[t.Var]
-			} else {
-				minAct += t.Coef * hi[t.Var]
-				maxAct += t.Coef * lo[t.Var]
+	for _, run := range m.rows() {
+		for ci := range run {
+			con := &run[ci]
+			minAct, maxAct := 0.0, 0.0
+			for _, t := range con.Terms {
+				if t.Coef > 0 {
+					minAct += t.Coef * lo[t.Var]
+					maxAct += t.Coef * hi[t.Var]
+				} else {
+					minAct += t.Coef * hi[t.Var]
+					maxAct += t.Coef * lo[t.Var]
+				}
 			}
-		}
-		vacuous := false
-		switch con.Sense {
-		case LE:
-			vacuous = maxAct <= con.RHS+feasEps
-		case GE:
-			vacuous = minAct >= con.RHS-feasEps
-		case EQ:
-			vacuous = maxAct <= con.RHS+feasEps && minAct >= con.RHS-feasEps
-		}
-		if vacuous {
-			continue
-		}
-		for _, t := range con.Terms {
-			worthy[t.Var] = true
+			vacuous := false
+			switch con.Sense {
+			case LE:
+				vacuous = maxAct <= con.RHS+feasEps
+			case GE:
+				vacuous = minAct >= con.RHS-feasEps
+			case EQ:
+				vacuous = maxAct <= con.RHS+feasEps && minAct >= con.RHS-feasEps
+			}
+			if vacuous {
+				continue
+			}
+			for _, t := range con.Terms {
+				worthy[t.Var] = true
+			}
 		}
 	}
 	return worthy
@@ -214,6 +254,20 @@ func (m *Model) tighten(terms []Term, sign, rhs float64, lo, hi []float64, chang
 	return true
 }
 
+// enter counts a branch & bound node and returns the status that ends
+// it before any work — Limit past the node budget, Canceled once ctx is
+// done — or Feasible when the node may go on.
+func enter(ctx context.Context, opts SolveOptions, res *Result) Status {
+	res.Nodes++
+	if res.Nodes > opts.MaxNodes {
+		return Limit
+	}
+	if ctx.Err() != nil {
+		return Canceled
+	}
+	return Feasible
+}
+
 // branchCtx explores one node. The search is propagation-driven: exact
 // interval propagation prunes and fixes variables at every node, and
 // the (dense, comparatively expensive) LP runs only at leaves where all
@@ -221,16 +275,16 @@ func (m *Model) tighten(terms []Term, sign, rhs float64, lo, hi []float64, chang
 // system. Big-M indicator encodings — the shape the condition compiler
 // emits — propagate so strongly that interior LPs would rarely prune
 // anything propagation does not. lo/hi are owned by the caller and may
-// be mutated freely (each recursion copies).
-func (m *Model) branchCtx(ctx context.Context, lo, hi []float64, seed int, opts SolveOptions, res *Result) (Status, []float64) {
-	res.Nodes++
-	if res.Nodes > opts.MaxNodes {
-		return Limit, nil
+// be mutated freely (each recursion copies). first, seed and budget
+// are propagate's: the root's pass, or the cone of the branched
+// variable.
+func (m *Model) branchCtx(ctx context.Context, lo, hi []float64, first, seed, budget int, opts SolveOptions, res *Result) (Status, []float64) {
+	if st := enter(ctx, opts, res); st != Feasible {
+		return st, nil
 	}
-	if ctx.Err() != nil {
-		return Canceled, nil
-	}
-	if !m.propagate(lo, hi, seed, m.propVisits()) {
+	feasible, visits, _ := m.propagate(lo, hi, first, seed, budget)
+	res.Visits += visits
+	if !feasible {
 		return Infeasible, nil
 	}
 
@@ -268,6 +322,7 @@ func (m *Model) branchCtx(ctx context.Context, lo, hi []float64, seed int, opts 
 		// residual exactly (don't-cares join the LP as continuous and
 		// are rounded afterwards — their constraints cannot be violated
 		// inside the box).
+		res.LPs++
 		status, x := lpFeasible(m, lo, hi, opts.MaxIter)
 		if status != Feasible {
 			return status, nil
@@ -298,7 +353,7 @@ func (m *Model) branchCtx(ctx context.Context, lo, hi []float64, seed int, opts 
 		clo := append([]float64(nil), lo...)
 		chi := append([]float64(nil), hi...)
 		clo[pick], chi[pick] = s.lo, s.hi
-		st, pt := m.branchCtx(ctx, clo, chi, pick, opts, res)
+		st, pt := m.branchCtx(ctx, clo, chi, 0, pick, m.propVisits(), opts, res)
 		switch st {
 		case Feasible:
 			return Feasible, pt

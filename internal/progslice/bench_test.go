@@ -12,8 +12,10 @@ import (
 // BenchmarkDependencySlice measures one §9 dependency run over a
 // 75-position, half-dependent Taxi history (the shape of the gate's
 // slice_heavy what-ifs) with no solver memo, so every test is simplified,
-// hashed, lowered and solved: the per-run prefix cost once, then each
-// test's own conjuncts.
+// hashed, lowered and solved: the per-run prefix cost once (lowering and
+// the root propagation pass), then each test's own conjuncts. The tests
+// run on GOMAXPROCS workers, so -cpu 1 measures the work and -cpu 2 the
+// fan-out.
 func BenchmarkDependencySlice(b *testing.B) {
 	w, err := workload.Generate(workload.Taxi(5000, 1), workload.Config{
 		Updates: 75, Mods: 1, DependentPct: 50, AffectedPct: 10, Seed: 3,
@@ -42,4 +44,7 @@ func BenchmarkDependencySlice(b *testing.B) {
 	}
 	b.ReportMetric(float64(st.Tests), "tests/op")
 	b.ReportMetric(float64(st.Lowered), "lowered/op")
+	b.ReportMetric(float64(st.SolverNodes), "nodes/op")
+	b.ReportMetric(float64(st.SolverVisits), "visits/op")
+	b.ReportMetric(float64(st.SolverLPs), "lps/op")
 }

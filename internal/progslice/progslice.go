@@ -10,6 +10,10 @@ package progslice
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/mahif/mahif/internal/compile"
@@ -37,8 +41,16 @@ type Input struct {
 type Stats struct {
 	// Tests is the number of solver checks performed.
 	Tests int
-	// SolverNodes accumulates branch & bound nodes across tests.
-	SolverNodes int
+	// SolverNodes, SolverVisits and SolverLPs accumulate the solver's
+	// effort across tests (compile.Outcome's Nodes, Visits and LPs, memo
+	// hits included): branch & bound nodes, constraint evaluations of
+	// interval propagation, and LP solves. SolverVisits also holds the
+	// one root pass over the shared prefix (compile.Prefix.Visits) that
+	// every test's pass starts from.
+	SolverNodes, SolverVisits, SolverLPs int
+	// Fallbacks counts tests whose shared prefix had run out of
+	// propagation budget, so each propagated every row itself.
+	Fallbacks int
 	// Indefinite counts tests that hit a solver budget (treated as
 	// "keep").
 	Indefinite int
@@ -102,6 +114,9 @@ func Dependency(in *Input) (*Result, error) {
 
 // DependencyCtx is Dependency under a context: cancellation is observed
 // between per-statement tests and at every solver node inside each one.
+// The tests are independent given the run's shared prefix, and they are
+// solved on min(GOMAXPROCS, tests) workers; the keep set, the Stats
+// counts and the error returned are those of solving them in order.
 func DependencyCtx(ctx context.Context, in *Input) (*Result, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -142,8 +157,10 @@ func DependencyCtx(ctx context.Context, in *Input) (*Result, error) {
 	prefix := compile.NewPrefix(shared, kinds, in.Compile)
 	sharedReach := defs.reach(nil, shared)
 
+	// The tests are built here, in position order; runTests solves them.
 	n := len(in.Pair.Orig)
 	var keepPos []int
+	var tests []depTest
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -163,23 +180,86 @@ func DependencyCtx(ctx context.Context, in *Input) (*Result, error) {
 			expr.AndOf(mod.Steps[i].LocalBefore, mod.Steps[i].Theta),
 		)
 		globals := defs.conjuncts(defs.reach(sharedReach, touched))
-		out, err := prefix.SatisfiableCtx(ctx, append([]expr.Expr{touched}, globals...)...)
-		if err != nil {
-			return nil, err
-		}
+		tests = append(tests, depTest{pos: i, conj: append([]expr.Expr{touched}, globals...)})
+	}
+	if err := runTests(ctx, prefix, tests); err != nil {
+		return nil, err
+	}
+	for _, t := range tests {
+		out := t.out
 		st.Tests++
 		st.SolverNodes += out.Nodes
+		st.SolverVisits += out.Visits
+		st.SolverLPs += out.LPs
+		if out.Fallback {
+			st.Fallbacks++
+		}
 		if !out.Definitive {
 			st.Indefinite++
 		}
 		if out.Sat || !out.Definitive {
-			keepPos = append(keepPos, i)
+			keepPos = append(keepPos, t.pos)
 		}
 	}
+	slices.Sort(keepPos)
 
 	st.Lowered = prefix.Lowered()
+	st.SolverVisits += prefix.Visits()
 	st.Kept = len(keepPos)
 	st.Removed = n - st.Kept
 	st.Duration = time.Since(start)
 	return &Result{Keep: keepPos, Stats: st}, nil
+}
+
+// depTest is one statement's dependency check: its position, its own
+// conjuncts beyond the shared prefix, and the solver's outcome.
+type depTest struct {
+	pos  int
+	conj []expr.Expr
+	out  *compile.Outcome
+}
+
+// runTests solves every test on prefix over min(GOMAXPROCS, tests)
+// workers, filling each test's outcome. Workers take tests in order and
+// stop taking new ones once one has failed, and the failure of the
+// earliest failing test is returned: every test before it has run, so
+// that is the error a sequential run returns (ctx.Err() when the run
+// was cancelled).
+func runTests(ctx context.Context, prefix *compile.Prefix, tests []depTest) error {
+	errs := make([]error, len(tests))
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(tests) {
+				return
+			}
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
+			} else {
+				tests[i].out, errs[i] = prefix.SatisfiableCtx(ctx, tests[i].conj...)
+			}
+			if errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(tests))
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
