@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -81,7 +80,7 @@ func comparePrefixCheck(t *testing.T, p *Prefix, cond expr.Expr, conj []expr.Exp
 	if err != nil {
 		return child
 	}
-	if err := sameModel(c.model, f.c.model); err != nil {
+	if err := c.model.Diff(f.c.model); err != nil {
 		t.Fatalf("prefix-path model differs from the fresh model: %v\n%s", err, f.whole)
 	}
 	if want := f.outcome(t); !sameOutcome(out, want) {
@@ -90,64 +89,15 @@ func comparePrefixCheck(t *testing.T, p *Prefix, cond expr.Expr, conj []expr.Exp
 	return child
 }
 
-// sameModel reports, as an error, the first difference between two
-// models variable for variable and constraint for constraint: a child's
-// model keeps the prefix's rows in its frozen base, a fresh one holds
-// them itself.
-func sameModel(a, b *milp.Model) error {
-	if a.NumVars() != b.NumVars() || a.NumConstraints() != b.NumConstraints() {
-		return fmt.Errorf("%d/%d vars, %d/%d constraints", a.NumVars(), b.NumVars(), a.NumConstraints(), b.NumConstraints())
-	}
-	for v := 0; v < a.NumVars(); v++ {
-		alo, ahi, aint := a.Var(v)
-		blo, bhi, bint := b.Var(v)
-		if alo != blo || ahi != bhi || aint != bint {
-			return fmt.Errorf("variable %d: [%v,%v] int=%v vs [%v,%v] int=%v", v, alo, ahi, aint, blo, bhi, bint)
-		}
-	}
-	for ci := 0; ci < a.NumConstraints(); ci++ {
-		if ac, bc := a.Constraint(ci), b.Constraint(ci); !reflect.DeepEqual(ac, bc) {
-			return fmt.Errorf("constraint %d: %+v vs %+v", ci, ac, bc)
-		}
-	}
-	return nil
-}
-
-// sameOutcome compares a check's outcome with its fresh compilation's.
-// Propagation visits and the fallback flag are left out: a child's pass
-// starts from its prefix's fixpoint, so it evaluates fewer rows to reach
-// the same box. A float in the witness may differ in its last digits:
-// propagation leaves a bound that would move by less than its tolerance
-// where it is, so the box a pass stops at depends, that finely, on the
-// order it visits rows in.
+// sameOutcome compares a check's outcome with its fresh compilation's,
+// leaving out only the propagation visits and the fallback flag: a
+// child's pass goes on from its prefix's fixpoint, so it evaluates only
+// the rows the prefix's pass has not.
 func sameOutcome(got, want *Outcome) bool {
 	g, w := *got, *want
-	g.Visits, g.Fallback, g.Model = 0, false, nil
-	w.Visits, w.Fallback, w.Model = 0, false, nil
-	return reflect.DeepEqual(g, w) && sameWitness(got.Model, want.Model)
-}
-
-// sameWitness compares two witnesses: floats within a relative 1e-6,
-// everything else exactly.
-func sameWitness(a, b map[string]types.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for name, va := range a {
-		vb, ok := b[name]
-		switch {
-		case !ok:
-			return false
-		case va.Kind() == types.KindFloat && vb.Kind() == types.KindFloat:
-			x, y := va.AsFloat(), vb.AsFloat()
-			if math.Abs(x-y) > 1e-6*math.Max(1, math.Max(math.Abs(x), math.Abs(y))) {
-				return false
-			}
-		case va != vb:
-			return false
-		}
-	}
-	return true
+	g.Visits, g.Fallback = 0, false
+	w.Visits, w.Fallback = 0, false
+	return reflect.DeepEqual(g, w)
 }
 
 // subCondition returns a structural copy of a random condition node of

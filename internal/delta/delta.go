@@ -95,99 +95,31 @@ func residualRows(neq []bool, oldRows, newRows int) (oldIdx, newIdx []int) {
 }
 
 // residual finishes a delta from the rows of each side that positional
-// cancellation left over: restOld is subtracted from a multiset of
-// restNew, what found no partner is Minus and what is left of the
-// multiset is Plus, both then sorted. It is the only multiset step of
-// either entry point. The two slices are the caller's own and are
-// consumed: Minus and Plus are filtered in place inside them, so nothing
-// is allocated per surviving tuple and nothing grows.
+// cancellation left over: restOld is subtracted from a TupleIndex of
+// restNew, what found no partner is Minus and what is left in the index
+// is Plus, both then sorted. It is the only multiset step of either
+// entry point. The two slices are the caller's own and are consumed:
+// Minus and Plus are filtered in place inside them, so nothing is
+// allocated per surviving tuple and nothing grows.
 func (r *Result) residual(restOld, restNew []schema.Tuple) {
 	if len(restOld) == 0 && len(restNew) == 0 {
 		return
 	}
-	s := newSurplus(restNew)
-	r.Minus = filterInPlace(restOld, func(t schema.Tuple) bool { return !s.remove(t) })
-	// What is left of each entry is Plus. Draining it through the entry
-	// each new tuple joined, in restNew order (not in map order), keeps
-	// the output deterministic even between tuples that tie under Compare
-	// but render differently (1 vs 1.0), and keeps a tuple that equals
-	// nothing, itself included (a NaN cell), which no lookup finds again.
-	i := 0
-	r.Plus = filterInPlace(restNew, func(schema.Tuple) bool {
-		e := &s.entries[s.joined[i]]
-		i++
-		if e.count == 0 {
-			return false
-		}
-		e.count--
-		return true
+	surplus := storage.NewTupleIndex(len(restNew))
+	for _, t := range restNew {
+		surplus.Add(t)
+	}
+	r.Minus = filterInPlace(restOld, func(t schema.Tuple) bool { return !surplus.Remove(t) })
+	// surplus now holds exactly Plus; draining it in restNew order (not
+	// in map order) keeps the output deterministic even between tuples
+	// that tie under Compare but render differently (1 vs 1.0). A tuple
+	// not Equal to itself (a NaN cell) partnered nothing and no lookup
+	// finds it again: it is Plus as it stands.
+	r.Plus = filterInPlace(restNew, func(t schema.Tuple) bool {
+		return !t.Equal(t) || surplus.Len() > 0 && surplus.Remove(t)
 	})
 	sortTuples(r.Minus)
 	sortTuples(r.Plus)
-}
-
-// surplus is the new side's residual as a multiset under Value.Equal:
-// one entry per class of Equal tuples, in a chain per hash in the order
-// the classes first appeared, and for each tuple the entry it joined.
-type surplus struct {
-	heads   map[uint64]int32 // hash → 1 + its chain's first entry
-	entries []surplusEntry
-	joined  []int32 // per restNew tuple, its entry
-}
-
-type surplusEntry struct {
-	t     schema.Tuple
-	count int32
-	next  int32 // 1 + the chain's next entry, 0 at its end
-}
-
-func newSurplus(ts []schema.Tuple) *surplus {
-	s := &surplus{
-		heads:   make(map[uint64]int32, len(ts)),
-		entries: make([]surplusEntry, 0, len(ts)),
-		joined:  make([]int32, len(ts)),
-	}
-	for i, t := range ts {
-		h := t.Hash()
-		e, last := s.find(h, t)
-		if e < 0 {
-			e = int32(len(s.entries))
-			s.entries = append(s.entries, surplusEntry{t: t})
-			if last < 0 {
-				s.heads[h] = e + 1
-			} else {
-				s.entries[last].next = e + 1
-			}
-		}
-		s.entries[e].count++
-		s.joined[i] = e
-	}
-	return s
-}
-
-// find returns the entry of hash h's chain that t is Equal to, or -1
-// and the chain's last entry (-1 too for an empty chain).
-func (s *surplus) find(h uint64, t schema.Tuple) (e, last int32) {
-	last = -1
-	for e = s.heads[h] - 1; e >= 0; e = s.entries[e].next - 1 {
-		if s.entries[e].t.Equal(t) {
-			return e, last
-		}
-		last = e
-	}
-	return -1, last
-}
-
-// remove takes one tuple Equal to t out of the first entry that still
-// holds one and reports whether there was one.
-func (s *surplus) remove(t schema.Tuple) bool {
-	for e := s.heads[t.Hash()] - 1; e >= 0; e = s.entries[e].next - 1 {
-		if s.entries[e].count > 0 && s.entries[e].t.Equal(t) {
-			s.entries[e].count--
-			return true
-		}
-	}
-	return false
 }
 
 // filterInPlace keeps, in order and within ts's own storage, the tuples

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Sense is the relation of a linear constraint.
@@ -212,12 +213,29 @@ func (m *Model) NumVars() int { return len(m.lo) }
 // NumConstraints returns the number of constraints.
 func (m *Model) NumConstraints() int { return m.baseRows() + len(m.cons) }
 
-// Var returns the declared bounds and integrality of variable v.
-func (m *Model) Var(v int) (lo, hi float64, integer bool) { return m.lo[v], m.hi[v], m.isInt[v] }
-
-// Constraint returns constraint ci (a fork's base rows first). Its
-// Terms are the model's own: callers must not modify them.
-func (m *Model) Constraint(ci int) Constraint { return *m.row(ci) }
+// Diff reports the first difference between m and o, variable for
+// variable and constraint for constraint, or nil when they are the same
+// model however either stores its rows (a fork keeps its base's rows in
+// the base).
+func (m *Model) Diff(o *Model) error {
+	if m.NumVars() != o.NumVars() || m.NumConstraints() != o.NumConstraints() {
+		return fmt.Errorf("%d vars, %d constraints vs %d vars, %d constraints",
+			m.NumVars(), m.NumConstraints(), o.NumVars(), o.NumConstraints())
+	}
+	for v := range m.lo {
+		if m.lo[v] != o.lo[v] || m.hi[v] != o.hi[v] || m.isInt[v] != o.isInt[v] {
+			return fmt.Errorf("variable %d: [%v,%v] int=%v vs [%v,%v] int=%v",
+				v, m.lo[v], m.hi[v], m.isInt[v], o.lo[v], o.hi[v], o.isInt[v])
+		}
+	}
+	for ci := 0; ci < m.NumConstraints(); ci++ {
+		a, b := m.row(ci), o.row(ci)
+		if a.Sense != b.Sense || a.RHS != b.RHS || !slices.Equal(a.Terms, b.Terms) {
+			return fmt.Errorf("constraint %d: %+v vs %+v", ci, *a, *b)
+		}
+	}
+	return nil
+}
 
 // AddVar adds a variable with finite bounds [lo, hi]; integer variables
 // are branch targets. It returns the variable index.

@@ -2,7 +2,6 @@ package milp
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -50,29 +49,6 @@ func TestOccurrencesListEachConstraintOnce(t *testing.T) {
 	}
 }
 
-// sameModel reports, as an error, the first difference between two
-// models variable for variable and constraint for constraint, however
-// either stores its rows.
-func sameModel(a, b *Model) error {
-	if a.NumVars() != b.NumVars() || a.NumConstraints() != b.NumConstraints() {
-		return fmt.Errorf("%d vars, %d constraints vs %d vars, %d constraints",
-			a.NumVars(), a.NumConstraints(), b.NumVars(), b.NumConstraints())
-	}
-	for v := 0; v < a.NumVars(); v++ {
-		alo, ahi, aint := a.Var(v)
-		blo, bhi, bint := b.Var(v)
-		if alo != blo || ahi != bhi || aint != bint {
-			return fmt.Errorf("variable %d: [%v,%v] int=%v vs [%v,%v] int=%v", v, alo, ahi, aint, blo, bhi, bint)
-		}
-	}
-	for ci := 0; ci < a.NumConstraints(); ci++ {
-		if ac, bc := a.Constraint(ci), b.Constraint(ci); !reflect.DeepEqual(ac, bc) {
-			return fmt.Errorf("constraint %d: %+v vs %+v", ci, ac, bc)
-		}
-	}
-	return nil
-}
-
 // TestForkGrowsOnItsOwn (run under -race): forks of one frozen model
 // extend it independently and concurrently — each sees the shared rows
 // plus its own, the model itself sees none of theirs — and solve as the
@@ -108,7 +84,7 @@ func TestForkGrowsOnItsOwn(t *testing.T) {
 			for i := 0; i < extra; i++ {
 				_ = want.AddConstraint([]Term{{Var: y2, Coef: 1}, {Var: 0, Coef: -1}}, GE, float64(i))
 			}
-			if err := sameModel(f, want); err != nil {
+			if err := f.Diff(want); err != nil {
 				t.Errorf("fork with %d rows differs from the model built whole: %v", extra, err)
 			}
 			if r1, r2 := f.Solve(SolveOptions{}), want.Solve(SolveOptions{}); r1.Status != r2.Status || r1.Nodes != r2.Nodes {
@@ -225,26 +201,20 @@ func (s splitModel) build(t *testing.T, m *Model, v0, v1, r0, r1 int) {
 
 // TestForkSolveMatchesFreshSolve is the frozen prefix's oracle: over
 // random models cut at a random place, solving a fork of the frozen
-// prefix grown by the suffix gives what solving the whole model built
-// from scratch gives: status, Nodes and LPs, and the witness. The
-// corpus holds prefixes the root pass proves infeasible and prefixes
-// whose pass runs out of budget (a slow continuous descent), which
-// forks answer without a pass and with a full pass respectively.
-//
-// The witness is the same on integer variables, and on continuous ones
-// the same up to the propagation tolerance: a bound that would move by
-// less than propTol is left where it is, so which of two such stopping
-// points a pass lands on depends on the order it visits rows in, and
-// the midpoint or LP vertex read off the box inherits that (a few
-// random models in a thousand here, by about 1e-7).
+// prefix grown by the suffix gives exactly what solving the whole model
+// built from scratch gives: status, Nodes, LPs and the witness, bit for
+// bit, and the base's pass plus the fork's visits are the whole
+// model's. The corpus holds prefixes the root pass proves infeasible
+// and prefixes whose pass runs out of budget (a slow continuous
+// descent), which forks answer without a pass and with a full pass
+// respectively.
 func TestForkSolveMatchesFreshSolve(t *testing.T) {
 	trials := 4000
 	if testing.Short() {
 		trials = 1000
 	}
 	rng := rand.New(rand.NewSource(34))
-	var infeasible, exhausted, started, inexact int
-	maxDiff := 0.0
+	var infeasible, exhausted, started int
 	for trial := 0; trial < trials; trial++ {
 		s := randomSplit(rng)
 		switch trial % 10 {
@@ -290,7 +260,7 @@ func TestForkSolveMatchesFreshSolve(t *testing.T) {
 		base.Freeze()
 		fork := base.Fork()
 		s.build(t, fork, s.prefixVars, nv, s.prefixRows, nr)
-		if err := sameModel(fork, whole); err != nil {
+		if err := fork.Diff(whole); err != nil {
 			t.Fatalf("trial %d: fork differs from the whole model: %v", trial, err)
 		}
 		switch f := base.frozen; {
@@ -304,41 +274,32 @@ func TestForkSolveMatchesFreshSolve(t *testing.T) {
 
 		opts := SolveOptions{MaxNodes: 200}
 		got, want := fork.Solve(opts), whole.Solve(opts)
-		if got.Status != want.Status || got.Nodes != want.Nodes || got.LPs != want.LPs || !sameWitness(fork, got.X, want.X) {
+		if got.Status != want.Status || got.Nodes != want.Nodes || got.LPs != want.LPs || !reflect.DeepEqual(got.X, want.X) {
 			t.Fatalf("trial %d (%d/%d vars, %d/%d rows in the prefix): fork %v nodes=%d lps=%d x=%v, whole %v nodes=%d lps=%d x=%v",
 				trial, s.prefixVars, nv, s.prefixRows, nr,
 				got.Status, got.Nodes, got.LPs, got.X, want.Status, want.Nodes, want.LPs, want.X)
 		}
-		if !reflect.DeepEqual(got.X, want.X) {
-			inexact++
-			for i := range got.X {
-				maxDiff = math.Max(maxDiff, math.Abs(got.X[i]-want.X[i]))
+		switch f := base.frozen; {
+		case f.infeasible:
+			if got.Visits != 0 {
+				t.Fatalf("trial %d: a fork of an infeasible prefix propagated %d rows", trial, got.Visits)
+			}
+		case f.exhausted:
+			if got.Visits != want.Visits {
+				t.Fatalf("trial %d: fallback visits %d, whole model %d", trial, got.Visits, want.Visits)
+			}
+		default:
+			if f.visits+got.Visits != want.Visits {
+				t.Fatalf("trial %d: prefix %d + fork %d visits, whole model %d", trial, f.visits, got.Visits, want.Visits)
 			}
 		}
 		if got.Fallback != base.frozen.exhausted {
 			t.Fatalf("trial %d: Fallback = %v for a prefix with exhausted = %v", trial, got.Fallback, base.frozen.exhausted)
 		}
 	}
-	t.Logf("%d forks started from the prefix fixpoint, %d from an infeasible prefix, %d fell back; %d witnesses not bit-identical (by at most %g)",
-		started, infeasible, exhausted, inexact, maxDiff)
-	if inexact > trials/100 {
-		t.Errorf("%d of %d witnesses differ in their last bits: more than the tolerance explains", inexact, trials)
-	}
+	t.Logf("%d forks started from the prefix fixpoint, %d from an infeasible prefix, %d fell back",
+		started, infeasible, exhausted)
 	if infeasible == 0 || exhausted == 0 || started < trials/2 {
 		t.Fatalf("corpus lacks a case: %d started, %d infeasible, %d exhausted", started, infeasible, exhausted)
 	}
-}
-
-// sameWitness reports whether two witnesses of m agree: exactly on
-// integer variables, within checkEps on continuous ones.
-func sameWitness(m *Model, a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if _, _, integer := m.Var(i); integer && a[i] != b[i] || math.Abs(a[i]-b[i]) > checkEps {
-			return false
-		}
-	}
-	return true
 }

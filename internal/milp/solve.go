@@ -44,14 +44,15 @@ func (m *Model) Solve(opts SolveOptions) *Result {
 // search reports Status Canceled; callers surface ctx.Err().
 //
 // A fork (see Fork) starts its root pass from its base's root fixpoint
-// and seeds the worklist with its own rows only: a row of the base is
-// evaluated again only when a bound it reads moved. Propagation is
-// monotone, so this chaotic iteration reaches the fixpoint the pass
-// over every row reaches, and the search goes on from there as it
-// would. A base proven infeasible answers Infeasible at the first node,
-// as that pass would; a base whose pass ran out of budget has no
-// fixpoint to start from, and the fork propagates every row
-// (Result.Fallback).
+// and adds its own rows only: a row of the base is evaluated again only
+// when a bound it reads moved. A root pass adds rows one at a time (see
+// propagate), so the pass over the whole model stands at that very box,
+// having made the base's visits, when it has added the base's rows: the
+// fork's pass goes on as that pass does, and the search, witness
+// included, is the one a model built whole gets. A base proven
+// infeasible answers Infeasible at the first node, as that pass would;
+// a base whose pass ran out of budget has no fixpoint to start from,
+// and the fork propagates every row (Result.Fallback).
 func (m *Model) SolveCtx(ctx context.Context, opts SolveOptions) *Result {
 	opts = opts.withDefaults()
 	res := &Result{}
@@ -89,12 +90,23 @@ const propTol = 1e-7
 // points (see the big-M note in branch).
 const checkEps = 1e-5
 
-// propagate tightens lo/hi in place by interval propagation to
-// fixpoint. seed < 0 starts from every constraint from index first on
-// (a root pass: first is 0, or a fork's first own row); seed ≥ 0 starts
-// from the constraints containing that just-branched variable. Either
-// way the worklist follows the dependency cone, which keeps interior
-// branch & bound nodes proportional to the affected part of the model.
+// propagate tightens lo/hi in place by interval propagation. seed < 0
+// is a root pass: it adds the constraints from index first on one at a
+// time, in index order, and propagates each to fixpoint over the
+// constraints added so far before it adds the next; those below first
+// are taken to be at their fixpoint in lo/hi already (a fork's base,
+// see SolveCtx). seed ≥ 0 starts from the constraints containing that
+// just-branched variable, all constraints added. Either way the
+// worklist follows the dependency cone, which keeps interior branch &
+// bound nodes proportional to the affected part of the model.
+//
+// A bound that would move by less than propTol stays where it is, so
+// where a pass stops depends on the order it visits rows in. Adding
+// rows one at a time makes that order prefix-closed: the pass over a
+// model stands, after its first k rows, where the pass over those k
+// rows alone stops, so a fork starting from its base's box goes on
+// exactly as the pass over the whole model does.
+//
 // It returns feasible = false when some constraint is proven
 // unsatisfiable over the box, the constraint evaluations it made, and
 // whether it reached a fixpoint within budget evaluations (a safety
@@ -105,35 +117,57 @@ func (m *Model) propagate(lo, hi []float64, first, seed, budget int) (feasible b
 		below = m.base.occurs
 	}
 	occ := m.occurrences()
+	n := m.NumConstraints()
 	queue := make([]int, 0, 64)
-	inQueue := make([]bool, m.NumConstraints())
+	inQueue := make([]bool, n)
+	// added is the number of constraints the pass propagates over.
+	added := n
 	push := func(ci int) {
 		if !inQueue[ci] {
 			inQueue[ci] = true
 			queue = append(queue, ci)
 		}
 	}
+	// pushOccurrences pushes the added constraints containing v; both
+	// lists ascend, the base's below the model's own.
 	pushOccurrences := func(v int) {
 		if v < len(below) {
 			for _, ci := range below[v] {
+				if ci >= added {
+					break
+				}
 				push(ci)
 			}
 		}
 		for _, ci := range occ[v] {
+			if ci >= added {
+				break
+			}
 			push(ci)
 		}
 	}
+	next := n
 	if seed < 0 {
-		for ci := first; ci < len(inQueue); ci++ {
-			push(ci)
-		}
+		added, next = first, first
 	} else {
 		pushOccurrences(seed)
 	}
 	changedVars := make([]int, 0, 16)
-	for len(queue) > 0 && visits < budget {
-		ci := queue[0]
-		queue = queue[1:]
+	// queue[head:] is the worklist; it restarts at the front of its
+	// array once drained, so adding rows one at a time allocates nothing.
+	head := 0
+	for visits < budget {
+		if head == len(queue) {
+			if next == n {
+				return true, visits, true
+			}
+			queue, head = queue[:0], 0
+			added = next + 1
+			push(next)
+			next++
+		}
+		ci := queue[head]
+		head++
 		inQueue[ci] = false
 		visits++
 
@@ -154,7 +188,7 @@ func (m *Model) propagate(lo, hi []float64, first, seed, budget int) (feasible b
 			pushOccurrences(v)
 		}
 	}
-	return true, visits, len(queue) == 0
+	return true, visits, head == len(queue) && next == n
 }
 
 // branchWorthy marks the variables that occur in at least one

@@ -1,13 +1,8 @@
 package progslice
 
 import (
-	"math"
-	"reflect"
-
-	"github.com/mahif/mahif/internal/compile"
 	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/storage"
-	"github.com/mahif/mahif/internal/types"
 )
 
 // newSingleton builds a database holding exactly one tuple.
@@ -17,34 +12,4 @@ func newSingleton(s *schema.Schema, tuple schema.Tuple) *storage.Database {
 	rel.Add(tuple.Clone())
 	db.AddRelation(rel)
 	return db
-}
-
-// sameOutcome compares the outcome of a check made on a run's prefix
-// with the outcome of the whole formula compiled on its own, leaving out
-// propagation visits and the fallback flag (a check's pass starts from
-// its prefix's fixpoint and evaluates fewer rows) and reading floats in
-// the witness to a relative 1e-6 (where propagation stops a bound within
-// its tolerance depends on the order it visits rows in).
-func sameOutcome(got, want *compile.Outcome) bool {
-	g, w := *got, *want
-	g.Visits, g.Fallback, g.Model = 0, false, nil
-	w.Visits, w.Fallback, w.Model = 0, false, nil
-	if !reflect.DeepEqual(g, w) || len(got.Model) != len(want.Model) {
-		return false
-	}
-	for name, a := range got.Model {
-		b, ok := want.Model[name]
-		switch {
-		case !ok:
-			return false
-		case a.Kind() == types.KindFloat && b.Kind() == types.KindFloat:
-			x, y := a.AsFloat(), b.AsFloat()
-			if math.Abs(x-y) > 1e-6*math.Max(1, math.Max(math.Abs(x), math.Abs(y))) {
-				return false
-			}
-		case a != b:
-			return false
-		}
-	}
-	return true
 }

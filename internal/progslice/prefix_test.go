@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/mahif/mahif/internal/compile"
@@ -100,7 +101,12 @@ func checkedDependency(t *testing.T, in *Input) (*Result, error) {
 	}
 	nodes, indefinite := 0, 0
 	for i := range fresh {
-		if !sameOutcome(memoed[i], fresh[i]) {
+		// A prefix check's pass goes on from the prefix's fixpoint: it
+		// makes fewer propagation visits and may be a fallback, and
+		// answers exactly as the whole formula does.
+		got, want := *memoed[i], *fresh[i]
+		got.Visits, got.Fallback, want.Visits = 0, false, 0
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("test %d: prefix outcome %+v, whole-formula outcome %+v", i, *memoed[i], *fresh[i])
 		}
 		nodes += fresh[i].Nodes
