@@ -119,14 +119,16 @@ type batchShared struct {
 // session, the expression nodes its program slicing lowered, the plans
 // its template evals chose, and the routes its aggregate reports took.
 type sessionWork struct {
-	compared, boxed, lowered atomic.Int64
-	sliced, unsliced         atomic.Int64
-	reports                  routeCounters
+	compared, hashed, boxed atomic.Int64
+	lowered                 atomic.Int64
+	sliced, unsliced        atomic.Int64
+	reports                 routeCounters
 }
 
 // countDelta adds one delta's row counts to the bundle's totals.
 func (b *batchShared) countDelta(w delta.Work) {
 	b.work.compared.Add(int64(w.Compared))
+	b.work.hashed.Add(int64(w.Hashed))
 	b.work.boxed.Add(int64(w.Boxed))
 }
 

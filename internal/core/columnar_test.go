@@ -70,9 +70,10 @@ func TestRetainedDeltaPinsOnlyItsRows(t *testing.T) {
 
 // TestWhatIfCountsComparedAndBoxedRows: on a Taxi what-if Stats reports
 // how many positions the two sides were compared at and how many rows
-// did not cancel there — counted here from the interpreter's rows, which
-// never saw a lane — the boxed rows are the delta plus pairs that cancel
-// across positions, far fewer than the positions compared, and the
+// did not cancel there (the rows hashed) — counted here from the
+// interpreter's rows, which never saw a lane — the hashed rows are the
+// delta plus pairs that cancel across positions, far fewer than the
+// positions compared, the boxed rows are the delta alone, and the
 // session sums them over what-ifs and template evals alike.
 func TestWhatIfCountsComparedAndBoxedRows(t *testing.T) {
 	w, err := workload.Generate(workload.Taxi(3000, 1), workload.Config{
@@ -124,14 +125,14 @@ func TestWhatIfCountsComparedAndBoxedRows(t *testing.T) {
 				}
 			}
 		}
-		if st.RowsCompared != compared || st.RowsBoxed != residual {
-			t.Fatalf("%s: Stats says %d compared, %d boxed; the rows say %d, %d", v, st.RowsCompared, st.RowsBoxed, compared, residual)
+		if st.RowsCompared != compared || st.RowsHashed != residual || st.RowsBoxed != d.Size() {
+			t.Fatalf("%s: Stats says %d compared, %d hashed, %d boxed; the rows say %d, %d, and the delta %d", v, st.RowsCompared, st.RowsHashed, st.RowsBoxed, compared, residual, d.Size())
 		}
-		if d.Size() == 0 || st.RowsBoxed < d.Size() || (st.RowsBoxed-d.Size())%2 != 0 {
-			t.Fatalf("%s: %d rows boxed for a delta of %d: not the delta plus cross-position pairs", v, st.RowsBoxed, d.Size())
+		if d.Size() == 0 || st.RowsHashed < d.Size() || (st.RowsHashed-d.Size())%2 != 0 {
+			t.Fatalf("%s: %d rows hashed for a delta of %d: not the delta plus cross-position pairs", v, st.RowsHashed, d.Size())
 		}
-		if st.RowsBoxed >= st.RowsCompared {
-			t.Errorf("%s: %d rows boxed of %d compared: nothing cancelled at its position", v, st.RowsBoxed, st.RowsCompared)
+		if st.RowsHashed >= st.RowsCompared {
+			t.Errorf("%s: %d rows hashed of %d compared: nothing cancelled at its position", v, st.RowsHashed, st.RowsCompared)
 		}
 
 		// A second what-if takes both sides from the result cache and still
@@ -144,8 +145,8 @@ func TestWhatIfCountsComparedAndBoxedRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ss := sess.Stats(); ss.DeltaRowsCompared != int64(2*compared) || ss.DeltaRowsBoxed != int64(2*residual) {
-			t.Errorf("%s: after two what-ifs and a slot-free compile the session counted %d/%d, want %d/%d", v, ss.DeltaRowsCompared, ss.DeltaRowsBoxed, 2*compared, 2*residual)
+		if ss := sess.Stats(); ss.DeltaRowsCompared != int64(2*compared) || ss.DeltaRowsHashed != int64(2*residual) || ss.DeltaRowsBoxed != int64(2*d.Size()) {
+			t.Errorf("%s: after two what-ifs and a slot-free compile the session counted %d/%d/%d, want %d/%d/%d", v, ss.DeltaRowsCompared, ss.DeltaRowsHashed, ss.DeltaRowsBoxed, 2*compared, 2*residual, 2*d.Size())
 		}
 		if _, err := tmpl.EvalCtx(ctx, map[string]types.Value{}); err != nil {
 			t.Fatal(err)

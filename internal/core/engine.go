@@ -119,12 +119,14 @@ type Stats struct {
 
 	// Delta work, in rows, summed over the answered relations: the two
 	// reenactment results were compared lane-wise at RowsCompared
-	// positions, and RowsBoxed rows (both sides together) did not cancel
-	// there and were gathered into tuples — the delta itself plus rows
-	// that cancel only across positions. RowsBoxed well below
+	// positions; RowsHashed rows (both sides together) did not cancel
+	// there and were matched by row hash, lane-wise; RowsBoxed of them,
+	// the delta itself, were gathered into tuples. RowsHashed − RowsBoxed
+	// rows cancelled across positions. RowsHashed well below
 	// RowsCompared is the normal case; close to it, the two sides are
 	// misaligned and the delta costs a whole-relation multiset diff.
 	RowsCompared int
+	RowsHashed   int
 	RowsBoxed    int
 
 	// Per-relation slicing details.
@@ -444,6 +446,7 @@ func (e *Engine) whatIfPair(ctx context.Context, pair *history.PaddedPair, tip i
 		out[r.rel] = d
 		p.stats.Delta += time.Since(t0)
 		p.stats.RowsCompared += work.Compared
+		p.stats.RowsHashed += work.Hashed
 		p.stats.RowsBoxed += work.Boxed
 		shared.countDelta(work)
 	}

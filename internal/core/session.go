@@ -175,12 +175,14 @@ type SessionStats struct {
 	// template compile planned through the session: the expression nodes
 	// program slicing lowered into solver models.
 	SolverLowered int64
-	// DeltaRowsCompared/Boxed sum Stats.RowsCompared/RowsBoxed over every
-	// what-if and template eval answered through the session: positions
-	// compared lane-wise, and rows that did not cancel there and were
-	// gathered into tuples. Their ratio is the share of reenactment
-	// output a what-if has to box.
-	DeltaRowsCompared, DeltaRowsBoxed int64
+	// DeltaRowsCompared/Hashed/Boxed sum Stats.RowsCompared/RowsHashed/
+	// RowsBoxed over every what-if and template eval answered through the
+	// session: positions compared lane-wise, rows that did not cancel
+	// there and were matched by row hash, and rows gathered into tuples
+	// (the deltas). Hashed over compared is the share of reenactment
+	// output that did not cancel at its position; hashed − boxed the rows
+	// that cancelled across positions.
+	DeltaRowsCompared, DeltaRowsHashed, DeltaRowsBoxed int64
 	// TemplateHits/Misses report compiled scenario-template reuse across
 	// CompileTemplate calls; TemplateEvictions counts artifacts dropped
 	// by the template cache's LRU bound, and TemplateResident is the
@@ -228,7 +230,8 @@ func (s *Session) Stats() SessionStats {
 	st.ProgramEvictions = s.caches.eval.progs.Evictions()
 	st.ProgramResident = s.caches.eval.progs.Len()
 	st.SolverLowered = s.caches.work.lowered.Load()
-	st.DeltaRowsCompared, st.DeltaRowsBoxed = s.caches.work.compared.Load(), s.caches.work.boxed.Load()
+	st.DeltaRowsCompared = s.caches.work.compared.Load()
+	st.DeltaRowsHashed, st.DeltaRowsBoxed = s.caches.work.hashed.Load(), s.caches.work.boxed.Load()
 	st.TemplateHits, st.TemplateMisses = s.caches.templates.Stats()
 	st.TemplateEvictions = s.caches.templates.Evictions()
 	st.TemplateResident = s.caches.templates.Len()

@@ -6,16 +6,19 @@ import (
 	"github.com/mahif/mahif/internal/types"
 )
 
-// Work counts what one ComputeColumnar call did, in rows: Boxed over
-// Compared is the share of a what-if's result that had to become
-// tuples at all.
+// Work counts what one ComputeColumnar call did, in rows: Hashed over
+// Compared is the share of a what-if's result that did not cancel at
+// its position, and Hashed − Boxed the rows of it that cancelled across
+// positions.
 type Work struct {
 	// Compared is the number of positions the two sides were compared at,
 	// lane-wise and without boxing: the shorter side's row count.
 	Compared int
-	// Boxed is the number of rows gathered into tuples, both sides
-	// together: the rows that did not cancel at their position — the
-	// delta itself plus the rows that cancel only across positions.
+	// Hashed is the residual, both sides together: the rows that did not
+	// cancel at their position and were matched by row hash, lane-wise.
+	Hashed int
+	// Boxed is the number of rows gathered into tuples: the delta,
+	// |Minus| + |Plus|.
 	Boxed int
 }
 
@@ -26,11 +29,10 @@ type Work struct {
 // ==, so NaN differs from itself and the two zeros are equal); only a
 // column whose two sides sit on different non-numeric lanes, or on the
 // boxed lane, compares boxed cells. Nothing assumes that column c is on
-// the same lane on both sides. Only the rows that survive are gathered
-// into tuples — one arena a side, sized by the residual — and go
-// through the residual step Compute uses; a delta much smaller than its
-// residual then moves to an arena of its own (ownArena), so a retained
-// Result pins about its own rows, and neither view.
+// the same lane on both sides. The rows that survive are matched across
+// positions on the lanes too (see matchResidual), and only Minus and
+// Plus are gathered into tuples — one arena a side, of exactly their
+// size, so a retained Result pins its own rows and neither view.
 func ComputeColumnar(oldV, newV *storage.ColumnarView) (*Result, Work) {
 	out := &Result{Relation: oldV.Schema.Relation, Schema: oldV.Schema}
 	n := min(oldV.Rows, newV.Rows)
@@ -46,29 +48,231 @@ func ComputeColumnar(oldV, newV *storage.ColumnarView) (*Result, Work) {
 		}
 	}
 	oldIdx, newIdx := residualRows(neq, oldV.Rows, newV.Rows)
-	out.residual(oldV.GatherTuples(oldIdx), newV.GatherTuples(newIdx))
-	out.Minus = ownArena(out.Minus, len(oldIdx))
-	out.Plus = ownArena(out.Plus, len(newIdx))
-	return out, Work{Compared: n, Boxed: len(oldIdx) + len(newIdx)}
+	m := matchResidual(oldV, newV, oldIdx, newIdx)
+	out.Minus = oldV.GatherTuples(m.minus)
+	out.Plus = newV.GatherTuples(m.plus)
+	sortTuples(out.Minus)
+	sortTuples(out.Plus)
+	return out, Work{Compared: n, Hashed: len(oldIdx) + len(newIdx), Boxed: out.Size()}
 }
 
-// ownArena moves ts, tuples of an arena of arenaRows rows, into an arena
-// of exactly their own size when they are at most half of it. Rows that
-// cancel only across positions are boxed into the residual arena too
-// (on misaligned sides that is the whole relation); whoever keeps the
-// delta should pin the delta, not them.
-func ownArena(ts []schema.Tuple, arenaRows int) []schema.Tuple {
-	if len(ts) == 0 || 2*len(ts) > arenaRows {
-		return ts
+// residualMatch is the residual step of ComputeColumnar: Result.residual
+// on row numbers instead of tuples. The new side's residual rows are
+// grouped into classes of Equal rows in a chained hash table — a class
+// is its first row (rep) and how many rows of the new side it still
+// holds (count) — and each old row takes one from the first live class
+// of its chain it is Equal to, or is Minus. What the classes still hold
+// is Plus, the first rows of each class in new-side order. Per row that
+// is one row hash and about one lane-wise Equal, however many rows a
+// class has.
+//
+// It reproduces TupleIndex exactly, also where Equal is not transitive
+// (ints past 2^53 against floats): classes of one row hash sit in their
+// chain in creation order, a class that runs out is replaced by the
+// last live class of its hash (TupleIndex's swap-delete), and a new
+// row whose class shares its hash with another drains by a lookup, as
+// Compute's does, not by its own class's count. A row not Equal to
+// itself (a NaN cell) matches nothing and is never indexed.
+type residualMatch struct {
+	newV   *storage.ColumnarView
+	newIdx []int
+
+	mask    uint64
+	head    []int32 // by hash & mask: the chain's first class, 0 for none
+	classes []class // from 1; classes[0] is unused
+
+	minus, plus []int // view rows, in residual order
+	equals      int   // row comparisons made (a test's linearity probe)
+}
+
+// class is one class of Equal rows of the new side's residual.
+type class struct {
+	hash   uint64
+	next   int32 // the next class of the chain, 0 at its end
+	rep    int32 // the first row, as a position in newIdx
+	count  int32 // rows the class still holds
+	shared bool  // another class has the same hash
+}
+
+// matchResidual splits the residual rows oldIdx of oldV and newIdx of
+// newV into Minus and Plus.
+func matchResidual(oldV, newV *storage.ColumnarView, oldIdx, newIdx []int) *residualMatch {
+	m := &residualMatch{newV: newV, newIdx: newIdx}
+	if len(oldIdx) == 0 || len(newIdx) == 0 {
+		m.minus, m.plus = oldIdx, newIdx
+		return m
 	}
-	arity := len(ts[0])
-	flat := make([]types.Value, 0, len(ts)*arity)
-	out := make([]schema.Tuple, len(ts))
-	for i, t := range ts {
-		flat = append(flat, t...)
-		out[i] = schema.Tuple(flat[i*arity : (i+1)*arity : (i+1)*arity])
+	newHs, newNaN := hashRows(newV, newIdx)
+	cls := m.index(newHs, newNaN)
+	oldHs, oldNaN := hashRows(oldV, oldIdx)
+	out := make([]int, 0, len(oldIdx)+len(newIdx))
+	for j, r := range oldIdx {
+		if (oldNaN == nil || !oldNaN[j]) && m.take(oldHs[j], oldV, r) {
+			continue
+		}
+		out = append(out, r)
 	}
-	return out
+	m.minus, out = out[:len(out):len(out)], out[len(out):]
+	for i, r := range newIdx {
+		k := cls[i]
+		switch {
+		case k == 0: // not Equal to itself
+		case !m.classes[k].shared:
+			if m.classes[k].count == 0 {
+				continue
+			}
+			m.classes[k].count--
+		case !m.take(newHs[i], newV, r):
+			continue
+		}
+		out = append(out, r)
+	}
+	m.plus = out
+	return m
+}
+
+// index builds the classes of the new side's residual rows, whose row
+// hashes are hs, and returns each row's class (0 for a row not Equal to
+// itself).
+func (m *residualMatch) index(hs []uint64, nan []bool) []int32 {
+	size := 1
+	for size < len(hs) {
+		size <<= 1
+	}
+	m.mask = uint64(size - 1)
+	m.head = make([]int32, size)
+	m.classes = make([]class, 1, len(hs)+1)
+	cls := make([]int32, len(hs))
+rows:
+	for i, h := range hs {
+		if nan != nil && nan[i] {
+			continue
+		}
+		r := m.newIdx[i]
+		link, shared := &m.head[h&m.mask], false
+		for k := *link; k != 0; k = *link {
+			c := &m.classes[k]
+			if c.hash == h {
+				if m.equal(c, m.newV, r) {
+					c.count++
+					cls[i] = k
+					continue rows
+				}
+				shared = true
+			}
+			link = &c.next
+		}
+		k := int32(len(m.classes))
+		*link = k
+		m.classes = append(m.classes, class{hash: h, rep: int32(i), count: 1, shared: shared})
+		if shared {
+			for o := m.head[h&m.mask]; o != k; o = m.classes[o].next {
+				if m.classes[o].hash == h {
+					m.classes[o].shared = true
+				}
+			}
+		}
+		cls[i] = k
+	}
+	return cls
+}
+
+// take removes one row Equal to row r of v, whose row hash is h, from
+// the first live class of its chain that holds such rows, and reports
+// whether there was one (TupleIndex.Remove).
+func (m *residualMatch) take(h uint64, v *storage.ColumnarView, r int) bool {
+	for k := m.head[h&m.mask]; k != 0; k = m.classes[k].next {
+		c := &m.classes[k]
+		if c.count == 0 || c.hash != h || !m.equal(c, v, r) {
+			continue
+		}
+		if c.count--; c.count == 0 && c.shared {
+			// Swap-delete: the last live class of this hash takes the
+			// emptied one's place in the chain.
+			last := c
+			for o := c.next; o != 0; o = m.classes[o].next {
+				if l := &m.classes[o]; l.count > 0 && l.hash == h {
+					last = l
+				}
+			}
+			c.rep, c.count, last.count = last.rep, last.count, 0
+		}
+		return true
+	}
+	return false
+}
+
+// equal reports whether class c's first row equals row r of v.
+func (m *residualMatch) equal(c *class, v *storage.ColumnarView, r int) bool {
+	m.equals++
+	a, ra := m.newV, m.newIdx[c.rep]
+	if len(a.Cols) != len(v.Cols) {
+		return false
+	}
+	for c := range a.Cols {
+		if !cellEqual(&a.Cols[c], ra, &v.Cols[c], r) {
+			return false
+		}
+	}
+	return true
+}
+
+// hashRows returns the row hashes (schema.Tuple.Hash) of rows of v,
+// folded lane-wise, and which of them are not Equal to themselves — nil
+// when none is.
+func hashRows(v *storage.ColumnarView, rows []int) (hs []uint64, nan []bool) {
+	hs = make([]uint64, len(rows))
+	for i := range hs {
+		hs[i] = schema.HashSeed
+	}
+	for c := range v.Cols {
+		col := &v.Cols[c]
+		col.FoldHashRows(hs, rows)
+		switch col.Kind {
+		case types.KindFloat:
+			for i, r := range rows {
+				if f := col.Floats[r]; f != f && (col.Nulls == nil || !col.Nulls[r]) {
+					nan = markRow(nan, i, len(rows))
+				}
+			}
+		case types.KindNull:
+			for i, r := range rows {
+				if x := col.Vals[r]; !x.Equal(x) {
+					nan = markRow(nan, i, len(rows))
+				}
+			}
+		}
+	}
+	return hs, nan
+}
+
+// markRow sets marks[i], allocating the n marks on first use.
+func markRow(marks []bool, i, n int) []bool {
+	if marks == nil {
+		marks = make([]bool, n)
+	}
+	marks[i] = true
+	return marks
+}
+
+// cellEqual is types.Value.Equal on cell i of a and cell j of b, typed
+// where the two lanes allow.
+func cellEqual(a *storage.ColVec, i int, b *storage.ColVec, j int) bool {
+	if a.Kind == b.Kind && a.Kind != types.KindNull {
+		na, nb := a.Nulls != nil && a.Nulls[i], b.Nulls != nil && b.Nulls[j]
+		if na || nb {
+			return na == nb
+		}
+		switch a.Kind {
+		case types.KindInt:
+			return a.Ints[i] == b.Ints[j]
+		case types.KindFloat:
+			return a.Floats[i] == b.Floats[j]
+		default:
+			return a.Strs[i] == b.Strs[j]
+		}
+	}
+	return a.Value(i).Equal(b.Value(j))
 }
 
 // markUnequal sets neq[i] for every position i < len(neq) at which cell

@@ -24,10 +24,15 @@ import (
 // schema declares, so a float lane can face an int lane — and the rest,
 // or every column when boxed is set, on the boxed lane.
 func laneView(rel *storage.Relation, boxed bool) *storage.ColumnarView {
+	return laneViewOf(rel, func(int) bool { return boxed })
+}
+
+// laneViewOf is laneView with the boxed lane chosen per column.
+func laneViewOf(rel *storage.Relation, boxed func(c int) bool) *storage.ColumnarView {
 	n := len(rel.Tuples)
 	v := &storage.ColumnarView{Schema: rel.Schema, Rows: n, Cols: make([]storage.ColVec, rel.Schema.Arity())}
 	for c := range v.Cols {
-		kind, mixed := types.KindNull, boxed
+		kind, mixed := types.KindNull, boxed(c)
 		for _, t := range rel.Tuples {
 			switch k := t[c].Kind(); {
 			case k == types.KindNull:
@@ -110,8 +115,8 @@ func requireColumnarMatchesRows(t *testing.T, label string, a, b *storage.Relati
 			if got.Relation != want.Relation || got.Schema != want.Schema {
 				t.Fatalf("%s: result names %s/%v, want %s/%v", l, got.Relation, got.Schema, want.Relation, want.Schema)
 			}
-			if work.Compared != n || work.Boxed != residual {
-				t.Fatalf("%s: work %+v, want %d compared, %d boxed", l, work, n, residual)
+			if work.Compared != n || work.Hashed != residual || work.Boxed != want.Size() {
+				t.Fatalf("%s: work %+v, want %d compared, %d hashed, %d boxed", l, work, n, residual, want.Size())
 			}
 		}
 	}
@@ -306,9 +311,9 @@ func TestComputeColumnarRandomProperty(t *testing.T) {
 
 // TestComputeColumnarResultPinsItsOwnRows: the new side is the old one
 // rotated by a row, so no position cancels and both whole relations are
-// boxed as residual — 3 MB of cells a side — of which two tuples a side
-// are delta. Kept alone, the Result must hold those, not the arenas they
-// were boxed in.
+// residual — 3 MB of cells a side, were they boxed — of which two tuples
+// a side are delta. Only those are boxed, into arenas of their own size,
+// and kept alone the Result holds nothing else.
 func TestComputeColumnarResultPinsItsOwnRows(t *testing.T) {
 	const rows = 6000
 	a := workload.Taxi(rows, 1).Rel
@@ -330,8 +335,8 @@ func TestComputeColumnarResultPinsItsOwnRows(t *testing.T) {
 	before := heap()
 	kept, work := ComputeColumnar(va, vb)
 	grew := heap() - before
-	if kept.Size() != 4 || work.Boxed != 2*rows {
-		t.Fatalf("delta of %d tuples after boxing %d rows; want 4 and %d", kept.Size(), work.Boxed, 2*rows)
+	if kept.Size() != 4 || work.Boxed != 4 || work.Hashed != 2*rows {
+		t.Fatalf("delta of %d tuples, %d rows boxed of %d hashed; want 4, 4, %d", kept.Size(), work.Boxed, work.Hashed, 2*rows)
 	}
 	if !kept.Equal(Compute(a, b)) {
 		t.Fatal("delta differs from the row path's")
@@ -371,8 +376,8 @@ func taxiResidualPair() (orig, mod *storage.Relation) {
 func BenchmarkDeltaColumnar(b *testing.B) {
 	orig, mod := taxiResidualPair()
 	vo, vm := storage.BuildColumnar(orig), storage.BuildColumnar(mod)
-	if got, work := ComputeColumnar(vo, vm); !got.Equal(Compute(orig, mod)) || work.Boxed*100/(2*work.Compared) != 45 {
-		b.Fatalf("fixture: %d of %d rows residual, delta agrees: %v", work.Boxed, 2*work.Compared, got.Equal(Compute(orig, mod)))
+	if got, work := ComputeColumnar(vo, vm); !got.Equal(Compute(orig, mod)) || work.Hashed*100/(2*work.Compared) != 45 || work.Boxed != got.Size() {
+		b.Fatalf("fixture: %d of %d rows residual, %d boxed for a delta of %d, delta agrees: %v", work.Hashed, 2*work.Compared, work.Boxed, got.Size(), got.Equal(Compute(orig, mod)))
 	}
 	b.Run("columnar", func(b *testing.B) {
 		b.ReportAllocs()

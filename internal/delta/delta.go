@@ -41,8 +41,8 @@ type Result struct {
 // This is the delta over rows: Alg. 1, the history executor and the
 // bench's staged replay have rows and call it. A what-if's two
 // reenactment results are columnar and go through ComputeColumnar, which
-// cancels the same positions without boxing them and shares the
-// residual step; Compute is its test oracle.
+// cancels the same positions and matches the same residual without
+// boxing either; Compute is its test oracle.
 func Compute(oldRel, newRel *storage.Relation) *Result {
 	out := &Result{Relation: oldRel.Schema.Relation, Schema: oldRel.Schema}
 	olds, news := oldRel.Tuples, newRel.Tuples
@@ -97,8 +97,8 @@ func residualRows(neq []bool, oldRows, newRows int) (oldIdx, newIdx []int) {
 // residual finishes a delta from the rows of each side that positional
 // cancellation left over: restOld is subtracted from a TupleIndex of
 // restNew, what found no partner is Minus and what is left in the index
-// is Plus, both then sorted. It is the only multiset step of either
-// entry point. The two slices are the caller's own and are consumed:
+// is Plus, both then sorted. ComputeColumnar's residualMatch is the same
+// step on the lanes. The two slices are the caller's own and are consumed:
 // Minus and Plus are filtered in place inside them, so nothing is
 // allocated per surviving tuple and nothing grows.
 func (r *Result) residual(restOld, restNew []schema.Tuple) {

@@ -46,9 +46,8 @@ func parseSeqName(name, prefix, suffix string) (uint64, bool) {
 }
 
 // listStore scans dir and returns the segment first-seqs and checkpoint
-// versions present, each ascending. Leftover temp files from a crash
-// mid-checkpoint are removed — a rename that never happened means the
-// checkpoint never existed.
+// versions present, each ascending. It only reads: a temp file may be a
+// checkpoint the writer is staging right now (see sweepTemp).
 func listStore(dir string) (segments []uint64, checkpoints []int, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -56,10 +55,6 @@ func listStore(dir string) (segments []uint64, checkpoints []int, err error) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasSuffix(name, tmpSuffix) {
-			_ = os.Remove(filepath.Join(dir, name))
-			continue
-		}
 		if seq, ok := parseSeqName(name, segmentPrefix, segmentSuffix); ok {
 			segments = append(segments, seq)
 			continue
@@ -71,6 +66,24 @@ func listStore(dir string) (segments []uint64, checkpoints []int, err error) {
 	sort.Slice(segments, func(i, j int) bool { return segments[i] < segments[j] })
 	sort.Ints(checkpoints)
 	return segments, checkpoints, nil
+}
+
+// sweepTemp removes the temp files in dir: leftovers of a crash
+// mid-checkpoint — a rename that never happened means the checkpoint
+// never existed. Only the paths that own the directory alone call it
+// (Open's recovery, Create, RemoveStore); a live store's temp file is
+// a checkpoint in flight.
+func sweepTemp(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), tmpSuffix) {
+			_ = os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+	return nil
 }
 
 // activeSegment is the segment file currently appended to. Writes and

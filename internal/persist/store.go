@@ -155,11 +155,14 @@ func Detect(dir string) bool {
 // directory can be initialized again; it must not be called on a store
 // that is open.
 func RemoveStore(dir string) error {
-	segs, ckpts, err := listStore(dir)
-	if err != nil {
+	if err := sweepTemp(dir); err != nil {
 		if os.IsNotExist(err) {
 			return nil
 		}
+		return err
+	}
+	segs, ckpts, err := listStore(dir)
+	if err != nil {
 		return err
 	}
 	for _, seq := range segs {
@@ -181,6 +184,9 @@ func RemoveStore(dir string) error {
 func Create(dir string, base *storage.Database, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	if err := sweepTemp(dir); err != nil {
 		return nil, err
 	}
 	segs, ckpts, err := listStore(dir)
@@ -211,6 +217,9 @@ func Create(dir string, base *storage.Database, opts Options) (*Store, error) {
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
+	if err := sweepTemp(dir); err != nil {
+		return nil, err
+	}
 	segs, ckptVers, err := listStore(dir)
 	if err != nil {
 		return nil, err

@@ -211,3 +211,41 @@ func TestTailNextHonorsContext(t *testing.T) {
 		t.Fatalf("Next failed before the deadline: %v", err)
 	}
 }
+
+// TestListingLeavesStagedCheckpoint: a temp file in a live store is a
+// checkpoint being staged, and a follower listing the store through a
+// tail must not delete it; only recovery sweeps temp files, as crash
+// leftovers.
+func TestListingLeavesStagedCheckpoint(t *testing.T) {
+	s, dir := mustCreate(t, Options{NoSync: true})
+	ctx := context.Background()
+	if _, err := s.Append(ctx, []history.Statement{randomStatement(rand.New(rand.NewSource(1)))}); err != nil {
+		t.Fatal(err)
+	}
+	staged := checkpointPath(dir, 1) + tmpSuffix
+	if err := os.WriteFile(staged, []byte("in flight"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := s.TailFrom(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := tr.Next(ctx); err != nil {
+		t.Fatal(err)
+	}
+	tr.Close()
+	if _, err := os.Stat(staged); err != nil {
+		t.Fatalf("listing the store through a tail removed a staged checkpoint: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if _, err := os.Stat(staged); !os.IsNotExist(err) {
+		t.Fatalf("recovery left a crash's temp file behind (stat: %v)", err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"github.com/mahif/mahif/internal/types"
@@ -235,91 +236,95 @@ func (t Tuple) Key() string {
 	return b.String()
 }
 
-// FNV-1a parameters (hash/fnv is avoided on this hot path: it would
-// force a byte-slice conversion per value).
+// The row hash is a chain of word-wise multiply-fold steps: a cell
+// folds one 64-bit word, its halves swapped, into the accumulator by
+// xor, and the 128-bit product of that with a per-kind odd constant
+// folds its two halves together (mix). An int-valued float keeps all
+// its information in the high half of its bits; swapped into the low
+// half, it reaches both halves of the product, so the low bits a hash
+// table masks are mixed as well as the high ones. There is no
+// per-process seed: a hash is a pure function of the values, equal
+// across processes and runs.
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	// HashSeed is the starting accumulator of a row hash: HashValue
+	// chains start here, and so does every lane-wise fold of one.
+	HashSeed uint64 = 0x243f6a8885a308d3
+
+	hashNumeric uint64 = 0x94d049bb133111eb
+	hashString  uint64 = 0xbf58476d1ce4e5b9
+	hashNull    uint64 = 0x9e3779b97f4a7c15
+	hashBool    uint64 = 0xa0761d6478bd642f
 )
 
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-
-func fnvUint64(h uint64, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v>>(8*i)))
-	}
-	return h
+// mix folds word w into accumulator h under multiplier k.
+func mix(h, w, k uint64) uint64 {
+	hi, lo := bits.Mul64(h^bits.RotateLeft64(w, 32), k)
+	return hi ^ lo
 }
 
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = fnvByte(h, s[i])
-	}
-	return h
-}
-
-// HashSeed is the FNV-1a offset basis, the starting accumulator for
-// HashValue chains.
-const HashSeed uint64 = fnvOffset64
-
-// HashValue folds one typed value into an FNV-1a accumulator. Values
+// HashValue folds one typed value into a row-hash accumulator. Values
 // that compare equal under types.Value.Equal hash equally (numerics are
-// normalized to their float64 bit pattern, so 1 and 1.0 collide; kinds
-// are tagged so 1, '1' and true stay distinct). The compiled executor
-// uses it for join keys; Tuple.Hash chains it across a row.
+// normalized to their float64 bit pattern, so 1 and 1.0 collide; each
+// kind mixes under its own constant, so 1, '1' and true stay apart).
+// The compiled executor uses it for join keys; Tuple.Hash chains it
+// across a row.
 func HashValue(h uint64, v types.Value) uint64 {
 	switch v.Kind() {
 	case types.KindNull:
-		h = fnvByte(h, 'n')
+		return HashNull(h)
 	case types.KindInt, types.KindFloat:
-		h = fnvByte(h, 'f')
-		f := v.AsFloat()
-		if f == 0 {
-			f = 0 // canonicalize -0.0: it compares equal to +0.0
-		}
-		h = fnvUint64(h, math.Float64bits(f))
+		return HashNumeric(h, v.AsFloat())
 	case types.KindString:
-		h = fnvByte(h, 's')
-		h = fnvString(h, v.AsString())
+		return HashString(h, v.AsString())
 	case types.KindBool:
-		h = fnvByte(h, 'b')
 		if v.AsBool() {
-			h = fnvByte(h, 1)
-		} else {
-			h = fnvByte(h, 0)
+			return mix(h, 1, hashBool)
 		}
+		return mix(h, 0, hashBool)
 	}
 	return h
 }
 
-// HashNull, HashNumeric and HashString fold one cell of a
-// statically known kind into an FNV-1a accumulator, byte-for-byte
-// identical to HashValue on the equivalent boxed value. They exist for
-// the columnar executor lanes, which hash typed cells without boxing;
-// int cells hash through HashNumeric(h, float64(i)) — the same
-// widening HashValue applies — so 1 and 1.0 still collide.
-func HashNull(h uint64) uint64 { return fnvByte(h, 'n') }
+// HashNull, HashNumeric and HashString fold one cell of a statically
+// known kind into a row-hash accumulator, identical to HashValue on the
+// equivalent boxed value. They exist for the columnar executor lanes,
+// which hash typed cells without boxing; int cells hash through
+// HashNumeric(h, float64(i)) — the same widening HashValue applies —
+// so 1 and 1.0 still collide.
+func HashNull(h uint64) uint64 { return mix(h, 0, hashNull) }
 
 // HashNumeric folds a numeric cell (int lanes widen to float64 first,
-// matching HashValue's normalization).
+// matching HashValue's normalization): one mix of its bits.
 func HashNumeric(h uint64, f float64) uint64 {
-	h = fnvByte(h, 'f')
 	if f == 0 {
 		f = 0 // canonicalize -0.0: it compares equal to +0.0
 	}
-	return fnvUint64(h, math.Float64bits(f))
+	return mix(h, math.Float64bits(f), hashNumeric)
 }
 
-// HashString folds a string cell.
+// HashString folds a string cell: its length, then its 8-byte words,
+// then its tail zero-padded to a word.
 func HashString(h uint64, s string) uint64 {
-	h = fnvByte(h, 's')
-	return fnvString(h, s)
+	h = mix(h, uint64(len(s)), hashString)
+	for ; len(s) >= 8; s = s[8:] {
+		h = mix(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56, hashString)
+	}
+	if len(s) == 0 {
+		return h
+	}
+	var w uint64
+	for i := len(s) - 1; i >= 0; i-- {
+		w = w<<8 | uint64(s[i])
+	}
+	return mix(h, w, hashString)
 }
 
-// Hash returns an FNV-1a hash of the tuple over typed values. Tuples
-// that are Equal hash equally. It is the index key for the hash-based
+// Hash returns the row hash of the tuple over typed values. Tuples that
+// are Equal hash equally. It is the index key for the hash-based
 // multiset operations (difference, delta, bag equality, report
-// patching).
+// patching), and the lane-wise folds of storage.ColVec compute the same
+// value without boxing.
 func (t Tuple) Hash() uint64 {
 	h := HashSeed
 	for _, v := range t {

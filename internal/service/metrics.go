@@ -109,7 +109,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	m("mahif_delta_rows_compared_total", "Row positions at which a what-if's two reenactment results were compared lane-wise, over all sessions.", "counter")
 	fmt.Fprintf(&b, "mahif_delta_rows_compared_total %d\n", st.DeltaRowsCompared)
-	m("mahif_delta_rows_boxed_total", "Rows that did not cancel at their position and were gathered into tuples (both sides), over all sessions; its ratio to rows compared is the share of reenactment output a what-if boxes.", "counter")
+	m("mahif_delta_rows_hashed_total", "Rows that did not cancel at their position and were matched by row hash, lane-wise (both sides), over all sessions; its ratio to rows compared is the share of reenactment output left to a multiset match.", "counter")
+	fmt.Fprintf(&b, "mahif_delta_rows_hashed_total %d\n", st.DeltaRowsHashed)
+	m("mahif_delta_rows_boxed_total", "Rows gathered into tuples, the deltas' own rows (Minus and Plus), over all sessions; rows hashed minus rows boxed cancelled across positions.", "counter")
 	fmt.Fprintf(&b, "mahif_delta_rows_boxed_total %d\n", st.DeltaRowsBoxed)
 	m("mahif_solver_lowered_nodes_total", "Expression nodes program slicing lowered into solver models, over all sessions; a dependency run lowers its shared Φ_D ∧ affected once and each test only its own conjuncts.", "counter")
 	fmt.Fprintf(&b, "mahif_solver_lowered_nodes_total %d\n", st.SolverLowered)

@@ -144,9 +144,9 @@ func (c *ColVec) BoxInto(out []types.Value, sel []int, n int) {
 	}
 }
 
-// FoldHash folds every live cell into its row's FNV-1a accumulator
-// (the per-column step of a row-wise typed tuple hash, equal to
-// chaining schema.HashValue over boxed cells).
+// FoldHash folds every live cell into its row's hash accumulator, hs[r]
+// for row r (the per-column step of a row-wise typed tuple hash, equal
+// to chaining schema.HashValue over boxed cells).
 func (c *ColVec) FoldHash(hs []uint64, sel []int, n int) {
 	switch c.Kind {
 	case types.KindInt:
@@ -212,6 +212,42 @@ func (c *ColVec) FoldHash(hs []uint64, sel []int, n int) {
 			for _, r := range sel {
 				hs[r] = schema.HashValue(hs[r], c.Vals[r])
 			}
+		}
+	}
+}
+
+// FoldHashRows is FoldHash over a gathered selection: it folds cell
+// rows[i] into hs[i], so the accumulators of a residual are dense.
+func (c *ColVec) FoldHashRows(hs []uint64, rows []int) {
+	hs = hs[:len(rows)]
+	switch c.Kind {
+	case types.KindInt:
+		for i, r := range rows {
+			if c.Nulls != nil && c.Nulls[r] {
+				hs[i] = schema.HashNull(hs[i])
+				continue
+			}
+			hs[i] = schema.HashNumeric(hs[i], float64(c.Ints[r]))
+		}
+	case types.KindFloat:
+		for i, r := range rows {
+			if c.Nulls != nil && c.Nulls[r] {
+				hs[i] = schema.HashNull(hs[i])
+				continue
+			}
+			hs[i] = schema.HashNumeric(hs[i], c.Floats[r])
+		}
+	case types.KindString:
+		for i, r := range rows {
+			if c.Nulls != nil && c.Nulls[r] {
+				hs[i] = schema.HashNull(hs[i])
+				continue
+			}
+			hs[i] = schema.HashString(hs[i], c.Strs[r])
+		}
+	default:
+		for i, r := range rows {
+			hs[i] = schema.HashValue(hs[i], c.Vals[r])
 		}
 	}
 }
@@ -730,16 +766,44 @@ func (v *ColumnarView) gather(rows []int, n int) []schema.Tuple {
 		out[i] = schema.Tuple(flat[i*arity : (i+1)*arity : (i+1)*arity])
 	}
 	for c := range v.Cols {
-		col := &v.Cols[c]
-		if rows == nil {
-			for r := 0; r < n; r++ {
-				flat[r*arity+c] = col.Value(r)
-			}
-			continue
-		}
-		for i, r := range rows {
-			flat[i*arity+c] = col.Value(r)
-		}
+		v.Cols[c].gatherInto(flat[c:], arity, rows, n)
 	}
 	return out
+}
+
+// gatherInto boxes n cells — rows[i], or cell i when rows is nil — into
+// dst[i*stride], choosing the lane once for the column.
+func (c *ColVec) gatherInto(dst []types.Value, stride int, rows []int, n int) {
+	at := func(i int) int {
+		if rows == nil {
+			return i
+		}
+		return rows[i]
+	}
+	switch c.Kind {
+	case types.KindInt:
+		for i := 0; i < n; i++ {
+			dst[i*stride] = types.Int(c.Ints[at(i)])
+		}
+	case types.KindFloat:
+		for i := 0; i < n; i++ {
+			dst[i*stride] = types.Float(c.Floats[at(i)])
+		}
+	case types.KindString:
+		for i := 0; i < n; i++ {
+			dst[i*stride] = types.String(c.Strs[at(i)])
+		}
+	default:
+		for i := 0; i < n; i++ {
+			dst[i*stride] = c.Vals[at(i)]
+		}
+		return
+	}
+	if c.Nulls != nil {
+		for i := 0; i < n; i++ {
+			if c.Nulls[at(i)] {
+				dst[i*stride] = types.Null()
+			}
+		}
+	}
 }

@@ -4,7 +4,7 @@ import (
 	"github.com/mahif/mahif/internal/schema"
 )
 
-// TupleIndex is a hash-based multiset of tuples: the typed FNV hash of
+// TupleIndex is a hash-based multiset of tuples: the typed row hash of
 // each tuple (schema.Tuple.Hash) buckets entries, and value-level
 // equality (schema.Tuple.Equal) resolves collisions. It replaces the
 // string-keyed maps built from schema.Tuple.Key on the multiset hot
