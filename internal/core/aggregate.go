@@ -68,6 +68,58 @@ type AggregateReport struct {
 	Rows         []AggregateRow `json:"rows"`
 }
 
+// AppendJSON appends r's compact wire encoding to dst: the bytes
+// json.Marshal writes for the struct's field tags.
+func (r *AggregateReport) AppendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"query":`...)
+	dst = types.AppendJSONString(dst, r.Query)
+	dst = append(dst, `,"group_columns":`...)
+	dst = appendJSONStrings(dst, r.GroupColumns)
+	dst = append(dst, `,"agg_columns":`...)
+	dst = appendJSONStrings(dst, r.AggColumns)
+	dst = append(dst, `,"rows":`...)
+	if r.Rows == nil {
+		return append(dst, "null}"...), nil
+	}
+	dst = append(dst, '[')
+	for i := range r.Rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		row := &r.Rows[i]
+		for j, t := range [...]schema.Tuple{row.Group, row.Historical, row.Hypothetical, row.Delta} {
+			dst = append(dst, aggregateRowKeys[j]...)
+			var err error
+			if dst, err = t.AppendJSON(dst); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}"...), nil
+}
+
+// aggregateRowKeys opens each AggregateRow field on the wire, in order.
+var aggregateRowKeys = [...]string{`{"group":`, `,"historical":`, `,"hypothetical":`, `,"delta":`}
+
+// MarshalJSON implements json.Marshaler with AppendJSON's encoding.
+func (r *AggregateReport) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
+
+// appendJSONStrings appends ss as a JSON array of strings, null when nil.
+func appendJSONStrings(dst []byte, ss []string) []byte {
+	if ss == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = types.AppendJSONString(dst, s)
+	}
+	return append(dst, ']')
+}
+
 // patchRelation applies one relation's delta to its historical state:
 // hypothetical = historical − Minus + Plus as bags. It is the patch
 // route's — the merged route (mergedReport) never materializes the

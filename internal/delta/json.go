@@ -3,6 +3,7 @@ package delta
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/types"
@@ -30,7 +31,8 @@ type wireColumn struct {
 	Type string `json:"type"`
 }
 
-// wireResult mirrors Result field-for-field with stable JSON names.
+// wireResult is the v1 layout Result.UnmarshalJSON decodes; the
+// encoder (AppendJSON) writes the same fields directly.
 type wireResult struct {
 	Relation string         `json:"relation"`
 	Columns  []wireColumn   `json:"columns"`
@@ -38,17 +40,94 @@ type wireResult struct {
 	Plus     []schema.Tuple `json:"plus,omitempty"`
 }
 
-// MarshalJSON implements json.Marshaler with the v1 wire format.
-func (r *Result) MarshalJSON() ([]byte, error) {
-	w := wireResult{Relation: r.Relation, Minus: r.Minus, Plus: r.Plus}
-	if r.Schema != nil {
-		w.Columns = make([]wireColumn, 0, len(r.Schema.Columns))
-		for _, c := range r.Schema.Columns {
-			w.Columns = append(w.Columns, wireColumn{Name: c.Name, Type: c.Type.String()})
+// AppendJSON appends r's compact v1 encoding to dst, the bytes
+// json.Marshal writes for the wireResult layout. A nil r is null.
+func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
+	if r == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, `{"relation":`...)
+	dst = types.AppendJSONString(dst, r.Relation)
+	dst = append(dst, `,"columns":`...)
+	if r.Schema == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, c := range r.Schema.Columns {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"name":`...)
+			dst = types.AppendJSONString(dst, c.Name)
+			dst = append(dst, `,"type":`...)
+			dst = types.AppendJSONString(dst, c.Type.String())
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	var err error
+	if len(r.Minus) > 0 {
+		dst = append(dst, `,"minus":`...)
+		if dst, err = appendTuples(dst, r.Minus); err != nil {
+			return dst, err
 		}
 	}
-	return json.Marshal(w)
+	if len(r.Plus) > 0 {
+		dst = append(dst, `,"plus":`...)
+		if dst, err = appendTuples(dst, r.Plus); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
 }
+
+// appendTuples appends a non-empty tuple list as a JSON array.
+func appendTuples(dst []byte, ts []schema.Tuple) ([]byte, error) {
+	dst = append(dst, '[')
+	for i, t := range ts {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = t.AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// MarshalJSON implements json.Marshaler with the v1 wire format.
+func (r *Result) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
+
+// AppendJSON appends s as a JSON object keyed by relation name, keys
+// in byte order as encoding/json sorts a map's. A nil Set is null.
+func (s Set) AppendJSON(dst []byte) ([]byte, error) {
+	if s == nil {
+		return append(dst, "null"...), nil
+	}
+	var stack [4]string
+	names := stack[:0]
+	for n := range s {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	dst = append(dst, '{')
+	for i, n := range names {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = types.AppendJSONString(dst, n)
+		dst = append(dst, ':')
+		var err error
+		if dst, err = s[n].AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// MarshalJSON implements json.Marshaler with the v1 wire format.
+func (s Set) MarshalJSON() ([]byte, error) { return s.AppendJSON(nil) }
 
 // UnmarshalJSON implements json.Unmarshaler for the v1 wire format,
 // reconstructing the schema (including its column-lookup index).

@@ -204,7 +204,7 @@ func (r *Router) readBody(w http.ResponseWriter, req *http.Request) ([]byte, err
 func (r *Router) routeRead(w http.ResponseWriter, req *http.Request) {
 	body, err := r.readBody(w, req)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Peek the read's version bound; garbage bodies route anywhere and
@@ -238,18 +238,18 @@ func (r *Router) routeRead(w http.ResponseWriter, req *http.Request) {
 		b.errors.Add(1)
 		r.opts.logf("router: %s %s via %s failed: retrying", req.Method, req.URL.Path, b.url)
 	}
-	writeJSONError(w, http.StatusServiceUnavailable, fmt.Errorf("no healthy backend at version ≥ %d", bound.MinVersion))
+	service.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("no healthy backend at version ≥ %d", bound.MinVersion))
 }
 
 // toLeader proxies appends and history reads to the leader.
 func (r *Router) toLeader(w http.ResponseWriter, req *http.Request) {
 	body, err := r.readBody(w, req)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := r.proxy(w, req, r.lead, body); err != nil {
-		writeJSONError(w, http.StatusBadGateway, fmt.Errorf("leader unreachable: %v", err))
+		service.WriteError(w, http.StatusBadGateway, fmt.Errorf("leader unreachable: %v", err))
 	}
 }
 
@@ -334,7 +334,7 @@ func (r *Router) handleStatus(w http.ResponseWriter, req *http.Request) {
 		}
 		st.Backends = append(st.Backends, bs)
 	}
-	writeJSON(w, http.StatusOK, st)
+	_ = service.WriteJSON(w, http.StatusOK, st)
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
@@ -364,16 +364,4 @@ func boolInt(v bool) int {
 		return 1
 	}
 	return 0
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
-}
-
-func writeJSONError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, service.ErrorResponse{Error: err.Error()})
 }

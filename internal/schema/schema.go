@@ -346,3 +346,23 @@ func (t Tuple) String() string {
 	b.WriteByte(')')
 	return b.String()
 }
+
+// AppendJSON appends t as a JSON array of its cells' wire encodings
+// (types.Value.AppendJSON). A nil tuple is null, as encoding/json
+// writes a nil slice.
+func (t Tuple) AppendJSON(dst []byte) ([]byte, error) {
+	if t == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, '[')
+	for i, v := range t {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = v.AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
+}

@@ -45,23 +45,23 @@ type HowtoResponse struct {
 func (s *Server) handleHowto(w http.ResponseWriter, r *http.Request) {
 	var req HowtoRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	mods, err := DecodeModifications(req.Modifications)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	opts, ok := variantOptions(req.Variant)
 	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown variant %q (want R, R+PS, R+DS, R+PS+DS)", req.Variant))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("unknown variant %q (want R, R+PS, R+DS, R+PS+DS)", req.Variant))
 		return
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
 	if err := s.waitMinVersion(ctx, req.MinVersion); err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	res, err := howto.Search(ctx, s.engine, mods, req.Target, howto.Options{
@@ -69,8 +69,8 @@ func (s *Server) handleHowto(w http.ResponseWriter, r *http.Request) {
 		Engine: &opts,
 	})
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, HowtoResponse{Result: res})
+	s.writeJSON(w, http.StatusOK, HowtoResponse{Result: res})
 }

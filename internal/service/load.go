@@ -19,8 +19,9 @@ import (
 
 // LoadEngine builds an engine from CSV snapshots and a SQL history
 // script — the file-based bootstrap shared by cmd/mahifd. Each data
-// spec is "relation=file.csv" (header row required; column types
-// inferred from the first data row: int, float, bool, then string).
+// spec is "relation=file.csv" (header row required; each column's type
+// is the first of int, float, bool and string that every non-empty
+// cell of the column parses as; floats must be finite).
 // The history is applied statement by statement, so the engine's redo
 // log matches the script.
 func LoadEngine(dataSpecs []string, historyPath string) (*core.Engine, error) {
@@ -171,7 +172,7 @@ func inferKind(rows [][]string, ci int) types.Kind {
 			kind = types.KindFloat
 			fallthrough
 		case types.KindFloat:
-			if _, err := strconv.ParseFloat(cell, 64); err == nil {
+			if _, ok := types.ParseFloat(cell); ok {
 				continue
 			}
 			kind = types.KindBool
@@ -196,7 +197,7 @@ func parseCell(cell string, kind types.Kind) types.Value {
 			return types.Int(v)
 		}
 	case types.KindFloat:
-		if v, err := strconv.ParseFloat(cell, 64); err == nil {
+		if v, ok := types.ParseFloat(cell); ok {
 			return types.Float(v)
 		}
 	case types.KindBool:

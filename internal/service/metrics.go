@@ -120,6 +120,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "mahif_templates_registered %d\n", s.templates.Len())
 	m("mahif_template_evals_total", "Bindings answered through template eval endpoints.", "counter")
 	fmt.Fprintf(&b, "mahif_template_evals_total %d\n", s.templateEvals.Load())
+	m("mahif_http_encode_errors_total", "Responses that could not be encoded and answered 500 instead.", "counter")
+	fmt.Fprintf(&b, "mahif_http_encode_errors_total %d\n", s.encodeErrors.Load())
 
 	if s.opts.Store != nil {
 		st := s.opts.Store.Stats()

@@ -24,7 +24,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		st := s.opts.Replication.ReplicationStatus()
 		resp.Replication = &st
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleWALStream serves GET /v1/wal?from=<seq>[&to=<seq>]: the
@@ -36,23 +36,23 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // the stream down by closing the connection.
 func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Store == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no WAL: this server is not store-backed"))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no WAL: this server is not store-backed"))
 		return
 	}
 	q := r.URL.Query()
 	from, err := queryInt(q.Get("from"), 1)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad from: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad from: %w", err))
 		return
 	}
 	to, err := queryInt(q.Get("to"), 0)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad to: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad to: %w", err))
 		return
 	}
 	tr, err := s.opts.Store.TailFrom(uint64(from))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer tr.Close()
@@ -107,21 +107,21 @@ func (s *Server) handleWALStream(w http.ResponseWriter, r *http.Request) {
 // version rides in the X-Mahif-Checkpoint-Version header.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if s.opts.Store == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no checkpoints: this server is not store-backed"))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no checkpoints: this server is not store-backed"))
 		return
 	}
 	version := -1
 	if raw := r.URL.Query().Get("version"); raw != "" {
 		v, err := queryInt(raw, -1)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad version: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad version: %w", err))
 			return
 		}
 		version = v
 	}
 	img, ver, err := s.opts.Store.CheckpointImage(version)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -86,6 +86,10 @@ type Server struct {
 	tseq          atomic.Int64
 	templateEvals atomic.Int64
 
+	// encodeErrors counts responses that could not be encoded and
+	// answered 500 instead (see WriteJSON).
+	encodeErrors atomic.Int64
+
 	// streamStop ends live WAL streams on shutdown: they outlive any
 	// drain window by design, so Shutdown would otherwise never finish.
 	streamStop     chan struct{}
@@ -157,17 +161,17 @@ func (s *Server) Handler() http.Handler {
 // is written only after the WAL fsync.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if s.opts.ReadOnly {
-		writeError(w, http.StatusForbidden, fmt.Errorf("read-only %s: appends go to the leader", s.opts.Role))
+		WriteError(w, http.StatusForbidden, fmt.Errorf("read-only %s: appends go to the leader", s.opts.Role))
 		return
 	}
 	var req AppendRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	stmts, err := DecodeStatements(req.Statements)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
@@ -176,13 +180,13 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Statements before the failing one stay committed; the error
 		// carries the detail, the version the survivors.
-		writeJSON(w, statusFor(err), struct {
+		s.writeJSON(w, statusFor(err), struct {
 			ErrorResponse
 			Version int `json:"version"`
 		}{ErrorResponse{Error: err.Error()}, ver})
 		return
 	}
-	writeJSON(w, http.StatusOK, AppendResponse{
+	s.writeJSON(w, http.StatusOK, AppendResponse{
 		Version:  ver,
 		Appended: len(stmts),
 		Durable:  s.engine.Durable(),
@@ -217,18 +221,6 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) er
 	return nil
 }
 
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
-}
-
 // statusFor maps evaluation errors to HTTP codes: deadline overruns
 // are the server's fault (504), everything else surfaced by the
 // engine at this point is a bad query (400).
@@ -258,76 +250,76 @@ func variantOptions(name string) (core.Options, bool) {
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	var req WhatIfRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	mods, err := DecodeModifications(req.Modifications)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	queries, err := DecodeAggregateQueries(req.Queries)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
 	if err := s.waitMinVersion(ctx, req.MinVersion); err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	if req.Variant == string(core.VariantNaive) {
 		d, reps, stats, err := s.sess.NaiveAggregatesCtx(ctx, mods, queries)
 		if err != nil {
-			writeError(w, statusFor(err), err)
+			WriteError(w, statusFor(err), err)
 			return
 		}
 		resp := WhatIfResponse{Delta: d, Aggregates: reps}
 		if req.Stats {
 			resp.NaiveStats = stats
 		}
-		writeJSON(w, http.StatusOK, resp)
+		s.writeJSON(w, http.StatusOK, resp)
 		return
 	}
 
 	opts, ok := variantOptions(req.Variant)
 	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown variant %q (want N, R, R+PS, R+DS, R+PS+DS)", req.Variant))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("unknown variant %q (want N, R, R+PS, R+DS, R+PS+DS)", req.Variant))
 		return
 	}
 	d, reps, stats, err := s.sess.WhatIfAggregatesCtx(ctx, mods, queries, opts)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	resp := WhatIfResponse{Delta: d, Aggregates: reps}
 	if req.Stats {
 		resp.Stats = stats
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	scenarios, err := DecodeScenarios(req.Scenarios)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	opts, ok := variantOptions(req.Variant)
 	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown variant %q (want R, R+PS, R+DS, R+PS+DS)", req.Variant))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("unknown variant %q (want R, R+PS, R+DS, R+PS+DS)", req.Variant))
 		return
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
 	if err := s.waitMinVersion(ctx, req.MinVersion); err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	results, bstats, err := s.sess.WhatIfBatchCtx(ctx, scenarios, core.BatchOptions{
@@ -335,7 +327,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Workers: req.Workers,
 	})
 	if err != nil && results == nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	// err != nil with results means the batch was cut short by the
@@ -359,7 +351,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if req.Stats {
 		resp.Stats = bstats
 	}
-	writeJSON(w, status, resp)
+	s.writeJSON(w, status, resp)
 }
 
 // waitMinVersion enforces a request's read-your-writes bound: block
@@ -384,18 +376,18 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	since, err := queryInt(q.Get("since"), 0)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad since: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad since: %w", err))
 		return
 	}
 	limit, err := queryInt(q.Get("limit"), 0)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad limit: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad limit: %w", err))
 		return
 	}
 	paged := q.Has("since") || q.Has("limit")
 	h, total, err := s.engine.HistoryRange(since, limit)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	resp := HistoryResponse{Version: total, Statements: make([]string, len(h))}
@@ -406,7 +398,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		resp.Since = since
 		resp.More = since+len(h) < total
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // queryInt parses a non-negative integer query parameter.

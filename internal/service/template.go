@@ -92,24 +92,24 @@ type TemplateEvalResponse struct {
 func (s *Server) handleTemplateCreate(w http.ResponseWriter, r *http.Request) {
 	var req TemplateRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	mods, err := DecodeModifications(req.Modifications)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	opts, ok := variantOptions(req.Variant)
 	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown variant %q (want R, R+PS, R+DS, R+PS+DS)", req.Variant))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("unknown variant %q (want R, R+PS, R+DS, R+PS+DS)", req.Variant))
 		return
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
 	tpl, err := s.sess.CompileTemplateCtx(ctx, mods, opts)
 	if err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 
@@ -117,7 +117,7 @@ func (s *Server) handleTemplateCreate(w http.ResponseWriter, r *http.Request) {
 	s.templates.Store(id, tpl)
 
 	st := tpl.Stats()
-	writeJSON(w, http.StatusOK, TemplateResponse{
+	s.writeJSON(w, http.StatusOK, TemplateResponse{
 		ID:                 id,
 		Params:             tpl.Params(),
 		Version:            st.Version,
@@ -136,44 +136,44 @@ func (s *Server) handleTemplateEval(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	tpl, ok := s.templates.Lookup(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown template %q", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown template %q", id))
 		return
 	}
 	var req TemplateEvalRequest
 	if err := s.decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if (req.Binding == nil) == (len(req.Bindings) == 0) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("exactly one of binding and bindings must be set"))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("exactly one of binding and bindings must be set"))
 		return
 	}
 	queries, err := DecodeAggregateQueries(req.Queries)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
 	if err := s.waitMinVersion(ctx, req.MinVersion); err != nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 
 	if req.Binding != nil {
 		d, reps, err := tpl.EvalAggregatesCtx(ctx, req.Binding, queries)
 		if err != nil {
-			writeError(w, statusFor(err), err)
+			WriteError(w, statusFor(err), err)
 			return
 		}
 		s.templateEvals.Add(1)
-		writeJSON(w, http.StatusOK, TemplateEvalResponse{Delta: d, Aggregates: reps})
+		s.writeJSON(w, http.StatusOK, TemplateEvalResponse{Delta: d, Aggregates: reps})
 		return
 	}
 
 	results, err := tpl.EvalAggregatesBatchCtx(ctx, req.Bindings, queries, req.Workers)
 	if err != nil && results == nil {
-		writeError(w, statusFor(err), err)
+		WriteError(w, statusFor(err), err)
 		return
 	}
 	// Like /v1/batch: a sweep cut short by the deadline returns the
@@ -192,5 +192,5 @@ func (s *Server) handleTemplateEval(w http.ResponseWriter, r *http.Request) {
 		resp.Results[i] = out
 	}
 	s.templateEvals.Add(int64(len(results)))
-	writeJSON(w, status, resp)
+	s.writeJSON(w, status, resp)
 }

@@ -1,10 +1,13 @@
 package types
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // JSON wire format for values. Kinds map onto native JSON so payloads
@@ -19,80 +22,169 @@ import (
 //
 // Floats whose shortest rendering looks integral gain a ".0" suffix,
 // so Int(1) and Float(1) stay distinct across a round trip. The float
-// domain is finite by construction (see Arith), so every value has a
-// JSON rendering.
+// domain is finite by construction (see Arith and ParseFloat), so every
+// value the engine builds has a JSON rendering.
 
-// MarshalJSON implements json.Marshaler with the wire format above.
-func (v Value) MarshalJSON() ([]byte, error) {
+// AppendJSON appends v's wire encoding (above) to dst. A non-finite
+// float is an error, never the bytes "NaN.0": JSON has no spelling for
+// it.
+func (v Value) AppendJSON(dst []byte) ([]byte, error) {
 	switch v.kind {
 	case KindNull:
-		return []byte("null"), nil
+		return append(dst, "null"...), nil
 	case KindInt:
-		return strconv.AppendInt(nil, v.i, 10), nil
+		return strconv.AppendInt(dst, v.i, 10), nil
 	case KindFloat:
-		out := strconv.FormatFloat(v.f, 'g', -1, 64)
-		if !strings.ContainsAny(out, ".eE") {
-			out += ".0"
+		if math.IsNaN(v.f) || math.IsInf(v.f, 0) {
+			return dst, fmt.Errorf("types: cannot marshal non-finite float %v", v.f)
 		}
-		return []byte(out), nil
+		n := len(dst)
+		dst = strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		for _, c := range dst[n:] {
+			if c == '.' || c == 'e' {
+				return dst, nil
+			}
+		}
+		return append(dst, ".0"...), nil
 	case KindString:
-		return json.Marshal(v.s)
+		return AppendJSONString(dst, v.s), nil
 	case KindBool:
-		if v.b {
-			return []byte("true"), nil
-		}
-		return []byte("false"), nil
+		return strconv.AppendBool(dst, v.b), nil
 	}
-	return nil, fmt.Errorf("types: cannot marshal kind %s", v.kind)
+	return dst, fmt.Errorf("types: cannot marshal kind %s", v.kind)
+}
+
+// MarshalJSON implements json.Marshaler with the wire format above.
+func (v Value) MarshalJSON() ([]byte, error) { return v.AppendJSON(nil) }
+
+const hexDigits = "0123456789abcdef"
+
+// AppendJSONString appends s as a JSON string, quoted exactly as
+// encoding/json quotes it: '<', '>' and '&' escaped as \u003c, \u003e
+// and \u0026, control characters as \b, \f, \n, \r, \t or \u00XX,
+// U+2028 and U+2029 as \u2028 and \u2029, and each byte of invalid
+// UTF-8 as \ufffd.
+func AppendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // UnmarshalJSON implements json.Unmarshaler for the wire format
 // produced by MarshalJSON: numbers with a fraction or exponent decode
-// to floats, bare integers to ints.
+// to floats, bare integers to ints. It reads data in place; only a
+// string with an escape, a control byte or invalid UTF-8 goes through
+// encoding/json's unquoting.
 func (v *Value) UnmarshalJSON(data []byte) error {
-	s := strings.TrimSpace(string(data))
-	if s == "" {
+	data = bytes.TrimSpace(data)
+	if len(data) == 0 {
 		return fmt.Errorf("types: empty JSON value")
 	}
 	switch {
-	case s == "null":
+	case string(data) == "null":
 		*v = Null()
 		return nil
-	case s == "true":
+	case string(data) == "true":
 		*v = Bool(true)
 		return nil
-	case s == "false":
+	case string(data) == "false":
 		*v = Bool(false)
 		return nil
-	case s[0] == '"':
+	case data[0] == '"':
+		if s, ok := plainJSONString(data); ok {
+			*v = String(s)
+			return nil
+		}
 		var str string
-		if err := json.Unmarshal([]byte(s), &str); err != nil {
-			return fmt.Errorf("types: bad JSON string %s: %w", s, err)
+		if err := json.Unmarshal(data, &str); err != nil {
+			return fmt.Errorf("types: bad JSON string %s: %w", data, err)
 		}
 		*v = String(str)
 		return nil
 	}
-	if strings.ContainsAny(s, ".eE") {
-		f, err := strconv.ParseFloat(s, 64)
+	if bytes.ContainsAny(data, ".eE") {
+		f, err := strconv.ParseFloat(string(data), 64)
 		if err != nil {
-			return fmt.Errorf("types: bad JSON number %s: %w", s, err)
+			return fmt.Errorf("types: bad JSON number %s: %w", data, err)
 		}
 		*v = Float(f)
 		return nil
 	}
-	i, err := strconv.ParseInt(s, 10, 64)
+	i, err := strconv.ParseInt(string(data), 10, 64)
 	if err != nil {
 		// Integral but beyond int64 (e.g. 1e300 written digit by
 		// digit): fall back to the float domain rather than failing.
-		f, ferr := strconv.ParseFloat(s, 64)
+		f, ferr := strconv.ParseFloat(string(data), 64)
 		if ferr != nil {
-			return fmt.Errorf("types: bad JSON number %s: %w", s, err)
+			return fmt.Errorf("types: bad JSON number %s: %w", data, err)
 		}
 		*v = Float(f)
 		return nil
 	}
 	*v = Int(i)
 	return nil
+}
+
+// plainJSONString returns the contents of a quoted JSON string that
+// needs no unquoting: no escape, no control byte, no inner quote, and
+// valid UTF-8 (which encoding/json would rewrite to U+FFFD).
+func plainJSONString(data []byte) (string, bool) {
+	if len(data) < 2 || data[len(data)-1] != '"' {
+		return "", false
+	}
+	body := data[1 : len(data)-1]
+	for _, b := range body {
+		if b < 0x20 || b == '"' || b == '\\' {
+			return "", false
+		}
+	}
+	if !utf8.Valid(body) {
+		return "", false
+	}
+	return string(body), true
 }
 
 // ParseKind maps a kind's wire name (the Kind.String rendering) back

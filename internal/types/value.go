@@ -348,7 +348,7 @@ func Parse(s string) Value {
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return Int(i)
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil && !math.IsInf(f, 0) && !math.IsNaN(f) {
+	if f, ok := ParseFloat(s); ok {
 		return Float(f)
 	}
 	switch s {
@@ -358,4 +358,15 @@ func Parse(s string) Value {
 		return Bool(false)
 	}
 	return String(s)
+}
+
+// ParseFloat parses s as a float of the finite domain: it rejects what
+// strconv.ParseFloat rejects, and also the NaN and ±Inf spellings it
+// accepts ("NaN", "inf", "-Infinity").
+func ParseFloat(s string) (float64, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil || math.IsInf(f, 0) || math.IsNaN(f) {
+		return 0, false
+	}
+	return f, true
 }
