@@ -74,29 +74,22 @@ func (r *AggregateReport) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `{"query":`...)
 	dst = types.AppendJSONString(dst, r.Query)
 	dst = append(dst, `,"group_columns":`...)
-	dst = appendJSONStrings(dst, r.GroupColumns)
+	dst, _ = types.AppendJSONArray(dst, r.GroupColumns, appendJSONString)
 	dst = append(dst, `,"agg_columns":`...)
-	dst = appendJSONStrings(dst, r.AggColumns)
-	dst = append(dst, `,"rows":`...)
-	if r.Rows == nil {
-		return append(dst, "null}"...), nil
-	}
-	dst = append(dst, '[')
-	for i := range r.Rows {
-		if i > 0 {
-			dst = append(dst, ',')
+	dst, _ = types.AppendJSONArray(dst, r.AggColumns, appendJSONString)
+	dst, err := types.AppendJSONArray(append(dst, `,"rows":`...), r.Rows, appendAggregateRow)
+	return append(dst, '}'), err
+}
+
+// appendAggregateRow appends row's encoding by its field tags.
+func appendAggregateRow(row *AggregateRow, dst []byte) ([]byte, error) {
+	var err error
+	for j, t := range [...]schema.Tuple{row.Group, row.Historical, row.Hypothetical, row.Delta} {
+		if dst, err = t.AppendJSON(append(dst, aggregateRowKeys[j]...)); err != nil {
+			return dst, err
 		}
-		row := &r.Rows[i]
-		for j, t := range [...]schema.Tuple{row.Group, row.Historical, row.Hypothetical, row.Delta} {
-			dst = append(dst, aggregateRowKeys[j]...)
-			var err error
-			if dst, err = t.AppendJSON(dst); err != nil {
-				return dst, err
-			}
-		}
-		dst = append(dst, '}')
 	}
-	return append(dst, "]}"...), nil
+	return append(dst, '}'), nil
 }
 
 // aggregateRowKeys opens each AggregateRow field on the wire, in order.
@@ -105,19 +98,10 @@ var aggregateRowKeys = [...]string{`{"group":`, `,"historical":`, `,"hypothetica
 // MarshalJSON implements json.Marshaler with AppendJSON's encoding.
 func (r *AggregateReport) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil) }
 
-// appendJSONStrings appends ss as a JSON array of strings, null when nil.
-func appendJSONStrings(dst []byte, ss []string) []byte {
-	if ss == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '[')
-	for i, s := range ss {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = types.AppendJSONString(dst, s)
-	}
-	return append(dst, ']')
+// appendJSONString is types.AppendJSONString as an AppendJSONArray
+// element encoder.
+func appendJSONString(s *string, dst []byte) ([]byte, error) {
+	return types.AppendJSONString(dst, *s), nil
 }
 
 // patchRelation applies one relation's delta to its historical state:

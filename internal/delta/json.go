@@ -52,48 +52,27 @@ func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
 	if r.Schema == nil {
 		dst = append(dst, "null"...)
 	} else {
-		dst = append(dst, '[')
-		for i, c := range r.Schema.Columns {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"name":`...)
-			dst = types.AppendJSONString(dst, c.Name)
-			dst = append(dst, `,"type":`...)
-			dst = types.AppendJSONString(dst, c.Type.String())
-			dst = append(dst, '}')
+		cols := r.Schema.Columns
+		if cols == nil { // a column-less schema still lists its columns as []
+			cols = []schema.Column{}
 		}
-		dst = append(dst, ']')
+		dst, _ = types.AppendJSONArray(dst, cols, appendColumn)
 	}
 	var err error
 	if len(r.Minus) > 0 {
-		dst = append(dst, `,"minus":`...)
-		if dst, err = appendTuples(dst, r.Minus); err != nil {
-			return dst, err
-		}
+		dst, err = types.AppendJSONArray(append(dst, `,"minus":`...), r.Minus, (*schema.Tuple).AppendJSON)
 	}
-	if len(r.Plus) > 0 {
-		dst = append(dst, `,"plus":`...)
-		if dst, err = appendTuples(dst, r.Plus); err != nil {
-			return dst, err
-		}
+	if err == nil && len(r.Plus) > 0 {
+		dst, err = types.AppendJSONArray(append(dst, `,"plus":`...), r.Plus, (*schema.Tuple).AppendJSON)
 	}
-	return append(dst, '}'), nil
+	return append(dst, '}'), err
 }
 
-// appendTuples appends a non-empty tuple list as a JSON array.
-func appendTuples(dst []byte, ts []schema.Tuple) ([]byte, error) {
-	dst = append(dst, '[')
-	for i, t := range ts {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		var err error
-		if dst, err = t.AppendJSON(dst); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, ']'), nil
+// appendColumn appends c as a wireColumn object.
+func appendColumn(c *schema.Column, dst []byte) ([]byte, error) {
+	dst = types.AppendJSONString(append(dst, `{"name":`...), c.Name)
+	dst = types.AppendJSONString(append(dst, `,"type":`...), c.Type.String())
+	return append(dst, '}'), nil
 }
 
 // MarshalJSON implements json.Marshaler with the v1 wire format.

@@ -349,7 +349,9 @@ func (t Tuple) String() string {
 
 // AppendJSON appends t as a JSON array of its cells' wire encodings
 // (types.Value.AppendJSON). A nil tuple is null, as encoding/json
-// writes a nil slice.
+// writes a nil slice. This is the per-cell loop, so it calls
+// Value.AppendJSON directly: through types.AppendJSONArray's element
+// function a large delta encodes about 10 % slower.
 func (t Tuple) AppendJSON(dst []byte) ([]byte, error) {
 	if t == nil {
 		return append(dst, "null"...), nil

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"github.com/mahif/mahif/internal/core"
 	"github.com/mahif/mahif/internal/types"
@@ -20,19 +19,12 @@ type jsonAppender interface {
 	AppendJSON(dst []byte) ([]byte, error)
 }
 
-// bodyPool recycles response buffers. A buffer grown past
-// maxPooledBody is left to the collector rather than kept alive.
-var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
-
-const maxPooledBody = 1 << 20
-
 // WriteJSON writes body as a compact JSON response with the given
 // status and a trailing newline. The body is encoded in full before the
 // header goes out, so a body that cannot be encoded answers 500 with an
 // ErrorResponse, never a truncated 2xx; the encoding error is returned.
 func WriteJSON(w http.ResponseWriter, status int, body any) error {
-	bp := bodyPool.Get().(*[]byte)
-	buf, err := appendBody((*bp)[:0], body)
+	buf, err := appendBody(make([]byte, 0, 4<<10), body)
 	if err != nil {
 		status = http.StatusInternalServerError
 		buf, _ = appendBody(buf[:0], ErrorResponse{Error: "encoding response: " + err.Error()})
@@ -41,10 +33,6 @@ func WriteJSON(w http.ResponseWriter, status int, body any) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(buf)
-	if cap(buf) <= maxPooledBody {
-		*bp = buf
-		bodyPool.Put(bp)
-	}
 	return err
 }
 
@@ -80,27 +68,8 @@ func field(dst []byte, name string) []byte {
 	return append(dst, '"', ':')
 }
 
-// appendArray appends xs as a JSON array of elem's encodings, null when
-// xs is nil.
-func appendArray[T any](dst []byte, xs []T, elem func(*T, []byte) ([]byte, error)) ([]byte, error) {
-	if xs == nil {
-		return append(dst, "null"...), nil
-	}
-	dst = append(dst, '[')
-	for i := range xs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		var err error
-		if dst, err = elem(&xs[i], dst); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, ']'), nil
-}
-
 func appendReports(dst []byte, reps []core.AggregateReport) ([]byte, error) {
-	return appendArray(dst, reps, (*core.AggregateReport).AppendJSON)
+	return types.AppendJSONArray(dst, reps, (*core.AggregateReport).AppendJSON)
 }
 
 // appendMarshaler appends a cold member's own encoding (the stats
@@ -136,7 +105,7 @@ func (r TemplateEvalResponse) AppendJSON(dst []byte) ([]byte, error) {
 		dst, err = appendReports(field(dst, "aggregates"), r.Aggregates)
 	}
 	if err == nil && len(r.Results) > 0 {
-		dst, err = appendArray(field(dst, "results"), r.Results, (*TemplateBindingResult).AppendJSON)
+		dst, err = types.AppendJSONArray(field(dst, "results"), r.Results, (*TemplateBindingResult).AppendJSON)
 	}
 	return append(dst, '}'), err
 }
@@ -159,7 +128,7 @@ func (r TemplateBindingResult) AppendJSON(dst []byte) ([]byte, error) {
 
 // AppendJSON appends the response's compact encoding.
 func (r BatchResponse) AppendJSON(dst []byte) ([]byte, error) {
-	dst, err := appendArray(field(append(dst, '{'), "results"), r.Results, (*BatchScenarioResult).AppendJSON)
+	dst, err := types.AppendJSONArray(field(append(dst, '{'), "results"), r.Results, (*BatchScenarioResult).AppendJSON)
 	if err == nil && r.Stats != nil {
 		dst, err = appendMarshaler(field(dst, "stats"), r.Stats)
 	}

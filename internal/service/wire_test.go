@@ -220,6 +220,9 @@ func (g *wireGen) tuples(n int) []schema.Tuple {
 // arity); withSchema false may leave the schema nil.
 func (g *wireGen) result(withSchema bool) *delta.Result {
 	cols := make([]schema.Column, g.r.IntN(4))
+	if len(cols) == 0 && g.r.IntN(2) == 0 {
+		cols = nil // schema.New(name) with no columns
+	}
 	for i := range cols {
 		cols[i] = schema.Col(g.str()+strconv.Itoa(i), types.Kind(g.r.IntN(5)))
 	}
@@ -566,26 +569,30 @@ func TestLoadCSVRejectsNonFiniteFloats(t *testing.T) {
 	}
 }
 
-// BenchmarkWhatIfResponseAppendJSON encodes a 1 000-row, 6-column delta
-// with a one-group report, the size of a large serve_mixed answer.
-func BenchmarkWhatIfResponseAppendJSON(b *testing.B) {
+// benchDelta is an n-row-per-side, 6-column delta on orders with a
+// one-group SUM report, the shape of a serve_mixed answer.
+func benchDelta(n int) (delta.Set, []core.AggregateReport) {
 	cols := []schema.Column{
 		schema.Col("id", types.KindInt), schema.Col("price", types.KindFloat), schema.Col("fee", types.KindFloat),
 		schema.Col("name", types.KindString), schema.Col("vip", types.KindBool), schema.Col("note", types.KindString),
 	}
 	r := &delta.Result{Relation: "orders", Schema: schema.New("orders", cols...)}
-	for i := 0; i < 500; i++ {
+	for i := 0; i < n; i++ {
 		for _, side := range []*[]schema.Tuple{&r.Minus, &r.Plus} {
 			*side = append(*side, schema.Tuple{types.Int(int64(i)), types.Float(float64(i) * 1.25), types.Float(float64(i % 7)),
 				types.String("customer-" + strconv.Itoa(i)), types.Bool(i%2 == 0), types.Null()})
 		}
 	}
-	resp := WhatIfResponse{Delta: delta.Set{"orders": r}, Aggregates: []core.AggregateReport{{
+	return delta.Set{"orders": r}, []core.AggregateReport{{
 		Query: "SELECT SUM(fee) AS s FROM orders", GroupColumns: []string{}, AggColumns: []string{"s"},
 		Rows: []core.AggregateRow{{Group: schema.Tuple{}, Historical: schema.Tuple{types.Float(1500)},
 			Hypothetical: schema.Tuple{types.Float(1490)}, Delta: schema.Tuple{types.Float(-10)}}},
-	}}}
-	buf, err := resp.AppendJSON(nil)
+	}}
+}
+
+// benchAppend times body.AppendJSON into a reused buffer.
+func benchAppend(b *testing.B, body jsonAppender) {
+	buf, err := body.AppendJSON(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -593,8 +600,49 @@ func BenchmarkWhatIfResponseAppendJSON(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if buf, err = resp.AppendJSON(buf[:0]); err != nil {
+		if buf, err = body.AppendJSON(buf[:0]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWhatIfResponseAppendJSON encodes a 500-row-per-side delta
+// with a one-group report, the size of a large serve_mixed answer.
+func BenchmarkWhatIfResponseAppendJSON(b *testing.B) {
+	d, reps := benchDelta(500)
+	benchAppend(b, WhatIfResponse{Delta: d, Aggregates: reps})
+}
+
+// BenchmarkEnvelopeEncode compares the batch and sweep envelopes'
+// AppendJSON with json.Marshal over their field tags, which still
+// reaches the nested Sets and reports through their MarshalJSON: eight
+// scenarios (bindings) of a 60-row-per-side delta and a report each.
+func BenchmarkEnvelopeEncode(b *testing.B) {
+	var batch BatchResponse
+	var sweep TemplateEvalResponse
+	for i := 1; i <= 8; i++ {
+		d, reps := benchDelta(60)
+		batch.Results = append(batch.Results, BatchScenarioResult{Scenario: i, Label: "s" + strconv.Itoa(i), Delta: d, Aggregates: reps})
+		sweep.Results = append(sweep.Results, TemplateBindingResult{Binding: i, Delta: d, Aggregates: reps})
+	}
+	for _, body := range []struct {
+		name string
+		body jsonAppender
+	}{{"batch", batch}, {"sweep", sweep}} {
+		b.Run(body.name+"/append", func(b *testing.B) { benchAppend(b, body.body) })
+		b.Run(body.name+"/marshal", func(b *testing.B) {
+			buf, err := json.Marshal(body.body)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err = json.Marshal(body.body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

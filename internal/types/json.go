@@ -59,6 +59,26 @@ func (v Value) MarshalJSON() ([]byte, error) { return v.AppendJSON(nil) }
 
 const hexDigits = "0123456789abcdef"
 
+// AppendJSONArray appends xs as a JSON array of elem's encodings, null
+// when xs is nil, as encoding/json writes a slice. It stops at the
+// first element elem fails on.
+func AppendJSONArray[T any](dst []byte, xs []T, elem func(*T, []byte) ([]byte, error)) ([]byte, error) {
+	if xs == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, '[')
+	for i := range xs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = elem(&xs[i], dst); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
+}
+
 // AppendJSONString appends s as a JSON string, quoted exactly as
 // encoding/json quotes it: '<', '>' and '&' escaped as \u003c, \u003e
 // and \u0026, control characters as \b, \f, \n, \r, \t or \u00XX,
