@@ -529,7 +529,7 @@ func (ev evaluator) program(q algebra.Query, db *storage.Database, fp string) *e
 }
 
 // runRows answers q over db as rows, without looking at or feeding the
-// result cache: a patched hypothetical state, a template's slice count.
+// result cache: a patched hypothetical state.
 func (ev evaluator) runRows(q algebra.Query, db *storage.Database, fp string) (*storage.Relation, error) {
 	if prog := ev.program(q, db, fp); prog != nil {
 		return prog.RunCtx(ev.evalCtx(), db)
@@ -546,6 +546,12 @@ func (ev evaluator) runView(q algebra.Query, db *storage.Database, fp string) (*
 	if prog := ev.program(q, db, fp); prog != nil {
 		return prog.RunColumnarCtx(ev.evalCtx(), db)
 	}
+	return ev.interpretView(q, db)
+}
+
+// interpretView is interpret with the result transposed into the
+// columnar view core holds results in.
+func (ev evaluator) interpretView(q algebra.Query, db *storage.Database) (*storage.ColumnarView, error) {
 	rel, err := ev.interpret(q, db)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -153,7 +154,7 @@ func TestTemplateMatchesWhatIf(t *testing.T) {
 		{types.Int(9100), "sliced"}, {types.Int(9000), "sliced"}, {types.Int(8500), "sliced"},
 		{types.Int(0), "unsliced"}, {types.Int(workload.SelRange + 50), "sliced"},
 		// ≈ 45 % a side: the slices are smaller than the relation, but not
-		// by the batch the sliced pair's second program costs.
+		// by the batch the sliced pair's second pass over it costs.
 		{types.Int(5500), "unsliced"},
 		{types.Float(8999.5), "sliced"},
 		// 2^53 boundary: past exact float integer representation.
@@ -274,13 +275,27 @@ func sliceShapes(t *testing.T) (*Engine, []templateShape) {
 	}
 }
 
+// templateKindEdges are binding values at the edges of the kernels a
+// template's compiled programs specialize per run: an int and its float
+// twin, ±2^53 and 2^53+1, −0.0, values below and above every cell of
+// the Taxi columns, and NULL. The value above every cell stays inside
+// the ±1e6 box the slicing solver bounds a free numeric variable to:
+// the fresh program-sliced what-if these answers are checked against
+// slices unsoundly when a SET moves a value beyond it.
+var templateKindEdges = []types.Value{
+	types.Int(9500), types.Float(9500), types.Int(1 << 53), types.Int(-(1 << 53)), types.Int(1<<53 + 1),
+	types.Float(math.Copysign(0, -1)), types.Int(-1), types.Float(1e5), types.Null(),
+}
+
 // TestTemplateRandomizedDifferential sweeps template shapes (slots in
 // comparisons, conjunctions, arithmetic, SET clauses, DELETE and
 // INSERT … SELECT conditions, push-down through a slotted SET) and
-// bindings — narrow, wide, random and NULL — under every variant: each
-// delta equals both plans' and a fresh what-if's, and under data
-// slicing every shape with a slotted original-side filter runs both
-// plans.
+// bindings — narrow, wide, random, kind edges and NULL — under every
+// variant: each delta equals both plans' and a fresh what-if's, and
+// under data slicing every shape with a slotted original-side filter
+// runs both plans. The kind edges rotate through every slot of every
+// shape; a binding with a NULL in some slot is anchored on variant R
+// (see TestTemplateMatchesWhatIf).
 func TestTemplateRandomizedDifferential(t *testing.T) {
 	w, we := templateWorkload(t, 3000, 8, 11)
 	base := w.Mods[0].(history.Replace)
@@ -321,6 +336,7 @@ func TestTemplateRandomizedDifferential(t *testing.T) {
 	se, handShapes := sliceShapes(t)
 
 	rng := rand.New(rand.NewSource(42))
+	edge := 0
 	for _, group := range []struct {
 		e      *Engine
 		shapes []templateShape
@@ -343,9 +359,23 @@ func TestTemplateRandomizedDifferential(t *testing.T) {
 					}
 					bindings = append(bindings, binding)
 				}
+				for trial := 0; trial < 2; trial++ {
+					binding := map[string]types.Value{}
+					for _, p := range shape.params {
+						binding[p] = templateKindEdges[edge%len(templateKindEdges)]
+						edge++
+					}
+					bindings = append(bindings, binding)
+				}
 				for i, binding := range bindings {
 					label := fmt.Sprintf("%s %s binding %d %v", shape.name, v, i, binding)
-					plan := requireBindingAgrees(t, group.e, tpl, opts, binding, label)
+					anchor := opts
+					for _, val := range binding {
+						if val.IsNull() {
+							anchor = OptionsFor(VariantR)
+						}
+					}
+					plan := requireBindingAgrees(t, group.e, tpl, anchor, binding, label)
 					switch {
 					case !opts.DataSlicing || shape.narrow == nil:
 						if plan != "" {
@@ -631,12 +661,32 @@ func TestSessionTemplateCacheInvalidation(t *testing.T) {
 
 // TestTemplateConcurrentEval stresses one template from many
 // goroutines, with a history append landing mid-flight (exercises the
-// transparent recompile under contention; run with -race).
+// transparent recompile under contention; run with -race). Every answer
+// must equal a fresh what-if over its substituted modifications; the
+// appended statement is a no-op, so that answer holds at every version.
+// All goroutines run the same compiled programs under their own
+// bindings at once: a binding that reached another eval's run fails
+// here.
 func TestTemplateConcurrentEval(t *testing.T) {
 	w, e := templateWorkload(t, 400, 6, 43)
-	tpl, err := e.CompileTemplate(paramMods(w), OptionsFor(VariantRPS))
+	opts := OptionsFor(VariantRPS)
+	tpl, err := e.CompileTemplate(paramMods(w), opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	binding := func(g, i int) map[string]types.Value {
+		return map[string]types.Value{"cut": types.Int(int64(8600 + 50*g + i))}
+	}
+	want := map[int64]delta.Set{}
+	for g := 0; g < 8; g++ {
+		for i := 0; i < 6; i++ {
+			b := binding(g, i)
+			d, _, err := e.WhatIf(tpl.SubstitutedMods(b), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[b["cut"].AsInt()] = d
+		}
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -645,11 +695,13 @@ func TestTemplateConcurrentEval(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
-				binding := map[string]types.Value{"cut": types.Int(int64(8600 + 50*g + i))}
-				if _, err := tpl.Eval(binding); err != nil {
+				b := binding(g, i)
+				got, err := tpl.Eval(b)
+				if err != nil {
 					errs <- fmt.Errorf("goroutine %d iter %d: %w", g, i, err)
 					return
 				}
+				sameDeltaSet(t, fmt.Sprintf("goroutine %d iter %d (cut %s)", g, i, b["cut"]), got, want[b["cut"].AsInt()])
 			}
 		}(g)
 	}

@@ -62,7 +62,7 @@ func (p *Program) RunGroupStateCtx(ctx context.Context, db *storage.Database) (*
 	if !ok {
 		return nil, fmt.Errorf("exec: the program does not aggregate at the top")
 	}
-	return n.fold(&runCtx{db: db, ctx: ctx})
+	return n.fold(p.newRun(ctx, db, nil))
 }
 
 func (n *vaggregateNode) run(rc *runCtx, emit vecEmit) error {
@@ -115,6 +115,7 @@ func (n *vaggregateNode) fold(rc *runCtx) (*algebra.GroupState, error) {
 	nG := len(n.groupFns)
 	st := algebra.NewGroupState(n.fns, nG > 0)
 	pool := newVecPool(n.cfg.bs)
+	pool.bind(rc.args)
 	var hs []uint64
 	var gis []int // group ordinal of each live row; nil for a global γ
 	keyCols := make([]storage.ColVec, nG)
@@ -248,8 +249,9 @@ func foldArg(st *algebra.GroupState, j int, col *storage.ColVec, sel []int, live
 }
 
 // compileVecAggregate lowers γ for the vectorized path.
-func compileVecAggregate(x *algebra.Aggregate, db *storage.Database, cfg vecConfig) (vecNode, *schema.Schema, error) {
-	in, s, err := compileVecNode(x.In, db, cfg)
+func (c *compiler) compileVecAggregate(x *algebra.Aggregate, db *storage.Database) (vecNode, *schema.Schema, error) {
+	cfg := c.cfg
+	in, s, err := c.compileVecNode(x.In, db)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -263,7 +265,7 @@ func compileVecAggregate(x *algebra.Aggregate, db *storage.Database, cfg vecConf
 			}
 		}
 		if src < 0 {
-			if fn, err = compileVecScalar(ne.E, s); err != nil {
+			if fn, err = c.compileVecScalar(ne.E, s); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -281,7 +283,7 @@ func compileVecAggregate(x *algebra.Aggregate, db *storage.Database, cfg vecConf
 				}
 			}
 			if src == -1 {
-				if fn, err = compileVecScalar(a.Arg, s); err != nil {
+				if fn, err = c.compileVecScalar(a.Arg, s); err != nil {
 					return nil, nil, err
 				}
 			}

@@ -127,15 +127,18 @@ func (c chain) newRun(cfg vecConfig) *chainRun {
 	return r
 }
 
-// getRun draws a recycled chainRun from pool (creating one on miss);
-// the caller returns it with putRun when the run completes. A chainRun
-// is used by exactly one goroutine at a time; the sync.Pool makes
-// concurrent Run calls on one Program safe.
-func (c chain) getRun(pool *sync.Pool, cfg vecConfig) *chainRun {
-	if r, ok := pool.Get().(*chainRun); ok {
-		return r
+// getRun draws a recycled chainRun from pool (creating one on miss),
+// bound to the run's parameter vector; the caller puts it back when the
+// run completes. A chainRun is used by exactly one goroutine at a time;
+// the sync.Pool makes concurrent Run calls on one Program safe, also
+// under different bindings.
+func (c chain) getRun(pool *sync.Pool, cfg vecConfig, rc *runCtx) *chainRun {
+	r, ok := pool.Get().(*chainRun)
+	if !ok {
+		r = c.newRun(cfg)
 	}
-	return c.newRun(cfg)
+	r.pool.bind(rc.args)
+	return r
 }
 
 // release drops the windows of a frozen view the run holds: shared's
@@ -325,7 +328,7 @@ func (st *vProjectState) apply(p *vecPool, b *batch) (*batch, error) {
 			out.cols[i] = b.cols[st.op.src[i]]
 			continue
 		}
-		if spec := st.op.ifs[i]; spec != nil {
+		if spec := st.op.ifs[i].resolve(p); spec != nil {
 			l := st.lane(i, b)
 			handled, err := spec.apply(p, b, l)
 			if err != nil {
@@ -389,7 +392,7 @@ func (n *vpipeNode) run(rc *runCtx, emit vecEmit) error {
 	if n.cfg.workers > 1 && len(tuples) >= n.cfg.minParallel {
 		return n.runParallel(rc, tuples, view, emit)
 	}
-	cr := n.ch.getRun(&n.runs, n.cfg)
+	cr := n.ch.getRun(&n.runs, n.cfg, rc)
 	defer n.runs.Put(cr)
 	if view != nil {
 		return runVecView(rc, view, 0, view.Rows, cr, n.cfg.bs, emit)
@@ -410,7 +413,7 @@ func (n *vpipeNode) runParallel(rc *runCtx, tuples []schema.Tuple, view *storage
 		wg.Add(1)
 		go func(w, lo int, part []schema.Tuple) {
 			defer wg.Done()
-			cr := n.ch.getRun(&n.runs, n.cfg)
+			cr := n.ch.getRun(&n.runs, n.cfg, rc)
 			defer n.runs.Put(cr)
 			buffer := func(b *batch) error {
 				results[w] = append(results[w], freezeBatch(b, n.outArity))
@@ -513,7 +516,7 @@ type vsingletonNode struct {
 }
 
 func (n *vsingletonNode) run(rc *runCtx, emit vecEmit) error {
-	cr := n.ch.getRun(&n.runs, n.cfg)
+	cr := n.ch.getRun(&n.runs, n.cfg, rc)
 	defer n.runs.Put(cr)
 	return runVecChunk(rc, n.tuples, n.arity, n.kinds, cr, n.cfg.bs, emit)
 }
@@ -528,7 +531,7 @@ type vchainNode struct {
 }
 
 func (n *vchainNode) run(rc *runCtx, emit vecEmit) error {
-	cr := n.ch.getRun(&n.runs, n.cfg)
+	cr := n.ch.getRun(&n.runs, n.cfg, rc)
 	defer n.runs.Put(cr)
 	return n.in.run(rc, func(b *batch) error { return cr.feed(b, emit) })
 }
@@ -849,6 +852,7 @@ func (n *vloopJoinNode) run(rc *runCtx, emit vecEmit) error {
 	bs := n.cfg.bs
 	pairs := newOwnedBatch(n.lArity+n.rArity, bs)
 	pool := newVecPool(bs)
+	pool.bind(rc.args)
 	tr := make([]truth, bs)
 	selBuf := make([]int, 0, bs)
 	flush := func() error {
@@ -927,14 +931,17 @@ func (n *vloopJoinNode) run(rc *runCtx, emit vecEmit) error {
 // holding relations with the same schemas (e.g. other time-travel
 // versions of the same store). Semantics (including output order and
 // error behavior) match the interpreter; queries outside the compilable
-// subset return an error and the caller falls back to it.
+// subset return an error and the caller falls back to it. Template
+// parameters ($slots) compile as run-time parameters: a run binds them
+// (RunColumnarParamsCtx) and answers what CompileVec of the query with
+// the binding substituted would (see compiler).
 func CompileVec(q algebra.Query, db *storage.Database, opts VecOptions) (*Program, error) {
-	cfg := opts.config()
-	n, sch, err := compileVecNode(q, db, cfg)
+	c := &compiler{cfg: opts.config()}
+	n, sch, err := c.compileVecNode(q, db)
 	if err != nil {
 		return nil, err
 	}
-	return &Program{root: n, out: sch}, nil
+	return &Program{root: n, out: sch, params: c.names}, nil
 }
 
 // EvalVec compiles and runs q vectorized in one step.
@@ -968,7 +975,8 @@ func appendOp(n vecNode, op vop, outArity int, cfg vecConfig) vecNode {
 // compileVecNode lowers one algebra node and returns it with its output
 // schema. Schemas are threaded bottom-up so compilation is one pass
 // over the tree (no per-node recursive OutputSchema recomputation).
-func compileVecNode(q algebra.Query, db *storage.Database, cfg vecConfig) (vecNode, *schema.Schema, error) {
+func (c *compiler) compileVecNode(q algebra.Query, db *storage.Database) (vecNode, *schema.Schema, error) {
+	cfg := c.cfg
 	switch x := q.(type) {
 	case *algebra.Scan:
 		r, err := db.Relation(x.Rel)
@@ -978,18 +986,18 @@ func compileVecNode(q algebra.Query, db *storage.Database, cfg vecConfig) (vecNo
 		return &vpipeNode{rel: x.Rel, arity: r.Schema.Arity(), outArity: r.Schema.Arity(), kinds: colKinds(r.Schema), cfg: cfg}, r.Schema, nil
 
 	case *algebra.Select:
-		in, s, err := compileVecNode(x.In, db, cfg)
+		in, s, err := c.compileVecNode(x.In, db)
 		if err != nil {
 			return nil, nil, err
 		}
-		cond, err := compileVecWhereTruth(x.Cond, s)
+		cond, err := c.compileVecWhereTruth(x.Cond, s)
 		if err != nil {
 			return nil, nil, err
 		}
 		return appendOp(in, vFilterOp{cond: cond}, s.Arity(), cfg), s, nil
 
 	case *algebra.Project:
-		in, s, err := compileVecNode(x.In, db, cfg)
+		in, s, err := c.compileVecNode(x.In, db)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1009,13 +1017,13 @@ func compileVecNode(q algebra.Query, db *storage.Database, cfg vecConfig) (vecNo
 				}
 			}
 			passthrough = false
-			fn, err := compileVecScalar(ne.E, s)
+			fn, err := c.compileVecScalar(ne.E, s)
 			if err != nil {
 				return nil, nil, err
 			}
 			fns[i] = fn
 			if ifx, ok := ne.E.(*expr.If); ok {
-				if ifs[i], err = recognizeTypedIf(ifx, s); err != nil {
+				if ifs[i], err = c.recognizeTypedIf(ifx, s); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -1028,11 +1036,11 @@ func compileVecNode(q algebra.Query, db *storage.Database, cfg vecConfig) (vecNo
 		return appendOp(in, vProjectOp{fns: fns, src: src, ifs: ifs}, out.Arity(), cfg), out, nil
 
 	case *algebra.Union:
-		l, ls, err := compileVecNode(x.L, db, cfg)
+		l, ls, err := c.compileVecNode(x.L, db)
 		if err != nil {
 			return nil, nil, err
 		}
-		r, rs, err := compileVecNode(x.R, db, cfg)
+		r, rs, err := c.compileVecNode(x.R, db)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -1042,24 +1050,24 @@ func compileVecNode(q algebra.Query, db *storage.Database, cfg vecConfig) (vecNo
 		return &vunionNode{l: l, r: r}, ls, nil
 
 	case *algebra.Difference:
-		l, ls, err := compileVecNode(x.L, db, cfg)
+		l, ls, err := c.compileVecNode(x.L, db)
 		if err != nil {
 			return nil, nil, err
 		}
-		r, rs, err := compileVecNode(x.R, db, cfg)
+		r, rs, err := c.compileVecNode(x.R, db)
 		if err != nil {
 			return nil, nil, err
 		}
 		return &vdiffNode{l: l, r: r, rArity: rs.Arity(), cfg: cfg}, ls, nil
 
 	case *algebra.Join:
-		return compileVecJoin(x, db, cfg)
+		return c.compileVecJoin(x, db)
 
 	case *algebra.Singleton:
 		return &vsingletonNode{tuples: x.Tuples, arity: x.Sch.Arity(), kinds: colKinds(x.Sch), cfg: cfg}, x.Sch, nil
 
 	case *algebra.Aggregate:
-		return compileVecAggregate(x, db, cfg)
+		return c.compileVecAggregate(x, db)
 	}
 	return nil, nil, fmt.Errorf("exec: unknown query node %T", q)
 }
@@ -1076,12 +1084,13 @@ func colKinds(s *schema.Schema) []types.Kind {
 
 // compileVecJoin picks a hash join only when every conjunct of the
 // condition is a cross-side key equality, a nested loop otherwise.
-func compileVecJoin(x *algebra.Join, db *storage.Database, cfg vecConfig) (vecNode, *schema.Schema, error) {
-	l, ls, err := compileVecNode(x.L, db, cfg)
+func (c *compiler) compileVecJoin(x *algebra.Join, db *storage.Database) (vecNode, *schema.Schema, error) {
+	cfg := c.cfg
+	l, ls, err := c.compileVecNode(x.L, db)
 	if err != nil {
 		return nil, nil, err
 	}
-	r, rs, err := compileVecNode(x.R, db, cfg)
+	r, rs, err := c.compileVecNode(x.R, db)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1096,7 +1105,7 @@ func compileVecJoin(x *algebra.Join, db *storage.Database, cfg vecConfig) (vecNo
 		// that the interpreter still evaluates (a NULL equality does not
 		// short-circuit its AND) and whose residual may error, so only
 		// the all-keys shape takes the hash path.
-		cond, err := compileVecWhereTruth(x.Cond, joined)
+		cond, err := c.compileVecWhereTruth(x.Cond, joined)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -52,7 +52,7 @@ func joinQuery(t *testing.T, l, r string) *algebra.Join {
 func TestBuildSideSelection(t *testing.T) {
 	db := buildSideDB(t)
 
-	n, _, err := compileVecNode(joinQuery(t, "small", "big"), db, vecConfig{bs: 4})
+	n, _, err := (&compiler{cfg: vecConfig{bs: 4}}).compileVecNode(joinQuery(t, "small", "big"), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestBuildSideSelection(t *testing.T) {
 		t.Fatalf("small left input: expected buildLeft")
 	}
 
-	n, _, err = compileVecNode(joinQuery(t, "big", "small"), db, vecConfig{bs: 4})
+	n, _, err = (&compiler{cfg: vecConfig{bs: 4}}).compileVecNode(joinQuery(t, "big", "small"), db)
 	if err != nil {
 		t.Fatal(err)
 	}

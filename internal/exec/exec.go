@@ -48,7 +48,9 @@
 // calls (scratch state is allocated per run and recycled through
 // sync.Pools), which is what lets the batch engine compile a
 // reenactment program once per fingerprint and run it against many
-// snapshots from concurrent workers.
+// snapshots from concurrent workers. Template parameters ($slots) are
+// run-time parameters: a template compiles its programs once and each
+// binding is a parameter vector one run carries (params.go).
 //
 // The interpreter remains the reference oracle: core.Options.Executor
 // selects between the two, the differential fuzz tests require
@@ -62,24 +64,35 @@ import (
 
 	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/storage"
+	"github.com/mahif/mahif/internal/types"
 )
 
-// runCtx carries per-run state through the pipeline.
+// runCtx carries per-run state through the pipeline: the database, the
+// context, and the run's parameter vector.
 type runCtx struct {
-	db  *storage.Database
-	ctx context.Context
+	db   *storage.Database
+	ctx  context.Context
+	args []arg
 }
 
 // Program is a compiled query plan. Compile once, Run many times —
-// including concurrently and against different database versions with
-// the same schemas.
+// including concurrently, against different database versions with
+// the same schemas, and under different parameter bindings.
 type Program struct {
-	root vecNode
-	out  *schema.Schema
+	root   vecNode
+	out    *schema.Schema
+	params []string // parameter slot names, by slot
 }
 
-// OutputSchema returns the schema of the program's result.
+// OutputSchema returns the schema of the program's result. A column a
+// $slot computes is typed as the query with the slot open types it
+// (algebra.ExprKind); its cells carry the bound value's kind.
 func (p *Program) OutputSchema() *schema.Schema { return p.out }
+
+// newRun builds the run state of one call under binding.
+func (p *Program) newRun(ctx context.Context, db *storage.Database, binding map[string]types.Value) *runCtx {
+	return &runCtx{db: db, ctx: ctx, args: args(p.params, binding)}
+}
 
 // Run executes the program against db and materializes the result as
 // rows.
@@ -98,7 +111,7 @@ func (p *Program) RunCtx(ctx context.Context, db *storage.Database) (*storage.Re
 	arity := p.out.Arity()
 	var chunks [][]schema.Tuple
 	total := 0
-	err := p.root.run(&runCtx{db: db, ctx: ctx}, func(b *batch) error {
+	err := p.root.run(p.newRun(ctx, db, nil), func(b *batch) error {
 		rows := materializeRows(b, arity)
 		chunks = append(chunks, rows)
 		total += len(rows)
@@ -123,6 +136,16 @@ func (p *Program) RunCtx(ctx context.Context, db *storage.Database) (*storage.Re
 // result that is mostly going to be compared with another
 // (delta.ComputeColumnar) rather than read.
 func (p *Program) RunColumnarCtx(ctx context.Context, db *storage.Database) (*storage.ColumnarView, error) {
+	return p.RunColumnarParamsCtx(ctx, db, nil)
+}
+
+// RunColumnarParamsCtx is RunColumnarCtx with the program's $slots
+// bound to binding's values: the rows, order, lanes and errors of
+// CompileVec of the query with binding substituted. A slot binding
+// lacks evaluates like the interpreter's unsubstituted parameter, an
+// error once a row reaches it (as every slot does under the other Run
+// methods); names no slot has are ignored.
+func (p *Program) RunColumnarParamsCtx(ctx context.Context, db *storage.Database, binding map[string]types.Value) (*storage.ColumnarView, error) {
 	// Each batch's live rows are frozen into a part of exactly their
 	// size, and the parts are joined once the total is known: what is
 	// returned (and may sit in a result cache) has no slack, and no lane
@@ -130,7 +153,7 @@ func (p *Program) RunColumnarCtx(ctx context.Context, db *storage.Database) (*st
 	arity := p.out.Arity()
 	var parts []*storage.ColumnarView
 	total := 0
-	err := p.root.run(&runCtx{db: db, ctx: ctx}, func(b *batch) error {
+	err := p.root.run(p.newRun(ctx, db, binding), func(b *batch) error {
 		part := storage.NewColumnarView(p.out, b.live())
 		part.AppendRows(b.cols[:arity], b.sel, b.n)
 		parts = append(parts, part)

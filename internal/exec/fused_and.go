@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"slices"
 
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/schema"
@@ -27,12 +28,39 @@ type fusedAnd struct {
 }
 
 type fusedLeg struct {
-	idx     int      // column index
-	lut     [3]truth // truth by ordered-compare outcome
-	numeric bool     // constant is numeric (lane must be int/float); else string
+	idx  int        // column index
+	op   expr.CmpOp // column-on-the-left orientation
+	lut  [3]truth   // truth by ordered-compare outcome
+	slot int        // the $slot in the constant's place, or -1
+	// The constant's part, filled by bindValue: at compile time for a
+	// literal, per run for a $slot.
+	numeric bool // constant is numeric (lane must be int/float); else string
 	cf      float64
 	cs      string
 	ip      intCmpPlan // precomputed integer-threshold form for int lanes
+}
+
+// bindValue fills in the leg's constant part from cv, reporting false
+// when the leg is no typed-lane comparison under cv (neither a non-NaN
+// number nor a string): the conjunction then does not fuse.
+func (lg *fusedLeg) bindValue(cv types.Value) bool {
+	switch {
+	case cv.IsNumeric():
+		cf := cv.AsFloat()
+		if math.IsNaN(cf) {
+			return false
+		}
+		ip, ok := intCmpPlanFor(lg.op, cf)
+		if !ok {
+			return false
+		}
+		lg.numeric, lg.cf, lg.ip = true, cf, ip
+	case cv.Kind() == types.KindString:
+		lg.numeric, lg.cs = false, cv.AsString()
+	default:
+		return false
+	}
+	return true
 }
 
 // intCmpPlan is the integer-threshold form of a comparison against a
@@ -134,10 +162,12 @@ func maxIntLe(cf float64) (int64, bool) {
 	return lo, true
 }
 
-// recognizeFusedAnd flattens an And tree into comparison legs, or
-// returns nil when any leaf is not a LUT-able column-vs-constant
-// comparison.
-func recognizeFusedAnd(x *expr.And, s *schema.Schema) *fusedAnd {
+// recognizeFusedAnd flattens an And tree into comparison legs and
+// returns the fused kernel, or generic when a leaf is not a LUT-able
+// column-vs-constant comparison. A leg with a $slot in the constant's
+// place is a param site: each run binds the legs from its values and
+// fuses iff the substituted conjunction would.
+func (c *compiler) recognizeFusedAnd(x *expr.And, s *schema.Schema, generic vecCondFn) vecCondFn {
 	var legs []fusedLeg
 	var walk func(e expr.Expr) bool
 	walk = func(e expr.Expr) bool {
@@ -145,7 +175,7 @@ func recognizeFusedAnd(x *expr.And, s *schema.Schema) *fusedAnd {
 		case *expr.And:
 			return walk(n.L) && walk(n.R)
 		case *expr.Cmp:
-			col, c, constOnRight := splitColConst(n.L, n.R)
+			col, k, constOnRight := splitColOperand(n.L, n.R)
 			if col == nil {
 				return false
 			}
@@ -161,31 +191,39 @@ func recognizeFusedAnd(x *expr.And, s *schema.Schema) *fusedAnd {
 			if idx < 0 {
 				return false
 			}
-			cv := c.V
-			switch {
-			case cv.IsNumeric():
-				cf := cv.AsFloat()
-				if math.IsNaN(cf) {
+			lg := fusedLeg{idx: idx, op: op, lut: lut, slot: -1}
+			switch k := k.(type) {
+			case *expr.Const:
+				if !lg.bindValue(k.V) {
 					return false
 				}
-				ip, ipOK := intCmpPlanFor(op, cf)
-				if !ipOK {
-					return false
-				}
-				legs = append(legs, fusedLeg{idx: idx, lut: lut, numeric: true, cf: cf, ip: ip})
-			case cv.Kind() == types.KindString:
-				legs = append(legs, fusedLeg{idx: idx, lut: lut, cs: cv.AsString()})
-			default:
-				return false
+			case *expr.Param:
+				lg.slot = c.slot(k.Name)
 			}
+			legs = append(legs, lg)
 			return true
 		}
 		return false
 	}
 	if !walk(x.L) || !walk(x.R) {
-		return nil
+		return generic
 	}
-	return &fusedAnd{legs: legs}
+	if !slices.ContainsFunc(legs, func(lg fusedLeg) bool { return lg.slot >= 0 }) {
+		return (&fusedAnd{legs: legs, generic: generic}).eval
+	}
+	compiled := legs // captured by value: legs itself stays off the heap
+	return c.boundCond(func(p *vecPool) vecCondFn {
+		run := append([]fusedLeg(nil), compiled...)
+		for i := range run {
+			if run[i].slot < 0 {
+				continue
+			}
+			if v, ok := p.arg(run[i].slot); !ok || !run[i].bindValue(v) {
+				return nil
+			}
+		}
+		return (&fusedAnd{legs: run, generic: generic}).eval
+	}, generic)
 }
 
 // eval runs the fused conjunction, or delegates the whole batch to the

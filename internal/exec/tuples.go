@@ -51,6 +51,7 @@ var tupleRuns sync.Pool
 // reference loops.
 func CompileTupleKernel(cond expr.Expr, exprs []expr.Expr, s *schema.Schema) (*TupleKernel, error) {
 	k := &TupleKernel{arity: s.Arity()}
+	c := &compiler{}
 	read := map[int]bool{}
 	note := func(e expr.Expr) {
 		for name := range expr.Cols(e) {
@@ -60,25 +61,25 @@ func CompileTupleKernel(cond expr.Expr, exprs []expr.Expr, s *schema.Schema) (*T
 		}
 	}
 	if cond != nil {
-		c, err := compileVecWhereTruth(cond, s)
+		fn, err := c.compileVecWhereTruth(cond, s)
 		if err != nil {
 			return nil, err
 		}
-		k.cond = c
+		k.cond = fn
 		note(cond)
 	}
 	for _, e := range exprs {
-		fn, err := compileVecScalar(e, s)
+		fn, err := c.compileVecScalar(e, s)
 		if err != nil {
 			return nil, err
 		}
 		k.fns = append(k.fns, fn)
 		note(e)
 	}
-	for i, c := range s.Columns {
+	for i, col := range s.Columns {
 		if read[i] {
 			k.cols = append(k.cols, i)
-			k.kinds = append(k.kinds, c.Type)
+			k.kinds = append(k.kinds, col.Type)
 		}
 	}
 	return k, nil
@@ -155,6 +156,7 @@ func (k *TupleKernel) getRun(bs int) *tupleRun {
 	if r == nil || r.bs < bs {
 		r = &tupleRun{bs: bs, pool: newVecPool(bs), tr: make([]truth, bs), sel: make([]int, 0, bs)}
 	}
+	r.pool.bind(nil)
 	if len(r.cols) < k.arity {
 		r.cols = make([]storage.ColVec, k.arity)
 	}

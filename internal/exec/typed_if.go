@@ -27,10 +27,16 @@ type typedIf struct {
 	// constant when thenIdx < 0.
 	thenIdx      int
 	op           types.Op
-	constV       types.Value
 	constOnRight bool
-	fastInt      func(int64) int64
-	fastFloat    func(float64) float64
+	// slot is the $slot in the constant's place, or -1. For a slot,
+	// build specializes the producer on the run's value; resolve calls
+	// it once per run, as param site number site.
+	slot, site int
+	build      func(p *vecPool) *typedIf
+	// The constant's part, filled by setConst.
+	constV    types.Value
+	fastInt   func(int64) int64
+	fastFloat func(float64) float64
 }
 
 // recognizeTypedIf matches x against the typed-lane IF shape,
@@ -38,7 +44,7 @@ type typedIf struct {
 // then handles the column alone). Division is excluded — it errors on
 // zero and always widens to float — as is any THEN whose result kind
 // could differ from the ELSE column's lane.
-func recognizeTypedIf(x *expr.If, s *schema.Schema) (*typedIf, error) {
+func (c *compiler) recognizeTypedIf(x *expr.If, s *schema.Schema) (*typedIf, error) {
 	elseCol, ok := x.Else.(*expr.Col)
 	if !ok {
 		return nil, nil
@@ -47,48 +53,71 @@ func recognizeTypedIf(x *expr.If, s *schema.Schema) (*typedIf, error) {
 	if elseIdx < 0 {
 		return nil, nil
 	}
-	t := &typedIf{elseIdx: elseIdx, thenIdx: -1}
+	t := &typedIf{elseIdx: elseIdx, thenIdx: -1, slot: -1}
+	k := x.Then
 	switch then := x.Then.(type) {
-	case *expr.Const:
-		t.constV = then.V
+	case *expr.Const, *expr.Param:
 	case *expr.Arith:
 		if then.Op == types.OpDiv {
 			return nil, nil
 		}
-		col, c, constOnRight := splitColConst(then.L, then.R)
-		if col == nil || c == nil || !c.V.IsNumeric() || math.IsNaN(c.V.AsFloat()) {
+		col, v, constOnRight := splitColOperand(then.L, then.R)
+		if col == nil {
 			return nil, nil
 		}
 		idx := s.ColIndex(col.Name)
 		if idx < 0 {
 			return nil, nil
 		}
-		t.thenIdx, t.op, t.constV, t.constOnRight = idx, then.Op, c.V, constOnRight
+		t.thenIdx, t.op, t.constOnRight, k = idx, then.Op, constOnRight, v
 	default:
 		return nil, nil
 	}
-	if t.thenIdx >= 0 {
-		op, constOnRight := t.op, t.constOnRight
-		if t.constV.Kind() == types.KindInt {
-			ci := t.constV.AsInt()
-			t.fastInt = func(a int64) int64 {
-				x, y := a, ci
-				if !constOnRight {
-					x, y = y, x
-				}
-				switch op {
-				case types.OpAdd:
-					return x + y
-				case types.OpSub:
-					return x - y
-				default: // OpMul; OpDiv was excluded above
-					return x * y
-				}
-			}
+	switch k := k.(type) {
+	case *expr.Const:
+		if !t.setConst(k.V) {
+			return nil, nil
 		}
-		cf := t.constV.AsFloat()
-		t.fastFloat = func(a float64) float64 {
-			x, y := a, cf
+	case *expr.Param:
+		slot := c.slot(k.Name)
+		t.slot, t.site = slot, c.site()
+		t.build = func(p *vecPool) *typedIf {
+			v, ok := p.arg(slot)
+			if !ok {
+				return nil
+			}
+			run := *t
+			run.slot = -1
+			if !run.setConst(v) {
+				return nil
+			}
+			return &run
+		}
+	}
+	cond, err := c.compileVecWhereTruth(x.Cond, s)
+	if err != nil {
+		return nil, err
+	}
+	t.cond = cond
+	return t, nil
+}
+
+// setConst specializes the producer on the constant cv, reporting false
+// when a THEN arithmetic cannot take it (cv is not a non-NaN number).
+func (t *typedIf) setConst(cv types.Value) bool {
+	t.constV = cv
+	if t.thenIdx < 0 {
+		return true
+	}
+	if !cv.IsNumeric() || math.IsNaN(cv.AsFloat()) {
+		return false
+	}
+	op, constOnRight := t.op, t.constOnRight
+	t.fastInt = nil
+	if cv.Kind() == types.KindInt {
+		ci := cv.AsInt()
+		t.fastInt = func(a int64) int64 {
+			x, y := a, ci
 			if !constOnRight {
 				x, y = y, x
 			}
@@ -97,17 +126,38 @@ func recognizeTypedIf(x *expr.If, s *schema.Schema) (*typedIf, error) {
 				return x + y
 			case types.OpSub:
 				return x - y
-			default:
+			default: // OpMul; OpDiv was excluded above
 				return x * y
 			}
 		}
 	}
-	cond, err := compileVecWhereTruth(x.Cond, s)
-	if err != nil {
-		return nil, err
+	cf := cv.AsFloat()
+	t.fastFloat = func(a float64) float64 {
+		x, y := a, cf
+		if !constOnRight {
+			x, y = y, x
+		}
+		switch op {
+		case types.OpAdd:
+			return x + y
+		case types.OpSub:
+			return x - y
+		default:
+			return x * y
+		}
 	}
-	t.cond = cond
-	return t, nil
+	return true
+}
+
+// resolve returns the producer a run uses: t itself for a literal, the
+// run's specialization for a $slot, nil when the run's value leaves the
+// shape (the boxed kernel then handles the column, as it would the
+// substituted literal's).
+func (t *typedIf) resolve(p *vecPool) *typedIf {
+	if t == nil || t.slot < 0 {
+		return t
+	}
+	return bound(p, t.site, t.build)
 }
 
 // arithBoxed evaluates the THEN arithmetic through types.Arith in the

@@ -120,14 +120,36 @@ func hashRows(b *batch, hs []uint64) {
 // Use is strictly LIFO inside a single kernel invocation, so a small
 // free list suffices; buffers are full batch-capacity slices indexed by
 // absolute row position.
+//
+// The pool is also where a kernel finds its run's binding: args is the
+// run's parameter vector, and sites the param sites' per-run kernels
+// (see bound). bind resets both whenever the pool starts a run.
 type vecPool struct {
-	bs   int
-	vals [][]types.Value
-	trs  [][]truth
-	sels [][]int
+	bs    int
+	vals  [][]types.Value
+	trs   [][]truth
+	sels  [][]int
+	args  []arg
+	sites []any
 }
 
 func newVecPool(bs int) *vecPool { return &vecPool{bs: bs} }
+
+// bind starts a run under args: no param site keeps the kernel an
+// earlier run built for its binding.
+func (p *vecPool) bind(args []arg) {
+	p.args = args
+	clear(p.sites)
+}
+
+// arg returns the run's value for a parameter slot; ok is false when
+// the run binds none.
+func (p *vecPool) arg(slot int) (types.Value, bool) {
+	if slot < len(p.args) {
+		return p.args[slot].v, p.args[slot].ok
+	}
+	return types.Value{}, false
+}
 
 func (p *vecPool) getVals() []types.Value {
 	if n := len(p.vals); n > 0 {
@@ -179,21 +201,27 @@ type vecCondFn func(p *vecPool, b *batch, sel []int, out []truth) error
 // s, mirroring the interpreter's (expr.Eval) semantics exactly. It
 // fails on symbolic variables and on column references that do not
 // resolve — the caller falls back to the interpreter then, so a compile
-// error can never change observable behavior.
-func compileVecScalar(e expr.Expr, s *schema.Schema) (vecScalarFn, error) {
+// error can never change observable behavior. A $slot compiles as the
+// constant the run binds to it (see compiler).
+func (c *compiler) compileVecScalar(e expr.Expr, s *schema.Schema) (vecScalarFn, error) {
 	switch x := e.(type) {
 	case *expr.Const:
 		v := x.V
 		return func(_ *vecPool, b *batch, sel []int, out []types.Value) error {
-			if sel == nil {
-				for r := 0; r < b.n; r++ {
-					out[r] = v
+			fillConst(v, b, sel, out)
+			return nil
+		}, nil
+	case *expr.Param:
+		slot, name := c.slot(x.Name), x.Name
+		return func(p *vecPool, b *batch, sel []int, out []types.Value) error {
+			v, ok := p.arg(slot)
+			if !ok {
+				if len(sel) > 0 || (sel == nil && b.n > 0) {
+					return errUnbound(name)
 				}
-			} else {
-				for _, r := range sel {
-					out[r] = v
-				}
+				return nil
 			}
+			fillConst(v, b, sel, out)
 			return nil
 		}, nil
 	case *expr.Col:
@@ -208,19 +236,20 @@ func compileVecScalar(e expr.Expr, s *schema.Schema) (vecScalarFn, error) {
 	case *expr.Var:
 		return nil, fmt.Errorf("exec: symbolic variable %q in executable expression", x.Name)
 	case *expr.Arith:
-		if fn := compileVecArithFast(x, s); fn != nil {
-			return fn, nil
+		fast, build := c.compileVecArithFast(x, s)
+		if fast != nil {
+			return fast, nil
 		}
-		l, err := compileVecScalar(x.L, s)
+		l, err := c.compileVecScalar(x.L, s)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compileVecScalar(x.R, s)
+		r, err := c.compileVecScalar(x.R, s)
 		if err != nil {
 			return nil, err
 		}
 		op := x.Op
-		return func(p *vecPool, b *batch, sel []int, out []types.Value) error {
+		generic := func(p *vecPool, b *batch, sel []int, out []types.Value) error {
 			lv := p.getVals()
 			rv := p.getVals()
 			defer p.putVals(lv)
@@ -249,18 +278,22 @@ func compileVecScalar(e expr.Expr, s *schema.Schema) (vecScalarFn, error) {
 				}
 			}
 			return nil
-		}, nil
+		}
+		if build != nil {
+			return c.boundScalar(build, generic), nil
+		}
+		return generic, nil
 	case *expr.Cmp, *expr.And, *expr.Or, *expr.Not, *expr.IsNull:
 		// Boolean node in scalar position: evaluate at the truth level,
 		// box once at the boundary.
-		c, err := compileVecCond(e, s)
+		cond, err := c.compileVecCond(e, s)
 		if err != nil {
 			return nil, err
 		}
 		return func(p *vecPool, b *batch, sel []int, out []types.Value) error {
 			tr := p.getTruths()
 			defer p.putTruths(tr)
-			if err := c(p, b, sel, tr); err != nil {
+			if err := cond(p, b, sel, tr); err != nil {
 				return err
 			}
 			if sel == nil {
@@ -275,11 +308,11 @@ func compileVecScalar(e expr.Expr, s *schema.Schema) (vecScalarFn, error) {
 			return nil
 		}, nil
 	case *expr.If:
-		cond, err := compileVecWhereTruth(x.Cond, s)
+		cond, err := c.compileVecWhereTruth(x.Cond, s)
 		if err != nil {
 			return nil, err
 		}
-		then, err := compileVecScalar(x.Then, s)
+		then, err := c.compileVecScalar(x.Then, s)
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +352,7 @@ func compileVecScalar(e expr.Expr, s *schema.Schema) (vecScalarFn, error) {
 				}, nil
 			}
 		}
-		els, err := compileVecScalar(x.Else, s)
+		els, err := c.compileVecScalar(x.Else, s)
 		if err != nil {
 			return nil, err
 		}
@@ -369,26 +402,61 @@ func compileVecScalar(e expr.Expr, s *schema.Schema) (vecScalarFn, error) {
 	return nil, fmt.Errorf("exec: cannot compile expression %T", e)
 }
 
-// compileVecArithFast builds the column-op-constant arithmetic kernel
-// for the reenactment hot shape (v = v + 3, x = x + 2.5), or nil when
-// no specialization applies. Division is excluded (it errors on zero
-// and always yields floats). Each cell goes through types.ArithConst's
-// evaluator — types.Arith with the int and float Add/Sub cases
-// kind-specialized — and an int constant over an int lane without
-// NULLs runs as a bare integer loop (wrapping matches types.Arith).
-func compileVecArithFast(x *expr.Arith, s *schema.Schema) vecScalarFn {
-	if x.Op == types.OpDiv {
-		return nil
+// fillConst writes v into out at every live row of b.
+func fillConst(v types.Value, b *batch, sel []int, out []types.Value) {
+	if sel == nil {
+		for r := 0; r < b.n; r++ {
+			out[r] = v
+		}
+	} else {
+		for _, r := range sel {
+			out[r] = v
+		}
 	}
-	col, c, constOnRight := splitColConst(x.L, x.R)
-	if col == nil || c == nil || !c.V.IsNumeric() {
-		return nil
+}
+
+// compileVecArithFast specializes the reenactment hot shape of
+// arithmetic, column-op-constant (v = v + 3, x = x + 2.5): it returns
+// the kernel for a constant, or for a $slot in the constant's place the
+// builder each run makes the kernel with from its bound value (nil
+// kernel: the generic one runs); both nil when no specialization
+// applies. Division is excluded (it errors on zero and always yields
+// floats).
+func (c *compiler) compileVecArithFast(x *expr.Arith, s *schema.Schema) (vecScalarFn, func(p *vecPool) vecScalarFn) {
+	if x.Op == types.OpDiv {
+		return nil, nil
+	}
+	col, k, constOnRight := splitColOperand(x.L, x.R)
+	if col == nil {
+		return nil, nil
 	}
 	idx := s.ColIndex(col.Name)
 	if idx < 0 {
+		return nil, nil
+	}
+	op := x.Op
+	if prm, ok := k.(*expr.Param); ok {
+		slot := c.slot(prm.Name)
+		return nil, func(p *vecPool) vecScalarFn {
+			if v, ok := p.arg(slot); ok {
+				return arithConstKernel(op, idx, v, constOnRight)
+			}
+			return nil
+		}
+	}
+	return arithConstKernel(op, idx, k.(*expr.Const).V, constOnRight), nil
+}
+
+// arithConstKernel is the column-op-constant kernel over column idx for
+// the constant cv, or nil when cv is not numeric. Each cell goes
+// through types.ArithConst's evaluator — types.Arith with the int and
+// float Add/Sub cases kind-specialized — and an int constant over an
+// int lane without NULLs runs as a bare integer loop (wrapping matches
+// types.Arith).
+func arithConstKernel(op types.Op, idx int, cv types.Value, constOnRight bool) vecScalarFn {
+	if !cv.IsNumeric() {
 		return nil
 	}
-	op, cv := x.Op, c.V
 	cell := types.ArithConst(op, cv)
 	if !constOnRight {
 		cell = func(v types.Value) (types.Value, error) { return types.Arith(op, cv, v) }
@@ -453,36 +521,43 @@ func compileVecArithFast(x *expr.Arith, s *schema.Schema) vecScalarFn {
 	}
 }
 
-// splitColConst matches a (column, constant) operand pair in either
-// order; constOnRight reports the original orientation.
-func splitColConst(l, r expr.Expr) (col *expr.Col, c *expr.Const, constOnRight bool) {
-	if cl, ok := l.(*expr.Col); ok {
-		if cr, ok := r.(*expr.Const); ok {
-			return cl, cr, true
-		}
+// splitColOperand matches a (column, constant or $slot) operand pair in
+// either order; constOnRight reports the original orientation, and k is
+// an *expr.Const or an *expr.Param.
+func splitColOperand(l, r expr.Expr) (col *expr.Col, k expr.Expr, constOnRight bool) {
+	if cl, ok := l.(*expr.Col); ok && isValueLeaf(r) {
+		return cl, r, true
 	}
-	if cl, ok := r.(*expr.Col); ok {
-		if cr, ok := l.(*expr.Const); ok {
-			return cl, cr, false
-		}
+	if cl, ok := r.(*expr.Col); ok && isValueLeaf(l) {
+		return cl, l, false
 	}
 	return nil, nil, false
+}
+
+// isValueLeaf reports whether e is a constant or a $slot: a value fixed
+// for the whole run.
+func isValueLeaf(e expr.Expr) bool {
+	switch e.(type) {
+	case *expr.Const, *expr.Param:
+		return true
+	}
+	return false
 }
 
 // compileVecCond lowers a boolean expression to the truth level over
 // batches: connective operands are strict (a non-NULL, non-boolean
 // operand is an evaluation error) and short-circuit per row via
 // sub-selections.
-func compileVecCond(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
+func (c *compiler) compileVecCond(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
 	switch x := e.(type) {
 	case *expr.Cmp:
-		return compileVecCmp(x, s)
+		return c.compileVecCmp(x, s)
 	case *expr.And:
-		l, err := compileVecCondStrict(x.L, s)
+		l, err := c.compileVecCondStrict(x.L, s)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compileVecCondStrict(x.R, s)
+		r, err := c.compileVecCondStrict(x.R, s)
 		if err != nil {
 			return nil, err
 		}
@@ -529,17 +604,13 @@ func compileVecCond(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
 			}
 			return nil
 		}
-		if fa := recognizeFusedAnd(x, s); fa != nil {
-			fa.generic = generic
-			return fa.eval, nil
-		}
-		return generic, nil
+		return c.recognizeFusedAnd(x, s, generic), nil
 	case *expr.Or:
-		l, err := compileVecCondStrict(x.L, s)
+		l, err := c.compileVecCondStrict(x.L, s)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compileVecCondStrict(x.R, s)
+		r, err := c.compileVecCondStrict(x.R, s)
 		if err != nil {
 			return nil, err
 		}
@@ -585,7 +656,7 @@ func compileVecCond(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
 			return nil
 		}, nil
 	case *expr.Not:
-		in, err := compileVecCondStrict(x.E, s)
+		in, err := c.compileVecCondStrict(x.E, s)
 		if err != nil {
 			return nil, err
 		}
@@ -644,7 +715,7 @@ func compileVecCond(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
 				}, nil
 			}
 		}
-		in, err := compileVecScalar(x.E, s)
+		in, err := c.compileVecScalar(x.E, s)
 		if err != nil {
 			return nil, err
 		}
@@ -680,11 +751,11 @@ func boolTruth(ok bool) truth {
 // the truth level, anything else as a scalar whose non-NULL non-boolean
 // results are evaluation errors (the interpreter's evalAndOr and NOT
 // semantics).
-func compileVecCondStrict(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
+func (c *compiler) compileVecCondStrict(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
 	if isBoolNode(e) {
-		return compileVecCond(e, s)
+		return c.compileVecCond(e, s)
 	}
-	fn, err := compileVecScalar(e, s)
+	fn, err := c.compileVecScalar(e, s)
 	if err != nil {
 		return nil, err
 	}
@@ -719,11 +790,11 @@ func compileVecCondStrict(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
 // the truth level: rows satisfy iff the result is tTrue; NULL and
 // non-boolean results count as not satisfied, never as errors (mirrors
 // expr.Satisfied).
-func compileVecWhereTruth(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
+func (c *compiler) compileVecWhereTruth(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
 	if isBoolNode(e) {
-		return compileVecCond(e, s)
+		return c.compileVecCond(e, s)
 	}
-	fn, err := compileVecScalar(e, s)
+	fn, err := c.compileVecScalar(e, s)
 	if err != nil {
 		return nil, err
 	}
@@ -749,31 +820,21 @@ func compileVecWhereTruth(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
 // compileVecCmp lowers a comparison: column-vs-constant gets the typed
 // tight-loop fast path, everything else evaluates both operand vectors
 // and compares row-wise through the oracle-exact evalCmpTruth.
-func compileVecCmp(x *expr.Cmp, s *schema.Schema) (vecCondFn, error) {
-	if c, ok := x.R.(*expr.Const); ok {
-		if col, ok2 := x.L.(*expr.Col); ok2 {
-			if fn := compileVecColConstCmp(x.Op, col, c.V, s); fn != nil {
-				return fn, nil
-			}
-		}
+func (c *compiler) compileVecCmp(x *expr.Cmp, s *schema.Schema) (vecCondFn, error) {
+	fast, build := c.compileVecColConstCmp(x, s)
+	if fast != nil {
+		return fast, nil
 	}
-	if c, ok := x.L.(*expr.Const); ok {
-		if col, ok2 := x.R.(*expr.Col); ok2 {
-			if fn := compileVecColConstCmp(x.Op.Flip(), col, c.V, s); fn != nil {
-				return fn, nil
-			}
-		}
-	}
-	l, err := compileVecScalar(x.L, s)
+	l, err := c.compileVecScalar(x.L, s)
 	if err != nil {
 		return nil, err
 	}
-	r, err := compileVecScalar(x.R, s)
+	r, err := c.compileVecScalar(x.R, s)
 	if err != nil {
 		return nil, err
 	}
 	op := x.Op
-	return func(p *vecPool, b *batch, sel []int, out []truth) error {
+	generic := func(p *vecPool, b *batch, sel []int, out []truth) error {
 		lv := p.getVals()
 		rv := p.getVals()
 		defer p.putVals(lv)
@@ -802,7 +863,11 @@ func compileVecCmp(x *expr.Cmp, s *schema.Schema) (vecCondFn, error) {
 			}
 		}
 		return nil
-	}, nil
+	}
+	if build != nil {
+		return c.boundCond(build, generic), nil
+	}
+	return generic, nil
 }
 
 // cmpTruthLUT maps an ordered-comparison outcome (-1, 0, +1, shifted
@@ -827,21 +892,44 @@ func cmpTruthLUT(op expr.CmpOp) ([3]truth, bool) {
 	return [3]truth{}, false
 }
 
-// compileVecColConstCmp is the vectorized column-vs-constant comparison
-// (nil when no specialization applies). Typed int/float/string lanes
-// compare in tight loops with the operator's truth table hoisted out;
-// boxed lanes and runtime kinds outside the specialized domain take
-// the per-cell loop that delegates to evalCmpTruth, keeping the
-// semantics of the generic path exactly.
-func compileVecColConstCmp(op expr.CmpOp, col *expr.Col, cv types.Value, s *schema.Schema) vecCondFn {
+// compileVecColConstCmp specializes the column-vs-constant comparison
+// like compileVecArithFast does arithmetic: the kernel for a constant,
+// the per-run builder for a $slot, both nil when no specialization
+// applies.
+func (c *compiler) compileVecColConstCmp(x *expr.Cmp, s *schema.Schema) (vecCondFn, func(p *vecPool) vecCondFn) {
+	col, k, constOnRight := splitColOperand(x.L, x.R)
+	if col == nil {
+		return nil, nil
+	}
+	op := x.Op
+	if !constOnRight {
+		op = op.Flip()
+	}
 	idx := s.ColIndex(col.Name)
-	if idx < 0 {
-		return nil
-	}
 	lut, lok := cmpTruthLUT(op)
-	if !lok {
-		return nil
+	if idx < 0 || !lok {
+		return nil, nil
 	}
+	if prm, ok := k.(*expr.Param); ok {
+		slot := c.slot(prm.Name)
+		return nil, func(p *vecPool) vecCondFn {
+			if v, ok := p.arg(slot); ok {
+				return colConstCmpKernel(op, idx, lut, v)
+			}
+			return nil
+		}
+	}
+	return colConstCmpKernel(op, idx, lut, k.(*expr.Const).V), nil
+}
+
+// colConstCmpKernel is the vectorized comparison of column idx against
+// cv under op (whose truth table is lut), or nil when cv is neither a
+// non-NaN number nor a string. Typed int/float/string lanes compare in
+// tight loops with the operator's truth table hoisted out; boxed lanes
+// and runtime kinds outside the specialized domain take the per-cell
+// loop that delegates to evalCmpTruth, keeping the semantics of the
+// generic path exactly.
+func colConstCmpKernel(op expr.CmpOp, idx int, lut [3]truth, cv types.Value) vecCondFn {
 	switch {
 	case cv.IsNumeric():
 		cf := cv.AsFloat()

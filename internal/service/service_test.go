@@ -17,7 +17,7 @@ import (
 
 // newTestServer builds a server over the paper's running example: an
 // orders relation and a two-statement fee history.
-func newTestServer(t *testing.T, opts Options) *Server {
+func newTestServer(t testing.TB, opts Options) *Server {
 	t.Helper()
 	s := schema.New("orders",
 		schema.Col("id", types.KindInt),

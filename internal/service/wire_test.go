@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"net/http"
@@ -501,6 +502,56 @@ func FuzzDecodeWhatIfRequest(f *testing.F) {
 			return
 		}
 		_, _ = DecodeModifications(req.Modifications)
+		_, _ = DecodeAggregateQueries(req.Queries)
+	})
+}
+
+// FuzzDecodeTemplateEvalRequest feeds arbitrary bodies through the
+// template-eval request decoder and checks every binding a body yields
+// against a fixed template — a numeric SET slot, a numeric and a bool
+// condition slot — without evaluating: a body or a binding may be
+// refused, never panic.
+func FuzzDecodeTemplateEvalRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"binding":{"bump":1.5,"cut":60,"on":true}}`,
+		`{"bindings":[{"bump":1,"cut":60.0,"on":false},{"bump":null,"cut":null,"on":null}],"workers":2}`,
+		`{"binding":{"bump":"x","cut":60,"on":true}}`,
+		`{"binding":{"bump":1,"cut":60}}`,
+		`{"binding":{"bump":1,"cut":60,"on":true,"extra":1}}`,
+		`{"binding":{"bump":1e400,"cut":-0.0,"on":1}}`,
+		`{"binding":{"bump":9007199254740993,"cut":9007199254740992.0,"on":true},"queries":["SELECT SUM(fee) AS s FROM orders"]}`,
+		`{"binding":{},"bindings":[]}`,
+		`{"bindings":[null,{}],"timeout_ms":-1,"min_version":-1}`,
+		`{"binding":{"bump":[1],"cut":{"a":1}}}`,
+		`[`, ``, `null`, `{"binding":null}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s := newTestServer(f, Options{})
+	mods, err := DecodeModifications([]Modification{{Op: "replace", Pos: 1,
+		Statement: `UPDATE orders SET fee = fee + $bump WHERE price >= $cut AND $on`}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	tpl, err := s.sess.CompileTemplate(mods, core.DefaultOptions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if got := fmt.Sprint(tpl.Params()); got != "map[bump:numeric cut:numeric on:bool]" {
+		f.Fatalf("template slots %s", got)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req TemplateEvalRequest
+		r := httptest.NewRequest("POST", "/v1/template/t1/eval", bytes.NewReader(body))
+		if err := s.decodeBody(httptest.NewRecorder(), r, &req); err != nil {
+			return
+		}
+		if req.Binding != nil {
+			_ = tpl.ValidateBinding(req.Binding)
+		}
+		for _, b := range req.Bindings {
+			_ = tpl.ValidateBinding(b)
+		}
 		_, _ = DecodeAggregateQueries(req.Queries)
 	})
 }
