@@ -60,8 +60,8 @@ func paramDBs() map[string]*storage.Database {
 // with literal and slotted legs, every typed IF producer with the
 // constant on either side, column∘constant arithmetic — and where it
 // does not: a slot against a slot, a bare slot as a condition, division,
-// a γ over a slotted σ (a template's slice count) and a reenactment
-// chain mixing them.
+// a γ over a slotted σ (a template's slice count), a nested-loop join
+// with a slotted condition, and a reenactment chain mixing them.
 func paramShapes(t *testing.T, db *storage.Database) map[string]algebra.Query {
 	t.Helper()
 	tSch, err := algebra.OutputSchema(&algebra.Scan{Rel: "t"}, db)
@@ -115,6 +115,10 @@ func paramShapes(t *testing.T, db *storage.Database) map[string]algebra.Query {
 		"slice-count":   &algebra.Aggregate{Aggs: []algebra.AggExpr{{Name: "n", Fn: algebra.AggCount}}, In: sel("v >= $p OR v IS NULL", scan())},
 		"aggregate-arg": &algebra.Aggregate{GroupBy: []algebra.NamedExpr{{Name: "g", E: col("g")}}, Aggs: []algebra.AggExpr{{Name: "s", Fn: algebra.AggSum, Arg: expr.Add(col("v"), p)}}, In: scan()},
 		"reenact-chain": chain,
+		"loop-join": &algebra.Join{L: scan(), Cond: mustCond(t, "k < x AND v >= $p"), R: &algebra.Singleton{
+			Sch:    schema.New("s", schema.Col("x", types.KindInt)),
+			Tuples: []schema.Tuple{{types.Int(5)}, {types.Int(1 << 53)}, {types.Null()}},
+		}},
 	}
 }
 
