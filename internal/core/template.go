@@ -325,7 +325,7 @@ type TemplateStats struct {
 	// DataSlicing reports whether the artifact was compiled with data
 	// slicing filters in its reenactment plans (Options.DataSlicing),
 	// wherever its $slots sit: a filter that carries a slot is
-	// substituted per binding.
+	// evaluated under each binding.
 	DataSlicing bool
 	// StaticRelations' deltas are fully precomputed;
 	// DynamicRelations are re-evaluated per binding;
