@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"strings"
@@ -278,13 +279,35 @@ func sliceShapes(t *testing.T) (*Engine, []templateShape) {
 // templateKindEdges are binding values at the edges of the kernels a
 // template's compiled programs specialize per run: an int and its float
 // twin, ±2^53 and 2^53+1, −0.0, values below and above every cell of
-// the Taxi columns, and NULL. The value above every cell stays inside
-// the ±1e6 box the slicing solver bounds a free numeric variable to:
-// the fresh program-sliced what-if these answers are checked against
-// slices unsoundly when a SET moves a value beyond it.
+// the Taxi columns (inside and beyond the slicing solver's box), and
+// NULL.
 var templateKindEdges = []types.Value{
 	types.Int(9500), types.Float(9500), types.Int(1 << 53), types.Int(-(1 << 53)), types.Int(1<<53 + 1),
-	types.Float(math.Copysign(0, -1)), types.Int(-1), types.Float(1e5), types.Null(),
+	types.Float(math.Copysign(0, -1)), types.Int(-1), types.Float(1e5), types.Float(1e7), types.Int(-1e7),
+	types.Null(),
+}
+
+// solverBox is the interval the slicing solver bounds a free numeric
+// variable to (compile's defaultBound).
+const solverBox = 1e6
+
+// beyondBox reports whether v is a number outside the solver's box.
+func beyondBox(v types.Value) bool {
+	return v.IsNumeric() && math.Abs(v.AsFloat()) > solverBox
+}
+
+// anchorOptions is what a binding's fresh what-if runs under: opts, or
+// variant R when a slot is NULL or a number beyond the solver's box. A
+// fresh program-sliced what-if slices unsoundly once a SET moves a
+// value past the box (ROADMAP, Known), so it cannot anchor such a
+// binding; R runs no solver.
+func anchorOptions(opts Options, binding map[string]types.Value) Options {
+	for _, v := range binding {
+		if v.IsNull() || beyondBox(v) {
+			return OptionsFor(VariantR)
+		}
+	}
+	return opts
 }
 
 // TestTemplateRandomizedDifferential sweeps template shapes (slots in
@@ -294,8 +317,10 @@ var templateKindEdges = []types.Value{
 // variant: each delta equals both plans' and a fresh what-if's, and
 // under data slicing every shape with a slotted original-side filter
 // runs both plans. The kind edges rotate through every slot of every
-// shape; a binding with a NULL in some slot is anchored on variant R
-// (see TestTemplateMatchesWhatIf).
+// shape, and each edge beyond the solver's box also takes every slot of
+// every shape in turn, the other slots at the shape's narrow values; a
+// binding with a NULL or such a value in some slot is
+// anchored on variant R (anchorOptions).
 func TestTemplateRandomizedDifferential(t *testing.T) {
 	w, we := templateWorkload(t, 3000, 8, 11)
 	base := w.Mods[0].(history.Replace)
@@ -367,15 +392,22 @@ func TestTemplateRandomizedDifferential(t *testing.T) {
 					}
 					bindings = append(bindings, binding)
 				}
+				for _, val := range templateKindEdges {
+					if !beyondBox(val) {
+						continue
+					}
+					for _, p := range shape.params {
+						binding := maps.Clone(shape.narrow)
+						if binding == nil {
+							binding = map[string]types.Value{}
+						}
+						binding[p] = val
+						bindings = append(bindings, binding)
+					}
+				}
 				for i, binding := range bindings {
 					label := fmt.Sprintf("%s %s binding %d %v", shape.name, v, i, binding)
-					anchor := opts
-					for _, val := range binding {
-						if val.IsNull() {
-							anchor = OptionsFor(VariantR)
-						}
-					}
-					plan := requireBindingAgrees(t, group.e, tpl, anchor, binding, label)
+					plan := requireBindingAgrees(t, group.e, tpl, anchorOptions(opts, binding), binding, label)
 					switch {
 					case !opts.DataSlicing || shape.narrow == nil:
 						if plan != "" {

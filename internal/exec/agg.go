@@ -115,7 +115,7 @@ func (n *vaggregateNode) fold(rc *runCtx) (*algebra.GroupState, error) {
 	nG := len(n.groupFns)
 	st := algebra.NewGroupState(n.fns, nG > 0)
 	pool := newVecPool(n.cfg.bs)
-	pool.bind(rc.args)
+	pool.bind(rc.args, rc.sites)
 	var hs []uint64
 	var gis []int // group ordinal of each live row; nil for a global γ
 	keyCols := make([]storage.ColVec, nG)

@@ -137,7 +137,7 @@ func (c chain) getRun(pool *sync.Pool, cfg vecConfig, rc *runCtx) *chainRun {
 	if !ok {
 		r = c.newRun(cfg)
 	}
-	r.pool.bind(rc.args)
+	r.pool.bind(rc.args, rc.sites)
 	return r
 }
 
@@ -852,7 +852,7 @@ func (n *vloopJoinNode) run(rc *runCtx, emit vecEmit) error {
 	bs := n.cfg.bs
 	pairs := newOwnedBatch(n.lArity+n.rArity, bs)
 	pool := newVecPool(bs)
-	pool.bind(rc.args)
+	pool.bind(rc.args, rc.sites)
 	tr := make([]truth, bs)
 	selBuf := make([]int, 0, bs)
 	flush := func() error {
@@ -941,7 +941,7 @@ func CompileVec(q algebra.Query, db *storage.Database, opts VecOptions) (*Progra
 	if err != nil {
 		return nil, err
 	}
-	return &Program{root: n, out: sch, params: c.names}, nil
+	return &Program{root: n, out: sch, params: c.names, sites: c.sites}, nil
 }
 
 // EvalVec compiles and runs q vectorized in one step.

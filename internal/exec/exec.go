@@ -68,11 +68,12 @@ import (
 )
 
 // runCtx carries per-run state through the pipeline: the database, the
-// context, and the run's parameter vector.
+// context, the run's parameter vector and its param sites' kernels.
 type runCtx struct {
-	db   *storage.Database
-	ctx  context.Context
-	args []arg
+	db    *storage.Database
+	ctx   context.Context
+	args  []arg
+	sites []any
 }
 
 // Program is a compiled query plan. Compile once, Run many times —
@@ -81,7 +82,8 @@ type runCtx struct {
 type Program struct {
 	root   vecNode
 	out    *schema.Schema
-	params []string // parameter slot names, by slot
+	params []string          // parameter slot names, by slot
+	sites  []func([]arg) any // param site builders, by site
 }
 
 // OutputSchema returns the schema of the program's result. A column a
@@ -91,7 +93,8 @@ func (p *Program) OutputSchema() *schema.Schema { return p.out }
 
 // newRun builds the run state of one call under binding.
 func (p *Program) newRun(ctx context.Context, db *storage.Database, binding map[string]types.Value) *runCtx {
-	return &runCtx{db: db, ctx: ctx, args: args(p.params, binding)}
+	a := args(p.params, binding)
+	return &runCtx{db: db, ctx: ctx, args: a, sites: buildSites(p.sites, a)}
 }
 
 // Run executes the program against db and materializes the result as

@@ -212,13 +212,13 @@ func (c *compiler) recognizeFusedAnd(x *expr.And, s *schema.Schema, generic vecC
 		return (&fusedAnd{legs: legs, generic: generic}).eval
 	}
 	compiled := legs // captured by value: legs itself stays off the heap
-	return c.boundCond(func(p *vecPool) vecCondFn {
+	return c.boundCond(func(args []arg) vecCondFn {
 		run := append([]fusedLeg(nil), compiled...)
 		for i := range run {
 			if run[i].slot < 0 {
 				continue
 			}
-			if v, ok := p.arg(run[i].slot); !ok || !run[i].bindValue(v) {
+			if v, ok := argAt(args, run[i].slot); !ok || !run[i].bindValue(v) {
 				return nil
 			}
 		}

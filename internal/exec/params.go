@@ -17,21 +17,23 @@ import (
 // comparison, the fused conjunction's legs, the typed IF's THEN and the
 // column∘constant arithmetic. At a param site each keeps its
 // value-independent part (column ordinal, truth table, orientation, the
-// generic fallback) from compile time and builds the value-dependent
-// part from the bound value the first time a run reaches it, with the
-// same builder a literal is compiled with. A run therefore picks, site
-// by site, exactly the kernel CompileVec would pick for the query with
-// the binding substituted — NULL, an int where a float was or a string
+// generic fallback) from compile time, and the compiler records the
+// site's builder: the value-dependent part made from the bound values
+// with the same builder a literal is compiled with. Each run calls every
+// builder once (Program.newRun) and hands the kernels to its pools
+// beside the parameter vector. A run therefore picks, site by site,
+// exactly the kernel CompileVec would pick for the query with the
+// binding substituted — NULL, an int where a float was or a string
 // included, down to the generic one.
 
 // compiler is one CompileVec or CompileTupleKernel call's state: the
-// parameter slots its expressions name and its param sites, the
-// kernels whose value-dependent part each run builds once.
+// parameter slots its expressions name and the builders of its param
+// sites.
 type compiler struct {
 	cfg   vecConfig
 	slots map[string]int
-	names []string // slot → parameter name
-	sites int
+	names []string          // slot → parameter name
+	sites []func([]arg) any // site → builder of its per-run kernel
 }
 
 // slot returns the parameter's slot, numbering it on first sight.
@@ -47,10 +49,11 @@ func (c *compiler) slot(name string) int {
 	return len(c.names) - 1
 }
 
-// site numbers a new param site.
-func (c *compiler) site() int {
-	c.sites++
-	return c.sites - 1
+// site numbers a new param site whose per-run kernel build makes from
+// the run's parameter vector.
+func (c *compiler) site(build func(args []arg) any) int {
+	c.sites = append(c.sites, build)
+	return len(c.sites) - 1
 }
 
 // arg is one parameter slot's value in a run; ok is false when the run
@@ -74,34 +77,41 @@ func args(names []string, binding map[string]types.Value) []arg {
 	return out
 }
 
+// argAt returns the vector's value for a slot; ok is false when the run
+// binds none.
+func argAt(args []arg, slot int) (types.Value, bool) {
+	if slot < len(args) {
+		return args[slot].v, args[slot].ok
+	}
+	return types.Value{}, false
+}
+
+// buildSites makes every param site's kernel for one run's parameter
+// vector (nil when there are no sites). The kernels are immutable, so
+// all of a run's pools, parallel workers included, share them.
+func buildSites(builds []func([]arg) any, args []arg) []any {
+	if len(builds) == 0 {
+		return nil
+	}
+	out := make([]any, len(builds))
+	for i, build := range builds {
+		out[i] = build(args)
+	}
+	return out
+}
+
 // errUnbound is what evaluating a parameter no value is bound to
 // reports: like the interpreter, only once a row reaches it.
 func errUnbound(name string) error {
 	return fmt.Errorf("exec: parameter $%s is not bound", name)
 }
 
-// bound returns a param site's per-run value, building it on the run's
-// first use. A nil build result is remembered too: the run takes the
-// site's generic path from then on.
-func bound[T any](p *vecPool, site int, build func(p *vecPool) T) T {
-	if site < len(p.sites) {
-		if v, ok := p.sites[site].(T); ok {
-			return v
-		}
-	} else {
-		p.sites = append(p.sites, make([]any, site+1-len(p.sites))...)
-	}
-	v := build(p)
-	p.sites[site] = v
-	return v
-}
-
 // boundCond is a param site at the truth level: the kernel build
 // returns for the run's binding, or generic when it returns nil.
-func (c *compiler) boundCond(build func(p *vecPool) vecCondFn, generic vecCondFn) vecCondFn {
-	site := c.site()
+func (c *compiler) boundCond(build func(args []arg) vecCondFn, generic vecCondFn) vecCondFn {
+	site := c.site(func(args []arg) any { return build(args) })
 	return func(p *vecPool, b *batch, sel []int, out []truth) error {
-		if fn := bound(p, site, build); fn != nil {
+		if fn, _ := p.sites[site].(vecCondFn); fn != nil {
 			return fn(p, b, sel, out)
 		}
 		return generic(p, b, sel, out)
@@ -109,10 +119,10 @@ func (c *compiler) boundCond(build func(p *vecPool) vecCondFn, generic vecCondFn
 }
 
 // boundScalar is boundCond for scalar kernels.
-func (c *compiler) boundScalar(build func(p *vecPool) vecScalarFn, generic vecScalarFn) vecScalarFn {
-	site := c.site()
+func (c *compiler) boundScalar(build func(args []arg) vecScalarFn, generic vecScalarFn) vecScalarFn {
+	site := c.site(func(args []arg) any { return build(args) })
 	return func(p *vecPool, b *batch, sel []int, out []types.Value) error {
-		if fn := bound(p, site, build); fn != nil {
+		if fn, _ := p.sites[site].(vecScalarFn); fn != nil {
 			return fn(p, b, sel, out)
 		}
 		return generic(p, b, sel, out)

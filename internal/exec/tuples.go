@@ -26,6 +26,7 @@ type TupleKernel struct {
 	cols  []int        // the columns cond and fns read
 	kinds []types.Kind // their declared kinds: the transpose's lane hints
 	arity int
+	sites []any // param site kernels: a kernel binds no $slot, so all generic
 }
 
 // tupleRun is one Eval's scratch for batches of up to bs rows. It fits
@@ -76,6 +77,7 @@ func CompileTupleKernel(cond expr.Expr, exprs []expr.Expr, s *schema.Schema) (*T
 		k.fns = append(k.fns, fn)
 		note(e)
 	}
+	k.sites = buildSites(c.sites, nil)
 	for i, col := range s.Columns {
 		if read[i] {
 			k.cols = append(k.cols, i)
@@ -156,7 +158,7 @@ func (k *TupleKernel) getRun(bs int) *tupleRun {
 	if r == nil || r.bs < bs {
 		r = &tupleRun{bs: bs, pool: newVecPool(bs), tr: make([]truth, bs), sel: make([]int, 0, bs)}
 	}
-	r.pool.bind(nil)
+	r.pool.bind(nil, k.sites)
 	if len(r.cols) < k.arity {
 		r.cols = make([]storage.ColVec, k.arity)
 	}

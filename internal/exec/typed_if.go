@@ -28,11 +28,10 @@ type typedIf struct {
 	thenIdx      int
 	op           types.Op
 	constOnRight bool
-	// slot is the $slot in the constant's place, or -1. For a slot,
-	// build specializes the producer on the run's value; resolve calls
-	// it once per run, as param site number site.
-	slot, site int
-	build      func(p *vecPool) *typedIf
+	// site is the param site of a $slot in the constant's place, or -1:
+	// each run's producer is the one its site's builder specialized on
+	// the run's value (resolve).
+	site int
 	// The constant's part, filled by setConst.
 	constV    types.Value
 	fastInt   func(int64) int64
@@ -53,7 +52,7 @@ func (c *compiler) recognizeTypedIf(x *expr.If, s *schema.Schema) (*typedIf, err
 	if elseIdx < 0 {
 		return nil, nil
 	}
-	t := &typedIf{elseIdx: elseIdx, thenIdx: -1, slot: -1}
+	t := &typedIf{elseIdx: elseIdx, thenIdx: -1, site: -1}
 	k := x.Then
 	switch then := x.Then.(type) {
 	case *expr.Const, *expr.Param:
@@ -80,19 +79,18 @@ func (c *compiler) recognizeTypedIf(x *expr.If, s *schema.Schema) (*typedIf, err
 		}
 	case *expr.Param:
 		slot := c.slot(k.Name)
-		t.slot, t.site = slot, c.site()
-		t.build = func(p *vecPool) *typedIf {
-			v, ok := p.arg(slot)
+		t.site = c.site(func(args []arg) any {
+			v, ok := argAt(args, slot)
 			if !ok {
-				return nil
+				return (*typedIf)(nil)
 			}
 			run := *t
-			run.slot = -1
+			run.site = -1
 			if !run.setConst(v) {
-				return nil
+				return (*typedIf)(nil)
 			}
 			return &run
-		}
+		})
 	}
 	cond, err := c.compileVecWhereTruth(x.Cond, s)
 	if err != nil {
@@ -154,10 +152,11 @@ func (t *typedIf) setConst(cv types.Value) bool {
 // shape (the boxed kernel then handles the column, as it would the
 // substituted literal's).
 func (t *typedIf) resolve(p *vecPool) *typedIf {
-	if t == nil || t.slot < 0 {
+	if t == nil || t.site < 0 {
 		return t
 	}
-	return bound(p, t.site, t.build)
+	run, _ := p.sites[t.site].(*typedIf)
+	return run
 }
 
 // arithBoxed evaluates the THEN arithmetic through types.Arith in the

@@ -122,8 +122,8 @@ func hashRows(b *batch, hs []uint64) {
 // absolute row position.
 //
 // The pool is also where a kernel finds its run's binding: args is the
-// run's parameter vector, and sites the param sites' per-run kernels
-// (see bound). bind resets both whenever the pool starts a run.
+// run's parameter vector, and sites the param sites' kernels built for
+// it (see buildSites). bind sets both whenever the pool starts a run.
 type vecPool struct {
 	bs    int
 	vals  [][]types.Value
@@ -135,20 +135,9 @@ type vecPool struct {
 
 func newVecPool(bs int) *vecPool { return &vecPool{bs: bs} }
 
-// bind starts a run under args: no param site keeps the kernel an
-// earlier run built for its binding.
-func (p *vecPool) bind(args []arg) {
-	p.args = args
-	clear(p.sites)
-}
-
-// arg returns the run's value for a parameter slot; ok is false when
-// the run binds none.
-func (p *vecPool) arg(slot int) (types.Value, bool) {
-	if slot < len(p.args) {
-		return p.args[slot].v, p.args[slot].ok
-	}
-	return types.Value{}, false
+// bind starts a run under its parameter vector and site kernels.
+func (p *vecPool) bind(args []arg, sites []any) {
+	p.args, p.sites = args, sites
 }
 
 func (p *vecPool) getVals() []types.Value {
@@ -214,7 +203,7 @@ func (c *compiler) compileVecScalar(e expr.Expr, s *schema.Schema) (vecScalarFn,
 	case *expr.Param:
 		slot, name := c.slot(x.Name), x.Name
 		return func(p *vecPool, b *batch, sel []int, out []types.Value) error {
-			v, ok := p.arg(slot)
+			v, ok := argAt(p.args, slot)
 			if !ok {
 				if len(sel) > 0 || (sel == nil && b.n > 0) {
 					return errUnbound(name)
@@ -422,7 +411,7 @@ func fillConst(v types.Value, b *batch, sel []int, out []types.Value) {
 // kernel: the generic one runs); both nil when no specialization
 // applies. Division is excluded (it errors on zero and always yields
 // floats).
-func (c *compiler) compileVecArithFast(x *expr.Arith, s *schema.Schema) (vecScalarFn, func(p *vecPool) vecScalarFn) {
+func (c *compiler) compileVecArithFast(x *expr.Arith, s *schema.Schema) (vecScalarFn, func(args []arg) vecScalarFn) {
 	if x.Op == types.OpDiv {
 		return nil, nil
 	}
@@ -437,8 +426,8 @@ func (c *compiler) compileVecArithFast(x *expr.Arith, s *schema.Schema) (vecScal
 	op := x.Op
 	if prm, ok := k.(*expr.Param); ok {
 		slot := c.slot(prm.Name)
-		return nil, func(p *vecPool) vecScalarFn {
-			if v, ok := p.arg(slot); ok {
+		return nil, func(args []arg) vecScalarFn {
+			if v, ok := argAt(args, slot); ok {
 				return arithConstKernel(op, idx, v, constOnRight)
 			}
 			return nil
@@ -896,7 +885,7 @@ func cmpTruthLUT(op expr.CmpOp) ([3]truth, bool) {
 // like compileVecArithFast does arithmetic: the kernel for a constant,
 // the per-run builder for a $slot, both nil when no specialization
 // applies.
-func (c *compiler) compileVecColConstCmp(x *expr.Cmp, s *schema.Schema) (vecCondFn, func(p *vecPool) vecCondFn) {
+func (c *compiler) compileVecColConstCmp(x *expr.Cmp, s *schema.Schema) (vecCondFn, func(args []arg) vecCondFn) {
 	col, k, constOnRight := splitColOperand(x.L, x.R)
 	if col == nil {
 		return nil, nil
@@ -912,8 +901,8 @@ func (c *compiler) compileVecColConstCmp(x *expr.Cmp, s *schema.Schema) (vecCond
 	}
 	if prm, ok := k.(*expr.Param); ok {
 		slot := c.slot(prm.Name)
-		return nil, func(p *vecPool) vecCondFn {
-			if v, ok := p.arg(slot); ok {
+		return nil, func(args []arg) vecCondFn {
+			if v, ok := argAt(args, slot); ok {
 				return colConstCmpKernel(op, idx, lut, v)
 			}
 			return nil
