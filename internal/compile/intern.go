@@ -50,7 +50,9 @@ func constBits(v types.Value) (kind types.Kind, bits uint64, text string) {
 // nodeKey is the structure of one expression node over already
 // interned children: two nodes get one key exactly when they have the
 // same type, the same operator, the same name or typed constant, and
-// pairwise identical children.
+// pairwise identical children. The interner numbers the nodes of one
+// compilation, which has one kind map, so a leaf's kind stays out of
+// its key there; the memo-key hash folds it in (leafKind).
 type nodeKey struct {
 	tag  uint8
 	op   uint8
@@ -158,9 +160,10 @@ func (in *interner) id(e expr.Expr) int32 {
 }
 
 // memoKey identifies one satisfiability query in a Memo: 128 bits of a
-// keyed hash over the condition's structure, the variable kinds and the
-// solver budget (see queryKey). The same two lanes also carry the
-// structural digest of a single expression (see nodeDigest).
+// keyed hash over the condition's structure, the kinds of the variables
+// and $params it names, and the solver budget (see queryKey). The same
+// two lanes also carry the structural digest of a single expression
+// (see nodeDigest).
 type memoKey struct{ hi, lo uint64 }
 
 // The two lanes of a memoKey are hash/maphash under independent seeds
@@ -200,12 +203,16 @@ func (h *keyHasher) text(s string) {
 	_, _ = h.lo.WriteString(s)
 }
 
-// nodeDigest is the structural digest of e: a keyed hash of the node's
-// own fields (see shape) and its children's digests. Equal structure
-// gives equal digests whatever the addresses, and the digest of l ∧ r
-// follows from those of l and r (andDigest), so a shared leading
-// conjunct is hashed once however many formulas extend it (Prefix).
-func nodeDigest(e expr.Expr) memoKey {
+// nodeDigest is the structural digest of e under the kind map kinds: a
+// keyed hash of the node's own fields (see shape) and its children's
+// digests. Equal structure gives equal digests whatever the addresses,
+// and the digest of l ∧ r follows from those of l and r (andDigest), so
+// a shared leading conjunct is hashed once however many formulas extend
+// it (Prefix). A variable or $param leaf also carries the kind lowering
+// resolves for it (see leafKind), so the digest covers exactly the
+// kinds the formula's lowering reads: an entry of kinds that e does not
+// name leaves it unchanged.
+func nodeDigest(e expr.Expr, kinds map[string]types.Kind) memoKey {
 	k, kids, ok := shape(e)
 	if !ok {
 		// Unknown node: the concrete type goes in beside the rendering,
@@ -218,15 +225,35 @@ func nodeDigest(e expr.Expr) memoKey {
 		h.text(e.String())
 		return h.sum()
 	}
+	leafKind(&k, kinds)
 	var kd [3]memoKey
 	n := 0
 	for _, kid := range kids {
 		if kid != nil {
-			kd[n] = nodeDigest(kid)
+			kd[n] = nodeDigest(kid, kinds)
 			n++
 		}
 	}
 	return digest(k, kd[:n])
+}
+
+// leafKind folds into a variable or $param leaf's key what lowering
+// looks up for it (sourceVar, compileBool): whether kinds holds its
+// name — a $param's under "$name" — in op, and the kind held. Lowering
+// treats an absent name as a float in value position and rejects it in
+// condition position, so absent and present stay apart.
+func leafKind(k *nodeKey, kinds map[string]types.Kind) {
+	name := k.text
+	switch k.tag {
+	case tagVar:
+	case tagParam:
+		name = "$" + name
+	default:
+		return
+	}
+	if kind, ok := kinds[name]; ok {
+		k.op, k.kind = 1, kind
+	}
 }
 
 // andDigest is nodeDigest of a conjunction whose operands have digests
@@ -250,28 +277,11 @@ func digest(k nodeKey, kids []memoKey) memoKey {
 	return h.sum()
 }
 
-// envDigest hashes what besides the condition can change a verdict:
-// the kind of every variable (merged parameter kinds included) and the
-// solver knobs. The kind map goes in as an order-free digest — the sum
-// of one keyed hash per (name, kind) entry in each lane — so the
-// hundreds of variables of a long history need no sorting.
-func envDigest(kinds map[string]types.Kind, opts Options) memoKey {
-	var entry keyHasher
-	entry.init()
-	var sumHi, sumLo uint64
-	for n, k := range kinds {
-		entry.hi.Reset()
-		entry.lo.Reset()
-		entry.text(n)
-		entry.byte(uint8(k))
-		sumHi += entry.hi.Sum64()
-		sumLo += entry.lo.Sum64()
-	}
+// envDigest hashes what besides the condition and its kinds can change
+// a verdict: the solver budget.
+func envDigest(opts Options) memoKey {
 	var h keyHasher
 	h.init()
-	h.word(uint64(len(kinds)))
-	h.word(sumHi)
-	h.word(sumLo)
 	h.word(uint64(opts.Solve.MaxNodes))
 	h.word(uint64(opts.Solve.MaxIter))
 	return h.sum()

@@ -1,6 +1,8 @@
 package compile
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -13,7 +15,7 @@ import (
 // hashQuery is the memo key of one whole query, computed from scratch:
 // what a Prefix must arrive at for any formula it extends.
 func hashQuery(cond expr.Expr, kinds map[string]types.Kind, opts Options) memoKey {
-	return queryKey(nodeDigest(cond), envDigest(kinds, opts))
+	return queryKey(nodeDigest(cond, kinds), envDigest(opts))
 }
 
 func TestMemoReusesOutcome(t *testing.T) {
@@ -105,7 +107,9 @@ func TestMemoUnknownNodeTypesNotConflated(t *testing.T) {
 }
 
 // TestMemoKeyFoldsInKindsAndBudget: everything that can change a
-// verdict besides the condition is part of the key.
+// verdict besides the condition is part of the key — the kinds of the
+// names the condition mentions and the solver budget — and a kind-map
+// entry the condition does not mention is not.
 func TestMemoKeyFoldsInKindsAndBudget(t *testing.T) {
 	cond := expr.Ge(expr.Variable("x"), expr.Parameter("p"))
 	kinds := map[string]types.Kind{"x": types.KindInt, "$p": types.KindInt}
@@ -116,7 +120,6 @@ func TestMemoKeyFoldsInKindsAndBudget(t *testing.T) {
 	variants := map[string]memoKey{
 		"kind of x":       hashQuery(cond, map[string]types.Kind{"x": types.KindFloat, "$p": types.KindInt}, Options{}),
 		"kind of $p":      hashQuery(cond, map[string]types.Kind{"x": types.KindInt, "$p": types.KindFloat}, Options{}),
-		"extra variable":  hashQuery(cond, map[string]types.Kind{"x": types.KindInt, "$p": types.KindInt, "y": types.KindInt}, Options{}),
 		"MaxNodes":        hashQuery(cond, kinds, Options{Solve: milp.SolveOptions{MaxNodes: 800}}),
 		"MaxIter":         hashQuery(cond, kinds, Options{Solve: milp.SolveOptions{MaxIter: 800}}),
 		"name boundaries": hashQuery(cond, map[string]types.Kind{"x$": types.KindInt, "p": types.KindInt}, Options{}),
@@ -125,6 +128,11 @@ func TestMemoKeyFoldsInKindsAndBudget(t *testing.T) {
 		if k == base {
 			t.Errorf("memo key ignores %s", what)
 		}
+	}
+	// A variable the condition does not mention cannot change its
+	// verdict, so it does not change its key either.
+	if hashQuery(cond, map[string]types.Kind{"x": types.KindInt, "$p": types.KindInt, "y": types.KindInt}, Options{}) != base {
+		t.Error("memo key depends on an extra variable the condition does not mention")
 	}
 
 	// ParamKinds reach the key through the merged kind map: the same
@@ -138,6 +146,113 @@ func TestMemoKeyFoldsInKindsAndBudget(t *testing.T) {
 	}
 	if memo.Len() != 2 {
 		t.Errorf("Len() = %d: differing ParamKinds were conflated", memo.Len())
+	}
+}
+
+// TestMemoKeyReadsOnlyMentionedKinds draws random formulas over x, y,
+// s and $p and requires the key to follow the kind map exactly as far
+// as lowering reads it: an entry for a name the formula does not
+// mention never moves the key, a changed kind of a name it mentions
+// always does, and so does dropping a mentioned name from the map (an
+// absent name is not a present one, not even of the zero Kind).
+func TestMemoKeyReadsOnlyMentionedKinds(t *testing.T) {
+	g := corpus{rand.New(rand.NewSource(41))}
+	base := map[string]types.Kind{"x": types.KindInt, "y": types.KindFloat, "s": types.KindString, "$p": types.KindInt}
+	with := func(name string, k types.Kind, present bool) map[string]types.Kind {
+		m := make(map[string]types.Kind, len(base)+1)
+		for n, kk := range base {
+			m[n] = kk
+		}
+		if present {
+			m[name] = k
+		} else {
+			delete(m, name)
+		}
+		return m
+	}
+	for i := 0; i < 2000; i++ {
+		cond := g.cond(2)
+		mentioned := expr.Vars(cond)
+		for p := range expr.Params(cond) {
+			mentioned["$"+p] = true
+		}
+		key := hashQuery(cond, base, Options{})
+		if k := hashQuery(cond, with("z", types.KindBool, true), Options{}); k != key {
+			t.Fatalf("%s: an entry for unmentioned z moved the key", cond)
+		}
+		for name := range base {
+			changed := hashQuery(cond, with(name, types.KindBool, true), Options{})
+			absent := hashQuery(cond, with(name, 0, false), Options{})
+			// KindNull is the zero Kind: only presence tells it from absence.
+			null := hashQuery(cond, with(name, types.KindNull, true), Options{})
+			if mentioned[name] {
+				if changed == key || absent == key || changed == absent || null == absent {
+					t.Fatalf("%s: key ignores the kind of mentioned %s (changed %t, absent %t, null as absent %t)",
+						cond, name, changed == key, absent == key, null == absent)
+				}
+			} else if changed != key || absent != key || null != key {
+				t.Fatalf("%s: the kind of unmentioned %s moved the key", cond, name)
+			}
+		}
+	}
+}
+
+// TestMemoKeyTellsAbsentFromPresent: a variable the kind map does not
+// hold fails to lower in condition position, where a present bool
+// lowers, and a memo shared by the asks keeps the two apart.
+func TestMemoKeyTellsAbsentFromPresent(t *testing.T) {
+	memo := NewMemo()
+	cond := expr.AndOf(expr.Variable("b"), expr.Gt(expr.Variable("x"), expr.IntConst(1)))
+	if _, err := Satisfiable(cond, map[string]types.Kind{"x": types.KindInt}, Options{Memo: memo}); err == nil {
+		t.Fatal("an absent variable in condition position lowered")
+	}
+	out, err := Satisfiable(cond, map[string]types.Kind{"x": types.KindInt, "b": types.KindBool}, Options{Memo: memo})
+	if err != nil || !out.Sat {
+		t.Fatalf("present bool: outcome %+v, err %v", out, err)
+	}
+	if _, err := Satisfiable(cond, map[string]types.Kind{"x": types.KindInt}, Options{Memo: memo}); err == nil {
+		t.Fatal("the absent variable's ask was answered by the present one's outcome")
+	}
+}
+
+// TestMemoSharedAcrossGrowingKindMaps is the append case: a history's
+// kind map gains the fresh variables of each appended statement, and a
+// check that mentions none of them hits the outcome an ask under the
+// smaller map left, through a Prefix as through a whole-formula call.
+func TestMemoSharedAcrossGrowingKindMaps(t *testing.T) {
+	memo := NewMemo()
+	opts := Options{Memo: memo}
+	phi := expr.AndOf(expr.Ge(expr.Variable("x_0"), expr.IntConst(3)), expr.Lt(expr.Variable("x_0"), expr.Parameter("cut")))
+	touched := expr.Gt(expr.Variable("x_0"), expr.IntConst(5))
+	kinds := map[string]types.Kind{"x_0": types.KindInt}
+	paramOpts := opts
+	paramOpts.ParamKinds = map[string]types.Kind{"cut": types.KindFloat}
+	first, err := NewPrefix(phi, kinds, paramOpts).SatisfiableCtx(context.Background(), touched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 1; step <= 3; step++ {
+		grown := make(map[string]types.Kind, len(kinds)+2)
+		for n, k := range kinds {
+			grown[n] = k
+		}
+		grown[fmt.Sprintf("x_%d", step)] = types.KindFloat
+		grown[fmt.Sprintf("y_%d", step)] = types.KindString
+		kinds = grown
+		viaPrefix, err := NewPrefix(phi, kinds, paramOpts).SatisfiableCtx(context.Background(), touched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := Satisfiable(expr.AndOf(phi, touched), kinds, paramOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if viaPrefix != first || whole != first {
+			t.Fatalf("append %d: the grown kind map missed the memo", step)
+		}
+	}
+	if hits, misses := memo.Stats(); hits != 6 || misses != 1 {
+		t.Errorf("memo Stats() = %d hits, %d misses, want 6, 1", hits, misses)
 	}
 }
 

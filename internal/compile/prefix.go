@@ -29,9 +29,12 @@ import (
 // witness, Nodes, Vars and Cons. Where simplification does not leave
 // the prefix at the bottom of the left spine (a conjunct simplified to
 // false, or cond to true), the check compiles afresh. Memo keys are
-// those of the whole simplified formula, so they are shared with every
-// other caller asking the same question, and a Prefix with the same
-// structure as another hits the other's outcomes.
+// those of the whole simplified formula under the kinds of the names it
+// mentions, so they are shared with every other caller asking the same
+// question, and a Prefix with the same structure as another hits the
+// other's outcomes — also when the two kind maps differ in names
+// neither formula mentions, as the maps of one relation's history do
+// before and after an append.
 //
 // A Prefix is safe for concurrent use. It keeps nothing beyond itself:
 // the lowered prefix is dropped with the Prefix.
@@ -42,8 +45,8 @@ type Prefix struct {
 	// spine is false when root is a node the compiler does not know;
 	// nothing can then extend it (and it is never compared).
 	spine  bool
-	digest memoKey // nodeDigest(root), when opts.Memo is set
-	env    memoKey // envDigest(kinds, opts), when opts.Memo is set
+	digest memoKey // nodeDigest(root, kinds), when opts.Memo is set
+	env    memoKey // envDigest(opts), when opts.Memo is set
 
 	once sync.Once
 	base *compiler // root lowered, read-only from then on
@@ -60,8 +63,8 @@ func NewPrefix(cond expr.Expr, kinds map[string]types.Kind, opts Options) *Prefi
 	p := &Prefix{root: expr.Simplify(cond), kinds: withParamKinds(kinds, opts.ParamKinds), opts: opts}
 	_, _, p.spine = shape(p.root)
 	if opts.Memo != nil {
-		p.digest = nodeDigest(p.root)
-		p.env = envDigest(p.kinds, opts)
+		p.digest = nodeDigest(p.root, p.kinds)
+		p.env = envDigest(opts)
 	}
 	return p
 }
@@ -116,16 +119,16 @@ func (p *Prefix) conjoin(conj []expr.Expr) expr.Expr {
 	return whole
 }
 
-// digestOf returns nodeDigest(e) for a formula built on the prefix,
-// hashing only what lies outside it.
+// digestOf returns nodeDigest(e, p.kinds) for a formula built on the
+// prefix, hashing only what lies outside it.
 func (p *Prefix) digestOf(e expr.Expr) memoKey {
 	if p.spine && e == p.root {
 		return p.digest
 	}
 	if a, ok := e.(*expr.And); ok {
-		return andDigest(p.digestOf(a.L), nodeDigest(a.R))
+		return andDigest(p.digestOf(a.L), nodeDigest(a.R, p.kinds))
 	}
-	return nodeDigest(e)
+	return nodeDigest(e, p.kinds)
 }
 
 // compilerFor returns the compiler to lower whole on: a child of the

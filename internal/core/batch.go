@@ -117,11 +117,13 @@ type batchShared struct {
 
 // sessionWork sums delta.Work over every delta computed through a
 // session, the expression nodes its program slicing lowered, the plans
-// its template evals chose, and the routes its aggregate reports took.
+// its template evals chose, its templates' recompiles and unsliced-pair
+// builds, and the routes its aggregate reports took.
 type sessionWork struct {
 	compared, hashed, boxed atomic.Int64
 	lowered                 atomic.Int64
 	sliced, unsliced        atomic.Int64
+	recompiles, built       atomic.Int64
 	reports                 routeCounters
 }
 

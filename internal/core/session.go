@@ -35,13 +35,18 @@ import (
 // or derived from — a version at or below the tip the session last
 // saw: snapshots are states after their first i statements, query
 // results are keyed (version, program), solver outcomes are
-// content-addressed by the slicing formula. When the history advances
-// (Engine.Append during live serving), all of that remains exactly
-// valid, so the session re-pins to the new version and keeps its
-// caches — the optimistic cross-version reuse that makes a served
-// deployment's caches survive a stream of appends. Invalidate still
-// discards everything explicitly (e.g. if the underlying store was
-// swapped out-of-band).
+// content-addressed by the slicing formula and the kinds of the
+// variables it mentions. When the history advances (Engine.Append
+// during live serving), all of that remains exactly valid, so the
+// session re-pins to the new version and keeps its caches — the
+// optimistic cross-version reuse that makes a served deployment's
+// caches survive a stream of appends. An appended statement adds
+// fresh symbolic variables to its relation's run, which no earlier
+// test mentions, so a re-plan after the append — a repeated what-if, a
+// template's recompile (counted in TemplateRecompiles) — finds every
+// test it asked before in the memo and solves only the appended
+// statements' tests. Invalidate still discards everything explicitly
+// (e.g. if the underlying store was swapped out-of-band).
 type Session struct {
 	e *Engine
 
@@ -194,6 +199,12 @@ type SessionStats struct {
 	// UnslicedEvals over the session's templates: per binding and
 	// relation with two plans, whether its data-sliced pair ran.
 	TemplateSlicedEvals, TemplateUnslicedEvals int64
+	// TemplateRecompiles sums TemplateStats.Recompiles over the session's
+	// templates: artifacts rebuilt because the history advanced.
+	// TemplateUnslicedBuilds sums TemplateStats.UnslicedBuilds: unsliced
+	// pairs a relation with two plans built when a binding first needed
+	// one.
+	TemplateRecompiles, TemplateUnslicedBuilds int64
 	// Reports counts the aggregate reports answered through the session
 	// by route: merged into the historical γ state remembered on the
 	// snapshot, or patched, by reason.
@@ -236,6 +247,7 @@ func (s *Session) Stats() SessionStats {
 	st.TemplateEvictions = s.caches.templates.Evictions()
 	st.TemplateResident = s.caches.templates.Len()
 	st.TemplateSlicedEvals, st.TemplateUnslicedEvals = s.caches.work.sliced.Load(), s.caches.work.unsliced.Load()
+	st.TemplateRecompiles, st.TemplateUnslicedBuilds = s.caches.work.recompiles.Load(), s.caches.work.built.Load()
 	st.Reports = s.caches.work.reports.load()
 	st.ReportArtifactHits, st.ReportArtifactMisses = s.caches.snaps.ReportStats()
 	st.InterpreterFallbacks = s.e.InterpreterFallbacks()

@@ -37,8 +37,8 @@ import (
 //     no binding ever runs the solver;
 //   - the original-side reenactment: original histories never contain
 //     parameters, so each relation's original-side result is
-//     materialized once — over the unsliced relation when a slicing
-//     filter of that side carries a $slot (below);
+//     materialized once — except where a slicing filter of that side
+//     carries a $slot (below);
 //   - relations whose modified side carries no parameter: their whole
 //     delta is static and served as-is;
 //   - the executor programs: every query a binding runs — each
@@ -57,13 +57,20 @@ import (
 // push-down, a slot in a condition (UPDATE/DELETE WHERE, INSERT …
 // SELECT) lands in it directly. A relation whose original side reads
 // such a filter has two plans: the sliced pair, both sides filtered
-// per binding, and the unsliced pair above. Each binding counts its
-// filters on the snapshot (|S_H| and |S_M| rows) and runs the sliced
-// pair iff |S_H| + |S_M| plus one batch for its second pass over the
-// relation is at most |R| (slicedPair.pays), whichever reenacts fewer
-// base rows — a narrow binding touches its slice, a wide one does not
-// pay for reenacting both sides. Both plans are exact, so the choice
-// changes speed, never results; Stats counts it.
+// per binding, and the unsliced pair, the original side materialized
+// over the whole relation. Each binding counts its filters on the
+// snapshot (|S_H| and |S_M| rows) and runs the sliced pair iff
+// |S_H| + |S_M| plus one batch for its second pass over the relation is
+// at most |R| (slicedPair.pays), whichever reenacts fewer base rows — a
+// narrow binding touches its slice, a wide one does not pay for
+// reenacting both sides. Both plans are exact, so the choice changes
+// speed, never results; Stats counts it. The unsliced pair of such a
+// relation is built on first use, by the first binding the sliced pair
+// does not pay for: a template whose bindings all slice never
+// reenacts the whole relation, and a recompile after an append costs
+// it nothing. Its original side is then, like the sliced pair's,
+// evaluated at eval time, so an error there surfaces on that binding
+// rather than at compile.
 //
 // Templates are safe for concurrent use. When the engine's history
 // advances, the next Eval transparently recompiles the artifact against
@@ -87,6 +94,7 @@ type Template struct {
 	recompiles atomic.Int64
 	sliced     atomic.Int64
 	unsliced   atomic.Int64
+	built      atomic.Int64 // unsliced pairs built on first use
 	reports    routeCounters
 }
 
@@ -153,17 +161,34 @@ type templateArtifact struct {
 // binding.
 type templateRel struct {
 	rel string
-	// orig is the original-side reenactment result, materialized once and
-	// diffed against every binding's modified side. Like every
-	// reenactment result in core it is a columnar view: the artifact pins
-	// lanes, not tuples, and a binding boxes only the rows its delta
-	// touches.
+	// whole is the relation's unsliced pair, built at compile time when
+	// the relation has one plan; nil when it has two.
+	whole *unslicedPair
+	// slice is the relation's sliced pair when a slicing filter of its
+	// original side carries a $slot. Each binding then runs whichever
+	// pair reenacts fewer base rows, and the unsliced one is built on
+	// first use (Template.whole).
+	slice *slicedPair
+}
+
+// unslicedPair is a relation's reenactment pair without slicing filters
+// on $slots. orig is the original-side result, materialized once and
+// diffed against every binding's modified side. Like every reenactment
+// result in core it is a columnar view: the artifact pins lanes, not
+// tuples, and a binding boxes only the rows its delta touches.
+type unslicedPair struct {
 	orig *storage.ColumnarView
 	mod  boundQuery // the modified side, $slots open
-	// slice is the relation's sliced pair when a slicing filter of its
-	// original side carries a $slot; orig and mod are then the unsliced
-	// pair, and each binding runs whichever reenacts fewer base rows.
-	slice *slicedPair
+}
+
+// buildUnsliced materializes r's original side over db and compiles its
+// modified side for binding-time runs.
+func buildUnsliced(ev evaluator, r *relPlan, db *storage.Database) (*unslicedPair, error) {
+	orig, err := ev.eval(r.orig, db)
+	if err != nil {
+		return nil, err
+	}
+	return &unslicedPair{orig: orig, mod: bindQuery(ev, r.mod, db)}, nil
 }
 
 // boundQuery is a query skeleton with its $slots open, and its program,
@@ -190,16 +215,23 @@ func (bq boundQuery) view(ev evaluator, db *storage.Database, binding map[string
 	return ev.interpretView(algebra.SubstParams(bq.q, binding), db)
 }
 
-// eval answers the relation for one binding over its sliced pair
+// eval answers the relation tr for one binding over its sliced pair
 // (sliced requires tr.slice) or its unsliced one.
-func (tr *templateRel) eval(ev evaluator, db *storage.Database, binding map[string]types.Value, sliced bool) (*delta.Result, delta.Work, error) {
-	orig, modSide := tr.orig, tr.mod
+func (t *Template) eval(ev evaluator, db *storage.Database, tr *templateRel, binding map[string]types.Value, sliced bool) (*delta.Result, delta.Work, error) {
+	var orig *storage.ColumnarView
+	var modSide boundQuery
 	if sliced {
 		var err error
 		if orig, err = tr.slice.orig.view(ev, db, binding); err != nil {
 			return nil, delta.Work{}, err
 		}
 		modSide = tr.slice.mod
+	} else {
+		whole, err := t.whole(ev, db, tr)
+		if err != nil {
+			return nil, delta.Work{}, err
+		}
+		orig, modSide = whole.orig, whole.mod
 	}
 	mod, err := modSide.view(ev, db, binding)
 	if err != nil {
@@ -209,11 +241,36 @@ func (tr *templateRel) eval(ev evaluator, db *storage.Database, binding map[stri
 	return d, work, nil
 }
 
+// whole returns tr's unsliced pair. A relation with a sliced pair
+// builds it on first use, under the asking binding's context, through
+// one single flight (lru.Cache.Do): concurrent bindings build it once,
+// a build cut short by its builder's cancellation caches nothing and is
+// redone by a live waiter, and a failed build is not kept — its error
+// is the binding's, and the next binding builds again.
+func (t *Template) whole(ev evaluator, db *storage.Database, tr *templateRel) (*unslicedPair, error) {
+	if tr.slice == nil {
+		return tr.whole, nil
+	}
+	return tr.slice.wholes.Do(ev.evalCtx(), 0, func() (*unslicedPair, error) {
+		whole, err := buildUnsliced(ev, tr.slice.plain, db)
+		if err == nil {
+			t.built.Add(1)
+			t.shared.work.built.Add(1)
+		}
+		return whole, err
+	})
+}
+
 // slicedPair is a relation's data-sliced query pair with both sides'
-// $slots open, and the counts of the filtered scans it reads.
+// $slots open, and the counts of the filtered scans it reads. plain is
+// the relation's plan without the filters; wholes builds its unsliced
+// pair once, when a binding first needs it, and keeps it for the
+// artifact's life.
 type slicedPair struct {
 	orig, mod boundQuery
 	counts    []sliceCount
+	plain     *relPlan
+	wholes    *lru.Cache[int, *unslicedPair]
 }
 
 // sliceCount counts one filtered scan's two slices: h and m are
@@ -226,9 +283,10 @@ type sliceCount struct {
 }
 
 // compileSlicedPair compiles r's sliced pair and its slice counts over
-// db.
+// db; its unsliced pair is left to the first binding that needs it.
 func compileSlicedPair(ev evaluator, r relPlan, db *storage.Database) *slicedPair {
-	s := &slicedPair{orig: bindQuery(ev, r.orig, db), mod: bindQuery(ev, r.mod, db)}
+	s := &slicedPair{orig: bindQuery(ev, r.orig, db), mod: bindQuery(ev, r.mod, db),
+		plain: r.unsliced, wholes: lru.New[int, *unslicedPair](1)}
 	count := func(rel string, filter expr.Expr) *boundQuery {
 		if filter == nil {
 			return nil
@@ -340,8 +398,12 @@ type TemplateStats struct {
 	// SlicedEvals/UnslicedEvals count, per binding and per relation with
 	// two plans (a slicing filter of its original side carries a $slot),
 	// which plan ran: the sliced pair, whose slices together were no
-	// larger than the relation, or the unsliced one.
+	// larger than the relation, or the unsliced one. UnslicedBuilds
+	// counts the unsliced pairs such relations built on first use: at
+	// most one per relation and artifact, none while every binding
+	// slices.
 	SlicedEvals, UnslicedEvals int64
+	UnslicedBuilds             int64
 	// Reports counts the aggregate reports the template's evals attached,
 	// by route (merged or patched, by reason).
 	Reports ReportRoutes
@@ -404,6 +466,7 @@ func (t *Template) Stats() TemplateStats {
 	st.Evals = t.evals.Load()
 	st.Recompiles = t.recompiles.Load()
 	st.SlicedEvals, st.UnslicedEvals = t.sliced.Load(), t.unsliced.Load()
+	st.UnslicedBuilds = t.built.Load()
 	st.Reports = t.reports.load()
 	return st
 }
@@ -429,6 +492,7 @@ func (t *Template) artifact(ctx context.Context) (*templateArtifact, error) {
 		}
 		if old != nil {
 			t.recompiles.Add(1)
+			t.shared.work.recompiles.Add(1)
 		}
 		t.art.Store(art)
 		return art, nil
@@ -439,7 +503,8 @@ func (t *Template) artifact(ctx context.Context) (*templateArtifact, error) {
 // same plan a what-if runs, with the original sides executed once and
 // the modified sides either executed too (closed ⇒ the relation's delta
 // is static) or compiled with their $slots open for Eval to run under
-// each binding.
+// each binding. A relation with two plans gets its sliced pair here and
+// its unsliced pair from the first binding that runs it.
 func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 	start := time.Now()
 	pair, tip, err := t.e.align(t.mods)
@@ -470,25 +535,24 @@ func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 			return nil, err
 		}
 		if r.unsliced != nil {
-			// Both sliced sides depend on the binding: materialize the
-			// unsliced original side, keep both pairs.
-			orig, err := ev.eval(r.unsliced.orig, p.db)
+			// Both sliced sides depend on the binding: keep both pairs,
+			// the unsliced one to be built on first use.
+			art.rels = append(art.rels, templateRel{rel: r.rel, slice: compileSlicedPair(ev, r, p.db)})
+			art.stats.DynamicRelations = append(art.stats.DynamicRelations, r.rel)
+			continue
+		}
+		if len(algebra.Params(r.mod)) > 0 {
+			whole, err := buildUnsliced(ev, &r, p.db)
 			if err != nil {
 				return nil, err
 			}
-			art.rels = append(art.rels, templateRel{rel: r.rel, orig: orig, mod: bindQuery(ev, r.unsliced.mod, p.db),
-				slice: compileSlicedPair(ev, r, p.db)})
+			art.rels = append(art.rels, templateRel{rel: r.rel, whole: whole})
 			art.stats.DynamicRelations = append(art.stats.DynamicRelations, r.rel)
 			continue
 		}
 		orig, err := ev.eval(r.orig, p.db)
 		if err != nil {
 			return nil, err
-		}
-		if len(algebra.Params(r.mod)) > 0 {
-			art.rels = append(art.rels, templateRel{rel: r.rel, orig: orig, mod: bindQuery(ev, r.mod, p.db)})
-			art.stats.DynamicRelations = append(art.stats.DynamicRelations, r.rel)
-			continue
 		}
 		mod, err := ev.eval(r.mod, p.db)
 		if err != nil {
@@ -535,7 +599,8 @@ func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, bind
 	// No result cache: a binding's modified side is its own query, and
 	// caching each would retain one relation per binding ever asked.
 	ev := t.e.newEvaluator(ctx, t.opts, art.dbVer, nil)
-	for _, tr := range art.rels {
+	for i := range art.rels {
+		tr := &art.rels[i]
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
@@ -552,7 +617,7 @@ func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, bind
 			}
 			t.shared.countPlan(sliced)
 		}
-		d, work, err := tr.eval(ev, art.db, binding, sliced)
+		d, work, err := t.eval(ev, art.db, tr, binding, sliced)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -87,8 +87,9 @@ func evalPlan(t *testing.T, tpl *Template, binding map[string]types.Value, slice
 		out[rel] = d
 	}
 	ev := tpl.e.newEvaluator(context.Background(), tpl.opts, art.dbVer, nil)
-	for _, tr := range art.rels {
-		d, _, err := tr.eval(ev, art.db, binding, sliced && tr.slice != nil)
+	for i := range art.rels {
+		tr := &art.rels[i]
+		d, _, err := tpl.eval(ev, art.db, tr, binding, sliced && tr.slice != nil)
 		if err != nil {
 			t.Fatalf("forced plan (sliced=%t): %v", sliced, err)
 		}

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/mahif/mahif/internal/compile"
+	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/history"
 	"github.com/mahif/mahif/internal/symbolic"
 	"github.com/mahif/mahif/internal/workload"
@@ -128,5 +130,104 @@ func TestDependencyCancelledMidRun(t *testing.T) {
 			t.Fatalf("cancelled after %d checks, then rerun: kept %v (%d tests, %d nodes), want %v (%d, %d)",
 				after, res.Keep, res.Stats.Tests, res.Stats.SolverNodes, want.Keep, want.Stats.Tests, want.Stats.SolverNodes)
 		}
+	}
+}
+
+// TestDependencyMemoSharedAcrossSuffixes is an append seen by the
+// slicer: two dependency runs over one history, the second with k
+// independent statements appended, share one memo. The longer run's
+// kind map holds the appended statements' fresh variables, which no
+// test of the shorter run mentions, so every question of the shorter
+// run keeps its key and the two runs together solve exactly what the
+// longer run solves alone — in order, and concurrently on four workers
+// each. Both keep what they keep on a memo of their own.
+func TestDependencyMemoSharedAcrossSuffixes(t *testing.T) {
+	w, err := workload.Generate(workload.Taxi(1000, 1), workload.Config{
+		Updates: 40, Mods: 1, DependentPct: 50, AffectedPct: 10, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	phiD, err := symbolic.Compress(w.Dataset.Rel, symbolic.CompressOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := func(h history.History) *Input {
+		pair, err := history.ApplyModifications(h, w.Mods)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &Input{Pair: pair, Schema: w.Dataset.Rel.Schema, PhiD: phiD}
+	}
+	long := append(history.History{}, w.History...)
+	for k := range 5 {
+		lo := int64(1000*k + 17)
+		long = append(long, &history.Update{
+			Rel: w.Dataset.Rel.Schema.Relation,
+			Set: []history.SetClause{{Col: "extras", E: expr.Add(expr.Column("extras"), expr.FloatConst(1))}},
+			Where: expr.AndOf(
+				expr.Lt(expr.Column(w.Dataset.SelAttr), expr.IntConst(9000)),
+				expr.Ge(expr.Column(w.Dataset.SelAttr2), expr.IntConst(lo)),
+				expr.Lt(expr.Column(w.Dataset.SelAttr2), expr.IntConst(lo+5)),
+			),
+		})
+	}
+	run := func(in *Input, memo *compile.Memo) (*Result, error) {
+		r := *in
+		r.Compile.Memo = memo
+		return DependencyCtx(context.Background(), &r)
+	}
+	runs := []*Input{input(w.History), input(long)}
+	want := []*Result{runWithProcs(t, runs[0], 1), runWithProcs(t, runs[1], 1)}
+	alone := compile.NewMemo()
+	if _, err := run(runs[1], alone); err != nil {
+		t.Fatal(err)
+	}
+	_, distinct := alone.Stats()
+	if want[1].Stats.Tests <= want[0].Stats.Tests {
+		t.Fatalf("the appended run has %d tests, the short one %d", want[1].Stats.Tests, want[0].Stats.Tests)
+	}
+
+	check := func(label string, memo *compile.Memo, got []*Result) {
+		t.Helper()
+		for i, res := range got {
+			if fmt.Sprint(res.Keep) != fmt.Sprint(want[i].Keep) || res.Stats.Tests != want[i].Stats.Tests ||
+				res.Stats.SolverNodes != want[i].Stats.SolverNodes || res.Stats.Indefinite != want[i].Stats.Indefinite {
+				t.Fatalf("%s, run %d: kept %v with %+v, want %v with %+v", label, i, res.Keep, res.Stats, want[i].Keep, want[i].Stats)
+			}
+		}
+		if _, misses := memo.Stats(); misses != distinct {
+			t.Fatalf("%s: the two runs solved %d questions, the longer one alone %d", label, misses, distinct)
+		}
+	}
+
+	memo := compile.NewMemo()
+	got := make([]*Result, 2)
+	for i, in := range runs {
+		if got[i], err = run(in, memo); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("in order", memo, got)
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for round := range 3 {
+		memo := compile.NewMemo()
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		for i, in := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = run(in, memo)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("concurrent round %d", round), memo, got)
 	}
 }
