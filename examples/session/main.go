@@ -49,7 +49,7 @@ func main() {
 		fmt.Printf("threshold %d: %d tuples differ\n", threshold, delta.Size())
 	}
 	st := sess.Stats()
-	fmt.Printf("session: %d calls, snapshot hits/misses %d/%d, query hits/misses %d/%d\n",
+	fmt.Printf("session: %d calls, snapshot hits/misses %d/%d, compiled-program hits/misses %d/%d\n",
 		st.Calls, st.SnapshotHits, st.SnapshotMisses, st.QueryHits, st.QueryMisses)
 
 	// Deadlines cancel deep inside the engine: an impossible budget

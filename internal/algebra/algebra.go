@@ -227,9 +227,9 @@ func Eval(q Query, db *storage.Database) (*storage.Relation, error) {
 		// operator — here and in the compiled executor (internal/exec) —
 		// treats tuples as immutable: selections and set operations pass
 		// tuples through by reference, projections build fresh rows. The
-		// batch engine's shared read-only snapshots and its cross-
-		// scenario result cache rely on this invariant; mutation must go
-		// through Relation.Clone (the copy-on-write boundary). See
+		// batch engine's shared read-only snapshots rely on this
+		// invariant; mutation must go through Relation.Clone (the
+		// copy-on-write boundary). See
 		// TestEvalDoesNotMutateSharedTuples.
 		out := &storage.Relation{Schema: r.Schema, Tuples: r.Tuples}
 		return out, nil

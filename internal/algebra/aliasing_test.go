@@ -10,9 +10,8 @@ import (
 // TestEvalDoesNotMutateSharedTuples proves the scan aliasing invariant
 // documented at Eval's Scan case: Scan shares the live store's tuple
 // slice, so no operator may ever write into a tuple it did not
-// allocate. The batch engine's shared read-only snapshots and its
-// cross-scenario result cache rely on this (the naive algorithm's
-// explicit Clone is the copy-on-write boundary).
+// allocate. The batch engine's shared read-only snapshots rely on this
+// (the naive algorithm's explicit Clone is the copy-on-write boundary).
 func TestEvalDoesNotMutateSharedTuples(t *testing.T) {
 	db := testDB()
 	before := map[string][]schema.Tuple{}

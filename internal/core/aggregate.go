@@ -217,8 +217,9 @@ func reportRow(ng, na int, hist, hyp schema.Tuple) AggregateRow {
 // aggregateReport is the patch route: it evaluates one query in both
 // worlds — the historical side from the state the merged route merges
 // into, the hypothetical side by a full γ over the patched database hyp
-// — and matches rows by group. hyp is not a history version, so its
-// evaluation reuses ev's compiled program but never a cache.
+// — and matches rows by group. hyp is not a history version, so
+// nothing computed over it is kept; its evaluation reuses ev's compiled
+// program.
 func aggregateReport(q AggregateQuery, hist, hyp *storage.Database, ev evaluator) (AggregateReport, error) {
 	agg, ok := q.Query.(*algebra.Aggregate)
 	if !ok {
@@ -319,7 +320,7 @@ func (e *Engine) tipReports(ctx context.Context, queries []AggregateQuery, d del
 	if err != nil {
 		return nil, routes, err
 	}
-	ev := e.newEvaluator(ctx, opts, tip, shared.eval)
+	ev := e.newEvaluator(ctx, opts, shared.progs)
 	ev.routes = &routes
 	reps, err := computeAggregates(ctx, queries, d, hist, ev)
 	shared.countReports(&routes)

@@ -56,12 +56,13 @@ func TestAggregatesRejectFrameMismatch(t *testing.T) {
 	}
 }
 
-// TestHypotheticalResultsNotCached: the hypothetical state is not a
-// history version, so its evaluation must never enter the session's
-// (version, program) result cache — where it would be served back as
-// the historical answer. Nor does the historical report: its γ state
-// is remembered on the tip snapshot, folded once and reused by the
-// repeat, while both reenactment sides hit the result cache.
+// TestHypotheticalResultsNotCached: a session keeps compiled programs
+// and what reports remember on a snapshot, never a reenactment result.
+// An identical repeated what-if runs both reenactment sides again,
+// through the programs the first call compiled; the historical report's
+// γ state is remembered on the tip snapshot, folded once and reused by
+// the repeat. The hypothetical state is not a history version, so
+// nothing evaluated over it is kept either.
 func TestHypotheticalResultsNotCached(t *testing.T) {
 	e := ordersEngine(t)
 	sess := e.NewSession()
@@ -79,10 +80,11 @@ func TestHypotheticalResultsNotCached(t *testing.T) {
 		return sess.Stats()
 	}
 	first := call()
-	// Original side and modified side: two cached results. A third would
-	// be a report's.
-	if first.QueryMisses != 2 || first.QueryResident != 2 {
-		t.Fatalf("first call: %d misses, %d resident results; want 2 and 2", first.QueryMisses, first.QueryResident)
+	// Original side, modified side and the report's γ: three programs
+	// compiled.
+	if first.QueryMisses != 3 || first.QueryHits != 0 || first.DeltaRowsCompared == 0 {
+		t.Fatalf("first call: %d programs compiled, %d reused, %d rows compared; want 3, 0 and some",
+			first.QueryMisses, first.QueryHits, first.DeltaRowsCompared)
 	}
 	// The historical γ state and the row-hash index of the frame check,
 	// each built once on the tip snapshot.
@@ -90,11 +92,14 @@ func TestHypotheticalResultsNotCached(t *testing.T) {
 		t.Fatalf("first call: %d report artifacts built, %d reused; want 2 and 0", first.ReportArtifactMisses, first.ReportArtifactHits)
 	}
 	second := call()
-	if second.QueryMisses != first.QueryMisses || second.QueryResident != first.QueryResident {
-		t.Fatalf("repeat call grew the result cache: %+v then %+v", first, second)
+	if got := second.DeltaRowsCompared - first.DeltaRowsCompared; got != first.DeltaRowsCompared {
+		t.Fatalf("repeat call compared %d rows, want the first call's %d: a reenactment side was not run again", got, first.DeltaRowsCompared)
 	}
-	if got := second.QueryHits - first.QueryHits; got != 2 {
-		t.Fatalf("repeat call: %d result-cache hits, want 2", got)
+	if second.QueryMisses != first.QueryMisses {
+		t.Fatalf("repeat call compiled %d programs, want none", second.QueryMisses-first.QueryMisses)
+	}
+	if got := second.QueryHits - first.QueryHits; got != 3 {
+		t.Fatalf("repeat call: %d program-cache hits, want 3", got)
 	}
 	if second.ReportArtifactMisses != 2 || second.ReportArtifactHits != 2 {
 		t.Fatalf("repeat call: %d report artifacts built, %d reused; want 2 and 2", second.ReportArtifactMisses, second.ReportArtifactHits)
@@ -104,7 +109,7 @@ func TestHypotheticalResultsNotCached(t *testing.T) {
 	}
 	// One compiled program per fingerprint: the Minus and Plus runs share
 	// the historical state's.
-	if n := sess.caches.eval.progs.Len(); n != 3 {
+	if n := sess.caches.progs.Len(); n != 3 {
 		t.Fatalf("%d compiled programs, want 3", n)
 	}
 }
@@ -364,7 +369,7 @@ func BenchmarkAggregateReport(b *testing.B) {
 		b.Fatal(err)
 	}
 	queries := []AggregateQuery{mustAggQuery(b, "SELECT company, COUNT(*) AS n, SUM(tips) AS tips, AVG(trip_total) AS total FROM trips GROUP BY company")}
-	ev := evaluator{ctx: context.Background(), ec: newEvalCache(), kind: ExecVectorized}
+	ev := evaluator{ctx: context.Background(), progs: newProgramCache(), kind: ExecVectorized}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -148,7 +148,8 @@ func TestWhatIfAggregates(t *testing.T) {
 	}
 
 	// The session path (shared caches, cached historical side) must
-	// agree, twice in a row (second call hits the result cache).
+	// agree, twice in a row (second call reuses the compiled programs
+	// and the historical γ state).
 	sess := e.NewSession()
 	for i := 0; i < 2; i++ {
 		_, reps, _, err := sess.WhatIfAggregatesCtx(context.Background(), mods, queries, DefaultOptions())

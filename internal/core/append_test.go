@@ -47,7 +47,7 @@ func TestSessionCrossVersionReuseOnAppend(t *testing.T) {
 	}
 	warm := sess.Stats()
 	if warm.SnapshotHits == 0 || warm.QueryHits == 0 {
-		t.Fatalf("session not warm: %+v", warm)
+		t.Fatalf("session not warm (no snapshot or compiled program reused): %+v", warm)
 	}
 
 	// Append: re-run one of the history's own update statements (always

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/compile"
 	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/exec"
@@ -18,61 +17,32 @@ import (
 	"github.com/mahif/mahif/internal/storage"
 )
 
-// evalCache shares compiled reenactment programs and their
-// materialized results across the scenarios of one batch. Programs are
-// compiled once per query fingerprint (compilation resolves every
-// column reference and fuses the operator pipeline, so it is the unit
-// worth sharing); results are keyed on (time-travel version, compiled
-// program), so two scenarios whose reenactment programs coincide over
-// the same snapshot materialize the relation once. In interpreter-oracle
-// mode the result key falls back to (version, fingerprint). Both are
-// build-once caches (lru.Cache.Do): concurrent askers share one build,
-// a waiter honors its own context, and a build cut short by its
-// builder's cancellation is retried by a live waiter, never cached.
+// programCache shares compiled reenactment programs across the calls of
+// one session and the scenarios of one batch. A program is compiled once
+// per query fingerprint (compilation resolves every column reference and
+// fuses the operator pipeline, so it is the unit worth sharing) and
+// depends on the schemas only, never on the data, so it serves every
+// snapshot. It holds nil for a query outside the compilable subset (the
+// evaluation then runs through the interpreter). It is a build-once
+// cache (lru.Cache.Do): concurrent askers share one compilation.
 //
-// What a result entry holds: a reenactment side, as a columnar view
-// (storage.ColumnarView — typed lanes, about 90 B a row on the Taxi
-// schema and mostly pointer-free, where the same rows as tuples are
-// about 500 B of pointerful Values the collector has to walk), because
-// all that ever happens to it is a lane-wise comparison with the other
-// side (delta.ComputeColumnar). An aggregate report's historical side
-// is not here: it is a γ state remembered on the snapshot it was folded
-// over (evaluator.historical). Cached results are shared read-only —
-// delta computation and query evaluation never mutate their inputs.
-type evalCache struct {
-	// progs holds nil for a query outside the compilable subset (the
-	// evaluation then runs through the interpreter).
-	progs   *lru.Cache[progKey, *exec.Program]
-	results *lru.Cache[resultKey, *storage.ColumnarView]
-}
+// Results are not kept: a what-if runs both reenactment sides afresh
+// and diffs them, and a template keeps what it reuses in its own
+// artifact. A report's historical γ state is remembered on the snapshot
+// it was folded over (evaluator.historical).
+type programCache = lru.Cache[progKey, *exec.Program]
 
-// defaultQueryCacheEntries bounds the materialized-result cache and the
-// compiled-program cache. Each result is a whole relation, and the key
-// includes the time-travel version, so a session serving a stream of
-// appends would otherwise accumulate one copy per (version, program)
-// forever; a program is keyed by its query's fingerprint, which carries
-// the what-if's constants, so a session answering what-ifs with fresh
-// thresholds would otherwise keep one program per what-if ever asked.
-// A program is evicted whenever it is least recently used — an
-// evaluation still running it holds its own reference, and the next
-// asker compiles it again.
-const defaultQueryCacheEntries = 256
+// programCacheEntries bounds the compiled-program cache. A program is
+// keyed by its query's fingerprint, which carries the what-if's
+// constants, so a session answering what-ifs with fresh thresholds
+// would otherwise keep one program per what-if ever asked. A program is
+// evicted whenever it is least recently used — an evaluation still
+// running it holds its own reference, and the next asker compiles it
+// again.
+const programCacheEntries = 256
 
-// resultKey identifies one materialized result: the snapshot version
-// and the program fingerprint. Programs are deduplicated one per
-// fingerprint, so this keys on the compiled program exactly (and
-// degrades gracefully to the query text in interpreter mode or after a
-// failed compilation).
-type resultKey struct {
-	ver int
-	fp  string
-}
-
-func newEvalCache() *evalCache {
-	return &evalCache{
-		progs:   lru.New[progKey, *exec.Program](defaultQueryCacheEntries),
-		results: lru.New[resultKey, *storage.ColumnarView](defaultQueryCacheEntries),
-	}
+func newProgramCache() *programCache {
+	return lru.New[progKey, *exec.Program](programCacheEntries)
 }
 
 // progKey identifies one compiled program: a program's batch size and
@@ -83,33 +53,13 @@ type progKey struct {
 	vec exec.VecOptions
 }
 
-// program returns the compile-once program for q under vec (nil when q
-// cannot be compiled). Compilation is short and uncancellable, so its
-// waiters wait it out, and the build never fails, so neither does Do.
-func (c *evalCache) program(q algebra.Query, db *storage.Database, fp string, vec exec.VecOptions) *exec.Program {
-	prog, _ := c.progs.Do(context.Background(), progKey{fp: fp, vec: vec}, func() (*exec.Program, error) {
-		prog, _ := exec.CompileVec(q, db, vec)
-		return prog, nil
-	})
-	return prog
-}
-
-// eval answers q over db as a columnar view, reusing a previously
-// materialized result for the same (version, program) when available.
-func (c *evalCache) eval(ev evaluator, q algebra.Query, db *storage.Database) (*storage.ColumnarView, error) {
-	fp := algebra.Fingerprint(q)
-	return c.results.Do(ev.evalCtx(), resultKey{ver: ev.ver, fp: fp}, func() (*storage.ColumnarView, error) {
-		return ev.runView(q, db, fp)
-	})
-}
-
 // batchShared bundles the caches evaluations share. Every Alg. 2
 // evaluation runs over one: a Session owns it for its lifetime (an
 // engine-level call opens a session for the call), and each cache is
 // internally synchronized.
 type batchShared struct {
 	snaps     *storage.SnapshotCache
-	eval      *evalCache
+	progs     *programCache
 	memo      *compile.Memo
 	templates *lru.Cache[string, *Template]
 	work      *sessionWork // a session's work counts
@@ -164,13 +114,13 @@ const templateCacheEntries = 64
 type traffic struct {
 	snapHits, snapMisses int
 	memoHits, memoMisses int64
-	evalHits, evalMisses int64
+	progHits, progMisses int64
 }
 
 func (b *batchShared) traffic() (t traffic) {
 	t.snapHits, t.snapMisses = b.snaps.Stats()
 	t.memoHits, t.memoMisses = b.memo.Stats()
-	t.evalHits, t.evalMisses = b.eval.results.Stats()
+	t.progHits, t.progMisses = b.progs.Stats()
 	return t
 }
 
@@ -235,9 +185,10 @@ type BatchStats struct {
 	// MemoHits/Misses report solver-outcome reuse across scenarios
 	// (zero when program slicing is off).
 	MemoHits, MemoMisses int64
-	// QueryHits/Misses report reenactment-result reuse: hits are
-	// evaluations of a compiled algebra program another scenario
-	// already materialized over the same snapshot.
+	// QueryHits/Misses report compiled-program reuse: a hit is a
+	// reenactment or report query that ran a program compiled earlier
+	// (by another scenario, or an earlier call through the session), a
+	// miss compiled one.
 	QueryHits, QueryMisses int
 }
 
@@ -335,8 +286,8 @@ func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts Bat
 		SnapshotMisses: after.snapMisses - before.snapMisses,
 		MemoHits:       after.memoHits - before.memoHits,
 		MemoMisses:     after.memoMisses - before.memoMisses,
-		QueryHits:      int(after.evalHits - before.evalHits),
-		QueryMisses:    int(after.evalMisses - before.evalMisses),
+		QueryHits:      int(after.progHits - before.progHits),
+		QueryMisses:    int(after.progMisses - before.progMisses),
 	}
 	for i := range results {
 		if results[i].Err != nil {

@@ -142,7 +142,7 @@ func TestWhatIfBatchSharingStats(t *testing.T) {
 		t.Error("MemoHits = 0: identical slicing programs were re-solved")
 	}
 	if bs.QueryHits == 0 {
-		t.Error("QueryHits = 0: identical reenactment programs were re-evaluated")
+		t.Error("QueryHits = 0: identical reenactment programs were compiled again")
 	}
 }
 
@@ -291,70 +291,6 @@ func BenchmarkWhatIfSequentialLoop(b *testing.B) {
 	}
 }
 
-// TestEvalCacheLRUBound: the result cache holds its bound of
-// completed results, evicting the least recently used; a
-// materialization still in flight survives any amount of later traffic
-// (workers wait on it) and is served once it completes.
-func TestEvalCacheLRUBound(t *testing.T) {
-	db := storage.NewDatabase()
-	r := storage.NewRelation(schema.New("r", schema.Col("a", types.KindInt)))
-	for i := 0; i < 10; i++ {
-		r.Add(schema.Tuple{types.Int(int64(i))})
-	}
-	db.AddRelation(r)
-	q := &algebra.Select{Cond: expr.Ge(expr.Column("a"), expr.IntConst(5)), In: &algebra.Scan{Rel: "r"}}
-	c := newEvalCache()
-	at := func(ver int) evaluator {
-		return evaluator{ctx: context.Background(), ec: c, ver: ver, kind: ExecVectorized}
-	}
-	eval := func(ver int) (hit bool) {
-		t.Helper()
-		before, _ := c.results.Stats()
-		out, err := at(ver).eval(q, db)
-		if err != nil || out.Rows != 5 {
-			t.Fatalf("version %d: %v rows, %v", ver, out, err)
-		}
-		after, _ := c.results.Stats()
-		return after > before
-	}
-
-	release, started := make(chan struct{}), make(chan struct{})
-	inflight := make(chan error, 1)
-	go func() {
-		_, err := c.results.Do(context.Background(), resultKey{ver: -1, fp: algebra.Fingerprint(q)}, func() (*storage.ColumnarView, error) {
-			close(started)
-			<-release
-			return at(-1).runView(q, db, "")
-		})
-		inflight <- err
-	}()
-	<-started
-	const extra = 10
-	for i := 0; i < defaultQueryCacheEntries+extra; i++ {
-		eval(i)
-	}
-	if got := c.results.Len(); got != defaultQueryCacheEntries {
-		t.Fatalf("resident = %d, want %d", got, defaultQueryCacheEntries)
-	}
-	if got := c.results.Evictions(); got != extra {
-		t.Fatalf("evictions = %d, want %d", got, extra)
-	}
-	close(release)
-	if err := <-inflight; err != nil {
-		t.Fatal(err)
-	}
-	if !eval(-1) {
-		t.Fatal("the in-flight materialization was not kept")
-	}
-	// The newest completed entries stayed, the oldest went.
-	if !eval(defaultQueryCacheEntries + extra - 1) {
-		t.Fatal("newest entry was evicted")
-	}
-	if eval(0) {
-		t.Fatal("oldest completed entry survived the bound")
-	}
-}
-
 // TestProgramCacheEvictsUnderRunningEvals (run under -race): a program
 // pushed out of the bounded cache while an evaluation still runs it
 // keeps answering that evaluation; the cache holds at most its bound,
@@ -369,9 +305,10 @@ func TestProgramCacheEvictsUnderRunningEvals(t *testing.T) {
 	q := func(i int) algebra.Query {
 		return &algebra.Select{Cond: expr.Ge(expr.Column("a"), expr.IntConst(int64(i))), In: &algebra.Scan{Rel: "r"}}
 	}
-	c := newEvalCache()
+	c := newProgramCache()
+	ev := evaluator{progs: c, kind: ExecVectorized}
 	program := func(i int) *exec.Program {
-		return c.program(q(i), db, algebra.Fingerprint(q(i)), exec.VecOptions{})
+		return ev.program(q(i), db, "")
 	}
 	held := program(0)
 	if held == nil {
@@ -401,17 +338,17 @@ func TestProgramCacheEvictsUnderRunningEvals(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer close(evicting)
-		for i := 1; i <= defaultQueryCacheEntries+extra; i++ {
+		for i := 1; i <= programCacheEntries+extra; i++ {
 			if program(i) == nil {
 				t.Errorf("query %d did not compile", i)
 			}
 		}
 	}()
 	wg.Wait()
-	if n := c.progs.Len(); n != defaultQueryCacheEntries {
-		t.Errorf("%d programs resident, want the bound %d", n, defaultQueryCacheEntries)
+	if n := c.Len(); n != programCacheEntries {
+		t.Errorf("%d programs resident, want the bound %d", n, programCacheEntries)
 	}
-	if ev := c.progs.Evictions(); ev != extra+1 {
+	if ev := c.Evictions(); ev != extra+1 {
 		t.Errorf("%d evictions, want %d", ev, extra+1)
 	}
 	again := program(0)
@@ -436,12 +373,15 @@ func TestSessionCachesKeyOnVecOptions(t *testing.T) {
 	q := mustAggQuery(t, "SELECT region, SUM(amount) AS total FROM orders GROUP BY region").Query
 	fp := algebra.Fingerprint(q)
 	small := exec.VecOptions{BatchSize: 7, Workers: 1}
-	c := newEvalCache()
-	def := c.program(q, db, fp, exec.VecOptions{})
-	if def == nil || c.program(q, db, fp, exec.VecOptions{}) != def {
+	c := newProgramCache()
+	program := func(vec exec.VecOptions) *exec.Program {
+		return evaluator{progs: c, kind: ExecVectorized, vec: vec}.program(q, db, fp)
+	}
+	def := program(exec.VecOptions{})
+	if def == nil || program(exec.VecOptions{}) != def {
 		t.Fatal("one query under one VecOptions must compile once")
 	}
-	if got := c.program(q, db, fp, small); got == nil || got == def {
+	if got := program(small); got == nil || got == def {
 		t.Fatalf("VecOptions %+v got the default options' program", small)
 	}
 

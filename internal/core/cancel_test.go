@@ -186,7 +186,7 @@ func TestSessionReusesCaches(t *testing.T) {
 		t.Errorf("snapshot hits = %d, want ≥ 2 (stats %+v)", st.SnapshotHits, st)
 	}
 	if st.QueryHits == 0 {
-		t.Errorf("query hits = 0, want reuse of compiled results (stats %+v)", st)
+		t.Errorf("query hits = 0, want reuse of compiled programs (stats %+v)", st)
 	}
 	if st.MemoHits == 0 {
 		t.Errorf("memo hits = 0, want solver-outcome reuse (stats %+v)", st)
@@ -194,7 +194,7 @@ func TestSessionReusesCaches(t *testing.T) {
 
 	// Advancing the history re-pins without dropping the caches
 	// (optimistic cross-version reuse): the same query still hits the
-	// warm snapshot and result caches.
+	// warm snapshot and program caches.
 	if err := vdb.Apply(w.History[0]); err != nil {
 		t.Fatal(err)
 	}

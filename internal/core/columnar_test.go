@@ -105,7 +105,7 @@ func TestWhatIfCountsComparedAndBoxedRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := engine.newEvaluator(ctx, Options{Executor: ExecInterpreter}, p.ver, nil)
+		oracle := engine.newEvaluator(ctx, Options{Executor: ExecInterpreter}, nil)
 		compared, residual := 0, 0
 		for _, r := range p.rels {
 			ro, err := oracle.runRows(r.orig, p.db, "")
@@ -135,9 +135,8 @@ func TestWhatIfCountsComparedAndBoxedRows(t *testing.T) {
 			t.Errorf("%s: %d rows hashed of %d compared: nothing cancelled at its position", v, st.RowsHashed, st.RowsCompared)
 		}
 
-		// A second what-if takes both sides from the result cache and still
-		// diffs them; a template eval diffs its binding's side against the
-		// artifact's.
+		// A second what-if runs both sides again and diffs them; a
+		// template eval diffs its binding's side against the artifact's.
 		if _, _, err := sess.WhatIfCtx(ctx, w.Mods, opts); err != nil {
 			t.Fatal(err)
 		}

@@ -138,13 +138,13 @@ func TestInterpreterFallbackIsCounted(t *testing.T) {
 		{ExecVectorized, true, 2},
 		{ExecInterpreter, true, 2},
 	}
-	ec := newEvalCache()
+	progs := newProgramCache()
 	for i, s := range steps {
-		ev := engine.newEvaluator(context.Background(), Options{Executor: s.kind}, 0, nil)
+		ev := engine.newEvaluator(context.Background(), Options{Executor: s.kind}, nil)
 		if s.cached {
-			ev.ec = ec
+			ev.progs = progs
 		}
-		out, err := ev.eval(q, db)
+		out, err := ev.runView(q, db)
 		if err != nil || out.Rows != 0 {
 			t.Fatalf("step %d: eval = %v, %v; want the empty relation", i, out, err)
 		}

@@ -298,15 +298,13 @@ func (e *Engine) align(mods []history.Modification) (pair *history.PaddedPair, t
 // that prefix is identical in both histories, so per §4 evaluation
 // starts there. Padding only ever occurs at or after modified
 // positions, so the prefix indexes the log directly. The state is the
-// shared read-only snapshot from shared's cache; the returned version
-// identifies it for result caching.
-func (e *Engine) timeTravel(ctx context.Context, pair *history.PaddedPair, tip int, shared *batchShared) (suffix *history.PaddedPair, db *storage.Database, ver int, err error) {
+// shared read-only snapshot from shared's cache.
+func (e *Engine) timeTravel(ctx context.Context, pair *history.PaddedPair, tip int, shared *batchShared) (suffix *history.PaddedPair, db *storage.Database, err error) {
 	first := pair.FirstModified()
-	ver = min(first, tip)
-	if db, err = shared.snaps.SnapshotCtx(ctx, ver); err != nil {
-		return nil, nil, 0, err
+	if db, err = shared.snaps.SnapshotCtx(ctx, min(first, tip)); err != nil {
+		return nil, nil, err
 	}
-	return pair.SuffixFrom(first), db, ver, nil
+	return pair.SuffixFrom(first), db, nil
 }
 
 // Naive answers the query with Alg. 1.
@@ -424,18 +422,18 @@ func (e *Engine) whatIfPair(ctx context.Context, pair *history.PaddedPair, tip i
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ev := e.newEvaluator(ctx, opts, p.ver, shared.eval)
+	ev := e.newEvaluator(ctx, opts, shared.progs)
 	out := make(delta.Set, len(p.rels))
 	for _, r := range p.rels {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, nil, err
 		}
 		t0 := time.Now()
-		ro, err := ev.eval(r.orig, p.db)
+		ro, err := ev.runView(r.orig, p.db)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		rm, err := ev.eval(r.mod, p.db)
+		rm, err := ev.runView(r.mod, p.db)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -466,27 +464,25 @@ func normalizeExecutor(k ExecutorKind) ExecutorKind {
 	return k
 }
 
-// evaluator answers algebra queries, optionally through a batch-shared
-// compiled-program + result cache (see evalCache). The default backend
-// is the vectorized executor; kind selects the tree-walking interpreter
-// oracle instead.
+// evaluator answers algebra queries, optionally through a session's
+// compiled-program cache (see programCache). The default backend is the
+// vectorized executor; kind selects the tree-walking interpreter oracle
+// instead.
 type evaluator struct {
-	e    *Engine // receives the fallback count; nil in zero-valued test evaluators
-	ctx  context.Context
-	ec   *evalCache
-	ver  int
-	kind ExecutorKind
-	vec  exec.VecOptions
+	e     *Engine // receives the fallback count; nil in zero-valued test evaluators
+	ctx   context.Context
+	progs *programCache
+	kind  ExecutorKind
+	vec   exec.VecOptions
 
 	routes *routeCounts // receives computeAggregates' report routes; nil: not counted
 }
 
-// newEvaluator builds the evaluator for queries over the history
-// version ver under opts' executor choice. ec may be nil (no program or
-// result sharing); with one, results are cached under ver, so ver must
-// be the version of the database the queries run over.
-func (e *Engine) newEvaluator(ctx context.Context, opts Options, ver int, ec *evalCache) evaluator {
-	return evaluator{e: e, ctx: ctx, ec: ec, ver: ver, kind: normalizeExecutor(opts.Executor), vec: opts.Vec}
+// newEvaluator builds the evaluator for queries under opts' executor
+// choice. progs may be nil: every program is then compiled for its
+// evaluation.
+func (e *Engine) newEvaluator(ctx context.Context, opts Options, progs *programCache) evaluator {
+	return evaluator{e: e, ctx: ctx, progs: progs, kind: normalizeExecutor(opts.Executor), vec: opts.Vec}
 }
 
 // evalCtx returns the evaluator's context (Background when the
@@ -498,38 +494,33 @@ func (ev evaluator) evalCtx() context.Context {
 	return ev.ctx
 }
 
-// eval answers a reenactment query over db in the form core holds such a
-// result in, a columnar view (see runView), through the result cache
-// when the evaluator has one.
-func (ev evaluator) eval(q algebra.Query, db *storage.Database) (*storage.ColumnarView, error) {
-	if ev.ec != nil {
-		return ev.ec.eval(ev, q, db)
-	}
-	return ev.runView(q, db, "")
-}
-
 // program returns the compiled program for q, or nil when q is to be
 // interpreted: because the interpreter was asked for, or because q is
 // outside the compilable subset (interpret counts that). With a cache
-// the program comes from it — programs are keyed by query fingerprint
-// (fp, computed here when empty) and depend on the schemas only, never
-// on the data.
+// the program comes from it, keyed by query fingerprint (fp, computed
+// here when empty). Compilation is short and uncancellable, so its
+// waiters wait it out, and it never fails, so neither does Do.
 func (ev evaluator) program(q algebra.Query, db *storage.Database, fp string) *exec.Program {
-	switch {
-	case ev.kind == ExecInterpreter:
+	if ev.kind == ExecInterpreter {
 		return nil
-	case ev.ec != nil:
-		if fp == "" {
-			fp = algebra.Fingerprint(q)
-		}
-		return ev.ec.program(q, db, fp, ev.vec)
 	}
-	prog, _ := exec.CompileVec(q, db, ev.vec)
+	build := func() (*exec.Program, error) {
+		prog, _ := exec.CompileVec(q, db, ev.vec)
+		return prog, nil
+	}
+	if ev.progs == nil {
+		prog, _ := build()
+		return prog
+	}
+	if fp == "" {
+		fp = algebra.Fingerprint(q)
+	}
+	prog, _ := ev.progs.Do(context.Background(), progKey{fp: fp, vec: ev.vec}, build)
 	return prog
 }
 
-// runRows answers q over db as rows, without looking at or feeding the
-// result cache: a patched hypothetical state.
+// runRows answers q over db as rows: a report query over a patched
+// hypothetical state.
 func (ev evaluator) runRows(q algebra.Query, db *storage.Database, fp string) (*storage.Relation, error) {
 	if prog := ev.program(q, db, fp); prog != nil {
 		return prog.RunCtx(ev.evalCtx(), db)
@@ -542,8 +533,8 @@ func (ev evaluator) runRows(q algebra.Query, db *storage.Database, fp string) (*
 // rows, which are transposed once — it is the oracle, so what that
 // costs does not matter, and core has one result form and one delta
 // call whatever the executor.
-func (ev evaluator) runView(q algebra.Query, db *storage.Database, fp string) (*storage.ColumnarView, error) {
-	if prog := ev.program(q, db, fp); prog != nil {
+func (ev evaluator) runView(q algebra.Query, db *storage.Database) (*storage.ColumnarView, error) {
+	if prog := ev.program(q, db, ""); prog != nil {
 		return prog.RunColumnarCtx(ev.evalCtx(), db)
 	}
 	return ev.interpretView(q, db)

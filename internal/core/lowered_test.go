@@ -45,7 +45,7 @@ func TestSolverLoweredIsPrefixPlusSuffixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suffix, db, _, err := engine.timeTravel(ctx, pair, tip, engine.NewSession().shared())
+	suffix, db, err := engine.timeTravel(ctx, pair, tip, engine.NewSession().shared())
 	if err != nil {
 		t.Fatal(err)
 	}

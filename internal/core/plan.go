@@ -29,10 +29,8 @@ import (
 // one place.
 type plan struct {
 	// db is the state right before the first modified statement, shared
-	// read-only when it came from a snapshot cache; ver is its history
-	// version, the key under which results over db may be cached.
-	db  *storage.Database
-	ver int
+	// read-only when it came from a snapshot cache.
+	db *storage.Database
 	// params are the $slots of the modified side with their inferred
 	// value classes; empty for a plain what-if.
 	params map[string]paramClass
@@ -77,14 +75,14 @@ type scanFilter struct {
 func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, opts Options, shared *batchShared) (*plan, error) {
 	stats := &Stats{Slices: map[string]progslice.Stats{}}
 	t0 := time.Now()
-	suffix, db, ver, err := e.timeTravel(ctx, pair, tip, shared)
+	suffix, db, err := e.timeTravel(ctx, pair, tip, shared)
 	if err != nil {
 		return nil, err
 	}
 	stats.TimeTravel = time.Since(t0)
 	stats.TotalStatements = len(suffix.Orig)
 
-	p := &plan{db: db, ver: ver, stats: stats}
+	p := &plan{db: db, stats: stats}
 	if p.params, err = inferParams(suffix, db); err != nil {
 		return nil, err
 	}

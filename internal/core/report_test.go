@@ -236,7 +236,7 @@ func TestReportsThreeWay(t *testing.T) {
 				t.Fatal(err)
 			}
 			for qi, q := range queries {
-				want, err := aggregateReport(q, tip, patched, e.newEvaluator(ctx, opts, e.Version(), nil))
+				want, err := aggregateReport(q, tip, patched, e.newEvaluator(ctx, opts, nil))
 				if err != nil {
 					t.Fatal(err)
 				}

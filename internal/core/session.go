@@ -15,14 +15,14 @@ import (
 // the history version it was opened against and owns the caches that an
 // engine-level call otherwise builds and discards — the shared
 // time-travel snapshot cache, the solver-outcome memo, and the
-// compiled-program/result cache. Every Alg. 2 evaluation runs through
+// compiled-program cache. Every Alg. 2 evaluation runs through
 // a session: Engine.WhatIf, WhatIfAggregates, CompileTemplate and
 // WhatIfBatch open one for the call. Alg. 1 (Engine.NaiveCtx) runs
 // through none. An analyst iterating a family of
 // hypotheticals over the same history ("fee ≥ 55… 56… 57") through one
-// session reuses the materialized time-travel state and the compiled
-// reenactment programs across calls instead of rebuilding them per
-// query; a served deployment keeps one session per history version and
+// session reuses the materialized time-travel state, the solver
+// outcomes and the compiled programs of the queries that repeat across
+// calls instead of rebuilding them per query; a served deployment keeps one session per history version and
 // answers many users' queries from the same warm state.
 //
 // Sessions are safe for concurrent use: the caches are internally
@@ -33,11 +33,13 @@ import (
 //
 // The history is append-only, and every cached artifact is keyed by —
 // or derived from — a version at or below the tip the session last
-// saw: snapshots are states after their first i statements, query
-// results are keyed (version, program), solver outcomes are
-// content-addressed by the slicing formula and the kinds of the
-// variables it mentions. When the history advances (Engine.Append
-// during live serving), all of that remains exactly valid, so the
+// saw, or depends on no version at all: snapshots are states after
+// their first i statements, compiled programs depend on the schemas
+// only, solver outcomes are content-addressed by the slicing formula
+// and the kinds of the variables it mentions. A session keeps no
+// reenactment result: a what-if runs both sides afresh. When the
+// history advances (Engine.Append during live serving), all of that
+// remains exactly valid, so the
 // session re-pins to the new version and keeps its caches — the
 // optimistic cross-version reuse that makes a served deployment's
 // caches survive a stream of appends. An appended statement adds
@@ -72,7 +74,7 @@ func (e *Engine) NewSession() *Session {
 func (s *Session) reset() {
 	s.caches = &batchShared{
 		snaps:     storage.NewSnapshotCache(s.e.vdb),
-		eval:      newEvalCache(),
+		progs:     newProgramCache(),
 		memo:      compile.NewMemo(),
 		templates: lru.New[string, *Template](templateCacheEntries),
 		work:      &sessionWork{},
@@ -81,7 +83,7 @@ func (s *Session) reset() {
 
 // shared revalidates the version pin and returns the live cache
 // bundle. An advanced history re-pins without dropping anything: the
-// append-only store guarantees every cached snapshot, result, and
+// append-only store guarantees every cached snapshot, program, and
 // solver outcome stays correct (see the type comment). The bundle it
 // returns is immutable as a bundle (its caches are internally
 // synchronized), so calls in flight during an explicit invalidation
@@ -165,11 +167,11 @@ type SessionStats struct {
 	// MemoEvictions counts outcomes dropped by the memo's LRU bound.
 	MemoHits, MemoMisses int64
 	MemoEvictions        int64
-	// QueryHits/Misses report compiled reenactment-result reuse across
-	// calls; QueryEvictions counts completed results dropped by the LRU
-	// bound, and QueryResident is the count currently held.
-	QueryHits, QueryMisses        int
-	QueryEvictions, QueryResident int
+	// QueryHits/Misses report compiled-program reuse across calls: a
+	// hit is a reenactment or report query that ran a program compiled
+	// earlier, a miss compiled one. No result is reused: a repeated
+	// what-if runs both its sides again.
+	QueryHits, QueryMisses int
 	// ProgramEvictions counts compiled reenactment programs dropped by
 	// the program cache's LRU bound; ProgramResident is the count
 	// currently held. Evictions climbing means what-ifs rarely repeat
@@ -234,12 +236,10 @@ func (s *Session) Stats() SessionStats {
 	st.ColumnarHits, st.ColumnarMisses = s.caches.snaps.ColumnarStats()
 	st.MemoHits, st.MemoMisses = s.caches.memo.Stats()
 	st.MemoEvictions = s.caches.memo.Evictions()
-	qh, qm := s.caches.eval.results.Stats()
+	qh, qm := s.caches.progs.Stats()
 	st.QueryHits, st.QueryMisses = int(qh), int(qm)
-	st.QueryEvictions = int(s.caches.eval.results.Evictions())
-	st.QueryResident = s.caches.eval.results.Len()
-	st.ProgramEvictions = s.caches.eval.progs.Evictions()
-	st.ProgramResident = s.caches.eval.progs.Len()
+	st.ProgramEvictions = s.caches.progs.Evictions()
+	st.ProgramResident = s.caches.progs.Len()
 	st.SolverLowered = s.caches.work.lowered.Load()
 	st.DeltaRowsCompared = s.caches.work.compared.Load()
 	st.DeltaRowsHashed, st.DeltaRowsBoxed = s.caches.work.hashed.Load(), s.caches.work.boxed.Load()
@@ -263,8 +263,8 @@ func (s *Session) WhatIf(mods []history.Modification, opts Options) (delta.Set, 
 // cancellation guarantees). The session's solver memo is used unless
 // the options carry their own; snapshots and compiled programs always
 // come from the session. A call cut short by cancellation never leaves
-// a partial artifact behind: cancelled snapshot builds and query
-// materializations are never cached, so the caches stay consistent.
+// a partial artifact behind: cancelled snapshot builds are never
+// cached, so the caches stay consistent.
 func (s *Session) WhatIfCtx(ctx context.Context, mods []history.Modification, opts Options) (delta.Set, *Stats, error) {
 	d, _, st, err := s.e.whatIfAggregates(ctx, mods, nil, opts, s.shared())
 	return d, st, err

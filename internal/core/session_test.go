@@ -86,14 +86,14 @@ func TestSessionConcurrentStress(t *testing.T) {
 	// counters), and the scheduler may land it after every other call —
 	// so sharing across the racing goroutines above is not guaranteed
 	// to be visible in the final stats. Two identical sequential calls
-	// make at least one snapshot and one query hit deterministic.
+	// make at least one snapshot and one program-cache hit deterministic.
 	for i := 0; i < 2; i++ {
 		if _, _, err := sess.WhatIfCtx(ctx, specs[0].Mods, DefaultOptions()); err != nil {
 			t.Fatalf("post-stress call %d: %v", i, err)
 		}
 	}
 	if st := sess.Stats(); st.SnapshotHits == 0 || st.QueryHits == 0 {
-		t.Errorf("concurrent session shared no work: %+v", st)
+		t.Errorf("concurrent session shared no snapshot or compiled program: %+v", st)
 	}
 }
 
@@ -181,7 +181,7 @@ func TestSessionBatchSharing(t *testing.T) {
 		t.Errorf("single call after batch did not hit the batch-warmed snapshot cache: %+v → %+v", before, after)
 	}
 	if after.QueryHits <= before.QueryHits {
-		t.Errorf("single call after batch did not reuse batch-materialized results: %+v → %+v", before, after)
+		t.Errorf("single call after batch did not reuse the batch's compiled programs: %+v → %+v", before, after)
 	}
 }
 
@@ -211,7 +211,7 @@ func TestSessionProgramCacheBound(t *testing.T) {
 	}
 
 	sess := engine.NewSession()
-	const n, workers = defaultQueryCacheEntries + 40, 4
+	const n, workers = programCacheEntries + 40, 4
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -236,11 +236,11 @@ func TestSessionProgramCacheBound(t *testing.T) {
 	}
 	wg.Wait()
 	st := sess.Stats()
-	if st.ProgramResident > defaultQueryCacheEntries {
-		t.Errorf("%d programs resident, bound %d", st.ProgramResident, defaultQueryCacheEntries)
+	if st.ProgramResident > programCacheEntries {
+		t.Errorf("%d programs resident, bound %d", st.ProgramResident, programCacheEntries)
 	}
 	// One original side shared by all, one modified side per what-if.
-	if st.ProgramEvictions < n+1-defaultQueryCacheEntries {
-		t.Errorf("%d distinct what-ifs evicted %d programs, want at least %d", n, st.ProgramEvictions, n+1-defaultQueryCacheEntries)
+	if st.ProgramEvictions < n+1-programCacheEntries {
+		t.Errorf("%d distinct what-ifs evicted %d programs, want at least %d", n, st.ProgramEvictions, n+1-programCacheEntries)
 	}
 }

@@ -150,7 +150,6 @@ func classOf(k types.Kind) paramClass {
 type templateArtifact struct {
 	version int                   // history length the artifact answers against
 	db      *storage.Database     // pinned snapshot at the first modified position
-	dbVer   int                   // db's own history version
 	params  map[string]paramClass // $slots and their inferred classes
 	static  delta.Set             // param-free relations: their delta, precomputed
 	rels    []templateRel         // param-dependent relations
@@ -184,7 +183,7 @@ type unslicedPair struct {
 // buildUnsliced materializes r's original side over db and compiles its
 // modified side for binding-time runs.
 func buildUnsliced(ev evaluator, r *relPlan, db *storage.Database) (*unslicedPair, error) {
-	orig, err := ev.eval(r.orig, db)
+	orig, err := ev.runView(r.orig, db)
 	if err != nil {
 		return nil, err
 	}
@@ -515,7 +514,7 @@ func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	art := &templateArtifact{version: tip, db: p.db, dbVer: p.ver, params: p.params, static: delta.Set{}}
+	art := &templateArtifact{version: tip, db: p.db, params: p.params, static: delta.Set{}}
 	art.stats = TemplateStats{
 		Version:            tip,
 		TotalStatements:    p.stats.TotalStatements,
@@ -527,9 +526,10 @@ func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 		DataSlicing:        t.opts.DataSlicing,
 		SkippedRelations:   p.stats.SkippedRelations,
 	}
-	// No result cache: the materialized sides live as long as the
-	// artifact pins them, not as long as a session's LRU says.
-	ev := t.e.newEvaluator(ctx, t.opts, p.ver, nil)
+	// No program cache: the programs and materialized sides live as
+	// long as the artifact pins them, not as long as a session's LRU
+	// says.
+	ev := t.e.newEvaluator(ctx, t.opts, nil)
 	for _, r := range p.rels {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -550,11 +550,11 @@ func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 			art.stats.DynamicRelations = append(art.stats.DynamicRelations, r.rel)
 			continue
 		}
-		orig, err := ev.eval(r.orig, p.db)
+		orig, err := ev.runView(r.orig, p.db)
 		if err != nil {
 			return nil, err
 		}
-		mod, err := ev.eval(r.mod, p.db)
+		mod, err := ev.runView(r.mod, p.db)
 		if err != nil {
 			return nil, err
 		}
@@ -596,9 +596,10 @@ func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, bind
 	for rel, d := range art.static {
 		out[rel] = d // shared read-only, like every cached engine artifact
 	}
-	// No result cache: a binding's modified side is its own query, and
-	// caching each would retain one relation per binding ever asked.
-	ev := t.e.newEvaluator(ctx, t.opts, art.dbVer, nil)
+	// The artifact holds every program a binding runs, and a binding's
+	// modified side is its own result: nothing to share through the
+	// session.
+	ev := t.e.newEvaluator(ctx, t.opts, nil)
 	for i := range art.rels {
 		tr := &art.rels[i]
 		if err := ctx.Err(); err != nil {

@@ -151,8 +151,8 @@ func (p *Program) RunColumnarCtx(ctx context.Context, db *storage.Database) (*st
 func (p *Program) RunColumnarParamsCtx(ctx context.Context, db *storage.Database, binding map[string]types.Value) (*storage.ColumnarView, error) {
 	// Each batch's live rows are frozen into a part of exactly their
 	// size, and the parts are joined once the total is known: what is
-	// returned (and may sit in a result cache) has no slack, and no lane
-	// was regrown on the way.
+	// returned (and may be pinned by a template artifact) has no slack,
+	// and no lane was regrown on the way.
 	arity := p.out.Arity()
 	var parts []*storage.ColumnarView
 	total := 0

@@ -4,8 +4,8 @@
 // memo (compile.Memo) and the service's template id registry use it as
 // a plain map; the build-once caches all build through Do: the
 // session's time-travel snapshots (storage.SnapshotCache), its compiled
-// reenactment programs and their results, its compiled templates and
-// each template's artifact (core).
+// reenactment programs, its compiled templates and each template's
+// artifact (core).
 package lru
 
 import (

@@ -50,14 +50,10 @@ var sessionMetrics = []sessionMetric{
 		func(st core.SessionStats) int64 { return int64(st.MemoMisses) }},
 	{"memo_evictions_total", "Solver outcomes dropped by the memo LRU bound per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.MemoEvictions) }},
-	{"query_hits_total", "Compiled reenactment-result cache hits per session.", "counter",
+	{"query_hits_total", "Reenactment and report queries that ran a program from the compiled-program cache, per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.QueryHits) }},
-	{"query_misses_total", "Compiled reenactment-result cache misses per session.", "counter",
+	{"query_misses_total", "Reenactment and report queries that compiled a program into the compiled-program cache, per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.QueryMisses) }},
-	{"query_evictions_total", "Materialized results dropped by the query-cache LRU bound per session.", "counter",
-		func(st core.SessionStats) int64 { return int64(st.QueryEvictions) }},
-	{"query_resident", "Materialized results currently held per session.", "gauge",
-		func(st core.SessionStats) int64 { return int64(st.QueryResident) }},
 	{"program_evictions_total", "Compiled reenactment programs dropped by the program-cache LRU bound per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.ProgramEvictions) }},
 	{"program_resident", "Compiled reenactment programs currently held per session.", "gauge",

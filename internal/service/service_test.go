@@ -91,7 +91,7 @@ func TestWhatIfEndpoint(t *testing.T) {
 		t.Errorf("second identical request did not hit the snapshot cache: %+v", stats[0])
 	}
 	if stats[0].QueryHits == 0 {
-		t.Errorf("second identical request did not hit the compiled-program result cache: %+v", stats[0])
+		t.Errorf("second identical request did not reuse a compiled program: %+v", stats[0])
 	}
 }
 
