@@ -221,9 +221,9 @@ func (h *harness) templateExp() {
 		templateT := time.Since(start)
 
 		// The ablation: every sample-th binding as its own scenario
-		// through WhatIfBatch. Sharing (snapshot, memo, program cache)
-		// stays on — this is the strongest constant-scenario baseline —
-		// but each distinct constant still pays compile+solve.
+		// through WhatIfBatch. Sharing (snapshot, memo) stays on — this
+		// is the strongest constant-scenario baseline — but each distinct
+		// constant still pays compile+solve.
 		var picked []int
 		for i := 0; i < bindings; i += stride {
 			picked = append(picked, i)

@@ -84,7 +84,7 @@ func runBatch(data []string, historyPath, scenariosPath, variant string, workers
 		}
 	}
 	if showStats {
-		fmt.Printf("batch: scenarios=%d failed=%d workers=%d total=%v snapshots(hit/miss)=%d/%d memo(hit/miss)=%d/%d programs(hit/miss)=%d/%d\n",
+		fmt.Printf("batch: scenarios=%d failed=%d workers=%d total=%v snapshots(hit/miss)=%d/%d memo(hit/miss)=%d/%d programs(reused/compiled)=%d/%d\n",
 			bstats.Scenarios, bstats.Failed, bstats.Workers, bstats.Total,
 			bstats.SnapshotHits, bstats.SnapshotMisses, bstats.MemoHits, bstats.MemoMisses,
 			bstats.QueryHits, bstats.QueryMisses)

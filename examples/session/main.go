@@ -36,7 +36,8 @@ func main() {
 	engine := mahif.NewEngine(vdb)
 
 	// One session, many related hypotheticals: the time-travel
-	// snapshot and compiled reenactment programs are built once.
+	// snapshot is built once; each what-if compiles its own
+	// reenactment programs.
 	sess := engine.NewSession()
 	ctx := context.Background()
 	for _, threshold := range []int{55, 56, 57, 58} {
@@ -49,7 +50,7 @@ func main() {
 		fmt.Printf("threshold %d: %d tuples differ\n", threshold, delta.Size())
 	}
 	st := sess.Stats()
-	fmt.Printf("session: %d calls, snapshot hits/misses %d/%d, compiled-program hits/misses %d/%d\n",
+	fmt.Printf("session: %d calls, snapshot hits/misses %d/%d, programs reused/compiled %d/%d\n",
 		st.Calls, st.SnapshotHits, st.SnapshotMisses, st.QueryHits, st.QueryMisses)
 
 	// Deadlines cancel deep inside the engine: an impossible budget

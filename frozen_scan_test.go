@@ -135,9 +135,9 @@ func TestColumnarWhatIfDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		vdb, hist := randomScenario(t, rng)
 		mods := []history.Modification{randomModificationFor(rng, hist)}
-		// One session per evaluation: a session's result cache is keyed by
-		// query, not by executor, and would hand every later executor the
-		// first one's result.
+		// One session per evaluation: each vectorized check below compares
+		// its session's cumulative delta counters with the one what-if that
+		// session answered.
 		engine := core.New(vdb)
 		naive, _, errN := engine.Naive(mods)
 

@@ -4,11 +4,11 @@ import (
 	"strings"
 )
 
-// Fingerprint returns a canonical rendering of q that identifies the
-// compiled program for caching. Unlike String, which rebuilds child
-// renderings at every level (quadratic in nesting depth, and
-// reenactment queries nest one level per statement), Fingerprint
-// streams the tree in a single O(nodes) walk. Conditions and
+// Fingerprint returns a canonical rendering of q that identifies it in
+// a cache key (a report's historical γ state, a template). Unlike
+// String, which rebuilds child renderings at every level (quadratic in
+// nesting depth, and reenactment queries nest one level per statement),
+// Fingerprint streams the tree in a single O(nodes) walk. Conditions and
 // projection expressions are rendered with their (shallow) String
 // forms; structural node tags keep distinct operators distinct.
 func Fingerprint(q Query) string {

@@ -218,19 +218,23 @@ func reportRow(ng, na int, hist, hyp schema.Tuple) AggregateRow {
 // worlds — the historical side from the state the merged route merges
 // into, the hypothetical side by a full γ over the patched database hyp
 // — and matches rows by group. hyp is not a history version, so
-// nothing computed over it is kept; its evaluation reuses ev's compiled
+// nothing computed over it is kept; its γ runs the historical state's
 // program.
 func aggregateReport(q AggregateQuery, hist, hyp *storage.Database, ev evaluator) (AggregateReport, error) {
 	agg, ok := q.Query.(*algebra.Aggregate)
 	if !ok {
 		return AggregateReport{}, fmt.Errorf("core: aggregate query %q must aggregate at the top level", q.SQL)
 	}
-	fp := algebra.Fingerprint(agg)
-	h, err := ev.historical(agg, fp, ev.program(agg, hist, fp), hist)
+	h, err := ev.historical(agg, hist)
 	if err != nil {
 		return AggregateReport{}, fmt.Errorf("core: aggregate query %q (historical): %w", q.SQL, err)
 	}
-	rm, err := ev.runRows(agg, hyp, fp)
+	var rm *storage.Relation
+	if h.prog != nil {
+		rm, err = h.prog.RunCtx(ev.evalCtx(), hyp)
+	} else {
+		rm, err = ev.interpret(agg, hyp)
+	}
 	if err != nil {
 		return AggregateReport{}, fmt.Errorf("core: aggregate query %q (hypothetical): %w", q.SQL, err)
 	}
@@ -320,8 +324,8 @@ func (e *Engine) tipReports(ctx context.Context, queries []AggregateQuery, d del
 	if err != nil {
 		return nil, routes, err
 	}
-	ev := e.newEvaluator(ctx, opts, shared.progs)
-	ev.routes = &routes
+	ev := e.newEvaluator(ctx, opts)
+	ev.work, ev.routes = shared.work, &routes
 	reps, err := computeAggregates(ctx, queries, d, hist, ev)
 	shared.countReports(&routes)
 	return reps, routes, err
@@ -344,10 +348,10 @@ func (e *Engine) WhatIfAggregatesCtx(ctx context.Context, mods []history.Modific
 }
 
 // WhatIfAggregatesCtx is Engine.WhatIfAggregatesCtx through the
-// session's caches: the snapshot at the tip and the compiled programs
-// come from (and feed) the session's shared state, and a report's
-// historical γ state is remembered on the tip snapshot. Hypothetical-
-// side evaluations are never cached.
+// session's caches: the snapshot at the tip comes from (and feeds) the
+// session's shared state, and a report's historical γ state and its
+// program are remembered on the tip snapshot. Hypothetical-side
+// evaluations are never cached.
 func (s *Session) WhatIfAggregatesCtx(ctx context.Context, mods []history.Modification, queries []AggregateQuery, opts Options) (delta.Set, []AggregateReport, *Stats, error) {
 	return s.e.whatIfAggregates(ctx, mods, queries, opts, s.shared())
 }

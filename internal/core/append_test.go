@@ -18,9 +18,9 @@ import (
 
 // TestSessionCrossVersionReuseOnAppend pins the optimistic reuse
 // contract: advancing the history through Append keeps every session
-// cache warm (snapshots, compiled results, solver memo), re-pins the
-// version, and still answers exactly like a fresh engine — both for
-// queries below the old tip and for queries touching the new tail.
+// cache warm (snapshots, solver memo), re-pins the version, and still
+// answers exactly like a fresh engine — both for queries below the old
+// tip and for queries touching the new tail.
 func TestSessionCrossVersionReuseOnAppend(t *testing.T) {
 	ds := workload.Taxi(500, 2)
 	w, err := workload.Generate(ds, workload.Config{
@@ -46,8 +46,8 @@ func TestSessionCrossVersionReuseOnAppend(t *testing.T) {
 		warmTests = st.SolverTests
 	}
 	warm := sess.Stats()
-	if warm.SnapshotHits == 0 || warm.QueryHits == 0 {
-		t.Fatalf("session not warm (no snapshot or compiled program reused): %+v", warm)
+	if warm.SnapshotHits == 0 {
+		t.Fatalf("session not warm (no snapshot reused): %+v", warm)
 	}
 
 	// Append: re-run one of the history's own update statements (always
@@ -62,10 +62,10 @@ func TestSessionCrossVersionReuseOnAppend(t *testing.T) {
 	}
 
 	// Same query, post-append: the snapshot at the first modified
-	// position and the compiled programs must be reused, not rebuilt,
-	// and every test asked before the append must hit the memo: only
-	// the appended statement's may miss (here it repeats the history's
-	// last statement, so its question may have been asked already).
+	// position must be reused, not rebuilt, and every test asked before
+	// the append must hit the memo: only the appended statement's may
+	// miss (here it repeats the history's last statement, so its
+	// question may have been asked already).
 	_, post, err := sess.WhatIfCtx(ctx, w.Mods, DefaultOptions())
 	if err != nil {
 		t.Fatalf("post-append call: %v", err)

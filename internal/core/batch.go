@@ -11,47 +11,10 @@ import (
 
 	"github.com/mahif/mahif/internal/compile"
 	"github.com/mahif/mahif/internal/delta"
-	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/history"
 	"github.com/mahif/mahif/internal/lru"
 	"github.com/mahif/mahif/internal/storage"
 )
-
-// programCache shares compiled reenactment programs across the calls of
-// one session and the scenarios of one batch. A program is compiled once
-// per query fingerprint (compilation resolves every column reference and
-// fuses the operator pipeline, so it is the unit worth sharing) and
-// depends on the schemas only, never on the data, so it serves every
-// snapshot. It holds nil for a query outside the compilable subset (the
-// evaluation then runs through the interpreter). It is a build-once
-// cache (lru.Cache.Do): concurrent askers share one compilation.
-//
-// Results are not kept: a what-if runs both reenactment sides afresh
-// and diffs them, and a template keeps what it reuses in its own
-// artifact. A report's historical γ state is remembered on the snapshot
-// it was folded over (evaluator.historical).
-type programCache = lru.Cache[progKey, *exec.Program]
-
-// programCacheEntries bounds the compiled-program cache. A program is
-// keyed by its query's fingerprint, which carries the what-if's
-// constants, so a session answering what-ifs with fresh thresholds
-// would otherwise keep one program per what-if ever asked. A program is
-// evicted whenever it is least recently used — an evaluation still
-// running it holds its own reference, and the next asker compiles it
-// again.
-const programCacheEntries = 256
-
-func newProgramCache() *programCache {
-	return lru.New[progKey, *exec.Program](programCacheEntries)
-}
-
-// progKey identifies one compiled program: a program's batch size and
-// scan parallelism are fixed when it is compiled, so requests with
-// different exec.VecOptions cannot share one.
-type progKey struct {
-	fp  string
-	vec exec.VecOptions
-}
 
 // batchShared bundles the caches evaluations share. Every Alg. 2
 // evaluation runs over one: a Session owns it for its lifetime (an
@@ -59,18 +22,20 @@ type progKey struct {
 // internally synchronized.
 type batchShared struct {
 	snaps     *storage.SnapshotCache
-	progs     *programCache
 	memo      *compile.Memo
 	templates *lru.Cache[string, *Template]
 	work      *sessionWork // a session's work counts
 }
 
 // sessionWork sums delta.Work over every delta computed through a
-// session, the expression nodes its program slicing lowered, the plans
-// its template evals chose, its templates' recompiles and unsliced-pair
-// builds, and the routes its aggregate reports took.
+// session, the programs its what-ifs and reports compiled and the
+// report γ programs they reused, the expression nodes its program
+// slicing lowered, the plans its template evals chose, its templates'
+// recompiles and unsliced-pair builds, and the routes its aggregate
+// reports took.
 type sessionWork struct {
 	compared, hashed, boxed atomic.Int64
+	compiled, reused        atomic.Int64
 	lowered                 atomic.Int64
 	sliced, unsliced        atomic.Int64
 	recompiles, built       atomic.Int64
@@ -114,13 +79,13 @@ const templateCacheEntries = 64
 type traffic struct {
 	snapHits, snapMisses int
 	memoHits, memoMisses int64
-	progHits, progMisses int64
+	reused, compiled     int64
 }
 
 func (b *batchShared) traffic() (t traffic) {
 	t.snapHits, t.snapMisses = b.snaps.Stats()
 	t.memoHits, t.memoMisses = b.memo.Stats()
-	t.progHits, t.progMisses = b.progs.Stats()
+	t.reused, t.compiled = b.work.reused.Load(), b.work.compiled.Load()
 	return t
 }
 
@@ -185,10 +150,10 @@ type BatchStats struct {
 	// MemoHits/Misses report solver-outcome reuse across scenarios
 	// (zero when program slicing is off).
 	MemoHits, MemoMisses int64
-	// QueryHits/Misses report compiled-program reuse: a hit is a
-	// reenactment or report query that ran a program compiled earlier
-	// (by another scenario, or an earlier call through the session), a
-	// miss compiled one.
+	// QueryHits/Misses count programs: a miss is a program compiled
+	// (each scenario compiles its own reenactment sides), a hit is a
+	// report that ran the γ program its historical state carried, which
+	// was compiled once per snapshot by the first report over it.
 	QueryHits, QueryMisses int
 }
 
@@ -286,8 +251,8 @@ func (e *Engine) whatIfBatch(ctx context.Context, scenarios []Scenario, opts Bat
 		SnapshotMisses: after.snapMisses - before.snapMisses,
 		MemoHits:       after.memoHits - before.memoHits,
 		MemoMisses:     after.memoMisses - before.memoMisses,
-		QueryHits:      int(after.progHits - before.progHits),
-		QueryMisses:    int(after.progMisses - before.progMisses),
+		QueryHits:      int(after.reused - before.reused),
+		QueryMisses:    int(after.compiled - before.compiled),
 	}
 	for i := range results {
 		if results[i].Err != nil {

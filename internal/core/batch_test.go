@@ -3,17 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
-	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/exec"
-	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/history"
-	"github.com/mahif/mahif/internal/schema"
-	"github.com/mahif/mahif/internal/storage"
-	"github.com/mahif/mahif/internal/types"
 	"github.com/mahif/mahif/internal/workload"
 )
 
@@ -141,8 +135,10 @@ func TestWhatIfBatchSharingStats(t *testing.T) {
 	if bs.MemoHits == 0 {
 		t.Error("MemoHits = 0: identical slicing programs were re-solved")
 	}
-	if bs.QueryHits == 0 {
-		t.Error("QueryHits = 0: identical reenactment programs were compiled again")
+	// Each scenario compiles its own two reenactment sides; with no
+	// report attached, nothing is reused.
+	if bs.QueryMisses != 8 || bs.QueryHits != 0 {
+		t.Errorf("programs compiled/reused = %d/%d, want 8/0", bs.QueryMisses, bs.QueryHits)
 	}
 }
 
@@ -291,100 +287,14 @@ func BenchmarkWhatIfSequentialLoop(b *testing.B) {
 	}
 }
 
-// TestProgramCacheEvictsUnderRunningEvals (run under -race): a program
-// pushed out of the bounded cache while an evaluation still runs it
-// keeps answering that evaluation; the cache holds at most its bound,
-// counts what it dropped, and compiles an evicted query afresh.
-func TestProgramCacheEvictsUnderRunningEvals(t *testing.T) {
-	db := storage.NewDatabase()
-	r := storage.NewRelation(schema.New("r", schema.Col("a", types.KindInt)))
-	for i := 0; i < 3000; i++ {
-		r.Add(schema.Tuple{types.Int(int64(i % 100))})
-	}
-	db.AddRelation(r)
-	q := func(i int) algebra.Query {
-		return &algebra.Select{Cond: expr.Ge(expr.Column("a"), expr.IntConst(int64(i))), In: &algebra.Scan{Rel: "r"}}
-	}
-	c := newProgramCache()
-	ev := evaluator{progs: c, kind: ExecVectorized}
-	program := func(i int) *exec.Program {
-		return ev.program(q(i), db, "")
-	}
-	held := program(0)
-	if held == nil {
-		t.Fatal("the query did not compile")
-	}
-	const extra = 10
-	var wg sync.WaitGroup
-	evicting := make(chan struct{})
-	wg.Add(2)
-	go func() {
-		// Runs the held program until the cache has moved past it, and
-		// once more after.
-		defer wg.Done()
-		for k, last := 0, false; !last; k++ {
-			select {
-			case <-evicting:
-				last = true
-			default:
-			}
-			out, err := held.RunCtx(context.Background(), db)
-			if err != nil || out.Len() != 3000 {
-				t.Errorf("run %d of the held program: %v, %v", k, out, err)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		defer close(evicting)
-		for i := 1; i <= programCacheEntries+extra; i++ {
-			if program(i) == nil {
-				t.Errorf("query %d did not compile", i)
-			}
-		}
-	}()
-	wg.Wait()
-	if n := c.Len(); n != programCacheEntries {
-		t.Errorf("%d programs resident, want the bound %d", n, programCacheEntries)
-	}
-	if ev := c.Evictions(); ev != extra+1 {
-		t.Errorf("%d evictions, want %d", ev, extra+1)
-	}
-	again := program(0)
-	if again == held {
-		t.Fatal("the evicted program is still cached")
-	}
-	if out, err := again.RunCtx(context.Background(), db); err != nil || out.Len() != 3000 {
-		t.Fatalf("recompiled program: %v rows, %v", out.Len(), err)
-	}
-}
-
 // TestSessionCachesKeyOnVecOptions: batch size and scan parallelism are
-// fixed when a program is compiled, so a session asked for the same
-// query, or the same template, under other exec.VecOptions must not hand
-// back what it compiled for the first ones.
+// fixed when a template's programs are compiled, so a session asked for
+// the same template under other exec.VecOptions must not hand back what
+// it compiled for the first ones. (A report's γ program keys the same
+// way: TestReportProgramRidesTheSnapshot.)
 func TestSessionCachesKeyOnVecOptions(t *testing.T) {
 	e := ordersEngine(t)
-	db, err := e.vdb.VersionCtx(context.Background(), e.Version())
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := mustAggQuery(t, "SELECT region, SUM(amount) AS total FROM orders GROUP BY region").Query
-	fp := algebra.Fingerprint(q)
 	small := exec.VecOptions{BatchSize: 7, Workers: 1}
-	c := newProgramCache()
-	program := func(vec exec.VecOptions) *exec.Program {
-		return evaluator{progs: c, kind: ExecVectorized, vec: vec}.program(q, db, fp)
-	}
-	def := program(exec.VecOptions{})
-	if def == nil || program(exec.VecOptions{}) != def {
-		t.Fatal("one query under one VecOptions must compile once")
-	}
-	if got := program(small); got == nil || got == def {
-		t.Fatalf("VecOptions %+v got the default options' program", small)
-	}
-
 	mods := []history.Modification{history.Replace{Pos: 1,
 		Stmt: mustStmt(t, "UPDATE orders SET amount = $to WHERE amount = 10.0")}}
 	sess := e.NewSession()

@@ -105,14 +105,14 @@ func TestWhatIfCountsComparedAndBoxedRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracle := engine.newEvaluator(ctx, Options{Executor: ExecInterpreter}, nil)
+		oracle := engine.newEvaluator(ctx, Options{Executor: ExecInterpreter})
 		compared, residual := 0, 0
 		for _, r := range p.rels {
-			ro, err := oracle.runRows(r.orig, p.db, "")
+			ro, err := oracle.interpret(r.orig, p.db)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rm, err := oracle.runRows(r.mod, p.db, "")
+			rm, err := oracle.interpret(r.mod, p.db)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -117,9 +117,10 @@ func TestSessionTransposesOncePerSnapshot(t *testing.T) {
 }
 
 // TestInterpreterFallbackIsCounted: a query outside the compilable
-// subset still gets its answer from the interpreter, with and without
-// the session's program cache, and each such evaluation shows in
-// Engine.InterpreterFallbacks; asking for the interpreter does not.
+// subset still gets its answer from the interpreter, whether or not the
+// evaluator counts its compiles into a session, and each such
+// evaluation shows in Engine.InterpreterFallbacks; asking for the
+// interpreter does not.
 func TestInterpreterFallbackIsCounted(t *testing.T) {
 	db := storage.NewDatabase()
 	db.AddRelation(storage.NewRelation(schema.New("r", schema.Col("a", types.KindInt))))
@@ -129,28 +130,33 @@ func TestInterpreterFallbackIsCounted(t *testing.T) {
 	q := &algebra.Select{Cond: expr.Ge(expr.Variable("v"), expr.IntConst(1)), In: &algebra.Scan{Rel: "r"}}
 
 	steps := []struct {
-		kind   ExecutorKind
-		cached bool
-		want   int64
+		kind    ExecutorKind
+		counted bool
+		want    int64
 	}{
 		{ExecVectorized, false, 1},
 		{ExecInterpreter, false, 1},
 		{ExecVectorized, true, 2},
 		{ExecInterpreter, true, 2},
 	}
-	progs := newProgramCache()
+	work := &sessionWork{}
 	for i, s := range steps {
-		ev := engine.newEvaluator(context.Background(), Options{Executor: s.kind}, nil)
-		if s.cached {
-			ev.progs = progs
+		ev := engine.newEvaluator(context.Background(), Options{Executor: s.kind})
+		if s.counted {
+			ev.work = work
 		}
 		out, err := ev.runView(q, db)
 		if err != nil || out.Rows != 0 {
 			t.Fatalf("step %d: eval = %v, %v; want the empty relation", i, out, err)
 		}
 		if got := engine.InterpreterFallbacks(); got != s.want {
-			t.Errorf("step %d (%s, cached=%v): %d fallbacks counted, want %d", i, s.kind, s.cached, got, s.want)
+			t.Errorf("step %d (%s, counted=%v): %d fallbacks counted, want %d", i, s.kind, s.counted, got, s.want)
 		}
+	}
+	// The counted vectorized step tried one compile; the interpreter
+	// compiles nothing.
+	if n := work.compiled.Load(); n != 1 {
+		t.Errorf("%d compiles counted, want 1", n)
 	}
 	if st := engine.NewSession().Stats(); st.InterpreterFallbacks != 2 {
 		t.Errorf("SessionStats.InterpreterFallbacks = %d, want the engine's 2", st.InterpreterFallbacks)

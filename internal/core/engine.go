@@ -422,7 +422,8 @@ func (e *Engine) whatIfPair(ctx context.Context, pair *history.PaddedPair, tip i
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	ev := e.newEvaluator(ctx, opts, shared.progs)
+	ev := e.newEvaluator(ctx, opts)
+	ev.work = shared.work
 	out := make(delta.Set, len(p.rels))
 	for _, r := range p.rels {
 		if err := ctx.Err(); err != nil {
@@ -464,25 +465,25 @@ func normalizeExecutor(k ExecutorKind) ExecutorKind {
 	return k
 }
 
-// evaluator answers algebra queries, optionally through a session's
-// compiled-program cache (see programCache). The default backend is the
+// evaluator answers algebra queries. The default backend is the
 // vectorized executor; kind selects the tree-walking interpreter oracle
-// instead.
+// instead. Every program is compiled for the call that runs it, except
+// a template's, which its artifact holds, and a report's γ program,
+// which lives with the historical state it folded (evaluator.historical).
 type evaluator struct {
-	e     *Engine // receives the fallback count; nil in zero-valued test evaluators
-	ctx   context.Context
-	progs *programCache
-	kind  ExecutorKind
-	vec   exec.VecOptions
+	e    *Engine // receives the fallback count; nil in zero-valued test evaluators
+	ctx  context.Context
+	kind ExecutorKind
+	vec  exec.VecOptions
 
+	work   *sessionWork // receives compile and γ-reuse counts; nil: not counted
 	routes *routeCounts // receives computeAggregates' report routes; nil: not counted
 }
 
 // newEvaluator builds the evaluator for queries under opts' executor
-// choice. progs may be nil: every program is then compiled for its
-// evaluation.
-func (e *Engine) newEvaluator(ctx context.Context, opts Options, progs *programCache) evaluator {
-	return evaluator{e: e, ctx: ctx, progs: progs, kind: normalizeExecutor(opts.Executor), vec: opts.Vec}
+// choice.
+func (e *Engine) newEvaluator(ctx context.Context, opts Options) evaluator {
+	return evaluator{e: e, ctx: ctx, kind: normalizeExecutor(opts.Executor), vec: opts.Vec}
 }
 
 // evalCtx returns the evaluator's context (Background when the
@@ -494,38 +495,19 @@ func (ev evaluator) evalCtx() context.Context {
 	return ev.ctx
 }
 
-// program returns the compiled program for q, or nil when q is to be
+// program compiles q over db, or returns nil when q is to be
 // interpreted: because the interpreter was asked for, or because q is
-// outside the compilable subset (interpret counts that). With a cache
-// the program comes from it, keyed by query fingerprint (fp, computed
-// here when empty). Compilation is short and uncancellable, so its
-// waiters wait it out, and it never fails, so neither does Do.
-func (ev evaluator) program(q algebra.Query, db *storage.Database, fp string) *exec.Program {
+// outside the compilable subset (interpret counts that). Compilation
+// never fails; ev.work, when set, counts it.
+func (ev evaluator) program(q algebra.Query, db *storage.Database) *exec.Program {
 	if ev.kind == ExecInterpreter {
 		return nil
 	}
-	build := func() (*exec.Program, error) {
-		prog, _ := exec.CompileVec(q, db, ev.vec)
-		return prog, nil
+	if ev.work != nil {
+		ev.work.compiled.Add(1)
 	}
-	if ev.progs == nil {
-		prog, _ := build()
-		return prog
-	}
-	if fp == "" {
-		fp = algebra.Fingerprint(q)
-	}
-	prog, _ := ev.progs.Do(context.Background(), progKey{fp: fp, vec: ev.vec}, build)
+	prog, _ := exec.CompileVec(q, db, ev.vec)
 	return prog
-}
-
-// runRows answers q over db as rows: a report query over a patched
-// hypothetical state.
-func (ev evaluator) runRows(q algebra.Query, db *storage.Database, fp string) (*storage.Relation, error) {
-	if prog := ev.program(q, db, fp); prog != nil {
-		return prog.RunCtx(ev.evalCtx(), db)
-	}
-	return ev.interpret(q, db)
 }
 
 // runView answers q over db as a columnar view. A vectorized program
@@ -534,7 +516,7 @@ func (ev evaluator) runRows(q algebra.Query, db *storage.Database, fp string) (*
 // costs does not matter, and core has one result form and one delta
 // call whatever the executor.
 func (ev evaluator) runView(q algebra.Query, db *storage.Database) (*storage.ColumnarView, error) {
-	if prog := ev.program(q, db, ""); prog != nil {
+	if prog := ev.program(q, db); prog != nil {
 		return prog.RunColumnarCtx(ev.evalCtx(), db)
 	}
 	return ev.interpretView(q, db)

@@ -213,9 +213,7 @@ func mergedReport(q AggregateQuery, hist *storage.Database, changed map[string]b
 	if route != routeMerged {
 		return AggregateReport{}, route, nil
 	}
-	fp := algebra.Fingerprint(agg)
-	prog := ev.program(agg, hist, fp)
-	h, err := ev.historical(agg, fp, prog, hist)
+	h, err := ev.historical(agg, hist)
 	if err != nil {
 		return AggregateReport{}, route, fmt.Errorf("core: aggregate query %q (historical): %w", q.SQL, err)
 	}
@@ -237,7 +235,7 @@ func mergedReport(q AggregateQuery, hist *storage.Database, changed map[string]b
 			}
 			bag := storage.NewRelation(r.Schema)
 			bag.Tuples = side.bag
-			st, err := ev.foldState(ev.evalCtx(), agg, prog, hist.With(bag))
+			st, err := ev.foldState(ev.evalCtx(), agg, h.prog, hist.With(bag))
 			if err != nil {
 				return AggregateReport{}, route, hypErr(err)
 			}
@@ -273,20 +271,26 @@ func mergedReport(q AggregateQuery, hist *storage.Database, changed map[string]b
 }
 
 // historical is a report query's γ over the historical state: its state
-// — what the merged route merges into — and its output rows, one per
-// group in state order.
+// — what the merged route merges into — its output rows, one per group
+// in state order, and the program that folded it (nil: interpreted),
+// which the report's Minus and Plus folds and the patch route's
+// hypothetical γ run too.
 type historical struct {
 	state *algebra.GroupState
 	rows  []schema.Tuple
+	prog  *exec.Program
 }
 
 // histKey identifies a historical γ among the values derived from the
 // relation its query scans first by name: the query's fingerprint, the
-// executor that folded it, and the other relations it scans (by name),
-// so a state is never served for another combination of relations.
+// executor that folded it and the options its program was compiled
+// under (a program's batch size and scan parallelism are fixed at
+// compile time), and the other relations it scans (by name), so a state
+// is never served for another combination of relations.
 type histKey struct {
 	fp   string
 	kind ExecutorKind
+	vec  exec.VecOptions
 	deps [3]*storage.Relation
 }
 
@@ -296,9 +300,13 @@ func (histKey) ReportKey() {}
 // relation q scans first by name (Relation.Derive) — once per frozen
 // snapshot and shared read-only by every report, session and template
 // over it — and computed afresh over a private one, or when q scans
-// more relations than histKey can name.
-func (ev evaluator) historical(q *algebra.Aggregate, fp string, prog *exec.Program, db *storage.Database) (*historical, error) {
+// more relations than histKey can name. ev.work, when set, counts the
+// γ compiled, or the program reused when another report built it.
+func (ev evaluator) historical(q *algebra.Aggregate, db *storage.Database) (*historical, error) {
+	built := false
 	compute := func() (any, error) {
+		built = true
+		prog := ev.program(q, db)
 		// Not cancellable: what a frozen relation remembers must be the
 		// data's answer, never the error of the request that asked first.
 		st, err := ev.foldState(context.WithoutCancel(ev.evalCtx()), q, prog, db)
@@ -309,14 +317,14 @@ func (ev evaluator) historical(q *algebra.Aggregate, fp string, prog *exec.Progr
 		if err != nil {
 			return nil, err
 		}
-		return &historical{state: st, rows: rows}, nil
+		return &historical{state: st, rows: rows, prog: prog}, nil
 	}
 	var names []string
 	for name := range algebra.BaseRelations(q) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	key := histKey{fp: fp, kind: normalizeExecutor(ev.kind)}
+	key := histKey{fp: algebra.Fingerprint(q), kind: normalizeExecutor(ev.kind), vec: ev.vec}
 	var first *storage.Relation
 	if len(names) <= 1+len(key.deps) {
 		for i, name := range names {
@@ -341,7 +349,11 @@ func (ev evaluator) historical(q *algebra.Aggregate, fp string, prog *exec.Progr
 	if err != nil {
 		return nil, err
 	}
-	return v.(*historical), nil
+	h := v.(*historical)
+	if !built && h.prog != nil && ev.work != nil {
+		ev.work.reused.Add(1)
+	}
+	return h, nil
 }
 
 // foldState folds γ q over db into its state: through prog, or through

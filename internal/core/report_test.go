@@ -10,6 +10,7 @@ import (
 
 	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/delta"
+	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/history"
 	"github.com/mahif/mahif/internal/schema"
@@ -236,7 +237,7 @@ func TestReportsThreeWay(t *testing.T) {
 				t.Fatal(err)
 			}
 			for qi, q := range queries {
-				want, err := aggregateReport(q, tip, patched, e.newEvaluator(ctx, opts, nil))
+				want, err := aggregateReport(q, tip, patched, e.newEvaluator(ctx, opts))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -309,6 +310,125 @@ func TestReportsConcurrentShareHistoricalState(t *testing.T) {
 	wg.Wait()
 	if st := sess.Stats(); st.ReportArtifactMisses != 3 {
 		t.Errorf("%d report artifacts built on the one tip, want 3 (a historical state per query, the row index): %+v", st.ReportArtifactMisses, st)
+	}
+}
+
+// TestReportProgramRidesTheSnapshot (run under -race): a report's γ
+// program is compiled with the historical state it folds, once per tip
+// snapshot, and every later report over that snapshot runs it — no
+// session cache in between. An append publishes a new tip, so the next
+// report compiles exactly one γ; a report under other exec.VecOptions
+// compiles its own; concurrent reports over one fresh tip compile one
+// between them and answer identically. Naive reports isolate the γ: an
+// Alg. 1 delta compiles nothing through the session.
+func TestReportProgramRidesTheSnapshot(t *testing.T) {
+	e := ordersEngine(t)
+	sess := e.NewSession()
+	ctx := context.Background()
+	mods := []history.Modification{history.Replace{Pos: 1,
+		Stmt: mustStmt(t, "UPDATE orders SET amount = amount + 7 WHERE region = 'east'")}}
+	queries := []AggregateQuery{mustAggQuery(t, "SELECT region, SUM(amount) AS s, COUNT(*) AS n FROM orders GROUP BY region")}
+	// counts returns the programs compiled and reused since before.
+	counts := func(before SessionStats) (compiled, reused int) {
+		st := sess.Stats()
+		return st.QueryMisses - before.QueryMisses, st.QueryHits - before.QueryHits
+	}
+	report := func(label string, wantCompiled, wantReused int) {
+		t.Helper()
+		before := sess.Stats()
+		if _, _, _, err := sess.NaiveAggregatesCtx(ctx, mods, queries); err != nil {
+			t.Fatal(err)
+		}
+		if c, r := counts(before); c != wantCompiled || r != wantReused {
+			t.Fatalf("%s: %d γ programs compiled, %d reused; want %d and %d", label, c, r, wantCompiled, wantReused)
+		}
+	}
+	report("first report over the tip", 1, 0)
+	report("second report over the tip", 0, 1)
+	report("third report over the tip", 0, 1)
+	appendStmt := func() {
+		t.Helper()
+		if _, err := e.Append(mustStmt(t, "UPDATE orders SET amount = amount + 1 WHERE region = 'west'")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendStmt()
+	report("first report after an append", 1, 0)
+	report("second report after an append", 0, 1)
+
+	// Other VecOptions: a what-if compiles its reenactment sides either
+	// way; its report compiles a γ of its own once, then reuses that.
+	whatIf := func(opts Options) (compiled, reused int) {
+		t.Helper()
+		before := sess.Stats()
+		if _, _, _, err := sess.WhatIfAggregatesCtx(ctx, mods, queries, opts); err != nil {
+			t.Fatal(err)
+		}
+		return counts(before)
+	}
+	small := DefaultOptions()
+	small.Vec = exec.VecOptions{BatchSize: 7, Workers: 1}
+	sides, r := whatIf(DefaultOptions())
+	if r != 1 {
+		t.Fatalf("default options: %d γ programs reused, want 1", r)
+	}
+	if c, r := whatIf(small); c != sides+1 || r != 0 {
+		t.Fatalf("VecOptions %+v: %d programs compiled, %d reused; want %d (sides and a γ) and 0", small.Vec, c, r, sides+1)
+	}
+	if c, r := whatIf(small); c != sides || r != 1 {
+		t.Fatalf("VecOptions %+v again: %d programs compiled, %d reused; want %d and 1", small.Vec, c, r, sides)
+	}
+	tip, err := sess.shared().snaps.TipSnapshotCtx(ctx, e.Version())
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := queries[0].Query.(*algebra.Aggregate)
+	historicalUnder := func(opts Options) *historical {
+		t.Helper()
+		h, err := e.newEvaluator(ctx, opts).historical(agg, tip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	def, other := historicalUnder(DefaultOptions()), historicalUnder(small)
+	if def.prog == nil || other.prog == nil || def.prog == other.prog {
+		t.Fatalf("γ programs under default and %+v: %p and %p, want two", small.Vec, def.prog, other.prog)
+	}
+	if again := historicalUnder(DefaultOptions()); again != def {
+		t.Fatal("the tip snapshot did not keep the historical state it folded")
+	}
+
+	// Concurrent reports over a fresh tip race to build its γ: one
+	// compiles it, the rest run it, and all answer alike.
+	appendStmt()
+	_, want, _, err := e.NewSession().NaiveAggregatesCtx(ctx, mods, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reports = 8
+	before := sess.Stats()
+	var wg sync.WaitGroup
+	got := make([][]AggregateReport, reports)
+	errs := make([]error, reports)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, got[i], _, errs[i] = sess.NaiveAggregatesCtx(ctx, mods, queries)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("concurrent report %d differs from a fresh session's:\n%+v\nwant\n%+v", i, got[i], want)
+		}
+	}
+	if c, r := counts(before); c != 1 || r != reports-1 {
+		t.Fatalf("%d concurrent reports over one tip: %d γ programs compiled, %d reused; want 1 and %d", reports, c, r, reports-1)
 	}
 }
 

@@ -15,15 +15,24 @@ import (
 // the history version it was opened against and owns the caches that an
 // engine-level call otherwise builds and discards — the shared
 // time-travel snapshot cache, the solver-outcome memo, and the
-// compiled-program cache. Every Alg. 2 evaluation runs through
+// compiled-template cache. Every Alg. 2 evaluation runs through
 // a session: Engine.WhatIf, WhatIfAggregates, CompileTemplate and
 // WhatIfBatch open one for the call. Alg. 1 (Engine.NaiveCtx) runs
 // through none. An analyst iterating a family of
 // hypotheticals over the same history ("fee ≥ 55… 56… 57") through one
-// session reuses the materialized time-travel state, the solver
-// outcomes and the compiled programs of the queries that repeat across
-// calls instead of rebuilding them per query; a served deployment keeps one session per history version and
-// answers many users' queries from the same warm state.
+// session reuses the materialized time-travel state and the solver
+// outcomes instead of rebuilding them per query; a served deployment
+// keeps one session per history version and answers many users' queries
+// from the same warm state.
+//
+// A session keeps no compiled program for a what-if. A what-if compiles
+// its two reenactment sides for its call: their constants are its own,
+// so the next what-if would not share them. What is worth reusing hangs
+// off the frozen snapshot it was computed from (storage.Relation.Derive):
+// Φ_D, the columnar view, and a report's historical γ state together
+// with the program that folded it, which every later report over that
+// snapshot runs. A template holds its own programs, compiled once with
+// the binding's slots as parameters.
 //
 // Sessions are safe for concurrent use: the caches are internally
 // synchronized and every cached artifact is shared read-only (the same
@@ -34,16 +43,16 @@ import (
 // The history is append-only, and every cached artifact is keyed by —
 // or derived from — a version at or below the tip the session last
 // saw, or depends on no version at all: snapshots are states after
-// their first i statements, compiled programs depend on the schemas
-// only, solver outcomes are content-addressed by the slicing formula
-// and the kinds of the variables it mentions. A session keeps no
-// reenactment result: a what-if runs both sides afresh. When the
-// history advances (Engine.Append during live serving), all of that
-// remains exactly valid, so the
-// session re-pins to the new version and keeps its caches — the
-// optimistic cross-version reuse that makes a served deployment's
-// caches survive a stream of appends. An appended statement adds
-// fresh symbolic variables to its relation's run, which no earlier
+// their first i statements, solver outcomes are content-addressed by
+// the slicing formula and the kinds of the variables it mentions. A
+// session keeps no reenactment result: a what-if runs both sides
+// afresh. When the history advances (Engine.Append during live
+// serving), all of that remains exactly valid, so the session re-pins
+// to the new version and keeps its caches — the optimistic
+// cross-version reuse that makes a served deployment's caches survive a
+// stream of appends. The first report over the new tip folds its
+// historical state, and compiles its γ, once. An appended statement
+// adds fresh symbolic variables to its relation's run, which no earlier
 // test mentions, so a re-plan after the append — a repeated what-if, a
 // template's recompile (counted in TemplateRecompiles) — finds every
 // test it asked before in the memo and solves only the appended
@@ -74,7 +83,6 @@ func (e *Engine) NewSession() *Session {
 func (s *Session) reset() {
 	s.caches = &batchShared{
 		snaps:     storage.NewSnapshotCache(s.e.vdb),
-		progs:     newProgramCache(),
 		memo:      compile.NewMemo(),
 		templates: lru.New[string, *Template](templateCacheEntries),
 		work:      &sessionWork{},
@@ -83,8 +91,8 @@ func (s *Session) reset() {
 
 // shared revalidates the version pin and returns the live cache
 // bundle. An advanced history re-pins without dropping anything: the
-// append-only store guarantees every cached snapshot, program, and
-// solver outcome stays correct (see the type comment). The bundle it
+// append-only store guarantees every cached snapshot, solver outcome
+// and template stays correct (see the type comment). The bundle it
 // returns is immutable as a bundle (its caches are internally
 // synchronized), so calls in flight during an explicit invalidation
 // finish against the old, still-consistent bundle.
@@ -167,17 +175,14 @@ type SessionStats struct {
 	// MemoEvictions counts outcomes dropped by the memo's LRU bound.
 	MemoHits, MemoMisses int64
 	MemoEvictions        int64
-	// QueryHits/Misses report compiled-program reuse across calls: a
-	// hit is a reenactment or report query that ran a program compiled
-	// earlier, a miss compiled one. No result is reused: a repeated
-	// what-if runs both its sides again.
+	// QueryHits/Misses count programs: a miss is a program compiled — a
+	// what-if compiles both reenactment sides of every relation it
+	// answers, and the first report over a snapshot compiles its γ — and
+	// a hit is a report that ran the γ program its historical state
+	// carried. The programs a template artifact holds count in neither.
+	// No result is reused: a repeated what-if compiles and runs both its
+	// sides again.
 	QueryHits, QueryMisses int
-	// ProgramEvictions counts compiled reenactment programs dropped by
-	// the program cache's LRU bound; ProgramResident is the count
-	// currently held. Evictions climbing means what-ifs rarely repeat
-	// (each fresh constant is a fresh program), not a leak.
-	ProgramEvictions int64
-	ProgramResident  int
 	// SolverLowered sums Stats.SolverLowered over every what-if and
 	// template compile planned through the session: the expression nodes
 	// program slicing lowered into solver models.
@@ -236,10 +241,7 @@ func (s *Session) Stats() SessionStats {
 	st.ColumnarHits, st.ColumnarMisses = s.caches.snaps.ColumnarStats()
 	st.MemoHits, st.MemoMisses = s.caches.memo.Stats()
 	st.MemoEvictions = s.caches.memo.Evictions()
-	qh, qm := s.caches.progs.Stats()
-	st.QueryHits, st.QueryMisses = int(qh), int(qm)
-	st.ProgramEvictions = s.caches.progs.Evictions()
-	st.ProgramResident = s.caches.progs.Len()
+	st.QueryHits, st.QueryMisses = int(s.caches.work.reused.Load()), int(s.caches.work.compiled.Load())
 	st.SolverLowered = s.caches.work.lowered.Load()
 	st.DeltaRowsCompared = s.caches.work.compared.Load()
 	st.DeltaRowsHashed, st.DeltaRowsBoxed = s.caches.work.hashed.Load(), s.caches.work.boxed.Load()
@@ -260,11 +262,11 @@ func (s *Session) WhatIf(mods []history.Modification, opts Options) (delta.Set, 
 }
 
 // WhatIfCtx is WhatIf under a context (see Engine.WhatIfCtx for the
-// cancellation guarantees). The session's solver memo is used unless
-// the options carry their own; snapshots and compiled programs always
-// come from the session. A call cut short by cancellation never leaves
-// a partial artifact behind: cancelled snapshot builds are never
-// cached, so the caches stay consistent.
+// cancellation guarantees). Snapshots and solver outcomes come from the
+// session; both reenactment sides are compiled for the call. A call cut
+// short by cancellation never leaves a partial artifact behind:
+// cancelled snapshot builds are never cached, so the caches stay
+// consistent.
 func (s *Session) WhatIfCtx(ctx context.Context, mods []history.Modification, opts Options) (delta.Set, *Stats, error) {
 	d, _, st, err := s.e.whatIfAggregates(ctx, mods, nil, opts, s.shared())
 	return d, st, err
@@ -276,9 +278,10 @@ func (s *Session) WhatIfBatch(scenarios []Scenario, opts BatchOptions) ([]BatchR
 }
 
 // WhatIfBatchCtx is WhatIfBatch under a context. The batch draws its
-// shared snapshot cache, solver memo, and compiled-program cache from
-// the session, so scenarios reuse state warmed by earlier session calls
-// and leave their own work behind for later ones. BatchStats counters report this batch's
+// shared snapshot cache and solver memo from the session, so scenarios
+// reuse state warmed by earlier session calls and leave their own work
+// behind for later ones; each scenario compiles its own reenactment
+// sides. BatchStats counters report this batch's
 // traffic net of the session's prior use; calls running concurrently
 // with the batch through the same session can bleed into the window
 // and be attributed to it, so treat the counters as approximate under

@@ -203,7 +203,7 @@ type boundQuery struct {
 
 // bindQuery compiles q over db for binding-time runs.
 func bindQuery(ev evaluator, q algebra.Query, db *storage.Database) boundQuery {
-	return boundQuery{q: q, prog: ev.program(q, db, "")}
+	return boundQuery{q: q, prog: ev.program(q, db)}
 }
 
 // view answers the query for binding as a columnar view.
@@ -526,10 +526,9 @@ func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 		DataSlicing:        t.opts.DataSlicing,
 		SkippedRelations:   p.stats.SkippedRelations,
 	}
-	// No program cache: the programs and materialized sides live as
-	// long as the artifact pins them, not as long as a session's LRU
-	// says.
-	ev := t.e.newEvaluator(ctx, t.opts, nil)
+	// The programs and materialized sides live as long as the artifact
+	// pins them.
+	ev := t.e.newEvaluator(ctx, t.opts)
 	for _, r := range p.rels {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -599,7 +598,7 @@ func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, bind
 	// The artifact holds every program a binding runs, and a binding's
 	// modified side is its own result: nothing to share through the
 	// session.
-	ev := t.e.newEvaluator(ctx, t.opts, nil)
+	ev := t.e.newEvaluator(ctx, t.opts)
 	for i := range art.rels {
 		tr := &art.rels[i]
 		if err := ctx.Err(); err != nil {

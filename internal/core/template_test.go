@@ -86,7 +86,7 @@ func evalPlan(t *testing.T, tpl *Template, binding map[string]types.Value, slice
 	for rel, d := range art.static {
 		out[rel] = d
 	}
-	ev := tpl.e.newEvaluator(context.Background(), tpl.opts, nil)
+	ev := tpl.e.newEvaluator(context.Background(), tpl.opts)
 	for i := range art.rels {
 		tr := &art.rels[i]
 		d, _, err := tpl.eval(ev, art.db, tr, binding, sliced && tr.slice != nil)

@@ -4,8 +4,7 @@
 // memo (compile.Memo) and the service's template id registry use it as
 // a plain map; the build-once caches all build through Do: the
 // session's time-travel snapshots (storage.SnapshotCache), its compiled
-// reenactment programs, its compiled templates and each template's
-// artifact (core).
+// templates and each template's artifact (core).
 package lru
 
 import (

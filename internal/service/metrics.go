@@ -50,14 +50,10 @@ var sessionMetrics = []sessionMetric{
 		func(st core.SessionStats) int64 { return int64(st.MemoMisses) }},
 	{"memo_evictions_total", "Solver outcomes dropped by the memo LRU bound per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.MemoEvictions) }},
-	{"query_hits_total", "Reenactment and report queries that ran a program from the compiled-program cache, per session.", "counter",
+	{"query_hits_total", "Report γ programs reused from a snapshot, per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.QueryHits) }},
-	{"query_misses_total", "Reenactment and report queries that compiled a program into the compiled-program cache, per session.", "counter",
+	{"query_misses_total", "Programs compiled, per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.QueryMisses) }},
-	{"program_evictions_total", "Compiled reenactment programs dropped by the program-cache LRU bound per session.", "counter",
-		func(st core.SessionStats) int64 { return int64(st.ProgramEvictions) }},
-	{"program_resident", "Compiled reenactment programs currently held per session.", "gauge",
-		func(st core.SessionStats) int64 { return int64(st.ProgramResident) }},
 	{"template_hits_total", "Compiled scenario-template cache hits per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.TemplateHits) }},
 	{"template_misses_total", "Compiled scenario-template cache misses per session.", "counter",
