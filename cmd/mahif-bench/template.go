@@ -58,12 +58,24 @@ type templateResult struct {
 	DataSlicing        bool  `json:"data_slicing,omitempty"`
 	SlicedEvals        int64 `json:"sliced_evals,omitempty"`
 	UnslicedEvals      int64 `json:"unsliced_evals,omitempty"`
+	// Sides reports a range template's two sides (the cond-slot cells):
+	// the statements each side's plan keeps and the bindings it
+	// answered; kept_statements above is the larger side's.
+	Sides []templateSide `json:"sides,omitempty"`
 	// SpeedupVsBatch is the template row's per-binding gain over its
 	// ablation twin (batch ns_per_binding / template ns_per_binding).
 	SpeedupVsBatch float64 `json:"speedup_vs_batch,omitempty"`
 	// IdenticalResults reports the per-binding differential check: every
 	// template delta equals the WhatIfBatch delta for the same binding.
 	IdenticalResults *bool `json:"identical_results,omitempty"`
+}
+
+// templateSide is one side of a range template's bound.
+type templateSide struct {
+	Bound          types.Value `json:"bound"`
+	Direction      string      `json:"direction"`
+	KeptStatements int         `json:"kept_statements"`
+	Evals          int64       `json:"evals"`
 }
 
 // templateReport is the BENCH_template.json document.
@@ -83,12 +95,13 @@ type templateReport struct {
 // shapes:
 //
 //   - cond-slot: the modified update's threshold is the slot
-//     (UPDATE ... WHERE sel >= $cut). The slicing keep-set must stay
-//     conservative (a symbolic threshold overlaps every statement's
-//     region for some binding), so the win is the amortized per-binding
-//     compile+solve, plus data slicing for the bindings whose slice is
-//     narrow (each binding runs the cheaper of the sliced and the
-//     unsliced plan).
+//     (UPDATE ... WHERE sel >= $cut), a range template: it is sliced
+//     once at each end of the slot's range, and a binding above the
+//     original threshold keeps what the constant what-if keeps, one
+//     below it every statement the IS NOT NULL end reaches. The win is
+//     the amortized per-binding compile+solve, plus data slicing for
+//     the bindings whose slice is narrow (each binding runs the cheaper
+//     of the sliced and the unsliced plan).
 //   - set-slot: the written value is the slot (SET payload = payload +
 //     $v) under a concrete condition, so the template slices like a
 //     constant scenario and the sweep also skips the re-evaluation of
@@ -254,6 +267,10 @@ func (h *harness) templateExp() {
 		}
 
 		st := tpl.Stats()
+		var sides []templateSide
+		for _, sd := range st.Sides {
+			sides = append(sides, templateSide{Bound: sd.Bound, Direction: sd.Direction, KeptStatements: sd.Kept, Evals: sd.Evals})
+		}
 		tplPerB := templateT.Nanoseconds() / int64(bindings)
 		batchPerB := bs.Total.Nanoseconds() / int64(len(picked))
 		speedup := float64(batchPerB) / float64(tplPerB)
@@ -272,6 +289,7 @@ func (h *harness) templateExp() {
 				DataSlicing:        st.DataSlicing,
 				SlicedEvals:        st.SlicedEvals,
 				UnslicedEvals:      st.UnslicedEvals,
+				Sides:              sides,
 				SpeedupVsBatch:     speedup,
 				IdenticalResults:   &id,
 			},

@@ -74,6 +74,9 @@ func runTemplate(data []string, historyPath, whatifPath, bindingsPath, variant s
 		fmt.Printf("template: params=%v compile=%v reenacted=%d/%d (binding-independent=%d dependent=%d)\n",
 			tpl.Params(), st.CompileTime, st.KeptStatements, st.TotalStatements,
 			st.BindingIndependent, st.BindingDependent)
+		for _, sd := range st.Sides {
+			fmt.Printf("template: bindings %s %s reenact %d/%d\n", sd.Direction, sd.Bound, sd.Kept, st.TotalStatements)
+		}
 	}
 	results, err := tpl.EvalBatch(bindings, workers)
 	if err != nil {

@@ -30,13 +30,15 @@ type batchShared struct {
 // sessionWork sums delta.Work over every delta computed through a
 // session, the programs its what-ifs and reports compiled and the
 // report γ programs they reused, the expression nodes its program
-// slicing lowered, the plans its template evals chose, its templates'
-// recompiles and unsliced-pair builds, and the routes its aggregate
-// reports took.
+// slicing lowered, the plans its template evals chose (a range
+// template's side or a fallback plan, sliced or unsliced pair), its
+// templates' recompiles and unsliced-pair builds, and the routes its
+// aggregate reports took.
 type sessionWork struct {
 	compared, hashed, boxed atomic.Int64
 	compiled, reused        atomic.Int64
 	lowered                 atomic.Int64
+	sideEvals, fallbacks    atomic.Int64
 	sliced, unsliced        atomic.Int64
 	recompiles, built       atomic.Int64
 	reports                 routeCounters

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -34,12 +35,26 @@ type plan struct {
 	// params are the $slots of the modified side with their inferred
 	// value classes; empty for a plain what-if.
 	params map[string]paramClass
-	// rels holds one entry per tainted relation, sorted by name.
-	rels []relPlan
-	// bindingDependent counts kept statements that carry a $slot.
-	bindingDependent int
+	// keptPlan holds the relations sliced with the $slots free — or, for
+	// a range template, sliced at the union of its two sides' keep sets.
+	keptPlan
+	// slot is set for a range template (rangeSlot): sides[s] holds its
+	// relations sliced at side s's end. For any other template fallback
+	// says why it is not one.
+	slot     *rangeSlot
+	sides    [2]keptPlan
+	fallback string
 	// stats carries the phases spent so far and the slice quality.
 	stats *Stats
+}
+
+// keptPlan is the reenactment queries of one keep set.
+type keptPlan struct {
+	// rels holds one entry per tainted relation, sorted by name.
+	rels []relPlan
+	// kept counts the statements kept over all relations;
+	// bindingDependent those of them that carry a $slot.
+	kept, bindingDependent int
 }
 
 // relPlan is the pair of reenactment queries answering one relation.
@@ -70,8 +85,10 @@ type scanFilter struct {
 // for an aligned pair and builds the reenactment queries. $slots in the
 // modified history are typed from their context and handed to the
 // solver as free variables, which is sound for every later binding
-// (UNSAT with a free slot ⇒ UNSAT for each constant). The evaluation
-// path only reads db, so a shared snapshot is safe.
+// (UNSAT with a free slot ⇒ UNSAT for each constant) — except for a
+// range template, whose slot is no solver variable: it is sliced once
+// at each end of its slot's range (rangeSlot). The evaluation path only
+// reads db, so a shared snapshot is safe.
 func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, opts Options, shared *batchShared) (*plan, error) {
 	stats := &Stats{Slices: map[string]progslice.Stats{}}
 	t0 := time.Now()
@@ -87,7 +104,7 @@ func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, op
 		return nil, err
 	}
 	solver := compile.Options{Memo: shared.memo}
-	if len(p.params) > 0 {
+	if p.slot, p.fallback = rangeSlotOf(suffix, p.params, db, opts); p.slot == nil && len(p.params) > 0 {
 		solver.ParamKinds = make(map[string]types.Kind, len(p.params))
 		for name, c := range p.params {
 			solver.ParamKinds[name] = c.kind()
@@ -129,6 +146,7 @@ func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, op
 			return nil, err
 		}
 	}
+	stats.KeptStatements = p.kept
 	shared.countLowered(stats.SolverLowered)
 	return p, nil
 }
@@ -137,44 +155,90 @@ func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, op
 // the §10 split runs the dependency-sliced insert-free part of the
 // history over the base relation and unions it with the insert
 // branches; without it (variants R and R+DS) every statement is kept
-// and inserts stay inline, so there are no branches.
+// and inserts stay inline, so there are no branches. A range template
+// slices the insert-free part once per end of its slot's range and
+// gets one pair per side, and one over the union of the two keep sets.
 func (e *Engine) planRelation(ctx context.Context, p *plan, suffix *history.PaddedPair, rel string, filters *dataslice.Conditions, opts Options, solver compile.Options) error {
 	relPair, _ := suffix.RestrictToRelation(rel)
-	kept := relPair
-	if opts.ProgramSlicing {
-		noIns := stripInsertPair(relPair)
-		var keep []int
-		// With every modification on rel an insert pair, the insert-free
-		// parts of both histories are identical, so the base branches
-		// cancel and keep stays empty.
-		if len(noIns.ModifiedPos) > 0 {
-			relation, err := p.db.Relation(rel)
-			if err != nil {
-				return err
-			}
-			phiD, err := symbolic.Compress(relation, symbolic.CompressOptions{})
-			if err != nil {
-				return err
-			}
-			in := &progslice.Input{Pair: noIns, Schema: relation.Schema, PhiD: phiD, Compile: solver}
-			res, err := progslice.DependencyCtx(ctx, in)
-			if err != nil {
-				return err
-			}
-			keep = res.Keep
-			p.stats.Slices[rel] = res.Stats
-			p.stats.ProgramSlicing += res.Stats.Duration
-			p.stats.SolverTests += res.Stats.Tests
-			p.stats.SolverNodes += res.Stats.SolverNodes
-			p.stats.SolverLowered += res.Stats.Lowered
-		}
-		kept = &history.PaddedPair{Orig: noIns.Orig.Restrict(keep), Mod: noIns.Mod.Restrict(keep)}
+	add := func(kp *keptPlan, kept *history.PaddedPair) error {
+		return p.addRelation(kp, suffix, kept, rel, filters, opts)
 	}
-	p.stats.KeptStatements += len(kept.Orig)
+	if !opts.ProgramSlicing {
+		return add(&p.keptPlan, relPair)
+	}
+	noIns := stripInsertPair(relPair)
+	kept := func(keep []int) *history.PaddedPair {
+		return &history.PaddedPair{Orig: noIns.Orig.Restrict(keep), Mod: noIns.Mod.Restrict(keep)}
+	}
+	// With every modification on rel an insert pair, the insert-free
+	// parts of both histories are identical, so the base branches cancel
+	// and nothing is kept.
+	var in *progslice.Input
+	if len(noIns.ModifiedPos) > 0 {
+		relation, err := p.db.Relation(rel)
+		if err != nil {
+			return err
+		}
+		phiD, err := symbolic.Compress(relation, symbolic.CompressOptions{})
+		if err != nil {
+			return err
+		}
+		in = &progslice.Input{Pair: noIns, Schema: relation.Schema, PhiD: phiD, Compile: solver}
+	}
+	if p.slot == nil {
+		keep, err := p.dependencyKeep(ctx, in, rel)
+		if err != nil {
+			return err
+		}
+		return add(&p.keptPlan, kept(keep))
+	}
+	var keeps [2][]int
+	for side := range keeps {
+		var atEnd *progslice.Input
+		if in != nil {
+			atEnd = &progslice.Input{Pair: p.slot.atEnd(noIns, side), Schema: in.Schema, PhiD: in.PhiD, Compile: solver}
+		}
+		var err error
+		if keeps[side], err = p.dependencyKeep(ctx, atEnd, rel); err != nil {
+			return err
+		}
+		if err := add(&p.sides[side], kept(keeps[side])); err != nil {
+			return err
+		}
+	}
+	union := slices.Concat(keeps[0], keeps[1])
+	slices.Sort(union)
+	return add(&p.keptPlan, kept(slices.Compact(union)))
+}
+
+// dependencyKeep runs the dependency slicing of in, nothing when in is
+// nil, and adds the run's effort to p's stats.
+func (p *plan) dependencyKeep(ctx context.Context, in *progslice.Input, rel string) ([]int, error) {
+	if in == nil {
+		return nil, nil
+	}
+	res, err := progslice.DependencyCtx(ctx, in)
+	if err != nil {
+		return nil, err
+	}
+	if p.slot == nil {
+		p.stats.Slices[rel] = res.Stats
+	}
+	p.stats.ProgramSlicing += res.Stats.Duration
+	p.stats.SolverTests += res.Stats.Tests
+	p.stats.SolverNodes += res.Stats.SolverNodes
+	p.stats.SolverLowered += res.Stats.Lowered
+	return res.Keep, nil
+}
+
+// addRelation builds rel's query pair over the kept part of its
+// history and adds it to kp.
+func (p *plan) addRelation(kp *keptPlan, suffix, kept *history.PaddedPair, rel string, filters *dataslice.Conditions, opts Options) error {
+	kp.kept += len(kept.Orig)
 	if len(p.params) > 0 {
 		for _, st := range kept.Mod {
 			if len(history.Params(st)) > 0 {
-				p.bindingDependent++
+				kp.bindingDependent++
 			}
 		}
 	}
@@ -224,7 +288,7 @@ func (e *Engine) planRelation(ctx context.Context, p *plan, suffix *history.Padd
 		}
 	}
 	p.stats.Execute += time.Since(t0)
-	p.rels = append(p.rels, *rp)
+	kp.rels = append(kp.rels, *rp)
 	return nil
 }
 

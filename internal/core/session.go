@@ -202,6 +202,11 @@ type SessionStats struct {
 	TemplateHits, TemplateMisses int64
 	TemplateEvictions            int64
 	TemplateResident             int
+	// TemplateSideEvals sums the Evals of TemplateStats.Sides over the
+	// session's templates: bindings a range template answered with the
+	// plan of their side of its bound. TemplateFallbackEvals sums
+	// TemplateStats.FallbackEvals: bindings no side answered.
+	TemplateSideEvals, TemplateFallbackEvals int64
 	// TemplateSlicedEvals/UnslicedEvals sum TemplateStats.SlicedEvals/
 	// UnslicedEvals over the session's templates: per binding and
 	// relation with two plans, whether its data-sliced pair ran.
@@ -248,6 +253,7 @@ func (s *Session) Stats() SessionStats {
 	st.TemplateHits, st.TemplateMisses = s.caches.templates.Stats()
 	st.TemplateEvictions = s.caches.templates.Evictions()
 	st.TemplateResident = s.caches.templates.Len()
+	st.TemplateSideEvals, st.TemplateFallbackEvals = s.caches.work.sideEvals.Load(), s.caches.work.fallbacks.Load()
 	st.TemplateSlicedEvals, st.TemplateUnslicedEvals = s.caches.work.sliced.Load(), s.caches.work.unsliced.Load()
 	st.TemplateRecompiles, st.TemplateUnslicedBuilds = s.caches.work.recompiles.Load(), s.caches.work.built.Load()
 	st.Reports = s.caches.work.reports.load()

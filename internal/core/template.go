@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -34,7 +35,17 @@ import (
 //   - program slicing: the slicing MILPs are solved once with the
 //     $slots as free solver variables, which is sound for every later
 //     binding (UNSAT with a free slot ⇒ UNSAT for each constant), so
-//     no binding ever runs the solver;
+//     no binding ever runs the solver. A slot free in a condition is
+//     the weak spot: for some value of it every statement looks
+//     dependent. A range template — one replaced UPDATE or DELETE
+//     whose one slot is the bound of a top-level WHERE conjunct
+//     col ⋈ $p, with the original's constant p0 in its place — is
+//     therefore sliced at the two ends of its slot's range instead
+//     (rangeSlot): its artifact holds one plan per side of p0, and
+//     each binding runs the plan of its side, which keeps what the
+//     binding's own what-if would keep and the statements the end of
+//     its side adds. A binding off the order (NaN, 2^53 or more in
+//     magnitude) runs the union of the two, built on first use;
 //   - the original-side reenactment: original histories never contain
 //     parameters, so each relation's original-side result is
 //     materialized once — except where a slicing filter of that side
@@ -85,12 +96,12 @@ type Template struct {
 	shared *batchShared // session caches, also for recompiles (an engine-level template's own session's)
 
 	// art is the current artifact; everything an eval reads hangs off
-	// it. builds compiles the next one once however many askers find art
-	// stale: it is keyed by the version of the artifact being replaced
-	// (-1 for the first) and keeps the latest compile.
+	// it, and the artifact that replaces it once the history moves on is
+	// built once in its next cell, however many askers find it stale.
 	art        atomic.Pointer[templateArtifact]
-	builds     *lru.Cache[int, *templateArtifact]
 	evals      atomic.Int64
+	sideEvals  [2]atomic.Int64 // a range template's bindings, by side
+	fallbacks  atomic.Int64    // bindings no side answered
 	recompiles atomic.Int64
 	sliced     atomic.Int64
 	unsliced   atomic.Int64
@@ -151,9 +162,75 @@ type templateArtifact struct {
 	version int                   // history length the artifact answers against
 	db      *storage.Database     // pinned snapshot at the first modified position
 	params  map[string]paramClass // $slots and their inferred classes
-	static  delta.Set             // param-free relations: their delta, precomputed
-	rels    []templateRel         // param-dependent relations
-	stats   TemplateStats
+	// slot, set for a range template, picks each binding's side;
+	// sides[s] answers the bindings on side s.
+	slot  *rangeSlot
+	sides [2]*templateBody
+	// fallback answers every binding of any other template, built at
+	// compile, and the bindings of a range template that no side
+	// answers, built on first use from fallbackRels.
+	fallback     lru.Cell[*templateBody]
+	fallbackRels []relPlan
+	// next is the artifact compiled once the history moved past version.
+	next  lru.Cell[*templateArtifact]
+	stats TemplateStats
+}
+
+// templateBody is what one plan of an artifact answers a binding with.
+type templateBody struct {
+	static delta.Set     // param-free relations: their delta, precomputed
+	rels   []templateRel // param-dependent relations
+}
+
+// buildBody runs rels' original sides, and the modified sides without
+// a $slot, over db, and compiles the rest for binding-time runs. A
+// relation with two plans gets its sliced pair here and its unsliced
+// pair from the first binding that runs it.
+func buildBody(ev evaluator, rels []relPlan, db *storage.Database) (*templateBody, error) {
+	b := &templateBody{static: delta.Set{}}
+	for _, r := range rels {
+		if err := ev.evalCtx().Err(); err != nil {
+			return nil, err
+		}
+		if r.unsliced != nil {
+			// Both sliced sides depend on the binding: keep both pairs,
+			// the unsliced one to be built on first use.
+			b.rels = append(b.rels, templateRel{rel: r.rel, slice: compileSlicedPair(ev, r, db)})
+			continue
+		}
+		if len(algebra.Params(r.mod)) > 0 {
+			whole, err := buildUnsliced(ev, &r, db)
+			if err != nil {
+				return nil, err
+			}
+			b.rels = append(b.rels, templateRel{rel: r.rel, whole: whole})
+			continue
+		}
+		orig, err := ev.runView(r.orig, db)
+		if err != nil {
+			return nil, err
+		}
+		mod, err := ev.runView(r.mod, db)
+		if err != nil {
+			return nil, err
+		}
+		b.static[r.rel], _ = delta.ComputeColumnar(orig, mod)
+	}
+	return b, nil
+}
+
+// body is the plan of art that answers binding, and the side it is on:
+// -1 when it is not a range template's side.
+func (art *templateArtifact) body(ev evaluator, binding map[string]types.Value) (*templateBody, int, error) {
+	if art.slot != nil {
+		if side, ok := art.slot.side(binding); ok {
+			return art.sides[side], side, nil
+		}
+	}
+	b, err := art.fallback.Do(ev.evalCtx(), func() (*templateBody, error) {
+		return buildBody(ev, art.fallbackRels, art.db)
+	})
+	return b, -1, err
 }
 
 // templateRel is one relation whose modified side depends on the
@@ -250,7 +327,7 @@ func (t *Template) whole(ev evaluator, db *storage.Database, tr *templateRel) (*
 	if tr.slice == nil {
 		return tr.whole, nil
 	}
-	return tr.slice.wholes.Do(ev.evalCtx(), 0, func() (*unslicedPair, error) {
+	return tr.slice.wholes.Do(ev.evalCtx(), func() (*unslicedPair, error) {
 		whole, err := buildUnsliced(ev, tr.slice.plain, db)
 		if err == nil {
 			t.built.Add(1)
@@ -269,7 +346,7 @@ type slicedPair struct {
 	orig, mod boundQuery
 	counts    []sliceCount
 	plain     *relPlan
-	wholes    *lru.Cache[int, *unslicedPair]
+	wholes    lru.Cell[*unslicedPair]
 }
 
 // sliceCount counts one filtered scan's two slices: h and m are
@@ -284,8 +361,7 @@ type sliceCount struct {
 // compileSlicedPair compiles r's sliced pair and its slice counts over
 // db; its unsliced pair is left to the first binding that needs it.
 func compileSlicedPair(ev evaluator, r relPlan, db *storage.Database) *slicedPair {
-	s := &slicedPair{orig: bindQuery(ev, r.orig, db), mod: bindQuery(ev, r.mod, db),
-		plain: r.unsliced, wholes: lru.New[int, *unslicedPair](1)}
+	s := &slicedPair{orig: bindQuery(ev, r.orig, db), mod: bindQuery(ev, r.mod, db), plain: r.unsliced}
 	count := func(rel string, filter expr.Expr) *boundQuery {
 		if filter == nil {
 			return nil
@@ -366,17 +442,23 @@ type TemplateStats struct {
 	Version     int
 	CompileTime time.Duration
 	// TotalStatements and KeptStatements mirror Stats: suffix length
-	// and post-slicing retained positions (summed over relations).
+	// and post-slicing retained positions (summed over relations). A
+	// range template reports its larger side's count.
 	TotalStatements int
 	KeptStatements  int
-	// The solver outcome partitions over the kept statements:
-	// BindingIndependent statements were retained by tests free of any
-	// $slot (they would be kept under every binding for structural
-	// reasons); BindingDependent statements' tests involved an open
-	// slot, so they are retained conservatively for all bindings.
+	// The kept statements partition by whether they carry a $slot:
+	// BindingIndependent ones are retained for structural reasons under
+	// every binding; BindingDependent ones carry an open slot (a range
+	// template's: of its larger side).
 	BindingIndependent int
 	BindingDependent   int
-	// SolverTests/SolverNodes report the one-time slicing effort.
+	// Sides describes a range template's two sides (see Template), the
+	// FALSE end's first; nil for any other template, whose Fallback says
+	// why it is not one.
+	Sides    []TemplateSide
+	Fallback string
+	// SolverTests/SolverNodes report the one-time slicing effort (both
+	// ends' runs for a range template).
 	SolverTests int
 	SolverNodes int
 	// DataSlicing reports whether the artifact was compiled with data
@@ -391,9 +473,13 @@ type TemplateStats struct {
 	DynamicRelations []string
 	SkippedRelations []string
 	// Evals counts bindings answered; Recompiles counts artifact
-	// rebuilds triggered by history advances.
-	Evals      int64
-	Recompiles int64
+	// rebuilds triggered by history advances. FallbackEvals counts the
+	// bindings no side answered: all of a template outside the range
+	// class, and a range template's bindings off the order (NaN, 2^53 or
+	// more in magnitude), which run the union of both sides' keep sets.
+	Evals         int64
+	Recompiles    int64
+	FallbackEvals int64
 	// SlicedEvals/UnslicedEvals count, per binding and per relation with
 	// two plans (a slicing filter of its original side carries a $slot),
 	// which plan ran: the sliced pair, whose slices together were no
@@ -406,6 +492,18 @@ type TemplateStats struct {
 	// Reports counts the aggregate reports the template's evals attached,
 	// by route (merged or patched, by reason).
 	Reports ReportRoutes
+}
+
+// TemplateSide is one side of a range template's bound: the bindings
+// Direction of Bound ("above" or "below"; the bound itself is on the
+// FALSE end's side), the statements its plan keeps (Kept, of them
+// BindingDependent carry the slot) and the bindings it answered.
+type TemplateSide struct {
+	Bound            types.Value
+	Direction        string
+	Kept             int
+	BindingDependent int
+	Evals            int64
 }
 
 // CompileTemplate compiles a parameterized modification sequence into a
@@ -438,10 +536,12 @@ func (e *Engine) compileTemplate(ctx context.Context, mods []history.Modificatio
 		return nil, fmt.Errorf("core: empty template modification sequence")
 	}
 	compile := func() (*Template, error) {
-		t := &Template{e: e, opts: opts, mods: mods, shared: shared, builds: lru.New[int, *templateArtifact](1)}
-		if _, err := t.artifact(ctx); err != nil {
+		t := &Template{e: e, opts: opts, mods: mods, shared: shared}
+		art, err := t.compile(ctx)
+		if err != nil {
 			return nil, err
 		}
+		t.art.Store(art)
 		return t, nil
 	}
 	return shared.templates.Do(ctx, templateKey(e.Version(), mods, opts), compile)
@@ -464,6 +564,11 @@ func (t *Template) Stats() TemplateStats {
 	st := t.art.Load().stats
 	st.Evals = t.evals.Load()
 	st.Recompiles = t.recompiles.Load()
+	st.FallbackEvals = t.fallbacks.Load()
+	st.Sides = slices.Clone(st.Sides)
+	for i := range st.Sides {
+		st.Sides[i].Evals = t.sideEvals[i].Load()
+	}
 	st.SlicedEvals, st.UnslicedEvals = t.sliced.Load(), t.unsliced.Load()
 	st.UnslicedBuilds = t.built.Load()
 	st.Reports = t.reports.load()
@@ -477,22 +582,17 @@ func (t *Template) Version() int { return t.art.Load().version }
 // artifact returns the current artifact, transparently recompiling when
 // the engine's history has advanced past the artifact's version.
 func (t *Template) artifact(ctx context.Context) (*templateArtifact, error) {
-	old, stale := t.art.Load(), -1
-	if old != nil {
-		if old.version == t.e.Version() {
-			return old, nil
-		}
-		stale = old.version
+	old := t.art.Load()
+	if old.version == t.e.Version() {
+		return old, nil
 	}
-	return t.builds.Do(ctx, stale, func() (*templateArtifact, error) {
+	return old.next.Do(ctx, func() (*templateArtifact, error) {
 		art, err := t.compile(ctx)
 		if err != nil {
 			return nil, err
 		}
-		if old != nil {
-			t.recompiles.Add(1)
-			t.shared.work.recompiles.Add(1)
-		}
+		t.recompiles.Add(1)
+		t.shared.work.recompiles.Add(1)
 		t.art.Store(art)
 		return art, nil
 	})
@@ -502,8 +602,8 @@ func (t *Template) artifact(ctx context.Context) (*templateArtifact, error) {
 // same plan a what-if runs, with the original sides executed once and
 // the modified sides either executed too (closed ⇒ the relation's delta
 // is static) or compiled with their $slots open for Eval to run under
-// each binding. A relation with two plans gets its sliced pair here and
-// its unsliced pair from the first binding that runs it.
+// each binding. A range template gets the plans of its two sides here
+// and the plan over their union from the first binding that needs it.
 func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 	start := time.Now()
 	pair, tip, err := t.e.align(t.mods)
@@ -514,51 +614,58 @@ func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	art := &templateArtifact{version: tip, db: p.db, params: p.params, static: delta.Set{}}
+	art := &templateArtifact{version: tip, db: p.db, params: p.params, slot: p.slot, fallbackRels: p.rels}
 	art.stats = TemplateStats{
-		Version:            tip,
-		TotalStatements:    p.stats.TotalStatements,
-		KeptStatements:     p.stats.KeptStatements,
-		BindingIndependent: p.stats.KeptStatements - p.bindingDependent,
-		BindingDependent:   p.bindingDependent,
-		SolverTests:        p.stats.SolverTests,
-		SolverNodes:        p.stats.SolverNodes,
-		DataSlicing:        t.opts.DataSlicing,
-		SkippedRelations:   p.stats.SkippedRelations,
+		Version:          tip,
+		TotalStatements:  p.stats.TotalStatements,
+		Fallback:         p.fallback,
+		SolverTests:      p.stats.SolverTests,
+		SolverNodes:      p.stats.SolverNodes,
+		DataSlicing:      t.opts.DataSlicing,
+		SkippedRelations: p.stats.SkippedRelations,
 	}
 	// The programs and materialized sides live as long as the artifact
 	// pins them.
 	ev := t.e.newEvaluator(ctx, t.opts)
-	for _, r := range p.rels {
-		if err := ctx.Err(); err != nil {
+	largest := p.keptPlan
+	var bodies []*templateBody
+	if p.slot == nil {
+		b, err := art.fallback.Do(ctx, func() (*templateBody, error) { return buildBody(ev, p.rels, p.db) })
+		if err != nil {
 			return nil, err
 		}
-		if r.unsliced != nil {
-			// Both sliced sides depend on the binding: keep both pairs,
-			// the unsliced one to be built on first use.
-			art.rels = append(art.rels, templateRel{rel: r.rel, slice: compileSlicedPair(ev, r, p.db)})
-			art.stats.DynamicRelations = append(art.stats.DynamicRelations, r.rel)
-			continue
-		}
-		if len(algebra.Params(r.mod)) > 0 {
-			whole, err := buildUnsliced(ev, &r, p.db)
-			if err != nil {
+		bodies = append(bodies, b)
+	} else {
+		largest = keptPlan{}
+		for side, kp := range p.sides {
+			if art.sides[side], err = buildBody(ev, kp.rels, p.db); err != nil {
 				return nil, err
 			}
-			art.rels = append(art.rels, templateRel{rel: r.rel, whole: whole})
+			bodies = append(bodies, art.sides[side])
+			art.stats.Sides = append(art.stats.Sides, TemplateSide{
+				Bound: p.slot.bound, Direction: p.slot.direction(side),
+				Kept: kp.kept, BindingDependent: kp.bindingDependent,
+			})
+			if kp.kept > largest.kept {
+				largest = kp
+			}
+		}
+	}
+	art.stats.KeptStatements = largest.kept
+	art.stats.BindingDependent = largest.bindingDependent
+	art.stats.BindingIndependent = largest.kept - largest.bindingDependent
+	// A relation is dynamic if some plan re-evaluates it per binding.
+	for _, r := range p.rels {
+		dynamic := false
+		for _, b := range bodies {
+			_, static := b.static[r.rel]
+			dynamic = dynamic || !static
+		}
+		if dynamic {
 			art.stats.DynamicRelations = append(art.stats.DynamicRelations, r.rel)
-			continue
+		} else {
+			art.stats.StaticRelations = append(art.stats.StaticRelations, r.rel)
 		}
-		orig, err := ev.runView(r.orig, p.db)
-		if err != nil {
-			return nil, err
-		}
-		mod, err := ev.runView(r.mod, p.db)
-		if err != nil {
-			return nil, err
-		}
-		art.static[r.rel], _ = delta.ComputeColumnar(orig, mod)
-		art.stats.StaticRelations = append(art.stats.StaticRelations, r.rel)
 	}
 	art.stats.CompileTime = time.Since(start)
 	return art, nil
@@ -591,16 +698,27 @@ func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, bind
 	}
 	t.evals.Add(1)
 
-	out := make(delta.Set, len(art.static)+len(art.rels))
-	for rel, d := range art.static {
-		out[rel] = d // shared read-only, like every cached engine artifact
-	}
 	// The artifact holds every program a binding runs, and a binding's
 	// modified side is its own result: nothing to share through the
 	// session.
 	ev := t.e.newEvaluator(ctx, t.opts)
-	for i := range art.rels {
-		tr := &art.rels[i]
+	body, side, err := art.body(ev, binding)
+	if err != nil {
+		return nil, nil, err
+	}
+	if side >= 0 {
+		t.sideEvals[side].Add(1)
+		t.shared.work.sideEvals.Add(1)
+	} else {
+		t.fallbacks.Add(1)
+		t.shared.work.fallbacks.Add(1)
+	}
+	out := make(delta.Set, len(body.static)+len(body.rels))
+	for rel, d := range body.static {
+		out[rel] = d // shared read-only, like every cached engine artifact
+	}
+	for i := range body.rels {
+		tr := &body.rels[i]
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}

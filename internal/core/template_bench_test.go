@@ -11,12 +11,17 @@ import (
 
 // BenchmarkTemplateEval answers one binding of each template_sweep
 // shape through a session: 8 000 Taxi rows, 100 statements. The
-// cond-slot shape makes the modified UPDATE's threshold $cut. Its
-// historical condition selects ≈ 10 % of the rows, so narrow (cut 9500)
-// slices to ≈ 10 %, half (6000) to ≈ 40 % a side, and wide (0) to every
-// row, where the unsliced plan runs. The set-slot shape keeps the
+// cond-slot shape makes the modified UPDATE's threshold $cut (9000 in
+// the history), a range template: a binding above 9000 runs the plan
+// sliced at the FALSE end, which keeps what the constant what-if keeps,
+// and a binding below it the plan sliced at the IS NOT NULL end, which
+// keeps every statement here. Its historical condition selects ≈ 10 %
+// of the rows, so narrow (cut 9500) and below (8500) slice their data to
+// a little over 10 %, half (6000) to ≈ 40 % a side, and wide (0) to
+// every row, where the unsliced plan runs. The set-slot shape keeps the
 // condition and writes SET tips = tips + $bump, so it slices like a
-// constant scenario and has one plan.
+// constant scenario and has one plan. Each sub-benchmark reports the
+// statements its binding's plan keeps (kept-stmts of total-stmts).
 func BenchmarkTemplateEval(b *testing.B) {
 	w, err := workload.Generate(workload.Taxi(8000, 1), workload.Config{
 		Updates: 100, Mods: 1, DependentPct: 10, AffectedPct: 10, Seed: 20220612,
@@ -30,12 +35,21 @@ func BenchmarkTemplateEval(b *testing.B) {
 	}
 	s := New(vdb).NewSession()
 	run := func(b *testing.B, tpl *Template, binding map[string]types.Value) {
+		st := tpl.Stats()
+		kept := st.KeptStatements
+		if slot := tpl.art.Load().slot; slot != nil {
+			if side, ok := slot.side(binding); ok {
+				kept = st.Sides[side].Kept
+			}
+		}
 		b.ReportAllocs()
 		for b.Loop() {
 			if _, err := tpl.Eval(binding); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(kept), "kept-stmts")
+		b.ReportMetric(float64(st.TotalStatements), "total-stmts")
 	}
 	cond, err := s.CompileTemplate(paramMods(w), DefaultOptions())
 	if err != nil {
@@ -44,7 +58,7 @@ func BenchmarkTemplateEval(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		cut  int64
-	}{{"narrow", 9500}, {"half", 6000}, {"wide", 0}} {
+	}{{"narrow", 9500}, {"below", 8500}, {"half", 6000}, {"wide", 0}} {
 		b.Run(c.name, func(b *testing.B) {
 			run(b, cond, map[string]types.Value{"cut": types.Int(c.cut)})
 		})

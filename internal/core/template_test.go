@@ -76,19 +76,24 @@ func requireSetsEqual(t *testing.T, label string, got, want delta.Set) {
 // under; the differentials run each.
 var templateVariants = []Variant{VariantR, VariantRPS, VariantRDS, VariantRFull}
 
-// evalPlan answers binding through tpl's current artifact with every
-// two-plan relation forced onto its sliced (sliced) or its unsliced
-// pair — the plan the count did not choose, for the differentials.
+// evalPlan answers binding through the plan of tpl's current artifact
+// that answers it, with every two-plan relation forced onto its sliced
+// (sliced) or its unsliced pair — the plan the count did not choose,
+// for the differentials.
 func evalPlan(t *testing.T, tpl *Template, binding map[string]types.Value, sliced bool) delta.Set {
 	t.Helper()
 	art := tpl.art.Load()
+	ev := tpl.e.newEvaluator(context.Background(), tpl.opts)
+	body, _, err := art.body(ev, binding)
+	if err != nil {
+		t.Fatalf("plan of %v: %v", binding, err)
+	}
 	out := delta.Set{}
-	for rel, d := range art.static {
+	for rel, d := range body.static {
 		out[rel] = d
 	}
-	ev := tpl.e.newEvaluator(context.Background(), tpl.opts)
-	for i := range art.rels {
-		tr := &art.rels[i]
+	for i := range body.rels {
+		tr := &body.rels[i]
 		d, _, err := tpl.eval(ev, art.db, tr, binding, sliced && tr.slice != nil)
 		if err != nil {
 			t.Fatalf("forced plan (sliced=%t): %v", sliced, err)

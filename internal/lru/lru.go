@@ -2,9 +2,11 @@
 // concurrency-safe least-recently-used map with hit, miss and eviction
 // counters, and a cancel-safe build-once entry point (Do). The solver
 // memo (compile.Memo) and the service's template id registry use it as
-// a plain map; the build-once caches all build through Do: the
-// session's time-travel snapshots (storage.SnapshotCache), its compiled
-// templates and each template's artifact (core).
+// a plain map; the session's time-travel snapshots
+// (storage.SnapshotCache) and its compiled templates (core) build
+// through Do. A value built once and kept for its owner's life — a
+// template's next artifact, a plan built on first use — sits in a Cell,
+// Do's rules for one value.
 package lru
 
 import (
@@ -116,7 +118,6 @@ func (c *Cache[K, V]) evictLocked() {
 //
 // build must not call Do on the same cache with the same key.
 func (c *Cache[K, V]) Do(ctx context.Context, key K, build func() (V, error)) (V, error) {
-	var zero V
 	for {
 		c.mu.Lock()
 		if el, ok := c.m[key]; ok {
@@ -132,49 +133,66 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, build func() (V, error)) (V
 		}
 		c.mu.Unlock()
 		if !joined {
-			return c.build(ctx, key, f, build)
+			// The value enters the cache on success; the flight resolves
+			// either way.
+			return f.run(ctx, build, func() {
+				c.mu.Lock()
+				delete(c.flights, key)
+				if f.err == nil {
+					c.misses++
+					c.storeLocked(key, f.val)
+				}
+				c.mu.Unlock()
+			})
 		}
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return zero, ctx.Err() // our deadline; don't wait out the build
+		v, err, retry := f.wait(ctx)
+		if retry {
+			continue
 		}
-		switch {
-		case f.err == nil:
+		if err == nil {
 			c.mu.Lock()
 			c.hits++
 			if el, ok := c.m[key]; ok {
 				c.order.MoveToFront(el)
 			}
 			c.mu.Unlock()
-			return f.val, nil
-		case !f.cancelled:
-			return zero, f.err
-		case ctx.Err() != nil:
-			return zero, ctx.Err()
 		}
-		// The builder's context died, ours is alive: build it ourselves.
+		return v, err
 	}
 }
 
-// build runs one flight's build and publishes its outcome: the value
-// enters the cache on success, the flight resolves either way (also
-// when build panics, so that no waiter is left parked).
-func (c *Cache[K, V]) build(ctx context.Context, key K, f *flight[V], build func() (V, error)) (V, error) {
+// run runs build as f's builder under ctx and resolves f: publish
+// records the outcome (under its owner's lock), then f's waiters are
+// released — also when build panics, so that no waiter is left parked.
+func (f *flight[V]) run(ctx context.Context, build func() (V, error), publish func()) (V, error) {
 	f.err = errBuildPanicked
 	defer func() {
-		c.mu.Lock()
-		delete(c.flights, key)
-		if f.err == nil {
-			c.misses++
-			c.storeLocked(key, f.val)
-		}
-		c.mu.Unlock()
+		publish()
 		close(f.done)
 	}()
 	f.val, f.err = build()
 	f.cancelled = f.err != nil && ctx.Err() != nil
 	return f.val, f.err
+}
+
+// wait waits for f's outcome as long as ctx allows. retry reports that
+// the build failed because its builder's ctx ended while ctx is alive:
+// the caller builds again.
+func (f *flight[V]) wait(ctx context.Context) (val V, err error, retry bool) {
+	select {
+	case <-f.done:
+	case <-ctx.Done():
+		return val, ctx.Err(), false // our deadline; don't wait out the build
+	}
+	switch {
+	case f.err == nil:
+		return f.val, nil, false
+	case !f.cancelled:
+		return val, f.err, false
+	case ctx.Err() != nil:
+		return val, ctx.Err(), false
+	}
+	return val, nil, true
 }
 
 // Touch refreshes key's recency, if it is resident, without counting a

@@ -62,6 +62,10 @@ var sessionMetrics = []sessionMetric{
 		func(st core.SessionStats) int64 { return int64(st.TemplateEvictions) }},
 	{"template_resident", "Template artifacts currently held per session.", "gauge",
 		func(st core.SessionStats) int64 { return int64(st.TemplateResident) }},
+	{"template_side_evals_total", "Template evals a range template (one slot bounding a WHERE range conjunct) answered with the plan of the binding's side of the original bound, sliced at that side's end of the range, per session.", "counter",
+		func(st core.SessionStats) int64 { return st.TemplateSideEvals }},
+	{"template_fallback_evals_total", "Template evals no side of a range template answered: every eval of a template outside the range class (free-slot plan) and range-template bindings off the order (NaN, magnitude 2^53 or more; union of both sides' plans), per session.", "counter",
+		func(st core.SessionStats) int64 { return st.TemplateFallbackEvals }},
 	{"template_sliced_evals_total", "Template evals of a relation with a binding-dependent slicing filter that ran its data-sliced plan (the binding's slices reenact fewer rows than the relation), per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.TemplateSlicedEvals) }},
 	{"template_unsliced_evals_total", "Template evals of a relation with a binding-dependent slicing filter that ran its unsliced plan (the binding's slices would reenact more rows than the relation), per session.", "counter",

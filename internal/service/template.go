@@ -15,9 +15,7 @@ import (
 type TemplateRequest struct {
 	Modifications []Modification `json:"modifications"`
 	// Variant selects the algorithm (R, R+PS, R+DS, R+PS+DS); empty
-	// means R+PS+DS. Data slicing survives compilation only when every
-	// $slot sits in a SET expression; with a slot in a condition the
-	// template compiles without it (results are variant-invariant).
+	// means R+PS+DS. Results are variant-invariant.
 	Variant string `json:"variant,omitempty"`
 	// TimeoutMs tightens (never extends) the server's per-request
 	// timeout for the one-time compilation.
@@ -35,13 +33,27 @@ type TemplateResponse struct {
 	Version int `json:"version"`
 	// TotalStatements and KeptStatements report the slicing outcome;
 	// BindingIndependent/BindingDependent partition the kept
-	// statements by whether their retention involved a $slot.
-	TotalStatements    int `json:"total_statements"`
-	KeptStatements     int `json:"kept_statements"`
-	BindingIndependent int `json:"binding_independent"`
-	BindingDependent   int `json:"binding_dependent"`
+	// statements by whether they carry a $slot. A range template (one
+	// replaced UPDATE or DELETE whose one slot bounds a WHERE range
+	// conjunct col ⋈ $p) is sliced at each end of its slot's range and
+	// reports its larger side's counts here, both sides in Sides.
+	TotalStatements    int                `json:"total_statements"`
+	KeptStatements     int                `json:"kept_statements"`
+	BindingIndependent int                `json:"binding_independent"`
+	BindingDependent   int                `json:"binding_dependent"`
+	Sides              []TemplateSideInfo `json:"sides,omitempty"`
 	// CompileMs is the one-time compilation cost each eval amortizes.
 	CompileMs float64 `json:"compile_ms"`
+}
+
+// TemplateSideInfo is one side of a range template's original bound:
+// the bindings Direction ("above" or "below") of Bound run a plan that
+// keeps KeptStatements, BindingDependent of them carrying the slot.
+type TemplateSideInfo struct {
+	Bound            types.Value `json:"bound"`
+	Direction        string      `json:"direction"`
+	KeptStatements   int         `json:"kept_statements"`
+	BindingDependent int         `json:"binding_dependent"`
 }
 
 // TemplateEvalRequest is the body of POST /v1/template/{id}/eval.
@@ -117,6 +129,10 @@ func (s *Server) handleTemplateCreate(w http.ResponseWriter, r *http.Request) {
 	s.templates.Store(id, tpl)
 
 	st := tpl.Stats()
+	var sides []TemplateSideInfo
+	for _, sd := range st.Sides {
+		sides = append(sides, TemplateSideInfo{Bound: sd.Bound, Direction: sd.Direction, KeptStatements: sd.Kept, BindingDependent: sd.BindingDependent})
+	}
 	s.writeJSON(w, http.StatusOK, TemplateResponse{
 		ID:                 id,
 		Params:             tpl.Params(),
@@ -125,6 +141,7 @@ func (s *Server) handleTemplateCreate(w http.ResponseWriter, r *http.Request) {
 		KeptStatements:     st.KeptStatements,
 		BindingIndependent: st.BindingIndependent,
 		BindingDependent:   st.BindingDependent,
+		Sides:              sides,
 		CompileMs:          float64(st.CompileTime.Microseconds()) / 1000,
 	})
 }

@@ -310,3 +310,33 @@ func TestTemplateCreateErrors(t *testing.T) {
 		t.Fatalf("bogus variant: status %d (%s)", w.Code, w.Body)
 	}
 }
+
+// TestTemplateCreateReportsSides: the fee template is a range template
+// (price >= $cut replaces price >= 50), so its create response carries
+// both sides of the bound 50; a set-slot template carries none.
+func TestTemplateCreateReportsSides(t *testing.T) {
+	srv := newTestServer(t, Options{})
+	h := srv.Handler()
+	created := createTemplate(t, h)
+	if len(created.Sides) != 2 {
+		t.Fatalf("create response = %+v, want two sides", created)
+	}
+	for i, dir := range []string{"above", "below"} {
+		sd := created.Sides[i]
+		if !sd.Bound.Equal(types.Int(50)) || sd.Direction != dir || sd.KeptStatements == 0 || sd.KeptStatements > created.TotalStatements {
+			t.Fatalf("side %d = %+v, want bound 50, direction %s, a kept count within %d", i, sd, dir, created.TotalStatements)
+		}
+	}
+	if max(created.Sides[0].KeptStatements, created.Sides[1].KeptStatements) != created.KeptStatements {
+		t.Fatalf("kept_statements %d is not the larger side's (%+v)", created.KeptStatements, created.Sides)
+	}
+	w := postJSON(t, h, "/v1/template", TemplateRequest{
+		Modifications: []Modification{{Op: "replace", Pos: 1, Statement: `UPDATE orders SET fee = $fee WHERE price >= 50`}},
+	})
+	if w.Code != http.StatusOK {
+		t.Fatalf("set-slot create: status %d: %s", w.Code, w.Body)
+	}
+	if strings.Contains(w.Body.String(), `"sides"`) {
+		t.Fatalf("a set-slot template's response carries sides: %s", w.Body)
+	}
+}

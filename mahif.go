@@ -198,6 +198,9 @@ type (
 	// TemplateStats profiles a template's one-time compilation and
 	// lifetime eval/recompile counters.
 	TemplateStats = core.TemplateStats
+	// TemplateSide is one side of a range template's bound in
+	// TemplateStats.Sides.
+	TemplateSide = core.TemplateSide
 	// TemplateEvalResult is one binding's outcome in Template.EvalBatch.
 	TemplateEvalResult = core.TemplateEvalResult
 	// AggregateQuery is a validated GROUP BY/aggregate query attached
