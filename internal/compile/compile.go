@@ -13,7 +13,9 @@
 //     the operand bounds, keeping the encodings numerically tame.
 //   - String values are dictionary-coded to integers; each string
 //     variable additionally owns a private "unseen value" code so that
-//     disequalities between string variables remain satisfiable.
+//     disequalities between string variables remain satisfiable. Codes
+//     carry no string order, so <, <=, > and >= on strings lower to a
+//     free indicator.
 //   - The symbolic path assumes attributes are non-NULL: isnull
 //     compiles to false. This matches every paper workload; callers
 //     keep statements conservatively when they need NULL reasoning.

@@ -97,6 +97,20 @@ func TestSatisfiableStrings(t *testing.T) {
 	), kinds, true)
 }
 
+// TestSatisfiableStringRanges: string codes follow the order strings
+// first appear in, not string order, so an ordered comparison of
+// strings must not decide a test. c = 'Z' AND c >= 'M' holds for c =
+// 'Z'; coded, 'Z' (1) >= 'M' (2) would call it unsat.
+func TestSatisfiableStringRanges(t *testing.T) {
+	c, s := expr.Variable("c"), expr.Parameter("s")
+	kinds := map[string]types.Kind{"c": types.KindString, "$s": types.KindString}
+	z, m := expr.StringConst("Z"), expr.StringConst("M")
+	check(t, expr.AndOf(expr.Eq(c, z), expr.Ge(c, m)), kinds, true)
+	check(t, expr.AndOf(expr.Eq(c, z), expr.Le(m, c)), kinds, true)
+	check(t, expr.AndOf(expr.Eq(s, z), expr.Gt(s, m)), kinds, true)
+	check(t, expr.AndOf(expr.Eq(c, m), expr.Lt(c, z), expr.Eq(c, z)), kinds, false) // = keeps its exact codes
+}
+
 func TestSatisfiableBoolVars(t *testing.T) {
 	b := expr.Variable("b")
 	kinds := map[string]types.Kind{"b": types.KindBool}

@@ -268,6 +268,13 @@ func (c *compiler) compileComparison(x *expr.Cmp) (int, error) {
 	case expr.CmpGe:
 		op, l, r = expr.CmpLe, r, l
 	}
+	if op != expr.CmpEq && op != expr.CmpNe && (c.stringValued(l) || c.stringValued(r)) {
+		// A string's code is its order of appearance, not its place in
+		// string order, so an ordered comparison of strings lowers to a
+		// free indicator: it can only turn a test sat, which costs
+		// precision, never soundness. = and <> stay exact on codes.
+		return c.model.AddBinary()
+	}
 	ll, liv, err := c.compileNum(l)
 	if err != nil {
 		return 0, err
@@ -339,6 +346,20 @@ func (c *compiler) compileComparison(x *expr.Cmp) (int, error) {
 		return b, nil
 	}
 	return 0, fmt.Errorf("compile: unsupported comparison %s", x)
+}
+
+// stringValued reports whether e is a string constant, or a variable or
+// $slot of string kind.
+func (c *compiler) stringValued(e expr.Expr) bool {
+	switch x := e.(type) {
+	case *expr.Const:
+		return x.V.Kind() == types.KindString
+	case *expr.Var:
+		return c.kinds[x.Name] == types.KindString
+	case *expr.Param:
+		return c.kinds["$"+x.Name] == types.KindString
+	}
+	return false
 }
 
 // compileBoolIf lowers a conditional used as a condition: both branches

@@ -12,7 +12,6 @@ import (
 	"github.com/mahif/mahif/internal/compile"
 	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/history"
-	"github.com/mahif/mahif/internal/lru"
 	"github.com/mahif/mahif/internal/storage"
 )
 
@@ -21,10 +20,9 @@ import (
 // engine-level call opens a session for the call), and each cache is
 // internally synchronized.
 type batchShared struct {
-	snaps     *storage.SnapshotCache
-	memo      *compile.Memo
-	templates *lru.Cache[string, *Template]
-	work      *sessionWork // a session's work counts
+	snaps *storage.SnapshotCache
+	memo  *compile.Memo
+	work  *sessionWork // a session's work counts
 }
 
 // sessionWork sums delta.Work over every delta computed through a
@@ -71,11 +69,6 @@ func (b *batchShared) countReports(t *routeCounts) {
 func (b *batchShared) countLowered(n int) {
 	b.work.lowered.Add(int64(n))
 }
-
-// templateCacheEntries bounds a session's compiled-template cache.
-// Template artifacts hold materialized relations, so the bound is far
-// smaller than the solver memo's.
-const templateCacheEntries = 64
 
 // traffic is a reading of the bundle's hit/miss counters.
 type traffic struct {

@@ -269,6 +269,36 @@ func TestTemplateOneSidedDifferential(t *testing.T) {
 	}
 }
 
+// TestStringRangeKeepsDependents: program slicing must not read string
+// order into dictionary codes. Statement 14 replaced, trip 735 (4896
+// seconds, 'Sun Taxi') is updated by statement 15 and, since 'Sun Taxi'
+// >= 'M', by the appended string range, so its tips end at 38.92: a
+// slicer that decides 'Sun Taxi' >= 'M' by codes drops the range and
+// answers 37.92.
+func TestStringRangeKeepsDependents(t *testing.T) {
+	e := oneSidedEngine(t, "UPDATE trips SET tips = tips + 1 WHERE company >= 'M'")
+	mods := []history.Modification{history.Replace{Pos: 14, Stmt: mustStmt(t, "UPDATE trips SET tolls = tolls + 2 WHERE trip_seconds = 4896")}}
+	naive, _, err := e.Naive(mods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := naive["trips"]
+	if d == nil || len(d.Plus) != 1 || d.Plus[0][0] != types.Int(735) || d.Plus[0][6] != types.Float(38.92) {
+		t.Fatalf("Alg. 1 answers %s, want trip 735 with tips 38.92", naive)
+	}
+	for _, v := range []Variant{VariantRPS, VariantRFull} {
+		for _, ex := range []ExecutorKind{ExecVectorized, ExecInterpreter} {
+			opts := OptionsFor(v)
+			opts.Executor = ex
+			got, _, err := e.WhatIf(mods, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSetsEqual(t, fmt.Sprintf("%v %s", v, ex), got, naive)
+		}
+	}
+}
+
 // TestTemplateOneSidedFallback: templates outside the range class — an
 // = slot, two slots, an original that differs outside the slot, no
 // program slicing — keep the free-slot plan, say why, and count every
@@ -276,9 +306,6 @@ func TestTemplateOneSidedDifferential(t *testing.T) {
 // answer equals a fresh what-if's and Alg. 1's.
 func TestTemplateOneSidedFallback(t *testing.T) {
 	e := oneSidedEngine(t)
-	// A string range only ever ends the history: program slicing
-	// compares dictionary codes, not strings, so no statement may come
-	// after it.
 	strs := oneSidedEngine(t, "UPDATE trips SET tips = tips + 1 WHERE company >= 'M'")
 	rng := rand.New(rand.NewSource(3))
 	for _, c := range []struct {

@@ -7,18 +7,16 @@ import (
 	"github.com/mahif/mahif/internal/compile"
 	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/history"
-	"github.com/mahif/mahif/internal/lru"
 	"github.com/mahif/mahif/internal/storage"
 )
 
 // Session is a long-lived evaluation context over one engine: it pins
 // the history version it was opened against and owns the caches that an
 // engine-level call otherwise builds and discards — the shared
-// time-travel snapshot cache, the solver-outcome memo, and the
-// compiled-template cache. Every Alg. 2 evaluation runs through
-// a session: Engine.WhatIf, WhatIfAggregates, CompileTemplate and
-// WhatIfBatch open one for the call. Alg. 1 (Engine.NaiveCtx) runs
-// through none. An analyst iterating a family of
+// time-travel snapshot cache and the solver-outcome memo. Every Alg. 2
+// evaluation runs through a session: Engine.WhatIf, WhatIfAggregates,
+// CompileTemplate and WhatIfBatch open one for the call. Alg. 1
+// (Engine.NaiveCtx) runs through none. An analyst iterating a family of
 // hypotheticals over the same history ("fee ≥ 55… 56… 57") through one
 // session reuses the materialized time-travel state and the solver
 // outcomes instead of rebuilding them per query; a served deployment
@@ -31,8 +29,9 @@ import (
 // off the frozen snapshot it was computed from (storage.Relation.Derive):
 // Φ_D, the columnar view, and a report's historical γ state together
 // with the program that folded it, which every later report over that
-// snapshot runs. A template holds its own programs, compiled once with
-// the binding's slots as parameters.
+// snapshot runs. A session keeps no template either: a template is
+// owned by whoever compiled it and holds its own programs, compiled
+// once with the binding's slots as parameters.
 //
 // Sessions are safe for concurrent use: the caches are internally
 // synchronized and every cached artifact is shared read-only (the same
@@ -82,17 +81,16 @@ func (e *Engine) NewSession() *Session {
 // access during construction).
 func (s *Session) reset() {
 	s.caches = &batchShared{
-		snaps:     storage.NewSnapshotCache(s.e.vdb),
-		memo:      compile.NewMemo(),
-		templates: lru.New[string, *Template](templateCacheEntries),
-		work:      &sessionWork{},
+		snaps: storage.NewSnapshotCache(s.e.vdb),
+		memo:  compile.NewMemo(),
+		work:  &sessionWork{},
 	}
 }
 
 // shared revalidates the version pin and returns the live cache
 // bundle. An advanced history re-pins without dropping anything: the
-// append-only store guarantees every cached snapshot, solver outcome
-// and template stays correct (see the type comment). The bundle it
+// append-only store guarantees every cached snapshot and solver
+// outcome stays correct (see the type comment). The bundle it
 // returns is immutable as a bundle (its caches are internally
 // synchronized), so calls in flight during an explicit invalidation
 // finish against the old, still-consistent bundle.
@@ -195,13 +193,6 @@ type SessionStats struct {
 	// output that did not cancel at its position; hashed − boxed the rows
 	// that cancelled across positions.
 	DeltaRowsCompared, DeltaRowsHashed, DeltaRowsBoxed int64
-	// TemplateHits/Misses report compiled scenario-template reuse across
-	// CompileTemplate calls; TemplateEvictions counts artifacts dropped
-	// by the template cache's LRU bound, and TemplateResident is the
-	// count currently held.
-	TemplateHits, TemplateMisses int64
-	TemplateEvictions            int64
-	TemplateResident             int
 	// TemplateSideEvals sums the Evals of TemplateStats.Sides over the
 	// session's templates: bindings a range template answered with the
 	// plan of their side of its bound. TemplateFallbackEvals sums
@@ -250,9 +241,6 @@ func (s *Session) Stats() SessionStats {
 	st.SolverLowered = s.caches.work.lowered.Load()
 	st.DeltaRowsCompared = s.caches.work.compared.Load()
 	st.DeltaRowsHashed, st.DeltaRowsBoxed = s.caches.work.hashed.Load(), s.caches.work.boxed.Load()
-	st.TemplateHits, st.TemplateMisses = s.caches.templates.Stats()
-	st.TemplateEvictions = s.caches.templates.Evictions()
-	st.TemplateResident = s.caches.templates.Len()
 	st.TemplateSideEvals, st.TemplateFallbackEvals = s.caches.work.sideEvals.Load(), s.caches.work.fallbacks.Load()
 	st.TemplateSlicedEvals, st.TemplateUnslicedEvals = s.caches.work.sliced.Load(), s.caches.work.unsliced.Load()
 	st.TemplateRecompiles, st.TemplateUnslicedBuilds = s.caches.work.recompiles.Load(), s.caches.work.built.Load()

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"github.com/mahif/mahif/internal/algebra"
-	"github.com/mahif/mahif/internal/compile"
 	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/expr"
@@ -525,26 +523,20 @@ func (e *Engine) CompileTemplateCtx(ctx context.Context, mods []history.Modifica
 	return e.NewSession().CompileTemplateCtx(ctx, mods, opts)
 }
 
-// compileTemplate returns the compiled template for mods, through
-// shared's template cache. The cache builds once per key
-// (lru.Cache.Do), so N concurrent identical submissions (every client
-// re-posting its template after an append) run the slicing solve once,
-// a submitter whose builder was cancelled compiles under its own ctx,
-// and a failed compile leaves nothing behind.
+// compileTemplate compiles mods under ctx into a new template that
+// plans through shared's snapshots and solver memo. A failed compile
+// leaves nothing behind.
 func (e *Engine) compileTemplate(ctx context.Context, mods []history.Modification, opts Options, shared *batchShared) (*Template, error) {
 	if len(mods) == 0 {
 		return nil, fmt.Errorf("core: empty template modification sequence")
 	}
-	compile := func() (*Template, error) {
-		t := &Template{e: e, opts: opts, mods: mods, shared: shared}
-		art, err := t.compile(ctx)
-		if err != nil {
-			return nil, err
-		}
-		t.art.Store(art)
-		return t, nil
+	t := &Template{e: e, opts: opts, mods: mods, shared: shared}
+	art, err := t.compile(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return shared.templates.Do(ctx, templateKey(e.Version(), mods, opts), compile)
+	t.art.Store(art)
+	return t, nil
 }
 
 // Params returns the template's parameter slots and their inferred
@@ -1073,73 +1065,17 @@ func (in *inferrer) operandClass(e expr.Expr, kindOf func(string) paramClass) pa
 
 // Session integration ---------------------------------------------------------
 
-// CompileTemplate compiles (or returns a cached) template through the
-// session (see CompileTemplateCtx).
+// CompileTemplate compiles a template through the session (see
+// CompileTemplateCtx).
 func (s *Session) CompileTemplate(mods []history.Modification, opts Options) (*Template, error) {
 	return s.CompileTemplateCtx(context.Background(), mods, opts)
 }
 
-// CompileTemplateCtx is Session.CompileTemplate under a context. The
-// session owns an LRU template cache keyed by the constant-abstracted
-// canonical fingerprint of the modification sequence ($slots stay
-// symbolic; baked-in constants distinguish) prefixed with the history
-// version, so re-submitting the same template after an append compiles
-// a fresh artifact while in-version resubmissions are free. Compiled
-// templates draw their snapshot and solver memo from the session's
-// caches, including on transparent recompiles.
+// CompileTemplateCtx is Session.CompileTemplate under a context. Every
+// call compiles a new template, owned by its caller: the session keeps
+// none, so two submissions of one modification sequence get two
+// templates. A template draws its snapshots and solver outcomes from
+// the session's caches, including on its recompiles after an append.
 func (s *Session) CompileTemplateCtx(ctx context.Context, mods []history.Modification, opts Options) (*Template, error) {
 	return s.e.compileTemplate(ctx, mods, opts, s.shared())
-}
-
-// templateKey fingerprints a template for the session cache: the
-// history version, the option knobs that change the compiled artifact,
-// and the canonical constant-abstracted fingerprint of every
-// modification (tagged statement structure via compile.FingerprintExpr,
-// so a column and a variable of one name cannot conflate — the same
-// property the solver memo key relies on).
-func templateKey(version int, mods []history.Modification, opts Options) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "v%d|%s|ps=%t,ds=%t,vec=%+v|",
-		version, normalizeExecutor(opts.Executor),
-		opts.ProgramSlicing, opts.DataSlicing, opts.Vec)
-	for _, m := range mods {
-		switch x := m.(type) {
-		case history.Replace:
-			fmt.Fprintf(&b, "r%d:", x.Pos)
-			stmtFingerprint(&b, x.Stmt)
-		case history.InsertStmt:
-			fmt.Fprintf(&b, "i%d:", x.Pos)
-			stmtFingerprint(&b, x.Stmt)
-		case history.DeleteStmt:
-			fmt.Fprintf(&b, "d%d", x.Pos)
-		default:
-			fmt.Fprintf(&b, "?%T(%s)", m, m)
-		}
-		b.WriteByte(';')
-	}
-	return b.String()
-}
-
-func stmtFingerprint(b *strings.Builder, st history.Statement) {
-	switch x := st.(type) {
-	case *history.Update:
-		fmt.Fprintf(b, "U(%s|", x.Rel)
-		for _, sc := range x.Set {
-			fmt.Fprintf(b, "%s=%s,", sc.Col, compile.FingerprintExpr(sc.E))
-		}
-		fmt.Fprintf(b, "|%s)", compile.FingerprintExpr(x.Where))
-	case *history.Delete:
-		fmt.Fprintf(b, "D(%s|%s)", x.Rel, compile.FingerprintExpr(x.Where))
-	case *history.InsertValues:
-		fmt.Fprintf(b, "IV(%s|", x.Rel)
-		for _, row := range x.Rows {
-			b.WriteString(row.Key())
-			b.WriteByte(',')
-		}
-		b.WriteByte(')')
-	case *history.InsertQuery:
-		fmt.Fprintf(b, "IQ(%s|%s)", x.Rel, algebra.Fingerprint(x.Query))
-	default:
-		fmt.Fprintf(b, "?%T(%s)", st, st)
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -636,65 +637,30 @@ func TestTemplateRecompileOnAppend(t *testing.T) {
 	requireSetsEqual(t, "post-append", got, want)
 }
 
-// TestSessionTemplateCacheInvalidation pins the session cache key:
-// in-version resubmission is a hit returning the same template;
-// resubmission after an append misses (version-prefixed key) and
-// compiles a fresh artifact.
-func TestSessionTemplateCacheInvalidation(t *testing.T) {
-	w, e := templateWorkload(t, 500, 8, 37)
-	mods := paramMods(w)
-	opts := OptionsFor(VariantRPS)
+// TestSessionRetainsNoTemplate: a template is owned by whoever
+// compiled it. Once its caller drops it, nothing the session keeps
+// holds it, so the collector frees it while the session lives on.
+func TestSessionRetainsNoTemplate(t *testing.T) {
+	w, e := templateWorkload(t, 300, 6, 37)
 	s := e.NewSession()
-
-	t1, err := s.CompileTemplate(mods, opts)
-	if err != nil {
-		t.Fatal(err)
+	freed := make(chan struct{})
+	func() {
+		tpl, err := s.CompileTemplate(paramMods(w), OptionsFor(VariantRPS))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(tpl, func(*Template) { close(freed) })
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(s)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
-	t2, err := s.CompileTemplate(mods, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t1 != t2 {
-		t.Fatal("in-version resubmission compiled a fresh template")
-	}
-	st := s.Stats()
-	if st.TemplateHits != 1 || st.TemplateMisses != 1 {
-		t.Fatalf("template cache stats = %d hits, %d misses, want 1, 1", st.TemplateHits, st.TemplateMisses)
-	}
-	if st.TemplateResident != 1 {
-		t.Fatalf("TemplateResident = %d, want 1", st.TemplateResident)
-	}
-
-	// Distinct constants baked into the statement must key separately
-	// (constant-abstracted means slots stay symbolic, not that baked
-	// constants are ignored).
-	base := w.Mods[0].(history.Replace)
-	upd := base.Stmt.(*history.Update)
-	other := []history.Modification{history.Replace{Pos: base.Pos, Stmt: &history.Update{
-		Rel: upd.Rel, Set: upd.Set,
-		Where: expr.AndOf(expr.Ge(expr.Column(w.Dataset.SelAttr), expr.Parameter("cut")), expr.Lt(expr.Column(w.Dataset.SelAttr), expr.IntConst(99999))),
-	}}}
-	t3, err := s.CompileTemplate(other, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t3 == t1 {
-		t.Fatal("structurally different template hit the cache")
-	}
-
-	if _, err := e.Append(history.NoOpFor(w.History[0])); err != nil {
-		t.Fatal(err)
-	}
-	t4, err := s.CompileTemplate(mods, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t4 == t1 {
-		t.Fatal("post-append resubmission returned the stale template")
-	}
-	if t4.Version() != t1.Version()+1 {
-		t.Fatalf("post-append template version = %d, want %d", t4.Version(), t1.Version()+1)
-	}
+	t.Fatal("the session still holds a template its caller dropped")
 }
 
 // TestTemplateConcurrentEval stresses one template from many
@@ -904,15 +870,15 @@ func TestTemplateSlicedEvalComparesItsSlice(t *testing.T) {
 }
 
 // TestTemplateWaitersHonorTheirDeadline: a caller that joins a slow
-// template compile, or a slow recompile after an append, waits only as
-// long as its own deadline allows. The build it joined finishes for
-// everyone else, and the next caller gets that artifact without a
-// second recompile. Both builds have to outlast the join delay plus the
-// deadline (50 ms), also on a faster machine. Solver outcomes survive
-// the append, so the recompile re-plans with every earlier test
-// answered by the memo and costs about half the cold compile: the
-// 2 400-update history keeps it at a quarter of a second on 2 CPUs
-// (the cold compile ≈ 0.55 s), five times what the waiter needs.
+// recompile after an append waits only as long as its own deadline
+// allows. The recompile it joined finishes for everyone else, and the
+// next caller gets that artifact without a second recompile. The
+// recompile has to outlast the join delay plus the deadline (50 ms),
+// also on a faster machine. Solver outcomes survive the append, so the
+// recompile re-plans with every earlier test answered by the memo and
+// costs about half the cold compile: the 2 400-update history keeps it
+// at a quarter of a second on 2 CPUs (the cold compile ≈ 0.55 s), five
+// times what the waiter needs.
 func TestTemplateWaitersHonorTheirDeadline(t *testing.T) {
 	w, e := templateWorkload(t, 600, 2400, 91)
 	mods := paramMods(w)
@@ -930,25 +896,9 @@ func TestTemplateWaitersHonorTheirDeadline(t *testing.T) {
 		}
 	}
 
-	compiled := make(chan *Template, 1)
-	go func() {
-		tpl, err := sess.CompileTemplateCtx(context.Background(), mods, opts)
-		if err != nil {
-			t.Error(err)
-		}
-		compiled <- tpl
-	}()
-	time.Sleep(joinAfter)
-	waitOut("compile", func(ctx context.Context) error {
-		_, err := sess.CompileTemplateCtx(ctx, mods, opts)
-		return err
-	})
-	tpl := <-compiled
-	if tpl == nil {
-		t.FailNow()
-	}
-	if again, err := sess.CompileTemplateCtx(context.Background(), mods, opts); err != nil || again != tpl {
-		t.Fatalf("next submission: %p, %v, want the finished compile's template %p", again, err, tpl)
+	tpl, err := sess.CompileTemplateCtx(context.Background(), mods, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	upd := &history.Update{

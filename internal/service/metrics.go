@@ -54,14 +54,6 @@ var sessionMetrics = []sessionMetric{
 		func(st core.SessionStats) int64 { return int64(st.QueryHits) }},
 	{"query_misses_total", "Programs compiled, per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.QueryMisses) }},
-	{"template_hits_total", "Compiled scenario-template cache hits per session.", "counter",
-		func(st core.SessionStats) int64 { return int64(st.TemplateHits) }},
-	{"template_misses_total", "Compiled scenario-template cache misses per session.", "counter",
-		func(st core.SessionStats) int64 { return int64(st.TemplateMisses) }},
-	{"template_evictions_total", "Template artifacts dropped by the template-cache LRU bound per session.", "counter",
-		func(st core.SessionStats) int64 { return int64(st.TemplateEvictions) }},
-	{"template_resident", "Template artifacts currently held per session.", "gauge",
-		func(st core.SessionStats) int64 { return int64(st.TemplateResident) }},
 	{"template_side_evals_total", "Template evals a range template (one slot bounding a WHERE range conjunct) answered with the plan of the binding's side of the original bound, sliced at that side's end of the range, per session.", "counter",
 		func(st core.SessionStats) int64 { return st.TemplateSideEvals }},
 	{"template_fallback_evals_total", "Template evals no side of a range template answered: every eval of a template outside the range class (free-slot plan) and range-template bindings off the order (NaN, magnitude 2^53 or more; union of both sides' plans), per session.", "counter",

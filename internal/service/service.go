@@ -56,7 +56,7 @@ func (o Options) withDefaults() Options {
 
 // maxRegisteredTemplates bounds the template id registry; an id evicted
 // from it answers 404 like one never issued, and its owner re-posts the
-// template (a session-cache hit unless the history moved).
+// template, which compiles it again.
 const maxRegisteredTemplates = 1024
 
 // Server answers what-if queries over HTTP through one long-lived
@@ -77,11 +77,10 @@ type Server struct {
 
 	// Compiled scenario templates registered via POST /v1/template,
 	// addressed by id in /v1/template/{id}/eval. Ids are monotonic per
-	// process; the artifacts behind them are shared with the session
-	// template cache, so identical resubmissions don't recompile. The
-	// registry keeps the maxRegisteredTemplates most recently used ids:
-	// each entry pins a compiled artifact, and clients re-post their
-	// template after every append, so it cannot be left to grow.
+	// process, and each id owns the template its POST compiled: the
+	// registry is the only thing that keeps a template alive. It keeps
+	// the maxRegisteredTemplates most recently used ids: each entry pins
+	// a compiled artifact, so it cannot be left to grow.
 	templates     *lru.Cache[string, *core.Template]
 	tseq          atomic.Int64
 	templateEvals atomic.Int64

@@ -96,11 +96,10 @@ type TemplateEvalResponse struct {
 	Results    []TemplateBindingResult `json:"results,omitempty"`
 }
 
-// handleTemplateCreate compiles a parameterized scenario and registers
-// it under a fresh id. Compilation goes through a session, so
-// re-submitting an identical template at the same history version is
-// answered from the session's template cache (a fresh id still refers
-// to the shared compiled artifact).
+// handleTemplateCreate compiles a parameterized scenario through the
+// server's session and registers the new template under a fresh id.
+// Every POST compiles: two submissions of one template get two ids and
+// two templates.
 func (s *Server) handleTemplateCreate(w http.ResponseWriter, r *http.Request) {
 	var req TemplateRequest
 	if err := s.decodeBody(w, r, &req); err != nil {

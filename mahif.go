@@ -74,15 +74,15 @@
 //
 // A Session pins the engine's current history version and keeps the
 // caches that an engine-level call builds and discards — time-travel
-// snapshots, solver memo, compiled reenactment programs — alive across
-// calls, so iterating related hypotheticals reuses almost all work
+// snapshots and the solver memo — alive across calls, so iterating
+// related hypotheticals reuses the time travel and the solver outcomes
 // (Engine.WhatIf, WhatIfAggregates, CompileTemplate and WhatIfBatch
 // each run through a session opened for the call; Engine.Naive, the
 // Alg. 1 oracle, through none):
 //
 //	sess := engine.NewSession()
 //	d1, _, _ := sess.WhatIfCtx(ctx, modsFee55, opts)
-//	d2, _, _ := sess.WhatIfCtx(ctx, modsFee56, opts) // warm snapshots & programs
+//	d2, _, _ := sess.WhatIfCtx(ctx, modsFee56, opts) // warm snapshots & solver outcomes
 //	fmt.Println(sess.Stats().SnapshotHits)
 //
 // Sessions are safe for concurrent use and keep their caches when the
@@ -111,10 +111,10 @@
 //
 // Every Eval returns exactly what a fresh WhatIf over the substituted
 // modifications would (pinned by differential tests). Templates
-// recompile transparently when the history advances; sessions cache
-// compiled templates by constant-abstracted shape (see
-// Session.CompileTemplate), and cmd/mahifd exposes the subsystem as
-// POST /v1/template and POST /v1/template/{id}/eval.
+// recompile transparently when the history advances. A template is
+// owned by whoever compiled it; a session keeps none (see
+// Session.CompileTemplate). cmd/mahifd exposes the subsystem as POST
+// /v1/template and POST /v1/template/{id}/eval.
 package mahif
 
 import (
@@ -186,8 +186,8 @@ type (
 	// BatchStats aggregates batch timing and work sharing.
 	BatchStats = core.BatchStats
 	// Session is a long-lived evaluation context that reuses
-	// time-travel snapshots, solver memos, and compiled reenactment
-	// programs across calls (see Engine.NewSession).
+	// time-travel snapshots and solver outcomes across calls (see
+	// Engine.NewSession).
 	Session = core.Session
 	// SessionStats reports a session's cache effectiveness.
 	SessionStats = core.SessionStats
