@@ -47,10 +47,10 @@ type templateResult struct {
 	// Slicing outcome of the template artifact (template rows only).
 	// DataSlicing reports that the artifact compiled its slicing filters
 	// in; SlicedEvals/UnslicedEvals count the bindings whose relation ran
-	// the data-sliced plan or the unsliced one. A cond-slot cell counts
-	// every binding — at the default 500 rows, below one executor batch,
-	// all of them unsliced; a set-slot filter carries no slot and counts
-	// neither.
+	// the data-sliced plan or the unsliced one, ProvisionedEvals those a
+	// band table answered. A cond-slot cell is a range template, so a
+	// band table answers every binding; a set-slot filter carries no
+	// slot and counts in none of the three.
 	TotalStatements    int   `json:"total_statements,omitempty"`
 	KeptStatements     int   `json:"kept_statements,omitempty"`
 	BindingIndependent int   `json:"binding_independent,omitempty"`
@@ -58,9 +58,10 @@ type templateResult struct {
 	DataSlicing        bool  `json:"data_slicing,omitempty"`
 	SlicedEvals        int64 `json:"sliced_evals,omitempty"`
 	UnslicedEvals      int64 `json:"unsliced_evals,omitempty"`
+	ProvisionedEvals   int64 `json:"provisioned_evals,omitempty"`
 	// Sides reports a range template's two sides (the cond-slot cells):
-	// the statements each side's plan keeps and the bindings it
-	// answered; kept_statements above is the larger side's.
+	// the statements each side keeps, which its band table reenacts, and
+	// the bindings on it; kept_statements above is the larger side's.
 	Sides []templateSide `json:"sides,omitempty"`
 	// SpeedupVsBatch is the template row's per-binding gain over its
 	// ablation twin (batch ns_per_binding / template ns_per_binding).
@@ -289,6 +290,7 @@ func (h *harness) templateExp() {
 				DataSlicing:        st.DataSlicing,
 				SlicedEvals:        st.SlicedEvals,
 				UnslicedEvals:      st.UnslicedEvals,
+				ProvisionedEvals:   st.ProvisionedEvals,
 				Sides:              sides,
 				SpeedupVsBatch:     speedup,
 				IdenticalResults:   &id,

@@ -283,6 +283,12 @@ func computeAggregates(ctx context.Context, queries []AggregateQuery, d delta.Se
 	if err != nil {
 		return nil, err
 	}
+	return framedAggregates(ctx, queries, d, hist, ev, changed)
+}
+
+// framedAggregates is computeAggregates with d's frame already checked:
+// changed is what checkFrame returns for it.
+func framedAggregates(ctx context.Context, queries []AggregateQuery, d delta.Set, hist *storage.Database, ev evaluator, changed map[string]bags) ([]AggregateReport, error) {
 	var hyp *storage.Database // the patch route's, built on first use
 	out := make([]AggregateReport, 0, len(queries))
 	for _, q := range queries {
@@ -315,7 +321,7 @@ func computeAggregates(ctx context.Context, queries []AggregateQuery, d delta.Se
 // storage.SnapshotCache.TipSnapshotCtx), and counts the reports' routes
 // in shared and in the result. What-ifs, batches, naive
 // answers and template evals all report through here.
-func (e *Engine) tipReports(ctx context.Context, queries []AggregateQuery, d delta.Set, tip int, opts Options, shared *batchShared) ([]AggregateReport, routeCounts, error) {
+func (e *Engine) tipReports(ctx context.Context, queries []AggregateQuery, d delta.Set, tip int, opts Options, shared *batchShared, framed map[string]bags) ([]AggregateReport, routeCounts, error) {
 	var routes routeCounts
 	if len(queries) == 0 {
 		return nil, routes, nil
@@ -326,7 +332,12 @@ func (e *Engine) tipReports(ctx context.Context, queries []AggregateQuery, d del
 	}
 	ev := e.newEvaluator(ctx, opts)
 	ev.work, ev.routes = shared.work, &routes
-	reps, err := computeAggregates(ctx, queries, d, hist, ev)
+	var reps []AggregateReport
+	if framed != nil {
+		reps, err = framedAggregates(ctx, queries, d, hist, ev, framed)
+	} else {
+		reps, err = computeAggregates(ctx, queries, d, hist, ev)
+	}
 	shared.countReports(&routes)
 	return reps, routes, err
 }
@@ -368,7 +379,7 @@ func (s *Session) NaiveAggregatesCtx(ctx context.Context, mods []history.Modific
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	reps, _, err := s.e.tipReports(ctx, queries, d, tip, Options{}, shared)
+	reps, _, err := s.e.tipReports(ctx, queries, d, tip, Options{}, shared, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -376,9 +376,10 @@ func (c *cancelAfter) Err() error {
 	return nil
 }
 
-// TestTemplateUnslicedPairBuiltOnFirstUse: the cond-slot template's
+// TestTemplateUnslicedPairBuiltOnFirstUse: a cond-slot template's
 // unsliced pair is built by the first binding its sliced pair does not
-// pay for, never at compile. Narrow bindings build none; after an
+// pay for, never at compile. The template is outside the range class
+// (unrangedParamMods), so its bindings run its executed plan. Narrow bindings build none; after an
 // append, N concurrent wide bindings build the new artifact's once; an
 // eval cancelled at any point before its build has finished, in the
 // middle of the build included, leaves nothing cached, and the pair is
@@ -386,7 +387,7 @@ func (c *cancelAfter) Err() error {
 func TestTemplateUnslicedPairBuiltOnFirstUse(t *testing.T) {
 	w, e := servingWorkload(t, 3000, 20)
 	s := e.NewSession()
-	tpl, err := s.CompileTemplate(paramMods(w), DefaultOptions())
+	tpl, err := s.CompileTemplate(unrangedParamMods(w), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,8 +450,8 @@ func TestTemplateUnslicedPairBuiltOnFirstUse(t *testing.T) {
 	if err := eval(context.Background(), 9600); err != nil {
 		t.Fatal(err)
 	}
-	// The wide bindings are on the range template's IS NOT NULL side.
-	wholes := &tpl.art.Load().sides[sideMore].rels[0].slice.wholes
+	body, _ := tpl.art.Load().fallback.Load()
+	wholes := &body.rels[0].slice.wholes
 	looks := 0
 	for ; ; looks++ {
 		ctx := &cancelAfter{Context: context.Background()}

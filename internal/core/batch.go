@@ -37,6 +37,7 @@ type sessionWork struct {
 	compiled, reused        atomic.Int64
 	lowered                 atomic.Int64
 	sideEvals, fallbacks    atomic.Int64
+	provisioned             atomic.Int64
 	sliced, unsliced        atomic.Int64
 	recompiles, built       atomic.Int64
 	reports                 routeCounters

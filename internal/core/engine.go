@@ -450,7 +450,7 @@ func (e *Engine) whatIfPair(ctx context.Context, pair *history.PaddedPair, tip i
 		shared.countDelta(work)
 	}
 	p.stats.Total = time.Since(start)
-	reps, _, err := e.tipReports(ctx, queries, out, tip, opts, shared)
+	reps, _, err := e.tipReports(ctx, queries, out, tip, opts, shared, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -38,12 +38,19 @@ type plan struct {
 	// keptPlan holds the relations sliced with the $slots free — or, for
 	// a range template, sliced at the union of its two sides' keep sets.
 	keptPlan
-	// slot is set for a range template (rangeSlot): sides[s] holds its
-	// relations sliced at side s's end. For any other template fallback
-	// says why it is not one.
+	// slot is set for a range template (rangeSlot): sides[s] counts what
+	// its slotted relation keeps sliced at side s's end. For any other
+	// template fallback says why it is not one.
 	slot     *rangeSlot
-	sides    [2]keptPlan
+	sides    [2]keptCount
 	fallback string
+	// ends[s] is a range template's slotted relation, insert-free, with
+	// the histories cut to side s's keep set and side s's end in the
+	// slotted statement's place: the constant what-if a band table
+	// reenacts (bandPlan). provision says why the template is not
+	// provisioned, "" when it is.
+	ends      [2]*history.PaddedPair
+	provision string
 	// stats carries the phases spent so far and the slice quality.
 	stats *Stats
 }
@@ -52,9 +59,27 @@ type plan struct {
 type keptPlan struct {
 	// rels holds one entry per tainted relation, sorted by name.
 	rels []relPlan
-	// kept counts the statements kept over all relations;
-	// bindingDependent those of them that carry a $slot.
+	keptCount
+}
+
+// keptCount counts the statements a keep set keeps over all relations;
+// bindingDependent those of them that carry a $slot.
+type keptCount struct {
 	kept, bindingDependent int
+}
+
+// add counts the kept part of one relation's history, looking for
+// $slots in its statements when the history has any.
+func (c *keptCount) add(kept *history.PaddedPair, slots bool) {
+	c.kept += len(kept.Orig)
+	if !slots {
+		return
+	}
+	for _, st := range kept.Mod {
+		if len(history.Params(st)) > 0 {
+			c.bindingDependent++
+		}
+	}
 }
 
 // relPlan is the pair of reenactment queries answering one relation.
@@ -146,6 +171,7 @@ func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, op
 			return nil, err
 		}
 	}
+	p.provision = p.provisionOf(suffix)
 	stats.KeptStatements = p.kept
 	shared.countLowered(stats.SolverLowered)
 	return p, nil
@@ -156,8 +182,9 @@ func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, op
 // history over the base relation and unions it with the insert
 // branches; without it (variants R and R+DS) every statement is kept
 // and inserts stay inline, so there are no branches. A range template
-// slices the insert-free part once per end of its slot's range and
-// gets one pair per side, and one over the union of the two keep sets.
+// slices the insert-free part once per end of its slot's range, counts
+// each side's keep set, keeps its slotted relation's end pairs for the
+// band tables and gets one pair, over the union of the two keep sets.
 func (e *Engine) planRelation(ctx context.Context, p *plan, suffix *history.PaddedPair, rel string, filters *dataslice.Conditions, opts Options, solver compile.Options) error {
 	relPair, _ := suffix.RestrictToRelation(rel)
 	add := func(kp *keptPlan, kept *history.PaddedPair) error {
@@ -202,9 +229,10 @@ func (e *Engine) planRelation(ctx context.Context, p *plan, suffix *history.Padd
 		if keeps[side], err = p.dependencyKeep(ctx, atEnd, rel); err != nil {
 			return err
 		}
-		if err := add(&p.sides[side], kept(keeps[side])); err != nil {
-			return err
+		if atEnd != nil && strings.EqualFold(rel, p.slot.rel) {
+			p.ends[side] = &history.PaddedPair{Orig: noIns.Orig.Restrict(keeps[side]), Mod: atEnd.Pair.Mod.Restrict(keeps[side])}
 		}
+		p.sides[side].add(kept(keeps[side]), true)
 	}
 	union := slices.Concat(keeps[0], keeps[1])
 	slices.Sort(union)
@@ -234,14 +262,7 @@ func (p *plan) dependencyKeep(ctx context.Context, in *progslice.Input, rel stri
 // addRelation builds rel's query pair over the kept part of its
 // history and adds it to kp.
 func (p *plan) addRelation(kp *keptPlan, suffix, kept *history.PaddedPair, rel string, filters *dataslice.Conditions, opts Options) error {
-	kp.kept += len(kept.Orig)
-	if len(p.params) > 0 {
-		for _, st := range kept.Mod {
-			if len(history.Params(st)) > 0 {
-				kp.bindingDependent++
-			}
-		}
-	}
+	kp.add(kept, len(p.params) > 0)
 
 	// Building the queries counts as execution time, as it always has.
 	t0 := time.Now()

@@ -15,8 +15,9 @@ import (
 // replaces one UPDATE or DELETE by the same statement with one constant
 // p0 of a top-level WHERE conjunct col ⋈ p0 (⋈ ∈ {<, ≤, >, ≥}, col
 // numeric) made a slot. Such a template is program-sliced once at each
-// end of the slot's range instead of once with the slot free, and each
-// binding takes the keep set of the side of p0 it is on.
+// end of the slot's range instead of once with the slot free: each side
+// of p0 keeps what its end keeps, and the executed plan the union of
+// the two sides' keep sets.
 //
 // Why it is sound: every statement of the suffix is tuple-local, and
 // only the slotted one differs between the two histories. A binding p
@@ -38,11 +39,18 @@ import (
 // Sides need an order: comparisons mix int and float lanes, and beyond
 // ±2^53 they stop being transitive, and NaN is equal to every number
 // under types.Compare (col ≥ NaN selects every row). A binding that is
-// NaN or at least 2^53 in magnitude therefore takes neither side but the
-// union of both keep sets, which is sound for any binding: each tuple a
-// binding changes has the pair of states of one of the two ends.
+// NaN or at least 2^53 in magnitude therefore takes neither side. The
+// union of both keep sets is sound for any binding: each tuple a binding
+// changes has the pair of states of one of the two ends.
+//
+// The same argument answers a binding on a side without running a
+// program: the tuples it changes are the rows between p0 and it, with
+// the states of its side's end, which a band table per side holds,
+// reenacted through the side's keep set (provision.go).
 type rangeSlot struct {
 	param string
+	rel   string      // the relation the slotted statement writes
+	col   string      // the slot column
 	op    expr.CmpOp  // col op $param, operands in that order
 	bound types.Value // p0, the original statement's constant
 	null  int         // the side of a NULL binding
@@ -131,7 +139,7 @@ func rangeSlotOf(suffix *history.PaddedPair, params map[string]paramClass, db *s
 	if !isCol || !isSlot {
 		return nil, fallbackConjunct
 	}
-	r.param = slot.Name
+	r.param, r.rel, r.col = slot.Name, rel, col.Name
 	relation, err := db.Relation(rel)
 	if err != nil {
 		return nil, fallbackColumn

@@ -198,6 +198,9 @@ type SessionStats struct {
 	// plan of their side of its bound. TemplateFallbackEvals sums
 	// TemplateStats.FallbackEvals: bindings no side answered.
 	TemplateSideEvals, TemplateFallbackEvals int64
+	// TemplateProvisionedEvals sums TemplateStats.ProvisionedEvals: the
+	// side evals a band table answered, without running a program.
+	TemplateProvisionedEvals int64
 	// TemplateSlicedEvals/UnslicedEvals sum TemplateStats.SlicedEvals/
 	// UnslicedEvals over the session's templates: per binding and
 	// relation with two plans, whether its data-sliced pair ran.
@@ -242,6 +245,7 @@ func (s *Session) Stats() SessionStats {
 	st.DeltaRowsCompared = s.caches.work.compared.Load()
 	st.DeltaRowsHashed, st.DeltaRowsBoxed = s.caches.work.hashed.Load(), s.caches.work.boxed.Load()
 	st.TemplateSideEvals, st.TemplateFallbackEvals = s.caches.work.sideEvals.Load(), s.caches.work.fallbacks.Load()
+	st.TemplateProvisionedEvals = s.caches.work.provisioned.Load()
 	st.TemplateSlicedEvals, st.TemplateUnslicedEvals = s.caches.work.sliced.Load(), s.caches.work.unsliced.Load()
 	st.TemplateRecompiles, st.TemplateUnslicedBuilds = s.caches.work.recompiles.Load(), s.caches.work.built.Load()
 	st.Reports = s.caches.work.reports.load()

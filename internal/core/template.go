@@ -39,11 +39,16 @@ import (
 //     whose one slot is the bound of a top-level WHERE conjunct
 //     col ⋈ $p, with the original's constant p0 in its place — is
 //     therefore sliced at the two ends of its slot's range instead
-//     (rangeSlot): its artifact holds one plan per side of p0, and
-//     each binding runs the plan of its side, which keeps what the
-//     binding's own what-if would keep and the statements the end of
-//     its side adds. A binding off the order (NaN, 2^53 or more in
-//     magnitude) runs the union of the two, built on first use;
+//     (rangeSlot): each side of p0 keeps what the binding's own what-if
+//     would keep and the statements the end of its side adds, and its
+//     executed plan keeps the union of the two;
+//   - a range template's rows (provisioning): when its suffix holds no
+//     INSERT … SELECT, every row a binding changes has one of two
+//     final versions, the original one and the one at its side's end,
+//     so each side is reenacted once through its keep set, as a
+//     constant what-if at its end, into a band table — the rows whose
+//     two versions differ, sorted by the slot column (see provision.go)
+//     — built by the side's first binding;
 //   - the original-side reenactment: original histories never contain
 //     parameters, so each relation's original-side result is
 //     materialized once — except where a slicing filter of that side
@@ -55,16 +60,22 @@ import (
 //     is compiled once, with its $slots as run-time parameters
 //     (exec.CompileVec).
 //
-// Per binding, Eval runs the modified side's program with the binding
-// as its parameter vector over the pinned snapshot, and diffs against
-// the materialized original side; nothing is substituted or compiled.
-// Under the interpreter, the oracle, and for a query outside the
-// compilable subset, the binding is substituted into the retained
-// skeleton and interpreted instead. Data slicing (§6) is exact for
-// every constant, so the filters keep their $slots: a slot in value
-// position (an UPDATE's SET) can leak into a filter only through
-// push-down, a slot in a condition (UPDATE/DELETE WHERE, INSERT …
-// SELECT) lands in it directly. A relation whose original side reads
+// Per binding, a provisioned template binary-searches the band of rows
+// between the original bound and the binding in its side's table and
+// takes the band's bag difference, and its reports merge that delta
+// with its Minus framed once, when the table was built: no program
+// runs. Every other binding — one off the order (NaN, 2^53 or more in
+// magnitude), and every binding of a template outside that class
+// (Stats().Provision says why) — runs the modified side's program with the binding as its parameter vector
+// over the pinned snapshot, and diffs against the materialized
+// original side; nothing is substituted or compiled. That executed
+// path is the band tables' oracle. Under the interpreter, the oracle,
+// and for a query outside the compilable subset, the binding is
+// substituted into the retained skeleton and interpreted instead.
+// Data slicing (§6) is exact for every constant, so the filters keep
+// their $slots: a slot in value position (an UPDATE's SET) can leak
+// into a filter only through push-down, a slot in a condition
+// (UPDATE/DELETE WHERE, INSERT … SELECT) lands in it directly. A relation whose original side reads
 // such a filter has two plans: the sliced pair, both sides filtered
 // per binding, and the unsliced pair, the original side materialized
 // over the whole relation. Each binding counts its filters on the
@@ -96,15 +107,16 @@ type Template struct {
 	// art is the current artifact; everything an eval reads hangs off
 	// it, and the artifact that replaces it once the history moves on is
 	// built once in its next cell, however many askers find it stale.
-	art        atomic.Pointer[templateArtifact]
-	evals      atomic.Int64
-	sideEvals  [2]atomic.Int64 // a range template's bindings, by side
-	fallbacks  atomic.Int64    // bindings no side answered
-	recompiles atomic.Int64
-	sliced     atomic.Int64
-	unsliced   atomic.Int64
-	built      atomic.Int64 // unsliced pairs built on first use
-	reports    routeCounters
+	art         atomic.Pointer[templateArtifact]
+	evals       atomic.Int64
+	sideEvals   [2]atomic.Int64 // a range template's bindings, by side
+	fallbacks   atomic.Int64    // bindings on no side
+	provisioned atomic.Int64    // side bindings a band table answered
+	recompiles  atomic.Int64
+	sliced      atomic.Int64
+	unsliced    atomic.Int64
+	built       atomic.Int64 // unsliced pairs built on first use
+	reports     routeCounters
 }
 
 // paramClass is the inferred value class of one parameter slot.
@@ -160,13 +172,15 @@ type templateArtifact struct {
 	version int                   // history length the artifact answers against
 	db      *storage.Database     // pinned snapshot at the first modified position
 	params  map[string]paramClass // $slots and their inferred classes
-	// slot, set for a range template, picks each binding's side;
-	// sides[s] answers the bindings on side s.
-	slot  *rangeSlot
-	sides [2]*templateBody
-	// fallback answers every binding of any other template, built at
-	// compile, and the bindings of a range template that no side
-	// answers, built on first use from fallbackRels.
+	// slot, set for a range template, picks each binding's side; when
+	// band is set (a provisioned template), tables[s] answers the
+	// bindings on side s, built by the side's first binding.
+	slot   *rangeSlot
+	band   *bandPlan
+	tables [2]lru.Cell[*bandTable]
+	// fallback, the executed plan, answers every binding no band table
+	// answers. It is built from fallbackRels at compile, or, for a
+	// provisioned template, by its first binding off the order.
 	fallback     lru.Cell[*templateBody]
 	fallbackRels []relPlan
 	// next is the artifact compiled once the history moved past version.
@@ -217,18 +231,23 @@ func buildBody(ev evaluator, rels []relPlan, db *storage.Database) (*templateBod
 	return b, nil
 }
 
-// body is the plan of art that answers binding, and the side it is on:
-// -1 when it is not a range template's side.
-func (art *templateArtifact) body(ev evaluator, binding map[string]types.Value) (*templateBody, int, error) {
+// side is the side of art's range slot binding is on, -1 when it is not
+// a range template's side.
+func (art *templateArtifact) side(binding map[string]types.Value) int {
 	if art.slot != nil {
 		if side, ok := art.slot.side(binding); ok {
-			return art.sides[side], side, nil
+			return side
 		}
 	}
-	b, err := art.fallback.Do(ev.evalCtx(), func() (*templateBody, error) {
+	return -1
+}
+
+// body is art's executed plan (fallback), built by its first caller. It
+// is sound for every binding, and the band tables' oracle.
+func (art *templateArtifact) body(ev evaluator) (*templateBody, error) {
+	return art.fallback.Do(ev.evalCtx(), func() (*templateBody, error) {
 		return buildBody(ev, art.fallbackRels, art.db)
 	})
-	return b, -1, err
 }
 
 // templateRel is one relation whose modified side depends on the
@@ -441,13 +460,14 @@ type TemplateStats struct {
 	CompileTime time.Duration
 	// TotalStatements and KeptStatements mirror Stats: suffix length
 	// and post-slicing retained positions (summed over relations). A
-	// range template reports its larger side's count.
+	// provisioned template reports its larger side's count, any other
+	// range template its executed plan's, over the union of its sides.
 	TotalStatements int
 	KeptStatements  int
 	// The kept statements partition by whether they carry a $slot:
 	// BindingIndependent ones are retained for structural reasons under
-	// every binding; BindingDependent ones carry an open slot (a range
-	// template's: of its larger side).
+	// every binding; BindingDependent ones carry an open slot (of the
+	// statements KeptStatements counts).
 	BindingIndependent int
 	BindingDependent   int
 	// Sides describes a range template's two sides (see Template), the
@@ -455,6 +475,10 @@ type TemplateStats struct {
 	// why it is not one.
 	Sides    []TemplateSide
 	Fallback string
+	// Provision is "" for a provisioned template, whose side bindings a
+	// band table per side answers, and otherwise says why it is not one
+	// ("not a range template", "insert query in suffix", …).
+	Provision string
 	// SolverTests/SolverNodes report the one-time slicing effort (both
 	// ends' runs for a range template).
 	SolverTests int
@@ -472,12 +496,17 @@ type TemplateStats struct {
 	SkippedRelations []string
 	// Evals counts bindings answered; Recompiles counts artifact
 	// rebuilds triggered by history advances. FallbackEvals counts the
-	// bindings no side answered: all of a template outside the range
-	// class, and a range template's bindings off the order (NaN, 2^53 or
-	// more in magnitude), which run the union of both sides' keep sets.
+	// bindings on no side: all of a template outside the range class,
+	// and a range template's bindings off the order (NaN, 2^53 or more
+	// in magnitude), which run the executed plan, over the union of both
+	// sides' keep sets.
 	Evals         int64
 	Recompiles    int64
 	FallbackEvals int64
+	// ProvisionedEvals counts the side bindings a provisioned template
+	// answered from its band tables: every binding of either side, NULL
+	// included. They run no program and hash nothing.
+	ProvisionedEvals int64
 	// SlicedEvals/UnslicedEvals count, per binding and per relation with
 	// two plans (a slicing filter of its original side carries a $slot),
 	// which plan ran: the sliced pair, whose slices together were no
@@ -494,8 +523,10 @@ type TemplateStats struct {
 
 // TemplateSide is one side of a range template's bound: the bindings
 // Direction of Bound ("above" or "below"; the bound itself is on the
-// FALSE end's side), the statements its plan keeps (Kept, of them
-// BindingDependent carry the slot) and the bindings it answered.
+// FALSE end's side), the statements it keeps (Kept, of them
+// BindingDependent carry the slot), which its band table reenacts, and
+// the bindings on it (Evals): its band table answers them when the
+// template is provisioned, the executed plan otherwise.
 type TemplateSide struct {
 	Bound            types.Value
 	Direction        string
@@ -557,6 +588,7 @@ func (t *Template) Stats() TemplateStats {
 	st.Evals = t.evals.Load()
 	st.Recompiles = t.recompiles.Load()
 	st.FallbackEvals = t.fallbacks.Load()
+	st.ProvisionedEvals = t.provisioned.Load()
 	st.Sides = slices.Clone(st.Sides)
 	for i := range st.Sides {
 		st.Sides[i].Evals = t.sideEvals[i].Load()
@@ -594,8 +626,10 @@ func (t *Template) artifact(ctx context.Context) (*templateArtifact, error) {
 // same plan a what-if runs, with the original sides executed once and
 // the modified sides either executed too (closed ⇒ the relation's delta
 // is static) or compiled with their $slots open for Eval to run under
-// each binding. A range template gets the plans of its two sides here
-// and the plan over their union from the first binding that needs it.
+// each binding. A provisioned template builds neither here: its band
+// tables are built by each side's first binding, and its executed plan,
+// over the union of its two sides' keep sets, by the first binding off
+// the order.
 func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 	start := time.Now()
 	pair, tip, err := t.e.align(t.mods)
@@ -607,53 +641,54 @@ func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 		return nil, err
 	}
 	art := &templateArtifact{version: tip, db: p.db, params: p.params, slot: p.slot, fallbackRels: p.rels}
+	if p.provision == "" {
+		art.band = &bandPlan{rel: p.rels[0].rel, slot: p.slot, ends: p.ends}
+	}
 	art.stats = TemplateStats{
 		Version:          tip,
 		TotalStatements:  p.stats.TotalStatements,
 		Fallback:         p.fallback,
+		Provision:        p.provision,
 		SolverTests:      p.stats.SolverTests,
 		SolverNodes:      p.stats.SolverNodes,
 		DataSlicing:      t.opts.DataSlicing,
 		SkippedRelations: p.stats.SkippedRelations,
 	}
-	// The programs and materialized sides live as long as the artifact
-	// pins them.
-	ev := t.e.newEvaluator(ctx, t.opts)
-	largest := p.keptPlan
-	var bodies []*templateBody
-	if p.slot == nil {
-		b, err := art.fallback.Do(ctx, func() (*templateBody, error) { return buildBody(ev, p.rels, p.db) })
-		if err != nil {
-			return nil, err
-		}
-		bodies = append(bodies, b)
-	} else {
-		largest = keptPlan{}
-		for side, kp := range p.sides {
-			if art.sides[side], err = buildBody(ev, kp.rels, p.db); err != nil {
-				return nil, err
-			}
-			bodies = append(bodies, art.sides[side])
+	// What runs keeps the union of a range template's two keep sets, or
+	// a provisioned template's larger side.
+	counted := p.keptCount
+	if art.band != nil {
+		counted = keptCount{}
+	}
+	if p.slot != nil {
+		for side, c := range p.sides {
 			art.stats.Sides = append(art.stats.Sides, TemplateSide{
 				Bound: p.slot.bound, Direction: p.slot.direction(side),
-				Kept: kp.kept, BindingDependent: kp.bindingDependent,
+				Kept: c.kept, BindingDependent: c.bindingDependent,
 			})
-			if kp.kept > largest.kept {
-				largest = kp
+			if art.band != nil && c.kept > counted.kept {
+				counted = c
 			}
 		}
 	}
-	art.stats.KeptStatements = largest.kept
-	art.stats.BindingDependent = largest.bindingDependent
-	art.stats.BindingIndependent = largest.kept - largest.bindingDependent
-	// A relation is dynamic if some plan re-evaluates it per binding.
-	for _, r := range p.rels {
-		dynamic := false
-		for _, b := range bodies {
-			_, static := b.static[r.rel]
-			dynamic = dynamic || !static
+	art.stats.KeptStatements = counted.kept
+	art.stats.BindingDependent = counted.bindingDependent
+	art.stats.BindingIndependent = counted.kept - counted.bindingDependent
+	// The programs and materialized sides live as long as the artifact
+	// pins them. A relation is dynamic if the executed plan re-evaluates
+	// it per binding, or band tables answer it.
+	var body *templateBody
+	if art.band == nil {
+		if body, err = art.body(t.e.newEvaluator(ctx, t.opts)); err != nil {
+			return nil, err
 		}
-		if dynamic {
+	}
+	for _, r := range p.rels {
+		static := false
+		if body != nil {
+			_, static = body.static[r.rel]
+		}
+		if !static {
 			art.stats.DynamicRelations = append(art.stats.DynamicRelations, r.rel)
 		} else {
 			art.stats.StaticRelations = append(art.stats.StaticRelations, r.rel)
@@ -694,16 +729,20 @@ func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, bind
 	// modified side is its own result: nothing to share through the
 	// session.
 	ev := t.e.newEvaluator(ctx, t.opts)
-	body, side, err := art.body(ev, binding)
-	if err != nil {
-		return nil, nil, err
-	}
+	side := art.side(binding)
 	if side >= 0 {
 		t.sideEvals[side].Add(1)
 		t.shared.work.sideEvals.Add(1)
+		if art.band != nil {
+			return t.evalBand(ctx, ev, art, side, binding, queries)
+		}
 	} else {
 		t.fallbacks.Add(1)
 		t.shared.work.fallbacks.Add(1)
+	}
+	body, err := art.body(ev)
+	if err != nil {
+		return nil, nil, err
 	}
 	out := make(delta.Set, len(body.static)+len(body.rels))
 	for rel, d := range body.static {
@@ -734,7 +773,7 @@ func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, bind
 		out[tr.rel] = d
 		t.shared.countDelta(work)
 	}
-	reps, routes, err := t.e.tipReports(ctx, queries, out, art.version, t.opts, t.shared)
+	reps, routes, err := t.e.tipReports(ctx, queries, out, art.version, t.opts, t.shared, nil)
 	t.reports.add(&routes)
 	if err != nil {
 		return nil, nil, err

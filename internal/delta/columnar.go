@@ -48,12 +48,77 @@ func ComputeColumnar(oldV, newV *storage.ColumnarView) (*Result, Work) {
 		}
 	}
 	oldIdx, newIdx := residualRows(neq, oldV.Rows, newV.Rows)
-	m := matchResidual(oldV, newV, oldIdx, newIdx)
+	m := matchResidual(oldV, newV, oldIdx, newIdx, viewHasher(oldV), viewHasher(newV))
 	out.Minus = oldV.GatherTuples(m.minus)
 	out.Plus = newV.GatherTuples(m.plus)
 	sortTuples(out.Minus)
 	sortTuples(out.Plus)
 	return out, Work{Compared: n, Hashed: len(oldIdx) + len(newIdx), Boxed: out.Size()}
+}
+
+// HashedView is a columnar view with every row's hash (schema.Tuple.Hash)
+// and which rows are not Equal to themselves, computed once for a
+// caller that diffs many sets of its rows (ComputeRows).
+type HashedView struct {
+	*storage.ColumnarView
+	hashes []uint64
+	nan    []bool // nil when every row is Equal to itself
+}
+
+// NewHashedView hashes every row of v, which it retains.
+func NewHashedView(v *storage.ColumnarView) *HashedView {
+	rows := make([]int, v.Rows)
+	for i := range rows {
+		rows[i] = i
+	}
+	hs, nan := hashRows(v, rows)
+	return &HashedView{ColumnarView: v, hashes: hs, nan: nan}
+}
+
+// hasher returns the hashes of rows of the view it was made for, and
+// which of them are not Equal to themselves (nil when none is).
+type hasher func(rows []int) ([]uint64, []bool)
+
+func viewHasher(v *storage.ColumnarView) hasher {
+	return func(rows []int) ([]uint64, []bool) { return hashRows(v, rows) }
+}
+
+// rows looks up the hashes of rows instead of computing them.
+func (v *HashedView) rows(rows []int) ([]uint64, []bool) {
+	hs := make([]uint64, len(rows))
+	var nan []bool
+	for i, r := range rows {
+		hs[i] = v.hashes[r]
+		if v.nan != nil && v.nan[r] {
+			nan = markRow(nan, i, len(rows))
+		}
+	}
+	return hs, nan
+}
+
+// ComputeRows is ComputeColumnar's residual step alone: rows oldIdx of
+// oldV and newIdx of newV, which the caller has already found not to
+// cancel at their positions, are matched across positions — a bag
+// difference under Value.Equal, with the hashes the views carry — into
+// Minus and Plus, in ComputeColumnar's order for residuals listed in
+// row order. oldRows, when not nil, holds oldV's rows already boxed,
+// shared read-only: Minus takes its tuples from there instead of
+// boxing them. It hashes nothing: Work counts only the delta's rows.
+func ComputeRows(oldV, newV *HashedView, oldIdx, newIdx []int, oldRows []schema.Tuple) (*Result, Work) {
+	out := &Result{Relation: oldV.Schema.Relation, Schema: oldV.Schema}
+	m := matchResidual(oldV.ColumnarView, newV.ColumnarView, oldIdx, newIdx, oldV.rows, newV.rows)
+	if oldRows == nil {
+		out.Minus = oldV.GatherTuples(m.minus)
+	} else if len(m.minus) > 0 {
+		out.Minus = make([]schema.Tuple, len(m.minus))
+		for i, r := range m.minus {
+			out.Minus[i] = oldRows[r]
+		}
+	}
+	out.Plus = newV.GatherTuples(m.plus)
+	sortTuples(out.Minus)
+	sortTuples(out.Plus)
+	return out, Work{Boxed: out.Size()}
 }
 
 // residualMatch is the residual step of ComputeColumnar: Result.residual
@@ -95,16 +160,16 @@ type class struct {
 }
 
 // matchResidual splits the residual rows oldIdx of oldV and newIdx of
-// newV into Minus and Plus.
-func matchResidual(oldV, newV *storage.ColumnarView, oldIdx, newIdx []int) *residualMatch {
+// newV, whose hashes oldHash and newHash give, into Minus and Plus.
+func matchResidual(oldV, newV *storage.ColumnarView, oldIdx, newIdx []int, oldHash, newHash hasher) *residualMatch {
 	m := &residualMatch{newV: newV, newIdx: newIdx}
 	if len(oldIdx) == 0 || len(newIdx) == 0 {
 		m.minus, m.plus = oldIdx, newIdx
 		return m
 	}
-	newHs, newNaN := hashRows(newV, newIdx)
+	newHs, newNaN := newHash(newIdx)
 	cls := m.index(newHs, newNaN)
-	oldHs, oldNaN := hashRows(oldV, oldIdx)
+	oldHs, oldNaN := oldHash(oldIdx)
 	out := make([]int, 0, len(oldIdx)+len(newIdx))
 	for j, r := range oldIdx {
 		if (oldNaN == nil || !oldNaN[j]) && m.take(oldHs[j], oldV, r) {

@@ -157,7 +157,7 @@ func TestComputeColumnarDuplicateHeavyResidual(t *testing.T) {
 			markUnequal(neq, &vo.Cols[c], &vn.Cols[c])
 		}
 		oldIdx, newIdx := residualRows(neq, vo.Rows, vn.Rows)
-		m := matchResidual(vo, vn, oldIdx, newIdx)
+		m := matchResidual(vo, vn, oldIdx, newIdx, viewHasher(vo), viewHasher(vn))
 		hashed := len(oldIdx) + len(newIdx)
 		if hashed < 2*n || m.equals > tc.perRow*hashed {
 			t.Errorf("%s: %d row comparisons for %d residual rows; want at most %d a row", tc.name, m.equals, hashed, tc.perRow)

@@ -125,16 +125,19 @@ func DependencyCtx(ctx context.Context, in *Input) (*Result, error) {
 	st := Stats{}
 
 	base := symbolic.NewBaseState(in.Schema)
-	orig, err := symbolic.Exec(base, in.Pair.Orig, "h")
+	orig, err := symbolic.ExecCtx(ctx, base, in.Pair.Orig, "h")
 	if err != nil {
 		return nil, err
 	}
-	mod, err := symbolic.Exec(base, in.Pair.Mod, "m")
+	mod, err := symbolic.ExecCtx(ctx, base, in.Pair.Mod, "m")
 	if err != nil {
 		return nil, err
 	}
 	kinds := symbolic.MergeKinds(orig, mod)
 	defs := newGlobalDefs(orig, mod)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	modified := map[int]bool{}
 	// modCond: a tuple is affected by some modified statement pair when
@@ -156,6 +159,9 @@ func DependencyCtx(ctx context.Context, in *Input) (*Result, error) {
 	shared := expr.AndOf(in.PhiD, affected)
 	prefix := compile.NewPrefix(shared, kinds, in.Compile)
 	sharedReach := defs.reach(nil, shared)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	// The tests are built here, in position order; runTests solves them.
 	n := len(in.Pair.Orig)

@@ -58,6 +58,8 @@ var sessionMetrics = []sessionMetric{
 		func(st core.SessionStats) int64 { return st.TemplateSideEvals }},
 	{"template_fallback_evals_total", "Template evals no side of a range template answered: every eval of a template outside the range class (free-slot plan) and range-template bindings off the order (NaN, magnitude 2^53 or more; union of both sides' plans), per session.", "counter",
 		func(st core.SessionStats) int64 { return st.TemplateFallbackEvals }},
+	{"template_provisioned_evals_total", "Template evals of a range template's side answered from the side's band table (provisioned: no program run), per session.", "counter",
+		func(st core.SessionStats) int64 { return st.TemplateProvisionedEvals }},
 	{"template_sliced_evals_total", "Template evals of a relation with a binding-dependent slicing filter that ran its data-sliced plan (the binding's slices reenact fewer rows than the relation), per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.TemplateSlicedEvals) }},
 	{"template_unsliced_evals_total", "Template evals of a relation with a binding-dependent slicing filter that ran its unsliced plan (the binding's slices would reenact more rows than the relation), per session.", "counter",

@@ -106,10 +106,10 @@ func TestTemplateEndpoint(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, mrec)
 		}
 	}
-	// Every eval counted its slice, (price >= 50 OR price >= cut) keeps 30
-	// of 40 rows a side, so each ran the unsliced plan.
-	if sliced, unsliced := sumMetric(mrec, "mahif_session_template_sliced_evals_total"), sumMetric(mrec, "mahif_session_template_unsliced_evals_total"); sliced != 0 || unsliced != 6 {
-		t.Errorf("plan counters: %d sliced, %d unsliced evals, want 0 and 6", sliced, unsliced)
+	// price >= $cut is a range template: a band table answered every
+	// eval, and neither the sliced nor the unsliced plan ran.
+	if sliced, unsliced, prov := sumMetric(mrec, "mahif_session_template_sliced_evals_total"), sumMetric(mrec, "mahif_session_template_unsliced_evals_total"), sumMetric(mrec, "mahif_session_template_provisioned_evals_total"); sliced != 0 || unsliced != 0 || prov != 6 {
+		t.Errorf("plan counters: %d sliced, %d unsliced, %d provisioned evals, want 0, 0 and 6", sliced, unsliced, prov)
 	}
 }
 

@@ -82,6 +82,34 @@ func (x *RowHashIndex) Match(ts []schema.Tuple) (rows []int, missing int, identi
 	return rows, missing, identical
 }
 
+// Frames reports whether every sub-bag of ts fits the relation with its
+// members as the rows it removes: Match(ts) finds every member a row
+// identical to it, and the first row Equal to each member — the row a
+// sub-bag's member of that class takes first — is identical to it too.
+// Then no two members are Equal without being identical, and any
+// sub-bag's Match is identical with nothing missing, so a caller that
+// frames a bag once may take each of its sub-bags as framed without
+// probing. rows are Match's.
+func (x *RowHashIndex) Frames(ts []schema.Tuple) (rows []int, ok bool) {
+	rows, missing, identical := x.Match(ts)
+	if missing > 0 || !identical {
+		return nil, false
+	}
+	for _, t := range ts {
+		h := t.Hash()
+		k, _ := slices.BinarySearchFunc(x.ents, h, func(e rowHash, h uint64) int { return cmp.Compare(e.h, h) })
+		for ; k < len(x.ents) && x.ents[k].h == h; k++ {
+			if eq, same := x.compare(x.ents[k].row, t); eq {
+				if !same {
+					return nil, false
+				}
+				break
+			}
+		}
+	}
+	return rows, true
+}
+
 // compare reports whether row r equals t (Value.Equal per cell) and
 // whether it is the same tuple (same kinds, same bits).
 func (x *RowHashIndex) compare(r int, t schema.Tuple) (equal, same bool) {

@@ -16,6 +16,7 @@
 package symbolic
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -108,8 +109,19 @@ func (st *State) bind(e expr.Expr) expr.Expr {
 // histories compared in one formula. Insert statements are rejected:
 // the engine strips them beforehand via the §10 split.
 func Exec(st *State, h history.History, tag string) (*State, error) {
+	return ExecCtx(context.Background(), st, h, tag)
+}
+
+// ExecCtx is Exec under a context, checked before every statement: a
+// long history (thousands of statements) takes tens of milliseconds to
+// execute symbolically, and a dependency run does it twice before its
+// first solver test.
+func ExecCtx(ctx context.Context, st *State, h history.History, tag string) (*State, error) {
 	out := st.clone()
 	for i, raw := range h {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		switch u := raw.(type) {
 		case *history.Update:
 			if err := out.execUpdate(u, i, tag); err != nil {
