@@ -46,18 +46,14 @@ type templateResult struct {
 	NsPerBinding int64 `json:"ns_per_binding"`
 	// Slicing outcome of the template artifact (template rows only).
 	// DataSlicing reports that the artifact compiled its slicing filters
-	// in; SlicedEvals/UnslicedEvals count the bindings whose relation ran
-	// the data-sliced plan or the unsliced one, ProvisionedEvals those a
-	// band table answered. A cond-slot cell is a range template, so a
-	// band table answers every binding; a set-slot filter carries no
-	// slot and counts in none of the three.
+	// in; ProvisionedEvals counts the bindings a band table answered. A
+	// cond-slot cell is a range template, so a band table answers every
+	// binding; a set-slot cell runs its executed plan for each.
 	TotalStatements    int   `json:"total_statements,omitempty"`
 	KeptStatements     int   `json:"kept_statements,omitempty"`
 	BindingIndependent int   `json:"binding_independent,omitempty"`
 	BindingDependent   int   `json:"binding_dependent,omitempty"`
 	DataSlicing        bool  `json:"data_slicing,omitempty"`
-	SlicedEvals        int64 `json:"sliced_evals,omitempty"`
-	UnslicedEvals      int64 `json:"unsliced_evals,omitempty"`
 	ProvisionedEvals   int64 `json:"provisioned_evals,omitempty"`
 	// Sides reports a range template's two sides (the cond-slot cells):
 	// the statements each side keeps, which its band table reenacts, and
@@ -100,9 +96,9 @@ type templateReport struct {
 //     once at each end of the slot's range, and a binding above the
 //     original threshold keeps what the constant what-if keeps, one
 //     below it every statement the IS NOT NULL end reaches. The win is
-//     the amortized per-binding compile+solve, plus data slicing for
-//     the bindings whose slice is narrow (each binding runs the cheaper
-//     of the sliced and the unsliced plan).
+//     the amortized per-binding compile+solve, and, the template being
+//     provisioned, each binding is answered from its side's band table
+//     without running a program.
 //   - set-slot: the written value is the slot (SET payload = payload +
 //     $v) under a concrete condition, so the template slices like a
 //     constant scenario and the sweep also skips the re-evaluation of
@@ -288,8 +284,6 @@ func (h *harness) templateExp() {
 				BindingIndependent: st.BindingIndependent,
 				BindingDependent:   st.BindingDependent,
 				DataSlicing:        st.DataSlicing,
-				SlicedEvals:        st.SlicedEvals,
-				UnslicedEvals:      st.UnslicedEvals,
 				ProvisionedEvals:   st.ProvisionedEvals,
 				Sides:              sides,
 				SpeedupVsBatch:     speedup,

@@ -171,6 +171,12 @@ type interval struct{ lo, hi float64 }
 
 func (iv interval) width() float64 { return iv.hi - iv.lo }
 
+// finite reports whether both ends of iv are finite. A non-finite
+// constant's interval is not, nor is any interval computed from it.
+func (iv interval) finite() bool {
+	return !math.IsNaN(iv.lo) && !math.IsInf(iv.lo, 0) && !math.IsNaN(iv.hi) && !math.IsInf(iv.hi, 0)
+}
+
 func ivUnion(a, b interval) interval {
 	return interval{math.Min(a.lo, b.lo), math.Max(a.hi, b.hi)}
 }

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -109,6 +110,23 @@ func TestSatisfiableStringRanges(t *testing.T) {
 	check(t, expr.AndOf(expr.Eq(c, z), expr.Le(m, c)), kinds, true)
 	check(t, expr.AndOf(expr.Eq(s, z), expr.Gt(s, m)), kinds, true)
 	check(t, expr.AndOf(expr.Eq(c, m), expr.Lt(c, z), expr.Eq(c, z)), kinds, false) // = keeps its exact codes
+}
+
+// TestSatisfiableNonFinite: a comparison that reads a NaN or ±Inf
+// constant — directly, through arithmetic, or through a conditional's
+// branch — lowers to a free indicator instead of failing on a
+// non-finite coefficient; the rest of the formula stays exact.
+func TestSatisfiableNonFinite(t *testing.T) {
+	x := expr.Variable("x")
+	kinds := intKinds("x")
+	five := expr.Eq(x, expr.IntConst(5))
+	for _, k := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		c := expr.FloatConst(k)
+		check(t, expr.AndOf(five, expr.Ge(x, c)), kinds, true)
+		check(t, expr.AndOf(five, expr.Lt(expr.Add(x, c), expr.IntConst(3))), kinds, true)
+		check(t, expr.AndOf(five, expr.Ge(expr.IfThenElse(expr.Gt(x, expr.IntConst(1)), expr.Mul(x, c), x), expr.IntConst(0))), kinds, true)
+		check(t, expr.AndOf(five, expr.Eq(x, expr.IntConst(6)), expr.Ge(x, c)), kinds, false)
+	}
 }
 
 func TestSatisfiableBoolVars(t *testing.T) {

@@ -131,6 +131,10 @@ func (c *compiler) compileIf(x *expr.If) (lin, interval, error) {
 		return lin{}, interval{}, err
 	}
 	iv := ivUnion(tiv, eiv)
+	if !iv.finite() {
+		// A branch reads a non-finite value: so does the conditional.
+		return constLin(math.NaN()), iv, nil
+	}
 	v, err := c.model.AddVar(iv.lo, iv.hi, false)
 	if err != nil {
 		return lin{}, interval{}, err
@@ -285,6 +289,13 @@ func (c *compiler) compileComparison(x *expr.Cmp) (int, error) {
 	}
 	d := ll.add(rl, -1) // d = l − r
 	div := interval{liv.lo - riv.hi, liv.hi - riv.lo}
+	if !div.finite() {
+		// A non-finite constant (NaN, ±Inf), or arithmetic that
+		// overflowed, has no place on the solver's line, so a comparison
+		// reading one lowers to a free indicator too: sound, at the cost
+		// of precision.
+		return c.model.AddBinary()
+	}
 	m := math.Max(math.Abs(div.lo), math.Abs(div.hi)) + Eps + 1
 
 	b, err := c.model.AddBinary()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -376,56 +377,119 @@ func (c *cancelAfter) Err() error {
 	return nil
 }
 
-// TestTemplateUnslicedPairBuiltOnFirstUse: a cond-slot template's
-// unsliced pair is built by the first binding its sliced pair does not
-// pay for, never at compile. The template is outside the range class
-// (unrangedParamMods), so its bindings run its executed plan. Narrow bindings build none; after an
-// append, N concurrent wide bindings build the new artifact's once; an
-// eval cancelled at any point before its build has finished, in the
-// middle of the build included, leaves nothing cached, and the pair is
-// built once in all. Every answer equals a fresh what-if's.
-func TestTemplateUnslicedPairBuiltOnFirstUse(t *testing.T) {
+// TestTemplateFallbackBuiltOnFirstUse: a provisioned template's
+// executed plan (templateArtifact.fallback) is built by its first
+// binding off the order (NaN, 2^53 or more in magnitude), never at
+// compile and never by a side binding. A build runs the plan's original
+// side, so it scans the snapshot's relation once more than the binding
+// alone: after an append, N concurrent off-order bindings scan it N
+// times plus one build. An eval cancelled at any look at its context
+// before its build has finished, in the middle of the build included,
+// leaves nothing cached. Every answer equals a fresh what-if's.
+func TestTemplateFallbackBuiltOnFirstUse(t *testing.T) {
 	w, e := servingWorkload(t, 3000, 20)
 	s := e.NewSession()
-	tpl, err := s.CompileTemplate(unrangedParamMods(w), DefaultOptions())
+	tpl, err := s.CompileTemplate(paramMods(w), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := func(ctx context.Context, cut int64) error {
-		b := map[string]types.Value{"cut": types.Int(cut)}
+	if st := tpl.Stats(); st.Provision != "" {
+		t.Fatalf("not provisioned: %s", st.Provision)
+	}
+	offOrder := []types.Value{
+		types.Float(math.NaN()), types.Int(1 << 53), types.Int(-(1 << 53)), types.Float(1 << 53),
+		types.Int(1<<53 + 1), types.Float(-(1 << 53)), types.Float(math.Inf(1)), types.Int(math.MaxInt64),
+	}
+	for _, v := range offOrder {
+		if provisioned(tpl, v) {
+			t.Fatalf("binding %s has a side", v)
+		}
+	}
+	type answer struct {
+		binding map[string]types.Value
+		got     delta.Set
+	}
+	var (
+		mu      sync.Mutex
+		answers []answer
+	)
+	eval := func(ctx context.Context, v types.Value) error {
+		b := map[string]types.Value{"cut": v}
 		got, err := tpl.EvalCtx(ctx, b)
 		if err == nil {
-			requireFreshWhatIf(t, fmt.Sprintf("cut %d", cut), tpl, b, got)
+			mu.Lock()
+			answers = append(answers, answer{b, got})
+			mu.Unlock()
 		}
 		return err
 	}
-	builds := func(want int64) {
+	// checkAnswers compares the answers since its last call with fresh
+	// what-ifs at the current history. It runs between the scan counts:
+	// a fresh what-if runs through a session of its own.
+	checkAnswers := func() {
 		t.Helper()
-		if got, sess := tpl.Stats().UnslicedBuilds, s.Stats().TemplateUnslicedBuilds; got != want || sess != want {
-			t.Fatalf("%d unsliced builds (session %d), want %d", got, sess, want)
+		for _, a := range answers {
+			want, _, err := e.WhatIf(tpl.SubstitutedMods(a.binding), anchorOptions(tpl.opts, a.binding))
+			if err != nil {
+				t.Fatalf("binding %v: fresh what-if: %v", a.binding, err)
+			}
+			requireSetsEqual(t, fmt.Sprintf("binding %v", a.binding), a.got, want)
 		}
+		answers = nil
 	}
-	for _, cut := range []int64{9500, 9700, 9900} {
-		if err := eval(context.Background(), cut); err != nil {
+	scans := func() int64 {
+		st := s.Stats()
+		return st.ColumnarHits + st.ColumnarMisses
+	}
+	built := func() bool {
+		_, ok := tpl.art.Load().fallback.Load()
+		return ok
+	}
+
+	for _, cut := range []int64{9500, 8000} {
+		if err := eval(context.Background(), types.Int(cut)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := tpl.Stats(); st.SlicedEvals != 3 || st.UnslicedEvals != 0 {
-		t.Fatalf("narrow bindings ran %d sliced, %d unsliced evals, want 3 and 0", st.SlicedEvals, st.UnslicedEvals)
+	if built() {
+		t.Fatal("side bindings built the executed plan")
 	}
-	builds(0)
+	before := scans()
+	if err := eval(context.Background(), offOrder[0]); err != nil {
+		t.Fatal(err)
+	}
+	first := scans() - before
+	body, _ := tpl.art.Load().fallback.Load()
+	before = scans()
+	if err := eval(context.Background(), offOrder[1]); err != nil {
+		t.Fatal(err)
+	}
+	run := scans() - before
+	build := first - run
+	if again, _ := tpl.art.Load().fallback.Load(); again != body || build <= 0 || run <= 0 {
+		t.Fatalf("first off-order binding scanned %d times, the second %d; plan rebuilt: %t", first, run, again != body)
+	}
+	checkAnswers()
 
+	// After an append the next artifact builds its own plan, once,
+	// however many off-order bindings ask for it at the same time.
 	if _, err := e.Append(appendedStmt(w, 4242)); err != nil {
 		t.Fatal(err)
 	}
-	const wide = 8
+	if _, err := tpl.artifact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if built() {
+		t.Fatal("the recompile built the executed plan")
+	}
+	before = scans()
 	var wg sync.WaitGroup
-	errs := make([]error, wide)
-	for i := range wide {
+	errs := make([]error, len(offOrder))
+	for i, v := range offOrder {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = eval(context.Background(), int64(i))
+			errs[i] = eval(context.Background(), v)
 		}()
 	}
 	wg.Wait()
@@ -434,52 +498,66 @@ func TestTemplateUnslicedPairBuiltOnFirstUse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := tpl.Stats(); st.Recompiles != 1 || st.UnslicedEvals != wide {
-		t.Fatalf("%d recompiles, %d unsliced evals, want 1 and %d", st.Recompiles, st.UnslicedEvals, wide)
+	if got, want := scans()-before, int64(len(offOrder))*run+build; got != want {
+		t.Fatalf("%d concurrent off-order bindings scanned %d times, want %d: %d runs and one build", len(offOrder), got, want, len(offOrder))
 	}
-	builds(1)
+	if st := tpl.Stats(); st.Recompiles != 1 {
+		t.Fatalf("%d recompiles, want 1", st.Recompiles)
+	}
+	checkAnswers()
 
-	// A second append, then a wide eval cut short at its n-th look at
-	// the context, for n = 0, 1, … until one finishes: a narrow eval
-	// recompiles first, so every cut lands in the wide eval itself. A
-	// cut before the build's end leaves nothing cached; once a build has
-	// finished, its pair stays, built once.
+	// A second append, then an off-order eval cut short at its n-th look
+	// at the context, for n = 0, 1, … until one finishes: a side eval
+	// recompiles first, so every cut lands in the off-order eval itself.
+	// A cut before the build's end leaves nothing cached; once a build
+	// has finished, its plan stays.
 	if _, err := e.Append(appendedStmt(w, 5151)); err != nil {
 		t.Fatal(err)
 	}
-	if err := eval(context.Background(), 9600); err != nil {
+	if err := eval(context.Background(), types.Int(9600)); err != nil {
 		t.Fatal(err)
 	}
-	body, _ := tpl.art.Load().fallback.Load()
-	wholes := &body.rels[0].slice.wholes
+	body = nil
 	looks := 0
 	for ; ; looks++ {
 		ctx := &cancelAfter{Context: context.Background()}
 		ctx.left.Store(int64(looks))
-		err := eval(ctx, 100)
+		err := eval(ctx, offOrder[0])
 		if err == nil {
 			break
 		}
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cut after %d looks: %v", looks, err)
 		}
-		_, built := wholes.Load()
-		cached := map[bool]int64{true: 1}[built]
-		if cached > 1 {
-			t.Fatalf("cut after %d looks: %d unsliced pairs cached", looks, cached)
+		// A cut after the build's end, in the binding's own run, keeps the
+		// plan the build left.
+		cached, ok := tpl.art.Load().fallback.Load()
+		switch {
+		case ok && cached == nil:
+			t.Fatalf("cut after %d looks: an empty plan is cached", looks)
+		case body == nil && ok:
+			body = cached
+		case body != nil && cached != body:
+			t.Fatalf("cut after %d looks: the executed plan was built again", looks)
 		}
-		builds(1 + cached)
 	}
-	builds(2)
-	// The cuts covered every look of a cold wide eval; a warm one looks
-	// fewer times, so at least one cut fell inside the build.
+	if cached, _ := tpl.art.Load().fallback.Load(); body == nil {
+		body = cached
+	} else if cached != body {
+		t.Fatal("the executed plan was built again")
+	}
+	// The cuts covered every look of a cold off-order eval; a warm one
+	// looks fewer times, so at least one cut fell inside the build.
 	warm := &cancelAfter{Context: context.Background()}
 	warm.left.Store(1 << 40)
-	if err := eval(warm, 200); err != nil {
+	if err := eval(warm, offOrder[1]); err != nil {
 		t.Fatal(err)
 	}
 	if warmLooks := 1<<40 - warm.left.Load(); int64(looks) <= warmLooks {
-		t.Fatalf("a cold wide eval looked at its context %d times, a warm one %d: no cut fell inside the build", looks, warmLooks)
+		t.Fatalf("a cold off-order eval looked at its context %d times, a warm one %d: no cut fell inside the build", looks, warmLooks)
 	}
-	builds(2)
+	if again, _ := tpl.art.Load().fallback.Load(); again != body {
+		t.Fatal("the executed plan was built twice")
+	}
+	checkAnswers()
 }

@@ -29,17 +29,14 @@ type batchShared struct {
 // session, the programs its what-ifs and reports compiled and the
 // report γ programs they reused, the expression nodes its program
 // slicing lowered, the plans its template evals chose (a range
-// template's side or a fallback plan, sliced or unsliced pair), its
-// templates' recompiles and unsliced-pair builds, and the routes its
-// aggregate reports took.
+// template's side or the fallback plan), its templates' recompiles, and
+// the routes its aggregate reports took.
 type sessionWork struct {
 	compared, hashed, boxed atomic.Int64
 	compiled, reused        atomic.Int64
 	lowered                 atomic.Int64
 	sideEvals, fallbacks    atomic.Int64
-	provisioned             atomic.Int64
-	sliced, unsliced        atomic.Int64
-	recompiles, built       atomic.Int64
+	provisioned, recompiles atomic.Int64
 	reports                 routeCounters
 }
 
@@ -48,16 +45,6 @@ func (b *batchShared) countDelta(w delta.Work) {
 	b.work.compared.Add(int64(w.Compared))
 	b.work.hashed.Add(int64(w.Hashed))
 	b.work.boxed.Add(int64(w.Boxed))
-}
-
-// countPlan counts one template relation eval that chose between its
-// sliced and unsliced pairs.
-func (b *batchShared) countPlan(sliced bool) {
-	if sliced {
-		b.work.sliced.Add(1)
-	} else {
-		b.work.unsliced.Add(1)
-	}
 }
 
 // countReports adds one call's report routes to the bundle's totals.

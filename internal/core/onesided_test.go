@@ -149,7 +149,7 @@ func freshAnswer(t *testing.T, e *Engine, mods []history.Modification, anchor Op
 }
 
 // requireTemplateAnswer requires binding's template answer, and under
-// the vectorized executor both of its forced data plans, to equal want.
+// the vectorized executor its executed plan's, to equal want.
 func requireTemplateAnswer(t *testing.T, tpl *Template, binding map[string]types.Value, want delta.Set, label string) {
 	t.Helper()
 	got, err := tpl.Eval(binding)
@@ -158,10 +158,9 @@ func requireTemplateAnswer(t *testing.T, tpl *Template, binding map[string]types
 	}
 	requireSetsEqual(t, label, got, want)
 	if tpl.opts.Executor == ExecInterpreter {
-		return // the same plans, interpreted; the vectorized runs force them
+		return // the same plan, interpreted; the vectorized runs force it
 	}
-	requireSetsEqual(t, label+" (sliced plan)", evalPlan(t, tpl, binding, true), want)
-	requireSetsEqual(t, label+" (unsliced plan)", evalPlan(t, tpl, binding, false), want)
+	requireSetsEqual(t, label+" (executed plan)", evalPlan(t, tpl, binding), want)
 }
 
 // TestTemplateOneSidedDifferential: a range template (one replaced

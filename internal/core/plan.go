@@ -10,7 +10,6 @@ import (
 	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/compile"
 	"github.com/mahif/mahif/internal/dataslice"
-	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/history"
 	"github.com/mahif/mahif/internal/progslice"
 	"github.com/mahif/mahif/internal/reenact"
@@ -24,10 +23,8 @@ import (
 // delta can be non-empty the two reenactment queries to run over it. A
 // what-if runs both sides of every relation and diffs them; a template
 // runs the original sides once and keeps the modified sides whose
-// $slots are still open — and, where a slot reached an original-side
-// slicing filter, a second, unsliced pair to choose from per binding.
-// Both go through here, so every slicing decision is taken in exactly
-// one place.
+// $slots are still open. Both go through here, so every slicing
+// decision is taken in exactly one place.
 type plan struct {
 	// db is the state right before the first modified statement, shared
 	// read-only when it came from a snapshot cache.
@@ -83,27 +80,12 @@ func (c *keptCount) add(kept *history.PaddedPair, slots bool) {
 }
 
 // relPlan is the pair of reenactment queries answering one relation.
+// Its original side never depends on a binding: a relation whose
+// original-side slicing filter carries a $slot is planned without
+// filters (addRelation).
 type relPlan struct {
 	rel       string
 	orig, mod algebra.Query
-	// unsliced is set when a slicing filter the original side reads
-	// carries a $slot, so that orig depends on the binding too: it is the
-	// same relation's pair built without filters, whose original side is
-	// binding-free. A template runs, per binding, whichever of the two
-	// pairs reenacts fewer base rows (templateRel.slice); filters are the
-	// ones orig and mod read, which decide that count.
-	unsliced *relPlan
-	filters  []scanFilter
-}
-
-// scanFilter is the pair of slicing filters one base scan of a relation
-// plan reads: h on the original side, m on the modified side, nil where
-// that side scans unfiltered. rows is the scanned relation's size in the
-// plan's snapshot.
-type scanFilter struct {
-	rel  string
-	h, m expr.Expr
-	rows int
 }
 
 // plan runs time travel, data slicing and per-relation program slicing
@@ -152,8 +134,8 @@ func (e *Engine) plan(ctx context.Context, pair *history.PaddedPair, tip int, op
 
 	// Data slicing (§6). The push-down is exact for every constant, so a
 	// $slot in a condition simply stays open in the filters it reaches;
-	// planRelation gives a relation whose original side such a filter
-	// slices a second, unfiltered pair.
+	// addRelation plans a relation whose original side such a filter
+	// slices without filters.
 	filters := &dataslice.Conditions{H: reenact.Filters{}, M: reenact.Filters{}}
 	if opts.DataSlicing {
 		t0 := time.Now()
@@ -299,49 +281,15 @@ func (p *plan) addRelation(kp *keptPlan, suffix, kept *history.PaddedPair, rel s
 		return err
 	}
 	// The original history carries no $slot, so one in orig came from a
-	// filter.
+	// filter: plan the relation unfiltered, so that its original side is
+	// binding-free and a template runs it once.
 	if len(algebra.Params(rp.orig)) > 0 {
-		if rp.unsliced, err = pair(nil, nil); err != nil {
-			return err
-		}
-		if rp.filters, err = scanFilters(rp, filters, p.db); err != nil {
+		if rp, err = pair(nil, nil); err != nil {
 			return err
 		}
 	}
 	p.stats.Execute += time.Since(t0)
 	kp.rels = append(kp.rels, *rp)
-	return nil
-}
-
-// scanFilters lists, by relation name, the slicing filters the sliced
-// pair rp reads over db.
-func scanFilters(rp *relPlan, filters *dataslice.Conditions, db *storage.Database) ([]scanFilter, error) {
-	scanned := algebra.BaseRelations(rp.orig)
-	for rel := range algebra.BaseRelations(rp.mod) {
-		scanned[rel] = true
-	}
-	var out []scanFilter
-	for rel := range scanned {
-		f := scanFilter{rel: rel, h: filterOf(filters.H, rel), m: filterOf(filters.M, rel)}
-		if f.h == nil && f.m == nil {
-			continue
-		}
-		r, err := db.Relation(rel)
-		if err != nil {
-			return nil, err
-		}
-		f.rows = len(r.Tuples)
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].rel < out[j].rel })
-	return out, nil
-}
-
-// filterOf is the filter reenact puts on a scan of rel, or nil.
-func filterOf(fs reenact.Filters, rel string) expr.Expr {
-	if f, ok := fs[strings.ToLower(rel)]; ok && !expr.IsTriviallyTrue(f) {
-		return f
-	}
 	return nil
 }
 

@@ -201,16 +201,9 @@ type SessionStats struct {
 	// TemplateProvisionedEvals sums TemplateStats.ProvisionedEvals: the
 	// side evals a band table answered, without running a program.
 	TemplateProvisionedEvals int64
-	// TemplateSlicedEvals/UnslicedEvals sum TemplateStats.SlicedEvals/
-	// UnslicedEvals over the session's templates: per binding and
-	// relation with two plans, whether its data-sliced pair ran.
-	TemplateSlicedEvals, TemplateUnslicedEvals int64
 	// TemplateRecompiles sums TemplateStats.Recompiles over the session's
 	// templates: artifacts rebuilt because the history advanced.
-	// TemplateUnslicedBuilds sums TemplateStats.UnslicedBuilds: unsliced
-	// pairs a relation with two plans built when a binding first needed
-	// one.
-	TemplateRecompiles, TemplateUnslicedBuilds int64
+	TemplateRecompiles int64
 	// Reports counts the aggregate reports answered through the session
 	// by route: merged into the historical γ state remembered on the
 	// snapshot, or patched, by reason.
@@ -246,8 +239,7 @@ func (s *Session) Stats() SessionStats {
 	st.DeltaRowsHashed, st.DeltaRowsBoxed = s.caches.work.hashed.Load(), s.caches.work.boxed.Load()
 	st.TemplateSideEvals, st.TemplateFallbackEvals = s.caches.work.sideEvals.Load(), s.caches.work.fallbacks.Load()
 	st.TemplateProvisionedEvals = s.caches.work.provisioned.Load()
-	st.TemplateSlicedEvals, st.TemplateUnslicedEvals = s.caches.work.sliced.Load(), s.caches.work.unsliced.Load()
-	st.TemplateRecompiles, st.TemplateUnslicedBuilds = s.caches.work.recompiles.Load(), s.caches.work.built.Load()
+	st.TemplateRecompiles = s.caches.work.recompiles.Load()
 	st.Reports = s.caches.work.reports.load()
 	st.ReportArtifactHits, st.ReportArtifactMisses = s.caches.snaps.ReportStats()
 	st.InterpreterFallbacks = s.e.InterpreterFallbacks()

@@ -51,13 +51,11 @@ import (
 //     — built by the side's first binding;
 //   - the original-side reenactment: original histories never contain
 //     parameters, so each relation's original-side result is
-//     materialized once — except where a slicing filter of that side
-//     carries a $slot (below);
+//     materialized once;
 //   - relations whose modified side carries no parameter: their whole
 //     delta is static and served as-is;
-//   - the executor programs: every query a binding runs — each
-//     modified side, both sides of a sliced pair, the slice counts —
-//     is compiled once, with its $slots as run-time parameters
+//   - the executor programs: every modified side a binding runs is
+//     compiled once, with its $slots as run-time parameters
 //     (exec.CompileVec).
 //
 // Per binding, a provisioned template binary-searches the band of rows
@@ -75,22 +73,11 @@ import (
 // Data slicing (§6) is exact for every constant, so the filters keep
 // their $slots: a slot in value position (an UPDATE's SET) can leak
 // into a filter only through push-down, a slot in a condition
-// (UPDATE/DELETE WHERE, INSERT … SELECT) lands in it directly. A relation whose original side reads
-// such a filter has two plans: the sliced pair, both sides filtered
-// per binding, and the unsliced pair, the original side materialized
-// over the whole relation. Each binding counts its filters on the
-// snapshot (|S_H| and |S_M| rows) and runs the sliced pair iff
-// |S_H| + |S_M| plus one batch for its second pass over the relation is
-// at most |R| (slicedPair.pays), whichever reenacts fewer base rows — a
-// narrow binding touches its slice, a wide one does not pay for
-// reenacting both sides. Both plans are exact, so the choice changes
-// speed, never results; Stats counts it. The unsliced pair of such a
-// relation is built on first use, by the first binding the sliced pair
-// does not pay for: a template whose bindings all slice never
-// reenacts the whole relation, and a recompile after an append costs
-// it nothing. Its original side is then, like the sliced pair's,
-// evaluated at eval time, so an error there surfaces on that binding
-// rather than at compile.
+// (UPDATE/DELETE WHERE, INSERT … SELECT) lands in it directly. A slot
+// may sit in a modified-side filter, which each binding's run reads; a
+// relation whose original-side filter carries one is planned without
+// filters, so that its original side, like every other, is
+// binding-free and materialized once.
 //
 // Templates are safe for concurrent use. When the engine's history
 // advances, the next Eval transparently recompiles the artifact against
@@ -113,9 +100,6 @@ type Template struct {
 	fallbacks   atomic.Int64    // bindings on no side
 	provisioned atomic.Int64    // side bindings a band table answered
 	recompiles  atomic.Int64
-	sliced      atomic.Int64
-	unsliced    atomic.Int64
-	built       atomic.Int64 // unsliced pairs built on first use
 	reports     routeCounters
 }
 
@@ -195,32 +179,20 @@ type templateBody struct {
 }
 
 // buildBody runs rels' original sides, and the modified sides without
-// a $slot, over db, and compiles the rest for binding-time runs. A
-// relation with two plans gets its sliced pair here and its unsliced
-// pair from the first binding that runs it.
+// a $slot, over db, and compiles the rest for binding-time runs.
 func buildBody(ev evaluator, rels []relPlan, db *storage.Database) (*templateBody, error) {
 	b := &templateBody{static: delta.Set{}}
 	for _, r := range rels {
 		if err := ev.evalCtx().Err(); err != nil {
 			return nil, err
 		}
-		if r.unsliced != nil {
-			// Both sliced sides depend on the binding: keep both pairs,
-			// the unsliced one to be built on first use.
-			b.rels = append(b.rels, templateRel{rel: r.rel, slice: compileSlicedPair(ev, r, db)})
-			continue
-		}
-		if len(algebra.Params(r.mod)) > 0 {
-			whole, err := buildUnsliced(ev, &r, db)
-			if err != nil {
-				return nil, err
-			}
-			b.rels = append(b.rels, templateRel{rel: r.rel, whole: whole})
-			continue
-		}
 		orig, err := ev.runView(r.orig, db)
 		if err != nil {
 			return nil, err
+		}
+		if len(algebra.Params(r.mod)) > 0 {
+			b.rels = append(b.rels, templateRel{rel: r.rel, orig: orig, mod: bindQuery(ev, r.mod, db)})
+			continue
 		}
 		mod, err := ev.runView(r.mod, db)
 		if err != nil {
@@ -251,37 +223,14 @@ func (art *templateArtifact) body(ev evaluator) (*templateBody, error) {
 }
 
 // templateRel is one relation whose modified side depends on the
-// binding.
-type templateRel struct {
-	rel string
-	// whole is the relation's unsliced pair, built at compile time when
-	// the relation has one plan; nil when it has two.
-	whole *unslicedPair
-	// slice is the relation's sliced pair when a slicing filter of its
-	// original side carries a $slot. Each binding then runs whichever
-	// pair reenacts fewer base rows, and the unsliced one is built on
-	// first use (Template.whole).
-	slice *slicedPair
-}
-
-// unslicedPair is a relation's reenactment pair without slicing filters
-// on $slots. orig is the original-side result, materialized once and
+// binding. orig is its original-side result, materialized once and
 // diffed against every binding's modified side. Like every reenactment
 // result in core it is a columnar view: the artifact pins lanes, not
 // tuples, and a binding boxes only the rows its delta touches.
-type unslicedPair struct {
+type templateRel struct {
+	rel  string
 	orig *storage.ColumnarView
 	mod  boundQuery // the modified side, $slots open
-}
-
-// buildUnsliced materializes r's original side over db and compiles its
-// modified side for binding-time runs.
-func buildUnsliced(ev evaluator, r *relPlan, db *storage.Database) (*unslicedPair, error) {
-	orig, err := ev.runView(r.orig, db)
-	if err != nil {
-		return nil, err
-	}
-	return &unslicedPair{orig: orig, mod: bindQuery(ev, r.mod, db)}, nil
 }
 
 // boundQuery is a query skeleton with its $slots open, and its program,
@@ -308,146 +257,14 @@ func (bq boundQuery) view(ev evaluator, db *storage.Database, binding map[string
 	return ev.interpretView(algebra.SubstParams(bq.q, binding), db)
 }
 
-// eval answers the relation tr for one binding over its sliced pair
-// (sliced requires tr.slice) or its unsliced one.
-func (t *Template) eval(ev evaluator, db *storage.Database, tr *templateRel, binding map[string]types.Value, sliced bool) (*delta.Result, delta.Work, error) {
-	var orig *storage.ColumnarView
-	var modSide boundQuery
-	if sliced {
-		var err error
-		if orig, err = tr.slice.orig.view(ev, db, binding); err != nil {
-			return nil, delta.Work{}, err
-		}
-		modSide = tr.slice.mod
-	} else {
-		whole, err := t.whole(ev, db, tr)
-		if err != nil {
-			return nil, delta.Work{}, err
-		}
-		orig, modSide = whole.orig, whole.mod
-	}
-	mod, err := modSide.view(ev, db, binding)
+// eval answers the relation tr for one binding.
+func (tr *templateRel) eval(ev evaluator, db *storage.Database, binding map[string]types.Value) (*delta.Result, delta.Work, error) {
+	mod, err := tr.mod.view(ev, db, binding)
 	if err != nil {
 		return nil, delta.Work{}, err
 	}
-	d, work := delta.ComputeColumnar(orig, mod)
+	d, work := delta.ComputeColumnar(tr.orig, mod)
 	return d, work, nil
-}
-
-// whole returns tr's unsliced pair. A relation with a sliced pair
-// builds it on first use, under the asking binding's context, through
-// one single flight (lru.Cache.Do): concurrent bindings build it once,
-// a build cut short by its builder's cancellation caches nothing and is
-// redone by a live waiter, and a failed build is not kept — its error
-// is the binding's, and the next binding builds again.
-func (t *Template) whole(ev evaluator, db *storage.Database, tr *templateRel) (*unslicedPair, error) {
-	if tr.slice == nil {
-		return tr.whole, nil
-	}
-	return tr.slice.wholes.Do(ev.evalCtx(), func() (*unslicedPair, error) {
-		whole, err := buildUnsliced(ev, tr.slice.plain, db)
-		if err == nil {
-			t.built.Add(1)
-			t.shared.work.built.Add(1)
-		}
-		return whole, err
-	})
-}
-
-// slicedPair is a relation's data-sliced query pair with both sides'
-// $slots open, and the counts of the filtered scans it reads. plain is
-// the relation's plan without the filters; wholes builds its unsliced
-// pair once, when a binding first needs it, and keeps it for the
-// artifact's life.
-type slicedPair struct {
-	orig, mod boundQuery
-	counts    []sliceCount
-	plain     *relPlan
-	wholes    lru.Cell[*unslicedPair]
-}
-
-// sliceCount counts one filtered scan's two slices: h and m are
-// COUNT(*) over σ_f(R) for the original and the modified side's filter
-// f, $slots open, nil for a side that scans R unfiltered; m is h when
-// the two filters are equal. rows is |R| in the pinned snapshot.
-type sliceCount struct {
-	h, m *boundQuery
-	rows int
-}
-
-// compileSlicedPair compiles r's sliced pair and its slice counts over
-// db; its unsliced pair is left to the first binding that needs it.
-func compileSlicedPair(ev evaluator, r relPlan, db *storage.Database) *slicedPair {
-	s := &slicedPair{orig: bindQuery(ev, r.orig, db), mod: bindQuery(ev, r.mod, db), plain: r.unsliced}
-	count := func(rel string, filter expr.Expr) *boundQuery {
-		if filter == nil {
-			return nil
-		}
-		q := bindQuery(ev, &algebra.Aggregate{
-			Aggs: []algebra.AggExpr{{Name: "n", Fn: algebra.AggCount}},
-			In:   &algebra.Select{Cond: filter, In: &algebra.Scan{Rel: rel}},
-		}, db)
-		return &q
-	}
-	for _, f := range r.filters {
-		c := sliceCount{h: count(f.rel, f.h), rows: f.rows}
-		c.m = c.h
-		if !expr.Equal(f.h, f.m) {
-			c.m = count(f.rel, f.m)
-		}
-		s.counts = append(s.counts, c)
-	}
-	return s
-}
-
-// pays reports whether the sliced pair is the cheaper plan for binding:
-// whether its two sides reenact fewer base rows than the unsliced
-// pair's modified side, |S_H| + |S_M| + B ≤ |R| summed over the
-// filtered scans. B, one executor batch, charges the sliced pair for
-// its second pass over R: each side filters every row of R before it
-// reenacts its slice, where the unsliced pair reads R once. Measured on
-// the 8 000-row, 100-statement template of BenchmarkTemplateEval, the
-// two plans cost the same at |S_H| + |S_M| ≈ |R| − 900. A relation
-// smaller than a batch therefore never slices (and is not counted).
-// Each filter is counted under the binding with its compiled COUNT(*)
-// over σ_f(R) on the pinned snapshot — one fused, filtered pass over
-// the relation's shared columnar view — equal filters on the two sides
-// are counted once, and counting stops once the slices outgrow the
-// relation. A filter that fails to evaluate cannot slice: the unsliced
-// pair then runs and reports its own error, if it has one.
-func (s *slicedPair) pays(ev evaluator, db *storage.Database, binding map[string]types.Value) (bool, error) {
-	budget := -exec.DefaultBatchSize
-	for _, c := range s.counts {
-		budget += c.rows
-	}
-	for _, c := range s.counts {
-		if budget < 0 {
-			return false, nil
-		}
-		h, err := c.count(ev, db, c.h, binding)
-		m := h
-		if err == nil && c.m != c.h {
-			m, err = c.count(ev, db, c.m, binding)
-		}
-		if err != nil {
-			return false, ev.evalCtx().Err()
-		}
-		budget -= h + m
-	}
-	return budget >= 0, nil
-}
-
-// count counts the rows of the scanned relation that side, one of c's
-// counts, keeps under binding (all of them, without a filter).
-func (c sliceCount) count(ev evaluator, db *storage.Database, side *boundQuery, binding map[string]types.Value) (int, error) {
-	if side == nil {
-		return c.rows, nil
-	}
-	res, err := side.view(ev, db, binding)
-	if err != nil {
-		return 0, err
-	}
-	return int(res.Cols[0].Value(0).AsInt()), nil
 }
 
 // TemplateStats describes one compiled artifact plus the template's
@@ -485,8 +302,9 @@ type TemplateStats struct {
 	SolverNodes int
 	// DataSlicing reports whether the artifact was compiled with data
 	// slicing filters in its reenactment plans (Options.DataSlicing),
-	// wherever its $slots sit: a filter that carries a slot is
-	// evaluated under each binding.
+	// wherever its $slots sit: a modified-side filter that carries a
+	// slot is evaluated under each binding, and a relation whose
+	// original-side filter carries one is planned without filters.
 	DataSlicing bool
 	// StaticRelations' deltas are fully precomputed;
 	// DynamicRelations are re-evaluated per binding;
@@ -507,15 +325,6 @@ type TemplateStats struct {
 	// answered from its band tables: every binding of either side, NULL
 	// included. They run no program and hash nothing.
 	ProvisionedEvals int64
-	// SlicedEvals/UnslicedEvals count, per binding and per relation with
-	// two plans (a slicing filter of its original side carries a $slot),
-	// which plan ran: the sliced pair, whose slices together were no
-	// larger than the relation, or the unsliced one. UnslicedBuilds
-	// counts the unsliced pairs such relations built on first use: at
-	// most one per relation and artifact, none while every binding
-	// slices.
-	SlicedEvals, UnslicedEvals int64
-	UnslicedBuilds             int64
 	// Reports counts the aggregate reports the template's evals attached,
 	// by route (merged or patched, by reason).
 	Reports ReportRoutes
@@ -593,8 +402,6 @@ func (t *Template) Stats() TemplateStats {
 	for i := range st.Sides {
 		st.Sides[i].Evals = t.sideEvals[i].Load()
 	}
-	st.SlicedEvals, st.UnslicedEvals = t.sliced.Load(), t.unsliced.Load()
-	st.UnslicedBuilds = t.built.Load()
 	st.Reports = t.reports.load()
 	return st
 }
@@ -753,20 +560,7 @@ func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, bind
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		sliced := false
-		if tr.slice != nil {
-			var err error
-			if sliced, err = tr.slice.pays(ev, art.db, binding); err != nil {
-				return nil, nil, err
-			}
-			if sliced {
-				t.sliced.Add(1)
-			} else {
-				t.unsliced.Add(1)
-			}
-			t.shared.countPlan(sliced)
-		}
-		d, work, err := t.eval(ev, art.db, tr, binding, sliced)
+		d, work, err := tr.eval(ev, art.db, binding)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -15,12 +15,12 @@ import (
 // the history), a range template: a binding above 9000 runs the plan
 // sliced at the FALSE end, which keeps what the constant what-if keeps,
 // and a binding below it the plan sliced at the IS NOT NULL end, which
-// keeps every statement here. Its historical condition selects ≈ 10 %
-// of the rows, so narrow (cut 9500) and below (8500) slice their data to
-// a little over 10 %, half (6000) to ≈ 40 % a side, and wide (0) to
-// every row, where the unsliced plan runs. The set-slot shape keeps the
-// condition and writes SET tips = tips + $bump, so it slices like a
-// constant scenario and has one plan. Each sub-benchmark reports the
+// keeps every statement here. Its suffix holds no INSERT … SELECT, so
+// the template is provisioned: each side's band table, built by its
+// first binding, answers narrow (cut 9500), below (8500), half (6000)
+// and wide (0). The set-slot shape keeps the condition and writes SET
+// tips = tips + $bump, so it slices like a constant scenario and runs
+// its executed plan. Each sub-benchmark reports the
 // statements its binding's plan keeps (kept-stmts of total-stmts).
 func BenchmarkTemplateEval(b *testing.B) {
 	w, err := workload.Generate(workload.Taxi(8000, 1), workload.Config{

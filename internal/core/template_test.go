@@ -77,11 +77,10 @@ func requireSetsEqual(t *testing.T, label string, got, want delta.Set) {
 // under; the differentials run each.
 var templateVariants = []Variant{VariantR, VariantRPS, VariantRDS, VariantRFull}
 
-// evalPlan answers binding through the plan of tpl's current artifact
-// that answers it, with every two-plan relation forced onto its sliced
-// (sliced) or its unsliced pair — the plan the count did not choose,
-// for the differentials.
-func evalPlan(t *testing.T, tpl *Template, binding map[string]types.Value, sliced bool) delta.Set {
+// evalPlan answers binding through the executed plan of tpl's current
+// artifact, also where a band table answers it in Eval: the band
+// tables' oracle.
+func evalPlan(t *testing.T, tpl *Template, binding map[string]types.Value) delta.Set {
 	t.Helper()
 	art := tpl.art.Load()
 	ev := tpl.e.newEvaluator(context.Background(), tpl.opts)
@@ -95,78 +94,47 @@ func evalPlan(t *testing.T, tpl *Template, binding map[string]types.Value, slice
 	}
 	for i := range body.rels {
 		tr := &body.rels[i]
-		d, _, err := tpl.eval(ev, art.db, tr, binding, sliced && tr.slice != nil)
+		d, _, err := tr.eval(ev, art.db, binding)
 		if err != nil {
-			t.Fatalf("forced plan (sliced=%t): %v", sliced, err)
+			t.Fatalf("executed plan of %v: %v", binding, err)
 		}
 		out[tr.rel] = d
 	}
 	return out
 }
 
-// planRun evaluates one binding and reports which plan its two-plan
-// relations ran: "sliced", "unsliced", "" when it has none (or "mixed").
-func planRun(t *testing.T, tpl *Template, binding map[string]types.Value) (delta.Set, string) {
+// requireBindingAgrees evaluates one binding and requires its delta to
+// equal the executed plan's and a fresh what-if's under anchor.
+func requireBindingAgrees(t *testing.T, e *Engine, tpl *Template, anchor Options, binding map[string]types.Value, label string) {
 	t.Helper()
-	before := tpl.Stats()
 	got, err := tpl.Eval(binding)
 	if err != nil {
-		t.Fatalf("eval %v: %v", binding, err)
+		t.Fatalf("%s: eval: %v", label, err)
 	}
-	after := tpl.Stats()
-	sliced, unsliced := after.SlicedEvals-before.SlicedEvals, after.UnslicedEvals-before.UnslicedEvals
-	switch {
-	case sliced > 0 && unsliced > 0:
-		return got, "mixed"
-	case sliced > 0:
-		return got, "sliced"
-	case unsliced > 0:
-		return got, "unsliced"
-	}
-	return got, ""
-}
-
-// requireBindingAgrees evaluates one binding and requires its delta to
-// equal both forced plans' and a fresh what-if's under anchor; it
-// returns the plan the count chose.
-func requireBindingAgrees(t *testing.T, e *Engine, tpl *Template, anchor Options, binding map[string]types.Value, label string) string {
-	t.Helper()
-	got, plan := planRun(t, tpl, binding)
 	want, _, err := e.WhatIf(tpl.SubstitutedMods(binding), anchor)
 	if err != nil {
 		t.Fatalf("%s: fresh what-if: %v", label, err)
 	}
 	requireSetsEqual(t, label, got, want)
-	requireSetsEqual(t, label+" (sliced plan)", evalPlan(t, tpl, binding, true), want)
-	requireSetsEqual(t, label+" (unsliced plan)", evalPlan(t, tpl, binding, false), want)
-	return plan
+	requireSetsEqual(t, label+" (executed plan)", evalPlan(t, tpl, binding), want)
 }
 
 // TestTemplateMatchesWhatIf pins the differential contract: for every
 // binding and variant, Template.Eval equals a fresh WhatIf over the
-// modifications with the binding's constants substituted, and so do
-// both of its plans. Under data slicing the condition slot's filter
-// gives the relation two plans: a narrow cut runs the sliced one, a
-// wide cut the unsliced one. NULL bindings are anchored against the
-// no-slicing variant (a NULL literal in a condition is outside the
-// solver's domain, so a fresh sliced WhatIf rejects it — the template,
-// having solved with the slot symbolic, still answers; variant
-// agreement makes the unsliced delta an equal ground truth).
+// modifications with the binding's constants substituted, and so does
+// its executed plan. NULL bindings are anchored against the no-slicing
+// variant (a NULL literal in a condition is outside the solver's
+// domain, so a fresh sliced WhatIf rejects it — the template, having
+// solved with the slot symbolic, still answers; variant agreement makes
+// variant R's delta an equal ground truth).
 func TestTemplateMatchesWhatIf(t *testing.T) {
 	w, e := templateWorkload(t, 3000, 10, 3)
 	mods := paramMods(w)
-	cuts := []struct {
-		v    types.Value
-		plan string // under data slicing
-	}{
-		{types.Int(9100), "sliced"}, {types.Int(9000), "sliced"}, {types.Int(8500), "sliced"},
-		{types.Int(0), "unsliced"}, {types.Int(workload.SelRange + 50), "sliced"},
-		// ≈ 45 % a side: the slices are smaller than the relation, but not
-		// by the batch the sliced pair's second pass over it costs.
-		{types.Int(5500), "unsliced"},
-		{types.Float(8999.5), "sliced"},
+	cuts := []types.Value{
+		types.Int(9100), types.Int(9000), types.Int(8500), types.Int(0), types.Int(workload.SelRange + 50),
+		types.Int(5500), types.Float(8999.5),
 		// 2^53 boundary: past exact float integer representation.
-		{types.Int(1 << 53), "sliced"}, {types.Int(1<<53 + 1), "sliced"}, {types.Int(-(1 << 53)), "unsliced"},
+		types.Int(1 << 53), types.Int(1<<53 + 1), types.Int(-(1 << 53)),
 	}
 	for _, v := range templateVariants {
 		opts := OptionsFor(v)
@@ -178,33 +146,24 @@ func TestTemplateMatchesWhatIf(t *testing.T) {
 			t.Fatalf("%s: Params() = %v, want cut:numeric", v, got)
 		}
 		for i, cut := range cuts {
-			label := fmt.Sprintf("%s binding %d (%s)", v, i, cut.v)
-			plan := requireBindingAgrees(t, e, tpl, opts, map[string]types.Value{"cut": cut.v}, label)
-			if want := map[bool]string{true: cut.plan, false: ""}[opts.DataSlicing && !provisioned(tpl, cut.v)]; plan != want {
-				t.Errorf("%s: ran plan %q, want %q", label, plan, want)
-			}
+			requireBindingAgrees(t, e, tpl, opts, map[string]types.Value{"cut": cut}, fmt.Sprintf("%s binding %d (%s)", v, i, cut))
 		}
 
 		// NULL binds any slot; sel >= NULL selects nothing, so the slice is
 		// the historical condition's.
-		binding := map[string]types.Value{"cut": types.Null()}
-		plan := requireBindingAgrees(t, e, tpl, OptionsFor(VariantR), binding, string(v)+" NULL binding")
-		if want := map[bool]string{true: "sliced", false: ""}[opts.DataSlicing && !provisioned(tpl, types.Null())]; plan != want {
-			t.Errorf("%s NULL binding: ran plan %q, want %q", v, plan, want)
-		}
+		requireBindingAgrees(t, e, tpl, OptionsFor(VariantR), map[string]types.Value{"cut": types.Null()}, string(v)+" NULL binding")
 	}
 }
 
 // templateShape is one randomized-differential template: its
-// modifications, its slots, bindings that must run each plan under
-// data slicing, and how to draw random ones.
+// modifications, its slots, a narrow and a wide binding, and how to
+// draw random ones.
 type templateShape struct {
 	name   string
 	mods   []history.Modification
 	params []string
 	// narrow and wide are bindings whose slices are well below and above
-	// the relation's size; nil when no filter of the shape's original
-	// side carries a slot (one plan only).
+	// the relation's size; nil when no condition carries a slot.
 	narrow, wide map[string]types.Value
 	random       func(rng *rand.Rand) types.Value
 }
@@ -304,13 +263,13 @@ func beyondBox(v types.Value) bool {
 }
 
 // anchorOptions is what a binding's fresh what-if runs under: opts, or
-// variant R when a slot is NULL, NaN or a number beyond the solver's
-// box. A fresh program-sliced what-if slices unsoundly once a SET moves
-// a value past the box (ROADMAP, Known), and fails on a NaN constant,
-// so it cannot anchor such a binding; R runs no solver.
+// variant R when a slot is NULL or a number beyond the solver's box. A
+// fresh program-sliced what-if slices unsoundly once a SET moves a
+// value past the box (ROADMAP, Known), so it cannot anchor such a
+// binding; R runs no solver.
 func anchorOptions(opts Options, binding map[string]types.Value) Options {
 	for _, v := range binding {
-		if v.IsNull() || beyondBox(v) || v.IsNumeric() && math.IsNaN(v.AsFloat()) {
+		if v.IsNull() || beyondBox(v) {
 			return OptionsFor(VariantR)
 		}
 	}
@@ -321,9 +280,8 @@ func anchorOptions(opts Options, binding map[string]types.Value) Options {
 // comparisons, conjunctions, arithmetic, SET clauses, DELETE and
 // INSERT … SELECT conditions, push-down through a slotted SET) and
 // bindings — narrow, wide, random, kind edges and NULL — under every
-// variant: each delta equals both plans' and a fresh what-if's, and
-// under data slicing every shape with a slotted original-side filter
-// runs both plans. The kind edges rotate through every slot of every
+// variant: each delta equals the executed plan's and a fresh what-if's.
+// The kind edges rotate through every slot of every
 // shape, and each edge beyond the solver's box also takes every slot of
 // every shape in turn, the other slots at the shape's narrow values; a
 // binding with a NULL or such a value in some slot is
@@ -414,15 +372,7 @@ func TestTemplateRandomizedDifferential(t *testing.T) {
 				}
 				for i, binding := range bindings {
 					label := fmt.Sprintf("%s %s binding %d %v", shape.name, v, i, binding)
-					plan := requireBindingAgrees(t, group.e, tpl, anchorOptions(opts, binding), binding, label)
-					switch {
-					case !opts.DataSlicing || shape.narrow == nil || provisioned(tpl, binding[shape.params[0]]):
-						if plan != "" {
-							t.Errorf("%s: ran plan %q without a slotted filter", label, plan)
-						}
-					case i == 0 && plan != "sliced", i == 1 && plan != "unsliced":
-						t.Errorf("%s: ran plan %q", label, plan)
-					}
+					requireBindingAgrees(t, group.e, tpl, anchorOptions(opts, binding), binding, label)
 				}
 				// NULL in every slot, anchored on variant R.
 				null := map[string]types.Value{}
@@ -475,13 +425,10 @@ func TestTemplateDataSlicing(t *testing.T) {
 		}
 		requireSetsEqual(t, fmt.Sprintf("set-only binding %s", v), got, want)
 	}
-	if st := tpl.Stats(); st.SlicedEvals+st.UnslicedEvals != 0 {
-		t.Errorf("SET-only template has a binding-dependent filter: %d sliced, %d unsliced evals", st.SlicedEvals, st.UnslicedEvals)
-	}
 
-	// A slot in a condition keeps its filter, open: each binding counts
-	// its slice and picks a plan (outside the range class, whose
-	// bindings band tables answer instead).
+	// A slot in a condition lands in its relation's original-side
+	// filter, so the relation is planned without filters (outside the
+	// range class, whose bindings band tables answer instead).
 	cond, err := e.CompileTemplate(unrangedParamMods(w), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -491,9 +438,6 @@ func TestTemplateDataSlicing(t *testing.T) {
 	}
 	for _, cut := range []int64{9400, 50} {
 		requireBindingAgrees(t, e, cond, opts, map[string]types.Value{"cut": types.Int(cut)}, fmt.Sprintf("cut %d", cut))
-	}
-	if st := cond.Stats(); st.SlicedEvals != 1 || st.UnslicedEvals != 1 {
-		t.Errorf("condition-slot template: %d sliced, %d unsliced evals, want 1 and 1", st.SlicedEvals, st.UnslicedEvals)
 	}
 
 	// Leak path: a later statement's condition reads the column the
@@ -819,22 +763,24 @@ func TestTemplateSlicesBindingIndependently(t *testing.T) {
 	}
 }
 
-// TestTemplateSlicedEvalComparesItsSlice pins the work a binding does
-// on the template_sweep shape (8 000 rows, 100 statements, the
+// TestTemplateSlottedFilterComparesTheRelation pins the one plan of a
+// relation whose original-side slicing filter carries a $slot (the
 // threshold of the modified UPDATE as $cut, written outside the range
-// class so that the template executes its plan: unrangedParamMods): a
-// narrow binding runs the sliced pair, whose delta compares just the
-// rows the filter keeps — the historical condition's ≈ 10 % — while a
-// wide one runs the unsliced pair and compares every row.
-func TestTemplateSlicedEvalComparesItsSlice(t *testing.T) {
-	w, e := templateWorkload(t, 8000, 100, 13)
+// class so that the template executes its plan: unrangedParamMods):
+// the relation is planned without filters, so every binding, narrow or
+// wide, compares all |R| rows of its delta, and answers what a fresh
+// what-if answers.
+func TestTemplateSlottedFilterComparesTheRelation(t *testing.T) {
+	w, e := templateWorkload(t, 3000, 20, 13)
 	s := e.NewSession()
 	tpl, err := s.CompileTemplate(unrangedParamMods(w), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := w.Mods[0].(history.Replace)
-	snap, err := e.vdb.Version(base.Pos)
+	if !tpl.Stats().DataSlicing {
+		t.Fatal("template compiled without data slicing")
+	}
+	snap, err := e.vdb.Version(w.Mods[0].(history.Replace).Pos)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -842,32 +788,17 @@ func TestTemplateSlicedEvalComparesItsSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filter := expr.OrOf(w.History[base.Pos].(*history.Update).Where, expr.Ge(expr.Column(w.Dataset.SelAttr), expr.IntConst(9500)))
-	slice := 0
-	for _, tp := range rel.Tuples {
-		if ok, err := expr.Satisfied(filter, rel.Schema, tp); err != nil {
-			t.Fatal(err)
-		} else if ok {
-			slice++
-		}
-	}
-	if slice == 0 || slice > len(rel.Tuples)/5 {
-		t.Fatalf("the historical condition keeps %d of %d rows; the shape wants ≈ 10 %%", slice, len(rel.Tuples))
-	}
-	for _, c := range []struct {
-		cut      int64
-		compared int
-	}{{9500, slice}, {0, len(rel.Tuples)}} {
+	for _, cut := range []int64{9900, 9500, 5000, 0} {
+		b := map[string]types.Value{"cut": types.Int(cut)}
 		before := s.Stats().DeltaRowsCompared
-		if _, err := tpl.Eval(map[string]types.Value{"cut": types.Int(c.cut)}); err != nil {
+		got, err := tpl.Eval(b)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := int(s.Stats().DeltaRowsCompared - before); got != c.compared {
-			t.Errorf("cut %d: compared %d rows, want %d", c.cut, got, c.compared)
+		if n := int(s.Stats().DeltaRowsCompared - before); n != len(rel.Tuples) {
+			t.Errorf("cut %d: compared %d rows, want all %d", cut, n, len(rel.Tuples))
 		}
-	}
-	if st := s.Stats(); st.TemplateSlicedEvals != 1 || st.TemplateUnslicedEvals != 1 {
-		t.Errorf("session counts %d sliced, %d unsliced evals, want 1 and 1", st.TemplateSlicedEvals, st.TemplateUnslicedEvals)
+		requireFreshWhatIf(t, fmt.Sprintf("cut %d", cut), tpl, b, got)
 	}
 }
 

@@ -60,14 +60,8 @@ var sessionMetrics = []sessionMetric{
 		func(st core.SessionStats) int64 { return st.TemplateFallbackEvals }},
 	{"template_provisioned_evals_total", "Template evals of a range template's side answered from the side's band table (provisioned: no program run), per session.", "counter",
 		func(st core.SessionStats) int64 { return st.TemplateProvisionedEvals }},
-	{"template_sliced_evals_total", "Template evals of a relation with a binding-dependent slicing filter that ran its data-sliced plan (the binding's slices reenact fewer rows than the relation), per session.", "counter",
-		func(st core.SessionStats) int64 { return int64(st.TemplateSlicedEvals) }},
-	{"template_unsliced_evals_total", "Template evals of a relation with a binding-dependent slicing filter that ran its unsliced plan (the binding's slices would reenact more rows than the relation), per session.", "counter",
-		func(st core.SessionStats) int64 { return int64(st.TemplateUnslicedEvals) }},
 	{"template_recompiles_total", "Template artifacts recompiled because the history advanced past the version they answered, per session.", "counter",
 		func(st core.SessionStats) int64 { return st.TemplateRecompiles }},
-	{"template_unsliced_builds_total", "Unsliced plans built on first use by a template relation with a binding-dependent slicing filter (at most one per relation and artifact, none while every binding slices), per session.", "counter",
-		func(st core.SessionStats) int64 { return st.TemplateUnslicedBuilds }},
 	{"reports_merged_total", "Aggregate reports answered by merging the delta's Minus and Plus into the historical state remembered on the snapshot, per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.Reports.Merged) }},
 	{"reports_patched_total", "Aggregate reports answered by patching the whole relation and re-aggregating it (a MIN/MAX the merge cannot decide, or a query shape it does not cover), per session.", "counter",

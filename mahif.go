@@ -100,14 +100,17 @@
 // statements carry $name parameter slots (SQL: `... WHERE price >=
 // $cut`); CompileTemplate runs history alignment, time travel, and
 // program slicing once, with the slots as free solver variables (sound
-// for every later binding), and Template.Eval answers each binding by
-// evaluating only the retained modified-side query. A range template —
-// one slot bounding a WHERE conjunct col ⋈ $p of one replaced UPDATE or
-// DELETE — is sliced at the two ends of its slot's range instead, and
-// without an INSERT … SELECT after it answers each binding by lookup: the
-// rows a binding changes lie between the original bound and the binding
-// in the slot column, with versions computed once per side (a band
-// table), so a binding runs no program at all:
+// for every later binding), runs the original sides once, and
+// Template.Eval answers each binding by evaluating only the retained
+// modified-side query; a relation whose original-side data-slicing
+// filter would carry a slot is planned without filters. A range
+// template — one slot bounding a WHERE conjunct col ⋈ $p of one
+// replaced UPDATE or DELETE — is sliced at the two ends of its slot's
+// range instead, and without an INSERT … SELECT after it answers each
+// binding by lookup: the rows a binding changes lie between the
+// original bound and the binding in the slot column, with versions
+// computed once per side (a band table), so a binding runs no program
+// at all:
 //
 //	tpl, err := engine.CompileTemplate([]mahif.Modification{
 //	    mahif.ReplaceSQL(0, `UPDATE orders SET fee = 0 WHERE price >= $cut`),
