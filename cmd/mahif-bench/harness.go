@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/mahif/mahif/internal/core"
@@ -88,6 +89,18 @@ func (h *harness) gen(ds *workload.Dataset, cfg workload.Config) *workload.Workl
 		panic(err)
 	}
 	return w
+}
+
+// timedRuns is how many times the template and howto experiments run
+// a cell's timed section; the report records the median, so one run
+// slowed by the box does not read as movement between two reports.
+const timedRuns = 5
+
+// median returns the middle of ds (the upper middle of an even count).
+func median(ds []time.Duration) time.Duration {
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
 
 func ms(d time.Duration) string {

@@ -27,7 +27,8 @@ var templateOut = "BENCH_template.json"
 // row actually answered — the ablation measures a stride sample of the
 // sweep (answering all 10k through per-scenario compile+solve would
 // take the better part of an hour), so the rows compare on
-// ns_per_binding, not total.
+// ns_per_binding, not total. Every time is the median of timedRuns runs
+// of the row's timed section.
 type templateResult struct {
 	Shape    string `json:"shape"`
 	Updates  int    `json:"updates"`
@@ -207,28 +208,40 @@ func (h *harness) templateExp() {
 		if stride < 1 {
 			stride = 1
 		}
-		start := time.Now()
-		tpl, err := engine.CompileTemplate(mods, core.DefaultOptions())
-		if err != nil {
-			panic(err)
-		}
-		compileT := time.Since(start)
-		sampled := map[int]delta.Set{}
-		for lo := 0; lo < bindings; lo += templateChunk {
-			results, err := tpl.EvalBatch(bvals[lo:min(lo+templateChunk, bindings)], workers)
+		// Each run compiles a fresh template and sweeps it; the report
+		// keeps the last run's template and samples. A run drops the
+		// previous run's samples first, so two runs' deltas are never
+		// live at once.
+		var tpl *core.Template
+		var sampled map[int]delta.Set
+		compileTs := make([]time.Duration, timedRuns)
+		templateTs := make([]time.Duration, timedRuns)
+		for run := range timedRuns {
+			tpl, sampled = nil, nil
+			start := time.Now()
+			tpl, err = engine.CompileTemplate(mods, core.DefaultOptions())
 			if err != nil {
 				panic(err)
 			}
-			for k, r := range results {
-				if r.Err != nil {
-					panic(r.Err)
+			compileTs[run] = time.Since(start)
+			sampled = map[int]delta.Set{}
+			for lo := 0; lo < bindings; lo += templateChunk {
+				results, err := tpl.EvalBatch(bvals[lo:min(lo+templateChunk, bindings)], workers)
+				if err != nil {
+					panic(err)
 				}
-				if (lo+k)%stride == 0 {
-					sampled[lo+k] = r.Delta
+				for k, r := range results {
+					if r.Err != nil {
+						panic(r.Err)
+					}
+					if (lo+k)%stride == 0 {
+						sampled[lo+k] = r.Delta
+					}
 				}
 			}
+			templateTs[run] = time.Since(start)
 		}
-		templateT := time.Since(start)
+		compileT, templateT := median(compileTs), median(templateTs)
 
 		// The ablation: every sample-th binding as its own scenario
 		// through WhatIfBatch. Sharing (snapshot, memo) stays on — this
@@ -245,12 +258,20 @@ func (h *harness) templateExp() {
 				Mods:  tpl.SubstitutedMods(bvals[i]),
 			}
 		}
-		batchResults, bs, err := engine.WhatIfBatch(scenarios, core.BatchOptions{
-			Options: core.DefaultOptions(), Workers: workers,
-		})
-		if err != nil {
-			panic(err)
+		var batchResults []core.BatchResult
+		batchTs := make([]time.Duration, timedRuns)
+		for run := range timedRuns {
+			batchResults = nil
+			var bs *core.BatchStats
+			batchResults, bs, err = engine.WhatIfBatch(scenarios, core.BatchOptions{
+				Options: core.DefaultOptions(), Workers: workers,
+			})
+			if err != nil {
+				panic(err)
+			}
+			batchTs[run] = bs.Total
 		}
+		batchT := median(batchTs)
 
 		identical := true
 		for j, br := range batchResults {
@@ -269,7 +290,7 @@ func (h *harness) templateExp() {
 			sides = append(sides, templateSide{Bound: sd.Bound, Direction: sd.Direction, KeptStatements: sd.Kept, Evals: sd.Evals})
 		}
 		tplPerB := templateT.Nanoseconds() / int64(bindings)
-		batchPerB := bs.Total.Nanoseconds() / int64(len(picked))
+		batchPerB := batchT.Nanoseconds() / int64(len(picked))
 		speedup := float64(batchPerB) / float64(tplPerB)
 		id := identical
 		report.Results = append(report.Results,
@@ -292,7 +313,7 @@ func (h *harness) templateExp() {
 			templateResult{
 				Shape: c.shape, Updates: u, Rows: rows, Bindings: len(picked),
 				Templates:    false,
-				TotalMs:      float64(bs.Total.Microseconds()) / 1000,
+				TotalMs:      float64(batchT.Microseconds()) / 1000,
 				NsPerBinding: batchPerB,
 			},
 		)

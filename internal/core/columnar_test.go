@@ -59,7 +59,7 @@ func TestRetainedDeltaPinsOnlyItsRows(t *testing.T) {
 	before := heap()
 	kept := whatIf()
 	grew := heap() - before
-	// Six tuples of ten 48-byte cells, their slice headers, two Results
+	// Six tuples of ten 32-byte cells, their slice headers, two Results
 	// and a map: a few KB. One pinned batch arena would be 480 KB.
 	if grew > 64<<10 {
 		t.Errorf("keeping a 6-tuple delta of a %d-row what-if grew the heap by %d KB", rows, grew>>10)

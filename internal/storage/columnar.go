@@ -13,7 +13,7 @@ import (
 // the boxed fallback lane of tagged types.Value cells when the column
 // mixes kinds at runtime. The vectorized executor flows batches of
 // ColVecs so its hot kernels (comparisons, SET arithmetic, hashing)
-// run branch-free over machine types instead of paying a 48-byte
+// run branch-free over machine types instead of paying a 32-byte
 // tagged-union load and a kind branch per cell; the binary checkpoint
 // codec writes the same representation as typed pages.
 //

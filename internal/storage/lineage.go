@@ -93,14 +93,11 @@ func (l *viewLineage) unchanged(rows []schema.Tuple, c int) bool {
 }
 
 // holds reports whether cell r of the lane is x, bit for bit: the lane
-// a transposition of x would hold at r.
+// a transposition of x would hold at r. On a boxed cell == is that
+// identity (see types.Value).
 func (c *ColVec) holds(r int, x types.Value) bool {
 	if c.Kind == types.KindNull {
-		y := c.Vals[r]
-		if x.Kind() == types.KindFloat && y.Kind() == types.KindFloat {
-			return math.Float64bits(x.AsFloat()) == math.Float64bits(y.AsFloat())
-		}
-		return x == y
+		return x == c.Vals[r]
 	}
 	if c.Nulls != nil && c.Nulls[r] {
 		return x.IsNull()

@@ -33,13 +33,14 @@ func (v Value) AppendJSON(dst []byte) ([]byte, error) {
 	case KindNull:
 		return append(dst, "null"...), nil
 	case KindInt:
-		return strconv.AppendInt(dst, v.i, 10), nil
+		return strconv.AppendInt(dst, v.i(), 10), nil
 	case KindFloat:
-		if math.IsNaN(v.f) || math.IsInf(v.f, 0) {
-			return dst, fmt.Errorf("types: cannot marshal non-finite float %v", v.f)
+		f := v.f()
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return dst, fmt.Errorf("types: cannot marshal non-finite float %v", f)
 		}
 		n := len(dst)
-		dst = strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
 		for _, c := range dst[n:] {
 			if c == '.' || c == 'e' {
 				return dst, nil
@@ -49,7 +50,7 @@ func (v Value) AppendJSON(dst []byte) ([]byte, error) {
 	case KindString:
 		return AppendJSONString(dst, v.s), nil
 	case KindBool:
-		return strconv.AppendBool(dst, v.b), nil
+		return strconv.AppendBool(dst, v.n != 0), nil
 	}
 	return dst, fmt.Errorf("types: cannot marshal kind %s", v.kind)
 }

@@ -78,7 +78,7 @@ func TestValueJSONRoundTrip(t *testing.T) {
 			}
 			want = String(s)
 		}
-		if back.kind != want.kind || back.i != want.i || math.Float64bits(back.f) != math.Float64bits(want.f) || back.s != want.s || back.b != want.b {
+		if back != want { // == on Values is bit identity: kind, payload bits, string
 			t.Errorf("round trip %v → %s → %v", v, data, back)
 		}
 	}

@@ -41,22 +41,26 @@ func (k Kind) String() string {
 
 // Value is a single attribute value from the universal domain.
 // The zero Value is NULL.
+//
+// A Value is 32 bytes: the string, one payload word and the kind. The
+// word holds an int's two's-complement bits, a float's IEEE bits or a
+// bool as 0/1, so == on two Values is bit identity: Float(0) !=
+// Float(-0), and a NaN equals a NaN of the same bits. Equal is the
+// value equality (1 equals 1.0, ±0 are equal, NaN equals nothing).
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
 	s    string
-	b    bool
+	n    uint64
+	kind Kind
 }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a floating point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // String returns a string value. (Methods and package-level functions
 // live in different namespaces, so this does not clash with the
@@ -65,7 +69,12 @@ func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
 func String(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // True and False are the boolean constants.
 var (
@@ -79,12 +88,16 @@ func (v Value) Kind() Kind { return v.kind }
 // IsNull reports whether v is NULL.
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
+// i and f read the payload word as an int or a float, whatever the kind.
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+
 // AsInt returns the integer payload. It panics unless Kind is KindInt.
 func (v Value) AsInt() int64 {
 	if v.kind != KindInt {
 		panic(fmt.Sprintf("types: AsInt on %s value", v.kind))
 	}
-	return v.i
+	return v.i()
 }
 
 // AsFloat returns the numeric payload widened to float64. It panics
@@ -92,9 +105,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i)
+		return float64(v.i())
 	case KindFloat:
-		return v.f
+		return v.f()
 	}
 	panic(fmt.Sprintf("types: AsFloat on %s value", v.kind))
 }
@@ -112,7 +125,7 @@ func (v Value) AsBool() bool {
 	if v.kind != KindBool {
 		panic(fmt.Sprintf("types: AsBool on %s value", v.kind))
 	}
-	return v.b
+	return v.n != 0
 }
 
 // IsNumeric reports whether v is an int or float.
@@ -120,7 +133,7 @@ func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloa
 
 // IsTrue reports whether v is the boolean true. NULL and non-boolean
 // values are not true.
-func (v Value) IsTrue() bool { return v.kind == KindBool && v.b }
+func (v Value) IsTrue() bool { return v.kind == KindBool && v.n != 0 }
 
 // String renders the value in SQL literal syntax.
 func (v Value) String() string {
@@ -128,12 +141,12 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
 		// Render integral floats with an explicit ".0" (mirroring the
 		// JSON wire format) so the SQL rendering round-trips to a float
 		// rather than collapsing into the int domain.
-		out := strconv.FormatFloat(v.f, 'g', -1, 64)
+		out := strconv.FormatFloat(v.f(), 'g', -1, 64)
 		if !strings.ContainsAny(out, ".eE") {
 			out += ".0"
 		}
@@ -142,7 +155,7 @@ func (v Value) String() string {
 		// SQL-escape embedded quotes so renderings stay parseable.
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
@@ -163,21 +176,21 @@ func (v Value) Equal(o Value) bool {
 	switch v.kind {
 	case KindNull:
 		return true
-	case KindInt:
-		return v.i == o.i
+	case KindInt, KindBool:
+		return v.n == o.n
 	case KindFloat:
-		return v.f == o.f
+		return v.f() == o.f()
 	case KindString:
 		return v.s == o.s
-	case KindBool:
-		return v.b == o.b
 	}
 	return false
 }
 
 // Compare orders two non-NULL values of comparable kinds: numerics
-// numerically, strings lexicographically, bools false<true. It returns
-// -1, 0, or +1 and an error for NULLs or incompatible kinds.
+// numerically, widened to float64 (so Int(2^53) and Int(2^53+1) tie,
+// as the = operator has them), strings lexicographically, bools
+// false<true. It returns -1, 0, or +1 and an error for NULLs or
+// incompatible kinds.
 func (v Value) Compare(o Value) (int, error) {
 	if v.kind == KindNull || o.kind == KindNull {
 		return 0, fmt.Errorf("types: comparison with NULL has no order")
@@ -206,9 +219,9 @@ func (v Value) Compare(o Value) (int, error) {
 		return 0, nil
 	case KindBool:
 		switch {
-		case !v.b && o.b:
+		case v.n < o.n:
 			return -1, nil
-		case v.b && !o.b:
+		case v.n > o.n:
 			return 1, nil
 		}
 		return 0, nil
@@ -268,11 +281,11 @@ func Arith(op Op, a, b Value) (Value, error) {
 	if a.kind == KindInt && b.kind == KindInt {
 		switch op {
 		case OpAdd:
-			return Int(a.i + b.i), nil
+			return Int(a.i() + b.i()), nil
 		case OpSub:
-			return Int(a.i - b.i), nil
+			return Int(a.i() - b.i()), nil
 		case OpMul:
-			return Int(a.i * b.i), nil
+			return Int(a.i() * b.i()), nil
 		}
 	}
 	x, y := a.AsFloat(), b.AsFloat()
@@ -296,34 +309,34 @@ func Arith(op Op, a, b Value) (Value, error) {
 func ArithConst(op Op, k Value) func(Value) (Value, error) {
 	switch {
 	case k.kind == KindInt && op == OpAdd:
-		n := k.i
+		n := k.i()
 		return func(v Value) (Value, error) {
 			if v.kind == KindInt {
-				return Value{kind: KindInt, i: v.i + n}, nil
+				return Int(v.i() + n), nil
 			}
 			return Arith(op, v, k)
 		}
 	case k.kind == KindInt && op == OpSub:
-		n := k.i
+		n := k.i()
 		return func(v Value) (Value, error) {
 			if v.kind == KindInt {
-				return Value{kind: KindInt, i: v.i - n}, nil
+				return Int(v.i() - n), nil
 			}
 			return Arith(op, v, k)
 		}
 	case k.kind == KindFloat && op == OpAdd:
-		f := k.f
+		f := k.f()
 		return func(v Value) (Value, error) {
 			if v.kind == KindFloat {
-				return finiteFloat(v.f + f)
+				return finiteFloat(v.f() + f)
 			}
 			return Arith(op, v, k)
 		}
 	case k.kind == KindFloat && op == OpSub:
-		f := k.f
+		f := k.f()
 		return func(v Value) (Value, error) {
 			if v.kind == KindFloat {
-				return finiteFloat(v.f - f)
+				return finiteFloat(v.f() - f)
 			}
 			return Arith(op, v, k)
 		}
