@@ -180,7 +180,7 @@ func (h *harness) clusterExp() {
 		}
 	}
 	warm(leaderTS.URL)
-	header("Cluster: baseline (replicas=0, leader only)", "reqs", "errors", "p50", "p95", "p99", "req/s")
+	header("Cluster: baseline (replicas=0, leader only)", "clients", "reqs", "errors", "p50", "p95", "p99", "req/s")
 	report.Sweeps = append(report.Sweeps, clusterSweep{Replicas: 0, Results: clusterSweepAt(client, leaderTS.URL, bodies, levels, perClient)})
 
 	// Replicated: 3 followers behind the router.
@@ -212,7 +212,7 @@ func (h *harness) clusterExp() {
 	defer routerTS.Close()
 	time.Sleep(200 * time.Millisecond) // let the health poll see everyone
 	warm(routerTS.URL)
-	header(fmt.Sprintf("Cluster: routed (replicas=%d)", replicas), "reqs", "errors", "p50", "p95", "p99", "req/s")
+	header(fmt.Sprintf("Cluster: routed (replicas=%d)", replicas), "clients", "reqs", "errors", "p50", "p95", "p99", "req/s")
 	report.Sweeps = append(report.Sweeps, clusterSweep{Replicas: replicas, Results: clusterSweepAt(client, routerTS.URL, bodies, levels, perClient)})
 
 	// Kill one replica, advance the history, restart it, and require

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/mahif/mahif/internal/core"
+	"github.com/mahif/mahif/internal/history"
 	"github.com/mahif/mahif/internal/workload"
 )
 
@@ -50,14 +51,23 @@ type measurement struct {
 
 // run loads the workload and answers it once under the variant.
 func (h *harness) run(w *workload.Workload, v core.Variant) measurement {
+	return answer(load(w), w.Mods, v)
+}
+
+// load builds an engine over the workload's dataset and history.
+func load(w *workload.Workload) *core.Engine {
 	vdb, err := w.Load()
 	if err != nil {
 		panic(err)
 	}
-	engine := core.New(vdb)
+	return core.New(vdb)
+}
+
+// answer times one answer to mods under the variant.
+func answer(engine *core.Engine, mods []history.Modification, v core.Variant) measurement {
 	if v == core.VariantNaive {
 		start := time.Now()
-		_, stats, err := engine.Naive(w.Mods)
+		_, stats, err := engine.Naive(mods)
 		if err != nil {
 			panic(err)
 		}
@@ -65,7 +75,7 @@ func (h *harness) run(w *workload.Workload, v core.Variant) measurement {
 	}
 	opts := core.OptionsFor(v)
 	start := time.Now()
-	_, stats, err := engine.WhatIf(w.Mods, opts)
+	_, stats, err := engine.WhatIf(mods, opts)
 	if err != nil {
 		panic(err)
 	}
@@ -107,152 +117,142 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%8.1f", float64(d.Microseconds())/1000)
 }
 
-func header(title string, cols ...string) {
+// header prints a table's title and column heads; axis heads the
+// first column, which holds each row's swept value.
+func header(title, axis string, cols ...string) {
 	fmt.Printf("\n== %s ==\n", title)
-	fmt.Printf("%-10s", "U")
+	fmt.Printf("%-10s", axis)
 	for _, c := range cols {
 		fmt.Printf(" %12s", c)
 	}
 	fmt.Println(" (ms)")
 }
 
-// sweep runs the U-sweep for one dataset over the given variants and
-// prints one row per history length.
-func (h *harness) sweep(title string, dsID string, cfg workload.Config, variants ...core.Variant) {
-	cols := make([]string, len(variants))
-	for i, v := range variants {
+// Figures ----------------------------------------------------------------
+
+// figure is one figure of the paper's evaluation (§13). -exp <id>
+// prints a table per dataset and a row per axis value;
+// BenchmarkFigures times the same cells.
+type figure struct {
+	id, title string
+	datasets  []string
+	// axis names the swept parameter: "U" sweeps the -updates list,
+	// "M", "D" or "T" sweeps values with cfg.Updates fixed.
+	axis   string
+	values []int
+	// cfg fixes the rest of the workload; gen fills §13.2's defaults.
+	cfg      workload.Config
+	variants []core.Variant
+	cols     columns
+}
+
+// columns says what a figure's row holds.
+type columns int
+
+const (
+	totals     columns = iota // each variant's total
+	naiveSplit                // Fig. 15: Alg. 1's phases
+	mahifSplit                // Fig. 16: R+PS+DS's program slicing and the rest, beside R
+)
+
+var (
+	allDatasets  = []string{dsTaxiS, dsTaxiL, dsTPCC, dsYCSB}
+	taxiDatasets = []string{dsTaxiS, dsTaxiL}
+	slicings     = []core.Variant{core.VariantRPS, core.VariantRDS, core.VariantRFull}
+	reenactments = []core.Variant{core.VariantR, core.VariantRPS, core.VariantRDS, core.VariantRFull}
+)
+
+// figures is the paper's evaluation, one row per figure.
+var figures = []figure{
+	{id: "fig14", title: "Fig 14: Naive vs Mahif", datasets: allDatasets, axis: "U",
+		variants: []core.Variant{core.VariantNaive, core.VariantRFull}},
+	{id: "fig15", title: "Fig 15: Naive breakdown", datasets: taxiDatasets, axis: "U",
+		variants: []core.Variant{core.VariantNaive}, cols: naiveSplit},
+	{id: "fig16", title: "Fig 16: Mahif breakdown", datasets: taxiDatasets, axis: "U",
+		variants: []core.Variant{core.VariantRFull, core.VariantR}, cols: mahifSplit},
+	{id: "fig17", title: "Fig 17: multiple modifications (U=100)", datasets: []string{dsTaxiS},
+		axis: "M", values: []int{1, 5, 10, 20},
+		cfg: workload.Config{Updates: 100}, variants: reenactments},
+	{id: "fig18", title: "Fig 18: R vs R+PS+DS", datasets: allDatasets, axis: "U",
+		variants: []core.Variant{core.VariantR, core.VariantRFull}},
+	{id: "fig19", title: "Fig 19: dependent updates (U=100, T10)", datasets: []string{dsTaxiS},
+		axis: "D", values: []int{1, 10, 25, 50, 75, 100},
+		cfg: workload.Config{Updates: 100}, variants: []core.Variant{core.VariantRPS, core.VariantRFull}},
+	{id: "fig20", title: "Fig 20: affected data (U=100, D1)", datasets: []string{dsTaxiS},
+		axis: "T", values: []int{3, 12, 38, 68, 80},
+		cfg: workload.Config{Updates: 100, DependentPct: 1}, variants: reenactments},
+	{id: "fig21", title: "Fig 21: datasets at T0", datasets: allDatasets, axis: "U",
+		cfg: workload.Config{AffectedPct: 0.5}, variants: slicings},
+	{id: "fig22", title: "Fig 22: datasets at T10", datasets: allDatasets, axis: "U",
+		cfg: workload.Config{AffectedPct: 10}, variants: slicings},
+	{id: "fig23", title: "Fig 23: datasets at T25", datasets: allDatasets, axis: "U",
+		cfg: workload.Config{AffectedPct: 25}, variants: slicings},
+	{id: "fig24", title: "Fig 24: inserts I10 T10", datasets: taxiDatasets, axis: "U",
+		cfg: workload.Config{InsertPct: 10}, variants: slicings},
+	{id: "fig25", title: "Fig 25: mixed I10 X10 T10", datasets: taxiDatasets, axis: "U",
+		cfg: workload.Config{InsertPct: 10, DeletePct: 10}, variants: slicings},
+}
+
+// points returns f's axis values under h: the -updates list for "U".
+func (h *harness) points(f figure) []int {
+	if f.axis == "U" {
+		return h.updates
+	}
+	return f.values
+}
+
+// config returns f's workload configuration at axis value x.
+func (f figure) config(x int) workload.Config {
+	c := f.cfg
+	switch f.axis {
+	case "U":
+		c.Updates = x
+	case "M":
+		c.Mods = x
+	case "D":
+		c.DependentPct = x
+	case "T":
+		c.AffectedPct = float64(x)
+	}
+	return c
+}
+
+// runFigure prints f: a table per dataset, a row per axis value.
+func (h *harness) runFigure(f figure) {
+	cols := make([]string, len(f.variants))
+	for i, v := range f.variants {
 		cols[i] = string(v)
 	}
-	header(fmt.Sprintf("%s — %s", title, dsID), cols...)
-	ds := h.dataset(dsID)
-	for _, u := range h.updates {
-		c := cfg
-		c.Updates = u
-		w := h.gen(ds, c)
-		fmt.Printf("%-10d", u)
-		for _, v := range variants {
-			m := h.run(w, v)
-			fmt.Printf(" %12s", ms(m.total))
-		}
-		fmt.Println()
+	switch f.cols {
+	case naiveSplit:
+		cols = []string{"Creation", "Exe", "Delta"}
+	case mahifSplit:
+		cols = []string{"PS", "Exe", "R+PS+DS", "R"}
 	}
-}
-
-// Experiments ----------------------------------------------------------------
-
-// fig14: naive vs the fully optimized Mahif across datasets.
-func (h *harness) fig14() {
-	for _, ds := range []string{dsTaxiS, dsTaxiL, dsTPCC, dsYCSB} {
-		h.sweep("Fig 14: Naive vs Mahif", ds, workload.Config{},
-			core.VariantNaive, core.VariantRFull)
-	}
-}
-
-// fig15: cost breakdown of the naive algorithm.
-func (h *harness) fig15() {
-	for _, dsID := range []string{dsTaxiS, dsTaxiL} {
-		header("Fig 15: Naive breakdown — "+dsID, "Creation", "Exe", "Delta")
+	for _, dsID := range f.datasets {
+		header(f.title+" — "+dsID, f.axis, cols...)
 		ds := h.dataset(dsID)
-		for _, u := range h.updates {
-			w := h.gen(ds, workload.Config{Updates: u})
-			m := h.run(w, core.VariantNaive)
-			fmt.Printf("%-10d %12s %12s %12s\n", u,
-				ms(m.naive.Creation), ms(m.naive.Execute), ms(m.naive.Delta))
+		for _, x := range h.points(f) {
+			w := h.gen(ds, f.config(x))
+			got := make([]measurement, len(f.variants))
+			cells := make([]time.Duration, len(f.variants))
+			for i, v := range f.variants {
+				got[i] = h.run(w, v)
+				cells[i] = got[i].total
+			}
+			switch f.cols {
+			case naiveSplit:
+				n := got[0].naive
+				cells = []time.Duration{n.Creation, n.Execute, n.Delta}
+			case mahifSplit:
+				full, ps := got[0], got[0].stats.ProgramSlicing
+				cells = []time.Duration{ps, full.total - ps, full.total, got[1].total}
+			}
+			fmt.Printf("%-10d", x)
+			for _, d := range cells {
+				fmt.Printf(" %12s", ms(d))
+			}
+			fmt.Println()
 		}
-	}
-}
-
-// fig16: cost breakdown of Mahif (PS vs execution) against plain R.
-func (h *harness) fig16() {
-	for _, dsID := range []string{dsTaxiS, dsTaxiL} {
-		header("Fig 16: Mahif breakdown — "+dsID, "PS", "Exe", "R+PS+DS", "R")
-		ds := h.dataset(dsID)
-		for _, u := range h.updates {
-			w := h.gen(ds, workload.Config{Updates: u})
-			full := h.run(w, core.VariantRFull)
-			r := h.run(w, core.VariantR)
-			exe := full.total - full.stats.ProgramSlicing
-			fmt.Printf("%-10d %12s %12s %12s %12s\n", u,
-				ms(full.stats.ProgramSlicing), ms(exe), ms(full.total), ms(r.total))
-		}
-	}
-}
-
-// fig17: multiple modifications.
-func (h *harness) fig17() {
-	header("Fig 17: multiple modifications — "+dsTaxiS+" (U=100)",
-		"R", "R+PS", "R+DS", "R+PS+DS")
-	ds := h.dataset(dsTaxiS)
-	for _, m := range []int{1, 5, 10, 20} {
-		w := h.gen(ds, workload.Config{Updates: 100, Mods: m})
-		fmt.Printf("%-10d", m)
-		for _, v := range []core.Variant{core.VariantR, core.VariantRPS, core.VariantRDS, core.VariantRFull} {
-			fmt.Printf(" %12s", ms(h.run(w, v).total))
-		}
-		fmt.Println()
-	}
-}
-
-// fig18: reenactment alone vs fully optimized.
-func (h *harness) fig18() {
-	for _, ds := range []string{dsTaxiS, dsTaxiL, dsTPCC, dsYCSB} {
-		h.sweep("Fig 18: R vs R+PS+DS", ds, workload.Config{},
-			core.VariantR, core.VariantRFull)
-	}
-}
-
-// fig19: varying the percentage of dependent updates.
-func (h *harness) fig19() {
-	header("Fig 19: dependent updates — "+dsTaxiS+" (U=100, T10)", "R+PS", "R+PS+DS")
-	ds := h.dataset(dsTaxiS)
-	for _, d := range []int{1, 10, 25, 50, 75, 100} {
-		w := h.gen(ds, workload.Config{Updates: 100, DependentPct: d})
-		fmt.Printf("%-10d %12s %12s\n", d,
-			ms(h.run(w, core.VariantRPS).total), ms(h.run(w, core.VariantRFull).total))
-	}
-}
-
-// fig20: varying the fraction of affected data.
-func (h *harness) fig20() {
-	header("Fig 20: affected data — "+dsTaxiS+" (U=100, D1)",
-		"R", "R+PS", "R+DS", "R+PS+DS")
-	ds := h.dataset(dsTaxiS)
-	for _, t := range []float64{3, 12, 38, 68, 80} {
-		w := h.gen(ds, workload.Config{Updates: 100, DependentPct: 1, AffectedPct: t})
-		fmt.Printf("%-10.0f", t)
-		for _, v := range []core.Variant{core.VariantR, core.VariantRPS, core.VariantRDS, core.VariantRFull} {
-			fmt.Printf(" %12s", ms(h.run(w, v).total))
-		}
-		fmt.Println()
-	}
-}
-
-// figDatasets implements Figs. 21–23: the optimization variants across
-// all datasets at one affected-data setting.
-func (h *harness) figDatasets(fig string, t float64) {
-	for _, ds := range []string{dsTaxiS, dsTaxiL, dsTPCC, dsYCSB} {
-		h.sweep(fig, ds, workload.Config{AffectedPct: t},
-			core.VariantRPS, core.VariantRDS, core.VariantRFull)
-	}
-}
-
-func (h *harness) fig21() { h.figDatasets("Fig 21: datasets at T0", 0.5) }
-func (h *harness) fig22() { h.figDatasets("Fig 22: datasets at T10", 10) }
-func (h *harness) fig23() { h.figDatasets("Fig 23: datasets at T25", 25) }
-
-// fig24: insert-heavy workloads.
-func (h *harness) fig24() {
-	for _, ds := range []string{dsTaxiS, dsTaxiL} {
-		h.sweep("Fig 24: inserts I10 T10", ds, workload.Config{InsertPct: 10},
-			core.VariantRPS, core.VariantRDS, core.VariantRFull)
-	}
-}
-
-// fig25: mixed workloads.
-func (h *harness) fig25() {
-	for _, ds := range []string{dsTaxiS, dsTaxiL} {
-		h.sweep("Fig 25: mixed I10 X10 T10", ds,
-			workload.Config{InsertPct: 10, DeletePct: 10},
-			core.VariantRPS, core.VariantRDS, core.VariantRFull)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,8 +14,10 @@ func TestParseInts(t *testing.T) {
 	if err != nil || len(got) != 3 || got[0] != 10 || got[2] != 50 {
 		t.Errorf("parseInts = %v, %v", got, err)
 	}
-	if _, err := parseInts("10,x"); err == nil {
-		t.Error("bad entry accepted")
+	for _, bad := range []string{"10,x", "0,5", "-5"} {
+		if _, err := parseInts(bad); err == nil {
+			t.Errorf("parseInts(%q) accepted", bad)
+		}
 	}
 }
 
@@ -50,15 +53,13 @@ func TestHarnessRunVariants(t *testing.T) {
 	}
 }
 
-// TestExperimentsSmoke runs every experiment at tiny scale to ensure
-// none of them panics or degenerates.
+// TestExperimentsSmoke runs every figure at tiny scale to ensure none
+// of them panics or degenerates. At 400 rows fig17 alone takes seconds:
+// its R+PS cells at M ≥ 5 slice slower on the smaller relation.
 func TestExperimentsSmoke(t *testing.T) {
-	h := &harness{rows: 400, large: 2, seed: 1, updates: []int{5}}
-	for name, run := range map[string]func(){
-		"fig14": h.fig14, "fig15": h.fig15, "fig16": h.fig16,
-		"fig18": h.fig18, "fig24": h.fig24, "fig25": h.fig25,
-	} {
-		t.Run(name, func(t *testing.T) { run() })
+	h := &harness{rows: 2000, large: 2, seed: 1, updates: []int{5}}
+	for _, f := range figures {
+		t.Run(f.id, func(t *testing.T) { h.runFigure(f) })
 	}
 }
 
@@ -68,5 +69,36 @@ func TestExperimentNames(t *testing.T) {
 	want := "cluster fig14 fig15 fig16 fig17 fig18 fig19 fig20 fig21 fig22 fig23 fig24 fig25 howto persist template"
 	if got := strings.Join(experimentIDs(), " "); got != want {
 		t.Errorf("experiment ids = %q, want %q", got, want)
+	}
+}
+
+// BenchmarkFigures times every cell of the figures table at reduced
+// scale (8000 rows, U ∈ {10, 50}), one sub-benchmark per variant
+// (fig14/Taxi(S)/U10/N). A cell loads its history outside the timer;
+// each iteration answers the query on the loaded engine.
+func BenchmarkFigures(b *testing.B) {
+	h := &harness{rows: 8000, large: 4, seed: 1, updates: []int{10, 50}}
+	for _, f := range figures {
+		b.Run(f.id, func(b *testing.B) {
+			for _, dsID := range f.datasets {
+				b.Run(dsID, func(b *testing.B) {
+					ds := h.dataset(dsID)
+					for _, x := range h.points(f) {
+						b.Run(fmt.Sprintf("%s%d", f.axis, x), func(b *testing.B) {
+							w := h.gen(ds, f.config(x))
+							for _, v := range f.variants {
+								b.Run(string(v), func(b *testing.B) {
+									engine := load(w)
+									b.ResetTimer()
+									for range b.N {
+										answer(engine, w.Mods, v)
+									}
+								})
+							}
+						})
+					}
+				})
+			}
+		})
 	}
 }

@@ -91,7 +91,7 @@ func (h *harness) howtoExp() {
 	}
 
 	header(fmt.Sprintf("Howto: target search over Taxi rows=%d", rows),
-		"shape", "method", "evals", "magnitude", "certified", "search")
+		"U", "shape", "method", "evals", "magnitude", "certified", "search")
 	ds := workload.Taxi(rows, h.seed)
 	for _, c := range cells {
 		w := h.gen(ds, workload.Config{Updates: c.updates, DependentPct: 25})

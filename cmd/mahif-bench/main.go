@@ -1,5 +1,8 @@
-// Command mahif-bench regenerates the tables and figures of the
-// paper's evaluation (§13) over the synthetic workload generators. Row
+// Command mahif-bench regenerates the figures of the paper's evaluation
+// (§13, Figs. 14–25: -exp fig14 … fig25) over the synthetic workload
+// generators. One table, figures in harness.go, defines each figure's
+// datasets, swept axis (U from -updates, or M, D or T), workload and
+// variants; BenchmarkFigures times the same cells at reduced scale. Row
 // counts are scaled for a single machine (flag -rows; the "large"
 // dataset is -large times bigger), so absolute numbers differ from the
 // paper, but the comparisons — who wins, by what factor, where the
@@ -14,6 +17,7 @@
 //	mahif-bench -exp all          # everything (takes a while)
 //	mahif-bench -exp fig22 -rows 50000 -updates 10,20,50
 //	mahif-bench -exp cluster -quick -cpuprofile cpu.out
+//	go test -run=NONE -bench 'Figures/fig14' ./cmd/mahif-bench   # fig14's cells, repeated
 package main
 
 import (
@@ -33,7 +37,7 @@ func main() {
 	rows := flag.Int("rows", 20000, "row count of the small datasets (stand-in for the paper's 5M)")
 	large := flag.Int("large", 4, "multiplier for the large taxi dataset (stand-in for 50M)")
 	seed := flag.Int64("seed", 1, "workload seed")
-	updates := flag.String("updates", "10,20,50,100,200", "history lengths (U) for the sweeps")
+	updates := flag.String("updates", "10,20,50,100,200", "history lengths (U, each at least 1) for the sweeps")
 	quick := flag.Bool("quick", false, "shrink experiment scale for smoke runs (CI)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the experiment) to this file")
@@ -101,13 +105,14 @@ func main() {
 
 // experiments maps each -exp id to its run over h.
 func experiments(h *harness) map[string]func() {
-	return map[string]func(){
-		"fig14": h.fig14, "fig15": h.fig15, "fig16": h.fig16, "fig17": h.fig17,
-		"fig18": h.fig18, "fig19": h.fig19, "fig20": h.fig20, "fig21": h.fig21,
-		"fig22": h.fig22, "fig23": h.fig23, "fig24": h.fig24, "fig25": h.fig25,
+	exps := map[string]func(){
 		"persist": h.persistExp, "cluster": h.clusterExp, "template": h.templateExp,
 		"howto": h.howtoExp,
 	}
+	for _, f := range figures {
+		exps[f.id] = func() { h.runFigure(f) }
+	}
+	return exps
 }
 
 // experimentIDs returns the -exp ids in sorted order (the order of
@@ -121,11 +126,13 @@ func experimentIDs() []string {
 	return ids
 }
 
+// parseInts parses the -updates list: history lengths of at least 1
+// (workload.Generate would read 0 or less as its default of 10).
 func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
+		if err != nil || v <= 0 {
 			return nil, fmt.Errorf("bad -updates entry %q", part)
 		}
 		out = append(out, v)

@@ -183,7 +183,7 @@ func (h *harness) templateExp() {
 
 	header(fmt.Sprintf("Template: %d-binding sweep vs WhatIfBatch (sample=%d) — Taxi rows=%d (workers=%d)",
 		bindings, sample, rows, workers),
-		"shape", "compile", "tpl/b", "batch/b", "speedup", "identical")
+		"U", "shape", "compile", "tpl/b", "batch/b", "speedup", "identical")
 	ds := workload.Taxi(rows, h.seed)
 	for _, c := range cells {
 		shape := shapes[c.shape]

@@ -194,9 +194,11 @@ type SessionStats struct {
 	// that cancelled across positions.
 	DeltaRowsCompared, DeltaRowsHashed, DeltaRowsBoxed int64
 	// TemplateSideEvals sums the Evals of TemplateStats.Sides over the
-	// session's templates: bindings a range template answered with the
-	// plan of their side of its bound. TemplateFallbackEvals sums
-	// TemplateStats.FallbackEvals: bindings no side answered.
+	// session's templates: bindings on a side of a range template's
+	// bound, each answered by its side's band table when the template is
+	// provisioned, and otherwise by the executed plan, over the union of
+	// both sides' keep sets. TemplateFallbackEvals sums
+	// TemplateStats.FallbackEvals: bindings on no side.
 	TemplateSideEvals, TemplateFallbackEvals int64
 	// TemplateProvisionedEvals sums TemplateStats.ProvisionedEvals: the
 	// side evals a band table answered, without running a program.

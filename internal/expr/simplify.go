@@ -146,11 +146,3 @@ func Conjuncts(e Expr) []Expr {
 	}
 	return []Expr{e}
 }
-
-// Disjuncts flattens nested disjunctions into a slice.
-func Disjuncts(e Expr) []Expr {
-	if o, ok := e.(*Or); ok {
-		return append(Disjuncts(o.L), Disjuncts(o.R)...)
-	}
-	return []Expr{e}
-}

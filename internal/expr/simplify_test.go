@@ -78,15 +78,11 @@ func TestSimplifyIsNull(t *testing.T) {
 	}
 }
 
-func TestConjunctsDisjuncts(t *testing.T) {
+func TestConjuncts(t *testing.T) {
 	a, b, c := Column("a"), Column("b"), Column("c")
 	conj := Conjuncts(AndOf(a, b, c))
 	if len(conj) != 3 {
 		t.Errorf("Conjuncts = %v", conj)
-	}
-	disj := Disjuncts(OrOf(a, b, c))
-	if len(disj) != 3 {
-		t.Errorf("Disjuncts = %v", disj)
 	}
 	if len(Conjuncts(a)) != 1 {
 		t.Error("single expr must be its own conjunct")

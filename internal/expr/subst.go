@@ -25,22 +25,6 @@ func SubstCols(e Expr, repl map[string]Expr) Expr {
 	})
 }
 
-// SubstVars returns e with every symbolic variable x replaced by
-// repl[x]. Variables without a mapping are kept.
-func SubstVars(e Expr, repl map[string]Expr) Expr {
-	if len(repl) == 0 {
-		return e
-	}
-	return rewrite(e, func(n Expr) (Expr, bool) {
-		v, ok := n.(*Var)
-		if !ok {
-			return nil, false
-		}
-		r, ok := repl[v.Name]
-		return r, ok
-	})
-}
-
 // SubstParams returns e with every template parameter $p replaced by
 // the constant repl[p]. Parameters without a binding are kept — callers
 // that require a closed expression should check Params first.
@@ -78,19 +62,6 @@ func RenameCols(e Expr, ren map[string]string) Expr {
 			return nil, false
 		}
 		return Column(to), true
-	})
-}
-
-// ColsToVars replaces every attribute reference A with the symbolic
-// variable named by name(A). It converts a statement condition into a
-// symbolic condition over the current VC-table tuple.
-func ColsToVars(e Expr, name func(col string) string) Expr {
-	return rewrite(e, func(n Expr) (Expr, bool) {
-		c, ok := n.(*Col)
-		if !ok {
-			return nil, false
-		}
-		return Variable(name(strings.ToLower(c.Name))), true
 	})
 }
 

@@ -39,29 +39,12 @@ func TestSubstColsNoMapping(t *testing.T) {
 	}
 }
 
-func TestSubstVars(t *testing.T) {
-	e := Add(Variable("x"), Variable("y"))
-	got := SubstVars(e, map[string]Expr{"x": IntConst(3)})
-	if !Equal(got, Add(IntConst(3), Variable("y"))) {
-		t.Errorf("SubstVars = %s", got)
-	}
-}
-
 func TestRenameCols(t *testing.T) {
 	e := AndOf(Ge(Column("a"), IntConst(1)), Eq(Column("b"), Column("a")))
 	got := RenameCols(e, map[string]string{"a": "x"})
 	want := AndOf(Ge(Column("x"), IntConst(1)), Eq(Column("b"), Column("x")))
 	if !Equal(got, want) {
 		t.Errorf("RenameCols = %s, want %s", got, want)
-	}
-}
-
-func TestColsToVars(t *testing.T) {
-	e := Ge(Column("Fee"), Add(Column("price"), IntConst(1)))
-	got := ColsToVars(e, func(col string) string { return "x_" + col })
-	want := Ge(Variable("x_fee"), Add(Variable("x_price"), IntConst(1)))
-	if !Equal(got, want) {
-		t.Errorf("ColsToVars = %s, want %s", got, want)
 	}
 }
 

@@ -94,7 +94,7 @@ func (in *Input) validate() error {
 
 func noop(s history.Statement) bool { return s.IsNoOp() }
 
-// Dependency runs the §9 dependency test: statement u_i is kept iff
+// DependencyCtx runs the §9 dependency test: statement u_i is kept iff
 // some possible world contains a tuple affected both by a modified
 // statement (original or replacement condition, Def. 7) and by u_i. The
 // check is one satisfiability query per statement over the symbolic
@@ -108,13 +108,10 @@ func noop(s history.Statement) bool { return s.IsNoOp() }
 // along either chain, so excluding independent statements preserves the
 // delta. The disjunction over all modified positions in `affected`
 // implements exactly that.
-func Dependency(in *Input) (*Result, error) {
-	return DependencyCtx(context.Background(), in)
-}
-
-// DependencyCtx is Dependency under a context: cancellation is observed
-// between per-statement tests and at every solver node inside each one.
-// The tests are independent given the run's shared prefix, and they are
+//
+// Cancellation of ctx is observed between per-statement tests and at
+// every solver node inside each one. The tests are independent given
+// the run's shared prefix, and they are
 // solved on min(GOMAXPROCS, tests) workers; the keep set, the Stats
 // counts and the error returned are those of solving them in order.
 func DependencyCtx(ctx context.Context, in *Input) (*Result, error) {

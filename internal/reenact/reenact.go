@@ -131,26 +131,6 @@ func QueryForRelation(h history.History, rel string, db *storage.Database, filte
 	return q, nil
 }
 
-// StripInsertsOn removes insert statements targeting rel from h,
-// returning the reduced history and the original positions kept. This
-// is the H_noIns of §10; updates/deletes and statements on other
-// relations are retained.
-func StripInsertsOn(h history.History, rel string) (history.History, []int) {
-	var out history.History
-	var kept []int
-	for i, st := range h {
-		switch st.(type) {
-		case *history.InsertValues, *history.InsertQuery:
-			if strings.EqualFold(st.Table(), rel) {
-				continue
-			}
-		}
-		out = append(out, st)
-		kept = append(kept, i)
-	}
-	return out, kept
-}
-
 // InsertBranches builds the right-hand side of the §10 split for rel:
 // the union of, for every insert into rel, the inserted tuples with the
 // remaining rel-statements of the history applied on top. It returns

@@ -133,21 +133,18 @@ func TestReenactWithFilterRestrictsInput(t *testing.T) {
 	}
 }
 
-func TestStripInsertsOn(t *testing.T) {
-	h, _ := sql.ParseStatements(`
-		UPDATE orders SET fee = 1 WHERE price > 1;
-		INSERT INTO orders VALUES (15, 'DE', 80, 6);
-		DELETE FROM orders WHERE fee > 90;
-	`)
-	stripped, kept := StripInsertsOn(h, "orders")
-	if len(stripped) != 2 || len(kept) != 2 || kept[0] != 0 || kept[1] != 2 {
-		t.Errorf("StripInsertsOn = %v / %v", stripped, kept)
+// withoutInserts is the H_noIns of §10 for a history whose inserts
+// all target the reenacted relation: h without its insert statements.
+func withoutInserts(h history.History) history.History {
+	var out history.History
+	for _, st := range h {
+		switch st.(type) {
+		case *history.InsertValues, *history.InsertQuery:
+			continue
+		}
+		out = append(out, st)
 	}
-	// Inserts into other relations survive.
-	stripped2, _ := StripInsertsOn(h, "other")
-	if len(stripped2) != 3 {
-		t.Errorf("foreign-relation strip removed statements: %v", stripped2)
-	}
+	return out
 }
 
 // TestInsertBranchesUnionEquivalence is the §10 theorem in executable form:
@@ -172,7 +169,7 @@ func TestInsertBranchesUnionEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	noIns, _ := StripInsertsOn(h, "orders")
+	noIns := withoutInserts(h)
 	base, err := QueryForRelation(noIns, "orders", db, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +245,7 @@ func TestReenactRandomHistories(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		noIns, _ := StripInsertsOn(h, "orders")
+		noIns := withoutInserts(h)
 		base, err := QueryForRelation(noIns, "orders", db, nil)
 		if err != nil {
 			t.Fatal(err)

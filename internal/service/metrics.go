@@ -54,7 +54,7 @@ var sessionMetrics = []sessionMetric{
 		func(st core.SessionStats) int64 { return int64(st.QueryHits) }},
 	{"query_misses_total", "Programs compiled, per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.QueryMisses) }},
-	{"template_side_evals_total", "Template evals a range template (one slot bounding a WHERE range conjunct) answered with the plan of the binding's side of the original bound, sliced at that side's end of the range, per session.", "counter",
+	{"template_side_evals_total", "Template evals of a binding on one side of a range template's original bound (one slot bounding a WHERE range conjunct), answered from that side's band table when the template is provisioned and otherwise by the executed plan over the union of both sides' keep sets, per session.", "counter",
 		func(st core.SessionStats) int64 { return st.TemplateSideEvals }},
 	{"template_fallback_evals_total", "Template evals no side of a range template answered: every eval of a template outside the range class (free-slot plan) and range-template bindings off the order (NaN, magnitude 2^53 or more; union of both sides' plans), per session.", "counter",
 		func(st core.SessionStats) int64 { return st.TemplateFallbackEvals }},
