@@ -458,6 +458,9 @@ func (s *GroupState) Acc(g, j int) *AggAcc { return &s.accs[g*len(s.fns)+j] }
 // AddRows counts n more input rows in group g.
 func (s *GroupState) AddRows(g int, n int64) { s.rows[g] += n }
 
+// RowCount returns how many input rows group g holds.
+func (s *GroupState) RowCount(g int) int64 { return s.rows[g] }
+
 // Len returns the number of groups, including any a merge emptied.
 func (s *GroupState) Len() int { return len(s.rows) }
 

@@ -283,19 +283,19 @@ func computeAggregates(ctx context.Context, queries []AggregateQuery, d delta.Se
 	if err != nil {
 		return nil, err
 	}
-	return framedAggregates(ctx, queries, d, hist, ev, changed)
+	return framedAggregates(ctx, queries, d, hist, ev, changed, nil)
 }
 
 // framedAggregates is computeAggregates with d's frame already checked:
-// changed is what checkFrame returns for it.
-func framedAggregates(ctx context.Context, queries []AggregateQuery, d delta.Set, hist *storage.Database, ev evaluator, changed map[string]bags) ([]AggregateReport, error) {
+// changed is what checkFrame returns for it, or what rf framed.
+func framedAggregates(ctx context.Context, queries []AggregateQuery, d delta.Set, hist *storage.Database, ev evaluator, changed map[string]bags, rf *reportFrame) ([]AggregateReport, error) {
 	var hyp *storage.Database // the patch route's, built on first use
 	out := make([]AggregateReport, 0, len(queries))
 	for _, q := range queries {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rep, route, err := mergedReport(q, hist, changed, ev)
+		rep, route, err := mergedReport(q, hist, changed, ev, rf)
 		if err == nil && route != routeMerged {
 			if hyp == nil {
 				hyp, err = hypotheticalDB(hist, d)
@@ -320,8 +320,10 @@ func framedAggregates(ctx context.Context, queries []AggregateQuery, d delta.Set
 // state through the shared snapshot cache (tip-pinned there, see
 // storage.SnapshotCache.TipSnapshotCtx), and counts the reports' routes
 // in shared and in the result. What-ifs, batches, naive
-// answers and template evals all report through here.
-func (e *Engine) tipReports(ctx context.Context, queries []AggregateQuery, d delta.Set, tip int, opts Options, shared *batchShared, framed map[string]bags) ([]AggregateReport, routeCounts, error) {
+// answers and template evals all report through here; a template eval
+// passes what its artifact fixed for the binding's reports as rf (nil
+// for every other caller), which also counts the reports provisioned.
+func (e *Engine) tipReports(ctx context.Context, queries []AggregateQuery, d delta.Set, tip int, opts Options, shared *batchShared, rf *reportFrame) ([]AggregateReport, routeCounts, error) {
 	var routes routeCounts
 	if len(queries) == 0 {
 		return nil, routes, nil
@@ -333,12 +335,17 @@ func (e *Engine) tipReports(ctx context.Context, queries []AggregateQuery, d del
 	ev := e.newEvaluator(ctx, opts)
 	ev.work, ev.routes = shared.work, &routes
 	var reps []AggregateReport
-	if framed != nil {
-		reps, err = framedAggregates(ctx, queries, d, hist, ev, framed)
+	var provisioned int64
+	if rf != nil && rf.bags != nil {
+		reps, err = framedAggregates(ctx, queries, d, hist, ev, rf.bags, rf)
+		provisioned = rf.provisioned
 	} else {
+		for range queries {
+			rf.fellBack(whyUnframed)
+		}
 		reps, err = computeAggregates(ctx, queries, d, hist, ev)
 	}
-	shared.countReports(&routes)
+	shared.countReports(&routes, provisioned)
 	return reps, routes, err
 }
 

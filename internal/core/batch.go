@@ -47,9 +47,10 @@ func (b *batchShared) countDelta(w delta.Work) {
 	b.work.boxed.Add(int64(w.Boxed))
 }
 
-// countReports adds one call's report routes to the bundle's totals.
-func (b *batchShared) countReports(t *routeCounts) {
-	b.work.reports.add(t)
+// countReports adds one call's report routes, and how many of its
+// merged reports were provisioned, to the bundle's totals.
+func (b *batchShared) countReports(t *routeCounts, provisioned int64) {
+	b.work.reports.add(t, provisioned)
 }
 
 // countLowered adds one plan's lowered solver nodes to the bundle's

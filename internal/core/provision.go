@@ -3,14 +3,17 @@ package core
 import (
 	"cmp"
 	"context"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
 	"strings"
 
+	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/history"
+	"github.com/mahif/mahif/internal/lru"
 	"github.com/mahif/mahif/internal/reenact"
 	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/storage"
@@ -97,6 +100,41 @@ type bandTable struct {
 	// as its frame without probing. tip[r] is then the tip's tuple that
 	// old row r is, cell for cell and bit for bit, and Minus shares it.
 	tip []schema.Tuple
+	// old and new list their rows in entry order, so the versions of
+	// entries [a, b) are rows [oldAt[a], oldAt[b]) of old and [newAt[a],
+	// newAt[b]) of new. lanes is sameLanes(old, new).
+	oldAt, newAt []int
+	lanes        bool
+	// states holds each report query's prefix states (bandStates), by
+	// the query's fingerprint, built by the first report that asks.
+	states *lru.Cache[string, *bandStates]
+}
+
+// reportStates bounds the report queries whose states an artifact keeps
+// per band table or original side: the least recently asked go first.
+const reportStates = 16
+
+// bandStates are one report query's γ states over its band table's
+// prefixes, per side: old over the table's old versions, new over its
+// new ones. nil (in the cache) when a fold of the table's rows failed:
+// its reports take the merged route.
+type bandStates struct {
+	old, new prefixStates
+}
+
+// prefixStates are the γ states of one side's versions at checkpoints
+// of its band table's entries: st[k] folds the versions of entries [0,
+// at[k]), at[0] = 0 and the last at is the entry count n. Checkpoints
+// sit ≈ √n entries apart, or as far apart as the groups the previous
+// one holds where that is more, and the last gap takes the short tail,
+// so together they hold O(n) groups however many the query has (at
+// most 2n for a γ over the table's relation alone), not √n times as
+// many. A band [lo, hi) folds as st[b] − st[a] for the outermost
+// checkpoints lo ≤ at[a] < at[b] ≤ hi, plus the folds of the entries
+// at its two ends, each short of one gap.
+type prefixStates struct {
+	at []int
+	st []*algebra.GroupState
 }
 
 // bandEntry is one row of a band table: its slot-column value at the
@@ -234,20 +272,45 @@ func (bp *bandPlan) build(ctx context.Context, ev evaluator, db *storage.Databas
 	}
 	bt.old = gather(vo, func(e *bandEntry) *int { return &e.old })
 	bt.new = gather(vm, func(e *bandEntry) *int { return &e.new })
+	bt.oldAt, bt.newAt = make([]int, len(ents)+1), make([]int, len(ents)+1)
+	for i, e := range ents {
+		bt.oldAt[i+1], bt.newAt[i+1] = bt.oldAt[i], bt.newAt[i]
+		if e.old >= 0 {
+			bt.oldAt[i+1]++
+		}
+		if e.new >= 0 {
+			bt.newAt[i+1]++
+		}
+	}
+	bt.lanes = sameLanes(bt.old.ColumnarView, bt.new.ColumnarView)
+	bt.states = lru.New[string, *bandStates](reportStates)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if bt.tip, err = frame(tip, bt.old.ColumnarView); err != nil {
+		return nil, err
+	}
+	return bt, nil
+}
+
+// frame returns, when every sub-bag of v's rows fits tip with its own
+// rows as the ones it removes (storage.RowHashIndex.Frames), the tip's
+// tuple that each row of v is, cell for cell and bit for bit; nil when
+// they do not.
+func frame(tip *storage.Relation, v *storage.ColumnarView) ([]schema.Tuple, error) {
 	ix, err := tip.RowHashes()
 	if err != nil {
 		return nil, err
 	}
-	if rows, ok := ix.Frames(bt.old.Relation().Tuples); ok {
-		bt.tip = make([]schema.Tuple, len(rows))
-		for i, r := range rows {
-			bt.tip[i] = tip.Tuples[r]
-		}
+	rows, ok := ix.Frames(v.Relation().Tuples)
+	if !ok {
+		return nil, nil
 	}
-	return bt, nil
+	out := make([]schema.Tuple, len(rows))
+	for i, r := range rows {
+		out[i] = tip.Tuples[r]
+	}
+	return out, nil
 }
 
 // candidate reports whether an input row whose slot-column value is v
@@ -277,15 +340,21 @@ func (r *rangeSlot) candidate(v types.Value, side int) bool {
 	return selected == (side == sideFewer)
 }
 
-// answer is the delta of the binding v on the table's side: the bag
-// difference of the two versions of the rows between p0 and v, listed
-// in input order as the reenacted sides list them.
-func (bt *bandTable) answer(slot *rangeSlot, v types.Value) *delta.Result {
-	lo, hi := 0, len(bt.ents)
-	if !v.IsNull() {
-		lo, hi = bt.cut(slot, v.AsFloat()), bt.cut(slot, slot.bound.AsFloat())
-		lo, hi = min(lo, hi), max(lo, hi)
+// band returns the entries [lo, hi) whose versions differ between the
+// binding v on the table's side and p0: the entries between p0 and v,
+// all of them for a NULL binding.
+func (bt *bandTable) band(slot *rangeSlot, v types.Value) (lo, hi int) {
+	if v.IsNull() {
+		return 0, len(bt.ents)
 	}
+	lo, hi = bt.cut(slot, v.AsFloat()), bt.cut(slot, slot.bound.AsFloat())
+	return min(lo, hi), max(lo, hi)
+}
+
+// answer is the delta of the band [lo, hi): the bag difference of the
+// two versions of its rows, listed in input order as the reenacted sides
+// list them.
+func (bt *bandTable) answer(lo, hi int) *delta.Result {
 	// The band's entries in input order: marked by rank, read in order.
 	marks := make([]uint64, (len(bt.ents)+63)/64)
 	for i := lo; i < hi; i++ {
@@ -324,8 +393,9 @@ func (bt *bandTable) cut(slot *rangeSlot, q float64) int {
 
 // evalBand answers binding, on side of art's range slot, from that
 // side's band table, building it first when this is the side's first
-// binding, and reports at the artifact's version with the band's Minus
-// as its frame when the table is framed.
+// binding, and reports at the artifact's version from the table's
+// prefix states (bandReport), with the band's Minus as its frame when
+// the table is framed.
 func (t *Template) evalBand(ctx context.Context, ev evaluator, art *templateArtifact, side int, binding map[string]types.Value, queries []AggregateQuery) (delta.Set, []AggregateReport, error) {
 	bt, err := art.tables[side].Do(ctx, func() (*bandTable, error) {
 		tip, err := t.shared.snaps.TipSnapshotCtx(ctx, art.version)
@@ -341,22 +411,122 @@ func (t *Template) evalBand(ctx context.Context, ev evaluator, art *templateArti
 	if err != nil {
 		return nil, nil, err
 	}
-	d := bt.answer(art.slot, binding[art.slot.param])
+	lo, hi := bt.band(art.slot, binding[art.slot.param])
+	d := bt.answer(lo, hi)
 	t.provisioned.Add(1)
 	t.shared.work.provisioned.Add(1)
 	t.shared.countDelta(delta.Work{Boxed: d.Size()})
 	out := delta.Set{art.band.rel: d}
-	var framed map[string]bags
+	if len(queries) == 0 {
+		return out, nil, nil
+	}
+	rf := &reportFrame{prov: bandReport{bt: bt, lo: lo, hi: hi}, fallbacks: &t.reportFallbacks}
 	if bt.tip != nil {
-		framed = map[string]bags{}
+		rf.bags = map[string]bags{}
 		if !d.Empty() {
-			framed[strings.ToLower(art.band.rel)] = bags{minus: d.Minus, plus: d.Plus}
+			rf.bags[strings.ToLower(art.band.rel)] = bags{minus: d.Minus, plus: d.Plus}
 		}
 	}
-	reps, routes, err := t.e.tipReports(ctx, queries, out, art.version, t.opts, t.shared, framed)
-	t.reports.add(&routes)
+	reps, routes, err := t.e.tipReports(ctx, queries, out, art.version, t.opts, t.shared, rf)
+	t.reports.add(&routes, rf.provisioned)
 	if err != nil {
 		return nil, nil, err
 	}
 	return out, reps, nil
+}
+
+// bandReport provisions the reports of one band binding: the band [lo,
+// hi) of table bt.
+type bandReport struct {
+	bt     *bandTable
+	lo, hi int
+}
+
+// hypothetical merges the historical state with the table's prefix
+// states at the checkpoints inside the band and the folds of its ends
+// (see prefixStates), where the versions sit on the same lanes and no
+// group is new.
+func (br bandReport) hypothetical(agg *algebra.Aggregate, h *historical, hist *storage.Database, rel string, ev evaluator) (*algebra.GroupState, reportFallback, error) {
+	bt := br.bt
+	if !bt.lanes {
+		return nil, whyLanes, nil
+	}
+	bs, err := bt.states.Do(ev.evalCtx(), algebra.Fingerprint(agg), func() (*bandStates, error) {
+		return bt.foldStates(agg, h, hist, rel, ev)
+	})
+	if err != nil {
+		return nil, whyNone, err
+	}
+	if bs == nil {
+		return nil, whyFold, nil
+	}
+	// The checkpoints inside the band merge as prefix differences; its
+	// ends are folded.
+	var parts []signedState
+	for _, v := range []struct {
+		view *delta.HashedView
+		at   []int
+		ps   prefixStates
+		sign int
+	}{{bt.old, bt.oldAt, bs.old, -1}, {bt.new, bt.newAt, bs.new, 1}} {
+		ends := [][2]int{{br.lo, br.hi}}
+		a, b := sort.SearchInts(v.ps.at, br.lo), sort.SearchInts(v.ps.at, br.hi+1)-1
+		if a < b {
+			parts = append(parts, signedState{v.ps.st[b], v.sign}, signedState{v.ps.st[a], -v.sign})
+			ends = [][2]int{{br.lo, v.ps.at[a]}, {v.ps.at[b], br.hi}}
+		}
+		for _, end := range ends {
+			if v.at[end[0]] == v.at[end[1]] {
+				continue
+			}
+			st, err := ev.foldRows(agg, h.prog, hist, rel, v.view.ColumnarView, v.at[end[0]], v.at[end[1]])
+			if err != nil {
+				return nil, whyFold, ev.evalCtx().Err()
+			}
+			parts = append(parts, signedState{st, v.sign})
+		}
+	}
+	hyp, err := mergeStates(h.state, parts...)
+	switch {
+	case err != nil:
+		return nil, whyFold, nil
+	case newGroup(hyp, h.state):
+		return nil, whyNewGroup, nil
+	}
+	return hyp, whyNone, nil
+}
+
+// foldStates folds agg's prefix states over the table's versions (see
+// bandStates), or returns nil when a fold fails for the data's sake.
+func (bt *bandTable) foldStates(agg *algebra.Aggregate, h *historical, hist *storage.Database, rel string, ev evaluator) (*bandStates, error) {
+	n := len(bt.ents)
+	gap := max(1, int(math.Round(math.Sqrt(float64(n)))))
+	bs := &bandStates{}
+	for _, v := range []struct {
+		view *delta.HashedView
+		at   []int
+		out  *prefixStates
+	}{{bt.old, bt.oldAt, &bs.old}, {bt.new, bt.newAt, &bs.new}} {
+		acc := algebra.NewGroupState(agg.Funcs(), len(agg.GroupBy) > 0)
+		v.out.at, v.out.st = []int{0}, []*algebra.GroupState{acc}
+		for e := 0; e < n; {
+			step := max(gap, acc.Len())
+			next := e + step
+			if n-next < step {
+				next = n // the last gap takes the short tail
+			}
+			if v.at[e] < v.at[next] {
+				st, err := ev.foldRows(agg, h.prog, hist, rel, v.view.ColumnarView, v.at[e], v.at[next])
+				if err == nil {
+					acc, err = mergeStates(acc, signedState{st, 1})
+				}
+				if err != nil {
+					return nil, ev.evalCtx().Err()
+				}
+			}
+			v.out.at, v.out.st = append(v.out.at, next), append(v.out.st, acc)
+			e = next
+		}
+	}
+	return bs, nil
 }

@@ -93,7 +93,13 @@ var bandShapes = []bandShape{
 // the slot column and read what the slotted statement writes.
 func bandEngine(t testing.TB, sh bandShape) *Engine {
 	t.Helper()
-	e := New(storage.NewVersioned(bandRows()))
+	return bandEngineOn(t, sh, bandRows())
+}
+
+// bandEngineOn is bandEngine over db, which holds bandRows' relation t.
+func bandEngineOn(t testing.TB, sh bandShape, db *storage.Database) *Engine {
+	t.Helper()
+	e := New(storage.NewVersioned(db))
 	var stmts []history.Statement
 	for _, src := range []string{
 		"UPDATE t SET v = v * 2 WHERE k < 4",
@@ -460,14 +466,36 @@ func TestTemplateBandBuildHonorsItsContext(t *testing.T) {
 }
 
 // FuzzTemplateProvisioned draws a shape and a binding — an int, a float
-// or NULL, as kind says — and checks the template's answer against a
-// fresh what-if's, whether a band table or the union plan answers it.
-// Its seeds are the edge pool: the slot column's input values (the band
-// edges) and their neighbours, p0, NULL, and offOrder.
+// or NULL, as kind says — and checks the template's answer, its delta
+// and its reports (bandQueries and provisionedQueries), against a fresh
+// what-if's, whether a band table or the union plan answers it and
+// whether a report is merged from the artifact's states or not. The
+// shapes are bandShapes and the set-slot template setSlotShape, whose
+// bindings run its executed plan over a pre-framed original side; there
+// a binding may also fail on both sides. Its seeds are the edge pool:
+// the slot column's input values (the band edges) and their neighbours,
+// p0, NULL, and offOrder, and for the set-slot shape ±0, a half and
+// NULL.
 func FuzzTemplateProvisioned(f *testing.F) {
 	type fixture struct {
-		e   *Engine
-		tpl *Template
+		name string
+		e    *Engine
+		tpl  *Template
+		// anchor is the options a binding's fresh what-if runs under.
+		anchor func(map[string]types.Value) Options
+		// mayFail: a binding may fail, and then fails on both sides.
+		mayFail bool
+	}
+	byBinding := func(b map[string]types.Value) Options { return anchorOptions(DefaultOptions(), b) }
+	seed := func(shape int, v types.Value) {
+		switch {
+		case v.IsNull():
+			f.Add(uint8(shape), uint8(2), int64(0), 0.0)
+		case v.Kind() == types.KindInt:
+			f.Add(uint8(shape), uint8(0), v.AsInt(), 0.0)
+		default:
+			f.Add(uint8(shape), uint8(1), int64(0), v.AsFloat())
+		}
 	}
 	var fixtures []fixture
 	for shape, sh := range bandShapes {
@@ -476,18 +504,26 @@ func FuzzTemplateProvisioned(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		fixtures = append(fixtures, fixture{e, tpl})
+		fixtures = append(fixtures, fixture{sh.name, e, tpl, byBinding, false})
 		for _, v := range append(bandBindings(f, e, sh, tpl.art.Load().slot.bound), offOrder...) {
-			switch {
-			case v.IsNull():
-				f.Add(uint8(shape), uint8(2), int64(0), 0.0)
-			case v.Kind() == types.KindInt:
-				f.Add(uint8(shape), uint8(0), v.AsInt(), 0.0)
-			default:
-				f.Add(uint8(shape), uint8(1), int64(0), v.AsFloat())
-			}
+			seed(shape, v)
 		}
 	}
+	e := bandEngine(f, bandShapes[0])
+	tpl, err := e.CompileTemplate([]history.Modification{history.Replace{Pos: 1, Stmt: mustStmt(f, setSlotShape)}}, DefaultOptions())
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A SET that moves v past the solver's box makes a fresh sliced
+	// what-if unsound (ROADMAP item 14), and v + $p does that for a $p
+	// within the box too, so the set-slot shape is anchored on variant
+	// R, which runs no solver. v + ±Inf leaves the finite domain, and
+	// fails for the fresh what-if as for the template.
+	fixtures = append(fixtures, fixture{"set-slot", e, tpl, func(map[string]types.Value) Options { return OptionsFor(VariantR) }, true})
+	for _, v := range []types.Value{types.Int(0), types.Int(2), types.Float(0), types.Float(math.Copysign(0, -1)), types.Float(0.5), types.Null()} {
+		seed(len(fixtures)-1, v)
+	}
+	queries := append(bandQueries(f), provisionedQueries(f)...)
 	f.Fuzz(func(t *testing.T, shape, kind uint8, i int64, x float64) {
 		fx := fixtures[int(shape)%len(fixtures)]
 		v := types.Null()
@@ -498,14 +534,286 @@ func FuzzTemplateProvisioned(f *testing.F) {
 			v = types.Float(x)
 		}
 		b := map[string]types.Value{"p": v}
-		got, err := fx.tpl.Eval(b)
-		if err != nil {
-			t.Fatalf("binding %s: %v", v, err)
+		label := fmt.Sprintf("%s binding %s", fx.name, v)
+		got, gotReps, err := fx.tpl.EvalAggregates(b, queries)
+		want, wantReps, _, wantErr := fx.e.WhatIfAggregates(fx.tpl.SubstitutedMods(b), queries, fx.anchor(b))
+		switch {
+		case fx.mayFail && err != nil && wantErr != nil:
+			return
+		case err != nil || wantErr != nil:
+			t.Fatalf("%s: template error %v, fresh what-if error %v", label, err, wantErr)
 		}
-		want, _, err := fx.e.WhatIf(fx.tpl.SubstitutedMods(b), anchorOptions(DefaultOptions(), b))
-		if err != nil {
-			t.Fatalf("binding %s: fresh what-if: %v", v, err)
+		requireSetsEqual(t, label, got, want)
+		if g, w := reportsJSON(t, gotReps), reportsJSON(t, wantReps); g != w {
+			t.Fatalf("%s: reports differ\ngot   %s\nfresh %s", label, g, w)
 		}
-		requireSetsEqual(t, fmt.Sprintf("%s binding %s", bandShapes[int(shape)%len(bandShapes)].name, v), got, want)
 	})
+}
+
+// provisionedQueries are reports the provisioned route can answer:
+// COUNT, SUM and AVG, grouped and global, over σ too, and one grouped by
+// the slot column k, which later statements move, so that some bindings
+// make a group new in the hypothetical world.
+func provisionedQueries(t testing.TB) []AggregateQuery {
+	return []AggregateQuery{
+		mustAggQuery(t, "SELECT g, SUM(v) AS s, COUNT(*) AS n, AVG(v) AS a, COUNT(k) AS nk FROM t GROUP BY g"),
+		mustAggQuery(t, "SELECT SUM(f) AS s, COUNT(*) AS n, AVG(k) AS a FROM t"),
+		mustAggQuery(t, "SELECT g, SUM(v) AS s FROM t WHERE f > 2 GROUP BY g"),
+		mustAggQuery(t, "SELECT k, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY k"),
+	}
+}
+
+// bandRowsWithU is bandRows plus a relation u(g2, w) that joins t on its
+// group column: two rows for "a", one for "b", none for "c".
+func bandRowsWithU() *storage.Database {
+	db := bandRows()
+	u := storage.NewRelation(schema.New("u", schema.Col("g2", types.KindString), schema.Col("w", types.KindInt)))
+	u.Add(schema.Tuple{types.String("a"), types.Int(1)}, schema.Tuple{types.String("a"), types.Int(2)}, schema.Tuple{types.String("b"), types.Int(1)})
+	db.AddRelation(u)
+	return db
+}
+
+// setSlotShape is bandShapes[0]'s statement with its SET slotted instead
+// of its bound: a template outside the range class whose bindings run
+// its executed plan, over bandEngine(bandShapes[0]).
+const setSlotShape = "UPDATE t SET v = v + $p WHERE k >= 10 AND g <> 'c'"
+
+// TestTemplateProvisionedReportsDifferential: the reports of provisioned
+// bindings — band tables' prefix states, an executed plan's pre-framed
+// original side — equal a fresh what-if's and Alg. 1's byte for byte,
+// for the COUNT/SUM/AVG reports the provisioned route answers (a join
+// with an unchanged relation among them) and the MIN/MAX ones it leaves
+// to the merged route, over every band shape and
+// a set-slot template, on both executors. Every report is provisioned
+// or counted as a fallback by reason, and the MIN/MAX, new-group and
+// mixed-lanes reasons all occur.
+func TestTemplateProvisionedReportsDifferential(t *testing.T) {
+	queries := append(provisionedQueries(t), bandQueries(t)...)
+	queries = append(queries,
+		mustAggQuery(t, "SELECT w, COUNT(*) AS n, SUM(v) AS s FROM t JOIN u ON g = g2 GROUP BY w"),
+		// A new v makes a new group; an int v times 5·10^18 wraps where a
+		// float v does not, so a 1 and a 1.0 the delta cancels differ here.
+		mustAggQuery(t, "SELECT v, COUNT(*) AS n FROM t GROUP BY v"),
+		mustAggQuery(t, "SELECT g, SUM(v * 5000000000000000000) AS s FROM t GROUP BY g"))
+	type shape struct {
+		name, slotted string
+		e             *Engine
+		bindings      func(tpl *Template) []types.Value
+	}
+	var shapes []shape
+	// An int column that the slotted statement scales by 1.5: a band
+	// table whose versions sit on different lanes.
+	mixed := bandShape{"mixed-lanes", "UPDATE t SET v = v * 1.5 WHERE k >= 10", "UPDATE t SET v = v * 1.5 WHERE k >= $p", 0}
+	for _, sh := range append(bandShapes[:len(bandShapes):len(bandShapes)], mixed) {
+		e := bandEngineOn(t, sh, bandRowsWithU())
+		shapes = append(shapes, shape{sh.name, sh.slotted, e, func(tpl *Template) []types.Value {
+			return append(bandBindings(t, e, sh, tpl.art.Load().slot.bound), offOrder[:2]...)
+		}})
+	}
+	setE := bandEngineOn(t, bandShapes[0], bandRowsWithU())
+	shapes = append(shapes, shape{"set-slot", setSlotShape, setE, func(*Template) []types.Value {
+		return []types.Value{types.Int(0), types.Int(1), types.Int(-3), types.Int(100), types.Int(1 << 40), types.Float(0), types.Float(0.5), types.Float(1), types.Float(-2.25), types.Null()}
+	}})
+	fallbacks := map[string]int64{}
+	var provisioned int64
+	for _, sh := range shapes {
+		mods := []history.Modification{history.Replace{Pos: 1, Stmt: mustStmt(t, sh.slotted)}}
+		for _, opts := range []Options{DefaultOptions(), {ProgramSlicing: true, DataSlicing: true, Executor: ExecInterpreter}} {
+			label := fmt.Sprintf("%s %s", sh.name, normalizeExecutor(opts.Executor))
+			sess := sh.e.NewSession()
+			tpl, err := sess.CompileTemplate(mods, opts)
+			if err != nil {
+				t.Fatalf("%s: compile: %v", label, err)
+			}
+			bindings := sh.bindings(tpl)
+			for _, v := range bindings {
+				b := map[string]types.Value{"p": v}
+				_, gotReps, err := tpl.EvalAggregates(b, queries)
+				if err != nil {
+					t.Fatalf("%s binding %s: %v", label, v, err)
+				}
+				anchor := anchorOptions(opts, b)
+				anchor.Executor = opts.Executor
+				_, wantReps, _, err := sh.e.WhatIfAggregates(tpl.SubstitutedMods(b), queries, anchor)
+				if err != nil {
+					t.Fatalf("%s binding %s: fresh what-if: %v", label, v, err)
+				}
+				_, naiveReps, _, err := sess.NaiveAggregatesCtx(context.Background(), tpl.SubstitutedMods(b), queries)
+				if err != nil {
+					t.Fatalf("%s binding %s: Alg. 1: %v", label, v, err)
+				}
+				if g, w, n := reportsJSON(t, gotReps), reportsJSON(t, wantReps), reportsJSON(t, naiveReps); g != w || g != n {
+					t.Fatalf("%s binding %s: reports differ\ngot   %s\nfresh %s\nAlg.1 %s", label, v, g, w, n)
+				}
+			}
+			st := tpl.Stats()
+			n := st.Reports.Provisioned
+			for why, c := range st.ReportFallbacks {
+				fallbacks[why] += c
+				n += c
+			}
+			if want := int64(len(bindings) * len(queries)); n != want {
+				t.Fatalf("%s: %d reports provisioned and %v fell back, want %d in all", label, st.Reports.Provisioned, st.ReportFallbacks, want)
+			}
+			provisioned += st.Reports.Provisioned
+		}
+	}
+	t.Logf("%d reports provisioned, fallbacks %v", provisioned, fallbacks)
+	if provisioned == 0 || fallbacks["min or max"] == 0 || fallbacks["new group"] == 0 || fallbacks["mixed lanes"] == 0 {
+		t.Fatalf("%d reports provisioned, fallbacks %v: want some of each, with min or max, new group and mixed lanes", provisioned, fallbacks)
+	}
+}
+
+// TestTemplateReportFoldErrorFallsBack: a band table whose new versions
+// hold a row the report's γ cannot fold — a division by zero that only
+// one hypothetical version makes — has no prefix states for the report,
+// so its side's bindings report through the merged route, counted as a
+// "fold error": a band that leaves that row out reports what a fresh
+// what-if reports, and one that holds it fails as the fresh what-if
+// does.
+func TestTemplateReportFoldErrorFallsBack(t *testing.T) {
+	r := storage.NewRelation(schema.New("t", schema.Col("k", types.KindInt), schema.Col("v", types.KindInt)))
+	for k := int64(1); k <= 10; k++ {
+		v := int64(2)
+		if k == 3 {
+			v = 1
+		}
+		r.Add(schema.Tuple{types.Int(k), types.Int(v)})
+	}
+	db := storage.NewDatabase()
+	db.AddRelation(r)
+	e := New(storage.NewVersioned(db))
+	if _, err := e.Append(mustStmt(t, "UPDATE t SET v = v - 1 WHERE k >= 8")); err != nil {
+		t.Fatal(err)
+	}
+	tpl, err := e.CompileTemplate([]history.Modification{history.Replace{Pos: 0, Stmt: mustStmt(t, "UPDATE t SET v = v - 1 WHERE k >= $p")}}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []AggregateQuery{mustAggQuery(t, "SELECT SUM(10 / v) AS s, COUNT(*) AS n FROM t")}
+	for _, p := range []int64{6, 7, 9, 2} {
+		b := map[string]types.Value{"p": types.Int(p)}
+		_, got, gotErr := tpl.EvalAggregates(b, queries)
+		_, want, _, wantErr := e.WhatIfAggregates(tpl.SubstitutedMods(b), queries, DefaultOptions())
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("p=%d: template error %v, fresh what-if error %v", p, gotErr, wantErr)
+		}
+		if g, w := reportsJSON(t, got), reportsJSON(t, want); g != w {
+			t.Fatalf("p=%d: reports differ\ngot   %s\nfresh %s", p, g, w)
+		}
+		if (p == 2) != (gotErr != nil) {
+			t.Fatalf("p=%d: error %v", p, gotErr)
+		}
+	}
+	if st := tpl.Stats(); st.ReportFallbacks["fold error"] != 3 || st.Reports.Provisioned != 1 {
+		t.Fatalf("reports %+v, fallbacks %v: want p=6, 7 and 2 to fall back for a fold error and p=9 provisioned", st.Reports, st.ReportFallbacks)
+	}
+}
+
+// TestTemplatePlanReportMixedLanes: an executed-plan binding whose
+// modified side sits on a float lane where its original side sits on an
+// int one, and whose delta cancels an int 3 against a float 3.0, has
+// fewer modified rows than Minus ∪ Plus rows, and would merge them
+// against the original side's state; but that counts the 3.0 in and the
+// 3 out, and an int times 5·10^18 wraps where a float does not. So it
+// folds Minus and Plus instead, counted as "mixed lanes", and its report
+// is a fresh what-if's.
+func TestTemplatePlanReportMixedLanes(t *testing.T) {
+	r := storage.NewRelation(schema.New("t", schema.Col("g", types.KindString), schema.Col("v", types.KindInt)))
+	for _, v := range []int64{1, 2, 100, 200, 300, 400} {
+		r.Add(schema.Tuple{types.String("a"), types.Int(v)})
+	}
+	db := storage.NewDatabase()
+	db.AddRelation(r)
+	e := New(storage.NewVersioned(db))
+	if _, err := e.Append(mustStmt(t, "UPDATE t SET v = v + 1 WHERE v >= 1")); err != nil {
+		t.Fatal(err)
+	}
+	tpl, err := e.CompileTemplate([]history.Modification{history.Replace{Pos: 0, Stmt: mustStmt(t, "UPDATE t SET v = v + $p WHERE v >= 1")}}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []AggregateQuery{mustAggQuery(t, "SELECT g, SUM(v * 5000000000000000000) AS s, COUNT(*) AS n FROM t GROUP BY g")}
+	b := map[string]types.Value{"p": types.Float(2)}
+	d, got, err := tpl.EvalAggregates(b, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, _, err := e.WhatIfAggregates(tpl.SubstitutedMods(b), queries, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := reportsJSON(t, got), reportsJSON(t, want); g != w {
+		t.Fatalf("reports differ\ngot   %s\nfresh %s", g, w)
+	}
+	if n := d["t"].Size(); n != 10 {
+		t.Fatalf("delta of %d rows, want 10: %v", n, d["t"])
+	}
+	if st := tpl.Stats(); st.Reports.Merged != 1 || st.Reports.Provisioned != 0 || st.ReportFallbacks["mixed lanes"] != 1 {
+		t.Fatalf("reports %+v, fallbacks %v: want the report merged, falling back for mixed lanes", st.Reports, st.ReportFallbacks)
+	}
+}
+
+// TestTemplateReportStatesHighCardinality: a report grouped by a unique
+// column gives every band-table entry its own group, so prefix states
+// one every √n entries would hold ≈ n^1.5/2 groups per side; spaced as
+// far apart as the groups they hold, each side's states hold at most 2n.
+// Every binding's report is still provisioned and equals a fresh
+// what-if's byte for byte.
+func TestTemplateReportStatesHighCardinality(t *testing.T) {
+	const rows = 600
+	r := storage.NewRelation(schema.New("t", schema.Col("k", types.KindInt), schema.Col("id", types.KindInt), schema.Col("v", types.KindInt)))
+	for i := int64(0); i < rows; i++ {
+		r.Add(schema.Tuple{types.Int(i), types.Int(i), types.Int(i % 7)})
+	}
+	db := storage.NewDatabase()
+	db.AddRelation(r)
+	e := New(storage.NewVersioned(db))
+	for _, src := range []string{"UPDATE t SET v = v + 1 WHERE k >= 300", "UPDATE t SET v = v * 2 WHERE k < 100"} {
+		if _, err := e.Append(mustStmt(t, src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tpl, err := e.CompileTemplate([]history.Modification{history.Replace{Pos: 0, Stmt: mustStmt(t, "UPDATE t SET v = v + 1 WHERE k >= $p")}}, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []AggregateQuery{mustAggQuery(t, "SELECT id, SUM(v) AS s, COUNT(*) AS n FROM t GROUP BY id")}
+	cuts := []int64{-5, 10, 150, 299, 301, 450, 598, 1000}
+	for _, p := range cuts {
+		b := map[string]types.Value{"p": types.Int(p)}
+		_, got, err := tpl.EvalAggregates(b, queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want, _, err := e.WhatIfAggregates(tpl.SubstitutedMods(b), queries, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := reportsJSON(t, got), reportsJSON(t, want); g != w {
+			t.Fatalf("p=%d: reports differ\ngot   %s\nfresh %s", p, g, w)
+		}
+	}
+	if st := tpl.Stats(); st.Reports.Provisioned != int64(len(cuts)) {
+		t.Fatalf("reports %+v, fallbacks %v: want all %d provisioned", st.Reports, st.ReportFallbacks, len(cuts))
+	}
+	art := tpl.art.Load()
+	for side := range art.tables {
+		bt, ok := art.tables[side].Load()
+		if !ok {
+			t.Fatalf("side %d: no band table", side)
+		}
+		n := len(bt.ents)
+		bt.states.Range(func(_ string, bs *bandStates) {
+			for _, ps := range []prefixStates{bs.old, bs.new} {
+				groups := 0
+				for _, st := range ps.st {
+					groups += st.Len()
+				}
+				if groups > 2*n || len(ps.st) < 3 {
+					t.Fatalf("side %d: %d states hold %d groups over %d entries, want at least 3 and at most %d groups", side, len(ps.st), groups, n, 2*n)
+				}
+			}
+		})
+	}
 }

@@ -436,7 +436,10 @@ func TestReportProgramRidesTheSnapshot(t *testing.T) {
 // — a Taxi history, the two templates it sweeps (a $cut threshold, a
 // $bump to tips) and its GROUP BY company report with SUM and COUNT —
 // every report takes the merged route, in the template's and the
-// session's counts alike.
+// session's counts alike, and every one is provisioned: merged from the
+// cond-slot template's band prefix states or the set-slot template's
+// pre-framed original side, the empty delta of $bump = 0 included, with
+// no report fallback.
 func TestTemplateSweepReportsAllMerged(t *testing.T) {
 	w, err := workload.Generate(workload.Taxi(3000, 1), workload.Config{Updates: 20, Mods: 1, DependentPct: 10, AffectedPct: 10, Seed: 20220612})
 	if err != nil {
@@ -481,11 +484,104 @@ func TestTemplateSweepReportsAllMerged(t *testing.T) {
 				t.Fatalf("template %d binding %v: report differs from a fresh what-if's\ngot  %+v\nwant %+v", ti, binding, reps, want)
 			}
 		}
-		if st := tpl.Stats().Reports; st.Merged != evals || st.Patched != 0 {
-			t.Errorf("template %d: report routes %+v, want %d merged and none patched", ti, st, evals)
+		if st := tpl.Stats(); st.Reports.Merged != evals || st.Reports.Provisioned != evals || st.Reports.Patched != 0 || st.ReportFallbacks != nil {
+			t.Errorf("template %d: report routes %+v and fallbacks %v, want %d merged and provisioned, none patched, no fallback", ti, st.Reports, st.ReportFallbacks, evals)
 		}
 	}
-	if st := sess.Stats().Reports; st.Merged != 2*evals || st.Patched != 0 {
-		t.Errorf("session report routes %+v, want %d merged and none patched", st, 2*evals)
+	if st := sess.Stats().Reports; st.Merged != 2*evals || st.Provisioned != 2*evals || st.Patched != 0 {
+		t.Errorf("session report routes %+v, want %d merged and provisioned and none patched", st, 2*evals)
+	}
+}
+
+// TestTemplateReportStatesConcurrent: eight goroutines evaluate one
+// template with one report query — the template_sweep gate's cond-slot
+// template, whose bindings all fall on one side, and its set-slot
+// template — and race to build the states a report merges: a band
+// table's prefix states and an executed plan's folded original side.
+// Each is built once, and every answer, delta and report, equals a
+// fresh session's what-if.
+func TestTemplateReportStatesConcurrent(t *testing.T) {
+	w, e := templateWorkload(t, 1500, 12, 47)
+	queries := []AggregateQuery{mustAggQuery(t, "SELECT company, SUM(tips) AS tips, COUNT(*) AS n FROM trips GROUP BY company")}
+	for _, c := range []struct {
+		name    string
+		mods    []history.Modification
+		binding func(g, i int) map[string]types.Value
+	}{
+		{"cond-slot", paramMods(w), func(g, i int) map[string]types.Value {
+			return map[string]types.Value{"cut": types.Int(int64(9010 + 97*g + 13*i))}
+		}},
+		{"set-slot", setSlotMods(w), func(g, i int) map[string]types.Value {
+			return map[string]types.Value{"bump": types.Float(0.25 * float64(1+4*g+i))}
+		}},
+	} {
+		tpl, err := e.NewSession().CompileTemplate(c.mods, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		const goroutines, evals = 8, 4
+		type answer struct {
+			d    delta.Set
+			reps []AggregateReport
+		}
+		got := make([][evals]answer, goroutines)
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < evals; i++ {
+					d, reps, err := tpl.EvalAggregates(c.binding(g, i), queries)
+					if err != nil {
+						errs <- fmt.Errorf("%s goroutine %d iter %d: %w", c.name, g, i, err)
+						return
+					}
+					got[g][i] = answer{d, reps}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		for g := range got {
+			for i, a := range got[g] {
+				b := c.binding(g, i)
+				label := fmt.Sprintf("%s goroutine %d iter %d (%v)", c.name, g, i, b)
+				want, wantReps, _, err := e.NewSession().WhatIfAggregatesCtx(context.Background(), tpl.SubstitutedMods(b), queries, DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSetsEqual(t, label, a.d, want)
+				if !reflect.DeepEqual(a.reps, wantReps) {
+					t.Fatalf("%s: report differs from a fresh what-if's\ngot  %+v\nwant %+v", label, a.reps, wantReps)
+				}
+			}
+		}
+		art := tpl.art.Load()
+		var builds int64
+		if art.band != nil {
+			for s := range art.tables {
+				if bt, ok := art.tables[s].Load(); ok {
+					_, misses := bt.states.Stats()
+					builds += misses
+				}
+			}
+		} else {
+			body, err := art.body(e.newEvaluator(context.Background(), tpl.opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr, ok := body.rels[0].framed.Load()
+			if !ok {
+				t.Fatalf("%s: the original side was never framed", c.name)
+			}
+			_, builds = fr.states.Stats()
+		}
+		if st := tpl.Stats(); builds != 1 || st.Reports.Provisioned != goroutines*evals {
+			t.Fatalf("%s: states built %d times, %d of %d reports provisioned (fallbacks %v), want one build and all", c.name, builds, st.Reports.Provisioned, goroutines*evals, st.ReportFallbacks)
+		}
 	}
 }

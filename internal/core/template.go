@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -60,13 +61,16 @@ import (
 //
 // Per binding, a provisioned template binary-searches the band of rows
 // between the original bound and the binding in its side's table and
-// takes the band's bag difference, and its reports merge that delta
-// with its Minus framed once, when the table was built: no program
-// runs. Every other binding — one off the order (NaN, 2^53 or more in
-// magnitude), and every binding of a template outside that class
-// (Stats().Provision says why) — runs the modified side's program with the binding as its parameter vector
-// over the pinned snapshot, and diffs against the materialized
-// original side; nothing is substituted or compiled. That executed
+// takes the band's bag difference, and its reports merge the table's
+// prefix γ states with the historical ones, folding only the band's
+// ends: no program runs. Every other binding — one off the order (NaN,
+// 2^53 or more in magnitude), and every binding of a template outside
+// that class (Stats().Provision says why) — runs the modified side's
+// program with the binding as its parameter vector over the pinned
+// snapshot, and diffs against the materialized original side, hashed
+// once; nothing is substituted or compiled. Its reports merge the
+// original side's state, framed against the tip and folded once, and
+// the modified side's (see the provisioned route in report.go). That executed
 // path is the band tables' oracle. Under the interpreter, the oracle,
 // and for a query outside the compilable subset, the binding is
 // substituted into the retained skeleton and interpreted instead.
@@ -101,6 +105,9 @@ type Template struct {
 	provisioned atomic.Int64    // side bindings a band table answered
 	recompiles  atomic.Int64
 	reports     routeCounters
+	// reportFallbacks counts the reports of bindings whose artifact
+	// states could not answer them, by reason.
+	reportFallbacks fallbackCounters
 }
 
 // paramClass is the inferred value class of one parameter slot.
@@ -226,11 +233,28 @@ func (art *templateArtifact) body(ev evaluator) (*templateBody, error) {
 // binding. orig is its original-side result, materialized once and
 // diffed against every binding's modified side. Like every reenactment
 // result in core it is a columnar view: the artifact pins lanes, not
-// tuples, and a binding boxes only the rows its delta touches.
+// tuples, and a binding boxes only the rows its delta touches. The
+// first binding hashes orig's rows (hashed), which every later one
+// diffs against without hashing them again, and the first binding that
+// reports frames them against the tip (framed).
 type templateRel struct {
-	rel  string
-	orig *storage.ColumnarView
-	mod  boundQuery // the modified side, $slots open
+	rel    string
+	orig   *storage.ColumnarView
+	mod    boundQuery // the modified side, $slots open
+	hashed lru.Cell[*delta.HashedView]
+	framed lru.Cell[*origFrame]
+}
+
+// origFrame is a templateRel's original side as its bindings' reports
+// read it: tip[r] is the tip's tuple that orig row r is, cell for cell
+// and bit for bit, when every sub-bag of orig's rows fits the tip with
+// its own rows as the ones it removes (frame; nil when they do not), so
+// a binding's Minus shares those tuples and is its own frame; and the
+// states of orig's rows, one per report query by fingerprint, folded by
+// the first report that asks (nil in the cache when the fold failed).
+type origFrame struct {
+	tip    []schema.Tuple
+	states *lru.Cache[string, *algebra.GroupState]
 }
 
 // boundQuery is a query skeleton with its $slots open, and its program,
@@ -257,14 +281,103 @@ func (bq boundQuery) view(ev evaluator, db *storage.Database, binding map[string
 	return ev.interpretView(algebra.SubstParams(bq.q, binding), db)
 }
 
-// eval answers the relation tr for one binding.
-func (tr *templateRel) eval(ev evaluator, db *storage.Database, binding map[string]types.Value) (*delta.Result, delta.Work, error) {
-	mod, err := tr.mod.view(ev, db, binding)
+// eval answers the relation tr for one binding: its delta, with its
+// modified side and the original side's frame, if one is built — report
+// asks for it to be built first.
+func (tr *templateRel) eval(ev evaluator, art *templateArtifact, snaps *storage.SnapshotCache, binding map[string]types.Value, report bool) (planRel, delta.Work, error) {
+	ctx := ev.evalCtx()
+	p := planRel{tr: tr}
+	hv, err := tr.hashed.Do(ctx, func() (*delta.HashedView, error) { return delta.NewHashedView(tr.orig), nil })
 	if err != nil {
-		return nil, delta.Work{}, err
+		return p, delta.Work{}, err
 	}
-	d, work := delta.ComputeColumnar(tr.orig, mod)
-	return d, work, nil
+	p.fr, _ = tr.framed.Load()
+	if report && p.fr == nil {
+		p.fr, err = tr.framed.Do(ctx, func() (*origFrame, error) {
+			tip, err := snaps.TipSnapshotCtx(ctx, art.version)
+			if err != nil {
+				return nil, err
+			}
+			rel, err := tip.Relation(tr.rel)
+			if err != nil {
+				return nil, err
+			}
+			fr := &origFrame{states: lru.New[string, *algebra.GroupState](reportStates)}
+			fr.tip, err = frame(rel, tr.orig)
+			return fr, err
+		})
+		if err != nil {
+			return p, delta.Work{}, err
+		}
+	}
+	if p.mod, err = tr.mod.view(ev, art.db, binding); err != nil {
+		return p, delta.Work{}, err
+	}
+	var tip []schema.Tuple
+	if p.fr != nil {
+		tip = p.fr.tip
+	}
+	var work delta.Work
+	p.d, work = delta.ComputeHashed(hv, p.mod, tip)
+	return p, work, nil
+}
+
+// planRel is one relation of an executed-plan binding: its original
+// side and that side's frame (nil until a report asked for it), and the
+// binding's modified side and delta.
+type planRel struct {
+	tr  *templateRel
+	fr  *origFrame
+	mod *storage.ColumnarView
+	d   *delta.Result
+}
+
+// planReport provisions the reports of one executed-plan binding: its
+// changed relations, by lower-cased name, every one framed.
+type planReport map[string]planRel
+
+// hypothetical merges the historical state with γ(original side),
+// folded once, and γ(modified side) (modFold) where the modified side
+// has fewer rows than the delta's Minus ∪ Plus; where it has not,
+// mergedReport folds those, framed by the artifact, as the merged route
+// does.
+func (pr planReport) hypothetical(agg *algebra.Aggregate, h *historical, hist *storage.Database, rel string, ev evaluator) (*algebra.GroupState, reportFallback, error) {
+	p := pr[rel]
+	if p.mod.Rows >= p.d.Size() {
+		return nil, whySmallerDelta, nil
+	}
+	return p.modFold(agg, h, hist, rel, ev)
+}
+
+// modFold is h − the original side's state + the modified side's, or
+// nil and why that is not the merged route's state (the sides' lanes
+// differ, a group is new) or a fold failed; its error is the context's.
+func (p planRel) modFold(agg *algebra.Aggregate, h *historical, hist *storage.Database, rel string, ev evaluator) (*algebra.GroupState, reportFallback, error) {
+	if !sameLanes(p.tr.orig, p.mod) {
+		return nil, whyLanes, nil
+	}
+	orig, err := p.fr.states.Do(ev.evalCtx(), algebra.Fingerprint(agg), func() (*algebra.GroupState, error) {
+		st, err := ev.foldRows(agg, h.prog, hist, rel, p.tr.orig, 0, p.tr.orig.Rows)
+		if err != nil {
+			return nil, ev.evalCtx().Err()
+		}
+		return st, nil
+	})
+	if orig == nil || err != nil {
+		return nil, whyFold, err
+	}
+	mod, err := ev.foldRows(agg, h.prog, hist, rel, p.mod, 0, p.mod.Rows)
+	if err != nil {
+		return nil, whyFold, ev.evalCtx().Err()
+	}
+	hyp, err := mergeStates(h.state, signedState{orig, -1}, signedState{mod, 1})
+	switch {
+	case err != nil:
+		return nil, whyFold, nil
+	case newGroup(hyp, h.state):
+		return nil, whyNewGroup, nil
+	}
+	return hyp, whyNone, nil
 }
 
 // TemplateStats describes one compiled artifact plus the template's
@@ -326,8 +439,16 @@ type TemplateStats struct {
 	// included. They run no program and hash nothing.
 	ProvisionedEvals int64
 	// Reports counts the aggregate reports the template's evals attached,
-	// by route (merged or patched, by reason).
+	// by route (merged or patched, by reason); Reports.Provisioned those
+	// merged from what the artifact fixed.
 	Reports ReportRoutes
+	// ReportFallbacks counts the other reports, by why the artifact's
+	// states did not answer them: "min or max", "new group", "unframed",
+	// "query shape", "mixed lanes" (the two versions on different
+	// lanes), "fold error", or "smaller delta" (an executed-plan
+	// binding whose Minus ∪ Plus, folded instead, has no more rows than
+	// its modified side). nil when there are none.
+	ReportFallbacks map[string]int64
 }
 
 // TemplateSide is one side of a range template's bound: the bindings
@@ -403,6 +524,7 @@ func (t *Template) Stats() TemplateStats {
 		st.Sides[i].Evals = t.sideEvals[i].Load()
 	}
 	st.Reports = t.reports.load()
+	st.ReportFallbacks = t.reportFallbacks.load()
 	return st
 }
 
@@ -552,23 +674,42 @@ func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, bind
 		return nil, nil, err
 	}
 	out := make(delta.Set, len(body.static)+len(body.rels))
+	// The binding's reports are provisioned (planReport) when every
+	// changed relation is a dynamic one whose original side is framed.
+	pr := planReport{}
+	rf := &reportFrame{prov: pr, fallbacks: &t.reportFallbacks, bags: map[string]bags{}}
 	for rel, d := range body.static {
 		out[rel] = d // shared read-only, like every cached engine artifact
+		if !d.Empty() {
+			rf.bags = nil
+		}
 	}
 	for i := range body.rels {
 		tr := &body.rels[i]
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		d, work, err := tr.eval(ev, art.db, binding)
+		p, work, err := tr.eval(ev, art, t.shared.snaps, binding, len(queries) > 0)
 		if err != nil {
 			return nil, nil, err
 		}
-		out[tr.rel] = d
+		out[tr.rel] = p.d
 		t.shared.countDelta(work)
+		switch {
+		case len(queries) == 0 || p.d.Empty() || rf.bags == nil:
+		case p.fr == nil || p.fr.tip == nil:
+			rf.bags = nil
+		default:
+			key := strings.ToLower(tr.rel)
+			rf.bags[key] = bags{minus: p.d.Minus, plus: p.d.Plus}
+			pr[key] = p
+		}
 	}
-	reps, routes, err := t.e.tipReports(ctx, queries, out, art.version, t.opts, t.shared, nil)
-	t.reports.add(&routes)
+	if len(queries) == 0 {
+		return out, nil, nil
+	}
+	reps, routes, err := t.e.tipReports(ctx, queries, out, art.version, t.opts, t.shared, rf)
+	t.reports.add(&routes, rf.provisioned)
 	if err != nil {
 		return nil, nil, err
 	}

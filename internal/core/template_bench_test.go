@@ -12,16 +12,18 @@ import (
 // BenchmarkTemplateEval answers one binding of each template_sweep
 // shape through a session: 8 000 Taxi rows, 100 statements. The
 // cond-slot shape makes the modified UPDATE's threshold $cut (9000 in
-// the history), a range template: a binding above 9000 runs the plan
-// sliced at the FALSE end, which keeps what the constant what-if keeps,
-// and a binding below it the plan sliced at the IS NOT NULL end, which
-// keeps every statement here. Its suffix holds no INSERT … SELECT, so
-// the template is provisioned: each side's band table, built by its
-// first binding, answers narrow (cut 9500), below (8500), half (6000)
-// and wide (0). The set-slot shape keeps the condition and writes SET
-// tips = tips + $bump, so it slices like a constant scenario and runs
-// its executed plan. Each sub-benchmark reports the
-// statements its binding's plan keeps (kept-stmts of total-stmts).
+// the history), a range template: a binding above 9000 is on the FALSE
+// end's side, whose keep set is what the constant what-if keeps, and a
+// binding below it on the IS NOT NULL end's side, which keeps every
+// statement here. Its suffix holds no INSERT … SELECT, so the template
+// is provisioned: each side's band table, built by its first binding,
+// answers narrow (cut 9500), below (8500), half (6000) and wide (0)
+// without running a program. The set-slot shape keeps the condition and
+// writes SET tips = tips + $bump, so it slices like a constant scenario
+// and runs its executed plan. Each shape's /report sub-benchmark
+// attaches the template_sweep gate's GROUP BY company report. Each
+// sub-benchmark reports the statements its binding's plan keeps
+// (kept-stmts of total-stmts).
 func BenchmarkTemplateEval(b *testing.B) {
 	w, err := workload.Generate(workload.Taxi(8000, 1), workload.Config{
 		Updates: 100, Mods: 1, DependentPct: 10, AffectedPct: 10, Seed: 20220612,
@@ -34,7 +36,8 @@ func BenchmarkTemplateEval(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := New(vdb).NewSession()
-	run := func(b *testing.B, tpl *Template, binding map[string]types.Value) {
+	report := []AggregateQuery{mustAggQuery(b, "SELECT company, SUM(tips) AS tips, COUNT(*) AS n FROM trips GROUP BY company")}
+	run := func(b *testing.B, tpl *Template, binding map[string]types.Value, queries []AggregateQuery) {
 		st := tpl.Stats()
 		kept := st.KeptStatements
 		if slot := tpl.art.Load().slot; slot != nil {
@@ -44,7 +47,7 @@ func BenchmarkTemplateEval(b *testing.B) {
 		}
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, err := tpl.Eval(binding); err != nil {
+			if _, _, err := tpl.EvalAggregates(binding, queries); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -59,17 +62,17 @@ func BenchmarkTemplateEval(b *testing.B) {
 		name string
 		cut  int64
 	}{{"narrow", 9500}, {"below", 8500}, {"half", 6000}, {"wide", 0}} {
-		b.Run(c.name, func(b *testing.B) {
-			run(b, cond, map[string]types.Value{"cut": types.Int(c.cut)})
-		})
+		binding := map[string]types.Value{"cut": types.Int(c.cut)}
+		b.Run(c.name, func(b *testing.B) { run(b, cond, binding, nil) })
+		b.Run(c.name+"/report", func(b *testing.B) { run(b, cond, binding, report) })
 	}
 	set, err := s.CompileTemplate(setSlotMods(w), DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("set-slot", func(b *testing.B) {
-		run(b, set, map[string]types.Value{"bump": types.Float(2.25)})
-	})
+	bump := map[string]types.Value{"bump": types.Float(2.25)}
+	b.Run("set-slot", func(b *testing.B) { run(b, set, bump, nil) })
+	b.Run("set-slot/report", func(b *testing.B) { run(b, set, bump, report) })
 }
 
 // setSlotMods rebuilds the workload's modification with its condition

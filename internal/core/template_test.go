@@ -94,11 +94,11 @@ func evalPlan(t *testing.T, tpl *Template, binding map[string]types.Value) delta
 	}
 	for i := range body.rels {
 		tr := &body.rels[i]
-		d, _, err := tr.eval(ev, art.db, binding)
+		p, _, err := tr.eval(ev, art, tpl.shared.snaps, binding, false)
 		if err != nil {
 			t.Fatalf("executed plan of %v: %v", binding, err)
 		}
-		out[tr.rel] = d
+		out[tr.rel] = p.d
 	}
 	return out
 }

@@ -34,6 +34,20 @@ type Work struct {
 // Plus are gathered into tuples — one arena a side, of exactly their
 // size, so a retained Result pins its own rows and neither view.
 func ComputeColumnar(oldV, newV *storage.ColumnarView) (*Result, Work) {
+	return compute(oldV, newV, viewHasher(oldV), nil)
+}
+
+// ComputeHashed is ComputeColumnar over an old side hashed once for
+// many new sides: the same Minus and Plus in the same order and the same
+// Work, but only newV's residual rows are hashed. oldRows is as in
+// ComputeRows: when not nil, Minus shares its tuples.
+func ComputeHashed(oldV *HashedView, newV *storage.ColumnarView, oldRows []schema.Tuple) (*Result, Work) {
+	return compute(oldV.ColumnarView, newV, oldV.rows, oldRows)
+}
+
+// compute is ComputeColumnar with the old side's row hashes from
+// oldHash and, when oldRows is not nil, its Minus tuples from there.
+func compute(oldV, newV *storage.ColumnarView, oldHash hasher, oldRows []schema.Tuple) (*Result, Work) {
 	out := &Result{Relation: oldV.Schema.Relation, Schema: oldV.Schema}
 	n := min(oldV.Rows, newV.Rows)
 	neq := make([]bool, n)
@@ -48,12 +62,28 @@ func ComputeColumnar(oldV, newV *storage.ColumnarView) (*Result, Work) {
 		}
 	}
 	oldIdx, newIdx := residualRows(neq, oldV.Rows, newV.Rows)
-	m := matchResidual(oldV, newV, oldIdx, newIdx, viewHasher(oldV), viewHasher(newV))
-	out.Minus = oldV.GatherTuples(m.minus)
+	m := matchResidual(oldV, newV, oldIdx, newIdx, oldHash, viewHasher(newV))
+	out.Minus = minusTuples(oldV, m.minus, oldRows)
 	out.Plus = newV.GatherTuples(m.plus)
 	sortTuples(out.Minus)
 	sortTuples(out.Plus)
 	return out, Work{Compared: n, Hashed: len(oldIdx) + len(newIdx), Boxed: out.Size()}
+}
+
+// minusTuples boxes rows of oldV, or takes them from oldRows, oldV's
+// rows already boxed, when that is not nil.
+func minusTuples(oldV *storage.ColumnarView, rows []int, oldRows []schema.Tuple) []schema.Tuple {
+	if oldRows == nil {
+		return oldV.GatherTuples(rows)
+	}
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([]schema.Tuple, len(rows))
+	for i, r := range rows {
+		out[i] = oldRows[r]
+	}
+	return out
 }
 
 // HashedView is a columnar view with every row's hash (schema.Tuple.Hash)
@@ -107,14 +137,7 @@ func (v *HashedView) rows(rows []int) ([]uint64, []bool) {
 func ComputeRows(oldV, newV *HashedView, oldIdx, newIdx []int, oldRows []schema.Tuple) (*Result, Work) {
 	out := &Result{Relation: oldV.Schema.Relation, Schema: oldV.Schema}
 	m := matchResidual(oldV.ColumnarView, newV.ColumnarView, oldIdx, newIdx, oldV.rows, newV.rows)
-	if oldRows == nil {
-		out.Minus = oldV.GatherTuples(m.minus)
-	} else if len(m.minus) > 0 {
-		out.Minus = make([]schema.Tuple, len(m.minus))
-		for i, r := range m.minus {
-			out.Minus[i] = oldRows[r]
-		}
-	}
+	out.Minus = minusTuples(oldV.ColumnarView, m.minus, oldRows)
 	out.Plus = newV.GatherTuples(m.plus)
 	sortTuples(out.Minus)
 	sortTuples(out.Plus)

@@ -94,7 +94,9 @@ func requireIdentical(t *testing.T, label string, got, want []schema.Tuple) {
 
 // requireColumnarMatchesRows checks ComputeColumnar against Compute on
 // all four lane pairings of one input pair, and its work counts against
-// a count made from the rows.
+// a count made from the rows; and ComputeHashed, over the old side
+// hashed once, with its Minus boxed and taken from the old side's rows,
+// against ComputeColumnar: the same result and the same counts.
 func requireColumnarMatchesRows(t *testing.T, label string, a, b *storage.Relation) {
 	t.Helper()
 	n := min(len(a.Tuples), len(b.Tuples))
@@ -117,6 +119,16 @@ func requireColumnarMatchesRows(t *testing.T, label string, a, b *storage.Relati
 			}
 			if work.Compared != n || work.Hashed != residual || work.Boxed != want.Size() {
 				t.Fatalf("%s: work %+v, want %d compared, %d hashed, %d boxed", l, work, n, residual, want.Size())
+			}
+			hv := NewHashedView(va)
+			for _, oldRows := range [][]schema.Tuple{nil, va.Relation().Tuples} {
+				h, hwork := ComputeHashed(hv, vb, oldRows)
+				hl := fmt.Sprintf("%s hashed (old rows given: %v)", l, oldRows != nil)
+				requireIdentical(t, hl+" minus", h.Minus, want.Minus)
+				requireIdentical(t, hl+" plus", h.Plus, want.Plus)
+				if hwork != work {
+					t.Fatalf("%s: work %+v, want ComputeColumnar's %+v", hl, hwork, work)
+				}
 			}
 		}
 	}

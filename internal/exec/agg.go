@@ -65,6 +65,20 @@ func (p *Program) RunGroupStateCtx(ctx context.Context, db *storage.Database) (*
 	return n.fold(p.newRun(ctx, db, nil))
 }
 
+// RunGroupStateViewCtx is RunGroupStateCtx with every scan of relation
+// rel reading rows [lo, hi) of v, in order, instead of db's relation:
+// the state RunGroupStateCtx folds over db with rel holding exactly
+// those rows, without boxing them. v must have rel's columns, in order.
+func (p *Program) RunGroupStateViewCtx(ctx context.Context, db *storage.Database, rel string, v *storage.ColumnarView, lo, hi int) (*algebra.GroupState, error) {
+	n, ok := p.root.(*vaggregateNode)
+	if !ok {
+		return nil, fmt.Errorf("exec: the program does not aggregate at the top")
+	}
+	rc := p.newRun(ctx, db, nil)
+	rc.scan = &viewScan{rel: rel, v: v, lo: lo, hi: hi}
+	return n.fold(rc)
+}
+
 func (n *vaggregateNode) run(rc *runCtx, emit vecEmit) error {
 	st, err := n.fold(rc)
 	if err != nil {

@@ -285,3 +285,61 @@ func requireIdenticalRows(t *testing.T, label string, want, got []schema.Tuple) 
 		}
 	}
 }
+
+// TestGroupStateViewMatchesRelation: RunGroupStateViewCtx folds rows
+// [lo, hi) of a columnar view, read in place of relation r, into the
+// state RunGroupStateCtx folds over a database whose r holds exactly
+// those rows — on every window shape (empty, one row, across a batch
+// boundary, all rows), at default and 7-row batches, grouped and
+// global, over typed, masked and boxed lanes — and leaves the view as
+// it was.
+func TestGroupStateViewMatchesRelation(t *testing.T) {
+	queries := []string{
+		"SELECT g, COUNT(*) AS n, COUNT(i) AS ci, SUM(i) AS si, AVG(f) AS af, SUM(m) AS sm FROM r GROUP BY g",
+		"SELECT i, SUM(f) AS s, COUNT(*) AS n FROM r WHERE k >= 3 GROUP BY i",
+		"SELECT SUM(f) AS s, AVG(i) AS a, COUNT(f) AS c FROM r WHERE k >= 5",
+	}
+	const n = 1500
+	db := laneDB(n)
+	rel, err := db.Relation("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := storage.Transpose(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := view.Relation().Tuples
+	for _, src := range queries {
+		q := mustQuery(t, src)
+		for _, opts := range []exec.VecOptions{{}, {BatchSize: 7}} {
+			prog, err := exec.CompileVec(q, db, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range [][2]int{{0, 0}, {17, 18}, {3, 1030}, {1000, n}, {0, n}} {
+				label := fmt.Sprintf("bs=%d [%d,%d) %s", opts.BatchSize, w[0], w[1], src)
+				part := storage.NewRelation(rel.Schema)
+				part.Tuples = rel.Tuples[w[0]:w[1]]
+				want, err := prog.RunGroupStateCtx(context.Background(), db.With(part))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := prog.RunGroupStateViewCtx(context.Background(), db, "R", view, w[0], w[1])
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				wantRows, err := want.Rows()
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotRows, err := got.Rows()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				requireIdenticalRows(t, label, wantRows, gotRows)
+			}
+		}
+	}
+	requireIdenticalRows(t, "the view after the folds", before, view.Relation().Tuples)
+}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 
 	"github.com/mahif/mahif/internal/algebra"
@@ -374,6 +375,14 @@ type vpipeNode struct {
 }
 
 func (n *vpipeNode) run(rc *runCtx, emit vecEmit) error {
+	if s := rc.scan; s != nil && strings.EqualFold(s.rel, n.rel) {
+		if len(s.v.Cols) != n.arity {
+			return fmt.Errorf("exec: relation %s arity changed since compilation (%d vs %d)", n.rel, len(s.v.Cols), n.arity)
+		}
+		cr := n.ch.getRun(&n.runs, n.cfg, rc)
+		defer n.runs.Put(cr)
+		return runVecView(rc, s.v, s.lo, s.hi, cr, n.cfg.bs, emit)
+	}
 	r, err := rc.db.Relation(n.rel)
 	if err != nil {
 		return err

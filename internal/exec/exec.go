@@ -68,12 +68,23 @@ import (
 )
 
 // runCtx carries per-run state through the pipeline: the database, the
-// context, the run's parameter vector and its param sites' kernels.
+// context, the run's parameter vector and its param sites' kernels, and
+// the rows a scan of one relation reads instead of the database's, if
+// any (RunGroupStateViewCtx).
 type runCtx struct {
 	db    *storage.Database
 	ctx   context.Context
 	args  []arg
 	sites []any
+	scan  *viewScan
+}
+
+// viewScan is rows [lo, hi) of a columnar view that every scan of
+// relation rel reads in place of the database's relation.
+type viewScan struct {
+	rel    string
+	v      *storage.ColumnarView
+	lo, hi int
 }
 
 // Program is a compiled query plan. Compile once, Run many times —

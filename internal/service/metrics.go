@@ -64,6 +64,8 @@ var sessionMetrics = []sessionMetric{
 		func(st core.SessionStats) int64 { return st.TemplateRecompiles }},
 	{"reports_merged_total", "Aggregate reports answered by merging the delta's Minus and Plus into the historical state remembered on the snapshot, per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.Reports.Merged) }},
+	{"reports_provisioned_total", "Merged aggregate reports of template evals that merged γ states the template's artifact fixed once (a band table's prefix states, or an executed plan's original side folded once) instead of folding the eval's Minus and Plus, or whose delta is empty, per session.", "counter",
+		func(st core.SessionStats) int64 { return int64(st.Reports.Provisioned) }},
 	{"reports_patched_total", "Aggregate reports answered by patching the whole relation and re-aggregating it (a MIN/MAX the merge cannot decide, or a query shape it does not cover), per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.Reports.Patched) }},
 }
