@@ -1,14 +1,15 @@
 // Statement application: UPDATE and DELETE run one pipeline wherever
 // they apply — the live tip, time-travel replay, crash recovery and the
 // naive algorithm's history execution. A plan picks the candidate rows:
-// an index probe through the per-column secondary indexes of a
+// an index probe through the per-column ordered indexes of a
 // storage.IndexSet when the WHERE clause binds one, every row position
 // (the scan plan) otherwise, and always for a plain Apply, which has no
-// index set. The executor's batch kernels (exec.TupleKernel) evaluate
-// the residual condition and the SET vector over the candidates, every
-// value is staged before any is written, and the write goes in place or
-// through fresh rows whose delta-wise index maintenance keeps the set
-// valid. Both insert flavors append with delta-wise index maintenance.
+// index set. An index only narrows the candidates: the executor's batch
+// kernels (exec.TupleKernel) evaluate the full condition and the SET
+// vector over every candidate, every value is staged before any is
+// written, and the write goes in place or through fresh rows whose
+// delta-wise index maintenance keeps the set valid. Both insert flavors
+// append with delta-wise index maintenance.
 //
 // Correctness is anchored to the naive loops' left-to-right And
 // evaluation with short-circuit on false only (expr.evalAndOr):
@@ -20,19 +21,18 @@
 // column provably holds a single comparability class matching the
 // constant (certified by the column index itself). Rows whose indexed
 // column is NULL never short-circuit the conjunction (NULL is not
-// false), so they stay candidates and take the residual predicate: the
-// full WHERE, evaluated over the candidates by the batch kernels under
-// expr.Satisfied's semantics. DELETE's asymmetry is preserved: a
-// condition evaluating to NULL removes the tuple (σ_{¬θ} keeps only
-// ¬θ = true), so even exact delete plans remove the NULL positions
-// alongside the key interval. A condition or SET expression outside the
-// kernel compiler's subset (a symbolic variable) takes the naive loops,
-// and only that fallback invalidates the relation's indexes, so routing
+// false), so every probe returns them and the kernels decide them like
+// any other candidate: θ for an UPDATE, ¬θ for a DELETE (a condition
+// evaluating to NULL removes the tuple, since σ_{¬θ} keeps only
+// ¬θ = true). A condition or SET expression outside the kernel
+// compiler's subset (a symbolic variable) takes the naive loops, and
+// only that fallback invalidates the relation's indexes, so routing
 // changes speed, never observable behavior — pinned by the
 // every-version differential property tests.
 package history
 
 import (
+	"math"
 	"math/bits"
 	"strings"
 	"sync"
@@ -111,7 +111,7 @@ func (m *planMemo) plan(a *applyAnalysis, ix *storage.IndexSet, relName string, 
 type conjKind uint8
 
 const (
-	ckSimple conjKind = iota // col ∘ const with a non-NULL constant
+	ckSimple conjKind = iota // col ∘ const with a non-NULL, non-NaN constant
 	ckFalse                  // constant false: the conjunction is false
 	ckOpaque                 // anything else; ends the certified prefix
 )
@@ -126,30 +126,18 @@ type conjunct struct {
 // applyAnalysis is the schema-keyed, index-independent half of an
 // apply plan: the flattened conjuncts of the WHERE clause in
 // evaluation order plus the compiled kernels, which every replay of the
-// statement shares. A nil analysis (cached as such) means the SET
-// vector is outside the kernel compiler's subset.
+// statement shares. A nil analysis (cached as such) means the condition
+// or the SET vector is outside the kernel compiler's subset.
 type applyAnalysis struct {
 	conj []conjunct
 	del  bool // a DELETE
+	// cond evaluates the condition over a candidate: θ for an UPDATE,
+	// ¬θ for a DELETE (a candidate survives iff true).
+	cond *exec.TupleKernel
 	// setCols are the non-identity SET targets in column order and set
 	// evaluates their expressions.
 	setCols []int
 	set     *exec.TupleKernel
-	// cond is the residual condition over sch: θ for an UPDATE, ¬θ for a
-	// DELETE (a candidate survives iff true). Only residual and scan
-	// plans evaluate it, and most tip plans are direct, so residual
-	// compiles it on first use.
-	cond    expr.Expr
-	sch     *schema.Schema
-	resOnce sync.Once
-	res     *exec.TupleKernel
-	resErr  error
-}
-
-// residual returns the compiled residual condition.
-func (a *applyAnalysis) residual() (*exec.TupleKernel, error) {
-	a.resOnce.Do(func() { a.res, a.resErr = exec.CompileTupleKernel(a.cond, nil, a.sch) })
-	return a.res, a.resErr
 }
 
 // flattenAnd appends the conjuncts of e in evaluation order: And trees
@@ -167,8 +155,9 @@ func flattenAnd(e expr.Expr, out []expr.Expr) []expr.Expr {
 // classifyConjunct maps one conjunct to its planner classification.
 // A NULL or non-boolean constant and col ∘ NULL are opaque: none ever
 // short-circuits the conjunction (NULL is not false, a non-boolean
-// errors row-wise), so no index can exclude a row on their account and
-// the residual kernel evaluates them.
+// errors row-wise), so no index can exclude a row on their account.
+// col ∘ NaN is opaque too: Compare ties NaN with every number, which
+// no key order expresses.
 func classifyConjunct(e expr.Expr, s *schema.Schema) conjunct {
 	switch x := e.(type) {
 	case *expr.Const:
@@ -176,7 +165,7 @@ func classifyConjunct(e expr.Expr, s *schema.Schema) conjunct {
 			return conjunct{kind: ckFalse}
 		}
 	case *expr.Cmp:
-		if col, k, op, ok := simpleCmp(x); ok && !k.IsNull() {
+		if col, k, op, ok := simpleCmp(x); ok && !k.IsNull() && !(k.Kind() == types.KindFloat && math.IsNaN(k.AsFloat())) {
 			if ord := s.ColIndex(col); ord >= 0 {
 				return conjunct{kind: ckSimple, col: ord, op: op, k: k}
 			}
@@ -218,7 +207,7 @@ func analyzeConjuncts(where expr.Expr, s *schema.Schema) []conjunct {
 // vector; identity columns are skipped, since rewriting a column with
 // its own value is unobservable).
 func analyzeUpdate(where expr.Expr, vec []expr.Expr, s *schema.Schema) *applyAnalysis {
-	a := &applyAnalysis{conj: analyzeConjuncts(where, s), cond: where, sch: s}
+	a := &applyAnalysis{conj: analyzeConjuncts(where, s)}
 	var set []expr.Expr
 	for i, c := range s.Columns {
 		if col, ok := vec[i].(*expr.Col); ok && strings.EqualFold(col.Name, c.Name) {
@@ -228,6 +217,9 @@ func analyzeUpdate(where expr.Expr, vec []expr.Expr, s *schema.Schema) *applyAna
 		set = append(set, vec[i])
 	}
 	var err error
+	if a.cond, err = exec.CompileTupleKernel(where, nil, s); err != nil {
+		return nil
+	}
 	if a.set, err = exec.CompileTupleKernel(nil, set, s); err != nil {
 		return nil
 	}
@@ -236,101 +228,50 @@ func analyzeUpdate(where expr.Expr, vec []expr.Expr, s *schema.Schema) *applyAna
 
 // analyzeDelete builds the analysis of a DELETE.
 func analyzeDelete(where expr.Expr, s *schema.Schema) *applyAnalysis {
-	return &applyAnalysis{conj: analyzeConjuncts(where, s), del: true, cond: expr.Negation(where), sch: s}
+	cond, err := exec.CompileTupleKernel(expr.Negation(where), nil, s)
+	if err != nil {
+		return nil
+	}
+	return &applyAnalysis{conj: analyzeConjuncts(where, s), del: true, cond: cond}
 }
 
 // binding --------------------------------------------------------------------
 
 // boundPlan is the index-dependent half of a plan, valid for one
-// IndexSet at one availability epoch (the memo guards on both). A plan
-// without an index (idx nil, not empty) is the scan plan.
+// IndexSet at one availability epoch (the memo guards on both): the
+// key interval [lo, hi] to probe on idx. A plan without an index (idx
+// nil, not empty) is the scan plan.
 type boundPlan struct {
-	empty bool // θ is certainly false on every row (constant false conjunct)
-	idx   *storage.ColumnIndex
-	// direct: every conjunct is a certified constraint — the residual
-	// reduces to value-level checks of the non-chosen constraints (res),
-	// with no compiled predicate and no possibility of evaluation error.
-	// exact is the single-column case of direct: the probe interval IS
-	// the satisfying set and res is empty.
-	direct bool
-	exact  bool
-	res    []resCheck
-	eq     *types.Value
+	empty  bool // θ is certainly false on every row (constant false conjunct)
+	idx    *storage.ColumnIndex
 	lo, hi *storage.Bound
 }
 
 // scanPlan is the plan of a statement no index answers: every row
-// position is a candidate, and the residual kernel decides.
+// position is a candidate.
 var scanPlan = &boundPlan{}
 
-// resCheck is one non-chosen certified constraint of a direct plan,
-// checked value-wise per candidate row. Certification guarantees the
-// check is total: equality never errors, and range comparisons only
-// arise when the row's class (maintained by the column index) matches
-// the constant's.
-type resCheck struct {
-	ord    int
-	eq     *types.Value
-	lo, hi *storage.Bound
-}
-
-// satisfies reports whether the non-NULL value v satisfies the
-// constraint (the caller handles NULL per statement kind).
-func (rc *resCheck) satisfies(v types.Value) bool {
-	if rc.eq != nil {
-		return v.Equal(*rc.eq)
-	}
-	if rc.lo != nil {
-		c, err := v.Compare(rc.lo.V)
-		if err != nil || c < 0 || (c == 0 && rc.lo.Open) {
-			return false
-		}
-	}
-	if rc.hi != nil {
-		c, err := v.Compare(rc.hi.V)
-		if err != nil || c > 0 || (c == 0 && rc.hi.Open) {
-			return false
-		}
-	}
-	return true
-}
-
-// colConstraint accumulates the certified constraints on one column.
+// colConstraint intersects the certified constraints on one column
+// into one key interval (an equality is the closed interval [k, k]).
 type colConstraint struct {
-	col    int
 	idx    *storage.ColumnIndex
-	eq     *types.Value
 	lo, hi *storage.Bound
-	empty  bool
 }
 
-// tightenEq intersects an equality into the constraint.
-func (cc *colConstraint) tightenEq(k types.Value) {
-	if cc.eq != nil {
-		if !cc.eq.Equal(k) {
-			cc.empty = true
-		}
-		return
-	}
-	cc.eq = &k
-}
-
-// tightenRange intersects one ordered bound into the constraint.
-func (cc *colConstraint) tightenRange(op expr.CmpOp, k types.Value) {
+// tighten intersects one comparison into the interval.
+func (cc *colConstraint) tighten(op expr.CmpOp, k types.Value) {
 	b := &storage.Bound{V: k, Open: op == expr.CmpLt || op == expr.CmpGt}
-	if op == expr.CmpGe || op == expr.CmpGt {
-		if cc.lo == nil || tighterLo(b, cc.lo) {
-			cc.lo = b
-		}
-	} else {
-		if cc.hi == nil || tighterHi(b, cc.hi) {
-			cc.hi = b
-		}
+	if op != expr.CmpLe && op != expr.CmpLt && (cc.lo == nil || tighterLo(b, cc.lo)) {
+		cc.lo = b
+	}
+	if op != expr.CmpGe && op != expr.CmpGt && (cc.hi == nil || tighterHi(b, cc.hi)) {
+		cc.hi = b
 	}
 }
 
-// tighterLo/tighterHi compare same-class bounds (certified by the
-// planner before intersecting).
+// tighterLo/tighterHi compare bounds; bounds of different classes
+// (only on an all-NULL column) never replace each other, which keeps
+// the interval a superset of the rows the conjuncts allow.
 func tighterLo(a, b *storage.Bound) bool {
 	c, err := a.V.Compare(b.V)
 	if err != nil {
@@ -347,42 +288,9 @@ func tighterHi(a, b *storage.Bound) bool {
 	return c < 0 || (c == 0 && a.Open && !b.Open)
 }
 
-// settle folds an equality into the range (and detects contradiction),
-// leaving either eq or lo/hi populated.
-func (cc *colConstraint) settle() {
-	if cc.empty || cc.eq == nil {
-		return
-	}
-	within := func(b *storage.Bound, wantLo bool) bool {
-		c, err := cc.eq.Compare(b.V)
-		if err != nil {
-			// Class mismatch between the equality constant and the
-			// certified range class: no row can satisfy both.
-			return false
-		}
-		if wantLo {
-			return c > 0 || (c == 0 && !b.Open)
-		}
-		return c < 0 || (c == 0 && !b.Open)
-	}
-	if cc.lo != nil && !within(cc.lo, true) {
-		cc.empty = true
-	}
-	if cc.hi != nil && !within(cc.hi, false) {
-		cc.empty = true
-	}
-	cc.lo, cc.hi = nil, nil
-}
-
 // estimate ranks the constraint by expected candidate count.
 func (cc *colConstraint) estimate() int {
-	if cc.empty {
-		return 0
-	}
-	if cc.eq != nil {
-		return cc.idx.EstimateEq(*cc.eq, true)
-	}
-	n, ok := cc.idx.Estimate(cc.lo, cc.hi, true)
+	n, ok := cc.idx.Estimate(cc.lo, cc.hi)
 	if !ok {
 		return 1 << 30
 	}
@@ -390,27 +298,17 @@ func (cc *colConstraint) estimate() int {
 }
 
 // bindPlan walks the conjuncts in evaluation order, certifying the
-// error-free prefix and collecting index constraints, then picks the
-// most selective one. nil means no usable index — the statement takes
-// the scan plan. A nil bind never builds indexes (builds happen only
-// for conjuncts that then become constraints), so it cannot thrash
-// builds.
+// error-free prefix and intersecting its comparisons per column, then
+// picks the most selective column. A row outside that column's
+// interval and not NULL there fails some certified conjunct, after an
+// error-free prefix, so skipping it is safe; a contradiction leaves an
+// empty interval, whose probe returns the NULL rows alone. nil means no
+// usable index — the statement takes the scan plan. A nil bind never
+// builds indexes (builds happen only for conjuncts that then become
+// constraints), so it cannot thrash builds.
 func bindPlan(a *applyAnalysis, ix *storage.IndexSet, relName string, rel *storage.Relation) *boundPlan {
 	var cons []*colConstraint
 	byCol := map[int]*colConstraint{}
-	constraintFor := func(col int, idx *storage.ColumnIndex) *colConstraint {
-		cc := byCol[col]
-		if cc == nil {
-			cc = &colConstraint{col: col, idx: idx}
-			byCol[col] = cc
-			cons = append(cons, cc)
-		}
-		return cc
-	}
-	covered := true        // no conjunct ended the prefix early
-	allConstrained := true // every conjunct became a constraint
-	neSeen := false
-
 loop:
 	for _, c := range a.conj {
 		switch c.kind {
@@ -420,61 +318,36 @@ loop:
 			// statement is a no-op (UPDATE) / keeps everything (DELETE).
 			return &boundPlan{empty: true}
 		case ckOpaque:
-			covered, allConstrained = false, false
 			break loop
-		case ckSimple:
-			switch c.op {
-			case expr.CmpNe:
-				// Never errors, so it is a safe prefix member, but as a
-				// constraint it excludes almost nothing: residual-only.
-				neSeen = true
-				continue
-			case expr.CmpEq:
-				// Never errors regardless of classes (cross-class
-				// equality is false, not an error), so the prefix stays
-				// certified even without an index.
-				if idx := ix.Hashed(relName, rel, c.col); idx != nil {
-					constraintFor(c.col, idx).tightenEq(c.k)
-				} else {
-					allConstrained = false
-				}
-				continue
-			default:
-				// Ordered comparison: certification requires an index
-				// whose observed class matches the constant's class
-				// (IndexNone — a column of only NULLs — is vacuously
-				// safe: every comparison evaluates to NULL).
-				idx := ix.Ordered(relName, rel, c.col)
-				if idx == nil {
-					covered, allConstrained = false, false
-					break loop
-				}
-				cls := idx.Class()
-				if cls != storage.IndexNone && cls != storage.ClassOf(c.k) {
-					covered, allConstrained = false, false
-					break loop
-				}
-				constraintFor(c.col, idx).tightenRange(c.op, c.k)
-			}
 		}
+		if c.op == expr.CmpNe {
+			// Never errors, so it is a safe prefix member, but as a
+			// constraint it excludes almost nothing.
+			continue
+		}
+		// An ordered comparison is certified by an index whose observed
+		// class matches the constant's (IndexNone — a column of only
+		// NULLs — is vacuously safe: every comparison evaluates to NULL).
+		// An equality never errors (cross-class equality is false), so
+		// it keeps the prefix certified without an index or a class
+		// match, and narrows only with both.
+		idx := ix.Ordered(relName, rel, c.col)
+		if idx == nil || (idx.Class() != storage.IndexNone && idx.Class() != storage.ClassOf(c.k)) {
+			if c.op == expr.CmpEq {
+				continue
+			}
+			break loop
+		}
+		cc := byCol[c.col]
+		if cc == nil {
+			cc = &colConstraint{idx: idx}
+			byCol[c.col] = cc
+			cons = append(cons, cc)
+		}
+		cc.tighten(c.op, c.k)
 	}
 	if len(cons) == 0 {
 		return nil
-	}
-	anyEmpty := false
-	for _, cc := range cons {
-		cc.settle()
-		anyEmpty = anyEmpty || cc.empty
-	}
-	if anyEmpty {
-		// Contradictory constraints on some column: θ is false on every
-		// row with a non-NULL value there and NULL otherwise. For UPDATE
-		// that is a no-op either way; for DELETE the θ = NULL rows must
-		// still be removed, which no probe shape expresses — scan plan.
-		if a.del {
-			return nil
-		}
-		return &boundPlan{empty: true}
 	}
 	best := cons[0]
 	for _, cc := range cons[1:] {
@@ -482,24 +355,7 @@ loop:
 			best = cc
 		}
 	}
-	direct := covered && allConstrained && !neSeen
-	p := &boundPlan{
-		idx:    best.idx,
-		eq:     best.eq,
-		lo:     best.lo,
-		hi:     best.hi,
-		direct: direct,
-		exact:  direct && len(cons) == 1,
-	}
-	if direct && len(cons) > 1 {
-		for _, cc := range cons {
-			if cc == best {
-				continue
-			}
-			p.res = append(p.res, resCheck{ord: cc.col, eq: cc.eq, lo: cc.lo, hi: cc.hi})
-		}
-	}
-	return p
+	return &boundPlan{idx: best.idx, lo: best.lo, hi: best.hi}
 }
 
 // execution ------------------------------------------------------------------
@@ -510,11 +366,11 @@ loop:
 // over set bits is ascending by construction, replacing a
 // per-statement sort. The scan plan — also taken when the index cannot
 // answer the probe after all — selects every position.
-func (p *boundPlan) candidates(sc *storage.ApplyScratch, nRows int, withNulls bool) (*boundPlan, []int32) {
+func (p *boundPlan) candidates(sc *storage.ApplyScratch, nRows int) (*boundPlan, []int32) {
 	var bm []uint64
 	if p.idx != nil {
 		var ok bool
-		if bm, ok = p.probe(sc, nRows, withNulls); !ok {
+		if bm, ok = p.probe(sc, nRows); !ok {
 			p = scanPlan
 		}
 	}
@@ -536,18 +392,12 @@ func (p *boundPlan) candidates(sc *storage.ApplyScratch, nRows int, withNulls bo
 	return p, pos
 }
 
-// probe collects the index plan's candidates as a bitmap over row
-// positions, from sc's reusable bitmap; the probe's position buffer is
-// free again once the bitmap is built. ok=false means the index could
-// not answer after all.
-func (p *boundPlan) probe(sc *storage.ApplyScratch, nRows int, withNulls bool) (bm []uint64, ok bool) {
-	buf := sc.Pos[:0]
-	var cand []int32
-	if p.eq != nil {
-		cand, ok = p.idx.Eq(*p.eq, withNulls, buf)
-	} else {
-		cand, ok = p.idx.Range(p.lo, p.hi, withNulls, buf)
-	}
+// probe collects the index plan's candidates — the NULL positions and
+// the interval — as a bitmap over row positions, from sc's reusable
+// bitmap; the probe's position buffer is free again once the bitmap is
+// built. ok=false means the index could not answer after all.
+func (p *boundPlan) probe(sc *storage.ApplyScratch, nRows int) (bm []uint64, ok bool) {
+	cand, ok := p.idx.Range(p.lo, p.hi, sc.Pos[:0])
 	if cand != nil {
 		sc.Pos = cand[:0] // keep the (possibly grown) backing array
 	}
@@ -564,81 +414,39 @@ func (p *boundPlan) probe(sc *storage.ApplyScratch, nRows int, withNulls bool) (
 	return bm, true
 }
 
-// resHold reports whether every non-chosen constraint of a direct plan
-// holds on t. A NULL cell makes its conjunct, and so θ, NULL: an UPDATE
-// skips the row and a DELETE (del) removes it, so it holds iff del.
-func (p *boundPlan) resHold(t schema.Tuple, del bool) bool {
-	for i := range p.res {
-		v := t[p.res[i].ord]
-		if v.IsNull() {
-			if !del {
-				return false
-			}
-			continue
-		}
-		if !p.res[i].satisfies(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// residual returns a's residual kernel when p needs one — nil for a
-// direct plan. An error means the condition is outside the kernel
-// compiler's subset, and the statement takes the naive loop instead.
-func (p *boundPlan) residual(a *applyAnalysis) (*exec.TupleKernel, error) {
-	if p.direct {
-		return nil, nil
-	}
-	return a.residual()
-}
-
 // touched narrows cand — candidate positions, ascending — in place to
-// the rows the statement touches and returns them with the values of
-// set's expressions over those rows, len(exprs) per row (none when set
-// is nil). It works a chunk of candidates at a time and writes nothing
-// to the relation, so an evaluation error leaves the state as it was;
-// it errors iff the reference loop errors. Exact plans touch every
-// candidate, direct plans the candidates whose remaining constraints
-// hold (resHold), residual and scan plans the rows where the residual
-// kernel's condition holds — θ for an UPDATE — or, for a DELETE (del), where it
-// does not (¬θ, kept iff true).
-func (p *boundPlan) touched(rel *storage.Relation, sc *storage.ApplyScratch, cand []int32, residual, set *exec.TupleKernel, del bool) ([]int32, []types.Value, error) {
+// the rows the statement touches (θ holds for an UPDATE, ¬θ does not
+// hold for a DELETE) and returns them with the values of a's SET expressions over
+// those rows, len(a.setCols) per row (none for a DELETE). It works a
+// chunk of candidates at a time and writes nothing to the relation, so
+// an evaluation error leaves the state as it was; it errors iff the
+// reference loop errors.
+func touched(rel *storage.Relation, sc *storage.ApplyScratch, cand []int32, a *applyAnalysis) ([]int32, []types.Value, error) {
 	vals := sc.Vals[:0]
 	n := 0
 	for lo := 0; lo < len(cand); lo += exec.DefaultBatchSize {
 		chunk := cand[lo:min(lo+exec.DefaultBatchSize, len(cand))]
-		start := n
 		rows := sc.Rows[:0]
 		for _, at := range chunk {
-			t := rel.Tuples[at]
-			if p.direct && !p.exact && !p.resHold(t, del) {
-				continue
-			}
-			cand[n] = at // n never passes the read position
-			rows = append(rows, t)
-			n++
+			rows = append(rows, rel.Tuples[at])
 		}
 		sc.Rows = rows[:0]
-		if !p.direct {
-			keep := sc.Flags(len(rows))
-			if _, err := residual.Eval(rows, keep, nil); err != nil {
-				return nil, nil, err
-			}
-			n = start
-			for i, k := range keep {
-				if k != del {
-					cand[n], rows[n-start] = cand[start+i], rows[i]
-					n++
-				}
-			}
-			rows = rows[:n-start]
+		keep := sc.Flags(len(rows))
+		if _, err := a.cond.Eval(rows, keep, nil); err != nil {
+			return nil, nil, err
 		}
-		if set == nil {
+		start := n
+		for i, k := range keep {
+			if k != a.del {
+				cand[n], rows[n-start] = chunk[i], rows[i] // n never passes the read position
+				n++
+			}
+		}
+		if a.set == nil {
 			continue
 		}
 		var err error
-		if vals, err = set.Eval(rows, nil, vals); err != nil {
+		if vals, err = a.set.Eval(rows[:n-start], nil, vals); err != nil {
 			sc.Vals = vals[:0]
 			return nil, nil, err
 		}
@@ -658,9 +466,9 @@ func scratch(ix *storage.IndexSet) *storage.ApplyScratch {
 }
 
 // runUpdate applies an UPDATE through plan p (ix is nil for a plain
-// Apply): gather the candidates, evaluate residual θ and the SET vector
-// over them (errors iff the reference loop errors), and stage every
-// value before writing any, so an evaluation error leaves the state
+// Apply): gather the candidates, evaluate θ and the SET vector over
+// them (errors iff the reference loop errors), and stage every value
+// before writing any, so an evaluation error leaves the state
 // untouched, exactly as a failed statement must (it never enters the
 // history). When the relation owns its rows and no index sits on a SET
 // column the staged values are written into the resident tuples in
@@ -669,37 +477,22 @@ func scratch(ix *storage.IndexSet) *storage.ApplyScratch {
 // a fresh one carved from an arena: a snapshot replay's rows are shared
 // with the published state it started from, which must not change
 // (storage.Relation.PrepareRewrite), and an index on a SET column must
-// observe distinct old/new tuples (NoteReplace). done is false when the
-// residual condition is outside the kernel compiler's subset.
-func runUpdate(rel *storage.Relation, relName string, ix *storage.IndexSet, a *applyAnalysis, p *boundPlan) (done bool, err error) {
+// observe distinct old/new tuples (NoteReplace).
+func runUpdate(rel *storage.Relation, relName string, ix *storage.IndexSet, a *applyAnalysis, p *boundPlan) error {
 	if p.empty {
-		return true, nil
+		return nil
 	}
-	// Exact plans touch only rows certainly satisfying θ. Direct plans
-	// (every conjunct a certified constraint) exclude NULL-keyed rows
-	// from the probe: some constrained column is NULL ⇒ that conjunct is
-	// NULL ⇒ θ is not true, and certification guarantees skipping the
-	// row cannot hide an evaluation error. Residual plans must include
-	// them — NULL never short-circuits the conjunction, so the compiled
-	// θ still evaluates on them.
 	sc := scratch(ix)
-	p, cand := p.candidates(sc, len(rel.Tuples), !p.direct)
+	p, cand := p.candidates(sc, len(rel.Tuples))
 	nset := len(a.setCols)
 	if p.idx != nil && cap(sc.Vals) < len(cand)*nset {
 		sc.Vals = make([]types.Value, 0, len(cand)*nset)
 	}
-	residual, err := p.residual(a)
-	if err != nil {
-		return false, nil
-	}
-	pos, vals, err := p.touched(rel, sc, cand, residual, a.set, false)
-	if err != nil {
-		return true, err
-	}
-	if len(pos) == 0 || nset == 0 {
-		// No satisfying rows, or an all-identity SET vector: writing
-		// back value-identical contents has no observable effect.
-		return true, nil
+	pos, vals, err := touched(rel, sc, cand, a)
+	if err != nil || len(pos) == 0 || nset == 0 {
+		// An error, no satisfying rows, or an all-identity SET vector:
+		// writing back value-identical contents has no observable effect.
+		return err
 	}
 	indexed := ix != nil && ix.HasIndexOnAny(relName, a.setCols)
 	if rel.PrepareRewrite(len(pos)) && !indexed {
@@ -713,7 +506,7 @@ func runUpdate(rel *storage.Relation, relName string, ix *storage.IndexSet, a *a
 				t[ord] = vals[i*nset+j]
 			}
 		}
-		return true, nil
+		return nil
 	}
 	// An indexed column is being SET, or the rows belong to a published
 	// state too: rewrite through fresh rows carved from one arena, so the
@@ -734,34 +527,22 @@ func runUpdate(rel *storage.Relation, relName string, ix *storage.IndexSet, a *a
 			ix.NoteReplace(relName, int(at), old, row)
 		}
 	}
-	return true, nil
+	return nil
 }
 
 // runDelete applies a DELETE through plan p (ix is nil for a plain
-// Apply). Index candidates always include the NULL positions: θ = NULL
-// removes the tuple under σ_{¬θ}. A direct plan removes a candidate iff
-// θ ∈ {true, NULL} — no conjunct is false, so every constrained column
-// is NULL or satisfies its constraint (the chosen column's candidates
-// already are its interval plus its NULLs); residual and scan plans
-// remove it iff ¬θ is not true. Survivors keep their relative order in
-// a fresh compacted slice (slice-header surgery only), and the indexes
-// renumber in one pass. done is as for runUpdate.
-func runDelete(rel *storage.Relation, relName string, ix *storage.IndexSet, a *applyAnalysis, p *boundPlan) (done bool, err error) {
+// Apply): a candidate is removed iff ¬θ is not true. Survivors keep
+// their relative order in a fresh compacted slice (slice-header surgery
+// only), and the indexes renumber in one pass.
+func runDelete(rel *storage.Relation, relName string, ix *storage.IndexSet, a *applyAnalysis, p *boundPlan) error {
 	if p.empty {
-		return true, nil
+		return nil
 	}
 	sc := scratch(ix)
-	p, cand := p.candidates(sc, len(rel.Tuples), true)
-	residual, err := p.residual(a)
-	if err != nil {
-		return false, nil
-	}
-	removed, _, err := p.touched(rel, sc, cand, residual, nil, true)
-	if err != nil {
-		return true, err
-	}
-	if len(removed) == 0 {
-		return true, nil
+	_, cand := p.candidates(sc, len(rel.Tuples))
+	removed, _, err := touched(rel, sc, cand, a)
+	if err != nil || len(removed) == 0 {
+		return err
 	}
 	keep := make([]schema.Tuple, 0, len(rel.Tuples)-len(removed))
 	d := 0
@@ -776,7 +557,7 @@ func runDelete(rel *storage.Relation, relName string, ix *storage.IndexSet, a *a
 	if ix != nil {
 		ix.NoteDelete(relName, removed)
 	}
-	return true, nil
+	return nil
 }
 
 // statement entry points -----------------------------------------------------
@@ -808,9 +589,7 @@ func (u *Update) apply(db *storage.Database, ix *storage.IndexSet) error {
 	if a := u.memo.analysis(rel.Schema, func() *applyAnalysis {
 		return analyzeUpdate(u.Where, vec, rel.Schema)
 	}); a != nil {
-		if done, err := runUpdate(rel, u.Rel, ix, a, u.memo.plan(a, ix, u.Rel, rel)); done {
-			return err
-		}
+		return runUpdate(rel, u.Rel, ix, a, u.memo.plan(a, ix, u.Rel, rel))
 	}
 	// The naive loop rewrites rows (and, failing midway, leaves some
 	// rewritten) outside the maintained path, after which the indexes
@@ -835,11 +614,10 @@ func (d *Delete) apply(db *storage.Database, ix *storage.IndexSet) error {
 	if err := expr.Validate(d.Where, rel.Schema); err != nil {
 		return err
 	}
-	a := d.memo.analysis(rel.Schema, func() *applyAnalysis {
+	if a := d.memo.analysis(rel.Schema, func() *applyAnalysis {
 		return analyzeDelete(d.Where, rel.Schema)
-	})
-	if done, err := runDelete(rel, d.Rel, ix, a, d.memo.plan(a, ix, d.Rel, rel)); done {
-		return err
+	}); a != nil {
+		return runDelete(rel, d.Rel, ix, a, d.memo.plan(a, ix, d.Rel, rel))
 	}
 	if ix != nil {
 		defer ix.Invalidate(d.Rel)

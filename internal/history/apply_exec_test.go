@@ -3,6 +3,7 @@ package history
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -63,7 +64,22 @@ func applyCols() []schema.Column {
 		schema.Col("k", types.KindInt),
 		schema.Col("v", types.KindInt),
 		schema.Col("g", types.KindString),
+		schema.Col("f", types.KindFloat),
 	}
+}
+
+// floatCell is column f's cell at row i: derived from the position, so
+// the rng stream the other columns draw from is the same with and
+// without f. Every 10th row holds a NaN, which Compare ties with every
+// number and which therefore keeps f from being indexed.
+func floatCell(i int) types.Value {
+	switch {
+	case i%10 == 0:
+		return types.Float(math.NaN())
+	case i%17 == 0:
+		return types.Null()
+	}
+	return types.Float(float64(i % 40))
 }
 
 // randomApplyDB builds relations r (populated, with NULLs and
@@ -81,12 +97,12 @@ func randomApplyDB(rng *rand.Rand, rows int) *storage.Database {
 		if rng.Intn(15) == 0 {
 			k = types.Null()
 		}
-		r.Add(schema.NewTuple(k, v, types.String(groups[rng.Intn(len(groups))])))
+		r.Add(schema.NewTuple(k, v, types.String(groups[rng.Intn(len(groups))]), floatCell(i)))
 	}
 	db.AddRelation(r)
 	w := storage.NewRelation(schema.New("w", applyCols()...))
 	for i := 0; i < rng.Intn(5); i++ {
-		w.Add(schema.NewTuple(types.Int(int64(i)), types.Int(int64(rng.Intn(10))), types.String("w")))
+		w.Add(schema.NewTuple(types.Int(int64(i)), types.Int(int64(rng.Intn(10))), types.String("w"), floatCell(i)))
 	}
 	db.AddRelation(w)
 	return db
@@ -119,8 +135,8 @@ func randomApplyStatement(rng *rand.Rand, i int) Statement {
 		return &Delete{Rel: rel, Where: randomApplyCond(rng)}
 	case 1:
 		return &InsertValues{Rel: rel, Rows: []schema.Tuple{
-			schema.NewTuple(types.Int(int64(100+i)), types.Int(int64(rng.Intn(40))), types.String("a")),
-			schema.NewTuple(types.Int(int64(200+i)), types.Null(), types.String("b")),
+			schema.NewTuple(types.Int(int64(100+i)), types.Int(int64(rng.Intn(40))), types.String("a"), floatCell(i)),
+			schema.NewTuple(types.Int(int64(200+i)), types.Null(), types.String("b"), types.Float(math.NaN())),
 		}}
 	case 2:
 		src := "w"
@@ -143,9 +159,27 @@ func randomApplyStatement(rng *rand.Rand, i int) Statement {
 	}
 }
 
+// sameTuple reports whether a and b hold identical cells: the same
+// kind and an Equal value, or NaN on both sides (NaN is not Equal to
+// itself).
+func sameTuple(a, b schema.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for c := range a {
+		x, y := a[c], b[c]
+		nan := x.Kind() == types.KindFloat && math.IsNaN(x.AsFloat()) && math.IsNaN(y.AsFloat())
+		if x.Kind() != y.Kind() || !(x.Equal(y) || nan) {
+			return false
+		}
+	}
+	return true
+}
+
 // requireDatabasesEqual compares two databases relation by relation,
 // tuple by tuple — order included, since kernel application must
-// reproduce the naive loops' output exactly, not just as a bag.
+// reproduce the naive loops' output exactly, not just as a bag — and
+// cell by cell (sameTuple).
 func requireDatabasesEqual(t *testing.T, label string, want, got *storage.Database) {
 	t.Helper()
 	for _, name := range want.RelationNames() {
@@ -162,7 +196,7 @@ func requireDatabasesEqual(t *testing.T, label string, want, got *storage.Databa
 				label, name, len(gr.Tuples), len(wr.Tuples), wr, gr)
 		}
 		for i := range wr.Tuples {
-			if !wr.Tuples[i].Equal(gr.Tuples[i]) {
+			if !sameTuple(wr.Tuples[i], gr.Tuples[i]) {
 				t.Fatalf("%s: relation %s tuple %d = %s, want %s", label, name, i, gr.Tuples[i], wr.Tuples[i])
 			}
 		}
@@ -263,8 +297,8 @@ func TestAllIdentityUpdateStillEvaluatesWhere(t *testing.T) {
 		db := storage.NewDatabase()
 		r := storage.NewRelation(schema.New("r", applyCols()...))
 		r.Add(
-			schema.NewTuple(types.Int(1), types.Int(5), types.String("a")),
-			schema.NewTuple(types.Int(2), types.Int(0), types.String("b")),
+			schema.NewTuple(types.Int(1), types.Int(5), types.String("a"), types.Float(1)),
+			schema.NewTuple(types.Int(2), types.Int(0), types.String("b"), types.Float(2)),
 		)
 		db.AddRelation(r)
 		return db

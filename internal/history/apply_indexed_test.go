@@ -2,7 +2,9 @@ package history
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -14,16 +16,26 @@ import (
 
 // randomIndexedCond generates WHERE conditions that stress the indexed
 // apply planner specifically: certified single- and multi-column
-// constraints (hash and ordered probes, direct plans), contradictions,
-// class mismatches, constant and NULL-constant conjuncts, Ne, and
-// shapes outside the indexable subset (Or, IsNull, arithmetic, NULL and
-// non-boolean constants, TRUE) that must take the residual or scan
-// plan.
+// constraints (equality and range probes of one ordered index, the most
+// selective column chosen), contradictions, class mismatches, constant
+// and NULL-constant conjuncts, Ne, NaN constants and a NaN-bearing
+// column, and shapes outside the indexable subset (Or, IsNull,
+// arithmetic, NULL and non-boolean constants, TRUE) that must take the
+// scan plan.
 func randomIndexedCond(rng *rand.Rand) expr.Expr {
 	k, v, g := expr.Column("k"), expr.Column("v"), expr.Column("g")
 	ic := func(n int) *expr.Const { return expr.IntConst(int64(n)) }
 	grp := func() *expr.Const { return expr.StringConst([]string{"a", "b", "c"}[rng.Intn(3)]) }
-	switch rng.Intn(18) {
+	nan := expr.FloatConst(math.NaN())
+	cmps := []func(l, r expr.Expr) *expr.Cmp{expr.Eq, expr.Ge, expr.Gt, expr.Le, expr.Lt}
+	switch rng.Intn(21) {
+	case 18: // NaN constant: Compare ties it with every number
+		return cmps[rng.Intn(len(cmps))](k, nan)
+	case 19: // NaN cells: f holds a NaN every 10th row
+		return cmps[rng.Intn(len(cmps))](expr.Column("f"), ic(rng.Intn(40)))
+	case 20: // contradiction ahead of a conjunct that errors where v = 0
+		c := rng.Intn(40)
+		return expr.AndOf(expr.Eq(k, ic(c)), expr.Eq(k, ic(c+1)), expr.Gt(expr.Div(ic(100), v), ic(0)))
 	case 14: // col ∘ NULL conjunct: θ is never true, and NULL under DELETE
 		return expr.AndOf(expr.Eq(k, expr.Constant(types.Null())), expr.Ge(v, ic(rng.Intn(40))))
 	case 15: // non-boolean constant conjunct: errors on rows that reach it
@@ -32,17 +44,17 @@ func randomIndexedCond(rng *rand.Rand) expr.Expr {
 		return expr.AndOf(expr.Ge(expr.Add(v, ic(0)), ic(rng.Intn(40))), expr.Eq(k, ic(rng.Intn(40))))
 	case 17:
 		return expr.True
-	case 0: // hash probe
+	case 0: // equality probe
 		return expr.Eq(k, ic(rng.Intn(40)))
 	case 1: // ordered range probe
 		return []func(l, r expr.Expr) *expr.Cmp{expr.Ge, expr.Gt, expr.Le, expr.Lt}[rng.Intn(4)](v, ic(rng.Intn(40)))
-	case 2: // string hash probe
+	case 2: // string equality probe
 		return expr.Eq(g, grp())
-	case 3: // multi-column direct plan
+	case 3: // multi-column: the most selective column drives the probe
 		return expr.AndOf(expr.Eq(k, ic(rng.Intn(40))), expr.Ge(v, ic(rng.Intn(40))))
 	case 4: // triple conjunction, mixed classes
 		return expr.AndOf(expr.Eq(g, grp()), expr.Lt(k, ic(rng.Intn(40))), expr.Gt(v, ic(rng.Intn(20))))
-	case 5: // contradiction via equalities (UPDATE no-op, DELETE must fall back for NULLs)
+	case 5: // contradiction via equalities: the probe returns the NULL rows alone
 		c := rng.Intn(40)
 		return expr.AndOf(expr.Eq(k, ic(c)), expr.Eq(k, ic(c+1)))
 	case 6: // contradiction via an empty range
@@ -53,11 +65,11 @@ func randomIndexedCond(rng *rand.Rand) expr.Expr {
 		return expr.AndOf(expr.BoolConst(rng.Intn(2) == 0), expr.Eq(k, ic(rng.Intn(40))))
 	case 9: // NULL constant: both paths must reject the statement alike
 		return expr.Eq(k, expr.Constant(types.Null()))
-	case 10: // Ne blocks direct plans but not the probe
+	case 10: // Ne keeps the prefix certified but narrows nothing
 		return expr.AndOf(expr.Ne(k, ic(rng.Intn(40))), expr.Ge(v, ic(rng.Intn(40))))
 	case 11: // disjunction: outside the indexable subset
 		return expr.OrOf(expr.Eq(k, ic(rng.Intn(40))), expr.Lt(v, ic(rng.Intn(15))))
-	case 12: // IS NULL conjunct: residual evaluation over NULL-keyed rows
+	case 12: // IS NULL conjunct: kernel evaluation over NULL-keyed rows
 		return expr.AndOf(expr.Ge(k, ic(rng.Intn(40))), &expr.IsNull{E: v})
 	default: // arithmetic comparand: not a simple col∘const conjunct
 		return expr.Ge(expr.Add(k, v), ic(rng.Intn(60)))
@@ -66,15 +78,22 @@ func randomIndexedCond(rng *rand.Rand) expr.Expr {
 
 // randomIndexedStatement biases toward UPDATE/DELETE (the statements the
 // indexed path accelerates) and includes SETs that touch indexed
-// predicate columns, forcing the NoteReplace maintenance path.
+// predicate columns, forcing the NoteReplace maintenance path, and an
+// insert of a NaN key, which must drop k's index.
 func randomIndexedStatement(rng *rand.Rand, i int) Statement {
-	switch rng.Intn(10) {
+	switch rng.Intn(11) {
+	case 10: // enough rows to merge k's delta into its sorted run, one with a NaN key
+		rows := []schema.Tuple{schema.NewTuple(types.Float(math.NaN()), types.Int(int64(rng.Intn(40))), types.String("a"), types.Float(1))}
+		for len(rows) < 100 {
+			rows = append(rows, schema.NewTuple(types.Int(int64(rng.Intn(40))), types.Int(int64(rng.Intn(40))), types.String("b"), types.Float(2)))
+		}
+		return &InsertValues{Rel: "r", Rows: rows}
 	case 0:
 		return &Delete{Rel: "r", Where: randomIndexedCond(rng)}
 	case 1:
 		return &InsertValues{Rel: "r", Rows: []schema.Tuple{
-			schema.NewTuple(types.Int(int64(rng.Intn(40))), types.Int(int64(rng.Intn(40))), types.String("a")),
-			schema.NewTuple(types.Int(int64(rng.Intn(40))), types.Null(), types.String("b")),
+			schema.NewTuple(types.Int(int64(rng.Intn(40))), types.Int(int64(rng.Intn(40))), types.String("a"), floatCell(i)),
+			schema.NewTuple(types.Int(int64(rng.Intn(40))), types.Null(), types.String("b"), types.Float(math.NaN())),
 		}}
 	case 2: // SET on a predicate column: the rewrite moves indexed keys
 		return &Update{Rel: "r",
@@ -174,7 +193,7 @@ func TestIndexedApplyAllVersionPositions(t *testing.T) {
 // this is the shared-state safety test for in-place application: every
 // shared view is a deep clone, so no reader may ever observe a rewrite.
 // Each reader re-reads a version it captured earlier and requires the
-// bytes to be identical, which would fail if a snapshot aliased tuples
+// rows to be identical, in order and NaN for NaN, which would fail if a snapshot aliased tuples
 // the writer mutates.
 func TestIndexedApplyUnderConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
@@ -236,7 +255,7 @@ func TestIndexedApplyUnderConcurrentReaders(t *testing.T) {
 				for _, name := range pinned.RelationNames() {
 					pr, _ := pinned.Relation(name)
 					rr, _ := re.Relation(name)
-					if !pr.EqualAsBag(rr) {
+					if !slices.EqualFunc(pr.Tuples, rr.Tuples, sameTuple) {
 						errs <- fmt.Errorf("reader %d: version %d changed between reads", g, pinVer)
 						return
 					}
@@ -275,7 +294,7 @@ func errorProneDB(rows, zeroAt int) *storage.Database {
 		if i == zeroAt {
 			v = 0
 		}
-		r.Add(schema.NewTuple(types.Int(int64(i)), types.Int(v), types.String("a")))
+		r.Add(schema.NewTuple(types.Int(int64(i)), types.Int(v), types.String("a"), types.Float(float64(i))))
 	}
 	db.AddRelation(r)
 	return db
@@ -318,7 +337,7 @@ func TestIndexedApplyErrorRollsBack(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			db := errorProneDB(tc.rows, tc.zeroAt)
 			ix := storage.NewIndexSet()
-			// Build the hash index on g through a no-op delete so the
+			// Build the index on g through a no-op delete so the
 			// failing statement probes a maintained index rather than
 			// triggering the first build itself.
 			warm := &Delete{Rel: "r", Where: expr.Eq(expr.Column("g"), expr.StringConst("zzz"))}

@@ -18,7 +18,9 @@ import (
 // replay-private IndexSet; naive runs History.Apply over a clone of
 // the base, the execute step of the naive algorithm, which binds no
 // index; opaque is tip over the same history with an always-true first
-// conjunct no index can answer on every UPDATE.
+// conjunct no index can answer on every UPDATE; eq is tip over the same
+// history with each UPDATE's WHERE an equality on pickup_area (77
+// values), which probes the ordered index for one key.
 func BenchmarkApplyHistory(b *testing.B) {
 	w, err := workload.Generate(workload.Taxi(32000, 1), workload.Config{
 		Updates: 50, Mods: 1, DependentPct: 10, AffectedPct: 10, Seed: 20220612,
@@ -78,4 +80,12 @@ func BenchmarkApplyHistory(b *testing.B) {
 		}
 	}
 	b.Run("opaque", tip(opaque))
+	eq := make(history.History, len(w.History))
+	for i, st := range w.History {
+		eq[i] = st
+		if u, ok := st.(*history.Update); ok {
+			eq[i] = &history.Update{Rel: u.Rel, Set: u.Set, Where: expr.Eq(expr.Column("pickup_area"), expr.IntConst(int64(i%77)))}
+		}
+	}
+	b.Run("eq", tip(eq))
 }

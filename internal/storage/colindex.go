@@ -1,26 +1,29 @@
 // Per-column secondary indexes for incremental statement application.
 //
 // A ColumnIndex maps the values of one column of one relation to the
-// row positions holding them, in one of two shapes: ordered (a sorted
-// run plus a small unsorted delta, answering range and equality
-// probes) or hashed (value-keyed buckets, answering equality probes
-// only but tolerating mixed value kinds). An IndexSet owns the lazily
-// built indexes of one database state and is maintained delta-wise by
-// the indexed statement-application path of package history: appends
-// register new rows, in-place row rewrites move individual entries,
-// and deletes renumber positions in one pass. This is what turns
-// UPDATE/DELETE application from a full scan + rematerialization of
-// the relation into O(affected rows) work.
+// row positions holding them, in key order: a sorted run plus a small
+// unsorted delta, answering range probes (an equality is the closed
+// range [k, k]). An index only picks candidate rows: the caller decides
+// each candidate with the statement's full condition, so a probe may
+// return more rows than match but never fewer. An IndexSet owns the
+// lazily built indexes of one database state and is maintained
+// delta-wise by the indexed statement-application path of package
+// history: appends register new rows, in-place row rewrites move
+// individual entries, and deletes renumber positions in one pass. This
+// is what turns UPDATE/DELETE application from a full scan +
+// rematerialization of the relation into O(affected rows) work.
 //
 // Key representation is chosen to agree exactly with the engine's
-// comparison semantics (types.Value.Compare / Equal): numeric values
-// of either kind are keyed by their float64 widening, so cross-kind
-// equality (1 == 1.0) and ordering — including any float precision
-// loss — match the per-tuple oracle; booleans are keyed 0/1 (false <
-// true); strings by themselves. NULLs are kept on a separate position
-// list because no comparison matches them. NaN/±Inf are excluded from
-// the value domain by types.Arith, so float keys always have a total
-// order.
+// comparison semantics (types.Value.Compare): numeric values of either
+// kind are keyed by their float64 widening, so cross-kind ordering —
+// including any float precision loss — matches the per-tuple oracle;
+// booleans are keyed 0/1 (false < true); strings by themselves. NULLs
+// are kept on a separate position list, which every probe returns,
+// because no comparison with NULL is false. A NaN has no place in that
+// order (Compare ties it with every number), and Go-API appends and
+// programmatic relations can carry one: a column holding a NaN, or
+// several comparability classes, gets no index, and a NaN or a class
+// departure arriving through maintenance drops the column's index.
 //
 // Concurrency: an IndexSet has no internal locking. It must only be
 // touched under the same exclusive access as the database state it
@@ -30,6 +33,7 @@
 package storage
 
 import (
+	"math"
 	"slices"
 	"sort"
 
@@ -48,7 +52,6 @@ const (
 	IndexNumeric                   // int and float (one class: Compare widens)
 	IndexString
 	IndexBool
-	IndexMixed // several classes present; ordered probes unanswerable
 )
 
 // ClassOf returns the comparability class of a single non-NULL value
@@ -266,68 +269,31 @@ func shiftPos(pos int32, deleted []int32) int32 {
 	return pos - int32(i)
 }
 
-// hashed index core --------------------------------------------------------
-
-// hashKey keys hashed buckets so that bucket equality coincides with
-// types.Value.Equal: numerics fold to their float64 widening (1 and
-// 1.0 share a bucket), booleans and strings stay in their own class.
-type hashKey struct {
-	class IndexClass
-	f     float64
-	s     string
-}
-
-func hashKeyOf(v types.Value) hashKey {
-	switch v.Kind() {
-	case types.KindInt, types.KindFloat:
-		f := v.AsFloat()
-		if f == 0 {
-			f = 0 // fold -0.0 into +0.0 (they compare equal)
-		}
-		return hashKey{class: IndexNumeric, f: f}
-	case types.KindString:
-		return hashKey{class: IndexString, s: v.AsString()}
-	case types.KindBool:
-		var f float64
-		if v.AsBool() {
-			f = 1
-		}
-		return hashKey{class: IndexBool, f: f}
-	}
-	panic("storage: hashKeyOf on NULL")
-}
-
 // ColumnIndex --------------------------------------------------------------
 
-type indexKind uint8
-
-const (
-	kindOrdered indexKind = iota
-	kindHashed
-)
-
-// ColumnIndex maps the values of one column to row positions. Ordered
-// indexes answer range and equality probes but require all non-NULL
-// values of the column to share one comparability class; hashed
-// indexes answer equality probes only and tolerate mixed classes.
+// ColumnIndex maps the values of one column to row positions in key
+// order. It holds a column whose non-NULL values share one
+// comparability class and are never NaN, and answers range probes
+// (an equality is the closed range [k, k]); a column outside that
+// domain gets no index.
 type ColumnIndex struct {
-	col   int
-	kind  indexKind
 	class IndexClass
 	nulls []int32
-
-	// ordered cores (at most one non-nil; both nil while class is
-	// IndexNone — the first typed insert decides):
-	num *ordCore[float64] // numeric and bool columns (bool keyed 0/1)
+	// The ordered core of the class: num for numeric and bool columns
+	// (bool keyed 0/1), str for string columns; both nil for IndexNone.
+	num *ordCore[float64]
 	str *ordCore[string]
-
-	// hashed buckets:
-	hash map[hashKey][]int32
 }
 
 // Class returns the comparability class of the indexed column's
 // non-NULL values.
 func (x *ColumnIndex) Class() IndexClass { return x.class }
+
+// isNaN reports whether v is a float NaN, which Compare ties with every
+// number and which no key order can therefore place.
+func isNaN(v types.Value) bool {
+	return v.Kind() == types.KindFloat && math.IsNaN(v.AsFloat())
+}
 
 // numKey converts a numeric or boolean value to its float64 key.
 func numKey(v types.Value) float64 {
@@ -339,45 +305,23 @@ func numKey(v types.Value) float64 {
 	}
 	f := v.AsFloat()
 	if f == 0 {
-		f = 0
+		f = 0 // fold -0.0 into +0.0 (they compare equal)
 	}
 	return f
 }
 
 // insert registers value v at position pos, reporting false when the
-// index cannot represent it (class departure on an ordered index);
-// the caller must then drop the index.
+// index cannot represent it (a class departure, a first non-NULL value
+// in an all-NULL column, or a NaN); the caller must then drop the index.
 func (x *ColumnIndex) insert(v types.Value, pos int32) bool {
-	if v.IsNull() {
+	switch {
+	case v.IsNull():
 		x.nulls = append(x.nulls, pos)
-		return true
-	}
-	c := ClassOf(v)
-	if x.kind == kindHashed {
-		if x.class == IndexNone {
-			x.class = c
-		} else if x.class != c {
-			x.class = IndexMixed
-		}
-		k := hashKeyOf(v)
-		x.hash[k] = append(x.hash[k], pos)
-		return true
-	}
-	if x.class == IndexNone {
-		x.class = c
-	}
-	if x.class != c {
+	case ClassOf(v) != x.class || isNaN(v):
 		return false
-	}
-	if x.class == IndexString {
-		if x.str == nil {
-			x.str = &ordCore[string]{}
-		}
+	case x.str != nil:
 		x.str.add(v.AsString(), pos)
-	} else {
-		if x.num == nil {
-			x.num = &ordCore[float64]{}
-		}
+	default:
 		x.num.add(numKey(v), pos)
 	}
 	return true
@@ -386,7 +330,8 @@ func (x *ColumnIndex) insert(v types.Value, pos int32) bool {
 // delete drops the entry for value v at position pos, reporting false
 // when it is absent (invariant violation; the caller drops the index).
 func (x *ColumnIndex) delete(v types.Value, pos int32) bool {
-	if v.IsNull() {
+	switch {
+	case v.IsNull():
 		for i, p := range x.nulls {
 			if p == pos {
 				last := len(x.nulls) - 1
@@ -396,28 +341,11 @@ func (x *ColumnIndex) delete(v types.Value, pos int32) bool {
 			}
 		}
 		return false
-	}
-	if x.kind == kindHashed {
-		k := hashKeyOf(v)
-		b := x.hash[k]
-		for i, p := range b {
-			if p == pos {
-				last := len(b) - 1
-				b[i] = b[last]
-				if last == 0 {
-					delete(x.hash, k)
-				} else {
-					x.hash[k] = b[:last]
-				}
-				return true
-			}
-		}
+	case ClassOf(v) != x.class:
 		return false
-	}
-	switch {
-	case x.str != nil && ClassOf(v) == x.class && x.class == IndexString:
+	case x.str != nil:
 		return x.str.remove(v.AsString(), pos)
-	case x.num != nil && ClassOf(v) == x.class:
+	case x.num != nil:
 		return x.num.remove(numKey(v), pos)
 	}
 	return false
@@ -442,83 +370,6 @@ func (x *ColumnIndex) renumber(deleted []int32) {
 	if x.str != nil {
 		x.str.renumber(deleted)
 	}
-	if x.hash != nil {
-		for k, b := range x.hash {
-			out := b[:0]
-			for _, p := range b {
-				if np := shiftPos(p, deleted); np >= 0 {
-					out = append(out, np)
-				}
-			}
-			if len(out) == 0 {
-				delete(x.hash, k)
-			} else {
-				x.hash[k] = out
-			}
-		}
-	}
-}
-
-// Eq appends to buf the positions whose column value equals v under
-// types.Value.Equal, plus the NULL positions when withNulls. Equality
-// never errors, so class mismatches simply match nothing; ok is false
-// only when the index shape cannot answer at all.
-func (x *ColumnIndex) Eq(v types.Value, withNulls bool, buf []int32) (_ []int32, ok bool) {
-	if v.IsNull() {
-		// No value equals NULL; only the explicit null positions.
-		if withNulls {
-			buf = append(buf, x.nulls...)
-		}
-		return buf, true
-	}
-	if withNulls {
-		buf = append(buf, x.nulls...)
-	}
-	if x.kind == kindHashed {
-		buf = append(buf, x.hash[hashKeyOf(v)]...)
-		return buf, true
-	}
-	if ClassOf(v) != x.class {
-		return buf, true // cross-class equality is false, not an error
-	}
-	emit := func(p int32) { buf = append(buf, p) }
-	if x.class == IndexString {
-		if x.str != nil {
-			k := v.AsString()
-			x.str.scan(true, k, false, true, k, false, emit)
-		}
-	} else if x.num != nil {
-		k := numKey(v)
-		x.num.scan(true, k, false, true, k, false, emit)
-	}
-	return buf, true
-}
-
-// EstimateEq bounds the number of positions Eq would return.
-func (x *ColumnIndex) EstimateEq(v types.Value, withNulls bool) int {
-	n := 0
-	if withNulls {
-		n = len(x.nulls)
-	}
-	if v.IsNull() {
-		return n
-	}
-	if x.kind == kindHashed {
-		return n + len(x.hash[hashKeyOf(v)])
-	}
-	if ClassOf(v) != x.class {
-		return n
-	}
-	if x.class == IndexString {
-		if x.str != nil {
-			k := v.AsString()
-			n += x.str.estimate(true, k, false, true, k, false)
-		}
-	} else if x.num != nil {
-		k := numKey(v)
-		n += x.num.estimate(true, k, false, true, k, false)
-	}
-	return n
 }
 
 // rangeArgs converts bounds to core keys. ok is false when a bound's
@@ -526,29 +377,17 @@ func (x *ColumnIndex) EstimateEq(v types.Value, withNulls bool) int {
 // error row-wise, so the index must not answer).
 func (x *ColumnIndex) rangeArgs(lo, hi *Bound) (haveLo bool, loF float64, loS string, loOpen, haveHi bool, hiF float64, hiS string, hiOpen, ok bool) {
 	conv := func(b *Bound) (float64, string, bool) {
-		c := ClassOf(b.V)
-		switch x.class {
-		case IndexString:
-			if c != IndexString {
-				return 0, "", false
-			}
-			return 0, b.V.AsString(), true
-		case IndexNumeric:
-			if c != IndexNumeric {
-				return 0, "", false
-			}
-			return numKey(b.V), "", true
-		case IndexBool:
-			if c != IndexBool {
-				return 0, "", false
-			}
-			return numKey(b.V), "", true
-		case IndexNone:
+		switch c := ClassOf(b.V); {
+		case x.class == IndexNone:
 			// Column has no non-NULL values: any well-formed bound
-			// matches nothing, which the empty cores already express.
+			// matches nothing, which the absent core already expresses.
 			return 0, "", true
+		case c != x.class:
+			return 0, "", false
+		case c == IndexString:
+			return 0, b.V.AsString(), true
 		}
-		return 0, "", false
+		return numKey(b.V), "", true
 	}
 	if lo != nil {
 		loF, loS, ok = conv(lo)
@@ -567,26 +406,18 @@ func (x *ColumnIndex) rangeArgs(lo, hi *Bound) (haveLo bool, loF float64, loS st
 	return haveLo, loF, loS, loOpen, haveHi, hiF, hiS, hiOpen, true
 }
 
-// Range appends to buf the positions whose column value lies within
-// the bounds (nil = unbounded), plus the NULL positions when
-// withNulls. ok is false when the index cannot answer the probe
-// (hashed shape, mixed classes, or class-incompatible bounds).
-func (x *ColumnIndex) Range(lo, hi *Bound, withNulls bool, buf []int32) (_ []int32, ok bool) {
-	if x.kind != kindOrdered || x.class == IndexMixed {
-		return buf, false
-	}
+// Range appends to buf the NULL positions and the positions whose
+// column value lies within the bounds (nil = unbounded). ok is false
+// when a bound's class is incompatible with the column's.
+func (x *ColumnIndex) Range(lo, hi *Bound, buf []int32) (_ []int32, ok bool) {
 	haveLo, loF, loS, loOpen, haveHi, hiF, hiS, hiOpen, ok := x.rangeArgs(lo, hi)
 	if !ok {
 		return buf, false
 	}
-	if withNulls {
-		buf = append(buf, x.nulls...)
-	}
+	buf = append(buf, x.nulls...)
 	emit := func(p int32) { buf = append(buf, p) }
-	if x.class == IndexString {
-		if x.str != nil {
-			x.str.scan(haveLo, loS, loOpen, haveHi, hiS, hiOpen, emit)
-		}
+	if x.str != nil {
+		x.str.scan(haveLo, loS, loOpen, haveHi, hiS, hiOpen, emit)
 	} else if x.num != nil {
 		x.num.scan(haveLo, loF, loOpen, haveHi, hiF, hiOpen, emit)
 	}
@@ -595,93 +426,60 @@ func (x *ColumnIndex) Range(lo, hi *Bound, withNulls bool, buf []int32) (_ []int
 
 // Estimate bounds the number of positions Range would return; ok as in
 // Range.
-func (x *ColumnIndex) Estimate(lo, hi *Bound, withNulls bool) (int, bool) {
-	if x.kind != kindOrdered || x.class == IndexMixed {
-		return 0, false
-	}
+func (x *ColumnIndex) Estimate(lo, hi *Bound) (int, bool) {
 	haveLo, loF, loS, loOpen, haveHi, hiF, hiS, hiOpen, ok := x.rangeArgs(lo, hi)
 	if !ok {
 		return 0, false
 	}
-	n := 0
-	if withNulls {
-		n = len(x.nulls)
-	}
-	if x.class == IndexString {
-		if x.str != nil {
-			n += x.str.estimate(haveLo, loS, loOpen, haveHi, hiS, hiOpen)
-		}
+	n := len(x.nulls)
+	if x.str != nil {
+		n += x.str.estimate(haveLo, loS, loOpen, haveHi, hiS, hiOpen)
 	} else if x.num != nil {
 		n += x.num.estimate(haveLo, loF, loOpen, haveHi, hiF, hiOpen)
 	}
 	return n, true
 }
 
-// buildColumnIndex scans the column once and builds the index, or
-// returns nil when an ordered shape was requested but the column mixes
-// comparability classes.
-func buildColumnIndex(rel *Relation, col int, ordered bool) *ColumnIndex {
-	class := IndexNone
+// buildColumnIndex scans the column once and builds its index, or
+// returns nil when the column mixes comparability classes or holds a
+// NaN.
+func buildColumnIndex(rel *Relation, col int) *ColumnIndex {
+	x := &ColumnIndex{class: IndexNone}
 	for _, t := range rel.Tuples {
 		v := t[col]
 		if v.IsNull() {
 			continue
 		}
-		c := ClassOf(v)
-		if class == IndexNone {
-			class = c
-		} else if class != c {
-			class = IndexMixed
-			break
+		if isNaN(v) {
+			return nil
+		}
+		if c := ClassOf(v); x.class == IndexNone {
+			x.class = c
+		} else if x.class != c {
+			return nil
 		}
 	}
-	if ordered && class == IndexMixed {
-		return nil
+	switch x.class {
+	case IndexString:
+		x.str = &ordCore[string]{sorted: make([]ordEntry[string], 0, len(rel.Tuples))}
+	case IndexNumeric, IndexBool:
+		x.num = &ordCore[float64]{sorted: make([]ordEntry[float64], 0, len(rel.Tuples))}
 	}
-	x := &ColumnIndex{col: col, class: class}
-	if ordered {
-		x.kind = kindOrdered
-		switch class {
-		case IndexString:
-			core := &ordCore[string]{sorted: make([]ordEntry[string], 0, len(rel.Tuples))}
-			for pos, t := range rel.Tuples {
-				if v := t[col]; v.IsNull() {
-					x.nulls = append(x.nulls, int32(pos))
-				} else {
-					core.sorted = append(core.sorted, ordEntry[string]{key: v.AsString(), pos: int32(pos)})
-				}
-			}
-			sortEntries(core.sorted)
-			x.str = core
-		case IndexNone:
-			for pos, t := range rel.Tuples {
-				if t[col].IsNull() {
-					x.nulls = append(x.nulls, int32(pos))
-				}
-			}
-		default:
-			core := &ordCore[float64]{sorted: make([]ordEntry[float64], 0, len(rel.Tuples))}
-			for pos, t := range rel.Tuples {
-				if v := t[col]; v.IsNull() {
-					x.nulls = append(x.nulls, int32(pos))
-				} else {
-					core.sorted = append(core.sorted, ordEntry[float64]{key: numKey(v), pos: int32(pos)})
-				}
-			}
-			sortEntries(core.sorted)
-			x.num = core
-		}
-		return x
-	}
-	x.kind = kindHashed
-	x.hash = make(map[hashKey][]int32, len(rel.Tuples))
 	for pos, t := range rel.Tuples {
-		if v := t[col]; v.IsNull() {
+		switch v := t[col]; {
+		case v.IsNull():
 			x.nulls = append(x.nulls, int32(pos))
-		} else {
-			k := hashKeyOf(v)
-			x.hash[k] = append(x.hash[k], int32(pos))
+		case x.str != nil:
+			x.str.sorted = append(x.str.sorted, ordEntry[string]{key: v.AsString(), pos: int32(pos)})
+		default:
+			x.num.sorted = append(x.num.sorted, ordEntry[float64]{key: numKey(v), pos: int32(pos)})
 		}
+	}
+	if x.str != nil {
+		sortEntries(x.str.sorted)
+	}
+	if x.num != nil {
+		sortEntries(x.num.sorted)
 	}
 	return x
 }
@@ -691,13 +489,14 @@ func buildColumnIndex(rel *Relation, col int, ordered bool) *ColumnIndex {
 // relIndexes holds the built indexes of one relation.
 type relIndexes struct {
 	cols map[int]*ColumnIndex
-	bad  map[int]bool // columns whose ordered build failed (mixed classes)
+	bad  map[int]bool // columns whose build failed (mixed classes or a NaN)
 }
 
-// IndexSet owns the secondary indexes of one database state: built
-// lazily on first predicate demand, maintained delta-wise by the
-// indexed apply path, and invalidated when a statement mutates a
-// relation outside that path. Epoch increments on every change to
+// IndexSet owns the ordered column indexes of one database state:
+// built lazily on first predicate demand, maintained delta-wise by the
+// indexed apply path, dropped column by column when maintenance meets
+// a value the index cannot hold, and invalidated when a statement
+// mutates a relation outside that path. Epoch increments on every change to
 // index availability (build, drop, invalidate), which is what cached
 // apply plans key on — a plan bound under one epoch must rebind when
 // the set of usable indexes changes.
@@ -709,7 +508,7 @@ type IndexSet struct {
 
 // ApplyScratch is reusable per-set working memory for statement
 // application: probe position buffers, candidate bitmaps, a chunk of
-// candidate rows with their residual flags, and SET value staging. It
+// candidate rows with their condition flags, and SET value staging. It
 // lives on the IndexSet because the set is exclusively owned by one
 // state's apply stream, so reuse across statements is race-free by the
 // same contract that lets the indexes themselves go unlocked. Nothing
@@ -782,8 +581,8 @@ func (s *IndexSet) Invalidate(name string) {
 	}
 }
 
-// dropCol discards one column index after an invariant violation or a
-// class departure.
+// dropCol discards one column index after an invariant violation, a
+// class departure or a NaN.
 func (s *IndexSet) dropCol(k string, col int) {
 	if r := s.rels[k]; r != nil {
 		if _, ok := r.cols[col]; ok {
@@ -793,15 +592,14 @@ func (s *IndexSet) dropCol(k string, col int) {
 	}
 }
 
-// Ordered returns an ordered (range-capable) index on rel's column
-// col, building or upgrading one as needed, or nil when the column
-// cannot support it (mixed classes, or the relation is too small to be
-// worth indexing).
+// Ordered returns the index on rel's column col, building one as
+// needed, or nil when the column cannot hold one (mixed classes or a
+// NaN) or the relation is too small to be worth indexing.
 func (s *IndexSet) Ordered(name string, rel *Relation, col int) *ColumnIndex {
 	k := key(name)
 	r := s.rels[k]
 	if r != nil {
-		if x := r.cols[col]; x != nil && x.kind == kindOrdered {
+		if x := r.cols[col]; x != nil {
 			return x
 		}
 		if r.bad[col] {
@@ -811,31 +609,11 @@ func (s *IndexSet) Ordered(name string, rel *Relation, col int) *ColumnIndex {
 	if len(rel.Tuples) < MinIndexRows || len(rel.Tuples) > maxIndexRows {
 		return nil
 	}
-	x := buildColumnIndex(rel, col, true)
+	x := buildColumnIndex(rel, col)
 	if x == nil {
 		s.relFor(k).bad[col] = true
 		return nil
 	}
-	s.relFor(k).cols[col] = x
-	s.epoch++
-	return x
-}
-
-// Hashed returns an equality-capable index on rel's column col — an
-// already-built ordered index doubles as one — building a hashed index
-// as needed, or nil when the relation is too small to be worth
-// indexing.
-func (s *IndexSet) Hashed(name string, rel *Relation, col int) *ColumnIndex {
-	k := key(name)
-	if r := s.rels[k]; r != nil {
-		if x := r.cols[col]; x != nil {
-			return x
-		}
-	}
-	if len(rel.Tuples) < MinIndexRows || len(rel.Tuples) > maxIndexRows {
-		return nil
-	}
-	x := buildColumnIndex(rel, col, false)
 	s.relFor(k).cols[col] = x
 	s.epoch++
 	return x
