@@ -1,7 +1,7 @@
 // Package algebra defines the relational algebra fragment used by
 // reenactment (Def. 3): table scans, selection σ, (generalized)
-// projection Π with conditional expressions, union ∪, difference −,
-// join ⋈, and constant singleton relations; plus an executor over
+// projection Π with conditional expressions, union ∪, join ⋈, and
+// constant singleton relations; plus an executor over
 // package storage and the condition push-down operators (θ)↓Q and
 // (θ)[R]↓Q of §6.
 package algebra
@@ -49,9 +49,6 @@ type Project struct {
 // Union is bag union (∪).
 type Union struct{ L, R Query }
 
-// Difference is bag difference (−).
-type Difference struct{ L, R Query }
-
 // Join is an inner theta-join; output schema is the concatenation of
 // both input schemas (column names must be distinct).
 type Join struct {
@@ -66,13 +63,12 @@ type Singleton struct {
 	Tuples []schema.Tuple
 }
 
-func (*Scan) isQuery()       {}
-func (*Select) isQuery()     {}
-func (*Project) isQuery()    {}
-func (*Union) isQuery()      {}
-func (*Difference) isQuery() {}
-func (*Join) isQuery()       {}
-func (*Singleton) isQuery()  {}
+func (*Scan) isQuery()      {}
+func (*Select) isQuery()    {}
+func (*Project) isQuery()   {}
+func (*Union) isQuery()     {}
+func (*Join) isQuery()      {}
+func (*Singleton) isQuery() {}
 
 func (q *Scan) String() string { return q.Rel }
 
@@ -99,8 +95,7 @@ func (q *Project) String() string {
 	return b.String()
 }
 
-func (q *Union) String() string      { return "(" + q.L.String() + " ∪ " + q.R.String() + ")" }
-func (q *Difference) String() string { return "(" + q.L.String() + " − " + q.R.String() + ")" }
+func (q *Union) String() string { return "(" + q.L.String() + " ∪ " + q.R.String() + ")" }
 
 func (q *Join) String() string {
 	return "(" + q.L.String() + " ⋈[" + q.Cond.String() + "] " + q.R.String() + ")"
@@ -152,8 +147,6 @@ func OutputSchema(q Query, db *storage.Database) (*schema.Schema, error) {
 		}
 		return schema.New(in.Relation, cols...), nil
 	case *Union:
-		return OutputSchema(x.L, db)
-	case *Difference:
 		return OutputSchema(x.L, db)
 	case *Join:
 		ls, err := OutputSchema(x.L, db)
@@ -290,24 +283,6 @@ func Eval(q Query, db *storage.Database) (*storage.Relation, error) {
 		out.Tuples = append(out.Tuples, l.Tuples...)
 		out.Tuples = append(out.Tuples, r.Tuples...)
 		return out, nil
-	case *Difference:
-		l, err := Eval(x.L, db)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Eval(x.R, db)
-		if err != nil {
-			return nil, err
-		}
-		remove := r.Index()
-		out := storage.NewRelation(l.Schema)
-		for _, t := range l.Tuples {
-			if remove.Remove(t) {
-				continue
-			}
-			out.Tuples = append(out.Tuples, t)
-		}
-		return out, nil
 	case *Join:
 		l, err := Eval(x.L, db)
 		if err != nil {
@@ -371,8 +346,6 @@ func SubstituteScans(q Query, repl map[string]Query) Query {
 		return &Project{Exprs: x.Exprs, In: SubstituteScans(x.In, repl)}
 	case *Union:
 		return &Union{L: SubstituteScans(x.L, repl), R: SubstituteScans(x.R, repl)}
-	case *Difference:
-		return &Difference{L: SubstituteScans(x.L, repl), R: SubstituteScans(x.R, repl)}
 	case *Join:
 		return &Join{L: SubstituteScans(x.L, repl), R: SubstituteScans(x.R, repl), Cond: x.Cond}
 	case *Aggregate:
@@ -396,9 +369,6 @@ func BaseRelations(q Query) map[string]bool {
 		case *Project:
 			walk(x.In)
 		case *Union:
-			walk(x.L)
-			walk(x.R)
-		case *Difference:
 			walk(x.L)
 			walk(x.R)
 		case *Join:

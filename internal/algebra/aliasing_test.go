@@ -33,7 +33,6 @@ func TestEvalDoesNotMutateSharedTuples(t *testing.T) {
 		&Select{Cond: expr.Gt(expr.Column("b"), expr.IntConst(10)), In: &Scan{Rel: "r"}},
 		&Project{Exprs: proj, In: &Select{Cond: expr.Ge(expr.Column("a"), expr.IntConst(1)), In: &Scan{Rel: "r"}}},
 		&Union{L: &Scan{Rel: "r"}, R: &Project{Exprs: proj, In: &Scan{Rel: "r"}}},
-		&Difference{L: &Scan{Rel: "r"}, R: &Select{Cond: expr.Eq(expr.Column("a"), expr.IntConst(2)), In: &Scan{Rel: "r"}}},
 		&Join{L: &Scan{Rel: "r"}, R: &Scan{Rel: "s"}, Cond: expr.Eq(expr.Column("a"), expr.Column("c"))},
 	}
 	for _, q := range queries {

@@ -48,12 +48,6 @@ func writeFingerprint(b *strings.Builder, q Query) {
 		b.WriteByte(',')
 		writeFingerprint(b, x.R)
 		b.WriteByte(')')
-	case *Difference:
-		b.WriteString("diff(")
-		writeFingerprint(b, x.L)
-		b.WriteByte(',')
-		writeFingerprint(b, x.R)
-		b.WriteByte(')')
 	case *Join:
 		b.WriteString("join[")
 		b.WriteString(x.Cond.String())

@@ -32,9 +32,6 @@ func collectParams(q Query, out map[string]bool) {
 	case *Union:
 		collectParams(x.L, out)
 		collectParams(x.R, out)
-	case *Difference:
-		collectParams(x.L, out)
-		collectParams(x.R, out)
 	case *Join:
 		addExpr(x.Cond)
 		collectParams(x.L, out)
@@ -93,12 +90,6 @@ func SubstParams(q Query, b map[string]types.Value) Query {
 			return q
 		}
 		return &Union{L: l, R: r}
-	case *Difference:
-		l, r := SubstParams(x.L, b), SubstParams(x.R, b)
-		if l == x.L && r == x.R {
-			return q
-		}
-		return &Difference{L: l, R: r}
 	case *Join:
 		cond := expr.SubstParams(x.Cond, b)
 		l, r := SubstParams(x.L, b), SubstParams(x.R, b)

@@ -57,12 +57,6 @@ func PushCond(theta expr.Expr, q Query, rel string, db *storage.Database) (expr.
 			return nil, err
 		}
 		return expr.Simplify(expr.OrOf(lc, rc)), nil
-	case *Difference:
-		// Output tuples of Q1−Q2 are Q1 tuples; Q2 only removes, so a
-		// sound over-approximation pushes θ into the left branch and
-		// keeps all right-branch contributions (they cannot appear in
-		// the output, hence contribute false).
-		return PushCond(theta, x.L, rel, db)
 	case *Join:
 		return pushJoin(theta, x, rel, db)
 	}

@@ -117,28 +117,32 @@ type BatchResult struct {
 	Err error
 }
 
-// BatchStats aggregates the work sharing achieved across a batch.
+// BatchStats aggregates the work sharing achieved across a batch (its
+// wire format: see Stats).
 type BatchStats struct {
 	// Total is the wall-clock time for the whole batch.
-	Total time.Duration
+	Total time.Duration `json:"total_ns"`
 	// Workers is the parallelism actually used.
-	Workers int
+	Workers int `json:"workers"`
 	// Scenarios and Failed count submitted and errored scenarios.
-	Scenarios int
-	Failed    int
+	Scenarios int `json:"scenarios"`
+	Failed    int `json:"failed"`
 	// SnapshotHits/Misses report shared time-travel reuse: misses are
 	// distinct versions materialized (each exactly once, during the
 	// ascending pre-warm), hits are the per-scenario lookups that
 	// reused one.
-	SnapshotHits, SnapshotMisses int
+	SnapshotHits   int `json:"snapshot_hits"`
+	SnapshotMisses int `json:"snapshot_misses"`
 	// MemoHits/Misses report solver-outcome reuse across scenarios
 	// (zero when program slicing is off).
-	MemoHits, MemoMisses int64
+	MemoHits   int64 `json:"memo_hits"`
+	MemoMisses int64 `json:"memo_misses"`
 	// QueryHits/Misses count programs: a miss is a program compiled
 	// (each scenario compiles its own reenactment sides), a hit is a
 	// report that ran the γ program its historical state carried, which
 	// was compiled once per snapshot by the first report over it.
-	QueryHits, QueryMisses int
+	QueryHits   int `json:"query_hits"`
+	QueryMisses int `json:"query_misses"`
 }
 
 // WhatIfBatch answers N independent what-if scenarios over the engine's

@@ -99,23 +99,29 @@ func OptionsFor(v Variant) Options {
 }
 
 // Stats reports where time went while answering a query with Alg. 2.
+//
+// Its JSON wire format (v1, pinned by a golden test beside the delta
+// format) is its field tags, in declaration order: durations travel as
+// integer nanoseconds under *_ns names, and the fields tagged "-" stay
+// off the wire. Extend compatibly (add fields); never repurpose names.
+// NaiveStats, BatchStats and progslice.Stats follow the same rules.
 type Stats struct {
-	Total          time.Duration
-	TimeTravel     time.Duration // reconstructing D before the first modified statement
-	ProgramSlicing time.Duration
-	DataSlicing    time.Duration
-	Execute        time.Duration // evaluating the reenactment queries
-	Delta          time.Duration
+	Total          time.Duration `json:"total_ns"`
+	TimeTravel     time.Duration `json:"time_travel_ns"` // reconstructing D before the first modified statement
+	ProgramSlicing time.Duration `json:"program_slicing_ns"`
+	DataSlicing    time.Duration `json:"data_slicing_ns"`
+	Execute        time.Duration `json:"execute_ns"` // evaluating the reenactment queries
+	Delta          time.Duration `json:"delta_ns"`
 
 	// Slice quality.
-	TotalStatements int
-	KeptStatements  int
-	SolverTests     int
-	SolverNodes     int
+	TotalStatements int `json:"total_statements"`
+	KeptStatements  int `json:"kept_statements"`
+	SolverTests     int `json:"solver_tests"`
+	SolverNodes     int `json:"solver_nodes"`
 	// SolverLowered counts the expression nodes program slicing lowered
 	// into solver models (progslice.Stats.Lowered, summed): about
 	// |Φ_D ∧ affected| plus what each test adds, not tests × formula.
-	SolverLowered int
+	SolverLowered int `json:"-"`
 
 	// Delta work, in rows, summed over the answered relations: the two
 	// reenactment results were compared lane-wise at RowsCompared
@@ -125,23 +131,23 @@ type Stats struct {
 	// rows cancelled across positions. RowsHashed well below
 	// RowsCompared is the normal case; close to it, the two sides are
 	// misaligned and the delta costs a whole-relation multiset diff.
-	RowsCompared int
-	RowsHashed   int
-	RowsBoxed    int
+	RowsCompared int `json:"-"`
+	RowsHashed   int `json:"-"`
+	RowsBoxed    int `json:"-"`
 
 	// Per-relation slicing details.
-	Slices map[string]progslice.Stats
+	Slices map[string]progslice.Stats `json:"slices,omitempty"`
 	// SkippedRelations lists relations pruned by taint analysis.
-	SkippedRelations []string
+	SkippedRelations []string `json:"skipped_relations,omitempty"`
 }
 
 // NaiveStats is the Alg. 1 breakdown of Fig. 15. Total also covers
 // aligning the history and pinning the actual state at the tip.
 type NaiveStats struct {
-	Total    time.Duration
-	Creation time.Duration // time travel: a private copy of the past database state
-	Execute  time.Duration // running H[M] over the copy
-	Delta    time.Duration
+	Total    time.Duration `json:"total_ns"`
+	Creation time.Duration `json:"creation_ns"` // time travel: a private copy of the past database state
+	Execute  time.Duration `json:"execute_ns"`  // running H[M] over the copy
+	Delta    time.Duration `json:"delta_ns"`
 }
 
 // Appender is the durability hook of an engine: it commits statements

@@ -40,7 +40,7 @@ type reportRoute uint8
 const (
 	routeMerged reportRoute = iota
 	// routeShape: the γ input reads a changed relation through a node
-	// other than σ, Π, ⋈ or a scan.
+	// other than σ, Π, ⋈ or a scan (∪ or a nested γ).
 	routeShape
 	// routeRelations: the γ input scans two changed relations.
 	routeRelations
@@ -68,7 +68,7 @@ type ReportRoutes struct {
 	// of bindings whose delta is empty. It is part of Merged.
 	Provisioned int64
 	// Shape: the γ input reads a changed relation through a node other
-	// than σ, Π, ⋈ or a scan (∪, −, a nested γ).
+	// than σ, Π, ⋈ or a scan (∪ or a nested γ).
 	Shape int64
 	// Relations: the γ input scans two changed relations.
 	Relations int64

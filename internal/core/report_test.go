@@ -20,7 +20,7 @@ import (
 )
 
 // handQuery attaches a γ built directly in the algebra: the shapes SQL
-// cannot spell (∪ and − under a γ, a self-join).
+// cannot spell (∪ under a γ, a self-join).
 func handQuery(t *testing.T, label string, in algebra.Query, aggs ...algebra.AggExpr) AggregateQuery {
 	t.Helper()
 	q, err := NewAggregateQuery(label, &algebra.Aggregate{Aggs: aggs, In: in})
@@ -66,8 +66,6 @@ func TestMergedReportsMatchPatchRoute(t *testing.T) {
 		mustAggQuery(t, "SELECT x, COUNT(*) AS n, SUM(v) AS s FROM t JOIN s ON id = sid GROUP BY x"),
 		handQuery(t, "γ(t ∪ σ(t))", &algebra.Union{L: &algebra.Scan{Rel: "t"}, R: &algebra.Select{Cond: expr.Gt(v, expr.IntConst(0)), In: &algebra.Scan{Rel: "t"}}},
 			algebra.AggExpr{Name: "n", Fn: algebra.AggCount}, algebra.AggExpr{Name: "s", Fn: algebra.AggSum, Arg: v}),
-		handQuery(t, "γ(t − σ(t))", &algebra.Difference{L: &algebra.Scan{Rel: "t"}, R: &algebra.Select{Cond: expr.Ge(expr.Column("id"), expr.IntConst(5)), In: &algebra.Scan{Rel: "t"}}},
-			algebra.AggExpr{Name: "n", Fn: algebra.AggCount}),
 		handQuery(t, "γ(t ⋈ t)", &algebra.Join{
 			L:    &algebra.Scan{Rel: "t"},
 			R:    &algebra.Project{Exprs: []algebra.NamedExpr{{Name: "id2", E: expr.Column("id")}, {Name: "v2", E: v}}, In: &algebra.Scan{Rel: "t"}},

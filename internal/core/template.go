@@ -915,11 +915,6 @@ func (in *inferrer) query(q algebra.Query, db *storage.Database) error {
 				return err
 			}
 			return walk(x.R)
-		case *algebra.Difference:
-			if err := walk(x.L); err != nil {
-				return err
-			}
-			return walk(x.R)
 		case *algebra.Join:
 			if err := in.cond(x.Cond, kindOf); err != nil {
 				return err

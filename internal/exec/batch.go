@@ -531,7 +531,7 @@ func (n *vsingletonNode) run(rc *runCtx, emit vecEmit) error {
 }
 
 // vchainNode applies a fused σ/Π chain to the output of a non-scan
-// input (union, difference, join).
+// input (union, join).
 type vchainNode struct {
 	in   vecNode
 	ch   chain
@@ -558,86 +558,20 @@ func (n *vunionNode) run(rc *runCtx, emit vecEmit) error {
 	return n.r.run(rc, emit)
 }
 
-// vdiffNode is bag difference: the right branch materializes into the
-// hash multiset index, then left batches probe it column-wise (hash
-// vectors computed per batch, candidate verification value-wise via
-// TupleIndex.RemoveRow) and narrow their selection in place. The build
-// side keeps its own arity: with mismatched sides no right tuple can
-// ever equal a left row (tupleEqualsRow checks width), matching the
-// interpreter's no-removal semantics instead of truncating.
-type vdiffNode struct {
-	l, r vecNode
-	// rArity is the build (right) side's width; the probe side's width
-	// comes from the flowing batches themselves.
-	rArity int
-	cfg    vecConfig
-}
-
-func (n *vdiffNode) run(rc *runCtx, emit vecEmit) error {
-	remove := storage.NewTupleIndex(0)
-	err := n.r.run(rc, func(b *batch) error {
-		for _, t := range materializeRows(b, n.rArity) {
-			remove.Add(t)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if remove.Len() == 0 {
-		return n.l.run(rc, emit)
-	}
-	hs := make([]uint64, n.cfg.bs)
-	selBuf := make([]int, 0, n.cfg.bs)
-	return n.l.run(rc, func(b *batch) error {
-		hashRows(b, hs)
-		if b.sel == nil {
-			sel := selBuf[:0]
-			for r := 0; r < b.n; r++ {
-				if remove.Len() > 0 && remove.RemoveRow(b.cols, r, hs[r]) {
-					continue
-				}
-				sel = append(sel, r)
-			}
-			b.sel = sel
-		} else {
-			k := 0
-			for _, r := range b.sel {
-				if remove.Len() > 0 && remove.RemoveRow(b.cols, r, hs[r]) {
-					continue
-				}
-				b.sel[k] = r
-				k++
-			}
-			b.sel = b.sel[:k]
-		}
-		if b.live() == 0 {
-			return nil
-		}
-		return emit(b)
-	})
-}
-
-// vequiJoinNode is the vectorized equi-join: the build branch
-// materializes into the key-hashed table, the other branch probes it
-// row-wise over its selection, appending matches to an owned output
-// batch that flushes at capacity. With the default right build, bucket
-// order is right-stream order and the left side streams, so output
-// order matches the interpreter's nested loop exactly; the left build
-// (chosen at compile time when the left input is estimated smaller)
-// buffers matches per left row and replays them in the same order.
+// vequiJoinNode is the vectorized equi-join, the executor's one join:
+// the right branch materializes into the key-hashed table, the left
+// branch probes it row-wise over its selection, appending matches to an
+// owned output batch that flushes at capacity. Bucket order is
+// right-stream order and the left side streams, so output order matches
+// the interpreter's nested loop exactly.
 type vequiJoinNode struct {
 	l, r           vecNode
 	lKeys, rKeys   []int
 	lArity, rArity int
 	cfg            vecConfig
-	buildLeft      bool
 }
 
 func (n *vequiJoinNode) run(rc *runCtx, emit vecEmit) error {
-	if n.buildLeft {
-		return n.runBuildLeft(rc, emit)
-	}
 	table := map[uint64][]schema.Tuple{}
 	err := n.r.run(rc, func(b *batch) error {
 		for _, t := range materializeRows(b, n.rArity) {
@@ -711,101 +645,6 @@ func (n *vequiJoinNode) run(rc *runCtx, emit vecEmit) error {
 	return flush()
 }
 
-// runBuildLeft is the left-build variant: the left branch materializes
-// into the hash table (with row positions), right batches stream and
-// probe, and matches are grouped under their left row so the flush
-// order is interpreter-exact (left-major, right-stream-minor).
-func (n *vequiJoinNode) runBuildLeft(rc *runCtx, emit vecEmit) error {
-	type buildRow struct {
-		pos int
-		t   schema.Tuple
-	}
-	table := map[uint64][]buildRow{}
-	var left []schema.Tuple
-	err := n.l.run(rc, func(b *batch) error {
-		for _, t := range materializeRows(b, n.lArity) {
-			if h, ok := hashKeys(t, n.lKeys); ok {
-				table[h] = append(table[h], buildRow{pos: len(left), t: t})
-			}
-			left = append(left, t)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	matches := make([][]schema.Tuple, len(left))
-	err = n.r.run(rc, func(b *batch) error {
-		probe := func(r int) {
-			h, ok := hashKeyCols(b, n.rKeys, r)
-			if !ok {
-				return
-			}
-			var rt schema.Tuple // materialized lazily, shared by all matches
-			for _, br := range table[h] {
-				if !keysEqualCols(b, r, br.t, n.rKeys, n.lKeys) {
-					continue // hash collision between distinct keys
-				}
-				if rt == nil {
-					rt = make(schema.Tuple, n.rArity)
-					for c := 0; c < n.rArity; c++ {
-						rt[c] = b.cols[c].Value(r)
-					}
-				}
-				matches[br.pos] = append(matches[br.pos], rt)
-			}
-		}
-		if b.sel == nil {
-			for r := 0; r < b.n; r++ {
-				probe(r)
-			}
-		} else {
-			for _, r := range b.sel {
-				probe(r)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	out := newOwnedBatch(n.lArity+n.rArity, n.cfg.bs)
-	flush := func() error {
-		if out.n == 0 {
-			return nil
-		}
-		// The replay loop multiplies cardinalities without pulling a
-		// source batch, so it observes cancellation itself — once per
-		// emitted batch, the executor's granularity guarantee.
-		if err := rc.ctx.Err(); err != nil {
-			return err
-		}
-		out.sel = nil // consumers may have narrowed the previous emit
-		err := emit(out)
-		out.n = 0
-		return err
-	}
-	for pos, lt := range left {
-		for _, rt := range matches[pos] {
-			for c := 0; c < n.lArity; c++ {
-				out.cols[c].Vals[out.n] = lt[c]
-			}
-			for c := 0; c < n.rArity; c++ {
-				out.cols[n.lArity+c].Vals[out.n] = rt[c]
-			}
-			out.n++
-			if out.n == n.cfg.bs {
-				if err := flush(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return flush()
-}
-
 // hashKeyCols hashes the key columns of row r lane-wise (no boxing);
 // ok is false when any key is NULL.
 func hashKeyCols(b *batch, keys []int, r int) (h uint64, ok bool) {
@@ -829,108 +668,6 @@ func keysEqualCols(b *batch, r int, rt schema.Tuple, lKeys, rKeys []int) bool {
 		}
 	}
 	return true
-}
-
-// vloopJoinNode is the vectorized nested-loop join, for every condition
-// that is not all cross-side key equalities. Right rows materialize
-// once; each left row pairs with every right row, left-major and
-// right-minor like the interpreter's loop, into an owned pair batch. A
-// full batch runs the compiled condition (WHERE semantics) and emits
-// its true rows through sel. The condition errors on a batch iff it
-// errors on one of the batch's pairs, so the join errors iff the
-// interpreter's does. Cancellation is observed once per pair batch:
-// the pair loop multiplies the source cardinality, so the left
-// stream's own per-batch check alone would let a cancelled quadratic
-// join run on.
-type vloopJoinNode struct {
-	l, r           vecNode
-	cond           vecCondFn
-	lArity, rArity int
-	cfg            vecConfig
-}
-
-func (n *vloopJoinNode) run(rc *runCtx, emit vecEmit) error {
-	var right []schema.Tuple
-	err := n.r.run(rc, func(b *batch) error {
-		right = append(right, materializeRows(b, n.rArity)...)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	bs := n.cfg.bs
-	pairs := newOwnedBatch(n.lArity+n.rArity, bs)
-	pool := newVecPool(bs)
-	pool.bind(rc.args, rc.sites)
-	tr := make([]truth, bs)
-	selBuf := make([]int, 0, bs)
-	flush := func() error {
-		if pairs.n == 0 {
-			return nil
-		}
-		if err := rc.ctx.Err(); err != nil {
-			return err
-		}
-		pairs.sel = nil // consumers may have narrowed the previous emit
-		if err := n.cond(pool, pairs, nil, tr); err != nil {
-			return err
-		}
-		sel := selBuf[:0]
-		for r := 0; r < pairs.n; r++ {
-			if tr[r] == tTrue {
-				sel = append(sel, r)
-			}
-		}
-		var err error
-		if len(sel) > 0 {
-			pairs.sel = sel
-			err = emit(pairs)
-		}
-		pairs.n = 0
-		return err
-	}
-	left := make(schema.Tuple, n.lArity)
-	err = n.l.run(rc, func(b *batch) error {
-		pairUp := func(r int) error {
-			for c := range left {
-				left[c] = b.cols[c].Value(r)
-			}
-			for _, rt := range right {
-				i := pairs.n
-				for c, v := range left {
-					pairs.cols[c].Vals[i] = v
-				}
-				for c, v := range rt {
-					pairs.cols[n.lArity+c].Vals[i] = v
-				}
-				pairs.n++
-				if pairs.n == bs {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-		if b.sel == nil {
-			for r := 0; r < b.n; r++ {
-				if err := pairUp(r); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, r := range b.sel {
-			if err := pairUp(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return flush()
 }
 
 // CompileVec lowers q into a vectorized pipelined program: operators
@@ -1058,17 +795,6 @@ func (c *compiler) compileVecNode(q algebra.Query, db *storage.Database) (vecNod
 		}
 		return &vunionNode{l: l, r: r}, ls, nil
 
-	case *algebra.Difference:
-		l, ls, err := c.compileVecNode(x.L, db)
-		if err != nil {
-			return nil, nil, err
-		}
-		r, rs, err := c.compileVecNode(x.R, db)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &vdiffNode{l: l, r: r, rArity: rs.Arity(), cfg: cfg}, ls, nil
-
 	case *algebra.Join:
 		return c.compileVecJoin(x, db)
 
@@ -1091,10 +817,13 @@ func colKinds(s *schema.Schema) []types.Kind {
 	return kinds
 }
 
-// compileVecJoin picks a hash join only when every conjunct of the
-// condition is a cross-side key equality, a nested loop otherwise.
+// compileVecJoin compiles a join whose condition is made only of
+// cross-side key equalities into the hash join. Any other condition is
+// outside the compilable subset: the interpreter's nested loop answers
+// it. With a residual conjunct a hash join would also skip NULL-key
+// pairs that the interpreter still evaluates (a NULL equality does not
+// short-circuit its AND) and whose residual may error.
 func (c *compiler) compileVecJoin(x *algebra.Join, db *storage.Database) (vecNode, *schema.Schema, error) {
-	cfg := c.cfg
 	l, ls, err := c.compileVecNode(x.L, db)
 	if err != nil {
 		return nil, nil, err
@@ -1103,28 +832,17 @@ func (c *compiler) compileVecJoin(x *algebra.Join, db *storage.Database) (vecNod
 	if err != nil {
 		return nil, nil, err
 	}
+	lKeys, rKeys, residual := splitEquiJoin(x.Cond, ls, rs)
+	if len(lKeys) == 0 || residual != nil {
+		return nil, nil, fmt.Errorf("exec: join condition %s is not a pure equi-join", x.Cond)
+	}
 	cols := make([]schema.Column, 0, ls.Arity()+rs.Arity())
 	cols = append(cols, ls.Columns...)
 	cols = append(cols, rs.Columns...)
-	joined := schema.New(ls.Relation, cols...)
-
-	lKeys, rKeys, residual := splitEquiJoin(x.Cond, ls, rs)
-	if len(lKeys) == 0 || residual != nil {
-		// With a residual conjunct a hash join would skip NULL-key pairs
-		// that the interpreter still evaluates (a NULL equality does not
-		// short-circuit its AND) and whose residual may error, so only
-		// the all-keys shape takes the hash path.
-		cond, err := c.compileVecWhereTruth(x.Cond, joined)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &vloopJoinNode{l: l, r: r, cond: cond, lArity: ls.Arity(), rArity: rs.Arity(), cfg: cfg}, joined, nil
-	}
 	return &vequiJoinNode{
 		l: l, r: r,
 		lKeys: lKeys, rKeys: rKeys,
 		lArity: ls.Arity(), rArity: rs.Arity(),
-		cfg:       cfg,
-		buildLeft: buildOnLeft(x, db),
-	}, joined, nil
+		cfg: c.cfg,
+	}, schema.New(ls.Relation, cols...), nil
 }

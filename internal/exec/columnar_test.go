@@ -79,8 +79,8 @@ func TestColumnarRunMatchesRowRun(t *testing.T) {
 	}
 }
 
-// TestColumnarRunPlanShapes: join, difference, union-with-singleton and
-// aggregate roots, and the batch-boundary battery.
+// TestColumnarRunPlanShapes: join, union-with-singleton and aggregate
+// roots, and the batch-boundary battery.
 func TestColumnarRunPlanShapes(t *testing.T) {
 	private := testDB()
 	frozen, _ := publish(t, private)

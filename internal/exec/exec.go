@@ -30,14 +30,15 @@
 //     output merges back in partition order — preserving the
 //     interpreter's exact output order, not just bag semantics.
 //
-//   - Pure equi-joins (every conjunct of the condition is a cross-side
-//     column equality L.a = R.b) run as hash joins over typed value
-//     hashes. Every other condition takes the nested-loop join, which
-//     fills batches with (left row ⊕ right row) pairs in the
-//     interpreter's left-major order and filters each with the compiled
-//     condition: the same output order, and it errors iff the
-//     interpreter does. Bag difference probes a hash multiset index
-//     (storage.TupleIndex) with lane-wise row hashes.
+//   - Reenactment builds σ, Π, ∪ and constant rows; reports add γ over
+//     σ and ⋈ of scans. Those are the operators compiled here, and ∪
+//     streams its left branch, then its right. The one join is a hash
+//     join that builds on the right and probes with typed lane hashes,
+//     for a condition made only of cross-side column equalities
+//     (L.a = R.b): the interpreter's left-major output order, at
+//     O(|L|+|R|) where the interpreter loops over every pair. Any other
+//     join condition, an equi-join with a residual conjunct among them,
+//     is outside the compilable subset.
 //
 // Per-row lazy evaluation is kept structurally: If branches and And/Or
 // right operands run only over the sub-selection the tuple-at-a-time
@@ -55,8 +56,10 @@
 // The interpreter remains the reference oracle: core.Options.Executor
 // selects between the two, the differential fuzz tests require
 // identical deltas, and any query CompileVec cannot handle (symbolic
-// variables, unknown nodes) makes the engine fall back to the
-// interpreter, so compilation can never change observable behavior.
+// variables, a join that is not a pure equi-join, unknown nodes) makes
+// the engine fall back to the interpreter as a whole, counted
+// (Engine.InterpreterFallbacks), so compilation can never change
+// observable behavior.
 package exec
 
 import (
@@ -96,11 +99,6 @@ type Program struct {
 	params []string          // parameter slot names, by slot
 	sites  []func([]arg) any // param site builders, by site
 }
-
-// OutputSchema returns the schema of the program's result. A column a
-// $slot computes is typed as the query with the slot open types it
-// (algebra.ExprKind); its cells carry the bound value's kind.
-func (p *Program) OutputSchema() *schema.Schema { return p.out }
 
 // newRun builds the run state of one call under binding.
 func (p *Program) newRun(ctx context.Context, db *storage.Database, binding map[string]types.Value) *runCtx {

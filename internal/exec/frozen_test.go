@@ -193,7 +193,6 @@ func laneEdgeQueries(t *testing.T, db *storage.Database) map[string]algebra.Quer
 			{Name: "x", E: expr.Add(expr.Column("v"), expr.IntConst(1))},
 			{Name: "y", E: expr.Mul(expr.Column("f"), expr.Column("v"))},
 		}, In: sel("v < 900", scan())},
-		"self-diff":   &algebra.Difference{L: scan(), R: sel("g = 'c' OR v IS NULL", scan())},
 		"union":       &algebra.Union{L: sel("v < 3", scan()), R: sel("g = 'a'", chain)},
 		"aggregate":   mustQuery(t, "SELECT g, COUNT(*), SUM(v), MIN(f), MAX(k) FROM t WHERE v >= 2 OR v IS NULL GROUP BY g"),
 		"global-sum":  mustQuery(t, "SELECT SUM(v), SUM(f), COUNT(g) FROM t"),
@@ -222,8 +221,8 @@ func TestFrozenScanMatchesPrivateScan(t *testing.T) {
 	}
 }
 
-// TestFrozenScanPlanShapes runs the plan-shape battery (joins,
-// differences, unions with singletons, nested combinations) and the
+// TestFrozenScanPlanShapes runs the plan-shape battery (joins, unions
+// with singletons, nested combinations) and the
 // batch-boundary battery over both sources.
 func TestFrozenScanPlanShapes(t *testing.T) {
 	private := testDB()

@@ -1,71 +1,14 @@
 package exec
 
 import (
-	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/schema"
-	"github.com/mahif/mahif/internal/storage"
 	"github.com/mahif/mahif/internal/types"
 )
 
-// Join planning and key semantics for the vectorized joins
-// (compileVecJoin, vequiJoinNode): which conditions take the hash path,
-// which side builds, and what key equality means.
-
-// buildOnLeft decides the hash-join build side. The left build keeps
-// output order interpreter-exact by buffering matches per left row, so
-// unlike the streaming right build its transient memory is O(|L| +
-// matches) rather than O(|R|): on a heavily skewed key that buffer is
-// the pre-filter join output. The trade is therefore only taken when
-// the left input is decisively smaller (8×) and small in absolute
-// terms; marginal cases keep the streaming right-build default.
-// Estimates come from snapshot row counts at compile time; unknown
-// estimates keep the default too.
-func buildOnLeft(x *algebra.Join, db *storage.Database) bool {
-	const margin, maxBuild = 8, 1 << 20
-	le, lok := estimateRows(x.L, db)
-	re, rok := estimateRows(x.R, db)
-	return lok && rok && le <= maxBuild && le*margin <= re
-}
-
-// estimateRows is a compile-time upper-bound cardinality estimate from
-// the snapshot's relation sizes: selections and projections preserve
-// the bound, unions add, a difference is bounded by its left input,
-// joins multiply. ok is false when a subtree's size cannot be derived
-// from the snapshot.
-func estimateRows(q algebra.Query, db *storage.Database) (int, bool) {
-	switch x := q.(type) {
-	case *algebra.Scan:
-		r, err := db.Relation(x.Rel)
-		if err != nil {
-			return 0, false
-		}
-		return r.Len(), true
-	case *algebra.Select:
-		return estimateRows(x.In, db)
-	case *algebra.Project:
-		return estimateRows(x.In, db)
-	case *algebra.Union:
-		a, aok := estimateRows(x.L, db)
-		b, bok := estimateRows(x.R, db)
-		return a + b, aok && bok
-	case *algebra.Difference:
-		return estimateRows(x.L, db)
-	case *algebra.Join:
-		a, aok := estimateRows(x.L, db)
-		b, bok := estimateRows(x.R, db)
-		if !aok || !bok {
-			return 0, false
-		}
-		if a > 0 && b > (1<<31)/a {
-			return 1 << 31, true // saturate instead of overflowing
-		}
-		return a * b, true
-	case *algebra.Singleton:
-		return len(x.Tuples), true
-	}
-	return 0, false
-}
+// Join key semantics for the hash join (compileVecJoin,
+// vequiJoinNode): which conditions it takes and what key equality
+// means.
 
 // splitEquiJoin scans the conjuncts of a join condition for cross-side
 // column equalities (L.a = R.b in either spelling). It returns the key

@@ -26,8 +26,8 @@ const DefaultBatchSize = 1024
 //
 // Ownership: a batch and its columns are valid only for the duration of
 // the consumer's emit call — producers reuse the backing storage for
-// the next batch. Consumers that retain data (join builds, difference
-// builds, the materializing sink) copy rows out via materializeRows.
+// the next batch. Consumers that retain data (the join's build side,
+// the materializing sink) copy rows out via materializeRows.
 type batch struct {
 	cols []storage.ColVec
 	n    int
@@ -43,9 +43,9 @@ func (b *batch) live() int {
 }
 
 // newOwnedBatch allocates a batch with arity boxed columns of capacity
-// bs backed by one flat allocation. Join and nested-loop outputs use
-// it: their rows interleave cells from both sides, so they stay on the
-// boxed lane.
+// bs backed by one flat allocation. The join's output uses it (its rows
+// interleave cells from both sides, so they stay on the boxed lane), and
+// so does the γ node's.
 func newOwnedBatch(arity, bs int) *batch {
 	flat := make([]types.Value, arity*bs)
 	cols := make([]storage.ColVec, arity)
@@ -95,24 +95,6 @@ func freezeBatch(b *batch, arity int) *batch {
 		cols[c].CompactFrom(&b.cols[c], b.sel, live)
 	}
 	return &batch{cols: cols, n: live}
-}
-
-// hashRows computes the typed tuple hash (schema.Tuple.Hash) of every
-// live row of b into hs, folding column by column for locality — typed
-// lanes hash without boxing. hs must have capacity ≥ b.n.
-func hashRows(b *batch, hs []uint64) {
-	if b.sel == nil {
-		for r := 0; r < b.n; r++ {
-			hs[r] = schema.HashSeed
-		}
-	} else {
-		for _, r := range b.sel {
-			hs[r] = schema.HashSeed
-		}
-	}
-	for c := range b.cols {
-		b.cols[c].FoldHash(hs, b.sel, b.n)
-	}
 }
 
 // vecPool recycles kernel-internal scratch buffers (comparison and

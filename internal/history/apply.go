@@ -132,12 +132,15 @@ type applyAnalysis struct {
 	conj []conjunct
 	del  bool // a DELETE
 	// cond evaluates the condition over a candidate: θ for an UPDATE,
-	// ¬θ for a DELETE (a candidate survives iff true).
-	cond *exec.TupleKernel
-	// setCols are the non-identity SET targets in column order and set
-	// evaluates their expressions.
-	setCols []int
-	set     *exec.TupleKernel
+	// ¬θ for a DELETE (a candidate survives iff true). where is that
+	// condition as an expression.
+	cond  *exec.TupleKernel
+	where expr.Expr
+	// setCols are the non-identity SET targets in column order, setExprs
+	// their expressions, and set evaluates them.
+	setCols  []int
+	setExprs []expr.Expr
+	set      *exec.TupleKernel
 }
 
 // flattenAnd appends the conjuncts of e in evaluation order: And trees
@@ -207,20 +210,19 @@ func analyzeConjuncts(where expr.Expr, s *schema.Schema) []conjunct {
 // vector; identity columns are skipped, since rewriting a column with
 // its own value is unobservable).
 func analyzeUpdate(where expr.Expr, vec []expr.Expr, s *schema.Schema) *applyAnalysis {
-	a := &applyAnalysis{conj: analyzeConjuncts(where, s)}
-	var set []expr.Expr
+	a := &applyAnalysis{conj: analyzeConjuncts(where, s), where: where}
 	for i, c := range s.Columns {
 		if col, ok := vec[i].(*expr.Col); ok && strings.EqualFold(col.Name, c.Name) {
 			continue
 		}
 		a.setCols = append(a.setCols, i)
-		set = append(set, vec[i])
+		a.setExprs = append(a.setExprs, vec[i])
 	}
 	var err error
 	if a.cond, err = exec.CompileTupleKernel(where, nil, s); err != nil {
 		return nil
 	}
-	if a.set, err = exec.CompileTupleKernel(nil, set, s); err != nil {
+	if a.set, err = exec.CompileTupleKernel(nil, a.setExprs, s); err != nil {
 		return nil
 	}
 	return a
@@ -228,11 +230,12 @@ func analyzeUpdate(where expr.Expr, vec []expr.Expr, s *schema.Schema) *applyAna
 
 // analyzeDelete builds the analysis of a DELETE.
 func analyzeDelete(where expr.Expr, s *schema.Schema) *applyAnalysis {
-	cond, err := exec.CompileTupleKernel(expr.Negation(where), nil, s)
+	neg := expr.Negation(where)
+	cond, err := exec.CompileTupleKernel(neg, nil, s)
 	if err != nil {
 		return nil
 	}
-	return &applyAnalysis{conj: analyzeConjuncts(where, s), del: true, cond: cond}
+	return &applyAnalysis{conj: analyzeConjuncts(where, s), del: true, cond: cond, where: neg}
 }
 
 // binding --------------------------------------------------------------------
@@ -420,7 +423,7 @@ func (p *boundPlan) probe(sc *storage.ApplyScratch, nRows int) (bm []uint64, ok 
 // those rows, len(a.setCols) per row (none for a DELETE). It works a
 // chunk of candidates at a time and writes nothing to the relation, so
 // an evaluation error leaves the state as it was; it errors iff the
-// reference loop errors.
+// reference loop errors, with the reference loop's error (firstError).
 func touched(rel *storage.Relation, sc *storage.ApplyScratch, cand []int32, a *applyAnalysis) ([]int32, []types.Value, error) {
 	vals := sc.Vals[:0]
 	n := 0
@@ -433,7 +436,7 @@ func touched(rel *storage.Relation, sc *storage.ApplyScratch, cand []int32, a *a
 		sc.Rows = rows[:0]
 		keep := sc.Flags(len(rows))
 		if _, err := a.cond.Eval(rows, keep, nil); err != nil {
-			return nil, nil, err
+			return nil, nil, a.firstError(rel.Schema, rows, err)
 		}
 		start := n
 		for i, k := range keep {
@@ -448,11 +451,38 @@ func touched(rel *storage.Relation, sc *storage.ApplyScratch, cand []int32, a *a
 		var err error
 		if vals, err = a.set.Eval(rows[:n-start], nil, vals); err != nil {
 			sc.Vals = vals[:0]
-			return nil, nil, err
+			return nil, nil, a.firstError(rel.Schema, rows[:n-start], err)
 		}
 	}
 	sc.Vals = vals[:0] // the caller reads vals before the next statement
 	return cand[:n], vals, nil
+}
+
+// firstError is the error the reference loop meets first on rows, the
+// candidates of a chunk whose kernels failed, in order: the condition,
+// then the SET vector where θ holds for an UPDATE. The kernels decide
+// the condition for the whole chunk before they evaluate its SET
+// vector, so kernelErr may be a later row's. Earlier chunks succeeded
+// in full and rows that are no candidates cannot error, so the first
+// error here is the reference loop's. Only a failed statement pays for
+// the replay.
+func (a *applyAnalysis) firstError(s *schema.Schema, rows []schema.Tuple, kernelErr error) error {
+	for _, t := range rows {
+		ok, err := expr.Satisfied(a.where, s, t)
+		if err != nil {
+			return err
+		}
+		if !ok || a.del {
+			continue
+		}
+		env := expr.TupleEnv(s, t)
+		for _, e := range a.setExprs {
+			if _, err := expr.Eval(e, env); err != nil {
+				return err
+			}
+		}
+	}
+	return kernelErr
 }
 
 // scratch returns ix's reusable apply scratch, or a private one for a

@@ -155,8 +155,9 @@ func fuzzApplyStatements(prog []byte) []Statement {
 
 // FuzzIndexedApply: statements applied through one maintained IndexSet
 // leave the relation the naive loops leave after every statement, and
-// fail exactly when the naive loops fail — leaving the state as it was.
-// The relation is drawn from seed, the statements from prog.
+// fail exactly when the naive loops fail, with their error — leaving the
+// state as it was. The relation is drawn from seed, the statements from
+// prog.
 func FuzzIndexedApply(f *testing.F) {
 	// Pool bytes (80 + the index in fuzzApplyConsts).
 	const nan, posInf, two53, null, strA, strOne = 80, 83, 85, 90, 91, 92
@@ -171,6 +172,10 @@ func FuzzIndexedApply(f *testing.F) {
 	// NULL and whose i is 0.
 	f.Add(int64(3), []byte{0, 0, 0, 1, 1, 2, 0, 2, strA, 0, 0, 2, strOne, 0, 5})
 	f.Add(int64(4), []byte{3, 2, 4, two53, posInf, null, nan, strA, 1, 0, 1, 1, 4, 0, 3, 0, 5, 0, 0, 6, 0, 0, 0, nan, 5})
+	// SET b = b + 1 WHERE m >= 8.0: the first failing row fails the SET
+	// vector (bool + int), a later row of its chunk fails θ (a string or
+	// bool m against a float).
+	f.Add(int64(1), []byte{0, 0, 3, 0, 0, 0, 0, 4, 48, 5})
 	f.Fuzz(func(t *testing.T, seed int64, prog []byte) {
 		base := fuzzApplyDB(seed)
 		naive, fast := base.Clone(), base.Clone()
@@ -179,7 +184,7 @@ func FuzzIndexedApply(f *testing.F) {
 			before := naive.Clone()
 			errN := applyNaiveStatement(t, st, naive)
 			errF := st.ApplyIndexed(fast, ix)
-			if (errN == nil) != (errF == nil) {
+			if (errN == nil) != (errF == nil) || errN != nil && errN.Error() != errF.Error() {
 				t.Fatalf("%s: naive error %v, indexed error %v", st, errN, errF)
 			}
 			if errN != nil {

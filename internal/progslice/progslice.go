@@ -40,30 +40,33 @@ type Input struct {
 // Stats reports slicing effort.
 type Stats struct {
 	// Tests is the number of solver checks performed.
-	Tests int
+	Tests int `json:"tests"`
 	// SolverNodes, SolverVisits and SolverLPs accumulate the solver's
 	// effort across tests (compile.Outcome's Nodes, Visits and LPs, memo
 	// hits included): branch & bound nodes, constraint evaluations of
 	// interval propagation, and LP solves. SolverVisits also holds the
 	// one root pass over the shared prefix (compile.Prefix.Visits) that
 	// every test's pass starts from.
-	SolverNodes, SolverVisits, SolverLPs int
+	SolverNodes  int `json:"solver_nodes"`
+	SolverVisits int `json:"-"`
+	SolverLPs    int `json:"-"`
 	// Fallbacks counts tests whose shared prefix had run out of
 	// propagation budget, so each propagated every row itself.
-	Fallbacks int
+	Fallbacks int `json:"-"`
 	// Indefinite counts tests that hit a solver budget (treated as
 	// "keep").
-	Indefinite int
+	Indefinite int `json:"indefinite"`
 	// Lowered counts the expression nodes lowered into solver models.
 	// A dependency run lowers Φ_D ∧ affected once and each test only
 	// its own conjuncts (see compile.Prefix), so this grows with the
 	// formulas' distinct parts, not with tests × formula size; tests the
 	// solver memo answered lower nothing.
-	Lowered int
+	Lowered int `json:"-"`
 	// Duration is wall-clock time spent slicing.
-	Duration time.Duration
+	Duration time.Duration `json:"duration_ns"`
 	// Kept and Removed count statement positions.
-	Kept, Removed int
+	Kept    int `json:"kept"`
+	Removed int `json:"removed"`
 }
 
 // Result is the outcome of slicing: the positions (into Pair) to keep.

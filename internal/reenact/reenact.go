@@ -18,6 +18,7 @@ import (
 	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/history"
+	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/storage"
 )
 
@@ -173,7 +174,11 @@ func InsertBranches(h history.History, rel string, db *storage.Database) (algebr
 				cur[r] = q
 				continue
 			case *history.InsertQuery:
-				branches = append(branches, algebra.SubstituteScans(x.Query, cur))
+				rl, err := db.Relation(rel)
+				if err != nil {
+					return nil, err
+				}
+				branches = append(branches, renameTo(algebra.SubstituteScans(x.Query, cur), rl.Schema, db))
 				q, err := stepQuery(st, cur, db)
 				if err != nil {
 					return nil, err
@@ -208,4 +213,24 @@ func InsertBranches(h history.History, rel string, db *storage.Database) (algebr
 		out = &algebra.Union{L: out, R: b}
 	}
 	return out, nil
+}
+
+// renameTo names q's output columns after target's: an INSERT…SELECT
+// branch starts a state of the target relation, and the statements
+// after it address the target's column names, which the union of the
+// whole reenactment takes from its left input. A query whose arity
+// differs, or whose output names repeat, is left as it is.
+func renameTo(q algebra.Query, target *schema.Schema, db *storage.Database) algebra.Query {
+	out, err := algebra.OutputSchema(q, db)
+	if err != nil || out.Arity() != target.Arity() {
+		return q
+	}
+	exprs := make([]algebra.NamedExpr, len(out.Columns))
+	for i, c := range out.Columns {
+		if out.ColIndex(c.Name) != i {
+			return q
+		}
+		exprs[i] = algebra.NamedExpr{Name: target.Columns[i].Name, E: expr.Column(c.Name)}
+	}
+	return &algebra.Project{Exprs: exprs, In: q}
 }

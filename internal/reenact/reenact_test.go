@@ -158,8 +158,24 @@ func TestInsertBranchesUnionEquivalence(t *testing.T) {
 		INSERT INTO orders VALUES (17, 'JP', 90, 0);
 		UPDATE orders SET fee = fee + 10 WHERE price >= 85;
 	`)
-	db := ordersDB()
+	assertSplitEqualsFull(t, h, ordersDB())
+}
 
+// TestInsertBranchesRenameSelectOutput: an INSERT…SELECT whose select
+// list computes a column (id + 100 is named col1) starts a branch that
+// the later statements address by the target's column names.
+func TestInsertBranchesRenameSelectOutput(t *testing.T) {
+	h, _ := sql.ParseStatements(`
+		INSERT INTO orders SELECT id + 100, country, price, fee FROM orders WHERE price >= 50;
+		UPDATE orders SET fee = fee + 1 WHERE id >= 100;
+	`)
+	assertSplitEqualsFull(t, h, ordersDB())
+}
+
+// assertSplitEqualsFull checks the §10 split of h's reenactment of
+// orders over db: base part ∪ insert branches is the full reenactment.
+func assertSplitEqualsFull(t *testing.T, h history.History, db *storage.Database) {
+	t.Helper()
 	full, err := QueryForRelation(h, "orders", db, nil)
 	if err != nil {
 		t.Fatal(err)

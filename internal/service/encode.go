@@ -72,10 +72,10 @@ func appendReports(dst []byte, reps []core.AggregateReport) ([]byte, error) {
 	return types.AppendJSONArray(dst, reps, (*core.AggregateReport).AppendJSON)
 }
 
-// appendMarshaler appends a cold member's own encoding (the stats
-// types keep their wire structs).
-func appendMarshaler(dst []byte, m json.Marshaler) ([]byte, error) {
-	b, err := m.MarshalJSON()
+// appendMarshaler appends a cold member's encoding by its field tags
+// (the stats types).
+func appendMarshaler(dst []byte, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
 	return append(dst, b...), err
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/mahif/mahif/internal/core"
+	"github.com/mahif/mahif/internal/persist"
 )
 
 // sessionMetric is one mahif_session_* series: its name suffix, HELP
@@ -70,96 +71,135 @@ var sessionMetrics = []sessionMetric{
 		func(st core.SessionStats) int64 { return int64(st.Reports.Patched) }},
 }
 
+// series is one unlabelled series of /metrics: its name, HELP text,
+// TYPE and the sample it reads off a scrape. A sample is an integer or,
+// for a duration in seconds, a float64; %v renders them as %d and %g
+// would.
+type series struct {
+	name, help, typ string
+	read            func(*scrape) any
+}
+
+// scrape is what one /metrics request samples: the server, its
+// session's counters, and the store's and the replication stream's when
+// the server has them.
+type scrape struct {
+	s     *Server
+	sess  core.SessionStats
+	store persist.Stats
+	rec   persist.RecoveryInfo
+	repl  ReplicationStatus
+}
+
+// engineSeries precede the session table, serverSeries follow it.
+var engineSeries = []series{
+	{"mahif_history_version", "Number of statements in the transactional history.", "gauge",
+		func(x *scrape) any { return x.s.engine.Version() }},
+	{"mahif_interpreter_fallbacks_total", "Query evaluations that asked for a compiling executor but ran through the tree-walking interpreter (engine-wide).", "counter",
+		func(x *scrape) any { return x.s.engine.InterpreterFallbacks() }},
+}
+
+var serverSeries = []series{
+	{"mahif_delta_rows_compared_total", "Row positions at which a what-if's two reenactment results were compared lane-wise, over all sessions.", "counter",
+		func(x *scrape) any { return x.sess.DeltaRowsCompared }},
+	{"mahif_delta_rows_hashed_total", "Rows that did not cancel at their position and were matched by row hash, lane-wise (both sides), over all sessions; its ratio to rows compared is the share of reenactment output left to a multiset match.", "counter",
+		func(x *scrape) any { return x.sess.DeltaRowsHashed }},
+	{"mahif_delta_rows_boxed_total", "Rows gathered into tuples, the deltas' own rows (Minus and Plus), over all sessions; rows hashed minus rows boxed cancelled across positions.", "counter",
+		func(x *scrape) any { return x.sess.DeltaRowsBoxed }},
+	{"mahif_solver_lowered_nodes_total", "Expression nodes program slicing lowered into solver models, over all sessions; a dependency run lowers its shared Φ_D ∧ affected once and each test only its own conjuncts.", "counter",
+		func(x *scrape) any { return x.sess.SolverLowered }},
+	{"mahif_templates_registered", "Scenario template ids resident in the registry (POST /v1/template, least recently used evicted).", "gauge",
+		func(x *scrape) any { return x.s.templates.Len() }},
+	{"mahif_template_evals_total", "Bindings answered through template eval endpoints.", "counter",
+		func(x *scrape) any { return x.s.templateEvals.Load() }},
+	{"mahif_http_encode_errors_total", "Responses that could not be encoded and answered 500 instead.", "counter",
+		func(x *scrape) any { return x.s.encodeErrors.Load() }},
+}
+
+// storeSeries are rendered when the server is backed by a durable store.
+var storeSeries = []series{
+	{"mahif_wal_appends_total", "Append calls committed to the WAL.", "counter",
+		func(x *scrape) any { return x.store.Appends }},
+	{"mahif_wal_statements_appended_total", "Statements committed to the WAL.", "counter",
+		func(x *scrape) any { return x.store.StatementsAppended }},
+	{"mahif_wal_append_errors_total", "Statements rejected by the append path.", "counter",
+		func(x *scrape) any { return x.store.AppendErrors }},
+	{"mahif_wal_bytes_written_total", "WAL record bytes written since start.", "counter",
+		func(x *scrape) any { return x.store.WALBytesWritten }},
+	{"mahif_wal_segments", "WAL segment files.", "gauge",
+		func(x *scrape) any { return x.store.Segments }},
+	{"mahif_wal_rotations_total", "WAL segment rotations since start.", "counter",
+		func(x *scrape) any { return x.store.Rotations }},
+	{"mahif_checkpoints_written_total", "Snapshot checkpoints written since start.", "counter",
+		func(x *scrape) any { return x.store.CheckpointsWritten }},
+	{"mahif_checkpoint_last_version", "History version of the newest checkpoint.", "gauge",
+		func(x *scrape) any { return x.store.LastCheckpointVersion }},
+	{"mahif_checkpoint_last_bytes", "Size of the newest checkpoint written this process.", "gauge",
+		func(x *scrape) any { return x.store.LastCheckpointBytes }},
+	{"mahif_recovery_duration_seconds", "Wall-clock cost of the last crash recovery.", "gauge",
+		func(x *scrape) any { return x.rec.Duration.Seconds() }},
+	{"mahif_recovery_replayed_statements", "Statements replayed on top of the recovery checkpoint.", "gauge",
+		func(x *scrape) any { return x.rec.ReplayedStatements }},
+	{"mahif_recovery_truncated_records", "Torn-tail records discarded by the last recovery.", "gauge",
+		func(x *scrape) any { return x.rec.TruncatedRecords }},
+	{"mahif_wal_streams_total", "WAL replication streams opened by followers.", "counter",
+		func(x *scrape) any { return x.s.walStreams.Load() }},
+	{"mahif_wal_stream_records_total", "WAL records shipped to followers.", "counter",
+		func(x *scrape) any { return x.s.walStreamRecords.Load() }},
+}
+
+// replicationSeries are rendered on a follower.
+var replicationSeries = []series{
+	{"mahif_replication_connected", "1 while the WAL stream from the leader is live.", "gauge",
+		func(x *scrape) any { return b2i(x.repl.Connected) }},
+	{"mahif_replication_applied_version", "History version this follower has applied.", "gauge",
+		func(x *scrape) any { return x.repl.AppliedVersion }},
+	{"mahif_replication_leader_version", "Newest leader version this follower has observed.", "gauge",
+		func(x *scrape) any { return x.repl.LeaderVersion }},
+	{"mahif_replication_lag", "Statements the follower is behind the leader.", "gauge",
+		func(x *scrape) any { return x.repl.Lag }},
+	{"mahif_replication_records_applied_total", "Statements applied off the replication stream.", "counter",
+		func(x *scrape) any { return x.repl.RecordsApplied }},
+	{"mahif_replication_reconnects_total", "Stream re-establishments after the initial connect.", "counter",
+		func(x *scrape) any { return x.repl.Reconnects }},
+}
+
 // handleMetrics renders a Prometheus text exposition (format 0.0.4) of
-// the session's cache counters plus the durable store's WAL and
-// checkpoint counters when the server is backed by one. Hand-rolled on
-// purpose: the counter set is small and a client dependency would be
-// the only one in the module.
+// the series tables above: the engine's and the session's counters,
+// plus the durable store's WAL and checkpoint counters when the server
+// is backed by one and the replication stream's on a follower.
+// Hand-rolled on purpose: the counter set is small and a client
+// dependency would be the only one in the module.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	x := &scrape{s: s, sess: s.sess.Stats()}
 	var b strings.Builder
-	m := func(name, help, typ string) {
+	help := func(name, help, typ string) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 	}
+	write := func(table []series) {
+		for _, sr := range table {
+			help(sr.name, sr.help, sr.typ)
+			fmt.Fprintf(&b, "%s %v\n", sr.name, sr.read(x))
+		}
+	}
 
-	m("mahif_history_version", "Number of statements in the transactional history.", "gauge")
-	fmt.Fprintf(&b, "mahif_history_version %d\n", s.engine.Version())
-
-	m("mahif_interpreter_fallbacks_total", "Query evaluations that asked for a compiling executor but ran through the tree-walking interpreter (engine-wide).", "counter")
-	fmt.Fprintf(&b, "mahif_interpreter_fallbacks_total %d\n", s.engine.InterpreterFallbacks())
-
+	write(engineSeries)
 	// All session HELP/TYPE lines precede all session samples: the
 	// layout testdata/metrics.golden pins.
-	st := s.sess.Stats()
 	for _, sm := range sessionMetrics {
-		m("mahif_session_"+sm.name, sm.help, sm.typ)
+		help("mahif_session_"+sm.name, sm.help, sm.typ)
 	}
 	for _, sm := range sessionMetrics {
-		fmt.Fprintf(&b, "mahif_session_%s{session=\"0\"} %d\n", sm.name, sm.read(st))
+		fmt.Fprintf(&b, "mahif_session_%s{session=\"0\"} %d\n", sm.name, sm.read(x.sess))
 	}
-
-	m("mahif_delta_rows_compared_total", "Row positions at which a what-if's two reenactment results were compared lane-wise, over all sessions.", "counter")
-	fmt.Fprintf(&b, "mahif_delta_rows_compared_total %d\n", st.DeltaRowsCompared)
-	m("mahif_delta_rows_hashed_total", "Rows that did not cancel at their position and were matched by row hash, lane-wise (both sides), over all sessions; its ratio to rows compared is the share of reenactment output left to a multiset match.", "counter")
-	fmt.Fprintf(&b, "mahif_delta_rows_hashed_total %d\n", st.DeltaRowsHashed)
-	m("mahif_delta_rows_boxed_total", "Rows gathered into tuples, the deltas' own rows (Minus and Plus), over all sessions; rows hashed minus rows boxed cancelled across positions.", "counter")
-	fmt.Fprintf(&b, "mahif_delta_rows_boxed_total %d\n", st.DeltaRowsBoxed)
-	m("mahif_solver_lowered_nodes_total", "Expression nodes program slicing lowered into solver models, over all sessions; a dependency run lowers its shared Φ_D ∧ affected once and each test only its own conjuncts.", "counter")
-	fmt.Fprintf(&b, "mahif_solver_lowered_nodes_total %d\n", st.SolverLowered)
-
-	m("mahif_templates_registered", "Scenario template ids resident in the registry (POST /v1/template, least recently used evicted).", "gauge")
-	fmt.Fprintf(&b, "mahif_templates_registered %d\n", s.templates.Len())
-	m("mahif_template_evals_total", "Bindings answered through template eval endpoints.", "counter")
-	fmt.Fprintf(&b, "mahif_template_evals_total %d\n", s.templateEvals.Load())
-	m("mahif_http_encode_errors_total", "Responses that could not be encoded and answered 500 instead.", "counter")
-	fmt.Fprintf(&b, "mahif_http_encode_errors_total %d\n", s.encodeErrors.Load())
-
+	write(serverSeries)
 	if s.opts.Store != nil {
-		st := s.opts.Store.Stats()
-		ri := s.opts.Store.RecoveryInfo()
-		m("mahif_wal_appends_total", "Append calls committed to the WAL.", "counter")
-		fmt.Fprintf(&b, "mahif_wal_appends_total %d\n", st.Appends)
-		m("mahif_wal_statements_appended_total", "Statements committed to the WAL.", "counter")
-		fmt.Fprintf(&b, "mahif_wal_statements_appended_total %d\n", st.StatementsAppended)
-		m("mahif_wal_append_errors_total", "Statements rejected by the append path.", "counter")
-		fmt.Fprintf(&b, "mahif_wal_append_errors_total %d\n", st.AppendErrors)
-		m("mahif_wal_bytes_written_total", "WAL record bytes written since start.", "counter")
-		fmt.Fprintf(&b, "mahif_wal_bytes_written_total %d\n", st.WALBytesWritten)
-		m("mahif_wal_segments", "WAL segment files.", "gauge")
-		fmt.Fprintf(&b, "mahif_wal_segments %d\n", st.Segments)
-		m("mahif_wal_rotations_total", "WAL segment rotations since start.", "counter")
-		fmt.Fprintf(&b, "mahif_wal_rotations_total %d\n", st.Rotations)
-		m("mahif_checkpoints_written_total", "Snapshot checkpoints written since start.", "counter")
-		fmt.Fprintf(&b, "mahif_checkpoints_written_total %d\n", st.CheckpointsWritten)
-		m("mahif_checkpoint_last_version", "History version of the newest checkpoint.", "gauge")
-		fmt.Fprintf(&b, "mahif_checkpoint_last_version %d\n", st.LastCheckpointVersion)
-		m("mahif_checkpoint_last_bytes", "Size of the newest checkpoint written this process.", "gauge")
-		fmt.Fprintf(&b, "mahif_checkpoint_last_bytes %d\n", st.LastCheckpointBytes)
-		m("mahif_recovery_duration_seconds", "Wall-clock cost of the last crash recovery.", "gauge")
-		fmt.Fprintf(&b, "mahif_recovery_duration_seconds %g\n", ri.Duration.Seconds())
-		m("mahif_recovery_replayed_statements", "Statements replayed on top of the recovery checkpoint.", "gauge")
-		fmt.Fprintf(&b, "mahif_recovery_replayed_statements %d\n", ri.ReplayedStatements)
-		m("mahif_recovery_truncated_records", "Torn-tail records discarded by the last recovery.", "gauge")
-		fmt.Fprintf(&b, "mahif_recovery_truncated_records %d\n", ri.TruncatedRecords)
-		m("mahif_wal_streams_total", "WAL replication streams opened by followers.", "counter")
-		fmt.Fprintf(&b, "mahif_wal_streams_total %d\n", s.walStreams.Load())
-		m("mahif_wal_stream_records_total", "WAL records shipped to followers.", "counter")
-		fmt.Fprintf(&b, "mahif_wal_stream_records_total %d\n", s.walStreamRecords.Load())
+		x.store, x.rec = s.opts.Store.Stats(), s.opts.Store.RecoveryInfo()
+		write(storeSeries)
 	}
-
 	if s.opts.Replication != nil {
-		rs := s.opts.Replication.ReplicationStatus()
-		m("mahif_replication_connected", "1 while the WAL stream from the leader is live.", "gauge")
-		fmt.Fprintf(&b, "mahif_replication_connected %d\n", b2i(rs.Connected))
-		m("mahif_replication_applied_version", "History version this follower has applied.", "gauge")
-		fmt.Fprintf(&b, "mahif_replication_applied_version %d\n", rs.AppliedVersion)
-		m("mahif_replication_leader_version", "Newest leader version this follower has observed.", "gauge")
-		fmt.Fprintf(&b, "mahif_replication_leader_version %d\n", rs.LeaderVersion)
-		m("mahif_replication_lag", "Statements the follower is behind the leader.", "gauge")
-		fmt.Fprintf(&b, "mahif_replication_lag %d\n", rs.Lag)
-		m("mahif_replication_records_applied_total", "Statements applied off the replication stream.", "counter")
-		fmt.Fprintf(&b, "mahif_replication_records_applied_total %d\n", rs.RecordsApplied)
-		m("mahif_replication_reconnects_total", "Stream re-establishments after the initial connect.", "counter")
-		fmt.Fprintf(&b, "mahif_replication_reconnects_total %d\n", rs.Reconnects)
+		x.repl = s.opts.Replication.ReplicationStatus()
+		write(replicationSeries)
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

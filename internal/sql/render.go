@@ -15,8 +15,8 @@ import (
 // INSERT…SELECT carries an algebra tree whose String is algebra
 // notation (σ, Π, ⋈), so its query is lowered back to SELECT syntax
 // here. Statements whose query falls outside the parser's
-// select-project-join-union subset (e.g. a hand-built Singleton or
-// Difference) have no SQL rendering and are rejected.
+// select-project-join-union subset (e.g. a hand-built Singleton) have
+// no SQL rendering and are rejected.
 func RenderStatement(st history.Statement) (string, error) {
 	iq, ok := st.(*history.InsertQuery)
 	if !ok {

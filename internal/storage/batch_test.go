@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"math/rand"
 	"testing"
 
 	"github.com/mahif/mahif/internal/schema"
@@ -43,65 +42,5 @@ func TestPartitionTuples(t *testing.T) {
 		if total != tc.n {
 			t.Fatalf("n=%d parts=%d: chunks cover %d rows", tc.n, tc.parts, total)
 		}
-	}
-}
-
-// TestTupleIndexRemoveRow cross-validates the column-major batch probe
-// against the row-major Remove on random multisets: both views of the
-// same removal sequence must agree step by step.
-func TestTupleIndexRemoveRow(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(40)
-		rows := make([]schema.Tuple, n)
-		for i := range rows {
-			v := types.Value(types.Int(int64(rng.Intn(4))))
-			if rng.Intn(8) == 0 {
-				v = types.Null()
-			}
-			rows[i] = schema.NewTuple(v, types.String([]string{"a", "b"}[rng.Intn(2)]))
-		}
-		build := func() *TupleIndex {
-			ix := NewTupleIndex(0)
-			for _, r := range rows[:n/2] {
-				ix.Add(r)
-			}
-			return ix
-		}
-		ixRow, ixCol := build(), build()
-
-		// Column-major view of the probe rows (boxed lane).
-		cols := make([]ColVec, 2)
-		for c := range cols {
-			cols[c].Vals = make([]types.Value, n)
-			for i, r := range rows {
-				cols[c].Vals[i] = r[c]
-			}
-		}
-		for i, r := range rows {
-			wantRemoved := ixRow.Remove(r)
-			gotRemoved := ixCol.RemoveRow(cols, i, r.Hash())
-			if wantRemoved != gotRemoved {
-				t.Fatalf("trial %d row %d (%s): Remove=%v RemoveRow=%v", trial, i, r, wantRemoved, gotRemoved)
-			}
-			if ixRow.Len() != ixCol.Len() {
-				t.Fatalf("trial %d row %d: sizes diverged %d vs %d", trial, i, ixRow.Len(), ixCol.Len())
-			}
-		}
-	}
-}
-
-// TestTupleIndexRemoveRowArityMismatch: a row narrower or wider than
-// the indexed tuples never matches.
-func TestTupleIndexRemoveRowArityMismatch(t *testing.T) {
-	ix := NewTupleIndex(0)
-	tp := schema.NewTuple(types.Int(1), types.Int(2))
-	ix.Add(tp)
-	narrow := []ColVec{{Vals: []types.Value{types.Int(1)}}}
-	if ix.RemoveRow(narrow, 0, schema.Tuple{types.Int(1)}.Hash()) {
-		t.Fatal("narrow row removed a wider tuple")
-	}
-	if ix.Count(tp) != 1 {
-		t.Fatal("count changed")
 	}
 }

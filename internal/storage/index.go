@@ -8,8 +8,8 @@ import (
 // each tuple (schema.Tuple.Hash) buckets entries, and value-level
 // equality (schema.Tuple.Equal) resolves collisions. It replaces the
 // string-keyed maps built from schema.Tuple.Key on the multiset hot
-// paths — bag difference, delta computation, and bag equality — which
-// paid an fmt.Fprintf-built string per tuple per operation.
+// paths — delta computation and bag equality — which paid an
+// fmt.Fprintf-built string per tuple per operation.
 type TupleIndex struct {
 	buckets map[uint64][]indexEntry
 	size    int // total multiplicity across entries
@@ -82,40 +82,6 @@ func (ix *TupleIndex) compact(h uint64, bucket []indexEntry, i int) {
 	} else {
 		ix.buckets[h] = bucket[:last]
 	}
-}
-
-// RemoveRow is the batch-probe form of Remove for the vectorized
-// executor: the candidate row lives spread across the column vectors
-// cols at index row, and its typed tuple hash h (the same fold as
-// schema.Tuple.Hash) was precomputed lane-wise. No row-major tuple is
-// materialized; candidate verification boxes cells only on hash hits.
-func (ix *TupleIndex) RemoveRow(cols []ColVec, row int, h uint64) bool {
-	bucket := ix.buckets[h]
-	for i := range bucket {
-		if bucket[i].count > 0 && tupleEqualsRow(bucket[i].tuple, cols, row) {
-			bucket[i].count--
-			ix.size--
-			if bucket[i].count == 0 {
-				ix.compact(h, bucket, i)
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// tupleEqualsRow compares a stored tuple against one row of a
-// column-vector block value-wise.
-func tupleEqualsRow(t schema.Tuple, cols []ColVec, row int) bool {
-	if len(t) != len(cols) {
-		return false
-	}
-	for c := range t {
-		if !t[c].Equal(cols[c].Value(row)) {
-			return false
-		}
-	}
-	return true
 }
 
 // Count returns the multiplicity of t.

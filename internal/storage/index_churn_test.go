@@ -8,7 +8,7 @@ import (
 	"github.com/mahif/mahif/internal/types"
 )
 
-// checkNoTombstones asserts the structural invariant Remove/RemoveRow
+// checkNoTombstones asserts the structural invariant Remove
 // compaction maintains: no resident entry has a zero count, no bucket
 // is empty, and the entry total matches Distinct.
 func checkNoTombstones(t *testing.T, ix *TupleIndex) {
@@ -116,26 +116,4 @@ func TestTupleIndexCompactSwapDelete(t *testing.T) {
 	if _, ok := ix.buckets[h]; ok {
 		t.Fatal("bucket survives after its last entry was compacted")
 	}
-}
-
-// TestTupleIndexRemoveRowCompacts covers the vectorized removal path's
-// compaction: draining a key through RemoveRow leaves no tombstone.
-func TestTupleIndexRemoveRowCompacts(t *testing.T) {
-	ix := NewTupleIndex(0)
-	tup := schema.Tuple{types.Int(5), types.String("x")}
-	ix.Add(tup)
-	ix.Add(tup)
-	cols := []ColVec{{Vals: []types.Value{types.Int(5)}}, {Vals: []types.Value{types.String("x")}}}
-	h := tup.Hash()
-	if !ix.RemoveRow(cols, 0, h) || !ix.RemoveRow(cols, 0, h) {
-		t.Fatal("RemoveRow failed on present tuple")
-	}
-	if ix.RemoveRow(cols, 0, h) {
-		t.Fatal("RemoveRow past zero succeeded")
-	}
-	if ix.Len() != 0 || ix.Distinct() != 0 || len(ix.buckets) != 0 {
-		t.Fatalf("drained index retains state: Len=%d Distinct=%d buckets=%d",
-			ix.Len(), ix.Distinct(), len(ix.buckets))
-	}
-	checkNoTombstones(t, ix)
 }

@@ -58,7 +58,7 @@ func TestTupleIndexCrossKindNumeric(t *testing.T) {
 // TestTupleIndexNegativeZero pins the −0.0 canonicalization: the two
 // zeros compare equal (types.Value.Equal, the = operator), so they
 // must land in one index entry — a hash that split them would make the
-// compiled hash join and bag difference disagree with the interpreter.
+// compiled hash join and the delta disagree with the interpreter.
 func TestTupleIndexNegativeZero(t *testing.T) {
 	pos := schema.Tuple{types.Float(0.0)}
 	neg := schema.Tuple{types.Float(math.Copysign(0, -1))}

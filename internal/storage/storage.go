@@ -207,7 +207,7 @@ func (r *Relation) PrepareRewrite(n int) (inPlace bool) {
 }
 
 // Index builds the hash-based multiset index of the relation (the fast
-// path for bag difference, delta computation, and bag equality).
+// path for delta computation and bag equality).
 func (r *Relation) Index() *TupleIndex { return IndexOf(r) }
 
 // PartitionTuples splits a tuple slice into at most parts contiguous,

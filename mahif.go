@@ -88,9 +88,8 @@
 // Sessions are safe for concurrent use and keep their caches when the
 // underlying history advances (Invalidate drops them). cmd/mahifd
 // serves the engine over HTTP through one long-lived session; DeltaSet,
-// Stats, and BatchStats carry a stable JSON wire format
-// (MarshalJSON/UnmarshalJSON, pinned by golden tests) for that
-// boundary.
+// Stats, and BatchStats carry a stable JSON wire format (pinned by
+// golden tests) for that boundary.
 //
 // # Scenario templates
 //
