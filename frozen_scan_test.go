@@ -1,6 +1,7 @@
 package mahif_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -50,7 +51,7 @@ func TestFrozenScanDifferential(t *testing.T) {
 
 		check := func(label string, q algebra.Query, version int) {
 			t.Helper()
-			frozen, err := cache.Snapshot(version)
+			frozen, err := cache.SnapshotCtx(context.Background(), version)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -61,8 +62,8 @@ func TestFrozenScanDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: compile: %v", label, name, err)
 				}
-				gotP, errP := prog.Run(private)
-				gotF, errF := prog.Run(frozen)
+				gotP, errP := prog.RunCtx(context.Background(), private)
+				gotF, errF := prog.RunCtx(context.Background(), frozen)
 				if (errI == nil) != (errP == nil) || fmt.Sprint(errP) != fmt.Sprint(errF) {
 					t.Fatalf("%s/%s: error divergence: interpreter=%v private=%v frozen=%v", label, name, errI, errP, errF)
 				}
@@ -83,7 +84,7 @@ func TestFrozenScanDifferential(t *testing.T) {
 			}
 		}
 
-		base, err := cache.Snapshot(0)
+		base, err := cache.SnapshotCtx(context.Background(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

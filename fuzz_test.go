@@ -1,6 +1,7 @@
 package mahif_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/sql"
+	"github.com/mahif/mahif/internal/storage"
 )
 
 // TestRandomizedCrossValidation is the repository's highest-level
@@ -347,7 +349,11 @@ func aggregateDifferentialTrial(t *testing.T, rng *rand.Rand, vdb *mahif.Version
 			t.Fatalf("parse %q: %v", src, err)
 		}
 		want, errI := algebra.Eval(q, db)
-		got, errX := exec.EvalVec(q, db)
+		var got *storage.Relation
+		prog, errX := exec.CompileVec(q, db, exec.VecOptions{})
+		if errX == nil {
+			got, errX = prog.RunCtx(context.Background(), db)
+		}
 		if (errI == nil) != (errX == nil) {
 			t.Fatalf("aggregate error divergence on %q: interpreter=%v vectorized=%v", src, errI, errX)
 		}

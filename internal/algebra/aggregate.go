@@ -383,9 +383,6 @@ func (g *GroupIndex) Add(h uint64, key schema.Tuple) int {
 	return i
 }
 
-// Len returns the number of distinct groups seen.
-func (g *GroupIndex) Len() int { return len(g.keys) }
-
 // Key returns the representative key tuple of group i (the first-seen
 // values, which matters when cross-kind numeric keys collide).
 func (g *GroupIndex) Key(i int) schema.Tuple { return g.keys[i] }

@@ -114,16 +114,6 @@ func (q *Singleton) String() string {
 	return b.String()
 }
 
-// IdentityProjection builds the projection list that copies every
-// column of s unchanged.
-func IdentityProjection(s *schema.Schema) []NamedExpr {
-	out := make([]NamedExpr, s.Arity())
-	for i, c := range s.Columns {
-		out[i] = NamedExpr{Name: c.Name, E: expr.Column(c.Name)}
-	}
-	return out
-}
-
 // OutputSchema computes the schema of a query against db. The relation
 // name of derived schemas is inherited from the left/input branch.
 func OutputSchema(q Query, db *storage.Database) (*schema.Schema, error) {

@@ -26,7 +26,10 @@ func TestEvalDoesNotMutateSharedTuples(t *testing.T) {
 	// Every operator once, including the projection rewriting columns
 	// in place — the case a buggy executor would use to scribble over
 	// shared rows.
-	proj := IdentityProjection(rSch)
+	proj := make([]NamedExpr, rSch.Arity())
+	for i, c := range rSch.Columns {
+		proj[i] = NamedExpr{Name: c.Name, E: expr.Column(c.Name)}
+	}
 	proj[1].E = expr.Add(expr.Column("b"), expr.IntConst(1))
 	queries := []Query{
 		&Scan{Rel: "r"},

@@ -88,21 +88,15 @@ type Outcome struct {
 	Vars, Cons int
 }
 
-// Satisfiable compiles the condition and decides whether some
+// SatisfiableCtx compiles the condition and decides whether some
 // assignment to its variables makes it true. kinds assigns a type to
 // every free variable (variables missing from kinds are treated as
-// floats).
-func Satisfiable(cond expr.Expr, kinds map[string]types.Kind, opts Options) (*Outcome, error) {
-	return SatisfiableCtx(context.Background(), cond, kinds, opts)
-}
-
-// SatisfiableCtx is Satisfiable under a context. Cancellation is
-// observed at every branch & bound node of the solver, so a cancelled
-// check returns ctx.Err() within one node's work. Cancelled outcomes
-// are never memoized. It is the one-check case of a Prefix — the same
-// simplification, memo key and lowering — so a caller asking many
-// questions that share a leading conjunct should build the Prefix
-// itself.
+// floats). Cancellation is observed at every branch & bound node of
+// the solver, so a cancelled check returns ctx.Err() within one node's
+// work. Cancelled outcomes are never memoized. It is the one-check
+// case of a Prefix — the same simplification, memo key and lowering —
+// so a caller asking many questions that share a leading conjunct
+// should build the Prefix itself.
 func SatisfiableCtx(ctx context.Context, cond expr.Expr, kinds map[string]types.Kind, opts Options) (*Outcome, error) {
 	return NewPrefix(cond, kinds, opts).SatisfiableCtx(ctx)
 }

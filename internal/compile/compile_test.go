@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,15 +12,15 @@ import (
 
 func check(t *testing.T, cond expr.Expr, kinds map[string]types.Kind, wantSat bool) *Outcome {
 	t.Helper()
-	out, err := Satisfiable(cond, kinds, Options{})
+	out, err := SatisfiableCtx(context.Background(), cond, kinds, Options{})
 	if err != nil {
-		t.Fatalf("Satisfiable(%s): %v", cond, err)
+		t.Fatalf("SatisfiableCtx(context.Background(), %s): %v", cond, err)
 	}
 	if !out.Definitive {
-		t.Fatalf("Satisfiable(%s) hit a budget (nodes=%d)", cond, out.Nodes)
+		t.Fatalf("SatisfiableCtx(context.Background(), %s) hit a budget (nodes=%d)", cond, out.Nodes)
 	}
 	if out.Sat != wantSat {
-		t.Fatalf("Satisfiable(%s) = %v, want %v (model %v)", cond, out.Sat, wantSat, out.Model)
+		t.Fatalf("SatisfiableCtx(context.Background(), %s) = %v, want %v (model %v)", cond, out.Sat, wantSat, out.Model)
 	}
 	return out
 }
@@ -156,10 +157,10 @@ func TestSatisfiableArithmetic(t *testing.T) {
 
 func TestSatisfiableNonlinearRejected(t *testing.T) {
 	x, y := expr.Variable("x"), expr.Variable("y")
-	if _, err := Satisfiable(expr.Eq(expr.Mul(x, y), expr.IntConst(1)), intKinds("x", "y"), Options{}); err == nil {
+	if _, err := SatisfiableCtx(context.Background(), expr.Eq(expr.Mul(x, y), expr.IntConst(1)), intKinds("x", "y"), Options{}); err == nil {
 		t.Error("nonlinear product must be rejected")
 	}
-	if _, err := Satisfiable(expr.Eq(expr.Div(x, y), expr.IntConst(1)), intKinds("x", "y"), Options{}); err == nil {
+	if _, err := SatisfiableCtx(context.Background(), expr.Eq(expr.Div(x, y), expr.IntConst(1)), intKinds("x", "y"), Options{}); err == nil {
 		t.Error("division by variable must be rejected")
 	}
 }
@@ -170,7 +171,7 @@ func TestSatisfiableIsNullAssumesNonNull(t *testing.T) {
 }
 
 func TestSatisfiableUnboundColumnRejected(t *testing.T) {
-	if _, err := Satisfiable(expr.Ge(expr.Column("a"), expr.IntConst(1)), nil, Options{}); err == nil {
+	if _, err := SatisfiableCtx(context.Background(), expr.Ge(expr.Column("a"), expr.IntConst(1)), nil, Options{}); err == nil {
 		t.Error("attribute references must be rejected (bind first)")
 	}
 }
@@ -185,7 +186,7 @@ func TestWitnessSatisfiesFormulaProperty(t *testing.T) {
 	kinds := intKinds("x", "y")
 	for trial := 0; trial < 150; trial++ {
 		f := randomFormula(rng, 3)
-		out, err := Satisfiable(f, kinds, Options{})
+		out, err := SatisfiableCtx(context.Background(), f, kinds, Options{})
 		if err != nil || !out.Definitive {
 			continue
 		}
@@ -200,7 +201,7 @@ func TestWitnessSatisfiesFormulaProperty(t *testing.T) {
 			for k, v := range out.Model {
 				env[k] = v
 			}
-			if v, err := expr.Eval(f, expr.VarEnv(env)); err == nil && v.IsTrue() {
+			if v, err := expr.Eval(f, &expr.Env{Vars: env}); err == nil && v.IsTrue() {
 				continue
 			}
 			// Witness must at least satisfy the compiled model exactly —
@@ -212,9 +213,9 @@ func TestWitnessSatisfiesFormulaProperty(t *testing.T) {
 		// would definitely contradict UNSAT.
 		for x := int64(-10); x <= 10; x++ {
 			for y := int64(-10); y <= 10; y++ {
-				env := expr.VarEnv(map[string]types.Value{
+				env := &expr.Env{Vars: map[string]types.Value{
 					"x": types.Int(x), "y": types.Int(y),
-				})
+				}}
 				v, err := expr.Eval(f, env)
 				if err == nil && v.IsTrue() {
 					t.Fatalf("solver said UNSAT but (%d,%d) satisfies %s", x, y, f)

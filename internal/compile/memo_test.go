@@ -27,14 +27,14 @@ func TestMemoReusesOutcome(t *testing.T) {
 	memo := NewMemo()
 	opts := Options{Memo: memo}
 
-	first, err := Satisfiable(&cond, kinds, opts)
+	first, err := SatisfiableCtx(context.Background(), &cond, kinds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !first.Sat || !first.Definitive {
 		t.Fatalf("outcome = %+v, want definitive sat", first)
 	}
-	second, err := Satisfiable(&cond, kinds, opts)
+	second, err := SatisfiableCtx(context.Background(), &cond, kinds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +55,10 @@ func TestMemoDistinguishesKindsAndShape(t *testing.T) {
 	cond := expr.Eq(expr.Variable("x"), expr.Variable("y"))
 	asFloat := map[string]types.Kind{"x": types.KindFloat, "y": types.KindFloat}
 	asString := map[string]types.Kind{"x": types.KindString, "y": types.KindString}
-	if _, err := Satisfiable(cond, asFloat, Options{Memo: memo}); err != nil {
+	if _, err := SatisfiableCtx(context.Background(), cond, asFloat, Options{Memo: memo}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Satisfiable(cond, asString, Options{Memo: memo}); err != nil {
+	if _, err := SatisfiableCtx(context.Background(), cond, asString, Options{Memo: memo}); err != nil {
 		t.Fatal(err)
 	}
 	if memo.Len() != 2 {
@@ -137,7 +137,7 @@ func TestMemoKeyFoldsInKindsAndBudget(t *testing.T) {
 	memo := NewMemo()
 	for _, k := range []types.Kind{types.KindInt, types.KindFloat} {
 		opts := Options{Memo: memo, ParamKinds: map[string]types.Kind{"p": k}}
-		if _, err := Satisfiable(cond, map[string]types.Kind{"x": types.KindInt}, opts); err != nil {
+		if _, err := SatisfiableCtx(context.Background(), cond, map[string]types.Kind{"x": types.KindInt}, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +169,12 @@ func TestMemoKeyReadsOnlyMentionedKinds(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ {
 		cond := g.cond(2)
-		mentioned := expr.Vars(cond)
+		mentioned := map[string]bool{}
+		expr.Walk(cond, func(n expr.Expr) {
+			if v, ok := n.(*expr.Var); ok {
+				mentioned[v.Name] = true
+			}
+		})
 		for p := range expr.Params(cond) {
 			mentioned["$"+p] = true
 		}
@@ -200,14 +205,14 @@ func TestMemoKeyReadsOnlyMentionedKinds(t *testing.T) {
 func TestMemoKeyTellsAbsentFromPresent(t *testing.T) {
 	memo := NewMemo()
 	cond := expr.AndOf(expr.Variable("b"), expr.Gt(expr.Variable("x"), expr.IntConst(1)))
-	if _, err := Satisfiable(cond, map[string]types.Kind{"x": types.KindInt}, Options{Memo: memo}); err == nil {
+	if _, err := SatisfiableCtx(context.Background(), cond, map[string]types.Kind{"x": types.KindInt}, Options{Memo: memo}); err == nil {
 		t.Fatal("an absent variable in condition position lowered")
 	}
-	out, err := Satisfiable(cond, map[string]types.Kind{"x": types.KindInt, "b": types.KindBool}, Options{Memo: memo})
+	out, err := SatisfiableCtx(context.Background(), cond, map[string]types.Kind{"x": types.KindInt, "b": types.KindBool}, Options{Memo: memo})
 	if err != nil || !out.Sat {
 		t.Fatalf("present bool: outcome %+v, err %v", out, err)
 	}
-	if _, err := Satisfiable(cond, map[string]types.Kind{"x": types.KindInt}, Options{Memo: memo}); err == nil {
+	if _, err := SatisfiableCtx(context.Background(), cond, map[string]types.Kind{"x": types.KindInt}, Options{Memo: memo}); err == nil {
 		t.Fatal("the absent variable's ask was answered by the present one's outcome")
 	}
 }
@@ -240,7 +245,7 @@ func TestMemoSharedAcrossGrowingKindMaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole, err := Satisfiable(expr.AndOf(phi, touched), kinds, paramOpts)
+		whole, err := SatisfiableCtx(context.Background(), expr.AndOf(phi, touched), kinds, paramOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,11 +322,11 @@ func TestMemoAgreesWithoutMemo(t *testing.T) {
 	kinds := map[string]types.Kind{"a": types.KindInt}
 	memo := NewMemo()
 	for i, cond := range conds {
-		plain, err := Satisfiable(cond, kinds, Options{})
+		plain, err := SatisfiableCtx(context.Background(), cond, kinds, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		memoed, err := Satisfiable(cond, kinds, Options{Memo: memo})
+		memoed, err := SatisfiableCtx(context.Background(), cond, kinds, Options{Memo: memo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +349,7 @@ func TestMemoConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				cond := expr.Ge(expr.Variable("v"), expr.IntConst(int64(i%5)))
-				if _, err := Satisfiable(cond, kinds, Options{Memo: memo}); err != nil {
+				if _, err := SatisfiableCtx(context.Background(), cond, kinds, Options{Memo: memo}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -167,9 +167,8 @@ func requireReportsMatchOracle(t *testing.T, label string, reps []AggregateRepor
 		groups := storage.NewTupleIndex(0)
 		for _, rel := range []*storage.Relation{hist[qi], hyp[qi]} {
 			for _, row := range rel.Tuples {
-				if groups.Count(row[:ng]) == 0 {
-					groups.Add(row[:ng])
-				}
+				groups.Remove(row[:ng]) // one entry per group
+				groups.Add(row[:ng])
 			}
 		}
 		if len(rep.Rows) != groups.Len() {
@@ -361,7 +360,7 @@ func BenchmarkAggregateReport(b *testing.B) {
 	d := delta.Set{"trips": delta.Compute(hist, mod)}
 	db := storage.NewDatabase()
 	db.AddRelation(hist)
-	tip, err := storage.NewSnapshotCache(storage.NewVersioned(db)).Snapshot(0)
+	tip, err := storage.NewSnapshotCache(storage.NewVersioned(db)).SnapshotCtx(context.Background(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

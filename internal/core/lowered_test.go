@@ -84,12 +84,13 @@ func TestSolverLoweredIsPrefixPlusSuffixes(t *testing.T) {
 		defined[g.(*expr.Cmp).L.(*expr.Var).Name] = true
 	}
 	readsDefinition := func(e expr.Expr) bool {
-		for v := range expr.Vars(e) {
-			if defined[v] {
-				return true
+		reads := false
+		expr.Walk(e, func(n expr.Expr) {
+			if v, ok := n.(*expr.Var); ok && defined[v.Name] {
+				reads = true
 			}
-		}
-		return false
+		})
+		return reads
 	}
 	shared := expr.AndOf(phiD, expr.OrOf(affected...))
 	prefix := expr.Size(expr.Simplify(shared))

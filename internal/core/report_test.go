@@ -34,7 +34,7 @@ func handQuery(t *testing.T, label string, in algebra.Query, aggs ...algebra.Agg
 // hands out a tip.
 func publishDB(t *testing.T, db *storage.Database) *storage.Database {
 	t.Helper()
-	frozen, err := storage.NewSnapshotCache(storage.NewVersioned(db)).Snapshot(0)
+	frozen, err := storage.NewSnapshotCache(storage.NewVersioned(db)).SnapshotCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

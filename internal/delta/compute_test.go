@@ -12,21 +12,22 @@ import (
 )
 
 // diffOracle is the pure multiset diff Compute was before positional
-// cancellation: index both whole relations, subtract both ways.
+// cancellation: subtract each whole relation from the other as bags.
 func diffOracle(oldRel, newRel *storage.Relation) (minus, plus *storage.Relation) {
-	minus, plus = storage.NewRelation(oldRel.Schema), storage.NewRelation(oldRel.Schema)
-	oldIx, newIx := oldRel.Index(), newRel.Index()
-	oldIx.Diff(newIx, func(t schema.Tuple, d int) {
-		for ; d > 0; d-- {
-			minus.Tuples = append(minus.Tuples, t)
+	subtract := func(from, by *storage.Relation) *storage.Relation {
+		ix := storage.NewTupleIndex(len(by.Tuples))
+		for _, t := range by.Tuples {
+			ix.Add(t)
 		}
-	})
-	newIx.Diff(oldIx, func(t schema.Tuple, d int) {
-		for ; d > 0; d-- {
-			plus.Tuples = append(plus.Tuples, t)
+		out := storage.NewRelation(oldRel.Schema)
+		for _, t := range from.Tuples {
+			if !ix.Remove(t) {
+				out.Tuples = append(out.Tuples, t)
+			}
 		}
-	})
-	return minus, plus
+		return out
+	}
+	return subtract(oldRel, newRel), subtract(newRel, oldRel)
 }
 
 // mixedCells is a small pool, so random rows collide often: values equal

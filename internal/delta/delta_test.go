@@ -130,14 +130,14 @@ func TestDeltaProperties(t *testing.T) {
 			t.Fatalf("Δ(A,A) not empty: %s", d)
 		}
 		// |Δ| = |A| + |B| − 2·|A ∩ B| (multiset intersection).
-		ca, _ := a.Counts()
-		cb, _ := b.Counts()
+		ib := storage.NewTupleIndex(b.Len())
+		for _, tu := range b.Tuples {
+			ib.Add(tu)
+		}
 		inter := 0
-		for k, n := range ca {
-			if m := cb[k]; m < n {
-				inter += m
-			} else {
-				inter += n
+		for _, tu := range a.Tuples {
+			if ib.Remove(tu) {
+				inter++
 			}
 		}
 		if want := a.Len() + b.Len() - 2*inter; ab.Size() != want {

@@ -32,7 +32,7 @@ func evalTwoWay(t *testing.T, q algebra.Query, db *storage.Database, opts exec.V
 	prog, err := exec.CompileVec(q, db, opts)
 	var got *storage.Relation
 	if err == nil {
-		got, err = prog.Run(db)
+		got, err = prog.RunCtx(context.Background(), db)
 	}
 	if (errI == nil) != (err == nil) {
 		t.Fatalf("error divergence on %s: interpreter=%v vectorized=%v", q, errI, err)
@@ -249,7 +249,7 @@ func TestGroupedTypedLanesMatchInterpreter(t *testing.T) {
 				}
 				for name, db := range map[string]*storage.Database{"private": private, "frozen": frozen} {
 					label := fmt.Sprintf("n=%d bs=%d %s %s", n, opts.BatchSize, name, src)
-					got, err := prog.Run(db)
+					got, err := prog.RunCtx(context.Background(), db)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

@@ -690,15 +690,6 @@ func CompileVec(q algebra.Query, db *storage.Database, opts VecOptions) (*Progra
 	return &Program{root: n, out: sch, params: c.names, sites: c.sites}, nil
 }
 
-// EvalVec compiles and runs q vectorized in one step.
-func EvalVec(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
-	p, err := CompileVec(q, db, VecOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(db)
-}
-
 // appendOp fuses op onto a chain-bearing node, or wraps other nodes in
 // a fresh chain node. outArity is the operator's output width (filters
 // keep it, projections change it).

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -85,7 +86,7 @@ func BenchmarkReenactment(b *testing.B) {
 			b.Run(fmt.Sprintf("U%d/N%d/vectorized", stmts, rows), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := exec.EvalVec(q, db); err != nil {
+					if _, err := evalVec(q, db); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -98,7 +99,7 @@ func BenchmarkReenactment(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := prog.Run(db); err != nil {
+					if _, err := prog.RunCtx(context.Background(), db); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -146,13 +147,13 @@ func BenchmarkVecScanFrozen(b *testing.B) {
 			db   *storage.Database
 		}{{"private", private}, {"frozen", frozen}} {
 			b.Run(shape.name+"/"+src.name, func(b *testing.B) {
-				if _, err := prog.Run(src.db); err != nil { // builds the view, fills the run pool
+				if _, err := prog.RunCtx(context.Background(), src.db); err != nil { // builds the view, fills the run pool
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := prog.Run(src.db); err != nil {
+					if _, err := prog.RunCtx(context.Background(), src.db); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -207,7 +208,7 @@ func BenchmarkHashJoin(b *testing.B) {
 	b.Run("vectorized", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := exec.EvalVec(q, db); err != nil {
+			if _, err := evalVec(q, db); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -252,7 +253,7 @@ func BenchmarkAggregate(b *testing.B) {
 			b.Run(fmt.Sprintf("N%d/%s", rows, shape.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := prog.Run(db); err != nil {
+					if _, err := prog.RunCtx(context.Background(), db); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -45,13 +45,13 @@
 // semantics would reach, so error behavior matches the oracle.
 // Cancellation is observed between batches.
 //
-// A Program is immutable after compilation and safe for concurrent Run
-// calls (scratch state is allocated per run and recycled through
-// sync.Pools), which is what lets the batch engine compile a
-// reenactment program once per fingerprint and run it against many
-// snapshots from concurrent workers. Template parameters ($slots) are
-// run-time parameters: a template compiles its programs once and each
-// binding is a parameter vector one run carries (params.go).
+// A Program is immutable after compilation, and its runs — RunCtx,
+// RunColumnarCtx, RunColumnarParamsCtx and the γ-state runs of agg.go
+// — may be concurrent: scratch state is allocated per run and recycled
+// through sync.Pools. A what-if compiles its two sides and runs each
+// once; a template compiles its programs once and answers concurrent
+// bindings with them, each binding a parameter vector ($slots are
+// run-time parameters) that one run carries (params.go).
 //
 // The interpreter remains the reference oracle: core.Options.Executor
 // selects between the two, the differential fuzz tests require
@@ -106,18 +106,13 @@ func (p *Program) newRun(ctx context.Context, db *storage.Database, binding map[
 	return &runCtx{db: db, ctx: ctx, args: a, sites: buildSites(p.sites, a)}
 }
 
-// Run executes the program against db and materializes the result as
-// rows.
-func (p *Program) Run(db *storage.Database) (*storage.Relation, error) {
-	return p.RunCtx(context.Background(), db)
-}
-
-// RunCtx is Run under a context: the pipeline observes cancellation
-// between row batches, so a cancelled run returns ctx.Err() promptly
-// instead of streaming the full relation. Every emitted batch's live
-// rows materialize into row-major tuples backed by one arena allocation
-// per batch (not one per row), and the relation's tuple slice is
-// allocated once, at its final size.
+// RunCtx executes the program against db and materializes the result
+// as rows. The pipeline observes cancellation between row batches, so
+// a cancelled run returns ctx.Err() promptly instead of streaming the
+// full relation. Every emitted batch's live rows materialize into
+// row-major tuples backed by one arena allocation per batch (not one
+// per row), and the relation's tuple slice is allocated once, at its
+// final size.
 func (p *Program) RunCtx(ctx context.Context, db *storage.Database) (*storage.Relation, error) {
 	out := storage.NewRelation(p.out)
 	arity := p.out.Arity()

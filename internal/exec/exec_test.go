@@ -17,6 +17,15 @@ import (
 	"github.com/mahif/mahif/internal/types"
 )
 
+// identityProjection copies every column of s unchanged.
+func identityProjection(s *schema.Schema) []algebra.NamedExpr {
+	out := make([]algebra.NamedExpr, s.Arity())
+	for i, c := range s.Columns {
+		out[i] = algebra.NamedExpr{Name: c.Name, E: expr.Column(c.Name)}
+	}
+	return out
+}
+
 // testDB builds two relations r(k,v,g) and s2(k2,w) with a few NULLs
 // and duplicates, the shapes the multiset and join paths must handle.
 func testDB() *storage.Database {
@@ -71,7 +80,7 @@ func testQueries(t testing.TB, db *storage.Database) map[string]algebra.Query {
 	chain := algebra.Query(scanR())
 	for i := 0; i < 4; i++ {
 		cond := mustCond(t, fmt.Sprintf("v >= %d", 10*i))
-		exprs := algebra.IdentityProjection(rSch)
+		exprs := identityProjection(rSch)
 		exprs[1].E = expr.IfThenElse(cond, expr.Add(expr.Column("v"), expr.IntConst(int64(i+1))), expr.Column("v"))
 		chain = &algebra.Project{Exprs: exprs, In: chain}
 		if i == 2 {
@@ -121,7 +130,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			got, err := prog.Run(db)
+			got, err := prog.RunCtx(context.Background(), db)
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -159,7 +168,7 @@ func TestReenactmentChainEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := prog.Run(db)
+	got, err := prog.RunCtx(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +190,7 @@ func TestProgramReuseAndConcurrency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", name, err)
 		}
-		want, err := prog.Run(db)
+		want, err := prog.RunCtx(context.Background(), db)
 		if err != nil {
 			t.Fatalf("%s: run: %v", name, err)
 		}
@@ -191,7 +200,7 @@ func TestProgramReuseAndConcurrency(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got, err := prog.Run(db)
+				got, err := prog.RunCtx(context.Background(), db)
 				if err != nil {
 					errs[i] = err
 					return
@@ -242,7 +251,7 @@ func TestJoinLargeIntKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.EvalVec(q, db)
+	got, err := evalVec(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

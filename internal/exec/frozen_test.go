@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -30,7 +31,7 @@ import (
 func publish(t testing.TB, db *storage.Database) (*storage.Database, *storage.SnapshotCache) {
 	t.Helper()
 	cache := storage.NewSnapshotCache(storage.NewVersioned(db))
-	frozen, err := cache.Snapshot(0)
+	frozen, err := cache.SnapshotCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +60,8 @@ func requireSameOnBothSources(t *testing.T, label string, q algebra.Query, priva
 		if err != nil {
 			t.Fatalf("%s/%s: compile: %v", label, name, err)
 		}
-		gotP, errP := prog.Run(private)
-		gotF, errF := prog.Run(frozen)
+		gotP, errP := prog.RunCtx(context.Background(), private)
+		gotF, errF := prog.RunCtx(context.Background(), frozen)
 		if (errI == nil) != (errP == nil) || fmt.Sprint(errP) != fmt.Sprint(errF) {
 			t.Fatalf("%s/%s: error divergence: interpreter=%v private=%v frozen=%v", label, name, errI, errP, errF)
 		}
@@ -162,7 +163,7 @@ func laneEdgeQueries(t *testing.T, db *storage.Database) map[string]algebra.Quer
 		return &algebra.Select{Cond: mustCond(t, cond), In: in}
 	}
 	set := func(col int, cond string, then expr.Expr, in algebra.Query) algebra.Query {
-		exprs := algebra.IdentityProjection(tSch)
+		exprs := identityProjection(tSch)
 		exprs[col].E = expr.IfThenElse(mustCond(t, cond), then, expr.Column(tSch.Columns[col].Name))
 		return &algebra.Project{Exprs: exprs, In: in}
 	}
@@ -253,7 +254,7 @@ func TestFrozenShortRowErrorParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, db := range []*storage.Database{private, frozen, frozen} {
-			_, err := prog.Run(db)
+			_, err := prog.RunCtx(context.Background(), db)
 			if err == nil || err.Error() != "exec: row arity 2 below attribute index 2" {
 				t.Fatalf("%s: short row: got %v, want the executor's row-arity error", name, err)
 			}
@@ -324,7 +325,7 @@ func TestFrozenThenPrivateRunLeavesViewIntact(t *testing.T) {
 				db   *storage.Database
 				want *storage.Relation
 			}{{frozen, wantA}, {b, wantB}, {frozen, wantA}} {
-				got, err := prog.Run(src.db)
+				got, err := prog.RunCtx(context.Background(), src.db)
 				if err != nil {
 					t.Fatalf("%s round %d step %d: %v", name, round, step, err)
 				}
@@ -363,7 +364,7 @@ func TestFrozenViewUnchangedByMixedRuns(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			db = private
 		}
-		_, _ = progs[rng.Intn(len(progs))].Run(db) // results are the differential's business
+		_, _ = progs[rng.Intn(len(progs))].RunCtx(context.Background(), db) // results are the differential's business
 	}
 	if !reflect.DeepEqual(before, view.Cols) {
 		t.Fatal("100 mixed runs changed the shared view")
@@ -396,7 +397,7 @@ func TestFrozenParallelScansShareOneView(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 3 && errs[g] == nil; i++ {
-				results[g], errs[g] = prog.Run(frozen)
+				results[g], errs[g] = prog.RunCtx(context.Background(), frozen)
 			}
 		}(g)
 	}
@@ -446,7 +447,7 @@ func TestSharedColumnarReleasedByPooledScan(t *testing.T) {
 				for c := range view.Cols {
 					runtime.SetFinalizer(&view.Cols[c].Ints[0], func(*int64) { released <- c })
 				}
-				if _, err := prog.Run(frozen); err != nil {
+				if _, err := prog.RunCtx(context.Background(), frozen); err != nil {
 					t.Fatal(err)
 				}
 			}()

@@ -77,13 +77,6 @@ type intCmpPlan struct {
 	tIn, tOut truth
 }
 
-func (pl *intCmpPlan) truthOf(a int64) truth {
-	if a >= pl.lo && a <= pl.hi {
-		return pl.tIn
-	}
-	return pl.tOut
-}
-
 // intCmpPlanFor builds the plan; ok is false for ops outside the LUT
 // domain. cf must not be NaN.
 func intCmpPlanFor(op expr.CmpOp, cf float64) (intCmpPlan, bool) {

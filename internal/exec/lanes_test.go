@@ -79,7 +79,7 @@ func permutingChain(t *testing.T, db *storage.Database) algebra.Query {
 		t.Fatal(err)
 	}
 	set := func(in algebra.Query, cond string, sets map[string]expr.Expr) algebra.Query {
-		exprs := algebra.IdentityProjection(sch)
+		exprs := identityProjection(sch)
 		for i, c := range sch.Columns {
 			if e, ok := sets[c.Name]; ok {
 				exprs[i].E = expr.IfThenElse(mustCond(t, cond), e, expr.Column(c.Name))
@@ -89,7 +89,7 @@ func permutingChain(t *testing.T, db *storage.Database) algebra.Query {
 	}
 	var q algebra.Query = &algebra.Scan{Rel: "t"}
 	q = set(q, "k >= 0", map[string]expr.Expr{"v": expr.Add(expr.Column("v"), expr.IntConst(1))})
-	permute := algebra.IdentityProjection(sch)
+	permute := identityProjection(sch)
 	permute[0].E = expr.Column("v")
 	permute[1].E = expr.IfThenElse(mustCond(t, "k >= 200"), expr.Add(expr.Column("v"), expr.IntConst(2)), expr.Column("v"))
 	q = &algebra.Project{Exprs: permute, In: q}

@@ -73,7 +73,7 @@ func paramShapes(t *testing.T, db *storage.Database) map[string]algebra.Query {
 		return &algebra.Select{Cond: mustCond(t, cond), In: in}
 	}
 	set := func(col int, cond string, then expr.Expr, in algebra.Query) algebra.Query {
-		exprs := algebra.IdentityProjection(tSch)
+		exprs := identityProjection(tSch)
 		exprs[col].E = expr.IfThenElse(mustCond(t, cond), then, expr.Column(tSch.Columns[col].Name))
 		return &algebra.Project{Exprs: exprs, In: in}
 	}

@@ -18,6 +18,15 @@ import (
 	"github.com/mahif/mahif/internal/types"
 )
 
+// evalVec compiles q with the default options and runs it once.
+func evalVec(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
+	prog, err := exec.CompileVec(q, db, exec.VecOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return prog.RunCtx(context.Background(), db)
+}
+
 // requireSameRelation asserts exact equality — same schema, same
 // tuples, same order. The vectorized executor (parallel scans included:
 // the merge stage emits partitions in order) preserves the
@@ -49,7 +58,7 @@ func TestVectorizedMatchesInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("interpreter: %v", err)
 			}
-			got, err := exec.EvalVec(q, db)
+			got, err := evalVec(q, db)
 			if err != nil {
 				t.Fatalf("vectorized: %v", err)
 			}
@@ -89,7 +98,7 @@ func boundaryQueries(t *testing.T, db *storage.Database) map[string]algebra.Quer
 		t.Fatal(err)
 	}
 	scan := func() algebra.Query { return &algebra.Scan{Rel: "t"} }
-	updExprs := algebra.IdentityProjection(tSch)
+	updExprs := identityProjection(tSch)
 	updExprs[1].E = expr.IfThenElse(mustCond(t, "v >= 100"),
 		expr.Add(expr.Column("v"), expr.IntConst(7)), expr.Column("v"))
 	return map[string]algebra.Query{
@@ -121,7 +130,7 @@ func TestVectorizedBatchBoundaries(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: interpreter: %v", label, err)
 			}
-			vec, err := exec.EvalVec(q, db)
+			vec, err := evalVec(q, db)
 			if err != nil {
 				t.Fatalf("%s: vectorized: %v", label, err)
 			}
@@ -185,7 +194,7 @@ func TestVectorizedErrorParity(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			want, errI := algebra.Eval(c.q, c.db)
-			gotV, errV := exec.EvalVec(c.q, c.db)
+			gotV, errV := evalVec(c.q, c.db)
 			if (errI == nil) != (errV == nil) {
 				t.Fatalf("error divergence: interpreter=%v vectorized=%v", errI, errV)
 			}
@@ -219,7 +228,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: compile: %v", label, err)
 			}
-			got, err := prog.Run(db)
+			got, err := prog.RunCtx(context.Background(), db)
 			if err != nil {
 				t.Fatalf("%s: parallel run: %v", label, err)
 			}
@@ -251,7 +260,7 @@ func TestParallelScanRaceStress(t *testing.T) {
 		}
 	}
 	snaps := storage.NewSnapshotCache(vdb)
-	snap, err := snaps.Snapshot(1) // a shared, read-only mid-history state
+	snap, err := snaps.SnapshotCtx(context.Background(), 1) // a shared, read-only mid-history state
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +269,7 @@ func TestParallelScanRaceStress(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: compile: %v", name, err)
 		}
-		want, err := prog.Run(snap)
+		want, err := prog.RunCtx(context.Background(), snap)
 		if err != nil {
 			t.Fatalf("%s: run: %v", name, err)
 		}
@@ -342,7 +351,7 @@ func TestVectorizedRandomizedPlans(t *testing.T) {
 			cond := mustCond(t, fmt.Sprintf("v %s %d", []string{">", "<=", "="}[rng.Intn(3)], rng.Intn(60)))
 			return &algebra.Select{Cond: cond, In: build(depth - 1)}
 		case 1:
-			exprs := algebra.IdentityProjection(rSch)
+			exprs := identityProjection(rSch)
 			exprs[rng.Intn(2)].E = expr.IfThenElse(
 				mustCond(t, fmt.Sprintf("k >= %d", rng.Intn(5))),
 				expr.Add(expr.Column("v"), expr.IntConst(int64(rng.Intn(9)))),
@@ -365,7 +374,7 @@ func TestVectorizedRandomizedPlans(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		q := build(2 + rng.Intn(3))
 		want, errW := algebra.Eval(q, db)
-		got, errG := exec.EvalVec(q, db)
+		got, errG := evalVec(q, db)
 		if (errW == nil) != (errG == nil) {
 			t.Fatalf("trial %d: error divergence: interpreter=%v vectorized=%v\n%s", i, errW, errG, q)
 		}
@@ -389,14 +398,14 @@ func TestVectorizedRunDoesNotMutateSharedTuples(t *testing.T) {
 		}
 	}
 	for name, q := range testQueries(t, db) {
-		if _, err := exec.EvalVec(q, db); err != nil {
+		if _, err := evalVec(q, db); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		prog, err := exec.CompileVec(q, db, parallelOptions)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := prog.Run(db); err != nil {
+		if _, err := prog.RunCtx(context.Background(), db); err != nil {
 			t.Fatalf("%s: parallel: %v", name, err)
 		}
 	}
@@ -434,7 +443,7 @@ func TestVectorizedReenactmentChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.EvalVec(q, db)
+	got, err := evalVec(q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +479,7 @@ func TestFilterOverMultiBatchJoin(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := exec.EvalVec(q, db)
+			got, err := evalVec(q, db)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,9 +24,6 @@ func TupleEnv(s *schema.Schema, t schema.Tuple) *Env {
 	return &Env{Schema: s, Tuple: t}
 }
 
-// VarEnv builds an environment binding only symbolic variables.
-func VarEnv(vars map[string]types.Value) *Env { return &Env{Vars: vars} }
-
 func (env *Env) col(name string) (types.Value, error) {
 	if env.Schema == nil {
 		return types.Null(), fmt.Errorf("expr: unbound attribute %q (no tuple in scope)", name)

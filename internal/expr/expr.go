@@ -366,17 +366,6 @@ func Cols(e Expr) map[string]bool {
 	return out
 }
 
-// Vars returns the set of symbolic variable names referenced by e.
-func Vars(e Expr) map[string]bool {
-	out := map[string]bool{}
-	Walk(e, func(n Expr) {
-		if v, ok := n.(*Var); ok {
-			out[v.Name] = true
-		}
-	})
-	return out
-}
-
 // Params returns the set of template parameter names referenced by e.
 func Params(e Expr) map[string]bool {
 	out := map[string]bool{}

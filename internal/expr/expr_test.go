@@ -163,7 +163,7 @@ func TestEvalIfThenElse(t *testing.T) {
 }
 
 func TestEvalVariables(t *testing.T) {
-	env := VarEnv(map[string]types.Value{"x": types.Int(5)})
+	env := &Env{Vars: map[string]types.Value{"x": types.Int(5)}}
 	if v := evalOK(t, Add(Variable("x"), IntConst(1)), env); v.AsInt() != 6 {
 		t.Errorf("x+1 = %v", v)
 	}
@@ -262,9 +262,14 @@ func TestColsAndVars(t *testing.T) {
 	if !cols["a"] || !cols["b"] || len(cols) != 2 {
 		t.Errorf("Cols = %v", cols)
 	}
-	vars := Vars(e)
+	vars := map[string]bool{}
+	Walk(e, func(n Expr) {
+		if v, ok := n.(*Var); ok {
+			vars[v.Name] = true
+		}
+	})
 	if !vars["x"] || !vars["y"] || len(vars) != 2 {
-		t.Errorf("Vars = %v", vars)
+		t.Errorf("variables = %v", vars)
 	}
 }
 

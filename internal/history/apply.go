@@ -662,8 +662,8 @@ func (i *InsertValues) ApplyIndexed(db *storage.Database, ix *storage.IndexSet) 
 }
 
 // ApplyIndexed implements storage.Mutator for INSERT…SELECT: the query
-// still evaluates through the executor, but the appended rows maintain
-// the target's indexes instead of invalidating them.
+// evaluates through Apply, and the appended rows maintain the target's
+// indexes instead of invalidating them.
 func (i *InsertQuery) ApplyIndexed(db *storage.Database, ix *storage.IndexSet) error {
 	return applyAppend(db, ix, i.Rel, i.Apply)
 }

@@ -48,10 +48,8 @@ func applyNaiveStatement(t *testing.T, st Statement, db *storage.Database) error
 			return err
 		}
 		return x.applyNaive(rel)
-	case *InsertValues:
-		return x.Apply(db) // constant insert: no compiled path exists
-	case *InsertQuery:
-		return x.applyNaive(db)
+	case *InsertValues, *InsertQuery:
+		return x.Apply(db) // inserts have one path
 	}
 	t.Fatalf("unknown statement %T", st)
 	return nil

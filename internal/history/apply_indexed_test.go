@@ -1,6 +1,7 @@
 package history
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -234,7 +235,7 @@ func TestIndexedApplyUnderConcurrentReaders(t *testing.T) {
 				if lrng.Intn(2) == 0 && ver > 0 {
 					v := lrng.Intn(ver + 1)
 					var err error
-					if snap, err = cache.Snapshot(v); err != nil {
+					if snap, err = cache.SnapshotCtx(context.Background(), v); err != nil {
 						errs <- err
 						return
 					}

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"github.com/mahif/mahif/internal/algebra"
-	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/storage"
@@ -229,35 +228,16 @@ func (i *InsertValues) Apply(db *storage.Database) error {
 	return nil
 }
 
-// Apply implements Eq. 4: the query is evaluated over the database
-// state before the insert — through a compiled program when the query
-// is compilable, through the interpreter otherwise.
+// Apply implements Eq. 4: the query is evaluated by the interpreter
+// (algebra.Eval) over the database state before the insert. No
+// workload applies an INSERT…SELECT, so the statement keeps the one
+// path its naive replay (Alg. 1) takes too.
 func (i *InsertQuery) Apply(db *storage.Database) error {
-	return i.apply(db, evalStatementQuery)
-}
-
-// applyNaive is Apply pinned to the tree-walking interpreter.
-func (i *InsertQuery) applyNaive(db *storage.Database) error {
-	return i.apply(db, algebra.Eval)
-}
-
-// evalStatementQuery evaluates an INSERT…SELECT query through the
-// vectorized executor, falling back to the interpreter outside the
-// compilable subset.
-func evalStatementQuery(q algebra.Query, db *storage.Database) (*storage.Relation, error) {
-	prog, err := exec.CompileVec(q, db, exec.VecOptions{})
-	if err != nil {
-		return algebra.Eval(q, db)
-	}
-	return prog.Run(db)
-}
-
-func (i *InsertQuery) apply(db *storage.Database, eval func(algebra.Query, *storage.Database) (*storage.Relation, error)) error {
 	rel, err := db.Relation(i.Rel)
 	if err != nil {
 		return err
 	}
-	res, err := eval(i.Query, db)
+	res, err := algebra.Eval(i.Query, db)
 	if err != nil {
 		return fmt.Errorf("history: INSERT…SELECT into %s: %w", i.Rel, err)
 	}

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -23,7 +24,7 @@ func mustCons(t *testing.T, m *Model, terms []Term, s Sense, rhs float64) {
 
 func solveCheck(t *testing.T, m *Model, wantStatus Status) *Result {
 	t.Helper()
-	res := m.Solve(SolveOptions{})
+	res := m.SolveCtx(context.Background(), SolveOptions{})
 	if res.Status != wantStatus {
 		t.Fatalf("status = %v, want %v (nodes=%d)", res.Status, wantStatus, res.Nodes)
 	}

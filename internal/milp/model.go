@@ -379,15 +379,3 @@ func (m *Model) CheckPoint(x []float64, eps float64) bool {
 	}
 	return true
 }
-
-// ViolatedConstraints lists the indices of constraints x fails, for
-// debugging and tests.
-func (m *Model) ViolatedConstraints(x []float64, eps float64) []int {
-	var out []int
-	for ci := 0; ci < m.NumConstraints(); ci++ {
-		if !m.row(ci).satisfied(x, eps) {
-			out = append(out, ci)
-		}
-	}
-	return out
-}

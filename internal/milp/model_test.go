@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -87,7 +88,7 @@ func TestForkGrowsOnItsOwn(t *testing.T) {
 			if err := f.Diff(want); err != nil {
 				t.Errorf("fork with %d rows differs from the model built whole: %v", extra, err)
 			}
-			if r1, r2 := f.Solve(SolveOptions{}), want.Solve(SolveOptions{}); r1.Status != r2.Status || r1.Nodes != r2.Nodes {
+			if r1, r2 := f.SolveCtx(context.Background(), SolveOptions{}), want.SolveCtx(context.Background(), SolveOptions{}); r1.Status != r2.Status || r1.Nodes != r2.Nodes {
 				t.Errorf("fork solved %v/%d, whole model %v/%d", r1.Status, r1.Nodes, r2.Status, r2.Nodes)
 			}
 		}(extra)
@@ -273,7 +274,7 @@ func TestForkSolveMatchesFreshSolve(t *testing.T) {
 		}
 
 		opts := SolveOptions{MaxNodes: 200}
-		got, want := fork.Solve(opts), whole.Solve(opts)
+		got, want := fork.SolveCtx(context.Background(), opts), whole.SolveCtx(context.Background(), opts)
 		if got.Status != want.Status || got.Nodes != want.Nodes || got.LPs != want.LPs || !reflect.DeepEqual(got.X, want.X) {
 			t.Fatalf("trial %d (%d/%d vars, %d/%d rows in the prefix): fork %v nodes=%d lps=%d x=%v, whole %v nodes=%d lps=%d x=%v",
 				trial, s.prefixVars, nv, s.prefixRows, nr,

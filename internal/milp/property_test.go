@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -58,7 +59,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 		nBin := 1 + rng.Intn(8)
 		m := randomBinaryModel(rng, nBin, 1+rng.Intn(6))
 		want := bruteForceFeasible(m, nBin)
-		res := m.Solve(SolveOptions{})
+		res := m.SolveCtx(context.Background(), SolveOptions{})
 		if res.Status == Limit {
 			t.Fatalf("trial %d: unexpected budget overrun on a %d-binary problem", trial, nBin)
 		}
@@ -115,7 +116,7 @@ func TestSolveMixedIntegerContinuous(t *testing.T) {
 			want = m.CheckPoint(x, 1e-9)
 		}
 
-		res := m.Solve(SolveOptions{})
+		res := m.SolveCtx(context.Background(), SolveOptions{})
 		if res.Status == Limit {
 			t.Fatalf("trial %d: budget overrun", trial)
 		}

@@ -26,22 +26,19 @@ func (o SolveOptions) withDefaults() SolveOptions {
 	return o
 }
 
-// Solve decides feasibility of the MILP by depth-first branch & bound
-// over the integer variables, with feasibility-based bound tightening
-// (interval constraint propagation) at every node. Big-M indicator
-// encodings — the shape produced by the condition compiler — are
-// resolved almost entirely by propagation, so the LP and branching only
-// handle the residual continuous reasoning. The result is exact
+// SolveCtx decides feasibility of the MILP by depth-first branch &
+// bound over the integer variables, with feasibility-based bound
+// tightening (interval constraint propagation) at every node. Big-M
+// indicator encodings — the shape produced by the condition compiler —
+// are resolved almost entirely by propagation, so the LP and branching
+// only handle the residual continuous reasoning. The result is exact
 // (Feasible with a witness, or Infeasible) unless a budget runs out, in
 // which case Status is Limit and callers must fall back conservatively.
-func (m *Model) Solve(opts SolveOptions) *Result {
-	return m.SolveCtx(context.Background(), opts)
-}
-
-// SolveCtx is Solve under a context: cancellation or deadline expiry is
-// checked at every branch & bound node, so a cancelled solve stops
-// within one node's work (one propagation sweep or LP). A cancelled
-// search reports Status Canceled; callers surface ctx.Err().
+//
+// Cancellation or deadline expiry is checked at every branch & bound
+// node, so a cancelled solve stops within one node's work (one
+// propagation sweep or LP). A cancelled search reports Status
+// Canceled; callers surface ctx.Err().
 //
 // A fork (see Fork) starts its root pass from its base's root fixpoint
 // and adds its own rows only: a row of the base is evaluated again only

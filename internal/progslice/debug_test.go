@@ -57,9 +57,9 @@ func TestSliceRejectionRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := expr.AndOf(full0.GlobalCond(), full1.GlobalCond(),
+	diff := expr.AndOf(expr.AndOf(full0.Global...), expr.AndOf(full1.Global...),
 		expr.Ne(full0.Vals["fee"], full1.Vals["fee"]))
-	out, err := compile.Satisfiable(diff, symbolic.MergeKinds(full0, full1), compile.Options{})
+	out, err := compile.SatisfiableCtx(context.Background(), diff, symbolic.MergeKinds(full0, full1), compile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package progslice
 
 import (
+	"context"
 	"testing"
 
 	"github.com/mahif/mahif/internal/compile"
@@ -54,14 +55,14 @@ func TestExample9WitnessWorld(t *testing.T) {
 		expr.OrOf(orig.Steps[0].Theta, mod.Steps[0].Theta),
 		orig.Steps[1].Theta,
 	)
-	out, err := compile.Satisfiable(formula, symbolic.MergeKinds(orig, mod), compile.Options{})
+	out, err := compile.SatisfiableCtx(context.Background(), formula, symbolic.MergeKinds(orig, mod), compile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out.Sat || !out.Definitive {
 		t.Fatalf("expected a witness world, got %+v", out)
 	}
-	v, err := expr.Eval(formula, expr.VarEnv(out.Model))
+	v, err := expr.Eval(formula, &expr.Env{Vars: out.Model})
 	if err != nil {
 		t.Fatal(err)
 	}

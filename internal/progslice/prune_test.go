@@ -41,11 +41,11 @@ func pruneGlobalsPerCall(core expr.Expr, states ...*symbolic.State) []expr.Expr 
 		}
 	}
 	queue := make([]string, 0, len(defs))
-	for v := range expr.Vars(core) {
+	for v := range varSet(core) {
 		queue = append(queue, v)
 	}
 	for _, g := range always {
-		for v := range expr.Vars(g) {
+		for v := range varSet(g) {
 			queue = append(queue, v)
 		}
 	}
@@ -62,7 +62,7 @@ func pruneGlobalsPerCall(core expr.Expr, states ...*symbolic.State) []expr.Expr 
 			continue
 		}
 		d.used = true
-		for dep := range expr.Vars(d.rhs) {
+		for dep := range varSet(d.rhs) {
 			queue = append(queue, dep)
 		}
 	}
@@ -164,4 +164,15 @@ func forRandomPruneTests(t *testing.T, seed int64, check func(defs *globalDefs, 
 			check(defs, states, shared, own)
 		}
 	}
+}
+
+// varSet is the set of symbolic variables e reads.
+func varSet(e expr.Expr) map[string]bool {
+	out := map[string]bool{}
+	expr.Walk(e, func(n expr.Expr) {
+		if v, ok := n.(*expr.Var); ok {
+			out[v.Name] = true
+		}
+	})
+	return out
 }

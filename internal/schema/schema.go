@@ -70,15 +70,6 @@ func (s *Schema) ColIndex(name string) int {
 	return -1
 }
 
-// ColNames returns the column names in order.
-func (s *Schema) ColNames() []string {
-	out := make([]string, len(s.Columns))
-	for i, c := range s.Columns {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // Clone returns a deep copy of the schema.
 func (s *Schema) Clone() *Schema {
 	cols := make([]Column, len(s.Columns))
@@ -210,10 +201,10 @@ func (t Tuple) Compare(o Tuple) int {
 	return cmp.Compare(len(t), len(o))
 }
 
-// Key returns a canonical string encoding of the tuple, for places
-// whose product is a string (template fingerprints, debug output).
-// Anything that runs per what-if identifies tuples by Hash, Equal and
-// Compare instead.
+// Key returns a canonical string encoding of the tuple, in which an int
+// and a float that compare equal share a key. It keys the string-keyed
+// reference implementations of the tests; anything that runs per
+// what-if identifies tuples by Hash, Equal and Compare instead.
 func (t Tuple) Key() string {
 	var b strings.Builder
 	for i, v := range t {

@@ -31,10 +31,6 @@ func TestSchemaBasics(t *testing.T) {
 	if got := s.ColIndex("missing"); got != -1 {
 		t.Errorf("ColIndex(missing) = %d", got)
 	}
-	names := s.ColNames()
-	if len(names) != 3 || names[0] != "id" || names[2] != "price" {
-		t.Errorf("ColNames = %v", names)
-	}
 }
 
 func TestSchemaClone(t *testing.T) {

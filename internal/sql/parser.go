@@ -144,15 +144,6 @@ func ParseCondition(src string) (expr.Expr, error) {
 	return e, nil
 }
 
-// MustParseCondition panics on error; intended for tests and examples.
-func MustParseCondition(src string) expr.Expr {
-	e, err := ParseCondition(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // ParseQuery parses a standalone SELECT query (used for INSERT…SELECT).
 func ParseQuery(src string) (algebra.Query, error) {
 	p, err := newParser(src)

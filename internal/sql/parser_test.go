@@ -141,7 +141,7 @@ func TestParseStatements(t *testing.T) {
 
 func TestParseConditionPrecedence(t *testing.T) {
 	// a = 1 OR b = 2 AND c = 3  ≡  a = 1 OR (b = 2 AND c = 3)
-	e := MustParseCondition(`a = 1 OR b = 2 AND c = 3`)
+	e := mustCond(t, `a = 1 OR b = 2 AND c = 3`)
 	or, ok := e.(*expr.Or)
 	if !ok {
 		t.Fatalf("top = %T", e)
@@ -150,7 +150,7 @@ func TestParseConditionPrecedence(t *testing.T) {
 		t.Errorf("AND must bind tighter than OR: %s", e)
 	}
 	// 1 + 2 * 3 = 7
-	e = MustParseCondition(`x = 1 + 2 * 3`)
+	e = mustCond(t, `x = 1 + 2 * 3`)
 	cmp := e.(*expr.Cmp)
 	if !expr.Equal(expr.Simplify(cmp.R), expr.IntConst(7)) {
 		t.Errorf("arith precedence: %s", cmp.R)
@@ -188,7 +188,7 @@ func TestParseConditionConstructs(t *testing.T) {
 }
 
 func TestParseCase(t *testing.T) {
-	e := MustParseCondition(`x = CASE WHEN a >= 50 THEN 0 WHEN a >= 20 THEN 1 ELSE 2 END`)
+	e := mustCond(t, `x = CASE WHEN a >= 50 THEN 0 WHEN a >= 20 THEN 1 ELSE 2 END`)
 	cmp := e.(*expr.Cmp)
 	outer, ok := cmp.R.(*expr.If)
 	if !ok {
@@ -200,7 +200,7 @@ func TestParseCase(t *testing.T) {
 }
 
 func TestParseStringEscapes(t *testing.T) {
-	e := MustParseCondition(`s = 'it''s'`)
+	e := mustCond(t, `s = 'it''s'`)
 	cmp := e.(*expr.Cmp)
 	c := cmp.R.(*expr.Const)
 	if c.V.AsString() != "it's" {
@@ -265,9 +265,19 @@ func TestRoundTripThroughString(t *testing.T) {
 }
 
 func TestLexerNumberForms(t *testing.T) {
-	e := MustParseCondition(`x = .5`)
+	e := mustCond(t, `x = .5`)
 	c := e.(*expr.Cmp).R.(*expr.Const)
 	if c.V.Kind() != types.KindFloat || c.V.AsFloat() != 0.5 {
 		t.Errorf(".5 parsed as %v", c.V)
 	}
+}
+
+// mustCond parses a standalone condition or fails the test.
+func mustCond(t *testing.T, src string) expr.Expr {
+	t.Helper()
+	e, err := ParseCondition(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }

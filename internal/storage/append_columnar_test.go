@@ -53,7 +53,7 @@ func requireViewRows(t *testing.T, label string, v *ColumnarView, want []schema.
 		}
 	}
 	for c := range v.Cols {
-		if n := v.Cols[c].Len(); n != v.Rows {
+		if n := laneLen(&v.Cols[c]); n != v.Rows {
 			t.Fatalf("%s: column %d holds %d cells for %d rows", label, c, n, v.Rows)
 		}
 		if m := v.Cols[c].Nulls; m != nil && len(m) != v.Rows {
@@ -198,4 +198,17 @@ func TestGatherTuples(t *testing.T) {
 			t.Fatalf("gathered row %d can grow into its neighbour (cap %d)", i, cap(got[i]))
 		}
 	}
+}
+
+// laneLen is the number of cells in c's active lane.
+func laneLen(c *ColVec) int {
+	switch c.Kind {
+	case types.KindInt:
+		return len(c.Ints)
+	case types.KindFloat:
+		return len(c.Floats)
+	case types.KindString:
+		return len(c.Strs)
+	}
+	return len(c.Vals)
 }

@@ -37,19 +37,6 @@ type ColVec struct {
 	Vals   []types.Value
 }
 
-// Len returns the number of cells in the active lane.
-func (c *ColVec) Len() int {
-	switch c.Kind {
-	case types.KindInt:
-		return len(c.Ints)
-	case types.KindFloat:
-		return len(c.Floats)
-	case types.KindString:
-		return len(c.Strs)
-	}
-	return len(c.Vals)
-}
-
 // IsNull reports whether cell r is NULL.
 func (c *ColVec) IsNull(r int) bool {
 	if c.Kind == types.KindNull {

@@ -6,10 +6,13 @@ import (
 
 // TupleIndex is a hash-based multiset of tuples: the typed row hash of
 // each tuple (schema.Tuple.Hash) buckets entries, and value-level
-// equality (schema.Tuple.Equal) resolves collisions. It replaces the
-// string-keyed maps built from schema.Tuple.Key on the multiset hot
-// paths — delta computation and bag equality — which paid an
-// fmt.Fprintf-built string per tuple per operation.
+// equality (schema.Tuple.Equal) resolves collisions. The row delta
+// (delta.Compute) subtracts the residual of its positional cancellation
+// through one, the patch route of an aggregate report (core's
+// patchRelation) removes a delta's Minus tuples through one, and
+// Relation.EqualAsBag, the bag comparison of the differential tests, is
+// built on it. The columnar delta of Alg. 2 (delta.ComputeColumnar)
+// reproduces its matching without it.
 type TupleIndex struct {
 	buckets map[uint64][]indexEntry
 	size    int // total multiplicity across entries
@@ -24,15 +27,6 @@ type indexEntry struct {
 // distinct tuples.
 func NewTupleIndex(n int) *TupleIndex {
 	return &TupleIndex{buckets: make(map[uint64][]indexEntry, n)}
-}
-
-// IndexOf builds the multiset index of a relation.
-func IndexOf(r *Relation) *TupleIndex {
-	ix := NewTupleIndex(len(r.Tuples))
-	for _, t := range r.Tuples {
-		ix.Add(t)
-	}
-	return ix
 }
 
 // Add increments the multiplicity of t, registering it if absent.
@@ -84,81 +78,6 @@ func (ix *TupleIndex) compact(h uint64, bucket []indexEntry, i int) {
 	}
 }
 
-// Count returns the multiplicity of t.
-func (ix *TupleIndex) Count(t schema.Tuple) int {
-	bucket := ix.buckets[t.Hash()]
-	for i := range bucket {
-		if bucket[i].tuple.Equal(t) {
-			return bucket[i].count
-		}
-	}
-	return 0
-}
-
 // Len returns the total multiplicity (number of tuples counting
 // duplicates).
 func (ix *TupleIndex) Len() int { return ix.size }
-
-// Distinct returns the number of distinct tuples. Remove compacts
-// emptied entries, so every resident entry has positive count and the
-// bucket sizes are the exact distinct count.
-func (ix *TupleIndex) Distinct() int {
-	n := 0
-	for _, bucket := range ix.buckets {
-		n += len(bucket)
-	}
-	return n
-}
-
-// Range visits every distinct tuple with its current multiplicity, in
-// unspecified order. Entries whose count dropped to zero via Remove are
-// skipped.
-func (ix *TupleIndex) Range(visit func(t schema.Tuple, count int)) {
-	for _, bucket := range ix.buckets {
-		for i := range bucket {
-			if bucket[i].count > 0 {
-				visit(bucket[i].tuple, bucket[i].count)
-			}
-		}
-	}
-}
-
-// Diff visits every tuple whose multiplicity in ix exceeds its
-// multiplicity in o, with the (positive) difference. Buckets are
-// aligned by their shared hash, so no tuple is re-hashed and the other
-// index is probed once per bucket instead of once per distinct tuple —
-// the bag-difference inner loop of delta computation.
-func (ix *TupleIndex) Diff(o *TupleIndex, visit func(t schema.Tuple, d int)) {
-	for h, bucket := range ix.buckets {
-		other := o.buckets[h]
-		for i := range bucket {
-			if bucket[i].count <= 0 {
-				continue
-			}
-			on := 0
-			for j := range other {
-				if other[j].tuple.Equal(bucket[i].tuple) {
-					on = other[j].count
-					break
-				}
-			}
-			if d := bucket[i].count - on; d > 0 {
-				visit(bucket[i].tuple, d)
-			}
-		}
-	}
-}
-
-// EqualMultiset reports whether two indexes contain the same multiset.
-func (ix *TupleIndex) EqualMultiset(o *TupleIndex) bool {
-	if ix.size != o.size {
-		return false
-	}
-	equal := true
-	ix.Range(func(t schema.Tuple, count int) {
-		if !equal || o.Count(t) != count {
-			equal = false
-		}
-	})
-	return equal
-}

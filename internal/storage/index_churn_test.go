@@ -10,10 +10,9 @@ import (
 
 // checkNoTombstones asserts the structural invariant Remove
 // compaction maintains: no resident entry has a zero count, no bucket
-// is empty, and the entry total matches Distinct.
+// is empty.
 func checkNoTombstones(t *testing.T, ix *TupleIndex) {
 	t.Helper()
-	entries := 0
 	for h, bucket := range ix.buckets {
 		if len(bucket) == 0 {
 			t.Fatalf("bucket %d is resident but empty", h)
@@ -22,11 +21,7 @@ func checkNoTombstones(t *testing.T, ix *TupleIndex) {
 			if e.count <= 0 {
 				t.Fatalf("bucket %d holds tombstone %v (count %d)", h, e.tuple, e.count)
 			}
-			entries++
 		}
-	}
-	if entries != ix.Distinct() {
-		t.Fatalf("entry total %d != Distinct %d", entries, ix.Distinct())
 	}
 }
 
@@ -35,7 +30,7 @@ func checkNoTombstones(t *testing.T, ix *TupleIndex) {
 // oracle and asserts compaction keeps the index tombstone-free
 // throughout. Before Remove compacted zero-count entries, this churn
 // accumulated dead entries that degraded probe cost and inflated
-// Distinct.
+// the entry count.
 func TestTupleIndexChurnCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ix := NewTupleIndex(0)
@@ -61,13 +56,13 @@ func TestTupleIndexChurnCompaction(t *testing.T) {
 				size--
 			}
 		}
-		if ix.Len() != size || ix.Distinct() != len(oracle) {
-			t.Fatalf("step %d: Len=%d Distinct=%d, want %d/%d", step, ix.Len(), ix.Distinct(), size, len(oracle))
+		if ix.Len() != size || distinct(ix) != len(oracle) {
+			t.Fatalf("step %d: Len=%d Distinct=%d, want %d/%d", step, ix.Len(), distinct(ix), size, len(oracle))
 		}
 	}
 	checkNoTombstones(t, ix)
 	for v, n := range oracle {
-		if got := ix.Count(tup(v)); got != n {
+		if got := count(ix, tup(v)); got != n {
 			t.Fatalf("Count(%d) = %d, want %d", v, got, n)
 		}
 	}
@@ -79,9 +74,9 @@ func TestTupleIndexChurnCompaction(t *testing.T) {
 			}
 		}
 	}
-	if ix.Len() != 0 || ix.Distinct() != 0 || len(ix.buckets) != 0 {
+	if ix.Len() != 0 || distinct(ix) != 0 || len(ix.buckets) != 0 {
 		t.Fatalf("drained index retains state: Len=%d Distinct=%d buckets=%d",
-			ix.Len(), ix.Distinct(), len(ix.buckets))
+			ix.Len(), distinct(ix), len(ix.buckets))
 	}
 }
 

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -184,7 +185,7 @@ func TestDerivedViewMatchesTranspose(t *testing.T) {
 			if ver > 0 && rng.Intn(4) == 0 {
 				continue // not asked for: the next replay covers this statement too
 			}
-			snap, err := c.Snapshot(ver)
+			snap, err := c.SnapshotCtx(context.Background(), ver)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +273,7 @@ func TestShortReplayScans(t *testing.T) {
 		indexed bool
 	}{{1, false}, {long - 1, false}, {long, true}} {
 		*log = probeLog{}
-		snap, err := storage.NewSnapshotCache(v).Snapshot(tc.ver) // replayed from the base
+		snap, err := storage.NewSnapshotCache(v).SnapshotCtx(context.Background(), tc.ver) // replayed from the base
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +318,7 @@ func TestDerivedViewsUnderConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			for step := 0; step < 2*steps; step++ {
 				ver := (g*3 + step) % steps
-				snap, err := c.Snapshot(ver)
+				snap, err := c.SnapshotCtx(context.Background(), ver)
 				if err != nil {
 					errs <- err
 					return

@@ -45,7 +45,7 @@ func TestRowHashIndexMatchesBagDifference(t *testing.T) {
 		ix := NewRowHashIndex(BuildColumnar(rel))
 		rows, missing, identical := ix.Match(bag)
 
-		all := IndexOf(rel)
+		all := indexOf(rel)
 		wantMissing := 0
 		for _, tp := range bag {
 			if !all.Remove(tp) {

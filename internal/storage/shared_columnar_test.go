@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -17,7 +18,7 @@ func publishedRel(t *testing.T, rel *Relation) (*Relation, *SnapshotCache) {
 	db := NewDatabase()
 	db.AddRelation(rel)
 	c := NewSnapshotCache(NewVersioned(db))
-	snap, err := c.Snapshot(0)
+	snap, err := c.SnapshotCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func publishedRel(t *testing.T, rel *Relation) (*Relation, *SnapshotCache) {
 func TestSharedColumnarOncePerFrozenRelation(t *testing.T) {
 	v := newBumpStore(t, 6)
 	c := NewSnapshotCache(v)
-	db, err := c.Snapshot(3)
+	db, err := c.SnapshotCtx(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +96,10 @@ func TestSharedColumnarOncePerFrozenRelation(t *testing.T) {
 
 	// Evicted and rebuilt: a new relation object, a new view.
 	c.SetLimit(1)
-	if _, err := c.Snapshot(5); err != nil {
+	if _, err := c.SnapshotCtx(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := c.Snapshot(3)
+	db2, err := c.SnapshotCtx(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +184,8 @@ func TestColumnarViewWindow(t *testing.T) {
 		view.Window(dst, w.lo, w.hi)
 		for c := range dst {
 			col := &dst[c]
-			if col.Len() != w.hi-w.lo {
-				t.Fatalf("window %v col %d: %d cells, want %d", w, c, col.Len(), w.hi-w.lo)
+			if laneLen(col) != w.hi-w.lo {
+				t.Fatalf("window %v col %d: %d cells, want %d", w, c, laneLen(col), w.hi-w.lo)
 			}
 			if c < 3 && (col.Nulls != nil) != masks[c] {
 				t.Errorf("window %v col %d: mask present = %v, want %v", w, c, col.Nulls != nil, masks[c])
@@ -259,7 +260,7 @@ func TestSnapshotLineageReleased(t *testing.T) {
 	c := NewSnapshotCache(v)
 	snapshotRel := func(ver int) *Relation {
 		t.Helper()
-		snap, err := c.Snapshot(ver)
+		snap, err := c.SnapshotCtx(context.Background(), ver)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ import (
 // checkpoint, or the base), so scenarios whose first-modified positions
 // are close share almost all replay work.
 //
-// Contract: databases returned by Snapshot are shared and MUST be
+// Contract: databases returned by SnapshotCtx are shared and MUST be
 // treated as read-only. The reenactment path of the engine only reads
 // them (Alg. 2 evaluates queries over D and materializes fresh results);
 // anything that needs to mutate the state must Clone first — a deep
@@ -138,21 +138,17 @@ func (c *SnapshotCache) evictTips(latest int) {
 	}
 }
 
-// Snapshot returns the shared read-only state after the first i
-// statements (Version semantics). Safe for concurrent use.
-func (c *SnapshotCache) Snapshot(i int) (*Database, error) {
-	return c.SnapshotCtx(context.Background(), i)
-}
-
-// SnapshotCtx is Snapshot under a context. The replay that builds a
-// missing version observes cancellation between statements. Concurrent
-// callers share one build under lru.Cache.Do's rules: a waiter whose
-// deadline expires returns ctx.Err() immediately (the builder keeps
-// going for everyone else), a waiter that outlives a cancelled build
-// restarts it instead of inheriting the foreign failure — one client
-// disconnecting never surfaces as an error to an innocent concurrent
-// client — and a failed build is not cached. Hit/miss counters record
-// completed shares and builds only, never abandoned attempts.
+// SnapshotCtx returns the shared read-only state after the first i
+// statements (Version semantics). Safe for concurrent use. The replay
+// that builds a missing version observes cancellation between
+// statements. Concurrent callers share one build under lru.Cache.Do's
+// rules: a waiter whose deadline expires returns ctx.Err() immediately
+// (the builder keeps going for everyone else), a waiter that outlives a
+// cancelled build restarts it instead of inheriting the foreign failure
+// — one client disconnecting never surfaces as an error to an innocent
+// concurrent client — and a failed build is not cached. Hit/miss
+// counters record completed shares and builds only, never abandoned
+// attempts.
 func (c *SnapshotCache) SnapshotCtx(ctx context.Context, i int) (*Database, error) {
 	return c.snapshotCtx(ctx, i, false)
 }
@@ -226,7 +222,7 @@ func (c *SnapshotCache) build(ctx context.Context, i int, tip bool) (snapshot, e
 	return snapshot{db: out, tip: tip}, nil
 }
 
-// Stats reports how many Snapshot calls were served from the cache
+// Stats reports how many SnapshotCtx calls were served from the cache
 // versus computed. A call that joins an in-flight computation counts as
 // a hit: it shares the result.
 func (c *SnapshotCache) Stats() (hits, misses int) {

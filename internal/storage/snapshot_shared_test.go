@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -125,7 +126,7 @@ func TestSnapshotReplaySharesUntouchedRows(t *testing.T) {
 			base := rowsOf(t, v.Base())
 			baseBefore := rowsOf(t, v.Base().Clone())
 
-			s1, err := c.Snapshot(1)
+			s1, err := c.SnapshotCtx(context.Background(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +138,7 @@ func TestSnapshotReplaySharesUntouchedRows(t *testing.T) {
 			requireShares(t, "snapshot 1 vs base", rows1, base, from1)
 			rows1Before := rowsOf(t, s1.Clone())
 
-			s2, err := c.Snapshot(2)
+			s2, err := c.SnapshotCtx(context.Background(), 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +184,7 @@ func TestSnapshotLongReplayCopiesOnce(t *testing.T) {
 	c := storage.NewSnapshotCache(v)
 	base := rowsOf(t, v.Base())
 	baseBefore := rowsOf(t, v.Base().Clone())
-	snap, err := c.Snapshot(2)
+	snap, err := c.SnapshotCtx(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestSnapshotSharedRowsConcurrentReplay(t *testing.T) {
 			defer wg.Done()
 			for step := 0; step < 2*initial; step++ {
 				ver := (g*5 + step) % (initial + 1)
-				got, err := c.Snapshot(ver)
+				got, err := c.SnapshotCtx(context.Background(), ver)
 				if err != nil {
 					errs <- err
 					return
@@ -306,10 +307,10 @@ func BenchmarkSnapshotReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := storage.NewSnapshotCache(v)
-		if _, err := c.Snapshot(1); err != nil { // cached: the checkpoint itself
+		if _, err := c.SnapshotCtx(context.Background(), 1); err != nil { // cached: the checkpoint itself
 			b.Fatal(err)
 		}
-		if _, err := c.Snapshot(2); err != nil {
+		if _, err := c.SnapshotCtx(context.Background(), 2); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ func TestSnapshotMatchesVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Snapshot(i)
+		got, err := c.SnapshotCtx(context.Background(), i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,11 +43,11 @@ func TestSnapshotMatchesVersion(t *testing.T) {
 func TestSnapshotIsShared(t *testing.T) {
 	v := newBumpStore(t, 4)
 	c := NewSnapshotCache(v)
-	a, err := c.Snapshot(2)
+	a, err := c.SnapshotCtx(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Snapshot(2)
+	b, err := c.SnapshotCtx(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestSnapshotIsShared(t *testing.T) {
 func TestSnapshotPrefixReuse(t *testing.T) {
 	v := newBumpStore(t, 10)
 	c := NewSnapshotCache(v)
-	early, err := c.Snapshot(4)
+	early, err := c.SnapshotCtx(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	late, err := c.Snapshot(9)
+	late, err := c.SnapshotCtx(context.Background(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestSnapshotWithCheckpoints(t *testing.T) {
 	}
 	c := NewSnapshotCache(v)
 	for _, i := range []int{10, 7, 3, 0, 5} {
-		got, err := c.Snapshot(i)
+		got, err := c.SnapshotCtx(context.Background(), i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,10 +115,10 @@ func TestSnapshotWithCheckpoints(t *testing.T) {
 
 func TestSnapshotOutOfRange(t *testing.T) {
 	c := NewSnapshotCache(newBumpStore(t, 3))
-	if _, err := c.Snapshot(-1); err == nil {
+	if _, err := c.SnapshotCtx(context.Background(), -1); err == nil {
 		t.Error("Snapshot(-1) succeeded")
 	}
-	if _, err := c.Snapshot(4); err == nil {
+	if _, err := c.SnapshotCtx(context.Background(), 4); err == nil {
 		t.Error("Snapshot(4) succeeded beyond the log")
 	}
 }
@@ -137,7 +137,7 @@ func TestSnapshotConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i <= 12; i++ {
 				ver := (g + i) % 13
-				db, err := c.Snapshot(ver)
+				db, err := c.SnapshotCtx(context.Background(), ver)
 				if err != nil {
 					errs <- err
 					return
@@ -181,7 +181,7 @@ func TestSnapshotTipEviction(t *testing.T) {
 	c := NewSnapshotCache(v)
 	const rounds = 10
 	for i := 0; i < rounds; i++ {
-		if _, err := c.Snapshot(v.NumVersions()); err != nil {
+		if _, err := c.SnapshotCtx(context.Background(), v.NumVersions()); err != nil {
 			t.Fatal(err)
 		}
 		if got := c.TipResident(); got > 1 {
@@ -195,7 +195,7 @@ func TestSnapshotTipEviction(t *testing.T) {
 		t.Errorf("TipEvictions = %d, want %d", got, rounds-1)
 	}
 	// A superseded tip re-demanded is rebuilt by replay, correctly.
-	db, err := c.Snapshot(3)
+	db, err := c.SnapshotCtx(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +217,11 @@ func TestTipSnapshotReplayedIsTipPinned(t *testing.T) {
 		if err := v.Apply(bump{rel: "t", by: 1}); err != nil {
 			t.Fatal(err)
 		}
-		get := c.Snapshot
+		get := c.SnapshotCtx
 		if tip {
-			get = func(i int) (*Database, error) { return c.TipSnapshotCtx(context.Background(), i) }
+			get = c.TipSnapshotCtx
 		}
-		db, err := get(stale)
+		db, err := get(context.Background(), stale)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestTipSnapshotReplayedIsTipPinned(t *testing.T) {
 			t.Fatalf("replayed Snapshot(%d) differs from Version(%d)", stale, stale)
 		}
 		resident := c.Resident()
-		if _, err := c.Snapshot(v.NumVersions()); err != nil {
+		if _, err := c.SnapshotCtx(context.Background(), v.NumVersions()); err != nil {
 			t.Fatal(err)
 		}
 		if got := c.Resident(); tip && got != resident || !tip && got != resident+1 {
@@ -256,7 +256,7 @@ func TestSnapshotEvictionBound(t *testing.T) {
 	c := NewSnapshotCache(v)
 	c.SetLimit(4)
 	for i := 0; i <= 20; i++ {
-		if _, err := c.Snapshot(i); err != nil {
+		if _, err := c.SnapshotCtx(context.Background(), i); err != nil {
 			t.Fatal(err)
 		}
 		if got := c.Resident(); got > 4 {
@@ -269,7 +269,7 @@ func TestSnapshotEvictionBound(t *testing.T) {
 	// Version 0 was evicted long ago: re-demand rebuilds it correctly
 	// and counts as a miss, not a hit.
 	_, missesBefore := c.Stats()
-	db, err := c.Snapshot(0)
+	db, err := c.SnapshotCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,14 +282,14 @@ func TestSnapshotEvictionBound(t *testing.T) {
 	}
 	// LRU order: touch 18, then build a fresh version; 18 must survive
 	// the eviction that admits it.
-	if _, err := c.Snapshot(18); err != nil {
+	if _, err := c.SnapshotCtx(context.Background(), 18); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Snapshot(5); err != nil {
+	if _, err := c.SnapshotCtx(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
 	hitsBefore, missesBefore := c.Stats()
-	if _, err := c.Snapshot(18); err != nil {
+	if _, err := c.SnapshotCtx(context.Background(), 18); err != nil {
 		t.Fatal(err)
 	}
 	if hits, misses := c.Stats(); hits != hitsBefore+1 || misses != missesBefore {
@@ -304,7 +304,7 @@ func TestSnapshotEvictionBound(t *testing.T) {
 	c.SetLimit(0)
 	evicted := c.Evictions()
 	for i := 0; i <= 20; i++ {
-		if _, err := c.Snapshot(i); err != nil {
+		if _, err := c.SnapshotCtx(context.Background(), i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -322,7 +322,7 @@ func TestSnapshotEvictionBound(t *testing.T) {
 func TestDeriveOnlyOnFrozenRelations(t *testing.T) {
 	v := newBumpStore(t, 6)
 	c := NewSnapshotCache(v)
-	db, err := c.Snapshot(3)
+	db, err := c.SnapshotCtx(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,10 +379,10 @@ func TestDeriveOnlyOnFrozenRelations(t *testing.T) {
 
 	// Evicted and rebuilt: a new relation object, an empty memo.
 	c.SetLimit(1)
-	if _, err := c.Snapshot(5); err != nil {
+	if _, err := c.SnapshotCtx(context.Background(), 5); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := c.Snapshot(3)
+	db2, err := c.SnapshotCtx(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestDeriveOnlyOnFrozenRelations(t *testing.T) {
 // key without end cannot grow a snapshot.
 func TestDeriveBoundsKeysPerRelation(t *testing.T) {
 	v := newBumpStore(t, 1)
-	db, err := NewSnapshotCache(v).Snapshot(1)
+	db, err := NewSnapshotCache(v).SnapshotCtx(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,10 +206,6 @@ func (r *Relation) PrepareRewrite(n int) (inPlace bool) {
 	return true
 }
 
-// Index builds the hash-based multiset index of the relation (the fast
-// path for delta computation and bag equality).
-func (r *Relation) Index() *TupleIndex { return IndexOf(r) }
-
 // PartitionTuples splits a tuple slice into at most parts contiguous,
 // non-empty chunks of near-equal size (no copying — chunks alias the
 // input). Concatenating the chunks in order reproduces the input
@@ -233,34 +229,26 @@ func PartitionTuples(tuples []schema.Tuple, parts int) [][]schema.Tuple {
 	return out
 }
 
-// Counts returns a string-keyed multiset view of the relation: tuple
-// key → count, plus a representative tuple per key. It is a
-// compatibility view built from the hash index; hot paths use Index
-// directly and skip the string keys.
-func (r *Relation) Counts() (map[string]int, map[string]schema.Tuple) {
-	ix := r.Index()
-	counts := make(map[string]int, ix.Distinct())
-	repr := make(map[string]schema.Tuple, ix.Distinct())
-	ix.Range(func(t schema.Tuple, count int) {
-		k := t.Key()
-		counts[k] += count
-		if _, ok := repr[k]; !ok {
-			repr[k] = t
-		}
-	})
-	return counts, repr
-}
-
 // EqualAsBag reports whether two relations contain the same multiset of
 // tuples.
 func (r *Relation) EqualAsBag(o *Relation) bool {
 	if len(r.Tuples) != len(o.Tuples) {
 		return false
 	}
-	return r.Index().EqualMultiset(o.Index())
+	ix := NewTupleIndex(len(r.Tuples))
+	for _, t := range r.Tuples {
+		ix.Add(t)
+	}
+	for _, t := range o.Tuples {
+		if !ix.Remove(t) {
+			return false
+		}
+	}
+	return true
 }
 
-// String renders the relation (sorted by tuple key, for stable output).
+// String renders the relation, its rows sorted by their rendering
+// (Tuple.String), for stable output.
 func (r *Relation) String() string {
 	var b strings.Builder
 	b.WriteString(r.Schema.String())

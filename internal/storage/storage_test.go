@@ -42,20 +42,6 @@ func TestRelationClone(t *testing.T) {
 	}
 }
 
-func TestRelationCounts(t *testing.T) {
-	r := intRel("t", 1, 2, 2, 3, 3, 3)
-	counts, repr := r.Counts()
-	if len(counts) != 3 {
-		t.Errorf("distinct = %d", len(counts))
-	}
-	for k, c := range counts {
-		want := repr[k][0].AsInt()
-		if int64(c) != want {
-			t.Errorf("count[%v] = %d, want %d", repr[k], c, want)
-		}
-	}
-}
-
 func TestEqualAsBag(t *testing.T) {
 	a := intRel("t", 1, 2, 2)
 	b := intRel("t", 2, 1, 2)

@@ -1,6 +1,7 @@
 package symbolic
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -38,7 +39,7 @@ func satisfies(t *testing.T, phi expr.Expr, rel *storage.Relation, tup schema.Tu
 	for i, c := range rel.Schema.Columns {
 		env[BaseVar(c.Name)] = tup[i]
 	}
-	v, err := expr.Eval(phi, expr.VarEnv(env))
+	v, err := expr.Eval(phi, &expr.Env{Vars: env})
 	if err != nil {
 		t.Fatalf("eval %s: %v", phi, err)
 	}
@@ -393,7 +394,7 @@ func TestCompressMatchesGoldenAwkwardCells(t *testing.T) {
 // snapshot cache and returns the cache with the published relation.
 func frozenTaxi(t *testing.T, cache *storage.SnapshotCache, ver int) *storage.Relation {
 	t.Helper()
-	db, err := cache.Snapshot(ver)
+	db, err := cache.SnapshotCtx(context.Background(), ver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,7 +700,7 @@ func TestCompressLanesMatchTuples(t *testing.T) {
 		}
 		db := storage.NewDatabase()
 		db.AddRelation(rel)
-		snap, err := storage.NewSnapshotCache(storage.NewVersioned(db)).Snapshot(0)
+		snap, err := storage.NewSnapshotCache(storage.NewVersioned(db)).SnapshotCtx(context.Background(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -755,7 +756,7 @@ func TestCompressDerivedViewsConcurrently(t *testing.T) {
 			defer wg.Done()
 			for step := 0; step < 2*steps; step++ {
 				ver := (g*2 + step) % steps
-				db, err := cache.Snapshot(ver)
+				db, err := cache.SnapshotCtx(context.Background(), ver)
 				if err != nil {
 					errs <- err
 					return

@@ -164,9 +164,6 @@ func (st *State) execUpdate(u *history.Update, step int, tag string) error {
 	return nil
 }
 
-// GlobalCond returns the conjunction of the state's global conjuncts.
-func (st *State) GlobalCond() expr.Expr { return expr.AndOf(st.Global...) }
-
 // SameResult builds the condition of Eq. 19: two single-tuple states
 // produce the same result in a world iff either both tuples exist and
 // agree on every attribute, or neither exists. Attributes whose

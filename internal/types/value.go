@@ -351,28 +351,6 @@ func finiteFloat(f float64) (Value, error) {
 	return Float(f), nil
 }
 
-// Parse converts a raw token to the most specific value kind:
-// int, then float, then bool, then string. The empty string and the
-// literal "NULL" parse to NULL.
-func Parse(s string) Value {
-	if s == "" || s == "NULL" || s == "null" {
-		return Null()
-	}
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return Int(i)
-	}
-	if f, ok := ParseFloat(s); ok {
-		return Float(f)
-	}
-	switch s {
-	case "true", "TRUE":
-		return Bool(true)
-	case "false", "FALSE":
-		return Bool(false)
-	}
-	return String(s)
-}
-
 // ParseFloat parses s as a float of the finite domain: it rejects what
 // strconv.ParseFloat rejects, and also the NaN and ±Inf spellings it
 // accepts ("NaN", "inf", "-Infinity").

@@ -208,29 +208,6 @@ func TestArithErrors(t *testing.T) {
 	}
 }
 
-func TestParse(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Value
-	}{
-		{"", Null()},
-		{"NULL", Null()},
-		{"42", Int(42)},
-		{"-7", Int(-7)},
-		{"2.5", Float(2.5)},
-		{"true", Bool(true)},
-		{"FALSE", Bool(false)},
-		{"hello", String("hello")},
-		{"12abc", String("12abc")},
-	}
-	for _, c := range cases {
-		got := Parse(c.in)
-		if !got.Equal(c.want) || got.Kind() != c.want.Kind() {
-			t.Errorf("Parse(%q) = %v (%v), want %v", c.in, got, got.Kind(), c.want)
-		}
-	}
-}
-
 // Property: int arithmetic on +,-,* agrees with Go int64 arithmetic.
 func TestArithMatchesGoProperty(t *testing.T) {
 	f := func(a, b int32) bool {

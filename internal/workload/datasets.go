@@ -15,7 +15,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 
 	"github.com/mahif/mahif/internal/schema"
@@ -171,19 +170,6 @@ func YCSB(rows int, seed int64) *Dataset {
 		GroupBy:  "ycsb_key",
 		NewRow:   newRow,
 	}
-}
-
-// ByName returns the named dataset generator ("taxi", "tpcc", "ycsb").
-func ByName(name string, rows int, seed int64) (*Dataset, error) {
-	switch name {
-	case "taxi":
-		return Taxi(rows, seed), nil
-	case "tpcc":
-		return TPCC(rows, seed), nil
-	case "ycsb":
-		return YCSB(rows, seed), nil
-	}
-	return nil, fmt.Errorf("workload: unknown dataset %q (want taxi, tpcc, or ycsb)", name)
 }
 
 // Database wraps the dataset relation in a fresh database.

@@ -61,17 +61,6 @@ func TestDatasetDeterminism(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"taxi", "tpcc", "ycsb"} {
-		if _, err := ByName(name, 10, 1); err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
-		}
-	}
-	if _, err := ByName("nope", 10, 1); err == nil {
-		t.Error("unknown dataset accepted")
-	}
-}
-
 func TestSelectivityOfThreshold(t *testing.T) {
 	// attr >= threshold(T) must affect ≈T% of a large uniform dataset.
 	ds := Taxi(20000, 3)
