@@ -239,17 +239,24 @@ func differentialTrial(t *testing.T, rng *rand.Rand) int64 {
 	for _, v := range []mahif.Variant{mahif.VariantR, mahif.VariantRPS, mahif.VariantRDS, mahif.VariantRFull} {
 		optsI := mahif.OptionsFor(v)
 		optsI.Executor = mahif.ExecInterpreter
-		want, _, errI := engine.WhatIf([]mahif.Modification{mod}, optsI)
+		want, stI, errI := engine.WhatIf([]mahif.Modification{mod}, optsI)
 
 		opts := mahif.OptionsFor(v)
 		opts.Executor = mahif.ExecVectorized
-		got, _, errX := engine.WhatIf([]mahif.Modification{mod}, opts)
+		got, stX, errX := engine.WhatIf([]mahif.Modification{mod}, opts)
 		if (errI == nil) != (errX == nil) {
 			t.Fatalf("%s: error divergence: interpreter=%v vectorized=%v\nhistory:\n%s\nmod: %s",
 				v, errI, errX, hist, mod)
 		}
 		if errI != nil {
 			continue
+		}
+		// Both executors diff the same rows in the same order, whether
+		// the vectorized one cancels positions in a pair scan or after
+		// running each side: the delta's work is the same.
+		if stI.RowsCompared != stX.RowsCompared || stI.RowsHashed != stX.RowsHashed || stI.RowsBoxed != stX.RowsBoxed {
+			t.Fatalf("%s: delta work divergence: interpreter compared/hashed/boxed %d/%d/%d, vectorized %d/%d/%d\nhistory:\n%s\nmod: %s",
+				v, stI.RowsCompared, stI.RowsHashed, stI.RowsBoxed, stX.RowsCompared, stX.RowsHashed, stX.RowsBoxed, hist, mod)
 		}
 		rels := map[string]bool{}
 		for rel := range want {

@@ -11,6 +11,7 @@ import (
 
 	"github.com/mahif/mahif/internal/compile"
 	"github.com/mahif/mahif/internal/delta"
+	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/history"
 	"github.com/mahif/mahif/internal/storage"
 )
@@ -29,8 +30,9 @@ type batchShared struct {
 // session, the programs its what-ifs and reports compiled and the
 // report γ programs they reused, the expression nodes its program
 // slicing lowered, the plans its template evals chose (a range
-// template's side or the fallback plan), its templates' recompiles, and
-// the routes its aggregate reports took.
+// template's side or the fallback plan), its templates' recompiles, the
+// routes its aggregate reports took and those its pairs of reenactment
+// sides took.
 type sessionWork struct {
 	compared, hashed, boxed atomic.Int64
 	compiled, reused        atomic.Int64
@@ -38,6 +40,26 @@ type sessionWork struct {
 	sideEvals, fallbacks    atomic.Int64
 	provisioned, recompiles atomic.Int64
 	reports                 routeCounters
+	pairs                   pairCounters
+}
+
+// pairCounters counts evaluator.diff's pairs by exec.PairRoute.
+type pairCounters [exec.PairMisaligned + 1]atomic.Int64
+
+// add counts one pair that took route; a nil c counts nothing.
+func (c *pairCounters) add(route exec.PairRoute) {
+	if c != nil {
+		c[route].Add(1)
+	}
+}
+
+func (c *pairCounters) load() PairRoutes {
+	return PairRoutes{
+		Paired:     c[exec.Paired].Load(),
+		Shape:      c[exec.PairShape].Load(),
+		Private:    c[exec.PairPrivate].Load(),
+		Misaligned: c[exec.PairMisaligned].Load(),
+	}
 }
 
 // countDelta adds one delta's row counts to the bundle's totals.

@@ -110,8 +110,12 @@ type Stats struct {
 	TimeTravel     time.Duration `json:"time_travel_ns"` // reconstructing D before the first modified statement
 	ProgramSlicing time.Duration `json:"program_slicing_ns"`
 	DataSlicing    time.Duration `json:"data_slicing_ns"`
-	Execute        time.Duration `json:"execute_ns"` // evaluating the reenactment queries
-	Delta          time.Duration `json:"delta_ns"`
+	// Execute is evaluating the reenactment queries. For a pair of sides
+	// run as one pair scan (exec.RunPairCtx) it includes the delta's
+	// position-by-position comparison, which that scan makes batch by
+	// batch; Delta is then only the residual's match, gather and sort.
+	Execute time.Duration `json:"execute_ns"`
+	Delta   time.Duration `json:"delta_ns"`
 
 	// Slice quality.
 	TotalStatements int `json:"total_statements"`
@@ -429,27 +433,17 @@ func (e *Engine) whatIfPair(ctx context.Context, pair *history.PaddedPair, tip i
 		return nil, nil, nil, err
 	}
 	ev := e.newEvaluator(ctx, opts)
-	ev.work = shared.work
+	ev.work, ev.pairs = shared.work, &shared.work.pairs
 	out := make(delta.Set, len(p.rels))
 	for _, r := range p.rels {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, nil, err
 		}
-		t0 := time.Now()
-		ro, err := ev.runView(r.orig, p.db)
+		d, work, err := ev.diff(r, p.db, p.stats)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		rm, err := ev.runView(r.mod, p.db)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		p.stats.Execute += time.Since(t0)
-
-		t0 = time.Now()
-		d, work := delta.ComputeColumnar(ro, rm)
 		out[r.rel] = d
-		p.stats.Delta += time.Since(t0)
 		p.stats.RowsCompared += work.Compared
 		p.stats.RowsHashed += work.Hashed
 		p.stats.RowsBoxed += work.Boxed
@@ -482,8 +476,9 @@ type evaluator struct {
 	kind ExecutorKind
 	vec  exec.VecOptions
 
-	work   *sessionWork // receives compile and γ-reuse counts; nil: not counted
-	routes *routeCounts // receives computeAggregates' report routes; nil: not counted
+	work   *sessionWork  // receives compile and γ-reuse counts; nil: not counted
+	routes *routeCounts  // receives computeAggregates' report routes; nil: not counted
+	pairs  *pairCounters // receives diff's pair routes; nil: not counted
 }
 
 // newEvaluator builds the evaluator for queries under opts' executor
@@ -516,16 +511,70 @@ func (ev evaluator) program(q algebra.Query, db *storage.Database) *exec.Program
 	return prog
 }
 
-// runView answers q over db as a columnar view. A vectorized program
-// leaves its result in lanes and boxes nothing; the interpreter produces
-// rows, which are transposed once — it is the oracle, so what that
-// costs does not matter, and core has one result form and one delta
-// call whatever the executor.
+// runView answers q over db as a columnar view.
 func (ev evaluator) runView(q algebra.Query, db *storage.Database) (*storage.ColumnarView, error) {
-	if prog := ev.program(q, db); prog != nil {
+	return ev.runProgram(ev.program(q, db), q, db)
+}
+
+// runProgram answers q over db as a columnar view by running prog, its
+// compiled program, or by the interpreter when prog is nil. A
+// vectorized program leaves its result in lanes and boxes nothing; the
+// interpreter produces rows, which are transposed once — it is the
+// oracle, so what that costs does not matter, and core has one result
+// form and one delta call whatever the executor.
+func (ev evaluator) runProgram(prog *exec.Program, q algebra.Query, db *storage.Database) (*storage.ColumnarView, error) {
+	if prog != nil {
 		return prog.RunColumnarCtx(ev.evalCtx(), db)
 	}
 	return ev.interpretView(q, db)
+}
+
+// diff answers relation r of a plan over db: it runs both reenactment
+// sides and returns their delta, the one entry for a pair of sides
+// without $slots. Each side is compiled once. When both compile, they
+// run as one pair scan that keeps only the rows that differ at their
+// position (exec.RunPairCtx), finished by delta.ComputeResidual. A pair
+// outside that class runs each side alone and diffs the two results
+// with delta.ComputeColumnar, its oracle; ev.pairs counts either route.
+// st, when not nil, receives the time spent running the sides, the
+// pair scan's comparisons included (Execute), and the time spent
+// finishing the delta (Delta).
+func (ev evaluator) diff(r relPlan, db *storage.Database, st *Stats) (*delta.Result, delta.Work, error) {
+	t0 := time.Now()
+	orig, mod := ev.program(r.orig, db), ev.program(r.mod, db)
+	if orig != nil && mod != nil {
+		res, route, err := exec.RunPairCtx(ev.evalCtx(), orig, mod, db)
+		if err != nil {
+			return nil, delta.Work{}, err
+		}
+		ev.pairs.add(route)
+		if res != nil {
+			t1 := time.Now()
+			d, work := delta.ComputeResidual(res.Old, res.New, res.Compared)
+			st.addTimes(t1.Sub(t0), time.Since(t1))
+			return d, work, nil
+		}
+	}
+	ro, err := ev.runProgram(orig, r.orig, db)
+	if err != nil {
+		return nil, delta.Work{}, err
+	}
+	rm, err := ev.runProgram(mod, r.mod, db)
+	if err != nil {
+		return nil, delta.Work{}, err
+	}
+	t1 := time.Now()
+	d, work := delta.ComputeColumnar(ro, rm)
+	st.addTimes(t1.Sub(t0), time.Since(t1))
+	return d, work, nil
+}
+
+// addTimes adds execute and delta time to st, when st is not nil.
+func (st *Stats) addTimes(execute, dlt time.Duration) {
+	if st != nil {
+		st.Execute += execute
+		st.Delta += dlt
+	}
 }
 
 // interpretView is interpret with the result transposed into the

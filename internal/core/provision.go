@@ -290,6 +290,11 @@ func (bp *bandPlan) build(ctx context.Context, ev evaluator, db *storage.Databas
 	if bt.tip, err = frame(tip, bt.old.ColumnarView); err != nil {
 		return nil, err
 	}
+	// frame hashes the tip's rows: a build that outlived its deadline
+	// there returns ctx.Err(), and no table is cached.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	return bt, nil
 }
 

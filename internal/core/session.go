@@ -215,9 +215,30 @@ type SessionStats struct {
 	// relation's row-hash index for the frame check: a miss folded or
 	// hashed a relation (once per snapshot), a hit reused it.
 	ReportArtifactHits, ReportArtifactMisses int64
+	// Pairs counts the relations of the session's what-ifs, and of its
+	// templates' plans whose modified side has no $slot, by how their
+	// two reenactment sides ran.
+	Pairs PairRoutes
 	// InterpreterFallbacks is Engine.InterpreterFallbacks at the time of
 	// the reading: engine-wide, not per session, and never reset.
 	InterpreterFallbacks int64
+}
+
+// PairRoutes counts pairs of compiled reenactment sides by route: run
+// as one pair scan that keeps only the rows that differ at their
+// position (Paired), or one after the other, with the delta taken over
+// both whole results, for one of the reasons below (exec.PairRoute).
+// Pairs that the interpreter runs count in none.
+type PairRoutes struct {
+	Paired int64
+	// Shape: a side is not one scan of the relation through a fused σ/Π
+	// chain (a reenacted INSERT adds a union).
+	Shape int64
+	// Private: the relation is not a frozen snapshot relation.
+	Private int64
+	// Misaligned: a source batch kept different numbers of rows on the
+	// two sides (a DELETE whose rows differ between them).
+	Misaligned int64
 }
 
 // Stats snapshots the session's cache counters.
@@ -244,6 +265,7 @@ func (s *Session) Stats() SessionStats {
 	st.TemplateRecompiles = s.caches.work.recompiles.Load()
 	st.Reports = s.caches.work.reports.load()
 	st.ReportArtifactHits, st.ReportArtifactMisses = s.caches.snaps.ReportStats()
+	st.Pairs = s.caches.work.pairs.load()
 	st.InterpreterFallbacks = s.e.InterpreterFallbacks()
 	return st
 }

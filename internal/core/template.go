@@ -185,27 +185,28 @@ type templateBody struct {
 	rels   []templateRel // param-dependent relations
 }
 
-// buildBody runs rels' original sides, and the modified sides without
-// a $slot, over db, and compiles the rest for binding-time runs.
+// buildBody runs rels' original sides over db, diffing each against
+// its modified side when that has no $slot (evaluator.diff), and
+// compiles the other modified sides for binding-time runs.
 func buildBody(ev evaluator, rels []relPlan, db *storage.Database) (*templateBody, error) {
 	b := &templateBody{static: delta.Set{}}
 	for _, r := range rels {
 		if err := ev.evalCtx().Err(); err != nil {
 			return nil, err
 		}
+		if len(algebra.Params(r.mod)) == 0 {
+			d, _, err := ev.diff(r, db, nil)
+			if err != nil {
+				return nil, err
+			}
+			b.static[r.rel] = d
+			continue
+		}
 		orig, err := ev.runView(r.orig, db)
 		if err != nil {
 			return nil, err
 		}
-		if len(algebra.Params(r.mod)) > 0 {
-			b.rels = append(b.rels, templateRel{rel: r.rel, orig: orig, mod: bindQuery(ev, r.mod, db)})
-			continue
-		}
-		mod, err := ev.runView(r.mod, db)
-		if err != nil {
-			return nil, err
-		}
-		b.static[r.rel], _ = delta.ComputeColumnar(orig, mod)
+		b.rels = append(b.rels, templateRel{rel: r.rel, orig: orig, mod: bindQuery(ev, r.mod, db)})
 	}
 	return b, nil
 }
@@ -608,7 +609,7 @@ func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 	// it per binding, or band tables answer it.
 	var body *templateBody
 	if art.band == nil {
-		if body, err = art.body(t.e.newEvaluator(ctx, t.opts)); err != nil {
+		if body, err = art.body(t.evaluator(ctx)); err != nil {
 			return nil, err
 		}
 	}
@@ -625,6 +626,15 @@ func (t *Template) compile(ctx context.Context) (*templateArtifact, error) {
 	}
 	art.stats.CompileTime = time.Since(start)
 	return art, nil
+}
+
+// evaluator is the evaluator of the template's runs. It counts the
+// pairs it runs into the session's work, and no program: those an
+// artifact holds count in neither QueryHits nor QueryMisses.
+func (t *Template) evaluator(ctx context.Context) evaluator {
+	ev := t.e.newEvaluator(ctx, t.opts)
+	ev.pairs = &t.shared.work.pairs
+	return ev
 }
 
 // Eval answers the template for one parameter binding (see EvalCtx).
@@ -657,7 +667,7 @@ func (t *Template) evalArtifact(ctx context.Context, art *templateArtifact, bind
 	// The artifact holds every program a binding runs, and a binding's
 	// modified side is its own result: nothing to share through the
 	// session.
-	ev := t.e.newEvaluator(ctx, t.opts)
+	ev := t.evaluator(ctx)
 	side := art.side(binding)
 	if side >= 0 {
 		t.sideEvals[side].Add(1)

@@ -24,15 +24,22 @@ type Work struct {
 
 // ComputeColumnar is Compute over two results in columnar form, with
 // the same Minus and Plus in the same order. Positions cancel in typed
-// loops over the lanes, under exactly types.Value.Equal's rules (NULL
-// equals NULL, 1 equals 1.0 across an int and a float lane, floats by
-// ==, so NaN differs from itself and the two zeros are equal); only a
-// column whose two sides sit on different non-numeric lanes, or on the
-// boxed lane, compares boxed cells. Nothing assumes that column c is on
-// the same lane on both sides. The rows that survive are matched across
-// positions on the lanes too (see matchResidual), and only Minus and
-// Plus are gathered into tuples — one arena a side, of exactly their
-// size, so a retained Result pins its own rows and neither view.
+// loops over the lanes (storage.MarkUnequal), under exactly
+// types.Value.Equal's rules (NULL equals NULL, 1 equals 1.0 across an
+// int and a float lane, floats by ==, so NaN differs from itself and
+// the two zeros are equal); only a column whose two sides sit on
+// different non-numeric lanes, or on the boxed lane, compares boxed
+// cells. Nothing assumes that column c is on the same lane on both
+// sides. The rows that survive are matched across positions on the
+// lanes too (see matchResidual), and only Minus and Plus are gathered
+// into tuples — one arena a side, of exactly their size, so a retained
+// Result pins its own rows and neither view.
+//
+// A what-if whose two sides are one scan of a frozen relation does not
+// come here: its pair run (exec.RunPairCtx) cancels the positions batch
+// by batch while both sides run, with the same kernels, and
+// ComputeResidual finishes from the rows it kept. ComputeColumnar diffs
+// every other pair of results, and is that path's oracle.
 func ComputeColumnar(oldV, newV *storage.ColumnarView) (*Result, Work) {
 	return compute(oldV, newV, viewHasher(oldV), nil)
 }
@@ -45,10 +52,23 @@ func ComputeHashed(oldV *HashedView, newV *storage.ColumnarView, oldRows []schem
 	return compute(oldV.ColumnarView, newV, oldV.rows, oldRows)
 }
 
+// ComputeResidual is ComputeColumnar after its positions have been
+// cancelled elsewhere: oldV and newV hold, in position order, the rows
+// of each side that were not Equal to the other side's row at their
+// position, and compared is how many positions were compared. When the
+// rows left out are exactly the positions that cancel, Minus, Plus,
+// their order and Work are those ComputeColumnar returns for the two
+// whole results: the residual is matched, gathered and sorted the same
+// way, row for row.
+func ComputeResidual(oldV, newV *storage.ColumnarView, compared int) (*Result, Work) {
+	out, work := finish(oldV, newV, allRows(oldV.Rows), allRows(newV.Rows), viewHasher(oldV), viewHasher(newV), nil)
+	work.Compared, work.Hashed = compared, oldV.Rows+newV.Rows
+	return out, work
+}
+
 // compute is ComputeColumnar with the old side's row hashes from
 // oldHash and, when oldRows is not nil, its Minus tuples from there.
 func compute(oldV, newV *storage.ColumnarView, oldHash hasher, oldRows []schema.Tuple) (*Result, Work) {
-	out := &Result{Relation: oldV.Schema.Relation, Schema: oldV.Schema}
 	n := min(oldV.Rows, newV.Rows)
 	neq := make([]bool, n)
 	if len(oldV.Cols) != len(newV.Cols) {
@@ -58,16 +78,37 @@ func compute(oldV, newV *storage.ColumnarView, oldHash hasher, oldRows []schema.
 		}
 	} else {
 		for c := range oldV.Cols {
-			markUnequal(neq, &oldV.Cols[c], &newV.Cols[c])
+			storage.MarkUnequal(neq, &oldV.Cols[c], nil, &newV.Cols[c], nil)
 		}
 	}
 	oldIdx, newIdx := residualRows(neq, oldV.Rows, newV.Rows)
-	m := matchResidual(oldV, newV, oldIdx, newIdx, oldHash, viewHasher(newV))
+	out, work := finish(oldV, newV, oldIdx, newIdx, oldHash, viewHasher(newV), oldRows)
+	work.Compared, work.Hashed = n, len(oldIdx)+len(newIdx)
+	return out, work
+}
+
+// finish is the step after positional cancellation: the residual rows
+// oldIdx of oldV and newIdx of newV, hashed by oldHash and newHash,
+// are matched across positions into Minus and Plus, which are gathered
+// (Minus from oldRows when that is not nil, see minusTuples) and
+// sorted. Its Work counts only the rows boxed.
+func finish(oldV, newV *storage.ColumnarView, oldIdx, newIdx []int, oldHash, newHash hasher, oldRows []schema.Tuple) (*Result, Work) {
+	out := &Result{Relation: oldV.Schema.Relation, Schema: oldV.Schema}
+	m := matchResidual(oldV, newV, oldIdx, newIdx, oldHash, newHash)
 	out.Minus = minusTuples(oldV, m.minus, oldRows)
 	out.Plus = newV.GatherTuples(m.plus)
 	sortTuples(out.Minus)
 	sortTuples(out.Plus)
-	return out, Work{Compared: n, Hashed: len(oldIdx) + len(newIdx), Boxed: out.Size()}
+	return out, Work{Boxed: out.Size()}
+}
+
+// allRows lists rows 0..n-1.
+func allRows(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
 }
 
 // minusTuples boxes rows of oldV, or takes them from oldRows, oldV's
@@ -97,11 +138,7 @@ type HashedView struct {
 
 // NewHashedView hashes every row of v, which it retains.
 func NewHashedView(v *storage.ColumnarView) *HashedView {
-	rows := make([]int, v.Rows)
-	for i := range rows {
-		rows[i] = i
-	}
-	hs, nan := hashRows(v, rows)
+	hs, nan := hashRows(v, allRows(v.Rows))
 	return &HashedView{ColumnarView: v, hashes: hs, nan: nan}
 }
 
@@ -135,13 +172,7 @@ func (v *HashedView) rows(rows []int) ([]uint64, []bool) {
 // shared read-only: Minus takes its tuples from there instead of
 // boxing them. It hashes nothing: Work counts only the delta's rows.
 func ComputeRows(oldV, newV *HashedView, oldIdx, newIdx []int, oldRows []schema.Tuple) (*Result, Work) {
-	out := &Result{Relation: oldV.Schema.Relation, Schema: oldV.Schema}
-	m := matchResidual(oldV.ColumnarView, newV.ColumnarView, oldIdx, newIdx, oldV.rows, newV.rows)
-	out.Minus = minusTuples(oldV.ColumnarView, m.minus, oldRows)
-	out.Plus = newV.GatherTuples(m.plus)
-	sortTuples(out.Minus)
-	sortTuples(out.Plus)
-	return out, Work{Boxed: out.Size()}
+	return finish(oldV.ColumnarView, newV.ColumnarView, oldIdx, newIdx, oldV.rows, newV.rows, oldRows)
 }
 
 // residualMatch is the residual step of ComputeColumnar: Result.residual
@@ -361,59 +392,4 @@ func cellEqual(a *storage.ColVec, i int, b *storage.ColVec, j int) bool {
 		}
 	}
 	return a.Value(i).Equal(b.Value(j))
-}
-
-// markUnequal sets neq[i] for every position i < len(neq) at which cell
-// i of a and cell i of b are not Equal; it never clears a mark.
-func markUnequal(neq []bool, a, b *storage.ColVec) {
-	switch {
-	case a.Kind == types.KindInt && b.Kind == types.KindInt:
-		markLane(neq, a.Ints, b.Ints, a.Nulls, b.Nulls)
-	case a.Kind == types.KindFloat && b.Kind == types.KindFloat:
-		markLane(neq, a.Floats, b.Floats, a.Nulls, b.Nulls)
-	case a.Kind == types.KindString && b.Kind == types.KindString:
-		markLane(neq, a.Strs, b.Strs, a.Nulls, b.Nulls)
-	case a.Kind == types.KindInt && b.Kind == types.KindFloat:
-		markIntFloat(neq, a.Ints, b.Floats, a.Nulls, b.Nulls)
-	case a.Kind == types.KindFloat && b.Kind == types.KindInt:
-		markIntFloat(neq, b.Ints, a.Floats, b.Nulls, a.Nulls)
-	default:
-		for i := range neq {
-			if !neq[i] && !a.Value(i).Equal(b.Value(i)) {
-				neq[i] = true
-			}
-		}
-	}
-}
-
-// markLane compares two typed lanes of one kind. != on T is Value.Equal
-// for that kind: exact on ints and strings, IEEE on floats.
-func markLane[T comparable](neq []bool, x, y []T, xNull, yNull []bool) {
-	x, y = x[:len(neq)], y[:len(neq)]
-	if xNull == nil && yNull == nil {
-		for i := range neq {
-			if x[i] != y[i] {
-				neq[i] = true
-			}
-		}
-		return
-	}
-	for i := range neq {
-		nx, ny := xNull != nil && xNull[i], yNull != nil && yNull[i]
-		if nx != ny || (!nx && x[i] != y[i]) {
-			neq[i] = true
-		}
-	}
-}
-
-// markIntFloat compares an int lane with a float lane the way
-// Value.Equal compares an int with a float: as float64s.
-func markIntFloat(neq []bool, x []int64, y []float64, xNull, yNull []bool) {
-	x, y = x[:len(neq)], y[:len(neq)]
-	for i := range neq {
-		nx, ny := xNull != nil && xNull[i], yNull != nil && yNull[i]
-		if nx != ny || (!nx && float64(x[i]) != y[i]) {
-			neq[i] = true
-		}
-	}
 }

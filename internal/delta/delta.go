@@ -39,10 +39,13 @@ type Result struct {
 // costs.
 //
 // This is the delta over rows: Alg. 1, the history executor and the
-// bench's staged replay have rows and call it. A what-if's two
-// reenactment results are columnar and go through ComputeColumnar, which
-// cancels the same positions and matches the same residual without
-// boxing either; Compute is its test oracle.
+// bench's staged replay have rows and call it. A what-if never has its
+// results as rows. When both sides are one scan of a frozen relation,
+// the executor's pair run (exec.RunPairCtx) cancels the positions batch
+// by batch as the two sides run and keeps only the rows that differ,
+// which ComputeResidual finishes; any other pair of results goes
+// through ComputeColumnar, which cancels the same positions and matches
+// the same residual on the lanes. Compute is their test oracle.
 func Compute(oldRel, newRel *storage.Relation) *Result {
 	out := &Result{Relation: oldRel.Schema.Relation, Schema: oldRel.Schema}
 	olds, news := oldRel.Tuples, newRel.Tuples

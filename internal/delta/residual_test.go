@@ -154,7 +154,7 @@ func TestComputeColumnarDuplicateHeavyResidual(t *testing.T) {
 		vo, vn := laneView(tc.old, false), laneView(tc.new, false)
 		neq := make([]bool, min(vo.Rows, vn.Rows))
 		for c := range vo.Cols {
-			markUnequal(neq, &vo.Cols[c], &vn.Cols[c])
+			storage.MarkUnequal(neq, &vo.Cols[c], nil, &vn.Cols[c], nil)
 		}
 		oldIdx, newIdx := residualRows(neq, vo.Rows, vn.Rows)
 		m := matchResidual(vo, vn, oldIdx, newIdx, viewHasher(vo), viewHasher(vn))

@@ -142,6 +142,14 @@ func (c chain) getRun(pool *sync.Pool, cfg vecConfig, rc *runCtx) *chainRun {
 	return r
 }
 
+// sharedBatch is the run's borrowed source batch, width columns wide.
+func (r *chainRun) sharedBatch(width int) *batch {
+	if r.shared == nil {
+		r.shared = &batch{cols: make([]storage.ColVec, width)}
+	}
+	return r.shared
+}
+
 // release drops the windows of a frozen view the run holds: shared's
 // lanes, and the identity columns a projection's output aliases from
 // them. The run goes back to its node's pool afterwards, where it must
@@ -383,22 +391,12 @@ func (n *vpipeNode) run(rc *runCtx, emit vecEmit) error {
 		defer n.runs.Put(cr)
 		return runVecView(rc, s.v, s.lo, s.hi, cr, n.cfg.bs, emit)
 	}
-	r, err := rc.db.Relation(n.rel)
+	r, view, err := n.source(rc.db)
 	if err != nil {
 		return err
 	}
-	if r.Schema.Arity() != n.arity {
-		return fmt.Errorf("exec: relation %s arity changed since compilation (%d vs %d)", n.rel, r.Schema.Arity(), n.arity)
-	}
-	// A frozen relation (one a SnapshotCache published) is scanned through
-	// its shared columnar view, a private one by transposing its rows;
-	// the relation says which it is.
-	view, err := r.SharedColumnar()
-	if err != nil {
-		return fmt.Errorf("exec: %w", err)
-	}
 	tuples := r.Tuples
-	if n.cfg.workers > 1 && len(tuples) >= n.cfg.minParallel {
+	if n.partitions(len(tuples)) > 1 {
 		return n.runParallel(rc, tuples, view, emit)
 	}
 	cr := n.ch.getRun(&n.runs, n.cfg, rc)
@@ -407,6 +405,35 @@ func (n *vpipeNode) run(rc *runCtx, emit vecEmit) error {
 		return runVecView(rc, view, 0, view.Rows, cr, n.cfg.bs, emit)
 	}
 	return runVecChunk(rc, tuples, n.arity, n.kinds, cr, n.cfg.bs, emit)
+}
+
+// source looks the scanned relation up in db, checks that its arity is
+// the one compiled against, and returns it with its shared columnar
+// view: a frozen relation (one a SnapshotCache published) is scanned
+// through that view, a private one (nil view) by transposing its rows.
+// The relation says which it is.
+func (n *vpipeNode) source(db *storage.Database) (*storage.Relation, *storage.ColumnarView, error) {
+	r, err := db.Relation(n.rel)
+	if err != nil {
+		return nil, nil, err
+	}
+	if r.Schema.Arity() != n.arity {
+		return nil, nil, fmt.Errorf("exec: relation %s arity changed since compilation (%d vs %d)", n.rel, r.Schema.Arity(), n.arity)
+	}
+	view, err := r.SharedColumnar()
+	if err != nil {
+		return nil, nil, fmt.Errorf("exec: %w", err)
+	}
+	return r, view, nil
+}
+
+// partitions is the number of workers a scan of rows source rows runs
+// on: one below the parallel cutover.
+func (n *vpipeNode) partitions(rows int) int {
+	if n.cfg.workers > 1 && rows >= n.cfg.minParallel {
+		return n.cfg.workers
+	}
+	return 1
 }
 
 // runParallel splits the scan into contiguous row ranges, one worker
@@ -494,10 +521,7 @@ func runVecChunk(rc *runCtx, tuples []schema.Tuple, arity int, kinds []types.Kin
 // Cancellation is observed between batches, as in runVecChunk. cr
 // drops the windows it borrowed on return (release).
 func runVecView(rc *runCtx, view *storage.ColumnarView, lo, hi int, cr *chainRun, bs int, emit vecEmit) error {
-	if cr.shared == nil {
-		cr.shared = &batch{cols: make([]storage.ColVec, len(view.Cols))}
-	}
-	src := cr.shared
+	src := cr.sharedBatch(len(view.Cols))
 	defer cr.release()
 	for start := lo; start < hi; start += bs {
 		if err := rc.ctx.Err(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/mahif/mahif/internal/algebra"
+	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/history"
 	"github.com/mahif/mahif/internal/reenact"
@@ -162,6 +163,80 @@ func BenchmarkVecScanFrozen(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWhatIfPair is a scan_heavy what-if's executor and delta at
+// the gate's scale: the threshold what-if of a 50-update history over
+// 32 000 Taxi rows, both sides under a 10 %-selective data-slicing σ,
+// over a frozen snapshot. general runs each side alone
+// (RunColumnarCtx) and diffs the two results (delta.ComputeColumnar);
+// pair runs both in one scan and finishes the delta from the rows that
+// differ (RunPairCtx, delta.ComputeResidual).
+func BenchmarkWhatIfPair(b *testing.B) {
+	w, err := workload.Generate(workload.Taxi(32000, 1), workload.Config{
+		Updates: 50, Mods: 1, DependentPct: 10, AffectedPct: 10, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	private := w.Dataset.Database()
+	frozen, _ := publish(b, private)
+	pair, err := history.ApplyModifications(w.History, w.Mods)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cond, err := sql.ParseCondition(fmt.Sprintf("%s >= %d", w.Dataset.SelAttr, workload.SelRange*9/10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var progs [2]*exec.Program
+	for i, h := range []history.History{pair.Orig, pair.Mod} {
+		q, err := reenact.QueryForRelation(h, "trips", private, reenact.Filters{"trips": cond})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if progs[i], err = exec.CompileVec(q, private, exec.VecOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	orig, mod := progs[0], progs[1]
+	ctx := context.Background()
+	general := func() (*delta.Result, delta.Work) {
+		ro, err := orig.RunColumnarCtx(ctx, frozen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rm, err := mod.RunColumnarCtx(ctx, frozen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return delta.ComputeColumnar(ro, rm)
+	}
+	paired := func() (*delta.Result, delta.Work) {
+		res, route, err := exec.RunPairCtx(ctx, orig, mod, frozen)
+		if err != nil || route != exec.Paired {
+			b.Fatalf("pair: route %d, %v", route, err)
+		}
+		return delta.ComputeResidual(res.Old, res.New, res.Compared)
+	}
+	want, wantWork := general()
+	if got, work := paired(); !got.Equal(want) || work != wantWork {
+		b.Fatalf("pair: %d tuples, %+v; general: %d tuples, %+v", got.Size(), work, want.Size(), wantWork)
+	}
+	for _, c := range []struct {
+		name string
+		run  func() (*delta.Result, delta.Work)
+	}{{"general", general}, {"pair", paired}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchDelta, _ = c.run()
+			}
+		})
+	}
+}
+
+// benchDelta keeps a benchmark's result alive.
+var benchDelta *delta.Result
 
 // BenchmarkCompile isolates the one-time compilation cost (it must be
 // negligible against a single evaluation).

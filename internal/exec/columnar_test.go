@@ -124,6 +124,34 @@ func TestColumnarRunKeepsTypedLanes(t *testing.T) {
 	}
 }
 
+// TestColumnarFrozenPartsHaveSequentialLanes: a parallel scan's frozen
+// batches, which the columnar sink keeps as its parts — as the whole
+// result when only one batch survives — carry the lanes AppendRows
+// gives a sequential run's result: the same kinds, and no NULL mask
+// where no live cell is NULL, although the view's windows the workers
+// read had one.
+func TestColumnarFrozenPartsHaveSequentialLanes(t *testing.T) {
+	private := laneEdgeDBs()["null-heavy"]
+	frozen, _ := publish(t, private)
+	for _, cond := range []string{"v IS NOT NULL AND f IS NOT NULL AND g IS NOT NULL", "k < 60 AND v IS NOT NULL AND f IS NOT NULL AND g IS NOT NULL"} {
+		q := &algebra.Select{Cond: mustCond(t, cond), In: &algebra.Scan{Rel: "t"}}
+		var views [2]*storage.ColumnarView
+		for i, opts := range []exec.VecOptions{{Workers: 1}, {Workers: 3, MinParallelRows: 1, BatchSize: 100}} {
+			prog, err := exec.CompileVec(q, private, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			views[i] = requireColumnarRunMatchesRowRun(t, fmt.Sprintf("%s %+v", cond, opts), prog, frozen)
+		}
+		for c := range views[0].Cols {
+			s, p := &views[0].Cols[c], &views[1].Cols[c]
+			if s.Kind != p.Kind || (s.Nulls == nil) != (p.Nulls == nil) {
+				t.Errorf("%s: column %d: sequential lane %s (mask %v), parallel %s (mask %v)", cond, c, s.Kind, s.Nulls != nil, p.Kind, p.Nulls != nil)
+			}
+		}
+	}
+}
+
 // TestColumnarShortRowErrorParity: both sinks of a program report a
 // short row with the same error, whichever way the relation is read.
 func TestColumnarShortRowErrorParity(t *testing.T) {

@@ -26,9 +26,11 @@
 //   - Scans read typed column lanes: a frozen relation (one a
 //     SnapshotCache published) through windows of its shared columnar
 //     view, a private one by transposing its rows batch by batch. Scans
-//     over large relations partition across workers whose buffered
-//     output merges back in partition order — preserving the
-//     interpreter's exact output order, not just bag semantics.
+//     over large relations partition across workers, each freezing its
+//     output batches into lanes of their own; the merge emits them in
+//     partition order — preserving the interpreter's exact output
+//     order, not just bag semantics — and a columnar sink keeps a
+//     frozen batch as its part instead of copying it again.
 //
 //   - Reenactment builds σ, Π, ∪ and constant rows; reports add γ over
 //     σ and ⋈ of scans. Those are the operators compiled here, and ∪
@@ -46,12 +48,17 @@
 // Cancellation is observed between batches.
 //
 // A Program is immutable after compilation, and its runs — RunCtx,
-// RunColumnarCtx, RunColumnarParamsCtx and the γ-state runs of agg.go
-// — may be concurrent: scratch state is allocated per run and recycled
-// through sync.Pools. A what-if compiles its two sides and runs each
-// once; a template compiles its programs once and answers concurrent
-// bindings with them, each binding a parameter vector ($slots are
-// run-time parameters) that one run carries (params.go).
+// RunColumnarCtx, RunColumnarParamsCtx, the γ-state runs of agg.go and
+// RunPairCtx, which runs two programs at once — may be concurrent:
+// scratch state is allocated per run and recycled through sync.Pools.
+// A what-if compiles its two sides and runs them once. When each is one
+// scan of the same frozen relation through its fused chain, RunPairCtx
+// (pair.go) drives both chains over the same source windows, compares
+// their live rows position by position and keeps only the rows that
+// differ, so neither result is ever written out; other pairs run each
+// side alone. A template compiles its programs once and answers
+// concurrent bindings with them, each binding a parameter vector
+// ($slots are run-time parameters) that one run carries (params.go).
 //
 // The interpreter remains the reference oracle: core.Options.Executor
 // selects between the two, the differential fuzz tests require
@@ -153,29 +160,42 @@ func (p *Program) RunColumnarCtx(ctx context.Context, db *storage.Database) (*st
 // error once a row reaches it (as every slot does under the other Run
 // methods); names no slot has are ignored.
 func (p *Program) RunColumnarParamsCtx(ctx context.Context, db *storage.Database, binding map[string]types.Value) (*storage.ColumnarView, error) {
-	// Each batch's live rows are frozen into a part of exactly their
-	// size, and the parts are joined once the total is known: what is
-	// returned (and may be pinned by a template artifact) has no slack,
-	// and no lane was regrown on the way.
+	// Each batch's live rows become a part of exactly their size, and
+	// the parts are joined once the total is known: what is returned
+	// (and may be pinned by a template artifact) has no slack, and no
+	// lane was regrown on the way. A batch a parallel scan froze is such
+	// a part already and is kept as it is.
 	arity := p.out.Arity()
 	var parts []*storage.ColumnarView
-	total := 0
 	err := p.root.run(p.newRun(ctx, db, binding), func(b *batch) error {
+		if b.frozen && b.sel == nil {
+			parts = append(parts, &storage.ColumnarView{Schema: p.out, Rows: b.n, Cols: b.cols[:arity]})
+			return nil
+		}
 		part := storage.NewColumnarView(p.out, b.live())
 		part.AppendRows(b.cols[:arity], b.sel, b.n)
 		parts = append(parts, part)
-		total += part.Rows
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	return joinParts(p.out, parts), nil
+}
+
+// joinParts joins parts, views of schema s, into one view of exactly
+// their total size, in order; a single part is returned as it is.
+func joinParts(s *schema.Schema, parts []*storage.ColumnarView) *storage.ColumnarView {
 	if len(parts) == 1 {
-		return parts[0], nil
+		return parts[0]
 	}
-	out := storage.NewColumnarView(p.out, total)
+	total := 0
+	for _, part := range parts {
+		total += part.Rows
+	}
+	out := storage.NewColumnarView(s, total)
 	for _, part := range parts {
 		out.AppendRows(part.Cols, nil, part.Rows)
 	}
-	return out, nil
+	return out
 }

@@ -417,8 +417,9 @@ func TestFrozenParallelScansShareOneView(t *testing.T) {
 // back to its program's pool, but the view it borrowed does not stay
 // reachable through it — once the snapshot is dropped, one collection
 // frees the view's lanes while the program lives on, sequential and
-// partitioned. (A sync.Pool keeps what it holds through one collection,
-// so a window of a lane left in a pooled run would survive this one.)
+// partitioned, run alone or as both sides of a pair scan. (A sync.Pool
+// keeps what it holds through one collection, so a window of a lane
+// left in a pooled run would survive this one.)
 func TestSharedColumnarReleasedByPooledScan(t *testing.T) {
 	db := storage.NewDatabase()
 	rel := storage.NewRelation(schema.New("t", schema.Col("k", types.KindInt), schema.Col("v", types.KindInt)))
@@ -431,35 +432,46 @@ func TestSharedColumnarReleasedByPooledScan(t *testing.T) {
 		In:    &algebra.Select{Cond: expr.Ge(expr.Column("v"), expr.IntConst(3)), In: &algebra.Scan{Rel: "t"}},
 	}
 	for name, opts := range map[string]exec.VecOptions{"sequential": {Workers: 1}, "parallel": parallelOptions} {
-		t.Run(name, func(t *testing.T) {
-			prog, err := exec.CompileVec(q, db, opts)
-			if err != nil {
-				t.Fatal(err)
+		for _, pair := range []bool{false, true} {
+			label := name
+			if pair {
+				label += "-pair"
 			}
-			released := make(chan int, 2)
-			func() {
-				frozen, _ := publish(t, db)
-				r, _ := frozen.Relation("t")
-				view, err := r.SharedColumnar()
+			t.Run(label, func(t *testing.T) {
+				prog, err := exec.CompileVec(q, db, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for c := range view.Cols {
-					runtime.SetFinalizer(&view.Cols[c].Ints[0], func(*int64) { released <- c })
+				released := make(chan int, 2)
+				func() {
+					frozen, _ := publish(t, db)
+					r, _ := frozen.Relation("t")
+					view, err := r.SharedColumnar()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for c := range view.Cols {
+						runtime.SetFinalizer(&view.Cols[c].Ints[0], func(*int64) { released <- c })
+					}
+					if pair {
+						_, _, err = exec.RunPairCtx(context.Background(), prog, prog, frozen)
+					} else {
+						_, err = prog.RunCtx(context.Background(), frozen)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}()
+				runtime.GC()
+				for range 2 {
+					select {
+					case <-released:
+					case <-time.After(5 * time.Second):
+						t.Fatal("a lane of the view outlived its snapshot: a pooled run still holds it")
+					}
 				}
-				if _, err := prog.RunCtx(context.Background(), frozen); err != nil {
-					t.Fatal(err)
-				}
-			}()
-			runtime.GC()
-			for range 2 {
-				select {
-				case <-released:
-				case <-time.After(5 * time.Second):
-					t.Fatal("a lane of the view outlived its snapshot: a pooled run still holds it")
-				}
-			}
-			runtime.KeepAlive(prog)
-		})
+				runtime.KeepAlive(prog)
+			})
+		}
 	}
 }

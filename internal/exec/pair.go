@@ -1,0 +1,283 @@
+package exec
+
+import (
+	"context"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+
+	"github.com/mahif/mahif/internal/storage"
+	"github.com/mahif/mahif/internal/types"
+)
+
+// PairRoute is how RunPairCtx answered a pair of programs: by one scan
+// that ran both, or by none, for one of the reasons below. Each
+// reason's caller runs the two programs one after the other instead.
+type PairRoute int
+
+const (
+	// Paired: both programs ran in one scan, and only the rows that
+	// differ at their position were kept.
+	Paired PairRoute = iota
+	// PairShape: a program is not one scan through a fused σ/Π chain,
+	// of the relation the other scans under the same options (a
+	// reenacted INSERT adds a union, a report a γ).
+	PairShape
+	// PairPrivate: the relation is private, not frozen: it has no
+	// shared columnar view for both programs to read.
+	PairPrivate
+	// PairMisaligned: the two programs kept different numbers of rows
+	// of one source batch (a DELETE, or a data-slicing σ on one side
+	// only), so their positions no longer line up.
+	PairMisaligned
+)
+
+// Residual is what a pair run keeps of its two results: the rows of
+// each that are not Equal to the other's row at their position, in
+// position order, and how many positions were compared — what
+// delta.ComputeResidual finishes a delta from.
+type Residual struct {
+	Old, New *storage.ColumnarView
+	Compared int
+}
+
+// RunPairCtx answers the delta's mark step for orig and mod, the two
+// reenactment programs of one relation, without keeping either result.
+// When each is one scan of the same frozen relation through its fused
+// σ/Π chain, it drives both chains over the same windows of the
+// relation's shared columnar view, batch by batch, in the partitions a
+// run of either alone would use. A batch's live rows are compared
+// position by position with storage.MarkUnequal, and only the rows that
+// differ are copied out.
+//
+// That is exact when every batch keeps as many live rows on one side
+// as on the other: the k-th live row of a batch is then at the same
+// position of both results, so the rows kept are the residual
+// delta.ComputeColumnar would find in RunColumnarCtx's two views. A
+// batch that breaks this stops the run with PairMisaligned; so do
+// shapes and relations outside the class (PairShape, PairPrivate).
+// Errors are those of running orig, then mod, each alone: orig's first
+// error in partition order wins, then mod's. Where a misaligned
+// partition comes before either, which error that is is not known, and
+// the route is PairMisaligned. A non-nil Residual comes with Paired.
+func RunPairCtx(ctx context.Context, orig, mod *Program, db *storage.Database) (*Residual, PairRoute, error) {
+	on, ok1 := orig.root.(*vpipeNode)
+	mn, ok2 := mod.root.(*vpipeNode)
+	if !ok1 || !ok2 || !strings.EqualFold(on.rel, mn.rel) || on.arity != mn.arity || on.cfg != mn.cfg || orig.out.Arity() != mod.out.Arity() {
+		return nil, PairShape, nil
+	}
+	r, view, err := on.source(db)
+	if err != nil {
+		return nil, Paired, err
+	}
+	// Each program's scan asks for the view, as it does when it runs
+	// alone: the view's hits count scans.
+	if _, _, err := mn.source(db); err != nil {
+		return nil, Paired, err
+	}
+	if view == nil {
+		return nil, PairPrivate, nil
+	}
+	pr := &pairRun{
+		orig: orig, mod: mod, on: on, mn: mn,
+		orc: orig.newRun(ctx, db, nil), mrc: mod.newRun(ctx, db, nil),
+		view: view,
+	}
+	parts := storage.PartitionTuples(r.Tuples, on.partitions(len(r.Tuples)))
+	pr.misaligned.Store(int64(len(parts)))
+	out := make([]pairPart, len(parts))
+	if len(parts) == 1 {
+		pr.runPart(0, 0, len(parts[0]), &out[0])
+	} else {
+		var wg sync.WaitGroup
+		lo := 0
+		for w, part := range parts {
+			wg.Add(1)
+			go func(w, lo, hi int) {
+				defer wg.Done()
+				pr.runPart(w, lo, hi, &out[w])
+			}(w, lo, lo+len(part))
+			lo += len(part)
+		}
+		wg.Wait()
+	}
+	for i := range out {
+		switch p := &out[i]; {
+		case p.origErr != nil:
+			return nil, Paired, p.origErr
+		case p.abandoned:
+			return nil, PairMisaligned, nil
+		}
+	}
+	res := &Residual{}
+	var olds, news []*storage.ColumnarView
+	for i := range out {
+		p := &out[i]
+		if p.modErr != nil {
+			return nil, Paired, p.modErr
+		}
+		olds, news = append(olds, p.old...), append(news, p.new...)
+		res.Compared += p.compared
+	}
+	res.Old, res.New = joinParts(orig.out, olds), joinParts(mod.out, news)
+	return res, Paired, nil
+}
+
+// pairRun is one RunPairCtx call's state, shared by its partitions.
+type pairRun struct {
+	orig, mod *Program
+	on, mn    *vpipeNode // their roots
+	orc, mrc  *runCtx
+	view      *storage.ColumnarView
+	// misaligned is the first partition, in partition order, known to
+	// misalign. The partitions after it stop at their next batch: the
+	// pair falls back unless a partition before it finds an error of the
+	// original side, which those go on to look for.
+	misaligned atomic.Int64
+}
+
+// misalign records that partition w misaligned.
+func (pr *pairRun) misalign(w int) {
+	for {
+		first := pr.misaligned.Load()
+		if first <= int64(w) || pr.misaligned.CompareAndSwap(first, int64(w)) {
+			return
+		}
+	}
+}
+
+// pairPart is what one partition of a pair run found.
+type pairPart struct {
+	old, new []*storage.ColumnarView // the rows that differ, a part per batch
+	compared int
+	// origErr and modErr are each side's first error in the partition.
+	// After modErr, only the original side runs on: its error would
+	// still win.
+	origErr, modErr error
+	// abandoned: the partition stopped before the original side had run
+	// every batch, because it or a partition before it misaligned.
+	abandoned bool
+}
+
+// runPart runs rows [lo, hi) of the view, partition w, through both
+// chains, a batch at a time, into out. Each side has its own source
+// batch over the same windows: a filter narrows its batch's selection
+// in place.
+func (pr *pairRun) runPart(w, lo, hi int, out *pairPart) {
+	ocr := pr.on.ch.getRun(&pr.on.runs, pr.on.cfg, pr.orc)
+	mcr := pr.mn.ch.getRun(&pr.mn.runs, pr.mn.cfg, pr.mrc)
+	defer func() {
+		// A run goes back to its pool without the view's windows.
+		ocr.release()
+		mcr.release()
+		pr.on.runs.Put(ocr)
+		pr.mn.runs.Put(mcr)
+	}()
+	width, bs := len(pr.view.Cols), pr.on.cfg.bs
+	osrc, msrc := ocr.sharedBatch(width), mcr.sharedBatch(width)
+	d := &pairDiff{neq: make([]bool, bs), oldRows: make([]int, 0, bs), newRows: make([]int, 0, bs)}
+	for start := lo; start < hi; start += bs {
+		if pr.misaligned.Load() < int64(w) {
+			out.abandoned = true
+			return
+		}
+		if err := pr.orc.ctx.Err(); err != nil {
+			out.origErr = err
+			return
+		}
+		end := min(start+bs, hi)
+		pr.view.Window(osrc.cols, start, end)
+		copy(msrc.cols, osrc.cols)
+		osrc.n, osrc.sel = end-start, nil
+		msrc.n, msrc.sel = end-start, nil
+		ob, err := ocr.apply(osrc)
+		if err != nil {
+			out.origErr = err
+			return
+		}
+		if out.modErr != nil {
+			continue
+		}
+		mb, err := mcr.apply(msrc)
+		if err != nil {
+			out.modErr = err
+			continue
+		}
+		if ob.live() != mb.live() {
+			out.abandoned = true
+			pr.misalign(w)
+			return
+		}
+		d.keep(pr, ob, mb, out)
+	}
+}
+
+// pairDiff is a partition's scratch for comparing its batches.
+type pairDiff struct {
+	neq              []bool
+	oldRows, newRows []int
+}
+
+// keep compares the live rows of ob and mb, which are as many, position
+// by position, and appends the ones that differ to out: a part of
+// exactly their size a side.
+func (d *pairDiff) keep(pr *pairRun, ob, mb *batch, out *pairPart) {
+	live := ob.live()
+	if live == 0 {
+		return
+	}
+	out.compared += live
+	arity := pr.orig.out.Arity()
+	neq := d.neq[:live]
+	clear(neq)
+	same := sameRows(ob.sel, mb.sel)
+	for c := 0; c < arity; c++ {
+		if same && sameCells(&ob.cols[c], &mb.cols[c]) {
+			continue
+		}
+		storage.MarkUnequal(neq, &ob.cols[c], ob.sel, &mb.cols[c], mb.sel)
+	}
+	d.oldRows, d.newRows = d.oldRows[:0], d.newRows[:0]
+	for k, differs := range neq {
+		if differs {
+			d.oldRows = append(d.oldRows, liveRow(ob.sel, k))
+			d.newRows = append(d.newRows, liveRow(mb.sel, k))
+		}
+	}
+	if len(d.oldRows) == 0 {
+		return
+	}
+	op := storage.NewColumnarView(pr.orig.out, len(d.oldRows))
+	op.AppendRows(ob.cols[:arity], d.oldRows, ob.n)
+	np := storage.NewColumnarView(pr.mod.out, len(d.newRows))
+	np.AppendRows(mb.cols[:arity], d.newRows, mb.n)
+	out.old, out.new = append(out.old, op), append(out.new, np)
+}
+
+// sameRows reports whether two selections list the same rows.
+func sameRows(a, b []int) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return slices.Equal(a, b)
+}
+
+// sameCells reports whether two columns read the same cells of one int
+// or string lane, masks included — a column neither side's chain wrote,
+// aliasing the source window on both — so that, read at the same rows,
+// they are Equal everywhere. A float lane is compared all the same: NaN
+// is not Equal to itself.
+func sameCells(a, b *storage.ColVec) bool {
+	switch {
+	case a.Kind != b.Kind || (a.Nulls == nil) != (b.Nulls == nil):
+		return false
+	case a.Nulls != nil && !sameArray(a.Nulls, b.Nulls):
+		return false
+	case a.Kind == types.KindInt:
+		return sameArray(a.Ints, b.Ints)
+	case a.Kind == types.KindString:
+		return sameArray(a.Strs, b.Strs)
+	}
+	return false
+}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/schema"
@@ -27,11 +28,15 @@ const DefaultBatchSize = 1024
 // Ownership: a batch and its columns are valid only for the duration of
 // the consumer's emit call — producers reuse the backing storage for
 // the next batch. Consumers that retain data (the join's build side,
-// the materializing sink) copy rows out via materializeRows.
+// the sinks) copy rows out. The one exception is a batch a parallel
+// scan froze (frozen): its lanes are its own, exactly sized, and
+// nothing writes them once it is emitted, so a sink may keep them as
+// they are while sel is still nil.
 type batch struct {
-	cols []storage.ColVec
-	n    int
-	sel  []int
+	cols   []storage.ColVec
+	n      int
+	sel    []int
+	frozen bool
 }
 
 // live returns the number of selected rows.
@@ -87,14 +92,20 @@ func materializeRows(b *batch, arity int) []schema.Tuple {
 // freezeBatch compacts the live rows of b into an owned batch
 // (sel == nil), preserving each column's lane. Parallel scan workers
 // freeze their output batches so the ordered merge can buffer them
-// while the worker's scratch moves on to the next batch.
+// while the worker's scratch moves on to the next batch. A NULL mask
+// with no live NULL is dropped, as AppendRows drops it, so a sink that
+// keeps the batch's lanes holds the lanes it would have copied.
 func freezeBatch(b *batch, arity int) *batch {
 	live := b.live()
 	cols := make([]storage.ColVec, arity)
 	for c := range cols {
-		cols[c].CompactFrom(&b.cols[c], b.sel, live)
+		col := &cols[c]
+		col.CompactFrom(&b.cols[c], b.sel, live)
+		if col.Nulls != nil && !slices.Contains(col.Nulls, true) {
+			col.Nulls = nil
+		}
 	}
-	return &batch{cols: cols, n: live}
+	return &batch{cols: cols, n: live, frozen: true}
 }
 
 // vecPool recycles kernel-internal scratch buffers (comparison and

@@ -69,6 +69,14 @@ var sessionMetrics = []sessionMetric{
 		func(st core.SessionStats) int64 { return int64(st.Reports.Provisioned) }},
 	{"reports_patched_total", "Aggregate reports answered by patching the whole relation and re-aggregating it (a MIN/MAX the merge cannot decide, or a query shape it does not cover), per session.", "counter",
 		func(st core.SessionStats) int64 { return int64(st.Reports.Patched) }},
+	{"pairs_total", "Relations whose two reenactment sides ran as one pair scan that kept only the rows differing at their position, per session.", "counter",
+		func(st core.SessionStats) int64 { return st.Pairs.Paired }},
+	{"pair_fallbacks_shape_total", "Relations whose two compiled reenactment sides ran one after the other because a side is not one scan through a fused selection/projection chain (a reenacted INSERT), per session.", "counter",
+		func(st core.SessionStats) int64 { return st.Pairs.Shape }},
+	{"pair_fallbacks_private_total", "Relations whose two compiled reenactment sides ran one after the other because the relation is not a frozen snapshot relation, per session.", "counter",
+		func(st core.SessionStats) int64 { return st.Pairs.Private }},
+	{"pair_fallbacks_misaligned_total", "Relations whose two compiled reenactment sides ran one after the other because a source batch kept different row counts on the two sides (a DELETE), per session.", "counter",
+		func(st core.SessionStats) int64 { return st.Pairs.Misaligned }},
 }
 
 // series is one unlabelled series of /metrics: its name, HELP text,

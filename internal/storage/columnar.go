@@ -794,3 +794,88 @@ func (c *ColVec) gatherInto(dst []types.Value, stride int, rows []int, n int) {
 		}
 	}
 }
+
+// MarkUnequal sets neq[k] for every k < len(neq) at which the k-th
+// live cell of a and the k-th live cell of b are not types.Value.Equal;
+// it never clears a mark. aSel lists a's live cells (ascending row
+// numbers), or is nil for cells 0..len(neq)-1, and bSel likewise. These
+// are the delta's positional kernels: delta.ComputeColumnar compares
+// two whole results with no selection, the executor's pair run
+// (exec.RunPairCtx) the live rows of two batches under their selection
+// vectors, so both keep one set of Equal rules. Typed lanes compare in
+// typed loops, an int lane with a float lane as float64s; a column on
+// two different non-numeric lanes, or on the boxed lane, compares
+// boxed cells.
+func MarkUnequal(neq []bool, a *ColVec, aSel []int, b *ColVec, bSel []int) {
+	switch {
+	case a.Kind == types.KindInt && b.Kind == types.KindInt:
+		markLane(neq, a.Ints, b.Ints, aSel, bSel, a.Nulls, b.Nulls)
+	case a.Kind == types.KindFloat && b.Kind == types.KindFloat:
+		markLane(neq, a.Floats, b.Floats, aSel, bSel, a.Nulls, b.Nulls)
+	case a.Kind == types.KindString && b.Kind == types.KindString:
+		markLane(neq, a.Strs, b.Strs, aSel, bSel, a.Nulls, b.Nulls)
+	case a.Kind == types.KindInt && b.Kind == types.KindFloat:
+		markIntFloat(neq, a.Ints, b.Floats, aSel, bSel, a.Nulls, b.Nulls)
+	case a.Kind == types.KindFloat && b.Kind == types.KindInt:
+		markIntFloat(neq, b.Ints, a.Floats, bSel, aSel, b.Nulls, a.Nulls)
+	default:
+		for k := range neq {
+			if !neq[k] && !a.Value(selRow(aSel, k)).Equal(b.Value(selRow(bSel, k))) {
+				neq[k] = true
+			}
+		}
+	}
+}
+
+// selRow is the row of the k-th live cell under sel.
+func selRow(sel []int, k int) int {
+	if sel == nil {
+		return k
+	}
+	return sel[k]
+}
+
+// markLane compares two typed lanes of one kind. != on T is Value.Equal
+// for that kind: exact on ints and strings, IEEE on floats. The two
+// shapes without NULL masks, no selection on either side and a
+// selection on both, run without a per-cell branch.
+func markLane[T comparable](neq []bool, x, y []T, xs, ys []int, xNull, yNull []bool) {
+	switch {
+	case xNull != nil || yNull != nil:
+	case xs == nil && ys == nil:
+		x, y = x[:len(neq)], y[:len(neq)]
+		for i := range neq {
+			if x[i] != y[i] {
+				neq[i] = true
+			}
+		}
+		return
+	case xs != nil && ys != nil:
+		xs, ys = xs[:len(neq)], ys[:len(neq)]
+		for k := range neq {
+			if x[xs[k]] != y[ys[k]] {
+				neq[k] = true
+			}
+		}
+		return
+	}
+	for k := range neq {
+		i, j := selRow(xs, k), selRow(ys, k)
+		nx, ny := xNull != nil && xNull[i], yNull != nil && yNull[j]
+		if nx != ny || (!nx && x[i] != y[j]) {
+			neq[k] = true
+		}
+	}
+}
+
+// markIntFloat compares an int lane with a float lane the way
+// Value.Equal compares an int with a float: as float64s.
+func markIntFloat(neq []bool, x []int64, y []float64, xs, ys []int, xNull, yNull []bool) {
+	for k := range neq {
+		i, j := selRow(xs, k), selRow(ys, k)
+		nx, ny := xNull != nil && xNull[i], yNull != nil && yNull[j]
+		if nx != ny || (!nx && float64(x[i]) != y[j]) {
+			neq[k] = true
+		}
+	}
+}

@@ -224,6 +224,10 @@ type (
 	// historical state, or patched, by reason); SessionStats.Reports and
 	// TemplateStats.Reports carry one.
 	ReportRoutes = core.ReportRoutes
+	// PairRoutes counts the pairs of reenactment sides that ran as one
+	// pair scan, and those that ran one after the other, by reason;
+	// SessionStats.Pairs carries one.
+	PairRoutes = core.PairRoutes
 	// Delta is the annotated symmetric difference for one relation.
 	Delta = delta.Result
 	// DeltaSet maps relation names to their deltas.
