@@ -751,7 +751,7 @@ func (c *compiler) compileVecNode(q algebra.Query, db *storage.Database) (vecNod
 		if err != nil {
 			return nil, nil, err
 		}
-		cond, err := c.compileVecWhereTruth(x.Cond, s)
+		cond, err := c.compileVecTruth(x.Cond, s, whereTruth)
 		if err != nil {
 			return nil, nil, err
 		}

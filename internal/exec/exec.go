@@ -11,7 +11,12 @@
 //     attribute reference is resolved against the input schema once, at
 //     compile time. They are the executor's one expression compiler:
 //     package history's statement application runs the same
-//     kernels over the candidate rows it gathers (TupleKernel).
+//     kernels over the candidate rows it gathers (TupleKernel). A
+//     comparison of a column with a constant or a $slot runs one typed
+//     kernel per lane; AND and OR compile through one lazy combinator
+//     that differs only in its dominant truth value, so a conjunction
+//     of comparisons runs leg by leg, each leg over the rows the legs
+//     before it left undecided.
 //
 //   - Operators exchange 1024-row column-major batches with selection
 //     vectors. Consecutive σ/Π nodes — the shape reenactment produces,

@@ -36,6 +36,13 @@ func truthOf(v types.Value) (truth, error) {
 	return tFalse, nil
 }
 
+// whereTruth converts a condition's value under WHERE semantics: only
+// TRUE satisfies; NULL and a non-boolean are not satisfied, never an
+// error (expr.Satisfied).
+func whereTruth(v types.Value) (truth, error) {
+	return boolTruth(v.IsTrue()), nil
+}
+
 func (t truth) value() types.Value {
 	switch t {
 	case tTrue:

@@ -148,8 +148,9 @@ func laneEdgeDBs() map[string]*storage.Database {
 }
 
 // laneEdgeQueries are scans of t whose kernels specialise on the lane:
-// typed comparisons at the int/float precision boundary, fused
-// conjunctions, every typedIf producer under a data-slicing σ, the
+// typed comparisons at the int/float precision boundary, three-leg
+// conjunctions and disjunctions over the int, float and string lanes,
+// every typedIf producer under a data-slicing σ, the
 // boxed arithmetic fallback, multiset operators, an aggregate, and two
 // shapes that fail on some row.
 func laneEdgeQueries(t *testing.T, db *storage.Database) map[string]algebra.Query {
@@ -184,8 +185,11 @@ func laneEdgeQueries(t *testing.T, db *storage.Database) map[string]algebra.Quer
 		"int-lt-neg-2^53": sel("k < -9007199254740992", scan()),
 		"float-ge-2^53":   sel("f >= 9007199254740992", scan()),
 		"null-or-string":  sel("v IS NULL OR g = 'a'", scan()),
-		"fused-and":       sel("f < 3 AND g = 'b' AND v >= 2", scan()),
-		"reenact-chain":   chain,
+		"and-three-lanes": sel("f < 3 AND g = 'b' AND v >= 2", scan()),
+		// The OR mirror of the conjunction, under a NOT: a row whose OR is
+		// FALSE and one whose OR is NULL leave the σ differently.
+		"or-three-lanes": sel("NOT (f >= 3 OR g <> 'b' OR v < 2)", scan()),
+		"reenact-chain":  chain,
 		// A SET that writes a float into an int column, in later batches
 		// only: the column leaves its lane inside one result.
 		"set-float-into-int": set(1, "k >= 1500", expr.Mul(expr.Column("v"), expr.FloatConst(1.5)), scan()),

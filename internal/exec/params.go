@@ -13,18 +13,18 @@ import (
 // draws), never with the Program. One Program therefore answers any
 // number of bindings, concurrently.
 //
-// Four kernels specialize on a constant's value: the column-vs-constant
-// comparison, the fused conjunction's legs, the typed IF's THEN and the
-// column∘constant arithmetic. At a param site each keeps its
-// value-independent part (column ordinal, truth table, orientation, the
-// generic fallback) from compile time, and the compiler records the
-// site's builder: the value-dependent part made from the bound values
-// with the same builder a literal is compiled with. Each run calls every
-// builder once (Program.newRun) and hands the kernels to its pools
-// beside the parameter vector. A run therefore picks, site by site,
-// exactly the kernel CompileVec would pick for the query with the
-// binding substituted — NULL, an int where a float was or a string
-// included, down to the generic one.
+// Three kernels specialize on a constant's value: the column-vs-constant
+// comparison (every leg of a conjunction or disjunction included), the
+// typed IF's THEN and the column∘constant arithmetic. At a param site
+// each keeps its value-independent part (column ordinal, truth table,
+// orientation, the generic fallback) from compile time, and the
+// compiler records the site's builder: the value-dependent part made
+// from the bound values with the same builder a literal is compiled
+// with. Each run calls every builder once (Program.newRun) and hands
+// the kernels to its pools beside the parameter vector. A run therefore
+// picks, site by site, exactly the kernel CompileVec would pick for the
+// query with the binding substituted — NULL, an int where a float was
+// or a string included, down to the generic one.
 
 // compiler is one CompileVec or CompileTupleKernel call's state: the
 // parameter slots its expressions name and the builders of its param

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -31,7 +32,8 @@ var paramEdges = []types.Value{
 // paramDBs are windows of 300 rows of the lane-edge databases: NULL
 // masks that end inside the window, one kind-deviant cell that boxes its
 // column, the int/float precision boundary, an all-NULL relation and an
-// empty one.
+// empty one; and a NULL-heavy window with NaN in every seventh float
+// cell, which the comparison kernels hand to the interpreter's rules.
 func paramDBs() map[string]*storage.Database {
 	window := func(db *storage.Database, lo int) *storage.Database {
 		r, err := db.Relation("t")
@@ -45,7 +47,24 @@ func paramDBs() map[string]*storage.Database {
 		return out
 	}
 	edge := laneEdgeDBs()
+	nan := storage.NewDatabase()
+	{
+		r, err := window(edge["null-heavy"], 900).Relation("t")
+		if err != nil {
+			panic(err)
+		}
+		w := storage.NewRelation(r.Schema)
+		for i, tp := range r.Tuples {
+			tp = slices.Clone(tp)
+			if i%7 == 0 {
+				tp[2] = types.Float(math.NaN())
+			}
+			w.Add(tp)
+		}
+		nan.AddRelation(w)
+	}
 	return map[string]*storage.Database{
+		"nan-cells":          nan,
 		"null-heavy":         window(edge["null-heavy"], 900),
 		"one-deviant-cell":   window(edge["one-deviant-cell"], 1400),
 		"int-float-boundary": window(edge["int-float-boundary"], 0),
@@ -56,8 +75,8 @@ func paramDBs() map[string]*storage.Database {
 
 // paramShapes are scans of t(k int, v int, f float, g string) with
 // $p and $q wherever a kernel specializes on a constant's value — the
-// column-vs-constant comparison in both orientations, fused conjunctions
-// with literal and slotted legs, every typed IF producer with the
+// column-vs-constant comparison in both orientations, conjunctions and
+// disjunctions with literal and slotted legs, every typed IF producer with the
 // constant on either side, column∘constant arithmetic — and where it
 // does not: a slot against a slot, a bare slot as a condition, division,
 // a γ over a slotted σ (a template's slice count), and a reenactment
@@ -94,6 +113,7 @@ func paramShapes(t *testing.T, db *storage.Database) map[string]algebra.Query {
 		"band-literal-leg": sel("v >= 10 AND k < $p", scan()),
 		"band-string-leg":  sel("g >= 'b' AND f < $p", scan()),
 		"band-three-legs":  sel("k >= $p AND f < 5 AND g <> $q", scan()),
+		"or-three-legs":    sel("NOT (k < $p OR f >= 5 OR g = $q)", scan()),
 		"band-same-slot":   sel("k <> $p AND v = $p", scan()),
 		"band-string-slot": sel("k >= 0 AND g < $p", scan()),
 		"if-const-int":     set(1, "v >= 100", p, scan()),

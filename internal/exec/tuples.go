@@ -62,7 +62,7 @@ func CompileTupleKernel(cond expr.Expr, exprs []expr.Expr, s *schema.Schema) (*T
 		}
 	}
 	if cond != nil {
-		fn, err := c.compileVecWhereTruth(cond, s)
+		fn, err := c.compileVecTruth(cond, s, whereTruth)
 		if err != nil {
 			return nil, err
 		}

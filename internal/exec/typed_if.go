@@ -92,7 +92,7 @@ func (c *compiler) recognizeTypedIf(x *expr.If, s *schema.Schema) (*typedIf, err
 			return &run
 		})
 	}
-	cond, err := c.compileVecWhereTruth(x.Cond, s)
+	cond, err := c.compileVecTruth(x.Cond, s, whereTruth)
 	if err != nil {
 		return nil, err
 	}

@@ -290,7 +290,7 @@ func (c *compiler) compileVecScalar(e expr.Expr, s *schema.Schema) (vecScalarFn,
 			return nil
 		}, nil
 	case *expr.If:
-		cond, err := c.compileVecWhereTruth(x.Cond, s)
+		cond, err := c.compileVecTruth(x.Cond, s, whereTruth)
 		if err != nil {
 			return nil, err
 		}
@@ -535,110 +535,11 @@ func (c *compiler) compileVecCond(e expr.Expr, s *schema.Schema) (vecCondFn, err
 	case *expr.Cmp:
 		return c.compileVecCmp(x, s)
 	case *expr.And:
-		l, err := c.compileVecCondStrict(x.L, s)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compileVecCondStrict(x.R, s)
-		if err != nil {
-			return nil, err
-		}
-		generic := func(p *vecPool, b *batch, sel []int, out []truth) error {
-			if err := l(p, b, sel, out); err != nil {
-				return err
-			}
-			// The right operand runs only over rows the left did not
-			// decide — exactly when the interpreter evaluates it.
-			rest := p.getSel()
-			defer p.putSel(rest)
-			if sel == nil {
-				for i := 0; i < b.n; i++ {
-					if out[i] != tFalse {
-						rest = append(rest, i)
-					}
-				}
-			} else {
-				for _, i := range sel {
-					if out[i] != tFalse {
-						rest = append(rest, i)
-					}
-				}
-			}
-			if len(rest) == 0 {
-				return nil
-			}
-			rv := p.getTruths()
-			defer p.putTruths(rv)
-			if err := r(p, b, rest, rv); err != nil {
-				return err
-			}
-			for _, i := range rest {
-				if out[i] == tTrue {
-					out[i] = rv[i]
-					continue
-				}
-				// Left is NULL: FALSE dominates, anything else is NULL.
-				if rv[i] == tFalse {
-					out[i] = tFalse
-				} else {
-					out[i] = tNull
-				}
-			}
-			return nil
-		}
-		return c.recognizeFusedAnd(x, s, generic), nil
+		return c.compileVecConnective(x.L, x.R, tFalse, s)
 	case *expr.Or:
-		l, err := c.compileVecCondStrict(x.L, s)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compileVecCondStrict(x.R, s)
-		if err != nil {
-			return nil, err
-		}
-		return func(p *vecPool, b *batch, sel []int, out []truth) error {
-			if err := l(p, b, sel, out); err != nil {
-				return err
-			}
-			rest := p.getSel()
-			defer p.putSel(rest)
-			if sel == nil {
-				for i := 0; i < b.n; i++ {
-					if out[i] != tTrue {
-						rest = append(rest, i)
-					}
-				}
-			} else {
-				for _, i := range sel {
-					if out[i] != tTrue {
-						rest = append(rest, i)
-					}
-				}
-			}
-			if len(rest) == 0 {
-				return nil
-			}
-			rv := p.getTruths()
-			defer p.putTruths(rv)
-			if err := r(p, b, rest, rv); err != nil {
-				return err
-			}
-			for _, i := range rest {
-				if out[i] == tFalse {
-					out[i] = rv[i]
-					continue
-				}
-				// Left is NULL: TRUE dominates, anything else is NULL.
-				if rv[i] == tTrue {
-					out[i] = tTrue
-				} else {
-					out[i] = tNull
-				}
-			}
-			return nil
-		}, nil
+		return c.compileVecConnective(x.L, x.R, tTrue, s)
 	case *expr.Not:
-		in, err := c.compileVecCondStrict(x.E, s)
+		in, err := c.compileVecTruth(x.E, s, truthOf)
 		if err != nil {
 			return nil, err
 		}
@@ -729,11 +630,13 @@ func boolTruth(ok bool) truth {
 	return tFalse
 }
 
-// compileVecCondStrict compiles a connective operand: boolean nodes at
-// the truth level, anything else as a scalar whose non-NULL non-boolean
-// results are evaluation errors (the interpreter's evalAndOr and NOT
-// semantics).
-func (c *compiler) compileVecCondStrict(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
+// compileVecTruth compiles a condition to the truth level: boolean
+// nodes directly, anything else as a scalar whose results conv turns
+// into truth values — truthOf for a connective operand (a non-NULL
+// non-boolean is an evaluation error, the interpreter's evalAndOr and
+// NOT semantics), whereTruth for a WHERE or IF condition (a
+// non-boolean is not satisfied, mirroring expr.Satisfied).
+func (c *compiler) compileVecTruth(e expr.Expr, s *schema.Schema, conv func(types.Value) (truth, error)) (vecCondFn, error) {
 	if isBoolNode(e) {
 		return c.compileVecCond(e, s)
 	}
@@ -749,7 +652,7 @@ func (c *compiler) compileVecCondStrict(e expr.Expr, s *schema.Schema) (vecCondF
 		}
 		if sel == nil {
 			for r := 0; r < b.n; r++ {
-				t, err := truthOf(sv[r])
+				t, err := conv(sv[r])
 				if err != nil {
 					return err
 				}
@@ -757,7 +660,7 @@ func (c *compiler) compileVecCondStrict(e expr.Expr, s *schema.Schema) (vecCondF
 			}
 		} else {
 			for _, r := range sel {
-				t, err := truthOf(sv[r])
+				t, err := conv(sv[r])
 				if err != nil {
 					return err
 				}
@@ -768,31 +671,60 @@ func (c *compiler) compileVecCondStrict(e expr.Expr, s *schema.Schema) (vecCondF
 	}, nil
 }
 
-// compileVecWhereTruth compiles a condition under WHERE semantics to
-// the truth level: rows satisfy iff the result is tTrue; NULL and
-// non-boolean results count as not satisfied, never as errors (mirrors
-// expr.Satisfied).
-func (c *compiler) compileVecWhereTruth(e expr.Expr, s *schema.Schema) (vecCondFn, error) {
-	if isBoolNode(e) {
-		return c.compileVecCond(e, s)
-	}
-	fn, err := c.compileVecScalar(e, s)
+// compileVecConnective lowers AND (dom tFalse) and OR (dom tTrue): the
+// connective's dominant truth value decides a row whichever the other
+// operand is. The right operand runs only over the rows the left did
+// not decide — exactly when the interpreter evaluates it.
+func (c *compiler) compileVecConnective(le, re expr.Expr, dom truth, s *schema.Schema) (vecCondFn, error) {
+	l, err := c.compileVecTruth(le, s, truthOf)
 	if err != nil {
 		return nil, err
 	}
+	r, err := c.compileVecTruth(re, s, truthOf)
+	if err != nil {
+		return nil, err
+	}
+	unit := tTrue // the operand value that leaves the other one as it is
+	if dom == tTrue {
+		unit = tFalse
+	}
 	return func(p *vecPool, b *batch, sel []int, out []truth) error {
-		sv := p.getVals()
-		defer p.putVals(sv)
-		if err := fn(p, b, sel, sv); err != nil {
+		if err := l(p, b, sel, out); err != nil {
 			return err
 		}
+		rest := p.getSel()
+		defer p.putSel(rest)
 		if sel == nil {
-			for r := 0; r < b.n; r++ {
-				out[r] = boolTruth(sv[r].IsTrue())
+			for i := 0; i < b.n; i++ {
+				if out[i] != dom {
+					rest = append(rest, i)
+				}
 			}
 		} else {
-			for _, r := range sel {
-				out[r] = boolTruth(sv[r].IsTrue())
+			for _, i := range sel {
+				if out[i] != dom {
+					rest = append(rest, i)
+				}
+			}
+		}
+		if len(rest) == 0 {
+			return nil
+		}
+		rv := p.getTruths()
+		defer p.putTruths(rv)
+		if err := r(p, b, rest, rv); err != nil {
+			return err
+		}
+		for _, i := range rest {
+			if out[i] == unit {
+				out[i] = rv[i]
+				continue
+			}
+			// Left is NULL: the dominant value wins, anything else is NULL.
+			if rv[i] == dom {
+				out[i] = dom
+			} else {
+				out[i] = tNull
 			}
 		}
 		return nil
@@ -1045,6 +977,98 @@ func colConstCmpKernel(op expr.CmpOp, idx int, lut [3]truth, cv types.Value) vec
 		}
 	}
 	return nil
+}
+
+// intCmpPlan is the integer-threshold form of a comparison against a
+// numeric constant: float64(a) OP cf reduced to lo <= a <= hi (truth
+// tIn inside the range, tOut outside). float64() over int64 is
+// monotone non-decreasing, so every OP's satisfying set is an interval
+// of int64 — including beyond 2^53, where several integers round to
+// one float. The reduction replaces a convert, two float compares, and
+// a table load per cell with two integer compares, and is exact for
+// every int64 (the interval ends come from a binary search of the
+// rounding function itself, not from a float round-trip).
+type intCmpPlan struct {
+	lo, hi    int64
+	tIn, tOut truth
+}
+
+// intCmpPlanFor builds the plan; ok is false for ops outside the LUT
+// domain. cf must not be NaN.
+func intCmpPlanFor(op expr.CmpOp, cf float64) (intCmpPlan, bool) {
+	const minI, maxI = int64(math.MinInt64), int64(math.MaxInt64)
+	empty := func(tIn, tOut truth) intCmpPlan { return intCmpPlan{lo: 1, hi: 0, tIn: tIn, tOut: tOut} }
+	switch op {
+	case expr.CmpGe, expr.CmpLt:
+		tIn, tOut := tTrue, tFalse
+		if op == expr.CmpLt {
+			tIn, tOut = tFalse, tTrue
+		}
+		if g, ok := minIntGe(cf); ok {
+			return intCmpPlan{lo: g, hi: maxI, tIn: tIn, tOut: tOut}, true
+		}
+		return empty(tIn, tOut), true
+	case expr.CmpLe, expr.CmpGt:
+		tIn, tOut := tTrue, tFalse
+		if op == expr.CmpGt {
+			tIn, tOut = tFalse, tTrue
+		}
+		if g, ok := maxIntLe(cf); ok {
+			return intCmpPlan{lo: minI, hi: g, tIn: tIn, tOut: tOut}, true
+		}
+		return empty(tIn, tOut), true
+	case expr.CmpEq, expr.CmpNe:
+		tIn, tOut := tTrue, tFalse
+		if op == expr.CmpNe {
+			tIn, tOut = tFalse, tTrue
+		}
+		lo, ok1 := minIntGe(cf)
+		hi, ok2 := maxIntLe(cf)
+		if !ok1 || !ok2 || lo > hi {
+			return empty(tIn, tOut), true
+		}
+		return intCmpPlan{lo: lo, hi: hi, tIn: tIn, tOut: tOut}, true
+	}
+	return intCmpPlan{}, false
+}
+
+// minIntGe returns the smallest int64 a with float64(a) >= cf, ok
+// false when no int64 satisfies it. Binary search over the full int64
+// domain on the monotone predicate — immune to rounding plateaus.
+func minIntGe(cf float64) (int64, bool) {
+	if float64(int64(math.MaxInt64)) < cf {
+		return 0, false
+	}
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	for lo < hi {
+		mid := int64(uint64(lo) + (uint64(hi)-uint64(lo))/2)
+		if float64(mid) >= cf {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, true
+}
+
+// maxIntLe is the mirror: the largest int64 a with float64(a) <= cf.
+func maxIntLe(cf float64) (int64, bool) {
+	if float64(int64(math.MinInt64)) > cf {
+		return 0, false
+	}
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	for lo < hi {
+		// Upper midpoint via d/2 + d&1 — (d+1)/2 would overflow when
+		// the window spans the whole int64 domain.
+		d := uint64(hi) - uint64(lo)
+		mid := int64(uint64(lo) + d/2 + d&1)
+		if float64(mid) <= cf {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo, true
 }
 
 // orderAgainst three-way-compares two non-NaN floats, shifted into LUT
