@@ -200,8 +200,13 @@ func randomStatement(rng *rand.Rand, i int) mahif.Statement {
 			`INSERT INTO %s SELECT k, v, g FROM %s WHERE %s`, rel, src, randomCondSQL(rng)))
 	default:
 		set := fmt.Sprintf("v = v + %d", 1+rng.Intn(5))
-		if rng.Intn(3) == 0 {
+		switch rng.Intn(6) {
+		case 0, 1:
 			set = fmt.Sprintf("v = %d, k = k + 1", rng.Intn(30))
+		case 2:
+			// A later clause reads a column an earlier one assigns: it
+			// must read the old value, as every SET expression does.
+			set = fmt.Sprintf("k = k + %d, v = k", 1+rng.Intn(5))
 		}
 		return mahif.MustParseStatement(fmt.Sprintf(
 			`UPDATE %s SET %s WHERE %s`, rel, set, randomCondSQL(rng)))

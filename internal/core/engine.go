@@ -551,6 +551,7 @@ func (ev evaluator) diff(r relPlan, db *storage.Database, st *Stats) (*delta.Res
 		if res != nil {
 			t1 := time.Now()
 			d, work := delta.ComputeResidual(res.Old, res.New, res.Compared)
+			res.Release()
 			st.addTimes(t1.Sub(t0), time.Since(t1))
 			return d, work, nil
 		}

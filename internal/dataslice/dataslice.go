@@ -9,15 +9,24 @@
 //	delete/delete:  θ_u' for H, θ_u for H[M] (simplified Eq. 8)
 //	insert/insert:  none — base tuples pass through inserts unchanged
 //
-// and are pushed down through the p preceding statements per side
-// (Fig. 9): substitution through updates, unchanged through deletes and
-// constant inserts, and through INSERT…SELECT via the relational
-// push-down (θ)[S]↓Q, which spawns conditions for the query's input
-// relations. Conditions from multiple modifications are combined by
-// disjunction (Thm. 2).
+// The update/update disjunction is folded into one comparison when θ_u
+// and θ_u' differ only in the constant of one comparison of a column
+// that bounds it from the same side, constants of one numeric kind:
+// (φ ∧ A ≥ 50) ∨ (φ ∧ A ≥ 60) is φ ∧ A ≥ 50. The standard what-if, one
+// statement under another threshold, then filters by one comparison a
+// row instead of two (see looser).
+//
+// The conditions are pushed down through the p preceding statements
+// per side (Fig. 9): substitution through updates, unchanged through
+// deletes and constant inserts, and through INSERT…SELECT via the
+// relational push-down (θ)[S]↓Q, which spawns conditions for the
+// query's input relations. Conditions from multiple modifications are
+// combined by disjunction (Thm. 2).
 package dataslice
 
 import (
+	"cmp"
+	"math"
 	"strings"
 
 	"github.com/mahif/mahif/internal/algebra"
@@ -25,6 +34,7 @@ import (
 	"github.com/mahif/mahif/internal/history"
 	"github.com/mahif/mahif/internal/reenact"
 	"github.com/mahif/mahif/internal/storage"
+	"github.com/mahif/mahif/internal/types"
 )
 
 // Conditions holds per-relation slicing filters for the two histories.
@@ -200,6 +210,9 @@ func baseCondition(u, uNew history.Statement, modified bool) expr.Expr {
 		if !ok {
 			return expr.True
 		}
+		if w := looser(a.Where, b.Where); w != nil {
+			return expr.Simplify(w)
+		}
 		return expr.Simplify(expr.OrOf(a.Where, b.Where))
 	case *history.Delete:
 		b, ok := uNew.(*history.Delete)
@@ -214,6 +227,108 @@ func baseCondition(u, uNew history.Statement, modified bool) expr.Expr {
 		return nil
 	}
 	return expr.True
+}
+
+// looser is θ ∨ θ' as one condition when the two have the same
+// conjuncts in the same order but at one place, where each compares one
+// column with a constant, bounding it from the same side (> and ≥, or <
+// and ≤, in either operand order): the disjunction is then the
+// conjunction with the looser comparison in that place. It is nil
+// otherwise.
+//
+// That is exact under SQL's three-valued logic, errors included. Where
+// both conjunctions share every other conjunct φ, (φ ∧ c) ∨ (φ ∧ c') is
+// φ ∧ (c ∨ c'), and c ∨ c' is the looser of the two when it holds
+// wherever the other does: on a NULL cell both are NULL, and a cell of
+// another kind fails both comparisons with the same error. A row reaches
+// a conjunct after the folded one exactly when it reached it in one of
+// the two disjuncts, so it errors on the same rows. The engine orders
+// numbers as float64 (types.Value.Compare), which rounding keeps
+// monotone, so the looser bound of two constants of one kind is looser
+// for every number. A NaN cell compares equal to every constant: it
+// satisfies ≥ and ≤ and fails > and <, whatever the bound, so a strict
+// comparison is never looser than a non-strict one (c > 3 ∨ c ≥ 5 stays
+// a disjunction). A NaN constant compares equal to everything, and an
+// int against a float constant past 2^53 may order either way: such
+// pairs, and any constant that is not a number, stay a disjunction.
+func looser(a, b expr.Expr) expr.Expr {
+	ac, bc := expr.Conjuncts(a), expr.Conjuncts(b)
+	if len(ac) != len(bc) {
+		return nil
+	}
+	at := -1
+	for i := range ac {
+		if expr.Equal(ac[i], bc[i]) {
+			continue
+		}
+		if at >= 0 {
+			return nil
+		}
+		at = i
+	}
+	if at < 0 {
+		return nil // the same condition: Simplify folds θ ∨ θ
+	}
+	w := looserBound(ac[at], bc[at])
+	if w == nil {
+		return nil
+	}
+	out := append([]expr.Expr(nil), ac...)
+	out[at] = w
+	return expr.AndOf(out...)
+}
+
+// looserBound returns whichever of two comparisons of one column with
+// a non-NaN numeric constant of one kind holds wherever the other does,
+// NaN cells included, both bounding the column from the same side; nil
+// when they do not have that shape or neither holds wherever the other
+// does.
+func looserBound(x, y expr.Expr) expr.Expr {
+	xc, xop, xk, ok1 := colBound(x)
+	yc, yop, yk, ok2 := colBound(y)
+	lower := func(op expr.CmpOp) bool { return op == expr.CmpGt || op == expr.CmpGe }
+	if !ok1 || !ok2 || !strings.EqualFold(xc, yc) || xk.Kind() != yk.Kind() || lower(xop) != lower(yop) {
+		return nil
+	}
+	order := cmp.Compare(xk.AsFloat(), yk.AsFloat())
+	if xk.Kind() == types.KindInt {
+		order = cmp.Compare(xk.AsInt(), yk.AsInt())
+	}
+	if !lower(xop) {
+		order = -order // an upper bound is looser the larger it is
+	}
+	strict := func(op expr.CmpOp) bool { return op == expr.CmpGt || op == expr.CmpLt }
+	switch {
+	case order == 0 && strict(xop):
+		return y // the same bound: the non-strict comparison is looser
+	case order == 0:
+		return x
+	case order > 0:
+		x, xop, yop = y, yop, xop
+	}
+	if strict(xop) && !strict(yop) {
+		return nil // a NaN cell satisfies yop, not xop
+	}
+	return x
+}
+
+// colBound reads e as column op constant, the column on the left, for
+// an ordering op and a numeric constant that is not NaN.
+func colBound(e expr.Expr) (col string, op expr.CmpOp, k types.Value, ok bool) {
+	c, isCmp := e.(*expr.Cmp)
+	if !isCmp || c.Op == expr.CmpEq || c.Op == expr.CmpNe {
+		return "", 0, types.Value{}, false
+	}
+	l, r, op := c.L, c.R, c.Op
+	if _, isConst := l.(*expr.Const); isConst {
+		l, r, op = r, l, op.Flip()
+	}
+	lc, isCol := l.(*expr.Col)
+	rk, isConst := r.(*expr.Const)
+	if !isCol || !isConst || !rk.V.IsNumeric() || math.IsNaN(rk.V.AsFloat()) {
+		return "", 0, types.Value{}, false
+	}
+	return lc.Name, op, rk.V, true
 }
 
 // nullInclusive widens a delete condition θ to θ ∨ (θ IS NULL). The

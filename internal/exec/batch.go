@@ -165,10 +165,10 @@ func (r *chainRun) release() {
 	}
 }
 
-// apply pushes one batch through every operator. An all-filtered batch
-// short-circuits the rest of the chain.
-func (r *chainRun) apply(b *batch) (*batch, error) {
-	for _, st := range r.states {
+// apply pushes one batch through the operators from the from-th on.
+// An all-filtered batch short-circuits the rest of the chain.
+func (r *chainRun) apply(b *batch, from int) (*batch, error) {
+	for _, st := range r.states[from:] {
 		if b.live() == 0 {
 			return b, nil
 		}
@@ -184,7 +184,7 @@ func (r *chainRun) apply(b *batch) (*batch, error) {
 // feed pushes one source batch through the chain and emits what
 // survives.
 func (r *chainRun) feed(src *batch, emit vecEmit) error {
-	out, err := r.apply(src)
+	out, err := r.apply(src, 0)
 	if err != nil {
 		return err
 	}
@@ -195,9 +195,12 @@ func (r *chainRun) feed(src *batch, emit vecEmit) error {
 }
 
 // vFilterOp narrows the batch's selection vector by a compiled
-// condition (WHERE semantics: only tTrue survives).
+// condition (WHERE semantics: only tTrue survives). where is the
+// condition it was compiled from, by which a pair run finds the σ its
+// two chains share.
 type vFilterOp struct {
-	cond vecCondFn
+	cond  vecCondFn
+	where expr.Expr
 }
 
 type vFilterState struct {
@@ -755,7 +758,7 @@ func (c *compiler) compileVecNode(q algebra.Query, db *storage.Database) (vecNod
 		if err != nil {
 			return nil, nil, err
 		}
-		return appendOp(in, vFilterOp{cond: cond}, s.Arity(), cfg), s, nil
+		return appendOp(in, vFilterOp{cond: cond, where: x.Cond}, s.Arity(), cfg), s, nil
 
 	case *algebra.Project:
 		in, s, err := c.compileVecNode(x.In, db)

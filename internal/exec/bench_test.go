@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/mahif/mahif/internal/algebra"
+	"github.com/mahif/mahif/internal/dataslice"
 	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/history"
@@ -166,8 +167,8 @@ func BenchmarkVecScanFrozen(b *testing.B) {
 
 // BenchmarkWhatIfPair is a scan_heavy what-if's executor and delta at
 // the gate's scale: the threshold what-if of a 50-update history over
-// 32 000 Taxi rows, both sides under a 10 %-selective data-slicing σ,
-// over a frozen snapshot. general runs each side alone
+// 32 000 Taxi rows, each side under the data-slicing σ the engine
+// computes for it (dataslice.Compute), over a frozen snapshot. general runs each side alone
 // (RunColumnarCtx) and diffs the two results (delta.ComputeColumnar);
 // pair runs both in one scan and finishes the delta from the rows that
 // differ (RunPairCtx, delta.ComputeResidual).
@@ -184,13 +185,17 @@ func BenchmarkWhatIfPair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cond, err := sql.ParseCondition(fmt.Sprintf("%s >= %d", w.Dataset.SelAttr, workload.SelRange*9/10))
+	conds, err := dataslice.Compute(pair, private, dataslice.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var progs [2]*exec.Program
 	for i, h := range []history.History{pair.Orig, pair.Mod} {
-		q, err := reenact.QueryForRelation(h, "trips", private, reenact.Filters{"trips": cond})
+		filters := []reenact.Filters{conds.H, conds.M}[i]
+		if filters["trips"] == nil {
+			b.Fatalf("no data-slicing σ for trips: %v", filters)
+		}
+		q, err := reenact.QueryForRelation(h, "trips", private, filters)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,7 +221,9 @@ func BenchmarkWhatIfPair(b *testing.B) {
 		if err != nil || route != exec.Paired {
 			b.Fatalf("pair: route %d, %v", route, err)
 		}
-		return delta.ComputeResidual(res.Old, res.New, res.Compared)
+		d, w := delta.ComputeResidual(res.Old, res.New, res.Compared)
+		res.Release()
+		return d, w
 	}
 	want, wantWork := general()
 	if got, work := paired(); !got.Equal(want) || work != wantWork {

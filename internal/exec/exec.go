@@ -58,10 +58,11 @@
 // scratch state is allocated per run and recycled through sync.Pools.
 // A what-if compiles its two sides and runs them once. When each is one
 // scan of the same frozen relation through its fused chain, RunPairCtx
-// (pair.go) drives both chains over the same source windows, compares
-// their live rows position by position and keeps only the rows that
-// differ, so neither result is ever written out; other pairs run each
-// side alone. A template compiles its programs once and answers
+// (pair.go) drives both chains over the same source windows, runs a σ
+// both chains begin with (the data-slicing filter) once, compares
+// their live rows position by position and writes only the rows that
+// differ, once, into pooled residual lanes, so neither result is ever
+// written out; other pairs run each side alone. A template compiles its programs once and answers
 // concurrent bindings with them, each binding a parameter vector
 // ($slots are run-time parameters) that one run carries (params.go).
 //

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/mahif/mahif/internal/expr"
+	"github.com/mahif/mahif/internal/schema"
 	"github.com/mahif/mahif/internal/storage"
 	"github.com/mahif/mahif/internal/types"
 )
@@ -36,10 +38,45 @@ const (
 // Residual is what a pair run keeps of its two results: the rows of
 // each that are not Equal to the other's row at their position, in
 // position order, and how many positions were compared — what
-// delta.ComputeResidual finishes a delta from.
+// delta.ComputeResidual finishes a delta from. Its views come from a
+// pool the caller hands them back to (Release).
 type Residual struct {
 	Old, New *storage.ColumnarView
 	Compared int
+}
+
+// residualViews recycles the views pair runs write their residual
+// rows into: a partition's, and the one a partitioned run joins them
+// into. A view keeps its lanes' arrays (ColumnarView.Reset), so a
+// steady stream of what-ifs writes its residuals into arrays it
+// allocated once.
+var residualViews sync.Pool
+
+// residualView is an empty view of schema s from the pool, with room
+// reserved for rows rows.
+func residualView(s *schema.Schema, rows int) *storage.ColumnarView {
+	v, ok := residualViews.Get().(*storage.ColumnarView)
+	if !ok {
+		v = &storage.ColumnarView{}
+	}
+	v.Reset(s, rows)
+	return v
+}
+
+// putResidualView empties v and puts it back into the pool.
+func putResidualView(v *storage.ColumnarView) {
+	v.Reset(v.Schema, 0)
+	residualViews.Put(v)
+}
+
+// Release hands the residual's views back to the pool the pair run
+// took them from, once delta.ComputeResidual has returned: the Minus
+// and Plus it gathers hold cells of their own. Nothing may read the
+// views afterwards.
+func (r *Residual) Release() {
+	putResidualView(r.Old)
+	putResidualView(r.New)
+	r.Old, r.New = nil, nil
 }
 
 // RunPairCtx answers the delta's mark step for orig and mod, the two
@@ -47,9 +84,13 @@ type Residual struct {
 // When each is one scan of the same frozen relation through its fused
 // σ/Π chain, it drives both chains over the same windows of the
 // relation's shared columnar view, batch by batch, in the partitions a
-// run of either alone would use. A batch's live rows are compared
-// position by position with storage.MarkUnequal, and only the rows that
-// differ are copied out.
+// run of either alone would use. When both chains begin with the same
+// σ — a what-if's data-slicing filter, which Eq. 7 makes the same on
+// both sides — it runs once per batch, and each chain goes on from its
+// own copy of the selection. A batch's live rows are compared position
+// by position with storage.MarkUnequal, and only the rows that differ
+// are copied, once, into the partition's residual lanes (pooled, see
+// Residual.Release).
 //
 // That is exact when every batch keeps as many live rows on one side
 // as on the other: the k-th live row of a batch is then at the same
@@ -58,9 +99,10 @@ type Residual struct {
 // batch that breaks this stops the run with PairMisaligned; so do
 // shapes and relations outside the class (PairShape, PairPrivate).
 // Errors are those of running orig, then mod, each alone: orig's first
-// error in partition order wins, then mod's. Where a misaligned
-// partition comes before either, which error that is is not known, and
-// the route is PairMisaligned. A non-nil Residual comes with Paired.
+// error in partition order wins, then mod's; an error of a σ both run
+// is orig's. Where a misaligned partition comes before either, which
+// error that is is not known, and the route is PairMisaligned. A
+// non-nil Residual comes with Paired.
 func RunPairCtx(ctx context.Context, orig, mod *Program, db *storage.Database) (*Residual, PairRoute, error) {
 	on, ok1 := orig.root.(*vpipeNode)
 	mn, ok2 := mod.root.(*vpipeNode)
@@ -83,6 +125,10 @@ func RunPairCtx(ctx context.Context, orig, mod *Program, db *storage.Database) (
 		orig: orig, mod: mod, on: on, mn: mn,
 		orc: orig.newRun(ctx, db, nil), mrc: mod.newRun(ctx, db, nil),
 		view: view,
+	}
+	if of, ok := leadingFilter(on.ch); ok {
+		mf, ok := leadingFilter(mn.ch)
+		pr.sharedFilter = ok && expr.Equal(of.where, mf.where)
 	}
 	parts := storage.PartitionTuples(r.Tuples, on.partitions(len(r.Tuples)))
 	pr.misaligned.Store(int64(len(parts)))
@@ -111,17 +157,45 @@ func RunPairCtx(ctx context.Context, orig, mod *Program, db *storage.Database) (
 		}
 	}
 	res := &Residual{}
-	var olds, news []*storage.ColumnarView
+	olds, news := make([]*storage.ColumnarView, len(out)), make([]*storage.ColumnarView, len(out))
 	for i := range out {
 		p := &out[i]
 		if p.modErr != nil {
 			return nil, Paired, p.modErr
 		}
-		olds, news = append(olds, p.old...), append(news, p.new...)
+		olds[i], news[i] = p.old, p.new
 		res.Compared += p.compared
 	}
-	res.Old, res.New = joinParts(orig.out, olds), joinParts(mod.out, news)
+	res.Old, res.New = joinResidual(orig.out, olds), joinResidual(mod.out, news)
 	return res, Paired, nil
+}
+
+// joinResidual is the residual rows of one side, partition after
+// partition: a single partition's view as it is, else one view from the
+// pool they are copied into, the partitions' going back.
+func joinResidual(s *schema.Schema, parts []*storage.ColumnarView) *storage.ColumnarView {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	total := 0
+	for _, part := range parts {
+		total += part.Rows
+	}
+	out := residualView(s, total)
+	for _, part := range parts {
+		out.AppendRows(part.Cols, nil, part.Rows)
+		putResidualView(part)
+	}
+	return out
+}
+
+// leadingFilter is the σ a chain begins with, if it begins with one.
+func leadingFilter(c chain) (vFilterOp, bool) {
+	if len(c.ops) == 0 {
+		return vFilterOp{}, false
+	}
+	f, ok := c.ops[0].(vFilterOp)
+	return f, ok
 }
 
 // pairRun is one RunPairCtx call's state, shared by its partitions.
@@ -130,6 +204,9 @@ type pairRun struct {
 	on, mn    *vpipeNode // their roots
 	orc, mrc  *runCtx
 	view      *storage.ColumnarView
+	// sharedFilter: both chains begin with the same σ, which the pair
+	// runs once per batch for both.
+	sharedFilter bool
 	// misaligned is the first partition, in partition order, known to
 	// misalign. The partitions after it stop at their next batch: the
 	// pair falls back unless a partition before it finds an error of the
@@ -149,7 +226,7 @@ func (pr *pairRun) misalign(w int) {
 
 // pairPart is what one partition of a pair run found.
 type pairPart struct {
-	old, new []*storage.ColumnarView // the rows that differ, a part per batch
+	old, new *storage.ColumnarView // the rows that differ, pooled
 	compared int
 	// origErr and modErr are each side's first error in the partition.
 	// After modErr, only the original side runs on: its error would
@@ -163,7 +240,9 @@ type pairPart struct {
 // runPart runs rows [lo, hi) of the view, partition w, through both
 // chains, a batch at a time, into out. Each side has its own source
 // batch over the same windows: a filter narrows its batch's selection
-// in place.
+// in place. A σ both chains begin with runs on the original side's
+// batch, and the modified side's starts from a copy of the selection
+// it leaves, in the buffer of that side's own σ, which does not run.
 func (pr *pairRun) runPart(w, lo, hi int, out *pairPart) {
 	ocr := pr.on.ch.getRun(&pr.on.runs, pr.on.cfg, pr.orc)
 	mcr := pr.mn.ch.getRun(&pr.mn.runs, pr.mn.cfg, pr.mrc)
@@ -176,7 +255,12 @@ func (pr *pairRun) runPart(w, lo, hi int, out *pairPart) {
 	}()
 	width, bs := len(pr.view.Cols), pr.on.cfg.bs
 	osrc, msrc := ocr.sharedBatch(width), mcr.sharedBatch(width)
+	out.old, out.new = residualView(pr.orig.out, 0), residualView(pr.mod.out, 0)
 	d := &pairDiff{neq: make([]bool, bs), oldRows: make([]int, 0, bs), newRows: make([]int, 0, bs)}
+	from := 0
+	if pr.sharedFilter {
+		from = 1
+	}
 	for start := lo; start < hi; start += bs {
 		if pr.misaligned.Load() < int64(w) {
 			out.abandoned = true
@@ -191,7 +275,14 @@ func (pr *pairRun) runPart(w, lo, hi int, out *pairPart) {
 		copy(msrc.cols, osrc.cols)
 		osrc.n, osrc.sel = end-start, nil
 		msrc.n, msrc.sel = end-start, nil
-		ob, err := ocr.apply(osrc)
+		if pr.sharedFilter {
+			if _, err := ocr.states[0].apply(ocr.pool, osrc); err != nil {
+				out.origErr = err
+				return
+			}
+			msrc.sel = append(mcr.states[0].(*vFilterState).selBuf[:0], osrc.sel...)
+		}
+		ob, err := ocr.apply(osrc, from)
 		if err != nil {
 			out.origErr = err
 			return
@@ -199,7 +290,7 @@ func (pr *pairRun) runPart(w, lo, hi int, out *pairPart) {
 		if out.modErr != nil {
 			continue
 		}
-		mb, err := mcr.apply(msrc)
+		mb, err := mcr.apply(msrc, from)
 		if err != nil {
 			out.modErr = err
 			continue
@@ -220,8 +311,8 @@ type pairDiff struct {
 }
 
 // keep compares the live rows of ob and mb, which are as many, position
-// by position, and appends the ones that differ to out: a part of
-// exactly their size a side.
+// by position, and appends the ones that differ to out's residual
+// views.
 func (d *pairDiff) keep(pr *pairRun, ob, mb *batch, out *pairPart) {
 	live := ob.live()
 	if live == 0 {
@@ -245,14 +336,8 @@ func (d *pairDiff) keep(pr *pairRun, ob, mb *batch, out *pairPart) {
 			d.newRows = append(d.newRows, liveRow(mb.sel, k))
 		}
 	}
-	if len(d.oldRows) == 0 {
-		return
-	}
-	op := storage.NewColumnarView(pr.orig.out, len(d.oldRows))
-	op.AppendRows(ob.cols[:arity], d.oldRows, ob.n)
-	np := storage.NewColumnarView(pr.mod.out, len(d.newRows))
-	np.AppendRows(mb.cols[:arity], d.newRows, mb.n)
-	out.old, out.new = append(out.old, op), append(out.new, np)
+	out.old.AppendRows(ob.cols[:arity], d.oldRows, ob.n)
+	out.new.AppendRows(mb.cols[:arity], d.newRows, mb.n)
 }
 
 // sameRows reports whether two selections list the same rows.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -78,6 +79,7 @@ func requirePairMatchesOracle(t *testing.T, label string, orig, mod *exec.Progra
 		t.Fatalf("%s: pair succeeded, the general path failed with %v", label, wantErr)
 	}
 	got, work := delta.ComputeResidual(res.Old, res.New, res.Compared)
+	res.Release()
 	requireIdenticalTuples(t, label+": Minus", got.Minus, want.Minus)
 	requireIdenticalTuples(t, label+": Plus", got.Plus, want.Plus)
 	if work != wantWork {
@@ -165,11 +167,14 @@ var pairOptions = []exec.VecOptions{
 // TestPairRunMatchesGeneralPath is the pair's randomized differential.
 // Each trial draws a relation, a history and a modified history (one
 // statement replaced) and runs their reenactment programs — sliced by
-// no σ, by the same σ on both sides, or by a σ on one side — as a pair
-// and the general way under every scan shape. An update-only history
-// with the same σ on both sides must pair (or fail with the general
-// path's error); an INSERT must fall back by shape; a DELETE or a
-// one-sided σ may misalign.
+// no σ, by the same σ on both sides (parsed twice: the pair runs it once
+// when the two are structurally equal), by a σ on one side, or by a
+// different σ a side — as a pair and the general way under every scan
+// shape. Some σs fail on some rows. An update-only history with the
+// same σ on both sides must pair (or fail with the general path's
+// error), also past a DELETE before the replaced statement; an INSERT
+// must fall back by shape; a DELETE from the replaced statement on, a
+// one-sided σ or two different σs may misalign.
 func TestPairRunMatchesGeneralPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	routes := map[exec.PairRoute]int{}
@@ -184,18 +189,35 @@ func TestPairRunMatchesGeneralPath(t *testing.T) {
 			srcs[i] = pairStatement(rng, n, others)
 		}
 		modSrcs := append([]string(nil), srcs...)
-		modSrcs[rng.Intn(len(modSrcs))] = pairStatement(rng, n, others)
+		mi := rng.Intn(len(modSrcs))
+		modSrcs[mi] = pairStatement(rng, n, others)
 		var of, mf reenact.Filters
-		slicing := rng.Intn(3)
-		if slicing > 0 {
-			cond, err := sql.ParseCondition(fmt.Sprintf("k >= %d OR g = 'a'", rng.Intn(n+1)))
+		slicing := rng.Intn(5)
+		filter := func() reenact.Filters {
+			src := []string{"k >= %d OR g = 'a'", "k < %d OR g + 1 > 0", "f >= %d"}[rng.Intn(3)]
+			cond, err := sql.ParseCondition(fmt.Sprintf(src, rng.Intn(n+1)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			of = reenact.Filters{"t": cond}
-			if slicing == 1 {
-				mf = of
+			return reenact.Filters{"t": cond}
+		}
+		switch slicing {
+		case 1: // the same σ
+			of = filter()
+			mf = reenact.Filters{}
+			for rel, cond := range of {
+				again, err := sql.ParseCondition(cond.String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				mf[rel] = again
 			}
+		case 2:
+			of = filter()
+		case 3:
+			mf = filter()
+		case 4: // a σ a side, which may differ
+			of, mf = filter(), filter()
 		}
 		oq, err := reenact.QueryForRelation(pairHistory(t, srcs), "t", private, of)
 		if err != nil {
@@ -218,14 +240,16 @@ func TestPairRunMatchesGeneralPath(t *testing.T) {
 			route := requirePairMatchesOracle(t, label, orig, mod, frozen)
 			routes[route]++
 			inserts := strings.Contains(strings.Join(srcs, ";")+strings.Join(modSrcs, ";"), "INSERT")
-			deletes := strings.Contains(strings.Join(srcs, ";")+strings.Join(modSrcs, ";"), "DELETE")
+			// A DELETE before the replaced statement removes the same rows
+			// on both sides.
+			deletes := strings.Contains(strings.Join(srcs[mi:], ";")+strings.Join(modSrcs[mi:], ";"), "DELETE")
 			switch {
 			case inserts && route != exec.PairShape:
 				t.Fatalf("%s: an INSERT took route %d, want PairShape", label, route)
 			case !inserts && route == exec.PairShape:
 				t.Fatalf("%s: two scan chains fell back by shape", label)
-			case route == exec.PairMisaligned && !deletes && slicing != 2:
-				t.Fatalf("%s: an update-only pair under one σ misaligned", label)
+			case route == exec.PairMisaligned && !deletes && slicing < 2:
+				t.Fatalf("%s: a pair that keeps the same rows a side misaligned", label)
 			}
 			if _, _, err := pairOracle(orig, mod, frozen); err != nil {
 				failed++
@@ -236,6 +260,113 @@ func TestPairRunMatchesGeneralPath(t *testing.T) {
 	if routes[exec.Paired] == 0 || routes[exec.PairShape] == 0 || routes[exec.PairMisaligned] == 0 || failed == 0 {
 		t.Fatalf("routes %v, %d failing pairs: the draw misses a case", routes, failed)
 	}
+}
+
+// TestPairRunsShareResidualPool runs pair runs of three relations at
+// once, of different arities and lane kinds (ints; strings and floats
+// with NULLs; a boxed column), each answered many times through the
+// residual views' pool, partitioned and not: a view one run handed back
+// and another refilled on other lanes must not change an answer, and a
+// view still in use must never be handed out twice. Run it under -race.
+func TestPairRunsShareResidualPool(t *testing.T) {
+	type side struct {
+		orig, mod *exec.Program
+		frozen    *storage.Database
+		want      *delta.Result
+		work      delta.Work
+	}
+	build := func(cols []schema.Column, cell func(i, c int) types.Value, origSQL, modSQL, where string, opts exec.VecOptions) side {
+		r := storage.NewRelation(schema.New("t", cols...))
+		for i := 0; i < 300; i++ {
+			row := make(schema.Tuple, len(cols))
+			for c := range cols {
+				row[c] = cell(i, c)
+			}
+			r.Add(row)
+		}
+		private := storage.NewDatabase()
+		private.AddRelation(r)
+		frozen, _ := publish(t, private)
+		cond, err := sql.ParseCondition(where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var progs [2]*exec.Program
+		for i, src := range []string{origSQL, modSQL} {
+			q, err := reenact.QueryForRelation(pairHistory(t, []string{src}), "t", private, reenact.Filters{"t": cond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if progs[i], err = exec.CompileVec(q, private, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, work, err := pairOracle(progs[0], progs[1], frozen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return side{orig: progs[0], mod: progs[1], frozen: frozen, want: want, work: work}
+	}
+	parallel := exec.VecOptions{Workers: 3, MinParallelRows: 1, BatchSize: 16}
+	sides := []side{
+		build([]schema.Column{schema.Col("k", types.KindInt), schema.Col("v", types.KindInt)},
+			func(i, c int) types.Value { return types.Int(int64(i * (c + 1))) },
+			"UPDATE t SET v = v + 1 WHERE k >= 100", "UPDATE t SET v = v + 1 WHERE k >= 150", "k >= 100",
+			parallel),
+		build([]schema.Column{schema.Col("k", types.KindInt), schema.Col("f", types.KindFloat), schema.Col("g", types.KindString), schema.Col("h", types.KindString)},
+			func(i, c int) types.Value {
+				switch {
+				case i%7 == 0 && c > 0:
+					return types.Null()
+				case c == 1:
+					return types.Float(float64(i) / 2)
+				case c > 1:
+					return types.String(fmt.Sprint("s", i%5))
+				}
+				return types.Int(int64(i))
+			},
+			"UPDATE t SET g = 'a', f = f * 2 WHERE k < 200", "UPDATE t SET g = 'b', f = f * 2 WHERE k < 200", "k < 250",
+			exec.VecOptions{Workers: 1, BatchSize: 32}),
+		build([]schema.Column{schema.Col("k", types.KindInt), schema.Col("v", types.KindInt), schema.Col("g", types.KindString)},
+			func(i, c int) types.Value {
+				if c == 1 && i%3 == 0 {
+					return types.String("x") // v on the boxed lane
+				}
+				if c == 2 {
+					return types.String("g")
+				}
+				return types.Int(int64(i))
+			},
+			"UPDATE t SET g = 'y' WHERE k >= 10", "UPDATE t SET g = 'z' WHERE k >= 20", "k >= 5",
+			parallel),
+	}
+	for i, sd := range sides {
+		if sd.want.Size() == 0 {
+			t.Fatalf("relation %d: an empty delta reads no residual lane", i)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for run := 0; run < 40; run++ {
+				sd := sides[(g+run)%len(sides)]
+				res, route, err := exec.RunPairCtx(context.Background(), sd.orig, sd.mod, sd.frozen)
+				if err != nil || route != exec.Paired {
+					t.Errorf("goroutine %d run %d: route %d, %v", g, run, route, err)
+					return
+				}
+				got, work := delta.ComputeResidual(res.Old, res.New, res.Compared)
+				res.Release()
+				if fmt.Sprint(got.Minus, got.Plus) != fmt.Sprint(sd.want.Minus, sd.want.Plus) || work != sd.work {
+					t.Errorf("goroutine %d run %d: delta %v %v, work %+v; want %v %v, %+v", g, run, got.Minus, got.Plus, work, sd.want.Minus, sd.want.Plus, sd.work)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestPairRunFallsBackOnPrivateRelations: a private relation has no
@@ -269,24 +400,38 @@ func TestPairRunErrorPrecedence(t *testing.T) {
 	fail := func(k int) string { return fmt.Sprintf("UPDATE t SET g = g + 1 WHERE k = %d", k) }
 	drop := func(k int) string { return fmt.Sprintf("DELETE FROM t WHERE k = %d", k) }
 	const none = "UPDATE t SET k = k WHERE k < 0"
+	// A σ both sides begin with, which fails from row 16 on (partition 2).
+	const failsLate = "k < 16 OR g + 1 > 0"
 	// Partition p holds rows 8p..8p+7.
 	for _, tc := range []struct {
 		name      string
 		orig, mod string
+		where     string // a σ both sides begin with, if any
 		want      string // the error, or "misaligned"
 	}{
-		{"original side only", fail(20), none, "arithmetic + on string and int"},
-		{"modified side only", none, fail(3), "arithmetic + on string and int"},
-		{"original later, modified earlier", fail(21), fail(2), "original"},
-		{"original earlier, modified later", fail(1), fail(22), "original"},
-		{"misaligned before the original's error", fail(17) + "; " + drop(2), none, "misaligned"},
-		{"original's error before misaligned", fail(1), drop(18), "original"},
-		{"modified's error before misaligned", none, fail(1) + "; " + drop(18), "misaligned"},
+		{"original side only", fail(20), none, "", "arithmetic + on string and int"},
+		{"modified side only", none, fail(3), "", "arithmetic + on string and int"},
+		{"original later, modified earlier", fail(21), fail(2), "", "original"},
+		{"original earlier, modified later", fail(1), fail(22), "", "original"},
+		{"misaligned before the original's error", fail(17) + "; " + drop(2), none, "", "misaligned"},
+		{"original's error before misaligned", fail(1), drop(18), "", "original"},
+		{"modified's error before misaligned", none, fail(1) + "; " + drop(18), "", "misaligned"},
+		{"shared σ's error after the modified side's", none, fail(2), failsLate, "original"},
+		{"shared σ's error after the original side's", fail(3), none, failsLate, "original"},
+		{"misaligned before the shared σ's error", none, drop(2), failsLate, "misaligned"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			progs := [2]*exec.Program{}
 			for i, src := range []string{tc.orig, tc.mod} {
-				q, err := reenact.QueryForRelation(pairHistory(t, strings.Split(src, "; ")), "t", private, nil)
+				var filters reenact.Filters
+				if tc.where != "" {
+					cond, err := sql.ParseCondition(tc.where)
+					if err != nil {
+						t.Fatal(err)
+					}
+					filters = reenact.Filters{"t": cond}
+				}
+				q, err := reenact.QueryForRelation(pairHistory(t, strings.Split(src, "; ")), "t", private, filters)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -167,6 +168,69 @@ func TestAppendRowsCopies(t *testing.T) {
 	requireViewRows(t, "after overwrite", v, []schema.Tuple{
 		{types.Int(1), types.True}, {types.Int(2), types.False}, {types.Int(3), types.Null()}, {types.Int(99), types.Int(99)},
 	})
+}
+
+// TestColumnarViewResetRefills: a view Reset for a new schema reads as
+// empty, keeps no string or value it held reachable, refills a lane's
+// array when the column comes back on that lane, and answers exactly
+// like a fresh view whatever the lanes and masks of the rows appended
+// after — fewer columns, more columns, another lane, a NULL mask.
+func TestColumnarViewResetRefills(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	two := schema.New("t", schema.Col("i", types.KindInt), schema.Col("s", types.KindString))
+	v := NewColumnarView(two, 0)
+	rows := make([]schema.Tuple, 40)
+	for i := range rows {
+		rows[i] = schema.NewTuple(types.Int(int64(i)), types.String("x"))
+	}
+	requireViewRows(t, "fresh", v, appendAsBatches(v, rows, 16, nil))
+	ints, strs := &v.Cols[0].Ints[:1][0], v.Cols[1].Strs[:cap(v.Cols[1].Strs)]
+
+	v.Reset(two, 0)
+	if v.Rows != 0 || v.Schema != two || len(v.Cols) != 2 {
+		t.Fatalf("reset view: %d rows, schema %v, %d columns", v.Rows, v.Schema, len(v.Cols))
+	}
+	for i, s := range strs {
+		if s != "" {
+			t.Fatalf("reset view still holds string %q at %d", s, i)
+		}
+	}
+	requireViewRows(t, "refilled", v, appendAsBatches(v, rows[:10], 4, nil))
+	if &v.Cols[0].Ints[0] != ints {
+		t.Fatal("an int column back on its lane did not refill its array")
+	}
+
+	schemas := []*schema.Schema{
+		two,
+		schema.New("u", schema.Col("f", types.KindFloat)),
+		schema.New("w", schema.Col("i", types.KindInt), schema.Col("s", types.KindString), schema.Col("x", types.KindInt)),
+	}
+	cell := func() types.Value {
+		return []types.Value{types.Int(1), types.Float(2.5), types.String("y"), types.Null(), types.True}[rng.Intn(5)]
+	}
+	for trial := 0; trial < 200; trial++ {
+		s := schemas[rng.Intn(len(schemas))]
+		rows := make([]schema.Tuple, rng.Intn(30))
+		for i := range rows {
+			rows[i] = make(schema.Tuple, s.Arity())
+			for c := range rows[i] {
+				rows[i][c] = cell()
+			}
+		}
+		keep := func(i int) bool { return i%3 != 1 }
+		bs := 1 + rng.Intn(9)
+		v.Reset(s, rng.Intn(8))
+		fresh := NewColumnarView(s, 0)
+		appendAsBatches(fresh, rows, bs, keep)
+		label := fmt.Sprintf("trial %d", trial)
+		requireViewRows(t, label, v, appendAsBatches(v, rows, bs, keep))
+		for c := range v.Cols {
+			if v.Rows > 0 && (v.Cols[c].Kind != fresh.Cols[c].Kind || (v.Cols[c].Nulls == nil) != (fresh.Cols[c].Nulls == nil)) {
+				t.Fatalf("%s: column %d on lane %v (mask %v), a fresh view's on %v (mask %v)", label, c,
+					v.Cols[c].Kind, v.Cols[c].Nulls != nil, fresh.Cols[c].Kind, fresh.Cols[c].Nulls != nil)
+			}
+		}
+	}
 }
 
 // TestGatherTuples: gathered tuples read the listed rows, in the listed

@@ -445,26 +445,29 @@ func appendLive[T any](dst, src []T, sel []int, n int) []T {
 // appendFrom appends the live cells of src (sel nil → the first n cells)
 // to c, which holds have cells; live is how many that is, and reserve
 // the capacity (in cells) to give a lane this call has to allocate. An
-// empty c adopts src's lane. A column need not stay on one lane for a
-// whole result — FillFromTuples falls back to boxed on the first
-// deviating cell, a reenacted SET can write a float into an int column —
-// so when src arrives on another lane than the cells accumulated so
-// far, c is demoted to the boxed lane first and stays there. A typed
+// empty c adopts src's lane, refilling the array it held on that lane
+// before when there is one with room (ColumnarView.Reset). A column
+// need not stay on one lane for a whole result — FillFromTuples falls
+// back to boxed on the first deviating cell, a reenacted SET can write
+// a float into an int column — so when src arrives on another lane than
+// the cells accumulated so far, c is demoted to the boxed lane first
+// and stays there. A typed
 // lane's NULL mask appears with the first live NULL and is back-filled
 // for the cells before it.
 func (c *ColVec) appendFrom(src *ColVec, sel []int, n, live, have, reserve int) {
 	reserve = max(reserve, have+live)
 	if have == 0 {
+		old := *c
 		*c = ColVec{Kind: src.Kind}
 		switch src.Kind {
 		case types.KindInt:
-			c.Ints = make([]int64, 0, reserve)
+			c.Ints = refill(old.Ints, reserve)
 		case types.KindFloat:
-			c.Floats = make([]float64, 0, reserve)
+			c.Floats = refill(old.Floats, reserve)
 		case types.KindString:
-			c.Strs = make([]string, 0, reserve)
+			c.Strs = refill(old.Strs, reserve)
 		default:
-			c.Vals = make([]types.Value, 0, reserve)
+			c.Vals = refill(old.Vals, reserve)
 		}
 	}
 	if c.Kind != src.Kind && c.Kind != types.KindNull {
@@ -502,6 +505,15 @@ func (c *ColVec) appendFrom(src *ColVec, sel []int, n, live, have, reserve int) 
 	case c.Nulls != nil:
 		c.Nulls = append(c.Nulls, make([]bool, live)...)
 	}
+}
+
+// refill returns s emptied when it has room for n cells, else a new
+// array with that room.
+func refill[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:0]
+	}
+	return make([]T, 0, n)
 }
 
 // anyNull reports whether a live cell of a masked typed lane is NULL.
@@ -605,6 +617,26 @@ func (v *ColumnarView) AppendRows(cols []ColVec, sel []int, n int) {
 		v.Cols[c].appendFrom(&cols[c], sel, n, live, v.Rows, v.reserve)
 	}
 	v.Rows += live
+}
+
+// Reset empties v into a view of schema s with room reserved for rows
+// rows, for AppendRows to fill again: each column keeps its arrays, and
+// refills one when its first cells arrive on the lane it was on. The
+// cells of string and boxed lanes are cleared, so that an emptied view
+// keeps no string or value it held reachable. Nothing may read v's old
+// rows afterwards.
+func (v *ColumnarView) Reset(s *schema.Schema, rows int) {
+	cols := v.Cols[:cap(v.Cols)]
+	for c := range cols {
+		col := &cols[c]
+		clear(col.Strs)
+		clear(col.Vals)
+		*col = ColVec{Kind: col.Kind, Ints: col.Ints[:0], Floats: col.Floats[:0], Strs: col.Strs[:0], Vals: col.Vals[:0]}
+	}
+	if len(cols) < s.Arity() {
+		cols = append(cols, make([]ColVec, s.Arity()-len(cols))...)
+	}
+	*v = ColumnarView{Schema: s, Cols: cols[:s.Arity()], reserve: rows}
 }
 
 // Window points dst[c] at rows [lo,hi) of column c, for every column.

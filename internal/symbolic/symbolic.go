@@ -12,12 +12,16 @@
 //	x_{A,i} = if θ(t_{i-1}) then e(t_{i-1}) else t_{i-1}.A
 //
 // to Φ, avoiding the exponential blow-up of the naive two-tuples-per-
-// update encoding; deletes strengthen the local condition with ¬θ.
+// update encoding; deletes strengthen the local condition with ¬θ. θ
+// and every SET expression e read t_{i-1}, the tuple before the
+// statement, as Eq. 1 has it: in SET a = a + 1, b = a the new b is the
+// old a.
 package symbolic
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/mahif/mahif/internal/expr"
@@ -97,11 +101,7 @@ func (st *State) clone() *State {
 // bind rewrites a statement expression over attributes into a symbolic
 // expression over the current tuple.
 func (st *State) bind(e expr.Expr) expr.Expr {
-	repl := make(map[string]expr.Expr, len(st.Vals))
-	for col, v := range st.Vals {
-		repl[col] = v
-	}
-	return expr.SubstCols(e, repl)
+	return expr.SubstCols(e, st.Vals)
 }
 
 // Exec symbolically executes a history of updates and deletes over a
@@ -138,21 +138,32 @@ func ExecCtx(ctx context.Context, st *State, h history.History, tag string) (*St
 	return out, nil
 }
 
+// execUpdate adds the statement's fresh variables and their defining
+// equalities. Like Update.SetVector, θ and every SET expression read the
+// tuple as it was before the statement — in SET a = a + 1, b = a, b
+// takes the old a — so all are bound before any column is reassigned;
+// a column SET twice takes its last clause.
 func (st *State) execUpdate(u *history.Update, step int, tag string) error {
 	theta := st.bind(u.Where)
 	st.Steps = append(st.Steps, StepInfo{Theta: theta, LocalBefore: st.Local})
 	if len(u.Set) == 0 || expr.IsTriviallyFalse(expr.Simplify(theta)) {
 		return nil // padding no-op: state unchanged
 	}
-	for _, sc := range u.Set {
-		col := strings.ToLower(sc.Col)
-		old, ok := st.Vals[col]
+	rhs := make([]expr.Expr, len(u.Set))
+	for i, sc := range u.Set {
+		old, ok := st.Vals[strings.ToLower(sc.Col)]
 		if !ok {
 			return fmt.Errorf("symbolic: SET column %q not in schema %s", sc.Col, st.Schema)
 		}
+		rhs[i] = expr.IfThenElse(theta, st.bind(sc.E), old)
+	}
+	for i, sc := range u.Set {
+		if slices.ContainsFunc(u.Set[i+1:], func(o history.SetClause) bool { return strings.EqualFold(o.Col, sc.Col) }) {
+			continue
+		}
+		col := strings.ToLower(sc.Col)
 		fresh := fmt.Sprintf("x_%s_%s_%d", tag, col, step+1)
-		rhs := expr.IfThenElse(theta, st.bind(sc.E), old)
-		st.Global = append(st.Global, expr.Eq(expr.Variable(fresh), rhs))
+		st.Global = append(st.Global, expr.Eq(expr.Variable(fresh), rhs[i]))
 		st.Vals[col] = expr.Variable(fresh)
 		idx := st.Schema.ColIndex(col)
 		kind := types.KindFloat

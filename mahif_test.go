@@ -96,3 +96,51 @@ func TestNaiveMatchesReenactment(t *testing.T) {
 		t.Fatalf("naive delta:\n%s\nreenactment delta:\n%s", naive["orders"], fast["orders"])
 	}
 }
+
+// TestSetClausesReadTheOldTuple: every SET expression of an UPDATE reads
+// the tuple as it was before the statement, so in SET a = a + 100, b = a
+// the new b is the old a. Program slicing decides whether the second
+// statement depends on the modification from a symbolic execution that
+// must read SET the same way: reading b as the new a (≥ 105) there, it
+// finds b < 8 unsatisfiable and drops the statement, and the delta loses
+// c = 1. Every variant must give Alg. 1's answer.
+func TestSetClausesReadTheOldTuple(t *testing.T) {
+	build := func() *mahif.VersionedDatabase {
+		rel := mahif.NewRelation(mahif.NewSchema("t",
+			mahif.Col("id", mahif.KindInt), mahif.Col("a", mahif.KindInt),
+			mahif.Col("b", mahif.KindInt), mahif.Col("c", mahif.KindInt)))
+		for i := int64(0); i < 30; i++ {
+			rel.Add(mahif.NewTuple(mahif.Int(i), mahif.Int(i), mahif.Int(50), mahif.Int(0)))
+		}
+		db := mahif.NewDatabase()
+		db.AddRelation(rel)
+		vdb := mahif.NewVersioned(db)
+		for _, stmt := range []string{
+			`UPDATE t SET a = a + 100, b = a WHERE a >= 10`,
+			`UPDATE t SET c = 1 WHERE b < 8 AND a >= 100`,
+		} {
+			if err := vdb.Apply(mahif.MustParseStatement(stmt)); err != nil {
+				t.Fatalf("applying %q: %v", stmt, err)
+			}
+		}
+		return vdb
+	}
+	mods := []mahif.Modification{mahif.ReplaceSQL(0, `UPDATE t SET a = a + 100, b = a WHERE a >= 5`)}
+	want, _, err := mahif.NewEngine(build()).Naive(mods)
+	if err != nil {
+		t.Fatalf("Naive: %v", err)
+	}
+	plus := mahif.NewTuple(mahif.Int(5), mahif.Int(105), mahif.Int(5), mahif.Int(1))
+	if want["t"] == nil || len(want["t"].Plus) == 0 || !want["t"].Plus[0].Equal(plus) {
+		t.Fatalf("Alg. 1's delta does not start with +%s:\n%s", plus, want["t"])
+	}
+	for _, variant := range []mahif.Variant{mahif.VariantR, mahif.VariantRPS, mahif.VariantRDS, mahif.VariantRFull} {
+		got, _, err := mahif.NewEngine(build()).WhatIf(mods, mahif.OptionsFor(variant))
+		if err != nil {
+			t.Fatalf("%s: %v", variant, err)
+		}
+		if !got["t"].Equal(want["t"]) {
+			t.Errorf("%s: delta\n%s\nAlg. 1's\n%s", variant, got["t"], want["t"])
+		}
+	}
+}
