@@ -57,7 +57,6 @@ func (c *pairCounters) load() PairRoutes {
 	return PairRoutes{
 		Paired:     c[exec.Paired].Load(),
 		Shape:      c[exec.PairShape].Load(),
-		Private:    c[exec.PairPrivate].Load(),
 		Misaligned: c[exec.PairMisaligned].Load(),
 	}
 }

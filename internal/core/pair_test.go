@@ -66,7 +66,7 @@ func TestWhatIfPairRoutesCounted(t *testing.T) {
 					t.Fatalf("%s: delta work %d/%d/%d, the interpreter's %d/%d/%d", v,
 						st.RowsCompared, st.RowsHashed, st.RowsBoxed, stI.RowsCompared, stI.RowsHashed, stI.RowsBoxed)
 				}
-				if p := sess.Stats().Pairs; !tc.want(p) || p.Paired+p.Shape+p.Private+p.Misaligned != int64(len(got)) {
+				if p := sess.Stats().Pairs; !tc.want(p) || p.Paired+p.Shape+p.Misaligned != int64(len(got)) {
 					t.Fatalf("%s: pair routes %+v for %d relations", v, p, len(got))
 				}
 			}

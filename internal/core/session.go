@@ -234,8 +234,6 @@ type PairRoutes struct {
 	// Shape: a side is not one scan of the relation through a fused σ/Π
 	// chain (a reenacted INSERT adds a union).
 	Shape int64
-	// Private: the relation is not a frozen snapshot relation.
-	Private int64
 	// Misaligned: a source batch kept different numbers of rows on the
 	// two sides (a DELETE whose rows differ between them).
 	Misaligned int64

@@ -99,17 +99,13 @@ type chain struct {
 // would cost 8 KB × U per computed column, paid again by every fresh
 // program a template binding compiles.
 //
-// There are two source batches because one Program scans private and
-// frozen relations alike. src is owned: runVecChunk transposes rows
-// into its lanes, reusing their backing arrays. shared is borrowed:
-// runVecView points its lanes at a frozen relation's columnar view.
-// Were a borrowed lane ever left in src, the next private run would
-// transpose straight into the shared view.
+// The source batch, shared, is borrowed: runVecView points its lanes at
+// windows of the columnar view the scan reads, which nothing in the
+// chain writes.
 type chainRun struct {
 	pool   *vecPool
 	states []vopState
 	lanes  [][2]storage.ColVec
-	src    *batch
 	shared *batch
 }
 
@@ -150,12 +146,12 @@ func (r *chainRun) sharedBatch(width int) *batch {
 	return r.shared
 }
 
-// release drops the windows of a frozen view the run holds: shared's
-// lanes, and the identity columns a projection's output aliases from
-// them. The run goes back to its node's pool afterwards, where it must
-// not keep a snapshot's lanes reachable — a view derived from another
-// snapshot's aliases that one's lanes too. Every batch reassigns each
-// column it clears.
+// release drops the windows of a view the run holds: shared's lanes,
+// and the identity columns a projection's output aliases from them. The
+// run goes back to its node's pool afterwards, where it must not keep a
+// snapshot's lanes reachable — a view derived from another snapshot's
+// aliases that one's lanes too. Every batch reassigns each column it
+// clears.
 func (r *chainRun) release() {
 	clear(r.shared.cols)
 	for _, st := range r.states {
@@ -197,25 +193,25 @@ func (r *chainRun) feed(src *batch, emit vecEmit) error {
 // vFilterOp narrows the batch's selection vector by a compiled
 // condition (WHERE semantics: only tTrue survives). where is the
 // condition it was compiled from, by which a pair run finds the σ its
-// two chains share.
+// two chains share and an error names the σ as the interpreter does.
 type vFilterOp struct {
 	cond  vecCondFn
 	where expr.Expr
 }
 
 type vFilterState struct {
-	cond   vecCondFn
+	vFilterOp
 	tr     []truth
 	selBuf []int
 }
 
 func (o vFilterOp) newState(cfg vecConfig, _ [][2]storage.ColVec) vopState {
-	return &vFilterState{cond: o.cond, tr: make([]truth, cfg.bs), selBuf: make([]int, 0, cfg.bs)}
+	return &vFilterState{vFilterOp: o, tr: make([]truth, cfg.bs), selBuf: make([]int, 0, cfg.bs)}
 }
 
 func (st *vFilterState) apply(p *vecPool, b *batch) (*batch, error) {
 	if err := st.cond(p, b, b.sel, st.tr); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("algebra: σ[%s]: %w", st.where, err)
 	}
 	if b.sel == nil {
 		sel := st.selBuf[:0]
@@ -247,11 +243,13 @@ func (st *vFilterState) apply(p *vecPool, b *batch) (*batch, error) {
 // reenacted-UPDATE shape (IF θ THEN f(col) ELSE col) carry a typedIf
 // producer that keeps the output on a typed lane when the input lanes
 // allow it; ifs[i] == nil or an inapplicable lane falls back to the
-// boxed kernel fns[i].
+// boxed kernel fns[i]. exprs are the named expressions it was compiled
+// from, by which an error names the Π column as the interpreter does.
 type vProjectOp struct {
-	fns []vecScalarFn
-	src []int
-	ifs []*typedIf
+	fns   []vecScalarFn
+	src   []int
+	ifs   []*typedIf
+	exprs []algebra.NamedExpr
 }
 
 type vProjectState struct {
@@ -307,7 +305,7 @@ func (st *vProjectState) lane(i int, b *batch) *storage.ColVec {
 
 // referenced reports whether any of cols reads l's storage: shares the
 // backing array of the typed lane it is on. Masks need no test — a lane
-// write never reuses a mask (CompactFrom and SetCellNull allocate).
+// write never reuses a mask (CopyFrom and SetCellNull allocate).
 func referenced(l *storage.ColVec, cols []storage.ColVec) bool {
 	for c := range cols {
 		switch col := &cols[c]; col.Kind {
@@ -344,7 +342,7 @@ func (st *vProjectState) apply(p *vecPool, b *batch) (*batch, error) {
 			l := st.lane(i, b)
 			handled, err := spec.apply(p, b, l)
 			if err != nil {
-				return nil, err
+				return nil, st.fail(i, err)
 			}
 			if handled {
 				out.cols[i] = *l
@@ -356,115 +354,136 @@ func (st *vProjectState) apply(p *vecPool, b *batch) (*batch, error) {
 			sc.Vals = make([]types.Value, st.bs)
 		}
 		if err := fn(p, b, b.sel, sc.Vals); err != nil {
-			return nil, err
+			return nil, st.fail(i, err)
 		}
 		out.cols[i] = storage.ColVec{Kind: types.KindNull, Vals: sc.Vals}
 	}
 	return out, nil
 }
 
+// fail names output column i's expression in err, as the interpreter's
+// Π does.
+func (st *vProjectState) fail(i int, err error) error {
+	return fmt.Errorf("algebra: Π[%s]: %w", st.op.exprs[i].E, err)
+}
+
 // vpipeNode is a base-relation scan with its fused σ/Π chain — the
 // parallelizable segment of every pipeline. Large relations are
-// partitioned into contiguous chunks processed by concurrent workers
-// (each with private chain scratch); a merge stage then emits the
-// buffered per-partition output in partition order, which preserves not
-// just bag semantics but the exact sequential output order.
+// partitioned into contiguous row ranges processed by concurrent
+// workers (each with private chain scratch); a merge stage then emits
+// the buffered per-partition output in partition order, which preserves
+// not just bag semantics but the exact sequential output order.
 type vpipeNode struct {
 	rel   string
 	arity int // scan (input) arity
-	// outArity is the chain's output arity — projections in the fused
-	// chain change it; parallel workers freeze batches at this width.
-	outArity int
-	// kinds is the declared column kind per scan column — the typed-lane
-	// hints for the batch transpose. A column whose runtime cells deviate
-	// from its declared kind falls back to the boxed lane per batch, so
-	// stale hints cannot produce wrong data.
-	kinds []types.Kind
-	ch    chain
-	cfg   vecConfig
-	runs  sync.Pool // recycled *chainRun
+	// out is the chain's output schema — projections in the fused chain
+	// change it; parallel workers copy batches out at its width.
+	out  *schema.Schema
+	ch   chain
+	cfg  vecConfig
+	runs sync.Pool // recycled *chainRun
 }
 
 func (n *vpipeNode) run(rc *runCtx, emit vecEmit) error {
-	if s := rc.scan; s != nil && strings.EqualFold(s.rel, n.rel) {
-		if len(s.v.Cols) != n.arity {
-			return fmt.Errorf("exec: relation %s arity changed since compilation (%d vs %d)", n.rel, len(s.v.Cols), n.arity)
-		}
-		cr := n.ch.getRun(&n.runs, n.cfg, rc)
-		defer n.runs.Put(cr)
-		return runVecView(rc, s.v, s.lo, s.hi, cr, n.cfg.bs, emit)
-	}
-	r, view, err := n.source(rc.db)
+	src, err := n.source(rc)
 	if err != nil {
 		return err
 	}
-	tuples := r.Tuples
-	if n.partitions(len(tuples)) > 1 {
-		return n.runParallel(rc, tuples, view, emit)
+	if bounds := n.bounds(src.lo, src.hi); len(bounds) > 2 {
+		return n.runParallel(rc, src.v, bounds, emit)
 	}
 	cr := n.ch.getRun(&n.runs, n.cfg, rc)
 	defer n.runs.Put(cr)
-	if view != nil {
-		return runVecView(rc, view, 0, view.Rows, cr, n.cfg.bs, emit)
-	}
-	return runVecChunk(rc, tuples, n.arity, n.kinds, cr, n.cfg.bs, emit)
+	return runVecView(rc, src.v, src.lo, src.hi, cr, n.cfg.bs, emit)
 }
 
-// source looks the scanned relation up in db, checks that its arity is
-// the one compiled against, and returns it with its shared columnar
-// view: a frozen relation (one a SnapshotCache published) is scanned
-// through that view, a private one (nil view) by transposing its rows.
-// The relation says which it is.
-func (n *vpipeNode) source(db *storage.Database) (*storage.Relation, *storage.ColumnarView, error) {
+// source is the columnar view the scan reads, and which rows of it: the
+// rows a run substitutes for the relation (RunGroupStateViewCtx), else
+// every row of the relation's view in db (columnar).
+func (n *vpipeNode) source(rc *runCtx) (viewScan, error) {
+	if s := rc.scan; s != nil && strings.EqualFold(s.rel, n.rel) {
+		if len(s.v.Cols) != n.arity {
+			return viewScan{}, fmt.Errorf("exec: relation %s arity changed since compilation (%d vs %d)", n.rel, len(s.v.Cols), n.arity)
+		}
+		return *s, nil
+	}
+	r, err := n.relation(rc.db)
+	if err != nil {
+		return viewScan{}, err
+	}
+	v, err := columnar(r)
+	if err != nil {
+		return viewScan{}, err
+	}
+	return viewScan{rel: n.rel, v: v, hi: v.Rows}, nil
+}
+
+// relation looks the scanned relation up in db and checks that its
+// arity is the one compiled against.
+func (n *vpipeNode) relation(db *storage.Database) (*storage.Relation, error) {
 	r, err := db.Relation(n.rel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if r.Schema.Arity() != n.arity {
-		return nil, nil, fmt.Errorf("exec: relation %s arity changed since compilation (%d vs %d)", n.rel, r.Schema.Arity(), n.arity)
+		return nil, fmt.Errorf("exec: relation %s arity changed since compilation (%d vs %d)", n.rel, r.Schema.Arity(), n.arity)
 	}
-	view, err := r.SharedColumnar()
+	return r, nil
+}
+
+// columnar is the view a scan of r reads: a frozen relation's shared
+// view (one a SnapshotCache published), built once and read by every
+// scan of it, or a private relation's rows transposed for the caller
+// alone, each scan once. Either way a tuple shorter than the schema
+// fails the scan before any row runs, with CheckRowArity's error.
+func columnar(r *storage.Relation) (*storage.ColumnarView, error) {
+	v, err := r.SharedColumnar()
+	if err == nil && v == nil {
+		v, err = storage.Transpose(r)
+	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("exec: %w", err)
+		return nil, fmt.Errorf("exec: %w", err)
 	}
-	return r, view, nil
+	return v, nil
 }
 
-// partitions is the number of workers a scan of rows source rows runs
-// on: one below the parallel cutover.
-func (n *vpipeNode) partitions(rows int) int {
-	if n.cfg.workers > 1 && rows >= n.cfg.minParallel {
-		return n.cfg.workers
+// bounds splits rows [lo, hi) into the scan's partitions, partition w
+// being rows [b[w], b[w+1]): one below the parallel cutover, else at
+// most one per worker, contiguous, non-empty and of near-equal size, in
+// row order.
+func (n *vpipeNode) bounds(lo, hi int) []int {
+	parts := 1
+	if n.cfg.workers > 1 && hi-lo >= n.cfg.minParallel {
+		parts = n.cfg.workers
 	}
-	return 1
+	chunk := max((hi-lo+parts-1)/parts, 1)
+	b := []int{lo}
+	for start := lo + chunk; start < hi; start += chunk {
+		b = append(b, start)
+	}
+	return append(b, hi)
 }
 
-// runParallel splits the scan into contiguous row ranges, one worker
-// each, and emits the buffered per-range output in range order. view is
-// the relation's shared columnar view, or nil for a private relation.
-func (n *vpipeNode) runParallel(rc *runCtx, tuples []schema.Tuple, view *storage.ColumnarView, emit vecEmit) error {
-	parts := storage.PartitionTuples(tuples, n.cfg.workers)
-	results := make([][]*batch, len(parts))
-	errs := make([]error, len(parts))
+// runParallel runs the partitions bounds lists of view, one worker
+// each, and emits the buffered per-partition output in partition order.
+// A worker copies each output batch out (copyLive) before its scratch
+// moves on to the next one; the copies are emitted as frozen batches.
+func (n *vpipeNode) runParallel(rc *runCtx, view *storage.ColumnarView, bounds []int, emit vecEmit) error {
+	parts := len(bounds) - 1
+	results := make([][]*storage.ColumnarView, parts)
+	errs := make([]error, parts)
 	var wg sync.WaitGroup
-	lo := 0
-	for w, part := range parts {
+	for w := range parts {
 		wg.Add(1)
-		go func(w, lo int, part []schema.Tuple) {
+		go func(w int) {
 			defer wg.Done()
 			cr := n.ch.getRun(&n.runs, n.cfg, rc)
 			defer n.runs.Put(cr)
-			buffer := func(b *batch) error {
-				results[w] = append(results[w], freezeBatch(b, n.outArity))
+			errs[w] = runVecView(rc, view, bounds[w], bounds[w+1], cr, n.cfg.bs, func(b *batch) error {
+				results[w] = append(results[w], copyLive(b, n.out))
 				return nil
-			}
-			if view != nil {
-				errs[w] = runVecView(rc, view, lo, lo+len(part), cr, n.cfg.bs, buffer)
-			} else {
-				errs[w] = runVecChunk(rc, part, n.arity, n.kinds, cr, n.cfg.bs, buffer)
-			}
-		}(w, lo, part)
-		lo += len(part)
+			})
+		}(w)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -472,9 +491,9 @@ func (n *vpipeNode) runParallel(rc *runCtx, tuples []schema.Tuple, view *storage
 			return err
 		}
 	}
-	for _, bs := range results {
-		for _, b := range bs {
-			if err := emit(b); err != nil {
+	for _, vs := range results {
+		for _, v := range vs {
+			if err := emit(&batch{cols: v.Cols, n: v.Rows, frozen: true}); err != nil {
 				return err
 			}
 		}
@@ -482,47 +501,16 @@ func (n *vpipeNode) runParallel(rc *runCtx, tuples []schema.Tuple, view *storage
 	return nil
 }
 
-// runVecChunk drives one contiguous tuple range through a chain run,
-// transposing bs rows at a time into a column-major source batch,
-// directly onto the typed lanes kinds declares. Cancellation is
-// observed between batches — every ≤ bs source rows.
-func runVecChunk(rc *runCtx, tuples []schema.Tuple, arity int, kinds []types.Kind, cr *chainRun, bs int, emit vecEmit) error {
-	if len(tuples) == 0 {
-		return nil
-	}
-	if cr.src == nil {
-		cr.src = &batch{cols: make([]storage.ColVec, arity)}
-	}
-	src := cr.src
-	for start := 0; start < len(tuples); start += bs {
-		if err := rc.ctx.Err(); err != nil {
-			return err
-		}
-		rows := tuples[start:min(start+bs, len(tuples))]
-		if err := storage.CheckRowArity(rows, arity); err != nil {
-			return fmt.Errorf("exec: %w", err)
-		}
-		for c := 0; c < arity; c++ {
-			src.cols[c].FillFromTuples(rows, c, kinds[c])
-		}
-		src.n, src.sel = len(rows), nil
-		if err := cr.feed(src, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runVecView drives rows [lo,hi) of a frozen relation's shared columnar
-// view through a chain run. No cell is copied and no row is re-checked:
-// each source batch's columns are windows of the view, which was
-// validated and typed once when it was built. The view is shared with
-// every other scan of the relation, so nothing downstream may write
-// through a source lane — filters narrow sel, projections alias identity
-// columns and write computed ones into their own scratch, and whoever
-// retains rows (freezeBatch, materializeRows) copies them out.
-// Cancellation is observed between batches, as in runVecChunk. cr
-// drops the windows it borrowed on return (release).
+// runVecView drives rows [lo,hi) of a columnar view through a chain
+// run. No cell is copied and no row is re-checked: each source batch's
+// columns are windows of the view, which was validated and typed once
+// when it was built. The view may be shared with every other scan of
+// the relation, so nothing downstream may write through a source lane —
+// filters narrow sel, projections alias identity columns and write
+// computed ones into their own scratch, and whoever retains rows
+// (copyLive, storage.GatherRows) copies them out. Cancellation is
+// observed between batches — every ≤ bs source rows. cr drops the
+// windows it borrowed on return (release).
 func runVecView(rc *runCtx, view *storage.ColumnarView, lo, hi int, cr *chainRun, bs int, emit vecEmit) error {
 	src := cr.sharedBatch(len(view.Cols))
 	defer cr.release()
@@ -541,20 +529,19 @@ func runVecView(rc *runCtx, view *storage.ColumnarView, lo, hi int, cr *chainRun
 }
 
 // vsingletonNode streams a constant relation (with its fused chain)
-// batch-wise; never parallel — singletons are tiny.
+// batch-wise from the view its rows became at compile time; never
+// parallel — singletons are tiny.
 type vsingletonNode struct {
-	tuples []schema.Tuple
-	arity  int
-	kinds  []types.Kind
-	ch     chain
-	cfg    vecConfig
-	runs   sync.Pool
+	rows *storage.ColumnarView
+	ch   chain
+	cfg  vecConfig
+	runs sync.Pool
 }
 
 func (n *vsingletonNode) run(rc *runCtx, emit vecEmit) error {
 	cr := n.ch.getRun(&n.runs, n.cfg, rc)
 	defer n.runs.Put(cr)
-	return runVecChunk(rc, n.tuples, n.arity, n.kinds, cr, n.cfg.bs, emit)
+	return runVecView(rc, n.rows, 0, n.rows.Rows, cr, n.cfg.bs, emit)
 }
 
 // vchainNode applies a fused σ/Π chain to the output of a non-scan
@@ -601,7 +588,7 @@ type vequiJoinNode struct {
 func (n *vequiJoinNode) run(rc *runCtx, emit vecEmit) error {
 	table := map[uint64][]schema.Tuple{}
 	err := n.r.run(rc, func(b *batch) error {
-		for _, t := range materializeRows(b, n.rArity) {
+		for _, t := range storage.GatherRows(b.cols[:n.rArity], b.sel, b.n) {
 			h, ok := hashKeys(t, n.rKeys)
 			if !ok {
 				continue // NULL key: can never satisfy the equality
@@ -718,13 +705,13 @@ func CompileVec(q algebra.Query, db *storage.Database, opts VecOptions) (*Progra
 }
 
 // appendOp fuses op onto a chain-bearing node, or wraps other nodes in
-// a fresh chain node. outArity is the operator's output width (filters
-// keep it, projections change it).
-func appendOp(n vecNode, op vop, outArity int, cfg vecConfig) vecNode {
+// a fresh chain node. out is the operator's output schema (filters keep
+// it, projections change it).
+func appendOp(n vecNode, op vop, out *schema.Schema, cfg vecConfig) vecNode {
 	switch x := n.(type) {
 	case *vpipeNode:
 		x.ch.ops = append(x.ch.ops, op)
-		x.outArity = outArity
+		x.out = out
 		return x
 	case *vsingletonNode:
 		x.ch.ops = append(x.ch.ops, op)
@@ -747,7 +734,7 @@ func (c *compiler) compileVecNode(q algebra.Query, db *storage.Database) (vecNod
 		if err != nil {
 			return nil, nil, err
 		}
-		return &vpipeNode{rel: x.Rel, arity: r.Schema.Arity(), outArity: r.Schema.Arity(), kinds: colKinds(r.Schema), cfg: cfg}, r.Schema, nil
+		return &vpipeNode{rel: x.Rel, arity: r.Schema.Arity(), out: r.Schema, cfg: cfg}, r.Schema, nil
 
 	case *algebra.Select:
 		in, s, err := c.compileVecNode(x.In, db)
@@ -758,7 +745,7 @@ func (c *compiler) compileVecNode(q algebra.Query, db *storage.Database) (vecNod
 		if err != nil {
 			return nil, nil, err
 		}
-		return appendOp(in, vFilterOp{cond: cond, where: x.Cond}, s.Arity(), cfg), s, nil
+		return appendOp(in, vFilterOp{cond: cond, where: x.Cond}, s, cfg), s, nil
 
 	case *algebra.Project:
 		in, s, err := c.compileVecNode(x.In, db)
@@ -797,7 +784,7 @@ func (c *compiler) compileVecNode(q algebra.Query, db *storage.Database) (vecNod
 			// Pure rename: the node disappears from the pipeline.
 			return in, out, nil
 		}
-		return appendOp(in, vProjectOp{fns: fns, src: src, ifs: ifs}, out.Arity(), cfg), out, nil
+		return appendOp(in, vProjectOp{fns: fns, src: src, ifs: ifs, exprs: x.Exprs}, out, cfg), out, nil
 
 	case *algebra.Union:
 		l, ls, err := c.compileVecNode(x.L, db)
@@ -817,22 +804,16 @@ func (c *compiler) compileVecNode(q algebra.Query, db *storage.Database) (vecNod
 		return c.compileVecJoin(x, db)
 
 	case *algebra.Singleton:
-		return &vsingletonNode{tuples: x.Tuples, arity: x.Sch.Arity(), kinds: colKinds(x.Sch), cfg: cfg}, x.Sch, nil
+		rows, err := storage.Transpose(&storage.Relation{Schema: x.Sch, Tuples: x.Tuples})
+		if err != nil {
+			return nil, nil, fmt.Errorf("exec: %w", err)
+		}
+		return &vsingletonNode{rows: rows, cfg: cfg}, x.Sch, nil
 
 	case *algebra.Aggregate:
 		return c.compileVecAggregate(x, db)
 	}
 	return nil, nil, fmt.Errorf("exec: unknown query node %T", q)
-}
-
-// colKinds extracts the declared per-column kinds of s as typed-lane
-// hints for the scan transpose.
-func colKinds(s *schema.Schema) []types.Kind {
-	kinds := make([]types.Kind, s.Arity())
-	for i, c := range s.Columns {
-		kinds[i] = c.Type
-	}
-	return kinds
 }
 
 // compileVecJoin compiles a join whose condition is made only of

@@ -113,11 +113,12 @@ func BenchmarkReenactment(b *testing.B) {
 // BenchmarkVecScanFrozen is the gate's scan_heavy op at executor scale:
 // the reenactment chain of a 50-update history over 32 000 Taxi rows
 // under a 10 %-selective data-slicing σ, run by one compiled program
-// over a private relation (every run transposes every row into the
-// source batch) and over the same relation as a SnapshotCache publishes
-// it (every run aliases the view built by the first). The none-kept
-// shape filters every row out, so its B/op is what a scan itself
-// allocates: nothing that grows with the relation on either source.
+// over a private relation (every run transposes the whole relation into
+// a columnar view of its own) and over the same relation as a
+// SnapshotCache publishes it (every run aliases the view built by the
+// first). The none-kept shape filters every row out, so its B/op is what
+// a scan itself allocates: on the frozen source nothing that grows with
+// the relation, on the private source the transposed view, which does.
 func BenchmarkVecScanFrozen(b *testing.B) {
 	w, err := workload.Generate(workload.Taxi(32000, 1), workload.Config{
 		Updates: 50, Mods: 1, DependentPct: 10, AffectedPct: 10, Seed: 1,

@@ -28,14 +28,20 @@
 //     reenacted-UPDATE shape IF θ THEN e ELSE col stays on a typed lane
 //     and overwrites satisfied rows).
 //
-//   - Scans read typed column lanes: a frozen relation (one a
-//     SnapshotCache published) through windows of its shared columnar
-//     view, a private one by transposing its rows batch by batch. Scans
-//     over large relations partition across workers, each freezing its
-//     output batches into lanes of their own; the merge emits them in
-//     partition order — preserving the interpreter's exact output
-//     order, not just bag semantics — and a columnar sink keeps a
-//     frozen batch as its part instead of copying it again.
+//   - Every scan reads windows of a columnar view (runVecView): a
+//     frozen relation's (one a SnapshotCache published) shared view,
+//     built once per snapshot; a private relation's rows, transposed
+//     whole by the run that scans them (storage.Transpose); a constant
+//     relation's, transposed at compile time; or rows a run substitutes
+//     for a relation (RunGroupStateViewCtx). Scans over large relations
+//     split the view by row range across workers, each copying its
+//     output batches out into lanes of their own; the merge emits them
+//     in partition order — preserving the interpreter's exact output
+//     order, not just bag semantics — and a columnar sink keeps such a
+//     copy as its part instead of copying it again. Rows leave a batch
+//     one way: lane-wise through storage.ColumnarView.AppendRows (the
+//     sink, the workers' copies, the pair's residual), or boxed through
+//     storage.GatherRows (the row sink, the join's build side).
 //
 //   - Reenactment builds σ, Π, ∪ and constant rows; reports add γ over
 //     σ and ⋈ of scans. Those are the operators compiled here, and ∪
@@ -57,22 +63,30 @@
 // RunPairCtx, which runs two programs at once — may be concurrent:
 // scratch state is allocated per run and recycled through sync.Pools.
 // A what-if compiles its two sides and runs them once. When each is one
-// scan of the same frozen relation through its fused chain, RunPairCtx
-// (pair.go) drives both chains over the same source windows, runs a σ
-// both chains begin with (the data-slicing filter) once, compares
+// scan of the same relation through its fused chain, RunPairCtx
+// (pair.go) drives both chains over the same windows of its view, runs
+// a σ both chains begin with (the data-slicing filter) once, compares
 // their live rows position by position and writes only the rows that
 // differ, once, into pooled residual lanes, so neither result is ever
-// written out; other pairs run each side alone. A template compiles its programs once and answers
-// concurrent bindings with them, each binding a parameter vector
-// ($slots are run-time parameters) that one run carries (params.go).
+// written out; other pairs run each side alone. A template compiles
+// its programs once and answers concurrent bindings with them, each
+// binding a parameter vector ($slots are run-time parameters) that one
+// run carries (params.go).
 //
 // The interpreter remains the reference oracle: core.Options.Executor
 // selects between the two, the differential fuzz tests require
 // identical deltas, and any query CompileVec cannot handle (symbolic
 // variables, a join that is not a pure equi-join, unknown nodes) makes
 // the engine fall back to the interpreter as a whole, counted
-// (Engine.InterpreterFallbacks), so compilation can never change
-// observable behavior.
+// (Engine.InterpreterFallbacks), so compilation never changes a result.
+// A failing σ or Π names its condition or column expression as the
+// interpreter's does, and a comparison its operands in the order the
+// condition spells them, so a query with one failing operator fails
+// with the same text under both. Which error a chain of several
+// operators reports first can differ: the chain runs batch by batch,
+// every operator over one batch before the next batch enters, where the
+// interpreter runs each operator over every row before the next. Both
+// fail, or neither does.
 package exec
 
 import (
@@ -95,8 +109,9 @@ type runCtx struct {
 	scan  *viewScan
 }
 
-// viewScan is rows [lo, hi) of a columnar view that every scan of
-// relation rel reads in place of the database's relation.
+// viewScan is rows [lo, hi) of a columnar view that a scan of relation
+// rel reads: the relation's own view in the database (vpipeNode.source),
+// or rows a run substitutes for it.
 type viewScan struct {
 	rel    string
 	v      *storage.ColumnarView
@@ -122,17 +137,16 @@ func (p *Program) newRun(ctx context.Context, db *storage.Database, binding map[
 // RunCtx executes the program against db and materializes the result
 // as rows. The pipeline observes cancellation between row batches, so
 // a cancelled run returns ctx.Err() promptly instead of streaming the
-// full relation. Every emitted batch's live rows materialize into
-// row-major tuples backed by one arena allocation per batch (not one
-// per row), and the relation's tuple slice is allocated once, at its
-// final size.
+// full relation. Every emitted batch's live rows box into row-major
+// tuples backed by one arena allocation per batch (storage.GatherRows),
+// and the relation's tuple slice is allocated once, at its final size.
 func (p *Program) RunCtx(ctx context.Context, db *storage.Database) (*storage.Relation, error) {
 	out := storage.NewRelation(p.out)
 	arity := p.out.Arity()
 	var chunks [][]schema.Tuple
 	total := 0
 	err := p.root.run(p.newRun(ctx, db, nil), func(b *batch) error {
-		rows := materializeRows(b, arity)
+		rows := storage.GatherRows(b.cols[:arity], b.sel, b.n)
 		chunks = append(chunks, rows)
 		total += len(rows)
 		return nil
@@ -166,11 +180,11 @@ func (p *Program) RunColumnarCtx(ctx context.Context, db *storage.Database) (*st
 // error once a row reaches it (as every slot does under the other Run
 // methods); names no slot has are ignored.
 func (p *Program) RunColumnarParamsCtx(ctx context.Context, db *storage.Database, binding map[string]types.Value) (*storage.ColumnarView, error) {
-	// Each batch's live rows become a part of exactly their size, and
-	// the parts are joined once the total is known: what is returned
-	// (and may be pinned by a template artifact) has no slack, and no
-	// lane was regrown on the way. A batch a parallel scan froze is such
-	// a part already and is kept as it is.
+	// Each batch's live rows become a part of exactly their size
+	// (copyLive), and the parts are joined once the total is known: what
+	// is returned (and may be pinned by a template artifact) has no
+	// slack, and no lane was regrown on the way. A batch a parallel scan
+	// froze is such a part already and is kept as it is.
 	arity := p.out.Arity()
 	var parts []*storage.ColumnarView
 	err := p.root.run(p.newRun(ctx, db, binding), func(b *batch) error {
@@ -178,20 +192,20 @@ func (p *Program) RunColumnarParamsCtx(ctx context.Context, db *storage.Database
 			parts = append(parts, &storage.ColumnarView{Schema: p.out, Rows: b.n, Cols: b.cols[:arity]})
 			return nil
 		}
-		part := storage.NewColumnarView(p.out, b.live())
-		part.AppendRows(b.cols[:arity], b.sel, b.n)
-		parts = append(parts, part)
+		parts = append(parts, copyLive(b, p.out))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return joinParts(p.out, parts), nil
+	return joinParts(parts, func(rows int) *storage.ColumnarView { return storage.NewColumnarView(p.out, rows) }), nil
 }
 
-// joinParts joins parts, views of schema s, into one view of exactly
-// their total size, in order; a single part is returned as it is.
-func joinParts(s *schema.Schema, parts []*storage.ColumnarView) *storage.ColumnarView {
+// joinParts joins parts into one view of exactly their total size, in
+// order, which newView makes with room for that many rows; a single
+// part is returned as it is. The columnar sink joins a result's parts,
+// a pair run its partitions' residual rows.
+func joinParts(parts []*storage.ColumnarView, newView func(rows int) *storage.ColumnarView) *storage.ColumnarView {
 	if len(parts) == 1 {
 		return parts[0]
 	}
@@ -199,7 +213,7 @@ func joinParts(s *schema.Schema, parts []*storage.ColumnarView) *storage.Columna
 	for _, part := range parts {
 		total += part.Rows
 	}
-	out := storage.NewColumnarView(s, total)
+	out := newView(total)
 	for _, part := range parts {
 		out.AppendRows(part.Cols, nil, part.Rows)
 	}

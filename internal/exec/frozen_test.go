@@ -20,11 +20,11 @@ import (
 	"github.com/mahif/mahif/internal/types"
 )
 
-// A scan reads a relation one of two ways: a private relation is
-// transposed batch by batch, a frozen one (published by a
-// SnapshotCache) is read through windows of its shared columnar view.
-// These tests run the same programs over both forms of the same data
-// and over the interpreter, which knows neither.
+// A scan reads windows of a columnar view: a frozen relation's
+// (published by a SnapshotCache) shared view, or the view a private
+// relation is transposed into for the run. These tests run the same
+// programs over both forms of the same data and over the interpreter,
+// which knows neither.
 
 // publish returns db's contents as a SnapshotCache hands them out:
 // every relation frozen, nothing shared with db, which stays private.
@@ -292,11 +292,12 @@ func sharedView(t *testing.T, frozen *storage.Database) *storage.ColumnarView {
 
 // TestFrozenThenPrivateRunLeavesViewIntact pins the hazard of a pooled
 // chain run: one Program scans a frozen relation, then a private one,
-// then the frozen one again, on one recycled chainRun. The private
-// scan transposes into whatever lanes the run's owned source batch
-// holds; were a window of the shared view left there, it would
-// overwrite the view. The frozen relation is a whole number of batches
-// so that its last window is as large as the private scan's first fill.
+// then the frozen one again, on one recycled chainRun. The run keeps
+// its lanes from one scan to the next and refills them (the typed IF's
+// ELSE copy); were a window of the shared view ever one of them, the
+// private scan would overwrite the view. The frozen relation is a whole
+// number of batches so that its last window is as large as the private
+// scan's first fill.
 func TestFrozenThenPrivateRunLeavesViewIntact(t *testing.T) {
 	a := boundaryDB(2 * 1024)
 	frozen, _ := publish(t, a)
@@ -477,5 +478,105 @@ func TestSharedColumnarReleasedByPooledScan(t *testing.T) {
 				runtime.KeepAlive(prog)
 			})
 		}
+	}
+}
+
+// TestPrivateRelationScannedTwice: one program scans the same private
+// relation twice — a union of two chains over it, and an equi-join of
+// it with a renamed chain over itself — and each scan transposes it on
+// its own. Both sources and the interpreter agree under every scan
+// option.
+func TestPrivateRelationScannedTwice(t *testing.T) {
+	private := boundaryDB(3*1024 + 17)
+	frozen, _ := publish(t, private)
+	scan := func() algebra.Query { return &algebra.Scan{Rel: "t"} }
+	renamed := &algebra.Project{
+		Exprs: []algebra.NamedExpr{{Name: "k2", E: expr.Column("k")}, {Name: "g2", E: expr.Column("g")}},
+		In:    &algebra.Select{Cond: mustCond(t, "v < 50"), In: scan()},
+	}
+	for name, q := range map[string]algebra.Query{
+		"union": &algebra.Union{
+			L: &algebra.Select{Cond: mustCond(t, "v < 100"), In: scan()},
+			R: &algebra.Select{Cond: mustCond(t, "g = 'a'"), In: scan()},
+		},
+		"self-join": &algebra.Join{L: scan(), R: renamed, Cond: mustCond(t, "k = k2")},
+	} {
+		requireSameOnBothSources(t, name, q, private, frozen)
+	}
+}
+
+// TestPrivateParallelScansConcurrent: concurrent callers run one
+// program's forced-partitioned scans of one private relation — both
+// sinks and a pair run — each run transposing the relation for itself
+// and splitting that view by row range. Every answer is the
+// interpreter's, and the relation stays private and unchanged. Run it
+// under -race.
+func TestPrivateParallelScansConcurrent(t *testing.T) {
+	private := laneEdgeDBs()["null-heavy"]
+	r, err := private.Relation("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fmt.Sprint(r.Tuples)
+	q := laneEdgeQueries(t, private)["reenact-chain"]
+	want, err := algebra.Eval(q, private)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := exec.CompileVec(q, private, parallelOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 8
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				rows, err := prog.RunCtx(context.Background(), private)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				view, err := prog.RunColumnarCtx(context.Background(), private)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				res, route, err := exec.RunPairCtx(context.Background(), prog, prog, private)
+				if err != nil || route != exec.Paired {
+					errs[g] = fmt.Errorf("pair: route %d, %v", route, err)
+					return
+				}
+				differ := res.Old.Rows + res.New.Rows
+				compared := res.Compared
+				res.Release()
+				switch {
+				case fmt.Sprint(rows.Tuples) != fmt.Sprint(want.Tuples):
+					errs[g] = fmt.Errorf("RunCtx: %v, want %v", rows.Tuples, want.Tuples)
+				case fmt.Sprint(view.Relation().Tuples) != fmt.Sprint(want.Tuples):
+					errs[g] = fmt.Errorf("RunColumnarCtx: %v, want %v", view.Relation().Tuples, want.Tuples)
+				case differ != 0 || compared != len(want.Tuples):
+					errs[g] = fmt.Errorf("a program paired with itself kept %d differing rows of %d compared, want 0 of %d", differ, compared, len(want.Tuples))
+				}
+				if errs[g] != nil {
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", g, err)
+		}
+	}
+	if view, err := r.SharedColumnar(); view != nil || err != nil {
+		t.Fatalf("the private relation has a shared view (%v)", err)
+	}
+	if fmt.Sprint(r.Tuples) != before {
+		t.Fatal("a scan changed the private relation's rows")
 	}
 }

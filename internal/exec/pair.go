@@ -26,9 +26,6 @@ const (
 	// of the relation the other scans under the same options (a
 	// reenacted INSERT adds a union, a report a γ).
 	PairShape
-	// PairPrivate: the relation is private, not frozen: it has no
-	// shared columnar view for both programs to read.
-	PairPrivate
 	// PairMisaligned: the two programs kept different numbers of rows
 	// of one source batch (a DELETE, or a data-slicing σ on one side
 	// only), so their positions no longer line up.
@@ -81,9 +78,10 @@ func (r *Residual) Release() {
 
 // RunPairCtx answers the delta's mark step for orig and mod, the two
 // reenactment programs of one relation, without keeping either result.
-// When each is one scan of the same frozen relation through its fused
-// σ/Π chain, it drives both chains over the same windows of the
-// relation's shared columnar view, batch by batch, in the partitions a
+// When each is one scan of the same relation through its fused σ/Π
+// chain, it drives both chains over the same windows of the relation's
+// columnar view — a frozen relation's shared view, or a private one's
+// rows transposed once for both — batch by batch, in the partitions a
 // run of either alone would use. When both chains begin with the same
 // σ — a what-if's data-slicing filter, which Eq. 7 makes the same on
 // both sides — it runs once per batch, and each chain goes on from its
@@ -96,8 +94,8 @@ func (r *Residual) Release() {
 // as on the other: the k-th live row of a batch is then at the same
 // position of both results, so the rows kept are the residual
 // delta.ComputeColumnar would find in RunColumnarCtx's two views. A
-// batch that breaks this stops the run with PairMisaligned; so do
-// shapes and relations outside the class (PairShape, PairPrivate).
+// batch that breaks this stops the run with PairMisaligned; a shape
+// outside the class is PairShape.
 // Errors are those of running orig, then mod, each alone: orig's first
 // error in partition order wins, then mod's; an error of a σ both run
 // is orig's. Where a misaligned partition comes before either, which
@@ -109,18 +107,17 @@ func RunPairCtx(ctx context.Context, orig, mod *Program, db *storage.Database) (
 	if !ok1 || !ok2 || !strings.EqualFold(on.rel, mn.rel) || on.arity != mn.arity || on.cfg != mn.cfg || orig.out.Arity() != mod.out.Arity() {
 		return nil, PairShape, nil
 	}
-	r, view, err := on.source(db)
+	r, err := on.relation(db)
 	if err != nil {
 		return nil, Paired, err
 	}
-	// Each program's scan asks for the view, as it does when it runs
-	// alone: the view's hits count scans.
-	if _, _, err := mn.source(db); err != nil {
+	view, err := columnar(r)
+	if err != nil {
 		return nil, Paired, err
 	}
-	if view == nil {
-		return nil, PairPrivate, nil
-	}
+	// The modified program's scan asks for a frozen relation's view too,
+	// as it does when it runs alone: the view's hits count scans.
+	r.SharedColumnar()
 	pr := &pairRun{
 		orig: orig, mod: mod, on: on, mn: mn,
 		orc: orig.newRun(ctx, db, nil), mrc: mod.newRun(ctx, db, nil),
@@ -130,21 +127,19 @@ func RunPairCtx(ctx context.Context, orig, mod *Program, db *storage.Database) (
 		mf, ok := leadingFilter(mn.ch)
 		pr.sharedFilter = ok && expr.Equal(of.where, mf.where)
 	}
-	parts := storage.PartitionTuples(r.Tuples, on.partitions(len(r.Tuples)))
-	pr.misaligned.Store(int64(len(parts)))
-	out := make([]pairPart, len(parts))
-	if len(parts) == 1 {
-		pr.runPart(0, 0, len(parts[0]), &out[0])
+	bounds := on.bounds(0, view.Rows)
+	out := make([]pairPart, len(bounds)-1)
+	pr.misaligned.Store(int64(len(out)))
+	if len(out) == 1 {
+		pr.runPart(0, 0, view.Rows, &out[0])
 	} else {
 		var wg sync.WaitGroup
-		lo := 0
-		for w, part := range parts {
+		for w := range out {
 			wg.Add(1)
-			go func(w, lo, hi int) {
+			go func(w int) {
 				defer wg.Done()
-				pr.runPart(w, lo, hi, &out[w])
-			}(w, lo, lo+len(part))
-			lo += len(part)
+				pr.runPart(w, bounds[w], bounds[w+1], &out[w])
+			}(w)
 		}
 		wg.Wait()
 	}
@@ -166,27 +161,18 @@ func RunPairCtx(ctx context.Context, orig, mod *Program, db *storage.Database) (
 		olds[i], news[i] = p.old, p.new
 		res.Compared += p.compared
 	}
-	res.Old, res.New = joinResidual(orig.out, olds), joinResidual(mod.out, news)
+	// Each side's residual rows, partition after partition: a single
+	// partition's view as it is, else one view from the pool they are
+	// copied into, the partitions' going back.
+	res.Old = joinParts(olds, func(rows int) *storage.ColumnarView { return residualView(orig.out, rows) })
+	res.New = joinParts(news, func(rows int) *storage.ColumnarView { return residualView(mod.out, rows) })
+	if len(out) > 1 {
+		for i := range out {
+			putResidualView(olds[i])
+			putResidualView(news[i])
+		}
+	}
 	return res, Paired, nil
-}
-
-// joinResidual is the residual rows of one side, partition after
-// partition: a single partition's view as it is, else one view from the
-// pool they are copied into, the partitions' going back.
-func joinResidual(s *schema.Schema, parts []*storage.ColumnarView) *storage.ColumnarView {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	total := 0
-	for _, part := range parts {
-		total += part.Rows
-	}
-	out := residualView(s, total)
-	for _, part := range parts {
-		out.AppendRows(part.Cols, nil, part.Rows)
-		putResidualView(part)
-	}
-	return out
 }
 
 // leadingFilter is the σ a chain begins with, if it begins with one.

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/mahif/mahif/internal/algebra"
 	"github.com/mahif/mahif/internal/delta"
 	"github.com/mahif/mahif/internal/exec"
 	"github.com/mahif/mahif/internal/history"
@@ -57,13 +56,13 @@ func requireIdenticalTuples(t *testing.T, label string, got, want []schema.Tuple
 	}
 }
 
-// requirePairMatchesOracle runs orig and mod as a pair over the frozen
-// db and requires the oracle's answer, or a fallback. It returns the
-// route the pair took.
-func requirePairMatchesOracle(t *testing.T, label string, orig, mod *exec.Program, frozen *storage.Database) exec.PairRoute {
+// requirePairMatchesOracle runs orig and mod as a pair over db and
+// requires the oracle's answer, or a fallback. It returns the route the
+// pair took.
+func requirePairMatchesOracle(t *testing.T, label string, orig, mod *exec.Program, db *storage.Database) exec.PairRoute {
 	t.Helper()
-	want, wantWork, wantErr := pairOracle(orig, mod, frozen)
-	res, route, err := exec.RunPairCtx(context.Background(), orig, mod, frozen)
+	want, wantWork, wantErr := pairOracle(orig, mod, db)
+	res, route, err := exec.RunPairCtx(context.Background(), orig, mod, db)
 	switch {
 	case err != nil:
 		if wantErr == nil || err.Error() != wantErr.Error() {
@@ -174,7 +173,9 @@ var pairOptions = []exec.VecOptions{
 // same σ on both sides must pair (or fail with the general path's
 // error), also past a DELETE before the replaced statement; an INSERT
 // must fall back by shape; a DELETE from the replaced statement on, a
-// one-sided σ or two different σs may misalign.
+// one-sided σ or two different σs may misalign. The private relation
+// takes the route its frozen copy takes, with the same answer: the pair
+// run transposes it once for both sides.
 func TestPairRunMatchesGeneralPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	routes := map[exec.PairRoute]int{}
@@ -238,6 +239,9 @@ func TestPairRunMatchesGeneralPath(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			route := requirePairMatchesOracle(t, label, orig, mod, frozen)
+			if pr := requirePairMatchesOracle(t, label+"\nprivate", orig, mod, private); pr != route {
+				t.Fatalf("%s: the private relation took route %d, its frozen copy %d", label, pr, route)
+			}
 			routes[route]++
 			inserts := strings.Contains(strings.Join(srcs, ";")+strings.Join(modSrcs, ";"), "INSERT")
 			// A DELETE before the replaced statement removes the same rows
@@ -367,20 +371,6 @@ func TestPairRunsShareResidualPool(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestPairRunFallsBackOnPrivateRelations: a private relation has no
-// shared view for both sides to read.
-func TestPairRunFallsBackOnPrivateRelations(t *testing.T) {
-	db := pairTable(rand.New(rand.NewSource(1)), 10)
-	q := &algebra.Scan{Rel: "t"}
-	prog, err := exec.CompileVec(q, db, exec.VecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, route, err := exec.RunPairCtx(context.Background(), prog, prog, db); res != nil || route != exec.PairPrivate || err != nil {
-		t.Fatalf("private relation: %v, route %d, %v; want route PairPrivate", res, route, err)
-	}
 }
 
 // TestPairRunErrorPrecedence places failing rows and a misaligned batch

@@ -221,7 +221,7 @@ func (t *typedIf) apply(p *vecPool, b *batch, out *storage.ColVec) (bool, error)
 	}
 	// Bulk-copy the ELSE lane (a read that cannot error, so covering
 	// then-rows too is invisible), then overwrite the satisfied rows.
-	out.CompactFrom(els, nil, b.n)
+	out.CopyFrom(els, b.n)
 	if len(selT) == 0 {
 		return true, nil
 	}

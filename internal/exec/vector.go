@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/mahif/mahif/internal/expr"
 	"github.com/mahif/mahif/internal/schema"
@@ -29,9 +28,9 @@ const DefaultBatchSize = 1024
 // the consumer's emit call — producers reuse the backing storage for
 // the next batch. Consumers that retain data (the join's build side,
 // the sinks) copy rows out. The one exception is a batch a parallel
-// scan froze (frozen): its lanes are its own, exactly sized, and
-// nothing writes them once it is emitted, so a sink may keep them as
-// they are while sel is still nil.
+// scan froze (frozen): its lanes are a copy of its own (copyLive),
+// exactly sized, and nothing writes them once it is emitted, so a sink
+// may keep them as they are while sel is still nil.
 type batch struct {
 	cols   []storage.ColVec
 	n      int
@@ -60,52 +59,13 @@ func newOwnedBatch(arity, bs int) *batch {
 	return &batch{cols: cols}
 }
 
-// materializeRows copies the live rows of b into freshly allocated
-// row-major tuples backed by a single flat arena (one allocation per
-// batch instead of one per row — the sink-side alloc win of the
-// vectorized executor). Typed lanes box here, at the boundary.
-func materializeRows(b *batch, arity int) []schema.Tuple {
-	live := b.live()
-	if live == 0 {
-		return nil
-	}
-	flat := make([]types.Value, live*arity)
-	rows := make([]schema.Tuple, live)
-	for i := range rows {
-		rows[i] = schema.Tuple(flat[i*arity : (i+1)*arity : (i+1)*arity])
-	}
-	for c := 0; c < arity; c++ {
-		col := &b.cols[c]
-		if b.sel == nil {
-			for i := 0; i < b.n; i++ {
-				flat[i*arity+c] = col.Value(i)
-			}
-		} else {
-			for i, r := range b.sel {
-				flat[i*arity+c] = col.Value(r)
-			}
-		}
-	}
-	return rows
-}
-
-// freezeBatch compacts the live rows of b into an owned batch
-// (sel == nil), preserving each column's lane. Parallel scan workers
-// freeze their output batches so the ordered merge can buffer them
-// while the worker's scratch moves on to the next batch. A NULL mask
-// with no live NULL is dropped, as AppendRows drops it, so a sink that
-// keeps the batch's lanes holds the lanes it would have copied.
-func freezeBatch(b *batch, arity int) *batch {
-	live := b.live()
-	cols := make([]storage.ColVec, arity)
-	for c := range cols {
-		col := &cols[c]
-		col.CompactFrom(&b.cols[c], b.sel, live)
-		if col.Nulls != nil && !slices.Contains(col.Nulls, true) {
-			col.Nulls = nil
-		}
-	}
-	return &batch{cols: cols, n: live, frozen: true}
+// copyLive copies the live rows of b into a view of schema s of exactly
+// their size (ColumnarView.AppendRows, each lane kept): a parallel scan
+// worker's output batch, and a batch the columnar sink keeps.
+func copyLive(b *batch, s *schema.Schema) *storage.ColumnarView {
+	v := storage.NewColumnarView(s, b.live())
+	v.AppendRows(b.cols[:s.Arity()], b.sel, b.n)
+	return v
 }
 
 // vecPool recycles kernel-internal scratch buffers (comparison and
@@ -828,12 +788,12 @@ func (c *compiler) compileVecColConstCmp(x *expr.Cmp, s *schema.Schema) (vecCond
 		slot := c.slot(prm.Name)
 		return nil, func(args []arg) vecCondFn {
 			if v, ok := argAt(args, slot); ok {
-				return colConstCmpKernel(op, idx, lut, v)
+				return colConstCmpKernel(op, idx, lut, v, !constOnRight)
 			}
 			return nil
 		}
 	}
-	return colConstCmpKernel(op, idx, lut, k.(*expr.Const).V), nil
+	return colConstCmpKernel(op, idx, lut, k.(*expr.Const).V, !constOnRight), nil
 }
 
 // colConstCmpKernel is the vectorized comparison of column idx against
@@ -842,8 +802,9 @@ func (c *compiler) compileVecColConstCmp(x *expr.Cmp, s *schema.Schema) (vecCond
 // tight loops with the operator's truth table hoisted out; boxed lanes
 // and runtime kinds outside the specialized domain take the per-cell
 // loop that delegates to evalCmpTruth, keeping the semantics of the
-// generic path exactly.
-func colConstCmpKernel(op expr.CmpOp, idx int, lut [3]truth, cv types.Value) vecCondFn {
+// generic path exactly. constFirst: the condition spells the constant
+// first (op is flipped), which the escapes undo (spelled).
+func colConstCmpKernel(op expr.CmpOp, idx int, lut [3]truth, cv types.Value, constFirst bool) vecCondFn {
 	switch {
 	case cv.IsNumeric():
 		cf := cv.AsFloat()
@@ -921,7 +882,7 @@ func colConstCmpKernel(op expr.CmpOp, idx int, lut [3]truth, cv types.Value) vec
 					}
 					f := fs[r]
 					if math.IsNaN(f) {
-						t, err := evalCmpTruth(op, types.Float(f), cv)
+						t, err := spelled(op, types.Float(f), cv, constFirst)
 						if err != nil {
 							return err
 						}
@@ -946,7 +907,7 @@ func colConstCmpKernel(op expr.CmpOp, idx int, lut [3]truth, cv types.Value) vec
 				}
 				return nil
 			}
-			return cmpCellsGeneric(op, src, cv, sel, b.n, out)
+			return cmpCellsGeneric(op, src, cv, constFirst, sel, b.n, out)
 		}
 	case cv.Kind() == types.KindString:
 		cs := cv.AsString()
@@ -973,7 +934,7 @@ func colConstCmpKernel(op expr.CmpOp, idx int, lut [3]truth, cv types.Value) vec
 				}
 				return nil
 			}
-			return cmpCellsGeneric(op, src, cv, sel, b.n, out)
+			return cmpCellsGeneric(op, src, cv, constFirst, sel, b.n, out)
 		}
 	}
 	return nil
@@ -1094,12 +1055,23 @@ func orderStrings(a, b string) int {
 	return o
 }
 
+// spelled compares cell v with constant cv under op through
+// evalCmpTruth, with the operands in the order the condition spells
+// them — cv first, under op flipped back, when constFirst — so that an
+// error names them as the interpreter's does.
+func spelled(op expr.CmpOp, v, cv types.Value, constFirst bool) (truth, error) {
+	if constFirst {
+		return evalCmpTruth(op.Flip(), cv, v)
+	}
+	return evalCmpTruth(op, v, cv)
+}
+
 // cmpCellsGeneric is the boxed/off-domain cell loop of the
 // column-vs-constant comparison: NULL cells yield tNull, numeric cells
 // against numeric constants take the inline ordered compare, and
-// everything else delegates to evalCmpTruth — the exact behavior of
-// the pre-columnar kernel.
-func cmpCellsGeneric(op expr.CmpOp, src *storage.ColVec, cv types.Value, sel []int, n int, out []truth) error {
+// everything else delegates to evalCmpTruth in spelled order — the
+// exact behavior of the pre-columnar kernel.
+func cmpCellsGeneric(op expr.CmpOp, src *storage.ColVec, cv types.Value, constFirst bool, sel []int, n int, out []truth) error {
 	cellCmp := func(r int) error {
 		v := src.Value(r)
 		if v.IsNull() {
@@ -1124,7 +1096,7 @@ func cmpCellsGeneric(op expr.CmpOp, src *storage.ColVec, cv types.Value, sel []i
 			out[r] = t
 			return nil
 		}
-		t, err := evalCmpTruth(op, v, cv)
+		t, err := spelled(op, v, cv, constFirst)
 		if err != nil {
 			return err
 		}

@@ -144,7 +144,10 @@ func TestVectorizedBatchBoundaries(t *testing.T) {
 // exactly the rows the interpreter evaluates them on, so an expression
 // that errors on untaken rows errors in neither the interpreter nor the
 // vectorized executor — and one that errors on a reachable row errors
-// in both.
+// in both, with the same text: every failing case is one σ or one Π,
+// which names its condition or column expression, and a comparison
+// names its operands in the order the condition spells them, also when
+// the kernel compares a column with a constant spelled first.
 func TestVectorizedErrorParity(t *testing.T) {
 	build := func(vals ...int64) *storage.Database {
 		db := storage.NewDatabase()
@@ -158,6 +161,10 @@ func TestVectorizedErrorParity(t *testing.T) {
 		db.AddRelation(r)
 		return db
 	}
+	// mixed holds a string cell in the int column v (a boxed lane).
+	mixed := build(1, 2)
+	r, _ := mixed.Relation("t")
+	r.Add(schema.NewTuple(types.Int(2), types.String("x")))
 	divByV := expr.Gt(expr.Div(expr.IntConst(100), expr.Column("v")), expr.IntConst(0))
 	cases := []struct {
 		name string
@@ -190,12 +197,27 @@ func TestVectorizedErrorParity(t *testing.T) {
 			&algebra.Project{Exprs: []algebra.NamedExpr{{Name: "x",
 				E: expr.Add(expr.Column("v"), expr.StringConst("boom")),
 			}}, In: &algebra.Select{Cond: mustCond(t, "v < 0"), In: &algebra.Scan{Rel: "t"}}}},
+		// A column-vs-constant comparison with the constant first, on a
+		// string cell: the kernel compares flipped, the error must not.
+		{"const-first-cmp", mixed,
+			&algebra.Select{Cond: mustCond(t, "9007199254740992 <= v"), In: &algebra.Scan{Rel: "t"}}},
+		{"col-first-cmp", mixed,
+			&algebra.Select{Cond: mustCond(t, "v >= 9007199254740992"), In: &algebra.Scan{Rel: "t"}}},
+		{"const-first-arith", mixed,
+			&algebra.Project{Exprs: []algebra.NamedExpr{{Name: "x",
+				E: expr.Sub(expr.IntConst(9), expr.Column("v")),
+			}}, In: &algebra.Scan{Rel: "t"}}},
+		{"typed-if-error", mixed,
+			&algebra.Project{Exprs: []algebra.NamedExpr{
+				{Name: "k", E: expr.Column("k")},
+				{Name: "v", E: expr.IfThenElse(mustCond(t, "k >= 1"), expr.Add(expr.Column("v"), expr.IntConst(1)), expr.Column("v"))},
+			}, In: &algebra.Scan{Rel: "t"}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			want, errI := algebra.Eval(c.q, c.db)
 			gotV, errV := evalVec(c.q, c.db)
-			if (errI == nil) != (errV == nil) {
+			if fmt.Sprint(errI) != fmt.Sprint(errV) {
 				t.Fatalf("error divergence: interpreter=%v vectorized=%v", errI, errV)
 			}
 			if errI != nil {

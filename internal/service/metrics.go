@@ -73,8 +73,6 @@ var sessionMetrics = []sessionMetric{
 		func(st core.SessionStats) int64 { return st.Pairs.Paired }},
 	{"pair_fallbacks_shape_total", "Relations whose two compiled reenactment sides ran one after the other because a side is not one scan through a fused selection/projection chain (a reenacted INSERT), per session.", "counter",
 		func(st core.SessionStats) int64 { return st.Pairs.Shape }},
-	{"pair_fallbacks_private_total", "Relations whose two compiled reenactment sides ran one after the other because the relation is not a frozen snapshot relation, per session.", "counter",
-		func(st core.SessionStats) int64 { return st.Pairs.Private }},
 	{"pair_fallbacks_misaligned_total", "Relations whose two compiled reenactment sides ran one after the other because a source batch kept different row counts on the two sides (a DELETE), per session.", "counter",
 		func(st core.SessionStats) int64 { return st.Pairs.Misaligned }},
 }

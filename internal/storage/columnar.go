@@ -369,65 +369,10 @@ func (c *ColVec) fillBoxed(rows []schema.Tuple, col int) {
 	}
 }
 
-// CompactFrom gathers the live cells of src (sel nil → the first n
-// cells) into c as a dense lane of the same kind, reusing c's backing
-// arrays. It is the freeze step of the parallel scan merge.
-func (c *ColVec) CompactFrom(src *ColVec, sel []int, n int) {
-	live := n
-	if sel != nil {
-		live = len(sel)
-	}
-	c.Kind = src.Kind
-	c.Nulls = nil
-	if src.Nulls != nil {
-		c.Nulls = grow(c.Nulls, live)
-		if sel == nil {
-			copy(c.Nulls, src.Nulls[:live])
-		} else {
-			for i, r := range sel {
-				c.Nulls[i] = src.Nulls[r]
-			}
-		}
-	}
-	switch src.Kind {
-	case types.KindInt:
-		c.Ints = grow(c.Ints, live)
-		if sel == nil {
-			copy(c.Ints, src.Ints[:live])
-		} else {
-			for i, r := range sel {
-				c.Ints[i] = src.Ints[r]
-			}
-		}
-	case types.KindFloat:
-		c.Floats = grow(c.Floats, live)
-		if sel == nil {
-			copy(c.Floats, src.Floats[:live])
-		} else {
-			for i, r := range sel {
-				c.Floats[i] = src.Floats[r]
-			}
-		}
-	case types.KindString:
-		c.Strs = grow(c.Strs, live)
-		if sel == nil {
-			copy(c.Strs, src.Strs[:live])
-		} else {
-			for i, r := range sel {
-				c.Strs[i] = src.Strs[r]
-			}
-		}
-	default:
-		c.Vals = grow(c.Vals, live)
-		if sel == nil {
-			copy(c.Vals, src.Vals[:live])
-		} else {
-			for i, r := range sel {
-				c.Vals[i] = src.Vals[r]
-			}
-		}
-	}
-}
+// CopyFrom makes c a copy of src's first n cells, on src's lane, through
+// appendFrom: c's array for that lane is refilled when it has room, and
+// a NULL mask is allocated only when a copied cell is NULL.
+func (c *ColVec) CopyFrom(src *ColVec, n int) { c.appendFrom(src, nil, n, n, 0, n) }
 
 // appendLive appends the live cells of src (sel nil → the first n cells)
 // to dst.
@@ -761,7 +706,7 @@ func (r *Relation) builtView() *ColumnarView {
 // columnar checkpoint codec.
 func (v *ColumnarView) Relation() *Relation {
 	out := NewRelation(v.Schema)
-	out.Tuples = v.gather(nil, v.Rows)
+	out.Tuples = GatherRows(v.Cols, nil, v.Rows)
 	return out
 }
 
@@ -769,23 +714,29 @@ func (v *ColumnarView) Relation() *Relation {
 // flat arena of exactly len(rows) rows, so whoever retains some of the
 // tuples pins that arena and nothing of the view.
 func (v *ColumnarView) GatherTuples(rows []int) []schema.Tuple {
-	return v.gather(rows, len(rows))
+	return GatherRows(v.Cols, rows, len(rows))
 }
 
-// gather boxes n rows — rows[i], or row i when rows is nil — into tuples
-// over one arena.
-func (v *ColumnarView) gather(rows []int, n int) []schema.Tuple {
+// GatherRows boxes the live rows of a column batch (sel nil → rows
+// 0..n-1, else the listed rows, in order) into row-major tuples over one
+// arena, one column at a time; cols holds one column per tuple cell. It
+// is the one boxing of rows out of lanes: a view's (Relation,
+// GatherTuples) and the vectorized executor's row sink and join build.
+func GatherRows(cols []ColVec, sel []int, n int) []schema.Tuple {
+	if sel != nil {
+		n = len(sel)
+	}
 	if n == 0 {
 		return nil
 	}
-	arity := len(v.Cols)
+	arity := len(cols)
 	flat := make([]types.Value, n*arity)
 	out := make([]schema.Tuple, n)
 	for i := range out {
 		out[i] = schema.Tuple(flat[i*arity : (i+1)*arity : (i+1)*arity])
 	}
-	for c := range v.Cols {
-		v.Cols[c].gatherInto(flat[c:], arity, rows, n)
+	for c := range cols {
+		cols[c].gatherInto(flat[c:], arity, sel, n)
 	}
 	return out
 }

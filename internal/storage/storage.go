@@ -206,29 +206,6 @@ func (r *Relation) PrepareRewrite(n int) (inPlace bool) {
 	return true
 }
 
-// PartitionTuples splits a tuple slice into at most parts contiguous,
-// non-empty chunks of near-equal size (no copying — chunks alias the
-// input). Concatenating the chunks in order reproduces the input
-// exactly, which is what lets the executor's parallel partitioned scans
-// merge per-partition output back in sequential order.
-func PartitionTuples(tuples []schema.Tuple, parts int) [][]schema.Tuple {
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > len(tuples) {
-		parts = len(tuples)
-	}
-	if parts == 0 {
-		return nil
-	}
-	out := make([][]schema.Tuple, 0, parts)
-	chunk := (len(tuples) + parts - 1) / parts
-	for start := 0; start < len(tuples); start += chunk {
-		out = append(out, tuples[start:min(start+chunk, len(tuples))])
-	}
-	return out
-}
-
 // EqualAsBag reports whether two relations contain the same multiset of
 // tuples.
 func (r *Relation) EqualAsBag(o *Relation) bool {
